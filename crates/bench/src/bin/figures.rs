@@ -869,7 +869,7 @@ fn restart() {
 /// `perf` — kernel micro-benchmark: explicit-lane / scalar-row / scalar
 /// operators, the fused one-pass sweeps, the pooled FFT polar filter at
 /// `AGCM_THREADS ∈ {1, 2, 4}`, and whole `dycore_step` timings with the
-/// fused + pooled paths on vs off — emitted as `BENCH_kernels.json`
+/// fused + lane paths on vs off — emitted as `BENCH_kernels.json`
 /// (ns/point + speedup).  Warmup and iteration counts come from
 /// `AGCM_BENCH_WARMUP` / `AGCM_BENCH_ITERS` (strict parse; defaults 3/9).
 ///

@@ -7,10 +7,10 @@
 //! fallback), and the per-point `*_scalar` reference (exposed by the
 //! `scalar-ref` feature of `agcm-core`) — and reported in ns/point.  On top
 //! of the per-operator entries the document carries the fused one-pass
-//! sweeps vs their sequential tendency→lincomb equivalents, the pooled FFT
-//! polar filter at `AGCM_THREADS ∈ {1, 2, 4}` vs the serial filter, and
-//! whole `dycore_step` timings with fusion + pooling on vs off (the PR 4
-//! configuration).  The module is shared by the `kernels` bench harness and
+//! sweeps vs their sequential tendency→lincomb equivalents, the FFT polar
+//! filter at `AGCM_THREADS ∈ {1, 2, 4}` vs the same sweep at one worker, and
+//! whole `dycore_step` timings with fusion and lanes on vs off (the PR 4
+//! configuration of the stencil kernels).  The module is shared by the `kernels` bench harness and
 //! the `figures perf` subcommand, which emits `BENCH_kernels.json`.
 
 use crate::timing::{bench_stats, Stats};
@@ -23,7 +23,7 @@ use agcm_core::advection::{
     fused_advection_update,
 };
 use agcm_core::diag::Diag;
-use agcm_core::filterop::{build_filter, filter_state_local, filter_state_local_pooled};
+use agcm_core::filterop::{build_filter, filter_state_local};
 use agcm_core::init;
 use agcm_core::lanes::KernelPath;
 use agcm_core::pool;
@@ -54,8 +54,8 @@ pub struct KernelPerf {
     /// composite entries.
     pub row_ns_per_point: f64,
     /// Median ns/point of the entry's reference: the per-point scalar
-    /// kernel, the sequential unfused sweep, the serial filter, or the
-    /// fusion-off + pooling-off (PR 4 configuration) step.
+    /// kernel, the sequential unfused sweep, the one-worker filter, or the
+    /// fusion-off, row-kernel (PR 4 configuration) step.
     pub scalar_ns_per_point: f64,
     /// Reference over current-default path — ≥ 1 means the rewrite won.
     pub speedup: f64,
@@ -255,30 +255,38 @@ pub fn measure_kernels(cfg: &ModelConfig, warmup: usize, iters: usize) -> Vec<Ke
     });
     out.push(perf3("vertical_c", points, lane, row, scalar));
 
-    // FFT filter: scratch-reusing path vs per-call-allocating reference over
-    // every polar row the profile damps.  Both paths recopy the pristine row
+    // FFT filter: the batched stepping-path kernel vs the per-call-allocating
+    // oracle, over the rows a 3-D field presents — every polar row the
+    // profile damps, once per level.  Both sides recopy the pristine rows
     // first so they transform identical data each iteration.
     let grid = &geom.grid;
+    let nx = grid.nx();
     let lats: Vec<f64> = (0..grid.ny()).map(|j| grid.latitude(j)).collect();
-    let filter = FourierFilter::new(grid.nx(), &lats, cfg.filter_cutoff_deg.to_radians());
-    let active: Vec<usize> = (0..grid.ny()).filter(|&j| filter.is_active(j)).collect();
+    let filter = FourierFilter::new(nx, &lats, cfg.filter_cutoff_deg.to_radians());
+    let active: Vec<usize> = (0..grid.ny())
+        .filter(|&j| filter.is_active(j))
+        .flat_map(|j| std::iter::repeat_n(j, geom.nz))
+        .collect();
     let pristine: Vec<f64> = {
         let mut s = splitmix64(&mut seed);
-        (0..grid.nx()).map(|_| rand_sym(&mut s)).collect()
+        (0..active.len() * nx).map(|_| rand_sym(&mut s)).collect()
     };
     let mut rowbuf = pristine.clone();
     let mut scratch = FilterScratch::new();
-    let fpoints = active.len().max(1) * grid.nx();
+    let fpoints = active.len().max(1) * nx;
     let row = bench_stats(warmup, iters, || {
-        for &j in &active {
-            rowbuf.copy_from_slice(&pristine);
-            filter.apply_row_with(j, &mut rowbuf, &mut scratch);
-        }
+        rowbuf.copy_from_slice(&pristine);
+        filter.apply_rows_with(
+            rowbuf.as_mut_slice(),
+            active.iter().copied().enumerate().map(|(r, j)| (j, r)),
+            |all, r| &mut all[r * nx..(r + 1) * nx],
+            &mut scratch.worker(nx),
+        );
     });
     let scalar = bench_stats(warmup, iters, || {
-        for &j in &active {
-            rowbuf.copy_from_slice(&pristine);
-            filter.apply_row(j, &mut rowbuf);
+        rowbuf.copy_from_slice(&pristine);
+        for (row, &j) in rowbuf.chunks_mut(nx).zip(&active) {
+            filter.apply_row(j, row);
         }
     });
     out.push(perf2("fft_filter", fpoints, row, scalar));
@@ -340,10 +348,10 @@ pub fn measure_fused(cfg: &ModelConfig, warmup: usize, iters: usize) -> Vec<Kern
     out
 }
 
-/// Time the pool-parallel FFT polar filter against the serial filter at
-/// each worker count in `threads` (the `AGCM_THREADS` sweep).  Both paths
-/// filter the same randomized state; the serial reference is re-timed at
-/// each operating point so the comparison shares cache state.
+/// Time the FFT polar filter at each worker count in `threads` (the
+/// `AGCM_THREADS` sweep) against the same entry point at one worker.  Both
+/// sides filter the same randomized state; the one-worker reference is
+/// re-timed at each operating point so the comparison shares cache state.
 pub fn measure_pooled_filter(
     cfg: &ModelConfig,
     warmup: usize,
@@ -363,34 +371,28 @@ pub fn measure_pooled_filter(
     let pristine = random_state(&geom, splitmix64(&mut seed));
     let mut state = pristine.clone();
     let mut scratch = FilterScratch::new();
-    let mut scratches: Vec<FilterScratch> = (0..pool::MAX_WORKERS)
-        .map(|_| FilterScratch::new())
-        .collect();
-    let mut out = Vec::new();
-    for &nt in threads {
+    let mut time_at = |nt: usize| {
         pool::with_workers(nt, || {
-            let pooled = bench_stats(warmup, iters, || {
-                state.copy_from(&pristine);
-                filter_state_local_pooled(&geom, &filter, &mut state, region, &mut scratches);
-            });
-            let serial = bench_stats(warmup, iters, || {
+            bench_stats(warmup, iters, || {
                 state.copy_from(&pristine);
                 filter_state_local(&geom, &filter, &mut state, region, &mut scratch);
-            });
-            out.push(perf2(
-                &format!("fft_filter_pooled_t{nt}"),
-                points,
-                pooled,
-                serial,
-            ));
-        });
-    }
-    out
+            })
+        })
+    };
+    threads
+        .iter()
+        .map(|&nt| {
+            let pooled = time_at(nt);
+            let single = time_at(1);
+            perf2(&format!("fft_filter_pooled_t{nt}"), points, pooled, single)
+        })
+        .collect()
 }
 
-/// Time a whole serial `dycore_step` with the fused sweeps and the pooled
-/// polar filter on (the default stepping path) against the same step with
-/// both off — the PR 4 configuration — at each worker count in `threads`.
+/// Time a whole serial `dycore_step` on the default stepping path against
+/// the same step with fusion off and the row-sliced kernels — the PR 4
+/// configuration of everything but the polar filter, whose PR 4 kernels are
+/// gone — at each worker count in `threads`.
 pub fn measure_dycore_step(
     cfg: &ModelConfig,
     warmup: usize,
@@ -405,13 +407,10 @@ pub fn measure_dycore_step(
             let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
             m.set_state(&ic);
             let current = bench_stats(warmup, iters, || m.step());
-            // faithful PR 4 configuration in the same binary: row-sliced
-            // kernels, no fusion, serial filter on the reference
-            // (modulo-indexed) FFT — every toggle is bitwise neutral
+            // PR 4 configuration in the same binary: row-sliced kernels,
+            // no fusion — every toggle is bitwise neutral
             m.engine.set_fusion(false);
-            m.engine.set_pooled_filter(false);
             m.engine.set_kernel_path(KernelPath::Rows);
-            m.engine.set_reference_filter(true);
             m.set_state(&ic);
             let baseline = bench_stats(warmup, iters, || m.step());
             out.push(perf2(

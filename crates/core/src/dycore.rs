@@ -13,12 +13,7 @@ use crate::advection::{advection_tendency_path, fused_advection_update};
 use crate::boundary;
 use crate::config::ModelConfig;
 use crate::diag::Diag;
-#[cfg(feature = "scalar-ref")]
-use crate::filterop::filter_state_local_reference;
-use crate::filterop::{
-    build_filter, filter_row, filter_state_distributed, filter_state_local,
-    filter_state_local_pooled,
-};
+use crate::filterop::{build_filter, filter_row, filter_state_distributed, filter_state_local};
 use crate::geometry::{LocalGeometry, Region};
 use crate::lanes::KernelPath;
 use crate::pool;
@@ -51,10 +46,10 @@ pub struct Engine {
     pub filter: FourierFilter,
     /// Diagnostics / C-output cache.
     pub diag: Diag,
-    /// Per-worker FFT arenas for the local filter path, pre-warmed at this
-    /// rank's circle length (zero steady-state allocation at any worker
-    /// count); index 0 doubles as the serial-path scratch.
-    fscratches: Vec<FilterScratch>,
+    /// FFT tables and per-worker arenas of the local filter path, warmed
+    /// at this rank's circle length for the configured worker count (zero
+    /// steady-state allocation).
+    fscratch: FilterScratch,
     /// `active_j[j + active_off]` — whether local row `j` (including halo
     /// mirror rows) is polar-filter active; precomputed so the fused sweeps
     /// can branch per row without re-deriving global indices.
@@ -65,16 +60,10 @@ pub struct Engine {
     /// only); togglable at runtime so benchmarks can measure the unfused
     /// baseline in the same binary.
     fuse: bool,
-    /// Whether the local polar filter runs on the worker pool.
-    pooled_filter: bool,
     /// Which kernel implementation the sweeps dispatch to (lanes by
     /// default; togglable so benchmarks can reproduce earlier baselines
     /// in the same binary — every path is bitwise identical).
     path: KernelPath,
-    /// Route the local polar filter through the PR 4-era reference FFT
-    /// kernels (bench baseline; bitwise identical, slower).
-    #[cfg(feature = "scalar-ref")]
-    reference_filter: bool,
     /// Cache-block height (rows) of the fused sweeps' j-k tiling.
     tile_j: usize,
     /// Whether `diag.{vsum, gw, phi_p}` hold valid (possibly stale) values.
@@ -97,15 +86,11 @@ impl Engine {
         let active_j: Vec<bool> = (-active_off..geom.ny as isize + geom.halo.yp as isize)
             .map(|j| filter.is_active(filter_row(&geom, j)))
             .collect();
-        // one FFT arena per potential worker, pre-warmed so the pooled
-        // filter stays allocation-free in steady state
-        let mut fscratches: Vec<FilterScratch> = (0..pool::MAX_WORKERS)
-            .map(|_| FilterScratch::new())
-            .collect();
+        // one FFT arena per configured worker, warmed so the local filter
+        // is allocation-free from the first step
+        let mut fscratch = FilterScratch::new();
         if px1 {
-            for s in &mut fscratches {
-                s.warm(geom.nx);
-            }
+            fscratch.warm(geom.nx, pool::workers());
         }
         let tile_j = autotune_tile_j(&geom, &stdatm, &filter);
         Engine {
@@ -114,14 +99,11 @@ impl Engine {
             stdatm,
             filter,
             diag,
-            fscratches,
+            fscratch,
             active_j,
             active_off,
             fuse: true,
-            pooled_filter: true,
             path: KernelPath::build_default(),
-            #[cfg(feature = "scalar-ref")]
-            reference_filter: false,
             tile_j,
             c_cached: false,
             px1,
@@ -134,12 +116,6 @@ impl Engine {
         self.fuse = on;
     }
 
-    /// Toggle the pooled local polar filter (on by default).  Bitwise
-    /// identical either way.
-    pub fn set_pooled_filter(&mut self, on: bool) {
-        self.pooled_filter = on;
-    }
-
     /// Select the kernel path every sweep dispatches to (lanes / rows /
     /// scalar — bitwise identical; a pure scheduling choice).  Benchmarks
     /// use [`KernelPath::Rows`] to reproduce the PR 4 kernel baseline.
@@ -150,14 +126,6 @@ impl Engine {
     /// The kernel path the sweeps currently dispatch to.
     pub fn kernel_path(&self) -> KernelPath {
         self.path
-    }
-
-    /// Route the local polar filter through the PR 4-era reference FFT
-    /// kernels (bitwise identical, slower) — the bench harness's "before"
-    /// side of the serial-step comparison.
-    #[cfg(feature = "scalar-ref")]
-    pub fn set_reference_filter(&mut self, on: bool) {
-        self.reference_filter = on;
     }
 
     /// The fused sweeps' cache-block height in j (autotuned or pinned by
@@ -185,34 +153,7 @@ impl Engine {
         let _f = obs::span_phase(obs::SpanKind::Op, obs::Phase::F, "filter");
         match fctx {
             FilterCtx::Local => {
-                #[cfg(feature = "scalar-ref")]
-                if self.reference_filter {
-                    filter_state_local_reference(
-                        &self.geom,
-                        &self.filter,
-                        tend,
-                        region,
-                        &mut self.fscratches[0],
-                    );
-                    return Ok(());
-                }
-                if self.pooled_filter {
-                    filter_state_local_pooled(
-                        &self.geom,
-                        &self.filter,
-                        tend,
-                        region,
-                        &mut self.fscratches,
-                    );
-                } else {
-                    filter_state_local(
-                        &self.geom,
-                        &self.filter,
-                        tend,
-                        region,
-                        &mut self.fscratches[0],
-                    );
-                }
+                filter_state_local(&self.geom, &self.filter, tend, region, &mut self.fscratch);
                 Ok(())
             }
             FilterCtx::Distributed(xc) => {

@@ -11,7 +11,7 @@ use crate::geometry::{LocalGeometry, Region};
 use crate::pool::{self, StateBand, MAX_WORKERS};
 use crate::state::State;
 use agcm_comm::{CommResult, Communicator};
-use agcm_fft::{filter_rows_distributed, FilterScratch, FourierFilter};
+use agcm_fft::{filter_rows_distributed, FilterScratch, FilterWorker, FourierFilter};
 
 /// Build the filter for the global grid of `geom`, with damping profiles at
 /// this rank's (and its halo's) latitude rows.  Row indexing of the
@@ -40,9 +40,19 @@ pub(crate) fn filter_row(geom: &LocalGeometry, jl: isize) -> usize {
 }
 
 /// Filter a state in place on `region` — the local (`p_x = 1`) path.
-/// Each `(j, k)` row of the 3-D components and each `j` row of `p'_sa` is
-/// transformed, damped and transformed back.  `scratch` holds the reusable
-/// FFT buffers; steady-state calls allocate nothing.
+/// Each active `(j, k)` row of the 3-D components and each active `j` row
+/// of `p'_sa` is transformed, damped and transformed back.
+///
+/// The FFT work is split across z-bands of `region` on the intra-rank
+/// worker pool, each worker streaming its band's `(k, j, field)` rows
+/// through [`FourierFilter::apply_rows_with`] — `agcm_fft::W` circles per
+/// transform pass, rows of different latitudes and fields sharing a batch —
+/// with its **own** arena of `scratch`; the 2-D `p'_sa` rows run on the
+/// caller.  Every circle comes out bitwise identical to the allocating
+/// [`FourierFilter::apply_row`] whatever batch, slot or worker it lands in,
+/// so the result is independent of the worker count.  `scratch` grows the
+/// first time a worker count or `nx` is seen; steady-state calls allocate
+/// nothing, and a single-band split runs inline on the caller.
 pub fn filter_state_local(
     geom: &LocalGeometry,
     filter: &FourierFilter,
@@ -51,113 +61,46 @@ pub fn filter_state_local(
     scratch: &mut FilterScratch,
 ) {
     let nx = geom.nx as isize;
-    for k in region.z0..region.z1 {
-        for j in region.y0..region.y1 {
-            let gj = filter_row(geom, j);
-            if !filter.is_active(gj) {
-                continue;
-            }
-            for f in [&mut state.u, &mut state.v, &mut state.phi] {
-                let row = f.row_mut(0, nx, j, k);
-                filter.apply_row_with(gj, row, scratch);
-            }
-        }
-    }
-    for j in region.y0..region.y1 {
-        let gj = filter_row(geom, j);
-        if filter.is_active(gj) {
-            filter.apply_row_with(gj, state.psa.row_mut(0, nx, j), scratch);
-        }
-    }
-}
-
-/// [`filter_state_local`] on the PR 4-era reference FFT kernels — the
-/// bench harness's "before" side of the serial-step comparison.  Bitwise
-/// identical to the optimized sweep.
-#[cfg(feature = "scalar-ref")]
-pub fn filter_state_local_reference(
-    geom: &LocalGeometry,
-    filter: &FourierFilter,
-    state: &mut State,
-    region: Region,
-    scratch: &mut FilterScratch,
-) {
-    let nx = geom.nx as isize;
-    for k in region.z0..region.z1 {
-        for j in region.y0..region.y1 {
-            let gj = filter_row(geom, j);
-            if !filter.is_active(gj) {
-                continue;
-            }
-            for f in [&mut state.u, &mut state.v, &mut state.phi] {
-                let row = f.row_mut(0, nx, j, k);
-                filter.apply_row_with_reference(gj, row, scratch);
-            }
-        }
-    }
-    for j in region.y0..region.y1 {
-        let gj = filter_row(geom, j);
-        if filter.is_active(gj) {
-            filter.apply_row_with_reference(gj, state.psa.row_mut(0, nx, j), scratch);
-        }
-    }
-}
-
-/// [`filter_state_local`] parallelized over the intra-rank worker pool:
-/// the FFT work of the active latitude circles — ~85% of the residual
-/// serial step time — is split across z-bands of `region`, each worker
-/// filtering its band's `(j, k)` rows with its **own** [`FilterScratch`]
-/// arena from `scratches` (so no worker ever shares FFT buffers).  The 2-D
-/// `p'_sa` rows run on the caller with the first arena.
-///
-/// Per-row filtering is independent and [`FourierFilter::apply_row_with`]
-/// is bitwise-identical regardless of which scratch performs it, so the
-/// result is bit-identical to the serial path at any worker count.  With
-/// pre-warmed arenas (see `FilterScratch::warm`) steady-state calls
-/// allocate nothing; a single-band split runs inline on the caller.
-pub fn filter_state_local_pooled(
-    geom: &LocalGeometry,
-    filter: &FourierFilter,
-    state: &mut State,
-    region: Region,
-    scratches: &mut [FilterScratch],
-) {
-    let nx = geom.nx as isize;
     let points =
         geom.nx * (region.y1 - region.y0).max(0) as usize * (region.z1 - region.z0).max(0) as usize;
-    let nw = pool::workers_for(points).min(scratches.len()).max(1);
+    let nw = pool::workers_for(points);
     let (mut bands, nb) =
         pool::split_state_bands(&mut state.u, &mut state.v, &mut state.phi, &region, nw);
-    // zip each band with a dedicated scratch arena (stack list, no alloc)
-    let mut items: [Option<(StateBand<'_>, &mut FilterScratch)>; MAX_WORKERS] =
+    // zip each band with a dedicated worker arena (stack list, no alloc)
+    let mut items: [Option<(StateBand<'_>, FilterWorker<'_>)>; MAX_WORKERS] =
         std::array::from_fn(|_| None);
-    let mut rest = &mut scratches[..];
-    for (item, band) in items.iter_mut().zip(bands.iter_mut()).take(nb) {
-        let (first, tail) = std::mem::take(&mut rest)
-            .split_first_mut()
-            .expect("scratch per band");
-        rest = tail;
-        *item = Some((band.take().expect("band present"), first));
+    for ((item, band), worker) in items
+        .iter_mut()
+        .zip(bands.iter_mut())
+        .zip(scratch.workers(geom.nx, nb))
+    {
+        *item = Some((band.take().expect("band present"), worker));
     }
-    pool::run(&mut items[..nb], "filter.pooled", |(band, scratch)| {
-        for k in band.region.z0..band.region.z1 {
-            for j in band.region.y0..band.region.y1 {
+    pool::run(&mut items[..nb], "filter.pooled", |(band, worker)| {
+        let Region { y0, y1, z0, z1 } = band.region;
+        let rows = (z0..z1).flat_map(|k| {
+            (y0..y1).flat_map(move |j| {
                 let gj = filter_row(geom, j);
-                if !filter.is_active(gj) {
-                    continue;
-                }
-                for f in [&mut band.u, &mut band.v, &mut band.phi] {
-                    filter.apply_row_with(gj, f.row_mut(0, nx, j, k), scratch);
-                }
-            }
-        }
+                (0..3u8).map(move |f| (gj, (f, j, k)))
+            })
+        });
+        filter.apply_rows_with(
+            band,
+            rows,
+            |band, (f, j, k)| match f {
+                0 => band.u.row_mut(0, nx, j, k),
+                1 => band.v.row_mut(0, nx, j, k),
+                _ => band.phi.row_mut(0, nx, j, k),
+            },
+            worker,
+        );
     });
-    for j in region.y0..region.y1 {
-        let gj = filter_row(geom, j);
-        if filter.is_active(gj) {
-            filter.apply_row_with(gj, state.psa.row_mut(0, nx, j), &mut scratches[0]);
-        }
-    }
+    filter.apply_rows_with(
+        &mut state.psa,
+        (region.y0..region.y1).map(|j| (filter_row(geom, j), j)),
+        |psa, j| psa.row_mut(0, nx, j),
+        &mut scratch.worker(geom.nx),
+    );
 }
 
 /// Filter a state in place on `region` when longitude circles are split

@@ -395,33 +395,42 @@ fn fused_advection_matches_sequential_sweep_bitwise() {
 }
 
 #[test]
-fn pooled_fft_filter_matches_serial_bitwise() {
-    use crate::filterop::{build_filter, filter_state_local, filter_state_local_pooled};
+fn batched_fft_filter_matches_row_oracle_bitwise_at_any_worker_count() {
+    use crate::filterop::{build_filter, filter_row, filter_state_local};
     use agcm_fft::FilterScratch;
     for h in HALOS {
         let geom = geom_with_halo(h);
         let filter = build_filter(&geom, 70.0);
+        let nx = geom.nx as isize;
         for seed in SEEDS {
             let mut s = seed.wrapping_mul(17);
             let init = random_state(&geom, splitmix64(&mut s));
             let region = random_region(&geom, &mut s);
 
+            // the oracle: every row of the region through the allocating
+            // per-row filter (identity on inactive rows)
             let mut want = init.clone();
-            let mut scratch = FilterScratch::new();
-            filter_state_local(&geom, &filter, &mut want, region, &mut scratch);
+            for j in region.y0..region.y1 {
+                let gj = filter_row(&geom, j);
+                for k in region.z0..region.z1 {
+                    for f in [&mut want.u, &mut want.v, &mut want.phi] {
+                        filter.apply_row(gj, f.row_mut(0, nx, j, k));
+                    }
+                }
+                filter.apply_row(gj, want.psa.row_mut(0, nx, j));
+            }
 
+            // one scratch across worker counts: it must grow on demand
+            let mut scratch = FilterScratch::new();
             for nt in THREADS {
                 let mut got = init.clone();
-                let mut scratches: Vec<FilterScratch> = (0..pool::MAX_WORKERS)
-                    .map(|_| FilterScratch::new())
-                    .collect();
                 pool::with_workers(nt, || {
-                    filter_state_local_pooled(&geom, &filter, &mut got, region, &mut scratches)
+                    filter_state_local(&geom, &filter, &mut got, region, &mut scratch)
                 });
                 assert_state_bits(
                     &got,
                     &want,
-                    &format!("pooled filter h={h} nt={nt} seed={seed}"),
+                    &format!("batched filter h={h} nt={nt} seed={seed}"),
                 );
             }
         }

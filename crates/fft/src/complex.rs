@@ -125,6 +125,134 @@ impl From<f64> for Complex {
     }
 }
 
+/// Latitude circles the batched transform carries in lock-step (the slot
+/// count of the crate-private `CLane`).  A build-time constant picked by measurement on the
+/// bench host (see DESIGN.md §8) — not a tunable.
+pub const W: usize = 8;
+
+/// The element the transform kernel is generic over: one complex number
+/// ([`Complex`], one slot) or [`W`] of them in structure-of-arrays form
+/// ([`CLane`]).  Every operation is slot-wise `f64` arithmetic with the
+/// expression tree of the [`Complex`] implementation, so a lane computation
+/// is exactly `W` independent scalar computations — bitwise identical per
+/// slot by construction (no reassociation, no shuffles, no horizontal op).
+pub(crate) trait Cx: Copy + Default {
+    /// Rows this element carries.
+    const SLOTS: usize;
+    /// `self + 0.0` per component — bit for bit what `zero + self·(1, ±0)`
+    /// evaluates to for every finite `self` (the unit-twiddle first term of
+    /// every accumulate; see `unit_twiddle_identity_is_exact`).
+    fn unit(self) -> Self;
+
+    /// `self + x·t`, one accumulate step against a twiddle-table entry.
+    fn mul_acc(self, x: Self, t: Complex) -> Self;
+
+    /// Put the real sample `v` into `slot` (imaginary part zero).
+    fn set_real(&mut self, slot: usize, v: f64);
+
+    /// Real part of `slot`.
+    fn re(&self, slot: usize) -> f64;
+
+    /// Multiply slot `s` by the real factor `d(s)`.
+    fn scale_by(self, d: impl Fn(usize) -> f64) -> Self;
+
+    /// Complex conjugate.
+    fn conj(self) -> Self;
+}
+
+impl Cx for Complex {
+    const SLOTS: usize = 1;
+
+    #[inline(always)]
+    fn unit(self) -> Self {
+        Complex::new(self.re + 0.0, self.im + 0.0)
+    }
+
+    #[inline(always)]
+    fn mul_acc(self, x: Self, t: Complex) -> Self {
+        self + x * t
+    }
+
+    #[inline(always)]
+    fn set_real(&mut self, _slot: usize, v: f64) {
+        *self = Complex::from(v);
+    }
+
+    #[inline(always)]
+    fn re(&self, _slot: usize) -> f64 {
+        self.re
+    }
+
+    #[inline(always)]
+    fn scale_by(self, d: impl Fn(usize) -> f64) -> Self {
+        self.scale(d(0))
+    }
+
+    #[inline(always)]
+    fn conj(self) -> Self {
+        Complex::conj(self)
+    }
+}
+
+/// [`W`] complex numbers, one per latitude circle of a batch, as separate
+/// real and imaginary arrays so the slot loops compile to packed arithmetic.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CLane {
+    re: [f64; W],
+    im: [f64; W],
+}
+
+impl Cx for CLane {
+    const SLOTS: usize = W;
+
+    #[inline(always)]
+    fn unit(mut self) -> Self {
+        for s in 0..W {
+            self.re[s] += 0.0;
+            self.im[s] += 0.0;
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn mul_acc(mut self, x: Self, t: Complex) -> Self {
+        for s in 0..W {
+            self.re[s] += x.re[s] * t.re - x.im[s] * t.im;
+            self.im[s] += x.re[s] * t.im + x.im[s] * t.re;
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn set_real(&mut self, slot: usize, v: f64) {
+        self.re[slot] = v;
+        self.im[slot] = 0.0;
+    }
+
+    #[inline(always)]
+    fn re(&self, slot: usize) -> f64 {
+        self.re[slot]
+    }
+
+    #[inline(always)]
+    fn scale_by(mut self, d: impl Fn(usize) -> f64) -> Self {
+        for s in 0..W {
+            let ds = d(s);
+            self.re[s] *= ds;
+            self.im[s] *= ds;
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn conj(mut self) -> Self {
+        for s in 0..W {
+            self.im[s] = -self.im[s];
+        }
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,23 +1,32 @@
 //! Mixed-radix fast Fourier transform.
 //!
 //! A recursive Cooley–Tukey decimation-in-time transform that factors the
-//! length into small radices (2, 3, 5, 7, …) and falls back to the naive
-//! O(n²) DFT for any remaining large prime factor.  Latitude–longitude
-//! meshes use smooth `n_x` (the paper's mesh has `n_x = 720 = 2⁴·3²·5`), so
-//! the fallback only triggers on deliberately adversarial sizes.
+//! length into small radices (2, 3, 5, 7, …) and evaluates any remaining
+//! prime factor as a naive O(n²) DFT.  Latitude–longitude meshes use smooth
+//! `n_x` (the paper's mesh has `n_x = 720 = 2⁴·3²·5`), so large primes only
+//! occur on deliberately adversarial sizes.
+//!
+//! The module holds the transform twice, on purpose:
+//!
+//! * the **oracle** — [`dft_naive`], [`fft`]/[`ifft`], [`rfft`]/[`irfft`]:
+//!   the textbook formulation, allocating per call, every twiddle an inline
+//!   `cis`, every accumulate the full `zero + x·w` chain.  Nothing on the
+//!   stepping path calls it; tests compare against it bit for bit.
+//! * the **kernel** — `transform`: one allocation-free body, generic
+//!   over the element (one circle or `W` circles in lock-step), behind
+//!   [`FftScratch`] and the polar filter's batched sweep.
 //!
 //! Conventions: forward transform `X[k] = Σ_j x[j]·e^{-2πi jk/n}` without
 //! normalization; the inverse carries the `1/n` factor, so
 //! `ifft(fft(x)) = x`.
 
-use crate::complex::Complex;
+use crate::complex::{Complex, Cx};
 
-/// Naive O(n²) discrete Fourier transform — the testing oracle and the
-/// large-prime fallback.  `sign = -1.0` is forward, `+1.0` inverse-style
-/// (without normalization).
+/// Naive O(n²) discrete Fourier transform — the testing oracle.
+/// `sign = -1.0` is forward, `+1.0` inverse-style (without normalization).
 pub fn dft_naive(x: &[Complex], sign: f64) -> Vec<Complex> {
     let n = x.len();
-    let mut out = vec![Complex::zero(); n];
+    let mut out = vec![Complex::zero(); n]; // oracle: lint:allow(alloc)
     if n == 0 {
         return out;
     }
@@ -49,28 +58,30 @@ fn smallest_factor(n: usize) -> usize {
     n
 }
 
-/// Recursive mixed-radix kernel.
+/// Recursive mixed-radix transform, oracle formulation.
 fn fft_rec(x: &[Complex], sign: f64) -> Vec<Complex> {
     let n = x.len();
     if n <= 1 {
-        return x.to_vec();
+        return x.to_vec(); // oracle: lint:allow(alloc)
     }
     let r = smallest_factor(n);
     if r == n {
-        // prime length: fall back to naive DFT (O(n²) — only hit for prime n)
+        // prime length: naive DFT (O(n²) — only hit for prime n)
         return dft_naive(x, sign);
     }
     let m = n / r;
     // decimate: sub l takes x[l], x[l+r], x[l+2r], ...
     let subs: Vec<Vec<Complex>> = (0..r)
         .map(|l| {
+            // oracle: lint:allow(alloc)
             let stride: Vec<Complex> = (0..m).map(|j| x[l + j * r]).collect();
             fft_rec(&stride, sign)
         })
+        // oracle: lint:allow(alloc)
         .collect();
     // combine: X[k] = Σ_l e^{sign·2πi·lk/n} · Sub_l[k mod m]
     let w = sign * 2.0 * std::f64::consts::PI / n as f64;
-    let mut out = vec![Complex::zero(); n];
+    let mut out = vec![Complex::zero(); n]; // oracle: lint:allow(alloc)
     for (k, o) in out.iter_mut().enumerate() {
         let mut acc = Complex::zero();
         for (l, sub) in subs.iter().enumerate() {
@@ -86,34 +97,38 @@ fn fft_rec(x: &[Complex], sign: f64) -> Vec<Complex> {
 /// Every root-of-unity the recursion evaluates has the form
 /// `cis(sign·2π/n · t)` with `t ∈ 0..n`, so a table of exactly those values
 /// — computed with the *same expression* on the *same argument* — substitutes
-/// bitwise for the inline `cis` calls while moving sin/cos out of the
-/// per-point combine loops.  The lengths a transform of size `n` needs form
-/// the factor chain `n, n/r₁, n/(r₁r₂), …` (all subsequences at one level
-/// share a length), so the whole set is precomputed before recursing.
+/// bitwise for the oracle's inline `cis` calls while moving sin/cos out of
+/// the per-point combine loops.  The lengths a transform of size `n` needs
+/// form the factor chain `n, n/r₁, n/(r₁r₂), …` (all subsequences at one
+/// level share a length), so the whole set is precomputed before recursing.
+/// Read-only while transforms run: one cache serves every worker.
 #[derive(Debug, Clone, Default)]
-struct TwiddleCache {
-    /// `(n, forward?, table, smallest factor of n)` — a handful of entries
-    /// (one chain per length used), linear scan is cheaper than hashing.
-    /// The factor rides along so the recursion neither re-factorizes nor
-    /// re-searches per level.
-    tables: Vec<(usize, bool, Vec<Complex>, usize)>,
+pub(crate) struct TwiddleCache {
+    /// `(n, forward?, table)` — a handful of entries (one chain per length
+    /// used), linear scan is cheaper than hashing.
+    tables: Vec<(usize, bool, Vec<Complex>)>,
     /// Resolved factor chains, one per direction (`[inverse, forward]`):
-    /// the root length plus, per recursion level, `(n, r, table index)`.
-    /// The hot kernels index this by recursion depth instead of scanning
-    /// `tables` at every node — `ensure` is called once per row transform,
-    /// so the steady state is a single root-length compare.
-    chains: [ResolvedChain; 2],
+    /// the root length plus one [`Level`] per recursion depth.  The kernel
+    /// indexes this by depth instead of scanning `tables` at every node —
+    /// re-`ensure`-ing the resolved root length is a single compare.
+    chains: [(usize, Vec<Level>); 2],
 }
 
-/// A root transform length plus its per-level `(n, radix, table index)`
-/// factor chain, resolved once per direction by [`TwiddleCache::ensure`].
-type ResolvedChain = (usize, Vec<(usize, usize, usize)>);
+/// One recursion depth of a resolved factor chain.
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    /// Transform length at this depth.
+    n: usize,
+    /// Its smallest prime factor (`r == n` at the prime leaf).
+    r: usize,
+    /// Index of the length-`n` table in [`TwiddleCache::tables`].
+    table: usize,
+}
 
 impl TwiddleCache {
     /// Precompute tables and the resolved chain for length `n` in direction
-    /// `sign`.  Allocates only the first time a length is seen; re-ensuring
-    /// the already-resolved root length is a single compare.
-    fn ensure(&mut self, n: usize, sign: f64) {
+    /// `sign`.  Allocates only the first time a length is seen.
+    pub(crate) fn ensure(&mut self, n: usize, sign: f64) {
         let fwd = sign < 0.0;
         let d = fwd as usize;
         if self.chains[d].0 == n {
@@ -126,20 +141,21 @@ impl TwiddleCache {
         let mut m = n;
         while m > 1 {
             let r = smallest_factor(m);
-            let idx = match self
+            let table = match self
                 .tables
                 .iter()
-                .position(|(tn, f, _, _)| *tn == m && *f == fwd)
+                .position(|(tn, f, _)| *tn == m && *f == fwd)
             {
                 Some(i) => i,
                 None => {
                     let w = sign * 2.0 * std::f64::consts::PI / m as f64;
+                    // table construction, first sight of a length: lint:allow(alloc)
                     let table: Vec<Complex> = (0..m).map(|t| Complex::cis(w * t as f64)).collect();
-                    self.tables.push((m, fwd, table, r));
+                    self.tables.push((m, fwd, table));
                     self.tables.len() - 1
                 }
             };
-            chain.push((m, r, idx));
+            chain.push(Level { n: m, r, table });
             if r == m {
                 break;
             }
@@ -149,281 +165,158 @@ impl TwiddleCache {
     }
 
     /// The resolved factor chain of the last `ensure`d root in this
-    /// direction: `(n, r, table index)` per recursion level.
-    fn chain(&self, sign: f64) -> &[(usize, usize, usize)] {
+    /// direction, one [`Level`] per recursion depth.
+    fn chain(&self, sign: f64) -> &[Level] {
         &self.chains[(sign < 0.0) as usize].1
-    }
-
-    /// Twiddle table by chain index.
-    #[inline]
-    fn table(&self, idx: usize) -> &[Complex] {
-        &self.tables[idx].2
-    }
-
-    /// The PR 4-era `ensure`, kept for the reference entry points: no
-    /// resolved-chain memo, so every call re-walks the factor chain with a
-    /// table scan and a trial factorization per level — exactly the
-    /// per-transform cost the historical kernels paid.
-    #[cfg(any(test, feature = "scalar-ref"))]
-    fn ensure_reference(&mut self, mut n: usize, sign: f64) {
-        let fwd = sign < 0.0;
-        while n > 1 {
-            if !self.tables.iter().any(|(m, f, _, _)| *m == n && *f == fwd) {
-                let w = sign * 2.0 * std::f64::consts::PI / n as f64;
-                let r = smallest_factor(n);
-                let table: Vec<Complex> = (0..n).map(|t| Complex::cis(w * t as f64)).collect();
-                self.tables.push((n, fwd, table, r));
-            }
-            let r = smallest_factor(n);
-            if r == n {
-                break;
-            }
-            n /= r;
-        }
-    }
-
-    /// Table and smallest factor for length `n` by linear scan — retained
-    /// for the PR 4-era reference kernels, which paid this scan per node.
-    #[cfg(any(test, feature = "scalar-ref"))]
-    fn get(&self, n: usize, sign: f64) -> (&[Complex], usize) {
-        let fwd = sign < 0.0;
-        self.tables
-            .iter()
-            .find(|(m, f, _, _)| *m == n && *f == fwd)
-            .map(|(_, _, t, r)| (t.as_slice(), *r))
-            .expect("twiddle table prepared by ensure()")
     }
 }
 
-/// Naive DFT of the strided sequence `x[0], x[stride], x[2·stride], …`
-/// (length `out.len()`) into a caller-provided buffer.  Bitwise-identical
-/// to [`dft_naive`] on that sequence — same accumulation order, same table
-/// entries; the twiddle index `(j·k) mod n` is maintained incrementally
-/// (add `k`, wrap by subtraction) instead of an integer division per
-/// multiply-accumulate, which dominates the inner loop on small lengths.
-fn dft_naive_into(x: &[Complex], stride: usize, out: &mut [Complex], table: &[Complex]) {
-    let n = out.len();
-    if n == 0 {
+/// The transform kernel — the one body every stepping-path transform runs,
+/// generic over the element: [`Complex`] for a single circle, `CLane` for
+/// [`crate::complex::W`] circles in lock-step.
+///
+/// Computes the first `out.len()` coefficients of the DFT of the strided
+/// sequence `x[0], x[stride], x[2·stride], …` whose length and factor chain
+/// `chain` describes (a caller that keeps only the half spectrum asks for
+/// `n/2 + 1` outputs; recursive calls always ask for all).  `arena` is
+/// recursion scratch, `2n` elements suffice: each level parks its `r`
+/// transformed subsequences in the first `n` slots and recurses into the
+/// remainder (`n + n/2 + n/4 + … < 2n`).
+///
+/// Bitwise identical to the oracle [`fft_rec`] for finite data: same
+/// decimation, same table entries (see [`TwiddleCache`]), same accumulation
+/// order.  Two things differ, neither in a rounded operation.  The indices
+/// `k mod m` and `(l·k) mod n` are maintained incrementally (wrap by reset
+/// / by subtraction).  And the first term of every accumulate, which the
+/// oracle evaluates as `zero + x·table[0]` with `table[0] = (1, ±0)`
+/// exactly, is evaluated as `x + 0.0` ([`Cx::unit`]).  A prime length
+/// (`m = 1`) is the same combine reading the strided input directly — its
+/// one-point "subsequence transforms" are the input samples themselves.
+fn transform<C: Cx>(
+    x: &[C],
+    stride: usize,
+    out: &mut [C],
+    arena: &mut [C],
+    tw: &TwiddleCache,
+    chain: &[Level],
+) {
+    let Some((&Level { n, r, table }, deeper)) = chain.split_first() else {
+        // n ≤ 1: the transform is the identity
+        out.copy_from_slice(&x[..out.len()]);
         return;
+    };
+    let table = tw.tables[table].2.as_slice();
+    let m = n / r;
+    // sub l is the strided sequence starting at x[l·stride] with stride
+    // r·stride; the transformed subs land contiguously in the arena
+    let (src, step) = if m == 1 {
+        (x, stride)
+    } else {
+        let (subs, rest) = arena.split_at_mut(n);
+        for l in 0..r {
+            transform(
+                &x[l * stride..],
+                r * stride,
+                &mut subs[l * m..(l + 1) * m],
+                rest,
+                tw,
+                deeper,
+            );
+        }
+        (&*subs, m)
+    };
+    // the radices smooth lengths are made of get the combine with `r` a
+    // compile-time constant (the `l` loop unrolls); same body, same order
+    match r {
+        2 => combine(src, step, m, n, 2, table, out),
+        3 => combine(src, step, m, n, 3, table, out),
+        5 => combine(src, step, m, n, 5, table, out),
+        _ => combine(src, step, m, n, r, table, out),
     }
-    if n == 3 {
-        // the dominant leaf of smooth even lengths (24 = 2³·3,
-        // 720 = 2⁴·3²·5): unrolled with the generic loop's exact index
-        // sequence — k = 0: t₀t₀t₀, k = 1: t₀t₁t₂, k = 2: t₀t₂t₁ — and the
-        // same `zero + …` accumulation chain, so bitwise identical
-        let (x0, x1, x2) = (x[0], x[stride], x[2 * stride]);
-        let (t0, t1, t2) = (table[0], table[1], table[2]);
-        let mut a = Complex::zero();
-        a += x0 * t0;
-        a += x1 * t0;
-        a += x2 * t0;
-        out[0] = a;
-        let mut a = Complex::zero();
-        a += x0 * t0;
-        a += x1 * t1;
-        a += x2 * t2;
-        out[1] = a;
-        let mut a = Complex::zero();
-        a += x0 * t0;
-        a += x1 * t2;
-        a += x2 * t1;
-        out[2] = a;
-        return;
-    }
+}
+
+/// The combine of [`transform`]: `out[k] = Σ_l src[l·step + k mod m] ·
+/// table[(l·k) mod n]` for `l ∈ 0..r`, in that order.
+#[inline(always)]
+fn combine<C: Cx>(
+    src: &[C],
+    step: usize,
+    m: usize,
+    n: usize,
+    r: usize,
+    table: &[Complex],
+    out: &mut [C],
+) {
+    let mut km = 0usize; // k mod m
     for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = Complex::zero();
-        let mut idx = 0usize; // (j·k) mod n, stepped by k per j
-        let mut off = 0usize;
-        for _ in 0..n {
-            acc += x[off] * table[idx];
-            off += stride;
+        let mut acc = src[km].unit();
+        let mut idx = k; // (l·k) mod n, stepped by k per l
+        let mut off = km + step; // l·step + (k mod m), stepped by step per l
+        for _ in 1..r {
+            acc = acc.mul_acc(src[off], table[idx]);
+            off += step;
             idx += k;
             if idx >= n {
                 idx -= n;
             }
         }
         *o = acc;
-    }
-}
-
-/// Allocation-free recursive mixed-radix kernel.
-///
-/// Transforms the strided sequence `x[0], x[stride], x[2·stride], …` of
-/// length `out.len()` into `out`, using `arena` as recursion scratch.
-/// `arena.len() >= 2 * out.len()` suffices: each level parks its `r`
-/// transformed subsequences in the first `n` slots and recurses into the
-/// remainder (`n + n/2 + n/4 + … < 2n`).  `chain` is the resolved factor
-/// chain for this node and below (see [`TwiddleCache::ensure`]); passing a
-/// stride instead of gathering subsequences removes the staging copies of
-/// the original formulation without touching a single floating-point
-/// operation, so results stay bitwise identical to [`fft_rec`].
-fn fft_rec_into(
-    x: &[Complex],
-    stride: usize,
-    out: &mut [Complex],
-    arena: &mut [Complex],
-    tw: &TwiddleCache,
-    chain: &[(usize, usize, usize)],
-) {
-    let n = out.len();
-    if n == 0 {
-        return;
-    }
-    if n == 1 {
-        out[0] = x[0];
-        return;
-    }
-    // all subsequences at one recursion level share a length, so the
-    // level's `(n, r, table)` resolve positionally — no per-node scan
-    let (cn, r, ti) = chain[0];
-    debug_assert_eq!(cn, n);
-    let table = tw.table(ti);
-    if r == n {
-        // prime length: fall back to naive DFT (O(n²) — only hit for prime n)
-        dft_naive_into(x, stride, out, table);
-        return;
-    }
-    let m = n / r;
-    // decimate: sub l is the strided sequence starting at x[l·stride] with
-    // stride r·stride; the transformed subs land contiguously in the first
-    // n slots of the arena.
-    let (subs_buf, rest) = arena.split_at_mut(n);
-    for l in 0..r {
-        fft_rec_into(
-            &x[l * stride..],
-            r * stride,
-            &mut subs_buf[l * m..(l + 1) * m],
-            rest,
-            tw,
-            &chain[1..],
-        );
-    }
-    // combine: X[k] = Σ_l e^{sign·2πi·lk/n} · Sub_l[k mod m].  All three
-    // indices are maintained incrementally (`k mod m` wraps by reset,
-    // `(l·k) mod n` steps by `k` and wraps by subtraction, the sub offset
-    // steps by `m`) — same table entries, same accumulation order, so the
-    // result is bitwise identical to the modular arithmetic while avoiding
-    // integer divisions and multiplies in the accumulate loop.
-    if r == 2 {
-        // the dominant radix: the generic loop's two accumulates with the
-        // indices resolved (`l·k mod n` is 0 then k, since k < n) — same
-        // table entries, same accumulation chain, bitwise identical
-        let (s0, s1) = subs_buf.split_at(m);
-        let mut km = 0usize; // k mod m
-        for (k, o) in out.iter_mut().enumerate() {
-            let mut acc = Complex::zero();
-            acc += s0[km] * table[0];
-            acc += s1[km] * table[k];
-            km += 1;
-            if km == m {
-                km = 0;
-            }
-            *o = acc;
-        }
-        return;
-    }
-    let mut km = 0usize; // k mod m
-    for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = Complex::zero();
-        let mut idx = 0usize; // (l·k) mod n, stepped by k per l
-        let mut off = km; // l·m + (k mod m), stepped by m per l
-        for _ in 0..r {
-            acc += subs_buf[off] * table[idx];
-            off += m;
-            idx += k;
-            if idx >= n {
-                idx -= n;
-            }
-        }
         km += 1;
         if km == m {
             km = 0;
         }
-        *o = acc;
     }
 }
 
-/// The PR 4-era naive DFT into a caller buffer, kept verbatim as the
-/// benchmark reference: the twiddle index is the modular expression
-/// `(j·k) mod n` evaluated per multiply-accumulate.  Same table entries and
-/// accumulation order as [`dft_naive_into`], so results are bitwise equal —
-/// only slower.
-#[cfg(any(test, feature = "scalar-ref"))]
-fn dft_naive_into_reference(x: &[Complex], sign: f64, out: &mut [Complex], tw: &TwiddleCache) {
-    let n = x.len();
-    debug_assert_eq!(out.len(), n);
-    if n == 0 {
-        return;
-    }
-    let (table, _) = tw.get(n, sign);
-    for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = Complex::zero();
-        for (j, &xj) in x.iter().enumerate() {
-            acc += xj * table[(j * k) % n];
+/// Staging input, transform output and recursion arena of one worker, for
+/// one element type.  Steady-state transforms at a fixed length perform no
+/// heap allocation: the buffers are grown once and reused.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Buffers<C> {
+    /// Full-length staging input (complexified signal / mirrored spectrum).
+    pub(crate) a: Vec<C>,
+    /// Full-length transform output.
+    pub(crate) b: Vec<C>,
+    /// Recursion arena (`2n`).
+    arena: Vec<C>,
+}
+
+impl<C: Cx> Buffers<C> {
+    /// Size for length-`n` transforms.  `a` and `b` are fully overwritten
+    /// before being read and stale arena slots are written before the
+    /// combine reads them, so a same-length reuse is a single compare.
+    pub(crate) fn size(&mut self, n: usize) {
+        if self.a.len() != n {
+            self.a.clear();
+            self.a.resize(n, C::default());
+            self.b.clear();
+            self.b.resize(n, C::default());
+            self.arena.clear();
+            self.arena.resize(2 * n, C::default());
         }
-        *o = acc;
+    }
+
+    /// `b[..outputs] =` the first `outputs` coefficients of the transform
+    /// of `a` in direction `sign`; `tw` must be `ensure`d at `a.len()`.
+    pub(crate) fn run(&mut self, tw: &TwiddleCache, sign: f64, outputs: usize) {
+        debug_assert_eq!(tw.chains[(sign < 0.0) as usize].0, self.a.len());
+        transform(
+            &self.a,
+            1,
+            &mut self.b[..outputs],
+            &mut self.arena,
+            tw,
+            tw.chain(sign),
+        );
     }
 }
 
-/// The PR 4-era allocation-free mixed-radix kernel, kept verbatim as the
-/// benchmark reference: re-factorizes every level, stages every subsequence
-/// through a gather copy, and indexes twiddles with the modular expressions
-/// `k mod m` / `(l·k) mod n` per accumulate.  Same table entries, same
-/// accumulation order as [`fft_rec_into`] — bitwise identical results,
-/// measurably slower inner loops.
-#[cfg(any(test, feature = "scalar-ref"))]
-fn fft_rec_into_reference(
-    x: &[Complex],
-    sign: f64,
-    out: &mut [Complex],
-    arena: &mut [Complex],
-    tw: &TwiddleCache,
-) {
-    let n = x.len();
-    debug_assert_eq!(out.len(), n);
-    if n == 0 {
-        return;
-    }
-    if n == 1 {
-        out[0] = x[0];
-        return;
-    }
-    let r = smallest_factor(n);
-    if r == n {
-        dft_naive_into_reference(x, sign, out, tw);
-        return;
-    }
-    let m = n / r;
-    let (subs_buf, rest) = arena.split_at_mut(n);
-    for l in 0..r {
-        let stage = &mut out[..m];
-        for (j, s) in stage.iter_mut().enumerate() {
-            *s = x[l + j * r];
-        }
-        fft_rec_into_reference(&out[..m], sign, &mut subs_buf[l * m..(l + 1) * m], rest, tw);
-    }
-    let (table, _) = tw.get(n, sign);
-    for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = Complex::zero();
-        for l in 0..r {
-            acc += subs_buf[l * m + (k % m)] * table[(l * k) % n];
-        }
-        *o = acc;
-    }
-}
-
-/// Reusable buffers for the allocation-free transform entry points.
-///
-/// Steady-state calls at a fixed length perform no heap allocation: buffers
-/// are grown once and reused (`clear` + `resize` keeps capacity).
+/// Reusable buffers for allocation-free transforms of one signal at a time
+/// — the [`Complex`] instantiation of the kernel the batched polar filter
+/// runs `W` circles at a time.
 #[derive(Debug, Clone, Default)]
 pub struct FftScratch {
-    /// Full-length staging input (complexified signal / mirrored spectrum).
-    a: Vec<Complex>,
-    /// Full-length transform output.
-    b: Vec<Complex>,
-    /// Recursion arena (`2n`).
-    arena: Vec<Complex>,
+    bufs: Buffers<Complex>,
     /// Roots of unity per transform length and direction.
     tw: TwiddleCache,
 }
@@ -434,39 +327,21 @@ impl FftScratch {
         Self::default()
     }
 
-    /// Grow `a`/`b`/`arena` for length-`n` transforms.  `a` and `b` are
-    /// fully overwritten before being read and stale arena slots are
-    /// written before the combine reads them, so a same-length reuse skips
-    /// the re-zeroing entirely.
-    fn size_buffers(&mut self, n: usize) {
-        if self.a.len() != n {
-            self.a.clear();
-            self.a.resize(n, Complex::zero());
-            self.b.clear();
-            self.b.resize(n, Complex::zero());
-            self.arena.clear();
-            self.arena.resize(2 * n, Complex::zero());
-        }
-    }
-
-    fn ensure(&mut self, n: usize, sign: f64) {
-        self.size_buffers(n);
-        self.tw.ensure(n, sign);
-    }
-
     /// Forward real-to-complex FFT into `out` (resized to `n/2 + 1`).
     /// Bitwise-identical to [`rfft`]; allocation-free once warmed up at a
     /// given length.
     pub fn rfft_into(&mut self, x: &[f64], out: &mut Vec<Complex>) {
         let n = x.len();
-        self.ensure(n, -1.0);
-        for (a, &v) in self.a.iter_mut().zip(x) {
+        self.bufs.size(n);
+        self.tw.ensure(n, -1.0);
+        for (a, &v) in self.bufs.a.iter_mut().zip(x) {
             *a = Complex::from(v);
         }
-        let chain = self.tw.chain(-1.0);
-        fft_rec_into(&self.a, 1, &mut self.b, &mut self.arena, &self.tw, chain);
+        // only the half spectrum is kept, so only it is combined
+        let half = n / 2 + 1;
+        self.bufs.run(&self.tw, -1.0, half);
         out.clear();
-        out.extend_from_slice(&self.b[..=n / 2]);
+        out.extend_from_slice(&self.bufs.b[..half]);
     }
 
     /// Inverse of [`FftScratch::rfft_into`]: reconstruct `out.len()` real
@@ -479,54 +354,16 @@ impl FftScratch {
             n / 2 + 1,
             "half spectrum of length n/2+1 required"
         );
-        self.ensure(n, 1.0);
-        self.a[..spectrum.len()].copy_from_slice(spectrum);
+        self.bufs.size(n);
+        self.tw.ensure(n, 1.0);
+        let a = &mut self.bufs.a;
+        a[..spectrum.len()].copy_from_slice(spectrum);
         for k in spectrum.len()..n {
-            self.a[k] = spectrum[n - k].conj();
+            a[k] = spectrum[n - k].conj();
         }
-        let chain = self.tw.chain(1.0);
-        fft_rec_into(&self.a, 1, &mut self.b, &mut self.arena, &self.tw, chain);
+        self.bufs.run(&self.tw, 1.0, n);
         let s = 1.0 / n as f64;
-        for (o, c) in out.iter_mut().zip(&self.b) {
-            *o = c.scale(s).re;
-        }
-    }
-
-    /// [`FftScratch::rfft_into`] on the PR 4-era reference kernel
-    /// (`fft_rec_into_reference`) — the bench harness's "before" side.
-    /// Bitwise-identical output.
-    #[cfg(any(test, feature = "scalar-ref"))]
-    pub fn rfft_into_reference(&mut self, x: &[f64], out: &mut Vec<Complex>) {
-        let n = x.len();
-        self.size_buffers(n);
-        self.tw.ensure_reference(n, -1.0);
-        for (a, &v) in self.a.iter_mut().zip(x) {
-            *a = Complex::from(v);
-        }
-        fft_rec_into_reference(&self.a, -1.0, &mut self.b, &mut self.arena, &self.tw);
-        out.clear();
-        out.extend_from_slice(&self.b[..=n / 2]);
-    }
-
-    /// [`FftScratch::irfft_into`] on the PR 4-era reference kernel.
-    /// Bitwise-identical output.
-    #[cfg(any(test, feature = "scalar-ref"))]
-    pub fn irfft_into_reference(&mut self, spectrum: &[Complex], out: &mut [f64]) {
-        let n = out.len();
-        assert_eq!(
-            spectrum.len(),
-            n / 2 + 1,
-            "half spectrum of length n/2+1 required"
-        );
-        self.size_buffers(n);
-        self.tw.ensure_reference(n, 1.0);
-        self.a[..spectrum.len()].copy_from_slice(spectrum);
-        for k in spectrum.len()..n {
-            self.a[k] = spectrum[n - k].conj();
-        }
-        fft_rec_into_reference(&self.a, 1.0, &mut self.b, &mut self.arena, &self.tw);
-        let s = 1.0 / n as f64;
-        for (o, c) in out.iter_mut().zip(&self.b) {
+        for (o, c) in out.iter_mut().zip(&self.bufs.b) {
             *o = c.scale(s).re;
         }
     }
@@ -555,9 +392,10 @@ pub fn ifft(x: &[Complex]) -> Vec<Complex> {
 /// determined by conjugate symmetry `X[n-k] = conj(X[k])`.
 pub fn rfft(x: &[f64]) -> Vec<Complex> {
     let n = x.len();
+    // oracle: lint:allow(alloc)
     let cx: Vec<Complex> = x.iter().map(|&v| Complex::from(v)).collect();
     let full = fft(&cx);
-    full[..=n / 2].to_vec()
+    full[..=n / 2].to_vec() // oracle: lint:allow(alloc)
 }
 
 /// Inverse of [`rfft`]: reconstruct `n` real samples from the half spectrum.
@@ -568,11 +406,12 @@ pub fn irfft(spectrum: &[Complex], n: usize) -> Vec<f64> {
         n / 2 + 1,
         "half spectrum of length n/2+1 required"
     );
-    let mut full = vec![Complex::zero(); n];
+    let mut full = vec![Complex::zero(); n]; // oracle: lint:allow(alloc)
     full[..spectrum.len()].copy_from_slice(spectrum);
     for k in spectrum.len()..n {
         full[k] = spectrum[n - k].conj();
     }
+    // oracle: lint:allow(alloc)
     ifft(&full).into_iter().map(|c| c.re).collect()
 }
 
@@ -703,55 +542,76 @@ mod tests {
         assert!(spec[3].im.abs() < 1e-9); // Nyquist is real for even n
     }
 
+    fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: [{i}] {x:e} vs {y:e}");
+        }
+    }
+
+    fn flat(c: &[Complex]) -> Vec<f64> {
+        c.iter().flat_map(|c| [c.re, c.im]).collect()
+    }
+
     #[test]
-    fn scratch_paths_bitwise_match_allocating_paths() {
+    fn kernel_bitwise_matches_oracle() {
+        // smooth, prime and mixed lengths (24 is the test mesh circle, 180
+        // the mid mesh's, 720 the paper's); data with planted ±0 so the
+        // unit-twiddle reduction meets the signed zeros it must preserve
         let mut scratch = FftScratch::new();
         let mut spec = Vec::new();
-        for n in [2usize, 7, 9, 12, 30, 34, 64, 720] {
+        for n in [1usize, 2, 3, 5, 7, 9, 12, 23, 24, 30, 34, 64, 97, 180, 720] {
             let x: Vec<f64> = (0..n)
-                .map(|i| ((i * i * 31 + 5) % 23) as f64 - 11.0)
+                .map(|i| match (i * i * 31 + 5) % 23 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    v => v as f64 - 11.0,
+                })
                 .collect();
             let want_spec = rfft(&x);
             scratch.rfft_into(&x, &mut spec);
-            assert_eq!(spec.len(), want_spec.len(), "n={n}");
-            for (a, b) in spec.iter().zip(&want_spec) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "n={n}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "n={n}");
-            }
+            assert_bits(&flat(&spec), &flat(&want_spec), &format!("rfft n={n}"));
             let want_back = irfft(&want_spec, n);
             let mut back = vec![0.0; n];
             scratch.irfft_into(&spec, &mut back);
-            for (a, b) in back.iter().zip(&want_back) {
-                assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
-            }
+            assert_bits(&back, &want_back, &format!("irfft n={n}"));
         }
     }
 
     #[test]
-    fn optimized_kernels_bitwise_match_reference_kernels() {
-        // the incremental-index inner loops must reproduce the PR 4-era
-        // modulo-indexed kernels bit for bit, across smooth, prime and
-        // mixed lengths (24 is the test mesh circle, 720 the paper's)
-        let mut opt = FftScratch::new();
-        let mut refr = FftScratch::new();
-        let (mut so, mut sr) = (Vec::new(), Vec::new());
-        for n in [2usize, 3, 7, 9, 12, 23, 24, 30, 34, 64, 97, 720] {
-            let x: Vec<f64> = (0..n)
-                .map(|i| ((i * i * 29 + 11) % 31) as f64 - 15.0)
-                .collect();
-            opt.rfft_into(&x, &mut so);
-            refr.rfft_into_reference(&x, &mut sr);
-            assert_eq!(so.len(), sr.len(), "n={n}");
-            for (a, b) in so.iter().zip(&sr) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "n={n}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "n={n}");
+    fn unit_twiddle_identity_is_exact() {
+        // `zero + x·(1, ±0) == x + 0.0` bit for bit over every class of
+        // finite double, both components, both table signs — the identity
+        // the kernel's first accumulate term rests on
+        let sub = f64::from_bits(0x000F_0000_0000_0001);
+        let min_sub = f64::from_bits(1);
+        let classes = [0.0, min_sub, sub, f64::MIN_POSITIVE, 1.5, 3.0e200, f64::MAX];
+        let values: Vec<f64> = classes.iter().flat_map(|&v| [v, -v]).collect();
+        for table0 in [Complex::cis(-0.0), Complex::cis(0.0)] {
+            assert_eq!(table0.re.to_bits(), 1.0f64.to_bits());
+            assert_eq!(table0.im.abs().to_bits(), 0.0f64.to_bits());
+            for &re in &values {
+                for &im in &values {
+                    let x = Complex::new(re, im);
+                    let mut full = Complex::zero();
+                    full += x * table0;
+                    let reduced = x.unit();
+                    assert_eq!(
+                        (full.re.to_bits(), full.im.to_bits()),
+                        (reduced.re.to_bits(), reduced.im.to_bits()),
+                        "x = {x:?}, table[0] = {table0:?}"
+                    );
+                }
             }
-            let mut bo = vec![0.0; n];
-            let mut br = vec![0.0; n];
-            opt.irfft_into(&so, &mut bo);
-            refr.irfft_into_reference(&sr, &mut br);
-            for (a, b) in bo.iter().zip(&br) {
-                assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
+        }
+        // and the tables really start with those entries
+        let mut tw = TwiddleCache::default();
+        for sign in [-1.0, 1.0] {
+            tw.ensure(720, sign);
+            for level in tw.chain(sign) {
+                let t0 = tw.tables[level.table].2[0];
+                assert_eq!(t0.re.to_bits(), 1.0f64.to_bits());
+                assert_eq!(t0.im.to_bits(), (sign * 0.0).to_bits());
             }
         }
     }

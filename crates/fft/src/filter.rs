@@ -18,17 +18,36 @@
 //! communication along x that the paper's Theorem 4.1 bounds from below —
 //! and that the Y-Z decomposition (`p_x = 1`) eliminates entirely (§4.2.1).
 
-use crate::complex::Complex;
-use crate::fft::{irfft, rfft, FftScratch};
+use crate::complex::{CLane, Complex, Cx, W};
+use crate::fft::{irfft, rfft, Buffers, TwiddleCache};
 
-/// Reusable buffers for allocation-free row filtering.
+/// Reusable buffers for allocation-free row filtering: the twiddle tables
+/// (read-only while filtering, shared by every worker) and one transform
+/// arena per intra-rank worker.
 ///
-/// One `FilterScratch` per worker thread; steady-state
-/// [`FourierFilter::apply_row_with`] calls at a fixed `nx` allocate nothing.
+/// [`FilterScratch::workers`] sizes both on demand, so steady-state
+/// filtering at a fixed `nx` and worker count allocates nothing; a rank
+/// that never runs more than one worker never pays for a second arena.
 #[derive(Debug, Clone, Default)]
 pub struct FilterScratch {
-    fft: FftScratch,
-    spec: Vec<Complex>,
+    tw: TwiddleCache,
+    arenas: Vec<Arena>,
+}
+
+/// One worker's transform buffers: `W` circles in lock-step, and a single
+/// circle for the row API and the ragged tail of a batch stream.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    lanes: Buffers<CLane>,
+    one: Buffers<Complex>,
+}
+
+/// One worker's share of a [`FilterScratch`]: the shared tables plus its
+/// own arena.  `Send`, so a pool can hand one to each band.
+#[derive(Debug)]
+pub struct FilterWorker<'a> {
+    tw: &'a TwiddleCache,
+    arena: &'a mut Arena,
 }
 
 impl FilterScratch {
@@ -37,15 +56,77 @@ impl FilterScratch {
         Self::default()
     }
 
-    /// Pre-size every internal buffer for circles of `nx` longitudes, so
-    /// the first real filtering call performs no heap allocation — used to
-    /// warm per-worker scratch arenas at engine construction, preserving
-    /// the zero-allocation steady-state guarantee of the stepping path.
-    pub fn warm(&mut self, nx: usize) {
-        // construction path, not the stepping path: lint:allow(alloc)
-        let mut row = vec![0.0; nx]; // lint:allow(alloc)
-        self.fft.rfft_into(&row, &mut self.spec);
-        self.fft.irfft_into(&self.spec, &mut row);
+    /// Size the tables and the first `n` worker arenas for circles of `nx`
+    /// longitudes — the only place the filter path allocates.  Engines warm
+    /// their configured worker count at construction; otherwise this runs
+    /// the first time a caller asks for more workers or another `nx`, and
+    /// is a few compares from then on.
+    pub fn warm(&mut self, nx: usize, n: usize) {
+        self.tw.ensure(nx, -1.0);
+        self.tw.ensure(nx, 1.0);
+        if self.arenas.len() < n {
+            self.arenas.resize_with(n, Arena::default);
+        }
+        for arena in &mut self.arenas[..n] {
+            arena.lanes.size(nx);
+            arena.one.size(nx);
+        }
+    }
+
+    /// Split into `n` workers for circles of `nx` longitudes, each with its
+    /// own arena ([`FilterScratch::warm`]ed first).
+    pub fn workers(&mut self, nx: usize, n: usize) -> impl Iterator<Item = FilterWorker<'_>> {
+        self.warm(nx, n);
+        let tw = &self.tw;
+        self.arenas[..n]
+            .iter_mut()
+            .map(move |arena| FilterWorker { tw, arena })
+    }
+
+    /// The first worker alone, for callers that filter on one thread.
+    pub fn worker(&mut self, nx: usize) -> FilterWorker<'_> {
+        self.warm(nx, 1);
+        FilterWorker {
+            tw: &self.tw,
+            arena: &mut self.arenas[0],
+        }
+    }
+}
+
+/// Filter the `C::SLOTS` circles `rows[s] = (damping profile, key)` of
+/// `store` in lock-step: load, forward transform (half spectrum only),
+/// damp and mirror, inverse transform, store the real parts.  Slot for
+/// slot the arithmetic of the oracle [`FourierFilter::apply_row`].
+fn filter_rows<C: Cx, S: ?Sized, K: Copy>(
+    bufs: &mut Buffers<C>,
+    tw: &TwiddleCache,
+    store: &mut S,
+    rows: &[(&[f64], K)],
+    row_of: &impl for<'a> Fn(&'a mut S, K) -> &'a mut [f64],
+) {
+    debug_assert_eq!(rows.len(), C::SLOTS);
+    let n = bufs.a.len();
+    for (s, &(_, key)) in rows.iter().enumerate() {
+        let row = row_of(store, key);
+        assert_eq!(row.len(), n, "row must span the full circle");
+        for (a, &v) in bufs.a.iter_mut().zip(&*row) {
+            a.set_real(s, v);
+        }
+    }
+    let half = n / 2;
+    bufs.run(tw, -1.0, half + 1);
+    for k in 0..=half {
+        bufs.a[k] = bufs.b[k].scale_by(|s| rows[s].0[k]);
+    }
+    for k in half + 1..n {
+        bufs.a[k] = bufs.a[n - k].conj();
+    }
+    bufs.run(tw, 1.0, n);
+    let inv = 1.0 / n as f64;
+    for (s, &(_, key)) in rows.iter().enumerate() {
+        for (o, b) in row_of(store, key).iter_mut().zip(&bufs.b) {
+            *o = b.re(s) * inv;
+        }
     }
 }
 
@@ -148,30 +229,51 @@ impl FourierFilter {
     /// allocation once `scratch` has warmed up at this `nx`.
     pub fn apply_row_with(&self, j: usize, row: &mut [f64], scratch: &mut FilterScratch) {
         assert_eq!(row.len(), self.nx, "row must span the full circle");
-        let Some(prof) = &self.damping[j] else {
-            return;
-        };
-        scratch.fft.rfft_into(row, &mut scratch.spec);
-        for (c, &d) in scratch.spec.iter_mut().zip(prof) {
-            *c = c.scale(d);
-        }
-        scratch.fft.irfft_into(&scratch.spec, row);
+        self.apply_rows_with(row, [(j, ())], |row, ()| row, &mut scratch.worker(self.nx));
     }
 
-    /// [`FourierFilter::apply_row_with`] on the PR 4-era reference FFT
-    /// kernels — the bench harness's "before" side.  Bitwise-identical to
-    /// the optimized path.
-    #[cfg(any(test, feature = "scalar-ref"))]
-    pub fn apply_row_with_reference(&self, j: usize, row: &mut [f64], scratch: &mut FilterScratch) {
-        assert_eq!(row.len(), self.nx, "row must span the full circle");
-        let Some(prof) = &self.damping[j] else {
-            return;
-        };
-        scratch.fft.rfft_into_reference(row, &mut scratch.spec);
-        for (c, &d) in scratch.spec.iter_mut().zip(prof) {
-            *c = c.scale(d);
+    /// Filter a stream of latitude circles in place, [`W`] at a time.
+    ///
+    /// `rows` yields `(j, key)` — the profile row and whatever `row_of`
+    /// needs to find the circle in `store`; identity rows are skipped.
+    /// Full batches run the transform kernel on `W` circles in lock-step
+    /// (each slot with its own row's damping profile, so a batch may mix
+    /// latitudes and fields), the ragged tail one circle at a time.  Either
+    /// way every circle comes out bitwise identical to
+    /// [`FourierFilter::apply_row`], in any order and any batch position.
+    pub fn apply_rows_with<S: ?Sized, K: Copy>(
+        &self,
+        store: &mut S,
+        rows: impl IntoIterator<Item = (usize, K)>,
+        row_of: impl for<'a> Fn(&'a mut S, K) -> &'a mut [f64],
+        worker: &mut FilterWorker<'_>,
+    ) {
+        let FilterWorker { tw, arena } = worker;
+        let mut active = rows
+            .into_iter()
+            .filter_map(|(j, key)| Some((self.damping[j].as_deref()?, key)));
+        while let Some(first) = active.next() {
+            let mut batch = [first; W];
+            let mut fill = 1;
+            for slot in &mut batch[1..] {
+                let Some(next) = active.next() else { break };
+                *slot = next;
+                fill += 1;
+            }
+            if fill == W {
+                filter_rows(&mut arena.lanes, tw, store, &batch, &row_of);
+            } else {
+                for row in &batch[..fill] {
+                    filter_rows(
+                        &mut arena.one,
+                        tw,
+                        store,
+                        std::slice::from_ref(row),
+                        &row_of,
+                    );
+                }
+            }
         }
-        scratch.fft.irfft_into_reference(&scratch.spec, row);
     }
 
     /// Apply the damping profile of row `j` directly to a half spectrum
@@ -331,21 +433,128 @@ mod tests {
         }
     }
 
+    /// splitmix64 in [-1, 1), with ±0 planted now and then.
+    fn noise(seed: &mut u64) -> f64 {
+        *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        match z % 13 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0,
+        }
+    }
+
+    /// Filter `rows` (profile row, data) through the batched entry point
+    /// and, row by row, through the allocating oracle; assert bit equality.
+    fn assert_batched_matches_oracle(f: &FourierFilter, rows: &[(usize, Vec<f64>)], what: &str) {
+        let n = f.nx();
+        let mut want: Vec<Vec<f64>> = Vec::new();
+        for (j, row) in rows {
+            let mut r = row.clone();
+            f.apply_row(*j, &mut r);
+            want.push(r);
+        }
+        let mut got: Vec<f64> = rows.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+        let mut scratch = FilterScratch::new();
+        let mut worker = scratch.worker(n);
+        f.apply_rows_with(
+            got.as_mut_slice(),
+            rows.iter().enumerate().map(|(r, (j, _))| (*j, r)),
+            |all, r| &mut all[r * n..(r + 1) * n],
+            &mut worker,
+        );
+        for (r, w) in want.iter().enumerate() {
+            for (i, (x, y)) in got[r * n..(r + 1) * n].iter().zip(w).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{what}: row {r} (j={}) [{i}]: {x:e} vs {y:e}",
+                    rows[r].0
+                );
+            }
+        }
+    }
+
     #[test]
-    fn reference_kernel_path_is_bitwise_identical() {
+    fn batched_filter_is_bitwise_the_oracle() {
+        // every length class (prime, prime power, smooth, the three mesh
+        // circles); active-row counts on both sides of every multiple of W,
+        // so full batches fill every slot position and the ragged tail takes
+        // the one-circle instantiation; the four active latitudes of the
+        // 18-row profile cycle through the slots (per-slot damping) with an
+        // identity row after every third active one
         let lats = latitudes(18);
-        let f = FourierFilter::with_default_cutoff(24, &lats);
-        let mut opt = FilterScratch::new();
-        let mut refr = FilterScratch::new();
-        for j in [0usize, 1, 9, 17] {
-            let mut a: Vec<f64> = (0..24)
-                .map(|i| ((i * 17 + j * 5) % 23) as f64 - 11.0)
-                .collect();
-            let mut b = a.clone();
-            f.apply_row_with(j, &mut a, &mut opt);
-            f.apply_row_with_reference(j, &mut b, &mut refr);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "row {j}");
+        let mut seed = 0xF117E5u64;
+        for n in [2usize, 3, 5, 7, 9, 12, 23, 24, 30, 34, 64, 97, 180, 720] {
+            let f = FourierFilter::with_default_cutoff(n, &lats);
+            let counts: &[usize] = if n <= 97 {
+                &[1, W - 1, W, W + 1, 2 * W + 3, 3 * W]
+            } else {
+                &[W + 3]
+            };
+            for &count in counts {
+                let mut rows: Vec<(usize, Vec<f64>)> = Vec::new();
+                for r in 0..count {
+                    let j = [0usize, 1, 16, 17][(r + count) % 4];
+                    assert!(f.is_active(j));
+                    rows.push((j, (0..n).map(|_| noise(&mut seed)).collect()));
+                    if r % 3 == 2 {
+                        rows.push((9, (0..n).map(|_| noise(&mut seed)).collect()));
+                    }
+                }
+                assert_batched_matches_oracle(&f, &rows, &format!("n={n} active={count}"));
+            }
+            // rows of all +0 and all -0, in a full batch and in the tail
+            for count in [W, 3] {
+                let rows: Vec<(usize, Vec<f64>)> = (0..count)
+                    .map(|r| (r % 2, vec![if r % 2 == 0 { 0.0 } else { -0.0 }; n]))
+                    .collect();
+                assert_batched_matches_oracle(&f, &rows, &format!("n={n} zeros x{count}"));
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_rows_come_out_non_finite() {
+        // the blow-up guard and the benchmark's `final_state_finite` rely on
+        // a poisoned circle staying poisoned: the reduced unit-twiddle term
+        // no longer turns `inf` into `NaN` by itself, the other terms must
+        let lats = latitudes(18);
+        let mut seed = 7u64;
+        for n in [5usize, 24, 180] {
+            let f = FourierFilter::with_default_cutoff(n, &lats);
+            for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for at in [0, n / 2, n - 1] {
+                    // a full batch (lanes; the poisoned row in slot 2 must
+                    // not leak into its neighbours) and a single row (scalar)
+                    for count in [W, 1] {
+                        let bad = 2 % count;
+                        let mut rows: Vec<Vec<f64>> = (0..count)
+                            .map(|_| (0..n).map(|_| noise(&mut seed)).collect())
+                            .collect();
+                        rows[bad][at] = poison;
+                        let mut flat: Vec<f64> = rows.concat();
+                        let mut scratch = FilterScratch::new();
+                        let mut worker = scratch.worker(n);
+                        f.apply_rows_with(
+                            flat.as_mut_slice(),
+                            (0..count).map(|r| (r % 2, r)),
+                            |all, r| &mut all[r * n..(r + 1) * n],
+                            &mut worker,
+                        );
+                        for (r, row) in flat.chunks(n).enumerate() {
+                            let finite = row.iter().all(|v| v.is_finite());
+                            assert_eq!(
+                                finite,
+                                r != bad,
+                                "n={n} poison={poison} at {at}, row {r} of {count}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -17,7 +17,7 @@ pub mod distributed;
 pub mod fft;
 pub mod filter;
 
-pub use complex::Complex;
+pub use complex::{Complex, W};
 pub use distributed::filter_rows_distributed;
 pub use fft::{dft_naive, fft, ifft, irfft, rfft, FftScratch};
-pub use filter::{FilterScratch, FourierFilter};
+pub use filter::{FilterScratch, FilterWorker, FourierFilter};

@@ -448,11 +448,13 @@ pub const KERNEL_MODULES: &[&str] = &[
     "crates/core/src/diag.rs",
 ];
 
-/// Modules bound by [`Rule::Alloc`] only: the pooled FFT filter's worker
-/// path (`FourierFilter::apply_row_with` and the `FilterScratch` arena it
-/// consumes) must stay allocation-free at steady state, but the module's
+/// Modules bound by [`Rule::Alloc`] only: the FFT polar filter's stepping
+/// path (the batched `FourierFilter::apply_rows_with`, the `FilterScratch`
+/// arenas it consumes and the transform kernel behind them) must stay
+/// allocation-free at steady state — only the allocating test oracle and
+/// first-sight table/arena construction carry waivers — but the modules'
 /// row buffers are plain slices, so the row-API rule does not apply.
-pub const ALLOC_ONLY_MODULES: &[&str] = &["crates/fft/src/filter.rs"];
+pub const ALLOC_ONLY_MODULES: &[&str] = &["crates/fft/src/filter.rs", "crates/fft/src/fft.rs"];
 
 /// The access registry the [`Rule::FusedAccess`] cross-file rule consults.
 pub const ACCESS_REGISTRY: &str = "crates/core/src/access.rs";
