@@ -868,15 +868,17 @@ fn restart() {
 
 /// `perf` — kernel micro-benchmark: explicit-lane / scalar-row / scalar
 /// operators, the fused one-pass sweeps, the pooled FFT polar filter at
-/// `AGCM_THREADS ∈ {1, 2, 4}`, and whole `dycore_step` timings with the
-/// fused + lane paths on vs off — emitted as `BENCH_kernels.json`
-/// (ns/point + speedup).  Warmup and iteration counts come from
-/// `AGCM_BENCH_WARMUP` / `AGCM_BENCH_ITERS` (strict parse; defaults 3/9).
+/// `AGCM_THREADS ∈ {1, 2, 4}`, and whole `dycore_step` timings on the lane
+/// vs the row path — emitted as `BENCH_kernels.json` (ns/point + speedup).
+/// Warmup and iteration counts come from `AGCM_BENCH_WARMUP` /
+/// `AGCM_BENCH_ITERS` (strict parse; defaults 3/9).
 ///
 /// With a `baseline` argument the run becomes a CI gate: each entry's
 /// *speedup ratio* (machine-portable, unlike raw ns/point) is compared
 /// against the baseline document and the process exits nonzero if any
-/// entry regressed by more than 30%.
+/// entry regressed by more than 30% — 20% for `advection`, whose ratio
+/// (per-point reference ÷ staged sweep) is what the shared-quotient
+/// staging buys and must not quietly give back.
 fn perf(baseline: Option<String>) {
     use agcm_bench::kernels::{
         measure_dycore_step, measure_fused, measure_kernels, measure_pooled_filter, parse_speedups,
@@ -937,20 +939,22 @@ fn perf(baseline: Option<String>) {
                 continue;
             };
             let ratio = new_sp / base_sp;
-            let verdict = if ratio < 0.70 { "REGRESSED" } else { "ok" };
+            let floor = if name == "advection" { 0.80 } else { 0.70 };
+            let verdict = if ratio < floor { "REGRESSED" } else { "ok" };
             println!(
-                "  gate {name:<12} baseline {base_sp:>6.2}x  now {new_sp:>6.2}x  ({:.0}% of baseline) {verdict}",
-                100.0 * ratio
+                "  gate {name:<12} baseline {base_sp:>6.2}x  now {new_sp:>6.2}x  ({:.0}% of baseline, floor {:.0}%) {verdict}",
+                100.0 * ratio,
+                100.0 * floor
             );
-            if ratio < 0.70 {
+            if ratio < floor {
                 failed = true;
             }
         }
         if failed {
-            eprintln!("perf gate: at least one kernel regressed >30% vs {base_path}");
+            eprintln!("perf gate: at least one kernel fell below its floor vs {base_path}");
             std::process::exit(1);
         }
-        println!("perf gate: PASS (no kernel speedup below 70% of baseline)");
+        println!("perf gate: PASS (every speedup at or above its floor)");
     }
 
     std::fs::write("BENCH_kernels.json", &doc).expect("write BENCH_kernels.json");

@@ -9,14 +9,14 @@
 //! of the per-operator entries the document carries the fused one-pass
 //! sweeps vs their sequential tendency→lincomb equivalents, the FFT polar
 //! filter at `AGCM_THREADS ∈ {1, 2, 4}` vs the same sweep at one worker, and
-//! whole `dycore_step` timings with fusion and lanes on vs off (the PR 4
-//! configuration of the stencil kernels).  The module is shared by the `kernels` bench harness and
-//! the `figures perf` subcommand, which emits `BENCH_kernels.json`.
+//! whole `dycore_step` timings on the lane vs the row-sliced kernel path.
+//! The module is shared by the `kernels` bench harness and the `figures
+//! perf` subcommand, which emits `BENCH_kernels.json`.
 
 use crate::timing::{bench_stats, Stats};
 use agcm_core::adaptation::{
     adaptation_tendency_lanes, adaptation_tendency_rows, adaptation_tendency_scalar,
-    fused_adaptation_update, FusedCtx,
+    fused_adaptation_update,
 };
 use agcm_core::advection::{
     advection_tendency_lanes, advection_tendency_rows, advection_tendency_scalar,
@@ -29,7 +29,9 @@ use agcm_core::lanes::KernelPath;
 use agcm_core::pool;
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::smoothing::{smooth_rows_lanes, smooth_rows_rows, smooth_rows_scalar, RowMask};
+use agcm_core::state::Combine;
 use agcm_core::stdatm::StandardAtmosphere;
+use agcm_core::sweep::{SweepScratch, Update};
 use agcm_core::vertical::{apply_c_lanes, apply_c_rows, apply_c_scalar, ZContext};
 use agcm_core::{LocalGeometry, ModelConfig, Region, State};
 use agcm_fft::{FilterScratch, FourierFilter};
@@ -55,7 +57,7 @@ pub struct KernelPerf {
     pub row_ns_per_point: f64,
     /// Median ns/point of the entry's reference: the per-point scalar
     /// kernel, the sequential unfused sweep, the one-worker filter, or the
-    /// fusion-off, row-kernel (PR 4 configuration) step.
+    /// row-kernel step.
     pub scalar_ns_per_point: f64,
     /// Reference over current-default path — ≥ 1 means the rewrite won.
     pub speedup: f64,
@@ -314,18 +316,28 @@ pub fn measure_fused(cfg: &ModelConfig, warmup: usize, iters: usize) -> Vec<Kern
     let mut tend = random_state(&geom, splitmix64(&mut seed));
     let mut outst = random_state(&geom, splitmix64(&mut seed));
     let active = vec![false; geom.halo.ym + geom.ny + geom.halo.yp];
-    let fc = FusedCtx {
+    let upd = Update {
         base: &base,
         dt: 0.5,
+        form: Combine::Euler,
         active: &active,
         active_off: geom.halo.ym as isize,
     };
     let path = KernelPath::build_default();
+    let mut scratch = SweepScratch::new();
     let mut out = Vec::new();
 
     let fused = bench_stats(warmup, iters, || {
         fused_adaptation_update(
-            &geom, &arg, &diag, &fc, &mut tend, &mut outst, region, path, 4,
+            &geom,
+            &arg,
+            &diag,
+            &upd,
+            &mut tend,
+            &mut outst,
+            region,
+            path,
+            &mut scratch,
         )
     });
     let seq = bench_stats(warmup, iters, || {
@@ -336,7 +348,15 @@ pub fn measure_fused(cfg: &ModelConfig, warmup: usize, iters: usize) -> Vec<Kern
 
     let fused = bench_stats(warmup, iters, || {
         fused_advection_update(
-            &geom, &arg, &diag, &fc, &mut tend, &mut outst, region, path, 4,
+            &geom,
+            &arg,
+            &diag,
+            &upd,
+            &mut tend,
+            &mut outst,
+            region,
+            path,
+            &mut scratch,
         )
     });
     let seq = bench_stats(warmup, iters, || {
@@ -390,9 +410,8 @@ pub fn measure_pooled_filter(
 }
 
 /// Time a whole serial `dycore_step` on the default stepping path against
-/// the same step with fusion off and the row-sliced kernels — the PR 4
-/// configuration of everything but the polar filter, whose PR 4 kernels are
-/// gone — at each worker count in `threads`.
+/// the same step on the row-sliced kernels, at each worker count in
+/// `threads`.
 pub fn measure_dycore_step(
     cfg: &ModelConfig,
     warmup: usize,
@@ -407,9 +426,7 @@ pub fn measure_dycore_step(
             let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
             m.set_state(&ic);
             let current = bench_stats(warmup, iters, || m.step());
-            // PR 4 configuration in the same binary: row-sliced kernels,
-            // no fusion — every toggle is bitwise neutral
-            m.engine.set_fusion(false);
+            // the row-sliced kernels in the same binary (bitwise neutral)
             m.engine.set_kernel_path(KernelPath::Rows);
             m.set_state(&ic);
             let baseline = bench_stats(warmup, iters, || m.step());

@@ -12,10 +12,16 @@
 //! The per-point bodies are written once, generically over
 //! [`crate::lanes::Elem`], and driven in explicit-SIMD [`crate::lanes::Lane`]
 //! chunks with an `f64` tail (bitwise identical by construction; see
-//! `lanes.rs`).  [`fused_adaptation_band`] additionally folds the
-//! `ξ = base + Δt·tendency` linear combination into the same pass over each
-//! `(j, k)` row for polar-filter-inactive rows — the fusion the dataflow
-//! proof certifies under the `adaptation.fused` access spec.
+//! `lanes.rs`).  [`fused_adaptation_update`] is the same sweep with the
+//! sub-update's combination folded into the pass over each filter-inactive
+//! `(j, k)` row ([`crate::sweep`]) — the fusion the dataflow proof
+//! certifies under the `adaptation.fused` access spec.
+//!
+//! The kernel is bound by f64 division throughput (0.71 ns per element on
+//! the bench host against 0.21 for a multiply): 16 divisions per point —
+//! 5 in the U and V equations each, 6 in the Φ equation — none of which
+//! shares a sub-quotient with another, so there is nothing to stage here
+//! (the budget is pinned by the `division_budget` golden test).
 //!
 //! Standard-stratification approximation: `δ = δ_p = δ_c = 0` (as stated
 //! below Eq. 2), so the Φ equation's bracket reduces to `b`.  The Coriolis
@@ -27,8 +33,8 @@
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
 use crate::lanes::{Elem, KernelPath};
-use crate::pool::{self, FusedBand, StateBand};
-use crate::state::{self, State};
+use crate::state::State;
+use crate::sweep::{self, SweepBand, SweepScratch, Update};
 use agcm_mesh::grid::constants as c;
 
 /// Small sin θ guard: V faces on a pole have `sin θ = 0`; tendencies there
@@ -91,29 +97,59 @@ pub fn adaptation_tendency_path(
     region: Region,
     path: KernelPath,
 ) {
-    let (mut bands, nb) = pool::split_state_bands(
-        &mut tend.u,
-        &mut tend.v,
-        &mut tend.phi,
-        &region,
-        pool::workers_for(
-            geom.nx
-                * (region.y1 - region.y0).max(0) as usize
-                * (region.z1 - region.z0).max(0) as usize,
-        ),
-    );
-    pool::run(&mut bands[..nb], "adaptation.band", |band| {
-        adaptation_band(geom, arg, diag, band, path);
-    });
+    // a transient scratch: a dozen row-sized allocations per call
+    let mut scratch = SweepScratch::new();
+    run_sweep(geom, arg, diag, tend, None, region, path, &mut scratch);
+}
 
-    // ---- p'_sa equation (2-D): p₀·(κ*·D_sa − Σ Δσ D(P)) with κ* = 1 ----
+/// The adaptation sub-update's sweep: the tendency of `arg`, combined into
+/// `out` at once on polar-filter-inactive rows and stored to `tend` on the
+/// active ones, which the caller filters and then combines
+/// ([`Update::combine_active_rows`]).
+#[allow(clippy::too_many_arguments)]
+pub fn fused_adaptation_update(
+    geom: &LocalGeometry,
+    arg: &State,
+    diag: &Diag,
+    upd: &Update<'_>,
+    tend: &mut State,
+    out: &mut State,
+    region: Region,
+    path: KernelPath,
+    scratch: &mut SweepScratch,
+) {
+    let combine = Some((upd, out));
+    run_sweep(geom, arg, diag, tend, combine, region, path, scratch);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_sweep(
+    geom: &LocalGeometry,
+    arg: &State,
+    diag: &Diag,
+    tend: &mut State,
+    combine: Option<(&Update<'_>, &mut State)>,
+    region: Region,
+    path: KernelPath,
+    scratch: &mut SweepScratch,
+) {
     let nx = geom.nx as isize;
-    for j in region.y0..region.y1 {
-        let r_dsa = diag.dsa.row(0, nx, j);
-        let r_vsum = diag.vsum.row(0, nx, j);
-        let out = tend.psa.row_mut(0, nx, j);
-        crate::lane_loop!(path, out.len(), E, ii, psa_eq::<E>(ii, out, r_dsa, r_vsum));
-    }
+    sweep::sweep(
+        geom.nx,
+        region,
+        tend,
+        combine,
+        scratch,
+        path,
+        "adaptation.band",
+        |band| adaptation_band(geom, arg, diag, band, path),
+        // p'_sa equation (2-D): p₀·(κ*·D_sa − Σ Δσ D(P)) with κ* = 1
+        |j, o| {
+            let r_dsa = diag.dsa.row(0, nx, j);
+            let r_vsum = diag.vsum.row(0, nx, j);
+            crate::lane_loop!(path, o.len(), E, ii, psa_eq::<E>(ii, o, r_dsa, r_vsum));
+        },
+    );
 }
 
 /// Input rows of one `(j, k)` adaptation row triple, fetched once at
@@ -295,176 +331,18 @@ fn adaptation_band(
     geom: &LocalGeometry,
     arg: &State,
     diag: &Diag,
-    band: &mut StateBand<'_>,
+    band: &mut SweepBand<'_>,
     path: KernelPath,
 ) {
-    let StateBand {
-        region,
-        u: t_u,
-        v: t_v,
-        phi: t_phi,
-    } = band;
+    let region = band.region();
     let nx = geom.nx as isize;
     for k in region.z0..region.z1 {
         for j in region.y0..region.y1 {
             let r = fetch(nx, arg, diag, j, k);
             let cf = coefs(geom, j, k);
-            tendency_rows(
-                &r,
-                &cf,
-                t_u.row_mut(0, nx, j, k),
-                t_v.row_mut(0, nx, j, k),
-                t_phi.row_mut(0, nx, j, k),
-                path,
-            );
-        }
-    }
-}
-
-/// Shared context of a fused tendency + `ξ = base + Δt·tendency` pass.
-pub struct FusedCtx<'a> {
-    /// Snapshot state the linear combination adds the scaled tendency to.
-    pub base: &'a State,
-    /// Time-step factor of the linear combination.
-    pub dt: f64,
-    /// Per-row polar-filter activity, indexed `j + active_off`: active rows
-    /// are left unfused (tendency only) for the later filter pass, because
-    /// their tendency is filtered *before* the linear combination.
-    pub active: &'a [bool],
-    /// Offset mapping local row `j` (possibly negative, for deep-halo
-    /// sub-updates) into `active`.
-    pub active_off: isize,
-}
-
-impl FusedCtx<'_> {
-    /// Whether the polar filter damps local row `j`.
-    #[inline]
-    pub fn is_active(&self, j: isize) -> bool {
-        self.active[(j + self.active_off) as usize]
-    }
-}
-
-/// Fused adaptation sub-update over one worker band: one pass over each
-/// `(j, k)` row computes the tendency *and*, for polar-filter-inactive
-/// rows, immediately folds in `out = base + Δt·tend` while the tendency
-/// row is still cache-hot — halving the memory traffic of the separate
-/// lincomb sweep.  Filter-active rows get the tendency only; the caller
-/// filters and combines them afterwards, so the result is bitwise
-/// identical to the unfused tendency → filter → lincomb sequence.
-///
-/// The j loop is cache-blocked (`tile_j` rows per tile, k innermost inside
-/// a tile) so the 2-D surface rows (`pes`, `cap_p`, `dsa`) stay resident
-/// across the whole k sweep of a tile; rows are independent, so the
-/// reordering is bitwise-invariant.
-pub fn fused_adaptation_band(
-    geom: &LocalGeometry,
-    arg: &State,
-    diag: &Diag,
-    fc: &FusedCtx<'_>,
-    band: &mut FusedBand<'_>,
-    path: KernelPath,
-    tile_j: usize,
-) {
-    let FusedBand {
-        region,
-        tend_u,
-        tend_v,
-        tend_phi,
-        out_u,
-        out_v,
-        out_phi,
-    } = band;
-    let nx = geom.nx as isize;
-    let tj = tile_j.max(1) as isize;
-    let mut j0 = region.y0;
-    while j0 < region.y1 {
-        let j1 = (j0 + tj).min(region.y1);
-        for k in region.z0..region.z1 {
-            for j in j0..j1 {
-                let r = fetch(nx, arg, diag, j, k);
-                let cf = coefs(geom, j, k);
-                tendency_rows(
-                    &r,
-                    &cf,
-                    tend_u.row_mut(0, nx, j, k),
-                    tend_v.row_mut(0, nx, j, k),
-                    tend_phi.row_mut(0, nx, j, k),
-                    path,
-                );
-                if !fc.is_active(j) {
-                    state::lincomb_row_path(
-                        out_u.row_mut(0, nx, j, k),
-                        fc.base.u.row(0, nx, j, k),
-                        fc.dt,
-                        tend_u.row_mut(0, nx, j, k),
-                        path,
-                    );
-                    state::lincomb_row_path(
-                        out_v.row_mut(0, nx, j, k),
-                        fc.base.v.row(0, nx, j, k),
-                        fc.dt,
-                        tend_v.row_mut(0, nx, j, k),
-                        path,
-                    );
-                    state::lincomb_row_path(
-                        out_phi.row_mut(0, nx, j, k),
-                        fc.base.phi.row(0, nx, j, k),
-                        fc.dt,
-                        tend_phi.row_mut(0, nx, j, k),
-                        path,
-                    );
-                }
-            }
-        }
-        j0 = j1;
-    }
-}
-
-/// The fused adaptation sub-update: tendency + lincomb in one pass over
-/// the worker pool's fused bands, plus the 2-D `p'_sa` row on the caller.
-///
-/// Covers everything except the polar-filter-active rows, which the caller
-/// must filter (on `tend`) and then combine row-wise.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_adaptation_update(
-    geom: &LocalGeometry,
-    arg: &State,
-    diag: &Diag,
-    fc: &FusedCtx<'_>,
-    tend: &mut State,
-    out: &mut State,
-    region: Region,
-    path: KernelPath,
-    tile_j: usize,
-) {
-    let (mut bands, nb) = pool::split_fused_bands(
-        tend,
-        out,
-        &region,
-        pool::workers_for(
-            geom.nx
-                * (region.y1 - region.y0).max(0) as usize
-                * (region.z1 - region.z0).max(0) as usize,
-        ),
-    );
-    pool::run(&mut bands[..nb], "adaptation.fused", |band| {
-        fused_adaptation_band(geom, arg, diag, fc, band, path, tile_j);
-    });
-
-    let nx = geom.nx as isize;
-    for j in region.y0..region.y1 {
-        let r_dsa = diag.dsa.row(0, nx, j);
-        let r_vsum = diag.vsum.row(0, nx, j);
-        let t = tend.psa.row_mut(0, nx, j);
-        crate::lane_loop!(path, t.len(), E, ii, psa_eq::<E>(ii, t, r_dsa, r_vsum));
-        if !fc.is_active(j) {
-            state::lincomb_row_path(
-                out.psa.row_mut(0, nx, j),
-                fc.base.psa.row(0, nx, j),
-                fc.dt,
-                tend.psa.row_mut(0, nx, j),
-                path,
-            );
+            band.emit(nx, (j, k), path, |_, o_u, o_v, o_phi| {
+                tendency_rows(&r, &cf, o_u, o_v, o_phi, path)
+            });
         }
     }
 }

@@ -15,13 +15,31 @@
 //! velocity `σ̇` comes from the `g_w` diagnostic of the **last** `C`
 //! application of the adaptation process — the advection process itself
 //! runs no collective, exactly as the operator form `(F L)³` requires.
+//!
+//! # Divide once
+//!
+//! The kernel is bound by f64 division throughput (0.71 ns per element on
+//! the bench host against 0.21 for a multiply), and evaluated point by
+//! point it divides 36 times per point of which 14 are distinct: every
+//! point re-derives its neighbours' `u/P`, `v/P` and `σ̇`.  The sweep
+//! therefore *stages* each quotient once per `(j, k)` row into per-worker
+//! row buffers (`Staged`) with the very bodies the per-point form used
+//! (`u_phys`, `v_phys`, `sdot`, `vs_face`), and the three equations load
+//! them — a stored quotient is bit-identical to a recomputed one.  Rows
+//! `j` of a band are swept in order, so what was staged for row `j + 1`
+//! (`u/P`, `σ̇` at both interfaces, the V equation's south face flux) and
+//! row `j`'s own `v/P` roll into the next row instead of being divided
+//! again.  Per point that leaves 5 staged quotients and the 9 divisions
+//! by per-row constants that close `L₁`, `L₂`, `L₃` of each equation —
+//! 14, plus the halo columns of the staged rows and one un-rolled row per
+//! band and level (≤ 16 on every mesh the tests run; pinned by the
+//! `division_budget` test).
 
-use crate::adaptation::FusedCtx;
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
 use crate::lanes::{Elem, KernelPath};
-use crate::pool::{self, FusedBand, StateBand};
-use crate::state::{self, State};
+use crate::state::State;
+use crate::sweep::{self, SweepBand, SweepScratch, Update};
 use agcm_mesh::grid::constants as c;
 
 const SIN_EPS: f64 = 1e-12;
@@ -78,26 +96,54 @@ pub fn advection_tendency_path(
     region: Region,
     path: KernelPath,
 ) {
-    let (mut bands, nb) = pool::split_state_bands(
-        &mut tend.u,
-        &mut tend.v,
-        &mut tend.phi,
-        &region,
-        pool::workers_for(
-            geom.nx
-                * (region.y1 - region.y0).max(0) as usize
-                * (region.z1 - region.z0).max(0) as usize,
-        ),
-    );
-    pool::run(&mut bands[..nb], "advection.band", |band| {
-        advection_band(geom, arg, diag, band, path);
-    });
+    // a transient scratch: a dozen row-sized allocations per call
+    let mut scratch = SweepScratch::new();
+    run_sweep(geom, arg, diag, tend, None, region, path, &mut scratch);
+}
 
-    // L̃'s fourth component is zero
-    let nx = geom.nx as isize;
-    for j in region.y0..region.y1 {
-        tend.psa.row_mut(0, nx, j).fill(0.0);
-    }
+/// The advection sub-update's sweep: the tendency of `arg`, combined into
+/// `out` at once on polar-filter-inactive rows and stored to `tend` on the
+/// active ones, which the caller filters and then combines
+/// ([`Update::combine_active_rows`]).
+#[allow(clippy::too_many_arguments)]
+pub fn fused_advection_update(
+    geom: &LocalGeometry,
+    arg: &State,
+    diag: &Diag,
+    upd: &Update<'_>,
+    tend: &mut State,
+    out: &mut State,
+    region: Region,
+    path: KernelPath,
+    scratch: &mut SweepScratch,
+) {
+    let combine = Some((upd, out));
+    run_sweep(geom, arg, diag, tend, combine, region, path, scratch);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_sweep(
+    geom: &LocalGeometry,
+    arg: &State,
+    diag: &Diag,
+    tend: &mut State,
+    combine: Option<(&Update<'_>, &mut State)>,
+    region: Region,
+    path: KernelPath,
+    scratch: &mut SweepScratch,
+) {
+    sweep::sweep(
+        geom.nx,
+        region,
+        tend,
+        combine,
+        scratch,
+        path,
+        "advection.band",
+        |band| advection_band(geom, arg, diag, band, path),
+        // L̃'s fourth component is zero
+        |_, o| o.fill(0.0),
+    );
 }
 
 /// Input rows of one `(j, k)` advection row triple, fetched once at
@@ -215,15 +261,129 @@ fn sdot<E: Elem>(gw: &[f64], pes: &[f64], p: usize) -> E {
     E::load(gw, p) * E::splat(c::P_REF) / E::load(pes, p)
 }
 
+/// The V equation's `v sinθ` at the scalar row between V rows `a` (north)
+/// and `b` (south): `½(V_a + V_b)/P·sinθ` with the row's own `P`.
+#[inline(always)]
+fn vs_face<E: Elem>(v_a: &[f64], v_b: &[f64], cp: &[f64], sin_c: f64, p: usize) -> E {
+    E::splat(0.5) * (E::load(v_a, p) + E::load(v_b, p)) / E::load(cp, p) * E::splat(sin_c)
+}
+
+/// The staged quotient rows of one `(j, k)` row triple, indexed like the
+/// input rows (`x ∈ [-2, nx+1)`, logical point `i + d` at `ii + 2 + d`).
+/// Each is filled over exactly the columns the equations read.
+#[derive(Debug, Default)]
+pub(crate) struct Staged {
+    /// `u/P` on rows `j` and `j + 1`, columns `x ∈ [-1, nx+1)`.
+    uq: Vec<f64>,
+    uq_s: Vec<f64>,
+    /// `v/P` on rows `j` and `j − 1`, columns `x ∈ [-1, nx)`.
+    vq: Vec<f64>,
+    vq_n: Vec<f64>,
+    /// `σ̇` at interfaces `k`, `k + 1` on rows `j` and `j + 1`, columns
+    /// `x ∈ [-1, nx)`.
+    sd_lo: Vec<f64>,
+    sd_hi: Vec<f64>,
+    sd_lo_s: Vec<f64>,
+    sd_hi_s: Vec<f64>,
+    /// [`vs_face`] at scalar rows `j + 1` and `j`, columns `x ∈ [0, nx)`.
+    vs_s: Vec<f64>,
+    vs_n: Vec<f64>,
+}
+
+impl Staged {
+    /// Size every row for `nx` longitudes (allocates on a change only).
+    pub(crate) fn size(&mut self, nx: usize) {
+        for row in [
+            &mut self.uq,
+            &mut self.uq_s,
+            &mut self.vq,
+            &mut self.vq_n,
+            &mut self.sd_lo,
+            &mut self.sd_hi,
+            &mut self.sd_lo_s,
+            &mut self.sd_hi_s,
+            &mut self.vs_s,
+            &mut self.vs_n,
+        ] {
+            row.resize(nx + 3, 0.0);
+        }
+    }
+
+    /// Make the rows those of `(j, k)`, whose inputs are `r`.  Unless
+    /// `fresh`, the previous call was for `(j − 1, k)`: its south-side rows
+    /// are this row's own, and its own `v/P` is this row's north side —
+    /// the same bodies over the same operands, so rolling them in is
+    /// bit-identical to staging them again.
+    fn advance(&mut self, r: &Rows<'_>, cf: &Coefs, fresh: bool, path: KernelPath) {
+        let nx = r.u.len() - 3;
+        if fresh {
+            // stage this row's own side where the roll below picks it up
+            stage_south(self, r.u, r.cp, r.gw, r.gw_h, r.pes, nx, path);
+            stage_v(&mut self.vq, r.v_n, r.cp_n, r.cp, nx, path);
+            stage_vs(&mut self.vs_s, r.v_n, r.v, r.cp, cf.s_c, nx, path);
+        }
+        std::mem::swap(&mut self.uq, &mut self.uq_s);
+        std::mem::swap(&mut self.sd_lo, &mut self.sd_lo_s);
+        std::mem::swap(&mut self.sd_hi, &mut self.sd_hi_s);
+        std::mem::swap(&mut self.vq_n, &mut self.vq);
+        std::mem::swap(&mut self.vs_n, &mut self.vs_s);
+        stage_south(self, r.u_s, r.cp_s, r.gw_s, r.gw_s_h, r.pes_s, nx, path);
+        stage_v(&mut self.vq, r.v, r.cp, r.cp_s, nx, path);
+        stage_vs(&mut self.vs_s, r.v, r.v_s, r.cp_s, cf.sc_s, nx, path);
+    }
+}
+
+/// Stage `u/P` and both interfaces' `σ̇` of one row into the south slots.
+#[allow(clippy::too_many_arguments)]
+fn stage_south(
+    st: &mut Staged,
+    u: &[f64],
+    cp: &[f64],
+    gw: &[f64],
+    gw_h: &[f64],
+    pes: &[f64],
+    nx: usize,
+    path: KernelPath,
+) {
+    let (uq, lo, hi) = (&mut st.uq_s[..], &mut st.sd_lo_s[..], &mut st.sd_hi_s[..]);
+    crate::lane_loop!(path, nx + 2, E, ii, {
+        u_phys::<E>(u, cp, ii + 1).store(uq, ii + 1)
+    });
+    crate::lane_loop!(path, nx + 1, E, ii, {
+        sdot::<E>(gw, pes, ii + 1).store(lo, ii + 1);
+        sdot::<E>(gw_h, pes, ii + 1).store(hi, ii + 1)
+    });
+}
+
+fn stage_v(o: &mut [f64], v: &[f64], cp: &[f64], cp_s: &[f64], nx: usize, path: KernelPath) {
+    crate::lane_loop!(path, nx + 1, E, ii, {
+        v_phys::<E>(v, cp, cp_s, ii + 1).store(o, ii + 1)
+    });
+}
+
+fn stage_vs(
+    o: &mut [f64],
+    v_a: &[f64],
+    v_b: &[f64],
+    cp: &[f64],
+    sin_c: f64,
+    nx: usize,
+    path: KernelPath,
+) {
+    crate::lane_loop!(path, nx, E, ii, {
+        vs_face::<E>(v_a, v_b, cp, sin_c, ii + 2).store(o, ii + 2)
+    });
+}
+
 /// U advection at U point (i-1/2, j, k).
 #[inline(always)]
-fn u_eq<E: Elem>(ii: usize, o: &mut [f64], r: &Rows<'_>, cf: &Coefs) {
+fn u_eq<E: Elem>(ii: usize, o: &mut [f64], r: &Rows<'_>, st: &Staged, cf: &Coefs) {
     let q = ii + 2;
     let half = E::splat(0.5);
     let two = E::splat(2.0);
-    let ua = |p: usize| u_phys::<E>(r.u, r.cp, p);
-    let va = |p: usize| v_phys::<E>(r.v, r.cp, r.cp_s, p);
-    let va_n = |p: usize| v_phys::<E>(r.v_n, r.cp_n, r.cp, p);
+    let ua = |p: usize| E::load(&st.uq, p);
+    let va = |p: usize| E::load(&st.vq, p);
+    let va_n = |p: usize| E::load(&st.vq_n, p);
     let f = E::load(r.u, q);
     let uc_e = half * (ua(q) + ua(q + 1));
     let uc_w = half * (ua(q - 1) + ua(q));
@@ -235,8 +395,8 @@ fn u_eq<E: Elem>(ii: usize, o: &mut [f64], r: &Rows<'_>, cf: &Coefs) {
     let ff_s = half * (E::load(r.u, q) + E::load(r.u_s, q));
     let ff_n = half * (E::load(r.u_n, q) + E::load(r.u, q));
     let l2 = (two * (ff_s * vs_s - ff_n * vs_n) - f * (vs_s - vs_n)) / E::splat(cf.two_asdt_c);
-    let sd_lo = half * (sdot::<E>(r.gw, r.pes, q - 1) + sdot::<E>(r.gw, r.pes, q));
-    let sd_hi = half * (sdot::<E>(r.gw_h, r.pes, q - 1) + sdot::<E>(r.gw_h, r.pes, q));
+    let sd_lo = half * (E::load(&st.sd_lo, q - 1) + E::load(&st.sd_lo, q));
+    let sd_hi = half * (E::load(&st.sd_hi, q - 1) + E::load(&st.sd_hi, q));
     let fk_lo = half * (E::load(r.u_kl, q) + E::load(r.u, q));
     let fk_hi = half * (E::load(r.u, q) + E::load(r.u_kh, q));
     let l3 = (two * (fk_hi * sd_hi - fk_lo * sd_lo) - f * (sd_hi - sd_lo)) / E::splat(cf.two_ds);
@@ -245,26 +405,25 @@ fn u_eq<E: Elem>(ii: usize, o: &mut [f64], r: &Rows<'_>, cf: &Coefs) {
 
 /// V advection at V point (i, j+1/2, k); the caller handles the pole pin.
 #[inline(always)]
-fn v_eq<E: Elem>(ii: usize, o: &mut [f64], r: &Rows<'_>, cf: &Coefs) {
+fn v_eq<E: Elem>(ii: usize, o: &mut [f64], r: &Rows<'_>, st: &Staged, cf: &Coefs) {
     let q = ii + 2;
     let half = E::splat(0.5);
     let two = E::splat(2.0);
-    let ua = |p: usize| u_phys::<E>(r.u, r.cp, p);
-    let ua_s = |p: usize| u_phys::<E>(r.u_s, r.cp_s, p);
+    let ua = |p: usize| E::load(&st.uq, p);
+    let ua_s = |p: usize| E::load(&st.uq_s, p);
     let f = E::load(r.v, q);
     let ux_e = half * (ua(q + 1) + ua_s(q + 1));
     let ux_w = half * (ua(q) + ua_s(q));
     let fx_e = half * (E::load(r.v, q) + E::load(r.v, q + 1));
     let fx_w = half * (E::load(r.v, q - 1) + E::load(r.v, q));
     let l1 = (two * (fx_e * ux_e - fx_w * ux_w) - f * (ux_e - ux_w)) / E::splat(cf.two_asdl_v);
-    let vs_s =
-        half * (E::load(r.v, q) + E::load(r.v_s, q)) / E::load(r.cp_s, q) * E::splat(cf.sc_s);
-    let vs_n = half * (E::load(r.v_n, q) + E::load(r.v, q)) / E::load(r.cp, q) * E::splat(cf.s_c);
+    let vs_s = E::load(&st.vs_s, q);
+    let vs_n = E::load(&st.vs_n, q);
     let ff_s = half * (E::load(r.v, q) + E::load(r.v_s, q));
     let ff_n = half * (E::load(r.v_n, q) + E::load(r.v, q));
     let l2 = (two * (ff_s * vs_s - ff_n * vs_n) - f * (vs_s - vs_n)) / E::splat(cf.two_asdt_v);
-    let sd_lo = half * (sdot::<E>(r.gw, r.pes, q) + sdot::<E>(r.gw_s, r.pes_s, q));
-    let sd_hi = half * (sdot::<E>(r.gw_h, r.pes, q) + sdot::<E>(r.gw_s_h, r.pes_s, q));
+    let sd_lo = half * (E::load(&st.sd_lo, q) + E::load(&st.sd_lo_s, q));
+    let sd_hi = half * (E::load(&st.sd_hi, q) + E::load(&st.sd_hi_s, q));
     let fk_lo = half * (E::load(r.v_kl, q) + E::load(r.v, q));
     let fk_hi = half * (E::load(r.v, q) + E::load(r.v_kh, q));
     let l3 = (two * (fk_hi * sd_hi - fk_lo * sd_lo) - f * (sd_hi - sd_lo)) / E::splat(cf.two_ds);
@@ -273,26 +432,23 @@ fn v_eq<E: Elem>(ii: usize, o: &mut [f64], r: &Rows<'_>, cf: &Coefs) {
 
 /// Φ advection at cell centre (i, j, k).
 #[inline(always)]
-fn phi_eq<E: Elem>(ii: usize, o: &mut [f64], r: &Rows<'_>, cf: &Coefs) {
+fn phi_eq<E: Elem>(ii: usize, o: &mut [f64], r: &Rows<'_>, st: &Staged, cf: &Coefs) {
     let q = ii + 2;
     let half = E::splat(0.5);
     let two = E::splat(2.0);
-    let ua = |p: usize| u_phys::<E>(r.u, r.cp, p);
-    let va = |p: usize| v_phys::<E>(r.v, r.cp, r.cp_s, p);
-    let va_n = |p: usize| v_phys::<E>(r.v_n, r.cp_n, r.cp, p);
     let f = E::load(r.f, q);
-    let u_e = ua(q + 1);
-    let u_w = ua(q);
+    let u_e = E::load(&st.uq, q + 1);
+    let u_w = E::load(&st.uq, q);
     let fx_e = half * (E::load(r.f, q) + E::load(r.f, q + 1));
     let fx_w = half * (E::load(r.f, q - 1) + E::load(r.f, q));
     let l1 = (two * (fx_e * u_e - fx_w * u_w) - f * (u_e - u_w)) / E::splat(cf.two_asdl_c);
-    let v_s = va(q) * E::splat(cf.sv_j);
-    let v_n = va_n(q) * E::splat(cf.sv_n);
+    let v_s = E::load(&st.vq, q) * E::splat(cf.sv_j);
+    let v_n = E::load(&st.vq_n, q) * E::splat(cf.sv_n);
     let fy_s = half * (E::load(r.f, q) + E::load(r.f_s, q));
     let fy_n = half * (E::load(r.f_n, q) + E::load(r.f, q));
     let l2 = (two * (fy_s * v_s - fy_n * v_n) - f * (v_s - v_n)) / E::splat(cf.two_asdt_c);
-    let sd_lo = sdot::<E>(r.gw, r.pes, q);
-    let sd_hi = sdot::<E>(r.gw_h, r.pes, q);
+    let sd_lo = E::load(&st.sd_lo, q);
+    let sd_hi = E::load(&st.sd_hi, q);
     let fk_lo = half * (E::load(r.f_kl, q) + E::load(r.f, q));
     let fk_hi = half * (E::load(r.f, q) + E::load(r.f_kh, q));
     let l3 = (two * (fk_hi * sd_hi - fk_lo * sd_lo) - f * (sd_hi - sd_lo)) / E::splat(cf.two_ds);
@@ -302,162 +458,41 @@ fn phi_eq<E: Elem>(ii: usize, o: &mut [f64], r: &Rows<'_>, cf: &Coefs) {
 /// Compute the three tendency rows of one `(j, k)` via the generic bodies.
 fn tendency_rows(
     r: &Rows<'_>,
+    st: &Staged,
     cf: &Coefs,
     o_u: &mut [f64],
     o_v: &mut [f64],
     o_phi: &mut [f64],
     path: KernelPath,
 ) {
-    crate::lane_loop!(path, o_u.len(), E, ii, u_eq::<E>(ii, o_u, r, cf));
+    crate::lane_loop!(path, o_u.len(), E, ii, u_eq::<E>(ii, o_u, r, st, cf));
     if cf.s_v < SIN_EPS {
         o_v.fill(0.0);
     } else {
-        crate::lane_loop!(path, o_v.len(), E, ii, v_eq::<E>(ii, o_v, r, cf));
+        crate::lane_loop!(path, o_v.len(), E, ii, v_eq::<E>(ii, o_v, r, st, cf));
     }
-    crate::lane_loop!(path, o_phi.len(), E, ii, phi_eq::<E>(ii, o_phi, r, cf));
+    crate::lane_loop!(path, o_phi.len(), E, ii, phi_eq::<E>(ii, o_phi, r, st, cf));
 }
 
-/// Row-sliced advection sweep over one worker band.
+/// Row-sliced advection sweep over one worker band: rows `j` in order at
+/// each level, so the staged quotients roll from one row into the next.
 fn advection_band(
     geom: &LocalGeometry,
     arg: &State,
     diag: &Diag,
-    band: &mut StateBand<'_>,
+    band: &mut SweepBand<'_>,
     path: KernelPath,
 ) {
-    let StateBand {
-        region,
-        u: t_u,
-        v: t_v,
-        phi: t_phi,
-    } = band;
+    let region = band.region();
     let nx = geom.nx as isize;
     for k in region.z0..region.z1 {
         for j in region.y0..region.y1 {
             let r = fetch(nx, arg, diag, j, k);
             let cf = coefs(geom, j, k);
-            tendency_rows(
-                &r,
-                &cf,
-                t_u.row_mut(0, nx, j, k),
-                t_v.row_mut(0, nx, j, k),
-                t_phi.row_mut(0, nx, j, k),
-                path,
-            );
-        }
-    }
-}
-
-/// Fused advection sub-update over one worker band — see
-/// [`crate::adaptation::fused_adaptation_band`] for the scheme: tendency
-/// plus, for polar-filter-inactive rows, the immediate
-/// `out = base + Δt·tend` lincomb in one cache-hot pass, with cache-blocked
-/// j-k tiling (independent rows, so reordering is bitwise-invariant).
-pub fn fused_advection_band(
-    geom: &LocalGeometry,
-    arg: &State,
-    diag: &Diag,
-    fc: &FusedCtx<'_>,
-    band: &mut FusedBand<'_>,
-    path: KernelPath,
-    tile_j: usize,
-) {
-    let FusedBand {
-        region,
-        tend_u,
-        tend_v,
-        tend_phi,
-        out_u,
-        out_v,
-        out_phi,
-    } = band;
-    let nx = geom.nx as isize;
-    let tj = tile_j.max(1) as isize;
-    let mut j0 = region.y0;
-    while j0 < region.y1 {
-        let j1 = (j0 + tj).min(region.y1);
-        for k in region.z0..region.z1 {
-            for j in j0..j1 {
-                let r = fetch(nx, arg, diag, j, k);
-                let cf = coefs(geom, j, k);
-                tendency_rows(
-                    &r,
-                    &cf,
-                    tend_u.row_mut(0, nx, j, k),
-                    tend_v.row_mut(0, nx, j, k),
-                    tend_phi.row_mut(0, nx, j, k),
-                    path,
-                );
-                if !fc.is_active(j) {
-                    state::lincomb_row_path(
-                        out_u.row_mut(0, nx, j, k),
-                        fc.base.u.row(0, nx, j, k),
-                        fc.dt,
-                        tend_u.row_mut(0, nx, j, k),
-                        path,
-                    );
-                    state::lincomb_row_path(
-                        out_v.row_mut(0, nx, j, k),
-                        fc.base.v.row(0, nx, j, k),
-                        fc.dt,
-                        tend_v.row_mut(0, nx, j, k),
-                        path,
-                    );
-                    state::lincomb_row_path(
-                        out_phi.row_mut(0, nx, j, k),
-                        fc.base.phi.row(0, nx, j, k),
-                        fc.dt,
-                        tend_phi.row_mut(0, nx, j, k),
-                        path,
-                    );
-                }
-            }
-        }
-        j0 = j1;
-    }
-}
-
-/// The fused advection sub-update: tendency + lincomb in one pass over the
-/// worker pool's fused bands, plus the (identically zero) `p'_sa` tendency
-/// row and its fused lincomb on the caller.  Polar-filter-active rows get
-/// the tendency only; the caller filters and combines them afterwards.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_advection_update(
-    geom: &LocalGeometry,
-    arg: &State,
-    diag: &Diag,
-    fc: &FusedCtx<'_>,
-    tend: &mut State,
-    out: &mut State,
-    region: Region,
-    path: KernelPath,
-    tile_j: usize,
-) {
-    let (mut bands, nb) = pool::split_fused_bands(
-        tend,
-        out,
-        &region,
-        pool::workers_for(
-            geom.nx
-                * (region.y1 - region.y0).max(0) as usize
-                * (region.z1 - region.z0).max(0) as usize,
-        ),
-    );
-    pool::run(&mut bands[..nb], "advection.fused", |band| {
-        fused_advection_band(geom, arg, diag, fc, band, path, tile_j);
-    });
-
-    let nx = geom.nx as isize;
-    for j in region.y0..region.y1 {
-        tend.psa.row_mut(0, nx, j).fill(0.0);
-        if !fc.is_active(j) {
-            state::lincomb_row_path(
-                out.psa.row_mut(0, nx, j),
-                fc.base.psa.row(0, nx, j),
-                fc.dt,
-                tend.psa.row_mut(0, nx, j),
-                path,
-            );
+            band.emit(nx, (j, k), path, |st, o_u, o_v, o_phi| {
+                st.advance(&r, &cf, j == region.y0, path);
+                tendency_rows(&r, st, &cf, o_u, o_v, o_phi, path)
+            });
         }
     }
 }

@@ -29,44 +29,52 @@ fn reflect(d: isize, n: isize) -> isize {
     (d - 1).min(n - 1)
 }
 
+/// `dst = sym·src` for two rows of one field (`sym = ±1`, so the copy and
+/// the negation are bit-for-bit the products).
+#[inline]
+fn mirror_row((dst, src): (&mut [f64], &mut [f64]), sym: f64) {
+    if sym == 1.0 {
+        dst.copy_from_slice(src);
+    } else {
+        for (d, s) in dst.iter_mut().zip(&*src) {
+            *d = sym * *s;
+        }
+    }
+}
+
 fn mirror_y_field3(f: &mut Field3, sym: f64, north: bool, south: bool, v_stagger: bool) {
     let (nx, ny, nz) = f.extents();
     let h = f.halo();
-    let (nx, ny, nz) = (nx as isize, ny as isize, nz as isize);
-    // cover the x halo too: under X-Y decompositions the x halo of the
-    // mirror rows cannot be wrapped locally, and the halo exchange only
+    let (ny, nz) = (ny as isize, nz as isize);
+    // whole rows, x halo included: under X-Y decompositions the x halo of
+    // the mirror rows cannot be wrapped locally, and the halo exchange only
     // carries interior rows — the mirror itself must extend sideways
     // (interior rows' x halos are valid by exchange/wrap at this point)
+    let (x0, x1) = (-(h.xm as isize), (nx + h.xp) as isize);
     for k in -(h.zm as isize)..nz + h.zp as isize {
-        for i in -(h.xm as isize)..nx + h.xp as isize {
-            if north {
-                for d in 1..=h.ym as isize {
-                    let v = if v_stagger {
-                        // face -1 is the pole: zero; deeper faces reflect
-                        if d == 1 {
-                            0.0
-                        } else {
-                            sym * f.get(i, reflect(d - 1, ny), k)
-                        }
-                    } else {
-                        sym * f.get(i, reflect(d, ny), k)
-                    };
-                    f.set(i, -d, k, v);
+        if north {
+            for d in 1..=h.ym as isize {
+                if v_stagger && d == 1 {
+                    // face -1 is the pole: zero; deeper faces reflect
+                    f.row_mut(x0, x1, -1, k).fill(0.0);
+                } else {
+                    let src = reflect(if v_stagger { d - 1 } else { d }, ny);
+                    mirror_row(f.row_pair(x0, x1, (-d, k), (src, k)), sym);
                 }
             }
-            if south {
-                if v_stagger {
-                    // the southernmost stored row is the pole face
-                    f.set(i, ny - 1, k, 0.0);
-                }
-                for d in 1..=h.yp as isize {
-                    let v = if v_stagger {
-                        sym * f.get(i, (ny - 1 - d).max(0), k)
-                    } else {
-                        sym * f.get(i, (ny - d).max(0).min(ny - 1), k)
-                    };
-                    f.set(i, ny - 1 + d, k, v);
-                }
+        }
+        if south {
+            if v_stagger {
+                // the southernmost stored row is the pole face
+                f.row_mut(x0, x1, ny - 1, k).fill(0.0);
+            }
+            for d in 1..=h.yp as isize {
+                let src = if v_stagger {
+                    (ny - 1 - d).max(0)
+                } else {
+                    (ny - d).max(0).min(ny - 1)
+                };
+                mirror_row(f.row_pair(x0, x1, (ny - 1 + d, k), (src, k)), sym);
             }
         }
     }
@@ -75,19 +83,17 @@ fn mirror_y_field3(f: &mut Field3, sym: f64, north: bool, south: bool, v_stagger
 fn mirror_y_field2(f: &mut Field2, north: bool, south: bool) {
     let (nx, ny) = f.extents();
     let h = f.halo();
-    let (nx, ny) = (nx as isize, ny as isize);
-    for i in -(h.xm as isize)..nx + h.xp as isize {
-        if north {
-            for d in 1..=h.ym as isize {
-                let v = f.get(i, reflect(d, ny));
-                f.set(i, -d, v);
-            }
+    let ny = ny as isize;
+    let (x0, x1) = (-(h.xm as isize), (nx + h.xp) as isize);
+    if north {
+        for d in 1..=h.ym as isize {
+            mirror_row(f.row_pair(x0, x1, -d, reflect(d, ny)), 1.0);
         }
-        if south {
-            for d in 1..=h.yp as isize {
-                let v = f.get(i, (ny - d).max(0).min(ny - 1));
-                f.set(i, ny - 1 + d, v);
-            }
+    }
+    if south {
+        for d in 1..=h.yp as isize {
+            let src = (ny - d).max(0).min(ny - 1);
+            mirror_row(f.row_pair(x0, x1, ny - 1 + d, src), 1.0);
         }
     }
 }
@@ -95,20 +101,18 @@ fn mirror_y_field2(f: &mut Field2, north: bool, south: bool) {
 fn mirror_z_field3(f: &mut Field3, top: bool, bottom: bool) {
     let (nx, ny, nz) = f.extents();
     let h = f.halo();
-    let (nx, ny, nz) = (nx as isize, ny as isize, nz as isize);
+    let (ny, nz) = (ny as isize, nz as isize);
+    let (x0, x1) = (-(h.xm as isize), (nx + h.xp) as isize);
     for j in -(h.ym as isize)..ny + h.yp as isize {
-        for i in -(h.xm as isize)..nx + h.xp as isize {
-            if top {
-                for d in 1..=h.zm as isize {
-                    let v = f.get(i, j, reflect(d, nz));
-                    f.set(i, j, -d, v);
-                }
+        if top {
+            for d in 1..=h.zm as isize {
+                mirror_row(f.row_pair(x0, x1, (j, -d), (j, reflect(d, nz))), 1.0);
             }
-            if bottom {
-                for d in 1..=h.zp as isize {
-                    let v = f.get(i, j, (nz - d).max(0).min(nz - 1));
-                    f.set(i, j, nz - 1 + d, v);
-                }
+        }
+        if bottom {
+            for d in 1..=h.zp as isize {
+                let src = (nz - d).max(0).min(nz - 1);
+                mirror_row(f.row_pair(x0, x1, (j, nz - 1 + d), (j, src)), 1.0);
             }
         }
     }
@@ -120,9 +124,10 @@ pub fn enforce_pole_v(state: &mut State, geom: &LocalGeometry) {
     if geom.at_south() {
         let (nx, ny, nz) = state.v.extents();
         for k in 0..nz as isize {
-            for i in 0..nx as isize {
-                state.v.set(i, ny as isize - 1, k, 0.0);
-            }
+            state
+                .v
+                .row_mut(0, nx as isize, ny as isize - 1, k)
+                .fill(0.0);
         }
     }
 }

@@ -58,8 +58,8 @@ pub(crate) struct ZScratch {
     pub total: Vec<f64>,
     /// Running per-row accumulator for the interface walks.
     pub run: Vec<f64>,
-    /// Per-row integrand values `c_k` for the φ' walk.
-    pub ck: Vec<f64>,
+    /// Per-row surface geopotential deviation `φ'_s` of the φ' walk.
+    pub phis: Vec<f64>,
 }
 
 impl Diag {

@@ -8,8 +8,8 @@
 //! collective operator `C` runs fresh, and on which regions they sweep —
 //! exactly the knobs the paper turns.
 
-use crate::adaptation::{adaptation_tendency_path, fused_adaptation_update, FusedCtx};
-use crate::advection::{advection_tendency_path, fused_advection_update};
+use crate::adaptation::fused_adaptation_update;
+use crate::advection::fused_advection_update;
 use crate::boundary;
 use crate::config::ModelConfig;
 use crate::diag::Diag;
@@ -17,8 +17,9 @@ use crate::filterop::{build_filter, filter_row, filter_state_distributed, filter
 use crate::geometry::{LocalGeometry, Region};
 use crate::lanes::KernelPath;
 use crate::pool;
-use crate::state::State;
+use crate::state::{Combine, State};
 use crate::stdatm::StandardAtmosphere;
+use crate::sweep::{SweepScratch, Update};
 use crate::vertical::{apply_c_path, ZContext};
 use agcm_comm::{CommResult, Communicator};
 use agcm_fft::{FilterScratch, FourierFilter};
@@ -50,22 +51,19 @@ pub struct Engine {
     /// at this rank's circle length for the configured worker count (zero
     /// steady-state allocation).
     fscratch: FilterScratch,
+    /// Per-worker row buffers of the tendency sweeps, warmed like
+    /// `fscratch`.
+    sscratch: SweepScratch,
     /// `active_j[j + active_off]` — whether local row `j` (including halo
-    /// mirror rows) is polar-filter active; precomputed so the fused sweeps
-    /// can branch per row without re-deriving global indices.
+    /// mirror rows) is polar-filter active; precomputed so the sweeps can
+    /// branch per row without re-deriving global indices.
     active_j: Vec<bool>,
     /// Offset mapping local row `j` into `active_j`.
     active_off: isize,
-    /// Whether the fused tendency+lincomb sweeps run (local-filter path
-    /// only); togglable at runtime so benchmarks can measure the unfused
-    /// baseline in the same binary.
-    fuse: bool,
     /// Which kernel implementation the sweeps dispatch to (lanes by
     /// default; togglable so benchmarks can reproduce earlier baselines
     /// in the same binary — every path is bitwise identical).
     path: KernelPath,
-    /// Cache-block height (rows) of the fused sweeps' j-k tiling.
-    tile_j: usize,
     /// Whether `diag.{vsum, gw, phi_p}` hold valid (possibly stale) values.
     pub c_cached: bool,
     /// Whether this rank owns full longitude circles (enables the local
@@ -80,7 +78,7 @@ impl Engine {
         let filter = build_filter(&geom, cfg.filter_cutoff_deg);
         let diag = Diag::new(&geom);
         // polar-filter activity per local row, over the full halo-extended
-        // j range (fused sweeps may cover dilated CA regions)
+        // j range (sweeps may cover dilated CA regions)
         let active_off = geom.halo.ym as isize;
         // model construction, not the stepping path: lint:allow(alloc)
         let active_j: Vec<bool> = (-active_off..geom.ny as isize + geom.halo.yp as isize)
@@ -92,7 +90,8 @@ impl Engine {
         if px1 {
             fscratch.warm(geom.nx, pool::workers());
         }
-        let tile_j = autotune_tile_j(&geom, &stdatm, &filter);
+        let mut sscratch = SweepScratch::new();
+        sscratch.warm(geom.nx, pool::workers());
         Engine {
             cfg: cfg.clone(),
             geom,
@@ -100,20 +99,13 @@ impl Engine {
             filter,
             diag,
             fscratch,
+            sscratch,
             active_j,
             active_off,
-            fuse: true,
             path: KernelPath::build_default(),
-            tile_j,
             c_cached: false,
             px1,
         }
-    }
-
-    /// Toggle the fused tendency+lincomb sweeps (on by default).  Purely a
-    /// scheduling choice: fused and unfused results are bitwise identical.
-    pub fn set_fusion(&mut self, on: bool) {
-        self.fuse = on;
     }
 
     /// Select the kernel path every sweep dispatches to (lanes / rows /
@@ -128,12 +120,6 @@ impl Engine {
         self.path
     }
 
-    /// The fused sweeps' cache-block height in j (autotuned or pinned by
-    /// `AGCM_TILE_J`).
-    pub fn tile_j(&self) -> usize {
-        self.tile_j
-    }
-
     /// Fill physical-boundary halos of `st` (and wrap x when owned whole).
     pub fn fill(&self, st: &mut State) {
         boundary::enforce_pole_v(st, &self.geom);
@@ -143,58 +129,17 @@ impl Engine {
         }
     }
 
-    fn apply_filter(
-        &mut self,
-        tend: &mut State,
-        region: Region,
-        fctx: &FilterCtx<'_>,
-    ) -> CommResult<()> {
-        // F̃ span; the distributed path's alltoallv inherits Phase::F
-        let _f = obs::span_phase(obs::SpanKind::Op, obs::Phase::F, "filter");
-        match fctx {
-            FilterCtx::Local => {
-                filter_state_local(&self.geom, &self.filter, tend, region, &mut self.fscratch);
-                Ok(())
-            }
-            FilterCtx::Distributed(xc) => {
-                filter_state_distributed(&self.geom, &self.filter, tend, region, xc)
-            }
-        }
-    }
-
-    /// Whether local row `j` is polar-filter active.
-    #[inline]
-    fn row_active(&self, j: isize) -> bool {
-        self.active_j[(j + self.active_off) as usize]
-    }
-
-    /// The `out = base + dt·tend` completion of the filter-ACTIVE rows of a
-    /// fused sub-update (the inactive rows were combined inside the fused
-    /// sweep, before filtering — which skips them — could touch them).
-    fn lincomb_active_rows(
-        &self,
-        out: &mut State,
-        base: &State,
-        dt: f64,
-        tend: &State,
-        region: Region,
-    ) {
-        for j in region.y0..region.y1 {
-            if self.row_active(j) {
-                let row = Region {
-                    y0: j,
-                    y1: j + 1,
-                    z0: region.z0,
-                    z1: region.z1,
-                };
-                out.lincomb_on(base, dt, tend, &row);
-            }
-        }
-    }
-
-    /// One adaptation sub-update: `out = base + dt·F̃(Ĉ + Â(arg))` on
+    /// One adaptation sub-update: `out = form(base, dt·F̃(Ĉ + Â(arg)))` on
     /// `region`.
     ///
+    /// * `base = None` — the base is `arg` itself (the first sub-update of
+    ///   an iteration), read after `arg`'s boundaries are filled.  That
+    ///   differs from a snapshot taken before the fill only on the
+    ///   south-pole face row of `V`, which the fill pins to zero: there
+    ///   the tendency is zero as well (`sin θ = 0`), so `out.v` holds the
+    ///   base's value on that row — and every reader of `out` (the next
+    ///   sub-update, the forcing, the smoothing) fills it first, pinning
+    ///   the row again before anything is read from it,
     /// * `fresh_c = true` — the original iteration: run the collective `C`
     ///   on `arg` (refreshing `vsum`, `g_w`, `φ'`),
     /// * `fresh_c = false` — the approximate iteration (§4.2.2): reuse the
@@ -202,16 +147,18 @@ impl Engine {
     ///   diagnostics (`D_sa`, `D(P)`, surface fields) are recomputed.
     ///
     /// Requires `arg` valid one row/level beyond `region` (owned halos via
-    /// exchange; boundary halos are filled here).
+    /// exchange; boundary halos are filled here).  `tend` is scratch: only
+    /// its polar-filter-active rows are written.
     #[allow(clippy::too_many_arguments)]
     pub fn adaptation_subupdate(
         &mut self,
-        base: &State,
+        base: Option<&State>,
         arg: &mut State,
         out: &mut State,
         tend: &mut State,
         region: Region,
         dt: f64,
+        form: Combine,
         fresh_c: bool,
         zctx: &ZContext<'_>,
         fctx: &FilterCtx<'_>,
@@ -239,6 +186,7 @@ impl Engine {
                 );
             }
         }
+        let arg = &*arg;
         if fresh_c {
             // dsa/dp are inputs of apply_c's column sums
             apply_c_path(
@@ -253,107 +201,92 @@ impl Engine {
             )?;
             self.c_cached = true;
         }
-        if self.fuse && matches!(fctx, FilterCtx::Local) {
-            // fused sweep: tendency + lincomb of the filter-inactive rows
-            // in one cache-hot pass; certified as "adaptation.fused" in
-            // `core::access` and proven by `verify::dataflow`
-            {
-                let _a = obs::span_phase(obs::SpanKind::Op, obs::Phase::A, "adaptation.fused");
-                let fc = FusedCtx {
-                    base,
-                    dt,
-                    active: &self.active_j,
-                    active_off: self.active_off,
-                };
-                fused_adaptation_update(
-                    &self.geom,
-                    arg,
-                    &self.diag,
-                    &fc,
-                    tend,
-                    out,
-                    region,
-                    self.path,
-                    self.tile_j,
-                );
-            }
-            self.apply_filter(tend, region, fctx)?;
-            let _a = obs::span_phase(obs::SpanKind::Op, obs::Phase::A, "adaptation.lincomb");
-            self.lincomb_active_rows(out, base, dt, tend, region);
-            return Ok(());
-        }
+        let upd = Update {
+            base: base.unwrap_or(arg),
+            dt,
+            form,
+            active: &self.active_j,
+            active_off: self.active_off,
+        };
         {
-            let _a = obs::span_phase(obs::SpanKind::Op, obs::Phase::A, "adaptation.tendency");
-            adaptation_tendency_path(&self.geom, arg, &self.diag, tend, region, self.path);
+            // certified as "adaptation.fused" in `core::access` and proven
+            // by `verify::dataflow`
+            let _a = obs::span_phase(obs::SpanKind::Op, obs::Phase::A, "adaptation.fused");
+            fused_adaptation_update(
+                &self.geom,
+                arg,
+                &self.diag,
+                &upd,
+                tend,
+                out,
+                region,
+                self.path,
+                &mut self.sscratch,
+            );
         }
-        self.apply_filter(tend, region, fctx)?;
-        {
-            let _a = obs::span_phase(obs::SpanKind::Op, obs::Phase::A, "adaptation.lincomb");
-            out.lincomb_on(base, dt, tend, &region);
-        }
+        apply_filter(
+            &self.geom,
+            &self.filter,
+            &mut self.fscratch,
+            tend,
+            region,
+            fctx,
+        )?;
+        let _a = obs::span_phase(obs::SpanKind::Op, obs::Phase::A, "adaptation.lincomb");
+        upd.combine_active_rows(out, tend, region);
         Ok(())
     }
 
-    /// One advection sub-update: `out = base + dt·F̃(L̃(arg))` on `region`,
-    /// using the frozen `g_w` diagnostic (no collective — the `(F̃ L̃)³`
-    /// factor of the operator form is collective-free).
+    /// One advection sub-update: `out = form(base, dt·F̃(L̃(arg)))` on
+    /// `region`, using the frozen `g_w` diagnostic (no collective — the
+    /// `(F̃ L̃)³` factor of the operator form is collective-free).  `base`
+    /// and `tend` as in [`Self::adaptation_subupdate`].
     #[allow(clippy::too_many_arguments)]
     pub fn advection_subupdate(
         &mut self,
-        base: &State,
+        base: Option<&State>,
         arg: &mut State,
         out: &mut State,
         tend: &mut State,
         region: Region,
         dt: f64,
+        form: Combine,
         fctx: &FilterCtx<'_>,
     ) -> CommResult<()> {
-        if self.fuse && matches!(fctx, FilterCtx::Local) {
-            {
-                let _l = obs::span_phase(obs::SpanKind::Op, obs::Phase::L, "advection.fused");
-                self.fill(arg);
-                self.diag.update_surface(
-                    &self.geom,
-                    &self.stdatm,
-                    arg,
-                    region.y0 - 1,
-                    region.y1 + 1,
-                );
-                let fc = FusedCtx {
-                    base,
-                    dt,
-                    active: &self.active_j,
-                    active_off: self.active_off,
-                };
-                fused_advection_update(
-                    &self.geom,
-                    arg,
-                    &self.diag,
-                    &fc,
-                    tend,
-                    out,
-                    region,
-                    self.path,
-                    self.tile_j,
-                );
-            }
-            self.apply_filter(tend, region, fctx)?;
-            let _l = obs::span_phase(obs::SpanKind::Op, obs::Phase::L, "advection.lincomb");
-            self.lincomb_active_rows(out, base, dt, tend, region);
-            return Ok(());
-        }
-        {
-            let _l = obs::span_phase(obs::SpanKind::Op, obs::Phase::L, "advection.tendency");
-            self.fill(arg);
-            self.diag
-                .update_surface(&self.geom, &self.stdatm, arg, region.y0 - 1, region.y1 + 1);
-            advection_tendency_path(&self.geom, arg, &self.diag, tend, region, self.path);
-        }
-        self.apply_filter(tend, region, fctx)?;
-        {
-            let _l = obs::span_phase(obs::SpanKind::Op, obs::Phase::L, "advection.lincomb");
-            out.lincomb_on(base, dt, tend, &region);
-        }
+        let sweep_span = obs::span_phase(obs::SpanKind::Op, obs::Phase::L, "advection.fused");
+        self.fill(arg);
+        self.diag
+            .update_surface(&self.geom, &self.stdatm, arg, region.y0 - 1, region.y1 + 1);
+        let arg = &*arg;
+        let upd = Update {
+            base: base.unwrap_or(arg),
+            dt,
+            form,
+            active: &self.active_j,
+            active_off: self.active_off,
+        };
+        fused_advection_update(
+            &self.geom,
+            arg,
+            &self.diag,
+            &upd,
+            tend,
+            out,
+            region,
+            self.path,
+            &mut self.sscratch,
+        );
+        drop(sweep_span);
+        apply_filter(
+            &self.geom,
+            &self.filter,
+            &mut self.fscratch,
+            tend,
+            region,
+            fctx,
+        )?;
+        let _l = obs::span_phase(obs::SpanKind::Op, obs::Phase::L, "advection.lincomb");
+        upd.combine_active_rows(out, tend, region);
         Ok(())
     }
 
@@ -391,80 +324,26 @@ impl Engine {
     }
 }
 
-/// Pick the fused sweeps' cache-block height in j — a small autotuner.
-///
-/// `AGCM_TILE_J` (≥ 1, strict parse) pins the height.  Otherwise candidate
-/// heights are timed against the real fused adaptation sweep on a synthetic
-/// resting state and the fastest is kept.  The fused result is bitwise
-/// invariant to the tile height (rows are independent), so the choice is
-/// purely a scheduling one — timing noise can never change the physics.
-fn autotune_tile_j(
+/// Apply `F̃` to the tendency state on `region` (only filter-active rows
+/// change).  A free function over the engine's parts so a sub-update can
+/// keep borrowing its row-activity table across the call.
+fn apply_filter(
     geom: &LocalGeometry,
-    stdatm: &StandardAtmosphere,
     filter: &FourierFilter,
-) -> usize {
-    let forced: usize = agcm_comm::env::parse_env_or("AGCM_TILE_J", 0usize);
-    if forced >= 1 {
-        return forced;
-    }
-    let ny = geom.ny.max(1);
-    // engine construction, not the stepping path: transient states and the
-    // activity table are dropped before the first step
-    let mut arg = State::new(geom.nx, geom.ny, geom.nz, geom.halo);
-    boundary::enforce_pole_v(&mut arg, geom);
-    boundary::fill_boundaries_no_wrap(&mut arg, geom);
-    arg.wrap_x();
-    let mut diag = Diag::new(geom);
-    let region = geom.interior();
-    diag.update_surface(geom, stdatm, &arg, region.y0 - 1, region.y1 + 1);
-    let mut tend = State::like(&arg);
-    let mut out = State::like(&arg);
-    let base = State::like(&arg);
-    let active_off = geom.halo.ym as isize;
-    // model construction, not the stepping path: lint:allow(alloc)
-    let active: Vec<bool> = (-active_off..geom.ny as isize + geom.halo.yp as isize)
-        .map(|j| filter.is_active(filter_row(geom, j)))
-        .collect();
-    let fc = FusedCtx {
-        base: &base,
-        dt: 1.0,
-        active: &active,
-        active_off,
-    };
-    let mut best = (f64::INFINITY, 1usize);
-    let mut prev = 0usize;
-    for cand in [1usize, 2, 4, 8, ny] {
-        let tj = cand.min(ny);
-        if tj == prev {
-            continue; // candidates are nondecreasing once saturated at ny
+    fscratch: &mut FilterScratch,
+    tend: &mut State,
+    region: Region,
+    fctx: &FilterCtx<'_>,
+) -> CommResult<()> {
+    // F̃ span; the distributed path's alltoallv inherits Phase::F
+    let _f = obs::span_phase(obs::SpanKind::Op, obs::Phase::F, "filter");
+    match fctx {
+        FilterCtx::Local => {
+            filter_state_local(geom, filter, tend, region, fscratch);
+            Ok(())
         }
-        prev = tj;
-        let mut t_tj = f64::INFINITY;
-        pool::with_workers(1, || {
-            // one warm pass, then keep the best of two timed passes
-            for pass in 0..3 {
-                let t0 = std::time::Instant::now();
-                fused_adaptation_update(
-                    geom,
-                    &arg,
-                    &diag,
-                    &fc,
-                    &mut tend,
-                    &mut out,
-                    region,
-                    KernelPath::build_default(),
-                    tj,
-                );
-                if pass > 0 {
-                    t_tj = t_tj.min(t0.elapsed().as_secs_f64());
-                }
-            }
-        });
-        if t_tj < best.0 {
-            best = (t_tj, tj);
-        }
+        FilterCtx::Distributed(xc) => filter_state_distributed(geom, filter, tend, region, xc),
     }
-    best.1
 }
 
 #[cfg(test)]
@@ -490,12 +369,13 @@ mod tests {
         let mut tend = State::like(&psi);
         let region = e.geom.interior();
         e.adaptation_subupdate(
-            &base,
+            Some(&base),
             &mut psi,
             &mut out,
             &mut tend,
             region,
             e.cfg.dt1,
+            Combine::Euler,
             true,
             &ZContext::Serial,
             &FilterCtx::Local,
@@ -503,12 +383,13 @@ mod tests {
         .unwrap();
         assert_eq!(out.max_abs_diff(&base), 0.0);
         e.advection_subupdate(
-            &base,
+            Some(&base),
             &mut psi,
             &mut out,
             &mut tend,
             region,
             e.cfg.dt2,
+            Combine::Euler,
             &FilterCtx::Local,
         )
         .unwrap();
@@ -526,12 +407,13 @@ mod tests {
         let region = e.geom.interior();
         // fresh C at psi — establishes the cache
         e.adaptation_subupdate(
-            &base,
+            Some(&base),
             &mut psi,
             &mut out_fresh,
             &mut tend,
             region,
             10.0,
+            Combine::Euler,
             true,
             &ZContext::Serial,
             &FilterCtx::Local,
@@ -539,12 +421,13 @@ mod tests {
         .unwrap();
         // cached C on the SAME state must reproduce the same update
         e.adaptation_subupdate(
-            &base,
+            Some(&base),
             &mut psi,
             &mut out_cached,
             &mut tend,
             region,
             10.0,
+            Combine::Euler,
             false,
             &ZContext::Serial,
             &FilterCtx::Local,
@@ -555,12 +438,13 @@ mod tests {
         let mut psi2 = crate::init::perturbed_rest(&e.geom, 350.0, 0.0, 4);
         let mut out_cached2 = State::like(&psi);
         e.adaptation_subupdate(
-            &base,
+            Some(&base),
             &mut psi2,
             &mut out_cached2,
             &mut tend,
             region,
             10.0,
+            Combine::Euler,
             false,
             &ZContext::Serial,
             &FilterCtx::Local,
@@ -568,12 +452,13 @@ mod tests {
         .unwrap();
         let mut out_fresh2 = State::like(&psi);
         e.adaptation_subupdate(
-            &base,
+            Some(&base),
             &mut psi2,
             &mut out_fresh2,
             &mut tend,
             region,
             10.0,
+            Combine::Euler,
             true,
             &ZContext::Serial,
             &FilterCtx::Local,

@@ -12,10 +12,12 @@ use crate::advection::{advection_tendency, advection_tendency_scalar};
 use crate::config::ModelConfig;
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
+use crate::lanes::KernelPath;
 use crate::pool;
 use crate::smoothing::{smooth_rows, smooth_rows_scalar, RowMask};
-use crate::state::State;
+use crate::state::{Combine, State};
 use crate::stdatm::StandardAtmosphere;
+use crate::sweep::{SweepScratch, Update};
 use crate::vertical::{apply_c, apply_c_scalar, ZContext};
 use agcm_mesh::{Decomposition, Field2, Field3, HaloWidths, ProcessGrid};
 use std::sync::Arc;
@@ -257,7 +259,7 @@ fn apply_c_row_kernel_matches_scalar_bitwise() {
 }
 
 /// pseudo-random per-row filter-activity mask over the full halo-extended
-/// j range, as [`crate::adaptation::FusedCtx`] consumes it
+/// j range, as [`crate::sweep::Update`] consumes it
 fn random_active(geom: &LocalGeometry, s: &mut u64) -> (Vec<bool>, isize) {
     let off = geom.halo.ym as isize;
     let n = geom.halo.ym + geom.ny + geom.halo.yp;
@@ -265,12 +267,26 @@ fn random_active(geom: &LocalGeometry, s: &mut u64) -> (Vec<bool>, isize) {
     (mask, off)
 }
 
-#[test]
-fn fused_adaptation_matches_sequential_sweep_bitwise() {
-    use crate::adaptation::{fused_adaptation_update, FusedCtx};
-    use crate::lanes::KernelPath;
+type ScalarTendency = fn(&LocalGeometry, &State, &Diag, &mut State, Region);
+type FusedUpdate = fn(
+    &LocalGeometry,
+    &State,
+    &Diag,
+    &Update<'_>,
+    &mut State,
+    &mut State,
+    Region,
+    KernelPath,
+    &mut SweepScratch,
+);
+
+/// The sub-update sweep against the per-point oracle: filter-inactive rows
+/// are combined into `out` (either form) and leave `tend` alone; active
+/// rows land in `tend` and leave `out` alone.
+fn assert_fused_sweep_matches_scalar(name: &str, scalar: ScalarTendency, fused: FusedUpdate) {
     for h in HALOS {
         let geom = geom_with_halo(h);
+        let nx = geom.nx as isize;
         for seed in SEEDS {
             let mut s = seed.wrapping_mul(11);
             let arg = random_state(&geom, splitmix64(&mut s));
@@ -281,47 +297,67 @@ fn fused_adaptation_matches_sequential_sweep_bitwise() {
             let dt = 0.25 + rand_pos(&mut s);
             let tend0 = random_state(&geom, splitmix64(&mut s));
             let out0 = random_state(&geom, splitmix64(&mut s));
+            let mut full = tend0.clone();
+            scalar(&geom, &arg, &diag, &mut full, region);
 
-            // sequential reference: full tendency sweep, then a separate
-            // per-row lincomb sweep over the filter-inactive rows
-            let mut tend_ref = tend0.clone();
-            let mut out_ref = out0.clone();
-            adaptation_tendency(&geom, &arg, &diag, &mut tend_ref, region);
-            for j in region.y0..region.y1 {
-                if !active[(j + active_off) as usize] {
-                    let row = Region {
-                        y0: j,
-                        y1: j + 1,
-                        ..region
-                    };
-                    out_ref.lincomb_on(&base, dt, &tend_ref, &row);
+            for form in [Combine::Euler, Combine::Midpoint] {
+                let combine = |b: f64, t: f64| match form {
+                    Combine::Euler => b + dt * t,
+                    Combine::Midpoint => 0.5 * (b + (b + dt * t)),
+                };
+                let mut tend_ref = tend0.clone();
+                let mut out_ref = out0.clone();
+                for j in region.y0..region.y1 {
+                    let is_active = active[(j + active_off) as usize];
+                    for i in 0..nx {
+                        for k in region.z0..region.z1 {
+                            for (t, o, f, b) in [
+                                (&mut tend_ref.u, &mut out_ref.u, &full.u, &base.u),
+                                (&mut tend_ref.v, &mut out_ref.v, &full.v, &base.v),
+                                (&mut tend_ref.phi, &mut out_ref.phi, &full.phi, &base.phi),
+                            ] {
+                                if is_active {
+                                    t.set(i, j, k, f.get(i, j, k));
+                                } else {
+                                    o.set(i, j, k, combine(b.get(i, j, k), f.get(i, j, k)));
+                                }
+                            }
+                        }
+                        if is_active {
+                            tend_ref.psa.set(i, j, full.psa.get(i, j));
+                        } else {
+                            let v = combine(base.psa.get(i, j), full.psa.get(i, j));
+                            out_ref.psa.set(i, j, v);
+                        }
+                    }
                 }
-            }
 
-            let fc = FusedCtx {
-                base: &base,
-                dt,
-                active: &active,
-                active_off,
-            };
-            for nt in THREADS {
-                for tile_j in [1usize, 3, geom.ny] {
+                let upd = Update {
+                    base: &base,
+                    dt,
+                    form,
+                    active: &active,
+                    active_off,
+                };
+                // one scratch across worker counts: it must grow on demand
+                let mut scratch = SweepScratch::new();
+                for nt in THREADS {
                     let mut tend = tend0.clone();
                     let mut out = out0.clone();
                     pool::with_workers(nt, || {
-                        fused_adaptation_update(
+                        fused(
                             &geom,
                             &arg,
                             &diag,
-                            &fc,
+                            &upd,
                             &mut tend,
                             &mut out,
                             region,
                             KernelPath::build_default(),
-                            tile_j,
+                            &mut scratch,
                         )
                     });
-                    let what = format!("fused adaptation h={h} nt={nt} tj={tile_j} seed={seed}");
+                    let what = format!("fused {name} {form:?} h={h} nt={nt} seed={seed}");
                     assert_state_bits(&tend, &tend_ref, &format!("{what}: tend"));
                     assert_state_bits(&out, &out_ref, &format!("{what}: out"));
                 }
@@ -331,66 +367,164 @@ fn fused_adaptation_matches_sequential_sweep_bitwise() {
 }
 
 #[test]
-fn fused_advection_matches_sequential_sweep_bitwise() {
-    use crate::adaptation::FusedCtx;
-    use crate::advection::fused_advection_update;
-    use crate::lanes::KernelPath;
-    for h in HALOS {
-        let geom = geom_with_halo(h);
+fn fused_adaptation_matches_scalar_tendency_then_combine_bitwise() {
+    assert_fused_sweep_matches_scalar(
+        "adaptation",
+        adaptation_tendency_scalar,
+        crate::adaptation::fused_adaptation_update,
+    );
+}
+
+#[test]
+fn fused_advection_matches_scalar_tendency_then_combine_bitwise() {
+    assert_fused_sweep_matches_scalar(
+        "advection",
+        advection_tendency_scalar,
+        crate::advection::fused_advection_update,
+    );
+}
+
+/// Rank `rank`'s geometry of `cfg` under a Y-Z process grid, 3-deep halos.
+fn geom_of_rank(cfg: &ModelConfig, py: usize, pz: usize, rank: usize) -> LocalGeometry {
+    let grid = Arc::new(cfg.grid().unwrap());
+    let d = Decomposition::new(cfg.extents(), ProcessGrid::yz(py, pz).unwrap()).unwrap();
+    LocalGeometry::new(cfg, grid, &d, rank, HaloWidths::uniform(3))
+}
+
+/// The staged, rolling advection sweep where its staging could go wrong:
+/// the pole rows (V pinned, the rolled south rows unused), deep-halo
+/// regions dilated past the block on every side, bands that restart the
+/// roll mid-region, and a row length that leaves ragged lane tails in the
+/// equations as well as in the (wider) staged rows.
+#[test]
+fn staged_advection_matches_scalar_on_poles_dilated_regions_and_ragged_rows() {
+    let ragged = ModelConfig {
+        nx: 18,
+        ..ModelConfig::test_small()
+    };
+    let medium = ModelConfig::test_medium();
+    let cases: [(&str, LocalGeometry, [isize; 4]); 4] = [
+        // whole serial interior: both pole rows
+        ("poles", geom_with_halo(3), [0, 0, 0, 0]),
+        ("ragged", geom_of_rank(&ragged, 1, 1, 0), [0, 0, 0, 0]),
+        // a block with neighbours north, south and below, dilated by two
+        // rows / one level where a neighbour is
+        ("dilated", geom_of_rank(&medium, 4, 2, 1), [2, 2, 0, 1]),
+        (
+            "dilated ragged",
+            geom_of_rank(&ragged, 2, 2, 3),
+            [2, 0, 1, 0],
+        ),
+    ];
+    for (what, geom, [dn, ds, dt, db]) in cases {
+        let interior = geom.interior();
+        let region = Region {
+            y0: interior.y0 - dn,
+            y1: interior.y1 + ds,
+            z0: interior.z0 - dt,
+            z1: interior.z1 + db,
+        };
         for seed in SEEDS {
-            let mut s = seed.wrapping_mul(13);
+            let mut s = seed.wrapping_mul(29);
             let arg = random_state(&geom, splitmix64(&mut s));
             let diag = random_diag(&geom, splitmix64(&mut s));
-            let base = random_state(&geom, splitmix64(&mut s));
-            let region = random_region(&geom, &mut s);
-            let (active, active_off) = random_active(&geom, &mut s);
-            let dt = 0.25 + rand_pos(&mut s);
-            let tend0 = random_state(&geom, splitmix64(&mut s));
-            let out0 = random_state(&geom, splitmix64(&mut s));
-
-            let mut tend_ref = tend0.clone();
-            let mut out_ref = out0.clone();
-            advection_tendency(&geom, &arg, &diag, &mut tend_ref, region);
-            for j in region.y0..region.y1 {
-                if !active[(j + active_off) as usize] {
-                    let row = Region {
-                        y0: j,
-                        y1: j + 1,
-                        ..region
-                    };
-                    out_ref.lincomb_on(&base, dt, &tend_ref, &row);
-                }
-            }
-
-            let fc = FusedCtx {
-                base: &base,
-                dt,
-                active: &active,
-                active_off,
-            };
+            let init = random_state(&geom, splitmix64(&mut s));
+            let mut want = init.clone();
+            advection_tendency_scalar(&geom, &arg, &diag, &mut want, region);
             for nt in THREADS {
-                for tile_j in [1usize, 3, geom.ny] {
-                    let mut tend = tend0.clone();
-                    let mut out = out0.clone();
-                    pool::with_workers(nt, || {
-                        fused_advection_update(
-                            &geom,
-                            &arg,
-                            &diag,
-                            &fc,
-                            &mut tend,
-                            &mut out,
-                            region,
-                            KernelPath::build_default(),
-                            tile_j,
-                        )
-                    });
-                    let what = format!("fused advection h={h} nt={nt} tj={tile_j} seed={seed}");
-                    assert_state_bits(&tend, &tend_ref, &format!("{what}: tend"));
-                    assert_state_bits(&out, &out_ref, &format!("{what}: out"));
-                }
+                let mut got = init.clone();
+                pool::with_workers(nt, || {
+                    advection_tendency(&geom, &arg, &diag, &mut got, region)
+                });
+                assert_state_bits(&got, &want, &format!("{what} nt={nt} seed={seed}"));
             }
         }
+    }
+}
+
+/// Divisions the real sweeps spend, counted by driving them at
+/// [`KernelPath::Counted`] on one worker — and, as the counting element is
+/// plain `f64` arithmetic, one more bitwise pin against the default path.
+/// The kernels are division-bound (DESIGN.md §8), so these budgets are the
+/// property that must not silently regress.
+#[test]
+fn division_budget_of_the_tendency_sweeps_and_c() {
+    use crate::adaptation::adaptation_tendency_path;
+    use crate::advection::advection_tendency_path;
+    use crate::lanes::counted::divisions_in;
+    use crate::vertical::apply_c_path;
+
+    for cfg in [ModelConfig::test_small(), ModelConfig::test_medium()] {
+        let geom = geom_of_rank(&cfg, 1, 1, 0);
+        let stdatm = StandardAtmosphere::new(&geom.grid);
+        let (nx, ny, nz) = (geom.nx as u64, geom.ny as u64, geom.nz as u64);
+        let mut s = 0xD1D1u64;
+        let arg = random_state(&geom, splitmix64(&mut s));
+        let diag = random_diag(&geom, splitmix64(&mut s));
+        let init = random_state(&geom, splitmix64(&mut s));
+        let interior = geom.interior();
+        // the V equation is pinned, not evaluated, on the south-pole face
+        let no_pole = Region {
+            y1: interior.y1 - 1,
+            ..interior
+        };
+        let counted = |f: &dyn Fn(KernelPath, &mut State)| {
+            let mut want = init.clone();
+            f(KernelPath::build_default(), &mut want);
+            let mut got = init.clone();
+            let n = pool::with_workers(1, || divisions_in(|| f(KernelPath::Counted, &mut got)));
+            assert_state_bits(&got, &want, "counted path");
+            n
+        };
+
+        // adaptation: 5 (U) + 5 (V) + 6 (Φ), nothing shared
+        let n = counted(&|path, t| adaptation_tendency_path(&geom, &arg, &diag, t, no_pole, path));
+        assert_eq!(n, 16 * nx * (ny - 1) * nz, "adaptation");
+
+        // advection: 9 closing divisions + 5 staged quotients per point,
+        // plus the staged rows' halo columns and one un-rolled row per level
+        let n = counted(&|path, t| advection_tendency_path(&geom, &arg, &diag, t, interior, path));
+        let per_point = n as f64 / (nx * ny * nz) as f64;
+        assert!(
+            (14.0..=16.0).contains(&per_point),
+            "advection: {per_point} divisions per point"
+        );
+        // exactly: per row 9·nx (less the 3 of the pinned V row) closing,
+        // 5·nx + 5 staged; per level one row staged twice
+        let rows = ny * nz;
+        assert_eq!(n, rows * (14 * nx + 5) + nz * (5 * nx + 5) - 3 * nx * nz);
+
+        // C on a serial column: one division per 3-D point the φ' walk
+        // visits (the integrand — the block-sum sweep is skipped) and one
+        // per surface point (φ'_s); with the 3 of `Diag::update_dp`'s
+        // plain-f64 stencil that is 4 per point, where the per-level φ'_s
+        // and the second integrand sweep made it 6
+        let mut d_want = random_diag(&geom, 7);
+        let mut d_got = random_diag(&geom, 7);
+        let zctx = ZContext::Serial;
+        let path = KernelPath::build_default();
+        apply_c_path(
+            &geom,
+            &stdatm,
+            &arg,
+            &mut d_want,
+            interior,
+            &zctx,
+            true,
+            path,
+        )
+        .unwrap();
+        let n = divisions_in(|| {
+            let path = KernelPath::Counted;
+            apply_c_path(
+                &geom, &stdatm, &arg, &mut d_got, interior, &zctx, true, path,
+            )
+            .unwrap()
+        });
+        assert_bits3(&d_got.phi_p, &d_want.phi_p, "counted C");
+        assert_bits3(&d_got.gw, &d_want.gw, "counted C");
+        let walked_rows = ny + 2; // φ' is produced one row beyond the region
+        assert_eq!(n, nx * walked_rows * (nz + 1), "C");
     }
 }
 

@@ -147,6 +147,10 @@ pub enum KernelPath {
     Lanes,
     /// The whole row at `f64` (the PR 4 scalar-row path).
     Rows,
+    /// The whole row at [`counted::Counted`]: `f64` arithmetic that counts
+    /// its divisions (the division-budget tests).
+    #[cfg(test)]
+    Counted,
 }
 
 impl KernelPath {
@@ -188,6 +192,14 @@ macro_rules! lane_loop {
                 $ii += $crate::lanes::W;
             }
         }
+        #[cfg(test)]
+        while $ii < n && path == $crate::lanes::KernelPath::Counted {
+            {
+                type $e = $crate::lanes::counted::Counted;
+                $body;
+            }
+            $ii += 1;
+        }
         while $ii < n {
             {
                 type $e = f64;
@@ -196,6 +208,80 @@ macro_rules! lane_loop {
             $ii += 1;
         }
     }};
+}
+
+/// A test-only [`Elem`]: one `f64` whose `Div` bumps a thread-local counter,
+/// so a test can drive the real sweeps ([`KernelPath::Counted`]) and assert
+/// how many divisions they spend per output point.
+#[cfg(test)]
+pub(crate) mod counted {
+    use super::Elem;
+    use core::ops::{Add, Div, Mul, Neg, Sub};
+    use std::cell::Cell;
+
+    thread_local! {
+        static DIVISIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Divisions [`Counted`] performed on this thread while `f` ran (run
+    /// sweeps at one pool worker: bands on other threads are not seen).
+    pub fn divisions_in(f: impl FnOnce()) -> u64 {
+        let before = DIVISIONS.with(Cell::get);
+        f();
+        DIVISIONS.with(Cell::get) - before
+    }
+
+    fn count_one() {
+        DIVISIONS.with(|d| d.set(d.get() + 1));
+    }
+
+    #[derive(Clone, Copy)]
+    pub struct Counted(f64);
+
+    macro_rules! counted_binop {
+        ($tr:ident, $f:ident, $op:tt) => {
+            impl $tr for Counted {
+                type Output = Counted;
+                fn $f(self, rhs: Counted) -> Counted {
+                    Counted(self.0 $op rhs.0)
+                }
+            }
+        };
+    }
+    counted_binop!(Add, add, +);
+    counted_binop!(Sub, sub, -);
+    counted_binop!(Mul, mul, *);
+
+    impl Div for Counted {
+        type Output = Counted;
+        fn div(self, rhs: Counted) -> Counted {
+            count_one();
+            Counted(self.0 / rhs.0)
+        }
+    }
+
+    impl Neg for Counted {
+        type Output = Counted;
+        fn neg(self) -> Counted {
+            Counted(-self.0)
+        }
+    }
+
+    impl Elem for Counted {
+        const WIDTH: usize = 1;
+
+        fn splat(v: f64) -> Self {
+            Counted(v)
+        }
+
+        fn load(src: &[f64], at: usize) -> Self {
+            Counted(src[at])
+        }
+
+        fn store(self, dst: &mut [f64], at: usize) {
+            dst[at] = self.0;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@ pub mod serial;
 pub mod smoothing;
 pub mod state;
 pub mod stdatm;
+pub mod sweep;
 pub mod tables;
 pub mod vertical;
 

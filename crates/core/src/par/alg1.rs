@@ -18,7 +18,7 @@ use crate::error::ModelError;
 use crate::geometry::LocalGeometry;
 use crate::par::exchange::{state_fields, ExField, HaloExchanger};
 use crate::smoothing::smooth_full;
-use crate::state::State;
+use crate::state::{Combine, State};
 use crate::tables;
 use crate::vertical::ZContext;
 use agcm_comm::{CommResult, Communicator};
@@ -39,11 +39,10 @@ pub struct Alg1Model {
     xcomm: Option<Communicator>,
     depth_sweep: HaloWidths,
     depth_smooth: HaloWidths,
-    // scratch
+    // scratch; `state`, `psi`, `eta1` and `smoothed` trade buffers
+    // through a step instead of being copied into one another
     psi: State,
-    base: State,
     eta1: State,
-    eta2: State,
     mid: State,
     tend: State,
     smoothed: State,
@@ -96,9 +95,7 @@ impl Alg1Model {
         let depth_smooth = super::schedule::depth_smooth();
         Ok(Alg1Model {
             psi: scratch(),
-            base: scratch(),
             eta1: scratch(),
-            eta2: scratch(),
             mid: scratch(),
             tend: scratch(),
             smoothed: scratch(),
@@ -185,92 +182,70 @@ impl Alg1Model {
         let dt1 = self.engine.cfg.dt1;
         let dt2 = self.engine.cfg.dt2;
         let m = self.engine.cfg.m_iters;
-        self.psi.assign(&self.state);
+        let zctx = match &self.zcomm {
+            Some(z) => ZContext::Parallel(z),
+            None => ZContext::Serial,
+        };
+        let fctx = match &self.xcomm {
+            Some(x) => FilterCtx::Distributed(x),
+            None => FilterCtx::Local,
+        };
+        // ψ⁰ = ξ^{(k-1)}: trade buffers — `state` is assigned again at the
+        // end of the step and not read in between
+        std::mem::swap(&mut self.psi, &mut self.state);
 
         // ---- adaptation ----
         for _ in 0..m {
             let _iter = obs::span(obs::SpanKind::Iter, "adaptation.iter");
-            self.base.copy_from(&self.psi);
-            // sub-update 1
+            // sub-update 1: ψ is base and argument at once
             self.exchanger
                 .exchange(comm, self.depth_sweep, &mut state_fields(&mut self.psi))?;
-            {
-                let zctx = match &self.zcomm {
-                    Some(z) => ZContext::Parallel(z),
-                    None => ZContext::Serial,
-                };
-                let fctx = match &self.xcomm {
-                    Some(x) => FilterCtx::Distributed(x),
-                    None => FilterCtx::Local,
-                };
-                self.engine.adaptation_subupdate(
-                    &self.base,
-                    &mut self.psi,
-                    &mut self.eta1,
-                    &mut self.tend,
-                    region,
-                    dt1,
-                    true,
-                    &zctx,
-                    &fctx,
-                )?;
-            }
-            // sub-update 2
+            self.engine.adaptation_subupdate(
+                None,
+                &mut self.psi,
+                &mut self.eta1,
+                &mut self.tend,
+                region,
+                dt1,
+                Combine::Euler,
+                true,
+                &zctx,
+                &fctx,
+            )?;
+            // sub-update 2 emits the midpoint ½(ψ + η₂) directly
             self.exchanger
                 .exchange(comm, self.depth_sweep, &mut state_fields(&mut self.eta1))?;
-            {
-                let zctx = match &self.zcomm {
-                    Some(z) => ZContext::Parallel(z),
-                    None => ZContext::Serial,
-                };
-                let fctx = match &self.xcomm {
-                    Some(x) => FilterCtx::Distributed(x),
-                    None => FilterCtx::Local,
-                };
-                self.engine.adaptation_subupdate(
-                    &self.base,
-                    &mut self.eta1,
-                    &mut self.eta2,
-                    &mut self.tend,
-                    region,
-                    dt1,
-                    true,
-                    &zctx,
-                    &fctx,
-                )?;
-            }
-            // sub-update 3 (midpoint)
-            self.mid.midpoint_on(&self.base, &self.eta2, &region);
+            self.engine.adaptation_subupdate(
+                Some(&self.psi),
+                &mut self.eta1,
+                &mut self.mid,
+                &mut self.tend,
+                region,
+                dt1,
+                Combine::Midpoint,
+                true,
+                &zctx,
+                &fctx,
+            )?;
+            // sub-update 3: η₃ is the next iteration's ψ
             self.exchanger
                 .exchange(comm, self.depth_sweep, &mut state_fields(&mut self.mid))?;
-            {
-                let zctx = match &self.zcomm {
-                    Some(z) => ZContext::Parallel(z),
-                    None => ZContext::Serial,
-                };
-                let fctx = match &self.xcomm {
-                    Some(x) => FilterCtx::Distributed(x),
-                    None => FilterCtx::Local,
-                };
-                // η₃ lands directly in eta1 — the old mem::replace
-                // placeholder was never read (bitwise-identical result)
-                self.engine.adaptation_subupdate(
-                    &self.base,
-                    &mut self.mid,
-                    &mut self.eta1,
-                    &mut self.tend,
-                    region,
-                    dt1,
-                    true,
-                    &zctx,
-                    &fctx,
-                )?;
-                self.psi.assign(&self.eta1);
-            }
+            self.engine.adaptation_subupdate(
+                Some(&self.psi),
+                &mut self.mid,
+                &mut self.eta1,
+                &mut self.tend,
+                region,
+                dt1,
+                Combine::Euler,
+                true,
+                &zctx,
+                &fctx,
+            )?;
+            std::mem::swap(&mut self.psi, &mut self.eta1);
         }
 
         // ---- advection (frozen g_w must travel with the first exchange) --
-        self.base.copy_from(&self.psi);
         {
             let mut fields = [
                 ExField::F3(&mut self.psi.u),
@@ -287,55 +262,40 @@ impl Alg1Model {
             // the extended-x computation in apply_c) already covered it
             self.engine.diag.gw.wrap_x_halo();
         }
-        macro_rules! fctx {
-            () => {
-                match self.xcomm.as_ref() {
-                    None => FilterCtx::Local,
-                    Some(x) => FilterCtx::Distributed(x),
-                }
-            };
-        }
-        {
-            let f = fctx!();
-            self.engine.advection_subupdate(
-                &self.base,
-                &mut self.psi,
-                &mut self.eta1,
-                &mut self.tend,
-                region,
-                dt2,
-                &f,
-            )?;
-        }
+        self.engine.advection_subupdate(
+            None,
+            &mut self.psi,
+            &mut self.eta1,
+            &mut self.tend,
+            region,
+            dt2,
+            Combine::Euler,
+            &fctx,
+        )?;
         self.exchanger
             .exchange(comm, self.depth_sweep, &mut state_fields(&mut self.eta1))?;
-        {
-            let f = fctx!();
-            self.engine.advection_subupdate(
-                &self.base,
-                &mut self.eta1,
-                &mut self.eta2,
-                &mut self.tend,
-                region,
-                dt2,
-                &f,
-            )?;
-        }
-        self.mid.midpoint_on(&self.base, &self.eta2, &region);
+        self.engine.advection_subupdate(
+            Some(&self.psi),
+            &mut self.eta1,
+            &mut self.mid,
+            &mut self.tend,
+            region,
+            dt2,
+            Combine::Midpoint,
+            &fctx,
+        )?;
         self.exchanger
             .exchange(comm, self.depth_sweep, &mut state_fields(&mut self.mid))?;
-        {
-            let f = fctx!();
-            self.engine.advection_subupdate(
-                &self.base,
-                &mut self.mid,
-                &mut self.eta1,
-                &mut self.tend,
-                region,
-                dt2,
-                &f,
-            )?;
-        }
+        self.engine.advection_subupdate(
+            Some(&self.psi),
+            &mut self.mid,
+            &mut self.eta1,
+            &mut self.tend,
+            region,
+            dt2,
+            Combine::Euler,
+            &fctx,
+        )?;
 
         // ---- physics, then smoothing with its own exchange ----
         self.engine.apply_forcing(&mut self.eta1, region);
@@ -353,7 +313,7 @@ impl Alg1Model {
                 region,
             );
         }
-        self.state.assign(&self.smoothed);
+        std::mem::swap(&mut self.state, &mut self.smoothed);
         self.steps += 1;
         Ok(())
     }

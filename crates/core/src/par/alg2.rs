@@ -29,7 +29,7 @@ use crate::error::ModelError;
 use crate::geometry::{frame, LocalGeometry, Region};
 use crate::par::exchange::{state_fields, ExField, HaloExchanger, Pending};
 use crate::smoothing::smooth_full;
-use crate::state::State;
+use crate::state::{Combine, State};
 use crate::vertical::ZContext;
 use agcm_comm::{CommResult, Communicator};
 use agcm_mesh::{Decomposition, HaloWidths, ProcessGrid};
@@ -63,12 +63,11 @@ pub struct CaModel {
     sweep_depth: HaloWidths,
     shallow: HaloWidths,
     smooth_depth: HaloWidths,
-    // scratch
+    // scratch; `state`, `psi`, `psi0` and `eta1` trade buffers through a
+    // step instead of being copied into one another
     psi: State,
     psi0: State,
-    base: State,
     eta1: State,
-    eta2: State,
     mid: State,
     tend: State,
 }
@@ -130,9 +129,7 @@ impl CaModel {
         Ok(CaModel {
             psi: scratch(),
             psi0: scratch(),
-            base: scratch(),
             eta1: scratch(),
-            eta2: scratch(),
             mid: scratch(),
             tend: scratch(),
             engine,
@@ -334,9 +331,13 @@ impl CaModel {
                     strip,
                 );
             }
-            self.psi.assign_on(&self.psi0, &outer);
+            // ψ⁰ is the smoothed state: valid on `outer`, all the sweeps
+            // of the first group read
+            std::mem::swap(&mut self.psi, &mut self.psi0);
         } else {
-            self.psi.assign_on(&self.state, &outer);
+            // ψ⁰ is the state as exchanged; `state` is assigned again at
+            // the end of the step and not read in between
+            std::mem::swap(&mut self.psi, &mut self.state);
         }
         Ok(())
     }
@@ -389,12 +390,14 @@ impl CaModel {
                 &mut self.psi0,
                 interior,
             );
-            self.state.assign(&self.psi0);
+            std::mem::swap(&mut self.state, &mut self.psi0);
         }
 
         // ---- first deep exchange (+ fused smoothing) ----------------------
         self.deep_exchange(comm)?;
         let mut valid = g;
+
+        let fctx = FilterCtx::Local;
 
         // ---- 3M adaptation sweeps in groups -------------------------------
         for _iter in 0..m {
@@ -404,30 +407,29 @@ impl CaModel {
                 self.group_exchange(comm)?;
                 valid = g;
             }
-            self.base.copy_from(&self.psi);
+            let zctx = match &self.zcomm {
+                Some(z) => ZContext::Parallel(z),
+                None => ZContext::Serial,
+            };
             // degraded mode disables the Eq. 13 reuse: every sub-update
             // recomputes C(ψ^{i-1}) exactly
             let fresh1 = !self.engine.c_cached || self.degraded;
-            // sub-update 1 (cached C)
-            let region1 = dil(valid as isize - 1);
-            {
-                let zctx = match &self.zcomm {
-                    Some(z) => ZContext::Parallel(z),
-                    None => ZContext::Serial,
-                };
-                self.engine.adaptation_subupdate(
-                    &self.base,
-                    &mut self.psi,
-                    &mut self.eta1,
-                    &mut self.tend,
-                    region1,
-                    dt1,
-                    fresh1,
-                    &zctx,
-                    &FilterCtx::Local,
-                )?;
-            }
-            // sub-update 2 (fresh C)
+            // sub-update 1 (cached C): ψ is base and argument at once
+            self.engine.adaptation_subupdate(
+                None,
+                &mut self.psi,
+                &mut self.eta1,
+                &mut self.tend,
+                dil(valid as isize - 1),
+                dt1,
+                Combine::Euler,
+                fresh1,
+                &zctx,
+                &fctx,
+            )?;
+            // sub-update 2 (fresh C) emits the midpoint ½(ψ + η₂) directly.
+            // For g = 1 it covers the interior only — the midpoint's halos
+            // are refreshed by the exchange just below.
             if g == 1 {
                 self.exchanger.exchange(
                     comm,
@@ -440,32 +442,19 @@ impl CaModel {
             } else {
                 dil(valid as isize - 2)
             };
-            {
-                let zctx = match &self.zcomm {
-                    Some(z) => ZContext::Parallel(z),
-                    None => ZContext::Serial,
-                };
-                self.engine.adaptation_subupdate(
-                    &self.base,
-                    &mut self.eta1,
-                    &mut self.eta2,
-                    &mut self.tend,
-                    region2,
-                    dt1,
-                    true,
-                    &zctx,
-                    &FilterCtx::Local,
-                )?;
-            }
-            // sub-update 3 (fresh C at the midpoint).  For g = 1 the
-            // midpoint is computed on the interior only — its halos are
-            // refreshed by the exchange just below.
-            let mid_region = if g == 1 {
-                interior
-            } else {
-                dil(valid as isize - 2)
-            };
-            self.mid.midpoint_on(&self.base, &self.eta2, &mid_region);
+            self.engine.adaptation_subupdate(
+                Some(&self.psi),
+                &mut self.eta1,
+                &mut self.mid,
+                &mut self.tend,
+                region2,
+                dt1,
+                Combine::Midpoint,
+                true,
+                &zctx,
+                &fctx,
+            )?;
+            // sub-update 3 (fresh C at the midpoint)
             if g == 1 {
                 self.exchanger.exchange(
                     comm,
@@ -478,35 +467,30 @@ impl CaModel {
             } else {
                 dil(valid as isize - 3)
             };
-            {
-                let zctx = match &self.zcomm {
-                    Some(z) => ZContext::Parallel(z),
-                    None => ZContext::Serial,
-                };
-                // η₃ lands directly in eta1 — the old mem::replace
-                // placeholder was never read (bitwise-identical result)
-                self.engine.adaptation_subupdate(
-                    &self.base,
-                    &mut self.mid,
-                    &mut self.eta1,
-                    &mut self.tend,
-                    region3,
-                    dt1,
-                    true,
-                    &zctx,
-                    &FilterCtx::Local,
-                )?;
-                self.psi.assign_on(&self.eta1, &region3);
-            }
+            self.engine.adaptation_subupdate(
+                Some(&self.psi),
+                &mut self.mid,
+                &mut self.eta1,
+                &mut self.tend,
+                region3,
+                dt1,
+                Combine::Euler,
+                true,
+                &zctx,
+                &fctx,
+            )?;
+            // η₃, valid on `region3`, is the next iteration's ψ: its
+            // sweeps read no further (the next group exchange refreshes
+            // the rest)
+            std::mem::swap(&mut self.psi, &mut self.eta1);
             valid = valid.saturating_sub(3);
         }
 
         // ================ advection: grouped the same way ==================
+        // ψM is base and argument of sweep 1: its halos are stale until the
+        // exchange lands, and the inner overlap sweep only touches interior
+        // rows
         self.engine.fill(&mut self.psi);
-        // ψM's halos are stale until the exchange lands; the inner overlap
-        // sweep only touches interior rows, so a pre-exchange copy serves
-        // as its base, refreshed once the halos arrive
-        self.base.copy_from(&self.psi);
         let pending: Pending = {
             let mut fields = [
                 ExField::F3(&mut self.psi.u),
@@ -526,13 +510,14 @@ impl CaModel {
             // window (§4.3.1)
             let _ov = obs::span(obs::SpanKind::OverlapCompute, "overlap.advection_inner");
             self.engine.advection_subupdate(
-                &self.base,
+                None,
                 &mut self.psi,
                 &mut self.eta1,
                 &mut self.tend,
                 inner1,
                 dt2,
-                &FilterCtx::Local,
+                Combine::Euler,
+                &fctx,
             )?;
         }
         {
@@ -546,33 +531,23 @@ impl CaModel {
             self.exchanger.finish_recvs(comm, pending, &mut fields)?;
         }
         self.engine.diag.gw.wrap_x_halo();
-        self.base.copy_from(&self.psi);
-        if self.degraded {
-            // blocking mode: the inner sweep runs after the exchange closes
-            // (no compute inside the communication window)
+        // blocking mode: the inner sweep runs after the exchange closes (no
+        // compute inside the communication window)
+        let inner_late = self.degraded.then_some(inner1);
+        for strip in inner_late.into_iter().chain(frame(&outer1, &inner1)) {
             self.engine.advection_subupdate(
-                &self.base,
-                &mut self.psi,
-                &mut self.eta1,
-                &mut self.tend,
-                inner1,
-                dt2,
-                &FilterCtx::Local,
-            )?;
-        }
-        for strip in frame(&outer1, &inner1) {
-            self.engine.advection_subupdate(
-                &self.base,
+                None,
                 &mut self.psi,
                 &mut self.eta1,
                 &mut self.tend,
                 strip,
                 dt2,
-                &FilterCtx::Local,
+                Combine::Euler,
+                &fctx,
             )?;
         }
         let mut valida = ga - 1;
-        // sweep 2
+        // sweep 2 emits the midpoint directly
         if valida == 0 {
             let mut fields = [
                 ExField::F3(&mut self.eta1.u),
@@ -585,7 +560,7 @@ impl CaModel {
             self.engine.diag.gw.wrap_x_halo();
             valida = ga;
         }
-        let region2 = dila(valida as isize - 1).shrink(0, 0);
+        let region2 = dila(valida as isize - 1);
         let region2 = Region {
             y0: region2.y0.max(interior.y0 - 1),
             y1: region2.y1.min(interior.y1 + 1),
@@ -593,17 +568,17 @@ impl CaModel {
             z1: region2.z1.min(interior.z1 + 1),
         };
         self.engine.advection_subupdate(
-            &self.base,
+            Some(&self.psi),
             &mut self.eta1,
-            &mut self.eta2,
+            &mut self.mid,
             &mut self.tend,
             region2,
             dt2,
-            &FilterCtx::Local,
+            Combine::Midpoint,
+            &fctx,
         )?;
         valida = valida.saturating_sub(1);
         // sweep 3 (midpoint)
-        self.mid.midpoint_on(&self.base, &self.eta2, &region2);
         if valida == 0 {
             let mut fields = [
                 ExField::F3(&mut self.mid.u),
@@ -616,18 +591,19 @@ impl CaModel {
             self.engine.diag.gw.wrap_x_halo();
         }
         self.engine.advection_subupdate(
-            &self.base,
+            Some(&self.psi),
             &mut self.mid,
             &mut self.eta1,
             &mut self.tend,
             interior,
             dt2,
-            &FilterCtx::Local,
+            Combine::Euler,
+            &fctx,
         )?;
 
         // ================= physics; smoothing deferred =====================
         self.engine.apply_forcing(&mut self.eta1, interior);
-        self.state.assign(&self.eta1);
+        std::mem::swap(&mut self.state, &mut self.eta1);
         self.pending_smooth = true;
         self.steps += 1;
         Ok(())
@@ -654,7 +630,7 @@ impl CaModel {
             &mut self.psi0,
             self.engine.geom.interior(),
         );
-        self.state.assign(&self.psi0);
+        std::mem::swap(&mut self.state, &mut self.psi0);
         self.pending_smooth = false;
         Ok(())
     }

@@ -117,8 +117,8 @@ pub enum CSource {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComputeOp {
     /// Kernel key into [`crate::access::spec`] (`"adaptation"`,
-    /// `"advection"`, their fused `".fused"` variants emitted on the
-    /// local-filter path, `"smooth.s1"`, `"smooth.s2"`, `"filter"`).
+    /// `"advection"`, the fused `".fused"` sub-update sweeps the step
+    /// loops run, `"smooth.s1"`, `"smooth.s2"`, `"filter"`).
     pub op: &'static str,
     /// 1-based sweep number within its phase (adaptation `1..=3M`,
     /// advection `1..=3`).
@@ -130,8 +130,8 @@ pub struct ComputeOp {
     /// (the CA validity countdown; negative = shrunk region, the fused
     /// former smoothing).
     pub dilate: i16,
-    /// The kernel snapshots the evaluation state into the iteration base
-    /// (`base.copy_from(psi)`) before reading.
+    /// The evaluation state becomes the iteration base: the first
+    /// sub-update of an iteration reads one state as both.
     pub snapshot_base: bool,
     /// The kernel reads the iteration base in addition to the evaluation
     /// state.
@@ -253,18 +253,10 @@ pub fn alg1_step(cfg: &ModelConfig, pgrid: &ProcessGrid) -> Vec<StepOp> {
             c: CSource::NotUsed,
         }));
     };
-    // the Engine fuses tendency + lincomb on the local-filter path
-    // (p_x = 1); the fused kernels certify under their own registry keys
-    let adapt_op = if px == 1 {
-        "adaptation.fused"
-    } else {
-        "adaptation"
-    };
-    let advect_op = if px == 1 {
-        "advection.fused"
-    } else {
-        "advection"
-    };
+    // every sub-update runs the one fused sweep (tendency + combination of
+    // the filter-inactive rows), whichever way the filter itself runs; the
+    // fused kernels certify under their own registry keys
+    let (adapt_op, advect_op) = ("adaptation.fused", "advection.fused");
     for iter in 0..cfg.m_iters {
         for (si, label) in ["adapt ψ", "adapt η₁", "adapt mid"].iter().enumerate() {
             let s = (3 * iter + si + 1) as u16;
@@ -368,19 +360,10 @@ pub fn alg2_step_for(
     fuse: bool,
     ga: usize,
 ) -> Vec<StepOp> {
-    let (px, _, pz) = pgrid.dims();
+    let (_, _, pz) = pgrid.dims();
     let total = 3 * cfg.m_iters;
-    // fused kernel keys on the local-filter path (p_x = 1), as in alg1
-    let adapt_op = if px == 1 {
-        "adaptation.fused"
-    } else {
-        "adaptation"
-    };
-    let advect_op = if px == 1 {
-        "advection.fused"
-    } else {
-        "advection"
-    };
+    // the fused kernel keys, as in alg1
+    let (adapt_op, advect_op) = ("adaptation.fused", "advection.fused");
     let d = ca_depths(g, fuse, ga);
     let mut ops = Vec::new();
     let filter = |ops: &mut Vec<StepOp>, sweep: u16, dilate: i16| {

@@ -160,77 +160,6 @@ pub fn split_state_bands<'a>(
     (out, nb)
 }
 
-/// One worker's share of a *fused* tendency + lincomb sweep: a z-band of
-/// the region plus disjoint mutable views of both the tendency state and
-/// the output state (six 3-D fields).  The base state of the lincomb is
-/// shared read-only and passed to the worker separately.
-pub struct FusedBand<'a> {
-    /// Sub-region this band covers (`y` span unchanged, `z` restricted).
-    pub region: Region,
-    /// Tendency view of the zonal-wind field.
-    pub tend_u: SlabMut3<'a>,
-    /// Tendency view of the meridional-wind field.
-    pub tend_v: SlabMut3<'a>,
-    /// Tendency view of the geopotential field.
-    pub tend_phi: SlabMut3<'a>,
-    /// Output view of the zonal-wind field.
-    pub out_u: SlabMut3<'a>,
-    /// Output view of the meridional-wind field.
-    pub out_v: SlabMut3<'a>,
-    /// Output view of the geopotential field.
-    pub out_phi: SlabMut3<'a>,
-}
-
-/// Carve the 3-D fields of a tendency state and an output state into
-/// per-worker [`FusedBand`]s over `region` (the fused-sweep analogue of
-/// [`split_state_bands`]).  All splitting is allocation-free.
-pub fn split_fused_bands<'a>(
-    tend: &'a mut crate::state::State,
-    out: &'a mut crate::state::State,
-    region: &Region,
-    nw: usize,
-) -> ([Option<FusedBand<'a>>; MAX_WORKERS], usize) {
-    let mut bands: [Option<FusedBand<'a>>; MAX_WORKERS] = std::array::from_fn(|_| None);
-    let mut cuts = [0isize; MAX_WORKERS + 1];
-    let nb = band_cuts(region.z0, region.z1, nw, &mut cuts);
-    if nb == 0 {
-        return (bands, 0);
-    }
-    let mut rest = [
-        Some(tend.u.slab_mut(region.z0, region.z1)),
-        Some(tend.v.slab_mut(region.z0, region.z1)),
-        Some(tend.phi.slab_mut(region.z0, region.z1)),
-        Some(out.u.slab_mut(region.z0, region.z1)),
-        Some(out.v.slab_mut(region.z0, region.z1)),
-        Some(out.phi.slab_mut(region.z0, region.z1)),
-    ];
-    for b in 0..nb {
-        let hi = cuts[b + 1];
-        let mut views: [Option<SlabMut3<'a>>; 6] = std::array::from_fn(|_| None);
-        for (slot, view) in rest.iter_mut().zip(views.iter_mut()) {
-            let (band_view, remainder) = slot.take().expect("band split").split_at_k(hi);
-            *view = Some(band_view);
-            *slot = Some(remainder);
-        }
-        let [tu, tv, tp, ou, ov, op] = views.map(|v| v.expect("band split"));
-        bands[b] = Some(FusedBand {
-            region: Region {
-                y0: region.y0,
-                y1: region.y1,
-                z0: cuts[b],
-                z1: hi,
-            },
-            tend_u: tu,
-            tend_v: tv,
-            tend_phi: tp,
-            out_u: ou,
-            out_v: ov,
-            out_phi: op,
-        });
-    }
-    (bands, nb)
-}
-
 /// Parallel-for over band items.
 ///
 /// With zero or one item this runs inline on the calling thread — no

@@ -15,7 +15,7 @@ use crate::config::ModelConfig;
 use crate::dycore::{Engine, FilterCtx};
 use crate::geometry::LocalGeometry;
 use crate::smoothing::smooth_full_path;
-use crate::state::State;
+use crate::state::{Combine, State};
 use crate::tables;
 use crate::vertical::ZContext;
 use agcm_mesh::{Decomposition, HaloWidths, MeshError, ProcessGrid};
@@ -40,11 +40,10 @@ pub struct SerialModel {
     pub variant: Iteration,
     /// Completed steps.
     pub steps: usize,
-    // scratch
+    // scratch; `state`, `psi`, `eta1` and `smoothed` trade buffers
+    // through a step instead of being copied into one another
     psi: State,
-    base: State,
     eta1: State,
-    eta2: State,
     mid: State,
     tend: State,
     smoothed: State,
@@ -63,9 +62,7 @@ impl SerialModel {
         let scratch = || State::like(&state);
         Ok(SerialModel {
             psi: scratch(),
-            base: scratch(),
             eta1: scratch(),
-            eta2: scratch(),
             mid: scratch(),
             tend: scratch(),
             smoothed: scratch(),
@@ -131,8 +128,9 @@ impl SerialModel {
         let dt2 = self.engine.cfg.dt2;
         let m = self.engine.cfg.m_iters;
 
-        // ψ⁰ = ξ^{(k-1)}
-        self.psi.assign(&self.state);
+        // ψ⁰ = ξ^{(k-1)}: trade buffers — `state` is assigned again at the
+        // end of the step and not read in between
+        std::mem::swap(&mut self.psi, &mut self.state);
 
         // ---- adaptation: M nonlinear iterations of 3 sub-updates --------
         for _ in 0..m {
@@ -143,90 +141,88 @@ impl SerialModel {
                 Iteration::Exact => true,
                 Iteration::Approximate => !self.engine.c_cached,
             };
-            self.eta1.assign(&self.psi);
-            // persistent scratch instead of a per-iteration clone: halos
-            // matter (subupdates read base through lincomb only on `region`,
-            // but copy_from carries them anyway, matching the old clone)
-            self.base.copy_from(&self.psi);
+            // η₁ = ψ + Δt·F̃Ã(ψ): ψ is base and argument at once
             self.engine
                 .adaptation_subupdate(
-                    &self.base,
+                    None,
                     &mut self.psi,
                     &mut self.eta1,
                     &mut self.tend,
                     region,
                     dt1,
+                    Combine::Euler,
                     fresh1,
                     &zctx,
                     &fctx,
                 )
                 .expect("serial subupdate cannot fail");
+            // ½(ψ + η₂) with η₂ = ψ + Δt·F̃Ã(η₁), emitted directly
             self.engine
                 .adaptation_subupdate(
-                    &self.base,
+                    Some(&self.psi),
                     &mut self.eta1,
-                    &mut self.eta2,
+                    &mut self.mid,
                     &mut self.tend,
                     region,
                     dt1,
+                    Combine::Midpoint,
                     true,
                     &zctx,
                     &fctx,
                 )
                 .expect("serial subupdate cannot fail");
-            self.mid.midpoint_on(&self.base, &self.eta2, &region);
-            // η₃ lands directly in eta1 (the old mem::replace placeholder
-            // was never read, and eta1's out-of-region content is what the
-            // swapped-out η₃ buffer held — bitwise the same result)
+            // η₃ = ψ + Δt·F̃Ã(mid) is the next iteration's ψ
             self.engine
                 .adaptation_subupdate(
-                    &self.base,
+                    Some(&self.psi),
                     &mut self.mid,
                     &mut self.eta1,
                     &mut self.tend,
                     region,
                     dt1,
+                    Combine::Euler,
                     true,
                     &zctx,
                     &fctx,
                 )
                 .expect("serial subupdate cannot fail");
-            self.psi.assign(&self.eta1);
+            std::mem::swap(&mut self.psi, &mut self.eta1);
         }
 
         // ---- advection: one nonlinear iteration with Δt₂ ----------------
-        self.base.copy_from(&self.psi);
         self.engine
             .advection_subupdate(
-                &self.base,
+                None,
                 &mut self.psi,
                 &mut self.eta1,
                 &mut self.tend,
                 region,
                 dt2,
+                Combine::Euler,
                 &fctx,
             )
             .expect("serial subupdate cannot fail");
         self.engine
             .advection_subupdate(
-                &self.base,
+                Some(&self.psi),
                 &mut self.eta1,
-                &mut self.eta2,
+                &mut self.mid,
                 &mut self.tend,
                 region,
                 dt2,
+                Combine::Midpoint,
                 &fctx,
             )
             .expect("serial subupdate cannot fail");
-        self.mid.midpoint_on(&self.base, &self.eta2, &region);
         self.engine
             .advection_subupdate(
-                &self.base,
+                Some(&self.psi),
                 &mut self.mid,
                 &mut self.eta1,
                 &mut self.tend,
                 region,
                 dt2,
+                Combine::Euler,
                 &fctx,
             )
             .expect("serial subupdate cannot fail");
@@ -246,7 +242,7 @@ impl SerialModel {
                 self.engine.kernel_path(),
             );
         }
-        self.state.assign(&self.smoothed);
+        std::mem::swap(&mut self.state, &mut self.smoothed);
         self.steps += 1;
     }
 

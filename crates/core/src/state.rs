@@ -3,8 +3,8 @@
 //! `U`, `V` and `Φ` are the transformed wind and geopotential-like variables
 //! of Eq. 1 of the paper (3-D, on the Arakawa C grid); `p'_sa` is the
 //! surface-pressure deviation (2-D).  The state supports the linear algebra
-//! Algorithm 1/2 need (`ψ + Δt·F(…)`, midpoints) plus the halo bookkeeping
-//! shared by all four components.
+//! Algorithm 1/2 need (`ψ + Δt·F(…)` and its midpoint with `ψ`, see
+//! [`Combine`]) plus the halo bookkeeping shared by all four components.
 
 use crate::lanes::{Elem, KernelPath};
 use agcm_mesh::{Field2, Field3, HaloWidths};
@@ -16,23 +16,44 @@ fn lincomb_body<E: Elem>(ii: usize, d: &mut [f64], x: &[f64], c: f64, y: &[f64])
     (E::load(x, ii) + E::splat(c) * E::load(y, ii)).store(d, ii);
 }
 
-/// Per-element body of `d[i] = 0.5·(a[i] + b[i])`.
+/// Per-element body of `d[i] = 0.5·(x[i] + (x[i] + c·y[i]))`: the midpoint
+/// of `x` and its Euler update, every operation rounded as if the update
+/// had been stored to memory and read back.
 #[inline(always)]
-fn midpoint_body<E: Elem>(ii: usize, d: &mut [f64], a: &[f64], b: &[f64]) {
-    (E::splat(0.5) * (E::load(a, ii) + E::load(b, ii))).store(d, ii);
+fn midpoint_body<E: Elem>(ii: usize, d: &mut [f64], x: &[f64], c: f64, y: &[f64]) {
+    let x = E::load(x, ii);
+    (E::splat(0.5) * (x + (x + E::splat(c) * E::load(y, ii)))).store(d, ii);
 }
 
-/// Row kernel `d[i] = x[i] + c·y[i]` on an explicit kernel path; shared
-/// with the fused tendency+lincomb band kernels.
-#[inline]
-pub(crate) fn lincomb_row_path(d: &mut [f64], x: &[f64], c: f64, y: &[f64], path: KernelPath) {
-    crate::lane_loop!(path, d.len(), E, ii, lincomb_body::<E>(ii, d, x, c, y));
+/// How a sub-update combines its base `x` with the scaled tendency `c·y`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Combine {
+    /// `x + c·y` — the first and third sub-update of a nonlinear iteration.
+    Euler,
+    /// `½·(x + (x + c·y))` — the second sub-update, whose Euler update is
+    /// only ever read through the midpoint that feeds the third.
+    Midpoint,
 }
 
-/// Row kernel `d[i] = 0.5·(a[i] + b[i])` on an explicit kernel path.
+/// Row kernel of [`Combine`] on an explicit kernel path; shared with the
+/// tendency sweeps, which combine a row while its tendency is cache-hot.
 #[inline]
-pub(crate) fn midpoint_row_path(d: &mut [f64], a: &[f64], b: &[f64], path: KernelPath) {
-    crate::lane_loop!(path, d.len(), E, ii, midpoint_body::<E>(ii, d, a, b));
+pub(crate) fn combine_row_path(
+    form: Combine,
+    d: &mut [f64],
+    x: &[f64],
+    c: f64,
+    y: &[f64],
+    path: KernelPath,
+) {
+    match form {
+        Combine::Euler => {
+            crate::lane_loop!(path, d.len(), E, ii, lincomb_body::<E>(ii, d, x, c, y))
+        }
+        Combine::Midpoint => {
+            crate::lane_loop!(path, d.len(), E, ii, midpoint_body::<E>(ii, d, x, c, y))
+        }
+    }
 }
 
 /// One full prognostic state on a rank's subdomain.
@@ -95,9 +116,8 @@ impl State {
     }
 
     /// Full raw copy of `a` into `self`, **including halos** — the
-    /// allocation-reusing replacement for `self = a.clone()` in the step
-    /// loops (the derived `Clone` allocates fresh arrays every call).
-    /// Shapes must match.
+    /// allocation-reusing replacement for `self = a.clone()` (the derived
+    /// `Clone` allocates fresh arrays every call).  Shapes must match.
     pub fn copy_from(&mut self, a: &State) {
         self.u.raw_mut().copy_from_slice(a.u.raw());
         self.v.raw_mut().copy_from_slice(a.v.raw());
@@ -121,119 +141,51 @@ impl State {
         self.psa.lincomb_interior(&x.psa, c, &y.psa);
     }
 
-    /// Midpoint `self = (a + b)/2` (interiors).
-    pub fn midpoint(&mut self, a: &State, b: &State) {
-        // (a + b)/2 == a/2 + b/2 == lincomb with scaling; do it directly
-        let (_, ny, nz) = self.extents();
-        let region = crate::geometry::Region {
-            y0: 0,
-            y1: ny as isize,
-            z0: 0,
-            z1: nz as isize,
-        };
-        self.midpoint_on(a, b, &region);
-    }
-
-    /// Row helper: `d[i] = x[i] + c·y[i]` on the build-default kernel path.
-    #[inline]
-    fn lincomb_row(d: &mut [f64], x: &[f64], c: f64, y: &[f64]) {
-        lincomb_row_path(d, x, c, y, KernelPath::build_default());
-    }
-
-    /// Row helper: `d[i] = (a[i] + b[i])/2` on the build-default kernel path.
-    #[inline]
-    fn midpoint_row(d: &mut [f64], a: &[f64], b: &[f64]) {
-        midpoint_row_path(d, a, b, KernelPath::build_default());
-    }
-
     /// `self = x + c·y` on a region (all owned longitudes, rows/levels of
     /// `region`, which may extend into the halo).  `p'_sa` follows the
     /// region's y-range.
     pub fn lincomb_on(&mut self, x: &State, c: f64, y: &State, region: &crate::geometry::Region) {
+        self.combine_on(Combine::Euler, x, c, y, region);
+    }
+
+    /// `self = form(x, c·y)` on a region, on the build-default kernel path.
+    pub fn combine_on(
+        &mut self,
+        form: Combine,
+        x: &State,
+        c: f64,
+        y: &State,
+        region: &crate::geometry::Region,
+    ) {
         let nx = self.extents().0 as isize;
+        let path = KernelPath::build_default();
         for k in region.z0..region.z1 {
             for j in region.y0..region.y1 {
-                Self::lincomb_row(
-                    self.u.row_mut(0, nx, j, k),
-                    x.u.row(0, nx, j, k),
-                    c,
-                    y.u.row(0, nx, j, k),
-                );
-                Self::lincomb_row(
-                    self.v.row_mut(0, nx, j, k),
-                    x.v.row(0, nx, j, k),
-                    c,
-                    y.v.row(0, nx, j, k),
-                );
-                Self::lincomb_row(
-                    self.phi.row_mut(0, nx, j, k),
-                    x.phi.row(0, nx, j, k),
-                    c,
-                    y.phi.row(0, nx, j, k),
-                );
+                for (d, x, y) in [
+                    (&mut self.u, &x.u, &y.u),
+                    (&mut self.v, &x.v, &y.v),
+                    (&mut self.phi, &x.phi, &y.phi),
+                ] {
+                    combine_row_path(
+                        form,
+                        d.row_mut(0, nx, j, k),
+                        x.row(0, nx, j, k),
+                        c,
+                        y.row(0, nx, j, k),
+                        path,
+                    );
+                }
             }
         }
         for j in region.y0..region.y1 {
-            Self::lincomb_row(
+            combine_row_path(
+                form,
                 self.psa.row_mut(0, nx, j),
                 x.psa.row(0, nx, j),
                 c,
                 y.psa.row(0, nx, j),
+                path,
             );
-        }
-    }
-
-    /// `self = (a + b)/2` on a region.
-    pub fn midpoint_on(&mut self, a: &State, b: &State, region: &crate::geometry::Region) {
-        let nx = self.extents().0 as isize;
-        for k in region.z0..region.z1 {
-            for j in region.y0..region.y1 {
-                Self::midpoint_row(
-                    self.u.row_mut(0, nx, j, k),
-                    a.u.row(0, nx, j, k),
-                    b.u.row(0, nx, j, k),
-                );
-                Self::midpoint_row(
-                    self.v.row_mut(0, nx, j, k),
-                    a.v.row(0, nx, j, k),
-                    b.v.row(0, nx, j, k),
-                );
-                Self::midpoint_row(
-                    self.phi.row_mut(0, nx, j, k),
-                    a.phi.row(0, nx, j, k),
-                    b.phi.row(0, nx, j, k),
-                );
-            }
-        }
-        for j in region.y0..region.y1 {
-            Self::midpoint_row(
-                self.psa.row_mut(0, nx, j),
-                a.psa.row(0, nx, j),
-                b.psa.row(0, nx, j),
-            );
-        }
-    }
-
-    /// `self = a` on a region.
-    pub fn assign_on(&mut self, a: &State, region: &crate::geometry::Region) {
-        let nx = self.extents().0 as isize;
-        for k in region.z0..region.z1 {
-            for j in region.y0..region.y1 {
-                self.u
-                    .row_mut(0, nx, j, k)
-                    .copy_from_slice(a.u.row(0, nx, j, k));
-                self.v
-                    .row_mut(0, nx, j, k)
-                    .copy_from_slice(a.v.row(0, nx, j, k));
-                self.phi
-                    .row_mut(0, nx, j, k)
-                    .copy_from_slice(a.phi.row(0, nx, j, k));
-            }
-        }
-        for j in region.y0..region.y1 {
-            self.psa
-                .row_mut(0, nx, j)
-                .copy_from_slice(a.psa.row(0, nx, j));
         }
     }
 
@@ -320,21 +272,32 @@ mod tests {
     }
 
     #[test]
-    fn midpoint() {
-        let h = HaloWidths::zero();
-        let a = seeded(6, 4, 3, h, 0.0);
-        let b = seeded(6, 4, 3, h, 10.0);
-        let mut m = State::like(&a);
-        m.midpoint(&a, &b);
-        assert_eq!(
-            m.phi.get(0, 0, 0),
-            0.5 * (a.phi.get(0, 0, 0) + b.phi.get(0, 0, 0))
-        );
-        assert_eq!(m.max_abs_diff(&a), 5.0 * 3.0 / 2.0 * 2.0); // phi differs by 3*10/... just check consistency:
-        let mut m2 = State::like(&a);
-        m2.lincomb(&a, 0.5, &b);
-        // lincomb is a + 0.5 b, not the midpoint — they must differ
-        assert!(m.max_abs_diff(&m2) > 0.0);
+    fn midpoint_form_is_the_midpoint_of_base_and_euler_update() {
+        let h = HaloWidths::uniform(1);
+        let x = seeded(6, 4, 3, h, 0.3);
+        let y = seeded(6, 4, 3, h, 10.7);
+        let region = crate::geometry::Region {
+            y0: -1,
+            y1: 4,
+            z0: 0,
+            z1: 3,
+        };
+        let mut euler = State::like(&x);
+        euler.combine_on(Combine::Euler, &x, 0.37, &y, &region);
+        let mut mid = State::like(&x);
+        mid.combine_on(Combine::Midpoint, &x, 0.37, &y, &region);
+        for (j, k) in [(-1, 0), (2, 1), (3, 2)] {
+            for i in 0..6 {
+                let want = 0.5 * (x.phi.get(i, j, k) + euler.phi.get(i, j, k));
+                assert_eq!(mid.phi.get(i, j, k).to_bits(), want.to_bits());
+                let e = x.v.get(i, j, k) + 0.37 * y.v.get(i, j, k);
+                assert_eq!(euler.v.get(i, j, k).to_bits(), e.to_bits());
+            }
+        }
+        let want = 0.5 * (x.psa.get(2, -1) + euler.psa.get(2, -1));
+        assert_eq!(mid.psa.get(2, -1).to_bits(), want.to_bits());
+        // outside the region nothing is written
+        assert_eq!(mid.phi.get(0, 4, 0), 0.0);
     }
 
     #[test]

@@ -55,21 +55,32 @@ fn gw_body<E: Elem>(ii: usize, o: &mut [f64], gk: f64, vs: &[f64], run: &[f64]) 
     (E::splat(gk) * E::load(vs, ii) - E::load(run, ii)).store(o, ii);
 }
 
-/// `o[ii] = φ'_s + c_k/2 + run` with `φ'_s = (R·T̃_s)·p'_sa/p̃_s`
+/// `o[ii] = (R·T̃_s)·p'_sa/p̃_s` — the surface geopotential deviation `φ'_s`
 /// (`R·T̃_s` is a complete left subexpression of the scalar tree, so its
 /// pre-multiplication is bitwise-neutral).
 #[inline(always)]
+fn phis_body<E: Elem>(ii: usize, o: &mut [f64], rt: f64, psa: &[f64], ps: f64) {
+    (E::splat(rt) * E::load(psa, ii) / E::splat(ps)).store(o, ii);
+}
+
+/// One level of the φ' walk in a single pass: the integrand `c_k`,
+/// `o[ii] = φ'_s + c_k/2 + run`, then `run += c_k` for the level above.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn phip_body<E: Elem>(
     ii: usize,
     o: &mut [f64],
-    rt: f64,
-    psa: &[f64],
-    ps: f64,
-    ck: &[f64],
-    run: &[f64],
+    phis: &[f64],
+    phi: &[f64],
+    cp: &[f64],
+    ds: f64,
+    sigc: f64,
+    run: &mut [f64],
 ) {
-    let phi_s = E::splat(rt) * E::load(psa, ii) / E::splat(ps);
-    (phi_s + E::splat(0.5) * E::load(ck, ii) + E::load(run, ii)).store(o, ii);
+    let ck = integrand_at::<E>(phi, cp, ds, sigc, ii);
+    let r = E::load(run, ii);
+    (E::load(phis, ii) + E::splat(0.5) * ck + r).store(o, ii);
+    (r + ck).store(run, ii);
 }
 
 /// How the z-direction global sums are realized.
@@ -227,17 +238,22 @@ pub fn apply_c_path(
             crate::lane_loop!(path, row.len(), E, ii, axpy_body::<E>(ii, row, ds, r_dp));
         }
     }
-    // φ'-integrand c_l = b·Φ·Δσ/(P·σ) at owned levels, on grown rows
-    for k in 0..nz {
-        let ds = geom.dsigma(k);
-        let sigc = geom.sigma_c(k);
-        for (jj, j) in (gy0..gy1).enumerate() {
-            let row = &mut zs.sums[(wy + jj) * nxu..(wy + jj + 1) * nxu];
-            let r_phi = arg.phi.row(-xe, nx + xe, j, k);
-            let r_cp = diag.cap_p.row(-xe, nx + xe, j);
-            crate::lane_loop!(path, row.len(), E, ii, {
-                (E::load(row, ii) + integrand_at::<E>(r_phi, r_cp, ds, sigc, ii)).store(row, ii)
-            });
+    // φ'-integrand c_l = b·Φ·Δσ/(P·σ) at owned levels, on grown rows — the
+    // blocks the ranks below need as their suffix.  A serial column has no
+    // such rank: its suffix is zero whatever these sums are and their
+    // `total` is never read, so the sweep (a division per point) is skipped.
+    if let ZContext::Parallel(_) = zctx {
+        for k in 0..nz {
+            let ds = geom.dsigma(k);
+            let sigc = geom.sigma_c(k);
+            for (jj, j) in (gy0..gy1).enumerate() {
+                let row = &mut zs.sums[(wy + jj) * nxu..(wy + jj + 1) * nxu];
+                let r_phi = arg.phi.row(-xe, nx + xe, j, k);
+                let r_cp = diag.cap_p.row(-xe, nx + xe, j);
+                crate::lane_loop!(path, row.len(), E, ii, {
+                    (E::load(row, ii) + integrand_at::<E>(r_phi, r_cp, ds, sigc, ii)).store(row, ii)
+                });
+            }
         }
     }
 
@@ -331,8 +347,14 @@ pub fn apply_c_path(
     }
 
     // --- φ' on the grown rows -------------------------------------------
+    // surface geopotential deviation coefficient R·T̃_s (a complete left
+    // subexpression of the scalar tree: (R·T̃_s)·p'_sa/p̃_s)
+    let rt = c::R_DRY * stdatm.ts;
+    zs.phis.clear();
+    zs.phis.resize(nxu, 0.0);
     for (jj, j) in (gy0..gy1).enumerate() {
         let base = (wy + jj) * nxu;
+        let r_cp = diag.cap_p.row(-xe, nx + xe, j);
         // running suffix Σ_{l > k} c_l, starting at k = z1 − 1
         zs.run.clear();
         zs.run.extend_from_slice(&zs.suffix[base..base + nxu]);
@@ -340,44 +362,26 @@ pub fn apply_c_path(
             let ds = geom.dsigma(l);
             let sigc = geom.sigma_c(l);
             let r_phi = arg.phi.row(-xe, nx + xe, j, l);
-            let r_cp = diag.cap_p.row(-xe, nx + xe, j);
             let run = &mut zs.run[..];
             crate::lane_loop!(path, run.len(), E, ii, {
                 (E::load(run, ii) - integrand_at::<E>(r_phi, r_cp, ds, sigc, ii)).store(run, ii)
             });
         }
-        // surface geopotential deviation coefficient R·T̃_s (a complete
-        // left subexpression of the scalar tree: (R·T̃_s)·p'_sa/p̃_s)
-        let rt = c::R_DRY * stdatm.ts;
-        let mut k = region.z1 - 1;
-        loop {
+        // φ'_s once per row, not once per level
+        let r_psa = arg.psa.row(-xe, nx + xe, j);
+        let phis = &mut zs.phis[..];
+        crate::lane_loop!(path, phis.len(), E, ii, {
+            phis_body::<E>(ii, phis, rt, r_psa, stdatm.ps_tilde)
+        });
+        for k in (region.z0..region.z1).rev() {
             let ds = geom.dsigma(k);
             let sigc = geom.sigma_c(k);
-            {
-                let r_phi = arg.phi.row(-xe, nx + xe, j, k);
-                let r_cp = diag.cap_p.row(-xe, nx + xe, j);
-                zs.ck.clear();
-                zs.ck.resize(r_phi.len(), 0.0);
-                let ck = &mut zs.ck[..];
-                crate::lane_loop!(path, ck.len(), E, ii, {
-                    integrand_at::<E>(r_phi, r_cp, ds, sigc, ii).store(ck, ii)
-                });
-            }
-            let r_psa = arg.psa.row(-xe, nx + xe, j);
+            let r_phi = arg.phi.row(-xe, nx + xe, j, k);
             let out = diag.phi_p.row_mut(-xe, nx + xe, j, k);
-            let (ck, run) = (&zs.ck[..], &zs.run[..]);
+            let (phis, run) = (&zs.phis[..], &mut zs.run[..]);
             crate::lane_loop!(path, out.len(), E, ii, {
-                phip_body::<E>(ii, out, rt, r_psa, stdatm.ps_tilde, ck, run)
+                phip_body::<E>(ii, out, phis, r_phi, r_cp, ds, sigc, run)
             });
-            if k == region.z0 {
-                break;
-            }
-            let run = &mut zs.run[..];
-            let ck = &zs.ck[..];
-            crate::lane_loop!(path, run.len(), E, ii, {
-                (E::load(run, ii) + E::load(ck, ii)).store(run, ii)
-            });
-            k -= 1;
         }
     }
 

@@ -4,7 +4,7 @@
 use agcm_core::boundary;
 use agcm_core::geometry::LocalGeometry;
 use agcm_core::smoothing::{smooth_full, smooth_rows, RowMask};
-use agcm_core::state::State;
+use agcm_core::state::{Combine, State};
 use agcm_core::ModelConfig;
 use agcm_mesh::{Decomposition, HaloWidths, ProcessGrid};
 use std::sync::Arc;
@@ -152,22 +152,25 @@ fn boundary_fill_idempotent() {
 }
 
 #[test]
-fn midpoint_is_half_sum() {
-    // state algebra: midpoint == lincomb with 0.5 factors.
+fn midpoint_form_is_half_sum_of_base_and_euler_update() {
+    // state algebra: the midpoint form is the half sum of the base and its
+    // Euler update, as if the update had been stored in between.
     for case in 0..CASES {
         let mut rng = Rng::new(300 + case);
         let seed = rng.next_u64() % 100_000;
         let geom = geom();
         let a = random_state(&geom, seed);
-        let b = random_state(&geom, seed.wrapping_add(7));
+        let t = random_state(&geom, seed.wrapping_add(7));
         let region = geom.interior();
+        let mut euler = State::like(&a);
+        euler.combine_on(Combine::Euler, &a, 0.3, &t, &region);
         let mut m = State::like(&a);
-        m.midpoint_on(&a, &b, &region);
+        m.combine_on(Combine::Midpoint, &a, 0.3, &t, &region);
         for k in 0..geom.nz as isize {
             for j in 0..geom.ny as isize {
                 for i in 0..geom.nx as isize {
-                    let want = 0.5 * (a.phi.get(i, j, k) + b.phi.get(i, j, k));
-                    assert!((m.phi.get(i, j, k) - want).abs() <= 1e-12 * (1.0 + want.abs()));
+                    let want = 0.5 * (a.phi.get(i, j, k) + euler.phi.get(i, j, k));
+                    assert_eq!(m.phi.get(i, j, k).to_bits(), want.to_bits());
                 }
             }
         }

@@ -2,12 +2,14 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up step has grown every scratch buffer (the batched filter's
-//! per-worker FFT arenas, column sums, exchange staging, state scratch),
+//! per-worker FFT arenas, the tendency sweeps' per-worker staged-quotient
+//! and tendency rows, column sums, exchange staging, state scratch),
 //! further serial steps must not allocate at all at one worker.  At two
 //! workers spawning scoped threads allocates by design — a few
 //! bookkeeping objects of tens of bytes per spawn — so there the assertion
-//! is on size: nothing as large as the smallest scratch buffer may be
-//! allocated, i.e. no arena is grown or rebuilt in steady state.  The
+//! is on size: nothing as large as the smallest scratch buffer (a tendency
+//! row, 8 bytes a longitude) may be allocated, i.e. no arena or row buffer
+//! is grown or rebuilt in steady state.  The
 //! message mailbox hands out fresh `Vec`s on receive, so the multi-rank
 //! paths are excluded.
 //!
@@ -108,15 +110,17 @@ fn steady_state_steps_do_not_allocate() {
     let (n, _, _) = steady_state_allocs(1);
     assert_eq!(n, 0, "steady-state stepping allocated {n} times");
 
-    // two workers: every band of the batched filter has its own warmed
-    // arena; the smallest buffer any scratch holds is one circle of
-    // `Complex` (16 bytes a longitude), thread-spawn bookkeeping is smaller
+    // two workers: every band of the batched filter and of the tendency
+    // sweeps has its own warmed buffers; the smallest any scratch holds is
+    // one tendency row of the sweeps (8 bytes a longitude; a staged
+    // quotient row is three points longer, a filter circle twice as big),
+    // thread-spawn bookkeeping is smaller
     let (n, largest, nx) = steady_state_allocs(2);
     assert!(n > 0, "two workers must have spawned pool threads");
     assert!(
-        largest < 16 * nx,
+        largest < 8 * nx,
         "steady-state stepping at 2 workers allocated {largest} bytes at once \
          (smallest scratch buffer: {} bytes)",
-        16 * nx
+        8 * nx
     );
 }

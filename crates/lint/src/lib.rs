@@ -450,11 +450,17 @@ pub const KERNEL_MODULES: &[&str] = &[
 
 /// Modules bound by [`Rule::Alloc`] only: the FFT polar filter's stepping
 /// path (the batched `FourierFilter::apply_rows_with`, the `FilterScratch`
-/// arenas it consumes and the transform kernel behind them) must stay
-/// allocation-free at steady state — only the allocating test oracle and
-/// first-sight table/arena construction carry waivers — but the modules'
-/// row buffers are plain slices, so the row-API rule does not apply.
-pub const ALLOC_ONLY_MODULES: &[&str] = &["crates/fft/src/filter.rs", "crates/fft/src/fft.rs"];
+/// arenas it consumes and the transform kernel behind them) and the
+/// tendency sweep driver with its per-worker `SweepScratch` row buffers
+/// must stay allocation-free at steady state — only the allocating test
+/// oracle and first-sight table/arena construction carry waivers — but the
+/// modules' row buffers are plain slices, so the row-API rule does not
+/// apply.
+pub const ALLOC_ONLY_MODULES: &[&str] = &[
+    "crates/fft/src/filter.rs",
+    "crates/fft/src/fft.rs",
+    "crates/core/src/sweep.rs",
+];
 
 /// The access registry the [`Rule::FusedAccess`] cross-file rule consults.
 pub const ACCESS_REGISTRY: &str = "crates/core/src/access.rs";

@@ -895,6 +895,37 @@ impl Field2 {
         &mut self.data[a..a + (x1 - x0) as usize]
     }
 
+    /// Two *disjoint* mutable x-rows at `ja` and `jb`, in that order.
+    /// Panics if the rows coincide.  Same bounds contract as
+    /// [`Field3::row`].
+    #[inline]
+    pub fn row_pair(
+        &mut self,
+        x0: isize,
+        x1: isize,
+        ja: isize,
+        jb: isize,
+    ) -> (&mut [f64], &mut [f64]) {
+        assert!(ja != jb, "row_pair requires two distinct rows");
+        debug_assert!(x0 <= x1);
+        #[cfg(feature = "access-sanitizer")]
+        {
+            self.san(true, x0, (x1 - 1).max(x0), ja);
+            self.san(true, x0, (x1 - 1).max(x0), jb);
+        }
+        let w = (x1 - x0) as usize;
+        let a = self.idx(x0, ja);
+        let b = self.idx(x0, jb);
+        if a < b {
+            let (lo, hi) = self.data.split_at_mut(b);
+            (&mut lo[a..a + w], &mut hi[..w])
+        } else {
+            let (lo, hi) = self.data.split_at_mut(a);
+            let second = &mut lo[b..b + w];
+            (&mut hi[..w], second)
+        }
+    }
+
     /// Set every point (interior and halo) to `v`.
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
@@ -1197,6 +1228,21 @@ mod tests {
     fn row_pair_same_row_panics() {
         let mut f = Field3::new(4, 3, 2, HaloWidths::uniform(1));
         let _ = f.row_pair(0, 4, (1, 1), (1, 1));
+    }
+
+    #[test]
+    fn field2_row_pair_keeps_argument_order() {
+        let mut f = Field2::new(3, 3, HaloWidths::uniform(1));
+        for j in 0..3 {
+            for i in 0..3 {
+                f.set(i, j, (i + 10 * j) as f64);
+            }
+        }
+        let (a, b) = f.row_pair(0, 3, 2, 0);
+        assert_eq!(a, &[20.0, 21.0, 22.0]);
+        assert_eq!(b, &[0.0, 1.0, 2.0]);
+        b.copy_from_slice(a);
+        assert_eq!(f.get(1, 0), 21.0);
     }
 
     #[test]

@@ -151,7 +151,8 @@ struct FlowState {
     /// Valid halo layers of the evaluation state (`u, v, φ, p_sa` travel
     /// together).
     eval: Avail,
-    /// Valid halo layers of the iteration base (`base.copy_from(psi)`).
+    /// Valid halo layers of the iteration base (the state the first
+    /// sub-update of the iteration evaluated).
     base: Avail,
     /// Valid halo layers of the cached `C` outputs.
     vsum: Avail,
@@ -326,7 +327,7 @@ fn apply_compute(
         proof,
     };
 
-    // base snapshot happens after the preceding exchange, before any write
+    // the first sub-update's base is its evaluation state, as exchanged
     if c.snapshot_base {
         st.base = st.eval;
     }

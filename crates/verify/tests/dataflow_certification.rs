@@ -256,28 +256,36 @@ fn all_collectives_are_consumed_by_fresh_c_runs() {
     }
 }
 
-/// Serial (p_x = 1) schedules emit the certified fused kernel keys, and the
-/// proof resolves them through their own registry entries.
+/// Every schedule emits the certified fused kernel keys — one sub-update
+/// sweep serves the local and the distributed filter — and the proof
+/// resolves them through their own registry entries.
 #[test]
-fn serial_schedules_emit_certified_fused_ops() {
+fn schedules_emit_certified_fused_ops() {
     let c = cfg();
-    let pg = ProcessGrid::yz(1, 1).unwrap();
-    let ops = schedule::alg2_step(&c, &pg, CaMode::Grouped);
-    let fused = ops
-        .iter()
-        .filter(|o| matches!(o, StepOp::Compute(k) if k.op.ends_with(".fused")))
-        .count();
-    assert!(fused > 0, "local-filter schedule must use fused kernels");
-    dataflow::check_ops(&c, &pg, &ops).expect("fused ops certify via their registry entries");
-
-    // a distributed-x grid must NOT fuse (the filter needs whole rows)
-    let pg = ProcessGrid::xy(4, 2).unwrap();
-    let ops = schedule::alg1_step(&c, &pg);
-    assert!(
-        ops.iter()
-            .all(|o| !matches!(o, StepOp::Compute(k) if k.op.ends_with(".fused"))),
-        "x-decomposed schedules keep the unfused kernels"
-    );
+    for (pg, ops) in [
+        {
+            let pg = ProcessGrid::yz(1, 1).unwrap();
+            (pg, schedule::alg2_step(&c, &pg, CaMode::Grouped))
+        },
+        {
+            let pg = ProcessGrid::xy(4, 2).unwrap();
+            (pg, schedule::alg1_step(&c, &pg))
+        },
+    ] {
+        let sweeps: Vec<&str> = ops
+            .iter()
+            .filter_map(|o| match o {
+                StepOp::Compute(k) if k.sub > 0 => Some(k.op),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sweeps.len(), 3 * c.m_iters + 3);
+        assert!(
+            sweeps.iter().all(|op| op.ends_with(".fused")),
+            "every sub-update is the fused sweep: {sweeps:?}"
+        );
+        dataflow::check_ops(&c, &pg, &ops).expect("fused ops certify via their registry entries");
+    }
 }
 
 /// An over-fused pair the registry never certified must be refuted with a
