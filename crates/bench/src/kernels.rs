@@ -7,13 +7,15 @@
 //! fallback), and the per-point `*_scalar` reference (exposed by the
 //! `scalar-ref` feature of `agcm-core`) — and reported in ns/point.  On top
 //! of the per-operator entries the document carries the fused one-pass
-//! sweeps vs their sequential tendency→lincomb equivalents, the FFT polar
-//! filter at `AGCM_THREADS ∈ {1, 2, 4}` vs the same sweep at one worker, and
-//! whole `dycore_step` timings on the lane vs the row-sliced kernel path.
+//! sweeps vs their sequential tendency→lincomb equivalents, whole
+//! `dycore_step` timings on the lane vs the row-sliced kernel path, and —
+//! on a mesh large enough to band — the FFT polar filter, `C`, the
+//! Held–Suarez forcing and the whole step at `t` pool workers vs one, with
+//! the cost of an empty pool phase they have to beat.
 //! The module is shared by the `kernels` bench harness and the `figures
 //! perf` subcommand, which emits `BENCH_kernels.json`.
 
-use crate::timing::{bench_stats, Stats};
+use crate::timing::{bench_stats, bench_stats_alternating, Stats};
 use agcm_core::adaptation::{
     adaptation_tendency_lanes, adaptation_tendency_rows, adaptation_tendency_scalar,
     fused_adaptation_update,
@@ -24,6 +26,7 @@ use agcm_core::advection::{
 };
 use agcm_core::diag::Diag;
 use agcm_core::filterop::{build_filter, filter_state_local};
+use agcm_core::forcing::apply_held_suarez;
 use agcm_core::init;
 use agcm_core::lanes::KernelPath;
 use agcm_core::pool;
@@ -32,7 +35,7 @@ use agcm_core::smoothing::{smooth_rows_lanes, smooth_rows_rows, smooth_rows_scal
 use agcm_core::state::Combine;
 use agcm_core::stdatm::StandardAtmosphere;
 use agcm_core::sweep::{SweepScratch, Update};
-use agcm_core::vertical::{apply_c_lanes, apply_c_rows, apply_c_scalar, ZContext};
+use agcm_core::vertical::{apply_c, apply_c_lanes, apply_c_rows, apply_c_scalar, ZContext};
 use agcm_core::{LocalGeometry, ModelConfig, Region, State};
 use agcm_fft::{FilterScratch, FourierFilter};
 use agcm_mesh::{Decomposition, Field2, Field3, HaloWidths, ProcessGrid};
@@ -368,43 +371,143 @@ pub fn measure_fused(cfg: &ModelConfig, warmup: usize, iters: usize) -> Vec<Kern
     out
 }
 
-/// Time the FFT polar filter at each worker count in `threads` (the
-/// `AGCM_THREADS` sweep) against the same entry point at one worker.  Both
-/// sides filter the same randomized state; the one-worker reference is
-/// re-timed at each operating point so the comparison shares cache state.
-pub fn measure_pooled_filter(
+/// Time the three banded phases that are not stencil sweeps — the local
+/// polar filter (`filter_state_local`), `C` (`apply_c`) and the Held–Suarez
+/// forcing — at each worker count in `threads` against the same call at one
+/// worker.  Worker counts are forced (`pool::with_workers`), so pick a mesh
+/// on which a band is worth a thread.
+pub fn measure_pooled(
     cfg: &ModelConfig,
     warmup: usize,
     iters: usize,
     threads: &[usize],
 ) -> Vec<KernelPerf> {
     let geom = serial_geom(cfg);
-    let region = Region {
-        y0: 0,
-        y1: geom.ny as isize,
-        z0: 0,
-        z1: geom.nz as isize,
-    };
+    let region = geom.interior();
+    let stdatm = StandardAtmosphere::new(&geom.grid);
     let filter = build_filter(&geom, cfg.filter_cutoff_deg);
     let points = geom.nx * geom.ny * geom.nz;
     let mut seed = 0x00F11735;
     let pristine = random_state(&geom, splitmix64(&mut seed));
+    let mut diag = random_diag(&geom, splitmix64(&mut seed));
     let mut state = pristine.clone();
     let mut scratch = FilterScratch::new();
-    let mut time_at = |nt: usize| {
-        pool::with_workers(nt, || {
-            bench_stats(warmup, iters, || {
-                state.copy_from(&pristine);
-                filter_state_local(&geom, &filter, &mut state, region, &mut scratch);
-            })
+    let mut out = Vec::new();
+    let mut entry = |name: &str, call: &mut dyn FnMut()| {
+        for &nt in threads {
+            let [pooled, single] = bench_stats_alternating(warmup, iters, |side| {
+                pool::with_workers([nt, 1][side], &mut *call)
+            });
+            out.push(perf2(
+                &format!("{name}_pooled_t{nt}"),
+                points,
+                pooled,
+                single,
+            ));
+        }
+    };
+    entry("fft_filter", &mut || {
+        state.copy_from(&pristine);
+        filter_state_local(&geom, &filter, &mut state, region, &mut scratch);
+    });
+    entry("vertical_c", &mut || {
+        apply_c(
+            &geom,
+            &stdatm,
+            &pristine,
+            &mut diag,
+            region,
+            &ZContext::Serial,
+            true,
+        )
+        .expect("the serial C has no communication to fail")
+    });
+    // relaxation towards the equilibrium profile: repeated calls stay finite
+    state.copy_from(&pristine);
+    entry("forcing", &mut || {
+        apply_held_suarez(&geom, &stdatm, &diag, &mut state, region, cfg.dt2)
+    });
+    out
+}
+
+/// Time a whole serial `dycore_step` at `nt` pool workers against the same
+/// step at one.
+pub fn measure_step_pooled(
+    cfg: &ModelConfig,
+    warmup: usize,
+    iters: usize,
+    nt: usize,
+) -> KernelPerf {
+    let model_at = |workers: usize| {
+        pool::with_workers(workers, || {
+            let mut m = SerialModel::new(cfg, Iteration::Exact).expect("bench config");
+            let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
+            m.set_state(&ic);
+            m
         })
     };
-    threads
-        .iter()
-        .map(|&nt| {
-            let pooled = time_at(nt);
-            let single = time_at(1);
-            perf2(&format!("fft_filter_pooled_t{nt}"), points, pooled, single)
+    let mut models = [model_at(nt), model_at(1)];
+    let points = models[0].geom().nx * models[0].geom().ny * models[0].geom().nz;
+    let [pooled, single] = bench_stats_alternating(warmup, iters, |side| {
+        pool::with_workers([nt, 1][side], || models[side].step())
+    });
+    perf2(&format!("dycore_step_pooled_t{nt}"), points, pooled, single)
+}
+
+/// One point of the phase-overhead curve: a two-band pool phase whose
+/// bands each spin for `work_us` against the same two spins back to back.
+#[derive(Debug, Clone, Copy)]
+pub struct PhaseCost {
+    /// Work per band, µs (0 = an empty phase: spawn + join alone).
+    pub work_us: f64,
+    /// Median of the two spins run back to back on the caller, µs.
+    pub serial_us: f64,
+    /// Median of the two-band phase, µs.
+    pub phase_us: f64,
+}
+
+impl PhaseCost {
+    /// What the phase costs over the ideal `serial / 2`, µs.
+    pub fn overhead_us(&self) -> f64 {
+        self.phase_us - self.serial_us / 2.0
+    }
+}
+
+/// Measure what a two-band `pool::run` phase costs over perfect halving,
+/// from an empty phase up to 5 ms of work a band — the curve
+/// `pool::MIN_BAND_POINTS` is derived from (DESIGN.md §8).
+pub fn measure_phase_overhead(iters: usize) -> Vec<PhaseCost> {
+    // a dependent multiply-add chain: compute-bound, nothing to contend on
+    let spin = |n: u64| {
+        let mut x = 1.0f64;
+        for _ in 0..n {
+            x = std::hint::black_box(x * 1.000_000_1 + 1e-9);
+        }
+        std::hint::black_box(x);
+    };
+    // calibrate the chain once: iterations per microsecond
+    let t = std::time::Instant::now();
+    spin(2_000_000);
+    let per_us = 2_000_000.0 / (t.elapsed().as_secs_f64() * 1e6);
+    let cuts = pool::with_workers(2, || pool::row_cuts(0, 2, 1, |_| true));
+    [0.0, 100.0, 250.0, 500.0, 1000.0, 2000.0, 5000.0]
+        .into_iter()
+        .map(|work_us| {
+            let n = (work_us * per_us) as u64;
+            let serial = bench_stats(iters / 10, iters, || {
+                spin(n);
+                spin(n)
+            });
+            let phase = bench_stats(iters / 10, iters, || {
+                let mut slots = [(), ()];
+                let whole = pool::PerWorker(&mut slots);
+                pool::run(whole, &cuts, "bench.phase", |_, _, _| spin(n))
+            });
+            PhaseCost {
+                work_us,
+                serial_us: serial.median.as_secs_f64() * 1e6,
+                phase_us: phase.median.as_secs_f64() * 1e6,
+            }
         })
         .collect()
 }
@@ -442,7 +545,13 @@ pub fn measure_dycore_step(
 }
 
 /// Render measurements as the `BENCH_kernels.json` document (RFC 8259).
-pub fn to_json(cfg_name: &str, warmup: usize, iters: usize, kernels: &[KernelPerf]) -> String {
+pub fn to_json(
+    cfg_name: &str,
+    warmup: usize,
+    iters: usize,
+    kernels: &[KernelPerf],
+    phases: &[PhaseCost],
+) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"bench\": \"kernels\",");
@@ -467,6 +576,19 @@ pub fn to_json(cfg_name: &str, warmup: usize, iters: usize, kernels: &[KernelPer
             k.row_ns_per_point, k.scalar_ns_per_point, k.speedup
         );
         s.push_str(if i + 1 < kernels.len() { ",\n" } else { "\n" });
+    }
+    s.push_str("  ],\n  \"pool_phase_us\": [\n");
+    for (i, p) in phases.iter().enumerate() {
+        let _ = write!(
+            s,
+            "    {{\"work_per_band\": {:.0}, \"serial\": {:.1}, \"two_bands\": {:.1}, \
+             \"overhead\": {:.1}}}",
+            p.work_us,
+            p.serial_us,
+            p.phase_us,
+            p.overhead_us()
+        );
+        s.push_str(if i + 1 < phases.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ]\n}\n");
     s
@@ -524,7 +646,13 @@ mod tests {
                 speedup: 1.2,
             },
         ];
-        let doc = to_json("test_small", 2, 5, &kernels);
+        let phases = [PhaseCost {
+            work_us: 250.0,
+            serial_us: 500.0,
+            phase_us: 340.0,
+        }];
+        let doc = to_json("test_small", 2, 5, &kernels, &phases);
+        assert!(doc.contains("\"overhead\": 90.0"));
         agcm_obs::validate_json(&doc).expect("emitted JSON must be RFC 8259 valid");
         let speedups = parse_speedups(&doc);
         assert_eq!(speedups.len(), 2);
@@ -571,11 +699,17 @@ mod tests {
             fused.iter().map(|p| p.name.as_str()).collect::<Vec<_>>(),
             ["adaptation_fused", "advection_fused"]
         );
-        let pooled = measure_pooled_filter(&cfg, 0, 1, &[1, 2]);
+        let mut pooled = measure_pooled(&cfg, 0, 1, &[2]);
         assert_eq!(
             pooled.iter().map(|p| p.name.as_str()).collect::<Vec<_>>(),
-            ["fft_filter_pooled_t1", "fft_filter_pooled_t2"]
+            [
+                "fft_filter_pooled_t2",
+                "vertical_c_pooled_t2",
+                "forcing_pooled_t2"
+            ]
         );
+        pooled.push(measure_step_pooled(&cfg, 0, 1, 2));
+        assert_eq!(pooled[3].name, "dycore_step_pooled_t2");
         let step = measure_dycore_step(&cfg, 0, 1, &[1]);
         assert_eq!(step[0].name, "dycore_step_t1");
         for p in fused.iter().chain(&pooled).chain(&step) {

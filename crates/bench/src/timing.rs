@@ -44,6 +44,36 @@ pub fn bench_stats<T>(warmup: usize, iters: usize, mut f: impl FnMut() -> T) -> 
     }
 }
 
+/// Time `f(0)` and `f(1)` in alternation — side 0, side 1, side 0, … — so a
+/// host whose speed drifts during the measurement (a shared runner, a noisy
+/// VM) slows both sides alike and their *ratio* survives.
+pub fn bench_stats_alternating(
+    warmup: usize,
+    iters: usize,
+    mut f: impl FnMut(usize),
+) -> [Stats; 2] {
+    assert!(iters > 0, "need at least one timed iteration");
+    let mut times: [Vec<Duration>; 2] = [Vec::new(), Vec::new()];
+    for i in 0..warmup + iters {
+        for (side, times) in times.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            f(side);
+            if i >= warmup {
+                times.push(t0.elapsed());
+            }
+        }
+    }
+    times.map(|mut t| {
+        t.sort();
+        Stats {
+            min: t[0],
+            median: t[t.len() / 2],
+            max: t[t.len() - 1],
+            iters,
+        }
+    })
+}
+
 /// Time `f` `iters` times (after one warm-up call) and print a one-line
 /// summary.  Returns the median iteration time.
 pub fn bench<T>(name: &str, iters: usize, f: impl FnMut() -> T) -> Duration {

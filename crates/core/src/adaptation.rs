@@ -50,7 +50,7 @@ const SIN_EPS: f64 = 1e-12;
 ///   `diag.phi_p` on `region ⊕ 1` rows — i.e. [`crate::vertical::apply_c`]
 ///   has run (for the state the `C` terms should be evaluated at).
 ///
-/// The 3-D sweep runs row-sliced over z-bands of the intra-rank worker pool;
+/// The 3-D sweep runs row-sliced over latitude bands of the intra-rank worker pool;
 /// every point evaluates the same expression tree as the scalar reference
 /// ([`adaptation_tendency_scalar`]), so the result is bit-identical at any
 /// `AGCM_THREADS` and on every kernel path (lanes / rows / scalar).
@@ -142,7 +142,7 @@ fn run_sweep(
         scratch,
         path,
         "adaptation.band",
-        |band| adaptation_band(geom, arg, diag, band, path),
+        |band, rows| adaptation_band(geom, arg, diag, band, rows, path),
         // p'_sa equation (2-D): p₀·(κ*·D_sa − Σ Δσ D(P)) with κ* = 1
         |j, o| {
             let r_dsa = diag.dsa.row(0, nx, j);
@@ -332,9 +332,9 @@ fn adaptation_band(
     arg: &State,
     diag: &Diag,
     band: &mut SweepBand<'_>,
+    region: Region,
     path: KernelPath,
 ) {
-    let region = band.region();
     let nx = geom.nx as isize;
     for k in region.z0..region.z1 {
         for j in region.y0..region.y1 {

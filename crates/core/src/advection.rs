@@ -140,7 +140,7 @@ fn run_sweep(
         scratch,
         path,
         "advection.band",
-        |band| advection_band(geom, arg, diag, band, path),
+        |band, rows| advection_band(geom, arg, diag, band, rows, path),
         // L̃'s fourth component is zero
         |_, o| o.fill(0.0),
     );
@@ -481,9 +481,9 @@ fn advection_band(
     arg: &State,
     diag: &Diag,
     band: &mut SweepBand<'_>,
+    region: Region,
     path: KernelPath,
 ) {
-    let region = band.region();
     let nx = geom.nx as isize;
     for k in region.z0..region.z1 {
         for j in region.y0..region.y1 {

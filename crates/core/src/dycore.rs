@@ -74,6 +74,13 @@ pub struct Engine {
 impl Engine {
     /// Build an engine for one rank.
     pub fn new(cfg: &ModelConfig, geom: LocalGeometry, px1: bool) -> Self {
+        // the pool's row bands keep one slice per level on the stack
+        let planes = geom.nz + 1 + geom.halo.zm + geom.halo.zp;
+        assert!(
+            planes <= agcm_mesh::MAX_BAND_PLANES,
+            "{planes} levels with halos: the worker pool's row bands hold at most {}",
+            agcm_mesh::MAX_BAND_PLANES
+        );
         let stdatm = StandardAtmosphere::new(&geom.grid);
         let filter = build_filter(&geom, cfg.filter_cutoff_deg);
         let diag = Diag::new(&geom);

@@ -8,7 +8,7 @@
 //! filter of `agcm-fft` runs on the x-axis communicator.
 
 use crate::geometry::{LocalGeometry, Region};
-use crate::pool::{self, StateBand, MAX_WORKERS};
+use crate::pool::{self, PerWorker, MAX_WORKERS};
 use crate::state::State;
 use agcm_comm::{CommResult, Communicator};
 use agcm_fft::{filter_rows_distributed, FilterScratch, FilterWorker, FourierFilter};
@@ -43,16 +43,19 @@ pub(crate) fn filter_row(geom: &LocalGeometry, jl: isize) -> usize {
 /// Each active `(j, k)` row of the 3-D components and each active `j` row
 /// of `p'_sa` is transformed, damped and transformed back.
 ///
-/// The FFT work is split across z-bands of `region` on the intra-rank
-/// worker pool, each worker streaming its band's `(k, j, field)` rows
-/// through [`FourierFilter::apply_rows_with`] — `agcm_fft::W` circles per
+/// The FFT work is split across latitude bands of `region` on the
+/// intra-rank worker pool, cut so every band holds the same number of
+/// filter-**active** rows (a rank that owns one pole still splits evenly; a
+/// region without active rows spawns nothing).  Each worker streams its
+/// band's `(k, j, field)` rows and then its `p'_sa` rows through
+/// [`FourierFilter::apply_rows_with`] — `agcm_fft::W` circles per
 /// transform pass, rows of different latitudes and fields sharing a batch —
-/// with its **own** arena of `scratch`; the 2-D `p'_sa` rows run on the
-/// caller.  Every circle comes out bitwise identical to the allocating
-/// [`FourierFilter::apply_row`] whatever batch, slot or worker it lands in,
-/// so the result is independent of the worker count.  `scratch` grows the
-/// first time a worker count or `nx` is seen; steady-state calls allocate
-/// nothing, and a single-band split runs inline on the caller.
+/// with its **own** arena of `scratch`.  Every circle comes out bitwise
+/// identical to the allocating [`FourierFilter::apply_row`] whatever batch,
+/// slot or worker it lands in, so the result is independent of the worker
+/// count.  `scratch` grows the first time a worker count or `nx` is seen;
+/// steady-state calls allocate nothing, and a single-band split runs inline
+/// on the caller.
 pub fn filter_state_local(
     geom: &LocalGeometry,
     filter: &FourierFilter,
@@ -61,46 +64,37 @@ pub fn filter_state_local(
     scratch: &mut FilterScratch,
 ) {
     let nx = geom.nx as isize;
-    let points =
-        geom.nx * (region.y1 - region.y0).max(0) as usize * (region.z1 - region.z0).max(0) as usize;
-    let nw = pool::workers_for(points);
-    let (mut bands, nb) =
-        pool::split_state_bands(&mut state.u, &mut state.v, &mut state.phi, &region, nw);
-    // zip each band with a dedicated worker arena (stack list, no alloc)
-    let mut items: [Option<(StateBand<'_>, FilterWorker<'_>)>; MAX_WORKERS] =
-        std::array::from_fn(|_| None);
-    for ((item, band), worker) in items
+    let cuts = pool::region_cuts(&region, geom.nx, |j| filter.is_active(filter_row(geom, j)));
+    // one arena per band (stack list, no alloc)
+    let mut workers: [Option<FilterWorker<'_>>; MAX_WORKERS] = std::array::from_fn(|_| None);
+    for (slot, worker) in workers
         .iter_mut()
-        .zip(bands.iter_mut())
-        .zip(scratch.workers(geom.nx, nb))
+        .zip(scratch.workers(geom.nx, cuts.bands()))
     {
-        *item = Some((band.take().expect("band present"), worker));
+        *slot = Some(worker);
     }
-    pool::run(&mut items[..nb], "filter.pooled", |(band, worker)| {
-        let Region { y0, y1, z0, z1 } = band.region;
-        let rows = (z0..z1).flat_map(|k| {
-            (y0..y1).flat_map(move |j| {
-                let gj = filter_row(geom, j);
-                (0..3u8).map(move |f| (gj, (f, j, k)))
-            })
-        });
+    let whole = (
+        state.band_mut(&region),
+        PerWorker(&mut workers[..cuts.bands()]),
+    );
+    pool::run(whole, &cuts, "filter.pooled", |(band, worker), y0, y1| {
+        let rows3 = (region.z0..region.z1)
+            .flat_map(|k| (y0..y1).flat_map(move |j| (0..3u8).map(move |f| (f, j, k))));
+        let rows = rows3
+            .chain((y0..y1).map(|j| (3, j, 0)))
+            .map(|(f, j, k)| (filter_row(geom, j), (f, j, k)));
         filter.apply_rows_with(
             band,
             rows,
             |band, (f, j, k)| match f {
                 0 => band.u.row_mut(0, nx, j, k),
                 1 => band.v.row_mut(0, nx, j, k),
-                _ => band.phi.row_mut(0, nx, j, k),
+                2 => band.phi.row_mut(0, nx, j, k),
+                _ => band.psa.row_mut(0, nx, j, 0),
             },
-            worker,
+            worker.mine().as_mut().expect("one arena per band"),
         );
     });
-    filter.apply_rows_with(
-        &mut state.psa,
-        (region.y0..region.y1).map(|j| (filter_row(geom, j), j)),
-        |psa, j| psa.row_mut(0, nx, j),
-        &mut scratch.worker(geom.nx),
-    );
 }
 
 /// Filter a state in place on `region` when longitude circles are split

@@ -15,6 +15,7 @@
 
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
+use crate::pool;
 use crate::state::State;
 use crate::stdatm::StandardAtmosphere;
 use agcm_mesh::grid::constants as c;
@@ -43,7 +44,13 @@ pub mod hs {
 /// pressure `p` \[Pa\].
 pub fn t_equilibrium(lat: f64, p: f64) -> f64 {
     let sin2 = lat.sin() * lat.sin();
-    let cos2 = 1.0 - sin2;
+    t_equilibrium_at(sin2, 1.0 - sin2, p)
+}
+
+/// [`t_equilibrium`] from `sin²φ` and `cos²φ` — the part that varies along
+/// a latitude row.
+#[inline]
+fn t_equilibrium_at(sin2: f64, cos2: f64, p: f64) -> f64 {
     let pr = (p / c::P_REF).max(1e-6);
     let t = (hs::T_EQ_SURF - hs::DELTA_T_Y * sin2 - hs::DELTA_THETA_Z * pr.ln() * cos2)
         * pr.powf(c::KAPPA);
@@ -65,7 +72,64 @@ pub fn k_v(sigma: f64) -> f64 {
 /// Apply one Held–Suarez forcing step of length `dt` to `state` on
 /// `region` (implicit/exact relaxation factors, unconditionally stable).
 /// `diag.pes`/`cap_p` must be current.
+///
+/// Row-sliced and banded by latitude over the intra-rank worker pool.
+/// What is constant along a row is hoisted out of it — `sin²φ`, `cos²φ`,
+/// `k_T` and `exp(−k_T Δt)` per row, `exp(−k_v Δt)` and its `k_v > 0`
+/// branch per level — each a complete subexpression of the per-point tree,
+/// so the result is bit-identical to [`apply_held_suarez_scalar`] at any
+/// `AGCM_THREADS`.  The two transcendentals of `T_eq` (`ln`, `powf` of the
+/// point's pressure) stay per point.
 pub fn apply_held_suarez(
+    geom: &LocalGeometry,
+    stdatm: &StandardAtmosphere,
+    diag: &Diag,
+    state: &mut State,
+    region: Region,
+    dt: f64,
+) {
+    let nx = geom.nx as isize;
+    let grid = &geom.grid;
+    let cuts = pool::region_cuts(&region, geom.nx, |_| true);
+    let whole = state.band_mut(&region);
+    pool::run(whole, &cuts, "forcing.band", |band, y0, y1| {
+        for k in region.z0..region.z1 {
+            let sigma = geom.sigma_c(k).clamp(0.0, 1.0);
+            let kv = k_v(sigma);
+            let wind_fac = (-kv * dt).exp();
+            let gk = geom.global_k(k).clamp(0, grid.nz() as i64 - 1) as usize;
+            let t_tilde = stdatm.t_tilde[gk];
+            for j in y0..y1 {
+                let gj = geom.global_j(j).clamp(0, grid.ny() as i64 - 1) as usize;
+                let lat = grid.latitude(gj);
+                let sin2 = lat.sin() * lat.sin();
+                let cos2 = 1.0 - sin2;
+                let temp_fac = (-k_t(lat, sigma) * dt).exp();
+                // winds: exact Rayleigh decay
+                if kv > 0.0 {
+                    for f in [&mut band.u, &mut band.v] {
+                        f.row_mut(0, nx, j, k)
+                            .iter_mut()
+                            .for_each(|w| *w *= wind_fac);
+                    }
+                }
+                // temperature: relax Φ to Φ_eq
+                let phi = band.phi.row_mut(0, nx, j, k);
+                let (cap_p, pes) = (diag.cap_p.row(0, nx, j), diag.pes.row(0, nx, j));
+                for ((phi, &p_cap), &pes) in phi.iter_mut().zip(cap_p).zip(pes) {
+                    let t_eq = t_equilibrium_at(sin2, cos2, c::P_TOP + sigma * pes);
+                    let phi_eq = p_cap * c::R_DRY * (t_eq - t_tilde) / c::B_GRAVITY_WAVE;
+                    *phi = phi_eq + (*phi - phi_eq) * temp_fac;
+                }
+            }
+        }
+    });
+}
+
+/// Scalar per-point reference implementation, retained verbatim as the
+/// golden reference for the bitwise-equivalence property tests.
+#[cfg(any(test, feature = "scalar-ref"))]
+pub fn apply_held_suarez_scalar(
     geom: &LocalGeometry,
     stdatm: &StandardAtmosphere,
     diag: &Diag,

@@ -120,7 +120,7 @@ fn assert_state_bits(a: &State, b: &State, what: &str) {
 }
 
 const HALOS: [usize; 2] = [2, 3];
-const THREADS: [usize; 3] = [1, 2, 4];
+const THREADS: [usize; 4] = [1, 2, 3, 4];
 const SEEDS: [u64; 3] = [7, 1234, 0xDEADBEEF];
 
 #[test]
@@ -231,8 +231,6 @@ fn apply_c_row_kernel_matches_scalar_bitwise() {
                 true,
             )
             .unwrap();
-            // apply_c is not banded, but still honor the worker-count sweep
-            // so a future banding of C stays pinned
             for nt in THREADS {
                 let mut got = random_diag(&geom, dseed);
                 pool::with_workers(nt, || {
@@ -255,6 +253,116 @@ fn apply_c_row_kernel_matches_scalar_bitwise() {
                 assert_bits2(&got.dsa, &want.dsa, &what);
             }
         }
+    }
+}
+
+/// `C` under a z-split: the block-sum phase, the allgather on the rank
+/// thread and the walk phase, at every worker count, against the per-point
+/// oracle run on the same two-rank world.
+#[test]
+fn apply_c_under_a_z_split_matches_scalar_bitwise_at_any_worker_count() {
+    use agcm_comm::Universe;
+    let cfg = ModelConfig::test_medium();
+    for seed in SEEDS {
+        Universe::run(2, |comm| {
+            let geom = geom_of_rank(&cfg, 1, 2, comm.rank());
+            let stdatm = StandardAtmosphere::new(&geom.grid);
+            let mut s = seed.wrapping_mul(23) ^ comm.rank() as u64;
+            let dseed = splitmix64(&mut s);
+            let arg = random_state(&geom, splitmix64(&mut s));
+            // the ranks of a column share the y-range: same rows, and one
+            // level into the z halo on the side that has a neighbour
+            let region = Region {
+                y0: 1,
+                z1: geom.nz as isize + (comm.rank() == 0) as isize,
+                ..geom.interior()
+            };
+            let zctx = ZContext::Parallel(comm);
+            let mut want = random_diag(&geom, dseed);
+            apply_c_scalar(&geom, &stdatm, &arg, &mut want, region, &zctx, true).unwrap();
+            for nt in THREADS {
+                let mut got = random_diag(&geom, dseed);
+                pool::with_workers(nt, || {
+                    apply_c(&geom, &stdatm, &arg, &mut got, region, &zctx, true)
+                })
+                .unwrap();
+                let what = format!("z-split apply_c rank={} nt={nt} seed={seed}", comm.rank());
+                assert_bits3(&got.dp, &want.dp, &what);
+                assert_bits2(&got.vsum, &want.vsum, &what);
+                assert_bits3(&got.gw, &want.gw, &what);
+                assert_bits3(&got.phi_p, &want.phi_p, &what);
+                assert_bits2(&got.dsa, &want.dsa, &what);
+            }
+        });
+    }
+}
+
+/// The row-sliced, banded Held–Suarez forcing against the retained
+/// per-point loop — which calls the public `t_equilibrium(lat, p)`, so the
+/// row body's hoisted `sin²φ`/`cos²φ` form is pinned to it as well.
+#[test]
+fn held_suarez_row_body_matches_scalar_bitwise_at_any_worker_count() {
+    use crate::forcing::{apply_held_suarez, apply_held_suarez_scalar};
+    for h in HALOS {
+        let geom = geom_with_halo(h);
+        let stdatm = StandardAtmosphere::new(&geom.grid);
+        for seed in SEEDS {
+            let mut s = seed.wrapping_mul(31);
+            let mut diag = random_diag(&geom, splitmix64(&mut s));
+            // surface pressures around p₀, so T_eq's ln/powf see a range
+            for v in diag.pes.raw_mut() {
+                *v *= 1.0e5;
+            }
+            let init = random_state(&geom, splitmix64(&mut s));
+            let region = random_region(&geom, &mut s);
+            let dt = 600.0 * rand_pos(&mut s);
+            let mut want = init.clone();
+            apply_held_suarez_scalar(&geom, &stdatm, &diag, &mut want, region, dt);
+            assert!(want.phi.max_abs_diff(&init.phi) > 0.0, "forcing acted");
+            for nt in THREADS {
+                let mut got = init.clone();
+                pool::with_workers(nt, || {
+                    apply_held_suarez(&geom, &stdatm, &diag, &mut got, region, dt)
+                });
+                assert_state_bits(&got, &want, &format!("forcing h={h} nt={nt} seed={seed}"));
+            }
+        }
+    }
+}
+
+/// Property: whatever rows carry work, the cuts cover the range exactly
+/// once, every band has a working row, and the working rows are shared out
+/// to within one.
+#[test]
+fn weighted_cuts_cover_the_region_once_for_random_activity_masks() {
+    let mut s = 0x5EED_CAFEu64;
+    for case in 0..2000 {
+        let y0 = (splitmix64(&mut s) % 7) as isize - 3;
+        let rows = (splitmix64(&mut s) % 40) as isize;
+        let density = splitmix64(&mut s) % 5; // 0 = no row works
+        let mask: Vec<bool> = (0..rows)
+            .map(|_| density > 0 && splitmix64(&mut s) % 4 < density)
+            .collect();
+        let works = |j: isize| mask[(j - y0) as usize];
+        let nw = 1 + (splitmix64(&mut s) % pool::MAX_WORKERS as u64) as usize;
+        let cuts = pool::with_workers(nw, || pool::row_cuts(y0, y0 + rows, 1, works));
+        let working = mask.iter().filter(|&&w| w).count();
+        assert_eq!(cuts.bands(), nw.min(working), "case {case}");
+        if cuts.bands() == 0 {
+            continue;
+        }
+        let mut next = y0;
+        let mut shares = Vec::new();
+        for b in 0..cuts.bands() {
+            let (j0, j1) = cuts.band(b);
+            assert_eq!(j0, next, "case {case}: gap or overlap before band {b}");
+            assert!(j0 < j1, "case {case}: empty band {b}");
+            shares.push((j0..j1).filter(|&j| works(j)).count());
+            next = j1;
+        }
+        assert_eq!(next, y0 + rows, "case {case}: rows left over");
+        let (lo, hi) = (shares.iter().min().unwrap(), shares.iter().max().unwrap());
+        assert!(*lo >= 1 && hi - lo <= 1, "case {case}: shares {shares:?}");
     }
 }
 
@@ -494,11 +602,10 @@ fn division_budget_of_the_tendency_sweeps_and_c() {
         let rows = ny * nz;
         assert_eq!(n, rows * (14 * nx + 5) + nz * (5 * nx + 5) - 3 * nx * nz);
 
-        // C on a serial column: one division per 3-D point the φ' walk
-        // visits (the integrand — the block-sum sweep is skipped) and one
-        // per surface point (φ'_s); with the 3 of `Diag::update_dp`'s
-        // plain-f64 stencil that is 4 per point, where the per-level φ'_s
-        // and the second integrand sweep made it 6
+        // C on a serial column, all of it through the counted path: per
+        // 3-D point the 3 of `D(P)` and 1 of the φ' walk's integrand (the
+        // block-sum sweep is skipped) — 4; per surface point the 3 of
+        // `D_sa` and 1 of φ'_s
         let mut d_want = random_diag(&geom, 7);
         let mut d_got = random_diag(&geom, 7);
         let zctx = ZContext::Serial;
@@ -524,7 +631,9 @@ fn division_budget_of_the_tendency_sweeps_and_c() {
         assert_bits3(&d_got.phi_p, &d_want.phi_p, "counted C");
         assert_bits3(&d_got.gw, &d_want.gw, "counted C");
         let walked_rows = ny + 2; // φ' is produced one row beyond the region
-        assert_eq!(n, nx * walked_rows * (nz + 1), "C");
+        assert_eq!(n, 3 * nx * ny * (nz + 1) + nx * walked_rows * (nz + 1), "C");
+        assert_bits3(&d_got.dp, &d_want.dp, "counted C");
+        assert_bits2(&d_got.dsa, &d_want.dsa, "counted C");
     }
 }
 

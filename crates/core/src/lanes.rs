@@ -50,6 +50,9 @@ pub trait Elem:
 
     /// Store the slots into `dst[at..at + WIDTH]`.
     fn store(self, dst: &mut [f64], at: usize);
+
+    /// Slot-wise square root (correctly rounded, like the operators).
+    fn sqrt(self) -> Self;
 }
 
 impl Elem for f64 {
@@ -68,6 +71,11 @@ impl Elem for f64 {
     #[inline(always)]
     fn store(self, dst: &mut [f64], at: usize) {
         dst[at] = self;
+    }
+
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        f64::sqrt(self)
     }
 }
 
@@ -138,6 +146,11 @@ impl Elem for Lane {
     fn store(self, dst: &mut [f64], at: usize) {
         dst[at..at + W].copy_from_slice(&self.0);
     }
+
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        Lane(self.0.map(f64::sqrt))
+    }
 }
 
 /// Which instantiation of the generic kernel bodies a call runs.
@@ -161,6 +174,14 @@ impl KernelPath {
             KernelPath::Rows
         } else {
             KernelPath::Lanes
+        }
+    }
+
+    /// This path with the lane chunks off: the whole row at one element.
+    pub fn without_lanes(self) -> Self {
+        match self {
+            KernelPath::Lanes => KernelPath::Rows,
+            other => other,
         }
     }
 
@@ -280,6 +301,10 @@ pub(crate) mod counted {
 
         fn store(self, dst: &mut [f64], at: usize) {
             dst[at] = self.0;
+        }
+
+        fn sqrt(self) -> Self {
+            Counted(self.0.sqrt())
         }
     }
 }

@@ -19,8 +19,8 @@
 
 use crate::geometry::{LocalGeometry, Region};
 use crate::lanes::{Elem, KernelPath};
-use crate::pool::{self, StateBand};
-use crate::state::State;
+use crate::pool;
+use crate::state::{State, StateBand};
 #[cfg(any(test, feature = "scalar-ref"))]
 use agcm_mesh::{Field2, Field3};
 
@@ -169,7 +169,8 @@ fn p2_contrib_f2(beta: f64, src: &Field2, i: isize, j: isize, m: isize) -> f64 {
 /// Preconditions: `src` valid two rows/columns beyond `region` in x and y
 /// (wrap + exchange/boundary fill).
 ///
-/// Row-sliced and banded over the intra-rank worker pool; bit-identical to
+/// Row-sliced and banded by latitude over the intra-rank worker pool (each
+/// band also sweeps its own `p'_sa` rows); bit-identical to
 /// [`smooth_rows_scalar`] at any `AGCM_THREADS`.
 pub fn smooth_rows(
     geom: &LocalGeometry,
@@ -233,38 +234,12 @@ pub fn smooth_rows_path(
     add: bool,
     path: KernelPath,
 ) {
-    let (mut bands, nb) = pool::split_state_bands(
-        &mut dst.u,
-        &mut dst.v,
-        &mut dst.phi,
-        &region,
-        pool::workers_for(
-            geom.nx
-                * (region.y1 - region.y0).max(0) as usize
-                * (region.z1 - region.z0).max(0) as usize,
-        ),
-    );
-    pool::run(&mut bands[..nb], "smoothing.band", |band| {
-        smooth_band(geom, beta, src, band, mask, add, path);
+    let cuts = pool::region_cuts(&region, geom.nx, |_| true);
+    let whole = dst.band_mut(&region);
+    pool::run(whole, &cuts, "smoothing.band", |band, y0, y1| {
+        let rows = Region { y0, y1, ..region };
+        smooth_band(geom, beta, src, band, rows, mask, add, path);
     });
-
-    // p'_sa: P₂ (2-D) on the calling thread
-    let nx = geom.nx as isize;
-    let b16 = beta / 16.0;
-    let b2 = beta * beta / 256.0;
-    for j in region.y0..region.y1 {
-        let rows: [Option<&[f64]>; 5] = std::array::from_fn(|mi| {
-            mask.0[mi].then(|| src.psa.row(-2, nx + 2, j + (mi as isize - 2)))
-        });
-        let out = dst.psa.row_mut(0, nx, j);
-        crate::lane_loop!(
-            path,
-            out.len(),
-            E,
-            ii,
-            p2_body::<E>(ii, out, &rows, b16, b2, add)
-        );
-    }
 }
 
 /// Row-sliced smoothing sweep over one worker band.
@@ -273,20 +248,22 @@ pub fn smooth_rows_path(
 /// the slice index of logical point `i + d` is `ii + 2 + d`.  Only the
 /// latitude rows selected by `mask` are touched, preserving the scalar
 /// reference's read footprint exactly.
+#[allow(clippy::too_many_arguments)]
 fn smooth_band(
     geom: &LocalGeometry,
     beta: f64,
     src: &State,
     band: &mut StateBand<'_>,
+    region: Region,
     mask: RowMask,
     add: bool,
     path: KernelPath,
 ) {
     let StateBand {
-        region,
         u: t_u,
         v: t_v,
         phi: t_phi,
+        psa: t_psa,
     } = band;
     let nx = geom.nx as isize;
     let b16 = beta / 16.0;
@@ -332,6 +309,21 @@ fn smooth_band(
                 p2_body::<E>(ii, out, &rows, b16, b2, add)
             );
         }
+    }
+
+    // p'_sa: P₂ (2-D) on the band's own rows
+    for j in region.y0..region.y1 {
+        let rows: [Option<&[f64]>; 5] = std::array::from_fn(|mi| {
+            mask.0[mi].then(|| src.psa.row(-2, nx + 2, j + (mi as isize - 2)))
+        });
+        let out = t_psa.row_mut(0, nx, j, 0);
+        crate::lane_loop!(
+            path,
+            out.len(),
+            E,
+            ii,
+            p2_body::<E>(ii, out, &rows, b16, b2, add)
+        );
     }
 }
 

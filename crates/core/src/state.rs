@@ -6,8 +6,10 @@
 //! Algorithm 1/2 need (`ψ + Δt·F(…)` and its midpoint with `ψ`, see
 //! [`Combine`]) plus the halo bookkeeping shared by all four components.
 
+use crate::geometry::Region;
 use crate::lanes::{Elem, KernelPath};
-use agcm_mesh::{Field2, Field3, HaloWidths};
+use crate::pool::band_struct;
+use agcm_mesh::{Field2, Field3, HaloWidths, RowBand2, RowBand3};
 
 /// Per-element body of `d[i] = x[i] + c·y[i]` — the same expression tree as
 /// the scalar row loop, instantiated at `f64` or [`crate::lanes::Lane`].
@@ -69,6 +71,22 @@ pub struct State {
     pub psa: Field2,
 }
 
+/// Mutable row bands of the four components: what a worker-pool phase that
+/// writes a state hands its workers ([`State::band_mut`]).
+#[derive(Debug)]
+pub struct StateBand<'a> {
+    /// Band of the zonal-wind field.
+    pub u: RowBand3<'a>,
+    /// Band of the meridional-wind field.
+    pub v: RowBand3<'a>,
+    /// Band of the geopotential field.
+    pub phi: RowBand3<'a>,
+    /// Band of the surface-pressure deviation.
+    pub psa: RowBand2<'a>,
+}
+
+band_struct!(StateBand { u, v, phi, psa });
+
 /// Number of 3-D prognostic components.
 pub const N3D: usize = 3;
 /// Total number of prognostic arrays (3-D + 2-D).
@@ -115,6 +133,18 @@ impl State {
         [&mut self.u, &mut self.v, &mut self.phi]
     }
 
+    /// The rows and levels of `region` as one mutable band, for the worker
+    /// pool to split.
+    pub fn band_mut(&mut self, region: &Region) -> StateBand<'_> {
+        let (rows, levels) = ((region.y0, region.y1), (region.z0, region.z1));
+        StateBand {
+            u: self.u.row_band_mut(rows, levels),
+            v: self.v.row_band_mut(rows, levels),
+            phi: self.phi.row_band_mut(rows, levels),
+            psa: self.psa.row_band_mut(rows),
+        }
+    }
+
     /// Full raw copy of `a` into `self`, **including halos** — the
     /// allocation-reusing replacement for `self = a.clone()` (the derived
     /// `Clone` allocates fresh arrays every call).  Shapes must match.
@@ -144,19 +174,12 @@ impl State {
     /// `self = x + c·y` on a region (all owned longitudes, rows/levels of
     /// `region`, which may extend into the halo).  `p'_sa` follows the
     /// region's y-range.
-    pub fn lincomb_on(&mut self, x: &State, c: f64, y: &State, region: &crate::geometry::Region) {
+    pub fn lincomb_on(&mut self, x: &State, c: f64, y: &State, region: &Region) {
         self.combine_on(Combine::Euler, x, c, y, region);
     }
 
     /// `self = form(x, c·y)` on a region, on the build-default kernel path.
-    pub fn combine_on(
-        &mut self,
-        form: Combine,
-        x: &State,
-        c: f64,
-        y: &State,
-        region: &crate::geometry::Region,
-    ) {
+    pub fn combine_on(&mut self, form: Combine, x: &State, c: f64, y: &State, region: &Region) {
         let nx = self.extents().0 as isize;
         let path = KernelPath::build_default();
         for k in region.z0..region.z1 {

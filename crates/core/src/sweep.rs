@@ -14,7 +14,9 @@
 //! The tendency-only entry points (`adaptation_tendency`, …) are the same
 //! sweep with no [`Update`]: every row is stored.  Rows are independent, so
 //! which path a row takes — and which worker's band it falls in — cannot
-//! change a bit of the result.
+//! change a bit of the result.  A band is a range of latitude rows on all
+//! levels of the region ([`crate::pool`]); it sweeps its 3-D rows level by
+//! level and then its own rows of the 2-D `p'_sa` component.
 //!
 //! [`SweepScratch`] owns what the sweep needs per worker: the three
 //! tendency row buffers and the advection kernel's staged quotient rows
@@ -25,8 +27,8 @@
 use crate::advection::Staged;
 use crate::geometry::Region;
 use crate::lanes::KernelPath;
-use crate::pool::{self, StateBand, MAX_WORKERS};
-use crate::state::{combine_row_path, Combine, State};
+use crate::pool::{self, band_struct, PerWorker};
+use crate::state::{combine_row_path, Combine, State, StateBand};
 
 /// The combination a sub-update's sweep applies to filter-inactive rows.
 pub struct Update<'a> {
@@ -81,8 +83,6 @@ pub(crate) struct RowScratch {
 #[derive(Debug, Default)]
 pub struct SweepScratch {
     workers: Vec<RowScratch>,
-    /// Tendency row of the 2-D `p'_sa` component (swept on the caller).
-    psa: Vec<f64>,
 }
 
 impl SweepScratch {
@@ -94,7 +94,6 @@ impl SweepScratch {
     /// Size the first `n` workers' buffers for rows of `nx` longitudes —
     /// the only place the sweeps allocate.
     pub fn warm(&mut self, nx: usize, n: usize) {
-        self.psa.resize(nx, 0.0);
         if self.workers.len() < n {
             self.workers.resize_with(n, RowScratch::default);
         }
@@ -107,21 +106,22 @@ impl SweepScratch {
     }
 }
 
-/// One worker's share of a sweep: a z-band of the tendency state, of the
+/// One worker's share of a sweep: a row band of the tendency state, of the
 /// output state (with the combination) when the sweep combines, and the
 /// worker's row buffers.
 pub(crate) struct SweepBand<'a> {
     tend: StateBand<'a>,
     combine: Option<(&'a Update<'a>, StateBand<'a>)>,
-    rows: &'a mut RowScratch,
+    rows: PerWorker<'a, RowScratch>,
 }
 
-impl SweepBand<'_> {
-    /// The band's region (`y` span of the sweep, `z` restricted).
-    pub fn region(&self) -> Region {
-        self.tend.region
-    }
+band_struct!(SweepBand {
+    tend,
+    combine,
+    rows
+});
 
+impl SweepBand<'_> {
     /// Produce the three tendency rows of `(j, k)` with `compute` — into
     /// the row buffers, combined into the output at once, when the sweep
     /// combines and the row is filter-inactive; into the tendency state
@@ -134,7 +134,7 @@ impl SweepBand<'_> {
         path: KernelPath,
         compute: impl FnOnce(&mut Staged, &mut [f64], &mut [f64], &mut [f64]),
     ) {
-        let RowScratch { staged, tend } = &mut *self.rows;
+        let RowScratch { staged, tend } = self.rows.mine();
         match &mut self.combine {
             Some((u, out)) if !u.is_active(j) => {
                 let [t_u, t_v, t_phi] = tend;
@@ -157,62 +157,59 @@ impl SweepBand<'_> {
             ),
         }
     }
+
+    /// The 2-D `p'_sa` tendency of row `j`, routed like [`Self::emit`].
+    fn emit_psa(
+        &mut self,
+        nx: isize,
+        j: isize,
+        path: KernelPath,
+        psa_row: impl Fn(isize, &mut [f64]),
+    ) {
+        match &mut self.combine {
+            Some((u, out)) if !u.is_active(j) => {
+                let t = &mut self.rows.mine().tend[0][..];
+                psa_row(j, t);
+                u.combine_row(
+                    out.psa.row_mut(0, nx, j, 0),
+                    u.base.psa.row(0, nx, j),
+                    t,
+                    path,
+                );
+            }
+            _ => psa_row(j, self.tend.psa.row_mut(0, nx, j, 0)),
+        }
+    }
 }
 
-/// Run `band_fn` over the worker bands of `region`, then `psa_row` (the
-/// 2-D `p'_sa` tendency of one row) over its rows on the caller.  With a
-/// `combine = (update, out)`, filter-inactive rows are combined into `out`
-/// without passing through `tend`.
+/// Run `band_fn` over the worker bands of `region` — each a band of rows
+/// on all its levels — then `psa_row` (the 2-D `p'_sa` tendency of one
+/// row) over the band's own rows.  With a `combine = (update, out)`,
+/// filter-inactive rows are combined into `out` without passing through
+/// `tend`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep(
     nx: usize,
     region: Region,
     tend: &mut State,
-    mut combine: Option<(&Update<'_>, &mut State)>,
+    combine: Option<(&Update<'_>, &mut State)>,
     scratch: &mut SweepScratch,
     path: KernelPath,
     label: &'static str,
-    band_fn: impl Fn(&mut SweepBand<'_>) + Sync,
-    psa_row: impl Fn(isize, &mut [f64]),
+    band_fn: impl Fn(&mut SweepBand<'_>, Region) + Sync,
+    psa_row: impl Fn(isize, &mut [f64]) + Sync,
 ) {
-    let points =
-        nx * (region.y1 - region.y0).max(0) as usize * (region.z1 - region.z0).max(0) as usize;
-    let nw = pool::workers_for(points);
-    {
-        let (mut t_bands, nb) =
-            pool::split_state_bands(&mut tend.u, &mut tend.v, &mut tend.phi, &region, nw);
-        let mut o_bands = combine.as_mut().map(|(u, o)| {
-            let bands = pool::split_state_bands(&mut o.u, &mut o.v, &mut o.phi, &region, nw).0;
-            (&**u, bands)
-        });
-        scratch.warm(nx, nb);
-        let mut items: [Option<SweepBand<'_>>; MAX_WORKERS] = std::array::from_fn(|_| None);
-        for (b, rows) in scratch.workers[..nb].iter_mut().enumerate() {
-            items[b] = Some(SweepBand {
-                tend: t_bands[b].take().expect("band present"),
-                combine: o_bands
-                    .as_mut()
-                    .map(|(u, o)| (*u, o[b].take().expect("band present"))),
-                rows,
-            });
+    let cuts = pool::region_cuts(&region, nx, |_| true);
+    scratch.warm(nx, cuts.bands());
+    let whole = SweepBand {
+        tend: tend.band_mut(&region),
+        combine: combine.map(|(u, out)| (u, out.band_mut(&region))),
+        rows: PerWorker(&mut scratch.workers[..cuts.bands()]),
+    };
+    pool::run(whole, &cuts, label, |band, y0, y1| {
+        band_fn(band, Region { y0, y1, ..region });
+        for j in y0..y1 {
+            band.emit_psa(nx as isize, j, path, &psa_row);
         }
-        pool::run(&mut items[..nb], label, band_fn);
-    }
-
-    let nxi = nx as isize;
-    for j in region.y0..region.y1 {
-        match &mut combine {
-            Some((u, out)) if !u.is_active(j) => {
-                let t = &mut scratch.psa[..];
-                psa_row(j, t);
-                u.combine_row(
-                    out.psa.row_mut(0, nxi, j),
-                    u.base.psa.row(0, nxi, j),
-                    t,
-                    path,
-                );
-            }
-            _ => psa_row(j, tend.psa.row_mut(0, nxi, j)),
-        }
-    }
+    });
 }

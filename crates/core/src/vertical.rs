@@ -24,10 +24,12 @@
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
 use crate::lanes::{Elem, KernelPath};
+use crate::pool::{self, band_struct};
 use crate::state::State;
 use crate::stdatm::StandardAtmosphere;
 use agcm_comm::{CommResult, Communicator};
 use agcm_mesh::grid::constants as c;
+use agcm_mesh::{Field2, RowBand2, RowBand3};
 
 /// `s[ii] += a·d[ii]` — the block-sum / running-walk accumulation.
 #[inline(always)]
@@ -187,6 +189,12 @@ pub fn apply_c_rows(
 
 /// [`apply_c`] on an explicit kernel path — the runtime dispatch point
 /// the engine's `set_kernel_path` toggle routes through.
+///
+/// Banded by latitude over the worker pool: a band computes `D_sa`, `D(P)`
+/// and the Δσ column sums of its rows, walks `g_w` on them and `φ'` on its
+/// share of the grown rows — one phase on a serial column.  Under a
+/// z-split the walks need the other ranks' block sums, so the phase splits
+/// in two around the allgather, which stays on the rank thread.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_c_path(
     geom: &LocalGeometry,
@@ -200,8 +208,6 @@ pub fn apply_c_path(
 ) -> CommResult<()> {
     // the whole of C — the nested allgather inherits Phase::C
     let _c = agcm_obs::span_phase(agcm_obs::SpanKind::Op, agcm_obs::Phase::C, "apply_c");
-    let nx = geom.nx as isize;
-    let nz = geom.nz as isize;
     // X-Y decompositions exchange (not wrap) the x halo, so the C outputs
     // must be computed one x column into the halo; their z collectives are
     // serial there (p_z = 1), so the extended width never reaches an
@@ -212,180 +218,101 @@ pub fn apply_c_path(
         "3-D decompositions (split x AND z) are not supported"
     );
     // φ' needs one extra row on each side (clamped to the allocation)
-    let gy0 = (region.y0 - 1).max(-(geom.halo.ym as isize));
-    let gy1 = (region.y1 + 1).min(geom.ny as isize + geom.halo.yp as isize);
-
-    // --- local stencil diagnostics -------------------------------------
-    diag.update_dsa(geom, arg, region.y0, region.y1);
-    diag.update_dp(geom, arg, region.y0, region.y1, region.z0, region.z1, xe);
+    let grown = (
+        (region.y0 - 1).max(-(geom.halo.ym as isize)),
+        (region.y1 + 1).min(geom.ny as isize + geom.halo.yp as isize),
+    );
+    let cx = Columns {
+        geom,
+        stdatm,
+        arg,
+        region,
+        grown,
+        x: (-xe, geom.nx as isize + xe),
+        path,
+    };
+    let nxu = geom.nx + 2 * xe as usize;
+    // the cuts are made on the grown rows: a cut strictly inside them lies
+    // inside or on the edge of the region's rows
+    let grown_region = Region {
+        y0: grown.0,
+        y1: grown.1,
+        ..region
+    };
+    let cuts = pool::region_cuts(&grown_region, nxu, |_| true);
+    let region_rows = |j0: isize, j1: isize| (j0.max(region.y0), j1.min(region.y1));
 
     // scratch lives in `diag` across calls; taken out for disjoint borrows
     // (`Default` leaves empty Vecs behind — no allocation either way)
     let mut zs = std::mem::take(&mut diag.zscratch);
-
-    // --- per-column block sums over OWNED levels ------------------------
-    // layout: [dp-sums over region rows | φ'-integrand sums over grown rows]
-    let wy = (region.y1 - region.y0).max(0) as usize;
-    let wyg = (gy1 - gy0).max(0) as usize;
-    let nxu = geom.nx + 2 * xe as usize;
-    zs.sums.clear();
-    zs.sums.resize(nxu * (wy + wyg), 0.0);
-    for k in 0..nz {
-        let ds = geom.dsigma(k);
-        for (jj, j) in (region.y0..region.y1).enumerate() {
-            let row = &mut zs.sums[jj * nxu..(jj + 1) * nxu];
-            let r_dp = diag.dp.row(-xe, nx + xe, j, k);
-            crate::lane_loop!(path, row.len(), E, ii, axpy_body::<E>(ii, row, ds, r_dp));
-        }
-    }
-    // φ'-integrand c_l = b·Φ·Δσ/(P·σ) at owned levels, on grown rows — the
-    // blocks the ranks below need as their suffix.  A serial column has no
-    // such rank: its suffix is zero whatever these sums are and their
-    // `total` is never read, so the sweep (a division per point) is skipped.
-    if let ZContext::Parallel(_) = zctx {
-        for k in 0..nz {
-            let ds = geom.dsigma(k);
-            let sigc = geom.sigma_c(k);
-            for (jj, j) in (gy0..gy1).enumerate() {
-                let row = &mut zs.sums[(wy + jj) * nxu..(wy + jj + 1) * nxu];
-                let r_phi = arg.phi.row(-xe, nx + xe, j, k);
-                let r_cp = diag.cap_p.row(-xe, nx + xe, j);
-                crate::lane_loop!(path, row.len(), E, ii, {
-                    (E::load(row, ii) + integrand_at::<E>(r_phi, r_cp, ds, sigc, ii)).store(row, ii)
-                });
-            }
-        }
-    }
-
-    // --- the collective: allgather of block sums along z ----------------
-    // prefix = Σ of blocks above (lower global k), suffix = Σ of blocks
-    // below, total = everything.
-    let n = zs.sums.len();
-    match zctx {
+    // the walks' running accumulators and φ'_s, a row per grown row
+    let n_grown = nxu * (grown.1 - grown.0).max(0) as usize;
+    zs.run.resize(n_grown, 0.0);
+    zs.phis.resize(n_grown, 0.0);
+    let result = match zctx {
         ZContext::Serial => {
-            zs.prefix.clear();
-            zs.prefix.resize(n, 0.0);
-            zs.suffix.clear();
-            zs.suffix.resize(n, 0.0);
-            zs.total.clear();
-            zs.total.extend_from_slice(&zs.sums);
+            let whole = cx.band(diag, &mut zs.run, &mut zs.phis, None);
+            pool::run(whole, &cuts, "vertical.band", |band, j0, j1| {
+                cx.stencils(band, region_rows(j0, j1));
+                cx.gw_walk(band, region_rows(j0, j1), None);
+                cx.phi_walk(band, (j0, j1), None);
+            });
+            Ok(())
         }
         ZContext::Parallel(comm) => {
-            let all = match comm.allgather(&zs.sums) {
-                Ok(all) => all,
-                Err(e) => {
-                    diag.zscratch = zs;
-                    return Err(e);
-                }
-            };
-            zs.prefix.clear();
-            zs.prefix.resize(n, 0.0);
-            zs.suffix.clear();
-            zs.suffix.resize(n, 0.0);
-            zs.total.clear();
-            zs.total.resize(n, 0.0);
-            for r in 0..comm.size() {
-                let blk = &all[r * n..(r + 1) * n];
-                for (t, &v) in zs.total.iter_mut().zip(blk) {
-                    *t += v;
-                }
-                if r < comm.rank() {
-                    for (p, &v) in zs.prefix.iter_mut().zip(blk) {
-                        *p += v;
-                    }
-                } else if r > comm.rank() {
-                    for (s, &v) in zs.suffix.iter_mut().zip(blk) {
-                        *s += v;
-                    }
-                }
-            }
-        }
-    }
-
-    // --- vsum and g_w on the region --------------------------------------
-    for (jj, j) in (region.y0..region.y1).enumerate() {
-        let total_row = &zs.total[jj * nxu..(jj + 1) * nxu];
-        diag.vsum
-            .row_mut(-xe, nx + xe, j)
-            .copy_from_slice(total_row);
-    }
-    for (jj, j) in (region.y0..region.y1).enumerate() {
-        // per-row running prefix of Δσ·dp below global interface z0 − 1/2;
-        // each column's accumulation order matches the scalar walk exactly
-        zs.run.clear();
-        zs.run
-            .extend_from_slice(&zs.prefix[jj * nxu..(jj + 1) * nxu]);
-        for l in region.z0..0 {
-            let ds = geom.dsigma(l);
-            let r_dp = diag.dp.row(-xe, nx + xe, j, l);
-            let run = &mut zs.run[..];
-            crate::lane_loop!(path, run.len(), E, ii, axmy_body::<E>(ii, run, ds, r_dp));
-        }
-        let total_row = &zs.total[jj * nxu..(jj + 1) * nxu];
-        // walk interfaces k−1/2 for k = z0 ..= z1
-        let mut k = region.z0;
-        loop {
-            let gk = geom.sigma_lo(k).clamp(0.0, 1.0);
-            let out = diag.gw.row_mut(-xe, nx + xe, j, k);
-            let run = &zs.run[..];
-            crate::lane_loop!(
-                path,
-                out.len(),
-                E,
-                ii,
-                gw_body::<E>(ii, out, gk, total_row, run)
+            // the allgather payload: [dp-sums over region rows | φ'-integrand
+            // sums over grown rows], the blocks the column's other ranks need
+            let n_dp = nxu * (region.y1 - region.y0).max(0) as usize;
+            let n = n_dp + n_grown;
+            zs.sums.clear();
+            zs.sums.resize(n, 0.0);
+            let (sums_dp, sums_phi) = zs.sums.split_at_mut(n_dp);
+            let sums = (
+                RowBand2::over_rows(sums_dp, nxu, region.y0),
+                RowBand2::over_rows(sums_phi, nxu, grown.0),
             );
-            if k == region.z1 {
-                break;
-            }
-            let ds = geom.dsigma(k);
-            let r_dp = diag.dp.row(-xe, nx + xe, j, k);
-            let run = &mut zs.run[..];
-            crate::lane_loop!(path, run.len(), E, ii, axpy_body::<E>(ii, run, ds, r_dp));
-            k += 1;
-        }
-    }
-
-    // --- φ' on the grown rows -------------------------------------------
-    // surface geopotential deviation coefficient R·T̃_s (a complete left
-    // subexpression of the scalar tree: (R·T̃_s)·p'_sa/p̃_s)
-    let rt = c::R_DRY * stdatm.ts;
-    zs.phis.clear();
-    zs.phis.resize(nxu, 0.0);
-    for (jj, j) in (gy0..gy1).enumerate() {
-        let base = (wy + jj) * nxu;
-        let r_cp = diag.cap_p.row(-xe, nx + xe, j);
-        // running suffix Σ_{l > k} c_l, starting at k = z1 − 1
-        zs.run.clear();
-        zs.run.extend_from_slice(&zs.suffix[base..base + nxu]);
-        for l in nz..region.z1 {
-            let ds = geom.dsigma(l);
-            let sigc = geom.sigma_c(l);
-            let r_phi = arg.phi.row(-xe, nx + xe, j, l);
-            let run = &mut zs.run[..];
-            crate::lane_loop!(path, run.len(), E, ii, {
-                (E::load(run, ii) - integrand_at::<E>(r_phi, r_cp, ds, sigc, ii)).store(run, ii)
+            let whole = cx.band(diag, &mut zs.run, &mut zs.phis, Some(sums));
+            pool::run(whole, &cuts, "vertical.sums", |band, j0, j1| {
+                cx.stencils(band, region_rows(j0, j1));
+                cx.phi_sums(band, (j0, j1));
             });
+            // the collective: prefix = Σ of blocks above (lower global k),
+            // suffix = Σ of blocks below, total = everything
+            comm.allgather(&zs.sums).map(|all| {
+                for acc in [&mut zs.prefix, &mut zs.suffix, &mut zs.total] {
+                    acc.clear();
+                    acc.resize(n, 0.0);
+                }
+                for r in 0..comm.size() {
+                    let blk = &all[r * n..(r + 1) * n];
+                    for (t, &v) in zs.total.iter_mut().zip(blk) {
+                        *t += v;
+                    }
+                    if r < comm.rank() {
+                        for (p, &v) in zs.prefix.iter_mut().zip(blk) {
+                            *p += v;
+                        }
+                    } else if r > comm.rank() {
+                        for (s, &v) in zs.suffix.iter_mut().zip(blk) {
+                            *s += v;
+                        }
+                    }
+                }
+                let blocks = Blocks {
+                    total: &zs.total[..n_dp],
+                    prefix: &zs.prefix[..n_dp],
+                    suffix: &zs.suffix[n_dp..],
+                };
+                let whole = cx.band(diag, &mut zs.run, &mut zs.phis, None);
+                pool::run(whole, &cuts, "vertical.walks", |band, j0, j1| {
+                    cx.gw_walk(band, region_rows(j0, j1), Some(&blocks));
+                    cx.phi_walk(band, (j0, j1), Some(&blocks));
+                });
+            })
         }
-        // φ'_s once per row, not once per level
-        let r_psa = arg.psa.row(-xe, nx + xe, j);
-        let phis = &mut zs.phis[..];
-        crate::lane_loop!(path, phis.len(), E, ii, {
-            phis_body::<E>(ii, phis, rt, r_psa, stdatm.ps_tilde)
-        });
-        for k in (region.z0..region.z1).rev() {
-            let ds = geom.dsigma(k);
-            let sigc = geom.sigma_c(k);
-            let r_phi = arg.phi.row(-xe, nx + xe, j, k);
-            let out = diag.phi_p.row_mut(-xe, nx + xe, j, k);
-            let (phis, run) = (&zs.phis[..], &mut zs.run[..]);
-            crate::lane_loop!(path, out.len(), E, ii, {
-                phip_body::<E>(ii, out, phis, r_phi, r_cp, ds, sigc, run)
-            });
-        }
-    }
-
+    };
     diag.zscratch = zs;
+    result?;
 
     // x halos of the C outputs (read at i±1 by the tendencies); under X-Y
     // decompositions the extended-x computation above covered them instead
@@ -395,6 +322,269 @@ pub fn apply_c_path(
         diag.vsum.wrap_x_halo();
     }
     Ok(())
+}
+
+/// The other ranks' block sums a z-split's walks start from: rows of `w`
+/// columns, of the region (`total`, `prefix`) and the grown rows (`suffix`).
+struct Blocks<'a> {
+    total: &'a [f64],
+    prefix: &'a [f64],
+    suffix: &'a [f64],
+}
+
+/// One worker's share of `C`: its rows of the five outputs (`φ'` on its
+/// share of the grown rows), of the allgather payload when that is the
+/// phase's output, and of the walks' row buffers.
+struct ColumnBand<'a> {
+    cap_p: &'a Field2,
+    dsa: RowBand2<'a>,
+    dp: RowBand3<'a>,
+    vsum: RowBand2<'a>,
+    gw: RowBand3<'a>,
+    phi_p: RowBand3<'a>,
+    sums: Option<(RowBand2<'a>, RowBand2<'a>)>,
+    /// Running accumulator of the interface walks, a row per grown row.
+    run: RowBand2<'a>,
+    /// Surface geopotential deviation `φ'_s`, a row per grown row.
+    phis: RowBand2<'a>,
+}
+
+band_struct!(ColumnBand {
+    cap_p,
+    dsa,
+    dp,
+    vsum,
+    gw,
+    phi_p,
+    sums,
+    run,
+    phis
+});
+
+/// What every band of one `C` application shares.  The stencil pass runs
+/// level by level over the band's rows — whole planes in storage order, so
+/// the hardware streams the three state fields it reads — and the walks
+/// row by row; what a column carries from one level to the next (sums,
+/// running walks) is kept in a row per latitude.
+struct Columns<'a> {
+    geom: &'a LocalGeometry,
+    stdatm: &'a StandardAtmosphere,
+    arg: &'a State,
+    region: Region,
+    /// The region's rows grown by one on each side: where `φ'` is produced.
+    grown: (isize, isize),
+    /// The x range `[-xe, nx + xe)` every row of `C` spans.
+    x: (isize, isize),
+    path: KernelPath,
+}
+
+/// Rows `[j0, j1)`.
+type Rows = (isize, isize);
+
+/// Where row `j`'s column sum of `D(P)` accumulates: the allgather payload
+/// under a z-split, `vsum` itself on a serial column.
+fn sum_row<'b>(
+    sums: &'b mut Option<(RowBand2<'_>, RowBand2<'_>)>,
+    vsum: &'b mut RowBand2<'_>,
+    (x0, x1): (isize, isize),
+    j: isize,
+) -> &'b mut [f64] {
+    match sums {
+        Some((dp_sums, _)) => dp_sums.row_mut(0, x1 - x0, j, 0),
+        None => vsum.row_mut(x0, x1, j, 0),
+    }
+}
+
+impl Columns<'_> {
+    /// The whole row range of the outputs as one band.
+    fn band<'a>(
+        &self,
+        diag: &'a mut Diag,
+        run: &'a mut [f64],
+        phis: &'a mut [f64],
+        sums: Option<(RowBand2<'a>, RowBand2<'a>)>,
+    ) -> ColumnBand<'a> {
+        let Region { y0, y1, z0, z1 } = self.region;
+        let nz = self.geom.nz as isize;
+        let w = (self.x.1 - self.x.0) as usize;
+        ColumnBand {
+            cap_p: &diag.cap_p,
+            dsa: diag.dsa.row_band_mut((y0, y1)),
+            // the column sums run over the owned levels, inside the
+            // region or not
+            dp: diag.dp.row_band_mut((y0, y1), (z0.min(0), z1.max(nz))),
+            vsum: diag.vsum.row_band_mut((y0, y1)),
+            gw: diag.gw.row_band_mut((y0, y1), (z0, z1 + 1)),
+            phi_p: diag.phi_p.row_band_mut(self.grown, (z0, z1)),
+            sums,
+            run: RowBand2::over_rows(run, w, self.grown.0),
+            phis: RowBand2::over_rows(phis, w, self.grown.0),
+        }
+    }
+
+    /// `D_sa` and `D(P)` on `rows`, and the Δσ-weighted column sums over
+    /// the OWNED levels, each taken while its `D(P)` row is hot — into the
+    /// allgather payload under a z-split; a serial column's sum is `vsum`
+    /// itself.
+    fn stencils(&self, band: &mut ColumnBand<'_>, rows: Rows) {
+        let Columns {
+            geom, arg, path, ..
+        } = *self;
+        let (x0, x1) = self.x;
+        let (nx, nz) = (geom.nx as isize, geom.nz as isize);
+        let Region { z0, z1, .. } = self.region;
+        let ColumnBand {
+            dsa,
+            dp,
+            vsum,
+            sums,
+            ..
+        } = band;
+        for j in rows.0..rows.1 {
+            crate::diag::dsa_row(geom, &arg.psa, j, dsa.row_mut(0, nx, j, 0), path);
+            sum_row(sums, vsum, self.x, j).fill(0.0);
+        }
+        for k in z0.min(0)..z1.max(nz) {
+            let ds = geom.dsigma(k);
+            for j in rows.0..rows.1 {
+                if (z0..z1).contains(&k) {
+                    let out = dp.row_mut(x0, x1, j, k);
+                    crate::diag::dp_row(geom, arg, band.cap_p, (j, k), -x0, out, path);
+                }
+                if (0..nz).contains(&k) {
+                    let (acc, r_dp) = (sum_row(sums, vsum, self.x, j), dp.row(x0, x1, j, k));
+                    crate::lane_loop!(path, acc.len(), E, ii, axpy_body::<E>(ii, acc, ds, r_dp));
+                }
+            }
+        }
+    }
+
+    /// `vsum` (from the allgathered total under a z-split) and the `g_w`
+    /// interface walk on `rows`.  Each column's accumulation order matches
+    /// the scalar walk exactly.
+    fn gw_walk(&self, band: &mut ColumnBand<'_>, rows: Rows, blocks: Option<&Blocks<'_>>) {
+        let Columns { geom, path, .. } = *self;
+        let (x0, x1) = self.x;
+        let w = x1 - x0;
+        let Region { y0, z0, z1, .. } = self.region;
+        let ColumnBand {
+            dp, vsum, gw, run, ..
+        } = band;
+        for j in rows.0..rows.1 {
+            // running prefix of Δσ·dp below global interface z0 − 1/2
+            let run = run.row_mut(0, w, j, 0);
+            match blocks {
+                Some(b) => {
+                    let at = (j - y0) as usize * run.len();
+                    vsum.row_mut(x0, x1, j, 0)
+                        .copy_from_slice(&b.total[at..at + run.len()]);
+                    run.copy_from_slice(&b.prefix[at..at + run.len()]);
+                }
+                None => run.fill(0.0),
+            }
+            let total = vsum.row(x0, x1, j, 0);
+            for l in z0..0 {
+                let (ds, r_dp) = (geom.dsigma(l), dp.row(x0, x1, j, l));
+                crate::lane_loop!(path, run.len(), E, ii, axmy_body::<E>(ii, run, ds, r_dp));
+            }
+            // walk interfaces k−1/2 for k = z0 ..= z1
+            for k in z0..=z1 {
+                let gk = geom.sigma_lo(k).clamp(0.0, 1.0);
+                let out = gw.row_mut(x0, x1, j, k);
+                crate::lane_loop!(
+                    path,
+                    out.len(),
+                    E,
+                    ii,
+                    gw_body::<E>(ii, out, gk, total, run)
+                );
+                if k < z1 {
+                    let (ds, r_dp) = (geom.dsigma(k), dp.row(x0, x1, j, k));
+                    crate::lane_loop!(path, run.len(), E, ii, axpy_body::<E>(ii, run, ds, r_dp));
+                }
+            }
+        }
+    }
+
+    /// Block sums of the φ'-integrand `c_l = b·Φ·Δσ/(P·σ)` over the owned
+    /// levels of the grown `rows` — what the ranks below need as their
+    /// suffix.  A serial column has no such rank, so it never runs this
+    /// sweep (a division per point).
+    fn phi_sums(&self, band: &mut ColumnBand<'_>, rows: Rows) {
+        let Columns {
+            geom, arg, path, ..
+        } = *self;
+        let (x0, x1) = self.x;
+        let Some((_, phi_sums)) = &mut band.sums else {
+            return;
+        };
+        for k in 0..geom.nz as isize {
+            let (ds, sigc) = (geom.dsigma(k), geom.sigma_c(k));
+            for j in rows.0..rows.1 {
+                let row = phi_sums.row_mut(0, x1 - x0, j, 0);
+                let (r_phi, r_cp) = (arg.phi.row(x0, x1, j, k), band.cap_p.row(x0, x1, j));
+                crate::lane_loop!(path, row.len(), E, ii, {
+                    (E::load(row, ii) + integrand_at::<E>(r_phi, r_cp, ds, sigc, ii)).store(row, ii)
+                });
+            }
+        }
+    }
+
+    /// The `φ'` walk on the grown `rows`, up from the surface.
+    fn phi_walk(&self, band: &mut ColumnBand<'_>, rows: Rows, blocks: Option<&Blocks<'_>>) {
+        let Columns {
+            geom,
+            stdatm,
+            arg,
+            path,
+            ..
+        } = *self;
+        let (x0, x1) = self.x;
+        let w = x1 - x0;
+        let Region { z0, z1, .. } = self.region;
+        let ColumnBand {
+            cap_p,
+            phi_p,
+            run,
+            phis,
+            ..
+        } = band;
+        // φ'_s once per row, not once per level: the coefficient R·T̃_s is
+        // a complete left subexpression of the scalar tree
+        // (R·T̃_s)·p'_sa/p̃_s
+        let rt = c::R_DRY * stdatm.ts;
+        for j in rows.0..rows.1 {
+            // running suffix Σ_{l > k} c_l, starting at k = z1 − 1
+            let run = run.row_mut(0, w, j, 0);
+            match blocks {
+                Some(b) => {
+                    let at = (j - self.grown.0) as usize * run.len();
+                    run.copy_from_slice(&b.suffix[at..at + run.len()]);
+                }
+                None => run.fill(0.0),
+            }
+            let r_cp = cap_p.row(x0, x1, j);
+            for l in geom.nz as isize..z1 {
+                let (ds, sigc) = (geom.dsigma(l), geom.sigma_c(l));
+                let r_phi = arg.phi.row(x0, x1, j, l);
+                crate::lane_loop!(path, run.len(), E, ii, {
+                    (E::load(run, ii) - integrand_at::<E>(r_phi, r_cp, ds, sigc, ii)).store(run, ii)
+                });
+            }
+            let (phis, r_psa) = (phis.row_mut(0, w, j, 0), arg.psa.row(x0, x1, j));
+            crate::lane_loop!(path, phis.len(), E, ii, {
+                phis_body::<E>(ii, phis, rt, r_psa, stdatm.ps_tilde)
+            });
+            for k in (z0..z1).rev() {
+                let (ds, sigc) = (geom.dsigma(k), geom.sigma_c(k));
+                let r_phi = arg.phi.row(x0, x1, j, k);
+                let out = phi_p.row_mut(x0, x1, j, k);
+                crate::lane_loop!(path, out.len(), E, ii, {
+                    phip_body::<E>(ii, out, phis, r_phi, r_cp, ds, sigc, run)
+                });
+            }
+        }
+    }
 }
 
 /// Scalar per-point reference implementation, retained verbatim as the
@@ -427,8 +617,8 @@ pub fn apply_c_scalar(
     let gy1 = (region.y1 + 1).min(geom.ny as isize + geom.halo.yp as isize);
 
     // --- local stencil diagnostics -------------------------------------
-    diag.update_dsa(geom, arg, region.y0, region.y1);
-    diag.update_dp(geom, arg, region.y0, region.y1, region.z0, region.z1, xe);
+    diag.update_dsa_scalar(geom, arg, region.y0, region.y1);
+    diag.update_dp_scalar(geom, arg, region.y0, region.y1, region.z0, region.z1, xe);
 
     // --- per-column block sums over OWNED levels ------------------------
     // layout: [dp-sums over region rows | φ'-integrand sums over grown rows]

@@ -1,8 +1,11 @@
 //! Worker-pool determinism: a full `dycore_step` must be bitwise identical
 //! at every `AGCM_THREADS` setting, for the serial integrator and both
-//! parallel algorithms.  The pool splits disjoint z-bands of each sweep, so
-//! no floating-point sum is re-associated — thread count can only change
-//! *when* a point is computed, never *what* is computed.
+//! parallel algorithms, with the Held–Suarez forcing off and on.  The pool
+//! splits every phase — `C`, the sweeps, the filter, the forcing, the
+//! smoothing — into disjoint latitude bands, so no floating-point sum is
+//! re-associated (the column sums of `C` run along z, inside a band) —
+//! thread count can only change *when* a point is computed, never *what*
+//! is computed.
 
 use agcm_comm::Universe;
 use agcm_core::init;
@@ -15,9 +18,19 @@ use agcm_mesh::ProcessGrid;
 const STEPS: usize = 2;
 const THREADS: [usize; 3] = [1, 2, 4];
 
-fn serial_at(cfg: &ModelConfig, nt: usize) -> GlobalState {
+/// The test mesh without and with the Held–Suarez forcing.
+fn configs() -> [ModelConfig; 2] {
+    let plain = ModelConfig::test_medium();
+    let forced = ModelConfig {
+        held_suarez: true,
+        ..plain.clone()
+    };
+    [plain, forced]
+}
+
+fn serial_at(cfg: &ModelConfig, variant: Iteration, nt: usize) -> GlobalState {
     pool::with_workers(nt, || {
-        let mut m = SerialModel::new(cfg, Iteration::Approximate).unwrap();
+        let mut m = SerialModel::new(cfg, variant).unwrap();
         let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
         m.set_state(&ic);
         m.run(STEPS);
@@ -65,33 +78,43 @@ fn assert_bitwise(a: &GlobalState, b: &GlobalState, what: &str) {
 
 #[test]
 fn serial_step_is_thread_count_invariant() {
-    let cfg = ModelConfig::test_medium();
-    let want = serial_at(&cfg, 1);
-    assert!(want.max_abs() > 0.0, "test must exercise nonzero dynamics");
-    for nt in THREADS {
-        let got = serial_at(&cfg, nt);
-        assert_bitwise(&got, &want, &format!("serial at {nt} workers"));
+    for (cfg, variant) in configs()
+        .iter()
+        .zip([Iteration::Approximate, Iteration::Exact])
+    {
+        let want = serial_at(cfg, variant, 1);
+        assert!(want.max_abs() > 0.0, "test must exercise nonzero dynamics");
+        for nt in THREADS {
+            let got = serial_at(cfg, variant, nt);
+            let what = format!("serial {variant:?} at {nt} workers");
+            assert_bitwise(&got, &want, &what);
+        }
     }
 }
 
 #[test]
 fn alg1_step_is_thread_count_invariant() {
-    let cfg = ModelConfig::test_medium();
-    let pgrid = ProcessGrid::yz(2, 1).unwrap();
-    let want = alg1_at(&cfg, pgrid, 1);
-    for nt in THREADS {
-        let got = alg1_at(&cfg, pgrid, nt);
-        assert_bitwise(&got, &want, &format!("alg1 at {nt} workers"));
+    // a y-split, and a z-split whose `C` brackets the allgather with a
+    // block-sum phase and a walk phase
+    let grids = [(2, 1), (1, 2)].map(|(py, pz)| ProcessGrid::yz(py, pz).unwrap());
+    for (cfg, pgrid) in configs().iter().zip(grids) {
+        let want = alg1_at(cfg, pgrid, 1);
+        for nt in THREADS {
+            let got = alg1_at(cfg, pgrid, nt);
+            assert_bitwise(&got, &want, &format!("alg1 {pgrid:?} at {nt} workers"));
+        }
     }
 }
 
 #[test]
 fn ca_step_is_thread_count_invariant() {
-    let cfg = ModelConfig::test_medium();
     let pgrid = ProcessGrid::yz(2, 1).unwrap();
-    let want = alg2_at(&cfg, pgrid, 1);
-    for nt in THREADS {
-        let got = alg2_at(&cfg, pgrid, nt);
-        assert_bitwise(&got, &want, &format!("alg2 at {nt} workers"));
+    for cfg in configs() {
+        let want = alg2_at(&cfg, pgrid, 1);
+        for nt in THREADS {
+            let got = alg2_at(&cfg, pgrid, nt);
+            let what = format!("alg2 (H-S {}) at {nt} workers", cfg.held_suarez);
+            assert_bitwise(&got, &want, &what);
+        }
     }
 }

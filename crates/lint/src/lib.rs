@@ -446,20 +446,27 @@ pub const KERNEL_MODULES: &[&str] = &[
     "crates/core/src/vertical.rs",
     "crates/core/src/filterop.rs",
     "crates/core/src/diag.rs",
+    "crates/core/src/forcing.rs",
 ];
 
 /// Modules bound by [`Rule::Alloc`] only: the FFT polar filter's stepping
 /// path (the batched `FourierFilter::apply_rows_with`, the `FilterScratch`
-/// arenas it consumes and the transform kernel behind them) and the
-/// tendency sweep driver with its per-worker `SweepScratch` row buffers
-/// must stay allocation-free at steady state — only the allocating test
-/// oracle and first-sight table/arena construction carry waivers — but the
-/// modules' row buffers are plain slices, so the row-API rule does not
-/// apply.
+/// arenas it consumes and the transform kernel behind them), the tendency
+/// sweep driver with its per-worker `SweepScratch` row buffers, and the
+/// worker pool with the row-band views it splits (`core::pool`,
+/// `mesh::band`: a phase at one worker must not touch the heap) must stay
+/// allocation-free at steady state — only the allocating test oracle and
+/// first-sight table/arena construction carry waivers — but these modules
+/// index plain slices (the band views *are* the row API), so the row-API
+/// rule does not apply.  `C`'s per-worker rows are warmed in `core::diag`
+/// and the Held–Suarez row body lives in `core::forcing`, both kernel
+/// modules above.
 pub const ALLOC_ONLY_MODULES: &[&str] = &[
     "crates/fft/src/filter.rs",
     "crates/fft/src/fft.rs",
     "crates/core/src/sweep.rs",
+    "crates/core/src/pool.rs",
+    "crates/mesh/src/band.rs",
 ];
 
 /// The access registry the [`Rule::FusedAccess`] cross-file rule consults.

@@ -14,6 +14,7 @@
 //! [`Field2`] is the 2-D (surface) analogue used for `p'_sa` and the other
 //! single-level variables.
 
+use crate::band::{RowBand2, RowBand3, Shape};
 use crate::error::MeshError;
 use crate::stencil::{Axis, StencilFootprint};
 
@@ -329,72 +330,23 @@ impl Field3 {
         }
     }
 
-    /// One mutable z-slab covering `k ∈ [k0, k1)` (full x/y extents
-    /// including halos).  Allocation-free; combined with
-    /// [`SlabMut3::split_at_k`] this is the worker pool's way of carving a
-    /// field into disjoint per-thread bands without heap traffic.
-    pub fn slab_mut(&mut self, k0: isize, k1: isize) -> SlabMut3<'_> {
-        let zm = self.halo.zm as isize;
-        assert!(k0 <= k1, "slab range must be non-decreasing");
-        assert!(k0 >= -zm && k1 <= (self.nz + self.halo.zp) as isize);
-        #[cfg(feature = "access-sanitizer")]
-        let san_key = self.data.as_ptr() as usize;
-        let sz = self.sz;
-        let a = ((k0 + zm) * sz as isize) as usize;
-        let b = ((k1 + zm) * sz as isize) as usize;
-        SlabMut3 {
-            data: &mut self.data[a..b],
-            nx: self.nx,
-            ny: self.ny,
-            halo: self.halo,
+    /// Rows `rows = [j0, j1)` of levels `levels = [k0, k1)` as one mutable
+    /// band (full x extent; both ranges may reach into the halo).  The
+    /// worker pool carves a field into disjoint per-thread bands by
+    /// splitting this view at row cuts ([`RowBand3::split_at_row`]) —
+    /// allocation-free, indexed like the parent field.
+    pub fn row_band_mut(&mut self, rows: (isize, isize), levels: (isize, isize)) -> RowBand3<'_> {
+        let h = self.halo;
+        assert!(rows.0 >= -(h.ym as isize) && rows.1 <= (self.ny + h.yp) as isize);
+        assert!(levels.0 >= -(h.zm as isize) && levels.1 <= (self.nz + h.zp) as isize);
+        let shape = Shape {
+            xm: h.xm,
+            ym: h.ym as isize,
+            zm: h.zm as isize,
             sy: self.sy,
-            sz,
-            k0,
-            k1,
-            #[cfg(feature = "access-sanitizer")]
-            san_key,
-        }
-    }
-
-    /// Split the field into mutable z-slabs along the given global-k cut
-    /// points.  `cuts` must be strictly increasing and lie within
-    /// `[-halo.zm, nz + halo.zp]`; slab `n` covers `k ∈ [cuts[n], cuts[n+1])`
-    /// with full x/y extents (interior + halo).  The returned views write
-    /// through disjoint ranges of the underlying allocation, so they can be
-    /// sent to different worker threads; indexing stays in *global* local
-    /// coordinates, identical to the parent field's.
-    pub fn split_z_slabs(&mut self, cuts: &[isize]) -> Vec<SlabMut3<'_>> {
-        assert!(cuts.len() >= 2, "need at least one slab");
-        let zm = self.halo.zm as isize;
-        assert!(cuts[0] >= -zm && *cuts.last().unwrap() <= (self.nz + self.halo.zp) as isize);
-        for w in cuts.windows(2) {
-            assert!(w[0] < w[1], "cuts must be strictly increasing");
-        }
-        #[cfg(feature = "access-sanitizer")]
-        let san_key = self.data.as_ptr() as usize;
-        let sz = self.sz;
-        let plane0 = ((cuts[0] + zm) * sz as isize) as usize;
-        let plane1 = ((cuts[cuts.len() - 1] + zm) * sz as isize) as usize;
-        let mut rest = &mut self.data[plane0..plane1];
-        let mut out = Vec::with_capacity(cuts.len() - 1);
-        for w in cuts.windows(2) {
-            let n = ((w[1] - w[0]) as usize) * sz;
-            let (head, tail) = rest.split_at_mut(n);
-            rest = tail;
-            out.push(SlabMut3 {
-                data: head,
-                nx: self.nx,
-                ny: self.ny,
-                halo: self.halo,
-                sy: self.sy,
-                sz,
-                k0: w[0],
-                k1: w[1],
-                #[cfg(feature = "access-sanitizer")]
-                san_key,
-            });
-        }
-        out
+            sz: self.sz,
+        };
+        RowBand3::carve(&mut self.data, shape, rows, levels)
     }
 
     /// Raw data (including halos) — escape hatch for the FFT, which
@@ -570,147 +522,6 @@ impl Field3 {
                 row.copy_within(hm..hm + hp, hm + nx);
             }
         }
-    }
-}
-
-/// A mutable z-slab view of a [`Field3`], produced by
-/// [`Field3::split_z_slabs`].
-///
-/// The view owns the planes `k ∈ [k0, k1)` of the parent allocation (full
-/// x/y extents including halos).  All accessors take the *same global local
-/// coordinates* as the parent field, so kernels can be written once and run
-/// unchanged against the whole field (one slab) or a band of it (one slab
-/// per worker).  Accesses outside the slab's k-range are a bug and panic in
-/// debug builds.
-#[derive(Debug)]
-pub struct SlabMut3<'a> {
-    data: &'a mut [f64],
-    nx: usize,
-    ny: usize,
-    halo: HaloWidths,
-    sy: usize,
-    sz: usize,
-    k0: isize,
-    k1: isize,
-    /// Sanitizer identity of the parent field's allocation.
-    #[cfg(feature = "access-sanitizer")]
-    san_key: usize,
-}
-
-impl<'a> SlabMut3<'a> {
-    /// The global-k range `[k0, k1)` this slab covers.
-    pub fn k_range(&self) -> (isize, isize) {
-        (self.k0, self.k1)
-    }
-
-    #[inline]
-    fn idx(&self, i: isize, j: isize, k: isize) -> usize {
-        debug_assert!(
-            k >= self.k0 && k < self.k1,
-            "z index {k} outside slab [{}, {})",
-            self.k0,
-            self.k1
-        );
-        debug_assert!(
-            i >= -(self.halo.xm as isize) && i < (self.nx + self.halo.xp) as isize,
-            "x index {i} out of range"
-        );
-        debug_assert!(
-            j >= -(self.halo.ym as isize) && j < (self.ny + self.halo.yp) as isize,
-            "y index {j} out of range"
-        );
-        let base = (self.halo.xm + self.halo.ym * self.sy) as isize;
-        (base + i + j * self.sy as isize + (k - self.k0) * self.sz as isize) as usize
-    }
-
-    #[cfg(feature = "access-sanitizer")]
-    #[inline]
-    fn san(&self, write: bool, i0: isize, i1: isize, j: isize, k: isize) {
-        crate::sanitize::record(self.san_key, write, i0, i1, j, k);
-    }
-
-    /// Read at global local coordinates (must lie in this slab's k-range).
-    #[inline]
-    pub fn get(&self, i: isize, j: isize, k: isize) -> f64 {
-        #[cfg(feature = "access-sanitizer")]
-        self.san(false, i, i, j, k);
-        self.data[self.idx(i, j, k)]
-    }
-
-    /// Write at global local coordinates.
-    #[inline]
-    pub fn set(&mut self, i: isize, j: isize, k: isize, v: f64) {
-        #[cfg(feature = "access-sanitizer")]
-        self.san(true, i, i, j, k);
-        let ix = self.idx(i, j, k);
-        self.data[ix] = v;
-    }
-
-    /// Add at global local coordinates.
-    #[inline]
-    pub fn add(&mut self, i: isize, j: isize, k: isize, v: f64) {
-        #[cfg(feature = "access-sanitizer")]
-        self.san(true, i, i, j, k);
-        let ix = self.idx(i, j, k);
-        self.data[ix] += v;
-    }
-
-    /// Contiguous x-row `[x0, x1)` at `(j, k)` — same contract as
-    /// [`Field3::row`].
-    #[inline]
-    pub fn row(&self, x0: isize, x1: isize, j: isize, k: isize) -> &[f64] {
-        debug_assert!(x0 <= x1);
-        #[cfg(feature = "access-sanitizer")]
-        self.san(false, x0, (x1 - 1).max(x0), j, k);
-        let a = self.idx(x0, j, k);
-        &self.data[a..a + (x1 - x0) as usize]
-    }
-
-    /// Mutable contiguous x-row — same contract as [`Field3::row_mut`].
-    #[inline]
-    pub fn row_mut(&mut self, x0: isize, x1: isize, j: isize, k: isize) -> &mut [f64] {
-        debug_assert!(x0 <= x1);
-        #[cfg(feature = "access-sanitizer")]
-        self.san(true, x0, (x1 - 1).max(x0), j, k);
-        let a = self.idx(x0, j, k);
-        &mut self.data[a..a + (x1 - x0) as usize]
-    }
-
-    /// Split this slab at global plane `k` into `[k0, k)` and `[k, k1)`.
-    ///
-    /// Allocation-free (consumes `self`, splitting the underlying slice), so
-    /// the worker pool can carve a field into per-thread bands without heap
-    /// traffic.
-    pub fn split_at_k(self, k: isize) -> (SlabMut3<'a>, SlabMut3<'a>) {
-        assert!(k >= self.k0 && k <= self.k1, "split plane outside slab");
-        let cut = ((k - self.k0) * self.sz as isize) as usize;
-        let (lo, hi) = self.data.split_at_mut(cut);
-        (
-            SlabMut3 {
-                data: lo,
-                nx: self.nx,
-                ny: self.ny,
-                halo: self.halo,
-                sy: self.sy,
-                sz: self.sz,
-                k0: self.k0,
-                k1: k,
-                #[cfg(feature = "access-sanitizer")]
-                san_key: self.san_key,
-            },
-            SlabMut3 {
-                data: hi,
-                nx: self.nx,
-                ny: self.ny,
-                halo: self.halo,
-                sy: self.sy,
-                sz: self.sz,
-                k0: k,
-                k1: self.k1,
-                #[cfg(feature = "access-sanitizer")]
-                san_key: self.san_key,
-            },
-        )
     }
 }
 
@@ -924,6 +735,20 @@ impl Field2 {
             let second = &mut lo[b..b + w];
             (&mut hi[..w], second)
         }
+    }
+
+    /// Rows `[j0, j1)` as one mutable band of the single level `k = 0` —
+    /// see [`Field3::row_band_mut`].
+    pub fn row_band_mut(&mut self, rows: (isize, isize)) -> RowBand2<'_> {
+        assert!(rows.0 >= -(self.hy.0 as isize) && rows.1 <= (self.ny + self.hy.1) as isize);
+        let shape = Shape {
+            xm: self.hx.0,
+            ym: self.hy.0 as isize,
+            zm: 0,
+            sy: self.sy,
+            sz: self.data.len(),
+        };
+        RowBand2::carve(&mut self.data, shape, rows, (0, 1))
     }
 
     /// Set every point (interior and halo) to `v`.
@@ -1243,31 +1068,6 @@ mod tests {
         assert_eq!(b, &[0.0, 1.0, 2.0]);
         b.copy_from_slice(a);
         assert_eq!(f.get(1, 0), 21.0);
-    }
-
-    #[test]
-    fn split_z_slabs_cover_disjoint_planes() {
-        let mut f = Field3::new(4, 3, 4, HaloWidths::uniform(1));
-        fill_pattern(&mut f);
-        let mut slabs = f.split_z_slabs(&[0, 2, 4]);
-        assert_eq!(slabs.len(), 2);
-        assert_eq!(slabs[0].k_range(), (0, 2));
-        assert_eq!(slabs[1].k_range(), (2, 4));
-        // global addressing matches the parent field
-        assert_eq!(slabs[0].get(1, 2, 1), (1 + 10 * 2 + 100) as f64);
-        assert_eq!(slabs[1].get(3, 0, 3), (3 + 300) as f64);
-        // writes land in the parent field, rows are contiguous
-        slabs[0].set(0, 0, 0, -5.0);
-        slabs[1].row_mut(0, 4, 1, 2).fill(-7.0);
-        slabs[1].add(0, 1, 2, -1.0);
-        drop(slabs);
-        assert_eq!(f.get(0, 0, 0), -5.0);
-        assert_eq!(f.get(0, 1, 2), -8.0);
-        assert_eq!(f.get(3, 1, 2), -7.0);
-        // halo planes can be included in a slab
-        let slabs = f.split_z_slabs(&[-1, 5]);
-        assert_eq!(slabs.len(), 1);
-        assert_eq!(slabs[0].k_range(), (-1, 5));
     }
 
     #[test]

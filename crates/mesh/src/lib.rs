@@ -15,6 +15,8 @@
 //! * [`stencil`] — stencil footprints (the paper's Tables 1-3 as data),
 //! * [`decomp`] — X-Y / Y-Z / 3-D domain decomposition,
 //! * [`field`] — flat-array field storage with halos,
+//! * [`band`] — mutable latitude-row bands of a field (the worker pool's
+//!   split axis),
 //! * [`halo`] — halo exchange planning (Figure 4's eight halo areas),
 //! * `sanitize` — runtime access sanitizer (feature `access-sanitizer`):
 //!   shadow-records the index ranges kernels actually touch so tests can
@@ -23,6 +25,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod band;
 pub mod decomp;
 pub mod error;
 pub mod field;
@@ -32,9 +35,10 @@ pub mod halo;
 pub mod sanitize;
 pub mod stencil;
 
+pub use band::{RowBand, RowBand2, RowBand3, MAX_BAND_PLANES};
 pub use decomp::{DecompKind, Decomposition, NeighborLink, ProcessGrid, Subdomain};
 pub use error::MeshError;
-pub use field::{Field2, Field3, HaloWidths, SlabMut3};
+pub use field::{Field2, Field3, HaloWidths};
 pub use grid::{constants, LatLonGrid, SigmaLevels};
 pub use halo::{BoxRange, ExchangePlan, ExchangeSpec};
 pub use stencil::{Axis, AxisOffsets, StencilFootprint};

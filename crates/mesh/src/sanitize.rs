@@ -1,7 +1,7 @@
 //! Runtime access sanitizer (feature `access-sanitizer`).
 //!
 //! When the feature is on, every element/row accessor of [`crate::Field3`],
-//! [`crate::Field2`] and [`crate::SlabMut3`] shadow-records the index
+//! [`crate::Field2`] and their row bands ([`crate::band`]) shadow-records the index
 //! ranges it touches into a global table, keyed by the field's allocation.
 //! Tests register a human name per tracked field, run a kernel, and diff
 //! the observed read/write ranges against the kernel's declared
