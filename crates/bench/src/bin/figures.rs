@@ -403,6 +403,40 @@ fn verify() {
          covered by the preceding exchange's declared halo depth (AccessSpec\n\
          registry x verify::dataflow); slack 0 = some depth consumed exactly."
     );
+    // Algorithm 2's halo depth is a decision: the feasible ladder, what
+    // each rung is predicted to cost, and the rung each machine picks
+    report.push_str("\n## Sweep-group ladder (Algorithm 2)\n\n```\n");
+    let paper = ModelConfig::paper_50km();
+    // the benchmark's two Algorithm 2 cells
+    let small = ModelConfig {
+        ny: 24,
+        ..ModelConfig::test_medium()
+    };
+    let mid = ModelConfig {
+        nx: 180,
+        ny: 90,
+        ..paper.clone()
+    };
+    let y2 = ProcessGrid::yz(2, 1).expect("yz(2,1)");
+    let mut grids = vec![("small 24x24x8", small, y2), ("mid 180x90x30", mid, y2)];
+    grids.extend(certs.iter().map(|c| {
+        let pg = agcm_verify::paper_yz_grid(c.p);
+        ("paper 720x360x30", paper.clone(), pg)
+    }));
+    for (label, cfg, pg) in grids {
+        for line in ladder_lines(label, &cfg, pg) {
+            println!("{line}");
+            report.push_str(&line);
+            report.push('\n');
+        }
+    }
+    report.push_str("```\n");
+    println!(
+        "ladder: every rung listed passed the matching, deadlock, count and\n\
+         dataflow certification; the predicted terms are\n\
+         core::analysis::predict_step_mode's (left: bench host, right: tianhe2),\n\
+         each the slowest rank's."
+    );
     // the cross-check pins the static model to the executing runtime
     report.push_str("\n## Runtime cross-checks\n\n");
     let cfg = ModelConfig::test_medium();
@@ -437,6 +471,62 @@ fn verify() {
     std::fs::create_dir_all("target").expect("create target dir");
     std::fs::write(out, &report).expect("write certification report");
     println!("certification report written to {}", out.display());
+}
+
+/// The sweep-group ladder of Algorithm 2 on one grid: every rung certified
+/// (matching, deadlock-freedom, counts, dataflow), its exchanges, messages
+/// and bytes a step, and its predicted step under the bench host's
+/// constants and the paper machine's, with the rung each would pick.
+fn ladder_lines(label: &str, cfg: &ModelConfig, pg: ProcessGrid) -> Vec<String> {
+    use agcm_core::analysis::{ca_ladder, ca_pick, predict_step_mode, CaMode};
+    use agcm_core::par::schedule;
+    let (_, py, pz) = pg.dims();
+    let machines = [CostModel::BENCH_HOST, CostModel::tianhe2()];
+    let picks = machines.map(|m| ca_pick(cfg, &pg, &m).0);
+    let mut lines = vec![format!(
+        "{label} yz({py},{pz}): {} picks g = {}, {} picks g = {}",
+        machines[0].name, picks[0], machines[1].name, picks[1]
+    )];
+    lines.push(format!(
+        "{:>4} {:>5} {:>4} {:>5} {:>5} {:>9} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9}",
+        "g",
+        "fuse",
+        "g_a",
+        "exch",
+        "msgs",
+        "bytes",
+        "comm ms",
+        "comp ms",
+        "total ms",
+        "comm ms",
+        "comp ms",
+        "total ms"
+    ));
+    for (g, fuse, ga) in ca_ladder(cfg, &pg) {
+        let mode = CaMode::Groups(g, fuse, ga);
+        if let Err(e) = agcm_verify::certify_one(cfg, AlgKind::CommAvoiding, mode, pg) {
+            eprintln!("CERTIFICATION FAILED: {label} yz({py},{pz}) g = {g}: {e}");
+            std::process::exit(1);
+        }
+        let exch = schedule::exchange_count(&schedule::alg2_step_for(cfg, &pg, g, fuse, ga));
+        let cost = machines.map(|m| predict_step_mode(cfg, AlgKind::CommAvoiding, pg, &m, mode));
+        let terms = |c: &analysis::StepCost| {
+            format!(
+                "{:>9.3} {:>9.3} {:>9.3}",
+                (c.stencil_comm_s + c.collective_comm_s) * 1e3,
+                c.compute_s * 1e3,
+                c.total_s() * 1e3
+            )
+        };
+        lines.push(format!(
+            "{g:>4} {fuse:>5} {ga:>4} {exch:>5} {:>5} {:>9} | {} | {}",
+            cost[0].max.p2p_msgs,
+            cost[0].max.p2p_elems * 8,
+            terms(&cost[0]),
+            terms(&cost[1])
+        ));
+    }
+    lines
 }
 
 /// Operator-level tracing of executing runs: Chrome-trace timelines (load

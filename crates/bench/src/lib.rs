@@ -13,7 +13,7 @@
 
 #![forbid(unsafe_code)]
 use agcm_comm::CostModel;
-use agcm_core::analysis::{predict_step_mode, AlgKind, CaMode, StepCost};
+use agcm_core::analysis::{ca_pick, predict_step_mode, AlgKind, CaMode, StepCost};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
 
@@ -42,13 +42,21 @@ pub fn xy_grid(p: usize) -> ProcessGrid {
     ProcessGrid::xy(px, p / px).expect("valid X-Y grid")
 }
 
-/// Predict one step of the given algorithm at `p` ranks on `cfg`.
+/// Predict one step of the given algorithm at `p` ranks on `cfg`; the
+/// communication-avoiding algorithm runs the sweep groups the machine
+/// `model` would pick for itself (`analysis::ca_pick`).
 pub fn predict(cfg: &ModelConfig, alg: AlgKind, p: usize, model: &CostModel) -> StepCost {
     let pg = match alg {
         AlgKind::OriginalXY => xy_grid(p),
         _ => yz_grid(p),
     };
-    predict_step_mode(cfg, alg, pg, model, CaMode::Grouped)
+    let mode = if alg == AlgKind::CommAvoiding {
+        let (g, fuse, ga) = ca_pick(cfg, &pg, model);
+        CaMode::Groups(g, fuse, ga)
+    } else {
+        CaMode::Grouped
+    };
+    predict_step_mode(cfg, alg, pg, model, mode)
 }
 
 /// As [`predict`] but with the paper-idealized CA accounting (always two

@@ -2,7 +2,8 @@
 //!
 //! A [`FaultPlan`] describes a set of network/process faults to inject into
 //! a run: message **drop**, **bit-corruption**, **duplication** and
-//! **delay** (reordering), plus rank **stall** and **crash**.  Every
+//! **delay** (reordering), rank **stall** and **crash**, plus one dial that
+//! is not a fault: a fixed per-message receive **latency** (`lat`).  Every
 //! decision is a pure function of the plan's seed and the *site* of the
 //! communication operation — `(rank, peer, tag, event#, phase)` — mixed
 //! through splitmix64, so a given seed replays the exact same fault
@@ -22,7 +23,7 @@
 //!   is set).
 //!
 //! Rule grammar: `<kind>:<key>=<value>,...` with kinds `drop`, `corrupt`,
-//! `dup`, `delay`, `stall`, `crash` and keys
+//! `dup`, `delay`, `stall`, `crash`, `lat` and keys
 //!
 //! | key     | meaning                                                    |
 //! |---------|------------------------------------------------------------|
@@ -36,11 +37,18 @@
 //! | `phase` | only inside this operator phase (`A,C,F,L,S1,S2,other`)    |
 //! | `k`     | *delay*: release after this many further events (default 2)|
 //! | `ms`    | *stall*: sleep milliseconds (default 20)                   |
+//! | `us`    | *lat*: microseconds every matching message arrives late    |
 //! | `bit`   | *corrupt*: flip this bit (0–63; default seeded mantissa)   |
 //!
-//! All kinds fire at send sites (the clock ticks on sends); `stall` and
-//! `crash` model slow-rank jitter and fail-stop process faults at the
-//! chosen send.  Every fired fault is appended to a per-rank log
+//! All fault kinds fire at send sites (the clock ticks on sends); `stall`
+//! and `crash` model slow-rank jitter and fail-stop process faults at the
+//! chosen send.  `lat:us=N` is the latency dial of a host that has none: the
+//! receiver of **every** matching message (the `rank`/`peer`/`tag`/`user`/
+//! `phase` filters apply; it takes no selector) waits `N` µs past the
+//! message's arrival before it returns — a per-message `α`, where `stall`
+//! sleeps a rank once.  It never touches the fault clock, the log or the
+//! counters, so a plan replays the same with or without it
+//! ([`FaultPlan::recv_latency`]).  Every fired fault is appended to a per-rank log
 //! ([`crate::Communicator::fault_log`]) and counted in
 //! [`crate::stats::FaultSnapshot`]; with tracing enabled each firing also
 //! emits an `agcm-obs` instant event and bumps a `comm.fault.*` counter.
@@ -77,6 +85,8 @@ pub enum FaultKind {
     Stall,
     /// The rank panics at this event (fail-stop process fault).
     Crash,
+    /// Every matching message reaches its receiver a fixed time late.
+    Lat,
 }
 
 impl FaultKind {
@@ -89,6 +99,7 @@ impl FaultKind {
             FaultKind::Delay => "delay",
             FaultKind::Stall => "stall",
             FaultKind::Crash => "crash",
+            FaultKind::Lat => "lat",
         }
     }
 
@@ -126,6 +137,8 @@ pub struct FaultRule {
     pub delay_events: u64,
     /// `Stall`: sleep duration in milliseconds.
     pub stall_ms: u64,
+    /// `Lat`: microseconds a matching message arrives late.
+    pub lat_us: u64,
     /// `Corrupt`: fixed bit to flip (0–63); `None` picks a seeded mantissa
     /// bit.
     pub bit: Option<u32>,
@@ -147,8 +160,21 @@ impl FaultRule {
             phase: None,
             delay_events: 2,
             stall_ms: 20,
+            lat_us: 0,
             bit: None,
         }
+    }
+}
+
+impl FaultRule {
+    /// Whether the rule's `rank`/`peer`/`tag`/`user`/`phase` filters admit
+    /// `site`.
+    fn matches(&self, site: &FaultSite) -> bool {
+        self.rank.is_none_or(|r| r == site.rank)
+            && self.peer.is_none_or(|p| p == site.peer)
+            && self.tag.is_none_or(|t| t == site.tag)
+            && (!self.user_only || site.user_tag)
+            && self.phase.is_none_or(|p| p == site.phase)
     }
 }
 
@@ -267,10 +293,12 @@ impl FaultPlan {
                 "delay" => FaultKind::Delay,
                 "stall" => FaultKind::Stall,
                 "crash" => FaultKind::Crash,
+                "lat" => FaultKind::Lat,
                 other => return Err(format!("unknown fault kind '{other}'")),
             };
             let mut rule = FaultRule::new(kind);
-            let mut selective = false;
+            // the latency dial applies to every matching message
+            let mut selective = kind == FaultKind::Lat;
             for kv in args.split(',') {
                 let kv = kv.trim();
                 if kv.is_empty() {
@@ -322,6 +350,7 @@ impl FaultPlan {
                     }
                     "k" => rule.delay_events = parse_u64(v)?.max(1),
                     "ms" => rule.stall_ms = parse_u64(v)?,
+                    "us" => rule.lat_us = parse_u64(v)?,
                     "bit" => {
                         let b = parse_u64(v)? as u32;
                         if b > 63 {
@@ -368,15 +397,11 @@ impl FaultPlan {
     pub fn decide(&self, site: &FaultSite, nth_counts: &mut [u64]) -> Option<FaultAction> {
         debug_assert_eq!(nth_counts.len(), self.rules.len());
         for (i, rule) in self.rules.iter().enumerate() {
-            if rule.kind.sends_only() && !site.is_send {
+            // the latency dial is not a fault: see `recv_latency`
+            if rule.kind == FaultKind::Lat || (rule.kind.sends_only() && !site.is_send) {
                 continue;
             }
-            if rule.rank.is_some_and(|r| r != site.rank)
-                || rule.peer.is_some_and(|p| p != site.peer)
-                || rule.tag.is_some_and(|t| t != site.tag)
-                || (rule.user_only && !site.user_tag)
-                || rule.phase.is_some_and(|p| p != site.phase)
-            {
+            if !rule.matches(site) {
                 continue;
             }
             let fired = if let Some(ev) = rule.event {
@@ -413,9 +438,23 @@ impl FaultPlan {
                 },
                 FaultKind::Stall => FaultAction::Stall { ms: rule.stall_ms },
                 FaultKind::Crash => FaultAction::Crash,
+                FaultKind::Lat => unreachable!("skipped above"),
             });
         }
         None
+    }
+
+    /// How late the message received at `site` arrives: the sum of the
+    /// plan's matching `lat` rules.  A pure function of the plan and the
+    /// site's rank, peer, tag and phase — no clock, no counters, no log.
+    pub fn recv_latency(&self, site: &FaultSite) -> std::time::Duration {
+        let us = self
+            .rules
+            .iter()
+            .filter(|r| r.kind == FaultKind::Lat && !site.is_send && r.matches(site))
+            .map(|r| r.lat_us)
+            .sum();
+        std::time::Duration::from_micros(us)
     }
 }
 
@@ -552,6 +591,39 @@ mod tests {
             p.decide(&site(0, 1, 5, 4, false), &mut c),
             Some(FaultAction::Stall { ms: 1 })
         );
+    }
+
+    #[test]
+    fn lat_delays_every_matching_receive_and_nothing_else() {
+        let p =
+            FaultPlan::parse(1, "lat:us=250,user=1; lat:rank=1,us=50; stall:event=4,ms=1").unwrap();
+        assert_eq!(p.rules[0].kind, FaultKind::Lat);
+        assert_eq!(p.rules[0].lat_us, 250);
+        let us = |site: FaultSite| p.recv_latency(&site).as_micros();
+        // every user-tag receive, on every rank, at every event
+        for event in [0, 4, 1000] {
+            assert_eq!(us(site(0, 1, 5, event, false)), 250);
+        }
+        // rules add up; filters apply
+        assert_eq!(us(site(1, 0, 5, 0, false)), 300);
+        let coll = crate::runtime::COLLECTIVE_TAG_BIT | 3;
+        assert_eq!(us(site(0, 1, coll, 0, false)), 0);
+        assert_eq!(us(site(1, 0, coll, 0, false)), 50);
+        // a message is late at its receiver, never at its sender
+        assert_eq!(us(site(0, 1, 5, 0, true)), 0);
+        // and the dial is invisible to the fault schedule: no action, no
+        // `nth` tick, whichever side asks
+        let mut c = vec![0u64; 3];
+        assert_eq!(p.decide(&site(0, 1, 5, 0, true), &mut c), None);
+        assert_eq!(p.decide(&site(0, 1, 5, 0, false), &mut c), None);
+        assert_eq!(c, [0, 0, 0]);
+        assert_eq!(
+            p.decide(&site(0, 1, 5, 4, false), &mut c),
+            Some(FaultAction::Stall { ms: 1 })
+        );
+        // `us` is the dial's only knob; without it the rule is a no-op
+        assert_eq!(FaultPlan::parse(1, "lat").unwrap().rules[0].lat_us, 0);
+        assert!(FaultPlan::parse(1, "lat:us=x").is_err());
     }
 
     #[test]

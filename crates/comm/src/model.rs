@@ -67,6 +67,32 @@ impl CostModel {
         }
     }
 
+    /// The bench host of `BENCHMARK.json` (a 2-vCPU guest, two ranks over
+    /// Unix-domain sockets), read off the benchmark's own ledger on the
+    /// `small_*_y2_uds` twins — the constants
+    /// `core::analysis::ca_group_size` decides Algorithm 2's halo depth with
+    /// (EXPERIMENTS.md, "The g-ladder", has the runs and what they predict):
+    ///
+    /// * `β = 3.8 ns/B` — `comm.beta_s_per_byte`, the ping-pong ladder fit,
+    /// * `α = 8 µs` a message — what one more message in a posted batch
+    ///   costs: `(core.exchange.post_s_per_step − ½β·bytes) ÷ msgs`, 6–8 µs
+    ///   (the ping-pong's 27 µs `comm.alpha_s` is a round trip's latency,
+    ///   paid once a round, not once a message),
+    /// * `sync = 50 µs` a round — that latency plus the skew two ranks in
+    ///   step arrive with: `(post + wait − α·msgs − β·bytes) ÷ exchanges`,
+    ///   50–80 µs on the blocking schedules,
+    /// * `γ = 36 ns` a point-update — the Algorithm 1 twin's operator time
+    ///   (`A + C + F + L + S`, 1.55 ms a step) over its 42 990 predicted
+    ///   point-update units; the 180×90×30 mesh reads 20 ns, where the
+    ///   choice of depth is not close.
+    pub const BENCH_HOST: CostModel = CostModel {
+        alpha: 8.0e-6,
+        beta: 3.8e-9,
+        gamma: 3.6e-8,
+        sync: 5.0e-5,
+        name: "bench-host",
+    };
+
     /// A latency-heavy commodity cluster (Gigabit-Ethernet-like): stresses
     /// the message-count reduction of the communication-avoiding algorithm.
     pub fn ethernet_cluster() -> Self {

@@ -106,6 +106,7 @@ fn fault_metric_name(kind: FaultKind) -> &'static str {
         FaultKind::Delay => "comm.fault.delay",
         FaultKind::Stall => "comm.fault.stall",
         FaultKind::Crash => "comm.fault.crash",
+        FaultKind::Lat => "comm.fault.lat",
     }
 }
 
@@ -620,6 +621,29 @@ impl Communicator {
     /// held past the end of its send batch would deadlock the peer; the
     /// flush point is fixed by program order, so replay stays exact.
     fn recv_inner(&self, src: usize, tag: u32, frame_words: usize) -> CommResult<Vec<f64>> {
+        let data = self.recv_matched(src, tag, frame_words)?;
+        if let Some(ctx) = &self.fault {
+            // the `lat` dial: the message is here, its receiver is not told
+            // yet.  Spun, not slept — a sleep oversleeps by more than most
+            // settings of the dial
+            let late = ctx.plan.recv_latency(&FaultSite {
+                rank: self.members[self.rank],
+                peer: self.members[src],
+                tag,
+                user_tag: tag & COLLECTIVE_TAG_BIT == 0,
+                event: ctx.event.get(),
+                phase: obs::current_phase(),
+                is_send: false,
+            });
+            let arrived = Instant::now();
+            while arrived.elapsed() < late {
+                std::hint::spin_loop();
+            }
+        }
+        Ok(data)
+    }
+
+    fn recv_matched(&self, src: usize, tag: u32, frame_words: usize) -> CommResult<Vec<f64>> {
         self.check_rank(src)?;
         self.flush_held(0, true);
         let want_src = self.members[src];

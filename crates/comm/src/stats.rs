@@ -153,6 +153,7 @@ impl CommStats {
             Delay => &self.inner.faults_delayed,
             Stall => &self.inner.faults_stalled,
             Crash => &self.inner.faults_crashed,
+            Lat => return, // a dial, not a fault: never fires as one
         };
         ctr.fetch_add(1, Ordering::Relaxed);
     }

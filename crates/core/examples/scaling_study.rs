@@ -7,7 +7,7 @@
 //! ```
 
 use agcm_comm::CostModel;
-use agcm_core::analysis::{ca_group_size, predict_step_mode, AlgKind, CaMode};
+use agcm_core::analysis::{ca_pick, predict_step_mode, AlgKind, CaMode};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
 
@@ -29,13 +29,15 @@ fn main() {
         let px = 16.min(p / 8).max(2);
         let pg_xy = ProcessGrid::xy(px, p / px).unwrap();
         let xy = predict_step_mode(&cfg, AlgKind::OriginalXY, pg_xy, &model, CaMode::Grouped);
+        // Algorithm 2 on the sweep groups this machine would pick
+        let (g, fuse, ga) = ca_pick(&cfg, &pg_yz, &model);
         let runs = [
             ("original X-Y", AlgKind::OriginalXY, pg_xy),
             ("original Y-Z", AlgKind::OriginalYZ, pg_yz),
             ("comm-avoiding", AlgKind::CommAvoiding, pg_yz),
         ];
         for (name, alg, pg) in runs {
-            let c = predict_step_mode(&cfg, alg, pg, &model, CaMode::Grouped);
+            let c = predict_step_mode(&cfg, alg, pg, &model, CaMode::Groups(g, fuse, ga));
             println!(
                 "{p:>6} {name:>16} {:>12.2} {:>12.2} {:>12.2} {:>12.2} {:>7.0}%",
                 c.stencil_comm_s * 1e3,
@@ -45,7 +47,6 @@ fn main() {
                 100.0 * (1.0 - c.total_s() / xy.total_s()),
             );
         }
-        let (g, fuse, ga) = ca_group_size(&cfg, &pg_yz);
         println!(
             "        CA sweep groups at p = {p}: adaptation g = {g} \
              ({} exchanges), advection g = {ga}, smoothing {}",

@@ -10,11 +10,14 @@
 //!    its counts are testable against the runtime's measured statistics at
 //!    small rank counts, and then evaluated at the paper's 128–1024 ranks
 //!    where the α–β–γ model turns them into predicted seconds (Figures 1,
-//!    6, 7, 8).
+//!    6, 7, 8),
+//! 3. the **sweep-group decision** of Algorithm 2 ([`ca_ladder`],
+//!    [`ca_pick`], [`ca_group_size`]): how deep a halo is worth its
+//!    redundant sweeps under a given machine model.
 
 use crate::config::ModelConfig;
-use crate::filterop::build_filter;
-use crate::geometry::{GrowSides, Region};
+use crate::geometry::Region;
+use crate::par::schedule::{self, CSource, FieldShape, StepOp};
 use agcm_comm::CostModel;
 use agcm_mesh::{Decomposition, ExchangePlan, HaloWidths, ProcessGrid};
 
@@ -162,42 +165,38 @@ impl StepCost {
     }
 }
 
-/// exchange volume helper: messages + elems of one exchange for a list of
-/// (is_2d, extents) fields at the given depth
+/// Messages and `f64` elements `rank` sends in one exchange of `fields` at
+/// halo `depth`.
 fn exchange_traffic(
     decomp: &Decomposition,
     rank: usize,
     depth: HaloWidths,
-    fields: &[(bool, (usize, usize, usize))],
+    fields: &[FieldShape],
 ) -> (u64, u64) {
+    let sub = decomp.subdomain(rank).extents();
     let mut msgs = 0u64;
     let mut elems = 0u64;
-    for &(is2d, ext) in fields {
-        let plan = ExchangePlan::with_extents(decomp, rank, depth, ext);
+    for shape in fields {
+        let plan = ExchangePlan::with_extents(decomp, rank, depth, shape.extents(sub));
         for spec in plan.specs() {
-            if is2d && spec.link.offset.2 != 0 {
+            if shape.is_2d() && spec.link.offset.2 != 0 {
                 continue;
             }
-            let send = if is2d {
-                let l = |r: &std::ops::Range<isize>| (r.end - r.start).max(0) as u64;
-                l(&spec.send.x) * l(&spec.send.y)
-            } else {
-                spec.send.len() as u64
-            };
             msgs += 1;
-            elems += send;
+            elems += spec.send.len() as u64;
         }
     }
     (msgs, elems)
 }
 
-/// Per-global-row "is filtered" flags (computed once per prediction).
-fn active_flags(cfg: &ModelConfig) -> Vec<bool> {
+/// Per-global-row "is filtered" flags: the rows poleward of the cutoff,
+/// exactly the rows the models' polar-filter profiles damp.
+pub fn active_flags(cfg: &ModelConfig) -> Vec<bool> {
     let grid = cfg.grid().expect("valid config");
-    let lats: Vec<f64> = (0..grid.ny()).map(|j| grid.latitude(j)).collect();
-    let filter = agcm_fft::FourierFilter::new(grid.nx(), &lats, cfg.filter_cutoff_deg.to_radians());
-    let _ = build_filter; // the models use the same profiles
-    (0..grid.ny()).map(|j| filter.is_active(j)).collect()
+    let cutoff = cfg.filter_cutoff_deg.to_radians();
+    (0..grid.ny())
+        .map(|j| grid.latitude(j).abs() >= cutoff)
+        .collect()
 }
 
 fn active_rows(flags: &[bool], y0: usize, y1: usize) -> usize {
@@ -207,47 +206,79 @@ fn active_rows(flags: &[bool], y0: usize, y1: usize) -> usize {
         .count()
 }
 
-/// The communication-avoiding sweep-group size: how many stencil sweeps one
-/// exchange feeds.  The paper's Algorithm 2 uses `g = 3M` (one exchange for
-/// the whole adaptation process), which requires every block to hold the
-/// `3M(+2)`-deep halo; when blocks are smaller (large `p` on the paper's
-/// mesh), the depth clamps and the exchange frequency rises — still below
-/// the original algorithm's per-sweep exchanges.
+/// The feasible communication-avoiding sweep groups `(g, fuse, g_a)` on
+/// `pgrid`, shallowest first: `g` adaptation sweeps per exchange, whether
+/// the smoothing's two extra rows ride the step's first exchange, and `g_a`
+/// advection sweeps per exchange.
 ///
-/// Valid group sizes are **iteration-aligned** (`3M, 3(M−1), …, 3`) or `1`:
-/// a group boundary inside a nonlinear iteration would invalidate the
-/// iteration's base state `ψ^{i−1}` on the dilated sweep regions, whereas
-/// iteration boundaries (and the degenerate interior-only `g = 1`) keep
-/// every read covered.  The executable `par::alg2::CaModel` uses exactly
-/// this schedule.  Returns `(g_adapt, fused_smoothing, g_advect)`.
-pub fn ca_group_size(cfg: &ModelConfig, pgrid: &ProcessGrid) -> (usize, bool, usize) {
+/// Rungs are **iteration-aligned** (`g = 3, 6, …, 3M`) or `g = 1`: a group
+/// boundary inside a nonlinear iteration would invalidate the iteration's
+/// base state `ψ^{i−1}` on the dilated sweep regions, whereas iteration
+/// boundaries (and the interior-only `g = 1`) keep every read covered.  A
+/// rung is feasible when its halo fits the smallest block a single-hop
+/// exchange can ship; the top rung is the paper's `g = 3M` wherever that
+/// fits, and `verify::dataflow` rejects the next one up.
+pub fn ca_ladder(cfg: &ModelConfig, pgrid: &ProcessGrid) -> Vec<(usize, bool, usize)> {
     let (_, py, pz) = pgrid.dims();
-    let m = cfg.m_iters;
     let by = if py > 1 { cfg.ny / py } else { usize::MAX };
     let bz = if pz > 1 { cfg.nz / pz } else { usize::MAX };
-    let fits = |g: usize, fuse: bool| g <= bz && g + if fuse { 2 } else { 0 } <= by;
-    for k in (1..=m).rev() {
-        let g = 3 * k;
-        if fits(g, true) {
-            return (g, true, 3.min(by).min(bz).max(1));
-        }
-        if fits(g, false) {
-            return (g, false, 3.min(by).min(bz).max(1));
-        }
-    }
-    let fuse1 = fits(1, true);
-    (1, fuse1, 3.min(by).min(bz).max(1))
+    let ga = 3.min(by).min(bz).max(1);
+    let groups = (1..=cfg.m_iters)
+        .map(|k| 3 * k)
+        .filter(|&g| g <= by.min(bz));
+    std::iter::once(1)
+        .chain(groups)
+        .map(|g| (g, g + 2 <= by, ga))
+        .collect()
 }
 
-/// Predict one time step of `alg` on `pgrid` under the machine `model`.
-///
-/// The schedule mirrors `par::alg1` / `par::alg2` exactly — the same
-/// exchange depths, field lists, collective shapes and sweep regions — and
-/// generalizes the CA schedule to clamped sweep groups (see
-/// [`ca_group_size`]) so large-`p` decompositions whose blocks cannot hold
-/// the full `3M`-deep halo remain predictable.  Tests assert the
-/// message/element counts against measured runtime statistics in the
-/// full-depth regime.
+/// The rung of [`ca_ladder`] with the least predicted step time under
+/// `model`, on the rank with the most neighbours (ties go to the deeper
+/// rung): redundant halo sweeps at `γ` a point-update against `sync + α` an
+/// exchange round and `β` a byte, as [`predict_rank_mode`] counts them.
+/// The `tianhe2` preset, 2.2 ms of skew a round, picks the deepest rung at
+/// every rank count the paper ran (and the full `g = 3M` where a rank's
+/// redundant rows are cheap against a round); a host whose rounds cost tens
+/// of microseconds picks a shallower one.
+pub fn ca_pick(cfg: &ModelConfig, pgrid: &ProcessGrid, model: &CostModel) -> (usize, bool, usize) {
+    let ladder = ca_ladder(cfg, pgrid);
+    let top = ladder[ladder.len() - 1];
+    let Ok(decomp) = Decomposition::new(cfg.extents(), *pgrid) else {
+        return top; // the model constructor reports the bad grid
+    };
+    let flags = active_flags(cfg);
+    let (_, py, pz) = pgrid.dims();
+    let rank = pgrid.rank(0, py / 2, pz / 2);
+    let cost = |&(g, fuse, ga): &(usize, bool, usize)| {
+        let mode = CaMode::Groups(g, fuse, ga);
+        predict_rank_mode(
+            cfg,
+            AlgKind::CommAvoiding,
+            &decomp,
+            rank,
+            model,
+            &flags,
+            mode,
+        )
+        .total_s()
+    };
+    // deepest first: `min_by` keeps the first of equal minima
+    let best = ladder.iter().rev().map(|r| (cost(r), *r));
+    best.min_by(|a, b| a.0.total_cmp(&b.0))
+        .map_or(top, |(_, r)| r)
+}
+
+/// The sweep groups `(g, fuse, g_a)` Algorithm 2 runs with on `pgrid`:
+/// [`ca_pick`] under the measured constants of the bench host
+/// ([`CostModel::BENCH_HOST`]).  A pure function of its arguments and the
+/// single source for `par::alg2::CaModel::new`, the static schedule
+/// ([`CaMode::Grouped`]) and `agcm-verify`, so none of them can drift.
+pub fn ca_group_size(cfg: &ModelConfig, pgrid: &ProcessGrid) -> (usize, bool, usize) {
+    ca_pick(cfg, pgrid, &CostModel::BENCH_HOST)
+}
+
+/// Predict one time step of `alg` on `pgrid` under the machine `model`,
+/// Algorithm 2 at the sweep groups it executes with ([`CaMode::Grouped`]).
 pub fn predict_step(
     cfg: &ModelConfig,
     alg: AlgKind,
@@ -257,21 +288,38 @@ pub fn predict_step(
     predict_step_mode(cfg, alg, pgrid, model, CaMode::Grouped)
 }
 
-/// How the CA deep-halo schedule is costed when blocks are smaller than the
-/// `3M`-deep halo.
+/// Which sweep groups an Algorithm 2 schedule or prediction is built for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaMode {
-    /// Clamp the halo depth to the block and exchange every `g` sweeps —
-    /// what an executable implementation must do ([`ca_group_size`]).
+    /// What `CaModel::new` executes: the rung [`ca_group_size`] picks.
     Grouped,
-    /// The paper's idealized accounting: always 2 exchanges of full
-    /// `3M(+2)`-deep halos, with volumes computed geometrically even where
-    /// the halo would span several neighbour blocks.  On the paper's own
-    /// 720x360x30 mesh the full depth does not fit any feasible Y-Z block
-    /// for p ≥ 128 with M = 3, so the paper's reported per-step frequency
-    /// of 2 is reproducible only under this accounting (see
-    /// EXPERIMENTS.md).
+    /// The paper's accounting: always 2 exchanges of full `3M(+2)`-deep
+    /// halos, with volumes computed geometrically even where the halo would
+    /// span several neighbour blocks.  On the paper's own 720x360x30 mesh
+    /// the full depth does not fit any feasible Y-Z block for p ≥ 128 with
+    /// M = 3, so the paper's reported per-step frequency of 2 is
+    /// reproducible only under this accounting (see EXPERIMENTS.md).
     PaperIdeal,
+    /// Explicit `(g, fuse, g_a)`: a rung of [`ca_ladder`], or a what-if.
+    Groups(usize, bool, usize),
+}
+
+impl CaMode {
+    /// The `(g, fuse, g_a)` this mode stands for on `pgrid`.
+    pub fn groups(self, cfg: &ModelConfig, pgrid: &ProcessGrid) -> (usize, bool, usize) {
+        match self {
+            CaMode::Grouped => ca_group_size(cfg, pgrid),
+            CaMode::PaperIdeal => (3 * cfg.m_iters, true, 3),
+            CaMode::Groups(g, fuse, ga) => (g, fuse, ga),
+        }
+    }
+
+    /// The same groups, spelled out — for callers that cost many ranks and
+    /// should run the pick behind [`CaMode::Grouped`] once.
+    pub fn resolved(self, cfg: &ModelConfig, pgrid: &ProcessGrid) -> CaMode {
+        let (g, fuse, ga) = self.groups(cfg, pgrid);
+        CaMode::Groups(g, fuse, ga)
+    }
 }
 
 /// [`predict_step`] with an explicit CA costing mode.
@@ -284,10 +332,13 @@ pub fn predict_step_mode(
 ) -> StepCost {
     let decomp = Decomposition::new(cfg.extents(), pgrid).expect("valid decomposition");
     let flags = active_flags(cfg);
-    let p = pgrid.size();
+    let mode = match alg {
+        AlgKind::CommAvoiding => mode.resolved(cfg, &pgrid),
+        _ => mode,
+    };
     let mut agg = StepCost::default();
     let mut best_total = -1.0f64;
-    for rank in 0..p {
+    for rank in 0..pgrid.size() {
         let rc = predict_rank_mode(cfg, alg, &decomp, rank, model, &flags, mode);
         agg.stencil_comm_s = agg.stencil_comm_s.max(rc.stencil_comm_s);
         agg.collective_comm_s = agg.collective_comm_s.max(rc.collective_comm_s);
@@ -301,8 +352,8 @@ pub fn predict_step_mode(
 }
 
 /// Predicted cost of one specific rank (exposed for count-validation
-/// tests).  `flags` are the per-global-row filter-active flags from the
-/// model's polar-filter profiles.
+/// tests).  `flags` are the per-global-row filter-active flags
+/// ([`active_flags`]).
 pub fn predict_rank(
     cfg: &ModelConfig,
     alg: AlgKind,
@@ -315,6 +366,12 @@ pub fn predict_rank(
 }
 
 /// [`predict_rank`] with an explicit CA costing mode.
+///
+/// Walks the step schedule `par::schedule` emits for the integrators —
+/// every exchange at its depth and field list, every sweep on its dilated
+/// region — so the counts are those of the executing models (tests assert
+/// them against measured runtime statistics) and a rung of the ladder
+/// differs from another only through the schedule it generates.
 #[allow(clippy::too_many_arguments)]
 pub fn predict_rank_mode(
     cfg: &ModelConfig,
@@ -325,225 +382,93 @@ pub fn predict_rank_mode(
     flags: &[bool],
     mode: CaMode,
 ) -> RankCost {
-    let m = cfg.m_iters;
+    let pgrid = decomp.process_grid();
     let sub = decomp.subdomain(rank);
     let (nxl, nyl, nzl) = sub.extents();
-    let n_local = (nxl * nyl * nzl) as f64;
-    let (px, _py, pz) = decomp.process_grid().dims();
-    let f3 = (nxl, nyl, nzl);
-    let f3i = (nxl, nyl, nzl + 1); // interface field (g_w)
-    let f2 = (nxl, nyl, 1);
-    let gamma = model.gamma;
-    let mut rc = RankCost::default();
-
-    // active filtered rows of this rank (each filtered at every level for
-    // U, V, Phi + once for p'_sa per filter application)
-    let act = active_rows(flags, sub.y.start, sub.y.end) as f64;
-    let fft_work = |rows: f64| rows * nxl as f64 * W_FFT * (cfg.nx as f64).log2();
-    let filter_rows_per_apply = act * (3.0 * nzl as f64 + 1.0);
-
-    match alg {
-        AlgKind::OriginalXY | AlgKind::OriginalYZ => {
-            let depth_sweep = crate::par::schedule::depth_sweep();
-            let depth_smooth = crate::par::schedule::depth_smooth();
-            let state4 = [(false, f3), (false, f3), (false, f3), (true, f2)];
-            let adv5 = [
-                (false, f3),
-                (false, f3),
-                (false, f3),
-                (true, f2),
-                (false, f3i),
-            ];
-            // 3M adaptation + 2 advection + 1 smoothing exchanges of xi,
-            // 1 advection exchange that also carries g_w
-            let (em, ee) = exchange_traffic(decomp, rank, depth_sweep, &state4);
-            let (am, ae) = exchange_traffic(decomp, rank, depth_sweep, &adv5);
-            let (sm, se) = exchange_traffic(decomp, rank, depth_smooth, &state4);
-            rc.p2p_msgs = (3 * m as u64 + 2) * em + am + sm;
-            rc.p2p_elems = (3 * m as u64 + 2) * ee + ae + se;
-            // 3M + 4 communication rounds, each paying the sync skew
-            rc.stencil_comm_s = (3.0 * m as f64 + 2.0) * model.exchange_round(em, ee)
-                + model.exchange_round(am, ae)
-                + model.exchange_round(sm, se);
-
-            // collectives: 3M allgathers for C (Y-Z), 2(3M+3) filter
-            // transposes (X-Y)
-            if pz > 1 {
-                let elems = nxl * (2 * nyl + 2);
-                rc.collective_calls += 3 * m as u64;
-                rc.collective_comm_s += 3.0 * m as f64 * model.allgather_ring(pz, elems);
-            }
-            if px > 1 {
-                let applies = 3 * m as u64 + 3;
-                rc.collective_calls += 2 * applies;
-                let fwd = filter_rows_per_apply * nxl as f64;
-                let n_mine = filter_rows_per_apply / px as f64;
-                let back = n_mine * cfg.nx as f64;
-                rc.collective_comm_s += applies as f64
-                    * (model.alltoall_pairwise(px, fwd as usize)
-                        + model.alltoall_pairwise(px, back as usize));
-            }
-
-            // compute: (3M adaptation + 3 advection) sweeps + smoothing +
-            // filter + C column work
-            rc.compute_s = gamma
-                * (3.0 * m as f64 * n_local * (W_ADAPT + W_C)
-                    + 3.0 * n_local * W_ADVECT
-                    + n_local * W_SMOOTH
-                    + (3.0 * m as f64 + 3.0) * fft_work(filter_rows_per_apply));
-        }
+    let (px, _, pz) = pgrid.dims();
+    let ops = match alg {
         AlgKind::CommAvoiding => {
-            let total = 3 * m;
-            let (g, fuse, ga) = match mode {
-                CaMode::Grouped => ca_group_size(cfg, decomp.process_grid()),
-                CaMode::PaperIdeal => (total, true, 3),
-            };
-            let ca = crate::par::schedule::ca_depths(g, fuse, ga);
-            let (deep, group, sweep1, shallow) = (ca.deep, ca.group, ca.sweep, ca.shallow);
-            let deep7 = [
-                (false, f3),
-                (false, f3),
-                (false, f3),
-                (true, f2),
-                (true, f2),
-                (false, f3i),
-                (false, f3),
-            ];
-            let state4 = [(false, f3), (false, f3), (false, f3), (true, f2)];
-            let adv5 = [
-                (false, f3),
-                (false, f3),
-                (false, f3),
-                (true, f2),
-                (false, f3i),
-            ];
-            // exchange schedule mirroring par::alg2: before sweep s an
-            // exchange happens iff (s-1) % g == 0; the step's first carries
-            // the cached-C trio at deep depth, later iteration starts carry
-            // it at group depth, and (g = 1 only) mid-iteration refreshes
-            // carry just the evaluation state
-            let (dm, de) = exchange_traffic(decomp, rank, deep, &deep7);
-            let (gm, ge) = exchange_traffic(decomp, rank, group, &deep7);
-            let (wm, we) = exchange_traffic(decomp, rank, sweep1, &state4);
-            let (am, ae) = exchange_traffic(decomp, rank, shallow, &adv5);
-            let mut msgs = 0u64;
-            let mut elems = 0u64;
-            let mut stencil_s = 0.0;
-            // overlap credit: the first deep exchange hides behind the
-            // former smoothing of D1 (when fused)
-            let d1_work = if fuse {
-                gamma * W_SMOOTH * ((nyl.saturating_sub(4)) * nzl * nxl) as f64
-            } else {
-                0.0
-            };
-            for s in 1..=total {
-                if (s - 1) % g != 0 {
-                    continue;
-                }
-                if s == 1 {
-                    msgs += dm;
-                    elems += de;
-                    stencil_s += (model.exchange_round(dm, de) - d1_work).max(0.0);
-                } else if (s - 1) % 3 == 0 {
-                    msgs += gm;
-                    elems += ge;
-                    stencil_s += model.exchange_round(gm, ge);
-                } else {
-                    // g == 1: mid-iteration refresh of the evaluation state
-                    msgs += wm;
-                    elems += we;
-                    stencil_s += model.exchange_round(wm, we);
-                }
-            }
-            // advection exchanges; the first overlaps the inner sweep
-            let inner_work =
-                gamma * W_ADVECT * ((nyl.saturating_sub(2)) * nzl.saturating_sub(2) * nxl) as f64;
-            for s in 1..=3usize {
-                if (s - 1) % ga != 0 {
-                    continue;
-                }
-                msgs += am;
-                elems += ae;
-                let t = model.exchange_round(am, ae);
-                stencil_s += if s == 1 { (t - inner_work).max(0.0) } else { t };
-            }
-            // separate smoothing exchange when fusion does not fit
-            if !fuse {
-                let depth_smooth = HaloWidths {
-                    xm: 2,
-                    xp: 2,
-                    ym: 2.min(nyl),
-                    yp: 2.min(nyl),
-                    zm: 0,
-                    zp: 0,
-                };
-                let (sm, se) = exchange_traffic(decomp, rank, depth_smooth, &state4);
-                msgs += sm;
-                elems += se;
-                stencil_s += model.exchange_round(sm, se);
-            }
-            rc.p2p_msgs = msgs;
-            rc.p2p_elems = elems;
-            rc.stencil_comm_s = stencil_s;
-
-            // sweep regions: validity counts down within each group (the
-            // full-depth case g = 3M reproduces Algorithm 2's dil(3M - s))
-            let grow = GrowSides {
-                north: !sub.at_north(),
-                south: !sub.at_south(cfg.ny),
-                top: !sub.at_top(),
-                bottom: !sub.at_surface(cfg.nz),
-            };
-            let interior = Region::interior(nyl, nzl);
-            let dil = |d: isize| interior.dilate(d, d, nyl, nzl, deep, grow);
-            let mut adapt_points = 0.0;
-            let mut coll_s = 0.0;
-            let mut coll_calls = 0u64;
-            let mut filt_rows = 0.0;
-            for s in 1..=total {
-                let valid = g - (s - 1) % g;
-                let region = dil(valid as isize - 1);
-                adapt_points += region.area() as f64 * nxl as f64;
-                let y0 = (sub.y.start as isize + region.y0).max(0) as usize;
-                let y1 = ((sub.y.start as isize + region.y1).max(0) as usize).min(cfg.ny);
-                filt_rows += active_rows(flags, y0, y1) as f64
-                    * ((region.z1 - region.z0) as f64 * 3.0 + 1.0);
-                let fresh = s % 3 != 1; // sub-updates 2 and 3 run C fresh
-                if fresh && pz > 1 {
-                    let wy = (region.y1 - region.y0) as usize;
-                    let elems = nxl * (2 * wy + 2);
-                    coll_calls += 1;
-                    coll_s += model.allgather_ring(pz, elems);
-                }
-            }
-            rc.collective_calls = coll_calls;
-            rc.collective_comm_s = coll_s;
-
-            // advection sweeps with their own validity countdown
-            let dila = |d: isize| interior.dilate(d, d, nyl, nzl, shallow, grow);
-            let mut adv_points = 0.0;
-            for s in 1..=3usize {
-                let valid = ga - (s - 1) % ga;
-                let region = dila(valid as isize - 1);
-                adv_points += region.area() as f64 * nxl as f64;
-                let y0 = (sub.y.start as isize + region.y0).max(0) as usize;
-                let y1 = ((sub.y.start as isize + region.y1).max(0) as usize).min(cfg.ny);
-                filt_rows += active_rows(flags, y0, y1) as f64
-                    * ((region.z1 - region.z0) as f64 * 3.0 + 1.0);
-            }
-            // smoothing on interior + g halo (redundant halo smoothing)
-            let smooth_points = if fuse {
-                dil(g as isize).area() as f64 * nxl as f64
-            } else {
-                n_local
-            };
-            rc.compute_s = gamma
-                * (adapt_points * (W_ADAPT + W_C)
-                    + adv_points * W_ADVECT
-                    + smooth_points * W_SMOOTH
-                    + fft_work(filt_rows));
+            let (g, fuse, ga) = mode.groups(cfg, pgrid);
+            schedule::alg2_step_for(cfg, pgrid, g, fuse, ga)
         }
+        _ => schedule::alg1_step(cfg, pgrid),
+    };
+    // a sweep region: the interior grown (negative: shrunk) by `dy` rows and
+    // `dz` levels on the sides that face a neighbour — redundant halo work
+    let region = |dy: isize, dz: isize| Region {
+        y0: if sub.at_north() { 0 } else { -dy },
+        y1: nyl as isize + if sub.at_south(cfg.ny) { 0 } else { dy },
+        z0: if sub.at_top() { 0 } else { -dz },
+        z1: nzl as isize + if sub.at_surface(cfg.nz) { 0 } else { dz },
+    };
+    let points = |r: Region| (r.area() * nxl) as f64;
+    // filtered circles of a region: U, V, Φ at every level + p'_sa
+    let circles = |r: Region| {
+        let y0 = (sub.y.start as isize + r.y0).max(0) as usize;
+        let y1 = (sub.y.start as isize + r.y1).max(0) as usize;
+        active_rows(flags, y0, y1) as f64 * ((r.z1 - r.z0) as f64 * 3.0 + 1.0)
+    };
+    let mut rc = RankCost::default();
+    let mut work = 0.0; // point-update units
+    let mut open: Option<f64> = None; // an overlapped exchange in flight
+    for op in &ops {
+        let c = match op {
+            StepOp::Exchange(ex) => {
+                let (msgs, elems) = exchange_traffic(decomp, rank, ex.depth, ex.fields);
+                rc.p2p_msgs += msgs;
+                rc.p2p_elems += elems;
+                let t = model.exchange_round(msgs, elems);
+                if ex.overlapped {
+                    open = Some(t);
+                } else {
+                    rc.stencil_comm_s += t;
+                }
+                continue;
+            }
+            StepOp::Compute(c) => c,
+            // billed with the kernel that consumes them, below
+            StepOp::ZAllgather | StepOp::FilterTranspose => continue,
+        };
+        let d = c.dilate as isize;
+        let r = region(d, d);
+        // (units of this kernel, units of it that run while an overlapped
+        // exchange is in flight, §4.3.1)
+        let (units, hidden) = match c.op {
+            "adaptation.fused" => {
+                if c.c == CSource::Fresh && pz > 1 {
+                    let elems = nxl * (2 * (r.y1 - r.y0) as usize + 2);
+                    rc.collective_calls += 1;
+                    rc.collective_comm_s += model.allgather_ring(pz, elems);
+                }
+                (points(r) * (W_ADAPT + W_C), 0.0)
+            }
+            "advection.fused" => (points(r) * W_ADVECT, points(region(-1, -1)) * W_ADVECT),
+            "filter" => {
+                let rows = circles(r);
+                if px > 1 {
+                    // forward and inverse transpose of the distributed filter
+                    let (fwd, back) = (rows * nxl as f64, rows / px as f64 * cfg.nx as f64);
+                    rc.collective_calls += 2;
+                    rc.collective_comm_s += model.alltoall_pairwise(px, fwd as usize)
+                        + model.alltoall_pairwise(px, back as usize);
+                }
+                (rows * nxl as f64 * W_FFT * (cfg.nx as f64).log2(), 0.0)
+            }
+            // former smoothing: rows whose ±2 stencil stays inside the block
+            "smooth.s1" => {
+                let w = points(region(d, 0)) * W_SMOOTH;
+                (w, w)
+            }
+            // later smoothing: the edge rows and, redundantly, the halo frame
+            "smooth.s2" => ((points(r) - points(region(-2, 0))) * W_SMOOTH, 0.0),
+            other => unreachable!("unknown schedule kernel {other}"),
+        };
+        if let Some(t) = open.take() {
+            rc.stencil_comm_s += (t - model.gamma * hidden).max(0.0);
+        }
+        work += units;
     }
+    rc.compute_s = model.gamma * work;
     rc
 }
 
@@ -589,17 +514,17 @@ pub fn scaling_chart(
     grid: impl Fn(usize, AlgKind) -> ProcessGrid,
     model: &CostModel,
 ) -> Vec<ScalingPoint> {
+    let total = |alg, pg, mode| predict_step_mode(cfg, alg, pg, model, mode).total_s();
     ps.iter()
-        .map(|&p| ScalingPoint {
-            p,
-            baseline_s: predict_step(cfg, baseline, grid(p, baseline), model).total_s(),
-            ca_s: predict_step(
-                cfg,
-                AlgKind::CommAvoiding,
-                grid(p, AlgKind::CommAvoiding),
-                model,
-            )
-            .total_s(),
+        .map(|&p| {
+            // the CA line runs the rung this machine would pick
+            let ca_grid = grid(p, AlgKind::CommAvoiding);
+            let (g, fuse, ga) = ca_pick(cfg, &ca_grid, model);
+            ScalingPoint {
+                p,
+                baseline_s: total(baseline, grid(p, baseline), CaMode::Grouped),
+                ca_s: total(AlgKind::CommAvoiding, ca_grid, CaMode::Groups(g, fuse, ga)),
+            }
         })
         .collect()
 }
@@ -680,17 +605,19 @@ mod tests {
         );
     }
 
+    /// CA at the rung `model` picks for `pgrid`.
+    fn predict_ca(cfg: &ModelConfig, pgrid: ProcessGrid, model: &CostModel) -> StepCost {
+        let (g, fuse, ga) = ca_pick(cfg, &pgrid, model);
+        let mode = CaMode::Groups(g, fuse, ga);
+        predict_step_mode(cfg, AlgKind::CommAvoiding, pgrid, model, mode)
+    }
+
     #[test]
     fn predicted_ordering_at_paper_scale() {
         // Figure 8's ordering: CA < YZ < XY in total step time at p = 512
         let cfg = paper_cfg();
         let model = CostModel::tianhe2();
-        let ca = predict_step(
-            &cfg,
-            AlgKind::CommAvoiding,
-            ProcessGrid::yz(64, 8).unwrap(),
-            &model,
-        );
+        let ca = predict_ca(&cfg, ProcessGrid::yz(64, 8).unwrap(), &model);
         let yz = predict_step(
             &cfg,
             AlgKind::OriginalYZ,
@@ -728,20 +655,68 @@ mod tests {
     fn predictions_scale_down_with_more_ranks() {
         let cfg = paper_cfg();
         let model = CostModel::tianhe2();
-        let t256 = predict_step(
-            &cfg,
-            AlgKind::CommAvoiding,
-            ProcessGrid::yz(32, 8).unwrap(),
-            &model,
-        );
-        let t1024 = predict_step(
-            &cfg,
-            AlgKind::CommAvoiding,
-            ProcessGrid::yz(128, 8).unwrap(),
-            &model,
-        );
+        let t256 = predict_ca(&cfg, ProcessGrid::yz(32, 8).unwrap(), &model);
+        let t1024 = predict_ca(&cfg, ProcessGrid::yz(128, 8).unwrap(), &model);
         assert!(t1024.compute_s < t256.compute_s);
         assert!(t1024.total_s() < t256.total_s());
+    }
+
+    #[test]
+    fn ladder_is_iteration_aligned_and_tops_out_at_the_block() {
+        let cfg = paper_cfg(); // 720 x 360 x 30, M = 3
+        let yz = |py, pz| ProcessGrid::yz(py, pz).unwrap();
+        // 180-row blocks hold every rung; each fuses the smoothing
+        assert_eq!(
+            ca_ladder(&cfg, &yz(2, 1)),
+            [(1, true, 3), (3, true, 3), (6, true, 3), (9, true, 3)]
+        );
+        // 30 / 8 = 3 levels a block: nothing above g = 3 fits
+        assert_eq!(ca_ladder(&cfg, &yz(16, 8)), [(1, true, 3), (3, true, 3)]);
+        // 2-row blocks: g = 1, and the smoothing keeps its own exchange
+        assert_eq!(ca_ladder(&cfg, &yz(180, 1)), [(1, false, 2)]);
+        assert_eq!(ca_ladder(&cfg, &ProcessGrid::serial()).len(), 4);
+    }
+
+    #[test]
+    fn the_pick_is_a_rung_and_follows_the_machine() {
+        let paper = paper_cfg();
+        let small = ModelConfig {
+            ny: 24,
+            ..ModelConfig::test_medium()
+        };
+        let yz = |py, pz| ProcessGrid::yz(py, pz).unwrap();
+        let top = |cfg: &ModelConfig, pg: &ProcessGrid| *ca_ladder(cfg, pg).last().unwrap();
+        for (cfg, pg) in [
+            (&paper, yz(2, 1)),
+            (&paper, yz(16, 8)),
+            (&paper, yz(128, 8)),
+            (&paper, yz(180, 1)),
+            (&small, yz(2, 1)),
+            (&small, yz(4, 1)),
+            (&small, ProcessGrid::serial()),
+        ] {
+            let ladder = ca_ladder(cfg, &pg);
+            assert!(ladder.contains(&ca_group_size(cfg, &pg)), "{pg:?}");
+            assert!(ladder.contains(&ca_pick(cfg, &pg, &CostModel::tianhe2())));
+            // a free network buys no redundant sweep (one rank has none)
+            let ideal = ca_pick(cfg, &pg, &CostModel::ideal_network());
+            let want = if pg.size() == 1 { top(cfg, &pg).0 } else { 1 };
+            assert_eq!(ideal.0, want, "{pg:?}");
+        }
+        // 2.2 ms of skew a round: the paper's machine takes the deepest halo
+        // that fits at every rank count the paper ran (z blocks of 3 levels
+        // cap it at g = 3), and the full 3M where a rank's redundant rows
+        // are cheap against a round — not at p = 2 on its own mesh, where
+        // 27 more row-sweeps of a 720 x 30 slab cost two rounds twice over
+        let tianhe2 = CostModel::tianhe2();
+        for pg in [yz(16, 8), yz(32, 8), yz(64, 8), yz(128, 8)] {
+            assert_eq!(ca_pick(&paper, &pg, &tianhe2), top(&paper, &pg), "{pg:?}");
+        }
+        assert_eq!(ca_pick(&small, &yz(2, 1), &tianhe2), (9, true, 3));
+        assert_eq!(ca_pick(&paper, &yz(2, 1), &tianhe2), (3, true, 3));
+        // the bench host: rounds cost tens of microseconds, and a shallow
+        // group is worth its few redundant rows on the L2-resident mesh
+        assert_eq!(ca_group_size(&small, &yz(2, 1)), (3, true, 3));
     }
 
     #[test]

@@ -262,9 +262,44 @@ impl Engine {
     ) -> CommResult<()> {
         let sweep_span = obs::span_phase(obs::SpanKind::Op, obs::Phase::L, "advection.fused");
         self.fill(arg);
+        self.advection_on(sweep_span, base, arg, out, tend, region, dt, form, fctx)
+    }
+
+    /// [`Self::advection_subupdate`] on one part of a sweep that is split
+    /// across an exchange (§4.3.1): `arg`'s boundaries are already filled —
+    /// once for the part swept while the messages fly, once after they land
+    /// — so the parts of a sweep share a fill instead of repeating it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn advection_part(
+        &mut self,
+        base: Option<&State>,
+        arg: &State,
+        out: &mut State,
+        tend: &mut State,
+        region: Region,
+        dt: f64,
+        form: Combine,
+        fctx: &FilterCtx<'_>,
+    ) -> CommResult<()> {
+        let sweep_span = obs::span_phase(obs::SpanKind::Op, obs::Phase::L, "advection.fused");
+        self.advection_on(sweep_span, base, arg, out, tend, region, dt, form, fctx)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn advection_on(
+        &mut self,
+        sweep_span: obs::Span,
+        base: Option<&State>,
+        arg: &State,
+        out: &mut State,
+        tend: &mut State,
+        region: Region,
+        dt: f64,
+        form: Combine,
+        fctx: &FilterCtx<'_>,
+    ) -> CommResult<()> {
         self.diag
             .update_surface(&self.geom, &self.stdatm, arg, region.y0 - 1, region.y1 + 1);
-        let arg = &*arg;
         let upd = Update {
             base: base.unwrap_or(arg),
             dt,

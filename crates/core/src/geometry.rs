@@ -75,13 +75,17 @@ impl Region {
         Region { y0, y1, z0, z1 }
     }
 
-    /// Shrink the region by `dy`/`dz` on every side, never past empty.
-    pub fn shrink(&self, dy: isize, dz: isize) -> Region {
+    /// Shrink the region by `dy` rows / `dz` levels on the sides of `grow`
+    /// — the sides whose halo an exchange in flight has yet to fill; a side
+    /// on a pole, the model top or the surface reads boundary-filled rows
+    /// and keeps its edge — never past empty.
+    pub fn shrink(&self, dy: isize, dz: isize, grow: GrowSides) -> Region {
+        let by = |on: bool, d: isize| if on { d } else { 0 };
         let mut r = Region {
-            y0: self.y0 + dy,
-            y1: self.y1 - dy,
-            z0: self.z0 + dz,
-            z1: self.z1 - dz,
+            y0: self.y0 + by(grow.north, dy),
+            y1: self.y1 - by(grow.south, dy),
+            z0: self.z0 + by(grow.top, dz),
+            z1: self.z1 - by(grow.bottom, dz),
         };
         if r.y0 > r.y1 {
             let m = (self.y0 + self.y1) / 2;
@@ -114,46 +118,21 @@ impl Region {
 
 /// Decompose `outer \ inner` into at most four disjoint rectangles (north /
 /// south full-width strips, then top / bottom strips of the remaining
-/// middle band).  `inner` must be contained in `outer`.  Used by the
-/// overlap scheme: the *inner* part computes while messages fly; the frame
-/// strips are swept after the halos arrive (§4.3.1).
-pub fn frame(outer: &Region, inner: &Region) -> Vec<Region> {
+/// middle band), empty ones skipped.  `inner` must be contained in `outer`.
+/// Used by the overlap scheme: the *inner* part computes while messages
+/// fly; the frame strips are swept after the halos arrive (§4.3.1).
+pub fn frame(outer: &Region, inner: &Region) -> impl Iterator<Item = Region> {
     debug_assert!(outer.contains(inner));
-    let mut out = Vec::with_capacity(4);
-    if inner.y0 > outer.y0 {
-        out.push(Region {
-            y0: outer.y0,
-            y1: inner.y0,
-            z0: outer.z0,
-            z1: outer.z1,
-        });
-    }
-    if inner.y1 < outer.y1 {
-        out.push(Region {
-            y0: inner.y1,
-            y1: outer.y1,
-            z0: outer.z0,
-            z1: outer.z1,
-        });
-    }
-    if inner.z0 > outer.z0 {
-        out.push(Region {
-            y0: inner.y0,
-            y1: inner.y1,
-            z0: outer.z0,
-            z1: inner.z0,
-        });
-    }
-    if inner.z1 < outer.z1 {
-        out.push(Region {
-            y0: inner.y0,
-            y1: inner.y1,
-            z0: inner.z1,
-            z1: outer.z1,
-        });
-    }
-    out.retain(|r| !r.is_empty());
-    out
+    let (o, i) = (*outer, *inner);
+    let strip = |y0, y1, z0, z1| Region { y0, y1, z0, z1 };
+    [
+        strip(o.y0, i.y0, o.z0, o.z1),
+        strip(i.y1, o.y1, o.z0, o.z1),
+        strip(i.y0, i.y1, o.z0, i.z0),
+        strip(i.y0, i.y1, i.z1, o.z1),
+    ]
+    .into_iter()
+    .filter(|r| !r.is_empty())
 }
 
 /// Which sides of a region may grow into the halo (sides facing a real
@@ -168,6 +147,19 @@ pub struct GrowSides {
     pub top: bool,
     /// High-z side has a neighbour.
     pub bottom: bool,
+}
+
+impl GrowSides {
+    /// The sides of `sub` that face a neighbour on an `ny`-row, `nz`-level
+    /// mesh.
+    pub fn of(sub: &Subdomain, ny: usize, nz: usize) -> Self {
+        GrowSides {
+            north: !sub.at_north(),
+            south: !sub.at_south(ny),
+            top: !sub.at_top(),
+            bottom: !sub.at_surface(nz),
+        }
+    }
 }
 
 /// Everything an operator loop needs about the local patch of the sphere.
@@ -387,12 +379,7 @@ impl LocalGeometry {
     /// Which region sides may grow into exchanged halo (true where a real
     /// neighbour exists).
     pub fn grow_sides(&self) -> GrowSides {
-        GrowSides {
-            north: !self.at_north(),
-            south: !self.at_south(),
-            top: !self.at_top(),
-            bottom: !self.at_surface(),
-        }
+        GrowSides::of(&self.sub, self.grid.ny(), self.grid.nz())
     }
 
     /// The interior region of this rank.
@@ -520,7 +507,7 @@ mod tests {
             z0: 0,
             z1: 4,
         };
-        let strips = frame(&outer, &inner);
+        let strips: Vec<Region> = frame(&outer, &inner).collect();
         assert_eq!(strips.len(), 4);
         let total: usize = strips.iter().map(|r| r.area()).sum();
         assert_eq!(total + inner.area(), outer.area());
@@ -532,7 +519,11 @@ mod tests {
             assert!(!(overlap_y && overlap_z), "strips {a} and {b} overlap");
         }
         // inner == outer → empty frame
-        assert!(frame(&inner, &inner).is_empty());
+        assert_eq!(frame(&inner, &inner).count(), 0);
+        // a side the inner region shares with the outer one has no strip
+        let north_only = Region { y0: 0, ..outer };
+        let strips: Vec<Region> = frame(&outer, &north_only).collect();
+        assert_eq!(strips, [Region { y1: 0, ..outer }]);
     }
 
     #[test]
@@ -543,7 +534,13 @@ mod tests {
             z0: 0,
             z1: 4,
         };
-        let s = r.shrink(1, 1);
+        let all = GrowSides {
+            north: true,
+            south: true,
+            top: true,
+            bottom: true,
+        };
+        let s = r.shrink(1, 1, all);
         assert_eq!(
             s,
             Region {
@@ -556,6 +553,15 @@ mod tests {
         assert!(r.contains(&s));
         assert!(!s.contains(&r));
         assert_eq!(r.area(), 12 * 4);
+        // only the sides facing a neighbour move: a south-pole rank of a
+        // y-split keeps its pole edge, its top and its surface
+        let south_pole = GrowSides {
+            north: true,
+            south: false,
+            top: false,
+            bottom: false,
+        };
+        assert_eq!(r.shrink(2, 1, south_pole), Region { y0: 0, ..r });
         // shrinking past empty collapses
         let tiny = Region {
             y0: 0,
@@ -563,6 +569,6 @@ mod tests {
             z0: 0,
             z1: 1,
         };
-        assert!(tiny.shrink(3, 3).is_empty());
+        assert!(tiny.shrink(3, 3, all).is_empty());
     }
 }

@@ -3,12 +3,13 @@
 //! Runs under the Y-Z decomposition only (`p_x = 1`), so the Fourier
 //! filtering is communication-free (§4.2.1).  Per time step:
 //!
-//! * deep halos feed **groups of sweeps** between exchanges: with blocks
-//!   large enough for the full `3M(+2)`-deep halo the schedule is the
-//!   paper's — **two** exchanges per step instead of `3M + 4` — and with
-//!   smaller blocks the group size `g` clamps (iteration-aligned, see
-//!   [`crate::analysis::ca_group_size`]) and the frequency degrades
-//!   gracefully to `⌈3M/g⌉ + ⌈3/g_a⌉ (+1)`,
+//! * deep halos feed **groups of sweeps** between exchanges: `g` sweeps an
+//!   exchange costs `⌈3M/g⌉ + ⌈3/g_a⌉ (+1)` exchanges a step instead of
+//!   `3M + 4`.  At `g = 3M` ([`CaModel::with_groups`], where the blocks
+//!   hold the `3M(+2)`-deep halo) that is the paper's **two**;
+//!   [`CaModel::new`] runs the rung of the iteration-aligned ladder whose
+//!   redundant sweeps cost least against the exchanges they save
+//!   ([`crate::analysis::ca_group_size`]),
 //! * the first exchange fuses the **smoothing** of the previous step
 //!   (§4.3.2: former smoothing overlaps the messages; later smoothing
 //!   completes edge and halo rows after they arrive) and ships the cached
@@ -20,19 +21,24 @@
 //! * exchanges are split into post/compute/finish so computation overlaps
 //!   communication (§4.3.1),
 //! * halo sweeps are redundant: with validity `v` layers left, a sweep
-//!   covers the interior dilated by `v − 1`.
+//!   covers the interior dilated by `v − 1` — on the sides that face a
+//!   neighbour only, and only those sides carry a deep halo
+//!   ([`schedule::CaDepths::alloc`]).
 
 use crate::analysis::ca_group_size;
+use crate::boundary;
 use crate::config::ModelConfig;
+use crate::diag::Diag;
 use crate::dycore::{Engine, FilterCtx};
 use crate::error::ModelError;
-use crate::geometry::{frame, LocalGeometry, Region};
-use crate::par::exchange::{state_fields, ExField, HaloExchanger, Pending};
+use crate::geometry::{frame, GrowSides, LocalGeometry, Region};
+use crate::par::exchange::{state_fields, ExField, HaloExchanger};
+use crate::par::schedule::{self, CaDepths};
 use crate::smoothing::smooth_full;
 use crate::state::{Combine, State};
 use crate::vertical::ZContext;
 use agcm_comm::{CommResult, Communicator};
-use agcm_mesh::{Decomposition, HaloWidths, ProcessGrid};
+use agcm_mesh::{Decomposition, ProcessGrid};
 use agcm_obs as obs;
 use std::sync::Arc;
 
@@ -47,7 +53,7 @@ pub struct CaModel {
     pub steps: usize,
     /// Whether `state` still awaits its smoothing.
     pub pending_smooth: bool,
-    /// Adaptation sweeps per exchange (`3M` when the blocks allow it).
+    /// Adaptation sweeps per exchange (`3M` is the paper's schedule).
     pub group: usize,
     /// Whether the smoothing is fused into the first deep exchange.
     pub fused_smoothing: bool,
@@ -56,13 +62,10 @@ pub struct CaModel {
     /// Degraded (post-rollback) mode: blocking instead of overlapped split
     /// exchanges, and exact `C(ψ^{i-1})` instead of the Eq. 13 reuse.
     pub degraded: bool,
+    pgrid: ProcessGrid,
     exchanger: HaloExchanger,
     zcomm: Option<Communicator>,
-    deep: HaloWidths,
-    group_depth: HaloWidths,
-    sweep_depth: HaloWidths,
-    shallow: HaloWidths,
-    smooth_depth: HaloWidths,
+    depths: CaDepths,
     // scratch; `state`, `psi`, `psi0` and `eta1` trade buffers through a
     // step instead of being copied into one another
     psi: State,
@@ -72,13 +75,58 @@ pub struct CaModel {
     tend: State,
 }
 
+/// ξ and the cached `C` outputs: the 7 arrays of a deep or group exchange.
+fn deep_fields<'a>(st: &'a mut State, diag: &'a mut Diag) -> [ExField<'a>; 7] {
+    let [u, v, phi, psa] = state_fields(st);
+    let (vsum, gw, phi_p) = (&mut diag.vsum, &mut diag.gw, &mut diag.phi_p);
+    [
+        u,
+        v,
+        phi,
+        psa,
+        ExField::F2(vsum),
+        ExField::F3(gw),
+        ExField::F3(phi_p),
+    ]
+}
+
+/// ξ and the frozen `g_w`: the 5 arrays of an advection exchange.
+fn adv_fields<'a>(st: &'a mut State, diag: &'a mut Diag) -> [ExField<'a>; 5] {
+    let [u, v, phi, psa] = state_fields(st);
+    [u, v, phi, psa, ExField::F3(&mut diag.gw)]
+}
+
 impl CaModel {
-    /// Build the CA model.  `pgrid` must be a Y-Z (or serial) grid; any
-    /// block sizes are supported — the sweep-group size adapts.
+    /// Build the CA model on the sweep groups [`ca_group_size`] picks for
+    /// `pgrid`, which must be a Y-Z (or serial) grid; any block sizes are
+    /// supported.
     pub fn new(
         cfg: &ModelConfig,
         pgrid: ProcessGrid,
         comm: &mut Communicator,
+    ) -> Result<Self, ModelError> {
+        Self::build(cfg, pgrid, comm, None)
+    }
+
+    /// Build the CA model on explicit sweep groups `(g, fuse, g_a)` — the
+    /// executing twin of [`schedule::alg2_step_for`].  Any rung of
+    /// [`crate::analysis::ca_ladder`] is bitwise the same integration;
+    /// `(3M, true, 3)` is the paper's two-exchange schedule.  Groups whose
+    /// halo does not fit the blocks are refused.
+    pub fn with_groups(
+        cfg: &ModelConfig,
+        pgrid: ProcessGrid,
+        comm: &mut Communicator,
+        groups: (usize, bool, usize),
+    ) -> Result<Self, ModelError> {
+        Self::build(cfg, pgrid, comm, Some(groups))
+    }
+
+    fn build(
+        cfg: &ModelConfig,
+        pgrid: ProcessGrid,
+        comm: &mut Communicator,
+        groups: Option<(usize, bool, usize)>,
     ) -> Result<Self, ModelError> {
         if pgrid.px() != 1 {
             return Err(ModelError::Config(
@@ -93,31 +141,30 @@ impl CaModel {
                 pgrid.size()
             )));
         }
-        let (g, fuse, ga) = ca_group_size(cfg, &pgrid);
-        // shared with the static schedule metadata so analyzer and
-        // integrator cannot drift
-        let depths = super::schedule::ca_depths(g, fuse, ga);
-        let deep = depths.deep;
-        let group_depth = depths.group;
-        let sweep_depth = depths.sweep;
-        let shallow = depths.shallow;
-        let smooth_depth = depths.smooth;
-        // allocate the max of every depth in use
-        let halo = deep.max(shallow).max(smooth_depth);
-
         let grid = Arc::new(cfg.grid()?);
         let decomp = Decomposition::new(cfg.extents(), pgrid)?;
+        let (g, fuse, ga) = groups.unwrap_or_else(|| ca_group_size(cfg, &pgrid));
+        let aligned = g == 1 || (g % 3 == 0 && (3..=3 * cfg.m_iters).contains(&g));
+        if !aligned || !(1..=3).contains(&ga) {
+            return Err(ModelError::Config(format!(
+                "sweep groups ({g}, {fuse}, {ga}) are not iteration-aligned"
+            )));
+        }
+        // shared with the static schedule metadata so analyzer and
+        // integrator cannot drift
+        let depths = schedule::ca_depths(g, fuse, ga);
         let rank = comm.rank();
-        let geom = LocalGeometry::new(cfg, Arc::clone(&grid), &decomp, rank, halo);
+        let halo = depths.alloc(GrowSides::of(&decomp.subdomain(rank), cfg.ny, cfg.nz));
+        let geom = LocalGeometry::new(cfg, grid, &decomp, rank, halo);
         let exchanger = HaloExchanger::new(decomp, rank);
-        exchanger.validate_depth(deep).map_err(ModelError::Config)?;
-        exchanger
-            .validate_depth(shallow)
-            .map_err(ModelError::Config)?;
+        for depth in [depths.deep, depths.shallow] {
+            exchanger
+                .validate_depth(depth)
+                .map_err(ModelError::Config)?;
+        }
 
-        let (_, _py, pz) = pgrid.dims();
-        let (_, cy, _cz) = pgrid.coords(rank);
-        let zcomm = if pz > 1 {
+        let (_, cy, _) = pgrid.coords(rank);
+        let zcomm = if pgrid.pz() > 1 {
             Some(comm.split(cy, rank)?)
         } else {
             None
@@ -140,13 +187,10 @@ impl CaModel {
             fused_smoothing: fuse,
             group_adv: ga,
             degraded: false,
+            pgrid,
             exchanger,
             zcomm,
-            deep,
-            group_depth,
-            sweep_depth,
-            shallow,
-            smooth_depth,
+            depths,
         })
     }
 
@@ -207,14 +251,21 @@ impl CaModel {
         }
     }
 
-    /// Restore a [`Self::capture`]d snapshot bit-for-bit.
+    /// Restore a [`Self::capture`]d snapshot bit-for-bit.  The snapshot may
+    /// come from a model on other sweep groups, whose halos are sized
+    /// differently: everything it holds that this model reads before
+    /// refreshing it — interiors, and the cached `C` rows just beyond a
+    /// physical boundary — lies in the layers the two have in common.
     pub fn restore(&mut self, ck: &crate::resilience::Checkpoint) {
         self.steps = ck.step as usize;
-        self.state.clone_from(&ck.state);
+        self.state.u.assign_common(&ck.state.u);
+        self.state.v.assign_common(&ck.state.v);
+        self.state.phi.assign_common(&ck.state.phi);
+        self.state.psa.assign_common(&ck.state.psa);
         if let (Some(vsum), Some(gw), Some(phi_p)) = (&ck.vsum, &ck.gw, &ck.phi_p) {
-            self.engine.diag.vsum.clone_from(vsum);
-            self.engine.diag.gw.clone_from(gw);
-            self.engine.diag.phi_p.clone_from(phi_p);
+            self.engine.diag.vsum.assign_common(vsum);
+            self.engine.diag.gw.assign_common(gw);
+            self.engine.diag.phi_p.assign_common(phi_p);
             self.engine.c_cached = ck.c_cached;
         } else {
             // no cached-C arrays in the checkpoint: recompute on first use
@@ -228,103 +279,89 @@ impl CaModel {
         self.exchanger.exchanges
     }
 
-    /// Halo exchanges one step costs at steady state:
-    /// `⌈3M/g⌉ + ⌈3/g_a⌉ (+1 when the smoothing is not fused)`.
+    /// Halo exchanges one step costs at steady state, counted off the
+    /// schedule this model executes ([`schedule::alg2_step_for`]).
     pub fn exchanges_per_step(&self) -> u64 {
-        let m = self.engine.cfg.m_iters;
-        let adapt = if self.group == 1 {
-            3 * m as u64 // one exchange per sweep
-        } else {
-            (3 * m).div_ceil(self.group) as u64
-        };
-        let adv = 3usize.div_ceil(self.group_adv) as u64;
-        adapt + adv + u64::from(!self.fused_smoothing)
+        schedule::exchange_count(&schedule::alg2_step_for(
+            &self.engine.cfg,
+            &self.pgrid,
+            self.group,
+            self.fused_smoothing,
+            self.group_adv,
+        ))
+    }
+
+    /// The smoothing on its own exchange: the epilogue of a run, and every
+    /// step's prologue when the fused form does not fit the blocks.
+    fn smooth_separately(&mut self, comm: &Communicator) -> CommResult<()> {
+        self.exchanger
+            .exchange(comm, self.depths.smooth, &mut state_fields(&mut self.state))?;
+        let _s = obs::span_phase(obs::SpanKind::Op, obs::Phase::S1, "smooth.full");
+        self.engine.fill(&mut self.state);
+        smooth_full(
+            &self.engine.geom,
+            self.engine.cfg.smooth_beta,
+            &self.state,
+            &mut self.psi0,
+            self.engine.geom.interior(),
+        );
+        std::mem::swap(&mut self.state, &mut self.psi0);
+        Ok(())
+    }
+
+    /// the former smoothing: rows of the state as posted, no neighbour data
+    fn smooth_former(&mut self, d1: Region) {
+        let _s1 = obs::span_phase(obs::SpanKind::Op, obs::Phase::S1, "smooth.former");
+        smooth_full(
+            &self.engine.geom,
+            self.engine.cfg.smooth_beta,
+            &self.state,
+            &mut self.psi0,
+            d1,
+        );
     }
 
     /// post+S1-overlap+recv of the step's first (deep) exchange
     fn deep_exchange(&mut self, comm: &Communicator) -> CommResult<()> {
         self.engine.fill(&mut self.state);
-        let pending = {
-            let mut fields = [
-                ExField::F3(&mut self.state.u),
-                ExField::F3(&mut self.state.v),
-                ExField::F3(&mut self.state.phi),
-                ExField::F2(&mut self.state.psa),
-                ExField::F2(&mut self.engine.diag.vsum),
-                ExField::F3(&mut self.engine.diag.gw),
-                ExField::F3(&mut self.engine.diag.phi_p),
-            ];
-            self.exchanger.post_sends(comm, self.deep, &mut fields)?
-        };
-        // --- overlap: former smoothing on D1 (no neighbour data needed) ---
+        let pending = self.exchanger.post_sends(
+            comm,
+            self.depths.deep,
+            &mut deep_fields(&mut self.state, &mut self.engine.diag),
+        )?;
+        let fused = self.pending_smooth && self.fused_smoothing;
         let grow = self.engine.geom.grow_sides();
-        let (ny, nz) = (self.engine.geom.ny, self.engine.geom.nz);
-        let d1 = Region {
-            y0: if grow.north { 2 } else { 0 },
-            y1: if grow.south {
-                ny as isize - 2
-            } else {
-                ny as isize
-            },
-            z0: 0,
-            z1: nz as isize,
-        };
-        if self.pending_smooth && self.fused_smoothing && !self.degraded {
+        let interior = self.engine.geom.interior();
+        // D1: the rows whose ±2 smoothing stencil needs no neighbour data
+        let d1 = interior.shrink(2, 0, grow);
+        if fused && !self.degraded {
             // this is the compute the deep exchange hides (§4.3.1/§4.3.2)
             let _ov = obs::span(obs::SpanKind::OverlapCompute, "overlap.smooth_former");
-            let _s1 = obs::span_phase(obs::SpanKind::Op, obs::Phase::S1, "smooth.former");
-            smooth_full(
-                &self.engine.geom,
-                self.engine.cfg.smooth_beta,
-                &self.state,
-                &mut self.psi0,
-                d1,
-            );
+            self.smooth_former(d1);
         }
-        {
-            let mut fields = [
-                ExField::F3(&mut self.state.u),
-                ExField::F3(&mut self.state.v),
-                ExField::F3(&mut self.state.phi),
-                ExField::F2(&mut self.state.psa),
-                ExField::F2(&mut self.engine.diag.vsum),
-                ExField::F3(&mut self.engine.diag.gw),
-                ExField::F3(&mut self.engine.diag.phi_p),
-            ];
-            self.exchanger.finish_recvs(comm, pending, &mut fields)?;
-        }
-        if self.pending_smooth && self.fused_smoothing && self.degraded {
+        self.exchanger.finish_recvs(
+            comm,
+            pending,
+            &mut deep_fields(&mut self.state, &mut self.engine.diag),
+        )?;
+        if fused && self.degraded {
             // blocking mode: the same D1 smoothing, run outside the (now
             // closed) exchange window — it reads no halo data, so the
             // result is bitwise the one the overlapped schedule produces
-            let _s1 = obs::span_phase(obs::SpanKind::Op, obs::Phase::S1, "smooth.former");
-            smooth_full(
-                &self.engine.geom,
-                self.engine.cfg.smooth_beta,
-                &self.state,
-                &mut self.psi0,
-                d1,
-            );
+            self.smooth_former(d1);
         }
         self.engine.fill(&mut self.state);
         self.engine.diag.gw.wrap_x_halo();
         self.engine.diag.phi_p.wrap_x_halo();
         self.engine.diag.vsum.wrap_x_halo();
-        // --- later smoothing: edge rows + (redundantly) the halo areas ---
-        let halo = self.engine.geom.halo;
-        let outer = self.engine.geom.interior().dilate(
-            self.group as isize,
-            self.group as isize,
-            ny,
-            nz,
-            halo,
-            grow,
-        );
-        if self.pending_smooth && self.fused_smoothing {
+        if fused {
+            // later smoothing: edge rows + (redundantly) the halo areas
             let _s2 = obs::span_phase(obs::SpanKind::Op, obs::Phase::S2, "smooth.later");
+            let (geom, g) = (&self.engine.geom, self.group as isize);
+            let outer = interior.dilate(g, g, geom.ny, geom.nz, geom.halo, grow);
             for strip in frame(&outer, &d1) {
                 smooth_full(
-                    &self.engine.geom,
+                    geom,
                     self.engine.cfg.smooth_beta,
                     &self.state,
                     &mut self.psi0,
@@ -344,18 +381,15 @@ impl CaModel {
 
     /// exchange the cached-C trio + an adaptation state at group depth
     fn group_exchange(&mut self, comm: &Communicator) -> CommResult<()> {
-        self.engine.fill(&mut self.psi);
-        let mut fields = [
-            ExField::F3(&mut self.psi.u),
-            ExField::F3(&mut self.psi.v),
-            ExField::F3(&mut self.psi.phi),
-            ExField::F2(&mut self.psi.psa),
-            ExField::F2(&mut self.engine.diag.vsum),
-            ExField::F3(&mut self.engine.diag.gw),
-            ExField::F3(&mut self.engine.diag.phi_p),
-        ];
-        self.exchanger
-            .exchange(comm, self.group_depth, &mut fields)?;
+        // an exchange packs interior rows only, and of the boundary fill
+        // only the pinned pole face is one (shipped when the depth spans
+        // the block); the sub-update that follows fills ψ's halos itself
+        boundary::enforce_pole_v(&mut self.psi, &self.engine.geom);
+        self.exchanger.exchange(
+            comm,
+            self.depths.group,
+            &mut deep_fields(&mut self.psi, &mut self.engine.diag),
+        )?;
         self.engine.diag.gw.wrap_x_halo();
         self.engine.diag.phi_p.wrap_x_halo();
         self.engine.diag.vsum.wrap_x_halo();
@@ -379,18 +413,7 @@ impl CaModel {
 
         // ---- separate smoothing exchange when fusion does not fit --------
         if self.pending_smooth && !self.fused_smoothing {
-            self.exchanger
-                .exchange(comm, self.smooth_depth, &mut state_fields(&mut self.state))?;
-            let _s = obs::span_phase(obs::SpanKind::Op, obs::Phase::S1, "smooth.full");
-            self.engine.fill(&mut self.state);
-            smooth_full(
-                &self.engine.geom,
-                self.engine.cfg.smooth_beta,
-                &self.state,
-                &mut self.psi0,
-                interior,
-            );
-            std::mem::swap(&mut self.state, &mut self.psi0);
+            self.smooth_separately(comm)?;
         }
 
         // ---- first deep exchange (+ fused smoothing) ----------------------
@@ -433,7 +456,7 @@ impl CaModel {
             if g == 1 {
                 self.exchanger.exchange(
                     comm,
-                    self.sweep_depth,
+                    self.depths.sweep,
                     &mut state_fields(&mut self.eta1),
                 )?;
             }
@@ -458,7 +481,7 @@ impl CaModel {
             if g == 1 {
                 self.exchanger.exchange(
                     comm,
-                    self.sweep_depth,
+                    self.depths.sweep,
                     &mut state_fields(&mut self.mid),
                 )?;
             }
@@ -487,31 +510,26 @@ impl CaModel {
         }
 
         // ================ advection: grouped the same way ==================
-        // ψM is base and argument of sweep 1: its halos are stale until the
-        // exchange lands, and the inner overlap sweep only touches interior
-        // rows
+        // ψM is base and argument of sweep 1.  Its halos are stale until the
+        // exchange lands, so the sweep is split, not repeated: the part that
+        // reads none of them runs while the messages fly (§4.3.1), one strip
+        // per neighbour-facing side once they are in; each half shares one
+        // boundary fill
+        let shallow = self.depths.shallow;
         self.engine.fill(&mut self.psi);
-        let pending: Pending = {
-            let mut fields = [
-                ExField::F3(&mut self.psi.u),
-                ExField::F3(&mut self.psi.v),
-                ExField::F3(&mut self.psi.phi),
-                ExField::F2(&mut self.psi.psa),
-                ExField::F3(&mut self.engine.diag.gw),
-            ];
-            self.exchanger.post_sends(comm, self.shallow, &mut fields)?
-        };
-        // overlap: sweep 1 on the inner part
-        let dila = |d: isize| interior.dilate(d, d, ny, nz, self.shallow, grow);
+        let pending = self.exchanger.post_sends(
+            comm,
+            shallow,
+            &mut adv_fields(&mut self.psi, &mut self.engine.diag),
+        )?;
+        let dila = |d: isize| interior.dilate(d, d, ny, nz, shallow, grow);
         let outer1 = dila(ga as isize - 1);
-        let inner1 = interior.shrink(1, 1);
+        let inner1 = interior.shrink(1, 1, grow);
         if !self.degraded {
-            // inner-region sweep deliberately placed inside the exchange
-            // window (§4.3.1)
             let _ov = obs::span(obs::SpanKind::OverlapCompute, "overlap.advection_inner");
-            self.engine.advection_subupdate(
+            self.engine.advection_part(
                 None,
-                &mut self.psi,
+                &self.psi,
                 &mut self.eta1,
                 &mut self.tend,
                 inner1,
@@ -520,27 +538,23 @@ impl CaModel {
                 &fctx,
             )?;
         }
-        {
-            let mut fields = [
-                ExField::F3(&mut self.psi.u),
-                ExField::F3(&mut self.psi.v),
-                ExField::F3(&mut self.psi.phi),
-                ExField::F2(&mut self.psi.psa),
-                ExField::F3(&mut self.engine.diag.gw),
-            ];
-            self.exchanger.finish_recvs(comm, pending, &mut fields)?;
-        }
+        self.exchanger.finish_recvs(
+            comm,
+            pending,
+            &mut adv_fields(&mut self.psi, &mut self.engine.diag),
+        )?;
         self.engine.diag.gw.wrap_x_halo();
-        // blocking mode: the inner sweep runs after the exchange closes (no
+        self.engine.fill(&mut self.psi);
+        // blocking mode: the inner part runs after the exchange closes (no
         // compute inside the communication window)
         let inner_late = self.degraded.then_some(inner1);
-        for strip in inner_late.into_iter().chain(frame(&outer1, &inner1)) {
-            self.engine.advection_subupdate(
+        for part in inner_late.into_iter().chain(frame(&outer1, &inner1)) {
+            self.engine.advection_part(
                 None,
-                &mut self.psi,
+                &self.psi,
                 &mut self.eta1,
                 &mut self.tend,
-                strip,
+                part,
                 dt2,
                 Combine::Euler,
                 &fctx,
@@ -549,24 +563,15 @@ impl CaModel {
         let mut valida = ga - 1;
         // sweep 2 emits the midpoint directly
         if valida == 0 {
-            let mut fields = [
-                ExField::F3(&mut self.eta1.u),
-                ExField::F3(&mut self.eta1.v),
-                ExField::F3(&mut self.eta1.phi),
-                ExField::F2(&mut self.eta1.psa),
-                ExField::F3(&mut self.engine.diag.gw),
-            ];
-            self.exchanger.exchange(comm, self.shallow, &mut fields)?;
+            self.exchanger.exchange(
+                comm,
+                shallow,
+                &mut adv_fields(&mut self.eta1, &mut self.engine.diag),
+            )?;
             self.engine.diag.gw.wrap_x_halo();
             valida = ga;
         }
-        let region2 = dila(valida as isize - 1);
-        let region2 = Region {
-            y0: region2.y0.max(interior.y0 - 1),
-            y1: region2.y1.min(interior.y1 + 1),
-            z0: region2.z0.max(interior.z0 - 1),
-            z1: region2.z1.min(interior.z1 + 1),
-        };
+        let region2 = dila((valida as isize - 1).min(1));
         self.engine.advection_subupdate(
             Some(&self.psi),
             &mut self.eta1,
@@ -580,14 +585,11 @@ impl CaModel {
         valida = valida.saturating_sub(1);
         // sweep 3 (midpoint)
         if valida == 0 {
-            let mut fields = [
-                ExField::F3(&mut self.mid.u),
-                ExField::F3(&mut self.mid.v),
-                ExField::F3(&mut self.mid.phi),
-                ExField::F2(&mut self.mid.psa),
-                ExField::F3(&mut self.engine.diag.gw),
-            ];
-            self.exchanger.exchange(comm, self.shallow, &mut fields)?;
+            self.exchanger.exchange(
+                comm,
+                shallow,
+                &mut adv_fields(&mut self.mid, &mut self.engine.diag),
+            )?;
             self.engine.diag.gw.wrap_x_halo();
         }
         self.engine.advection_subupdate(
@@ -619,18 +621,7 @@ impl CaModel {
         // index: its exchange is not part of any steady-state step and
         // must not inflate that step's span counts in a trace
         obs::set_step(self.steps as u64);
-        self.exchanger
-            .exchange(comm, self.smooth_depth, &mut state_fields(&mut self.state))?;
-        let _s = obs::span_phase(obs::SpanKind::Op, obs::Phase::S1, "smooth.full");
-        self.engine.fill(&mut self.state);
-        smooth_full(
-            &self.engine.geom,
-            self.engine.cfg.smooth_beta,
-            &self.state,
-            &mut self.psi0,
-            self.engine.geom.interior(),
-        );
-        std::mem::swap(&mut self.state, &mut self.psi0);
+        self.smooth_separately(comm)?;
         self.pending_smooth = false;
         Ok(())
     }

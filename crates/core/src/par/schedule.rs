@@ -17,8 +17,10 @@
 //! counter of a live [`super::HaloExchanger`] is offset by a constant that
 //! is identical on every rank, so tag matching is unaffected.
 
-use crate::analysis::{ca_group_size, CaMode};
+use crate::analysis::CaMode;
 use crate::config::ModelConfig;
+use crate::geometry::GrowSides;
+use crate::tables;
 use agcm_mesh::{HaloWidths, ProcessGrid};
 
 /// Shape of one exchanged array, relative to the rank's subdomain extents
@@ -180,8 +182,9 @@ pub fn depth_smooth() -> HaloWidths {
     }
 }
 
-/// The five halo depths of Algorithm 2, derived from the sweep-group sizes
-/// `(g, fuse, ga)` of [`ca_group_size`].
+/// The five exchange depths of Algorithm 2, derived from the sweep-group
+/// sizes `(g, fuse, ga)` of [`crate::analysis::ca_group_size`] (or any other
+/// rung of [`crate::analysis::ca_ladder`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaDepths {
     /// First exchange of the step: `g (+2 when the smoothing is fused)`
@@ -195,6 +198,27 @@ pub struct CaDepths {
     pub shallow: HaloWidths,
     /// The separate smoothing exchange when fusion does not fit.
     pub smooth: HaloWidths,
+}
+
+impl CaDepths {
+    /// The halo a rank allocates around its fields.  A side that faces a
+    /// neighbour (`grow`) holds the deepest exchange that lands on it; a
+    /// side on a pole, the model top or the surface is never exchanged into
+    /// and no sweep region grows across it, so it holds what the boundary
+    /// fill feeds a single sweep — Algorithm 1's halo.
+    pub fn alloc(&self, grow: GrowSides) -> HaloWidths {
+        let ex = self.deep.max(self.shallow).max(self.smooth);
+        let fill = HaloWidths::for_footprint(&tables::per_sweep_union());
+        let side = |on: bool, ex: usize, fill: usize| if on { ex } else { fill };
+        HaloWidths {
+            xm: ex.xm,
+            xp: ex.xp,
+            ym: side(grow.north, ex.ym, fill.ym),
+            yp: side(grow.south, ex.yp, fill.yp),
+            zm: side(grow.top, ex.zm, fill.zm),
+            zp: side(grow.bottom, ex.zp, fill.zp),
+        }
+    }
 }
 
 /// Compute [`CaDepths`] for group sizes `(g, fuse, ga)`.
@@ -335,23 +359,21 @@ pub fn alg1_step(cfg: &ModelConfig, pgrid: &ProcessGrid) -> Vec<StepOp> {
 /// exchanges and `2M` z-allgathers — the paper's 2 exchanges and the 1/3
 /// collective reduction when the full depth fits (`g = 3M`, fused).
 ///
-/// `mode` selects the executable grouped schedule or the paper's idealized
-/// full-depth accounting (see [`CaMode`]); both orderings mirror
-/// `CaModel::step` exactly: an exchange lands before sweep `s` iff
+/// `mode` selects the sweep groups (see [`CaMode`]): the rung the model
+/// executes with, the paper's full depth, or explicit ones.  Every ordering
+/// mirrors `CaModel::step` exactly: an exchange lands before sweep `s` iff
 /// `(s-1) % g == 0`, and sub-updates 2 and 3 of each iteration run the
 /// collective `C` fresh (§4.2.2).
 pub fn alg2_step(cfg: &ModelConfig, pgrid: &ProcessGrid, mode: CaMode) -> Vec<StepOp> {
-    let (g, fuse, ga) = match mode {
-        CaMode::Grouped => ca_group_size(cfg, pgrid),
-        CaMode::PaperIdeal => (3 * cfg.m_iters, true, 3),
-    };
+    let (g, fuse, ga) = mode.groups(cfg, pgrid);
     alg2_step_for(cfg, pgrid, g, fuse, ga)
 }
 
-/// [`alg2_step`] for explicit group sizes `(g, fuse, ga)`, bypassing
-/// [`ca_group_size`].  This is how the dataflow pass builds *what-if*
-/// schedules — e.g. an over-fused group that the clamp would have refused —
-/// and proves the analyzer rejects them.  `g` must be a divisor-aligned
+/// [`alg2_step`] for explicit group sizes `(g, fuse, ga)` — the schedule
+/// `CaModel::with_groups` executes.  This is how every rung of the ladder
+/// is generated, and how the dataflow pass builds *what-if* schedules —
+/// e.g. a group one rung above the ladder's top — and proves the analyzer
+/// rejects them.  `g` must be a divisor-aligned
 /// group size (`1` or a multiple of 3 up to `3M`), `ga` in `1..=3`.
 pub fn alg2_step_for(
     cfg: &ModelConfig,
@@ -536,29 +558,61 @@ mod tests {
     }
 
     #[test]
-    fn alg2_ideal_is_two_exchanges_and_2m_collectives() {
+    fn alg2_full_depth_is_two_exchanges_and_2m_collectives() {
+        // the paper's 13 -> 2 and 3M -> 2M, on the explicit full-depth groups
         let c = cfg();
         let pg = ProcessGrid::yz(16, 8).unwrap();
-        let ops = alg2_step(&c, &pg, CaMode::PaperIdeal);
-        assert_eq!(exchange_count(&ops), 2); // the paper's 13 -> 2
+        let ops = alg2_step_for(&c, &pg, 3 * c.m_iters, true, 3);
+        assert_eq!(exchange_count(&ops), 2);
         assert_eq!(collective_count(&ops), 2 * c.m_iters as u64);
+        assert_eq!(ops, alg2_step(&c, &pg, CaMode::PaperIdeal));
     }
 
     #[test]
-    fn alg2_grouped_matches_exchanges_per_step_formula() {
+    fn every_rung_exchanges_by_the_grouping_formula() {
+        use crate::analysis::{ca_group_size, ca_ladder};
         let c = cfg();
-        for (py, pz) in [(16, 8), (64, 8), (128, 8)] {
+        for (py, pz) in [(2, 1), (16, 8), (64, 8), (128, 8)] {
             let pg = ProcessGrid::yz(py, pz).unwrap();
+            let ladder = ca_ladder(&c, &pg);
+            for &(g, fuse, ga) in &ladder {
+                // one exchange a sweep at g = 1, one a group above it
+                let adapt = (3 * c.m_iters).div_ceil(g) as u64;
+                let expect = adapt + 3u64.div_ceil(ga as u64) + u64::from(!fuse);
+                let ops = alg2_step_for(&c, &pg, g, fuse, ga);
+                assert_eq!(exchange_count(&ops), expect, "py={py} pz={pz} g={g}");
+                let z_allgathers = if pz > 1 { 2 * c.m_iters as u64 } else { 0 };
+                assert_eq!(collective_count(&ops), z_allgathers);
+            }
+            // the executing schedule is the rung the cost rule picks
             let (g, fuse, ga) = ca_group_size(&c, &pg);
-            let adapt = if g == 1 {
-                3 * c.m_iters as u64
-            } else {
-                (3 * c.m_iters).div_ceil(g) as u64
-            };
-            let expect = adapt + 3u64.div_ceil(ga as u64) + u64::from(!fuse);
-            let ops = alg2_step(&c, &pg, CaMode::Grouped);
-            assert_eq!(exchange_count(&ops), expect, "py={py} pz={pz}");
+            assert!(ladder.contains(&(g, fuse, ga)), "py={py} pz={pz}");
+            assert_eq!(
+                alg2_step(&c, &pg, CaMode::Grouped),
+                alg2_step_for(&c, &pg, g, fuse, ga)
+            );
         }
+    }
+
+    #[test]
+    fn halos_are_sized_per_side() {
+        let d = ca_depths(9, true, 3);
+        let sides = |north, south, top, bottom| GrowSides {
+            north,
+            south,
+            top,
+            bottom,
+        };
+        // north-pole rank of a y-split: deep towards the neighbour only
+        let h = d.alloc(sides(false, true, false, false));
+        assert_eq!((h.ym, h.yp, h.zm, h.zp), (2, 11, 1, 1));
+        assert_eq!((h.xm, h.xp), (3, 3));
+        // an interior rank of a y-z split holds the exchange depth all round
+        let h = d.alloc(sides(true, true, true, true));
+        assert_eq!((h.ym, h.yp, h.zm, h.zp), (11, 11, 9, 9));
+        // a shallow rung still holds the smoothing's two rows
+        let h = ca_depths(1, false, 1).alloc(sides(true, true, true, true));
+        assert_eq!((h.ym, h.yp, h.zm, h.zp), (2, 2, 1, 1));
     }
 
     #[test]

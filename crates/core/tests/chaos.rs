@@ -153,7 +153,11 @@ fn rollback_recovers_silent_corruption_within_degraded_tolerance() {
         comm.install_faults(FaultPlan::parse(seed(), spec).unwrap());
         comm.set_timeout(Duration::from_secs(2));
         let pgrid = ProcessGrid::yz(2, 1).unwrap();
-        let mut m = CaModel::new(&cfg2, pgrid, comm).unwrap();
+        // the plan is written against the paper's full-depth groups: rank
+        // 1's third message is the 11-row φ halo of the deep exchange, and
+        // the element the seed picks in it is one whose exponent MSB is
+        // clear (on a value ≥ 2 the flip shrinks it instead)
+        let mut m = CaModel::with_groups(&cfg2, pgrid, comm, (9, true, 3)).unwrap();
         let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
         m.set_state(&ic);
         let mut runner = ResilientRunner::new(

@@ -49,11 +49,19 @@ fn alg1_exchange_frequency_is_3m_plus_4() {
     }
 }
 
+/// The paper's sweep groups: all `3M` adaptation sweeps on one exchange,
+/// the smoothing fused into it, the 3 advection sweeps on the other.
+fn full_depth(cfg: &ModelConfig) -> (usize, bool, usize) {
+    (3 * cfg.m_iters, true, 3)
+}
+
 #[test]
 fn alg2_exchange_frequency_is_2() {
     let cfg = cfg_for_ca();
     let counts = Universe::run(4, move |comm| {
-        let mut model = CaModel::new(&cfg, ProcessGrid::yz(2, 2).unwrap(), comm).unwrap();
+        let pgrid = ProcessGrid::yz(2, 2).unwrap();
+        let mut model = CaModel::with_groups(&cfg, pgrid, comm, full_depth(&cfg)).unwrap();
+        assert_eq!(model.exchanges_per_step(), 2);
         let ic = init::perturbed_rest(model.geom(), 100.0, 0.0, 1);
         model.set_state(&ic);
         for _ in 0..3 {
@@ -210,7 +218,8 @@ fn alg2_message_count_per_exchange() {
         let mut cfg = cfg.clone();
         cfg.ny = 33; // 3 x 3 process grid: blocks of 11/11/11 in y... 33/3=11 ≥ 5
         cfg.nz = 9; // 3 blocks of 3 ≥ 3
-        let mut model = CaModel::new(&cfg, ProcessGrid::yz(3, 3).unwrap(), comm).unwrap();
+        let pgrid = ProcessGrid::yz(3, 3).unwrap();
+        let mut model = CaModel::with_groups(&cfg, pgrid, comm, full_depth(&cfg)).unwrap();
         let ic = init::perturbed_rest(model.geom(), 100.0, 0.0, 1);
         model.set_state(&ic);
         let s0 = comm.stats().snapshot();

@@ -7,7 +7,9 @@
 //! actually measured, exactly.
 
 use agcm_comm::{p2p_only_delta, CostModel, Universe};
-use agcm_core::analysis::{predict_rank, AlgKind};
+use agcm_core::analysis::{
+    active_flags, ca_ladder, predict_rank, predict_rank_mode, AlgKind, CaMode,
+};
 use agcm_core::init;
 use agcm_core::par::{Alg1Model, CaModel};
 use agcm_core::ModelConfig;
@@ -86,74 +88,67 @@ fn alg1_xy_counts_match_runtime() {
     }
 }
 
-#[test]
-fn alg2_counts_match_runtime_grouped() {
-    // blocks that force a clamped group (M = 3, 5-row blocks → g = 3):
-    // the predictor must track the executable's grouped schedule exactly
-    let mut cfg = ModelConfig::test_medium();
-    cfg.ny = 20;
-    let pgrid = ProcessGrid::yz(4, 1).unwrap();
-    let measured = measure(4, &cfg, |cfg, comm| {
-        let mut m = CaModel::new(cfg, ProcessGrid::yz(4, 1).unwrap(), comm).unwrap();
-        assert_eq!(m.group, 3, "expected a clamped group size");
+/// Run Algorithm 2 on `groups` (`None`: the rung `CaModel::new` picks) and
+/// hold the predictor, costing the same groups, to the measured traffic
+/// message for message.
+fn alg2_counts_match(cfg: &ModelConfig, pgrid: ProcessGrid, groups: Option<(usize, bool, usize)>) {
+    let measured = measure(pgrid.size(), cfg, |cfg, comm| {
+        let mut m = match groups {
+            Some(groups) => CaModel::with_groups(cfg, pgrid, comm, groups),
+            None => CaModel::new(cfg, pgrid, comm),
+        }
+        .unwrap();
         let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
         m.set_state(&ic);
         Box::new(move |c: &agcm_comm::Communicator| m.step(c).unwrap())
     });
     let decomp = Decomposition::new(cfg.extents(), pgrid).unwrap();
     let model = CostModel::tianhe2();
-    let fl = flags(&cfg);
-    for (rank, &(msgs, elems, _)) in measured.iter().enumerate() {
-        let rc = predict_rank(&cfg, AlgKind::CommAvoiding, &decomp, rank, &model, &fl);
-        assert_eq!(rc.p2p_msgs, msgs, "rank {rank}: messages");
-        assert_eq!(rc.p2p_elems, elems, "rank {rank}: elements");
+    let fl = flags(cfg);
+    assert_eq!(fl, active_flags(cfg), "the predictor's own row flags");
+    let mode = groups.map_or(CaMode::Grouped, |(g, fuse, ga)| CaMode::Groups(g, fuse, ga));
+    for (rank, &(msgs, elems, colls)) in measured.iter().enumerate() {
+        let alg = AlgKind::CommAvoiding;
+        let rc = predict_rank_mode(cfg, alg, &decomp, rank, &model, &fl, mode);
+        assert_eq!(rc.p2p_msgs, msgs, "{groups:?} rank {rank}: messages");
+        assert_eq!(rc.p2p_elems, elems, "{groups:?} rank {rank}: elements");
+        assert_eq!(
+            rc.collective_calls, colls,
+            "{groups:?} rank {rank}: collectives"
+        );
     }
+}
+
+#[test]
+fn alg2_counts_match_runtime_on_every_rung() {
+    // M = 3 on 5-row blocks: the ladder is g = 1 and g = 3, both fused
+    let mut cfg = ModelConfig::test_medium();
+    cfg.ny = 20;
+    let pgrid = ProcessGrid::yz(4, 1).unwrap();
+    assert_eq!(ca_ladder(&cfg, &pgrid), [(1, true, 3), (3, true, 3)]);
+    for rung in ca_ladder(&cfg, &pgrid) {
+        alg2_counts_match(&cfg, pgrid, Some(rung));
+    }
+    // and on whichever of them the model picks for itself
+    alg2_counts_match(&cfg, pgrid, None);
 }
 
 #[test]
 fn alg2_counts_match_runtime_degenerate_group() {
-    // 2-row blocks force g = 1 (per-sweep exchanges)
+    // 2-row blocks: g = 1 (per-sweep exchanges), the smoothing unfused
     let mut cfg = ModelConfig::test_medium();
     cfg.ny = 16;
     let pgrid = ProcessGrid::yz(8, 1).unwrap();
-    let measured = measure(8, &cfg, |cfg, comm| {
-        let mut m = CaModel::new(cfg, ProcessGrid::yz(8, 1).unwrap(), comm).unwrap();
-        assert_eq!(m.group, 1);
-        let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-        m.set_state(&ic);
-        Box::new(move |c: &agcm_comm::Communicator| m.step(c).unwrap())
-    });
-    let decomp = Decomposition::new(cfg.extents(), pgrid).unwrap();
-    let model = CostModel::tianhe2();
-    let fl = flags(&cfg);
-    for (rank, &(msgs, elems, _)) in measured.iter().enumerate() {
-        let rc = predict_rank(&cfg, AlgKind::CommAvoiding, &decomp, rank, &model, &fl);
-        assert_eq!(rc.p2p_msgs, msgs, "rank {rank}: messages");
-        assert_eq!(rc.p2p_elems, elems, "rank {rank}: elements");
-    }
+    alg2_counts_match(&cfg, pgrid, Some((1, false, 2)));
 }
 
 #[test]
 fn alg2_counts_match_runtime_full_depth() {
-    // a configuration whose blocks hold the full 3M-deep halo (M = 1):
-    // the grouped schedule degenerates to the paper's 2-exchange form and
-    // must match the executing CaModel message for message
+    // blocks that hold the full 3M-deep halo (M = 1): the paper's
+    // 2-exchange form, under a z-split so the collectives count too
     let mut cfg = ModelConfig::test_medium();
     cfg.m_iters = 1;
     let pgrid = ProcessGrid::yz(2, 2).unwrap();
-    let measured = measure(4, &cfg, |cfg, comm| {
-        let mut m = CaModel::new(cfg, ProcessGrid::yz(2, 2).unwrap(), comm).unwrap();
-        let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-        m.set_state(&ic);
-        Box::new(move |c: &agcm_comm::Communicator| m.step(c).unwrap())
-    });
-    let decomp = Decomposition::new(cfg.extents(), pgrid).unwrap();
-    let model = CostModel::tianhe2();
-    let fl = flags(&cfg);
-    for (rank, &(msgs, elems, colls)) in measured.iter().enumerate() {
-        let rc = predict_rank(&cfg, AlgKind::CommAvoiding, &decomp, rank, &model, &fl);
-        assert_eq!(rc.p2p_msgs, msgs, "rank {rank}: messages");
-        assert_eq!(rc.p2p_elems, elems, "rank {rank}: elements");
-        assert_eq!(rc.collective_calls, colls, "rank {rank}: collectives");
-    }
+    alg2_counts_match(&cfg, pgrid, Some((3, true, 3)));
+    alg2_counts_match(&cfg, pgrid, None);
 }

@@ -1,6 +1,7 @@
 //! Error paths and robustness of the model constructors and runtime.
 
 use agcm_comm::Universe;
+use agcm_core::analysis::ca_ladder;
 use agcm_core::error::ModelError;
 use agcm_core::init;
 use agcm_core::par::{Alg1Model, CaModel};
@@ -45,19 +46,46 @@ fn alg1_rejects_oversubscribed_blocks() {
 
 #[test]
 fn ca_adapts_group_size_instead_of_failing() {
-    // blocks of 2 rows: the full 3M-deep halo cannot fit, but construction
-    // must succeed with a degenerate group
+    // blocks of 2 rows: no grouped halo fits, but construction must succeed
+    // on the ladder's one degenerate rung — and refuse, with a typed error,
+    // the groups that do not fit or do not align with the iteration
     let mut cfg = ModelConfig::test_medium();
     cfg.ny = 16;
+    let pgrid = ProcessGrid::yz(8, 1).unwrap();
+    assert_eq!(ca_ladder(&cfg, &pgrid), [(1, false, 2)]);
     let results = Universe::run(8, move |comm| {
-        let m = CaModel::new(&cfg, ProcessGrid::yz(8, 1).unwrap(), comm).unwrap();
+        let m = CaModel::new(&cfg, pgrid, comm).unwrap();
+        for bad in [(3, true, 3), (9, true, 3), (2, false, 2), (1, false, 4)] {
+            let refused = CaModel::with_groups(&cfg, pgrid, comm, bad);
+            assert!(matches!(refused, Err(ModelError::Config(_))), "{bad:?}");
+        }
         (m.group, m.fused_smoothing, m.exchanges_per_step())
     });
     for (g, fuse, freq) in results {
         assert_eq!(g, 1);
         assert!(!fuse, "2-row blocks cannot take the +2 smoothing margin");
         // 3M + ceil(3/ga) + 1 separate smoothing
-        assert!((10..=13).contains(&freq), "freq = {freq}");
+        assert_eq!(freq, 9 + 2 + 1);
+    }
+}
+
+#[test]
+fn ca_runs_a_rung_of_the_ladder_whatever_the_blocks() {
+    let cfg = ModelConfig::test_medium(); // 24 x 16 x 8
+    for (py, pz) in [(1, 1), (2, 1), (4, 1), (2, 2), (1, 2)] {
+        let pgrid = ProcessGrid::yz(py, pz).unwrap();
+        let ladder = ca_ladder(&cfg, &pgrid);
+        let cfg = cfg.clone();
+        let groups = Universe::run(py * pz, move |comm| {
+            let m = CaModel::new(&cfg, pgrid, comm).unwrap();
+            (m.group, m.fused_smoothing, m.group_adv)
+        });
+        assert!(groups.iter().all(|g| g == &groups[0]), "ranks agree");
+        assert!(
+            ladder.contains(&groups[0]),
+            "{:?} not in {ladder:?}",
+            groups[0]
+        );
     }
 }
 

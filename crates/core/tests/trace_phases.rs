@@ -7,8 +7,13 @@
 //! * The approximate nonlinear iteration cuts the vertical collectives from
 //!   `3M` to `2M` per step (§4.2.2) — visible through the phase-tagged
 //!   collective-event log: every z-allgather carries `Phase::C`.
+//! * Algorithm 2 splits the advection sweep that overlaps its exchange; it
+//!   does not repeat it.  The step opens the operator spans of Algorithm 1
+//!   plus one strip per neighbour-facing side, and none for a side on a
+//!   pole, the model top or the surface.
 
 use agcm_comm::Universe;
+use agcm_core::analysis::ca_ladder;
 use agcm_core::init;
 use agcm_core::par::{Alg1Model, CaModel};
 use agcm_core::ModelConfig;
@@ -98,5 +103,74 @@ fn vertical_collectives_drop_from_3m_to_2m_in_phase_tags() {
     }
     for &n in &alg2 {
         assert_eq!(n, 2 * m, "Alg 2: 2M — one third of the C collectives cut");
+    }
+}
+
+/// `(L, F)` operator spans each rank opens in its second (steady-state)
+/// step, and the number of its sides that face a neighbour.
+fn steady_l_and_f<FMK>(p: usize, mk: FMK) -> Vec<(usize, usize, usize)>
+where
+    FMK: Fn(&mut agcm_comm::Communicator) -> (usize, Box<dyn FnMut(&agcm_comm::Communicator)>)
+        + Sync,
+{
+    let _guard = obs::exclusive();
+    obs::reset();
+    obs::enable();
+    let sides = Universe::run(p, move |comm| {
+        let (sides, mut step) = mk(comm);
+        step(comm);
+        step(comm);
+        sides
+    });
+    obs::disable();
+    let events = obs::drain();
+    let count = |rank: usize, phase: obs::Phase| {
+        let op = |e: &&obs::Event| e.kind == obs::SpanKind::Op && e.phase == phase;
+        let mine = |e: &&obs::Event| e.rank == rank && e.step == 1;
+        events.iter().filter(mine).filter(op).count()
+    };
+    (0..p)
+        .map(|r| (count(r, obs::Phase::L), count(r, obs::Phase::F), sides[r]))
+        .collect()
+}
+
+#[test]
+fn alg2_splits_the_overlapped_sweep_on_neighbour_facing_sides_only() {
+    let cfg = ModelConfig {
+        ny: 24,
+        ..ModelConfig::test_medium() // M = 3
+    };
+    // Algorithm 1: 3 advection sweeps of a tendency and a lincomb span
+    // each, 3M + 3 filter applications
+    let (l1, f1) = (6, 3 * cfg.m_iters + 3);
+    let cfg1 = cfg.clone();
+    let alg1 = steady_l_and_f(2, move |comm| {
+        let mut m = Alg1Model::new(&cfg1, ProcessGrid::yz(2, 1).unwrap(), comm).unwrap();
+        let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
+        m.set_state(&ic);
+        (0, Box::new(move |c| m.step(c).unwrap()))
+    });
+    assert_eq!(alg1, [(l1, f1, 0); 2]);
+
+    for (py, pz) in [(1, 1), (2, 1), (4, 1), (2, 2)] {
+        let pgrid = ProcessGrid::yz(py, pz).unwrap();
+        for groups in ca_ladder(&cfg, &pgrid) {
+            let cfg2 = cfg.clone();
+            let alg2 = steady_l_and_f(py * pz, move |comm| {
+                let mut m = CaModel::with_groups(&cfg2, pgrid, comm, groups).unwrap();
+                let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
+                m.set_state(&ic);
+                let grow = m.geom().grow_sides();
+                let sides = [grow.north, grow.south, grow.top, grow.bottom];
+                let sides = sides.iter().filter(|&&s| s).count();
+                (sides, Box::new(move |c| m.step(c).unwrap()))
+            });
+            for (rank, &(l, f, sides)) in alg2.iter().enumerate() {
+                // one strip a side: its tendency + lincomb spans, its filter
+                let what = format!("yz({py},{pz}) {groups:?} rank {rank}: {sides} side(s)");
+                assert_eq!(l, l1 + 2 * sides, "L spans, {what}");
+                assert_eq!(f, f1 + sides, "F spans, {what}");
+            }
+        }
     }
 }

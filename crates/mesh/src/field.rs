@@ -395,6 +395,23 @@ impl Field3 {
         }
     }
 
+    /// `self = a` on every point both fields hold: the interior (extents
+    /// must be identical) plus, on each side, the halo layers common to the
+    /// two — a whole-array copy when the halos agree.
+    pub fn assign_common(&mut self, a: &Field3) {
+        assert_eq!(self.extents(), a.extents());
+        let h = self.halo;
+        let lo = |mine: usize, theirs: usize| -(mine.min(theirs) as isize);
+        let hi = |n: usize, mine: usize, theirs: usize| (n + mine.min(theirs)) as isize;
+        let (x0, x1) = (lo(h.xm, a.halo.xm), hi(self.nx, h.xp, a.halo.xp));
+        for k in lo(h.zm, a.halo.zm)..hi(self.nz, h.zp, a.halo.zp) {
+            for j in lo(h.ym, a.halo.ym)..hi(self.ny, h.yp, a.halo.yp) {
+                self.row_mut(x0, x1, j, k)
+                    .copy_from_slice(a.row(x0, x1, j, k));
+            }
+        }
+    }
+
     /// `self = x + c*y` over the interior.
     pub fn lincomb_interior(&mut self, x: &Field3, c: f64, y: &Field3) {
         assert_eq!(self.extents(), x.extents());
@@ -765,6 +782,19 @@ impl Field2 {
         }
     }
 
+    /// `self = a` on every point both fields hold (see
+    /// [`Field3::assign_common`]).
+    pub fn assign_common(&mut self, a: &Field2) {
+        assert_eq!(self.extents(), a.extents());
+        let (h, ah) = (self.halo(), a.halo());
+        let lo = |mine: usize, theirs: usize| -(mine.min(theirs) as isize);
+        let hi = |n: usize, mine: usize, theirs: usize| (n + mine.min(theirs)) as isize;
+        let (x0, x1) = (lo(h.xm, ah.xm), hi(self.nx, h.xp, ah.xp));
+        for j in lo(h.ym, ah.ym)..hi(self.ny, h.yp, ah.yp) {
+            self.row_mut(x0, x1, j).copy_from_slice(a.row(x0, x1, j));
+        }
+    }
+
     /// `self = x + c*y` over the interior.
     pub fn lincomb_interior(&mut self, x: &Field2, c: f64, y: &Field2) {
         assert_eq!(self.extents(), x.extents());
@@ -916,6 +946,38 @@ mod tests {
         f.set(4, 4, -1, 8.0);
         assert_eq!(f.get(-3, 0, 0), 7.0);
         assert_eq!(f.get(4, 4, -1), 8.0);
+    }
+
+    #[test]
+    fn assign_common_copies_interior_and_shared_halo_layers() {
+        let deep = HaloWidths {
+            ym: 4,
+            zp: 3,
+            ..HaloWidths::uniform(1)
+        };
+        let mut a = Field3::new(4, 3, 2, deep);
+        for (n, v) in a.raw_mut().iter_mut().enumerate() {
+            *v = n as f64;
+        }
+        let mut b = Field3::new(4, 3, 2, HaloWidths::uniform(2));
+        b.assign_common(&a);
+        // one layer is common on the shallow sides, two where `a` is deeper
+        for (i, j, k) in [(0, 0, 0), (-1, -2, -1), (4, 3, 3), (3, 2, 1)] {
+            assert_eq!(b.get(i, j, k), a.get(i, j, k), "({i}, {j}, {k})");
+        }
+        assert_eq!(b.get(-2, 0, 0), 0.0, "beyond a's x halo: untouched");
+        // equal halos: the whole array
+        let mut c = Field3::like(&a);
+        c.assign_common(&a);
+        assert_eq!(c, a);
+        let mut p = Field2::new(4, 3, deep);
+        for (n, v) in p.raw_mut().iter_mut().enumerate() {
+            *v = n as f64;
+        }
+        let mut q = Field2::new(4, 3, HaloWidths::uniform(2));
+        q.assign_common(&p);
+        assert_eq!(q.get(-1, -2), p.get(-1, -2));
+        assert_eq!(q.get(4, 3), p.get(4, 3));
     }
 
     #[test]

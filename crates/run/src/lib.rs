@@ -212,7 +212,10 @@ AGCM_ENDPOINT), integrates the test_medium configuration, and verifies the
 gathered state bitwise against an in-process serial reference, the measured
 per-rank traffic against the static schedule analyzer, and the wire-level
 byte counters against the logical element counts.  Exit code 0 only if every
-check passes on every rank.
+check passes on every rank.  With --steps above 2 it also prints the median
+wall time of the steps after the verified one; AGCM_FAULT_SPEC in the
+environment reaches every rank, so `AGCM_FAULT_SPEC=lat:us=200` makes every
+message arrive 200 us late — the latency dial of a host that has none.
 
 With --trace every rank records spans, aligns its clock against rank 0 and
 ships its stream over a control communicator at run end; rank 0 merges them
@@ -603,8 +606,12 @@ pub fn worker_main() -> Result<(), String> {
         .ok_or("socket transport must expose wire stats")?
         .delta(&w0);
     let pure = p2p_only_delta(&delta, &events);
+    // wall time of the steady steps (tracing off: no snapshot between them)
+    let mut step_ns: Vec<u64> = Vec::with_capacity(steps.saturating_sub(2));
     for s in 2..steps {
+        let t = Instant::now();
         model.step(&comm)?;
+        step_ns.push(t.elapsed().as_nanos() as u64);
         if let Some((ctl, _)) = &ctl {
             if rank != 0 {
                 telemetry::send_live_snapshot(ctl, (s + 1) as u64, obs::pending_events() as u64)
@@ -614,6 +621,7 @@ pub fn worker_main() -> Result<(), String> {
     }
     model.finish(&comm)?;
 
+    step_ns.sort_unstable();
     let traffic = RankTraffic {
         pure_msgs: pure.p2p_sends,
         pure_elems: pure.p2p_send_elems,
@@ -622,6 +630,7 @@ pub fn worker_main() -> Result<(), String> {
         raw_send_elems: delta.p2p_send_elems,
         wire_msgs: wire.msgs_sent,
         wire_bytes: wire.bytes_sent,
+        step_ns_p50: step_ns.get(step_ns.len() / 2).copied().unwrap_or(0),
     };
 
     let gathered = model.gather(&comm)?;
@@ -855,6 +864,7 @@ fn verify_world(
     let graph = ScheduleGraph::extract(cfg, alg_kind, CaMode::Grouped, pgrid)?;
     let predicted = rank_counts(&graph);
     let mut wire_bytes_total = 0u64;
+    let mut step_ns = 0u64; // the slowest rank's median steady step
     for (rank, pred) in predicted.iter().enumerate() {
         let t = RankTraffic::read(&out.join(format!("stats.rank{rank}.txt")))
             .map_err(|e| format!("stats.rank{rank}.txt: {e}"))?;
@@ -884,12 +894,20 @@ fn verify_world(
             ));
         }
         wire_bytes_total += t.wire_bytes;
+        step_ns = step_ns.max(t.step_ns_p50);
     }
     println!(
         "agcm-run: alg{alg} p={p} steps={steps}: state bitwise == serial, \
          measured traffic == static schedule on all {p} ranks, \
          wire identity holds ({wire_bytes_total} bytes in the measured step)"
     );
+    if step_ns > 0 {
+        println!(
+            "agcm-run: alg{alg} p={p}: median steady step {:.3} ms ({:.1} steps/s)",
+            step_ns as f64 * 1e-6,
+            1e9 / step_ns as f64
+        );
+    }
     Ok(())
 }
 
@@ -1217,6 +1235,9 @@ pub struct RankTraffic {
     pub wire_msgs: u64,
     /// Bytes the transport wrote (headers + payloads + checksums).
     pub wire_bytes: u64,
+    /// Median wall time, in ns, of the steps after the measured one (0
+    /// when `--steps` leaves none).
+    pub step_ns_p50: u64,
 }
 
 impl RankTraffic {
@@ -1224,14 +1245,15 @@ impl RankTraffic {
     pub fn write(&self, path: &Path) -> io::Result<()> {
         let body = format!(
             "pure_msgs={}\npure_elems={}\ncollectives={}\nraw_sends={}\n\
-             raw_send_elems={}\nwire_msgs={}\nwire_bytes={}\n",
+             raw_send_elems={}\nwire_msgs={}\nwire_bytes={}\nstep_ns_p50={}\n",
             self.pure_msgs,
             self.pure_elems,
             self.collectives,
             self.raw_sends,
             self.raw_send_elems,
             self.wire_msgs,
-            self.wire_bytes
+            self.wire_bytes,
+            self.step_ns_p50
         );
         fs::write(path, body)
     }
@@ -1253,6 +1275,7 @@ impl RankTraffic {
                 "raw_send_elems" => t.raw_send_elems = v,
                 "wire_msgs" => t.wire_msgs = v,
                 "wire_bytes" => t.wire_bytes = v,
+                "step_ns_p50" => t.step_ns_p50 = v,
                 other => return Err(bad(format!("unknown key {other:?}"))),
             }
         }
@@ -1398,6 +1421,7 @@ mod tests {
             raw_send_elems: 1200,
             wire_msgs: 16,
             wire_bytes: expected_wire_bytes(16, 1200),
+            step_ns_p50: 1_875_000,
         };
         let path = std::env::temp_dir().join(format!("agcm_run_stats_{}.txt", std::process::id()));
         t.write(&path).unwrap();

@@ -12,7 +12,6 @@ use crate::graph::ScheduleGraph;
 use agcm_comm::CostModel;
 use agcm_core::analysis::{self, AlgKind, CaMode};
 use agcm_core::ModelConfig;
-use agcm_fft::FourierFilter;
 use agcm_mesh::{Decomposition, ProcessGrid};
 
 /// Per-rank traffic of one step, summed from the event graph.
@@ -80,13 +79,6 @@ impl CountReport {
 
 const MAX_ERRORS: usize = 16;
 
-fn filter_flags(cfg: &ModelConfig) -> Vec<bool> {
-    let grid = cfg.grid().expect("valid config");
-    let lats: Vec<f64> = (0..grid.ny()).map(|j| grid.latitude(j)).collect();
-    let filter = FourierFilter::new(grid.nx(), &lats, cfg.filter_cutoff_deg.to_radians());
-    (0..grid.ny()).map(|j| filter.is_active(j)).collect()
-}
-
 /// Certify the graph's counts against the §5.3 closed forms and the
 /// independent per-rank predictor of `core::analysis`.
 pub fn certify_counts(
@@ -109,7 +101,7 @@ pub fn certify_counts(
     }
 
     // §5.3 closed form; exact only in the regime the paper states it for
-    // (full-depth CA schedule = PaperIdeal or an unclamped Grouped fit).
+    // (the full-depth CA schedule, however the mode names it).
     let s = match alg {
         AlgKind::OriginalYZ => analysis::s_yz(cfg, 1),
         AlgKind::OriginalXY => analysis::s_xy(cfg, 1),
@@ -122,11 +114,7 @@ pub fn certify_counts(
         AlgKind::OriginalYZ => pgrid.pz() > 1,
         AlgKind::OriginalXY => pgrid.px() > 1,
         AlgKind::CommAvoiding => {
-            pgrid.pz() > 1
-                && (mode == CaMode::PaperIdeal || {
-                    let (gsz, fuse, ga) = analysis::ca_group_size(cfg, &pgrid);
-                    gsz == 3 * cfg.m_iters && fuse && ga == 3
-                })
+            pgrid.pz() > 1 && mode.groups(cfg, &pgrid) == CaMode::PaperIdeal.groups(cfg, &pgrid)
         }
     };
     if closed_form_applies && rep.syncs != rep.s_closed_form {
@@ -145,7 +133,11 @@ pub fn certify_counts(
             return rep;
         }
     };
-    let flags = filter_flags(cfg);
+    let flags = analysis::active_flags(cfg);
+    let mode = match alg {
+        AlgKind::CommAvoiding => mode.resolved(cfg, &pgrid),
+        _ => mode,
+    };
     let model = CostModel::tianhe2();
     let counts = rank_counts(g);
     let mut total_sends = 0u64;

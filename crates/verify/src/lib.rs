@@ -59,7 +59,8 @@ pub use deadlock::{check_deadlock, DeadlockReport};
 pub use graph::{Action, RecvEvent, ScheduleGraph, SendEvent};
 pub use matching::{check_matching, MatchReport};
 pub use report::{
-    certify_paper_ranks, certify_yz, paper_yz_grid, AlgCertification, Certification, PAPER_RANKS,
+    certify_one, certify_paper_ranks, certify_yz, paper_yz_grid, AlgCertification, Certification,
+    PAPER_RANKS,
 };
 pub use runtime::{cross_check, measure_step, measure_step_under_faults, MeasuredTraffic};
 pub use trace::{

@@ -43,11 +43,15 @@ pub struct Certification {
     /// Algorithm 2 under the paper's idealized full-depth accounting
     /// (the 2-exchange schedule).
     pub ca_ideal: AlgCertification,
-    /// Algorithm 2 as executable on this grid (clamped groups).
+    /// Algorithm 2 as it executes on this grid (`CaMode::Grouped`).
     pub ca_grouped: AlgCertification,
 }
 
-fn certify_one(
+/// Statically certify the schedule of `alg` on `pgrid` (Algorithm 2's on the
+/// sweep groups `mode` names): matching, deadlock-freedom, counts against
+/// the predictor and, where the schedule is executable, the halo-coverage
+/// proof.
+pub fn certify_one(
     cfg: &ModelConfig,
     alg: AlgKind,
     mode: CaMode,
@@ -79,13 +83,11 @@ fn certify_one(
             c.errors.join("; ")
         ));
     }
-    // halo-coverage proof for every executable schedule; the paper's
-    // idealized accounting is executable only where the grouped schedule
-    // reaches the full depth
-    let executable = mode == CaMode::Grouped || {
-        let (gs, fuse, ga) = analysis::ca_group_size(cfg, &pgrid);
-        alg != AlgKind::CommAvoiding || (gs == 3 * cfg.m_iters && fuse && ga == 3)
-    };
+    // halo-coverage proof for every executable schedule: Algorithm 2's
+    // sweep groups must be a rung of the feasible ladder (the paper's full
+    // depth is one only where the blocks hold it)
+    let executable = alg != AlgKind::CommAvoiding
+        || analysis::ca_ladder(cfg, &pgrid).contains(&mode.groups(cfg, &pgrid));
     let (dataflow_reads, dataflow_margin) = if executable {
         let proof = dataflow::check(cfg, alg, mode, &pgrid)
             .map_err(|ce| format!("{label}: dataflow counterexample: {ce}"))?;

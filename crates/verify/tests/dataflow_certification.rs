@@ -2,7 +2,7 @@
 //! the issue's rank sweep — and refutes deliberately broken ones with
 //! counterexamples naming operator, field and uncovered offset.
 
-use agcm_core::analysis::{ca_group_size, AlgKind, CaMode};
+use agcm_core::analysis::{ca_group_size, ca_ladder, AlgKind, CaMode};
 use agcm_core::par::schedule::{self, StepOp};
 use agcm_core::ModelConfig;
 use agcm_mesh::{Axis, ProcessGrid};
@@ -81,9 +81,8 @@ fn proves_all_schedules_at_issue_rank_sweep() {
                 .unwrap_or_else(|ce| panic!("alg2 p={p} {pg:?}: {ce}"));
             assert!(ca.computes > 0);
             // the paper's idealized accounting is executable (and hence
-            // provable) exactly when the grouped schedule reaches it
-            let (g, fuse, ga) = ca_group_size(&c, &pg);
-            if g == 3 * c.m_iters && fuse && ga == 3 {
+            // provable) exactly where the ladder reaches it
+            if ca_ladder(&c, &pg).contains(&(3 * c.m_iters, true, 3)) {
                 dataflow::check(&c, AlgKind::CommAvoiding, CaMode::PaperIdeal, &pg)
                     .unwrap_or_else(|ce| panic!("ideal p={p} {pg:?}: {ce}"));
             }
@@ -107,49 +106,53 @@ fn serial_schedules_prove_trivially_with_no_finite_margin() {
     }
 }
 
+/// The ladder's top rung on the paper's p = 128 grid: `g = 3`, fused.
+const TOP_16X8: CaMode = CaMode::Groups(3, true, 3);
+
 #[test]
 fn grouped_ca_schedule_consumes_its_deep_halo_exactly() {
     let c = cfg();
     let pg = ProcessGrid::yz(16, 8).unwrap();
-    let (g, fuse, _) = ca_group_size(&c, &pg);
-    assert!(g >= 3 && fuse, "expected a fused grouped schedule");
-    let proof = dataflow::check(&c, AlgKind::CommAvoiding, CaMode::Grouped, &pg).unwrap();
+    assert_eq!(ca_ladder(&c, &pg).last(), Some(&(3, true, 3)));
+    let proof = dataflow::check(&c, AlgKind::CommAvoiding, TOP_16X8, &pg).unwrap();
     // some read consumes the shipped depth exactly — no wasted halo layers
     assert_eq!(proof.min_margin, Some(0));
     assert!(proof.collectives_consumed > 0);
 }
 
-/// The bugfix satellite: the dataflow pass independently agrees with
-/// `analysis::ca_group_size` at every feasible p — the selected group size
-/// proves, and every larger candidate the clamp rejected is refuted.  This
-/// catches the block-too-small clamp path that count certification alone
-/// cannot distinguish.
+/// The dataflow pass independently agrees with `analysis::ca_ladder` at
+/// every feasible p: every rung proves — the one the cost rule picks among
+/// them — and the deepest rung is exactly what the proof accepts: one
+/// iteration-aligned group further up, or the same group with a fused
+/// smoothing the ladder left unfused, is refuted.  This catches the
+/// block-too-small clamp path that count certification alone cannot
+/// distinguish.
 #[test]
 fn agrees_with_ca_group_size_at_every_feasible_p() {
     let c = cfg();
     let m = c.m_iters;
     for p in rank_sweep() {
         for pg in feasible_yz(&c, p) {
-            let (g, fuse, ga) = ca_group_size(&c, &pg);
-            let ops = schedule::alg2_step_for(&c, &pg, g, fuse, ga);
-            dataflow::check_ops(&c, &pg, &ops)
-                .unwrap_or_else(|ce| panic!("selected (g={g}, fuse={fuse}) p={p} {pg:?}: {ce}"));
-            // every candidate ca_group_size tried and rejected before
-            // settling on (g, fuse) must fail the dataflow proof
-            let mut ladder: Vec<(usize, bool)> = Vec::new();
-            for k in (1..=m).rev() {
-                ladder.push((3 * k, true));
-                ladder.push((3 * k, false));
+            let ladder = ca_ladder(&c, &pg);
+            assert!(ladder.contains(&ca_group_size(&c, &pg)), "p={p} {pg:?}");
+            for &(g, fuse, ga) in &ladder {
+                let ops = schedule::alg2_step_for(&c, &pg, g, fuse, ga);
+                dataflow::check_ops(&c, &pg, &ops)
+                    .unwrap_or_else(|ce| panic!("rung (g={g}, fuse={fuse}) p={p} {pg:?}: {ce}"));
             }
-            ladder.push((1, true));
-            let selected = ladder
-                .iter()
-                .position(|&(lg, lf)| (lg, lf) == (g, fuse))
-                .unwrap_or(ladder.len());
-            for &(lg, lf) in &ladder[..selected] {
-                let over = schedule::alg2_step_for(&c, &pg, lg, lf, ga);
-                let ce = dataflow::check_ops(&c, &pg, &over).expect_err(&format!(
-                    "rejected candidate (g={lg}, fuse={lf}) wrongly proves at p={p} {pg:?}"
+            let &(g, fuse, ga) = ladder.last().unwrap();
+            let next = if g == 1 { 3 } else { g + 3 };
+            let mut over = Vec::new();
+            if next <= 3 * m {
+                over.extend([(next, true), (next, false)]);
+            }
+            if !fuse {
+                over.push((g, true));
+            }
+            for (lg, lf) in over {
+                let ops = schedule::alg2_step_for(&c, &pg, lg, lf, ga);
+                let ce = dataflow::check_ops(&c, &pg, &ops).expect_err(&format!(
+                    "(g={lg}, fuse={lf}) above the ladder wrongly proves at p={p} {pg:?}"
                 ));
                 assert_eq!(ce.kind, FailureKind::UncoveredHalo);
                 assert!(!ce.field.is_empty());
@@ -163,10 +166,8 @@ fn agrees_with_ca_group_size_at_every_feasible_p() {
 fn shrunk_deep_halo_yields_named_counterexample() {
     let c = cfg();
     let pg = ProcessGrid::yz(16, 8).unwrap();
-    let (_, fuse, _) = ca_group_size(&c, &pg);
-    assert!(fuse, "first exchange must be the deep fused one");
     // shrink y by one layer: the later smoothing's ±2 rows fall off
-    let mut ops = schedule::alg2_step(&c, &pg, CaMode::Grouped);
+    let mut ops = schedule::alg2_step(&c, &pg, TOP_16X8);
     assert!(dataflow::shrink_exchange(&mut ops, 0, 1, 0));
     let ce = dataflow::check_ops(&c, &pg, &ops).expect_err("shrunk y halo must fail");
     assert_eq!(ce.kind, FailureKind::UncoveredHalo);
@@ -178,7 +179,7 @@ fn shrunk_deep_halo_yields_named_counterexample() {
 
     // shrink z by one layer: the first sub-update's g_w interface read
     // outruns the halo
-    let mut ops = schedule::alg2_step(&c, &pg, CaMode::Grouped);
+    let mut ops = schedule::alg2_step(&c, &pg, TOP_16X8);
     assert!(dataflow::shrink_exchange(&mut ops, 0, 0, 1));
     let ce = dataflow::check_ops(&c, &pg, &ops).expect_err("shrunk z halo must fail");
     assert_eq!(ce.kind, FailureKind::UncoveredHalo);
@@ -196,7 +197,7 @@ fn over_fused_group_yields_counterexample() {
     let c = cfg();
     // bz = 26/8 = 3 clamps g to 3; force a 6-sweep group anyway
     let pg = ProcessGrid::yz(16, 8).unwrap();
-    let (g, _, ga) = ca_group_size(&c, &pg);
+    let &(g, _, ga) = ca_ladder(&c, &pg).last().unwrap();
     assert_eq!(g, 3);
     let ops = schedule::alg2_step_for(&c, &pg, 6, true, ga);
     let ce = dataflow::check_ops(&c, &pg, &ops).expect_err("over-fused group must fail");
