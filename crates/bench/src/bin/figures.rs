@@ -15,7 +15,7 @@
 use agcm_bench::{predict, predict_ideal, steps_10_years, PAPER_RANKS};
 use agcm_comm::{p2p_only_delta, CostModel, Universe};
 use agcm_core::analysis::{self, AlgKind};
-use agcm_core::{diagnostics, init, tables, ModelConfig};
+use agcm_core::{diagnostics, init, tables, Integrator, ModelConfig};
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
 
@@ -287,20 +287,10 @@ fn validate() {
         let cfg2 = cfg.clone();
         let measured = Universe::run(4, move |comm| {
             comm.stats().set_event_logging(true); // collective_events is opt-in
-            let mut step: Box<dyn FnMut(&agcm_comm::Communicator)> = match alg {
-                AlgKind::CommAvoiding => {
-                    let mut m = agcm_core::par::CaModel::new(&cfg2, pg, comm).unwrap();
-                    let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-                    m.set_state(&ic);
-                    Box::new(move |c| m.step(c).unwrap())
-                }
-                _ => {
-                    let mut m = agcm_core::par::Alg1Model::new(&cfg2, pg, comm).unwrap();
-                    let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-                    m.set_state(&ic);
-                    Box::new(move |c| m.step(c).unwrap())
-                }
-            };
+            let mut m = Integrator::parallel(&cfg2, alg, pg, comm).unwrap();
+            let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
+            m.set_state(&ic);
+            let mut step = |c| m.step(Some(c)).unwrap();
             step(comm); // warm-up (CA cache bootstrap)
             let s0 = comm.stats().snapshot();
             let e0 = comm.stats().collective_events().len();
@@ -566,34 +556,17 @@ fn trace() -> Vec<(&'static str, String, Vec<obs::Event>)> {
                     obs::record_value("physics.energy", b.energy());
                 }
             };
-            match alg {
-                AlgKind::CommAvoiding => {
-                    let mut m = agcm_core::par::CaModel::new(&cfg2, pg, comm).unwrap();
-                    let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-                    m.set_state(&ic);
-                    let b0 = diagnostics::global_budget(m.geom(), &m.state, comm).unwrap();
-                    let mut b1 = b0;
-                    for _ in 0..STEPS {
-                        m.step(comm).unwrap();
-                        b1 = diagnostics::global_budget(m.geom(), &m.state, comm).unwrap();
-                        sample(&b1, comm);
-                    }
-                    (b0, b1)
-                }
-                _ => {
-                    let mut m = agcm_core::par::Alg1Model::new(&cfg2, pg, comm).unwrap();
-                    let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-                    m.set_state(&ic);
-                    let b0 = diagnostics::global_budget(m.geom(), &m.state, comm).unwrap();
-                    let mut b1 = b0;
-                    for _ in 0..STEPS {
-                        m.step(comm).unwrap();
-                        b1 = diagnostics::global_budget(m.geom(), &m.state, comm).unwrap();
-                        sample(&b1, comm);
-                    }
-                    (b0, b1)
-                }
+            let mut m = Integrator::parallel(&cfg2, alg, pg, comm).unwrap();
+            let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
+            m.set_state(&ic);
+            let b0 = diagnostics::global_budget(m.geom(), &m.state, comm).unwrap();
+            let mut b1 = b0;
+            for _ in 0..STEPS {
+                m.step(Some(comm)).unwrap();
+                b1 = diagnostics::global_budget(m.geom(), &m.state, comm).unwrap();
+                sample(&b1, comm);
             }
+            (b0, b1)
         });
         obs::disable();
         let events = obs::drain();
@@ -907,7 +880,7 @@ fn trace_dist() {
 /// non-zero on any divergence so CI's chaos job can gate on it.
 fn restart() {
     use agcm_core::par::CaModel;
-    use agcm_core::resilience::{read_checkpoint, write_checkpoint, Resilient};
+    use agcm_core::resilience::{read_checkpoint, write_checkpoint};
 
     header("restart — checkpoint round-trip must be bitwise");
     let cfg = {
@@ -928,7 +901,7 @@ fn restart() {
         let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
         m.set_state(&ic);
         m.run(comm, 3).expect("first leg");
-        let ck = Resilient::capture(&m);
+        let ck = m.capture();
         write_checkpoint(&path2, &ck).expect("write checkpoint");
         let back = read_checkpoint(&path2).expect("read checkpoint");
         assert_eq!(back, ck, "disk round-trip must be bitwise");
@@ -938,7 +911,7 @@ fn restart() {
         let gold = m.state.clone();
         // restart a fresh model from the file and replay the second leg
         let mut r = CaModel::new(&cfg2, pg, comm).expect("CA model (restart)");
-        Resilient::restore(&mut r, &back);
+        r.restore(&back);
         r.run(comm, 2).expect("restarted leg");
         r.finish(comm).expect("finish (restart)");
         let diff = r.state.max_abs_diff(&gold);

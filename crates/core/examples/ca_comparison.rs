@@ -13,7 +13,7 @@
 
 use agcm_comm::Universe;
 use agcm_core::init;
-use agcm_core::par::{gather_ca_state, Alg1Model, CaModel, GlobalState};
+use agcm_core::par::{Alg1Model, CaModel, GlobalState};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
 
@@ -64,7 +64,7 @@ fn main() {
         let snap = comm.stats().snapshot();
         let colls = comm.stats().collective_events().len();
         (
-            gather_ca_state(&m, comm).unwrap(),
+            m.gather_state(comm).unwrap(),
             m.exchange_count(),
             snap,
             colls,

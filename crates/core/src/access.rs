@@ -309,6 +309,24 @@ const SMOOTH_FIELDS: [FieldAccess; 8] = [
     FieldAccess::write("psa", PW),
 ];
 
+/// The Held–Suarez forcing ([`crate::dycore::Engine::apply_forcing`]):
+/// point-wise on the winds and `Φ`, plus the rows of `p'_sa` — over the
+/// whole x halo — that `update_surface` turns into the `p_es` / `P` the
+/// relaxation reads.  It writes the interior only, so whatever halo
+/// validity its argument had is gone after it.
+pub const FORCING: AccessSpec = AccessSpec {
+    op: "forcing",
+    fields: &[
+        FieldAccess::read("u", PW),
+        FieldAccess::read("v", PW),
+        FieldAccess::read("phi", PW),
+        FieldAccess::read("psa", OffsetBox::new(3, 3, 0, 0, 0, 0)),
+        FieldAccess::write("u", PW),
+        FieldAccess::write("v", PW),
+        FieldAccess::write("phi", PW),
+    ],
+};
+
 /// The polar Fourier filter: whole-x rows (communication-free under the
 /// Y-Z decomposition, §4.2.1; two transposes per application when x is
 /// decomposed).
@@ -336,6 +354,7 @@ pub fn registry() -> &'static [AccessSpec] {
         ADVECTION_FUSED,
         SMOOTH_S1,
         SMOOTH_S2,
+        FORCING,
         FILTER,
     ]
 }

@@ -414,7 +414,7 @@ pub fn predict_rank_mode(
     for op in &ops {
         let c = match op {
             StepOp::Exchange(ex) => {
-                let (msgs, elems) = exchange_traffic(decomp, rank, ex.depth, ex.fields);
+                let (msgs, elems) = exchange_traffic(decomp, rank, ex.depth, ex.fields.shapes());
                 rc.p2p_msgs += msgs;
                 rc.p2p_elems += elems;
                 let t = model.exchange_round(msgs, elems);
@@ -461,6 +461,8 @@ pub fn predict_rank_mode(
             }
             // later smoothing: the edge rows and, redundantly, the halo frame
             "smooth.s2" => ((points(r) - points(region(-2, 0))) * W_SMOOTH, 0.0),
+            // pointwise and the same on every rung: not priced
+            "forcing" => (0.0, 0.0),
             other => unreachable!("unknown schedule kernel {other}"),
         };
         if let Some(t) = open.take() {

@@ -349,21 +349,6 @@ impl Engine {
             self.cfg.dt2,
         );
     }
-
-    /// The per-sweep target region of the communication-avoiding schedule:
-    /// sweep `s` (1-based) of `total` sweeps covers the interior dilated by
-    /// `total − s` rows/levels on every side facing a real neighbour.
-    pub fn ca_region(&self, s: usize, total: usize) -> Region {
-        let d = (total - s) as isize;
-        self.geom.interior().dilate(
-            d,
-            d,
-            self.geom.ny,
-            self.geom.nz,
-            self.geom.halo,
-            self.geom.grow_sides(),
-        )
-    }
 }
 
 /// Apply `F̃` to the tendency state on `region` (only filter-active rows
@@ -507,24 +492,5 @@ mod tests {
         )
         .unwrap();
         assert!(out_cached2.max_abs_diff(&out_fresh2) > 0.0);
-    }
-
-    #[test]
-    fn ca_regions_shrink_per_sweep() {
-        let cfg = ModelConfig::test_small();
-        let grid = Arc::new(cfg.grid().unwrap());
-        let d = Decomposition::new(cfg.extents(), ProcessGrid::yz(2, 2).unwrap()).unwrap();
-        // interior rank in y (rank cy=1 of 2 is at south — pick a 2x2 grid
-        // middle-ish rank: coords (0, 1, 0): south in y? ny=10, py=2: rank 1
-        let geom = LocalGeometry::new(&cfg, grid, &d, 1, HaloWidths::uniform(3));
-        let e = Engine::new(&cfg, geom, true);
-        let r1 = e.ca_region(1, 3);
-        let r2 = e.ca_region(2, 3);
-        let r3 = e.ca_region(3, 3);
-        assert!(r1.contains(&r2) && r2.contains(&r3));
-        assert_eq!(r3, e.geom.interior());
-        // the north side faces a neighbour → dilated; the south is a pole
-        assert!(r1.y0 < 0);
-        assert_eq!(r1.y1, e.geom.ny as isize);
     }
 }

@@ -24,6 +24,7 @@ pub mod geometry;
 #[cfg(test)]
 mod golden;
 pub mod init;
+pub mod integrator;
 pub mod lanes;
 pub mod par;
 pub mod pool;
@@ -38,10 +39,10 @@ pub mod vertical;
 
 pub use config::ModelConfig;
 pub use geometry::{LocalGeometry, Region};
+pub use integrator::Integrator;
 pub use resilience::{
     checkpoint_path, common_checkpoint_step, latest_checkpoint_step, list_checkpoints,
     prune_checkpoints, read_checkpoint, redistribute, resize_retention, write_checkpoint,
-    Checkpoint, CheckpointRing, ResilienceConfig, ResilienceError, Resilient, ResilientRunner,
-    RunReport,
+    Checkpoint, CheckpointRing, ResilienceConfig, ResilienceError, ResilientRunner, RunReport,
 };
 pub use state::State;

@@ -4,333 +4,62 @@
 //! (`p_z = 1`, distributed Fourier filtering) and Y-Z (`p_x = 1`,
 //! communication-free filtering, z-collectives for `C`).
 //!
-//! Communication schedule per time step (`M` nonlinear iterations):
+//! Communication per time step (`M` nonlinear iterations), as
+//! [`super::schedule::alg1_step`] lists it:
 //!
 //! * one shallow halo exchange **before every stencil sweep** —
 //!   `3M` adaptation + 3 advection + 1 smoothing = `3M + 4` exchanges
 //!   (13 for `M = 3`, the paper's "communication frequency 13"),
 //! * `3M` executions of the collective `C` (three per iteration),
 //! * `3M + 3` filter applications (each a pair of transposes under X-Y).
+//!
+//! [`Alg1Model`] is [`Integrator::alg1`] behind a `&Communicator` step
+//! signature; everything else it offers is the integrator's, through
+//! `Deref`.
 
 use crate::config::ModelConfig;
-use crate::dycore::{Engine, FilterCtx};
 use crate::error::ModelError;
 use crate::geometry::LocalGeometry;
-use crate::par::exchange::{state_fields, ExField, HaloExchanger};
-use crate::smoothing::smooth_full;
-use crate::state::{Combine, State};
-use crate::tables;
-use crate::vertical::ZContext;
+use crate::integrator::Integrator;
+use crate::state::State;
 use agcm_comm::{CommResult, Communicator};
-use agcm_mesh::{Decomposition, HaloWidths, ProcessGrid};
-use agcm_obs as obs;
-use std::sync::Arc;
+use agcm_mesh::ProcessGrid;
+use std::ops::{Deref, DerefMut};
 
 /// Parallel original algorithm (Algorithm 1).
-pub struct Alg1Model {
-    /// The shared engine.
-    pub engine: Engine,
-    /// Current state.
-    pub state: State,
-    /// Completed steps.
-    pub steps: usize,
-    exchanger: HaloExchanger,
-    zcomm: Option<Communicator>,
-    xcomm: Option<Communicator>,
-    depth_sweep: HaloWidths,
-    depth_smooth: HaloWidths,
-    // scratch; `state`, `psi`, `eta1` and `smoothed` trade buffers
-    // through a step instead of being copied into one another
-    psi: State,
-    eta1: State,
-    mid: State,
-    tend: State,
-    smoothed: State,
-}
+pub struct Alg1Model(Integrator);
 
 impl Alg1Model {
-    /// Build the model on this rank.  `comm` must have exactly
-    /// `pgrid.size()` ranks; rank ↔ cartesian coordinates follow
-    /// [`ProcessGrid`]'s x-fastest numbering.
+    /// Build the model on this rank (see [`Integrator::alg1`]).
     pub fn new(
         cfg: &ModelConfig,
         pgrid: ProcessGrid,
         comm: &mut Communicator,
     ) -> Result<Self, ModelError> {
-        if comm.size() != pgrid.size() {
-            return Err(ModelError::Config(format!(
-                "communicator size {} != process grid size {}",
-                comm.size(),
-                pgrid.size()
-            )));
-        }
-        let grid = Arc::new(cfg.grid()?);
-        let decomp = Decomposition::new(cfg.extents(), pgrid)?;
-        let halo = HaloWidths::for_footprint(&tables::per_sweep_union());
-        let rank = comm.rank();
-        let geom = LocalGeometry::new(cfg, Arc::clone(&grid), &decomp, rank, halo);
-        let exchanger = HaloExchanger::new(decomp.clone(), rank);
-        exchanger.validate_depth(halo).map_err(ModelError::Config)?;
-
-        let (px, py, pz) = pgrid.dims();
-        let (cx, cy, cz) = pgrid.coords(rank);
-        let zcomm = if pz > 1 {
-            Some(comm.split(cx + cy * px, cz)?)
-        } else {
-            None
-        };
-        let xcomm = if px > 1 {
-            Some(comm.split(cy + cz * py, cx)?)
-        } else {
-            None
-        };
-
-        let engine = Engine::new(cfg, geom, px == 1);
-        let state = State::new(engine.geom.nx, engine.geom.ny, engine.geom.nz, halo);
-        let scratch = || State::like(&state);
-        // adaptation/advection sweeps read one row/level; x needs the full
-        // table extent (3); smoothing needs (2, 2, 0).  Shared with the
-        // static schedule metadata so analyzer and integrator cannot drift.
-        let depth_sweep = super::schedule::depth_sweep();
-        let depth_smooth = super::schedule::depth_smooth();
-        Ok(Alg1Model {
-            psi: scratch(),
-            eta1: scratch(),
-            mid: scratch(),
-            tend: scratch(),
-            smoothed: scratch(),
-            engine,
-            state,
-            steps: 0,
-            exchanger,
-            zcomm,
-            xcomm,
-            depth_sweep,
-            depth_smooth,
-        })
-    }
-
-    /// Replace the state with an initial condition.
-    pub fn set_state(&mut self, st: &State) {
-        self.state.assign(st);
-        self.engine.c_cached = false;
-    }
-
-    /// Local geometry.
-    pub fn geom(&self) -> &LocalGeometry {
-        &self.engine.geom
-    }
-
-    /// Completed halo exchanges (all steps).
-    pub fn exchange_count(&self) -> u64 {
-        self.exchanger.exchanges
-    }
-
-    /// Degraded mode is a no-op for Algorithm 1: its schedule is already
-    /// the conservative one (blocking exchanges, exact `C` every sweep).
-    pub fn set_degraded(&mut self, _on: bool) {}
-
-    /// Enable checksum-framed halo payloads with validated, retrying
-    /// receives.
-    pub fn set_framed(&mut self, on: bool) {
-        self.exchanger.set_framed(on);
-    }
-
-    /// Change the framed-receive retry policy.
-    pub fn set_retry(&mut self, retry: crate::par::exchange::RetryPolicy) {
-        self.exchanger.set_retry(retry);
-    }
-
-    /// Re-align communication sequence numbers after a rollback (collective
-    /// with the same `epoch` on every rank).
-    pub fn resync(&mut self, epoch: u64) {
-        self.exchanger.resync(epoch);
-        if let Some(z) = &self.zcomm {
-            z.resync_collectives(epoch);
-        }
-        if let Some(x) = &self.xcomm {
-            x.resync_collectives(epoch);
-        }
-    }
-
-    /// Snapshot the restart state.  Algorithm 1 recomputes `C` exactly in
-    /// every sweep, so the prognostic state alone restores it bit-for-bit.
-    pub fn capture(&self) -> crate::resilience::Checkpoint {
-        crate::resilience::Checkpoint {
-            step: self.steps as u64,
-            state: self.state.clone(),
-            vsum: None,
-            gw: None,
-            phi_p: None,
-            c_cached: false,
-            pending_smooth: false,
-        }
-    }
-
-    /// Restore a [`Self::capture`]d snapshot bit-for-bit.
-    pub fn restore(&mut self, ck: &crate::resilience::Checkpoint) {
-        self.steps = ck.step as usize;
-        self.state.clone_from(&ck.state);
-        self.engine.c_cached = false;
+        Integrator::alg1(cfg, pgrid, comm).map(Alg1Model)
     }
 
     /// Advance one time step.
     pub fn step(&mut self, comm: &Communicator) -> CommResult<()> {
-        obs::set_step(self.steps as u64);
-        let _step = obs::span(obs::SpanKind::Step, "alg1.step");
-        let region = self.engine.geom.interior();
-        let dt1 = self.engine.cfg.dt1;
-        let dt2 = self.engine.cfg.dt2;
-        let m = self.engine.cfg.m_iters;
-        let zctx = match &self.zcomm {
-            Some(z) => ZContext::Parallel(z),
-            None => ZContext::Serial,
-        };
-        let fctx = match &self.xcomm {
-            Some(x) => FilterCtx::Distributed(x),
-            None => FilterCtx::Local,
-        };
-        // ψ⁰ = ξ^{(k-1)}: trade buffers — `state` is assigned again at the
-        // end of the step and not read in between
-        std::mem::swap(&mut self.psi, &mut self.state);
-
-        // ---- adaptation ----
-        for _ in 0..m {
-            let _iter = obs::span(obs::SpanKind::Iter, "adaptation.iter");
-            // sub-update 1: ψ is base and argument at once
-            self.exchanger
-                .exchange(comm, self.depth_sweep, &mut state_fields(&mut self.psi))?;
-            self.engine.adaptation_subupdate(
-                None,
-                &mut self.psi,
-                &mut self.eta1,
-                &mut self.tend,
-                region,
-                dt1,
-                Combine::Euler,
-                true,
-                &zctx,
-                &fctx,
-            )?;
-            // sub-update 2 emits the midpoint ½(ψ + η₂) directly
-            self.exchanger
-                .exchange(comm, self.depth_sweep, &mut state_fields(&mut self.eta1))?;
-            self.engine.adaptation_subupdate(
-                Some(&self.psi),
-                &mut self.eta1,
-                &mut self.mid,
-                &mut self.tend,
-                region,
-                dt1,
-                Combine::Midpoint,
-                true,
-                &zctx,
-                &fctx,
-            )?;
-            // sub-update 3: η₃ is the next iteration's ψ
-            self.exchanger
-                .exchange(comm, self.depth_sweep, &mut state_fields(&mut self.mid))?;
-            self.engine.adaptation_subupdate(
-                Some(&self.psi),
-                &mut self.mid,
-                &mut self.eta1,
-                &mut self.tend,
-                region,
-                dt1,
-                Combine::Euler,
-                true,
-                &zctx,
-                &fctx,
-            )?;
-            std::mem::swap(&mut self.psi, &mut self.eta1);
-        }
-
-        // ---- advection (frozen g_w must travel with the first exchange) --
-        {
-            let mut fields = [
-                ExField::F3(&mut self.psi.u),
-                ExField::F3(&mut self.psi.v),
-                ExField::F3(&mut self.psi.phi),
-                ExField::F2(&mut self.psi.psa),
-                ExField::F3(&mut self.engine.diag.gw),
-            ];
-            self.exchanger
-                .exchange(comm, self.depth_sweep, &mut fields)?;
-        }
-        if self.engine.px1 {
-            // x halo by periodic wrap; under X-Y splits the exchange (and
-            // the extended-x computation in apply_c) already covered it
-            self.engine.diag.gw.wrap_x_halo();
-        }
-        self.engine.advection_subupdate(
-            None,
-            &mut self.psi,
-            &mut self.eta1,
-            &mut self.tend,
-            region,
-            dt2,
-            Combine::Euler,
-            &fctx,
-        )?;
-        self.exchanger
-            .exchange(comm, self.depth_sweep, &mut state_fields(&mut self.eta1))?;
-        self.engine.advection_subupdate(
-            Some(&self.psi),
-            &mut self.eta1,
-            &mut self.mid,
-            &mut self.tend,
-            region,
-            dt2,
-            Combine::Midpoint,
-            &fctx,
-        )?;
-        self.exchanger
-            .exchange(comm, self.depth_sweep, &mut state_fields(&mut self.mid))?;
-        self.engine.advection_subupdate(
-            Some(&self.psi),
-            &mut self.mid,
-            &mut self.eta1,
-            &mut self.tend,
-            region,
-            dt2,
-            Combine::Euler,
-            &fctx,
-        )?;
-
-        // ---- physics, then smoothing with its own exchange ----
-        self.engine.apply_forcing(&mut self.eta1, region);
-        self.exchanger
-            .exchange(comm, self.depth_smooth, &mut state_fields(&mut self.eta1))?;
-        {
-            // Algorithm 1 smooths in one unsplit pass = the paper's S1
-            let _s = obs::span_phase(obs::SpanKind::Op, obs::Phase::S1, "smooth.full");
-            self.engine.fill(&mut self.eta1);
-            smooth_full(
-                &self.engine.geom,
-                self.engine.cfg.smooth_beta,
-                &self.eta1,
-                &mut self.smoothed,
-                region,
-            );
-        }
-        std::mem::swap(&mut self.state, &mut self.smoothed);
-        self.steps += 1;
-        Ok(())
+        self.0.step(Some(comm))
     }
 
     /// Run `n` steps.
     pub fn run(&mut self, comm: &Communicator, n: usize) -> CommResult<()> {
-        for _ in 0..n {
-            self.step(comm)?;
-        }
-        Ok(())
+        self.0.run_steps(Some(comm), n)
     }
+}
 
-    /// Gather the full global state to rank 0 (for test comparison):
-    /// returns `(component, global field rows)` flattened per component on
-    /// rank 0, `None` elsewhere.
-    pub fn gather_state(&mut self, comm: &Communicator) -> CommResult<Option<GlobalState>> {
-        gather_state_impl(&self.state, &self.engine.geom, comm)
+impl Deref for Alg1Model {
+    type Target = Integrator;
+    fn deref(&self) -> &Integrator {
+        &self.0
+    }
+}
+
+impl DerefMut for Alg1Model {
+    fn deref_mut(&mut self) -> &mut Integrator {
+        &mut self.0
     }
 }
 

@@ -11,7 +11,8 @@
 //! halos 13 times per step; the communication-avoiding Algorithm 2
 //! exchanges `3M+2`-deep halos twice.
 
-use crate::geometry::LocalGeometry;
+use crate::diag::Diag;
+use crate::par::schedule::ExFields;
 use agcm_comm::{CommResult, Communicator};
 use agcm_mesh::{Decomposition, ExchangePlan, Field2, Field3, HaloWidths};
 use agcm_obs as obs;
@@ -353,14 +354,23 @@ pub fn state_fields<'a>(st: &'a mut crate::state::State) -> [ExField<'a>; 4] {
     ]
 }
 
-/// Fill owned-neighbour halos of `st` and physical-boundary halos so a
-/// region dilated up to `depth` can be swept (used by the models around
-/// their exchanges).
-pub fn fill_after_exchange(st: &mut crate::state::State, geom: &LocalGeometry, px1: bool) {
-    crate::boundary::enforce_pole_v(st, geom);
-    crate::boundary::fill_boundaries_no_wrap(st, geom);
-    if px1 {
-        st.wrap_x();
+/// Run `f` on the arrays of `set` in wire order: the state's components,
+/// then whichever of the cached `C` outputs in `diag` the set names.
+pub fn with_fields<R>(
+    set: ExFields,
+    st: &mut crate::state::State,
+    diag: &mut Diag,
+    f: impl FnOnce(&mut [ExField<'_>]) -> R,
+) -> R {
+    let [u, v, phi, psa] = state_fields(st);
+    let gw = ExField::F3(&mut diag.gw);
+    match set {
+        ExFields::State => f(&mut [u, v, phi, psa]),
+        ExFields::StateGw => f(&mut [u, v, phi, psa, gw]),
+        ExFields::StateC => {
+            let (vsum, phi_p) = (ExField::F2(&mut diag.vsum), ExField::F3(&mut diag.phi_p));
+            f(&mut [u, v, phi, psa, vsum, gw, phi_p])
+        }
     }
 }
 

@@ -1,6 +1,7 @@
-//! Parallel models: halo exchange, Algorithm 1 (original) and Algorithm 2
-//! (communication-avoiding), plus the machine-readable step schedules the
-//! static analyzer (`agcm-verify`) consumes.
+//! Parallel runs: halo exchange, the step programs of Algorithm 1
+//! (original) and Algorithm 2 (communication-avoiding) that
+//! [`crate::Integrator`] executes and the static analyzer (`agcm-verify`)
+//! certifies, and the two algorithms' constructor facades.
 
 pub mod alg1;
 pub mod alg2;
@@ -8,6 +9,8 @@ pub mod exchange;
 pub mod schedule;
 
 pub use alg1::{gather_state_impl, Alg1Model, GlobalState};
-pub use alg2::{gather_ca_state, CaModel};
-pub use exchange::{dir_index, state_fields, wire_tag, ExField, HaloExchanger, RetryPolicy};
-pub use schedule::{ExchangeOp, FieldShape, StepOp};
+pub use alg2::CaModel;
+pub use exchange::{
+    dir_index, state_fields, wire_tag, with_fields, ExField, HaloExchanger, RetryPolicy,
+};
+pub use schedule::{ExFields, ExchangeOp, FieldShape, StepOp};

@@ -1,21 +1,23 @@
-//! Machine-readable per-step communication schedules of both parallel
-//! algorithms.
+//! Machine-readable step programs of the three integrations.
 //!
-//! [`alg1_step`] and [`alg2_step`] list, in program order, every halo
-//! exchange and collective one time step performs at steady state — the
-//! metadata [`super::alg1`] and [`super::alg2`] execute and that the static
-//! analyzer (`agcm-verify`) turns into a send/recv/collective event graph
-//! without running a single rank.  The halo depths here are *the* depths the
-//! integrators use ([`depth_sweep`], [`depth_smooth`], [`ca_depths`]), so
-//! schedule metadata and executing code cannot drift apart.
+//! [`alg1_step`] and [`alg2_step_for`] list, in program order, every halo
+//! exchange, collective and kernel application of one time step.  The list
+//! is **what runs**: [`crate::Integrator`] builds it once in its
+//! constructor and its `step` is a walk over it; the static analyzer
+//! (`agcm-verify`) turns the same object into a send/recv/collective event
+//! graph and a halo-coverage proof without running a single rank.  The
+//! serial reference is [`alg1_step`] on [`ProcessGrid::serial`] (with
+//! [`approximate`] applied for the Eq. 13 iteration).
 //!
-//! "Steady state" means: the operator-`C` cache is warm (`engine.c_cached`,
-//! so Algorithm 2's first sub-update reuses cached outputs — the §4.2.2
-//! approximate iteration) and, for Algorithm 2, the previous step left a
-//! smoothing pending (every step after the first).  The exchange `seq`
-//! numbering below starts at 0 for the step's first exchange; the running
-//! counter of a live [`super::HaloExchanger`] is offset by a constant that
-//! is identical on every rank, so tag matching is unaffected.
+//! Two predicates of the interpreter decide what a walk skips, so one list
+//! serves the first step, the steady state and the epilogue: a
+//! [`CSource::Cached`] sub-update runs `C` fresh while no cache exists, and
+//! the smoothing ops (with an exchange that feeds nothing else) run only
+//! while a smoothing is pending — the forcing sets it, the smoothing clears
+//! it.  The exchange `seq` numbering starts at 0 for the step's first
+//! exchange; the running counter of a live [`super::HaloExchanger`] is
+//! offset by a constant that is identical on every rank, so tag matching is
+//! unaffected.
 
 use crate::analysis::CaMode;
 use crate::config::ModelConfig;
@@ -53,46 +55,57 @@ impl FieldShape {
     }
 }
 
-/// The 4-array state exchange: `u`, `v`, `φ`, `p_sa`.
-pub const STATE4: &[FieldShape] = &[
-    FieldShape::Level3,
-    FieldShape::Level3,
-    FieldShape::Level3,
-    FieldShape::Surface2,
-];
+/// The arrays one exchange carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExFields {
+    /// The state: `u`, `v`, `φ`, `p_sa`.
+    State,
+    /// The state and the frozen `g_w` (advection).
+    StateGw,
+    /// The state and the cached `C` outputs `vsum`, `g_w`, `φ'` — the deep
+    /// and group exchanges of Algorithm 2 (the paper's "length of ξ being
+    /// ten").
+    StateC,
+}
 
-/// The 5-array advection exchange: `STATE4` + the frozen `g_w`.
-pub const ADV5: &[FieldShape] = &[
-    FieldShape::Level3,
-    FieldShape::Level3,
-    FieldShape::Level3,
-    FieldShape::Surface2,
-    FieldShape::Interface3,
-];
+impl ExFields {
+    /// The arrays in wire order: the field index of a message tag is the
+    /// position in this slice.
+    pub fn shapes(self) -> &'static [FieldShape] {
+        use FieldShape::{Interface3, Level3, Surface2};
+        match self {
+            ExFields::State => &[Level3, Level3, Level3, Surface2],
+            ExFields::StateGw => &[Level3, Level3, Level3, Surface2, Interface3],
+            ExFields::StateC => &[
+                Level3, Level3, Level3, Surface2, Surface2, Interface3, Level3,
+            ],
+        }
+    }
 
-/// The 7-array deep/group exchange of Algorithm 2: `STATE4` + the cached
-/// `C` outputs `vsum`, `g_w`, `φ'` (the paper's "length of ξ being ten").
-pub const DEEP7: &[FieldShape] = &[
-    FieldShape::Level3,
-    FieldShape::Level3,
-    FieldShape::Level3,
-    FieldShape::Surface2,
-    FieldShape::Surface2,
-    FieldShape::Interface3,
-    FieldShape::Level3,
-];
+    /// Whether the exchange carries `g_w`.
+    pub fn has_gw(self) -> bool {
+        self != ExFields::State
+    }
 
-/// One halo exchange in the step schedule.
+    /// Whether the exchange carries `vsum` and `φ'`.
+    pub fn has_c(self) -> bool {
+        self == ExFields::StateC
+    }
+}
+
+/// One halo exchange in the step schedule.  It refreshes the evaluation
+/// state of the kernel that follows it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExchangeOp {
     /// What the exchange carries (for reports).
     pub label: &'static str,
     /// Halo depth of the exchange.
     pub depth: HaloWidths,
-    /// The arrays, in wire order: the field index of the tag is the
-    /// position in this slice.
-    pub fields: &'static [FieldShape],
-    /// Whether the integrator splits it into post/compute/finish (§4.3.1).
+    /// The arrays it carries.
+    pub fields: ExFields,
+    /// Whether the integrator splits it into post/compute/finish (§4.3.1):
+    /// the part of the next kernel that reads no halo runs while the
+    /// messages fly, the rest once they are in.
     pub overlapped: bool,
 }
 
@@ -112,25 +125,27 @@ pub enum CSource {
 }
 
 /// One kernel application in the step schedule.  Compute ops carry no
-/// communication; they exist so the dataflow pass (`agcm-verify`) can
-/// replay *which reads happen between which exchanges* and prove every
-/// one covered.  The fields mirror the integrators' call sites exactly
-/// ([`super::Alg1Model`], [`super::CaModel`]).
+/// communication; the interpreter runs them and the dataflow pass
+/// (`agcm-verify`) replays *which reads happen between which exchanges*
+/// and proves every one covered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComputeOp {
-    /// Kernel key into [`crate::access::spec`] (`"adaptation"`,
-    /// `"advection"`, the fused `".fused"` sub-update sweeps the step
-    /// loops run, `"smooth.s1"`, `"smooth.s2"`, `"filter"`).
+    /// Kernel key into [`crate::access::spec`]: the fused
+    /// `"adaptation.fused"` / `"advection.fused"` sub-update sweeps,
+    /// `"filter"` (run by the sub-update it follows), `"forcing"`,
+    /// `"smooth.s1"`, `"smooth.s2"`.
     pub op: &'static str,
     /// 1-based sweep number within its phase (adaptation `1..=3M`,
     /// advection `1..=3`).
     pub sweep: u16,
     /// Sub-update within the Lin–Rood iteration (`1..=3`; 0 when not a
-    /// sub-update, e.g. smoothing).
+    /// sub-update).  It picks the buffers: 1 sweeps `ψ → η₁` with `ψ` as
+    /// its own base, 2 `η₁ → mid` as the midpoint on base `ψ`, 3
+    /// `mid → η₁` on base `ψ`, after which `η₁` is the next `ψ`.
     pub sub: u8,
     /// Evaluation-region dilation beyond the interior, in halo layers
-    /// (the CA validity countdown; negative = shrunk region, the fused
-    /// former smoothing).
+    /// (the CA validity countdown; negative = the part of the interior
+    /// that reads no exchanged halo, the fused former smoothing).
     pub dilate: i16,
     /// The evaluation state becomes the iteration base: the first
     /// sub-update of an iteration reads one state as both.
@@ -142,44 +157,44 @@ pub struct ComputeOp {
     pub c: CSource,
 }
 
-/// One entry of a step's communication schedule, in program order.
+/// One entry of a step's program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOp {
     /// A halo exchange; consumes one exchange `seq` number.
     Exchange(ExchangeOp),
-    /// One allgather of column block sums over the z-subcommunicator (the
-    /// operator `C`, §4.2.2).  Present only when `p_z > 1`.
+    /// One allgather of column block sums over the z-subcommunicator,
+    /// issued by the fresh `C` of the sub-update that follows (§4.2.2).
+    /// Present only when `p_z > 1`.
     ZAllgather,
     /// One alltoallv leg of the distributed polar filter over the
-    /// x-subcommunicator (X-Y decomposition only; two per application).
+    /// x-subcommunicator, issued by the sub-update the filter belongs to
+    /// (X-Y decomposition only; two per application).
     FilterTranspose,
     /// One kernel application (no communication of its own).
     Compute(ComputeOp),
 }
 
+/// A halo `x` columns, `y` rows and `z` levels deep on both sides.
+fn depth(x: usize, y: usize, z: usize) -> HaloWidths {
+    HaloWidths {
+        xm: x,
+        xp: x,
+        ym: y,
+        yp: y,
+        zm: z,
+        zp: z,
+    }
+}
+
 /// Halo depth of the adaptation/advection sweeps of Algorithm 1 (x needs
 /// the full table extent 3; y/z one layer).
 pub fn depth_sweep() -> HaloWidths {
-    HaloWidths {
-        xm: 3,
-        xp: 3,
-        ym: 1,
-        yp: 1,
-        zm: 1,
-        zp: 1,
-    }
+    depth(3, 1, 1)
 }
 
 /// Halo depth of the smoothing exchange, `(2, 2, 0)` (Table 3).
 pub fn depth_smooth() -> HaloWidths {
-    HaloWidths {
-        xm: 2,
-        xp: 2,
-        ym: 2,
-        yp: 2,
-        zm: 0,
-        zp: 0,
-    }
+    depth(2, 2, 0)
 }
 
 /// The five exchange depths of Algorithm 2, derived from the sweep-group
@@ -200,181 +215,161 @@ pub struct CaDepths {
     pub smooth: HaloWidths,
 }
 
-impl CaDepths {
-    /// The halo a rank allocates around its fields.  A side that faces a
-    /// neighbour (`grow`) holds the deepest exchange that lands on it; a
-    /// side on a pole, the model top or the surface is never exchanged into
-    /// and no sweep region grows across it, so it holds what the boundary
-    /// fill feeds a single sweep — Algorithm 1's halo.
-    pub fn alloc(&self, grow: GrowSides) -> HaloWidths {
-        let ex = self.deep.max(self.shallow).max(self.smooth);
-        let fill = HaloWidths::for_footprint(&tables::per_sweep_union());
-        let side = |on: bool, ex: usize, fill: usize| if on { ex } else { fill };
-        HaloWidths {
-            xm: ex.xm,
-            xp: ex.xp,
-            ym: side(grow.north, ex.ym, fill.ym),
-            yp: side(grow.south, ex.yp, fill.yp),
-            zm: side(grow.top, ex.zm, fill.zm),
-            zp: side(grow.bottom, ex.zp, fill.zp),
-        }
-    }
-}
-
 /// Compute [`CaDepths`] for group sizes `(g, fuse, ga)`.
 pub fn ca_depths(g: usize, fuse: bool, ga: usize) -> CaDepths {
-    let ysm = g + if fuse { 2 } else { 0 };
     CaDepths {
-        deep: HaloWidths {
-            xm: 3,
-            xp: 3,
-            ym: ysm,
-            yp: ysm,
-            zm: g,
-            zp: g,
-        },
-        group: HaloWidths {
-            xm: 3,
-            xp: 3,
-            ym: g,
-            yp: g,
-            zm: g,
-            zp: g,
-        },
+        deep: depth(3, g + if fuse { 2 } else { 0 }, g),
+        group: depth(3, g, g),
         sweep: depth_sweep(),
-        shallow: HaloWidths {
-            xm: 3,
-            xp: 3,
-            ym: ga,
-            yp: ga,
-            zm: ga,
-            zp: ga,
-        },
+        shallow: depth(3, ga, ga),
         smooth: depth_smooth(),
     }
 }
 
-/// Communication schedule of one Algorithm 1 step ([`super::Alg1Model`])
-/// under `pgrid`: `3M + 4` exchanges, `3M` z-allgathers when `p_z > 1` and
-/// `2(3M + 3)` filter transposes when `p_x > 1`.
+/// Every exchange depth a model running `ops` uses: the program's own and
+/// the smoothing epilogue's ([`smoothing`], which `finish` runs).
+pub fn exchange_depths(ops: &[StepOp]) -> impl Iterator<Item = HaloWidths> + '_ {
+    let of = |op: &StepOp| match op {
+        StepOp::Exchange(ex) => Some(ex.depth),
+        _ => None,
+    };
+    ops.iter().filter_map(of).chain([depth_smooth()])
+}
+
+/// The halo a rank running `ops` allocates around its fields.  A side that
+/// faces a neighbour (`grow`) holds the deepest exchange that lands on it;
+/// a side on a pole, the model top or the surface is never exchanged into
+/// and no sweep region grows across it, so it holds what the boundary fill
+/// feeds a single sweep — Algorithm 1's halo.
+pub fn halo_alloc(ops: &[StepOp], grow: GrowSides) -> HaloWidths {
+    let fill = HaloWidths::for_footprint(&tables::per_sweep_union());
+    let ex = exchange_depths(ops).fold(fill, |a, d| a.max(d));
+    let side = |on: bool, ex: usize, fill: usize| if on { ex } else { fill };
+    HaloWidths {
+        xm: ex.xm,
+        xp: ex.xp,
+        ym: side(grow.north, ex.ym, fill.ym),
+        yp: side(grow.south, ex.yp, fill.yp),
+        zm: side(grow.top, ex.zm, fill.zm),
+        zp: side(grow.bottom, ex.zp, fill.zp),
+    }
+}
+
+fn exchange(label: &'static str, depth: HaloWidths, fields: ExFields, overlapped: bool) -> StepOp {
+    StepOp::Exchange(ExchangeOp {
+        label,
+        depth,
+        fields,
+        overlapped,
+    })
+}
+
+/// A kernel application; the sub-update number decides the base flags.
+fn kernel(op: &'static str, sweep: usize, sub: usize, dilate: i16, c: CSource) -> StepOp {
+    StepOp::Compute(ComputeOp {
+        op,
+        sweep: sweep as u16,
+        sub: sub as u8,
+        dilate,
+        snapshot_base: sub == 1,
+        reads_base: sub > 0,
+        c,
+    })
+}
+
+/// One sub-update: the fused sweep (tendency + combination of the
+/// filter-inactive rows, certified under its own registry key whichever
+/// way the filter runs) with the collectives it issues announced ahead of
+/// it, then its filter application — forward + inverse transpose when x is
+/// split.
+fn subupdate(
+    ops: &mut Vec<StepOp>,
+    pgrid: &ProcessGrid,
+    op: &'static str,
+    sweep: usize,
+    dilate: i16,
+    c: CSource,
+) {
+    if c == CSource::Fresh && pgrid.pz() > 1 {
+        ops.push(StepOp::ZAllgather);
+    }
+    ops.push(kernel(op, sweep, (sweep - 1) % 3 + 1, dilate, c));
+    if pgrid.px() > 1 {
+        ops.extend([StepOp::FilterTranspose; 2]);
+    }
+    ops.push(kernel("filter", sweep, 0, dilate, CSource::NotUsed));
+}
+
+/// The smoothing on its own exchange: the tail of an Algorithm 1 step, the
+/// head of an Algorithm 2 step whose blocks cannot take the fused form, and
+/// the epilogue `finish` runs after the last step of Algorithm 2.
+pub fn smoothing() -> [StepOp; 2] {
+    [
+        exchange("smooth", depth_smooth(), ExFields::State, false),
+        kernel("smooth.s1", 1, 0, 0, CSource::NotUsed),
+    ]
+}
+
+/// The Held–Suarez forcing on the interior.  It ends the dynamics of a
+/// step: what it leaves awaits its smoothing.
+fn forcing() -> StepOp {
+    kernel("forcing", 1, 0, 0, CSource::NotUsed)
+}
+
+/// Turn an exact program into the approximate nonlinear iteration of
+/// Eq. 13: the first sub-update of every adaptation iteration reuses the
+/// cached `C` outputs.
+pub fn approximate(ops: &mut [StepOp]) {
+    for op in ops {
+        match op {
+            StepOp::Compute(k) if k.op == "adaptation.fused" && k.sub == 1 => k.c = CSource::Cached,
+            _ => {}
+        }
+    }
+}
+
+/// One Algorithm 1 step under `pgrid`: `3M + 4` exchanges, `3M`
+/// z-allgathers when `p_z > 1` and `2(3M + 3)` filter transposes when
+/// `p_x > 1`.
 pub fn alg1_step(cfg: &ModelConfig, pgrid: &ProcessGrid) -> Vec<StepOp> {
-    let (px, _, pz) = pgrid.dims();
     let mut ops = Vec::new();
     let sweep = depth_sweep();
-    // one filter application = forward + inverse transpose
-    let filter = |ops: &mut Vec<StepOp>, sweep: u16| {
-        if px > 1 {
-            ops.push(StepOp::FilterTranspose);
-            ops.push(StepOp::FilterTranspose);
-        }
-        ops.push(StepOp::Compute(ComputeOp {
-            op: "filter",
-            sweep,
-            sub: 0,
-            dilate: 0,
-            snapshot_base: false,
-            reads_base: false,
-            c: CSource::NotUsed,
-        }));
-    };
-    // every sub-update runs the one fused sweep (tendency + combination of
-    // the filter-inactive rows), whichever way the filter itself runs; the
-    // fused kernels certify under their own registry keys
-    let (adapt_op, advect_op) = ("adaptation.fused", "advection.fused");
-    for iter in 0..cfg.m_iters {
-        for (si, label) in ["adapt ψ", "adapt η₁", "adapt mid"].iter().enumerate() {
-            let s = (3 * iter + si + 1) as u16;
-            ops.push(StepOp::Exchange(ExchangeOp {
-                label,
-                depth: sweep,
-                fields: STATE4,
-                overlapped: false,
-            }));
-            // the sub-update runs C fresh (exact iteration) + one filter
-            if pz > 1 {
-                ops.push(StepOp::ZAllgather);
-            }
-            ops.push(StepOp::Compute(ComputeOp {
-                op: adapt_op,
-                sweep: s,
-                sub: (si + 1) as u8,
-                dilate: 0,
-                snapshot_base: si == 0,
-                reads_base: true,
-                c: CSource::Fresh,
-            }));
-            filter(&mut ops, s);
-        }
+    let labels = ["adapt ψ", "adapt η₁", "adapt mid"];
+    for s in 1..=3 * cfg.m_iters {
+        ops.push(exchange(labels[(s - 1) % 3], sweep, ExFields::State, false));
+        subupdate(&mut ops, pgrid, "adaptation.fused", s, 0, CSource::Fresh);
     }
     // advection: the frozen g_w travels with the first exchange
-    let advect = |ops: &mut Vec<StepOp>, s: u16| {
-        ops.push(StepOp::Compute(ComputeOp {
-            op: advect_op,
-            sweep: s,
-            sub: s as u8,
-            dilate: 0,
-            snapshot_base: s == 1,
-            reads_base: true,
-            c: CSource::NotUsed,
-        }));
-    };
-    ops.push(StepOp::Exchange(ExchangeOp {
-        label: "advect ψ+g_w",
-        depth: sweep,
-        fields: ADV5,
-        overlapped: false,
-    }));
-    advect(&mut ops, 1);
-    filter(&mut ops, 1);
-    for (si, label) in ["advect η₁", "advect mid"].iter().enumerate() {
-        ops.push(StepOp::Exchange(ExchangeOp {
-            label,
-            depth: sweep,
-            fields: STATE4,
-            overlapped: false,
-        }));
-        advect(&mut ops, (si + 2) as u16);
-        filter(&mut ops, (si + 2) as u16);
+    ops.push(exchange("advect ψ+g_w", sweep, ExFields::StateGw, false));
+    subupdate(&mut ops, pgrid, "advection.fused", 1, 0, CSource::NotUsed);
+    for (s, label) in [(2, "advect η₁"), (3, "advect mid")] {
+        ops.push(exchange(label, sweep, ExFields::State, false));
+        subupdate(&mut ops, pgrid, "advection.fused", s, 0, CSource::NotUsed);
     }
-    ops.push(StepOp::Exchange(ExchangeOp {
-        label: "smooth",
-        depth: depth_smooth(),
-        fields: STATE4,
-        overlapped: false,
-    }));
-    ops.push(StepOp::Compute(ComputeOp {
-        op: "smooth.s1",
-        sweep: 1,
-        sub: 0,
-        dilate: 0,
-        snapshot_base: false,
-        reads_base: false,
-        c: CSource::NotUsed,
-    }));
+    ops.push(forcing());
+    ops.extend(smoothing());
     ops
 }
 
-/// Communication schedule of one Algorithm 2 step ([`super::CaModel`]) at
-/// steady state: `⌈3M/g⌉ + ⌈3/g_a⌉ (+1 when the smoothing is not fused)`
-/// exchanges and `2M` z-allgathers — the paper's 2 exchanges and the 1/3
-/// collective reduction when the full depth fits (`g = 3M`, fused).
+/// One Algorithm 2 step: `⌈3M/g⌉ + ⌈3/g_a⌉ (+1 when the smoothing is not
+/// fused)` exchanges and `2M` z-allgathers — the paper's 2 exchanges and
+/// the 1/3 collective reduction when the full depth fits (`g = 3M`, fused).
 ///
 /// `mode` selects the sweep groups (see [`CaMode`]): the rung the model
-/// executes with, the paper's full depth, or explicit ones.  Every ordering
-/// mirrors `CaModel::step` exactly: an exchange lands before sweep `s` iff
-/// `(s-1) % g == 0`, and sub-updates 2 and 3 of each iteration run the
-/// collective `C` fresh (§4.2.2).
+/// executes with, the paper's full depth, or explicit ones.
 pub fn alg2_step(cfg: &ModelConfig, pgrid: &ProcessGrid, mode: CaMode) -> Vec<StepOp> {
     let (g, fuse, ga) = mode.groups(cfg, pgrid);
     alg2_step_for(cfg, pgrid, g, fuse, ga)
 }
 
-/// [`alg2_step`] for explicit group sizes `(g, fuse, ga)` — the schedule
+/// [`alg2_step`] for explicit group sizes `(g, fuse, ga)` — the program
 /// `CaModel::with_groups` executes.  This is how every rung of the ladder
 /// is generated, and how the dataflow pass builds *what-if* schedules —
 /// e.g. a group one rung above the ladder's top — and proves the analyzer
-/// rejects them.  `g` must be a divisor-aligned
-/// group size (`1` or a multiple of 3 up to `3M`), `ga` in `1..=3`.
+/// rejects them.  `g` must be a divisor-aligned group size (`1` or a
+/// multiple of 3 up to `3M`), `ga` in `1..=3`.  An exchange lands before
+/// sweep `s` iff `(s-1) % g == 0`, and sub-updates 2 and 3 of each
+/// iteration run the collective `C` fresh (§4.2.2).
 pub fn alg2_step_for(
     cfg: &ModelConfig,
     pgrid: &ProcessGrid,
@@ -382,82 +377,34 @@ pub fn alg2_step_for(
     fuse: bool,
     ga: usize,
 ) -> Vec<StepOp> {
-    let (_, _, pz) = pgrid.dims();
-    let total = 3 * cfg.m_iters;
-    // the fused kernel keys, as in alg1
-    let (adapt_op, advect_op) = ("adaptation.fused", "advection.fused");
     let d = ca_depths(g, fuse, ga);
     let mut ops = Vec::new();
-    let filter = |ops: &mut Vec<StepOp>, sweep: u16, dilate: i16| {
-        ops.push(StepOp::Compute(ComputeOp {
-            op: "filter",
-            sweep,
-            sub: 0,
-            dilate,
-            snapshot_base: false,
-            reads_base: false,
-            c: CSource::NotUsed,
-        }));
-    };
-    let smooth = |ops: &mut Vec<StepOp>, op: &'static str, dilate: i16| {
-        ops.push(StepOp::Compute(ComputeOp {
-            op,
-            sweep: 1,
-            sub: 0,
-            dilate,
-            snapshot_base: false,
-            reads_base: false,
-            c: CSource::NotUsed,
-        }));
-    };
     if !fuse {
-        ops.push(StepOp::Exchange(ExchangeOp {
-            label: "smooth (separate)",
-            depth: d.smooth,
-            fields: STATE4,
-            overlapped: false,
-        }));
-        smooth(&mut ops, "smooth.s1", 0);
+        ops.extend(smoothing());
     }
     // validity countdown of the fused adaptation sweeps (§4.3.2): a group
     // exchange makes g halo layers valid; each iteration consumes 3.
     let mut valid = 0usize;
-    for s in 1..=total {
+    for s in 1..=3 * cfg.m_iters {
+        let sub = (s - 1) % 3 + 1;
         if (s - 1) % g == 0 {
-            let op = if s == 1 {
-                ExchangeOp {
-                    label: "deep ξ (fused smoothing)",
-                    depth: d.deep,
-                    fields: DEEP7,
-                    overlapped: true,
-                }
-            } else if (s - 1) % 3 == 0 {
-                ExchangeOp {
-                    label: "group ξ",
-                    depth: d.group,
-                    fields: DEEP7,
-                    overlapped: false,
-                }
+            ops.push(if s == 1 {
+                exchange("deep ξ (fused smoothing)", d.deep, ExFields::StateC, true)
+            } else if sub == 1 {
+                exchange("group ξ", d.group, ExFields::StateC, false)
             } else {
                 // g = 1 only: mid-iteration refresh of the evaluation state
-                ExchangeOp {
-                    label: "sweep refresh",
-                    depth: d.sweep,
-                    fields: STATE4,
-                    overlapped: false,
-                }
-            };
-            ops.push(StepOp::Exchange(op));
+                exchange("sweep refresh", d.sweep, ExFields::State, false)
+            });
             if s == 1 && fuse {
-                // former smoothing on the shrunk interior (overlapping the
-                // deep exchange), later smoothing on edge + halo rows once
-                // it lands
-                smooth(&mut ops, "smooth.s1", -2);
-                smooth(&mut ops, "smooth.s2", g as i16);
+                // former smoothing on the rows that read no halo (while
+                // the deep exchange flies), later smoothing on edge + halo
+                // rows once it lands
+                ops.push(kernel("smooth.s1", 1, 0, -2, CSource::NotUsed));
+                ops.push(kernel("smooth.s2", 1, 0, g as i16, CSource::NotUsed));
             }
             valid = g;
         }
-        let sub = ((s - 1) % 3 + 1) as u8;
         // region_k = dilate(valid - k): halo layers still valid for this
         // sub-update's output (0 on the plain interior when g = 1)
         let dilate = if g == 1 { 0 } else { valid as i16 - sub as i16 };
@@ -467,35 +414,22 @@ pub fn alg2_step_for(
         } else {
             CSource::Fresh
         };
-        if c == CSource::Fresh && pz > 1 {
-            ops.push(StepOp::ZAllgather);
-        }
-        ops.push(StepOp::Compute(ComputeOp {
-            op: adapt_op,
-            sweep: s as u16,
-            sub,
-            dilate,
-            snapshot_base: sub == 1,
-            reads_base: true,
-            c,
-        }));
-        filter(&mut ops, s as u16, dilate);
+        subupdate(&mut ops, pgrid, "adaptation.fused", s, dilate, c);
         if sub == 3 {
             valid = valid.saturating_sub(3);
         }
     }
     // advection countdown: g_a valid layers per shallow exchange, one
-    // consumed per sweep (CaModel: dila(g_a - 1), then min(valid - 1, 1),
-    // then the interior)
+    // consumed per sweep; the last sweep covers the interior only
     let mut valida = 0usize;
     for s in 1..=3usize {
         if (s - 1) % ga == 0 {
-            ops.push(StepOp::Exchange(ExchangeOp {
-                label: "advect ψ+g_w",
-                depth: d.shallow,
-                fields: ADV5,
-                overlapped: s == 1,
-            }));
+            ops.push(exchange(
+                "advect ψ+g_w",
+                d.shallow,
+                ExFields::StateGw,
+                s == 1,
+            ));
             valida = ga;
         }
         let dilate = match s {
@@ -503,18 +437,17 @@ pub fn alg2_step_for(
             2 => (valida as i16 - 1).min(1),
             _ => 0,
         };
-        ops.push(StepOp::Compute(ComputeOp {
-            op: advect_op,
-            sweep: s as u16,
-            sub: s as u8,
+        subupdate(
+            &mut ops,
+            pgrid,
+            "advection.fused",
+            s,
             dilate,
-            snapshot_base: s == 1,
-            reads_base: true,
-            c: CSource::NotUsed,
-        }));
-        filter(&mut ops, s as u16, dilate);
+            CSource::NotUsed,
+        );
         valida -= 1;
     }
+    ops.push(forcing());
     ops
 }
 
@@ -596,7 +529,9 @@ mod tests {
 
     #[test]
     fn halos_are_sized_per_side() {
-        let d = ca_depths(9, true, 3);
+        let c = cfg();
+        let pg = ProcessGrid::yz(16, 8).unwrap();
+        let alloc = |g, fuse, ga, grow| halo_alloc(&alg2_step_for(&c, &pg, g, fuse, ga), grow);
         let sides = |north, south, top, bottom| GrowSides {
             north,
             south,
@@ -604,15 +539,42 @@ mod tests {
             bottom,
         };
         // north-pole rank of a y-split: deep towards the neighbour only
-        let h = d.alloc(sides(false, true, false, false));
+        let h = alloc(9, true, 3, sides(false, true, false, false));
         assert_eq!((h.ym, h.yp, h.zm, h.zp), (2, 11, 1, 1));
         assert_eq!((h.xm, h.xp), (3, 3));
         // an interior rank of a y-z split holds the exchange depth all round
-        let h = d.alloc(sides(true, true, true, true));
+        let h = alloc(9, true, 3, sides(true, true, true, true));
         assert_eq!((h.ym, h.yp, h.zm, h.zp), (11, 11, 9, 9));
         // a shallow rung still holds the smoothing's two rows
-        let h = ca_depths(1, false, 1).alloc(sides(true, true, true, true));
+        let h = alloc(1, false, 1, sides(true, true, true, true));
         assert_eq!((h.ym, h.yp, h.zm, h.zp), (2, 2, 1, 1));
+        // Algorithm 1 holds the per-sweep union wherever the rank sits
+        let h = halo_alloc(&alg1_step(&c, &pg), sides(false, true, true, false));
+        assert_eq!((h.xm, h.ym, h.yp, h.zm, h.zp), (3, 2, 2, 1, 1));
+    }
+
+    #[test]
+    fn the_forcing_is_a_kernel_of_every_program_and_costs_no_message() {
+        let c = cfg();
+        let pg = ProcessGrid::yz(16, 8).unwrap();
+        for ops in [alg1_step(&c, &pg), alg2_step_for(&c, &pg, 3, true, 3)] {
+            let forcings = ops
+                .iter()
+                .filter(|o| matches!(o, StepOp::Compute(k) if k.op == "forcing"))
+                .count();
+            assert_eq!(forcings, 1);
+        }
+        // the Eq. 13 variant of the serial program differs in C sources only
+        let exact = alg1_step(&c, &ProcessGrid::serial());
+        let mut approx = exact.clone();
+        approximate(&mut approx);
+        let cached = |ops: &[StepOp]| {
+            ops.iter()
+                .filter(|o| matches!(o, StepOp::Compute(k) if k.c == CSource::Cached))
+                .count()
+        };
+        assert_eq!((cached(&exact), cached(&approx)), (0, c.m_iters));
+        assert_eq!(exchange_count(&exact), exchange_count(&approx));
     }
 
     #[test]

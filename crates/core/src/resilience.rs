@@ -11,9 +11,8 @@
 //! * [`CheckpointRing`] — a bounded in-memory ring of recent checkpoints,
 //! * [`write_checkpoint`]/[`read_checkpoint`] — a versioned binary on-disk
 //!   format for restart files,
-//! * [`Resilient`] — the uniform capture/restore/degrade surface the
-//!   serial, Algorithm 1 and Algorithm 2 models all implement,
-//! * [`ResilientRunner`] — the step loop with a blow-up guard: every step
+//! * [`ResilientRunner`] — the step loop around an [`Integrator`] (whatever
+//!   its program) with a blow-up guard: every step
 //!   ends in one small control-plane `allreduce(Max)` that agrees on
 //!   health; on failure all ranks roll back to the last checkpoint in
 //!   lockstep and re-run the window in degraded mode (blocking exchanges,
@@ -24,8 +23,7 @@
 //! collective sequence numbers stay in lockstep no matter how many model
 //! collectives the aborted attempt did or did not reach.
 
-use crate::par::{Alg1Model, CaModel};
-use crate::serial::SerialModel;
+use crate::integrator::Integrator;
 use crate::state::State;
 use crate::tables;
 use agcm_comm::{AllreduceAlgo, CommError, CommResult, Communicator, ReduceOp};
@@ -725,107 +723,6 @@ impl From<io::Error> for ResilienceError {
 }
 
 // ---------------------------------------------------------------------------
-// Resilient trait
-// ---------------------------------------------------------------------------
-
-/// The uniform surface the runner drives: capture/restore, degraded mode,
-/// sequence resync, and single-step advancement.
-pub trait Resilient {
-    /// Snapshot the restart state.
-    fn capture(&self) -> Checkpoint;
-    /// Restore a [`Resilient::capture`]d snapshot bit-for-bit.
-    fn restore(&mut self, ck: &Checkpoint);
-    /// Enter/leave degraded mode (blocking exchanges, exact `C`).
-    fn set_degraded(&mut self, on: bool);
-    /// Jump communication sequence numbers to an epoch-derived base.
-    fn resync(&mut self, epoch: u64);
-    /// Completed steps.
-    fn steps_done(&self) -> u64;
-    /// Advance one step.
-    fn step_once(&mut self, comm: &Communicator) -> CommResult<()>;
-    /// Drain deferred work after the last step (e.g. the fused smoothing).
-    fn finish_run(&mut self, _comm: &Communicator) -> CommResult<()> {
-        Ok(())
-    }
-    /// The prognostic state (for the blow-up guard).
-    fn state_ref(&self) -> &State;
-}
-
-impl Resilient for SerialModel {
-    fn capture(&self) -> Checkpoint {
-        SerialModel::capture(self)
-    }
-    fn restore(&mut self, ck: &Checkpoint) {
-        SerialModel::restore(self, ck)
-    }
-    fn set_degraded(&mut self, on: bool) {
-        SerialModel::set_degraded(self, on)
-    }
-    fn resync(&mut self, _epoch: u64) {}
-    fn steps_done(&self) -> u64 {
-        self.steps as u64
-    }
-    fn step_once(&mut self, _comm: &Communicator) -> CommResult<()> {
-        self.step();
-        Ok(())
-    }
-    fn state_ref(&self) -> &State {
-        &self.state
-    }
-}
-
-impl Resilient for Alg1Model {
-    fn capture(&self) -> Checkpoint {
-        Alg1Model::capture(self)
-    }
-    fn restore(&mut self, ck: &Checkpoint) {
-        Alg1Model::restore(self, ck)
-    }
-    fn set_degraded(&mut self, on: bool) {
-        Alg1Model::set_degraded(self, on)
-    }
-    fn resync(&mut self, epoch: u64) {
-        Alg1Model::resync(self, epoch)
-    }
-    fn steps_done(&self) -> u64 {
-        self.steps as u64
-    }
-    fn step_once(&mut self, comm: &Communicator) -> CommResult<()> {
-        self.step(comm)
-    }
-    fn state_ref(&self) -> &State {
-        &self.state
-    }
-}
-
-impl Resilient for CaModel {
-    fn capture(&self) -> Checkpoint {
-        CaModel::capture(self)
-    }
-    fn restore(&mut self, ck: &Checkpoint) {
-        CaModel::restore(self, ck)
-    }
-    fn set_degraded(&mut self, on: bool) {
-        CaModel::set_degraded(self, on)
-    }
-    fn resync(&mut self, epoch: u64) {
-        CaModel::resync(self, epoch)
-    }
-    fn steps_done(&self) -> u64 {
-        self.steps as u64
-    }
-    fn step_once(&mut self, comm: &Communicator) -> CommResult<()> {
-        self.step(comm)
-    }
-    fn finish_run(&mut self, comm: &Communicator) -> CommResult<()> {
-        self.finish(comm)
-    }
-    fn state_ref(&self) -> &State {
-        &self.state
-    }
-}
-
-// ---------------------------------------------------------------------------
 // ResilientRunner
 // ---------------------------------------------------------------------------
 
@@ -920,15 +817,15 @@ impl ResilientRunner {
     ///
     /// Collective: every rank calls with its share of the model and the
     /// same `n_steps`.  On success the model's deferred smoothing has been
-    /// drained ([`Resilient::finish_run`]).
-    pub fn run<M: Resilient>(
+    /// drained ([`Integrator::finish`]).
+    pub fn run(
         &mut self,
-        model: &mut M,
+        model: &mut Integrator,
         comm: &Communicator,
         n_steps: u64,
     ) -> Result<RunReport, ResilienceError> {
         loop {
-            let s = model.steps_done();
+            let s = model.steps as u64;
             // leave degraded mode once safely past the failure point
             if let Some(f) = self.failed_at {
                 if s > f {
@@ -938,7 +835,7 @@ impl ResilientRunner {
             }
             if s >= n_steps {
                 let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    model.finish_run(comm)
+                    model.finish(Some(comm))
                 }));
                 if self.health_round(model, classify(res))? {
                     break;
@@ -953,7 +850,7 @@ impl ResilientRunner {
                 self.take_checkpoint(model)?;
             }
             let res =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.step_once(comm)));
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.step(Some(comm))));
             self.report.attempted_steps += 1;
             if self.health_round(model, classify(res))? {
                 if self.failed_at.is_some() {
@@ -969,12 +866,8 @@ impl ResilientRunner {
 
     /// One control-plane consensus: `Ok(true)` = everyone healthy,
     /// `Ok(false)` = somebody needs a rollback, `Err` = unrecoverable.
-    fn health_round<M: Resilient>(
-        &self,
-        model: &M,
-        attempt: Attempt,
-    ) -> Result<bool, ResilienceError> {
-        let nan = model.state_ref().has_nan();
+    fn health_round(&self, model: &Integrator, attempt: Attempt) -> Result<bool, ResilienceError> {
+        let nan = model.state.has_nan();
         let mut flags = [
             match &attempt {
                 Attempt::Ok => 0.0,
@@ -986,11 +879,7 @@ impl ResilientRunner {
                 Attempt::PeerLoss(_) => HEALTH_PEER_BASE,
             },
             if nan { 1.0 } else { 0.0 },
-            if nan {
-                0.0
-            } else {
-                model.state_ref().max_abs()
-            },
+            if nan { 0.0 } else { model.state.max_abs() },
         ];
         self.ctrl
             .allreduce(ReduceOp::Max, &mut flags, AllreduceAlgo::Ring)
@@ -1005,7 +894,7 @@ impl ResilientRunner {
         Ok(flags[0] == 0.0 && flags[1] == 0.0 && flags[2] <= self.cfg.max_abs_limit)
     }
 
-    fn take_checkpoint<M: Resilient>(&mut self, model: &M) -> Result<(), ResilienceError> {
+    fn take_checkpoint(&mut self, model: &Integrator) -> Result<(), ResilienceError> {
         let ck = model.capture();
         if let Some(dir) = &self.cfg.checkpoint_dir {
             let rank = self.ctrl.rank();
@@ -1022,9 +911,9 @@ impl ResilientRunner {
     }
 
     /// The lockstep rollback protocol (see DESIGN.md §7).
-    fn rollback<M: Resilient>(
+    fn rollback(
         &mut self,
-        model: &mut M,
+        model: &mut Integrator,
         comm: &Communicator,
         failed_step: u64,
     ) -> Result<(), ResilienceError> {
@@ -1106,10 +995,10 @@ mod tests {
     fn capture_restore_is_bitwise_for_serial_approximate() {
         let mut m = seeded_serial(Iteration::Approximate);
         m.run(3);
-        let ck = Resilient::capture(&m);
+        let ck = m.capture();
         m.run(2);
         let later = m.state.clone();
-        Resilient::restore(&mut m, &ck);
+        m.restore(&ck);
         assert_eq!(m.steps, 3);
         m.run(2);
         // the approximate variant reuses cached C: the checkpoint must
@@ -1121,7 +1010,7 @@ mod tests {
     fn disk_round_trip_is_bitwise() {
         let mut m = seeded_serial(Iteration::Approximate);
         m.run(2);
-        let ck = Resilient::capture(&m);
+        let ck = m.capture();
         let dir = std::env::temp_dir();
         let path = dir.join(format!("agcm_ckpt_test_{}.agcmckpt", std::process::id()));
         write_checkpoint(&path, &ck).unwrap();
@@ -1132,7 +1021,7 @@ mod tests {
         m.run(1);
         let gold = m.state.clone();
         let mut m2 = seeded_serial(Iteration::Approximate);
-        Resilient::restore(&mut m2, &back);
+        m2.restore(&back);
         m2.run(1);
         assert_eq!(m2.state.max_abs_diff(&gold), 0.0);
     }
@@ -1141,7 +1030,7 @@ mod tests {
     fn failed_write_cleans_up_tmp_and_preserves_previous_checkpoint() {
         let mut m = seeded_serial(Iteration::Approximate);
         m.run(1);
-        let ck = Resilient::capture(&m);
+        let ck = m.capture();
         let dir = std::env::temp_dir();
         let path = dir.join(format!("agcm_ckpt_fail_{}.agcmckpt", std::process::id()));
         let tmp = path.with_extension("tmp");
@@ -1178,7 +1067,7 @@ mod tests {
     #[test]
     fn read_rejects_truncated_file_with_typed_error() {
         let m = seeded_serial(Iteration::Exact);
-        let ck = Resilient::capture(&m);
+        let ck = m.capture();
         let mut buf = Vec::new();
         write_checkpoint_to(&mut buf, &ck).unwrap();
         // cut the body at several depths: header-only, mid-extents,
@@ -1215,7 +1104,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("agcm_keep_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         for step in 0..5u64 {
-            let mut ck = Resilient::capture(&m);
+            let mut ck = m.capture();
             ck.step = step;
             // two ranks interleaved: retention must be per-rank
             write_checkpoint(&checkpoint_path(&dir, 0, step), &ck).unwrap();

@@ -1,4 +1,4 @@
-//! The serial reference integrator — Algorithm 1 on a single rank.
+//! The serial reference — Algorithm 1's program on a single rank.
 //!
 //! This is the ground truth every parallel configuration is checked
 //! against.  Two variants exist:
@@ -10,16 +10,15 @@
 //!   (2 fresh `C` per iteration).  The communication-avoiding Algorithm 2
 //!   computes exactly this variant, so "parallel CA ≡ serial approximate"
 //!   is the correctness statement tested in `tests/equivalence.rs`.
+//!
+//! [`SerialModel`] is [`Integrator::serial`] behind the communicator-free
+//! signatures a single rank wants; everything else it offers is the
+//! integrator's, through `Deref`.
 
 use crate::config::ModelConfig;
-use crate::dycore::{Engine, FilterCtx};
-use crate::geometry::LocalGeometry;
-use crate::smoothing::smooth_full_path;
-use crate::state::{Combine, State};
-use crate::tables;
-use crate::vertical::ZContext;
-use agcm_mesh::{Decomposition, HaloWidths, MeshError, ProcessGrid};
-use std::sync::Arc;
+use crate::error::ModelError;
+use crate::integrator::Integrator;
+use std::ops::{Deref, DerefMut};
 
 /// Which nonlinear iteration the adaptation process uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,219 +30,18 @@ pub enum Iteration {
 }
 
 /// Serial (single-rank) dynamical core.
-pub struct SerialModel {
-    /// The integration engine.
-    pub engine: Engine,
-    /// Current prognostic state `ξ^{(k)}`.
-    pub state: State,
-    /// Iteration variant.
-    pub variant: Iteration,
-    /// Completed steps.
-    pub steps: usize,
-    // scratch; `state`, `psi`, `eta1` and `smoothed` trade buffers
-    // through a step instead of being copied into one another
-    psi: State,
-    eta1: State,
-    mid: State,
-    tend: State,
-    smoothed: State,
-}
+pub struct SerialModel(Integrator);
 
 impl SerialModel {
     /// Create a serial model at rest.
-    pub fn new(cfg: &ModelConfig, variant: Iteration) -> Result<Self, MeshError> {
-        let grid = Arc::new(cfg.grid()?);
-        let decomp = Decomposition::new(cfg.extents(), ProcessGrid::serial())?;
-        // the per-sweep union halo is enough: serial fills all halos locally
-        let halo = HaloWidths::for_footprint(&tables::per_sweep_union());
-        let geom = LocalGeometry::new(cfg, grid, &decomp, 0, halo);
-        let engine = Engine::new(cfg, geom, true);
-        let state = State::new(engine.geom.nx, engine.geom.ny, engine.geom.nz, halo);
-        let scratch = || State::like(&state);
-        Ok(SerialModel {
-            psi: scratch(),
-            eta1: scratch(),
-            mid: scratch(),
-            tend: scratch(),
-            smoothed: scratch(),
-            engine,
-            state,
-            variant,
-            steps: 0,
-        })
+    pub fn new(cfg: &ModelConfig, variant: Iteration) -> Result<Self, ModelError> {
+        Integrator::serial(cfg, variant).map(SerialModel)
     }
 
-    /// Replace the state (e.g. with an initial condition from
-    /// [`crate::init`]).
-    pub fn set_state(&mut self, st: &State) {
-        self.state.assign(st);
-        self.engine.c_cached = false;
-    }
-
-    /// Degraded mode forces the exact iteration (fresh `C` in every
-    /// sub-update) until cleared.
-    pub fn set_degraded(&mut self, on: bool) {
-        if on {
-            self.variant = Iteration::Exact;
-            self.engine.c_cached = false;
-        }
-    }
-
-    /// Snapshot the restart state, including the cached `C` outputs the
-    /// approximate iteration reuses across steps (Eq. 13).
-    pub fn capture(&self) -> crate::resilience::Checkpoint {
-        crate::resilience::Checkpoint {
-            step: self.steps as u64,
-            state: self.state.clone(),
-            vsum: Some(self.engine.diag.vsum.clone()),
-            gw: Some(self.engine.diag.gw.clone()),
-            phi_p: Some(self.engine.diag.phi_p.clone()),
-            c_cached: self.engine.c_cached,
-            pending_smooth: false,
-        }
-    }
-
-    /// Restore a [`Self::capture`]d snapshot bit-for-bit.
-    pub fn restore(&mut self, ck: &crate::resilience::Checkpoint) {
-        self.steps = ck.step as usize;
-        self.state.clone_from(&ck.state);
-        if let (Some(vsum), Some(gw), Some(phi_p)) = (&ck.vsum, &ck.gw, &ck.phi_p) {
-            self.engine.diag.vsum.clone_from(vsum);
-            self.engine.diag.gw.clone_from(gw);
-            self.engine.diag.phi_p.clone_from(phi_p);
-            self.engine.c_cached = ck.c_cached;
-        } else {
-            self.engine.c_cached = false;
-        }
-    }
-
-    /// Advance one full time step (Algorithm 1 body).
+    /// Advance one full time step.
     pub fn step(&mut self) {
-        agcm_obs::set_step(self.steps as u64);
-        let _step = agcm_obs::span(agcm_obs::SpanKind::Step, "serial.step");
-        let region = self.engine.geom.interior();
-        let zctx = ZContext::Serial;
-        let fctx = FilterCtx::Local;
-        let dt1 = self.engine.cfg.dt1;
-        let dt2 = self.engine.cfg.dt2;
-        let m = self.engine.cfg.m_iters;
-
-        // ψ⁰ = ξ^{(k-1)}: trade buffers — `state` is assigned again at the
-        // end of the step and not read in between
-        std::mem::swap(&mut self.psi, &mut self.state);
-
-        // ---- adaptation: M nonlinear iterations of 3 sub-updates --------
-        for _ in 0..m {
-            let _iter = agcm_obs::span(agcm_obs::SpanKind::Iter, "adaptation.iter");
-            // first sub-update: exact → fresh C; approximate → cached C
-            // (bootstrap: the very first sub-update ever has no cache yet)
-            let fresh1 = match self.variant {
-                Iteration::Exact => true,
-                Iteration::Approximate => !self.engine.c_cached,
-            };
-            // η₁ = ψ + Δt·F̃Ã(ψ): ψ is base and argument at once
-            self.engine
-                .adaptation_subupdate(
-                    None,
-                    &mut self.psi,
-                    &mut self.eta1,
-                    &mut self.tend,
-                    region,
-                    dt1,
-                    Combine::Euler,
-                    fresh1,
-                    &zctx,
-                    &fctx,
-                )
-                .expect("serial subupdate cannot fail");
-            // ½(ψ + η₂) with η₂ = ψ + Δt·F̃Ã(η₁), emitted directly
-            self.engine
-                .adaptation_subupdate(
-                    Some(&self.psi),
-                    &mut self.eta1,
-                    &mut self.mid,
-                    &mut self.tend,
-                    region,
-                    dt1,
-                    Combine::Midpoint,
-                    true,
-                    &zctx,
-                    &fctx,
-                )
-                .expect("serial subupdate cannot fail");
-            // η₃ = ψ + Δt·F̃Ã(mid) is the next iteration's ψ
-            self.engine
-                .adaptation_subupdate(
-                    Some(&self.psi),
-                    &mut self.mid,
-                    &mut self.eta1,
-                    &mut self.tend,
-                    region,
-                    dt1,
-                    Combine::Euler,
-                    true,
-                    &zctx,
-                    &fctx,
-                )
-                .expect("serial subupdate cannot fail");
-            std::mem::swap(&mut self.psi, &mut self.eta1);
-        }
-
-        // ---- advection: one nonlinear iteration with Δt₂ ----------------
-        self.engine
-            .advection_subupdate(
-                None,
-                &mut self.psi,
-                &mut self.eta1,
-                &mut self.tend,
-                region,
-                dt2,
-                Combine::Euler,
-                &fctx,
-            )
-            .expect("serial subupdate cannot fail");
-        self.engine
-            .advection_subupdate(
-                Some(&self.psi),
-                &mut self.eta1,
-                &mut self.mid,
-                &mut self.tend,
-                region,
-                dt2,
-                Combine::Midpoint,
-                &fctx,
-            )
-            .expect("serial subupdate cannot fail");
-        self.engine
-            .advection_subupdate(
-                Some(&self.psi),
-                &mut self.mid,
-                &mut self.eta1,
-                &mut self.tend,
-                region,
-                dt2,
-                Combine::Euler,
-                &fctx,
-            )
-            .expect("serial subupdate cannot fail");
-
-        // ---- physics (H-S) then smoothing ξ^{(k)} = S̃(ζ₃) ---------------
-        self.engine.apply_forcing(&mut self.eta1, region);
-        {
-            let _s =
-                agcm_obs::span_phase(agcm_obs::SpanKind::Op, agcm_obs::Phase::S1, "smooth.full");
-            self.engine.fill(&mut self.eta1);
-            smooth_full_path(
-                &self.engine.geom,
-                self.engine.cfg.smooth_beta,
-                &self.eta1,
-                &mut self.smoothed,
-                region,
-                self.engine.kernel_path(),
-            );
-        }
-        std::mem::swap(&mut self.state, &mut self.smoothed);
-        self.steps += 1;
+        // no communicator, so no call that can fail
+        self.0.step(None).expect("a serial step cannot fail");
     }
 
     /// Run `n` steps.
@@ -252,17 +50,27 @@ impl SerialModel {
             self.step();
         }
     }
+}
 
-    /// Local geometry (for building initial conditions).
-    pub fn geom(&self) -> &LocalGeometry {
-        &self.engine.geom
+impl Deref for SerialModel {
+    type Target = Integrator;
+    fn deref(&self) -> &Integrator {
+        &self.0
+    }
+}
+
+impl DerefMut for SerialModel {
+    fn deref_mut(&mut self) -> &mut Integrator {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::LocalGeometry;
     use crate::init;
+    use crate::state::State;
 
     fn model(variant: Iteration) -> SerialModel {
         let cfg = ModelConfig::test_small();

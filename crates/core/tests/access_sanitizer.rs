@@ -21,6 +21,7 @@ use agcm_core::boundary;
 use agcm_core::config::ModelConfig;
 use agcm_core::diag::Diag;
 use agcm_core::filterop::{build_filter, filter_state_local};
+use agcm_core::forcing::apply_held_suarez;
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::smoothing::smooth_full;
 use agcm_core::stdatm::StandardAtmosphere;
@@ -262,6 +263,23 @@ fn smoothing_footprint_matches_declaration() {
     sanitize::disable();
     // `smooth.s1` and `smooth.s2` share one declaration; certify against it
     assert_certified("smooth.s1", region, geom.nx as isize);
+}
+
+#[test]
+fn forcing_footprint_matches_declaration() {
+    let _g = lock();
+    sanitize::reset();
+    let (geom, sa, mut state, mut diag) = setup();
+    let region = geom.interior();
+
+    // what `Engine::apply_forcing` runs between the boundary fills: the
+    // surface diagnostics on the region's rows, then the relaxation
+    track_state(&state, "");
+    sanitize::enable();
+    diag.update_surface(&geom, &sa, &state, region.y0, region.y1);
+    apply_held_suarez(&geom, &sa, &diag, &mut state, region, 600.0);
+    sanitize::disable();
+    assert_certified("forcing", region, geom.nx as isize);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use agcm_comm::{FaultPlan, FaultSnapshot, Universe};
 use agcm_core::init;
-use agcm_core::par::{gather_ca_state, CaModel, RetryPolicy};
+use agcm_core::par::{CaModel, RetryPolicy};
 use agcm_core::resilience::{ResilienceConfig, ResilienceError, ResilientRunner};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
@@ -58,7 +58,7 @@ fn run_framed_ca(cfg: &ModelConfig, plan: Option<(u64, &str)>) -> ChaosRun {
         m.run(comm, STEPS).unwrap();
         let log: Vec<String> = comm.fault_log().iter().map(|e| e.to_string()).collect();
         (
-            gather_ca_state(&m, comm).unwrap(),
+            m.gather_state(comm).unwrap(),
             comm.stats().fault_snapshot(),
             log.join("\n"),
         )
@@ -174,7 +174,7 @@ fn rollback_recovers_silent_corruption_within_degraded_tolerance() {
         .unwrap();
         let report = runner.run(&mut m, comm, STEPS as u64).unwrap();
         let snap = comm.stats().fault_snapshot();
-        (gather_ca_state(&m, comm).unwrap(), report, snap)
+        (m.gather_state(comm).unwrap(), report, snap)
     });
     let corrupted: u64 = results.iter().map(|(_, _, s)| s.corrupted).sum();
     assert_eq!(corrupted, 1, "exactly the one injected corruption");
@@ -235,4 +235,51 @@ fn exhausted_rollbacks_surface_typed_error_on_all_ranks() {
             other => panic!("rank {rank}: expected RollbackExhausted, got {other}"),
         }
     }
+}
+
+/// Degraded mode is one flag every program honours, and clearing it
+/// returns the run to the iteration it was built with: a serial
+/// approximate run that was degraded for one step stays bitwise equal to
+/// the CA run that was (the rollback driver degrades at the failed step and
+/// clears once past it).  A serial model that turned itself exact for good
+/// would part ways with Algorithm 2 on the first step after the clear.
+#[test]
+fn a_cleared_degradation_returns_serial_and_ca_to_the_same_iteration() {
+    use agcm_core::par::GlobalState;
+    use agcm_core::serial::{Iteration, SerialModel};
+    const K: usize = 2;
+    let cfg = ca_cfg();
+
+    let mut s = SerialModel::new(&cfg, Iteration::Approximate).unwrap();
+    let ic = init::perturbed_rest(s.geom(), 200.0, 1.0, 42);
+    s.set_state(&ic);
+    s.run(K);
+    let exact_from_here = {
+        // what the degraded step must NOT collapse the rest of the run to
+        let mut e = SerialModel::new(&cfg, Iteration::Exact).unwrap();
+        e.restore(&s.capture());
+        e.run(4);
+        GlobalState::from_serial(&e.state, e.geom())
+    };
+    s.set_degraded(true);
+    s.step();
+    s.set_degraded(false);
+    s.run(3);
+    let serial = GlobalState::from_serial(&s.state, s.geom());
+    assert!(serial.max_abs_diff(&exact_from_here) > 0.0);
+
+    let ca = Universe::run(2, move |comm| {
+        let mut m = CaModel::new(&cfg, ProcessGrid::yz(2, 1).unwrap(), comm).unwrap();
+        let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
+        m.set_state(&ic);
+        for step in 0..K + 4 {
+            m.set_degraded(step == K);
+            m.step(comm).unwrap();
+        }
+        m.finish(comm).unwrap();
+        m.gather_state(comm).unwrap()
+    })
+    .remove(0)
+    .expect("rank 0 gathers");
+    assert_eq!(ca.max_abs_diff(&serial), 0.0, "through step k + 3");
 }

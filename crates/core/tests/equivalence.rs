@@ -15,7 +15,7 @@
 
 use agcm_comm::Universe;
 use agcm_core::init;
-use agcm_core::par::{gather_ca_state, gather_state_impl, Alg1Model, CaModel, GlobalState};
+use agcm_core::par::{gather_state_impl, Alg1Model, CaModel, GlobalState};
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
@@ -49,7 +49,7 @@ fn run_alg2(cfg: &ModelConfig, pgrid: ProcessGrid) -> GlobalState {
         let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
         m.set_state(&ic);
         m.run(comm, STEPS).unwrap();
-        gather_ca_state(&m, comm).unwrap()
+        m.gather_state(comm).unwrap()
     });
     results.remove(0).expect("rank 0 gathers")
 }

@@ -19,7 +19,7 @@
 use agcm_comm::Universe;
 use agcm_core::analysis::ca_ladder;
 use agcm_core::init;
-use agcm_core::par::{gather_ca_state, CaModel, GlobalState};
+use agcm_core::par::{CaModel, GlobalState};
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
@@ -51,12 +51,12 @@ fn alg2(cfg: &ModelConfig, pgrid: ProcessGrid, first: Groups, then: Option<Group
     let cfg = cfg.clone();
     let mut out = Universe::run(pgrid.size(), move |comm| {
         let mut m = CaModel::with_groups(&cfg, pgrid, comm, first).unwrap();
-        assert_eq!((m.group, m.fused_smoothing, m.group_adv), first);
+        assert_eq!(m.groups, first);
         let ic = init::perturbed_rest(m.geom(), 150.0, 1.0, SEED);
         m.set_state(&ic);
         let Some(then) = then else {
             m.run(comm, STEPS).unwrap();
-            return gather_ca_state(&m, comm).unwrap();
+            return m.gather_state(comm).unwrap();
         };
         // no `finish`: the checkpoint carries the deferred smoothing and
         // the cached C outputs
@@ -73,7 +73,7 @@ fn alg2(cfg: &ModelConfig, pgrid: ProcessGrid, first: Groups, then: Option<Group
         );
         second.restore(&ck);
         second.run(comm, STEPS - 2).unwrap();
-        gather_ca_state(&second, comm).unwrap()
+        second.gather_state(comm).unwrap()
     });
     out.remove(0).expect("rank 0 gathers")
 }

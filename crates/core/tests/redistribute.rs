@@ -9,7 +9,6 @@ use agcm_core::init;
 use agcm_core::par::{Alg1Model, GlobalState};
 use agcm_core::resilience::{
     checkpoint_path, latest_checkpoint_step, read_checkpoint, redistribute, write_checkpoint,
-    Resilient,
 };
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::ModelConfig;
@@ -119,7 +118,7 @@ fn cached_c_checkpoint_is_rejected_typed() {
     let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
     m.set_state(&ic);
     m.run(H);
-    let ck = Resilient::capture(&m);
+    let ck = m.capture();
     assert!(ck.c_cached && ck.vsum.is_some(), "test premise");
     write_checkpoint(&checkpoint_path(&src, 0, ck.step), &ck).unwrap();
     let err = redistribute(&src, &dst, yz(1), yz(2), cfg.extents()).unwrap_err();

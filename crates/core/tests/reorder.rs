@@ -10,7 +10,7 @@
 
 use agcm_comm::{FaultPlan, Universe};
 use agcm_core::init;
-use agcm_core::par::{gather_ca_state, Alg1Model, CaModel};
+use agcm_core::par::{Alg1Model, CaModel};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
 use std::time::Duration;
@@ -49,7 +49,7 @@ fn run_alg2(cfg: &ModelConfig, fault: Option<(u64, &str)>) -> agcm_core::par::Gl
         let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
         m.set_state(&ic);
         m.run(comm, STEPS).unwrap();
-        gather_ca_state(&m, comm).unwrap()
+        m.gather_state(comm).unwrap()
     });
     results.remove(0).expect("rank 0 gathers")
 }

@@ -59,7 +59,7 @@ fn ca_adapts_group_size_instead_of_failing() {
             let refused = CaModel::with_groups(&cfg, pgrid, comm, bad);
             assert!(matches!(refused, Err(ModelError::Config(_))), "{bad:?}");
         }
-        (m.group, m.fused_smoothing, m.exchanges_per_step())
+        (m.groups.0, m.groups.1, m.exchanges_per_step())
     });
     for (g, fuse, freq) in results {
         assert_eq!(g, 1);
@@ -78,7 +78,7 @@ fn ca_runs_a_rung_of_the_ladder_whatever_the_blocks() {
         let cfg = cfg.clone();
         let groups = Universe::run(py * pz, move |comm| {
             let m = CaModel::new(&cfg, pgrid, comm).unwrap();
-            (m.group, m.fused_smoothing, m.group_adv)
+            m.groups
         });
         assert!(groups.iter().all(|g| g == &groups[0]), "ranks agree");
         assert!(

@@ -16,7 +16,7 @@
 
 use agcm_comm::Universe;
 use agcm_core::init;
-use agcm_core::par::{gather_ca_state, Alg1Model, CaModel, GlobalState};
+use agcm_core::par::{Alg1Model, CaModel, GlobalState};
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
@@ -71,7 +71,7 @@ fn alg2(cfg: &ModelConfig, pgrid: ProcessGrid, steps: usize) -> GlobalState {
         let ic = init::perturbed_rest(m.geom(), 150.0, 1.0, SEED);
         m.set_state(&ic);
         m.run(comm, steps).unwrap();
-        gather_ca_state(&m, comm).unwrap()
+        m.gather_state(comm).unwrap()
     });
     out.remove(0).expect("rank 0 gathers")
 }
@@ -207,7 +207,7 @@ fn alg2_restore_into_a_fresh_model_continues_bitwise() {
         let mut second = CaModel::new(&cfg, pgrid, comm).unwrap();
         second.restore(&ck);
         second.run(comm, 2).unwrap();
-        gather_ca_state(&second, comm).unwrap()
+        second.gather_state(comm).unwrap()
     });
     let got = out.remove(0).expect("rank 0 gathers");
     assert_bitwise(&got, &want, "alg2 yz(2,1)");

@@ -9,7 +9,7 @@
 
 use agcm_comm::Universe;
 use agcm_core::init;
-use agcm_core::par::{gather_ca_state, Alg1Model, CaModel, GlobalState};
+use agcm_core::par::{Alg1Model, CaModel, GlobalState};
 use agcm_core::pool;
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::ModelConfig;
@@ -61,7 +61,7 @@ fn alg2_at(cfg: &ModelConfig, pgrid: ProcessGrid, nt: usize) -> GlobalState {
             let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
             m.set_state(&ic);
             m.run(comm, STEPS).unwrap();
-            gather_ca_state(&m, comm).unwrap()
+            m.gather_state(comm).unwrap()
         })
     });
     results.remove(0).expect("rank 0 gathers")

@@ -174,3 +174,65 @@ fn alg2_splits_the_overlapped_sweep_on_neighbour_facing_sides_only() {
         }
     }
 }
+
+/// The interpreter opens the spans the three step loops did: one `Step`,
+/// `M` `Iter`, the operator spans by phase, and `OverlapCompute` around
+/// exactly the parts it hides behind an exchange — the fused former
+/// smoothing and the halo-free part of the first advection sweep under
+/// Algorithm 2, nothing under Algorithm 1.  The benchmark ledger's
+/// `core.dycore.*` rows and `step.self_s_per_step` are sums over these.
+#[test]
+fn one_walk_opens_the_spans_of_a_step() {
+    let cfg = ModelConfig {
+        ny: 24,
+        ..ModelConfig::test_medium() // M = 3
+    };
+    let m = cfg.m_iters;
+    let pgrid = ProcessGrid::yz(2, 1).unwrap();
+    for alg2 in [false, true] {
+        let _guard = obs::exclusive();
+        obs::reset();
+        obs::enable();
+        let cfg2 = cfg.clone();
+        Universe::run(2, move |comm| {
+            let mut model = if alg2 {
+                agcm_core::Integrator::alg2(&cfg2, pgrid, comm, (3, true, 3)).unwrap()
+            } else {
+                agcm_core::Integrator::alg1(&cfg2, pgrid, comm).unwrap()
+            };
+            let ic = init::perturbed_rest(model.geom(), 100.0, 1.0, 3);
+            model.set_state(&ic);
+            model.step(Some(comm)).unwrap();
+            model.step(Some(comm)).unwrap();
+        });
+        obs::disable();
+        let events = obs::drain();
+        for rank in 0..2 {
+            let count = |kind: obs::SpanKind, phase: Option<obs::Phase>| {
+                let mine = |e: &&obs::Event| e.rank == rank && e.step == 1 && e.kind == kind;
+                let of = |e: &&obs::Event| phase.is_none_or(|p| e.phase == p);
+                events.iter().filter(mine).filter(of).count()
+            };
+            let op = |phase| count(obs::SpanKind::Op, Some(phase));
+            let what = format!("alg{} rank {rank}", 1 + usize::from(alg2));
+            assert_eq!(count(obs::SpanKind::Step, None), 1, "{what}");
+            assert_eq!(count(obs::SpanKind::Iter, None), m, "{what}");
+            // a sub-update is three A spans: boundary + surface, sweep, lincomb
+            assert_eq!(op(obs::Phase::A), 9 * m, "{what}");
+            assert_eq!(
+                op(obs::Phase::C),
+                if alg2 { 2 * m } else { 3 * m },
+                "{what}"
+            );
+            assert_eq!(op(obs::Phase::S1), 1, "{what}");
+            assert_eq!(op(obs::Phase::S2), usize::from(alg2), "{what}");
+            let (hidden, exchanges) = if alg2 { (2, m + 1) } else { (0, 3 * m + 4) };
+            assert_eq!(count(obs::SpanKind::OverlapCompute, None), hidden, "{what}");
+            assert_eq!(
+                count(obs::SpanKind::ExchangeWait, None),
+                exchanges,
+                "{what}"
+            );
+        }
+    }
+}

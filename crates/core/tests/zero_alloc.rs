@@ -10,8 +10,11 @@
 //! is on size: nothing as large as the smallest scratch buffer (a tendency
 //! row, 8 bytes a longitude) may be allocated, i.e. no arena or row buffer
 //! is grown or rebuilt in steady state.  The
-//! message mailbox hands out fresh `Vec`s on receive, so the multi-rank
-//! paths are excluded.
+//! message mailbox hands out fresh `Vec`s on receive, so a multi-rank step
+//! cannot be allocation-free; there the assertion is that the walk over
+//! the step program adds nothing to what its exchanges allocate on their
+//! own — measured by replaying the program's exchanges, and only those,
+//! through an exchanger of the same shape.
 //!
 //! This test gets its own binary so the global allocator hook cannot leak
 //! into unrelated tests.  It is also the only `unsafe` in the workspace
@@ -103,6 +106,80 @@ fn steady_state_allocs(workers: usize) -> (u64, usize, usize) {
     })
 }
 
+/// Allocations of `STEPS` steady-state Algorithm 2 steps on a two-rank
+/// thread world, and of the same number of replays of the program's
+/// exchanges alone (both ranks counted, both windows bracketed by the same
+/// barriers).
+fn alg2_step_allocs_vs_its_exchanges() -> (u64, u64) {
+    use agcm_comm::Universe;
+    use agcm_core::init;
+    use agcm_core::par::{with_fields, CaModel, HaloExchanger, StepOp};
+    use agcm_core::{pool, ModelConfig, State};
+    use agcm_mesh::{Decomposition, ProcessGrid};
+    const STEPS: usize = 10;
+
+    let counted = |comm: &agcm_comm::Communicator, work: &mut dyn FnMut()| {
+        comm.barrier().unwrap();
+        if comm.rank() == 0 {
+            ALLOCS.store(0, Ordering::SeqCst);
+            COUNTING.store(true, Ordering::SeqCst);
+        }
+        comm.barrier().unwrap();
+        work();
+        comm.barrier().unwrap();
+        COUNTING.store(false, Ordering::SeqCst);
+        comm.barrier().unwrap();
+        ALLOCS.load(Ordering::SeqCst)
+    };
+    let counts = Universe::run(2, move |comm| {
+        pool::with_workers(1, || {
+            let cfg = ModelConfig {
+                ny: 24,
+                ..ModelConfig::test_medium()
+            };
+            let pgrid = ProcessGrid::yz(2, 1).unwrap();
+            // a fused rung: overlapped exchanges, split kernels, deep halos
+            let mut m = CaModel::with_groups(&cfg, pgrid, comm, (3, true, 3)).unwrap();
+            let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
+            m.set_state(&ic);
+            for _ in 0..3 {
+                m.step(comm).unwrap();
+            }
+            let stepping = counted(comm, &mut || {
+                for _ in 0..STEPS {
+                    m.step(comm).unwrap();
+                }
+            });
+
+            // the program's exchanges and nothing else
+            let program = m.program().to_vec();
+            let decomp = Decomposition::new(cfg.extents(), pgrid).unwrap();
+            let mut exchanger = HaloExchanger::new(decomp, comm.rank());
+            let mut st = State::like(&m.state);
+            let mut replay = |exchanger: &mut HaloExchanger| {
+                for op in &program {
+                    if let StepOp::Exchange(x) = op {
+                        with_fields(x.fields, &mut st, &mut m.engine.diag, |f| {
+                            exchanger.exchange(comm, x.depth, f)
+                        })
+                        .unwrap();
+                    }
+                }
+            };
+            for _ in 0..3 {
+                replay(&mut exchanger);
+            }
+            let exchanging = counted(comm, &mut || {
+                for _ in 0..STEPS {
+                    replay(&mut exchanger);
+                }
+            });
+            (stepping, exchanging)
+        })
+    });
+    counts[0]
+}
+
 // one test function: the counters are process-global, and the test
 // harness would run two functions concurrently
 #[test]
@@ -122,5 +199,16 @@ fn steady_state_steps_do_not_allocate() {
         "steady-state stepping at 2 workers allocated {largest} bytes at once \
          (smallest scratch buffer: {} bytes)",
         8 * nx
+    );
+
+    // Algorithm 2 on two ranks: the interpreter adds no allocation of its
+    // own to the message buffers of its exchanges.  The two windows see the
+    // transport's queues at different fill levels, so allow them to differ
+    // by less than one allocation a step per rank (2 ranks x 10 steps).
+    let (stepping, exchanging) = alg2_step_allocs_vs_its_exchanges();
+    assert!(exchanging > 0, "exchanges allocate their message buffers");
+    assert!(
+        stepping < exchanging + 20,
+        "10 Algorithm 2 steps allocated {stepping} times, their exchanges alone {exchanging}"
     );
 }

@@ -458,7 +458,9 @@ pub const KERNEL_MODULES: &[&str] = &[
 /// allocation-free at steady state — only the allocating test oracle and
 /// first-sight table/arena construction carry waivers — but these modules
 /// index plain slices (the band views *are* the row API), so the row-API
-/// rule does not apply.  `C`'s per-worker rows are warmed in `core::diag`
+/// rule does not apply.  So must the step-program interpreter
+/// (`core::integrator`): its walk touches no heap; refused constructors and
+/// checkpoint snapshots carry the waivers.  `C`'s per-worker rows are warmed in `core::diag`
 /// and the Held–Suarez row body lives in `core::forcing`, both kernel
 /// modules above.
 pub const ALLOC_ONLY_MODULES: &[&str] = &[
@@ -466,6 +468,7 @@ pub const ALLOC_ONLY_MODULES: &[&str] = &[
     "crates/fft/src/fft.rs",
     "crates/core/src/sweep.rs",
     "crates/core/src/pool.rs",
+    "crates/core/src/integrator.rs",
     "crates/mesh/src/band.rs",
 ];
 

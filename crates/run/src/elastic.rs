@@ -26,8 +26,8 @@
 //! here (the fault-free classic mode keeps certifying them).
 
 use crate::{
-    read_state, req_env, run_config, serial_reference, states_bitwise_equal, write_state, Model,
-    ParentError, RunOpts,
+    new_model, read_state, req_env, run_config, serial_reference, set_default_ic,
+    states_bitwise_equal, write_state, ParentError, RunOpts,
 };
 use agcm_comm::{
     AllreduceAlgo, CommError, Communicator, Endpoint, ReduceOp, SocketTransport, Transport,
@@ -35,7 +35,7 @@ use agcm_comm::{
 use agcm_core::serial::Iteration;
 use agcm_core::{
     checkpoint_path, latest_checkpoint_step, prune_checkpoints, read_checkpoint, redistribute,
-    resize_retention, write_checkpoint, ModelConfig,
+    resize_retention, write_checkpoint, Integrator, ModelConfig,
 };
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
@@ -230,7 +230,7 @@ fn run_epoch(
     // rebuilt worlds agree), and the failed generation's sticky poison is
     // gone — per-frame epoch filtering is what keeps the reuse safe
     let mut comm = Communicator::on_transport(Rc::clone(transport) as Rc<dyn Transport>);
-    let mut model = Model::new(alg, cfg, pgrid, &mut comm).map_err(fatal)?;
+    let mut model = new_model(alg, cfg, pgrid, &mut comm).map_err(fatal)?;
 
     // the recovery barrier: agree on the newest step EVERY rank holds
     // durable (-1 = none).  A replacement may be behind the survivors —
@@ -249,7 +249,7 @@ fn run_epoch(
         model.restore(&ck);
         Some(step)
     } else {
-        model.set_default_ic();
+        set_default_ic(&mut model);
         None
     };
     comm.set_timeout(STEP_TIMEOUT);
@@ -266,8 +266,8 @@ fn run_epoch(
     } else {
         None
     };
-    while model.steps() < total {
-        let s = model.steps() as u64;
+    while model.steps < total {
+        let s = model.steps as u64;
         if s.is_multiple_of(interval) || burst_end.is_some_and(|b| s <= b) {
             durable_checkpoint(&model, ckpt_dir, rank, keep).map_err(fatal)?;
         }
@@ -279,17 +279,19 @@ fn run_epoch(
             // scheduled kill fires at most once).
             std::process::abort();
         }
-        model.step_t(&comm).map_err(|e| classify(rank, "step", e))?;
+        model
+            .step(Some(&comm))
+            .map_err(|e| classify(rank, "step", e))?;
     }
     model
-        .finish_t(&comm)
+        .finish(Some(&comm))
         .map_err(|e| classify(rank, "finish", e))?;
     // the completed state must be durable too: a planned resize
     // re-decomposes exactly this step's checkpoints
     durable_checkpoint(&model, ckpt_dir, rank, keep).map_err(fatal)?;
 
     let gathered = model
-        .gather_t(&comm)
+        .gather_state(&comm)
         .map_err(|e| classify(rank, "gather", e))?;
     // completion barrier — but disarm poison-on-EOF FIRST.  A rank exiting
     // while a peer still has receives pending would otherwise read as a
@@ -316,7 +318,12 @@ fn run_epoch(
 /// retention budget.  The measured wall cost lands in the
 /// `resilience.ckpt_write_ns` histogram — the soak harness's checkpoint
 /// auto-tuner reads its mean as the per-checkpoint overhead δ.
-fn durable_checkpoint(model: &Model, dir: &Path, rank: usize, keep: usize) -> Result<(), String> {
+fn durable_checkpoint(
+    model: &Integrator,
+    dir: &Path,
+    rank: usize,
+    keep: usize,
+) -> Result<(), String> {
     let t0 = Instant::now();
     let ck = model.capture();
     write_checkpoint(&checkpoint_path(dir, rank, ck.step), &ck)

@@ -37,9 +37,9 @@ use agcm_comm::{
 use agcm_core::analysis::{
     crossover_rank, predict_step, scaling_chart, AlgKind, CaMode, ScalingPoint,
 };
-use agcm_core::par::{gather_ca_state, Alg1Model, CaModel, GlobalState};
+use agcm_core::par::GlobalState;
 use agcm_core::serial::{Iteration, SerialModel};
-use agcm_core::{init, ModelConfig, Resilient};
+use agcm_core::{init, Integrator, ModelConfig};
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
 use agcm_obs::dist::{self, OffsetEstimate};
@@ -424,105 +424,25 @@ where
     }
 }
 
-pub(crate) enum Model {
-    A1(Box<Alg1Model>),
-    A2(Box<CaModel>),
+/// This rank's integrator for `AGCM_RUN_ALG` (1 or 2) at rest.
+pub(crate) fn new_model(
+    alg: u32,
+    cfg: &ModelConfig,
+    pgrid: ProcessGrid,
+    comm: &mut Communicator,
+) -> Result<Integrator, String> {
+    let kind = match alg {
+        1 => AlgKind::OriginalYZ,
+        2 => AlgKind::CommAvoiding,
+        other => return Err(format!("AGCM_RUN_ALG must be 1 or 2, got {other}")),
+    };
+    Integrator::parallel(cfg, kind, pgrid, comm).map_err(|e| e.to_string())
 }
 
-impl Model {
-    pub(crate) fn new(
-        alg: u32,
-        cfg: &ModelConfig,
-        pgrid: ProcessGrid,
-        comm: &mut Communicator,
-    ) -> Result<Model, String> {
-        Ok(match alg {
-            1 => Model::A1(Box::new(
-                Alg1Model::new(cfg, pgrid, comm).map_err(|e| e.to_string())?,
-            )),
-            2 => Model::A2(Box::new(
-                CaModel::new(cfg, pgrid, comm).map_err(|e| e.to_string())?,
-            )),
-            other => return Err(format!("AGCM_RUN_ALG must be 1 or 2, got {other}")),
-        })
-    }
-
-    /// The standard initial condition every world in this crate integrates.
-    pub(crate) fn set_default_ic(&mut self) {
-        match self {
-            Model::A1(m) => {
-                let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
-                m.set_state(&ic);
-            }
-            Model::A2(m) => {
-                let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
-                m.set_state(&ic);
-            }
-        }
-    }
-
-    /// Completed steps.
-    pub(crate) fn steps(&self) -> usize {
-        match self {
-            Model::A1(m) => m.steps,
-            Model::A2(m) => m.steps,
-        }
-    }
-
-    pub(crate) fn capture(&self) -> agcm_core::Checkpoint {
-        match self {
-            Model::A1(m) => Resilient::capture(m.as_ref()),
-            Model::A2(m) => Resilient::capture(m.as_ref()),
-        }
-    }
-
-    pub(crate) fn restore(&mut self, ck: &agcm_core::Checkpoint) {
-        match self {
-            Model::A1(m) => m.restore(ck),
-            Model::A2(m) => m.restore(ck),
-        }
-    }
-
-    /// Typed variants for the elastic path, which must tell a dead peer
-    /// (recoverable by rewiring) from everything else.
-    pub(crate) fn step_t(&mut self, comm: &Communicator) -> agcm_comm::CommResult<()> {
-        match self {
-            Model::A1(m) => m.step(comm),
-            Model::A2(m) => m.step(comm),
-        }
-    }
-
-    pub(crate) fn finish_t(&mut self, comm: &Communicator) -> agcm_comm::CommResult<()> {
-        match self {
-            Model::A1(_) => Ok(()),
-            Model::A2(m) => m.finish(comm),
-        }
-    }
-
-    pub(crate) fn gather_t(
-        &mut self,
-        comm: &Communicator,
-    ) -> agcm_comm::CommResult<Option<GlobalState>> {
-        match self {
-            Model::A1(m) => m.gather_state(comm),
-            Model::A2(m) => gather_ca_state(m, comm),
-        }
-    }
-
-    fn step(&mut self, comm: &Communicator) -> Result<(), String> {
-        self.step_t(comm).map_err(|e| e.to_string())
-    }
-
-    /// What the models' own `run()` wrappers do after the last step: the CA
-    /// integrator leaves a smoothing pending that must be applied before
-    /// the state is comparable to the serial reference.
-    fn finish(&mut self, comm: &Communicator) -> Result<(), String> {
-        self.finish_t(comm).map_err(|e| e.to_string())
-    }
-
-    fn gather(&mut self, comm: &Communicator) -> Result<Option<GlobalState>, String> {
-        self.gather_t(comm).map_err(|e| e.to_string())
-    }
+/// The standard initial condition every world in this crate integrates.
+pub(crate) fn set_default_ic(model: &mut Integrator) {
+    let ic = init::perturbed_rest(model.geom(), 200.0, 1.0, 42);
+    model.set_state(&ic);
 }
 
 /// One rank of a launched world: connect the socket mesh, integrate, gather
@@ -579,12 +499,13 @@ pub fn worker_main() -> Result<(), String> {
     // as the thread-backed verifier cross-check does
     comm.stats().set_event_logging(true);
 
-    let mut model = Model::new(alg, &cfg, pgrid, &mut comm)?;
-    model.set_default_ic();
+    let mut model = new_model(alg, &cfg, pgrid, &mut comm)?;
+    set_default_ic(&mut model);
+    let step = |model: &mut Integrator| model.step(Some(&comm)).map_err(|e| e.to_string());
 
     // step 1: warm-up (fills the C cache, leaves a smoothing pending);
     // step 2: the steady-state step the static analyzer predicts
-    model.step(&comm)?;
+    step(&mut model)?;
     // live progress snapshots only ever run OUTSIDE the s0→delta bracket
     // below, so the verified traffic and wire identities stay exact
     if let Some((ctl, _)) = &ctl {
@@ -598,7 +519,7 @@ pub fn worker_main() -> Result<(), String> {
     let w0 = comm
         .wire_stats()
         .ok_or("socket transport must expose wire stats")?;
-    model.step(&comm)?;
+    step(&mut model)?;
     let delta = comm.stats().snapshot().delta(&s0);
     let events = comm.stats().collective_events()[e0..].to_vec();
     let wire = comm
@@ -610,7 +531,7 @@ pub fn worker_main() -> Result<(), String> {
     let mut step_ns: Vec<u64> = Vec::with_capacity(steps.saturating_sub(2));
     for s in 2..steps {
         let t = Instant::now();
-        model.step(&comm)?;
+        step(&mut model)?;
         step_ns.push(t.elapsed().as_nanos() as u64);
         if let Some((ctl, _)) = &ctl {
             if rank != 0 {
@@ -619,7 +540,7 @@ pub fn worker_main() -> Result<(), String> {
             }
         }
     }
-    model.finish(&comm)?;
+    model.finish(Some(&comm)).map_err(|e| e.to_string())?;
 
     step_ns.sort_unstable();
     let traffic = RankTraffic {
@@ -633,7 +554,7 @@ pub fn worker_main() -> Result<(), String> {
         step_ns_p50: step_ns.get(step_ns.len() / 2).copied().unwrap_or(0),
     };
 
-    let gathered = model.gather(&comm)?;
+    let gathered = model.gather_state(&comm).map_err(|e| e.to_string())?;
     if let Some(gs) = gathered {
         write_state(&out.join("state.bin"), &gs).map_err(|e| format!("state.bin: {e}"))?;
     }

@@ -13,7 +13,7 @@
 
 use agcm_comm::{Endpoint, FaultPlan, Universe};
 use agcm_core::init;
-use agcm_core::par::{gather_ca_state, Alg1Model, CaModel, GlobalState, RetryPolicy};
+use agcm_core::par::{Alg1Model, CaModel, GlobalState, RetryPolicy};
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
@@ -74,7 +74,7 @@ fn run_alg2(via: Via, p: usize) -> GlobalState {
         let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
         m.set_state(&ic);
         m.run(comm, STEPS).unwrap();
-        gather_ca_state(&m, comm).unwrap()
+        m.gather_state(comm).unwrap()
     });
     results.remove(0).expect("rank 0 gathers")
 }
@@ -134,7 +134,7 @@ fn run_chaos(via: Via, spec: &str) -> (Vec<String>, GlobalState) {
         m.set_state(&ic);
         m.run(comm, STEPS).unwrap();
         let log: Vec<String> = comm.fault_log().iter().map(|e| e.to_string()).collect();
-        (log.join("\n"), gather_ca_state(&m, comm).unwrap())
+        (log.join("\n"), m.gather_state(comm).unwrap())
     });
     let mut logs = Vec::new();
     let mut global = None;

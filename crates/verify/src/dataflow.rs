@@ -214,13 +214,11 @@ impl FlowState {
         for side in 0..SIDES {
             a.0[side] = self.shipped(&ex.depth, side);
         }
-        // wire order: STATE4 = eval; ADV5 = eval + g_w; DEEP7 = eval +
-        // vsum + g_w + φ' (par::schedule's field lists)
         self.eval = a;
-        if ex.fields.len() >= 5 {
+        if ex.fields.has_gw() {
             self.gw = a;
         }
-        if ex.fields.len() == 7 {
+        if ex.fields.has_c() {
             self.vsum = a;
             self.phi_p = a;
         }

@@ -96,18 +96,28 @@ impl ScheduleGraph {
         if alg == AlgKind::CommAvoiding && pgrid.px() != 1 {
             return Err("Algorithm 2 requires a Y-Z decomposition (p_x = 1)".into());
         }
-        let decomp = Decomposition::new(cfg.extents(), pgrid)
-            .map_err(|e| format!("invalid decomposition: {e}"))?;
         let ops = match alg {
             AlgKind::CommAvoiding => schedule::alg2_step(cfg, &pgrid, mode),
             _ => schedule::alg1_step(cfg, &pgrid),
         };
+        Self::of_program(cfg, pgrid, &ops)
+    }
+
+    /// Extract the event graph of a step program — e.g. the one a live
+    /// integrator executes (`Integrator::program`) — on `pgrid`.
+    pub fn of_program(
+        cfg: &ModelConfig,
+        pgrid: ProcessGrid,
+        ops: &[StepOp],
+    ) -> Result<ScheduleGraph, String> {
+        let decomp = Decomposition::new(cfg.extents(), pgrid)
+            .map_err(|e| format!("invalid decomposition: {e}"))?;
         let p = pgrid.size();
         let (_, _, pz) = pgrid.dims();
         let px = pgrid.px();
         let mut g = ScheduleGraph {
             p,
-            ops: ops.clone(),
+            ops: ops.to_vec(),
             sends: Vec::new(),
             recvs: Vec::new(),
             groups: Vec::new(),
@@ -124,7 +134,7 @@ impl ScheduleGraph {
                 match op {
                     StepOp::Exchange(ex) => {
                         let mut recv_actions = Vec::new();
-                        for (fi, shape) in ex.fields.iter().enumerate() {
+                        for (fi, shape) in ex.fields.shapes().iter().enumerate() {
                             let plan = ExchangePlan::with_extents(
                                 &decomp,
                                 rank,

@@ -9,10 +9,10 @@
 
 use crate::counts::{rank_counts, RankCounts};
 use crate::graph::ScheduleGraph;
-use agcm_comm::{p2p_only_delta, Communicator, Universe};
-use agcm_core::analysis::{AlgKind, CaMode};
-use agcm_core::par::{Alg1Model, CaModel};
-use agcm_core::{init, ModelConfig};
+use agcm_comm::{p2p_only_delta, Universe};
+use agcm_core::analysis::AlgKind;
+use agcm_core::par::StepOp;
+use agcm_core::{init, Integrator, ModelConfig};
 use agcm_mesh::ProcessGrid;
 
 /// Per-rank traffic measured from one executed steady-state step.
@@ -30,7 +30,7 @@ pub struct MeasuredTraffic {
 /// steady state: warm `C` cache, pending smoothing — and return per-rank
 /// halo traffic with collective-internal messages subtracted.
 pub fn measure_step(cfg: &ModelConfig, alg: AlgKind, pgrid: ProcessGrid) -> Vec<MeasuredTraffic> {
-    measure_step_inner(cfg, alg, pgrid, None)
+    measure_step_inner(cfg, alg, pgrid, None).0
 }
 
 /// Like [`measure_step`] but with a deterministic fault plan installed and
@@ -46,61 +46,50 @@ pub fn measure_step_under_faults(
     seed: u64,
     spec: &str,
 ) -> Vec<MeasuredTraffic> {
-    measure_step_inner(cfg, alg, pgrid, Some((seed, spec.to_string())))
+    measure_step_inner(cfg, alg, pgrid, Some((seed, spec.to_string()))).0
 }
 
+/// The per-rank traffic of the measured step and the program it walked.
 fn measure_step_inner(
     cfg: &ModelConfig,
     alg: AlgKind,
     pgrid: ProcessGrid,
     fault: Option<(u64, String)>,
-) -> Vec<MeasuredTraffic> {
+) -> (Vec<MeasuredTraffic>, Vec<StepOp>) {
     let cfg = cfg.clone();
-    Universe::run(pgrid.size(), move |comm| {
+    let mut ranks = Universe::run(pgrid.size(), move |comm| {
         if let Some((seed, spec)) = &fault {
             comm.install_faults(agcm_comm::FaultPlan::parse(*seed, spec).expect("valid spec"));
             comm.set_timeout(std::time::Duration::from_millis(500));
         }
-        let faulty = fault.is_some();
         // the per-event log (needed to subtract collective-internal p2p)
         // is opt-in since it grows unboundedly on long runs
         comm.stats().set_event_logging(true);
-        let mut step: Box<dyn FnMut(&Communicator)> = match alg {
-            AlgKind::CommAvoiding => {
-                let mut m = CaModel::new(&cfg, pgrid, comm).expect("valid CA model");
-                if faulty {
-                    // framed + retrying exchanges recover drops/corruption
-                    m.set_framed(true);
-                    m.set_retry(agcm_core::par::RetryPolicy::default());
-                }
-                let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-                m.set_state(&ic);
-                Box::new(move |c| m.step(c).expect("step"))
-            }
-            _ => {
-                let mut m = Alg1Model::new(&cfg, pgrid, comm).expect("valid Alg1 model");
-                if faulty {
-                    m.set_framed(true);
-                    m.set_retry(agcm_core::par::RetryPolicy::default());
-                }
-                let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-                m.set_state(&ic);
-                Box::new(move |c| m.step(c).expect("step"))
-            }
-        };
-        step(comm); // warm-up: fills caches, leaves a smoothing pending
+        let mut m = Integrator::parallel(&cfg, alg, pgrid, comm).expect("valid model");
+        if fault.is_some() {
+            // framed + retrying exchanges recover drops/corruption
+            m.set_framed(true);
+            m.set_retry(agcm_core::par::RetryPolicy::default());
+        }
+        let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
+        m.set_state(&ic);
+        m.step(Some(comm)).expect("step"); // warm-up: fills caches, leaves a smoothing pending
         let s0 = comm.stats().snapshot();
         let e0 = comm.stats().collective_events().len();
-        step(comm);
+        m.step(Some(comm)).expect("step");
         let delta = comm.stats().snapshot().delta(&s0);
         let events = comm.stats().collective_events()[e0..].to_vec();
         let pure = p2p_only_delta(&delta, &events);
-        MeasuredTraffic {
+        let traffic = MeasuredTraffic {
             msgs: pure.p2p_sends,
             elems: pure.p2p_send_elems,
             collectives: events.len() as u64,
-        }
-    })
+        };
+        // SPMD: every rank walks the same program; rank 0 reports it
+        (traffic, (comm.rank() == 0).then(|| m.program().to_vec()))
+    });
+    let program = ranks[0].1.take().expect("rank 0 reports the program");
+    (ranks.into_iter().map(|(t, _)| t).collect(), program)
 }
 
 /// Compare the schedule graph against an executed run, rank by rank.
@@ -110,9 +99,10 @@ pub fn cross_check(
     alg: AlgKind,
     pgrid: ProcessGrid,
 ) -> Result<Vec<RankCounts>, String> {
-    let g = ScheduleGraph::extract(cfg, alg, CaMode::Grouped, pgrid)?;
+    let (meas, program) = measure_step_inner(cfg, alg, pgrid, None);
+    // the graph of the program that ran, not of a regenerated twin
+    let g = ScheduleGraph::of_program(cfg, pgrid, &program)?;
     let stat = rank_counts(&g);
-    let meas = measure_step(cfg, alg, pgrid);
     let mut errors = Vec::new();
     for (rank, (s, m)) in stat.iter().zip(&meas).enumerate() {
         if s.send_msgs != m.msgs || s.send_elems != m.elems || s.collectives != m.collectives {

@@ -18,10 +18,10 @@
 //! Chrome-trace exporter and overlap profile consume — so a span that goes
 //! missing (or double-fires) in the instrumentation is caught here.
 
-use agcm_comm::{Communicator, Universe};
+use agcm_comm::Universe;
 use agcm_core::analysis::{AlgKind, CaMode};
-use agcm_core::par::{schedule, Alg1Model, CaModel};
-use agcm_core::{init, ModelConfig};
+use agcm_core::par::schedule::{self, StepOp};
+use agcm_core::{init, Integrator, ModelConfig};
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
 
@@ -36,10 +36,12 @@ pub struct RankSpanCounts {
     pub c_collectives: u64,
     /// Operator (`Op`) spans of any phase.
     pub op_spans: u64,
+    /// What the program this rank executed says a step performs.
+    pub program: ExpectedSpanCounts,
 }
 
-/// Expected per-rank counts derived from the static schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Expected per-rank counts derived from a step program.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExpectedSpanCounts {
     /// [`schedule::exchange_count`] of the steady-state step.
     pub exchanges: u64,
@@ -47,20 +49,23 @@ pub struct ExpectedSpanCounts {
     pub z_allgathers: u64,
 }
 
-/// Static expectation for `alg` on `pgrid` (steady state, grouped CA mode —
-/// the mode the executable runs).
-pub fn expected_counts(cfg: &ModelConfig, alg: AlgKind, pgrid: ProcessGrid) -> ExpectedSpanCounts {
-    let ops = match alg {
-        AlgKind::CommAvoiding => schedule::alg2_step(cfg, &pgrid, CaMode::Grouped),
-        _ => schedule::alg1_step(cfg, &pgrid),
-    };
+fn counts_of(ops: &[StepOp]) -> ExpectedSpanCounts {
     ExpectedSpanCounts {
-        exchanges: schedule::exchange_count(&ops),
+        exchanges: schedule::exchange_count(ops),
         z_allgathers: ops
             .iter()
-            .filter(|o| matches!(o, schedule::StepOp::ZAllgather))
+            .filter(|o| matches!(o, StepOp::ZAllgather))
             .count() as u64,
     }
+}
+
+/// Static expectation for `alg` on `pgrid` (steady state, grouped CA mode —
+/// the mode the executable runs), from a freshly generated program.
+pub fn expected_counts(cfg: &ModelConfig, alg: AlgKind, pgrid: ProcessGrid) -> ExpectedSpanCounts {
+    counts_of(&match alg {
+        AlgKind::CommAvoiding => schedule::alg2_step(cfg, &pgrid, CaMode::Grouped),
+        _ => schedule::alg1_step(cfg, &pgrid),
+    })
 }
 
 /// Run `alg` for real under the tracer and return per-rank span counts of
@@ -78,29 +83,20 @@ pub fn measure_spans(cfg: &ModelConfig, alg: AlgKind, pgrid: ProcessGrid) -> Vec
     }
     let p = pgrid.size();
     let cfg = cfg.clone();
-    Universe::run(p, move |comm| {
-        let mut step: Box<dyn FnMut(&Communicator)> = match alg {
-            AlgKind::CommAvoiding => {
-                let mut m = CaModel::new(&cfg, pgrid, comm).expect("valid CA model");
-                let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-                m.set_state(&ic);
-                Box::new(move |c| m.step(c).expect("step"))
-            }
-            _ => {
-                let mut m = Alg1Model::new(&cfg, pgrid, comm).expect("valid Alg1 model");
-                let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-                m.set_state(&ic);
-                Box::new(move |c| m.step(c).expect("step"))
-            }
-        };
-        step(comm); // warm-up: fills caches, leaves a smoothing pending
-        step(comm); // the measured steady-state step (step index 1)
+    let programs = Universe::run(p, move |comm| {
+        let mut m = Integrator::parallel(&cfg, alg, pgrid, comm).expect("valid model");
+        let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
+        m.set_state(&ic);
+        m.step(Some(comm)).expect("step"); // warm-up: fills caches, leaves a smoothing pending
+        m.step(Some(comm)).expect("step"); // the measured steady-state step (step index 1)
+        counts_of(m.program())
     });
     obs::disable();
     let events = obs::drain();
-    let mut counts: Vec<RankSpanCounts> = (0..p)
-        .map(|rank| RankSpanCounts {
+    let mut counts: Vec<RankSpanCounts> = (programs.into_iter().enumerate())
+        .map(|(rank, program)| RankSpanCounts {
             rank,
+            program,
             ..Default::default()
         })
         .collect();
@@ -117,7 +113,7 @@ pub fn measure_spans(cfg: &ModelConfig, alg: AlgKind, pgrid: ProcessGrid) -> Vec
 }
 
 /// Compare the trace stream of an executed steady-state step against the
-/// static schedule, rank by rank.  `Ok` carries the measured counts;
+/// program the integrator walked, rank by rank.  `Ok` carries the measured counts;
 /// `Err` lists every rank that deviated.  Vacuously `Ok` (empty) when the
 /// tracer is compiled out.
 pub fn trace_cross_check(
@@ -125,10 +121,10 @@ pub fn trace_cross_check(
     alg: AlgKind,
     pgrid: ProcessGrid,
 ) -> Result<Vec<RankSpanCounts>, String> {
-    let want = expected_counts(cfg, alg, pgrid);
     let meas = measure_spans(cfg, alg, pgrid);
     let mut errors = Vec::new();
     for c in &meas {
+        let want = c.program;
         if c.exchange_waits != want.exchanges || c.c_collectives != want.z_allgathers {
             errors.push(format!(
                 "rank {}: schedule says {} exchanges, {} z-collectives; \

@@ -2,11 +2,14 @@
 //! the issue's rank sweep — and refutes deliberately broken ones with
 //! counterexamples naming operator, field and uncovered offset.
 
+use agcm_comm::Universe;
 use agcm_core::analysis::{ca_group_size, ca_ladder, AlgKind, CaMode};
 use agcm_core::par::schedule::{self, StepOp};
-use agcm_core::ModelConfig;
+use agcm_core::serial::Iteration;
+use agcm_core::{Integrator, ModelConfig};
 use agcm_mesh::{Axis, ProcessGrid};
 use agcm_verify::dataflow::{self, FailureKind};
+use agcm_verify::{check_deadlock, check_matching, ScheduleGraph};
 
 fn cfg() -> ModelConfig {
     ModelConfig::paper_50km()
@@ -311,4 +314,126 @@ fn uncertified_fused_op_yields_named_counterexample() {
     assert!(ce.operator.contains("adaptation.fused.smooth"), "{ce}");
     let msg = format!("{ce}");
     assert!(msg.contains("not in the access registry"), "{msg}");
+}
+
+/// Which program a live integrator is built to run.
+#[derive(Clone, Copy, Debug)]
+enum Program {
+    Serial(Iteration),
+    Alg1,
+    Alg2((usize, bool, usize)),
+}
+
+/// Build the integrator on every rank of `pg` and hand back the program it
+/// will walk — the object itself, not a schedule generated beside it.
+fn live_program(c: &ModelConfig, pg: ProcessGrid, which: Program) -> Vec<StepOp> {
+    if let Program::Serial(variant) = which {
+        return Integrator::serial(c, variant).unwrap().program().to_vec();
+    }
+    let c = c.clone();
+    let mut programs = Universe::run(pg.size(), move |comm| {
+        let m = match which {
+            Program::Alg2(groups) => Integrator::alg2(&c, pg, comm, groups),
+            _ => Integrator::alg1(&c, pg, comm),
+        };
+        m.unwrap().program().to_vec()
+    });
+    let first = programs.swap_remove(0);
+    assert!(programs.iter().all(|p| *p == first), "SPMD: one program");
+    first
+}
+
+/// Matching, the deadlock proof and the halo-coverage proof on `ops`;
+/// returns the exchanges and collectives a step of it performs.
+fn certify(c: &ModelConfig, pg: ProcessGrid, ops: &[StepOp], what: &str) -> (u64, u64) {
+    let g = ScheduleGraph::of_program(c, pg, ops).unwrap();
+    assert!(check_matching(&g).is_ok(), "{what}: unmatched messages");
+    assert!(check_deadlock(&g).is_free(), "{what}: deadlock");
+    let proof = dataflow::check_ops(c, &pg, ops).unwrap_or_else(|ce| panic!("{what}: {ce}"));
+    // the forcing is a kernel of the stream like any other
+    let forcings = ops
+        .iter()
+        .filter(|o| matches!(o, StepOp::Compute(k) if k.op == "forcing"));
+    assert_eq!(forcings.count(), 1, "{what}");
+    assert!(proof.computes > 0);
+    (g.exchange_ops(), g.collective_ops())
+}
+
+/// The proof is about the executing stream: the program of a live model,
+/// for the serial reference, Algorithm 1 (Y-Z and X-Y) and every rung of
+/// Algorithm 2's ladder, at p ∈ {1, 2, 4}.
+#[test]
+fn live_models_run_certified_programs() {
+    let c = ModelConfig {
+        ny: 24,
+        ..ModelConfig::test_medium()
+    };
+    let m = c.m_iters as u64;
+    for variant in [Iteration::Exact, Iteration::Approximate] {
+        let pg = ProcessGrid::serial();
+        let ops = live_program(&c, pg, Program::Serial(variant));
+        assert_eq!(certify(&c, pg, &ops, "serial"), (3 * m + 4, 0));
+    }
+    let mut rungs = 0;
+    for p in [1usize, 2, 4] {
+        for pg in feasible_yz(&c, p).into_iter().chain(feasible_xy(&c, p)) {
+            let what = format!("alg1 {:?}", pg.dims());
+            let ops = live_program(&c, pg, Program::Alg1);
+            let (exchanges, collectives) = certify(&c, pg, &ops, &what);
+            let (px, _, pz) = pg.dims();
+            assert_eq!(exchanges, 3 * m + 4, "{what}");
+            // 3M z-allgathers, two transposes per filter application
+            let want = if pz > 1 { 3 * m } else { 0 } + if px > 1 { 2 * (3 * m + 3) } else { 0 };
+            assert_eq!(collectives, want, "{what}");
+            if px > 1 {
+                continue;
+            }
+            for groups in ca_ladder(&c, &pg) {
+                let what = format!("alg2 {:?} {groups:?}", pg.dims());
+                let ops = live_program(&c, pg, Program::Alg2(groups));
+                let (exchanges, collectives) = certify(&c, pg, &ops, &what);
+                // 3M -> 2M on every rung, 13 -> 2 on the paper's
+                assert_eq!(collectives, if pz > 1 { 2 * m } else { 0 }, "{what}");
+                if groups == (3 * c.m_iters, true, 3) {
+                    assert_eq!(exchanges, 2, "{what}");
+                }
+                rungs += 1;
+            }
+        }
+    }
+    assert!(rungs >= 12, "the ladders were walked: {rungs} rungs");
+}
+
+/// A program with one exchange dropped is refused before it could run:
+/// the sweep that exchange fed reads a halo nothing filled.
+#[test]
+fn live_program_with_a_dropped_exchange_is_refused() {
+    let c = ModelConfig {
+        ny: 24,
+        ..ModelConfig::test_medium()
+    };
+    let pg = ProcessGrid::yz(2, 1).unwrap();
+    for which in [Program::Alg1, Program::Alg2((3, true, 3))] {
+        let ops = live_program(&c, pg, which);
+        let exchanges: Vec<usize> = (0..ops.len())
+            .filter(|&i| matches!(ops[i], StepOp::Exchange(_)))
+            .collect();
+        for &at in &exchanges {
+            let mut broken = ops.clone();
+            broken.remove(at);
+            let ce = dataflow::check_ops(&c, &pg, &broken)
+                .expect_err("a dropped exchange must not certify");
+            assert_eq!(
+                ce.kind,
+                FailureKind::UncoveredHalo,
+                "{which:?} op {at}: {ce}"
+            );
+            assert_eq!(ce.axis, Axis::Y, "{ce}");
+            assert!(ce.needed > ce.have, "{ce}");
+            // the counterexample names the first kernel left uncovered: one
+            // at or after the hole
+            assert!(ce.op_index >= at, "{ce}");
+            assert!(!ce.operator.is_empty() && !ce.field.is_empty(), "{ce}");
+        }
+    }
 }
