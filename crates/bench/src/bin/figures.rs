@@ -37,7 +37,6 @@ fn main() {
         }
         "trace-dist" => trace_dist(),
         "restart" => restart(),
-        "perf" => perf(std::env::args().nth(2)),
         "all" => {
             print_tables();
             fig1(&cfg, &model);
@@ -53,7 +52,7 @@ fn main() {
         other => {
             eprintln!("unknown figure '{other}'");
             eprintln!(
-                "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|validate|verify|trace|trace-dist|restart|perf [baseline.json]]"
+                "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|validate|verify|trace|trace-dist|restart]"
             );
             std::process::exit(2);
         }
@@ -927,165 +926,4 @@ fn restart() {
         eprintln!("restart round-trip: FAIL — checkpoint restore is not bitwise");
         std::process::exit(1);
     }
-}
-
-/// `perf` — kernel micro-benchmark: explicit-lane / scalar-row / scalar
-/// operators, the fused one-pass sweeps, the pooled FFT polar filter at
-/// `AGCM_THREADS ∈ {1, 2, 4}`, and whole `dycore_step` timings on the lane
-/// vs the row path — emitted as `BENCH_kernels.json` (ns/point + speedup).
-/// Warmup and iteration counts come from `AGCM_BENCH_WARMUP` /
-/// `AGCM_BENCH_ITERS` (strict parse; defaults 3/9).
-///
-/// With a `baseline` argument the run becomes a CI gate: each entry's
-/// *speedup ratio* (machine-portable, unlike raw ns/point) is compared
-/// against the baseline document and the process exits nonzero if any
-/// entry regressed by more than 30% — 20% for `advection`, whose ratio
-/// (per-point reference ÷ staged sweep) is what the shared-quotient
-/// staging buys and must not quietly give back.
-fn perf(baseline: Option<String>) {
-    use agcm_bench::kernels::{
-        measure_dycore_step, measure_fused, measure_kernels, measure_phase_overhead,
-        measure_pooled, measure_step_pooled, parse_speedups, to_json,
-    };
-    use agcm_comm::env::parse_env_or;
-    use agcm_core::pool;
-
-    header("Kernel micro-benchmark — lanes / rows / scalar + fused + pooled");
-    let cfg = ModelConfig::test_medium();
-    let warmup: usize = parse_env_or("AGCM_BENCH_WARMUP", 3);
-    let iters: usize = parse_env_or("AGCM_BENCH_ITERS", 9).max(1);
-    // one worker for the per-kernel entries: the CI gate must not confound
-    // banding overhead with kernel-level vectorization wins
-    let mut perfs = pool::with_workers(1, || {
-        let mut v = measure_kernels(&cfg, warmup, iters);
-        v.extend(measure_fused(&cfg, warmup, iters));
-        v.extend(measure_dycore_step(&cfg, warmup, iters, &[1]));
-        v
-    });
-    // the pool, where a band is worth a thread: the benchmark's mid mesh
-    // (180×90×30) at two workers against one — on a host that has two
-    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut phases = Vec::new();
-    let mut floors_met = true;
-    if cpus >= 2 {
-        let mid = ModelConfig {
-            nx: 180,
-            ny: 90,
-            ..ModelConfig::paper_50km()
-        };
-        perfs.extend(measure_pooled(&mid, 1, iters, &[2]));
-        perfs.push(measure_step_pooled(&mid, 1, iters.min(5), 2));
-        phases = measure_phase_overhead(200);
-        // what the host gives two compute-bound threads at this moment (a
-        // shared runner's second vCPU is not always a second core): the
-        // longest point of the curve, where the phase overhead is noise
-        let host_two = phases.last().map_or(0.0, |p| p.serial_us / p.phase_us);
-        for (name, floor) in [
-            ("dycore_step_pooled_t2", 1.3),
-            ("vertical_c_pooled_t2", 1.4),
-        ] {
-            let got = perfs
-                .iter()
-                .find(|p| p.name == name)
-                .map_or(0.0, |p| p.speedup);
-            let verdict = match got >= floor {
-                true => "ok",
-                false if host_two < 1.7 => "below, not held: see next line",
-                false => "BELOW FLOOR",
-            };
-            println!("  pool floor {name:<24} {got:>5.2}x  (floor {floor:.1}x) {verdict}");
-            floors_met &= got >= floor || host_two < 1.7;
-        }
-        if host_two < 1.7 {
-            println!(
-                "  pool floors not held: two spinning threads ran {host_two:.2}x one on this host"
-            );
-        }
-    } else {
-        println!("  pool rows and floors skipped: the host has {cpus} CPU, a second worker has nowhere to run");
-    }
-    println!(
-        "{:<24} {:>10} {:>13} {:>13} {:>16} {:>9}",
-        "entry", "points", "lane ns/pt", "cur ns/pt", "ref ns/pt", "speedup"
-    );
-    for p in &perfs {
-        let lane = p
-            .lane_ns_per_point
-            .map_or("-".to_string(), |l| format!("{l:.3}"));
-        println!(
-            "{:<24} {:>10} {:>13} {:>13.3} {:>16.3} {:>8.2}x",
-            p.name, p.points, lane, p.row_ns_per_point, p.scalar_ns_per_point, p.speedup
-        );
-    }
-    if !phases.is_empty() {
-        println!("two-band pool phase vs the same work back to back (µs, medians):");
-        println!(
-            "{:>14} {:>10} {:>10} {:>22}",
-            "work per band", "serial", "two bands", "overhead over serial/2"
-        );
-        for p in &phases {
-            println!(
-                "{:>14.0} {:>10.1} {:>10.1} {:>22.1}",
-                p.work_us,
-                p.serial_us,
-                p.phase_us,
-                p.overhead_us()
-            );
-        }
-    }
-
-    let doc = to_json("test_medium", warmup, iters, &perfs, &phases);
-    if let Err(e) = obs::validate_json(&doc) {
-        eprintln!("BENCH_kernels.json failed RFC 8259 validation: {e}");
-        std::process::exit(1);
-    }
-
-    if let Some(base_path) = baseline {
-        let base = match std::fs::read_to_string(&base_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline {base_path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let want = parse_speedups(&base);
-        let got = parse_speedups(&doc);
-        let mut failed = false;
-        for (name, base_sp) in &want {
-            let Some((_, new_sp)) = got.iter().find(|(n, _)| n == name) else {
-                if cpus < 2 && name.contains("_pooled_t") {
-                    continue; // not measured on one CPU
-                }
-                eprintln!("perf gate: kernel '{name}' missing from new measurement");
-                failed = true;
-                continue;
-            };
-            if name.contains("_pooled_t") {
-                continue; // held to absolute floors above, not to the baseline
-            }
-            let ratio = new_sp / base_sp;
-            let floor = if name == "advection" { 0.80 } else { 0.70 };
-            let verdict = if ratio < floor { "REGRESSED" } else { "ok" };
-            println!(
-                "  gate {name:<12} baseline {base_sp:>6.2}x  now {new_sp:>6.2}x  ({:.0}% of baseline, floor {:.0}%) {verdict}",
-                100.0 * ratio,
-                100.0 * floor
-            );
-            if ratio < floor {
-                failed = true;
-            }
-        }
-        if failed {
-            eprintln!("perf gate: at least one kernel fell below its floor vs {base_path}");
-            std::process::exit(1);
-        }
-        println!("perf gate: PASS (every speedup at or above its floor)");
-    }
-    if !floors_met {
-        eprintln!("perf gate: the pool is below a floor at two workers");
-        std::process::exit(1);
-    }
-
-    std::fs::write("BENCH_kernels.json", &doc).expect("write BENCH_kernels.json");
-    println!("wrote BENCH_kernels.json ({} kernels)", perfs.len());
 }

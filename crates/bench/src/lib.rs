@@ -1,9 +1,9 @@
-//! # agcm-bench — benchmark harness for the paper's evaluation
+//! # agcm-bench — the paper's evaluation, regenerated
 //!
 //! One binary (`figures`) regenerates every table and figure of Xiao et al.
-//! (ICPP 2018) §5, and the Criterion benches under `benches/` measure the
-//! real (thread-backed) implementations at laptop scales plus the design
-//! ablations listed in `DESIGN.md` §13.
+//! (ICPP 2018) §5.  Measured performance is not this crate's business: the
+//! end-to-end benchmark and its per-layer ledger live in `benchmark/`
+//! (`benchmark/run.sh`, `BENCHMARK.json`).
 //!
 //! Reproduction strategy (see `DESIGN.md` §2): the executing runtime
 //! validates the algorithms and their exact per-rank traffic at small rank
@@ -16,9 +16,6 @@ use agcm_comm::CostModel;
 use agcm_core::analysis::{ca_pick, predict_step_mode, AlgKind, CaMode, StepCost};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
-
-pub mod kernels;
-pub mod timing;
 
 /// The rank counts of the paper's evaluation.
 pub const PAPER_RANKS: [usize; 4] = [128, 256, 512, 1024];

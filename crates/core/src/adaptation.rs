@@ -32,7 +32,7 @@
 
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
-use crate::lanes::{Elem, KernelPath};
+use crate::lanes::{lane_loop, Elem};
 use crate::state::State;
 use crate::sweep::{self, SweepBand, SweepScratch, Update};
 use agcm_mesh::grid::constants as c;
@@ -52,8 +52,8 @@ const SIN_EPS: f64 = 1e-12;
 ///
 /// The 3-D sweep runs row-sliced over latitude bands of the intra-rank worker pool;
 /// every point evaluates the same expression tree as the scalar reference
-/// ([`adaptation_tendency_scalar`]), so the result is bit-identical at any
-/// `AGCM_THREADS` and on every kernel path (lanes / rows / scalar).
+/// (`adaptation_tendency_scalar`), so the result is bit-identical at any
+/// `AGCM_THREADS`.
 pub fn adaptation_tendency(
     geom: &LocalGeometry,
     arg: &State,
@@ -61,45 +61,9 @@ pub fn adaptation_tendency(
     tend: &mut State,
     region: Region,
 ) {
-    adaptation_tendency_path(geom, arg, diag, tend, region, KernelPath::build_default());
-}
-
-/// [`adaptation_tendency`] forced onto the explicit-lane path.
-pub fn adaptation_tendency_lanes(
-    geom: &LocalGeometry,
-    arg: &State,
-    diag: &Diag,
-    tend: &mut State,
-    region: Region,
-) {
-    adaptation_tendency_path(geom, arg, diag, tend, region, KernelPath::Lanes);
-}
-
-/// [`adaptation_tendency`] forced onto the scalar-row path (the PR 4
-/// kernel, also what the `scalar-rows` feature selects by default).
-pub fn adaptation_tendency_rows(
-    geom: &LocalGeometry,
-    arg: &State,
-    diag: &Diag,
-    tend: &mut State,
-    region: Region,
-) {
-    adaptation_tendency_path(geom, arg, diag, tend, region, KernelPath::Rows);
-}
-
-/// [`adaptation_tendency`] on an explicit kernel path — the runtime
-/// dispatch point the engine's `set_kernel_path` toggle routes through.
-pub fn adaptation_tendency_path(
-    geom: &LocalGeometry,
-    arg: &State,
-    diag: &Diag,
-    tend: &mut State,
-    region: Region,
-    path: KernelPath,
-) {
     // a transient scratch: a dozen row-sized allocations per call
     let mut scratch = SweepScratch::new();
-    run_sweep(geom, arg, diag, tend, None, region, path, &mut scratch);
+    run_sweep(geom, arg, diag, tend, None, region, &mut scratch);
 }
 
 /// The adaptation sub-update's sweep: the tendency of `arg`, combined into
@@ -115,14 +79,12 @@ pub fn fused_adaptation_update(
     tend: &mut State,
     out: &mut State,
     region: Region,
-    path: KernelPath,
     scratch: &mut SweepScratch,
 ) {
     let combine = Some((upd, out));
-    run_sweep(geom, arg, diag, tend, combine, region, path, scratch);
+    run_sweep(geom, arg, diag, tend, combine, region, scratch);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_sweep(
     geom: &LocalGeometry,
     arg: &State,
@@ -130,7 +92,6 @@ fn run_sweep(
     tend: &mut State,
     combine: Option<(&Update<'_>, &mut State)>,
     region: Region,
-    path: KernelPath,
     scratch: &mut SweepScratch,
 ) {
     let nx = geom.nx as isize;
@@ -140,14 +101,13 @@ fn run_sweep(
         tend,
         combine,
         scratch,
-        path,
         "adaptation.band",
-        |band, rows| adaptation_band(geom, arg, diag, band, rows, path),
+        |band, rows| adaptation_band(geom, arg, diag, band, rows),
         // p'_sa equation (2-D): p₀·(κ*·D_sa − Σ Δσ D(P)) with κ* = 1
         |j, o| {
             let r_dsa = diag.dsa.row(0, nx, j);
             let r_vsum = diag.vsum.row(0, nx, j);
-            crate::lane_loop!(path, o.len(), E, ii, psa_eq::<E>(ii, o, r_dsa, r_vsum));
+            lane_loop!(o.len(), E, ii, psa_eq::<E>(ii, o, r_dsa, r_vsum));
         },
     );
 }
@@ -309,21 +269,14 @@ fn psa_eq<E: Elem>(ii: usize, o: &mut [f64], dsa: &[f64], vsum: &[f64]) {
 }
 
 /// Compute the three tendency rows of one `(j, k)` via the generic bodies.
-fn tendency_rows(
-    r: &Rows<'_>,
-    cf: &Coefs,
-    o_u: &mut [f64],
-    o_v: &mut [f64],
-    o_phi: &mut [f64],
-    path: KernelPath,
-) {
-    crate::lane_loop!(path, o_u.len(), E, ii, u_eq::<E>(ii, o_u, r, cf));
+fn tendency_rows(r: &Rows<'_>, cf: &Coefs, o_u: &mut [f64], o_v: &mut [f64], o_phi: &mut [f64]) {
+    lane_loop!(o_u.len(), E, ii, u_eq::<E>(ii, o_u, r, cf));
     if cf.s_v < SIN_EPS {
         o_v.fill(0.0); // pole face: V pinned
     } else {
-        crate::lane_loop!(path, o_v.len(), E, ii, v_eq::<E>(ii, o_v, r, cf));
+        lane_loop!(o_v.len(), E, ii, v_eq::<E>(ii, o_v, r, cf));
     }
-    crate::lane_loop!(path, o_phi.len(), E, ii, phi_eq::<E>(ii, o_phi, r, cf));
+    lane_loop!(o_phi.len(), E, ii, phi_eq::<E>(ii, o_phi, r, cf));
 }
 
 /// Row-sliced adaptation sweep over one worker band.
@@ -333,15 +286,14 @@ fn adaptation_band(
     diag: &Diag,
     band: &mut SweepBand<'_>,
     region: Region,
-    path: KernelPath,
 ) {
     let nx = geom.nx as isize;
     for k in region.z0..region.z1 {
         for j in region.y0..region.y1 {
             let r = fetch(nx, arg, diag, j, k);
             let cf = coefs(geom, j, k);
-            band.emit(nx, (j, k), path, |_, o_u, o_v, o_phi| {
-                tendency_rows(&r, &cf, o_u, o_v, o_phi, path)
+            band.emit(nx, (j, k), |_, o_u, o_v, o_phi| {
+                tendency_rows(&r, &cf, o_u, o_v, o_phi)
             });
         }
     }
@@ -350,7 +302,7 @@ fn adaptation_band(
 /// Scalar per-point reference implementation (the pre-row-API kernel),
 /// retained verbatim as the golden reference for the bitwise-equivalence
 /// property tests.
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 pub fn adaptation_tendency_scalar(
     geom: &LocalGeometry,
     arg: &State,
@@ -620,14 +572,11 @@ mod tests {
             true,
         )
         .unwrap();
-        let mut lanes = State::like(&s.state);
         let mut rows = State::like(&s.state);
         let mut scalar = State::like(&s.state);
-        adaptation_tendency_lanes(&s.geom, &s.state, &s.diag, &mut lanes, region);
-        adaptation_tendency_rows(&s.geom, &s.state, &s.diag, &mut rows, region);
+        adaptation_tendency(&s.geom, &s.state, &s.diag, &mut rows, region);
         adaptation_tendency_scalar(&s.geom, &s.state, &s.diag, &mut scalar, region);
-        assert_eq!(lanes.max_abs_diff(&rows), 0.0, "lanes vs rows");
-        assert_eq!(lanes.max_abs_diff(&scalar), 0.0, "lanes vs scalar");
+        assert_eq!(rows.max_abs_diff(&scalar), 0.0, "row kernel vs scalar");
     }
 
     #[test]

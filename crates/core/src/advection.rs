@@ -37,7 +37,7 @@
 
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
-use crate::lanes::{Elem, KernelPath};
+use crate::lanes::{lane_loop, Elem};
 use crate::state::State;
 use crate::sweep::{self, SweepBand, SweepScratch, Update};
 use agcm_mesh::grid::constants as c;
@@ -53,7 +53,7 @@ const SIN_EPS: f64 = 1e-12;
 /// `L̃` has a zero fourth component.
 ///
 /// Row-sliced and banded over the intra-rank worker pool; bit-identical to
-/// [`advection_tendency_scalar`] at any `AGCM_THREADS`.
+/// `advection_tendency_scalar` at any `AGCM_THREADS`.
 pub fn advection_tendency(
     geom: &LocalGeometry,
     arg: &State,
@@ -61,44 +61,9 @@ pub fn advection_tendency(
     tend: &mut State,
     region: Region,
 ) {
-    advection_tendency_path(geom, arg, diag, tend, region, KernelPath::build_default());
-}
-
-/// [`advection_tendency`] forced onto the explicit-lane path.
-pub fn advection_tendency_lanes(
-    geom: &LocalGeometry,
-    arg: &State,
-    diag: &Diag,
-    tend: &mut State,
-    region: Region,
-) {
-    advection_tendency_path(geom, arg, diag, tend, region, KernelPath::Lanes);
-}
-
-/// [`advection_tendency`] forced onto the scalar-row path.
-pub fn advection_tendency_rows(
-    geom: &LocalGeometry,
-    arg: &State,
-    diag: &Diag,
-    tend: &mut State,
-    region: Region,
-) {
-    advection_tendency_path(geom, arg, diag, tend, region, KernelPath::Rows);
-}
-
-/// [`advection_tendency`] on an explicit kernel path — the runtime
-/// dispatch point the engine's `set_kernel_path` toggle routes through.
-pub fn advection_tendency_path(
-    geom: &LocalGeometry,
-    arg: &State,
-    diag: &Diag,
-    tend: &mut State,
-    region: Region,
-    path: KernelPath,
-) {
     // a transient scratch: a dozen row-sized allocations per call
     let mut scratch = SweepScratch::new();
-    run_sweep(geom, arg, diag, tend, None, region, path, &mut scratch);
+    run_sweep(geom, arg, diag, tend, None, region, &mut scratch);
 }
 
 /// The advection sub-update's sweep: the tendency of `arg`, combined into
@@ -114,14 +79,12 @@ pub fn fused_advection_update(
     tend: &mut State,
     out: &mut State,
     region: Region,
-    path: KernelPath,
     scratch: &mut SweepScratch,
 ) {
     let combine = Some((upd, out));
-    run_sweep(geom, arg, diag, tend, combine, region, path, scratch);
+    run_sweep(geom, arg, diag, tend, combine, region, scratch);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_sweep(
     geom: &LocalGeometry,
     arg: &State,
@@ -129,7 +92,6 @@ fn run_sweep(
     tend: &mut State,
     combine: Option<(&Update<'_>, &mut State)>,
     region: Region,
-    path: KernelPath,
     scratch: &mut SweepScratch,
 ) {
     sweep::sweep(
@@ -138,9 +100,8 @@ fn run_sweep(
         tend,
         combine,
         scratch,
-        path,
         "advection.band",
-        |band, rows| advection_band(geom, arg, diag, band, rows, path),
+        |band, rows| advection_band(geom, arg, diag, band, rows),
         // L̃'s fourth component is zero
         |_, o| o.fill(0.0),
     );
@@ -314,27 +275,26 @@ impl Staged {
     /// are this row's own, and its own `v/P` is this row's north side —
     /// the same bodies over the same operands, so rolling them in is
     /// bit-identical to staging them again.
-    fn advance(&mut self, r: &Rows<'_>, cf: &Coefs, fresh: bool, path: KernelPath) {
+    fn advance(&mut self, r: &Rows<'_>, cf: &Coefs, fresh: bool) {
         let nx = r.u.len() - 3;
         if fresh {
             // stage this row's own side where the roll below picks it up
-            stage_south(self, r.u, r.cp, r.gw, r.gw_h, r.pes, nx, path);
-            stage_v(&mut self.vq, r.v_n, r.cp_n, r.cp, nx, path);
-            stage_vs(&mut self.vs_s, r.v_n, r.v, r.cp, cf.s_c, nx, path);
+            stage_south(self, r.u, r.cp, r.gw, r.gw_h, r.pes, nx);
+            stage_v(&mut self.vq, r.v_n, r.cp_n, r.cp, nx);
+            stage_vs(&mut self.vs_s, r.v_n, r.v, r.cp, cf.s_c, nx);
         }
         std::mem::swap(&mut self.uq, &mut self.uq_s);
         std::mem::swap(&mut self.sd_lo, &mut self.sd_lo_s);
         std::mem::swap(&mut self.sd_hi, &mut self.sd_hi_s);
         std::mem::swap(&mut self.vq_n, &mut self.vq);
         std::mem::swap(&mut self.vs_n, &mut self.vs_s);
-        stage_south(self, r.u_s, r.cp_s, r.gw_s, r.gw_s_h, r.pes_s, nx, path);
-        stage_v(&mut self.vq, r.v, r.cp, r.cp_s, nx, path);
-        stage_vs(&mut self.vs_s, r.v, r.v_s, r.cp_s, cf.sc_s, nx, path);
+        stage_south(self, r.u_s, r.cp_s, r.gw_s, r.gw_s_h, r.pes_s, nx);
+        stage_v(&mut self.vq, r.v, r.cp, r.cp_s, nx);
+        stage_vs(&mut self.vs_s, r.v, r.v_s, r.cp_s, cf.sc_s, nx);
     }
 }
 
 /// Stage `u/P` and both interfaces' `σ̇` of one row into the south slots.
-#[allow(clippy::too_many_arguments)]
 fn stage_south(
     st: &mut Staged,
     u: &[f64],
@@ -343,34 +303,25 @@ fn stage_south(
     gw_h: &[f64],
     pes: &[f64],
     nx: usize,
-    path: KernelPath,
 ) {
     let (uq, lo, hi) = (&mut st.uq_s[..], &mut st.sd_lo_s[..], &mut st.sd_hi_s[..]);
-    crate::lane_loop!(path, nx + 2, E, ii, {
+    lane_loop!(nx + 2, E, ii, {
         u_phys::<E>(u, cp, ii + 1).store(uq, ii + 1)
     });
-    crate::lane_loop!(path, nx + 1, E, ii, {
+    lane_loop!(nx + 1, E, ii, {
         sdot::<E>(gw, pes, ii + 1).store(lo, ii + 1);
         sdot::<E>(gw_h, pes, ii + 1).store(hi, ii + 1)
     });
 }
 
-fn stage_v(o: &mut [f64], v: &[f64], cp: &[f64], cp_s: &[f64], nx: usize, path: KernelPath) {
-    crate::lane_loop!(path, nx + 1, E, ii, {
+fn stage_v(o: &mut [f64], v: &[f64], cp: &[f64], cp_s: &[f64], nx: usize) {
+    lane_loop!(nx + 1, E, ii, {
         v_phys::<E>(v, cp, cp_s, ii + 1).store(o, ii + 1)
     });
 }
 
-fn stage_vs(
-    o: &mut [f64],
-    v_a: &[f64],
-    v_b: &[f64],
-    cp: &[f64],
-    sin_c: f64,
-    nx: usize,
-    path: KernelPath,
-) {
-    crate::lane_loop!(path, nx, E, ii, {
+fn stage_vs(o: &mut [f64], v_a: &[f64], v_b: &[f64], cp: &[f64], sin_c: f64, nx: usize) {
+    lane_loop!(nx, E, ii, {
         vs_face::<E>(v_a, v_b, cp, sin_c, ii + 2).store(o, ii + 2)
     });
 }
@@ -463,15 +414,14 @@ fn tendency_rows(
     o_u: &mut [f64],
     o_v: &mut [f64],
     o_phi: &mut [f64],
-    path: KernelPath,
 ) {
-    crate::lane_loop!(path, o_u.len(), E, ii, u_eq::<E>(ii, o_u, r, st, cf));
+    lane_loop!(o_u.len(), E, ii, u_eq::<E>(ii, o_u, r, st, cf));
     if cf.s_v < SIN_EPS {
         o_v.fill(0.0);
     } else {
-        crate::lane_loop!(path, o_v.len(), E, ii, v_eq::<E>(ii, o_v, r, st, cf));
+        lane_loop!(o_v.len(), E, ii, v_eq::<E>(ii, o_v, r, st, cf));
     }
-    crate::lane_loop!(path, o_phi.len(), E, ii, phi_eq::<E>(ii, o_phi, r, st, cf));
+    lane_loop!(o_phi.len(), E, ii, phi_eq::<E>(ii, o_phi, r, st, cf));
 }
 
 /// Row-sliced advection sweep over one worker band: rows `j` in order at
@@ -482,16 +432,15 @@ fn advection_band(
     diag: &Diag,
     band: &mut SweepBand<'_>,
     region: Region,
-    path: KernelPath,
 ) {
     let nx = geom.nx as isize;
     for k in region.z0..region.z1 {
         for j in region.y0..region.y1 {
             let r = fetch(nx, arg, diag, j, k);
             let cf = coefs(geom, j, k);
-            band.emit(nx, (j, k), path, |st, o_u, o_v, o_phi| {
-                st.advance(&r, &cf, j == region.y0, path);
-                tendency_rows(&r, st, &cf, o_u, o_v, o_phi, path)
+            band.emit(nx, (j, k), |st, o_u, o_v, o_phi| {
+                st.advance(&r, &cf, j == region.y0);
+                tendency_rows(&r, st, &cf, o_u, o_v, o_phi)
             });
         }
     }
@@ -499,7 +448,7 @@ fn advection_band(
 
 /// Scalar per-point reference implementation, retained verbatim as the
 /// golden reference for the bitwise-equivalence property tests.
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 pub fn advection_tendency_scalar(
     geom: &LocalGeometry,
     arg: &State,
@@ -788,14 +737,11 @@ mod tests {
             true,
         )
         .unwrap();
-        let mut lanes = State::like(&s.state);
         let mut rows = State::like(&s.state);
         let mut scalar = State::like(&s.state);
-        advection_tendency_lanes(&s.geom, &s.state, &s.diag, &mut lanes, region);
-        advection_tendency_rows(&s.geom, &s.state, &s.diag, &mut rows, region);
+        advection_tendency(&s.geom, &s.state, &s.diag, &mut rows, region);
         advection_tendency_scalar(&s.geom, &s.state, &s.diag, &mut scalar, region);
-        assert_eq!(lanes.max_abs_diff(&rows), 0.0, "lanes vs rows");
-        assert_eq!(lanes.max_abs_diff(&scalar), 0.0, "lanes vs scalar");
+        assert_eq!(rows.max_abs_diff(&scalar), 0.0, "row kernel vs scalar");
     }
 
     #[test]

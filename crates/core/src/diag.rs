@@ -14,7 +14,7 @@
 //!   [`crate::vertical`].
 
 use crate::geometry::LocalGeometry;
-use crate::lanes::{Elem, KernelPath};
+use crate::lanes::{lane_loop, row_loop, Elem};
 use crate::state::State;
 use crate::stdatm::StandardAtmosphere;
 use agcm_mesh::grid::constants as c;
@@ -74,7 +74,7 @@ fn surface_body<E: Elem>(ii: usize, pes: &mut [f64], cp: &mut [f64], psa: &[f64]
 }
 
 /// Per-row factors of [`dsa_row`]; each is a parenthesized subexpression
-/// of [`Diag::update_dsa_scalar`], so hoisting is bitwise-neutral.
+/// of `Diag::update_dsa_scalar`, so hoisting is bitwise-neutral.
 struct DsaCoefs {
     dl2s2: f64,
     dt2s: f64,
@@ -96,13 +96,7 @@ fn dsa_body<E: Elem>(ii: usize, o: &mut [f64], [p_n, p, p_s]: [&[f64]; 3], cf: &
 }
 
 /// `D_sa` of row `j` into `out` (`x ∈ [0, nx)`).
-pub(crate) fn dsa_row(
-    geom: &LocalGeometry,
-    psa: &Field2,
-    j: isize,
-    out: &mut [f64],
-    path: KernelPath,
-) {
+pub(crate) fn dsa_row(geom: &LocalGeometry, psa: &Field2, j: isize, out: &mut [f64]) {
     let nx = geom.nx as isize;
     let (dl, dt, s) = (geom.dlambda(), geom.dtheta(), geom.sin_c(j));
     let cf = DsaCoefs {
@@ -112,7 +106,7 @@ pub(crate) fn dsa_row(
         s_s: geom.sin_v(j),     // face between j and j+1
     };
     let rows = [-1, 0, 1].map(|m| psa.row(-1, nx + 1, j + m));
-    crate::lane_loop!(path, out.len(), E, ii, dsa_body::<E>(ii, out, rows, &cf));
+    lane_loop!(out.len(), E, ii, dsa_body::<E>(ii, out, rows, &cf));
 }
 
 /// Input rows of one `D(P)` row, fetched at `x ∈ [-xe-1, nx+xe+1)`.
@@ -131,7 +125,7 @@ struct DpRows<'a> {
 }
 
 /// `D(P)` at one element — the C-grid flux form of
-/// [`Diag::update_dp_scalar`], same expression tree.
+/// `Diag::update_dp_scalar`, same expression tree.
 #[inline(always)]
 fn dp_body<E: Elem>(ii: usize, o: &mut [f64], r: &DpRows<'_>) {
     let at = ii + 1;
@@ -156,7 +150,6 @@ pub(crate) fn dp_row(
     (j, k): (isize, isize),
     xe: isize,
     out: &mut [f64],
-    path: KernelPath,
 ) {
     let (x0, x1) = (-xe - 1, geom.nx as isize + xe + 1);
     let r = DpRows {
@@ -175,8 +168,7 @@ pub(crate) fn dp_row(
     // three divisions a point and little else: the plain row loop already
     // runs at division throughput (the compiler packs it), and the explicit
     // lane bundles cost 15 % on top (0.97 → 1.14 ms on the 180×90×30 mesh)
-    let path = path.without_lanes();
-    crate::lane_loop!(path, out.len(), E, ii, dp_body::<E>(ii, out, &r));
+    row_loop!(out.len(), E, ii, dp_body::<E>(ii, out, &r));
 }
 
 impl Diag {
@@ -209,12 +201,11 @@ impl Diag {
     ) {
         let x0 = -(geom.halo.xm as isize);
         let x1 = geom.nx as isize + geom.halo.xp as isize;
-        let path = KernelPath::build_default();
         for j in y0..y1 {
             let psa = state.psa.row(x0, x1, j);
             let pes = self.pes.row_mut(x0, x1, j);
             let cp = self.cap_p.row_mut(x0, x1, j);
-            crate::lane_loop!(path, pes.len(), E, ii, {
+            lane_loop!(pes.len(), E, ii, {
                 surface_body::<E>(ii, pes, cp, psa, stdatm.pes_tilde)
             });
             debug_assert!(pes.iter().all(|&p| p > 0.0), "p_es must stay positive");
@@ -229,7 +220,7 @@ impl Diag {
         let nx = geom.nx as isize;
         for j in y0..y1 {
             let out = self.dsa.row_mut(0, nx, j);
-            dsa_row(geom, &state.psa, j, out, KernelPath::build_default());
+            dsa_row(geom, &state.psa, j, out);
         }
     }
 
@@ -251,18 +242,17 @@ impl Diag {
         xe: isize,
     ) {
         let (x0, x1) = (-xe, geom.nx as isize + xe);
-        let path = KernelPath::build_default();
         for k in z0..z1 {
             for j in y0..y1 {
                 let out = self.dp.row_mut(x0, x1, j, k);
-                dp_row(geom, state, &self.cap_p, (j, k), xe, out, path);
+                dp_row(geom, state, &self.cap_p, (j, k), xe, out);
             }
         }
     }
 
     /// Per-point reference of [`Self::update_dsa`], retained verbatim for
-    /// the bitwise oracle [`crate::vertical::apply_c_scalar`].
-    #[cfg(any(test, feature = "scalar-ref"))]
+    /// the bitwise oracle `crate::vertical::apply_c_scalar`.
+    #[cfg(test)]
     pub fn update_dsa_scalar(&mut self, geom: &LocalGeometry, state: &State, y0: isize, y1: isize) {
         let nx = geom.nx as isize;
         let a = c::EARTH_RADIUS;
@@ -286,8 +276,8 @@ impl Diag {
     }
 
     /// Per-point reference of [`Self::update_dp`], retained verbatim for
-    /// the bitwise oracle [`crate::vertical::apply_c_scalar`].
-    #[cfg(any(test, feature = "scalar-ref"))]
+    /// the bitwise oracle `crate::vertical::apply_c_scalar`.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     pub fn update_dp_scalar(
         &mut self,

@@ -15,12 +15,11 @@ use crate::config::ModelConfig;
 use crate::diag::Diag;
 use crate::filterop::{build_filter, filter_row, filter_state_distributed, filter_state_local};
 use crate::geometry::{LocalGeometry, Region};
-use crate::lanes::KernelPath;
 use crate::pool;
 use crate::state::{Combine, State};
 use crate::stdatm::StandardAtmosphere;
 use crate::sweep::{SweepScratch, Update};
-use crate::vertical::{apply_c_path, ZContext};
+use crate::vertical::{apply_c, ZContext};
 use agcm_comm::{CommResult, Communicator};
 use agcm_fft::{FilterScratch, FourierFilter};
 use agcm_obs as obs;
@@ -60,10 +59,6 @@ pub struct Engine {
     active_j: Vec<bool>,
     /// Offset mapping local row `j` into `active_j`.
     active_off: isize,
-    /// Which kernel implementation the sweeps dispatch to (lanes by
-    /// default; togglable so benchmarks can reproduce earlier baselines
-    /// in the same binary — every path is bitwise identical).
-    path: KernelPath,
     /// Whether `diag.{vsum, gw, phi_p}` hold valid (possibly stale) values.
     pub c_cached: bool,
     /// Whether this rank owns full longitude circles (enables the local
@@ -109,22 +104,9 @@ impl Engine {
             sscratch,
             active_j,
             active_off,
-            path: KernelPath::build_default(),
             c_cached: false,
             px1,
         }
-    }
-
-    /// Select the kernel path every sweep dispatches to (lanes / rows /
-    /// scalar — bitwise identical; a pure scheduling choice).  Benchmarks
-    /// use [`KernelPath::Rows`] to reproduce the PR 4 kernel baseline.
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
-        self.path = path;
-    }
-
-    /// The kernel path the sweeps currently dispatch to.
-    pub fn kernel_path(&self) -> KernelPath {
-        self.path
     }
 
     /// Fill physical-boundary halos of `st` (and wrap x when owned whole).
@@ -196,7 +178,7 @@ impl Engine {
         let arg = &*arg;
         if fresh_c {
             // dsa/dp are inputs of apply_c's column sums
-            apply_c_path(
+            apply_c(
                 &self.geom,
                 &self.stdatm,
                 arg,
@@ -204,7 +186,6 @@ impl Engine {
                 region,
                 zctx,
                 self.px1,
-                self.path,
             )?;
             self.c_cached = true;
         }
@@ -227,7 +208,6 @@ impl Engine {
                 tend,
                 out,
                 region,
-                self.path,
                 &mut self.sscratch,
             );
         }
@@ -315,7 +295,6 @@ impl Engine {
             tend,
             out,
             region,
-            self.path,
             &mut self.sscratch,
         );
         drop(sweep_span);

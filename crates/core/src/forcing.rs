@@ -77,7 +77,7 @@ pub fn k_v(sigma: f64) -> f64 {
 /// What is constant along a row is hoisted out of it — `sin²φ`, `cos²φ`,
 /// `k_T` and `exp(−k_T Δt)` per row, `exp(−k_v Δt)` and its `k_v > 0`
 /// branch per level — each a complete subexpression of the per-point tree,
-/// so the result is bit-identical to [`apply_held_suarez_scalar`] at any
+/// so the result is bit-identical to `apply_held_suarez_scalar` at any
 /// `AGCM_THREADS`.  The two transcendentals of `T_eq` (`ln`, `powf` of the
 /// point's pressure) stay per point.
 pub fn apply_held_suarez(
@@ -128,7 +128,7 @@ pub fn apply_held_suarez(
 
 /// Scalar per-point reference implementation, retained verbatim as the
 /// golden reference for the bitwise-equivalence property tests.
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 pub fn apply_held_suarez_scalar(
     geom: &LocalGeometry,
     stdatm: &StandardAtmosphere,

@@ -1,18 +1,18 @@
 //! Golden bitwise-equivalence property tests.
 //!
 //! Every row-sliced kernel is pinned to its scalar reference
-//! (`*_scalar`, kept under `cfg(test)`/the `scalar-ref` feature) across
-//! randomized states, diagnostics, regions, halo widths and worker counts.
-//! Equality is `f64::to_bits` — the vectorized paths must be *bit*-identical,
-//! not merely close, because the paper's correctness statement (parallel CA
-//! ≡ serial approximate) is itself bitwise.
+//! (`*_scalar`, compiled for tests only) across randomized states,
+//! diagnostics, regions, row lengths, halo widths and worker counts.
+//! Equality is `f64::to_bits` — the lane chunks and the `f64` tail must be
+//! *bit*-identical to the per-point form, not merely close, because the
+//! paper's correctness statement (parallel CA ≡ serial approximate) is
+//! itself bitwise.
 
 use crate::adaptation::{adaptation_tendency, adaptation_tendency_scalar};
 use crate::advection::{advection_tendency, advection_tendency_scalar};
 use crate::config::ModelConfig;
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
-use crate::lanes::KernelPath;
 use crate::pool;
 use crate::smoothing::{smooth_rows, smooth_rows_scalar, RowMask};
 use crate::state::{Combine, State};
@@ -40,8 +40,8 @@ fn rand_pos(s: &mut u64) -> f64 {
     0.5 + (splitmix64(s) >> 12) as f64 / (1u64 << 52) as f64
 }
 
-fn geom_with_halo(h: usize) -> LocalGeometry {
-    let cfg = ModelConfig::test_small();
+fn geom_with(nx: usize, h: usize) -> LocalGeometry {
+    let cfg = with_nx(nx, ModelConfig::test_small());
     let grid = Arc::new(cfg.grid().unwrap());
     let d = Decomposition::new(cfg.extents(), ProcessGrid::serial()).unwrap();
     LocalGeometry::new(&cfg, grid, &d, 0, HaloWidths::uniform(h))
@@ -119,14 +119,22 @@ fn assert_state_bits(a: &State, b: &State, what: &str) {
     assert_bits2(&a.psa, &b.psa, what);
 }
 
-const HALOS: [usize; 2] = [2, 3];
+/// `(nx, halo)` of the serial geometries: `test_small`'s 16 longitudes are
+/// whole lane chunks, 18 leave every kernel a ragged `f64` tail.  (A row
+/// shorter than one lane is not a geometry: `LatLonGrid` refuses `nx < 4`.)
+const MESHES: [(usize, usize); 3] = [(16, 2), (16, 3), (18, 3)];
+
+fn with_nx(nx: usize, cfg: ModelConfig) -> ModelConfig {
+    ModelConfig { nx, ..cfg }
+}
+
 const THREADS: [usize; 4] = [1, 2, 3, 4];
 const SEEDS: [u64; 3] = [7, 1234, 0xDEADBEEF];
 
 #[test]
 fn adaptation_row_kernel_matches_scalar_bitwise() {
-    for h in HALOS {
-        let geom = geom_with_halo(h);
+    for (nx, h) in MESHES {
+        let geom = geom_with(nx, h);
         for seed in SEEDS {
             let mut s = seed;
             let arg = random_state(&geom, splitmix64(&mut s));
@@ -143,7 +151,7 @@ fn adaptation_row_kernel_matches_scalar_bitwise() {
                 assert_state_bits(
                     &got,
                     &want,
-                    &format!("adaptation h={h} nt={nt} seed={seed}"),
+                    &format!("adaptation nx={nx} h={h} nt={nt} seed={seed}"),
                 );
             }
         }
@@ -152,8 +160,8 @@ fn adaptation_row_kernel_matches_scalar_bitwise() {
 
 #[test]
 fn advection_row_kernel_matches_scalar_bitwise() {
-    for h in HALOS {
-        let geom = geom_with_halo(h);
+    for (nx, h) in MESHES {
+        let geom = geom_with(nx, h);
         for seed in SEEDS {
             let mut s = seed.wrapping_mul(3);
             let arg = random_state(&geom, splitmix64(&mut s));
@@ -167,7 +175,11 @@ fn advection_row_kernel_matches_scalar_bitwise() {
                 pool::with_workers(nt, || {
                     advection_tendency(&geom, &arg, &diag, &mut got, region)
                 });
-                assert_state_bits(&got, &want, &format!("advection h={h} nt={nt} seed={seed}"));
+                assert_state_bits(
+                    &got,
+                    &want,
+                    &format!("advection nx={nx} h={h} nt={nt} seed={seed}"),
+                );
             }
         }
     }
@@ -182,8 +194,8 @@ fn smoothing_row_kernel_matches_scalar_bitwise() {
         RowMask::R,
         RowMask::R_PRIME,
     ];
-    for h in HALOS {
-        let geom = geom_with_halo(h);
+    for (nx, h) in MESHES {
+        let geom = geom_with(nx, h);
         for seed in SEEDS {
             for (mi, &mask) in masks.iter().enumerate() {
                 for add in [false, true] {
@@ -201,7 +213,9 @@ fn smoothing_row_kernel_matches_scalar_bitwise() {
                         assert_state_bits(
                             &got,
                             &want,
-                            &format!("smoothing h={h} nt={nt} mask={mi} add={add} seed={seed}"),
+                            &format!(
+                                "smoothing nx={nx} h={h} nt={nt} mask={mi} add={add} seed={seed}"
+                            ),
                         );
                     }
                 }
@@ -212,8 +226,8 @@ fn smoothing_row_kernel_matches_scalar_bitwise() {
 
 #[test]
 fn apply_c_row_kernel_matches_scalar_bitwise() {
-    for h in HALOS {
-        let geom = geom_with_halo(h);
+    for (nx, h) in MESHES {
+        let geom = geom_with(nx, h);
         let stdatm = StandardAtmosphere::new(&geom.grid);
         for seed in SEEDS {
             let mut s = seed.wrapping_mul(17);
@@ -245,7 +259,7 @@ fn apply_c_row_kernel_matches_scalar_bitwise() {
                     )
                 })
                 .unwrap();
-                let what = format!("apply_c h={h} nt={nt} seed={seed}");
+                let what = format!("apply_c nx={nx} h={h} nt={nt} seed={seed}");
                 assert_bits3(&got.dp, &want.dp, &what);
                 assert_bits2(&got.vsum, &want.vsum, &what);
                 assert_bits3(&got.gw, &want.gw, &what);
@@ -262,8 +276,8 @@ fn apply_c_row_kernel_matches_scalar_bitwise() {
 #[test]
 fn apply_c_under_a_z_split_matches_scalar_bitwise_at_any_worker_count() {
     use agcm_comm::Universe;
-    let cfg = ModelConfig::test_medium();
-    for seed in SEEDS {
+    for (nx, seed) in [24, 18].into_iter().flat_map(|nx| SEEDS.map(|s| (nx, s))) {
+        let cfg = with_nx(nx, ModelConfig::test_medium());
         Universe::run(2, |comm| {
             let geom = geom_of_rank(&cfg, 1, 2, comm.rank());
             let stdatm = StandardAtmosphere::new(&geom.grid);
@@ -286,7 +300,10 @@ fn apply_c_under_a_z_split_matches_scalar_bitwise_at_any_worker_count() {
                     apply_c(&geom, &stdatm, &arg, &mut got, region, &zctx, true)
                 })
                 .unwrap();
-                let what = format!("z-split apply_c rank={} nt={nt} seed={seed}", comm.rank());
+                let what = format!(
+                    "z-split apply_c nx={nx} rank={} nt={nt} seed={seed}",
+                    comm.rank()
+                );
                 assert_bits3(&got.dp, &want.dp, &what);
                 assert_bits2(&got.vsum, &want.vsum, &what);
                 assert_bits3(&got.gw, &want.gw, &what);
@@ -303,8 +320,8 @@ fn apply_c_under_a_z_split_matches_scalar_bitwise_at_any_worker_count() {
 #[test]
 fn held_suarez_row_body_matches_scalar_bitwise_at_any_worker_count() {
     use crate::forcing::{apply_held_suarez, apply_held_suarez_scalar};
-    for h in HALOS {
-        let geom = geom_with_halo(h);
+    for (nx, h) in MESHES {
+        let geom = geom_with(nx, h);
         let stdatm = StandardAtmosphere::new(&geom.grid);
         for seed in SEEDS {
             let mut s = seed.wrapping_mul(31);
@@ -324,7 +341,11 @@ fn held_suarez_row_body_matches_scalar_bitwise_at_any_worker_count() {
                 pool::with_workers(nt, || {
                     apply_held_suarez(&geom, &stdatm, &diag, &mut got, region, dt)
                 });
-                assert_state_bits(&got, &want, &format!("forcing h={h} nt={nt} seed={seed}"));
+                assert_state_bits(
+                    &got,
+                    &want,
+                    &format!("forcing nx={nx} h={h} nt={nt} seed={seed}"),
+                );
             }
         }
     }
@@ -384,7 +405,6 @@ type FusedUpdate = fn(
     &mut State,
     &mut State,
     Region,
-    KernelPath,
     &mut SweepScratch,
 );
 
@@ -392,8 +412,8 @@ type FusedUpdate = fn(
 /// are combined into `out` (either form) and leave `tend` alone; active
 /// rows land in `tend` and leave `out` alone.
 fn assert_fused_sweep_matches_scalar(name: &str, scalar: ScalarTendency, fused: FusedUpdate) {
-    for h in HALOS {
-        let geom = geom_with_halo(h);
+    for (nx, h) in MESHES {
+        let geom = geom_with(nx, h);
         let nx = geom.nx as isize;
         for seed in SEEDS {
             let mut s = seed.wrapping_mul(11);
@@ -461,11 +481,10 @@ fn assert_fused_sweep_matches_scalar(name: &str, scalar: ScalarTendency, fused: 
                             &mut tend,
                             &mut out,
                             region,
-                            KernelPath::build_default(),
                             &mut scratch,
                         )
                     });
-                    let what = format!("fused {name} {form:?} h={h} nt={nt} seed={seed}");
+                    let what = format!("fused {name} {form:?} nx={nx} h={h} nt={nt} seed={seed}");
                     assert_state_bits(&tend, &tend_ref, &format!("{what}: tend"));
                     assert_state_bits(&out, &out_ref, &format!("{what}: out"));
                 }
@@ -506,14 +525,11 @@ fn geom_of_rank(cfg: &ModelConfig, py: usize, pz: usize, rank: usize) -> LocalGe
 /// equations as well as in the (wider) staged rows.
 #[test]
 fn staged_advection_matches_scalar_on_poles_dilated_regions_and_ragged_rows() {
-    let ragged = ModelConfig {
-        nx: 18,
-        ..ModelConfig::test_small()
-    };
+    let ragged = with_nx(18, ModelConfig::test_small());
     let medium = ModelConfig::test_medium();
     let cases: [(&str, LocalGeometry, [isize; 4]); 4] = [
         // whole serial interior: both pole rows
-        ("poles", geom_with_halo(3), [0, 0, 0, 0]),
+        ("poles", geom_with(16, 3), [0, 0, 0, 0]),
         ("ragged", geom_of_rank(&ragged, 1, 1, 0), [0, 0, 0, 0]),
         // a block with neighbours north, south and below, dilated by two
         // rows / one level where a neighbour is
@@ -550,17 +566,14 @@ fn staged_advection_matches_scalar_on_poles_dilated_regions_and_ragged_rows() {
     }
 }
 
-/// Divisions the real sweeps spend, counted by driving them at
-/// [`KernelPath::Counted`] on one worker — and, as the counting element is
-/// plain `f64` arithmetic, one more bitwise pin against the default path.
-/// The kernels are division-bound (DESIGN.md §8), so these budgets are the
-/// property that must not silently regress.
+/// Divisions the real sweeps spend, counted by driving the public entry
+/// points inside `lanes::counted::divisions_in` — and, as the counting
+/// element is plain `f64` arithmetic, one more bitwise pin against the
+/// default run.  The kernels are division-bound (DESIGN.md §8), so these
+/// budgets are the property that must not silently regress.
 #[test]
 fn division_budget_of_the_tendency_sweeps_and_c() {
-    use crate::adaptation::adaptation_tendency_path;
-    use crate::advection::advection_tendency_path;
     use crate::lanes::counted::divisions_in;
-    use crate::vertical::apply_c_path;
 
     for cfg in [ModelConfig::test_small(), ModelConfig::test_medium()] {
         let geom = geom_of_rank(&cfg, 1, 1, 0);
@@ -576,22 +589,22 @@ fn division_budget_of_the_tendency_sweeps_and_c() {
             y1: interior.y1 - 1,
             ..interior
         };
-        let counted = |f: &dyn Fn(KernelPath, &mut State)| {
+        let counted = |f: &dyn Fn(&mut State)| {
             let mut want = init.clone();
-            f(KernelPath::build_default(), &mut want);
+            f(&mut want);
             let mut got = init.clone();
-            let n = pool::with_workers(1, || divisions_in(|| f(KernelPath::Counted, &mut got)));
-            assert_state_bits(&got, &want, "counted path");
+            let n = divisions_in(|| f(&mut got));
+            assert_state_bits(&got, &want, "counted run");
             n
         };
 
         // adaptation: 5 (U) + 5 (V) + 6 (Φ), nothing shared
-        let n = counted(&|path, t| adaptation_tendency_path(&geom, &arg, &diag, t, no_pole, path));
+        let n = counted(&|t| adaptation_tendency(&geom, &arg, &diag, t, no_pole));
         assert_eq!(n, 16 * nx * (ny - 1) * nz, "adaptation");
 
         // advection: 9 closing divisions + 5 staged quotients per point,
         // plus the staged rows' halo columns and one un-rolled row per level
-        let n = counted(&|path, t| advection_tendency_path(&geom, &arg, &diag, t, interior, path));
+        let n = counted(&|t| advection_tendency(&geom, &arg, &diag, t, interior));
         let per_point = n as f64 / (nx * ny * nz) as f64;
         assert!(
             (14.0..=16.0).contains(&per_point),
@@ -602,31 +615,15 @@ fn division_budget_of_the_tendency_sweeps_and_c() {
         let rows = ny * nz;
         assert_eq!(n, rows * (14 * nx + 5) + nz * (5 * nx + 5) - 3 * nx * nz);
 
-        // C on a serial column, all of it through the counted path: per
-        // 3-D point the 3 of `D(P)` and 1 of the φ' walk's integrand (the
-        // block-sum sweep is skipped) — 4; per surface point the 3 of
-        // `D_sa` and 1 of φ'_s
+        // C on a serial column, all of it counted: per 3-D point the 3 of
+        // `D(P)` and 1 of the φ' walk's integrand (the block-sum sweep is
+        // skipped) — 4; per surface point the 3 of `D_sa` and 1 of φ'_s
         let mut d_want = random_diag(&geom, 7);
         let mut d_got = random_diag(&geom, 7);
         let zctx = ZContext::Serial;
-        let path = KernelPath::build_default();
-        apply_c_path(
-            &geom,
-            &stdatm,
-            &arg,
-            &mut d_want,
-            interior,
-            &zctx,
-            true,
-            path,
-        )
-        .unwrap();
+        apply_c(&geom, &stdatm, &arg, &mut d_want, interior, &zctx, true).unwrap();
         let n = divisions_in(|| {
-            let path = KernelPath::Counted;
-            apply_c_path(
-                &geom, &stdatm, &arg, &mut d_got, interior, &zctx, true, path,
-            )
-            .unwrap()
+            apply_c(&geom, &stdatm, &arg, &mut d_got, interior, &zctx, true).unwrap()
         });
         assert_bits3(&d_got.phi_p, &d_want.phi_p, "counted C");
         assert_bits3(&d_got.gw, &d_want.gw, "counted C");
@@ -641,8 +638,8 @@ fn division_budget_of_the_tendency_sweeps_and_c() {
 fn batched_fft_filter_matches_row_oracle_bitwise_at_any_worker_count() {
     use crate::filterop::{build_filter, filter_row, filter_state_local};
     use agcm_fft::FilterScratch;
-    for h in HALOS {
-        let geom = geom_with_halo(h);
+    for (nx, h) in MESHES {
+        let geom = geom_with(nx, h);
         let filter = build_filter(&geom, 70.0);
         let nx = geom.nx as isize;
         for seed in SEEDS {
@@ -673,7 +670,7 @@ fn batched_fft_filter_matches_row_oracle_bitwise_at_any_worker_count() {
                 assert_state_bits(
                     &got,
                     &want,
-                    &format!("batched filter h={h} nt={nt} seed={seed}"),
+                    &format!("batched filter nx={nx} h={h} nt={nt} seed={seed}"),
                 );
             }
         }

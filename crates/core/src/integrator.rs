@@ -39,7 +39,7 @@ use crate::par::exchange::{with_fields, ExField, HaloExchanger, RetryPolicy};
 use crate::par::schedule::{self, CSource, ComputeOp, ExchangeOp, StepOp};
 use crate::resilience::Checkpoint;
 use crate::serial::Iteration;
-use crate::smoothing::smooth_full_path;
+use crate::smoothing::smooth_full;
 use crate::state::{Combine, State};
 use crate::vertical::ZContext;
 use agcm_comm::{CommResult, Communicator};
@@ -563,9 +563,8 @@ impl Integrator {
                 if !filled && !later {
                     engine.fill(state);
                 }
-                let (beta, path) = (engine.cfg.smooth_beta, engine.kernel_path());
-                let mut smooth =
-                    |part| smooth_full_path(&engine.geom, beta, state, smoothed, part, path);
+                let beta = engine.cfg.smooth_beta;
+                let mut smooth = |part| smooth_full(&engine.geom, beta, state, smoothed, part);
                 if later {
                     frame(&region, &halo_free(&engine.geom, c)).for_each(smooth);
                 } else {

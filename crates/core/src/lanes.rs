@@ -1,22 +1,20 @@
 //! Portable explicit-SIMD lanes for the hot row kernels.
 //!
 //! The row kernels of this crate are written once as *generic* per-point
-//! bodies over an element type `E: Elem`, then driven twice per row: over
-//! [`Lane`] (a fixed-width bundle of [`W`] points, the explicit data-level
-//! parallelism the auto-vectorizer is nudged into keeping in registers) for
-//! the full chunks, and over `f64` for the ragged tail.  Every arithmetic
-//! operator on [`Lane`] is a slot-wise `f64` operation — the same expression
-//! tree per point as the plain-`f64` instantiation — so the lane path is
-//! **bitwise identical** to the row path by construction (no reassociation,
-//! no FMA contraction, no shuffles), which the golden property tests in
-//! `golden.rs` pin against the retained `*_scalar` references.
+//! bodies over an element type `E: Elem`, then driven by `lane_loop!`:
+//! over [`Lane`] (a fixed-width bundle of [`W`] points, the explicit
+//! data-level parallelism the auto-vectorizer is nudged into keeping in
+//! registers) for the full chunks, and over `f64` for the ragged tail.
+//! Every arithmetic operator on [`Lane`] is a slot-wise `f64` operation —
+//! the same expression tree per point as the plain-`f64` instantiation — so
+//! the chunks are **bitwise identical** to the tail by construction (no
+//! reassociation, no FMA contraction, no shuffles), which the golden
+//! property tests in `golden.rs` pin against the per-point `*_scalar`
+//! oracles (compiled for tests only).
 //!
-//! The build-time fallback: compiling `agcm-core` with the `scalar-rows`
-//! feature makes [`KernelPath::build_default`] select [`KernelPath::Rows`],
-//! so every kernel runs the tail loop (the PR 4 scalar-row path) over the
-//! whole row.  Both paths stay compiled and publicly reachable
-//! (`*_lanes` / `*_rows` entry points) so the bench harness can compare
-//! lane-vs-row-vs-scalar in a single binary.
+//! There is one path and nothing selects it.  The single kernel that runs
+//! its whole row at `f64` (`row_loop!`, `diag::dp_row`) does so because it
+//! measured faster that way, as a fact of its call site.
 
 use core::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -153,74 +151,32 @@ impl Elem for Lane {
     }
 }
 
-/// Which instantiation of the generic kernel bodies a call runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelPath {
-    /// [`Lane`] chunks plus an `f64` tail — the default.
-    Lanes,
-    /// The whole row at `f64` (the PR 4 scalar-row path).
-    Rows,
-    /// The whole row at [`counted::Counted`]: `f64` arithmetic that counts
-    /// its divisions (the division-budget tests).
-    #[cfg(test)]
-    Counted,
-}
-
-impl KernelPath {
-    /// The path the build selects: `Rows` under the `scalar-rows` feature,
-    /// `Lanes` otherwise.
-    pub const fn build_default() -> Self {
-        if cfg!(feature = "scalar-rows") {
-            KernelPath::Rows
-        } else {
-            KernelPath::Lanes
-        }
-    }
-
-    /// This path with the lane chunks off: the whole row at one element.
-    pub fn without_lanes(self) -> Self {
-        match self {
-            KernelPath::Lanes => KernelPath::Rows,
-            other => other,
-        }
-    }
-
-    /// Whether the lane chunk loop runs.
-    #[inline(always)]
-    pub fn lanes(self) -> bool {
-        matches!(self, KernelPath::Lanes)
-    }
-}
-
-/// Drive a generic per-point body over `n` consecutive points: [`Lane`]
-/// chunks while they fit (when `path` enables them), then an `f64` tail.
+/// Drive a generic per-point body over `n` consecutive points: chunks of
+/// the bracketed lane type, if one is given, while they fit; then `f64`.
 ///
-/// `$body` is an expression over `$e` (bound to the element type: [`Lane`]
-/// or `f64`) and `$ii` (the starting point index of the current element) —
-/// typically a call `body::<$e>($ii, …)` of a generic kernel body.
-#[macro_export]
-macro_rules! lane_loop {
-    ($path:expr, $n:expr, $e:ident, $ii:ident, $body:expr) => {{
-        let path: $crate::lanes::KernelPath = $path;
+/// In a test build, a thread inside `counted::divisions_in` runs the
+/// whole row at `counted::Counted` first, which leaves the others nothing.
+macro_rules! elem_loop {
+    ([$($lane:ty)?], $n:expr, $e:ident, $ii:ident, $body:expr) => {{
         let n: usize = $n;
         let mut $ii = 0usize;
-        if path.lanes() {
-            while $ii + $crate::lanes::W <= n {
-                {
-                    type $e = $crate::lanes::Lane;
-                    $body;
-                }
-                $ii += $crate::lanes::W;
-            }
-        }
         #[cfg(test)]
-        while $ii < n && path == $crate::lanes::KernelPath::Counted {
+        while $ii < n && $crate::lanes::counted::counting() {
             {
                 type $e = $crate::lanes::counted::Counted;
                 $body;
             }
             $ii += 1;
         }
+        $(
+            while $ii + $crate::lanes::W <= n {
+                {
+                    type $e = $lane;
+                    $body;
+                }
+                $ii += $crate::lanes::W;
+            }
+        )?
         while $ii < n {
             {
                 type $e = f64;
@@ -230,10 +186,33 @@ macro_rules! lane_loop {
         }
     }};
 }
+pub(crate) use elem_loop;
+
+/// The row driver of every kernel but one: [`Lane`] chunks while they fit,
+/// then an `f64` tail.
+///
+/// `$body` is an expression over `$e` (bound to the element type: [`Lane`]
+/// or `f64`) and `$ii` (the starting point index of the current element) —
+/// typically a call `body::<$e>($ii, …)` of a generic kernel body.
+macro_rules! lane_loop {
+    ($($args:tt)*) => {
+        $crate::lanes::elem_loop!([$crate::lanes::Lane], $($args)*)
+    };
+}
+pub(crate) use lane_loop;
+
+/// `lane_loop!` without the lane chunks: the whole row at `f64`, for a
+/// body the compiler already packs and the explicit bundles only slow down.
+macro_rules! row_loop {
+    ($($args:tt)*) => {
+        $crate::lanes::elem_loop!([], $($args)*)
+    };
+}
+pub(crate) use row_loop;
 
 /// A test-only [`Elem`]: one `f64` whose `Div` bumps a thread-local counter,
-/// so a test can drive the real sweeps ([`KernelPath::Counted`]) and assert
-/// how many divisions they spend per output point.
+/// so a test can drive the real sweeps (`counted::divisions_in`) and
+/// assert how many divisions they spend per output point.
 #[cfg(test)]
 pub(crate) mod counted {
     use super::Elem;
@@ -242,13 +221,22 @@ pub(crate) mod counted {
 
     thread_local! {
         static DIVISIONS: Cell<u64> = const { Cell::new(0) };
+        static COUNTING: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// Divisions [`Counted`] performed on this thread while `f` ran (run
-    /// sweeps at one pool worker: bands on other threads are not seen).
+    /// Whether this thread's row loops run at [`Counted`].
+    pub fn counting() -> bool {
+        COUNTING.with(Cell::get)
+    }
+
+    /// Run `f` with this thread's row loops at [`Counted`] and the pool at
+    /// one worker (a band on another thread would be neither switched nor
+    /// seen), and return the divisions it performed.
     pub fn divisions_in(f: impl FnOnce()) -> u64 {
         let before = DIVISIONS.with(Cell::get);
-        f();
+        COUNTING.with(|c| c.set(true));
+        crate::pool::with_workers(1, f);
+        COUNTING.with(|c| c.set(false));
         DIVISIONS.with(Cell::get) - before
     }
 
@@ -356,16 +344,5 @@ mod tests {
     fn splat_fills_every_slot() {
         assert_eq!(Lane::splat(2.25).to_array(), [2.25; W]);
         assert_eq!(<f64 as Elem>::splat(2.25), 2.25);
-    }
-
-    #[test]
-    fn build_default_honours_the_feature() {
-        let want = if cfg!(feature = "scalar-rows") {
-            KernelPath::Rows
-        } else {
-            KernelPath::Lanes
-        };
-        assert_eq!(KernelPath::build_default(), want);
-        assert_eq!(want.lanes(), !cfg!(feature = "scalar-rows"));
     }
 }

@@ -56,8 +56,8 @@ pub fn workers() -> usize {
 
 /// Minimum grid points per band before a phase is worth another worker.
 ///
-/// Derived from the phase-overhead curve `figures perf` measures
-/// (`BENCH_kernels.json` `pool_phase_us`; DESIGN.md §8): a two-band phase
+/// Derived from a measured phase-overhead curve (EXPERIMENTS.md "One
+/// kernel path", the pool-phase table; DESIGN.md §8): a two-band phase
 /// costs 53–120 µs over half the serial time between 0.1 and 1 ms of work a
 /// band (an empty `thread::scope` spawn + join alone: 49–84 µs), so a band
 /// has to carry about three times that, ≈ 0.3 ms, before the phase returns

@@ -18,10 +18,10 @@
 //! identity `S̃ = S̃_L + S̃'_L = S̃_R + S̃'_R` is testable literally.
 
 use crate::geometry::{LocalGeometry, Region};
-use crate::lanes::{Elem, KernelPath};
+use crate::lanes::{lane_loop, Elem};
 use crate::pool;
 use crate::state::{State, StateBand};
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 use agcm_mesh::{Field2, Field3};
 
 /// Fourth-difference coefficients for offsets −2..=+2.
@@ -50,7 +50,7 @@ impl RowMask {
 }
 
 /// Five-point fourth difference on a row slice; `q` is the slice index of
-/// the centre point.  Same expression order as [`d4_lambda_f3`].
+/// the centre point.  Same expression order as `d4_lambda_f3`.
 #[inline(always)]
 fn d4_row<E: Elem>(r: &[f64], q: usize) -> E {
     E::load(r, q - 2) - E::splat(4.0) * E::load(r, q - 1) + E::splat(6.0) * E::load(r, q)
@@ -102,14 +102,14 @@ fn p2_body<E: Elem>(
     }
 }
 
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 #[inline]
 fn d4_lambda_f3(f: &Field3, i: isize, j: isize, k: isize) -> f64 {
     f.get(i - 2, j, k) - 4.0 * f.get(i - 1, j, k) + 6.0 * f.get(i, j, k) - 4.0 * f.get(i + 1, j, k)
         + f.get(i + 2, j, k)
 }
 
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 #[inline]
 fn d4_lambda_f2(f: &Field2, i: isize, j: isize) -> f64 {
     f.get(i - 2, j) - 4.0 * f.get(i - 1, j) + 6.0 * f.get(i, j) - 4.0 * f.get(i + 1, j)
@@ -117,7 +117,7 @@ fn d4_lambda_f2(f: &Field2, i: isize, j: isize) -> f64 {
 }
 
 /// `P₁` applied to one 3-D field on `region` (x-only smoothing — U and V).
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 fn p1_field(beta: f64, src: &Field3, dst: &mut Field3, region: Region, nx: isize, mask: RowMask) {
     // P₁ has no y coupling: it belongs entirely to the m = 0 contribution
     let include = mask.has(0);
@@ -137,7 +137,7 @@ fn p1_field(beta: f64, src: &Field3, dst: &mut Field3, region: Region, nx: isize
 }
 
 /// The `m`-row contribution of `P₂` at `(i, j)` (3-D).
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 #[inline]
 fn p2_contrib_f3(beta: f64, src: &Field3, i: isize, j: isize, k: isize, m: isize) -> f64 {
     let b16 = beta / 16.0;
@@ -150,7 +150,7 @@ fn p2_contrib_f3(beta: f64, src: &Field3, i: isize, j: isize, k: isize, m: isize
     v
 }
 
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 #[inline]
 fn p2_contrib_f2(beta: f64, src: &Field2, i: isize, j: isize, m: isize) -> f64 {
     let b16 = beta / 16.0;
@@ -171,7 +171,7 @@ fn p2_contrib_f2(beta: f64, src: &Field2, i: isize, j: isize, m: isize) -> f64 {
 ///
 /// Row-sliced and banded by latitude over the intra-rank worker pool (each
 /// band also sweeps its own `p'_sa` rows); bit-identical to
-/// [`smooth_rows_scalar`] at any `AGCM_THREADS`.
+/// `smooth_rows_scalar` at any `AGCM_THREADS`.
 pub fn smooth_rows(
     geom: &LocalGeometry,
     beta: f64,
@@ -181,64 +181,11 @@ pub fn smooth_rows(
     mask: RowMask,
     add: bool,
 ) {
-    smooth_rows_path(
-        geom,
-        beta,
-        src,
-        dst,
-        region,
-        mask,
-        add,
-        KernelPath::build_default(),
-    );
-}
-
-/// [`smooth_rows`] forced onto the explicit-lane path.
-#[allow(clippy::too_many_arguments)]
-pub fn smooth_rows_lanes(
-    geom: &LocalGeometry,
-    beta: f64,
-    src: &State,
-    dst: &mut State,
-    region: Region,
-    mask: RowMask,
-    add: bool,
-) {
-    smooth_rows_path(geom, beta, src, dst, region, mask, add, KernelPath::Lanes);
-}
-
-/// [`smooth_rows`] forced onto the scalar-row path.
-#[allow(clippy::too_many_arguments)]
-pub fn smooth_rows_rows(
-    geom: &LocalGeometry,
-    beta: f64,
-    src: &State,
-    dst: &mut State,
-    region: Region,
-    mask: RowMask,
-    add: bool,
-) {
-    smooth_rows_path(geom, beta, src, dst, region, mask, add, KernelPath::Rows);
-}
-
-/// [`smooth_rows`] on an explicit kernel path — the runtime dispatch
-/// point the engine's `set_kernel_path` toggle routes through.
-#[allow(clippy::too_many_arguments)]
-pub fn smooth_rows_path(
-    geom: &LocalGeometry,
-    beta: f64,
-    src: &State,
-    dst: &mut State,
-    region: Region,
-    mask: RowMask,
-    add: bool,
-    path: KernelPath,
-) {
     let cuts = pool::region_cuts(&region, geom.nx, |_| true);
     let whole = dst.band_mut(&region);
     pool::run(whole, &cuts, "smoothing.band", |band, y0, y1| {
         let rows = Region { y0, y1, ..region };
-        smooth_band(geom, beta, src, band, rows, mask, add, path);
+        smooth_band(geom, beta, src, band, rows, mask, add);
     });
 }
 
@@ -248,7 +195,6 @@ pub fn smooth_rows_path(
 /// the slice index of logical point `i + d` is `ii + 2 + d`.  Only the
 /// latitude rows selected by `mask` are touched, preserving the scalar
 /// reference's read footprint exactly.
-#[allow(clippy::too_many_arguments)]
 fn smooth_band(
     geom: &LocalGeometry,
     beta: f64,
@@ -257,7 +203,6 @@ fn smooth_band(
     region: Region,
     mask: RowMask,
     add: bool,
-    path: KernelPath,
 ) {
     let StateBand {
         u: t_u,
@@ -278,9 +223,7 @@ fn smooth_band(
                     let out = dst_f.row_mut(0, nx, j, k);
                     if include {
                         let r = src_f.row(-2, nx + 2, j, k);
-                        crate::lane_loop!(path, out.len(), E, ii, {
-                            p1_body::<E>(ii, out, r, b16, false)
-                        });
+                        lane_loop!(out.len(), E, ii, p1_body::<E>(ii, out, r, b16, false));
                     } else {
                         out.fill(0.0);
                     }
@@ -289,9 +232,7 @@ fn smooth_band(
                 for (src_f, dst_f) in [(&src.u, &mut *t_u), (&src.v, &mut *t_v)] {
                     let r = src_f.row(-2, nx + 2, j, k);
                     let out = dst_f.row_mut(0, nx, j, k);
-                    crate::lane_loop!(path, out.len(), E, ii, {
-                        p1_body::<E>(ii, out, r, b16, true)
-                    });
+                    lane_loop!(out.len(), E, ii, p1_body::<E>(ii, out, r, b16, true));
                 }
             }
 
@@ -301,13 +242,7 @@ fn smooth_band(
                 mask.0[mi].then(|| src.phi.row(-2, nx + 2, j + (mi as isize - 2), k))
             });
             let out = t_phi.row_mut(0, nx, j, k);
-            crate::lane_loop!(
-                path,
-                out.len(),
-                E,
-                ii,
-                p2_body::<E>(ii, out, &rows, b16, b2, add)
-            );
+            lane_loop!(out.len(), E, ii, p2_body::<E>(ii, out, &rows, b16, b2, add));
         }
     }
 
@@ -317,19 +252,13 @@ fn smooth_band(
             mask.0[mi].then(|| src.psa.row(-2, nx + 2, j + (mi as isize - 2)))
         });
         let out = t_psa.row_mut(0, nx, j, 0);
-        crate::lane_loop!(
-            path,
-            out.len(),
-            E,
-            ii,
-            p2_body::<E>(ii, out, &rows, b16, b2, add)
-        );
+        lane_loop!(out.len(), E, ii, p2_body::<E>(ii, out, &rows, b16, b2, add));
     }
 }
 
 /// Scalar per-point reference implementation, retained verbatim as the
 /// golden reference for the bitwise-equivalence property tests.
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 pub fn smooth_rows_scalar(
     geom: &LocalGeometry,
     beta: f64,
@@ -394,19 +323,7 @@ pub fn smooth_rows_scalar(
 
 /// Full smoothing `dst = S̃(src)` over `region`.
 pub fn smooth_full(geom: &LocalGeometry, beta: f64, src: &State, dst: &mut State, region: Region) {
-    smooth_full_path(geom, beta, src, dst, region, KernelPath::build_default());
-}
-
-/// [`smooth_full`] on an explicit kernel path.
-pub fn smooth_full_path(
-    geom: &LocalGeometry,
-    beta: f64,
-    src: &State,
-    dst: &mut State,
-    region: Region,
-    path: KernelPath,
-) {
-    smooth_rows_path(geom, beta, src, dst, region, RowMask::FULL, false, path);
+    smooth_rows(geom, beta, src, dst, region, RowMask::FULL, false);
 }
 
 #[cfg(test)]

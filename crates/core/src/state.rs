@@ -7,7 +7,7 @@
 //! [`Combine`]) plus the halo bookkeeping shared by all four components.
 
 use crate::geometry::Region;
-use crate::lanes::{Elem, KernelPath};
+use crate::lanes::{lane_loop, Elem};
 use crate::pool::band_struct;
 use agcm_mesh::{Field2, Field3, HaloWidths, RowBand2, RowBand3};
 
@@ -37,24 +37,13 @@ pub enum Combine {
     Midpoint,
 }
 
-/// Row kernel of [`Combine`] on an explicit kernel path; shared with the
-/// tendency sweeps, which combine a row while its tendency is cache-hot.
+/// Row kernel of [`Combine`]; shared with the tendency sweeps, which
+/// combine a row while its tendency is cache-hot.
 #[inline]
-pub(crate) fn combine_row_path(
-    form: Combine,
-    d: &mut [f64],
-    x: &[f64],
-    c: f64,
-    y: &[f64],
-    path: KernelPath,
-) {
+pub(crate) fn combine_row(form: Combine, d: &mut [f64], x: &[f64], c: f64, y: &[f64]) {
     match form {
-        Combine::Euler => {
-            crate::lane_loop!(path, d.len(), E, ii, lincomb_body::<E>(ii, d, x, c, y))
-        }
-        Combine::Midpoint => {
-            crate::lane_loop!(path, d.len(), E, ii, midpoint_body::<E>(ii, d, x, c, y))
-        }
+        Combine::Euler => lane_loop!(d.len(), E, ii, lincomb_body::<E>(ii, d, x, c, y)),
+        Combine::Midpoint => lane_loop!(d.len(), E, ii, midpoint_body::<E>(ii, d, x, c, y)),
     }
 }
 
@@ -178,10 +167,9 @@ impl State {
         self.combine_on(Combine::Euler, x, c, y, region);
     }
 
-    /// `self = form(x, c·y)` on a region, on the build-default kernel path.
+    /// `self = form(x, c·y)` on a region.
     pub fn combine_on(&mut self, form: Combine, x: &State, c: f64, y: &State, region: &Region) {
         let nx = self.extents().0 as isize;
-        let path = KernelPath::build_default();
         for k in region.z0..region.z1 {
             for j in region.y0..region.y1 {
                 for (d, x, y) in [
@@ -189,25 +177,23 @@ impl State {
                     (&mut self.v, &x.v, &y.v),
                     (&mut self.phi, &x.phi, &y.phi),
                 ] {
-                    combine_row_path(
+                    combine_row(
                         form,
                         d.row_mut(0, nx, j, k),
                         x.row(0, nx, j, k),
                         c,
                         y.row(0, nx, j, k),
-                        path,
                     );
                 }
             }
         }
         for j in region.y0..region.y1 {
-            combine_row_path(
+            combine_row(
                 form,
                 self.psa.row_mut(0, nx, j),
                 x.psa.row(0, nx, j),
                 c,
                 y.psa.row(0, nx, j),
-                path,
             );
         }
     }

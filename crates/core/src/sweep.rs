@@ -21,14 +21,13 @@
 //! [`SweepScratch`] owns what the sweep needs per worker: the three
 //! tendency row buffers and the advection kernel's staged quotient rows
 //! (`advection::Staged`).  The engine warms one for its worker
-//! count, like the filter's `FilterScratch`; the un-suffixed entry points
+//! count, like the filter's `FilterScratch`; the tendency-only entry points
 //! build a transient one.
 
 use crate::advection::Staged;
 use crate::geometry::Region;
-use crate::lanes::KernelPath;
 use crate::pool::{self, band_struct, PerWorker};
-use crate::state::{combine_row_path, Combine, State, StateBand};
+use crate::state::{combine_row, Combine, State, StateBand};
 
 /// The combination a sub-update's sweep applies to filter-inactive rows.
 pub struct Update<'a> {
@@ -53,8 +52,8 @@ impl Update<'_> {
     }
 
     #[inline]
-    fn combine_row(&self, d: &mut [f64], x: &[f64], t: &[f64], path: KernelPath) {
-        combine_row_path(self.form, d, x, self.dt, t, path);
+    fn combine_row(&self, d: &mut [f64], x: &[f64], t: &[f64]) {
+        combine_row(self.form, d, x, self.dt, t);
     }
 
     /// Combine the filter-active rows of `region` from the (by now
@@ -131,7 +130,6 @@ impl SweepBand<'_> {
         &mut self,
         nx: isize,
         (j, k): (isize, isize),
-        path: KernelPath,
         compute: impl FnOnce(&mut Staged, &mut [f64], &mut [f64], &mut [f64]),
     ) {
         let RowScratch { staged, tend } = self.rows.mine();
@@ -140,14 +138,9 @@ impl SweepBand<'_> {
                 let [t_u, t_v, t_phi] = tend;
                 compute(staged, t_u, t_v, t_phi);
                 let b = u.base;
-                u.combine_row(out.u.row_mut(0, nx, j, k), b.u.row(0, nx, j, k), t_u, path);
-                u.combine_row(out.v.row_mut(0, nx, j, k), b.v.row(0, nx, j, k), t_v, path);
-                u.combine_row(
-                    out.phi.row_mut(0, nx, j, k),
-                    b.phi.row(0, nx, j, k),
-                    t_phi,
-                    path,
-                );
+                u.combine_row(out.u.row_mut(0, nx, j, k), b.u.row(0, nx, j, k), t_u);
+                u.combine_row(out.v.row_mut(0, nx, j, k), b.v.row(0, nx, j, k), t_v);
+                u.combine_row(out.phi.row_mut(0, nx, j, k), b.phi.row(0, nx, j, k), t_phi);
             }
             _ => compute(
                 staged,
@@ -159,23 +152,12 @@ impl SweepBand<'_> {
     }
 
     /// The 2-D `p'_sa` tendency of row `j`, routed like [`Self::emit`].
-    fn emit_psa(
-        &mut self,
-        nx: isize,
-        j: isize,
-        path: KernelPath,
-        psa_row: impl Fn(isize, &mut [f64]),
-    ) {
+    fn emit_psa(&mut self, nx: isize, j: isize, psa_row: impl Fn(isize, &mut [f64])) {
         match &mut self.combine {
             Some((u, out)) if !u.is_active(j) => {
                 let t = &mut self.rows.mine().tend[0][..];
                 psa_row(j, t);
-                u.combine_row(
-                    out.psa.row_mut(0, nx, j, 0),
-                    u.base.psa.row(0, nx, j),
-                    t,
-                    path,
-                );
+                u.combine_row(out.psa.row_mut(0, nx, j, 0), u.base.psa.row(0, nx, j), t);
             }
             _ => psa_row(j, self.tend.psa.row_mut(0, nx, j, 0)),
         }
@@ -194,7 +176,6 @@ pub(crate) fn sweep(
     tend: &mut State,
     combine: Option<(&Update<'_>, &mut State)>,
     scratch: &mut SweepScratch,
-    path: KernelPath,
     label: &'static str,
     band_fn: impl Fn(&mut SweepBand<'_>, Region) + Sync,
     psa_row: impl Fn(isize, &mut [f64]) + Sync,
@@ -209,7 +190,7 @@ pub(crate) fn sweep(
     pool::run(whole, &cuts, label, |band, y0, y1| {
         band_fn(band, Region { y0, y1, ..region });
         for j in y0..y1 {
-            band.emit_psa(nx as isize, j, path, &psa_row);
+            band.emit_psa(nx as isize, j, &psa_row);
         }
     });
 }

@@ -23,7 +23,7 @@
 
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
-use crate::lanes::{Elem, KernelPath};
+use crate::lanes::{lane_loop, Elem};
 use crate::pool::{self, band_struct};
 use crate::state::State;
 use crate::stdatm::StandardAtmosphere;
@@ -119,7 +119,13 @@ impl ZContext<'_> {
 ///
 /// Row-sliced with all column-sum buffers drawn from `diag`'s persistent
 /// scratch, so a steady-state serial call allocates nothing; bit-identical
-/// to [`apply_c_scalar`].
+/// to `apply_c_scalar`.
+///
+/// Banded by latitude over the worker pool: a band computes `D_sa`, `D(P)`
+/// and the Δσ column sums of its rows, walks `g_w` on them and `φ'` on its
+/// share of the grown rows — one phase on a serial column.  Under a
+/// z-split the walks need the other ranks' block sums, so the phase splits
+/// in two around the allgather, which stays on the rank thread.
 pub fn apply_c(
     geom: &LocalGeometry,
     stdatm: &StandardAtmosphere,
@@ -128,83 +134,6 @@ pub fn apply_c(
     region: Region,
     zctx: &ZContext<'_>,
     wrap_x: bool,
-) -> CommResult<()> {
-    apply_c_path(
-        geom,
-        stdatm,
-        arg,
-        diag,
-        region,
-        zctx,
-        wrap_x,
-        KernelPath::build_default(),
-    )
-}
-
-/// [`apply_c`] forced onto the explicit-lane path.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_c_lanes(
-    geom: &LocalGeometry,
-    stdatm: &StandardAtmosphere,
-    arg: &State,
-    diag: &mut Diag,
-    region: Region,
-    zctx: &ZContext<'_>,
-    wrap_x: bool,
-) -> CommResult<()> {
-    apply_c_path(
-        geom,
-        stdatm,
-        arg,
-        diag,
-        region,
-        zctx,
-        wrap_x,
-        KernelPath::Lanes,
-    )
-}
-
-/// [`apply_c`] forced onto the scalar-row path.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_c_rows(
-    geom: &LocalGeometry,
-    stdatm: &StandardAtmosphere,
-    arg: &State,
-    diag: &mut Diag,
-    region: Region,
-    zctx: &ZContext<'_>,
-    wrap_x: bool,
-) -> CommResult<()> {
-    apply_c_path(
-        geom,
-        stdatm,
-        arg,
-        diag,
-        region,
-        zctx,
-        wrap_x,
-        KernelPath::Rows,
-    )
-}
-
-/// [`apply_c`] on an explicit kernel path — the runtime dispatch point
-/// the engine's `set_kernel_path` toggle routes through.
-///
-/// Banded by latitude over the worker pool: a band computes `D_sa`, `D(P)`
-/// and the Δσ column sums of its rows, walks `g_w` on them and `φ'` on its
-/// share of the grown rows — one phase on a serial column.  Under a
-/// z-split the walks need the other ranks' block sums, so the phase splits
-/// in two around the allgather, which stays on the rank thread.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_c_path(
-    geom: &LocalGeometry,
-    stdatm: &StandardAtmosphere,
-    arg: &State,
-    diag: &mut Diag,
-    region: Region,
-    zctx: &ZContext<'_>,
-    wrap_x: bool,
-    path: KernelPath,
 ) -> CommResult<()> {
     // the whole of C — the nested allgather inherits Phase::C
     let _c = agcm_obs::span_phase(agcm_obs::SpanKind::Op, agcm_obs::Phase::C, "apply_c");
@@ -229,7 +158,6 @@ pub fn apply_c_path(
         region,
         grown,
         x: (-xe, geom.nx as isize + xe),
-        path,
     };
     let nxu = geom.nx + 2 * xe as usize;
     // the cuts are made on the grown rows: a cut strictly inside them lies
@@ -375,7 +303,6 @@ struct Columns<'a> {
     grown: (isize, isize),
     /// The x range `[-xe, nx + xe)` every row of `C` spans.
     x: (isize, isize),
-    path: KernelPath,
 }
 
 /// Rows `[j0, j1)`.
@@ -427,9 +354,7 @@ impl Columns<'_> {
     /// allgather payload under a z-split; a serial column's sum is `vsum`
     /// itself.
     fn stencils(&self, band: &mut ColumnBand<'_>, rows: Rows) {
-        let Columns {
-            geom, arg, path, ..
-        } = *self;
+        let Columns { geom, arg, .. } = *self;
         let (x0, x1) = self.x;
         let (nx, nz) = (geom.nx as isize, geom.nz as isize);
         let Region { z0, z1, .. } = self.region;
@@ -441,7 +366,7 @@ impl Columns<'_> {
             ..
         } = band;
         for j in rows.0..rows.1 {
-            crate::diag::dsa_row(geom, &arg.psa, j, dsa.row_mut(0, nx, j, 0), path);
+            crate::diag::dsa_row(geom, &arg.psa, j, dsa.row_mut(0, nx, j, 0));
             sum_row(sums, vsum, self.x, j).fill(0.0);
         }
         for k in z0.min(0)..z1.max(nz) {
@@ -449,11 +374,11 @@ impl Columns<'_> {
             for j in rows.0..rows.1 {
                 if (z0..z1).contains(&k) {
                     let out = dp.row_mut(x0, x1, j, k);
-                    crate::diag::dp_row(geom, arg, band.cap_p, (j, k), -x0, out, path);
+                    crate::diag::dp_row(geom, arg, band.cap_p, (j, k), -x0, out);
                 }
                 if (0..nz).contains(&k) {
                     let (acc, r_dp) = (sum_row(sums, vsum, self.x, j), dp.row(x0, x1, j, k));
-                    crate::lane_loop!(path, acc.len(), E, ii, axpy_body::<E>(ii, acc, ds, r_dp));
+                    lane_loop!(acc.len(), E, ii, axpy_body::<E>(ii, acc, ds, r_dp));
                 }
             }
         }
@@ -463,7 +388,7 @@ impl Columns<'_> {
     /// interface walk on `rows`.  Each column's accumulation order matches
     /// the scalar walk exactly.
     fn gw_walk(&self, band: &mut ColumnBand<'_>, rows: Rows, blocks: Option<&Blocks<'_>>) {
-        let Columns { geom, path, .. } = *self;
+        let geom = self.geom;
         let (x0, x1) = self.x;
         let w = x1 - x0;
         let Region { y0, z0, z1, .. } = self.region;
@@ -485,22 +410,16 @@ impl Columns<'_> {
             let total = vsum.row(x0, x1, j, 0);
             for l in z0..0 {
                 let (ds, r_dp) = (geom.dsigma(l), dp.row(x0, x1, j, l));
-                crate::lane_loop!(path, run.len(), E, ii, axmy_body::<E>(ii, run, ds, r_dp));
+                lane_loop!(run.len(), E, ii, axmy_body::<E>(ii, run, ds, r_dp));
             }
             // walk interfaces k−1/2 for k = z0 ..= z1
             for k in z0..=z1 {
                 let gk = geom.sigma_lo(k).clamp(0.0, 1.0);
                 let out = gw.row_mut(x0, x1, j, k);
-                crate::lane_loop!(
-                    path,
-                    out.len(),
-                    E,
-                    ii,
-                    gw_body::<E>(ii, out, gk, total, run)
-                );
+                lane_loop!(out.len(), E, ii, gw_body::<E>(ii, out, gk, total, run));
                 if k < z1 {
                     let (ds, r_dp) = (geom.dsigma(k), dp.row(x0, x1, j, k));
-                    crate::lane_loop!(path, run.len(), E, ii, axpy_body::<E>(ii, run, ds, r_dp));
+                    lane_loop!(run.len(), E, ii, axpy_body::<E>(ii, run, ds, r_dp));
                 }
             }
         }
@@ -511,9 +430,7 @@ impl Columns<'_> {
     /// suffix.  A serial column has no such rank, so it never runs this
     /// sweep (a division per point).
     fn phi_sums(&self, band: &mut ColumnBand<'_>, rows: Rows) {
-        let Columns {
-            geom, arg, path, ..
-        } = *self;
+        let Columns { geom, arg, .. } = *self;
         let (x0, x1) = self.x;
         let Some((_, phi_sums)) = &mut band.sums else {
             return;
@@ -523,7 +440,7 @@ impl Columns<'_> {
             for j in rows.0..rows.1 {
                 let row = phi_sums.row_mut(0, x1 - x0, j, 0);
                 let (r_phi, r_cp) = (arg.phi.row(x0, x1, j, k), band.cap_p.row(x0, x1, j));
-                crate::lane_loop!(path, row.len(), E, ii, {
+                lane_loop!(row.len(), E, ii, {
                     (E::load(row, ii) + integrand_at::<E>(r_phi, r_cp, ds, sigc, ii)).store(row, ii)
                 });
             }
@@ -533,11 +450,7 @@ impl Columns<'_> {
     /// The `φ'` walk on the grown `rows`, up from the surface.
     fn phi_walk(&self, band: &mut ColumnBand<'_>, rows: Rows, blocks: Option<&Blocks<'_>>) {
         let Columns {
-            geom,
-            stdatm,
-            arg,
-            path,
-            ..
+            geom, stdatm, arg, ..
         } = *self;
         let (x0, x1) = self.x;
         let w = x1 - x0;
@@ -567,19 +480,19 @@ impl Columns<'_> {
             for l in geom.nz as isize..z1 {
                 let (ds, sigc) = (geom.dsigma(l), geom.sigma_c(l));
                 let r_phi = arg.phi.row(x0, x1, j, l);
-                crate::lane_loop!(path, run.len(), E, ii, {
+                lane_loop!(run.len(), E, ii, {
                     (E::load(run, ii) - integrand_at::<E>(r_phi, r_cp, ds, sigc, ii)).store(run, ii)
                 });
             }
             let (phis, r_psa) = (phis.row_mut(0, w, j, 0), arg.psa.row(x0, x1, j));
-            crate::lane_loop!(path, phis.len(), E, ii, {
+            lane_loop!(phis.len(), E, ii, {
                 phis_body::<E>(ii, phis, rt, r_psa, stdatm.ps_tilde)
             });
             for k in (z0..z1).rev() {
                 let (ds, sigc) = (geom.dsigma(k), geom.sigma_c(k));
                 let r_phi = arg.phi.row(x0, x1, j, k);
                 let out = phi_p.row_mut(x0, x1, j, k);
-                crate::lane_loop!(path, out.len(), E, ii, {
+                lane_loop!(out.len(), E, ii, {
                     phip_body::<E>(ii, out, phis, r_phi, r_cp, ds, sigc, run)
                 });
             }
@@ -589,7 +502,7 @@ impl Columns<'_> {
 
 /// Scalar per-point reference implementation, retained verbatim as the
 /// golden reference for the bitwise-equivalence property tests.
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 pub fn apply_c_scalar(
     geom: &LocalGeometry,
     stdatm: &StandardAtmosphere,
@@ -952,68 +865,34 @@ mod tests {
     #[test]
     fn lanes_rows_and_scalar_paths_agree_bitwise() {
         let cfg = ModelConfig::test_medium();
-        let (geom, sa, mut state, mut d_lanes) = serial_setup(&cfg);
+        let (geom, sa, mut state, mut d_rows) = serial_setup(&cfg);
         seed(&mut state, &geom, 4.0);
-        let mut d_rows = Diag::new(&geom);
         let mut d_scalar = Diag::new(&geom);
         let region = geom.interior();
-        for d in [&mut d_lanes, &mut d_rows, &mut d_scalar] {
+        for d in [&mut d_rows, &mut d_scalar] {
             d.update_surface(&geom, &sa, &state, region.y0 - 1, region.y1 + 1);
         }
-        apply_c_lanes(
-            &geom,
-            &sa,
-            &state,
-            &mut d_lanes,
-            region,
-            &ZContext::Serial,
-            true,
-        )
-        .unwrap();
-        apply_c_rows(
-            &geom,
-            &sa,
-            &state,
-            &mut d_rows,
-            region,
-            &ZContext::Serial,
-            true,
-        )
-        .unwrap();
-        apply_c_scalar(
-            &geom,
-            &sa,
-            &state,
-            &mut d_scalar,
-            region,
-            &ZContext::Serial,
-            true,
-        )
-        .unwrap();
+        let zctx = ZContext::Serial;
+        apply_c(&geom, &sa, &state, &mut d_rows, region, &zctx, true).unwrap();
+        apply_c_scalar(&geom, &sa, &state, &mut d_scalar, region, &zctx, true).unwrap();
         for k in 0..geom.nz as isize {
             for j in 0..geom.ny as isize {
                 for i in 0..geom.nx as isize {
-                    for (a, b) in [(&d_lanes, &d_scalar), (&d_rows, &d_scalar)] {
-                        assert_eq!(
-                            a.gw.get(i, j, k).to_bits(),
-                            b.gw.get(i, j, k).to_bits(),
-                            "gw bits differ at ({i},{j},{k})"
-                        );
-                        assert_eq!(
-                            a.phi_p.get(i, j, k).to_bits(),
-                            b.phi_p.get(i, j, k).to_bits(),
-                            "phi' bits differ at ({i},{j},{k})"
-                        );
-                    }
+                    assert_eq!(
+                        d_rows.gw.get(i, j, k).to_bits(),
+                        d_scalar.gw.get(i, j, k).to_bits(),
+                        "gw bits differ at ({i},{j},{k})"
+                    );
+                    assert_eq!(
+                        d_rows.phi_p.get(i, j, k).to_bits(),
+                        d_scalar.phi_p.get(i, j, k).to_bits(),
+                        "phi' bits differ at ({i},{j},{k})"
+                    );
                 }
             }
         }
         for j in 0..geom.ny as isize {
             for i in 0..geom.nx as isize {
-                assert_eq!(
-                    d_lanes.vsum.get(i, j).to_bits(),
-                    d_scalar.vsum.get(i, j).to_bits()
-                );
                 assert_eq!(
                     d_rows.vsum.get(i, j).to_bits(),
                     d_scalar.vsum.get(i, j).to_bits()

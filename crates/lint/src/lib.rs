@@ -2,9 +2,8 @@
 //!
 //! Three structural rules clippy cannot express, enforced over the
 //! workspace source tree (no rustc plumbing — a hand-rolled lexer that
-//! strips comments, string/char literals and `#[cfg(test)]` /
-//! `#[cfg(any(test, feature = "scalar-ref"))]`-gated items, then scans the
-//! residual code):
+//! strips comments, string/char literals and `#[cfg(test)]`-gated items,
+//! then scans the residual code):
 //!
 //! * [`Rule::Alloc`] — **no allocation-capable calls in the zero-alloc
 //!   stepping paths** (the hot kernel modules).  The runtime guard in
@@ -278,12 +277,47 @@ fn lex(src: &str) -> Lexed {
 }
 
 // ---------------------------------------------------------------------------
-// cfg(test)/cfg(any(test, feature = "scalar-ref")) item skipping
+// cfg(test) item skipping
 // ---------------------------------------------------------------------------
 
-/// Blank every item gated by a `#[cfg(…)]` attribute whose predicate
-/// mentions `test` or `scalar-ref` (test modules and the retained scalar
-/// reference kernels are exempt from the stepping-path rules).
+/// Whether a `#[cfg(…)]` attribute (code view: string literals blanked, so
+/// a feature *named* like `test` is not a word here) has `test` as a cfg
+/// word in positive position: `cfg(test)`, `cfg(any(test, …))`,
+/// `cfg(all(test, …))` — never under a `not(…)`, whose item is compiled
+/// into production.
+fn gates_on_test(attr: &[u8]) -> bool {
+    // one entry per open `(`: whether it is the paren of a `not`
+    let mut negated = Vec::new();
+    let mut i = 0usize;
+    while i < attr.len() {
+        if attr[i] == b')' {
+            negated.pop();
+        }
+        if !is_ident(attr[i]) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < attr.len() && is_ident(attr[i]) {
+            i += 1;
+        }
+        let word = &attr[start..i];
+        while i < attr.len() && attr[i].is_ascii_whitespace() {
+            i += 1;
+        }
+        if i < attr.len() && attr[i] == b'(' {
+            negated.push(word == b"not");
+            i += 1;
+        } else if word == b"test" && !negated.contains(&true) {
+            return true;
+        }
+    }
+    false
+}
+
+/// Blank every item gated by a `#[cfg(…)]` attribute that
+/// [`gates_on_test`]: test modules and the per-point reference kernels the
+/// tests compare against are exempt from the stepping-path rules.
 fn blank_test_gated(src: &str, code: &mut [u8]) {
     let s = src.as_bytes();
     let mut i = 0usize;
@@ -299,9 +333,7 @@ fn blank_test_gated(src: &str, code: &mut [u8]) {
             }
             j += 1;
         }
-        let pred = &src[p..j];
-        let gated = pred.contains("test") || pred.contains("scalar-ref");
-        if !gated {
+        if !gates_on_test(&code[p..j]) {
             i = j;
             continue;
         }

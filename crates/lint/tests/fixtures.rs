@@ -1,6 +1,6 @@
 //! Fixture coverage for the lint pass: each rule fires on a minimal
 //! triggering source, stays silent on clean code, honours the
-//! `lint:allow` waiver and the test/scalar-ref exemptions, and never
+//! `lint:allow` waiver and the `cfg(test)` exemption, and never
 //! matches inside comments or string literals.
 
 use agcm_lint::{lint_fused_access, lint_source, lint_tree, rules_for, Rule};
@@ -92,17 +92,27 @@ fn waiver_on_same_or_preceding_line_suppresses_the_finding() {
 }
 
 #[test]
-fn test_modules_and_scalar_ref_items_are_exempt() {
+fn test_modules_and_cfg_test_items_are_exempt() {
     let src = r#"
 pub fn hot(f: &Field3) -> f64 {
     f.get(0, 0, 0)
 }
 
-#[cfg(any(test, feature = "scalar-ref"))]
+#[cfg(test)]
 pub fn scalar_reference(n: usize) -> Vec<f64> {
     let mut v = vec![0.0; n];
     v[0] = 1.0;
     v
+}
+
+#[cfg(any(test, debug_assertions))]
+fn checked(xs: &[f64]) -> Vec<f64> {
+    xs.to_vec()
+}
+
+#[cfg(all(not(feature = "access-sanitizer"), test))]
+fn fixture() -> String {
+    String::from("x")
 }
 
 #[cfg(test)]
@@ -118,10 +128,24 @@ mod tests {
     assert!(lint_source("k.rs", src, ALL).is_empty());
 }
 
+/// Only `test` as a cfg word in positive position exempts an item: code
+/// gated on anything else — a feature, a feature whose *name* contains
+/// "test", the absence of `test` — runs in production.
 #[test]
 fn non_test_cfg_gates_are_not_exempt() {
-    let src = "#[cfg(feature = \"access-sanitizer\")]\nfn shadow() { let v = Vec::new(); }";
-    assert_eq!(lint_source("k.rs", src, &[Rule::Alloc]).len(), 1);
+    for gate in [
+        "feature = \"access-sanitizer\"",
+        "feature = \"latest\"",
+        "not(test)",
+        "any(not(test), feature = \"x\")",
+        "all(unix, not(any(test, miri)))",
+        "testing",
+    ] {
+        let src = format!("#[cfg({gate})]\nfn hot() {{ let v = Vec::new(); }}");
+        let v = lint_source("k.rs", &src, &[Rule::Alloc]);
+        assert_eq!(v.len(), 1, "cfg({gate})");
+        assert_eq!(v[0].line, 2, "cfg({gate})");
+    }
 }
 
 #[test]

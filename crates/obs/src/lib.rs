@@ -21,10 +21,16 @@
 //! # Cost model
 //!
 //! Tracing is off by default.  Every instrumentation site, when tracing
-//! is disabled, costs one relaxed atomic load ([`enabled`]) — verified by
-//! the `obs_overhead` benchmark in `agcm-bench` to be < 2% of a
-//! `dycore_step`.  Building with `default-features = false` (dropping
-//! the `trace` feature) compiles every site down to nothing.
+//! is disabled, costs one relaxed atomic load ([`enabled`]).  What tracing
+//! costs when it is *on* is a row of the benchmark ledger
+//! (`obs.overhead_frac` = best traced step ÷ best untraced step − 1, beside
+//! `obs.events_per_step`; `benchmark/README.md`): inside the host's noise
+//! on the 180×90×30 and 720×360×30 meshes, but +17 % on
+//! `small_alg1_y2_uds`, where a step is 2 ms and carries 276 events — the
+//! tracer is not free there (ROADMAP item 5; EXPERIMENTS.md "One kernel
+//! path").  Building with
+//! `default-features = false` (dropping the `trace` feature) compiles
+//! every site down to nothing.
 //!
 //! # Usage
 //!

@@ -9,10 +9,12 @@
 //!
 //! * tracing **disabled** (the default): every instrumentation site is one
 //!   relaxed atomic load and a branch — no clock read, no allocation, no
-//!   lock (`< 2 ns`, proven by `agcm-bench`'s `obs_overhead` bench),
+//!   lock,
 //! * tracing **enabled**: each span costs two monotonic clock reads and a
 //!   push into one of [`SHARDS`] sharded buffers (a short uncontended lock
-//!   — ranks hash to different shards),
+//!   — ranks hash to different shards); the benchmark ledger's
+//!   `obs.overhead_frac` row measures the sum over a step (noise on the
+//!   mid and paper meshes, +17 % on `small_alg1_y2_uds`),
 //! * feature `trace` **off**: everything here compiles to nothing.
 //!
 //! Buffers grow until [`drain`]; runs that trace should drain per run.
