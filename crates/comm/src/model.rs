@@ -71,23 +71,30 @@ impl CostModel {
     /// Unix-domain sockets), read off the benchmark's own ledger on the
     /// `small_*_y2_uds` twins — the constants
     /// `core::analysis::ca_group_size` decides Algorithm 2's halo depth with
-    /// (EXPERIMENTS.md, "The g-ladder", has the runs and what they predict):
+    /// (EXPERIMENTS.md, "One frame per neighbour", has the runs and what they
+    /// predict; a message is everything one neighbour link carries in an
+    /// exchange):
     ///
-    /// * `β = 3.8 ns/B` — `comm.beta_s_per_byte`, the ping-pong ladder fit,
-    /// * `α = 8 µs` a message — what one more message in a posted batch
-    ///   costs: `(core.exchange.post_s_per_step − ½β·bytes) ÷ msgs`, 6–8 µs
-    ///   (the ping-pong's 27 µs `comm.alpha_s` is a round trip's latency,
-    ///   paid once a round, not once a message),
+    /// * `β = 1.0 ns/B` — `comm.beta_s_per_byte`, the ping-pong ladder fit
+    ///   (0.9–1.0 on the twins; it was 3.8 while the frame hash took a
+    ///   multiply a byte),
+    /// * `α = 16 µs` a message — what a posted message costs its sender:
+    ///   `(core.exchange.post_s_per_step − ½β·bytes) ÷ msgs`, 16 µs on the
+    ///   Algorithm 1 twin (30 on the Algorithm 2 twin, whose messages are
+    ///   five times longer and whose pack loop is inside `post`; it was 6–8
+    ///   when a link's fields were separate messages in one batch, and the
+    ///   ping-pong's 24 µs `comm.alpha_s` is a round trip's latency, paid
+    ///   once a round, not once a message),
     /// * `sync = 50 µs` a round — that latency plus the skew two ranks in
     ///   step arrive with: `(post + wait − α·msgs − β·bytes) ÷ exchanges`,
-    ///   50–80 µs on the blocking schedules,
+    ///   46–77 µs on the blocking schedules,
     /// * `γ = 36 ns` a point-update — the Algorithm 1 twin's operator time
-    ///   (`A + C + F + L + S`, 1.55 ms a step) over its 42 990 predicted
+    ///   (`A + C + F + L + S`, 1.4–1.55 ms a step) over its 42 990 predicted
     ///   point-update units; the 180×90×30 mesh reads 20 ns, where the
     ///   choice of depth is not close.
     pub const BENCH_HOST: CostModel = CostModel {
-        alpha: 8.0e-6,
-        beta: 3.8e-9,
+        alpha: 1.6e-5,
+        beta: 1.0e-9,
         gamma: 3.6e-8,
         sync: 5.0e-5,
         name: "bench-host",

@@ -26,14 +26,17 @@
 //! u64  corrupt_seed
 //! u64  epoch          (mesh generation the frame belongs to)
 //! 8n   payload        (f64 bit patterns)
-//! u64  FNV-1a checksum over all preceding frame bytes
+//! u64  integrity hash over all preceding frame bytes
 //! ```
 //!
-//! The checksum reuses the same FNV-1a hash as the in-runtime
-//! [`crate::fault::checksum`] frames ([`crate::fault::checksum_bytes`]); a
-//! frame that fails validation poisons the receiving mailbox (the stream
-//! position can no longer be trusted), which surfaces as a typed
-//! [`crate::CommError::PeerFailed`] instead of silent corruption.
+//! The hash is the one the in-runtime [`crate::fault::checksum`] frames use:
+//! [`crate::fault::checksum_bytes`] over the header, continued a payload
+//! word per multiply ([`crate::fault::hash_word`]) in the pass that encodes
+//! or decodes the payload; every single-bit corruption of header, payload
+//! or trailer changes it.  A frame that fails validation poisons the
+//! receiving mailbox (the stream position can no longer be trusted), which
+//! surfaces as a typed [`crate::CommError::PeerFailed`] instead of silent
+//! corruption.
 //!
 //! Connection setup is a full-mesh handshake: rank `i` listens on
 //! `<endpoint>.<i>` (Unix) or `port + i` (TCP), and every ordered pair of
@@ -263,13 +266,17 @@ pub const WIRE_TRAILER_BYTES: u64 = 8;
 /// exactly `WIRE_OVERHEAD_BYTES + 8 n` bytes on the wire.
 pub const WIRE_OVERHEAD_BYTES: u64 = WIRE_HEADER_BYTES + WIRE_TRAILER_BYTES;
 
-/// Upper bound on payload words accepted from the wire; a corrupted length
-/// prefix must not trigger a multi-gigabyte allocation.
+/// Upper bound on payload words accepted from the wire.  It only rejects
+/// the absurd: memory is bounded by the bytes that actually arrive
+/// ([`read_frame`]), not by this.
 const MAX_WIRE_WORDS: u32 = 1 << 28;
 
-fn encode_frame(env: &Envelope) -> Vec<u8> {
+/// Encode `env` as one frame into `buf` (cleared first), hashing the
+/// payload in the pass that writes it.
+fn encode_frame(env: &Envelope, buf: &mut Vec<u8>) {
     let n = env.data.len();
-    let mut buf = Vec::with_capacity(WIRE_OVERHEAD_BYTES as usize + 8 * n);
+    buf.clear();
+    buf.reserve(WIRE_OVERHEAD_BYTES as usize + 8 * n);
     buf.extend_from_slice(&(n as u32).to_le_bytes());
     buf.extend_from_slice(&env.ctx.to_le_bytes());
     buf.extend_from_slice(&(env.src_global as u32).to_le_bytes());
@@ -280,12 +287,15 @@ fn encode_frame(env: &Envelope) -> Vec<u8> {
     buf.extend_from_slice(&(env.redundant as u32).to_le_bytes());
     buf.extend_from_slice(&env.corrupt_seed.to_le_bytes());
     buf.extend_from_slice(&env.epoch.to_le_bytes());
-    for v in &env.data {
-        buf.extend_from_slice(&v.to_bits().to_le_bytes());
+    let mut h = fault::checksum_bytes(buf);
+    buf.resize(WIRE_HEADER_BYTES as usize + 8 * n, 0);
+    let payload = buf[WIRE_HEADER_BYTES as usize..].chunks_exact_mut(8);
+    for (bytes, v) in payload.zip(&env.data) {
+        let w = v.to_bits();
+        h = fault::hash_word(h, w);
+        bytes.copy_from_slice(&w.to_le_bytes());
     }
-    let ck = fault::checksum_bytes(&buf);
-    buf.extend_from_slice(&ck.to_le_bytes());
-    buf
+    buf.extend_from_slice(&h.to_le_bytes());
 }
 
 fn u32_at(buf: &[u8], at: usize) -> u32 {
@@ -318,8 +328,11 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
 }
 
 /// Read and validate one frame; `Ok(None)` on clean EOF.  Returns the
-/// envelope plus its total on-wire size.
-fn read_frame(r: &mut impl Read) -> io::Result<Option<(Envelope, u64)>> {
+/// envelope plus its total on-wire size.  `body` is the caller's reusable
+/// payload + trailer buffer: it is filled through [`Read::take`], growing
+/// with the bytes that arrive, so a corrupted or hostile length prefix
+/// costs the memory of what the peer really sent, never of what it claimed.
+fn read_frame(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<Option<(Envelope, u64)>> {
     let mut header = [0u8; WIRE_HEADER_BYTES as usize];
     if !read_exact_or_eof(r, &mut header)? {
         return Ok(None);
@@ -331,26 +344,30 @@ fn read_frame(r: &mut impl Read) -> io::Result<Option<(Envelope, u64)>> {
             format!("frame claims {n} payload words"),
         ));
     }
-    let mut body = vec![0u8; 8 * n as usize + WIRE_TRAILER_BYTES as usize];
-    r.read_exact(&mut body)?;
-    let (payload, trailer) = body.split_at(8 * n as usize);
-    let stored = u64_at(trailer, 0);
-    let mut h = fault::checksum_bytes(&header);
-    // continue the running FNV-1a over the payload bytes
-    for &b in payload {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let len = 8 * n as u64 + WIRE_TRAILER_BYTES;
+    body.clear();
+    if r.by_ref().take(len).read_to_end(body)? as u64 != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame",
+        ));
     }
+    let (payload, trailer) = body.split_at(8 * n as usize);
+    // decode and hash in one pass over the payload
+    let mut h = fault::checksum_bytes(&header);
+    let mut data = Vec::with_capacity(n as usize);
+    for c in payload.chunks_exact(8) {
+        let w = u64::from_le_bytes(c.try_into().expect("8 bytes"));
+        h = fault::hash_word(h, w);
+        data.push(f64::from_bits(w));
+    }
+    let stored = u64_at(trailer, 0);
     if stored != h {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame checksum {h:#018x} != stored {stored:#018x}"),
         ));
     }
-    let data: Vec<f64> = payload
-        .chunks_exact(8)
-        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-        .collect();
     let env = Envelope {
         ctx: u64_at(&header, 4),
         src_global: u32_at(&header, 12) as usize,
@@ -641,6 +658,8 @@ pub struct SocketTransport {
     /// reader thread exited.
     loopback: Sender<Envelope>,
     rx: Receiver<Envelope>,
+    /// Reusable frame staging buffer of [`Transport::send`].
+    frame_buf: RefCell<Vec<u8>>,
     counters: Arc<WireCounters>,
     /// Where this world lives; kept for re-dialing a respawned peer.
     endpoint: Endpoint,
@@ -849,6 +868,7 @@ impl SocketTransport {
             writers,
             loopback: tx,
             rx,
+            frame_buf: RefCell::new(Vec::new()),
             counters,
             endpoint: endpoint.clone(),
             epoch,
@@ -1259,11 +1279,12 @@ fn reader_loop(
         env.epoch = epoch.load(Ordering::Relaxed);
         let _ = tx.send(env);
     };
+    let mut body = Vec::new();
     loop {
         // bracket the blocking read so traces show what each connection's
         // reader was doing; the span carries the frame's wire bytes
         let t0 = if obs::enabled() { obs::now_ns() } else { 0 };
-        match read_frame(&mut conn) {
+        match read_frame(&mut conn, &mut body) {
             Ok(Some((env, bytes))) => {
                 counters.record_recvd(bytes);
                 if obs::enabled() {
@@ -1315,7 +1336,8 @@ impl Transport for SocketTransport {
                 .send(env)
                 .map_err(|_| CommError::PeerGone { peer });
         }
-        let buf = encode_frame(&env);
+        let mut buf = self.frame_buf.borrow_mut();
+        encode_frame(&env, &mut buf);
         let cell = self.writers[peer]
             .as_ref()
             .ok_or(CommError::PeerGone { peer })?;
@@ -1404,56 +1426,81 @@ mod tests {
         assert_eq!(bits(&a.data), bits(&b.data));
     }
 
+    fn encoded(env: &Envelope) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_frame(env, &mut buf);
+        buf
+    }
+
+    fn decode(bytes: &[u8]) -> io::Result<Option<(Envelope, u64)>> {
+        read_frame(&mut &bytes[..], &mut Vec::new())
+    }
+
     #[test]
     fn frame_round_trips_bitwise() {
         let env = sample_env();
-        let buf = encode_frame(&env);
+        let buf = encoded(&env);
         assert_eq!(buf.len() as u64, WIRE_OVERHEAD_BYTES + 8 * 4);
-        let (back, bytes) = read_frame(&mut &buf[..]).unwrap().unwrap();
+        let (back, bytes) = decode(&buf).unwrap().unwrap();
         assert_eq!(bytes, buf.len() as u64);
         assert_env_eq(&env, &back);
     }
 
     #[test]
     fn empty_payload_frame_round_trips() {
-        let env = Envelope::poison(5);
-        let buf = encode_frame(&env);
+        let buf = encoded(&Envelope::poison(5));
         assert_eq!(buf.len() as u64, WIRE_OVERHEAD_BYTES);
-        let (back, _) = read_frame(&mut &buf[..]).unwrap().unwrap();
-        assert_eq!(back.ctx, POISON_CTX);
-        assert_eq!(back.src_global, 5);
+        let (back, _) = decode(&buf).unwrap().unwrap();
+        assert_eq!((back.ctx, back.src_global), (POISON_CTX, 5));
+        assert!(back.data.is_empty());
+        let env = Envelope::new(1, 2, 3, vec![-0.0]);
+        let buf = encoded(&env);
+        assert_eq!(buf.len() as u64, WIRE_OVERHEAD_BYTES + 8);
+        assert_env_eq(&env, &decode(&buf).unwrap().unwrap().0);
     }
 
     #[test]
     fn clean_eof_is_none() {
-        assert!(read_frame(&mut io::empty()).unwrap().is_none());
+        assert!(decode(&[]).unwrap().is_none());
     }
 
     #[test]
     fn corrupted_frame_is_rejected() {
-        let buf = encode_frame(&sample_env());
-        // flip one bit anywhere except the (self-checking) length prefix
-        for at in [6usize, 20, 50, buf.len() - 1] {
+        // a link's message: a few fields' boxes back to back
+        let data: Vec<f64> = (0..11)
+            .map(|i| 1000.0 * (i / 4) as f64 + 0.37 * i as f64)
+            .collect();
+        let buf = encoded(&Envelope::new(9, 1, 0x0012_3450, data));
+        for bit in 0..8 * buf.len() {
             let mut bad = buf.clone();
-            bad[at] ^= 0x10;
-            let err = read_frame(&mut &bad[..]).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {at}");
+            bad[bit / 8] ^= 1 << (bit % 8);
+            // a flipped length prefix moves the trailer: too long a claim is
+            // refused or runs out of stream, too short fails the hash
+            assert!(decode(&bad).is_err(), "bit {bit} undetected");
         }
     }
 
     #[test]
     fn truncated_frame_is_mid_frame_eof() {
-        let buf = encode_frame(&sample_env());
-        let err = read_frame(&mut &buf[..buf.len() - 3]).unwrap_err();
+        let buf = encoded(&sample_env());
+        let err = decode(&buf[..buf.len() - 3]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
     fn absurd_length_prefix_is_rejected_without_allocating() {
-        let mut buf = encode_frame(&Envelope::new(0, 0, 0, vec![]));
+        let mut buf = encoded(&Envelope::new(0, 0, 0, vec![]));
         buf[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame(&mut &buf[..]).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // the largest prefix the bound admits claims 2 GiB on a 60-byte
+        // stream: the body buffer holds what arrived, not what was claimed
+        buf[0..4].copy_from_slice(&(MAX_WIRE_WORDS - 1).to_le_bytes());
+        let mut body = Vec::new();
+        let err = read_frame(&mut &buf[..], &mut body).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(body.len(), 8);
+        assert!(body.capacity() <= 4096, "body grew to {}", body.capacity());
     }
 
     #[test]

@@ -17,9 +17,10 @@
 
 use crate::config::ModelConfig;
 use crate::geometry::Region;
+use crate::par::exchange::link_messages;
 use crate::par::schedule::{self, CSource, FieldShape, StepOp};
 use agcm_comm::CostModel;
-use agcm_mesh::{Decomposition, ExchangePlan, HaloWidths, ProcessGrid};
+use agcm_mesh::{Decomposition, HaloWidths, ProcessGrid};
 
 // ---------------------------------------------------------------------------
 // §5.3 asymptotic formulas
@@ -166,7 +167,7 @@ impl StepCost {
 }
 
 /// Messages and `f64` elements `rank` sends in one exchange of `fields` at
-/// halo `depth`.
+/// halo `depth`: one message per neighbour link ([`link_messages`]).
 fn exchange_traffic(
     decomp: &Decomposition,
     rank: usize,
@@ -174,19 +175,10 @@ fn exchange_traffic(
     fields: &[FieldShape],
 ) -> (u64, u64) {
     let sub = decomp.subdomain(rank).extents();
-    let mut msgs = 0u64;
-    let mut elems = 0u64;
-    for shape in fields {
-        let plan = ExchangePlan::with_extents(decomp, rank, depth, shape.extents(sub));
-        for spec in plan.specs() {
-            if shape.is_2d() && spec.link.offset.2 != 0 {
-                continue;
-            }
-            msgs += 1;
-            elems += spec.send.len() as u64;
-        }
-    }
-    (msgs, elems)
+    let geoms: Vec<_> = fields.iter().map(|s| s.geom(sub)).collect();
+    let msgs = link_messages(decomp, rank, depth, &geoms);
+    let elems = msgs.iter().map(|m| m.send_elems() as u64).sum();
+    (msgs.len() as u64, elems)
 }
 
 /// Per-global-row "is filtered" flags: the rows poleward of the cutoff,

@@ -1,11 +1,17 @@
 //! Halo exchange over the message-passing runtime.
 //!
 //! One *communication* in the paper's counting is one call pair
-//! [`HaloExchanger::post_sends`] / [`HaloExchanger::finish_recvs`]: every
-//! field is sent to every neighbour as its own message (the paper: "one
-//! communication involves about 20 MPI_Isend and MPI_Recv operations (due
-//! to the length of ξ being ten)"), and the gap between posting and
-//! finishing is where computation overlaps communication (§4.3.1).
+//! [`HaloExchanger::post_sends`] / [`HaloExchanger::finish_recvs`], and the
+//! gap between posting and finishing is where computation overlaps
+//! communication (§4.3.1).  The paper's implementation sends every field to
+//! every neighbour as its own message ("one communication involves about 20
+//! MPI_Isend and MPI_Recv operations (due to the length of ξ being ten)").
+//! This one departs from that on purpose: the boxes of every field that
+//! travels on a neighbour link are packed back to back into **one** message
+//! per link ([`link_messages`]), so a communication costs one frame per
+//! neighbour whatever the length of ξ.  The paper's *communication* count —
+//! what §4.3 is about — is unchanged; only its per-communication message
+//! count drops.
 //!
 //! The exchange depth is a parameter: Algorithm 1 exchanges one-sweep-deep
 //! halos 13 times per step; the communication-avoiding Algorithm 2
@@ -14,7 +20,7 @@
 use crate::diag::Diag;
 use crate::par::schedule::ExFields;
 use agcm_comm::{CommResult, Communicator};
-use agcm_mesh::{Decomposition, ExchangePlan, Field2, Field3, HaloWidths};
+use agcm_mesh::{BoxRange, Decomposition, ExchangePlan, Field2, Field3, HaloWidths, NeighborLink};
 use agcm_obs as obs;
 use std::time::Duration;
 
@@ -48,12 +54,92 @@ pub enum ExField<'a> {
     F2(&'a mut Field2),
 }
 
+impl ExField<'_> {
+    fn geom(&self) -> FieldGeom {
+        match self {
+            ExField::F3(f) => (f.extents(), false),
+            ExField::F2(f) => ((f.extents().0, f.extents().1, 1), true),
+        }
+    }
+}
+
 /// Ticket returned by [`HaloExchanger::post_sends`], consumed by
 /// [`HaloExchanger::finish_recvs`].
 #[must_use]
 pub struct Pending {
     seq: u64,
+    plan: usize,
+}
+
+/// Geometry of one exchanged array: its local interior extents (a surface
+/// field has one level) and whether it is 2-D — a 2-D field is replicated
+/// across z ranks and travels on `dz = 0` links only.
+pub type FieldGeom = ((usize, usize, usize), bool);
+
+/// One message of an exchange: everything one neighbour link carries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkMessage {
+    /// The neighbour and its process-grid offset.
+    pub link: NeighborLink,
+    /// The boxes of every field that travels on the link, in the exchange's
+    /// field order — the payload's layout.
+    pub parts: Vec<LinkPart>,
+}
+
+/// One field's share of a [`LinkMessage`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkPart {
+    /// Position of the field in the exchange's field list.
+    pub field: usize,
+    /// Interior box packed into the message.
+    pub send: BoxRange,
+    /// Halo box the mirrored message from this neighbour unpacks into.
+    pub recv: BoxRange,
+}
+
+impl LinkMessage {
+    /// `f64` values packed into the message.
+    pub fn send_elems(&self) -> usize {
+        self.parts.iter().map(|p| p.send.len()).sum()
+    }
+
+    /// `f64` values the mirrored message from this neighbour carries.
+    pub fn recv_elems(&self) -> usize {
+        self.parts.iter().map(|p| p.recv.len()).sum()
+    }
+}
+
+/// The messages `rank` sends (and, mirrored, receives) in one exchange of
+/// `fields` at halo `depth`: one per neighbour link some field has a box
+/// on.  This is the single enumeration of halo messages — the exchanger
+/// executes it, `analysis::predict_rank_mode` prices it and `agcm-verify`
+/// turns it into send/recv events — so predictor ≡ schedule graph ≡ runtime
+/// ≡ wire cannot drift.
+pub fn link_messages(
+    decomp: &Decomposition,
+    rank: usize,
     depth: HaloWidths,
+    fields: &[FieldGeom],
+) -> Vec<LinkMessage> {
+    let plans: Vec<ExchangePlan> = fields
+        .iter()
+        .map(|&(ext, _)| ExchangePlan::with_extents(decomp, rank, depth, ext))
+        .collect();
+    let mut msgs = Vec::new();
+    for link in decomp.neighbors(rank) {
+        let parts: Vec<_> = (fields.iter().zip(&plans).enumerate())
+            .filter(|(_, (&(_, is2d), _))| !(is2d && link.offset.2 != 0))
+            .filter_map(|(field, (_, plan))| {
+                let spec = plan.specs().iter().find(|s| s.link == link)?;
+                let (send, recv) = (spec.send.clone(), spec.recv.clone());
+                Some(LinkPart { field, send, recv })
+            })
+            .collect();
+        if !parts.is_empty() {
+            msgs.push(LinkMessage { link, parts });
+        }
+    }
+    msgs
 }
 
 /// Per-rank halo exchange driver.
@@ -67,8 +153,8 @@ pub struct HaloExchanger {
     /// (resilient mode; off by default so certified traffic is unchanged).
     framed: bool,
     retry: RetryPolicy,
-    /// Memoized exchange plans keyed by `(depth, extents)` — a step cycles
-    /// through a handful of depths, so plans are built once and reused.
+    /// Memoized message lists keyed by `(depth, field geometries)` — a step
+    /// cycles through a handful of them, so each is built once and reused.
     plans: Vec<CachedPlan>,
     /// Reusable pack staging buffer (zero steady-state allocation).
     pack_buf: Vec<f64>,
@@ -76,8 +162,8 @@ pub struct HaloExchanger {
 
 struct CachedPlan {
     depth: HaloWidths,
-    extents: (usize, usize, usize),
-    plan: ExchangePlan,
+    fields: Vec<FieldGeom>,
+    msgs: Vec<LinkMessage>,
 }
 
 /// Direction-of-travel index for a neighbour offset, `0..27`.  Both sides of
@@ -88,13 +174,13 @@ pub fn dir_index(o: (i32, i32, i32)) -> u32 {
     ((o.0 + 1) + 3 * (o.1 + 1) + 9 * (o.2 + 1)) as u32
 }
 
-/// Wire tag of one halo message: exchange sequence number (20 bits), the
-/// sender's [`dir_index`] (5 bits) and the field's position in the exchange's
-/// field list (3 bits).  This is the exact tag [`HaloExchanger`] puts on the
-/// wire; `agcm-verify` recomputes it to pair sends with receives statically.
-pub fn wire_tag(seq: u64, dir: u32, field: usize) -> u32 {
-    debug_assert!(field < 8 && dir < 27);
-    (((seq & 0xFFFFF) as u32) << 8) | (dir << 3) | field as u32
+/// Wire tag of one halo message: exchange sequence number (23 bits) and the
+/// sender's [`dir_index`] (5 bits).  This is the exact tag [`HaloExchanger`]
+/// puts on the wire; `agcm-verify` recomputes it to pair sends with
+/// receives statically.
+pub fn wire_tag(seq: u64, dir: u32) -> u32 {
+    debug_assert!(dir < 27);
+    (((seq & 0x7F_FFFF) as u32) << 5) | dir
 }
 
 impl HaloExchanger {
@@ -132,43 +218,34 @@ impl HaloExchanger {
     /// aborted attempt; all ranks must resync with the same `epoch`).
     pub fn resync(&mut self, epoch: u64) {
         // 4096 exchanges per epoch, far above any rollback window; the
-        // 20-bit seq field of `wire_tag` wraps after 256 epochs
+        // 23-bit seq field of `wire_tag` wraps after 2048 epochs
         self.seq = epoch << 12;
     }
 
-    /// Index of the memoized plan for `(depth, extents)`, building it on
-    /// first use.  Linear scan: a run uses at most a handful of distinct
-    /// keys (sweep/group/smooth depths × field shapes).
-    fn plan_idx(&mut self, depth: HaloWidths, extents: (usize, usize, usize)) -> usize {
-        if let Some(i) = self
-            .plans
-            .iter()
-            .position(|c| c.depth == depth && c.extents == extents)
+    /// Index of the memoized message list for `fields` at `depth`, building
+    /// it on first use.  Linear scan: a run uses at most a handful of
+    /// distinct keys (sweep/group/smooth depths × field sets).
+    fn plan_idx(&mut self, depth: HaloWidths, fields: &[ExField<'_>]) -> usize {
+        let geoms = || fields.iter().map(ExField::geom);
+        if let Some(i) = (self.plans.iter())
+            .position(|c| c.depth == depth && c.fields.iter().copied().eq(geoms()))
         {
             return i;
         }
-        let plan = ExchangePlan::with_extents(&self.decomp, self.rank, depth, extents);
+        let fields: Vec<FieldGeom> = geoms().collect();
+        let msgs = link_messages(&self.decomp, self.rank, depth, &fields);
         self.plans.push(CachedPlan {
             depth,
-            extents,
-            plan,
+            fields,
+            msgs,
         });
         self.plans.len() - 1
     }
 
-    fn field_extents(f: &ExField<'_>) -> (usize, usize, usize) {
-        match f {
-            ExField::F3(f) => f.extents(),
-            ExField::F2(f) => {
-                let (nx, ny) = f.extents();
-                (nx, ny, 1)
-            }
-        }
-    }
-
     /// Post all sends for one exchange of the given fields with halo depth
-    /// `depth`.  Returns a ticket for [`Self::finish_recvs`].  Compute may
-    /// proceed between the two calls (overlap).
+    /// `depth`: one message per neighbour link.  Returns a ticket for
+    /// [`Self::finish_recvs`].  Compute may proceed between the two calls
+    /// (overlap).
     pub fn post_sends(
         &mut self,
         comm: &Communicator,
@@ -178,45 +255,26 @@ impl HaloExchanger {
         let seq = self.seq;
         self.seq += 1;
         let mut span = obs::span(obs::SpanKind::ExchangePost, "halo.post");
-        // pull the staging buffer out so the memoized plan can stay borrowed
-        // while packing; restored below even on error
-        let mut buf = std::mem::take(&mut self.pack_buf);
-        let res = (|| -> CommResult<()> {
-            for (fi, f) in fields.iter_mut().enumerate() {
-                let pi = self.plan_idx(depth, Self::field_extents(f));
-                let plan = &self.plans[pi].plan;
-                for spec in plan.specs() {
-                    let is2d = matches!(f, ExField::F2(_));
-                    if is2d && spec.link.offset.2 != 0 {
-                        continue;
-                    }
-                    buf.clear();
-                    match f {
-                        ExField::F3(f3) => {
-                            f3.pack_box(
-                                spec.send.x.clone(),
-                                spec.send.y.clone(),
-                                spec.send.z.clone(),
-                                &mut buf,
-                            );
-                        }
-                        ExField::F2(f2) => {
-                            f2.pack_box(spec.send.x.clone(), spec.send.y.clone(), &mut buf);
-                        }
-                    }
-                    let t = wire_tag(seq, dir_index(spec.link.offset), fi);
-                    span.add_bytes(8 * buf.len() as u64);
-                    if self.framed {
-                        comm.send_framed(spec.link.rank, t, &buf)?;
-                    } else {
-                        comm.send(spec.link.rank, t, &buf)?;
-                    }
-                }
+        let plan = self.plan_idx(depth, fields);
+        let buf = &mut self.pack_buf;
+        for msg in &self.plans[plan].msgs {
+            buf.clear();
+            for LinkPart { field, send, .. } in &msg.parts {
+                let (x, y) = (send.x.clone(), send.y.clone());
+                match &fields[*field] {
+                    ExField::F3(f3) => f3.pack_box(x, y, send.z.clone(), buf),
+                    ExField::F2(f2) => f2.pack_box(x, y, buf),
+                };
             }
-            Ok(())
-        })();
-        self.pack_buf = buf;
-        res.map(|()| Pending { seq, depth })
+            let t = wire_tag(seq, dir_index(msg.link.offset));
+            span.add_bytes(8 * buf.len() as u64);
+            if self.framed {
+                comm.send_framed(msg.link.rank, t, buf)?;
+            } else {
+                comm.send(msg.link.rank, t, buf)?;
+            }
+        }
+        Ok(Pending { seq, plan })
     }
 
     /// Receive and unpack every message of a pending exchange.  `fields`
@@ -231,43 +289,26 @@ impl HaloExchanger {
         // these against OverlapCompute spans, and the schedule cross-check
         // counts them (one finish_recvs == one communication)
         let mut span = obs::span(obs::SpanKind::ExchangeWait, "halo.wait");
-        for (fi, f) in fields.iter_mut().enumerate() {
-            let pi = self.plan_idx(pending.depth, Self::field_extents(f));
-            let plan = &self.plans[pi].plan;
-            for spec in plan.specs() {
-                let is2d = matches!(f, ExField::F2(_));
-                if is2d && spec.link.offset.2 != 0 {
-                    continue;
-                }
-                // the sender's direction is the negation of our offset
-                let (dx, dy, dz) = spec.link.offset;
-                let t = wire_tag(pending.seq, dir_index((-dx, -dy, -dz)), fi);
-                let data = if self.framed {
-                    let len = |r: &std::ops::Range<isize>| (r.end - r.start).max(0) as usize;
-                    let expected = len(&spec.recv.x)
-                        * len(&spec.recv.y)
-                        * if is2d { 1 } else { len(&spec.recv.z) };
-                    self.recv_validated(comm, spec.link.rank, t, expected)?
-                } else {
-                    comm.recv(spec.link.rank, t)?
+        for msg in &self.plans[pending.plan].msgs {
+            // the sender's direction is the negation of our offset
+            let (dx, dy, dz) = msg.link.offset;
+            let from = dir_index((-dx, -dy, -dz));
+            let t = wire_tag(pending.seq, from);
+            let data = if self.framed {
+                self.recv_validated(comm, msg.link.rank, t, msg.recv_elems())?
+            } else {
+                comm.recv(msg.link.rank, t)?
+            };
+            span.add_bytes(8 * data.len() as u64);
+            let mut off = 0;
+            for LinkPart { field, recv, .. } in &msg.parts {
+                let (x, y, rest) = (recv.x.clone(), recv.y.clone(), &data[off..]);
+                off += match &mut fields[*field] {
+                    ExField::F3(f3) => f3.unpack_box(x, y, recv.z.clone(), rest),
+                    ExField::F2(f2) => f2.unpack_box(x, y, rest),
                 };
-                span.add_bytes(8 * data.len() as u64);
-                match f {
-                    ExField::F3(f3) => {
-                        let n = f3.unpack_box(
-                            spec.recv.x.clone(),
-                            spec.recv.y.clone(),
-                            spec.recv.z.clone(),
-                            &data,
-                        );
-                        debug_assert_eq!(n, data.len());
-                    }
-                    ExField::F2(f2) => {
-                        let n = f2.unpack_box(spec.recv.x.clone(), spec.recv.y.clone(), &data);
-                        debug_assert_eq!(n, data.len());
-                    }
-                }
             }
+            debug_assert_eq!(off, data.len());
         }
         self.exchanges += 1;
         Ok(())
@@ -389,55 +430,121 @@ mod tests {
         (fi as f64 + 1.0) * 1000.0 + i as f64 + 10.0 * gj as f64 + 100.0 * gk as f64
     }
 
+    /// One array of an exchanged bundle, 2-D or 3-D.
+    enum Arr {
+        A3(Field3),
+        A2(Field2),
+    }
+
+    impl Arr {
+        fn ex(&mut self) -> ExField<'_> {
+            match self {
+                Arr::A3(f) => ExField::F3(f),
+                Arr::A2(f) => ExField::F2(f),
+            }
+        }
+
+        fn get(&self, i: isize, j: isize, k: isize) -> f64 {
+            match self {
+                Arr::A3(f) => f.get(i, j, k),
+                Arr::A2(f) => f.get(i, j),
+            }
+        }
+    }
+
     #[test]
     fn exchange_fills_halos_with_neighbor_interiors() {
-        let results = Universe::run(4, |comm| {
-            let d = decomp(2, 2);
-            let sub = d.subdomain(comm.rank());
-            let (nx, ny, nz) = sub.extents();
+        // the deep exchange's bundle (3-D, surface and `nz + 1` interface
+        // arrays) on a rank with y, z and diagonal links, on an interior
+        // rank of a 3 x 3 grid, and under an x split whose two x links
+        // lead to the same rank
+        let grids = [
+            ProcessGrid::yz(2, 2).unwrap(),
+            ProcessGrid::yz(3, 3).unwrap(),
+            ProcessGrid::xy(2, 2).unwrap(),
+        ];
+        let shapes = ExFields::StateC.shapes();
+        for pgrid in grids {
+            let d = Decomposition::new((8, 12, 9), pgrid).unwrap();
             let h = HaloWidths::uniform(2);
-            let mut f = Field3::new(nx, ny, nz, h);
-            let mut g = Field2::new(nx, ny, h);
-            for k in 0..nz as isize {
-                for j in 0..ny as isize {
-                    for i in 0..nx as isize {
-                        let gj = sub.y.start as i64 + j as i64;
-                        let gk = sub.z.start as i64 + k as i64;
-                        f.set(i, j, k, val(0, i, gj, gk));
-                        if k == 0 {
-                            g.set(i, j, val(1, i, gj, 0));
+            // every array's value at a cell is a code of (field, owner's
+            // global index), so a halo cell names the cell it must mirror
+            let code = |fi: usize, rank: usize, (i, j, k): (isize, isize, isize)| {
+                let sub = d.subdomain(rank);
+                let g = |start: usize, l: isize| (start as isize + l) as f64;
+                let at = g(sub.x.start, i) + 100.0 * g(sub.y.start, j) + 1e4 * g(sub.z.start, k);
+                1e6 * (fi + 1) as f64 + at
+            };
+            let geoms = |rank| -> Vec<FieldGeom> {
+                let sub = d.subdomain(rank).extents();
+                shapes.iter().map(|s| s.geom(sub)).collect()
+            };
+            let errs = Universe::run(pgrid.size(), |comm| {
+                let rank = comm.rank();
+                let mut arrs: Vec<Arr> = (geoms(rank).iter().enumerate())
+                    .map(|(fi, &((nx, ny, nz), is2d))| {
+                        let mut a = match is2d {
+                            true => Arr::A2(Field2::new(nx, ny, h)),
+                            false => Arr::A3(Field3::new(nx, ny, nz, h)),
+                        };
+                        for k in 0..nz as isize {
+                            for j in 0..ny as isize {
+                                for i in 0..nx as isize {
+                                    let v = code(fi, rank, (i, j, k));
+                                    match &mut a {
+                                        Arr::A3(f) => f.set(i, j, k, v),
+                                        Arr::A2(f) => f.set(i, j, v),
+                                    }
+                                }
+                            }
+                        }
+                        a
+                    })
+                    .collect();
+                let mut ex = HaloExchanger::new(d.clone(), rank);
+                let mut fields: Vec<ExField<'_>> = arrs.iter_mut().map(Arr::ex).collect();
+                ex.exchange(comm, h, &mut fields).unwrap();
+                // every halo cell a plan covers equals its owner's value:
+                // the recv box mirrors the neighbour's send box on the
+                // opposite link, cell for cell
+                let msgs = link_messages(&d, rank, h, &geoms(rank));
+                assert_eq!(msgs.len(), d.neighbors(rank).len());
+                let mut errs = 0;
+                for m in &msgs {
+                    let (dx, dy, dz) = m.link.offset;
+                    let theirs = link_messages(&d, m.link.rank, h, &geoms(m.link.rank));
+                    let back = (theirs.iter())
+                        .find(|t| t.link.rank == rank && t.link.offset == (-dx, -dy, -dz))
+                        .expect("mirrored link");
+                    assert_eq!(m.recv_elems(), back.send_elems());
+                    // surface arrays ride `dz = 0` links only
+                    let surface = m.parts.iter().filter(|p| shapes[p.field].is_2d()).count();
+                    assert_eq!(surface, if dz == 0 { 2 } else { 0 });
+                    for (mine, theirs) in m.parts.iter().zip(&back.parts) {
+                        let (fi, recv, send) = (mine.field, &mine.recv, &theirs.send);
+                        assert_eq!(fi, theirs.field);
+                        for (k, sk) in recv.z.clone().zip(send.z.clone()) {
+                            for (j, sj) in recv.y.clone().zip(send.y.clone()) {
+                                for (i, si) in recv.x.clone().zip(send.x.clone()) {
+                                    let want = code(fi, m.link.rank, (si, sj, sk));
+                                    errs += (arrs[fi].get(i, j, k) != want) as usize;
+                                }
+                            }
                         }
                     }
                 }
-            }
-            let mut ex = HaloExchanger::new(d.clone(), comm.rank());
-            let mut fields = [ExField::F3(&mut f), ExField::F2(&mut g)];
-            ex.exchange(comm, h, &mut fields).unwrap();
-            // verify every halo cell facing a real neighbour
-            let mut errs = 0;
-            for k in -2..nz as isize + 2 {
-                for j in -2..ny as isize + 2 {
-                    let gj = sub.y.start as i64 + j as i64;
-                    let gk = sub.z.start as i64 + k as i64;
-                    let inside_y = (0..12).contains(&gj);
-                    let inside_z = (0..8).contains(&gk);
-                    let interior = (0..ny as isize).contains(&j) && (0..nz as isize).contains(&k);
-                    if interior || !inside_y || !inside_z {
-                        continue;
-                    }
-                    for i in 0..nx as isize {
-                        if (f.get(i, j, k) - val(0, i, gj, gk)).abs() > 0.0 {
-                            errs += 1;
-                        }
-                        if k == 0 && (g.get(i, j) - val(1, i, gj, 0)).abs() > 0.0 {
-                            errs += 1;
-                        }
-                    }
-                }
-            }
-            errs
-        });
-        assert!(results.iter().all(|&e| e == 0), "halo errors: {results:?}");
+                // one message per link, whatever the bundle's length
+                let stats = comm.stats().snapshot();
+                assert_eq!(stats.p2p_sends, msgs.len() as u64);
+                let sent: usize = msgs.iter().map(LinkMessage::send_elems).sum();
+                assert_eq!(stats.p2p_send_elems, sent as u64);
+                errs
+            });
+            assert!(
+                errs.iter().all(|&e| e == 0),
+                "{pgrid:?}: halo errors {errs:?}"
+            );
+        }
     }
 
     #[test]
@@ -621,6 +728,23 @@ mod tests {
         assert_eq!(ex.seq, 0);
         ex.resync(3);
         assert_eq!(ex.seq, 3 << 12);
+    }
+
+    #[test]
+    fn tags_of_adjacent_epochs_do_not_collide() {
+        // 23 bits of seq: the 20-bit field wrapped at epoch 256, so epoch
+        // 256's first exchange reused epoch 0's tags
+        let first = |epoch: u64| wire_tag(epoch << 12, 13);
+        let last = |epoch: u64| wire_tag((epoch << 12) + 4095, 13);
+        for (a, b) in [(0, 256), (255, 256), (256, 257), (0, 2047), (2046, 2047)] {
+            assert_ne!(first(a), first(b), "epochs {a} / {b}");
+            assert_ne!(last(a), first(b), "epochs {a} / {b}");
+        }
+        assert_eq!(first(0), first(2048), "the 23-bit field wraps at 2048");
+        // user tags keep the collective bit clear, directions stay distinct
+        assert_eq!(last(2047) & 0x8000_0000, 0);
+        let dirs: std::collections::HashSet<u32> = (0..27).map(|d| wire_tag(5, d)).collect();
+        assert_eq!(dirs.len(), 27);
     }
 
     #[test]

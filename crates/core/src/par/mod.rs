@@ -11,6 +11,7 @@ pub mod schedule;
 pub use alg1::{gather_state_impl, Alg1Model, GlobalState};
 pub use alg2::CaModel;
 pub use exchange::{
-    dir_index, state_fields, wire_tag, with_fields, ExField, HaloExchanger, RetryPolicy,
+    dir_index, link_messages, state_fields, wire_tag, with_fields, ExField, HaloExchanger,
+    LinkMessage, LinkPart, RetryPolicy,
 };
 pub use schedule::{ExFields, ExchangeOp, FieldShape, StepOp};

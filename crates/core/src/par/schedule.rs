@@ -53,6 +53,12 @@ impl FieldShape {
     pub fn is_2d(self) -> bool {
         matches!(self, FieldShape::Surface2)
     }
+
+    /// What the exchange planner needs of the field on a subdomain of the
+    /// given extents ([`super::exchange::link_messages`]).
+    pub fn geom(self, sub: (usize, usize, usize)) -> super::exchange::FieldGeom {
+        (self.extents(sub), self.is_2d())
+    }
 }
 
 /// The arrays one exchange carries.
@@ -69,8 +75,8 @@ pub enum ExFields {
 }
 
 impl ExFields {
-    /// The arrays in wire order: the field index of a message tag is the
-    /// position in this slice.
+    /// The arrays in wire order: a link's message packs their boxes in the
+    /// order of this slice.
     pub fn shapes(self) -> &'static [FieldShape] {
         use FieldShape::{Interface3, Level3, Surface2};
         match self {

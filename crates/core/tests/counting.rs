@@ -210,9 +210,11 @@ fn yz_filter_is_communication_free_xy_pays_transposes() {
 
 #[test]
 fn alg2_message_count_per_exchange() {
-    // 7 arrays x messages to each neighbour in the deep exchange;
-    // an interior rank of a 2-D decomposition has 8 neighbours → 56 sends,
-    // "over 200 communication operations avoided" at the paper's scale
+    // one message per neighbour link per exchange, whatever the bundle's
+    // length: an interior rank of a 2-D decomposition has 8 neighbours, so
+    // the paper's 2 exchanges are 8 + 8 sends (it pays "about 20 MPI_Isend
+    // and MPI_Recv operations" a communication, one per field per link —
+    // 44 + 34 here before the fields of a link shared a frame)
     let cfg = cfg_for_ca();
     let counts = Universe::run(9, move |comm| {
         let mut cfg = cfg.clone();
@@ -225,20 +227,22 @@ fn alg2_message_count_per_exchange() {
         let s0 = comm.stats().snapshot();
         model.step(comm).unwrap();
         let d = comm.stats().snapshot().delta(&s0);
-        (comm.rank(), d.p2p_sends, d.collective_calls)
+        (d.p2p_sends, d.collective_calls)
     });
-    // rank 4 is the centre of the 3x3 (y,z) grid: 8 neighbours.
-    // Deep exchange: 5 3-D fields to all 8 neighbours + 2 surface (2-D)
-    // fields to the 2 y-neighbours = 44 sends; advection exchange:
-    // 4 3-D x 8 + 1 2-D x 2 = 34.  The collective-internal p2p of `colls`
-    // allgathers on p_z = 3 (ring: 2 messages per rank per call) is
-    // subtracted.
-    let (_, sends, colls) = counts[4];
-    let coll_p2p = colls * 2;
-    assert_eq!(
-        sends - coll_p2p,
-        44 + 34,
-        "messages per step: 78 ≈ the paper's 'about 20 Isend+Recv per \
-         communication' scaled to our 7/5-field bundles"
-    );
+    // rank 4 is the centre of the 3x3 (y,z) grid.  The collective-internal
+    // p2p of `colls` allgathers on p_z = 3 (ring: 2 messages per rank per
+    // call) is subtracted.
+    let (sends, colls) = counts[4];
+    assert_eq!(sends - colls * 2, 8 + 8, "messages per step on 8 links");
+
+    // Algorithm 1, literally: 13 exchanges to one neighbour are 13 sends
+    let cfg = ModelConfig::test_medium(); // M = 3
+    let sends = Universe::run(2, move |comm| {
+        let mut model = Alg1Model::new(&cfg, ProcessGrid::yz(2, 1).unwrap(), comm).unwrap();
+        let ic = init::perturbed_rest(model.geom(), 100.0, 0.0, 1);
+        model.set_state(&ic);
+        model.step(comm).unwrap();
+        comm.stats().snapshot().p2p_sends
+    });
+    assert_eq!(sends, [13, 13], "3M + 4 exchanges, one message each");
 }

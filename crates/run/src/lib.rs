@@ -32,7 +32,7 @@
 use agcm_comm::telemetry::{self, CLOCK_ROUNDS};
 use agcm_comm::{
     fit_alpha_beta, fit_gamma, p2p_only_delta, CommFit, Communicator, CostModel, Endpoint,
-    SocketTransport, WireStats, WIRE_OVERHEAD_BYTES,
+    SocketTransport, Universe, WireStats, WIRE_OVERHEAD_BYTES,
 };
 use agcm_core::analysis::{
     crossover_rank, predict_step, scaling_chart, AlgKind, CaMode, ScalingPoint,
@@ -133,6 +133,10 @@ impl AlgSel {
 pub struct RunOpts {
     /// World size (one OS process per rank).
     pub ranks: usize,
+    /// Ranks along z: the world is the `yz(ranks / pz, pz)` process grid
+    /// (default 1, a pure latitude split; 2 gives every rank of a p = 4
+    /// world a y, a z and a diagonal link).
+    pub pz: usize,
     /// Algorithm selection (default: both).
     pub alg: AlgSel,
     /// Total steps per run; the second step is the measured one.
@@ -172,6 +176,7 @@ impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
             ranks: 4,
+            pz: 1,
             alg: AlgSel::Both,
             steps: 2,
             endpoint: None,
@@ -202,13 +207,14 @@ impl RunOpts {
 const USAGE: &str = "agcm-run: run the dynamical core as one OS process per rank over sockets
 
 USAGE:
-    agcm-run [--ranks N] [--alg 1|2|both] [--steps N]
+    agcm-run [--ranks N] [--pz N] [--alg 1|2|both] [--steps N]
              [--endpoint PATH|tcp:HOST:PORT] [--timeout-secs N] [--keep-out]
              [--trace] [--trace-out DIR]
              [--max-respawns N] [--resize P2] [--kill RANK:STEP]...
 
 Launches N copies of this binary (handshake via AGCM_RANK / AGCM_WORLD_SIZE /
-AGCM_ENDPOINT), integrates the test_medium configuration, and verifies the
+AGCM_ENDPOINT) as the yz(N / pz, pz) process grid (--pz defaults to 1, a
+latitude split), integrates the test_medium configuration, and verifies the
 gathered state bitwise against an in-process serial reference, the measured
 per-rank traffic against the static schedule analyzer, and the wire-level
 byte counters against the logical element counts.  Exit code 0 only if every
@@ -253,6 +259,7 @@ pub fn parse_args(args: &[String]) -> Result<Option<RunOpts>, String> {
             "--ranks" | "-n" => {
                 opts.ranks = parse_num("--ranks", &value("--ranks", &mut it)?)?;
             }
+            "--pz" => opts.pz = parse_num("--pz", &value("--pz", &mut it)?)?,
             "--alg" => {
                 opts.alg = match value("--alg", &mut it)?.as_str() {
                     "1" => AlgSel::Alg1,
@@ -299,6 +306,12 @@ pub fn parse_args(args: &[String]) -> Result<Option<RunOpts>, String> {
     if opts.ranks == 0 {
         return Err("--ranks must be at least 1".into());
     }
+    if opts.pz == 0 || !opts.ranks.is_multiple_of(opts.pz) {
+        return Err(format!(
+            "--pz {} must divide --ranks {}",
+            opts.pz, opts.ranks
+        ));
+    }
     if opts.steps < 2 {
         return Err("--steps must be at least 2 (step 2 is the measured one)".into());
     }
@@ -338,6 +351,9 @@ pub fn parse_args(args: &[String]) -> Result<Option<RunOpts>, String> {
             ));
         }
         seen.push((rank, phase2));
+    }
+    if opts.elastic() && opts.pz != 1 {
+        return Err("--pz is not supported in elastic mode (it re-decomposes along y)".into());
     }
     if opts.elastic() && opts.trace {
         return Err(
@@ -655,7 +671,7 @@ pub fn run_parent(opts: &RunOpts) -> Result<(), ParentError> {
 fn run_one_world(alg: u32, opts: &RunOpts) -> Result<(), ParentError> {
     let p = opts.ranks;
     let cfg = run_config();
-    let pgrid = ProcessGrid::yz(p, 1).map_err(|e| e.to_string())?;
+    let pgrid = ProcessGrid::yz(p / opts.pz, opts.pz).map_err(|e| e.to_string())?;
     let endpoint = match &opts.endpoint {
         Some(s) => Endpoint::parse(s)?,
         None => Endpoint::unique_uds(),
@@ -672,8 +688,8 @@ fn run_one_world(alg: u32, opts: &RunOpts) -> Result<(), ParentError> {
             .env("AGCM_ENDPOINT", endpoint.to_string())
             .env("AGCM_RUN_ALG", alg.to_string())
             .env("AGCM_RUN_STEPS", opts.steps.to_string())
-            .env("AGCM_RUN_PY", p.to_string())
-            .env("AGCM_RUN_PZ", "1")
+            .env("AGCM_RUN_PY", (p / opts.pz).to_string())
+            .env("AGCM_RUN_PZ", opts.pz.to_string())
             .env("AGCM_RUN_OUT", &out)
             .stdin(Stdio::null());
         if opts.trace {
@@ -759,20 +775,30 @@ fn verify_world(
     steps: usize,
     out: &Path,
 ) -> Result<(), String> {
-    // 1. bitwise state equivalence against the in-process serial reference
+    // 1. bitwise state equivalence against the in-process reference: the
+    // serial model — or, under a z split, whose allgather re-associates
+    // `C`'s column sums so that no z-split world is bitwise the serial one,
+    // the same world on threads over the mpsc transport
     let gathered =
         read_state(&out.join("state.bin")).map_err(|e| format!("reading gathered state: {e}"))?;
-    let variant = if alg == 1 {
-        Iteration::Exact
+    let (reference, what) = if pgrid.dims().2 == 1 {
+        let variant = if alg == 1 {
+            Iteration::Exact
+        } else {
+            Iteration::Approximate
+        };
+        (serial_reference(cfg, variant, steps)?, "serial")
     } else {
-        Iteration::Approximate
+        (
+            threaded_reference(alg, cfg, pgrid, steps)?,
+            "in-process world",
+        )
     };
-    let serial = serial_reference(cfg, variant, steps)?;
-    if !states_bitwise_equal(&gathered, &serial) {
+    if !states_bitwise_equal(&gathered, &reference) {
         return Err(format!(
-            "alg{alg} p={p}: gathered state differs from serial reference \
+            "alg{alg} p={p}: gathered state differs from the {what} reference \
              (max |diff| = {:e})",
-            gathered.max_abs_diff(&serial)
+            gathered.max_abs_diff(&reference)
         ));
     }
 
@@ -818,7 +844,7 @@ fn verify_world(
         step_ns = step_ns.max(t.step_ns_p50);
     }
     println!(
-        "agcm-run: alg{alg} p={p} steps={steps}: state bitwise == serial, \
+        "agcm-run: alg{alg} p={p} steps={steps}: state bitwise == {what}, \
          measured traffic == static schedule on all {p} ranks, \
          wire identity holds ({wire_bytes_total} bytes in the measured step)"
     );
@@ -1122,6 +1148,27 @@ pub(crate) fn serial_reference(
     Ok(GlobalState::from_serial(&m.state, m.geom()))
 }
 
+/// The world's own integration run in-process: one thread per rank over the
+/// mpsc transport, gathered on rank 0.
+fn threaded_reference(
+    alg: u32,
+    cfg: &ModelConfig,
+    pgrid: ProcessGrid,
+    steps: usize,
+) -> Result<GlobalState, String> {
+    let gathered = Universe::run(pgrid.size(), |comm| {
+        let mut model = new_model(alg, cfg, pgrid, comm)?;
+        set_default_ic(&mut model);
+        for _ in 0..steps {
+            model.step(Some(comm)).map_err(|e| e.to_string())?;
+        }
+        model.finish(Some(comm)).map_err(|e| e.to_string())?;
+        model.gather_state(comm).map_err(|e| e.to_string())
+    });
+    let root: Result<Option<GlobalState>, String> = gathered.into_iter().next().expect("rank 0");
+    root?.ok_or_else(|| "rank 0 gathered no state".into())
+}
+
 /// Bit-pattern equality of every field (stricter than `max_abs_diff == 0`,
 /// which cannot tell `-0.0` from `0.0`).
 pub fn states_bitwise_equal(a: &GlobalState, b: &GlobalState) -> bool {
@@ -1295,17 +1342,17 @@ mod tests {
     #[test]
     fn args_parse_defaults_and_flags() {
         let o = parse_args(&[]).unwrap().unwrap();
-        assert_eq!(o.ranks, 4);
+        assert_eq!((o.ranks, o.pz), (4, 1));
         assert_eq!(o.alg, AlgSel::Both);
-        let args: Vec<String> = ["--ranks", "2", "--alg", "1", "--steps", "3", "--keep-out"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = parse_args(&args).unwrap().unwrap();
+        let args = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
+        let o = parse_args(&args("--ranks 2 --pz 2 --alg 1 --steps 3 --keep-out"));
+        let o = o.unwrap().unwrap();
         assert_eq!(
-            (o.ranks, o.alg, o.steps, o.keep_out),
-            (2, AlgSel::Alg1, 3, true)
+            (o.ranks, o.pz, o.alg, o.steps, o.keep_out),
+            (2, 2, AlgSel::Alg1, 3, true)
         );
+        assert!(parse_args(&args("--ranks 4 --pz 3")).is_err());
+        assert!(parse_args(&args("--pz 2 --kill 1:1")).is_err());
         assert!(parse_args(&["--ranks".into(), "0".into()]).is_err());
         assert!(parse_args(&["--steps".into(), "1".into()]).is_err());
         assert!(parse_args(&["--bogus".into()]).is_err());

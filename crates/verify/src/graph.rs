@@ -2,10 +2,10 @@
 //!
 //! [`ScheduleGraph::extract`] replays the schedule metadata of
 //! [`agcm_core::par::schedule`] through the same geometry the executing
-//! exchanger uses — [`ExchangePlan::with_extents`] per rank, field and
-//! depth, and [`wire_tag`]/[`dir_index`] for the exact wire tags — to
-//! produce every send, receive and collective of one steady-state time
-//! step, for every rank, **without spawning a thread**.
+//! exchanger uses — [`link_messages`] per rank, field set and depth (one
+//! message per neighbour link), and [`wire_tag`]/[`dir_index`] for the exact
+//! wire tags — to produce every send, receive and collective of one
+//! steady-state time step, for every rank, **without spawning a thread**.
 //!
 //! The graph also stores each rank's *program*: its actions in issue order
 //! (an exchange posts all sends, then blocks on its receives; a collective
@@ -15,9 +15,9 @@
 
 use agcm_core::analysis::{AlgKind, CaMode};
 use agcm_core::par::schedule::{self, StepOp};
-use agcm_core::par::{dir_index, wire_tag};
+use agcm_core::par::{dir_index, link_messages, wire_tag};
 use agcm_core::ModelConfig;
-use agcm_mesh::{Decomposition, ExchangePlan, ProcessGrid};
+use agcm_mesh::{Decomposition, ProcessGrid};
 use std::collections::HashMap;
 
 /// One posted (buffered, non-blocking) send.
@@ -133,39 +133,33 @@ impl ScheduleGraph {
             for (oi, op) in ops.iter().enumerate() {
                 match op {
                     StepOp::Exchange(ex) => {
-                        let mut recv_actions = Vec::new();
-                        for (fi, shape) in ex.fields.shapes().iter().enumerate() {
-                            let plan = ExchangePlan::with_extents(
-                                &decomp,
-                                rank,
-                                ex.depth,
-                                shape.extents(ext),
-                            );
-                            for spec in plan.specs() {
-                                if shape.is_2d() && spec.link.offset.2 != 0 {
-                                    continue;
-                                }
-                                let (dx, dy, dz) = spec.link.offset;
-                                prog.push(Action::Send(g.sends.len() as u32));
-                                g.sends.push(SendEvent {
-                                    src: rank as u32,
-                                    dst: spec.link.rank as u32,
-                                    tag: wire_tag(seq, dir_index((dx, dy, dz)), fi),
-                                    elems: spec.send.len() as u64,
-                                    op: oi as u32,
-                                });
-                                recv_actions.push(Action::Recv(g.recvs.len() as u32));
-                                g.recvs.push(RecvEvent {
-                                    rank: rank as u32,
-                                    src: spec.link.rank as u32,
-                                    tag: wire_tag(seq, dir_index((-dx, -dy, -dz)), fi),
-                                    elems: spec.recv.len() as u64,
-                                    op: oi as u32,
-                                    dropped: false,
-                                });
-                            }
+                        let geoms: Vec<_> =
+                            ex.fields.shapes().iter().map(|s| s.geom(ext)).collect();
+                        let msgs = link_messages(&decomp, rank, ex.depth, &geoms);
+                        let recv0 = g.recvs.len() as u32;
+                        for msg in &msgs {
+                            let (dx, dy, dz) = msg.link.offset;
+                            let from = dir_index((-dx, -dy, -dz));
+                            let send_tag = wire_tag(seq, dir_index(msg.link.offset));
+                            let recv_tag = wire_tag(seq, from);
+                            prog.push(Action::Send(g.sends.len() as u32));
+                            g.sends.push(SendEvent {
+                                src: rank as u32,
+                                dst: msg.link.rank as u32,
+                                tag: send_tag,
+                                elems: msg.send_elems() as u64,
+                                op: oi as u32,
+                            });
+                            g.recvs.push(RecvEvent {
+                                rank: rank as u32,
+                                src: msg.link.rank as u32,
+                                tag: recv_tag,
+                                elems: msg.recv_elems() as u64,
+                                op: oi as u32,
+                                dropped: false,
+                            });
                         }
-                        prog.extend(recv_actions);
+                        prog.extend((recv0..g.recvs.len() as u32).map(Action::Recv));
                         seq += 1;
                     }
                     StepOp::ZAllgather => {
