@@ -5,19 +5,23 @@
 //! cargo run -p agcm-bench --release --bin figures -- fig1|fig6|fig7|fig8|theory|tables|validate
 //! ```
 //!
-//! Figures 1, 6, 7, 8 are produced by the calibrated cost model evaluated
-//! on the exact per-rank traffic of each algorithm at the paper's rank
-//! counts; `validate` re-derives the same counts from *executing* runs at
-//! laptop scale and prints the (exact) agreement.  Absolute seconds are
-//! model-calibrated; the comparisons the paper draws (who wins, by what
-//! factor, where) are the reproduction targets — see EXPERIMENTS.md.
+//! Figures 1, 6, 7, 8 are the cost model's walk of each algorithm's step
+//! program (`core::analysis::predict`) at the paper's rank counts under the
+//! calibrated `tianhe2` constants; `validate` re-derives the walk's counts
+//! from *executing* runs at laptop scale and prints the (exact) agreement.
+//! Absolute seconds are model-calibrated; the comparisons the paper draws
+//! (who wins, by what factor, where) are the reproduction targets — see
+//! EXPERIMENTS.md.
 
-use agcm_bench::{predict, predict_ideal, steps_10_years, PAPER_RANKS};
+use agcm_bench::{paper_step, steps_10_years, PAPER_RANKS};
 use agcm_comm::{p2p_only_delta, CostModel, Universe};
-use agcm_core::analysis::{self, AlgKind};
+use agcm_core::analysis::{self, AlgKind, CaMode, Prediction};
 use agcm_core::{diagnostics, init, tables, Integrator, ModelConfig};
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
+
+const USAGE: &str =
+    "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|validate|verify|trace|restart]";
 
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -32,10 +36,7 @@ fn main() {
         "tables" => print_tables(),
         "validate" => validate(),
         "verify" => verify(),
-        "trace" => {
-            trace();
-        }
-        "trace-dist" => trace_dist(),
+        "trace" => trace(),
         "restart" => restart(),
         "all" => {
             print_tables();
@@ -46,14 +47,11 @@ fn main() {
             theory(&cfg);
             validate();
             verify();
-            trace_dist();
+            trace();
             restart();
         }
         other => {
-            eprintln!("unknown figure '{other}'");
-            eprintln!(
-                "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|validate|verify|trace|trace-dist|restart]"
-            );
+            eprintln!("unknown figure '{other}'\n{USAGE}");
             std::process::exit(2);
         }
     }
@@ -61,6 +59,31 @@ fn main() {
 
 fn header(title: &str) {
     println!("\n{:=^78}", format!(" {title} "));
+}
+
+/// One predicted step at a paper rank count; the paper's meshes and grids
+/// are constants of this binary, so a refusal is a bug worth its message.
+fn step(cfg: &ModelConfig, alg: AlgKind, p: usize, ideal: bool, model: &CostModel) -> Prediction {
+    paper_step(cfg, alg, p, ideal, model).unwrap_or_else(|e| {
+        eprintln!("{} at p = {p}: {e}", alg.label());
+        std::process::exit(1);
+    })
+}
+
+/// The three lines of Figures 6–8 at `p` ranks: X-Y, Y-Z, CA.
+fn lines(cfg: &ModelConfig, p: usize, model: &CostModel) -> [Prediction; 3] {
+    [
+        AlgKind::OriginalXY,
+        AlgKind::OriginalYZ,
+        AlgKind::CommAvoiding,
+    ]
+    .map(|alg| step(cfg, alg, p, false, model))
+}
+
+/// What stands behind a figure that runs the model where no run can check
+/// it.
+fn validated() {
+    println!("model: {}", analysis::VALIDATION);
 }
 
 /// Figure 1: percentage of time for communication and computation in the
@@ -72,18 +95,18 @@ fn fig1(cfg: &ModelConfig, model: &CostModel) {
         "p", "comm time ms", "comp time ms", "comm %", "comp %"
     );
     for p in PAPER_RANKS {
-        let c = predict(cfg, AlgKind::OriginalYZ, p, model);
-        let comm = c.stencil_comm_s + c.collective_comm_s;
-        let total = c.total_s();
+        let c = step(cfg, AlgKind::OriginalYZ, p, false, model);
+        let comm = c.path.stencil_s() + c.path.collective_s;
         println!(
             "{p:>6} {:>14.2} {:>14.2} {:>11.1}% {:>11.1}%",
             comm * 1e3,
-            c.compute_s * 1e3,
-            100.0 * comm / total,
-            100.0 * c.compute_s / total
+            c.path.compute_s * 1e3,
+            100.0 * comm / c.makespan_s,
+            100.0 * c.path.compute_s / c.makespan_s
         );
     }
     println!("paper: \"the communication time dominates the runtime of the dynamical core\"");
+    validated();
 }
 
 /// Figure 6: time for collective communication over a 10-model-year run.
@@ -96,9 +119,7 @@ fn fig6(cfg: &ModelConfig, model: &CostModel) {
     );
     let mut speedups = Vec::new();
     for p in PAPER_RANKS {
-        let xy = predict(cfg, AlgKind::OriginalXY, p, model).collective_comm_s * k;
-        let yz = predict(cfg, AlgKind::OriginalYZ, p, model).collective_comm_s * k;
-        let ca = predict(cfg, AlgKind::CommAvoiding, p, model).collective_comm_s * k;
+        let [xy, yz, ca] = lines(cfg, p, model).map(|c| c.path.collective_s * k);
         speedups.push(yz / ca);
         println!(
             "{p:>6} {:>18.0} {:>18.0} {:>18.0} {:>9.2}x",
@@ -114,6 +135,7 @@ fn fig6(cfg: &ModelConfig, model: &CostModel) {
          z-direction summations removed by the approximate nonlinear iteration, §4.2.2)"
     );
     println!("X-Y's Fourier-filtering collectives dominate, as in the paper's Figure 6.");
+    validated();
 }
 
 /// Figure 7: communication time of the stencil computation.
@@ -126,11 +148,16 @@ fn fig7(cfg: &ModelConfig, model: &CostModel) {
     );
     let mut sp = Vec::new();
     let mut spi = Vec::new();
+    let mut volumes = Vec::new();
     for p in PAPER_RANKS {
-        let xy = predict(cfg, AlgKind::OriginalXY, p, model).stencil_comm_s * k;
-        let yz = predict(cfg, AlgKind::OriginalYZ, p, model).stencil_comm_s * k;
-        let ca = predict(cfg, AlgKind::CommAvoiding, p, model).stencil_comm_s * k;
-        let cai = predict_ideal(cfg, AlgKind::CommAvoiding, p, model).stencil_comm_s * k;
+        let at = lines(cfg, p, model);
+        let most = |c: &Prediction| c.ranks.iter().map(|r| r.elems).max().unwrap_or(0);
+        volumes.push((p, at.each_ref().map(most)));
+        let [xy, yz, ca] = at.map(|c| c.path.stencil_s() * k);
+        let cai = step(cfg, AlgKind::CommAvoiding, p, true, model)
+            .path
+            .stencil_s()
+            * k;
         sp.push(yz / ca);
         spi.push(yz / cai);
         println!(
@@ -153,16 +180,14 @@ fn fig7(cfg: &ModelConfig, model: &CostModel) {
     // per-rank volumes: the paper's W^stencil comparison (§5.2)
     println!("\nper-rank halo volumes per step (f64 elements) — the paper's W^stencil ordering:");
     println!("{:>6} {:>12} {:>12} {:>12}", "p", "X-Y", "Y-Z", "CA");
-    for p in PAPER_RANKS {
-        let xy = predict(cfg, AlgKind::OriginalXY, p, model).max.p2p_elems;
-        let yz = predict(cfg, AlgKind::OriginalYZ, p, model).max.p2p_elems;
-        let ca = predict(cfg, AlgKind::CommAvoiding, p, model).max.p2p_elems;
+    for (p, [xy, yz, ca]) in volumes {
         println!("{p:>6} {xy:>12} {yz:>12} {ca:>12}");
     }
     println!(
         "W_XY << W_YZ (n_x >> n_y, n_z — §5.2), and CA ships slightly more than Y-Z\n\
          (redundant corner halos) while cutting the frequency from 13 to 2 per step."
     );
+    validated();
 }
 
 /// Figure 8: total runtime of the dynamical core.
@@ -176,9 +201,7 @@ fn fig8(cfg: &ModelConfig, model: &CostModel) {
     let mut best_red: f64 = 0.0;
     let mut yz_speedups = Vec::new();
     for p in PAPER_RANKS {
-        let xy = predict(cfg, AlgKind::OriginalXY, p, model).total_s() * k;
-        let yz = predict(cfg, AlgKind::OriginalYZ, p, model).total_s() * k;
-        let ca = predict(cfg, AlgKind::CommAvoiding, p, model).total_s() * k;
+        let [xy, yz, ca] = lines(cfg, p, model).map(|c| c.makespan_s * k);
         let red = 1.0 - ca / xy;
         best_red = best_red.max(red);
         yz_speedups.push(yz / ca);
@@ -199,6 +222,7 @@ fn fig8(cfg: &ModelConfig, model: &CostModel) {
         "average speedup vs Y-Z: {:.2}x   (paper: 1.4x)",
         yz_speedups.iter().sum::<f64>() / yz_speedups.len() as f64
     );
+    validated();
 }
 
 /// §5.3: the W/S cost formulas and the lower bounds of Theorems 4.1/4.2.
@@ -211,8 +235,9 @@ fn theory(cfg: &ModelConfig) {
         "p", "W_XY", "W_YZ", "W_CA", "S_XY", "S_YZ", "S_CA"
     );
     for p in PAPER_RANKS {
-        let yz = agcm_bench::yz_grid(p);
-        let xy = agcm_bench::xy_grid(p);
+        let (Ok(yz), Ok(xy)) = (agcm_bench::yz_grid(p), agcm_bench::xy_grid(p)) else {
+            continue; // not a rank count the paper's grids are defined for
+        };
         let (py, pz) = (yz.py(), yz.pz());
         let (px, pyx) = (xy.px(), xy.py());
         println!(
@@ -265,7 +290,6 @@ fn validate() {
     header("validation — executing runtime vs cost-model traffic counts");
     let mut cfg = ModelConfig::test_medium();
     cfg.m_iters = 1;
-    let model = CostModel::tianhe2();
     for (name, alg, pg) in [
         (
             "original Y-Z",
@@ -299,20 +323,15 @@ fn validate() {
             let pure = p2p_only_delta(&d, &ev);
             (pure.p2p_sends, pure.p2p_send_elems)
         });
-        let decomp = agcm_mesh::Decomposition::new(cfg.extents(), pg).expect("valid decomposition");
-        let grid = cfg.grid().unwrap();
-        let lats: Vec<f64> = (0..grid.ny()).map(|j| grid.latitude(j)).collect();
-        let filter =
-            agcm_fft::FourierFilter::new(grid.nx(), &lats, cfg.filter_cutoff_deg.to_radians());
-        let flags: Vec<bool> = (0..grid.ny()).map(|j| filter.is_active(j)).collect();
+        let predicted = analysis::predict(&cfg, alg, pg, CaMode::Grouped, &CostModel::BENCH_HOST)
+            .expect("the validation grids decompose the test mesh");
         println!("{name} (4 ranks, measured vs predicted per-rank):");
-        for (rank, &(msgs, elems)) in measured.iter().enumerate() {
-            let rc = analysis::predict_rank(&cfg, alg, &decomp, rank, &model, &flags);
-            let ok = rc.p2p_msgs == msgs && rc.p2p_elems == elems;
+        for (rank, (&(msgs, elems), want)) in measured.iter().zip(&predicted.ranks).enumerate() {
+            let ok = want.msgs == msgs && want.elems == elems;
             println!(
                 "  rank {rank}: msgs {msgs:>4} vs {:>4}, elems {elems:>7} vs {:>7}  {}",
-                rc.p2p_msgs,
-                rc.p2p_elems,
+                want.msgs,
+                want.elems,
                 if ok { "EXACT" } else { "MISMATCH" }
             );
             assert!(ok, "prediction diverged from the executing runtime");
@@ -422,9 +441,8 @@ fn verify() {
     report.push_str("```\n");
     println!(
         "ladder: every rung listed passed the matching, deadlock, count and\n\
-         dataflow certification; the predicted terms are\n\
-         core::analysis::predict_step_mode's (left: bench host, right: tianhe2),\n\
-         each the slowest rank's."
+         dataflow certification; the predicted terms are the critical path's,\n\
+         core::analysis::predict's (left: bench host, right: tianhe2)."
     );
     // the cross-check pins the static model to the executing runtime
     report.push_str("\n## Runtime cross-checks\n\n");
@@ -467,7 +485,7 @@ fn verify() {
 /// and bytes a step, and its predicted step under the bench host's
 /// constants and the paper machine's, with the rung each would pick.
 fn ladder_lines(label: &str, cfg: &ModelConfig, pg: ProcessGrid) -> Vec<String> {
-    use agcm_core::analysis::{ca_ladder, ca_pick, predict_step_mode, CaMode};
+    use agcm_core::analysis::{ca_ladder, ca_pick};
     use agcm_core::par::schedule;
     let (_, py, pz) = pg.dims();
     let machines = [CostModel::BENCH_HOST, CostModel::tianhe2()];
@@ -491,26 +509,34 @@ fn ladder_lines(label: &str, cfg: &ModelConfig, pg: ProcessGrid) -> Vec<String> 
         "comp ms",
         "total ms"
     ));
+    let fail = |g: usize, e: &dyn std::fmt::Display| -> ! {
+        eprintln!("CERTIFICATION FAILED: {label} yz({py},{pz}) g = {g}: {e}");
+        std::process::exit(1);
+    };
     for (g, fuse, ga) in ca_ladder(cfg, &pg) {
         let mode = CaMode::Groups(g, fuse, ga);
         if let Err(e) = agcm_verify::certify_one(cfg, AlgKind::CommAvoiding, mode, pg) {
-            eprintln!("CERTIFICATION FAILED: {label} yz({py},{pz}) g = {g}: {e}");
-            std::process::exit(1);
+            fail(g, &e);
         }
         let exch = schedule::exchange_count(&schedule::alg2_step_for(cfg, &pg, g, fuse, ga));
-        let cost = machines.map(|m| predict_step_mode(cfg, AlgKind::CommAvoiding, pg, &m, mode));
-        let terms = |c: &analysis::StepCost| {
+        let cost = machines.map(|m| {
+            analysis::predict(cfg, AlgKind::CommAvoiding, pg, mode, &m)
+                .unwrap_or_else(|e| fail(g, &e))
+        });
+        // the critical path's terms
+        let terms = |c: &Prediction| {
             format!(
                 "{:>9.3} {:>9.3} {:>9.3}",
-                (c.stencil_comm_s + c.collective_comm_s) * 1e3,
-                c.compute_s * 1e3,
-                c.total_s() * 1e3
+                (c.path.stencil_s() + c.path.collective_s) * 1e3,
+                c.path.compute_s * 1e3,
+                c.makespan_s * 1e3
             )
         };
+        let busiest = cost[0].ranks.iter().max_by_key(|r| (r.elems, r.msgs));
+        let (msgs, elems) = busiest.map_or((0, 0), |r| (r.msgs, r.elems));
         lines.push(format!(
-            "{g:>4} {fuse:>5} {ga:>4} {exch:>5} {:>5} {:>9} | {} | {}",
-            cost[0].max.p2p_msgs,
-            cost[0].max.p2p_elems * 8,
+            "{g:>4} {fuse:>5} {ga:>4} {exch:>5} {msgs:>5} {:>9} | {} | {}",
+            elems * 8,
             terms(&cost[0]),
             terms(&cost[1])
         ));
@@ -520,11 +546,12 @@ fn ladder_lines(label: &str, cfg: &ModelConfig, pg: ProcessGrid) -> Vec<String> 
 
 /// Operator-level tracing of executing runs: Chrome-trace timelines (load
 /// them at `ui.perfetto.dev` or `chrome://tracing`) and the §4.3.1
-/// overlap-efficiency profile.  Returns each algorithm's metrics document
-/// and raw span stream; [`trace_dist`] builds `BENCH_trace.json` on top.
+/// overlap-efficiency profile.  The merged multi-process trace, its
+/// critical path and the cost model's prediction of it are `agcm-run
+/// --trace`'s.
 ///
 /// Output directory: second CLI argument, default `target/trace`.
-fn trace() -> Vec<(&'static str, String, Vec<obs::Event>)> {
+fn trace() {
     header("trace — operator spans, metrics, and overlap profile (executing runs)");
     let outdir = std::env::args()
         .nth(2)
@@ -533,7 +560,6 @@ fn trace() -> Vec<(&'static str, String, Vec<obs::Event>)> {
     let mut cfg = ModelConfig::test_medium();
     cfg.m_iters = 1; // the CA deep halo fits the 2x2 blocks
     const STEPS: usize = 3;
-    let mut docs: Vec<(&'static str, String, Vec<obs::Event>)> = Vec::new();
     for (name, alg) in [
         ("alg1", AlgKind::OriginalYZ),
         ("alg2", AlgKind::CommAvoiding),
@@ -614,7 +640,6 @@ fn trace() -> Vec<(&'static str, String, Vec<obs::Event>)> {
 
         let doc = obs::metrics_json(name, &report, &snap);
         obs::validate_json(&doc).expect("metrics JSON validates");
-        docs.push((name, doc, events));
         drop(guard);
 
         println!(
@@ -647,230 +672,7 @@ fn trace() -> Vec<(&'static str, String, Vec<obs::Event>)> {
         );
     }
 
-    println!("load the timelines at ui.perfetto.dev (run `trace-dist` for BENCH_trace.json)");
-    docs
-}
-
-/// `trace-dist` — the distributed-observability dump: runs the traced
-/// worlds of [`trace`], round-trips every rank's span stream through the
-/// cross-rank telemetry codec (`obs::dist`) and merges the streams, joins
-/// the measured step against `verify`'s static `ScheduleGraph` for a
-/// per-step critical path, and fits the α–β(–γ) cost model from the
-/// measured exchange spans.  The result is `BENCH_trace.json` schema v2:
-/// all v1 in-process fields verbatim (so the perf trajectory stays
-/// comparable) plus per-rank measured-step imbalance, the critical-path
-/// table, and the fit residuals.  Exits non-zero on any inconsistency.
-fn trace_dist() {
-    use agcm_comm::{fit_alpha_beta, fit_gamma};
-    use agcm_core::analysis::{predict_step, CaMode};
-    use agcm_obs::dist;
-    use agcm_verify::{critpath, ScheduleGraph};
-
-    let docs = trace();
-    header("trace-dist — merged streams, critical path, fitted cost model");
-    let mut cfg = ModelConfig::test_medium();
-    cfg.m_iters = 1; // must match the worlds trace() ran
-    let pg = ProcessGrid::yz(2, 2).unwrap();
-    let p = 4usize;
-    // the models stamp spans with the pre-increment step counter: the
-    // warm-up records step 0 and the first steady-state step — the one the
-    // static schedule describes — records step 1
-    const MEASURED_STEP: u64 = 1;
-    let jn = |x: f64| {
-        if x.is_finite() {
-            format!("{x:e}")
-        } else {
-            "null".to_string()
-        }
-    };
-
-    let mut sections: Vec<String> = Vec::new();
-    for (name, doc, events) in &docs {
-        let alg = match *name {
-            "alg1" => AlgKind::OriginalYZ,
-            _ => AlgKind::CommAvoiding,
-        };
-
-        // 1. ship each rank's stream through the telemetry codec exactly
-        // as `agcm-run` does (string-table encode → f64 wire words →
-        // decode) and merge; in-process clocks share a timebase, so the
-        // per-rank offsets are zero.
-        let mut streams: Vec<(i64, Vec<obs::Event>)> = Vec::new();
-        for rank in 0..p {
-            let mine: Vec<obs::Event> = events.iter().filter(|e| e.rank == rank).cloned().collect();
-            let bytes = dist::encode_events(&mine);
-            let words = dist::bytes_to_words(&bytes);
-            let back = dist::words_to_bytes(&words).expect("wire words round-trip");
-            let decoded = dist::decode_events(&back).expect("span stream decodes");
-            if decoded != mine {
-                eprintln!("{name}: span codec round-trip diverged on rank {rank}");
-                std::process::exit(1);
-            }
-            streams.push((0, decoded));
-        }
-        let merged = dist::merge_events(&streams);
-        assert_eq!(merged.len(), events.len(), "merge must keep every span");
-
-        // 2. critical path of the measured step against the static schedule
-        let graph = ScheduleGraph::extract(&cfg, alg, CaMode::Grouped, pg)
-            .expect("static schedule extracts");
-        let measured: Vec<obs::Event> = merged
-            .iter()
-            .filter(|e| e.step == MEASURED_STEP)
-            .cloned()
-            .collect();
-        let rep = critpath::analyze(&measured, &graph);
-        if !rep.is_consistent() {
-            eprintln!(
-                "{name}: merged trace inconsistent with the static schedule:\n  {}",
-                rep.errors.join("\n  ")
-            );
-            std::process::exit(1);
-        }
-        let Some(step) = rep.steps.first() else {
-            eprintln!("{name}: no complete measured step in the merged trace");
-            std::process::exit(1);
-        };
-
-        // per-rank wall time of the measured step (operator spans only):
-        // the distributed complement of the per-phase load_imbalance map
-        let mut rank_wall = vec![0u64; p];
-        for e in &measured {
-            if e.kind == obs::SpanKind::Op {
-                rank_wall[e.rank] += e.dur_ns();
-            }
-        }
-        let mean_wall = (rank_wall.iter().sum::<u64>() as f64 / p as f64).max(1.0);
-        let imb = rank_wall.iter().copied().max().unwrap_or(0) as f64 / mean_wall;
-
-        // 3. α–β fit over the measured exchange spans; γ from the critical
-        // rank's compute time against the schedule's point updates
-        let fit = match fit_alpha_beta(&rep.samples) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("{name}: cost-model fit failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        let probe = CostModel {
-            alpha: 0.0,
-            beta: 0.0,
-            gamma: 1.0,
-            sync: 0.0,
-            name: "probe",
-        };
-        let updates = predict_step(&cfg, alg, pg, &probe).compute_s;
-        let gamma = fit_gamma(step.breakdown.compute_ns as f64 * 1e-9, updates);
-
-        let b = &step.breakdown;
-        let blocking: Vec<String> = step
-            .blocking
-            .iter()
-            .take(5)
-            .map(|a| {
-                format!(
-                    "      {{\"rank\": {}, \"op\": {}, \"label\": \"{}\", \"name\": \"{}\", \
-                     \"dur_ns\": {}, \"bytes\": {}}}",
-                    a.rank, a.op, a.op_label, a.name, a.dur_ns, a.bytes
-                )
-            })
-            .collect();
-        let residuals: Vec<String> = fit
-            .residuals
-            .iter()
-            .map(|r| {
-                format!(
-                    "      {{\"op\": {}, \"name\": \"{}\", \"msgs\": {}, \"bytes\": {}, \
-                     \"measured_s\": {}, \"predicted_s\": {}, \"rel_err\": {}}}",
-                    r.op,
-                    r.name,
-                    r.msgs,
-                    r.bytes,
-                    jn(r.measured_s),
-                    jn(r.predicted_s),
-                    jn(r.rel_err())
-                )
-            })
-            .collect();
-        let walls: Vec<String> = rank_wall.iter().map(|w| w.to_string()).collect();
-
-        // splice the v2 fields into the v1 metrics object: drop the doc's
-        // closing brace and append the new keys
-        let base = doc
-            .trim_end()
-            .strip_suffix('}')
-            .expect("metrics doc is a JSON object");
-        let section = format!(
-            "{base},\n  \"measured_step_rank_wall_ns\": [{}],\n  \"measured_step_imbalance\": {},\n  \
-             \"critical_path\": {{\"step\": {}, \"makespan_ns\": {}, \"critical_rank\": {}, \
-             \"critical_wall_ns\": {}, \"compute_ns\": {}, \"pack_ns\": {}, \"wire_wait_ns\": {}, \
-             \"collective_ns\": {},\n    \"blocking\": [\n{}\n    ]}},\n  \
-             \"fit\": {{\"terms\": \"{}\", \"alpha_s\": {}, \"beta_s_per_byte\": {}, \"sync_s\": {}, \
-             \"gamma_s\": {}, \"rel_rmse\": {}, \"max_rel_err\": {}, \"samples\": {},\n    \
-             \"residuals\": [\n{}\n    ]}}\n}}",
-            walls.join(", "),
-            jn(imb),
-            step.step,
-            step.makespan_ns,
-            step.critical_rank,
-            step.critical_wall_ns,
-            b.compute_ns,
-            b.pack_ns,
-            b.wire_wait_ns,
-            b.collective_ns,
-            blocking.join(",\n"),
-            fit.terms.label(),
-            jn(fit.alpha),
-            jn(fit.beta),
-            jn(fit.sync),
-            jn(gamma),
-            jn(fit.rel_rmse()),
-            jn(fit.max_rel_err()),
-            fit.residuals.len(),
-            residuals.join(",\n"),
-        );
-        sections.push(format!("\"{name}\": {section}"));
-
-        let pct = |ns: u64| 100.0 * ns as f64 / step.critical_wall_ns.max(1) as f64;
-        let block = step
-            .blocking
-            .first()
-            .map(|a| format!("{} ({})", a.op_label, a.name))
-            .unwrap_or_else(|| "none".to_string());
-        println!(
-            "{name}: codec round-trip OK ({} spans, {p} streams merged); step {}: makespan \
-             {:.1} µs, critical rank {} (compute {:.0}%, pack {:.0}%, wire-wait {:.0}%, \
-             collective {:.0}%, longest block: {block}), rank imbalance {:.2}x",
-            merged.len(),
-            step.step,
-            step.makespan_ns as f64 / 1e3,
-            step.critical_rank,
-            pct(b.compute_ns),
-            pct(b.pack_ns),
-            pct(b.wire_wait_ns),
-            pct(b.collective_ns),
-            imb,
-        );
-        println!(
-            "  fit[{}] α={:.3e} s β={:.3e} s/B sync={:.3e} s γ={:.3e} s/pt \
-             rel_rmse={:.3} over {} samples",
-            fit.terms.label(),
-            fit.alpha,
-            fit.beta,
-            fit.sync,
-            gamma,
-            fit.rel_rmse(),
-            fit.residuals.len(),
-        );
-    }
-
-    // one combined BENCH-style dump in the working directory (schema v2)
-    let mut combined = String::from("{\n\"schema_version\": 2,\n");
-    combined.push_str(&sections.join(",\n"));
-    combined.push_str("\n}\n");
-    obs::validate_json(&combined).expect("combined metrics JSON validates");
-    std::fs::write("BENCH_trace.json", &combined).expect("write BENCH_trace.json");
-    println!("metrics + critical path + fit residuals -> BENCH_trace.json (schema v2, validated)");
+    println!("load the timelines at ui.perfetto.dev");
 }
 
 /// Checkpoint/restart round-trip smoke (ISSUE 3 satellite): run the CA

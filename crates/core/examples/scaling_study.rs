@@ -7,11 +7,11 @@
 //! ```
 
 use agcm_comm::CostModel;
-use agcm_core::analysis::{ca_pick, predict_step_mode, AlgKind, CaMode};
+use agcm_core::analysis::{ca_pick, predict, AlgKind, CaMode};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = ModelConfig::paper_50km();
     let model = CostModel::tianhe2();
     println!(
@@ -25,26 +25,27 @@ fn main() {
     for p in [128usize, 256, 512, 1024] {
         let pz = 8.min(p / 16).max(2);
         let py = p / pz;
-        let pg_yz = ProcessGrid::yz(py, pz).unwrap();
+        let pg_yz = ProcessGrid::yz(py, pz)?;
         let px = 16.min(p / 8).max(2);
-        let pg_xy = ProcessGrid::xy(px, p / px).unwrap();
-        let xy = predict_step_mode(&cfg, AlgKind::OriginalXY, pg_xy, &model, CaMode::Grouped);
+        let pg_xy = ProcessGrid::xy(px, p / px)?;
         // Algorithm 2 on the sweep groups this machine would pick
         let (g, fuse, ga) = ca_pick(&cfg, &pg_yz, &model);
+        let mode = CaMode::Groups(g, fuse, ga);
+        let xy = predict(&cfg, AlgKind::OriginalXY, pg_xy, mode, &model)?;
         let runs = [
             ("original X-Y", AlgKind::OriginalXY, pg_xy),
             ("original Y-Z", AlgKind::OriginalYZ, pg_yz),
             ("comm-avoiding", AlgKind::CommAvoiding, pg_yz),
         ];
         for (name, alg, pg) in runs {
-            let c = predict_step_mode(&cfg, alg, pg, &model, CaMode::Groups(g, fuse, ga));
+            let c = predict(&cfg, alg, pg, mode, &model)?;
             println!(
                 "{p:>6} {name:>16} {:>12.2} {:>12.2} {:>12.2} {:>12.2} {:>7.0}%",
-                c.stencil_comm_s * 1e3,
-                c.collective_comm_s * 1e3,
-                c.compute_s * 1e3,
-                c.total_s() * 1e3,
-                100.0 * (1.0 - c.total_s() / xy.total_s()),
+                c.path.stencil_s() * 1e3,
+                c.path.collective_s * 1e3,
+                c.path.compute_s * 1e3,
+                c.makespan_s * 1e3,
+                100.0 * (1.0 - c.makespan_s / xy.makespan_s),
             );
         }
         println!(
@@ -60,4 +61,5 @@ fn main() {
          p = 512, and a 1.4x average speedup against the Y-Z original —\n\
          compare the 'vs XY' column and the Y-Z/CA ratio above."
     );
+    Ok(())
 }

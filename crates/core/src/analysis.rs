@@ -1,24 +1,28 @@
 //! Communication/computation cost analysis (§5.3 and Theorems 4.1/4.2).
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! 1. the paper's **asymptotic formulas** (`W_CA`, `S_CA`, `W_YZ`, …) and
 //!    lower bounds, as plain functions,
-//! 2. an **exact per-rank traffic predictor** ([`predict_step`]): it walks
-//!    the *same* schedule, exchange plans and collective shapes the real
-//!    models execute and counts every message, byte and point-update — so
-//!    its counts are testable against the runtime's measured statistics at
-//!    small rank counts, and then evaluated at the paper's 128–1024 ranks
-//!    where the α–β–γ model turns them into predicted seconds (Figures 1,
-//!    6, 7, 8),
+//! 2. the **cost model** ([`predict`]): a priced walk of the *same* step
+//!    program the integrators execute and `agcm-verify` certifies, op by op
+//!    over every rank — a kernel costs its `γ` a point it actually sweeps, a
+//!    posted message `α + β·bytes`, a receive completes when its sender's
+//!    post has crossed the wire, a collective starts when its last member
+//!    arrives.  The last rank's clock is the predicted step and the critical
+//!    path's compute / pack / wait / collective split its explanation
+//!    (Figures 1, 6, 7, 8); the per-rank message, byte and collective counts
+//!    the walk passes are tested against the runtime's measured statistics
+//!    at small rank counts,
 //! 3. the **sweep-group decision** of Algorithm 2 ([`ca_ladder`],
 //!    [`ca_pick`], [`ca_group_size`]): how deep a halo is worth its
 //!    redundant sweeps under a given machine model.
 
 use crate::config::ModelConfig;
-use crate::geometry::Region;
+use crate::error::ModelError;
+use crate::geometry::{GrowSides, Region};
 use crate::par::exchange::link_messages;
-use crate::par::schedule::{self, CSource, FieldShape, StepOp};
+use crate::par::schedule::{self, CSource, ComputeOp, StepOp};
 use agcm_comm::CostModel;
 use agcm_mesh::{Decomposition, HaloWidths, ProcessGrid};
 
@@ -81,7 +85,7 @@ pub fn reduction_lower_bound(nx: usize, ny: usize, pz: usize) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Exact per-step traffic prediction
+// The cost model: a priced walk of the step program
 // ---------------------------------------------------------------------------
 
 /// Which algorithm/decomposition pairing a prediction covers (the three
@@ -105,179 +109,6 @@ impl AlgKind {
             AlgKind::CommAvoiding => "comm-avoiding",
         }
     }
-}
-
-/// Relative per-point work of one adaptation sweep (baseline 1.0).
-const W_ADAPT: f64 = 1.0;
-/// Advection sweeps touch three operators per component.
-const W_ADVECT: f64 = 1.2;
-/// Smoothing is a light linear filter.
-const W_SMOOTH: f64 = 0.35;
-/// Per-point FFT work factor (multiplied by `log₂ n_x`): a forward+inverse
-/// real FFT costs ≈10·n·log₂n flops ≈ 0.07·log₂n point-update units per
-/// point.
-const W_FFT: f64 = 0.07;
-/// Local column-integral work per point per `C` application.
-const W_C: f64 = 0.3;
-
-/// Predicted per-rank, per-step costs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RankCost {
-    /// Halo-exchange messages posted.
-    pub p2p_msgs: u64,
-    /// `f64` values sent in halo exchanges.
-    pub p2p_elems: u64,
-    /// Collective events (the operator `C` + filter transposes).
-    pub collective_calls: u64,
-    /// Predicted stencil (halo) communication seconds, after overlap credit.
-    pub stencil_comm_s: f64,
-    /// Predicted collective communication seconds.
-    pub collective_comm_s: f64,
-    /// Predicted computation seconds.
-    pub compute_s: f64,
-}
-
-impl RankCost {
-    /// Total predicted step seconds.
-    pub fn total_s(&self) -> f64 {
-        self.stencil_comm_s + self.collective_comm_s + self.compute_s
-    }
-}
-
-/// Aggregate over ranks: the slowest rank bounds the step.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepCost {
-    /// Cost of the most-loaded rank.
-    pub max: RankCost,
-    /// Per-category maxima (a step is bounded by each category's slowest
-    /// rank; using per-category maxima matches how the paper reports the
-    /// communication portions separately).
-    pub stencil_comm_s: f64,
-    /// Max collective seconds over ranks.
-    pub collective_comm_s: f64,
-    /// Max compute seconds over ranks.
-    pub compute_s: f64,
-}
-
-impl StepCost {
-    /// Total predicted step seconds (category maxima summed).
-    pub fn total_s(&self) -> f64 {
-        self.stencil_comm_s + self.collective_comm_s + self.compute_s
-    }
-}
-
-/// Messages and `f64` elements `rank` sends in one exchange of `fields` at
-/// halo `depth`: one message per neighbour link ([`link_messages`]).
-fn exchange_traffic(
-    decomp: &Decomposition,
-    rank: usize,
-    depth: HaloWidths,
-    fields: &[FieldShape],
-) -> (u64, u64) {
-    let sub = decomp.subdomain(rank).extents();
-    let geoms: Vec<_> = fields.iter().map(|s| s.geom(sub)).collect();
-    let msgs = link_messages(decomp, rank, depth, &geoms);
-    let elems = msgs.iter().map(|m| m.send_elems() as u64).sum();
-    (msgs.len() as u64, elems)
-}
-
-/// Per-global-row "is filtered" flags: the rows poleward of the cutoff,
-/// exactly the rows the models' polar-filter profiles damp.
-pub fn active_flags(cfg: &ModelConfig) -> Vec<bool> {
-    let grid = cfg.grid().expect("valid config");
-    let cutoff = cfg.filter_cutoff_deg.to_radians();
-    (0..grid.ny())
-        .map(|j| grid.latitude(j).abs() >= cutoff)
-        .collect()
-}
-
-fn active_rows(flags: &[bool], y0: usize, y1: usize) -> usize {
-    flags[y0.min(flags.len())..y1.min(flags.len())]
-        .iter()
-        .filter(|&&a| a)
-        .count()
-}
-
-/// The feasible communication-avoiding sweep groups `(g, fuse, g_a)` on
-/// `pgrid`, shallowest first: `g` adaptation sweeps per exchange, whether
-/// the smoothing's two extra rows ride the step's first exchange, and `g_a`
-/// advection sweeps per exchange.
-///
-/// Rungs are **iteration-aligned** (`g = 3, 6, …, 3M`) or `g = 1`: a group
-/// boundary inside a nonlinear iteration would invalidate the iteration's
-/// base state `ψ^{i−1}` on the dilated sweep regions, whereas iteration
-/// boundaries (and the interior-only `g = 1`) keep every read covered.  A
-/// rung is feasible when its halo fits the smallest block a single-hop
-/// exchange can ship; the top rung is the paper's `g = 3M` wherever that
-/// fits, and `verify::dataflow` rejects the next one up.
-pub fn ca_ladder(cfg: &ModelConfig, pgrid: &ProcessGrid) -> Vec<(usize, bool, usize)> {
-    let (_, py, pz) = pgrid.dims();
-    let by = if py > 1 { cfg.ny / py } else { usize::MAX };
-    let bz = if pz > 1 { cfg.nz / pz } else { usize::MAX };
-    let ga = 3.min(by).min(bz).max(1);
-    let groups = (1..=cfg.m_iters)
-        .map(|k| 3 * k)
-        .filter(|&g| g <= by.min(bz));
-    std::iter::once(1)
-        .chain(groups)
-        .map(|g| (g, g + 2 <= by, ga))
-        .collect()
-}
-
-/// The rung of [`ca_ladder`] with the least predicted step time under
-/// `model`, on the rank with the most neighbours (ties go to the deeper
-/// rung): redundant halo sweeps at `γ` a point-update against `sync + α` an
-/// exchange round and `β` a byte, as [`predict_rank_mode`] counts them.
-/// The `tianhe2` preset, 2.2 ms of skew a round, picks the deepest rung at
-/// every rank count the paper ran (and the full `g = 3M` where a rank's
-/// redundant rows are cheap against a round); a host whose rounds cost tens
-/// of microseconds picks a shallower one.
-pub fn ca_pick(cfg: &ModelConfig, pgrid: &ProcessGrid, model: &CostModel) -> (usize, bool, usize) {
-    let ladder = ca_ladder(cfg, pgrid);
-    let top = ladder[ladder.len() - 1];
-    let Ok(decomp) = Decomposition::new(cfg.extents(), *pgrid) else {
-        return top; // the model constructor reports the bad grid
-    };
-    let flags = active_flags(cfg);
-    let (_, py, pz) = pgrid.dims();
-    let rank = pgrid.rank(0, py / 2, pz / 2);
-    let cost = |&(g, fuse, ga): &(usize, bool, usize)| {
-        let mode = CaMode::Groups(g, fuse, ga);
-        predict_rank_mode(
-            cfg,
-            AlgKind::CommAvoiding,
-            &decomp,
-            rank,
-            model,
-            &flags,
-            mode,
-        )
-        .total_s()
-    };
-    // deepest first: `min_by` keeps the first of equal minima
-    let best = ladder.iter().rev().map(|r| (cost(r), *r));
-    best.min_by(|a, b| a.0.total_cmp(&b.0))
-        .map_or(top, |(_, r)| r)
-}
-
-/// The sweep groups `(g, fuse, g_a)` Algorithm 2 runs with on `pgrid`:
-/// [`ca_pick`] under the measured constants of the bench host
-/// ([`CostModel::BENCH_HOST`]).  A pure function of its arguments and the
-/// single source for `par::alg2::CaModel::new`, the static schedule
-/// ([`CaMode::Grouped`]) and `agcm-verify`, so none of them can drift.
-pub fn ca_group_size(cfg: &ModelConfig, pgrid: &ProcessGrid) -> (usize, bool, usize) {
-    ca_pick(cfg, pgrid, &CostModel::BENCH_HOST)
-}
-
-/// Predict one time step of `alg` on `pgrid` under the machine `model`,
-/// Algorithm 2 at the sweep groups it executes with ([`CaMode::Grouped`]).
-pub fn predict_step(
-    cfg: &ModelConfig,
-    alg: AlgKind,
-    pgrid: ProcessGrid,
-    model: &CostModel,
-) -> StepCost {
-    predict_step_mode(cfg, alg, pgrid, model, CaMode::Grouped)
 }
 
 /// Which sweep groups an Algorithm 2 schedule or prediction is built for.
@@ -305,237 +136,373 @@ impl CaMode {
             CaMode::Groups(g, fuse, ga) => (g, fuse, ga),
         }
     }
+}
 
-    /// The same groups, spelled out — for callers that cost many ranks and
-    /// should run the pick behind [`CaMode::Grouped`] once.
-    pub fn resolved(self, cfg: &ModelConfig, pgrid: &ProcessGrid) -> CaMode {
-        let (g, fuse, ga) = self.groups(cfg, pgrid);
-        CaMode::Groups(g, fuse, ga)
+/// What [`predict`] has been held to — printed under every figure that runs
+/// it where no run can check it.  `tests/holdout_validation.rs` keeps the
+/// sentence true.
+pub const VALIDATION: &str = "the walk is validated under the bench host's constants at p = 2 on \
+    24x24x8 and 180x90x30 (nine held-out runs: best rung on both ladders, every step within \
+    15 %; EXPERIMENTS.md \"One cost model\"); tianhe2's constants are calibrated to the paper \
+    and p = 128-1024 is extrapolation";
+
+/// The hold-out error [`VALIDATION`] states: `|predicted ÷ measured − 1|` of
+/// every fixture run stays under it.
+pub const HOLDOUT_ERROR: f64 = 0.15;
+
+/// Seconds by what they were spent on.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Segments {
+    /// Kernel sweeps.
+    pub compute_s: f64,
+    /// Packing and posting halo messages.
+    pub pack_s: f64,
+    /// The wire between a halo message's post and its receive.
+    pub wait_s: f64,
+    /// Collectives (`C`'s z-allgather, the distributed filter's transposes).
+    pub collective_s: f64,
+}
+
+impl Segments {
+    /// Halo-exchange seconds: pack and wire.
+    pub fn stencil_s(&self) -> f64 {
+        self.pack_s + self.wait_s
+    }
+
+    /// All four segments.
+    pub fn total_s(&self) -> f64 {
+        self.compute_s + self.stencil_s() + self.collective_s
     }
 }
 
-/// [`predict_step`] with an explicit CA costing mode.
-pub fn predict_step_mode(
+/// What one rank sends and enters in one step.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RankTraffic {
+    /// Halo messages posted.
+    pub msgs: u64,
+    /// `f64` values sent in them.
+    pub elems: u64,
+    /// Collective calls entered.
+    pub collectives: u64,
+}
+
+/// One predicted time step.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Prediction {
+    /// Seconds until the last rank finishes the step.
+    pub makespan_s: f64,
+    /// That rank.
+    pub critical_rank: usize,
+    /// The critical path — the chain of kernels, posts, wire crossings and
+    /// collectives, over whichever ranks, that ends at the critical rank's
+    /// last op — by segment; the segments sum to the makespan.
+    pub path: Segments,
+    /// Every rank's traffic.
+    pub ranks: Vec<RankTraffic>,
+}
+
+/// A rank's virtual clock and the critical path that set it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Clock {
+    at: f64,
+    path: Segments,
+}
+
+impl Clock {
+    fn spend(&mut self, dt: f64, on: fn(&mut Segments) -> &mut f64) {
+        self.at += dt;
+        *on(&mut self.path) += dt;
+    }
+
+    /// Block until `other` (a sender's post, a collective's last arrival),
+    /// whose path this clock then continues.
+    fn wait_for(&mut self, other: Clock) {
+        if other.at > self.at {
+            *self = other;
+        }
+    }
+}
+
+/// What the walk needs of one rank's block.
+struct Block {
+    extents: (usize, usize, usize),
+    /// Global index of its first row.
+    y0: usize,
+    grow: GrowSides,
+    halo: HaloWidths,
+}
+
+impl Block {
+    fn points(&self, r: Region) -> f64 {
+        (r.area() * self.extents.0) as f64
+    }
+
+    /// Filtered points of a region: `U`, `V`, `Φ` at every level and `p'_sa`
+    /// on each of its rows poleward of the cutoff.
+    fn filtered(&self, flags: &[bool], r: Region) -> f64 {
+        let row = |y: isize| ((self.y0 as isize + y).max(0) as usize).min(flags.len());
+        let active = flags[row(r.y0)..row(r.y1)].iter().filter(|&&a| a).count();
+        (active * self.extents.0) as f64 * ((r.z1 - r.z0) as f64 * 3.0 + 1.0)
+    }
+}
+
+/// Per-global-row "is filtered" flags: the rows poleward of the cutoff,
+/// exactly the rows the models' polar-filter profiles damp.
+pub fn active_flags(cfg: &ModelConfig) -> Result<Vec<bool>, ModelError> {
+    let grid = cfg.grid()?;
+    let cutoff = cfg.filter_cutoff_deg.to_radians();
+    Ok((0..grid.ny())
+        .map(|j| grid.latitude(j).abs() >= cutoff)
+        .collect())
+}
+
+/// Predict one time step of `alg` on `pgrid` under the machine `model`
+/// (Algorithm 2 on the sweep groups of `mode`) — the one place a step
+/// program becomes seconds.
+///
+/// Walks the program `par::schedule` emits for the integrators, op by op
+/// over every rank.  The program is SPMD, so what a rank receives at an op
+/// depends only on its neighbours' clocks before that op:
+///
+/// * a kernel costs its `γ` times the points of the region it sweeps — the
+///   region [`ComputeOp::region`] hands the integrator, so a deep halo's
+///   redundant rows are priced,
+/// * an exchange posts one message a link ([`link_messages`]) at `α + β·bytes`
+///   each, then receives: each message arrives `sync` after its sender's
+///   posts, and an overlapped exchange sweeps the halo-free part of the next
+///   kernel in between (§4.3.1),
+/// * a collective starts `sync` after its communicator's last arrival and
+///   costs its ring or pairwise rounds.
+///
+/// Refuses a mesh `pgrid` does not decompose and Algorithm 2 on an x-split.
+pub fn predict(
     cfg: &ModelConfig,
     alg: AlgKind,
     pgrid: ProcessGrid,
-    model: &CostModel,
     mode: CaMode,
-) -> StepCost {
-    let decomp = Decomposition::new(cfg.extents(), pgrid).expect("valid decomposition");
-    let flags = active_flags(cfg);
-    let mode = match alg {
-        AlgKind::CommAvoiding => mode.resolved(cfg, &pgrid),
-        _ => mode,
-    };
-    let mut agg = StepCost::default();
-    let mut best_total = -1.0f64;
-    for rank in 0..pgrid.size() {
-        let rc = predict_rank_mode(cfg, alg, &decomp, rank, model, &flags, mode);
-        agg.stencil_comm_s = agg.stencil_comm_s.max(rc.stencil_comm_s);
-        agg.collective_comm_s = agg.collective_comm_s.max(rc.collective_comm_s);
-        agg.compute_s = agg.compute_s.max(rc.compute_s);
-        if rc.total_s() > best_total {
-            best_total = rc.total_s();
-            agg.max = rc;
-        }
+    model: &CostModel,
+) -> Result<Prediction, ModelError> {
+    if alg == AlgKind::CommAvoiding && pgrid.px() != 1 {
+        return Err(ModelError::Config(
+            "the communication-avoiding algorithm requires a Y-Z decomposition (p_x = 1)".into(),
+        ));
     }
-    agg
-}
-
-/// Predicted cost of one specific rank (exposed for count-validation
-/// tests).  `flags` are the per-global-row filter-active flags
-/// ([`active_flags`]).
-pub fn predict_rank(
-    cfg: &ModelConfig,
-    alg: AlgKind,
-    decomp: &Decomposition,
-    rank: usize,
-    model: &CostModel,
-    flags: &[bool],
-) -> RankCost {
-    predict_rank_mode(cfg, alg, decomp, rank, model, flags, CaMode::Grouped)
-}
-
-/// [`predict_rank`] with an explicit CA costing mode.
-///
-/// Walks the step schedule `par::schedule` emits for the integrators —
-/// every exchange at its depth and field list, every sweep on its dilated
-/// region — so the counts are those of the executing models (tests assert
-/// them against measured runtime statistics) and a rung of the ladder
-/// differs from another only through the schedule it generates.
-#[allow(clippy::too_many_arguments)]
-pub fn predict_rank_mode(
-    cfg: &ModelConfig,
-    alg: AlgKind,
-    decomp: &Decomposition,
-    rank: usize,
-    model: &CostModel,
-    flags: &[bool],
-    mode: CaMode,
-) -> RankCost {
-    let pgrid = decomp.process_grid();
-    let sub = decomp.subdomain(rank);
-    let (nxl, nyl, nzl) = sub.extents();
-    let (px, _, pz) = pgrid.dims();
+    let decomp = Decomposition::new(cfg.extents(), pgrid)?;
+    let flags = active_flags(cfg)?;
     let ops = match alg {
-        AlgKind::CommAvoiding => {
-            let (g, fuse, ga) = mode.groups(cfg, pgrid);
-            schedule::alg2_step_for(cfg, pgrid, g, fuse, ga)
-        }
-        _ => schedule::alg1_step(cfg, pgrid),
+        AlgKind::CommAvoiding => schedule::alg2_step(cfg, &pgrid, mode),
+        _ => schedule::alg1_step(cfg, &pgrid),
     };
-    // a sweep region: the interior grown (negative: shrunk) by `dy` rows and
-    // `dz` levels on the sides that face a neighbour — redundant halo work
-    let region = |dy: isize, dz: isize| Region {
-        y0: if sub.at_north() { 0 } else { -dy },
-        y1: nyl as isize + if sub.at_south(cfg.ny) { 0 } else { dy },
-        z0: if sub.at_top() { 0 } else { -dz },
-        z1: nzl as isize + if sub.at_surface(cfg.nz) { 0 } else { dz },
-    };
-    let points = |r: Region| (r.area() * nxl) as f64;
-    // filtered circles of a region: U, V, Φ at every level + p'_sa
-    let circles = |r: Region| {
-        let y0 = (sub.y.start as isize + r.y0).max(0) as usize;
-        let y1 = (sub.y.start as isize + r.y1).max(0) as usize;
-        active_rows(flags, y0, y1) as f64 * ((r.z1 - r.z0) as f64 * 3.0 + 1.0)
-    };
-    let mut rc = RankCost::default();
-    let mut work = 0.0; // point-update units
-    let mut open: Option<f64> = None; // an overlapped exchange in flight
-    for op in &ops {
-        let c = match op {
-            StepOp::Exchange(ex) => {
-                let (msgs, elems) = exchange_traffic(decomp, rank, ex.depth, ex.fields.shapes());
-                rc.p2p_msgs += msgs;
-                rc.p2p_elems += elems;
-                let t = model.exchange_round(msgs, elems);
-                if ex.overlapped {
-                    open = Some(t);
-                } else {
-                    rc.stencil_comm_s += t;
-                }
-                continue;
-            }
-            StepOp::Compute(c) => c,
-            // billed with the kernel that consumes them, below
-            StepOp::ZAllgather | StepOp::FilterTranspose => continue,
-        };
-        let d = c.dilate as isize;
-        let r = region(d, d);
-        // (units of this kernel, units of it that run while an overlapped
-        // exchange is in flight, §4.3.1)
-        let (units, hidden) = match c.op {
-            "adaptation.fused" => {
-                if c.c == CSource::Fresh && pz > 1 {
-                    let elems = nxl * (2 * (r.y1 - r.y0) as usize + 2);
-                    rc.collective_calls += 1;
-                    rc.collective_comm_s += model.allgather_ring(pz, elems);
-                }
-                (points(r) * (W_ADAPT + W_C), 0.0)
-            }
-            "advection.fused" => (points(r) * W_ADVECT, points(region(-1, -1)) * W_ADVECT),
-            "filter" => {
-                let rows = circles(r);
-                if px > 1 {
-                    // forward and inverse transpose of the distributed filter
-                    let (fwd, back) = (rows * nxl as f64, rows / px as f64 * cfg.nx as f64);
-                    rc.collective_calls += 2;
-                    rc.collective_comm_s += model.alltoall_pairwise(px, fwd as usize)
-                        + model.alltoall_pairwise(px, back as usize);
-                }
-                (rows * nxl as f64 * W_FFT * (cfg.nx as f64).log2(), 0.0)
-            }
-            // former smoothing: rows whose ±2 stencil stays inside the block
-            "smooth.s1" => {
-                let w = points(region(d, 0)) * W_SMOOTH;
-                (w, w)
-            }
-            // later smoothing: the edge rows and, redundantly, the halo frame
-            "smooth.s2" => ((points(r) - points(region(-2, 0))) * W_SMOOTH, 0.0),
-            // pointwise and the same on every rung: not priced
-            "forcing" => (0.0, 0.0),
-            other => unreachable!("unknown schedule kernel {other}"),
-        };
-        if let Some(t) = open.take() {
-            rc.stencil_comm_s += (t - model.gamma * hidden).max(0.0);
-        }
-        work += units;
-    }
-    rc.compute_s = model.gamma * work;
-    rc
-}
-
-// ---------------------------------------------------------------------------
-// Scaling charts and crossover prediction under any (fitted) cost model
-// ---------------------------------------------------------------------------
-
-/// One rank count of a strong-scaling prediction (one column of Figures
-/// 6–8): the baseline algorithm's and the CA algorithm's predicted step
-/// seconds under a common cost model.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalingPoint {
-    /// Total rank count.
-    pub p: usize,
-    /// Predicted step seconds of the baseline algorithm.
-    pub baseline_s: f64,
-    /// Predicted step seconds of the communication-avoiding algorithm.
-    pub ca_s: f64,
-}
-
-impl ScalingPoint {
-    /// Baseline-over-CA speedup (> 1 when CA wins).
-    pub fn speedup(&self) -> f64 {
-        if self.ca_s > 0.0 {
-            self.baseline_s / self.ca_s
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Chart `baseline` vs the CA algorithm across `ps` rank counts under
-/// `model` — which may be a calibrated preset ([`CostModel::tianhe2`]) or
-/// a machine-fitted model from measured exchange spans
-/// (`agcm_comm::fit::CommFit::model`): the prediction machinery is
-/// identical, only the α/β/γ/sync coefficients change.  `grid` maps a
-/// rank count (and algorithm) to its process grid, decoupling this crate
-/// from the bench harness's grid policy.
-pub fn scaling_chart(
-    cfg: &ModelConfig,
-    baseline: AlgKind,
-    ps: &[usize],
-    grid: impl Fn(usize, AlgKind) -> ProcessGrid,
-    model: &CostModel,
-) -> Vec<ScalingPoint> {
-    let total = |alg, pg, mode| predict_step_mode(cfg, alg, pg, model, mode).total_s();
-    ps.iter()
-        .map(|&p| {
-            // the CA line runs the rung this machine would pick
-            let ca_grid = grid(p, AlgKind::CommAvoiding);
-            let (g, fuse, ga) = ca_pick(cfg, &ca_grid, model);
-            ScalingPoint {
-                p,
-                baseline_s: total(baseline, grid(p, baseline), CaMode::Grouped),
-                ca_s: total(AlgKind::CommAvoiding, ca_grid, CaMode::Groups(g, fuse, ga)),
+    let (px, _, pz) = pgrid.dims();
+    let blocks: Vec<Block> = (0..pgrid.size())
+        .map(|rank| {
+            let sub = decomp.subdomain(rank);
+            let grow = GrowSides::of(&sub, cfg.ny, cfg.nz);
+            Block {
+                extents: sub.extents(),
+                y0: sub.y.start,
+                grow,
+                halo: schedule::halo_alloc(&ops, grow),
             }
         })
+        .collect();
+
+    let gamma = &model.gamma;
+    let message = |elems: f64| model.alpha + model.beta * 8.0 * elems;
+    let fft = gamma.filter * (cfg.nx as f64).log2();
+    // seconds of kernel `c` on region `r` of block `b`
+    let sweep = |c: &ComputeOp, b: &Block, r: Region| match c.op {
+        "adaptation.fused" if c.c == CSource::Fresh => {
+            Ok(b.points(r) * (gamma.adaptation + gamma.vertical))
+        }
+        "adaptation.fused" => Ok(b.points(r) * gamma.adaptation),
+        "advection.fused" => Ok(b.points(r) * gamma.advection),
+        "filter" => Ok(b.filtered(&flags, r) * fft),
+        "smooth.s1" | "smooth.s2" => Ok(b.points(r) * gamma.smoothing),
+        "forcing" if cfg.held_suarez => Ok(b.points(r) * gamma.forcing),
+        "forcing" => Ok(0.0),
+        // lint:allow(alloc) — a refused prediction
+        other => Err(ModelError::Config(format!(
+            "unknown schedule kernel {other}"
+        ))),
+    };
+    let region = |c: &ComputeOp, b: &Block| c.region(b.extents.1, b.extents.2, b.halo, b.grow);
+    let halo_free = |c: &ComputeOp, b: &Block| c.halo_free(b.extents.1, b.extents.2, b.grow);
+    // the kernel `name` after op `i`: the one that issues a collective there
+    let kernel_after = |i: usize, name: &str| {
+        ops[i + 1..].iter().find_map(|op| match op {
+            StepOp::Compute(c) if c.op == name => Some(c),
+            _ => None,
+        })
+    };
+
+    let mut clocks = vec![Clock::default(); blocks.len()];
+    let mut ranks = vec![RankTraffic::default(); blocks.len()];
+    // a step cycles through a handful of exchange kinds: each one's
+    // messages, per rank, are enumerated once
+    let mut plans = Vec::new();
+    // the halo-free part of the next kernel ran inside an exchange's window
+    let mut swept_early = false;
+    for (i, op) in ops.iter().enumerate() {
+        match op {
+            StepOp::Exchange(ex) => {
+                let kind = (ex.depth, ex.fields);
+                let known = plans.iter().position(|(k, _)| *k == kind);
+                let plan = known.unwrap_or_else(|| {
+                    let shapes = ex.fields.shapes();
+                    let of_rank = |(rank, b): (usize, &Block)| {
+                        let geoms: Vec<_> = shapes.iter().map(|s| s.geom(b.extents)).collect();
+                        link_messages(&decomp, rank, ex.depth, &geoms)
+                    };
+                    plans.push((kind, blocks.iter().enumerate().map(of_rank).collect()));
+                    plans.len() - 1
+                });
+                let msgs: &Vec<Vec<_>> = &plans[plan].1;
+                for ((clock, traffic), msgs) in clocks.iter_mut().zip(&mut ranks).zip(msgs) {
+                    for m in msgs {
+                        clock.spend(message(m.send_elems() as f64), |s| &mut s.pack_s);
+                        traffic.msgs += 1;
+                        traffic.elems += m.send_elems() as u64;
+                    }
+                }
+                let posted = clocks.clone();
+                let user = match ops.get(i + 1) {
+                    Some(StepOp::Compute(c)) if ex.overlapped && c.splits() => Some(c),
+                    _ => None,
+                };
+                for ((clock, b), msgs) in clocks.iter_mut().zip(&blocks).zip(msgs) {
+                    if let Some(c) = user {
+                        clock.spend(sweep(c, b, halo_free(c, b))?, |s| &mut s.compute_s);
+                    }
+                    for m in msgs {
+                        let mut arrival = posted[m.link.rank];
+                        arrival.spend(model.sync, |s| &mut s.wait_s);
+                        clock.wait_for(arrival);
+                    }
+                }
+                swept_early = user.is_some();
+            }
+            StepOp::ZAllgather | StepOp::FilterTranspose => {
+                let z = *op == StepOp::ZAllgather;
+                let issuer = if z { "adaptation.fused" } else { "filter" };
+                let c = kernel_after(i, issuer).ok_or_else(orphan)?;
+                let forward = ops.get(i + 1) == Some(&StepOp::FilterTranspose);
+                let entered = clocks.clone();
+                for (rank, (clock, b)) in clocks.iter_mut().zip(&blocks).enumerate() {
+                    let (cx, cy, cz) = pgrid.coords(rank);
+                    let (r, nxl) = (region(c, b), b.extents.0 as f64);
+                    let (members, rounds) = if z {
+                        // a ring: every other member's two block sums a row
+                        let sums = nxl * (2.0 * (r.y1 - r.y0) as f64 + 2.0);
+                        (pz, (pz - 1) as f64 * message(sums))
+                    } else {
+                        // pairwise: the forward leg scatters every filtered
+                        // circle, the inverse gathers this rank's share whole
+                        let mut elems = b.filtered(&flags, r);
+                        if !forward {
+                            elems *= cfg.nx as f64 / (nxl * px as f64);
+                        }
+                        (px, (px - 1) as f64 * model.alpha + model.beta * 8.0 * elems)
+                    };
+                    for k in 0..members {
+                        let (mx, my, mz) = if z { (cx, cy, k) } else { (k, cy, cz) };
+                        clock.wait_for(entered[pgrid.rank(mx, my, mz)]);
+                    }
+                    clock.spend(model.sync + rounds, |s| &mut s.collective_s);
+                    ranks[rank].collectives += 1;
+                }
+            }
+            StepOp::Compute(c) => {
+                for (clock, b) in clocks.iter_mut().zip(&blocks) {
+                    let mut dt = sweep(c, b, region(c, b))?;
+                    // the later smoothing is the frame around the former;
+                    // so is what an overlapped exchange left of its kernel
+                    if swept_early || c.op == "smooth.s2" {
+                        dt -= sweep(c, b, halo_free(c, b))?;
+                    }
+                    clock.spend(dt, |s| &mut s.compute_s);
+                }
+                swept_early = false;
+            }
+        }
+    }
+    // `max_by` keeps the last of equal maxima: the lowest such rank
+    let by_clock = |a: &usize, b: &usize| clocks[*a].at.total_cmp(&clocks[*b].at);
+    let critical_rank = (0..clocks.len()).rev().max_by(by_clock).unwrap_or(0);
+    Ok(Prediction {
+        makespan_s: clocks[critical_rank].at,
+        critical_rank,
+        path: clocks[critical_rank].path,
+        ranks,
+    })
+}
+
+/// A collective without the kernel that issues it: not a program
+/// `par::schedule` writes.
+fn orphan() -> ModelError {
+    ModelError::Config("the step program names a collective no kernel issues".into())
+}
+
+// ---------------------------------------------------------------------------
+// The sweep-group decision of Algorithm 2
+// ---------------------------------------------------------------------------
+
+/// The feasible communication-avoiding sweep groups `(g, fuse, g_a)` on
+/// `pgrid`, shallowest first: `g` adaptation sweeps per exchange, whether
+/// the smoothing's two extra rows ride the step's first exchange, and `g_a`
+/// advection sweeps per exchange.
+///
+/// Rungs are **iteration-aligned** (`g = 3, 6, …, 3M`) or `g = 1`: a group
+/// boundary inside a nonlinear iteration would invalidate the iteration's
+/// base state `ψ^{i−1}` on the dilated sweep regions, whereas iteration
+/// boundaries (and the interior-only `g = 1`) keep every read covered.  A
+/// rung is feasible when its halo fits the smallest block a single-hop
+/// exchange can ship; the top rung is the paper's `g = 3M` wherever that
+/// fits, and `verify::dataflow` rejects the next one up.
+pub fn ca_ladder(cfg: &ModelConfig, pgrid: &ProcessGrid) -> Vec<(usize, bool, usize)> {
+    let (_, py, pz) = pgrid.dims();
+    let by = if py > 1 { cfg.ny / py } else { usize::MAX };
+    let bz = if pz > 1 { cfg.nz / pz } else { usize::MAX };
+    let ga = 3.min(by).min(bz).max(1);
+    let groups = (1..=cfg.m_iters)
+        .map(|k| 3 * k)
+        .filter(|&g| g <= by.min(bz));
+    std::iter::once(1)
+        .chain(groups)
+        .map(|g| (g, g + 2 <= by, ga))
         .collect()
 }
 
-/// The crossover rank count: the smallest charted `p` from which the CA
-/// algorithm wins (speedup ≥ 1) *and keeps winning* through the rest of
-/// the chart.  `None` when the baseline still wins at the largest charted
-/// `p` — under a fitted model of a latency-free loopback network, CA's
-/// redundant computation can outweigh its saved messages at every
-/// feasible scale, and that is a finding, not an error.
-pub fn crossover_rank(chart: &[ScalingPoint]) -> Option<usize> {
-    let last_loss = chart
-        .iter()
-        .rposition(|pt| pt.speedup() < 1.0)
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    chart.get(last_loss).map(|pt| pt.p)
+/// The rung of [`ca_ladder`] with the least predicted step under `model`
+/// ([`predict`]'s makespan; ties go to the deeper rung): redundant halo
+/// sweeps at their kernels' `γ` a point against `α + β·bytes` a message and
+/// `sync` a round.  The `tianhe2` preset, 2.5 ms of skew a round, picks the
+/// deepest rung at every rank count the paper ran (and the full `g = 3M`
+/// where a rank's redundant rows are cheap against a round); a host whose
+/// rounds cost tens of microseconds picks a shallower one.  A grid the mesh
+/// does not decompose on gets the top rung: the model constructor reports
+/// the bad grid.
+pub fn ca_pick(cfg: &ModelConfig, pgrid: &ProcessGrid, model: &CostModel) -> (usize, bool, usize) {
+    let ladder = ca_ladder(cfg, pgrid);
+    let top = ladder[ladder.len() - 1];
+    let cost = |&(g, fuse, ga): &(usize, bool, usize)| {
+        let mode = CaMode::Groups(g, fuse, ga);
+        let step = predict(cfg, AlgKind::CommAvoiding, *pgrid, mode, model);
+        step.map_or(f64::INFINITY, |p| p.makespan_s)
+    };
+    // deepest first: `min_by` keeps the first of equal minima
+    let best = ladder.iter().rev().map(|r| (cost(r), *r));
+    best.min_by(|a, b| a.0.total_cmp(&b.0))
+        .map_or(top, |(_, r)| r)
+}
+
+/// The sweep groups `(g, fuse, g_a)` Algorithm 2 runs with on `pgrid`:
+/// [`ca_pick`] under the measured constants of the bench host
+/// ([`CostModel::BENCH_HOST`]).  A pure function of its arguments and the
+/// single source for `par::alg2::CaModel::new`, the static schedule
+/// ([`CaMode::Grouped`]) and `agcm-verify`, so none of them can drift.
+pub fn ca_group_size(cfg: &ModelConfig, pgrid: &ProcessGrid) -> (usize, bool, usize) {
+    ca_pick(cfg, pgrid, &CostModel::BENCH_HOST)
 }
 
 #[cfg(test)]
@@ -599,11 +566,15 @@ mod tests {
         );
     }
 
+    fn step(cfg: &ModelConfig, alg: AlgKind, pgrid: ProcessGrid, model: &CostModel) -> Prediction {
+        predict(cfg, alg, pgrid, CaMode::Grouped, model).unwrap()
+    }
+
     /// CA at the rung `model` picks for `pgrid`.
-    fn predict_ca(cfg: &ModelConfig, pgrid: ProcessGrid, model: &CostModel) -> StepCost {
+    fn predict_ca(cfg: &ModelConfig, pgrid: ProcessGrid, model: &CostModel) -> Prediction {
         let (g, fuse, ga) = ca_pick(cfg, &pgrid, model);
         let mode = CaMode::Groups(g, fuse, ga);
-        predict_step_mode(cfg, AlgKind::CommAvoiding, pgrid, model, mode)
+        predict(cfg, AlgKind::CommAvoiding, pgrid, mode, model).unwrap()
     }
 
     #[test]
@@ -612,36 +583,36 @@ mod tests {
         let cfg = paper_cfg();
         let model = CostModel::tianhe2();
         let ca = predict_ca(&cfg, ProcessGrid::yz(64, 8).unwrap(), &model);
-        let yz = predict_step(
+        let yz = step(
             &cfg,
             AlgKind::OriginalYZ,
             ProcessGrid::yz(64, 8).unwrap(),
             &model,
         );
-        let xy = predict_step(
+        let xy = step(
             &cfg,
             AlgKind::OriginalXY,
             ProcessGrid::xy(32, 16).unwrap(),
             &model,
         );
         assert!(
-            ca.total_s() < yz.total_s(),
+            ca.makespan_s < yz.makespan_s,
             "CA {} must beat YZ {}",
-            ca.total_s(),
-            yz.total_s()
+            ca.makespan_s,
+            yz.makespan_s
         );
         assert!(
-            yz.total_s() < xy.total_s(),
+            yz.makespan_s < xy.makespan_s,
             "YZ {} must beat XY {}",
-            yz.total_s(),
-            xy.total_s()
+            yz.makespan_s,
+            xy.makespan_s
         );
         // stencil communication: 13 exchanges vs 2 → several-fold speedup
-        assert!(yz.stencil_comm_s / ca.stencil_comm_s > 2.0);
+        assert!(yz.path.stencil_s() / ca.path.stencil_s() > 2.0);
         // collective communication: XY's distributed FFT dwarfs YZ's C
-        assert!(xy.collective_comm_s > yz.collective_comm_s);
+        assert!(xy.path.collective_s > yz.path.collective_s);
         // and CA's collectives are ~2/3 of YZ's
-        let r = ca.collective_comm_s / yz.collective_comm_s;
+        let r = ca.path.collective_s / yz.path.collective_s;
         assert!((0.55..0.8).contains(&r), "collective ratio {r}");
     }
 
@@ -651,8 +622,143 @@ mod tests {
         let model = CostModel::tianhe2();
         let t256 = predict_ca(&cfg, ProcessGrid::yz(32, 8).unwrap(), &model);
         let t1024 = predict_ca(&cfg, ProcessGrid::yz(128, 8).unwrap(), &model);
-        assert!(t1024.compute_s < t256.compute_s);
-        assert!(t1024.total_s() < t256.total_s());
+        assert!(t1024.path.compute_s < t256.path.compute_s);
+        assert!(t1024.makespan_s < t256.makespan_s);
+    }
+
+    #[test]
+    fn the_critical_path_sums_to_the_makespan_and_prices_linearly() {
+        let cfg = ModelConfig::test_medium();
+        let pg = ProcessGrid::yz(2, 2).unwrap();
+        let host = CostModel::BENCH_HOST;
+        for alg in [AlgKind::OriginalYZ, AlgKind::CommAvoiding] {
+            let base = step(&cfg, alg, pg, &host);
+            let gap = (base.path.total_s() - base.makespan_s).abs();
+            assert!(
+                gap < 1e-12 * base.makespan_s,
+                "{alg:?}: segments vs makespan"
+            );
+            assert!(base.path.compute_s > 0.0 && base.path.pack_s > 0.0);
+            assert!(base.path.wait_s > 0.0 && base.path.collective_s > 0.0);
+            // a network twice as slow, kernels twice as slow: twice the step
+            let mut twice = host;
+            twice.alpha *= 2.0;
+            twice.beta *= 2.0;
+            twice.sync *= 2.0;
+            let g = &mut twice.gamma;
+            for k in [
+                &mut g.adaptation,
+                &mut g.vertical,
+                &mut g.advection,
+                &mut g.smoothing,
+                &mut g.filter,
+                &mut g.forcing,
+            ] {
+                *k *= 2.0;
+            }
+            let slow = step(&cfg, alg, pg, &twice);
+            let r = slow.makespan_s / base.makespan_s;
+            assert!((r - 2.0).abs() < 1e-9, "{alg:?}: {r}");
+            // a posted message costs α + β·bytes: the critical path's pack
+            // segment moves by what one rank's messages and bytes say
+            let mut dearer = host;
+            dearer.alpha += 1e-6;
+            let t = base.ranks[base.critical_rank];
+            let d = step(&cfg, alg, pg, &dearer).path.pack_s - base.path.pack_s;
+            assert!((d - 1e-6 * t.msgs as f64).abs() < 1e-12, "{alg:?}: {d}");
+        }
+    }
+
+    #[test]
+    fn an_overlapped_exchange_hides_the_wire_behind_the_halo_free_sweep() {
+        // Algorithm 2's first adaptation and first advection exchange fly
+        // while the halo-free rows are swept: a wire shorter than that sweep
+        // is free, and the blocking exchanges pay it in full
+        let cfg = ModelConfig {
+            ny: 24,
+            ..ModelConfig::test_medium()
+        };
+        let pg = ProcessGrid::yz(2, 1).unwrap();
+        let mode = CaMode::Groups(3, true, 3);
+        let mut wire = CostModel::BENCH_HOST;
+        wire.sync = 0.0;
+        let free = wire;
+        let at = |m: &CostModel| predict(&cfg, AlgKind::CommAvoiding, pg, mode, m).unwrap();
+        let base = at(&free);
+        wire.sync = 1e-6;
+        let slower = at(&wire);
+        let exchanges = schedule::exchange_count(&schedule::alg2_step(&cfg, &pg, mode));
+        assert_eq!(exchanges, 4);
+        let paid = (slower.makespan_s - base.makespan_s) / 1e-6;
+        assert!((paid - 2.0).abs() < 1e-6, "{paid} of 4 wires paid");
+        // the same wire under Algorithm 1: thirteen blocking rounds
+        let alg1 = |m: &CostModel| step(&cfg, AlgKind::OriginalYZ, pg, m).makespan_s;
+        let paid = (alg1(&wire) - alg1(&free)) / 1e-6;
+        assert!((paid - 13.0).abs() < 1e-6, "{paid} of 13 wires paid");
+    }
+
+    #[test]
+    fn a_deep_halo_s_redundant_rows_are_priced() {
+        // on a free network every rung of the ladder costs its sweeps, and
+        // a deeper halo sweeps more: the rows between the blocks, twice
+        let cfg = ModelConfig {
+            ny: 24,
+            ..ModelConfig::test_medium()
+        };
+        let pg = ProcessGrid::yz(2, 1).unwrap();
+        let ideal = CostModel::ideal_network();
+        let compute = |&(g, fuse, ga): &(usize, bool, usize)| {
+            let mode = CaMode::Groups(g, fuse, ga);
+            let p = predict(&cfg, AlgKind::CommAvoiding, pg, mode, &ideal).unwrap();
+            assert_eq!(p.makespan_s, p.path.compute_s);
+            p.path.compute_s
+        };
+        let costs: Vec<f64> = ca_ladder(&cfg, &pg).iter().map(compute).collect();
+        assert!(costs.windows(2).all(|w| w[0] < w[1]), "{costs:?}");
+    }
+
+    #[test]
+    fn refuses_a_mesh_the_grid_does_not_decompose() {
+        // 32 ranks do not leave the test mesh's 16 rows one each
+        let cfg = ModelConfig::test_medium();
+        let host = CostModel::BENCH_HOST;
+        let crowded = ProcessGrid::yz(32, 1).unwrap();
+        let refused = predict(&cfg, AlgKind::OriginalYZ, crowded, CaMode::Grouped, &host);
+        assert!(matches!(refused, Err(ModelError::Mesh(_))), "{refused:?}");
+        // and the pick falls back to the top rung, as documented
+        assert_eq!(
+            ca_pick(&cfg, &crowded, &host),
+            *ca_ladder(&cfg, &crowded).last().unwrap()
+        );
+        // a mesh that is no mesh: two columns
+        let thin = ModelConfig { nx: 2, ..cfg };
+        assert!(active_flags(&thin).is_err());
+        let serial = ProcessGrid::serial();
+        let refused = predict(&thin, AlgKind::OriginalYZ, serial, CaMode::Grouped, &host);
+        assert!(matches!(refused, Err(ModelError::Mesh(_))), "{refused:?}");
+    }
+
+    #[test]
+    fn refuses_algorithm_2_on_an_x_split() {
+        let cfg = ModelConfig::test_medium();
+        let xy = ProcessGrid::xy(2, 2).unwrap();
+        let refused = predict(
+            &cfg,
+            AlgKind::CommAvoiding,
+            xy,
+            CaMode::Groups(1, true, 3),
+            &CostModel::BENCH_HOST,
+        );
+        assert!(matches!(refused, Err(ModelError::Config(_))), "{refused:?}");
+        // Algorithm 1 runs there
+        assert!(predict(
+            &cfg,
+            AlgKind::OriginalXY,
+            xy,
+            CaMode::Grouped,
+            &CostModel::BENCH_HOST
+        )
+        .is_ok());
     }
 
     #[test]
@@ -697,7 +803,7 @@ mod tests {
             let want = if pg.size() == 1 { top(cfg, &pg).0 } else { 1 };
             assert_eq!(ideal.0, want, "{pg:?}");
         }
-        // 2.2 ms of skew a round: the paper's machine takes the deepest halo
+        // 2.5 ms of skew a round: the paper's machine takes the deepest halo
         // that fits at every rank count the paper ran (z blocks of 3 levels
         // cap it at g = 3), and the full 3M where a rank's redundant rows
         // are cheap against a round — not at p = 2 on its own mesh, where
@@ -711,46 +817,5 @@ mod tests {
         // the bench host: rounds cost tens of microseconds, and a shallow
         // group is worth its few redundant rows on the L2-resident mesh
         assert_eq!(ca_group_size(&small, &yz(2, 1)), (3, true, 3));
-    }
-
-    #[test]
-    fn scaling_chart_finds_paper_crossover() {
-        // under the Tianhe-2 calibration CA wins everywhere in the paper's
-        // range, so the crossover is the first charted rank count
-        let cfg = paper_cfg();
-        let model = CostModel::tianhe2();
-        let grid = |p: usize, alg: AlgKind| match alg {
-            AlgKind::OriginalXY => ProcessGrid::xy(16, p / 16).expect("xy"),
-            _ => ProcessGrid::yz(p / 8, 8).expect("yz"),
-        };
-        let chart = scaling_chart(
-            &cfg,
-            AlgKind::OriginalYZ,
-            &[128, 256, 512, 1024],
-            grid,
-            &model,
-        );
-        assert_eq!(chart.len(), 4);
-        assert!(chart.iter().all(|pt| pt.speedup() > 1.0));
-        assert_eq!(crossover_rank(&chart), Some(128));
-    }
-
-    #[test]
-    fn crossover_rank_respects_late_losses() {
-        let pt = |p, baseline_s, ca_s| ScalingPoint {
-            p,
-            baseline_s,
-            ca_s,
-        };
-        // CA loses at 128, wins from 256 on: crossover at 256
-        let chart = [pt(128, 1.0, 1.2), pt(256, 1.0, 0.9), pt(512, 1.0, 0.7)];
-        assert_eq!(crossover_rank(&chart), Some(256));
-        // a relapse at 512 pushes the crossover past it
-        let chart = [pt(128, 1.0, 0.9), pt(256, 1.0, 0.8), pt(512, 1.0, 1.1)];
-        assert_eq!(crossover_rank(&chart), None);
-        // baseline never beaten: first charted p
-        let chart = [pt(128, 1.0, 0.5), pt(256, 1.0, 0.4)];
-        assert_eq!(crossover_rank(&chart), Some(128));
-        assert_eq!(crossover_rank(&[]), None);
     }
 }

@@ -79,10 +79,6 @@ pub struct Integrator {
     smoothed: State,
 }
 
-fn is_smoothing(c: &ComputeOp) -> bool {
-    c.op.starts_with("smooth")
-}
-
 /// Rule 1: the argument of sub-update `sub` (0: the smoothing's and the
 /// forcing's).  `ψ` is `state`.
 fn arg_of<'a>(
@@ -100,25 +96,12 @@ fn arg_of<'a>(
 
 /// Rule 2: the region `c` sweeps.
 fn region(geom: &LocalGeometry, c: &ComputeOp) -> Region {
-    match c.dilate as isize {
-        d if d < 0 => halo_free(geom, c),
-        d => geom
-            .interior()
-            .dilate(d, d, geom.ny, geom.nz, geom.halo, geom.grow_sides()),
-    }
+    c.region(geom.ny, geom.nz, geom.halo, geom.grow_sides())
 }
 
-/// The part of the interior on which `c` reads no exchanged halo: the
-/// interior less the depth its sweep is exchanged at, on the sides that
-/// face a neighbour.
+/// The part of the interior on which `c` reads no exchanged halo.
 fn halo_free(geom: &LocalGeometry, c: &ComputeOp) -> Region {
-    let reach = if is_smoothing(c) {
-        schedule::depth_smooth()
-    } else {
-        schedule::depth_sweep()
-    };
-    geom.interior()
-        .shrink(reach.ym as isize, reach.zm as isize, geom.grow_sides())
+    c.halo_free(geom.ny, geom.nz, geom.grow_sides())
 }
 
 impl Integrator {
@@ -381,7 +364,7 @@ impl Integrator {
 
     /// Rule 4: whether the walk runs `c` now.
     fn runs(&self, c: &ComputeOp) -> bool {
-        self.pending_smooth || !is_smoothing(c)
+        self.pending_smooth || !c.is_smoothing()
     }
 
     fn run(&mut self, ops: &[StepOp], comm: Option<&Communicator>) -> CommResult<()> {
@@ -453,8 +436,7 @@ impl Integrator {
         };
         // only a kernel that issues no collective of its own can be split
         // around the messages
-        let splits = rest.first() == Some(&StepOp::Compute(user))
-            && (user.dilate < 0 || user.op == "advection.fused");
+        let splits = rest.first() == Some(&StepOp::Compute(user)) && user.splits();
         let overlap = x.overlapped && !self.degraded && splits;
         let arg = arg_of(user.sub, &mut self.state, &mut self.eta1, &mut self.mid);
         if overlap {

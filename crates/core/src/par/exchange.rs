@@ -112,7 +112,7 @@ impl LinkMessage {
 /// The messages `rank` sends (and, mirrored, receives) in one exchange of
 /// `fields` at halo `depth`: one per neighbour link some field has a box
 /// on.  This is the single enumeration of halo messages — the exchanger
-/// executes it, `analysis::predict_rank_mode` prices it and `agcm-verify`
+/// executes it, `analysis::predict` prices it and `agcm-verify`
 /// turns it into send/recv events — so predictor ≡ schedule graph ≡ runtime
 /// ≡ wire cannot drift.
 pub fn link_messages(

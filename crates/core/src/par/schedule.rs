@@ -21,7 +21,7 @@
 
 use crate::analysis::CaMode;
 use crate::config::ModelConfig;
-use crate::geometry::GrowSides;
+use crate::geometry::{GrowSides, Region};
 use crate::tables;
 use agcm_mesh::{HaloWidths, ProcessGrid};
 
@@ -161,6 +161,42 @@ pub struct ComputeOp {
     pub reads_base: bool,
     /// Operator-`C` usage of this kernel.
     pub c: CSource,
+}
+
+impl ComputeOp {
+    /// The region the kernel sweeps on a block of `ny` rows and `nz` levels
+    /// with `halo` allocated around it: the interior grown by `dilate` on
+    /// the sides that face a neighbour, or (negative) [`Self::halo_free`].
+    pub fn region(&self, ny: usize, nz: usize, halo: HaloWidths, grow: GrowSides) -> Region {
+        match self.dilate as isize {
+            d if d < 0 => self.halo_free(ny, nz, grow),
+            d => Region::interior(ny, nz).dilate(d, d, ny, nz, halo, grow),
+        }
+    }
+
+    /// The part of the interior on which the kernel reads no exchanged
+    /// halo: the interior less the depth its sweep is exchanged at, on the
+    /// sides that face a neighbour.
+    pub fn halo_free(&self, ny: usize, nz: usize, grow: GrowSides) -> Region {
+        let reach = if self.is_smoothing() {
+            depth_smooth()
+        } else {
+            depth_sweep()
+        };
+        Region::interior(ny, nz).shrink(reach.ym as isize, reach.zm as isize, grow)
+    }
+
+    /// Whether the kernel is one of the two smoothing passes.
+    pub fn is_smoothing(&self) -> bool {
+        self.op.starts_with("smooth")
+    }
+
+    /// Whether an overlapped exchange can be split around the kernel (post →
+    /// its halo-free part → finish → the rest): only a kernel that issues
+    /// no collective of its own.
+    pub fn splits(&self) -> bool {
+        self.dilate < 0 || self.op == "advection.fused"
+    }
 }
 
 /// One entry of a step's program.

@@ -31,12 +31,10 @@
 #![forbid(unsafe_code)]
 use agcm_comm::telemetry::{self, CLOCK_ROUNDS};
 use agcm_comm::{
-    fit_alpha_beta, fit_gamma, p2p_only_delta, CommFit, Communicator, CostModel, Endpoint,
-    SocketTransport, Universe, WireStats, WIRE_OVERHEAD_BYTES,
+    p2p_only_delta, Communicator, CostModel, Endpoint, SocketTransport, Universe, WireStats,
+    WIRE_OVERHEAD_BYTES,
 };
-use agcm_core::analysis::{
-    crossover_rank, predict_step, scaling_chart, AlgKind, CaMode, ScalingPoint,
-};
+use agcm_core::analysis::{predict, AlgKind, CaMode, Prediction};
 use agcm_core::par::GlobalState;
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::{init, Integrator, ModelConfig};
@@ -152,7 +150,7 @@ pub struct RunOpts {
     /// clock-aligned Chrome trace, and run the critical-path/cost-model
     /// analysis in the parent.
     pub trace: bool,
-    /// Where the merged trace and fit artifacts land (default
+    /// Where the merged trace and critical-path artifacts land (default
     /// `target/trace-dist`).
     pub trace_out: Option<PathBuf>,
     /// Elastic mode: supervise the workers and respawn a dead rank from its
@@ -225,10 +223,10 @@ message arrive 200 us late — the latency dial of a host that has none.
 
 With --trace every rank records spans, aligns its clock against rank 0 and
 ships its stream over a control communicator at run end; rank 0 merges them
-into one Chrome trace, and the parent validates the JSON, attributes each
-step's critical path against the static schedule, and fits an alpha-beta
-cost model to the measured exchanges (artifacts under --trace-out, default
-target/trace-dist).
+into one Chrome trace, and the parent validates the JSON, attributes the
+measured step's critical path against the static schedule, and sets it
+beside the cost model's prediction of the same step, segment by segment
+(artifacts under --trace-out, default target/trace-dist).
 
 Any of --max-respawns / --resize / --kill selects ELASTIC mode: workers
 checkpoint every step, the parent supervises them, and a dead rank is
@@ -868,10 +866,6 @@ fn verify_world(
 /// schedule describes — records step 1.
 pub const MEASURED_STEP: u64 = 1;
 
-/// The rank counts charted under the fitted cost model (the paper's
-/// evaluation points).
-pub const CHART_RANKS: [usize; 4] = [128, 256, 512, 1024];
-
 /// A finite `f64` as a JSON number (non-finite values become `null`).
 pub(crate) fn jnum(x: f64) -> String {
     if x.is_finite() {
@@ -889,11 +883,13 @@ pub(crate) fn jnum(x: f64) -> String {
 /// 2. joined against the static [`ScheduleGraph`], the measured step must
 ///    attribute cleanly (exchange-wait and collective span counts equal
 ///    the schedule's, per rank) and name its critical path;
-/// 3. an α–β fit over the measured exchange spans must report its
-///    residuals, and the fitted model is charted on the paper mesh.
+/// 3. the cost model's prediction of the same step under
+///    [`CostModel::BENCH_HOST`] is set beside the measured critical path,
+///    segment by segment.
 ///
-/// Artifacts (`trace_alg{N}.json`, `fit_alg{N}.json`, `telemetry_alg{N}.txt`)
-/// land in `--trace-out` (default `target/trace-dist`).
+/// Artifacts (`trace_alg{N}.json`, `critpath_alg{N}.json`,
+/// `telemetry_alg{N}.txt`) land in `--trace-out` (default
+/// `target/trace-dist`).
 fn analyze_world_trace(
     alg: u32,
     p: usize,
@@ -971,27 +967,17 @@ fn analyze_world_trace(
         .first()
         .ok_or_else(|| format!("alg{alg}: no complete measured step in the merged trace"))?;
 
-    // 3. fit the measured exchanges; γ from the critical rank's compute
-    let fit = fit_alpha_beta(&rep.samples).map_err(|e| format!("alg{alg} cost fit: {e}"))?;
-    let probe = CostModel {
-        alpha: 0.0,
-        beta: 0.0,
-        gamma: 1.0,
-        sync: 0.0,
-        name: "probe",
-    };
-    let updates = predict_step(cfg, alg_kind, pgrid, &probe).compute_s;
-    let gamma = fit_gamma(step.breakdown.compute_ns as f64 * 1e-9, updates);
-    let fitted = fit.model(gamma);
-    let paper = ModelConfig::paper_50km();
-    let chart = scaling_chart(
-        &paper,
-        AlgKind::OriginalYZ,
-        &CHART_RANKS,
-        |p, _| ProcessGrid::yz(p / 8, 8).expect("paper grid"),
-        &fitted,
-    );
-    let crossover = crossover_rank(&chart);
+    // 3. what the cost model says the same step costs, by the segments
+    // the measured critical path is split into
+    let predicted = predict(
+        cfg,
+        alg_kind,
+        pgrid,
+        CaMode::Grouped,
+        &CostModel::BENCH_HOST,
+    )
+    .map_err(|e| format!("alg{alg}: predicting the traced step: {e}"))?;
+    let segments = segments(&predicted, step);
 
     fs::copy(
         out.join("trace.json"),
@@ -1002,88 +988,68 @@ fn analyze_world_trace(
         out.join("telemetry.txt"),
         trace_out.join(format!("telemetry_alg{alg}.txt")),
     );
-    let fit_json = fit_report_json(alg, p, &fit, gamma, step, &chart, crossover);
-    obs::validate_json(&fit_json).map_err(|e| format!("fit report JSON invalid: {e}"))?;
-    fs::write(trace_out.join(format!("fit_alg{alg}.json")), &fit_json)
-        .map_err(|e| format!("fit_alg{alg}.json: {e}"))?;
+    let report = critpath_report_json(alg, p, step, &predicted, &segments);
+    obs::validate_json(&report).map_err(|e| format!("critical-path report JSON invalid: {e}"))?;
+    fs::write(trace_out.join(format!("critpath_alg{alg}.json")), &report)
+        .map_err(|e| format!("critpath_alg{alg}.json: {e}"))?;
 
-    let b = &step.breakdown;
-    let pct = |ns: u64| 100.0 * ns as f64 / (step.critical_wall_ns.max(1)) as f64;
     let block = step
         .blocking
         .first()
         .map(|a| format!("{} ({})", a.op_label, a.name))
         .unwrap_or_else(|| "none".to_string());
+    let table: Vec<String> = segments
+        .iter()
+        .map(|(name, want, got)| format!("{name} {:.1}/{:.1}", want * 1e6, got * 1e6))
+        .collect();
     println!(
-        "agcm-run: alg{alg} trace: {} events, {p} tracks merged; step {}: makespan {:.1} µs, \
-         critical rank {} (compute {:.0}%, pack {:.0}%, wire-wait {:.0}%, collective {:.0}%, \
-         longest block: {block}); fit[{}] α={:.3e} s β={:.3e} s/B sync={:.3e} s \
-         rel_rmse={:.3} over {} samples; paper-mesh crossover: {}",
+        "agcm-run: alg{alg} trace: {} events, {p} tracks merged; step {}: makespan {:.1} µs \
+         (predicted {:.1} µs under {}), critical rank {} (predicted {}), longest block: {block}; \
+         predicted/measured µs: {}",
         merged.len(),
         step.step,
         step.makespan_ns as f64 / 1e3,
+        predicted.makespan_s * 1e6,
+        CostModel::BENCH_HOST.name,
         step.critical_rank,
-        pct(b.compute_ns),
-        pct(b.pack_ns),
-        pct(b.wire_wait_ns),
-        pct(b.collective_ns),
-        fit.terms.label(),
-        fit.alpha,
-        fit.beta,
-        fit.sync,
-        fit.rel_rmse(),
-        fit.residuals.len(),
-        match crossover {
-            Some(p) => format!("p = {p}"),
-            None => "none in charted range".to_string(),
-        },
+        predicted.critical_rank,
+        table.join(", "),
     );
     Ok(())
 }
 
-/// Hand-rolled (std-only) JSON fit/critical-path report of one world.
-fn fit_report_json(
+/// `(segment, predicted seconds, measured seconds)`: the predicted critical
+/// path beside the measured critical rank's spans.
+fn segments(
+    predicted: &Prediction,
+    measured: &critpath::StepCriticalPath,
+) -> [(&'static str, f64, f64); 4] {
+    let (want, got) = (&predicted.path, &measured.breakdown);
+    [
+        ("compute", want.compute_s, got.compute_ns as f64 * 1e-9),
+        ("pack", want.pack_s, got.pack_ns as f64 * 1e-9),
+        ("wire-wait", want.wait_s, got.wire_wait_ns as f64 * 1e-9),
+        (
+            "collective",
+            want.collective_s,
+            got.collective_ns as f64 * 1e-9,
+        ),
+    ]
+}
+
+/// Hand-rolled (std-only) JSON critical-path report of one world: the
+/// measured step, its longest blocking spans, and the prediction beside it.
+fn critpath_report_json(
     alg: u32,
     p: usize,
-    fit: &CommFit,
-    gamma: f64,
     step: &critpath::StepCriticalPath,
-    chart: &[ScalingPoint],
-    crossover: Option<usize>,
+    predicted: &Prediction,
+    segments: &[(&'static str, f64, f64)],
 ) -> String {
     let mut s = String::with_capacity(4096);
     s.push_str("{\n");
-    s.push_str("  \"schema_version\": 1,\n");
+    s.push_str("  \"schema_version\": 2,\n");
     s.push_str(&format!("  \"alg\": {alg},\n  \"ranks\": {p},\n"));
-    s.push_str(&format!(
-        "  \"fit\": {{\"terms\": \"{}\", \"alpha_s\": {}, \"beta_s_per_byte\": {}, \
-         \"sync_s\": {}, \"gamma_s\": {}, \"rel_rmse\": {}, \"max_rel_err\": {}}},\n",
-        fit.terms.label(),
-        jnum(fit.alpha),
-        jnum(fit.beta),
-        jnum(fit.sync),
-        jnum(gamma),
-        jnum(fit.rel_rmse()),
-        jnum(fit.max_rel_err()),
-    ));
-    let rows: Vec<String> = fit
-        .residuals
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"op\": {}, \"name\": \"{}\", \"msgs\": {}, \"bytes\": {}, \
-                 \"measured_s\": {}, \"predicted_s\": {}, \"rel_err\": {}}}",
-                r.op,
-                r.name,
-                r.msgs,
-                r.bytes,
-                jnum(r.measured_s),
-                jnum(r.predicted_s),
-                jnum(r.rel_err()),
-            )
-        })
-        .collect();
-    s.push_str(&format!("  \"residuals\": [\n{}\n  ],\n", rows.join(",\n")));
     let b = &step.breakdown;
     let blocking: Vec<String> = step
         .blocking
@@ -1111,26 +1077,23 @@ fn fit_report_json(
         b.collective_ns,
         blocking.join(",\n"),
     ));
-    let points: Vec<String> = chart
+    let rows: Vec<String> = segments
         .iter()
-        .map(|pt| {
+        .map(|(name, want, got)| {
             format!(
-                "    {{\"p\": {}, \"baseline_s\": {}, \"ca_s\": {}, \"speedup\": {}}}",
-                pt.p,
-                jnum(pt.baseline_s),
-                jnum(pt.ca_s),
-                jnum(pt.speedup()),
+                "    {{\"segment\": \"{name}\", \"predicted_s\": {}, \"measured_s\": {}}}",
+                jnum(*want),
+                jnum(*got)
             )
         })
         .collect();
     s.push_str(&format!(
-        "  \"paper_mesh_chart\": {{\"baseline\": \"original Y-Z\", \"points\": [\n{}\n  ], \
-         \"crossover_p\": {}}}\n",
-        points.join(",\n"),
-        match crossover {
-            Some(p) => p.to_string(),
-            None => "null".to_string(),
-        },
+        "  \"predicted\": {{\"model\": \"{}\", \"makespan_s\": {}, \"critical_rank\": {}}},\n  \
+         \"segments\": [\n{}\n  ]\n",
+        CostModel::BENCH_HOST.name,
+        jnum(predicted.makespan_s),
+        predicted.critical_rank,
+        rows.join(",\n"),
     ));
     s.push_str("}\n");
     s

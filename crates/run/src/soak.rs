@@ -21,10 +21,10 @@
 //! * a **checkpoint-cadence auto-tuner**: the Young/Daly interval
 //!   `k ≈ √(2·δ·MTBF) / T_step` with δ measured from the workers'
 //!   `resilience.ckpt_write_ns` histogram, MTBF from the observed kill
-//!   rate, and `T_step` predicted by the fitted α–β–γ cost model
-//!   ([`agcm_comm::fit_alpha_beta`] over per-phase samples, γ from a
-//!   serial probe).  The tuned interval is applied to the *next* phase and
-//!   recorded per phase.
+//!   rate, and `T_step` the measured mean step of the most recent phase
+//!   that ran at the next phase's rank count (else of the phase just
+//!   finished).  The tuned interval is applied to the *next* phase and
+//!   recorded per phase with the `T_step` it came from.
 //!
 //! The verdict plus all of the above lands in a schema-validated
 //! `BENCH_soak.json`.
@@ -32,14 +32,11 @@
 use crate::elastic::{
     read_rank_metrics, scratch_dir, supervise_world, verify_elastic, SuperviseReport, WorldSpec,
 };
-use crate::{jnum, parse_num, run_config, serial_reference, ParentError};
-use agcm_comm::{fit_alpha_beta, fit_gamma, splitmix64, CostModel, Endpoint, ExchangeSample};
-use agcm_core::analysis::{predict_step, AlgKind, CaMode};
-use agcm_core::serial::Iteration;
+use crate::{jnum, parse_num, run_config, ParentError};
+use agcm_comm::{splitmix64, Endpoint};
 use agcm_core::{redistribute, resize_retention, ModelConfig};
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
-use agcm_verify::{rank_counts, ScheduleGraph};
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -118,7 +115,7 @@ The respawn budget (--max-respawns, default kills + 2) spans the whole run.
 
 The completed run must be bitwise identical to the serial reference.  MTTR
 percentiles, availability, and the auto-tuned checkpoint cadence (Young/Daly
-against the fitted alpha-beta-gamma cost model) land in --bench-out
+against the measured mean step) land in --bench-out
 (default BENCH_soak.json), validated before writing.  --plan-only prints
 the chaos plan without running it.
 
@@ -374,12 +371,21 @@ struct PhaseOutcome {
     start: u64,
     end: u64,
     interval: u64,
+    /// The mean step `interval` was tuned from (`None`: phase 0's fixed
+    /// densest cadence).
+    t_step_s: Option<f64>,
     keep: usize,
     wall: Duration,
     kills: usize,
     respawns: usize,
     rewires: u64,
     incidents: Vec<(usize, u64, Duration)>, // (rank, epoch, downtime)
+}
+
+impl PhaseOutcome {
+    fn mean_step_s(&self) -> f64 {
+        self.wall.as_secs_f64() / (self.end - self.start).max(1) as f64
+    }
 }
 
 /// Merge every incarnation of every rank in one phase's checkpoint
@@ -428,23 +434,6 @@ fn merge_world_metrics(dir: &std::path::Path, p: usize) -> obs::MetricsSnapshot 
     out
 }
 
-/// γ from a short serial probe: wall seconds of a few reference steps over
-/// the analyzer's point-update count for the serial grid.
-fn measure_gamma(cfg: &ModelConfig) -> f64 {
-    const PROBE_STEPS: usize = 3;
-    let probe = CostModel {
-        alpha: 0.0,
-        beta: 0.0,
-        gamma: 1.0,
-        sync: 0.0,
-        name: "probe",
-    };
-    let updates = predict_step(cfg, AlgKind::OriginalYZ, ProcessGrid::serial(), &probe).compute_s;
-    let t0 = Instant::now();
-    let _ = serial_reference(cfg, Iteration::Exact, PROBE_STEPS);
-    fit_gamma(t0.elapsed().as_secs_f64() / PROBE_STEPS as f64, updates)
-}
-
 /// Young/Daly: `k ≈ √(2·δ·MTBF) / T_step`, clamped to a sane cadence (at
 /// least 1; never sparser than a quarter of the shortest phase, so every
 /// phase still writes several durable points).
@@ -475,12 +464,11 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
     let out = scratch_dir(&format!("soak-seed{}", plan.seed));
     fs::create_dir_all(&out).map_err(|e| ParentError::Other(format!("{}: {e}", out.display())))?;
     let exe = std::env::current_exe().map_err(|e| ParentError::Other(e.to_string()))?;
-    let gamma = measure_gamma(&cfg);
 
     let mut budget = opts.max_respawns;
     let mut interval = 1u64; // phase 0 runs the densest cadence
+    let mut tuned_from = None;
     let mut outcomes: Vec<PhaseOutcome> = Vec::new();
-    let mut samples: Vec<ExchangeSample> = Vec::new();
     let mut delta_sum = 0u64; // ckpt_write_ns mass across phases
     let mut delta_count = 0u64;
     let min_phase_steps = plan
@@ -548,10 +536,8 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
                 ph.kills.len(),
                 budget
             );
-            let t0 = Instant::now();
             let report: SuperviseReport =
                 supervise_world(&w, &ph.kills, &mut budget, opts.timeout)?;
-            let wall = t0.elapsed();
             verify_elastic(
                 1,
                 ph.p,
@@ -576,35 +562,6 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
                 mttr_hist.record(inc.downtime.as_nanos() as u64);
             }
 
-            // one α–β sample per phase: the communication share of the mean
-            // step, against the most-loaded rank's static traffic
-            let graph =
-                ScheduleGraph::extract(&cfg, AlgKind::OriginalYZ, CaMode::Grouped, w_grid(ph.p)?)
-                    .map_err(ParentError::Other)?;
-            let counts = rank_counts(&graph);
-            let (msgs, bytes) = counts
-                .iter()
-                .map(|c| (c.send_msgs, 8 * c.send_elems))
-                .max_by_key(|&(m, b)| (b, m))
-                .unwrap_or((0, 0));
-            let probe = CostModel {
-                alpha: 0.0,
-                beta: 0.0,
-                gamma: 1.0,
-                sync: 0.0,
-                name: "probe",
-            };
-            let updates = predict_step(&cfg, AlgKind::OriginalYZ, w_grid(ph.p)?, &probe).compute_s;
-            let phase_steps = (ph.end - ph.start).max(1);
-            let mean_step_s = report.wall.as_secs_f64() / phase_steps as f64;
-            samples.push(ExchangeSample {
-                op: i as u32,
-                name: "soak.phase",
-                msgs,
-                bytes,
-                seconds: (mean_step_s - gamma * updates).max(1e-9),
-            });
-
             // tune the NEXT phase's cadence from everything measured so far
             let delta_s = if delta_count > 0 {
                 delta_sum as f64 / delta_count as f64 * 1e-9
@@ -618,38 +575,14 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
             } else {
                 f64::INFINITY
             };
-            let t_step =
-                if let (Ok(fit), Some(next)) = (fit_alpha_beta(&samples), plan.phases.get(i + 1)) {
-                    predict_step(
-                        &cfg,
-                        AlgKind::OriginalYZ,
-                        w_grid(next.p)?,
-                        &fit.model(gamma),
-                    )
-                    .total_s()
-                } else {
-                    mean_step_s
-                };
-            let next_interval = tune_interval(delta_s, mtbf_s, t_step, min_phase_steps);
-            println!(
-                "agcm-soak: phase {i}: wall {:.2}s, {} repair(s), {} rewire(s); \
-                 tuner: delta={:.3}ms mtbf={:.1}s T_step={:.3}ms -> interval {} for next phase",
-                wall.as_secs_f64(),
-                report.incidents.len(),
-                rewires,
-                delta_s * 1e3,
-                if mtbf_s.is_finite() { mtbf_s } else { -1.0 },
-                t_step * 1e3,
-                next_interval
-            );
-
             outcomes.push(PhaseOutcome {
                 p: ph.p,
                 start: ph.start,
                 end: ph.end,
                 interval,
+                t_step_s: tuned_from,
                 keep,
-                wall,
+                wall: report.wall,
                 kills: ph.kills.len(),
                 respawns: report.incidents.len(),
                 rewires,
@@ -659,7 +592,25 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
                     .map(|x| (x.rank, x.epoch, x.downtime))
                     .collect(),
             });
-            interval = next_interval;
+            // the step the next phase will take: the latest one measured at
+            // its rank count, else the one just measured
+            let next_p = plan.phases.get(i + 1).map_or(ph.p, |next| next.p);
+            let at_next_p = outcomes.iter().rev().find(|o| o.p == next_p);
+            let t_step = at_next_p
+                .or(outcomes.last())
+                .map_or(0.0, |o| o.mean_step_s());
+            interval = tune_interval(delta_s, mtbf_s, t_step, min_phase_steps);
+            tuned_from = Some(t_step);
+            println!(
+                "agcm-soak: phase {i}: wall {:.2}s, {} repair(s), {} rewire(s); \
+                 tuner: delta={:.3}ms mtbf={:.1}s T_step={:.3}ms -> interval {interval} for next phase",
+                report.wall.as_secs_f64(),
+                report.incidents.len(),
+                rewires,
+                delta_s * 1e3,
+                if mtbf_s.is_finite() { mtbf_s } else { -1.0 },
+                t_step * 1e3,
+            );
             prev = Some((w.ckpt.clone(), ph.p));
         }
         Ok(())
@@ -674,15 +625,7 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
     }
     result?;
 
-    let report = bench_report(
-        opts,
-        &plan,
-        &outcomes,
-        gamma,
-        delta_sum,
-        delta_count,
-        &samples,
-    );
+    let report = bench_report(opts, &plan, &outcomes, delta_sum, delta_count);
     obs::validate_json(&report).map_err(|e| {
         ParentError::Other(format!("BENCH_soak.json failed RFC 8259 validation: {e}"))
     })?;
@@ -703,20 +646,13 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
     Ok(())
 }
 
-fn w_grid(p: usize) -> Result<ProcessGrid, ParentError> {
-    ProcessGrid::yz(p, 1).map_err(|e| ParentError::Other(e.to_string()))
-}
-
 /// Render the validated `BENCH_soak.json` document.
-#[allow(clippy::too_many_arguments)]
 fn bench_report(
     opts: &SoakOpts,
     plan: &SoakPlan,
     outcomes: &[PhaseOutcome],
-    gamma: f64,
     delta_sum: u64,
     delta_count: u64,
-    samples: &[ExchangeSample],
 ) -> String {
     let mttr = obs::Registry::global().histogram("soak.mttr_ns");
     let q = |x: f64| mttr.quantile(x) as f64 * 1e-6; // ns -> ms
@@ -735,7 +671,6 @@ fn bench_report(
         1.0
     };
     let n_incidents: usize = outcomes.iter().map(|o| o.incidents.len()).sum();
-    let fit = fit_alpha_beta(samples).ok();
     let delta_s = if delta_count > 0 {
         delta_sum as f64 / delta_count as f64 * 1e-9
     } else {
@@ -820,23 +755,13 @@ fn bench_report(
         "  \"incidents\": [\n{}\n  ],\n",
         incident_rows.join(",\n")
     ));
+    let per_phase =
+        |f: &dyn Fn(&PhaseOutcome) -> String| outcomes.iter().map(f).collect::<Vec<_>>().join(", ");
     s.push_str(&format!(
-        "  \"tuning\": {{\"gamma_s\": {}, \"alpha_s\": {}, \"beta_s_per_byte\": {}, \
-         \"sync_s\": {}, \"fit_terms\": {}, \"ckpt_write_s_mean\": {}, \"intervals\": [{}]}},\n",
-        jnum(gamma),
-        jnum(fit.as_ref().map_or(f64::NAN, |f| f.alpha)),
-        jnum(fit.as_ref().map_or(f64::NAN, |f| f.beta)),
-        jnum(fit.as_ref().map_or(f64::NAN, |f| f.sync)),
-        match &fit {
-            Some(f) => format!("\"{}\"", f.terms.label()),
-            None => "null".to_string(),
-        },
+        "  \"tuning\": {{\"ckpt_write_s_mean\": {}, \"t_step_s\": [{}], \"intervals\": [{}]}},\n",
         jnum(delta_s),
-        outcomes
-            .iter()
-            .map(|o| o.interval.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
+        per_phase(&|o| o.t_step_s.map_or("null".to_string(), jnum)),
+        per_phase(&|o| o.interval.to_string()),
     ));
     s.push_str("  \"bitwise_identical_to_serial\": true\n");
     s.push_str("}\n");

@@ -2,9 +2,10 @@
 //! binary with `--trace` so four OS processes ship their span streams to
 //! rank 0 over the Unix-domain socket mesh, then check the merged
 //! artifacts with the in-tree RFC 8259 validator — one timeline track per
-//! rank, every operator phase the algorithm runs, and a fit report whose
-//! critical path joined cleanly against the static schedule (the launcher
-//! exits non-zero otherwise, which this test would surface).
+//! rank, every operator phase the algorithm runs, and a critical-path
+//! report that joined cleanly against the static schedule and sets the cost
+//! model's prediction beside each measured segment (the launcher exits
+//! non-zero otherwise, which this test would surface).
 
 #![cfg(unix)]
 
@@ -37,7 +38,7 @@ fn traced_multiprocess_run_produces_valid_merged_artifacts() {
         out.status
     );
     // the parent prints one analysis line per algorithm after the
-    // critical-path join and the cost-model fit both succeed
+    // critical-path join and the prediction of the same step both succeed
     for alg in [1, 2] {
         assert!(
             stdout.contains(&format!("alg{alg} trace:")),
@@ -67,11 +68,15 @@ fn traced_multiprocess_run_produces_valid_merged_artifacts() {
             );
         }
 
-        let fit = std::fs::read_to_string(dir.join(format!("fit_alg{alg}.json")))
-            .expect("fit report exists");
-        obs::validate_json(&fit).expect("fit report is RFC 8259-valid");
-        for key in ["\"critical_path\"", "\"residuals\"", "\"paper_mesh_chart\""] {
-            assert!(fit.contains(key), "alg{alg}: fit report missing {key}");
+        let report = std::fs::read_to_string(dir.join(format!("critpath_alg{alg}.json")))
+            .expect("critical-path report exists");
+        obs::validate_json(&report).expect("critical-path report is RFC 8259-valid");
+        for key in ["\"critical_path\"", "\"predicted_s\"", "\"measured_s\""] {
+            assert!(report.contains(key), "alg{alg}: report missing {key}");
+        }
+        for segment in ["compute", "pack", "wire-wait", "collective"] {
+            let row = format!("\"segment\": \"{segment}\"");
+            assert!(report.contains(&row), "alg{alg}: no {segment} segment");
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -1,8 +1,8 @@
 //! Analysis 3 — count certification.
 //!
 //! The analyzer's per-rank message/volume/collective counts must equal the
-//! independent per-rank predictor of [`agcm_core::analysis`]
-//! ([`agcm_core::analysis::predict_rank_mode`]), and the per-step synchronization totals must
+//! counts the cost model's walk of the same program passes
+//! ([`agcm_core::analysis::predict`]), and the per-step synchronization totals must
 //! equal the §5.3 closed forms (`S_YZ = 6M + 4`, `S_CA = 2M + 2`,
 //! `S_XY = 9M + 10` per step) — turning the paper's headline claims
 //! (13 → 2 stencil exchanges, one third of the vertical collectives
@@ -12,7 +12,7 @@ use crate::graph::ScheduleGraph;
 use agcm_comm::CostModel;
 use agcm_core::analysis::{self, AlgKind, CaMode};
 use agcm_core::ModelConfig;
-use agcm_mesh::{Decomposition, ProcessGrid};
+use agcm_mesh::ProcessGrid;
 
 /// Per-rank traffic of one step, summed from the event graph.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -80,7 +80,7 @@ impl CountReport {
 const MAX_ERRORS: usize = 16;
 
 /// Certify the graph's counts against the §5.3 closed forms and the
-/// independent per-rank predictor of `core::analysis`.
+/// per-rank counts of `core::analysis::predict`.
 pub fn certify_counts(
     cfg: &ModelConfig,
     alg: AlgKind,
@@ -125,24 +125,18 @@ pub fn certify_counts(
         err(&mut rep, msg);
     }
 
-    // per-rank counts vs the independent predictor
-    let decomp = match Decomposition::new(cfg.extents(), pgrid) {
-        Ok(d) => d,
+    // per-rank counts vs the cost model's walk (its constants move no count)
+    let predicted = match analysis::predict(cfg, alg, pgrid, mode, &CostModel::BENCH_HOST) {
+        Ok(p) => p,
         Err(e) => {
-            err(&mut rep, format!("invalid decomposition: {e}"));
+            err(&mut rep, format!("the predictor refuses the schedule: {e}"));
             return rep;
         }
     };
-    let flags = analysis::active_flags(cfg);
-    let mode = match alg {
-        AlgKind::CommAvoiding => mode.resolved(cfg, &pgrid),
-        _ => mode,
-    };
-    let model = CostModel::tianhe2();
     let counts = rank_counts(g);
     let mut total_sends = 0u64;
     let mut total_recvs = 0u64;
-    for (rank, c) in counts.iter().enumerate() {
+    for (rank, (c, want)) in counts.iter().zip(&predicted.ranks).enumerate() {
         total_sends += c.send_msgs;
         total_recvs += c.recv_msgs;
         if c.send_msgs != c.recv_msgs {
@@ -154,22 +148,21 @@ pub fn certify_counts(
                 ),
             );
         }
-        let rc = analysis::predict_rank_mode(cfg, alg, &decomp, rank, &model, &flags, mode);
-        if c.send_msgs != rc.p2p_msgs || c.send_elems != rc.p2p_elems {
+        if c.send_msgs != want.msgs || c.send_elems != want.elems {
             err(
                 &mut rep,
                 format!(
                     "rank {rank}: schedule graph ({} msgs, {} elems) != predictor ({}, {})",
-                    c.send_msgs, c.send_elems, rc.p2p_msgs, rc.p2p_elems
+                    c.send_msgs, c.send_elems, want.msgs, want.elems
                 ),
             );
         }
-        if c.collectives != rc.collective_calls {
+        if c.collectives != want.collectives {
             err(
                 &mut rep,
                 format!(
                     "rank {rank}: {} collective calls != predictor {}",
-                    c.collectives, rc.collective_calls
+                    c.collectives, want.collectives
                 ),
             );
         }

@@ -18,14 +18,12 @@
 //! Per step the analyzer finds the **critical rank** — the one whose step
 //! span ends last on the aligned clock — and attributes its wall time to
 //! compute (`Op`), pack (`ExchangePost`), wire wait (`ExchangeWait`) and
-//! collective segments, naming the longest blocking spans as
-//! (rank, op, event) entries joined back to schedule ops.  It also
-//! extracts per-exchange [`agcm_comm::ExchangeSample`]s (messages and
-//! bytes from the schedule, seconds from the post+wait spans) — the input
-//! the α–β–γ fitter regresses.
+//! collective segments — the segments `core::analysis::predict` splits its
+//! predicted critical path into, so predicted and measured set side by
+//! side — naming the longest blocking spans as (rank, op, event) entries
+//! joined back to schedule ops.
 
 use crate::graph::ScheduleGraph;
-use agcm_comm::ExchangeSample;
 use agcm_core::par::schedule::StepOp;
 use agcm_obs::{Event, Phase, SpanKind};
 use std::collections::BTreeMap;
@@ -87,8 +85,6 @@ pub struct StepCriticalPath {
 pub struct CriticalPathReport {
     /// Per-step critical paths, ascending by step.
     pub steps: Vec<StepCriticalPath>,
-    /// Per-exchange samples for the cost-model fitter.
-    pub samples: Vec<ExchangeSample>,
     /// Spans successfully joined to schedule ops.
     pub joined: usize,
     /// Join inconsistencies (span counts deviating from the schedule).
@@ -136,23 +132,12 @@ pub fn analyze(events: &[Event], graph: &ScheduleGraph) -> CriticalPathReport {
         .filter(|(_, o)| matches!(o, StepOp::ZAllgather))
         .map(|(i, _)| i as u32)
         .collect();
-    // per (rank, op): messages and payload elems the schedule says the
-    // rank receives in that op
-    let mut recv_traffic: BTreeMap<(usize, u32), (u64, u64)> = BTreeMap::new();
-    for r in &graph.recvs {
-        let e = recv_traffic
-            .entry((r.rank as usize, r.op))
-            .or_insert((0, 0));
-        e.0 += 1;
-        e.1 += r.elems;
-    }
 
     // bucket spans per (step, rank)
     type Key = (u64, usize);
     let mut steps: BTreeMap<u64, ()> = BTreeMap::new();
     let mut step_spans: BTreeMap<Key, (u64, u64)> = BTreeMap::new(); // t0, t1
     let mut waits: BTreeMap<Key, Vec<&Event>> = BTreeMap::new();
-    let mut posts: BTreeMap<Key, Vec<&Event>> = BTreeMap::new();
     let mut colls_c: BTreeMap<Key, Vec<&Event>> = BTreeMap::new();
     let mut agg: BTreeMap<Key, SegmentBreakdown> = BTreeMap::new();
     for e in events {
@@ -165,10 +150,7 @@ pub fn analyze(events: &[Event], graph: &ScheduleGraph) -> CriticalPathReport {
                 s.1 = s.1.max(e.t1_ns);
             }
             SpanKind::Op => agg.entry(key).or_default().compute_ns += e.dur_ns(),
-            SpanKind::ExchangePost => {
-                agg.entry(key).or_default().pack_ns += e.dur_ns();
-                posts.entry(key).or_default().push(e);
-            }
+            SpanKind::ExchangePost => agg.entry(key).or_default().pack_ns += e.dur_ns(),
             SpanKind::ExchangeWait => {
                 agg.entry(key).or_default().wire_wait_ns += e.dur_ns();
                 waits.entry(key).or_default().push(e);
@@ -182,15 +164,11 @@ pub fn analyze(events: &[Event], graph: &ScheduleGraph) -> CriticalPathReport {
             _ => {}
         }
     }
-    for v in waits
-        .values_mut()
-        .chain(posts.values_mut())
-        .chain(colls_c.values_mut())
-    {
+    for v in waits.values_mut().chain(colls_c.values_mut()) {
         v.sort_by_key(|e| e.seq);
     }
 
-    // join + samples per (step, rank)
+    // join per (step, rank)
     let mut joins: BTreeMap<Key, Vec<SpanAttribution>> = BTreeMap::new();
     for (&(step, rank), rank_waits) in &waits {
         if rank_waits.len() != exchange_ops.len() {
@@ -200,7 +178,6 @@ pub fn analyze(events: &[Event], graph: &ScheduleGraph) -> CriticalPathReport {
                 exchange_ops.len()
             ));
         }
-        let rank_posts = posts.get(&(step, rank)).map(Vec::as_slice).unwrap_or(&[]);
         for (i, w) in rank_waits.iter().enumerate() {
             let op = exchange_ops.get(i).copied().unwrap_or(u32::MAX);
             let label = graph
@@ -222,18 +199,6 @@ pub fn analyze(events: &[Event], graph: &ScheduleGraph) -> CriticalPathReport {
                 });
             if op != u32::MAX {
                 rep.joined += 1;
-                let (msgs, elems) = recv_traffic.get(&(rank, op)).copied().unwrap_or((0, 0));
-                // round time: the posting span plus the blocking wait;
-                // payload bytes from the schedule (the ground truth the
-                // wire identity is certified against)
-                let post_ns = rank_posts.get(i).map(|p| p.dur_ns()).unwrap_or(0);
-                rep.samples.push(ExchangeSample {
-                    op,
-                    name: w.name,
-                    msgs,
-                    bytes: 8 * elems,
-                    seconds: (post_ns + w.dur_ns()) as f64 * 1e-9,
-                });
             }
         }
     }
@@ -414,13 +379,6 @@ mod tests {
         assert!(!s.blocking.is_empty());
         assert!(s.blocking[0].op_label.starts_with("exchange:"));
         assert!(s.blocking.windows(2).all(|w| w[0].dur_ns >= w[1].dur_ns));
-        // fitter samples carry schedule traffic and measured seconds
-        assert_eq!(rep.samples.len(), 2 * n_ex);
-        for smp in &rep.samples {
-            assert!(smp.msgs >= 1, "interior rank must receive messages");
-            assert!(smp.bytes > 0);
-            assert!(smp.seconds > 0.0);
-        }
     }
 
     #[test]

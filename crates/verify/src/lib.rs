@@ -17,8 +17,8 @@
 //!    semantics either completes — a proof — or exhibits the wait-for
 //!    cycle, replacing "the 30 s timeout did not fire" as evidence.
 //! 3. **Count certification** ([`counts::certify_counts`]): graph counts
-//!    equal `core::analysis`'s independent per-rank predictor and the
-//!    §5.3 closed forms — 13 → 2 exchanges and the 3M → 2M collective
+//!    equal those of the cost model's walk (`core::analysis::predict`) and
+//!    the §5.3 closed forms — 13 → 2 exchanges and the 3M → 2M collective
 //!    reduction become machine-checked assertions.
 //! 4. **Runtime cross-check** ([`runtime::cross_check`]): at small p the
 //!    same counts equal the traffic a real thread-backed run measures.
@@ -32,8 +32,8 @@
 //! 6. **Critical-path attribution** ([`critpath::analyze`]): a merged,
 //!    clock-aligned multi-process trace is joined span-by-span against the
 //!    static graph, naming per step the blocking (rank, op, event) chain
-//!    and producing the measured exchange samples the α–β–γ fitter
-//!    ([`agcm_comm::fit`]) regresses.
+//!    and the critical rank's compute / pack / wire-wait / collective
+//!    split — the measured side of the cost model's predicted one.
 //!
 //! [`report::certify_yz`] bundles the static analyses;
 //! `cargo run -p agcm-bench --bin figures -- verify` prints the paper-mesh
