@@ -25,6 +25,7 @@ const USAGE: &str =
 
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".into());
+    println!("figures {what}: built for {}", obs::build_isa());
     let cfg = ModelConfig::paper_50km();
     let model = CostModel::tianhe2();
     match what.as_str() {

@@ -104,6 +104,17 @@ impl CostModel {
     /// * `sync = 8 µs` — `comm.alpha_s` (24 µs one way) less `α`,
     /// * `γ` — `core.{adaptation, vertical, advection, smoothing,
     ///   forcing}.ns_per_point` and `core.filterop.ns_per_point ÷ log₂ n_x`.
+    ///
+    /// The `γ` are rows of a **baseline-ISA (SSE2) build**, which is what
+    /// every build was when they were read.  Under the host-ISA build the
+    /// repository now makes (`.cargo/config.toml`) the same rows read
+    /// (EXPERIMENTS.md, "Build for the host ISA"; ns a point, SSE2 → host
+    /// ISA): adaptation 11.0 → 12.2, vertical 6.1 → 5.9, advection 14.2 →
+    /// 13.2, smoothing 6.5 → 10.1, filter 2.07 → 2.03 (all on
+    /// `small_alg1_y2_uds`), forcing 21.0 → 19.5 (`mid_serial`).  The
+    /// constants keep their old values so that `ca_pick`'s rungs and the
+    /// hold-out fixture, measured under them, stay what they were;
+    /// re-deriving both together is ROADMAP item 3's open remainder.
     pub const BENCH_HOST: CostModel = CostModel {
         alpha: 1.6e-5,
         beta: 1.0e-9,

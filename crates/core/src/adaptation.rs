@@ -10,18 +10,20 @@
 //! as an explicit argument rather than recomputing them.
 //!
 //! The per-point bodies are written once, generically over
-//! [`crate::lanes::Elem`], and driven in explicit-SIMD [`crate::lanes::Lane`]
+//! `crate::lanes::Elem`, and driven in explicit-SIMD `crate::lanes::Lane`
 //! chunks with an `f64` tail (bitwise identical by construction; see
 //! `lanes.rs`).  [`fused_adaptation_update`] is the same sweep with the
 //! sub-update's combination folded into the pass over each filter-inactive
 //! `(j, k)` row ([`crate::sweep`]) — the fusion the dataflow proof
 //! certifies under the `adaptation.fused` access spec.
 //!
-//! The kernel is bound by f64 division throughput (0.71 ns per element on
-//! the bench host against 0.21 for a multiply): 16 divisions per point —
-//! 5 in the U and V equations each, 6 in the Φ equation — none of which
-//! shares a sub-quotient with another, so there is nothing to stage here
-//! (the budget is pinned by the `division_budget` golden test).
+//! The kernel is bound by f64 division throughput (0.68 ns per element on
+//! the bench host, Emerald Rapids at 2.1 GHz, whether the divider is fed
+//! 128- or 256-bit operands — against 0.19 and 0.11 for a multiply): 16
+//! divisions per point — 5 in the U and V equations each, 6 in the Φ
+//! equation — none of which shares a sub-quotient with another, so there
+//! is nothing to stage here (the budget is pinned by the `division_budget`
+//! golden test), and a wider vector unit moves this kernel least.
 //!
 //! Standard-stratification approximation: `δ = δ_p = δ_c = 0` (as stated
 //! below Eq. 2), so the Φ equation's bracket reduces to `b`.  The Coriolis

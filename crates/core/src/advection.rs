@@ -18,14 +18,15 @@
 //!
 //! # Divide once
 //!
-//! The kernel is bound by f64 division throughput (0.71 ns per element on
-//! the bench host against 0.21 for a multiply), and evaluated point by
-//! point it divides 36 times per point of which 14 are distinct: every
-//! point re-derives its neighbours' `u/P`, `v/P` and `σ̇`.  The sweep
-//! therefore *stages* each quotient once per `(j, k)` row into per-worker
-//! row buffers (`Staged`) with the very bodies the per-point form used
-//! (`u_phys`, `v_phys`, `sdot`, `vs_face`), and the three equations load
-//! them — a stored quotient is bit-identical to a recomputed one.  Rows
+//! The kernel is bound by f64 division throughput (0.68 ns per element on
+//! the bench host, Emerald Rapids at 2.1 GHz, whether the divider is fed
+//! 128- or 256-bit operands — against 0.19 and 0.11 for a multiply), and
+//! evaluated point by point it divides 36 times per point of which 14 are
+//! distinct: every point re-derives its neighbours' `u/P`, `v/P` and `σ̇`.
+//! The sweep therefore *stages* each quotient once per `(j, k)` row into
+//! per-worker row buffers (`Staged`) with the very bodies the per-point
+//! form used (`u_phys`, `v_phys`, `sdot`, `vs_face`), and the three
+//! equations load them — a stored quotient is bit-identical to a recomputed one.  Rows
 //! `j` of a band are swept in order, so what was staged for row `j + 1`
 //! (`u/P`, `σ̇` at both interfaces, the V equation's south face flux) and
 //! row `j`'s own `v/P` roll into the next row instead of being divided

@@ -166,8 +166,11 @@ pub(crate) fn dp_row(
         a_s: c::EARTH_RADIUS * geom.sin_c(j),
     };
     // three divisions a point and little else: the plain row loop already
-    // runs at division throughput (the compiler packs it), and the explicit
-    // lane bundles cost 15 % on top (0.97 → 1.14 ms on the 180×90×30 mesh)
+    // runs at division throughput (the compiler packs it).  The explicit
+    // lane bundles cost 15 % on top under baseline SSE2 (0.97 → 1.14 ms on
+    // the 180×90×30 mesh) and nothing resolvable in the host-ISA build
+    // (`lane_loop!` here: 0.992× on `mid_serial`, 4 pairs of 10;
+    // EXPERIMENTS.md "Build for the host ISA"), so the incumbent stays
     row_loop!(out.len(), E, ii, dp_body::<E>(ii, out, &r));
 }
 

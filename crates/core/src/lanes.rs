@@ -14,12 +14,23 @@
 //!
 //! There is one path and nothing selects it.  The single kernel that runs
 //! its whole row at `f64` (`row_loop!`, `diag::dp_row`) does so because it
-//! measured faster that way, as a fact of its call site.
+//! measured no slower that way, as a fact of its call site.
+//!
+//! Nothing here names an instruction set either: how many machine
+//! registers a [`Lane`] is follows from what the build targets, which is
+//! the host's vector unit under the repository's `.cargo/config.toml`
+//! (`-C target-cpu=native`) and SSE2 pairs in a baseline build — the same
+//! bits both ways (`lane_multiply_add_is_two_roundings`, and CI's
+//! `baseline-isa` leg holds every blessed fingerprint to it).
 
 use core::ops::{Add, Div, Mul, Neg, Sub};
 
-/// Lane width of [`Lane`]: four `f64` slots (one AVX2 register / two NEON
-/// registers).  A build-time constant so chunk loops fully unroll.
+/// Lane width of [`Lane`]: four `f64` slots — one 256-bit register in the
+/// host-ISA build, two SSE2 or NEON registers in a baseline one.  A
+/// build-time constant so chunk loops fully unroll.  Kept at 4 by the
+/// campaign that followed the move to the host ISA (EXPERIMENTS.md "Build
+/// for the host ISA": `W = 8` read 0.973× on `mid_serial` and won 3 pairs
+/// of 10 on a host with 512-bit registers).
 pub const W: usize = 4;
 
 /// An element a kernel body computes one output "point bundle" for:
@@ -37,16 +48,13 @@ pub trait Elem:
     + Div<Output = Self>
     + Neg<Output = Self>
 {
-    /// Number of consecutive points this element covers.
-    const WIDTH: usize;
-
     /// Broadcast a per-row scalar into every slot.
     fn splat(v: f64) -> Self;
 
-    /// Load `WIDTH` consecutive values starting at `src[at]`.
+    /// Load this element's consecutive values starting at `src[at]`.
     fn load(src: &[f64], at: usize) -> Self;
 
-    /// Store the slots into `dst[at..at + WIDTH]`.
+    /// Store the slots at `dst[at..]`.
     fn store(self, dst: &mut [f64], at: usize);
 
     /// Slot-wise square root (correctly rounded, like the operators).
@@ -54,8 +62,6 @@ pub trait Elem:
 }
 
 impl Elem for f64 {
-    const WIDTH: usize = 1;
-
     #[inline(always)]
     fn splat(v: f64) -> Self {
         v
@@ -83,14 +89,6 @@ impl Elem for f64 {
 /// `Lane` computation is exactly [`W`] independent scalar computations.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Lane([f64; W]);
-
-impl Lane {
-    /// The slot values.
-    #[inline(always)]
-    pub fn to_array(self) -> [f64; W] {
-        self.0
-    }
-}
 
 macro_rules! lane_binop {
     ($tr:ident, $f:ident, $op:tt) => {
@@ -126,8 +124,6 @@ impl Neg for Lane {
 }
 
 impl Elem for Lane {
-    const WIDTH: usize = W;
-
     #[inline(always)]
     fn splat(v: f64) -> Self {
         Lane([v; W])
@@ -277,8 +273,6 @@ pub(crate) mod counted {
     }
 
     impl Elem for Counted {
-        const WIDTH: usize = 1;
-
         fn splat(v: f64) -> Self {
             Counted(v)
         }
@@ -316,14 +310,25 @@ mod tests {
         ];
         for (lane, op) in cases {
             for slot in 0..W {
-                assert_eq!(
-                    lane.to_array()[slot].to_bits(),
-                    op(xs[slot], ys[slot]).to_bits()
-                );
+                assert_eq!(lane.0[slot].to_bits(), op(xs[slot], ys[slot]).to_bits());
             }
         }
         for (slot, &x) in xs.iter().enumerate() {
-            assert_eq!((-a).to_array()[slot].to_bits(), (-x).to_bits());
+            assert_eq!((-a).0[slot].to_bits(), (-x).to_bits());
+        }
+    }
+
+    /// The lane form of `tests/build_isa.rs`'s case: `a·a + c` fused is one
+    /// ulp above `a·a + c` rounded twice, and a `Lane` must give the latter
+    /// in every slot on whatever ISA this was built for.
+    #[test]
+    fn lane_multiply_add_is_two_roundings() {
+        use std::hint::black_box;
+        let a = Lane::splat(black_box(1.0 + 1.0 / (1u64 << 27) as f64));
+        let c = Lane::splat(black_box(1.0 / (1u64 << 53) as f64));
+        let unfused = 1.0 + 1.0 / (1u64 << 26) as f64;
+        for slot in black_box(a * a + c).0 {
+            assert_eq!(slot.to_bits(), unfused.to_bits());
         }
     }
 
@@ -342,7 +347,7 @@ mod tests {
 
     #[test]
     fn splat_fills_every_slot() {
-        assert_eq!(Lane::splat(2.25).to_array(), [2.25; W]);
+        assert_eq!(Lane::splat(2.25).0, [2.25; W]);
         assert_eq!(<f64 as Elem>::splat(2.25), 2.25);
     }
 }

@@ -25,7 +25,7 @@ pub mod geometry;
 mod golden;
 pub mod init;
 pub mod integrator;
-pub mod lanes;
+pub(crate) mod lanes;
 pub mod par;
 pub mod pool;
 pub mod resilience;

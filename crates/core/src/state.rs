@@ -12,7 +12,7 @@ use crate::pool::band_struct;
 use agcm_mesh::{Field2, Field3, HaloWidths, RowBand2, RowBand3};
 
 /// Per-element body of `d[i] = x[i] + c·y[i]` — the same expression tree as
-/// the scalar row loop, instantiated at `f64` or [`crate::lanes::Lane`].
+/// the scalar row loop, instantiated at `f64` or `crate::lanes::Lane`.
 #[inline(always)]
 fn lincomb_body<E: Elem>(ii: usize, d: &mut [f64], x: &[f64], c: f64, y: &[f64]) {
     (E::load(x, ii) + E::splat(c) * E::load(y, ii)).store(d, ii);

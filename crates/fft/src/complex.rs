@@ -126,8 +126,13 @@ impl From<f64> for Complex {
 }
 
 /// Latitude circles the batched transform carries in lock-step (the slot
-/// count of the crate-private `CLane`).  A build-time constant picked by measurement on the
-/// bench host (see DESIGN.md §8) — not a tunable.
+/// count of the crate-private `CLane`).  A build-time constant picked by
+/// measurement on the bench host under baseline SSE2 (DESIGN.md §8) and kept
+/// by the campaign that followed the move to the host ISA, where an
+/// accumulate's sixteen slots are four 256-bit registers instead of sixteen
+/// 128-bit ones (EXPERIMENTS.md "Build for the host ISA": on `mid_serial`
+/// `W = 4` read 0.938× and lost all ten pairs, `W = 16` 0.989× and won
+/// three) — not a tunable.
 pub const W: usize = 8;
 
 /// The element the transform kernel is generic over: one complex number
@@ -270,6 +275,42 @@ mod tests {
         assert_eq!(a.norm_sqr(), 5.0);
         assert_eq!(Complex::from(2.0), Complex::new(2.0, 0.0));
         assert_eq!(a.scale(2.0), Complex::new(2.0, 4.0));
+    }
+
+    /// What keeps the transform bitwise the same on every ISA it is built
+    /// for: an accumulate is products rounded, then sums rounded — never a
+    /// fused multiply-add.  With `a = 1 + 2⁻²⁷` and `b = 1 + 2⁻²⁸`, `a·a`
+    /// rounds to `1 + 2⁻²⁶` (dropping `2⁻⁵⁴`) and `b·b` to `1 + 2⁻²⁷`
+    /// (dropping `2⁻⁵⁶`), so `a·a − b·b` is `2⁻²⁷` exactly and fusing either
+    /// product into the subtraction keeps its dropped bits instead.  The
+    /// twiddle `(a, b)` puts that difference in the real part of
+    /// `(a, b)·t`, `(−b, a)` in the imaginary part.
+    #[test]
+    fn mul_acc_is_never_fused() {
+        use std::hint::black_box;
+        let a = black_box(1.0 + 1.0 / (1u64 << 27) as f64);
+        let b = black_box(1.0 + 1.0 / (1u64 << 28) as f64);
+        let unfused = (1.0 / (1u64 << 27) as f64).to_bits();
+        let lane = |v: f64| [black_box(v); W];
+        let x = CLane {
+            re: lane(a),
+            im: lane(b),
+        };
+        let in_re = CLane::default().mul_acc(x, Complex::new(a, b));
+        let in_im = CLane::default().mul_acc(x, Complex::new(-b, a));
+        for s in 0..W {
+            assert_eq!(in_re.re[s].to_bits(), unfused, "re, slot {s}");
+            assert_eq!(in_im.im[s].to_bits(), unfused, "im, slot {s}");
+        }
+        let x = Complex::new(a, b);
+        assert_eq!(
+            Complex::zero().mul_acc(x, Complex::new(a, b)).re.to_bits(),
+            unfused
+        );
+        assert_eq!(
+            Complex::zero().mul_acc(x, Complex::new(-b, a)).im.to_bits(),
+            unfused
+        );
     }
 
     #[test]

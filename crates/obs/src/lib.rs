@@ -71,3 +71,20 @@ pub use tracer::{
     disable, drain, enable, enabled, exclusive, now_ns, pending_events, record_span, record_value,
     reset, set_rank, set_step, span, span_phase, Event, Span, SpanKind,
 };
+
+/// The instruction set this binary was compiled for — `"x86_64 avx2
+/// avx512f"` under the repository's `.cargo/config.toml` on the bench host,
+/// `"x86_64 sse2"` for a baseline build, the architecture alone elsewhere.
+/// Every reported speed names it: the same source is 1.2× apart between the
+/// two (EXPERIMENTS.md "Build for the host ISA"), and never a bit apart.
+pub fn build_isa() -> &'static str {
+    if !cfg!(target_arch = "x86_64") {
+        std::env::consts::ARCH
+    } else if cfg!(target_feature = "avx512f") {
+        "x86_64 avx2 avx512f"
+    } else if cfg!(target_feature = "avx2") {
+        "x86_64 avx2"
+    } else {
+        "x86_64 sse2"
+    }
+}

@@ -848,9 +848,10 @@ fn verify_world(
     );
     if step_ns > 0 {
         println!(
-            "agcm-run: alg{alg} p={p}: median steady step {:.3} ms ({:.1} steps/s)",
+            "agcm-run: alg{alg} p={p}: median steady step {:.3} ms ({:.1} steps/s), built for {}",
             step_ns as f64 * 1e-6,
-            1e9 / step_ns as f64
+            1e9 / step_ns as f64,
+            obs::build_isa()
         );
     }
     Ok(())
@@ -1050,6 +1051,7 @@ fn critpath_report_json(
     s.push_str("{\n");
     s.push_str("  \"schema_version\": 2,\n");
     s.push_str(&format!("  \"alg\": {alg},\n  \"ranks\": {p},\n"));
+    s.push_str(&format!("  \"build_isa\": \"{}\",\n", obs::build_isa()));
     let b = &step.breakdown;
     let blocking: Vec<String> = step
         .blocking

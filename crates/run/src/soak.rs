@@ -681,6 +681,7 @@ fn bench_report(
     s.push_str("{\n");
     s.push_str("  \"schema_version\": 1,\n");
     s.push_str("  \"label\": \"agcm-soak\",\n");
+    s.push_str(&format!("  \"build_isa\": \"{}\",\n", obs::build_isa()));
     s.push_str("  \"alg\": 1,\n");
     s.push_str(&format!("  \"seed\": {},\n", plan.seed));
     s.push_str(&format!(

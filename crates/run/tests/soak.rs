@@ -152,6 +152,7 @@ fn short_soak_completes_bitwise_and_reports() {
     agcm_obs::validate_json(&report).expect("report is valid JSON");
     for needle in [
         "\"label\": \"agcm-soak\"",
+        "\"build_isa\": \"",
         "\"seed\": 7",
         "\"steps_survived\": 300",
         "\"kills_injected\": 2",

@@ -71,7 +71,12 @@ fn traced_multiprocess_run_produces_valid_merged_artifacts() {
         let report = std::fs::read_to_string(dir.join(format!("critpath_alg{alg}.json")))
             .expect("critical-path report exists");
         obs::validate_json(&report).expect("critical-path report is RFC 8259-valid");
-        for key in ["\"critical_path\"", "\"predicted_s\"", "\"measured_s\""] {
+        for key in [
+            "\"build_isa\"",
+            "\"critical_path\"",
+            "\"predicted_s\"",
+            "\"measured_s\"",
+        ] {
             assert!(report.contains(key), "alg{alg}: report missing {key}");
         }
         for segment in ["compute", "pack", "wire-wait", "collective"] {
