@@ -220,8 +220,9 @@ pub const ADAPTATION: AccessSpec = AccessSpec {
 };
 
 /// The *fused* adaptation sub-update (`crate::adaptation::
-/// fused_adaptation_update`): tendency + per-row lincomb in one pass.  The
-/// point-wise `base` read of the lincomb is modeled by the schedule's
+/// fused_adaptation_update`): tendency + per-row combine in one pass (the
+/// filter-active rows combined in place after the filter).  The
+/// point-wise `base` read of the combine is modeled by the schedule's
 /// `reads_base`, and the output write is the state write already declared,
 /// so the fused kernel's contract is exactly the sweep's field list — but
 /// it MUST be registered under its own key: a fused kernel the schedule

@@ -69,30 +69,27 @@ pub fn adaptation_tendency(
 }
 
 /// The adaptation sub-update's sweep: the tendency of `arg`, combined into
-/// `out` at once on polar-filter-inactive rows and stored to `tend` on the
-/// active ones, which the caller filters and then combines
-/// ([`Update::combine_active_rows`]).
-#[allow(clippy::too_many_arguments)]
+/// `out` at once on polar-filter-inactive rows and stored raw to `out` on
+/// the active ones, which the caller filters and combines in place
+/// (`Update::combine_filtered`).
 pub fn fused_adaptation_update(
     geom: &LocalGeometry,
     arg: &State,
     diag: &Diag,
     upd: &Update<'_>,
-    tend: &mut State,
     out: &mut State,
     region: Region,
     scratch: &mut SweepScratch,
 ) {
-    let combine = Some((upd, out));
-    run_sweep(geom, arg, diag, tend, combine, region, scratch);
+    run_sweep(geom, arg, diag, out, Some(upd), region, scratch);
 }
 
 fn run_sweep(
     geom: &LocalGeometry,
     arg: &State,
     diag: &Diag,
-    tend: &mut State,
-    combine: Option<(&Update<'_>, &mut State)>,
+    out: &mut State,
+    upd: Option<&Update<'_>>,
     region: Region,
     scratch: &mut SweepScratch,
 ) {
@@ -100,8 +97,8 @@ fn run_sweep(
     sweep::sweep(
         geom.nx,
         region,
-        tend,
-        combine,
+        out,
+        upd,
         scratch,
         "adaptation.band",
         |band, rows| adaptation_band(geom, arg, diag, band, rows),

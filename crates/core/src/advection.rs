@@ -68,38 +68,35 @@ pub fn advection_tendency(
 }
 
 /// The advection sub-update's sweep: the tendency of `arg`, combined into
-/// `out` at once on polar-filter-inactive rows and stored to `tend` on the
-/// active ones, which the caller filters and then combines
-/// ([`Update::combine_active_rows`]).
-#[allow(clippy::too_many_arguments)]
+/// `out` at once on polar-filter-inactive rows and stored raw to `out` on
+/// the active ones, which the caller filters and combines in place
+/// (`Update::combine_filtered`).
 pub fn fused_advection_update(
     geom: &LocalGeometry,
     arg: &State,
     diag: &Diag,
     upd: &Update<'_>,
-    tend: &mut State,
     out: &mut State,
     region: Region,
     scratch: &mut SweepScratch,
 ) {
-    let combine = Some((upd, out));
-    run_sweep(geom, arg, diag, tend, combine, region, scratch);
+    run_sweep(geom, arg, diag, out, Some(upd), region, scratch);
 }
 
 fn run_sweep(
     geom: &LocalGeometry,
     arg: &State,
     diag: &Diag,
-    tend: &mut State,
-    combine: Option<(&Update<'_>, &mut State)>,
+    out: &mut State,
+    upd: Option<&Update<'_>>,
     region: Region,
     scratch: &mut SweepScratch,
 ) {
     sweep::sweep(
         geom.nx,
         region,
-        tend,
-        combine,
+        out,
+        upd,
         scratch,
         "advection.band",
         |band, rows| advection_band(geom, arg, diag, band, rows),

@@ -13,7 +13,7 @@ use crate::advection::fused_advection_update;
 use crate::boundary;
 use crate::config::ModelConfig;
 use crate::diag::Diag;
-use crate::filterop::{build_filter, filter_row, filter_state_distributed, filter_state_local};
+use crate::filterop::{build_filter, filter_distributed_then, filter_local_then, filter_row};
 use crate::geometry::{LocalGeometry, Region};
 use crate::pool;
 use crate::state::{Combine, State};
@@ -136,15 +136,14 @@ impl Engine {
     ///   diagnostics (`D_sa`, `D(P)`, surface fields) are recomputed.
     ///
     /// Requires `arg` valid one row/level beyond `region` (owned halos via
-    /// exchange; boundary halos are filled here).  `tend` is scratch: only
-    /// its polar-filter-active rows are written.
+    /// exchange; boundary halos are filled here).  A polar-filter-active
+    /// row's tendency passes through its own row of `out` ([`crate::sweep`]).
     #[allow(clippy::too_many_arguments)]
     pub fn adaptation_subupdate(
         &mut self,
         base: Option<&State>,
         arg: &mut State,
         out: &mut State,
-        tend: &mut State,
         region: Region,
         dt: f64,
         form: Combine,
@@ -205,36 +204,32 @@ impl Engine {
                 arg,
                 &self.diag,
                 &upd,
-                tend,
                 out,
                 region,
                 &mut self.sscratch,
             );
         }
-        apply_filter(
+        filter_and_combine(
             &self.geom,
             &self.filter,
             &mut self.fscratch,
-            tend,
+            &upd,
+            out,
             region,
             fctx,
-        )?;
-        let _a = obs::span_phase(obs::SpanKind::Op, obs::Phase::A, "adaptation.lincomb");
-        upd.combine_active_rows(out, tend, region);
-        Ok(())
+        )
     }
 
     /// One advection sub-update: `out = form(base, dt·F̃(L̃(arg)))` on
     /// `region`, using the frozen `g_w` diagnostic (no collective — the
     /// `(F̃ L̃)³` factor of the operator form is collective-free).  `base`
-    /// and `tend` as in [`Self::adaptation_subupdate`].
+    /// and `out` as in [`Self::adaptation_subupdate`].
     #[allow(clippy::too_many_arguments)]
     pub fn advection_subupdate(
         &mut self,
         base: Option<&State>,
         arg: &mut State,
         out: &mut State,
-        tend: &mut State,
         region: Region,
         dt: f64,
         form: Combine,
@@ -242,7 +237,7 @@ impl Engine {
     ) -> CommResult<()> {
         let sweep_span = obs::span_phase(obs::SpanKind::Op, obs::Phase::L, "advection.fused");
         self.fill(arg);
-        self.advection_on(sweep_span, base, arg, out, tend, region, dt, form, fctx)
+        self.advection_on(sweep_span, base, arg, out, region, dt, form, fctx)
     }
 
     /// [`Self::advection_subupdate`] on one part of a sweep that is split
@@ -255,14 +250,13 @@ impl Engine {
         base: Option<&State>,
         arg: &State,
         out: &mut State,
-        tend: &mut State,
         region: Region,
         dt: f64,
         form: Combine,
         fctx: &FilterCtx<'_>,
     ) -> CommResult<()> {
         let sweep_span = obs::span_phase(obs::SpanKind::Op, obs::Phase::L, "advection.fused");
-        self.advection_on(sweep_span, base, arg, out, tend, region, dt, form, fctx)
+        self.advection_on(sweep_span, base, arg, out, region, dt, form, fctx)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -272,7 +266,6 @@ impl Engine {
         base: Option<&State>,
         arg: &State,
         out: &mut State,
-        tend: &mut State,
         region: Region,
         dt: f64,
         form: Combine,
@@ -292,23 +285,20 @@ impl Engine {
             arg,
             &self.diag,
             &upd,
-            tend,
             out,
             region,
             &mut self.sscratch,
         );
         drop(sweep_span);
-        apply_filter(
+        filter_and_combine(
             &self.geom,
             &self.filter,
             &mut self.fscratch,
-            tend,
+            &upd,
+            out,
             region,
             fctx,
-        )?;
-        let _l = obs::span_phase(obs::SpanKind::Op, obs::Phase::L, "advection.lincomb");
-        upd.combine_active_rows(out, tend, region);
-        Ok(())
+        )
     }
 
     /// Apply the Held–Suarez forcing (if enabled) to `st` on `region`.
@@ -330,25 +320,29 @@ impl Engine {
     }
 }
 
-/// Apply `F̃` to the tendency state on `region` (only filter-active rows
-/// change).  A free function over the engine's parts so a sub-update can
+/// The rest of a sub-update after its sweep: `F̃` on the filter-active rows
+/// of `region`, whose raw tendencies the sweep left in `out`, each row then
+/// combined in place — `out = form(base, dt·F̃(t))` — as soon as it is
+/// filtered.  A free function over the engine's parts so a sub-update can
 /// keep borrowing its row-activity table across the call.
-fn apply_filter(
+pub(crate) fn filter_and_combine(
     geom: &LocalGeometry,
     filter: &FourierFilter,
     fscratch: &mut FilterScratch,
-    tend: &mut State,
+    upd: &Update<'_>,
+    out: &mut State,
     region: Region,
     fctx: &FilterCtx<'_>,
 ) -> CommResult<()> {
     // F̃ span; the distributed path's alltoallv inherits Phase::F
     let _f = obs::span_phase(obs::SpanKind::Op, obs::Phase::F, "filter");
+    let done = |row: &mut [f64], id| upd.combine_filtered(row, id);
     match fctx {
         FilterCtx::Local => {
-            filter_state_local(geom, filter, tend, region, fscratch);
+            filter_local_then(geom, filter, out, region, fscratch, done);
             Ok(())
         }
-        FilterCtx::Distributed(xc) => filter_state_distributed(geom, filter, tend, region, xc),
+        FilterCtx::Distributed(xc) => filter_distributed_then(geom, filter, out, region, xc, done),
     }
 }
 
@@ -372,13 +366,11 @@ mod tests {
         let mut psi = crate::init::rest(&e.geom);
         let base = psi.clone();
         let mut out = State::like(&psi);
-        let mut tend = State::like(&psi);
         let region = e.geom.interior();
         e.adaptation_subupdate(
             Some(&base),
             &mut psi,
             &mut out,
-            &mut tend,
             region,
             e.cfg.dt1,
             Combine::Euler,
@@ -392,7 +384,6 @@ mod tests {
             Some(&base),
             &mut psi,
             &mut out,
-            &mut tend,
             region,
             e.cfg.dt2,
             Combine::Euler,
@@ -409,14 +400,12 @@ mod tests {
         let base = psi.clone();
         let mut out_fresh = State::like(&psi);
         let mut out_cached = State::like(&psi);
-        let mut tend = State::like(&psi);
         let region = e.geom.interior();
         // fresh C at psi — establishes the cache
         e.adaptation_subupdate(
             Some(&base),
             &mut psi,
             &mut out_fresh,
-            &mut tend,
             region,
             10.0,
             Combine::Euler,
@@ -430,7 +419,6 @@ mod tests {
             Some(&base),
             &mut psi,
             &mut out_cached,
-            &mut tend,
             region,
             10.0,
             Combine::Euler,
@@ -447,7 +435,6 @@ mod tests {
             Some(&base),
             &mut psi2,
             &mut out_cached2,
-            &mut tend,
             region,
             10.0,
             Combine::Euler,
@@ -461,7 +448,6 @@ mod tests {
             Some(&base),
             &mut psi2,
             &mut out_fresh2,
-            &mut tend,
             region,
             10.0,
             Combine::Euler,

@@ -9,7 +9,7 @@
 
 use crate::geometry::{LocalGeometry, Region};
 use crate::pool::{self, PerWorker, MAX_WORKERS};
-use crate::state::State;
+use crate::state::{RowId, State};
 use agcm_comm::{CommResult, Communicator};
 use agcm_fft::{filter_rows_distributed, FilterScratch, FilterWorker, FourierFilter};
 
@@ -39,6 +39,14 @@ pub(crate) fn filter_row(geom: &LocalGeometry, jl: isize) -> usize {
     m.clamp(0, ny - 1) as usize
 }
 
+/// The rows `[y0, y1)` of `region` in the order the filter streams them:
+/// level by level the three 3-D components of each row, then `p'_sa`.
+fn rows_of(region: Region, y0: isize, y1: isize) -> impl Iterator<Item = RowId> {
+    let rows3 = (region.z0..region.z1)
+        .flat_map(move |k| (y0..y1).flat_map(move |j| (0..3).map(move |f| (f, j, k))));
+    rows3.chain((y0..y1).map(|j| (3, j, 0)))
+}
+
 /// Filter a state in place on `region` — the local (`p_x = 1`) path.
 /// Each active `(j, k)` row of the 3-D components and each active `j` row
 /// of `p'_sa` is transformed, damped and transformed back.
@@ -63,6 +71,20 @@ pub fn filter_state_local(
     region: Region,
     scratch: &mut FilterScratch,
 ) {
+    filter_local_then(geom, filter, state, region, scratch, |_, _| {});
+}
+
+/// [`filter_state_local`] that hands every filtered row to `done` on the
+/// worker that filtered it, as soon as it is stored — a sub-update combines
+/// it there (`Update::combine_filtered`).
+pub(crate) fn filter_local_then(
+    geom: &LocalGeometry,
+    filter: &FourierFilter,
+    state: &mut State,
+    region: Region,
+    scratch: &mut FilterScratch,
+    done: impl Fn(&mut [f64], RowId) + Sync,
+) {
     let nx = geom.nx as isize;
     let cuts = pool::region_cuts(&region, geom.nx, |j| filter.is_active(filter_row(geom, j)));
     // one arena per band (stack list, no alloc)
@@ -78,20 +100,12 @@ pub fn filter_state_local(
         PerWorker(&mut workers[..cuts.bands()]),
     );
     pool::run(whole, &cuts, "filter.pooled", |(band, worker), y0, y1| {
-        let rows3 = (region.z0..region.z1)
-            .flat_map(|k| (y0..y1).flat_map(move |j| (0..3u8).map(move |f| (f, j, k))));
-        let rows = rows3
-            .chain((y0..y1).map(|j| (3, j, 0)))
-            .map(|(f, j, k)| (filter_row(geom, j), (f, j, k)));
+        let rows = rows_of(region, y0, y1).map(|id @ (_, j, _)| (filter_row(geom, j), id));
         filter.apply_rows_with(
             band,
             rows,
-            |band, (f, j, k)| match f {
-                0 => band.u.row_mut(0, nx, j, k),
-                1 => band.v.row_mut(0, nx, j, k),
-                2 => band.phi.row_mut(0, nx, j, k),
-                _ => band.psa.row_mut(0, nx, j, 0),
-            },
+            |band, id| band.row_mut(nx, id),
+            &done,
             worker.mine().as_mut().expect("one arena per band"),
         );
     });
@@ -107,8 +121,20 @@ pub fn filter_state_distributed(
     region: Region,
     xcomm: &Communicator,
 ) -> CommResult<()> {
-    let nx_local = geom.nx;
-    let nx_global = geom.grid.nx();
+    filter_distributed_then(geom, filter, state, region, xcomm, |_, _| {})
+}
+
+/// [`filter_state_distributed`] that hands every filtered row to `done` as
+/// the transposes' result is scattered back into it.
+pub(crate) fn filter_distributed_then(
+    geom: &LocalGeometry,
+    filter: &FourierFilter,
+    state: &mut State,
+    region: Region,
+    xcomm: &Communicator,
+    done: impl Fn(&mut [f64], RowId),
+) -> CommResult<()> {
+    let nx = geom.nx as isize;
     // collect the active rows of all components into one batch so a single
     // pair of transposes carries the whole state (one "communication")
     // the zero-alloc stepping guarantee covers the Y-Z path (filtering is
@@ -116,50 +142,21 @@ pub fn filter_state_distributed(
     // and the alltoallv buffers behind it are pooled: lint:allow(alloc)
     let mut rows: Vec<f64> = Vec::new(); // lint:allow(alloc)
     let mut row_j: Vec<usize> = Vec::new(); // lint:allow(alloc)
-    let mut locs: Vec<(usize, isize, isize)> = Vec::new(); // (field, j, k) lint:allow(alloc)
-    for k in region.z0..region.z1 {
-        for j in region.y0..region.y1 {
-            let gj = filter_row(geom, j);
-            if !filter.is_active(gj) {
-                continue;
-            }
-            for (fi, f) in [&state.u, &state.v, &state.phi].into_iter().enumerate() {
-                rows.extend_from_slice(f.row(0, nx_local as isize, j, k));
-                row_j.push(gj);
-                locs.push((fi, j, k));
-            }
-        }
-    }
-    for j in region.y0..region.y1 {
+    let mut ids: Vec<RowId> = Vec::new(); // lint:allow(alloc)
+    for id @ (_, j, _) in rows_of(region, region.y0, region.y1) {
         let gj = filter_row(geom, j);
         if filter.is_active(gj) {
-            rows.extend_from_slice(state.psa.row(0, nx_local as isize, j));
+            rows.extend_from_slice(state.row(nx, id));
             row_j.push(gj);
-            locs.push((3, j, 0));
+            ids.push(id);
         }
     }
-    filter_rows_distributed(xcomm, nx_global, &mut rows, &row_j, filter)?;
+    filter_rows_distributed(xcomm, geom.grid.nx(), &mut rows, &row_j, filter)?;
     // scatter the filtered rows back
-    for (r, &(fi, j, k)) in locs.iter().enumerate() {
-        let src = &rows[r * nx_local..(r + 1) * nx_local];
-        match fi {
-            0 => state
-                .u
-                .row_mut(0, nx_local as isize, j, k)
-                .copy_from_slice(src),
-            1 => state
-                .v
-                .row_mut(0, nx_local as isize, j, k)
-                .copy_from_slice(src),
-            2 => state
-                .phi
-                .row_mut(0, nx_local as isize, j, k)
-                .copy_from_slice(src),
-            _ => state
-                .psa
-                .row_mut(0, nx_local as isize, j)
-                .copy_from_slice(src),
-        }
+    for (src, &id) in rows.chunks_exact(geom.nx).zip(&ids) {
+        let row = state.row_mut(nx, id);
+        row.copy_from_slice(src);
+        done(row, id);
     }
     Ok(())
 }

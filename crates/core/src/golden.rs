@@ -15,7 +15,7 @@ use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
 use crate::pool;
 use crate::smoothing::{smooth_rows, smooth_rows_scalar, RowMask};
-use crate::state::{Combine, State};
+use crate::state::{Combine, RowId, State};
 use crate::stdatm::StandardAtmosphere;
 use crate::sweep::{SweepScratch, Update};
 use crate::vertical::{apply_c, apply_c_scalar, ZContext};
@@ -397,24 +397,61 @@ fn random_active(geom: &LocalGeometry, s: &mut u64) -> (Vec<bool>, isize) {
 }
 
 type ScalarTendency = fn(&LocalGeometry, &State, &Diag, &mut State, Region);
-type FusedUpdate = fn(
-    &LocalGeometry,
-    &State,
-    &Diag,
-    &Update<'_>,
-    &mut State,
-    &mut State,
-    Region,
-    &mut SweepScratch,
-);
+type FusedUpdate =
+    fn(&LocalGeometry, &State, &Diag, &Update<'_>, &mut State, Region, &mut SweepScratch);
+
+/// The per-point combine of a sub-update — the oracle of both row kernels.
+fn combine_point(form: Combine, b: f64, dt: f64, t: f64) -> f64 {
+    match form {
+        Combine::Euler => b + dt * t,
+        Combine::Midpoint => 0.5 * (b + (b + dt * t)),
+    }
+}
+
+/// `out0` with every point of `region` on the rows `combined(j)` picks
+/// replaced by the per-point combine of `base` and `tend`, and every point
+/// of the other rows of `region` by `tend` itself.
+fn combine_oracle(
+    out0: &State,
+    base: &State,
+    tend: &State,
+    region: Region,
+    (form, dt): (Combine, f64),
+    combined: impl Fn(isize) -> bool,
+) -> State {
+    let nx = out0.extents().0 as isize;
+    let mut out = out0.clone();
+    for j in region.y0..region.y1 {
+        let pick = |b: f64, t: f64| {
+            if combined(j) {
+                combine_point(form, b, dt, t)
+            } else {
+                t
+            }
+        };
+        for i in 0..nx {
+            for k in region.z0..region.z1 {
+                for (o, t, b) in [
+                    (&mut out.u, &tend.u, &base.u),
+                    (&mut out.v, &tend.v, &base.v),
+                    (&mut out.phi, &tend.phi, &base.phi),
+                ] {
+                    o.set(i, j, k, pick(b.get(i, j, k), t.get(i, j, k)));
+                }
+            }
+            out.psa
+                .set(i, j, pick(base.psa.get(i, j), tend.psa.get(i, j)));
+        }
+    }
+    out
+}
 
 /// The sub-update sweep against the per-point oracle: filter-inactive rows
-/// are combined into `out` (either form) and leave `tend` alone; active
-/// rows land in `tend` and leave `out` alone.
+/// are combined into `out` (either form); active rows are left holding
+/// their raw tendency in `out`, for the filter to transform and combine.
 fn assert_fused_sweep_matches_scalar(name: &str, scalar: ScalarTendency, fused: FusedUpdate) {
     for (nx, h) in MESHES {
         let geom = geom_with(nx, h);
-        let nx = geom.nx as isize;
         for seed in SEEDS {
             let mut s = seed.wrapping_mul(11);
             let arg = random_state(&geom, splitmix64(&mut s));
@@ -423,43 +460,13 @@ fn assert_fused_sweep_matches_scalar(name: &str, scalar: ScalarTendency, fused: 
             let region = random_region(&geom, &mut s);
             let (active, active_off) = random_active(&geom, &mut s);
             let dt = 0.25 + rand_pos(&mut s);
-            let tend0 = random_state(&geom, splitmix64(&mut s));
             let out0 = random_state(&geom, splitmix64(&mut s));
-            let mut full = tend0.clone();
+            let mut full = out0.clone();
             scalar(&geom, &arg, &diag, &mut full, region);
 
             for form in [Combine::Euler, Combine::Midpoint] {
-                let combine = |b: f64, t: f64| match form {
-                    Combine::Euler => b + dt * t,
-                    Combine::Midpoint => 0.5 * (b + (b + dt * t)),
-                };
-                let mut tend_ref = tend0.clone();
-                let mut out_ref = out0.clone();
-                for j in region.y0..region.y1 {
-                    let is_active = active[(j + active_off) as usize];
-                    for i in 0..nx {
-                        for k in region.z0..region.z1 {
-                            for (t, o, f, b) in [
-                                (&mut tend_ref.u, &mut out_ref.u, &full.u, &base.u),
-                                (&mut tend_ref.v, &mut out_ref.v, &full.v, &base.v),
-                                (&mut tend_ref.phi, &mut out_ref.phi, &full.phi, &base.phi),
-                            ] {
-                                if is_active {
-                                    t.set(i, j, k, f.get(i, j, k));
-                                } else {
-                                    o.set(i, j, k, combine(b.get(i, j, k), f.get(i, j, k)));
-                                }
-                            }
-                        }
-                        if is_active {
-                            tend_ref.psa.set(i, j, full.psa.get(i, j));
-                        } else {
-                            let v = combine(base.psa.get(i, j), full.psa.get(i, j));
-                            out_ref.psa.set(i, j, v);
-                        }
-                    }
-                }
-
+                let inactive = |j: isize| !active[(j + active_off) as usize];
+                let want = combine_oracle(&out0, &base, &full, region, (form, dt), inactive);
                 let upd = Update {
                     base: &base,
                     dt,
@@ -470,23 +477,12 @@ fn assert_fused_sweep_matches_scalar(name: &str, scalar: ScalarTendency, fused: 
                 // one scratch across worker counts: it must grow on demand
                 let mut scratch = SweepScratch::new();
                 for nt in THREADS {
-                    let mut tend = tend0.clone();
                     let mut out = out0.clone();
                     pool::with_workers(nt, || {
-                        fused(
-                            &geom,
-                            &arg,
-                            &diag,
-                            &upd,
-                            &mut tend,
-                            &mut out,
-                            region,
-                            &mut scratch,
-                        )
+                        fused(&geom, &arg, &diag, &upd, &mut out, region, &mut scratch)
                     });
                     let what = format!("fused {name} {form:?} nx={nx} h={h} nt={nt} seed={seed}");
-                    assert_state_bits(&tend, &tend_ref, &format!("{what}: tend"));
-                    assert_state_bits(&out, &out_ref, &format!("{what}: out"));
+                    assert_state_bits(&out, &want, &what);
                 }
             }
         }
@@ -509,6 +505,238 @@ fn fused_advection_matches_scalar_tendency_then_combine_bitwise() {
         advection_tendency_scalar,
         crate::advection::fused_advection_update,
     );
+}
+
+/// The inputs of one whole sub-update on a rank: argument, diagnostics,
+/// base, the output's prior contents, time step.
+struct SubupdateCase {
+    arg: State,
+    diag: Diag,
+    base: State,
+    out0: State,
+    dt: f64,
+}
+
+impl SubupdateCase {
+    fn new(geom: &LocalGeometry, seed: u64) -> Self {
+        let mut s = seed;
+        SubupdateCase {
+            arg: random_state(geom, splitmix64(&mut s)),
+            diag: random_diag(geom, splitmix64(&mut s)),
+            base: random_state(geom, splitmix64(&mut s)),
+            out0: random_state(geom, splitmix64(&mut s)),
+            dt: 0.25 + rand_pos(&mut s),
+        }
+    }
+
+    /// Sweep, then filter, then combine in place — the engine's
+    /// sub-update after its diagnostics — at `nt` workers.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &self,
+        geom: &LocalGeometry,
+        filter: &agcm_fft::FourierFilter,
+        fused: FusedUpdate,
+        form: Combine,
+        region: Region,
+        fctx: &crate::dycore::FilterCtx<'_>,
+        nt: usize,
+    ) -> State {
+        let (active, active_off) = filter_activity(geom, filter);
+        let upd = Update {
+            base: &self.base,
+            dt: self.dt,
+            form,
+            active: &active,
+            active_off,
+        };
+        let mut out = self.out0.clone();
+        let mut sscratch = SweepScratch::new();
+        let mut fscratch = agcm_fft::FilterScratch::new();
+        pool::with_workers(nt, || {
+            fused(
+                geom,
+                &self.arg,
+                &self.diag,
+                &upd,
+                &mut out,
+                region,
+                &mut sscratch,
+            );
+            crate::dycore::filter_and_combine(
+                geom,
+                filter,
+                &mut fscratch,
+                &upd,
+                &mut out,
+                region,
+                fctx,
+            )
+        })
+        .unwrap();
+        out
+    }
+}
+
+/// The filter's own activity per local row, as the engine hands it to
+/// [`Update`].
+fn filter_activity(geom: &LocalGeometry, filter: &agcm_fft::FourierFilter) -> (Vec<bool>, isize) {
+    use crate::filterop::filter_row;
+    let off = geom.halo.ym as isize;
+    let rows = -off..(geom.ny + geom.halo.yp) as isize;
+    (
+        rows.map(|j| filter.is_active(filter_row(geom, j)))
+            .collect(),
+        off,
+    )
+}
+
+/// Every circle of `region` the filter damps — each component of each
+/// active row — with its profile row.
+fn active_circles(
+    geom: &LocalGeometry,
+    filter: &agcm_fft::FourierFilter,
+    region: Region,
+) -> Vec<(usize, RowId)> {
+    let mut ids = Vec::new();
+    for j in region.y0..region.y1 {
+        let gj = crate::filterop::filter_row(geom, j);
+        if filter.is_active(gj) {
+            let levels = region.z0..region.z1;
+            ids.extend(levels.flat_map(|k| (0..3).map(move |f| (gj, (f, j, k)))));
+            ids.push((gj, (3, j, 0)));
+        }
+    }
+    ids
+}
+
+/// A whole sub-update — sweep, filter, in-place combine — against the
+/// oracle chain: `*_tendency_scalar`, `FourierFilter::apply_row` on each
+/// active row, the per-point combine.  Both forms, 1–4 workers, two filter
+/// cut-offs; the active rows of some case fill whole `agcm_fft::W` batches
+/// and leave a ragged tail (asserted, so the cases cannot drift off it).
+fn assert_subupdate_matches_oracle_chain(name: &str, scalar: ScalarTendency, fused: FusedUpdate) {
+    use crate::dycore::FilterCtx;
+    use crate::filterop::build_filter;
+    let mut batches_and_tail = false;
+    for (nx, h) in MESHES {
+        let geom = geom_with(nx, h);
+        for (cutoff, seed) in [60.0, 40.0].into_iter().flat_map(|c| SEEDS.map(|s| (c, s))) {
+            let filter = build_filter(&geom, cutoff);
+            let mut s = seed.wrapping_mul(41);
+            let case = SubupdateCase::new(&geom, splitmix64(&mut s));
+            let region = random_region(&geom, &mut s);
+            let circles = active_circles(&geom, &filter, region);
+            let n = circles.len();
+            batches_and_tail |= n > agcm_fft::W && !n.is_multiple_of(agcm_fft::W);
+
+            let mut tend = case.out0.clone();
+            scalar(&geom, &case.arg, &case.diag, &mut tend, region);
+            for (gj, id) in circles {
+                filter.apply_row(gj, tend.row_mut(geom.nx as isize, id));
+            }
+            for form in [Combine::Euler, Combine::Midpoint] {
+                let all = |_| true;
+                let want =
+                    combine_oracle(&case.out0, &case.base, &tend, region, (form, case.dt), all);
+                for nt in THREADS {
+                    let got = case.run(&geom, &filter, fused, form, region, &FilterCtx::Local, nt);
+                    let what = format!(
+                        "{name} sub-update {form:?} nx={nx} h={h} cutoff={cutoff} nt={nt} seed={seed}"
+                    );
+                    assert_state_bits(&got, &want, &what);
+                }
+            }
+        }
+    }
+    assert!(batches_and_tail, "no case filled a batch and left a tail");
+}
+
+/// The same sub-update on the X-Y path: two ranks split every circle, the
+/// filter transposes it whole and the filtered rows are combined where they
+/// are scattered back.  The oracle joins the two ranks' halves of each raw
+/// tendency row and filters the circle with the allocating per-row filter.
+fn assert_xy_subupdate_matches_oracle_chain(
+    name: &str,
+    scalar: ScalarTendency,
+    fused: FusedUpdate,
+) {
+    use crate::dycore::FilterCtx;
+    use crate::filterop::build_filter;
+    use agcm_comm::Universe;
+    for nx in [16, 18] {
+        let cfg = with_nx(nx, ModelConfig::test_small());
+        let geom_of = |rank| {
+            let grid = Arc::new(cfg.grid().unwrap());
+            let d = Decomposition::new(cfg.extents(), ProcessGrid::xy(2, 1).unwrap()).unwrap();
+            LocalGeometry::new(&cfg, grid, &d, rank, HaloWidths::uniform(2))
+        };
+        for seed in SEEDS {
+            let geoms = [geom_of(0), geom_of(1)];
+            let filter = build_filter(&geoms[0], cfg.filter_cutoff_deg);
+            // the ranks share rows and levels, so one region serves both
+            let region = random_region(&geoms[0], &mut seed.wrapping_mul(43));
+            let cases = [0, 1].map(|r| SubupdateCase::new(&geoms[r], seed ^ (r as u64 + 1)));
+            let mut tends = [0, 1].map(|r| {
+                let (g, c) = (&geoms[r], &cases[r]);
+                let mut t = c.out0.clone();
+                scalar(g, &c.arg, &c.diag, &mut t, region);
+                t
+            });
+            for (gj, id) in active_circles(&geoms[0], &filter, region) {
+                let [t0, t1] = &mut tends;
+                let (n0, n1) = (geoms[0].nx as isize, geoms[1].nx as isize);
+                let mut circle = [t0.row(n0, id), t1.row(n1, id)].concat();
+                filter.apply_row(gj, &mut circle);
+                t0.row_mut(n0, id).copy_from_slice(&circle[..n0 as usize]);
+                t1.row_mut(n1, id).copy_from_slice(&circle[n0 as usize..]);
+            }
+            for form in [Combine::Euler, Combine::Midpoint] {
+                for nt in [1, 2] {
+                    let got = Universe::run(2, |comm| {
+                        let r = comm.rank();
+                        let fctx = FilterCtx::Distributed(comm);
+                        cases[r].run(&geoms[r], &filter, fused, form, region, &fctx, nt)
+                    });
+                    for (r, got) in got.iter().enumerate() {
+                        let c = &cases[r];
+                        let want = combine_oracle(
+                            &c.out0,
+                            &c.base,
+                            &tends[r],
+                            region,
+                            (form, c.dt),
+                            |_| true,
+                        );
+                        let what = format!(
+                            "X-Y {name} sub-update {form:?} nx={nx} rank {r} nt={nt} seed={seed}"
+                        );
+                        assert_state_bits(got, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn adaptation_subupdate_is_the_oracle_chain_bitwise() {
+    let (scalar, fused): (ScalarTendency, FusedUpdate) = (
+        adaptation_tendency_scalar,
+        crate::adaptation::fused_adaptation_update,
+    );
+    assert_subupdate_matches_oracle_chain("adaptation", scalar, fused);
+    assert_xy_subupdate_matches_oracle_chain("adaptation", scalar, fused);
+}
+
+#[test]
+fn advection_subupdate_is_the_oracle_chain_bitwise() {
+    let (scalar, fused): (ScalarTendency, FusedUpdate) = (
+        advection_tendency_scalar,
+        crate::advection::fused_advection_update,
+    );
+    assert_subupdate_matches_oracle_chain("advection", scalar, fused);
+    assert_xy_subupdate_matches_oracle_chain("advection", scalar, fused);
 }
 
 /// Rank `rank`'s geometry of `cfg` under a Y-Z process grid, 3-deep halos.

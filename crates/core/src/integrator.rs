@@ -11,9 +11,13 @@
 //!
 //! 1. a sub-update's number picks its buffers — 1 sweeps `state → η₁` with
 //!    `state` as its own base, 2 `η₁ → mid` as the midpoint on base `state`,
-//!    3 `mid → η₁` on base `state`, after which `η₁` *is* `state`; an exchange
-//!    refreshes the argument of the kernel that follows it and wraps the `C`
-//!    outputs it carried in x,
+//!    3 `mid → η₁` on base `state`, after which `η₁` *is* `state`; the
+//!    smoothing writes `state → mid`, dead from sub-update 3 to the next
+//!    step's sub-update 2, after which `mid` *is* `state`.  Those three are
+//!    every buffer a program needs: a filter-active row's tendency lives in
+//!    its own output row until it is filtered and combined there
+//!    ([`crate::sweep`]).  An exchange refreshes the argument of the kernel
+//!    that follows it and wraps the `C` outputs it carried in x,
 //! 2. `dilate` is the region: the interior grown on the sides that face a
 //!    neighbour, or (negative) the part of it that reads no exchanged halo,
 //! 3. an overlapped exchange is post → that halo-free part of the next kernel
@@ -71,12 +75,10 @@ pub struct Integrator {
     exchanger: HaloExchanger,
     zcomm: Option<Communicator>,
     xcomm: Option<Communicator>,
-    // scratch; `state`, `eta1` and `smoothed` trade buffers through a step
-    // instead of being copied into one another
+    // scratch; `state` trades buffers with `eta1` (sub-update 3) and with
+    // `mid` (the smoothing) instead of being copied into either
     eta1: State,
     mid: State,
-    tend: State,
-    smoothed: State,
 }
 
 /// Rule 1: the argument of sub-update `sub` (0: the smoothing's and the
@@ -215,8 +217,6 @@ impl Integrator {
         Ok(Integrator {
             eta1: State::like(&state),
             mid: State::like(&state),
-            tend: State::like(&state),
-            smoothed: State::like(&state),
             engine,
             state,
             steps: 0,
@@ -488,8 +488,6 @@ impl Integrator {
             state,
             eta1,
             mid,
-            tend,
-            smoothed,
             ..
         } = self;
         let fctx = match &self.xcomm {
@@ -512,16 +510,14 @@ impl Integrator {
                 // healthy run
                 let fresh = c.c != CSource::Cached || !engine.c_cached || self.degraded;
                 let dt = engine.cfg.dt1;
-                engine.adaptation_subupdate(
-                    base, arg, out, tend, region, dt, form, fresh, &zctx, &fctx,
-                )
+                engine.adaptation_subupdate(base, arg, out, region, dt, form, fresh, &zctx, &fctx)
             }
             "advection.fused" => {
                 let dt = engine.cfg.dt2;
                 if filled {
-                    engine.advection_part(base, arg, out, tend, region, dt, form, &fctx)
+                    engine.advection_part(base, arg, out, region, dt, form, &fctx)
                 } else {
-                    engine.advection_subupdate(base, arg, out, tend, region, dt, form, &fctx)
+                    engine.advection_subupdate(base, arg, out, region, dt, form, &fctx)
                 }
             }
             // the sub-update it follows ran it
@@ -545,8 +541,10 @@ impl Integrator {
                 if !filled && !later {
                     engine.fill(state);
                 }
+                // rule 1: `mid` is dead from sub-update 3 to the next
+                // step's sub-update 2, so the smoothing writes into it
                 let beta = engine.cfg.smooth_beta;
-                let mut smooth = |part| smooth_full(&engine.geom, beta, state, smoothed, part);
+                let mut smooth = |part| smooth_full(&engine.geom, beta, state, mid, part);
                 if later {
                     frame(&region, &halo_free(&engine.geom, c)).for_each(smooth);
                 } else {
@@ -554,12 +552,123 @@ impl Integrator {
                 }
                 if c.dilate >= 0 {
                     // the whole region is in: publish
-                    std::mem::swap(state, smoothed);
+                    std::mem::swap(state, mid);
                     self.pending_smooth = false;
                 }
                 Ok(())
             }
             other => unreachable!("unknown schedule kernel {other}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::ca_ladder;
+    use agcm_comm::Universe;
+
+    fn poison(st: &mut State) {
+        for f in st.fields3_mut() {
+            f.fill(f64::NAN);
+        }
+        st.psa.fill(f64::NAN);
+    }
+
+    /// The bits of a state's interior, field after field.
+    fn interior_bits(st: &State) -> Vec<u64> {
+        let (nx, ny, nz) = st.extents();
+        let (nx, ny, nz) = (nx as isize, ny as isize, nz as isize);
+        let rows3 = (0..nz).flat_map(|k| (0..ny).map(move |j| (j, k)));
+        let mut bits = Vec::new();
+        for f in st.fields3() {
+            for (j, k) in rows3.clone() {
+                bits.extend(f.row(0, nx, j, k).iter().map(|v| v.to_bits()));
+            }
+        }
+        for j in 0..ny {
+            bits.extend(st.psa.row(0, nx, j).iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    /// Four steps and the final smoothing from a perturbed rest; with
+    /// `poisoned`, `eta1` and `mid` are NaN — halos included — before every
+    /// step and before `finish`.
+    fn run(model: &mut Integrator, comm: Option<&Communicator>, poisoned: bool) -> Vec<u64> {
+        let ic = crate::init::perturbed_rest(model.geom(), 100.0, 1.0, 3);
+        model.set_state(&ic);
+        let kill = |model: &mut Integrator| {
+            if poisoned {
+                poison(&mut model.eta1);
+                poison(&mut model.mid);
+            }
+        };
+        for _ in 0..4 {
+            kill(model);
+            model.step(comm).unwrap();
+        }
+        kill(model);
+        model.finish(comm).unwrap();
+        let bits = interior_bits(&model.state);
+        assert!(
+            bits.iter().all(|&b| f64::from_bits(b).is_finite()),
+            "a poisoned buffer leaked into the state"
+        );
+        bits
+    }
+
+    /// Every rank's interior, poisoned against clean, for the integrator
+    /// `build` makes on a `p`-rank world.
+    fn assert_dead_buffers_are_dead(
+        what: &str,
+        p: usize,
+        build: impl Fn(&mut Communicator) -> Integrator + Sync,
+    ) {
+        let ranks = Universe::run(p, |comm| {
+            let [clean, poisoned] = [false, true].map(|poisoned| {
+                let mut model = build(comm);
+                run(&mut model, Some(comm), poisoned)
+            });
+            clean == poisoned
+        });
+        assert!(ranks.iter().all(|&same| same), "{what}: {ranks:?}");
+    }
+
+    /// `eta1` and `mid` hold nothing across a step boundary: the swaps leave
+    /// only stale halos, and every program refreshes those before it reads
+    /// them.
+    #[test]
+    fn eta1_and_mid_are_dead_between_steps() {
+        let cfg = ModelConfig {
+            ny: 24,
+            ..ModelConfig::test_medium()
+        };
+        for variant in [Iteration::Exact, Iteration::Approximate] {
+            let [clean, poisoned] = [false, true].map(|poisoned| {
+                let mut model = Integrator::serial(&cfg, variant).unwrap();
+                run(&mut model, None, poisoned)
+            });
+            assert!(clean == poisoned, "serial {variant:?}");
+        }
+        let alg1 = [
+            ProcessGrid::yz(2, 1),
+            ProcessGrid::yz(1, 2),
+            ProcessGrid::xy(2, 1),
+        ];
+        for pgrid in alg1.map(Result::unwrap) {
+            let what = format!("alg1 {:?}", pgrid.dims());
+            assert_dead_buffers_are_dead(&what, pgrid.size(), |comm| {
+                Integrator::alg1(&cfg, pgrid, comm).unwrap()
+            });
+        }
+        for pgrid in [ProcessGrid::yz(2, 1), ProcessGrid::yz(2, 2)].map(Result::unwrap) {
+            for groups in ca_ladder(&cfg, &pgrid) {
+                let what = format!("alg2 {:?} {groups:?}", pgrid.dims());
+                assert_dead_buffers_are_dead(&what, pgrid.size(), |comm| {
+                    Integrator::alg2(&cfg, pgrid, comm, groups).unwrap()
+                });
+            }
         }
     }
 }

@@ -59,9 +59,10 @@ pub fn workers() -> usize {
 /// Derived from a measured phase-overhead curve (EXPERIMENTS.md "One
 /// kernel path", the pool-phase table; DESIGN.md §8): a two-band phase
 /// costs 53–120 µs over half the serial time between 0.1 and 1 ms of work a
-/// band (an empty `thread::scope` spawn + join alone: 49–84 µs), so a band
-/// has to carry about three times that, ≈ 0.3 ms, before the phase returns
-/// a clear share of its work.  At the ≈ 10 ns a point of the stencil sweeps
+/// band (an empty two-band `thread::scope` phase alone: 16–24 µs, against
+/// 8–12 µs for a parked thread's round trip), so a band has to carry about
+/// three times that, ≈ 0.3 ms, before the phase returns a clear share of
+/// its work.  At the ≈ 10 ns a point of the stencil sweeps
 /// that is 30 000 points; 2¹⁵ is the constant.  (It was 8192 ≈ 80 µs a
 /// band: at or below the cost of the phase.)
 pub const MIN_BAND_POINTS: usize = 32_768;

@@ -11,20 +11,19 @@ use crate::lanes::{lane_loop, Elem};
 use crate::pool::band_struct;
 use agcm_mesh::{Field2, Field3, HaloWidths, RowBand2, RowBand3};
 
-/// Per-element body of `d[i] = x[i] + c·y[i]` — the same expression tree as
-/// the scalar row loop, instantiated at `f64` or `crate::lanes::Lane`.
+/// Per-element body of `x + c·y` — the same expression tree as the scalar
+/// row loop, instantiated at `f64` or `crate::lanes::Lane`.
 #[inline(always)]
-fn lincomb_body<E: Elem>(ii: usize, d: &mut [f64], x: &[f64], c: f64, y: &[f64]) {
-    (E::load(x, ii) + E::splat(c) * E::load(y, ii)).store(d, ii);
+fn lincomb_body<E: Elem>(x: E, c: f64, y: E) -> E {
+    x + E::splat(c) * y
 }
 
-/// Per-element body of `d[i] = 0.5·(x[i] + (x[i] + c·y[i]))`: the midpoint
-/// of `x` and its Euler update, every operation rounded as if the update
-/// had been stored to memory and read back.
+/// Per-element body of `0.5·(x + (x + c·y))`: the midpoint of `x` and its
+/// Euler update, every operation rounded as if the update had been stored
+/// to memory and read back.
 #[inline(always)]
-fn midpoint_body<E: Elem>(ii: usize, d: &mut [f64], x: &[f64], c: f64, y: &[f64]) {
-    let x = E::load(x, ii);
-    (E::splat(0.5) * (x + (x + E::splat(c) * E::load(y, ii)))).store(d, ii);
+fn midpoint_body<E: Elem>(x: E, c: f64, y: E) -> E {
+    E::splat(0.5) * (x + lincomb_body(x, c, y))
 }
 
 /// How a sub-update combines its base `x` with the scaled tendency `c·y`.
@@ -41,11 +40,37 @@ pub enum Combine {
 /// combine a row while its tendency is cache-hot.
 #[inline]
 pub(crate) fn combine_row(form: Combine, d: &mut [f64], x: &[f64], c: f64, y: &[f64]) {
+    let n = d.len();
     match form {
-        Combine::Euler => lane_loop!(d.len(), E, ii, lincomb_body::<E>(ii, d, x, c, y)),
-        Combine::Midpoint => lane_loop!(d.len(), E, ii, midpoint_body::<E>(ii, d, x, c, y)),
+        Combine::Euler => lane_loop!(n, E, ii, {
+            lincomb_body(E::load(x, ii), c, E::load(y, ii)).store(d, ii)
+        }),
+        Combine::Midpoint => lane_loop!(n, E, ii, {
+            midpoint_body(E::load(x, ii), c, E::load(y, ii)).store(d, ii)
+        }),
     }
 }
+
+/// [`combine_row`] of a tendency that sits in the output row itself:
+/// `d = form(x, c·d)`, each element's tendency loaded before its result is
+/// stored over it — the same rounded operations as storing the tendency
+/// to a row of its own first.
+#[inline]
+pub(crate) fn combine_row_in_place(form: Combine, d: &mut [f64], x: &[f64], c: f64) {
+    let n = d.len();
+    match form {
+        Combine::Euler => lane_loop!(n, E, ii, {
+            lincomb_body(E::load(x, ii), c, E::load(d, ii)).store(d, ii)
+        }),
+        Combine::Midpoint => lane_loop!(n, E, ii, {
+            midpoint_body(E::load(x, ii), c, E::load(d, ii)).store(d, ii)
+        }),
+    }
+}
+
+/// One x-row of a state: component (0 `U`, 1 `V`, 2 `Φ`, 3 `p'_sa`),
+/// latitude row `j` and level `k` (ignored for `p'_sa`).
+pub(crate) type RowId = (u8, isize, isize);
 
 /// One full prognostic state on a rank's subdomain.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,6 +100,18 @@ pub struct StateBand<'a> {
 }
 
 band_struct!(StateBand { u, v, phi, psa });
+
+impl StateBand<'_> {
+    /// Row `id` over the owned longitudes `[0, nx)`.
+    pub(crate) fn row_mut(&mut self, nx: isize, (f, j, k): RowId) -> &mut [f64] {
+        match f {
+            0 => self.u.row_mut(0, nx, j, k),
+            1 => self.v.row_mut(0, nx, j, k),
+            2 => self.phi.row_mut(0, nx, j, k),
+            _ => self.psa.row_mut(0, nx, j, 0),
+        }
+    }
+}
 
 /// Number of 3-D prognostic components.
 pub const N3D: usize = 3;
@@ -160,14 +197,29 @@ impl State {
         self.psa.lincomb_interior(&x.psa, c, &y.psa);
     }
 
-    /// `self = x + c·y` on a region (all owned longitudes, rows/levels of
-    /// `region`, which may extend into the halo).  `p'_sa` follows the
-    /// region's y-range.
-    pub fn lincomb_on(&mut self, x: &State, c: f64, y: &State, region: &Region) {
-        self.combine_on(Combine::Euler, x, c, y, region);
+    /// Row `id` over the owned longitudes `[0, nx)`.
+    pub(crate) fn row(&self, nx: isize, (f, j, k): RowId) -> &[f64] {
+        match f {
+            0 => self.u.row(0, nx, j, k),
+            1 => self.v.row(0, nx, j, k),
+            2 => self.phi.row(0, nx, j, k),
+            _ => self.psa.row(0, nx, j),
+        }
     }
 
-    /// `self = form(x, c·y)` on a region.
+    /// Row `id` over the owned longitudes `[0, nx)`, mutably.
+    pub(crate) fn row_mut(&mut self, nx: isize, (f, j, k): RowId) -> &mut [f64] {
+        match f {
+            0 => self.u.row_mut(0, nx, j, k),
+            1 => self.v.row_mut(0, nx, j, k),
+            2 => self.phi.row_mut(0, nx, j, k),
+            _ => self.psa.row_mut(0, nx, j),
+        }
+    }
+
+    /// `self = form(x, c·y)` on a region (all owned longitudes, rows/levels
+    /// of `region`, which may extend into the halo).  `p'_sa` follows the
+    /// region's y-range.
     pub fn combine_on(&mut self, form: Combine, x: &State, c: f64, y: &State, region: &Region) {
         let nx = self.extents().0 as isize;
         for k in region.z0..region.z1 {

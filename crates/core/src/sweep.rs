@@ -5,12 +5,13 @@
 //! 70° cut-off), so the sweep treats the two kinds of row differently:
 //!
 //! * a filter-**inactive** row's tendency goes to a per-worker row buffer
-//!   and is combined into `out` at once, while it is cache-hot — it never
-//!   touches the tendency state,
-//! * a filter-**active** row's tendency is stored to the tendency state,
-//!   which the engine then filters (locally or through the x-transposes)
-//!   and combines row by row.
+//!   and is combined into `out` at once, while it is cache-hot,
+//! * a filter-**active** row's raw tendency is stored to its own row of
+//!   `out`, which nothing else reads or writes until the engine has
+//!   filtered it in place (locally or through the x-transposes) and
+//!   combined it there (`Update::combine_filtered`).
 //!
+//! So a sub-update needs no state besides its argument, base and output.
 //! The tendency-only entry points (`adaptation_tendency`, …) are the same
 //! sweep with no [`Update`]: every row is stored.  Rows are independent, so
 //! which path a row takes — and which worker's band it falls in — cannot
@@ -27,9 +28,10 @@
 use crate::advection::Staged;
 use crate::geometry::Region;
 use crate::pool::{self, band_struct, PerWorker};
-use crate::state::{combine_row, Combine, State, StateBand};
+use crate::state::{combine_row, combine_row_in_place, Combine, RowId, State, StateBand};
 
-/// The combination a sub-update's sweep applies to filter-inactive rows.
+/// The combination of a sub-update: applied by its sweep to filter-inactive
+/// rows, and by its filter to the active ones.
 pub struct Update<'a> {
     /// State the scaled tendency is added to.
     pub base: &'a State,
@@ -56,17 +58,12 @@ impl Update<'_> {
         combine_row(self.form, d, x, self.dt, t);
     }
 
-    /// Combine the filter-active rows of `region` from the (by now
-    /// filtered) tendency state — the rows the sweep left out.
-    pub fn combine_active_rows(&self, out: &mut State, tend: &State, region: Region) {
-        for j in (region.y0..region.y1).filter(|&j| self.is_active(j)) {
-            let row = Region {
-                y0: j,
-                y1: j + 1,
-                ..region
-            };
-            out.combine_on(self.form, self.base, self.dt, tend, &row);
-        }
+    /// Combine output row `id` of a filter-active row, which holds its
+    /// filtered tendency: `d = form(base, dt·d)` in place.
+    #[inline]
+    pub(crate) fn combine_filtered(&self, d: &mut [f64], id: RowId) {
+        let x = self.base.row(d.len() as isize, id);
+        combine_row_in_place(self.form, d, x, self.dt);
     }
 }
 
@@ -105,25 +102,20 @@ impl SweepScratch {
     }
 }
 
-/// One worker's share of a sweep: a row band of the tendency state, of the
-/// output state (with the combination) when the sweep combines, and the
-/// worker's row buffers.
+/// One worker's share of a sweep: a row band of the output state, the
+/// combination when the sweep combines, and the worker's row buffers.
 pub(crate) struct SweepBand<'a> {
-    tend: StateBand<'a>,
-    combine: Option<(&'a Update<'a>, StateBand<'a>)>,
+    out: StateBand<'a>,
+    upd: Option<&'a Update<'a>>,
     rows: PerWorker<'a, RowScratch>,
 }
 
-band_struct!(SweepBand {
-    tend,
-    combine,
-    rows
-});
+band_struct!(SweepBand { out, upd, rows });
 
 impl SweepBand<'_> {
     /// Produce the three tendency rows of `(j, k)` with `compute` — into
     /// the row buffers, combined into the output at once, when the sweep
-    /// combines and the row is filter-inactive; into the tendency state
+    /// combines and the row is filter-inactive; into the output rows
     /// otherwise.
     #[inline]
     pub fn emit(
@@ -133,8 +125,9 @@ impl SweepBand<'_> {
         compute: impl FnOnce(&mut Staged, &mut [f64], &mut [f64], &mut [f64]),
     ) {
         let RowScratch { staged, tend } = self.rows.mine();
-        match &mut self.combine {
-            Some((u, out)) if !u.is_active(j) => {
+        let out = &mut self.out;
+        match self.upd {
+            Some(u) if !u.is_active(j) => {
                 let [t_u, t_v, t_phi] = tend;
                 compute(staged, t_u, t_v, t_phi);
                 let b = u.base;
@@ -144,37 +137,38 @@ impl SweepBand<'_> {
             }
             _ => compute(
                 staged,
-                self.tend.u.row_mut(0, nx, j, k),
-                self.tend.v.row_mut(0, nx, j, k),
-                self.tend.phi.row_mut(0, nx, j, k),
+                out.u.row_mut(0, nx, j, k),
+                out.v.row_mut(0, nx, j, k),
+                out.phi.row_mut(0, nx, j, k),
             ),
         }
     }
 
     /// The 2-D `p'_sa` tendency of row `j`, routed like [`Self::emit`].
     fn emit_psa(&mut self, nx: isize, j: isize, psa_row: impl Fn(isize, &mut [f64])) {
-        match &mut self.combine {
-            Some((u, out)) if !u.is_active(j) => {
+        match self.upd {
+            Some(u) if !u.is_active(j) => {
                 let t = &mut self.rows.mine().tend[0][..];
                 psa_row(j, t);
-                u.combine_row(out.psa.row_mut(0, nx, j, 0), u.base.psa.row(0, nx, j), t);
+                let d = self.out.psa.row_mut(0, nx, j, 0);
+                u.combine_row(d, u.base.psa.row(0, nx, j), t);
             }
-            _ => psa_row(j, self.tend.psa.row_mut(0, nx, j, 0)),
+            _ => psa_row(j, self.out.psa.row_mut(0, nx, j, 0)),
         }
     }
 }
 
 /// Run `band_fn` over the worker bands of `region` — each a band of rows
 /// on all its levels — then `psa_row` (the 2-D `p'_sa` tendency of one
-/// row) over the band's own rows.  With a `combine = (update, out)`,
-/// filter-inactive rows are combined into `out` without passing through
-/// `tend`.
+/// row) over the band's own rows, into `out`.  With an `upd`,
+/// filter-inactive rows are combined into `out` and active rows are left
+/// holding their raw tendency.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep(
     nx: usize,
     region: Region,
-    tend: &mut State,
-    combine: Option<(&Update<'_>, &mut State)>,
+    out: &mut State,
+    upd: Option<&Update<'_>>,
     scratch: &mut SweepScratch,
     label: &'static str,
     band_fn: impl Fn(&mut SweepBand<'_>, Region) + Sync,
@@ -183,8 +177,8 @@ pub(crate) fn sweep(
     let cuts = pool::region_cuts(&region, nx, |_| true);
     scratch.warm(nx, cuts.bands());
     let whole = SweepBand {
-        tend: tend.band_mut(&region),
-        combine: combine.map(|(u, out)| (u, out.band_mut(&region))),
+        out: out.band_mut(&region),
+        upd,
         rows: PerWorker(&mut scratch.workers[..cuts.bands()]),
     };
     pool::run(whole, &cuts, label, |band, y0, y1| {

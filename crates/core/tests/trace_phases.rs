@@ -140,9 +140,9 @@ fn alg2_splits_the_overlapped_sweep_on_neighbour_facing_sides_only() {
         ny: 24,
         ..ModelConfig::test_medium() // M = 3
     };
-    // Algorithm 1: 3 advection sweeps of a tendency and a lincomb span
-    // each, 3M + 3 filter applications
-    let (l1, f1) = (6, 3 * cfg.m_iters + 3);
+    // Algorithm 1: 3 advection sweeps, one span each (the filter span
+    // holds the combine of the active rows), 3M + 3 filter applications
+    let (l1, f1) = (3, 3 * cfg.m_iters + 3);
     let cfg1 = cfg.clone();
     let alg1 = steady_l_and_f(2, move |comm| {
         let mut m = Alg1Model::new(&cfg1, ProcessGrid::yz(2, 1).unwrap(), comm).unwrap();
@@ -166,9 +166,9 @@ fn alg2_splits_the_overlapped_sweep_on_neighbour_facing_sides_only() {
                 (sides, Box::new(move |c| m.step(c).unwrap()))
             });
             for (rank, &(l, f, sides)) in alg2.iter().enumerate() {
-                // one strip a side: its tendency + lincomb spans, its filter
+                // one strip a side: its sweep span, its filter span
                 let what = format!("yz({py},{pz}) {groups:?} rank {rank}: {sides} side(s)");
-                assert_eq!(l, l1 + 2 * sides, "L spans, {what}");
+                assert_eq!(l, l1 + sides, "L spans, {what}");
                 assert_eq!(f, f1 + sides, "F spans, {what}");
             }
         }
@@ -217,8 +217,9 @@ fn one_walk_opens_the_spans_of_a_step() {
             let what = format!("alg{} rank {rank}", 1 + usize::from(alg2));
             assert_eq!(count(obs::SpanKind::Step, None), 1, "{what}");
             assert_eq!(count(obs::SpanKind::Iter, None), m, "{what}");
-            // a sub-update is three A spans: boundary + surface, sweep, lincomb
-            assert_eq!(op(obs::Phase::A), 9 * m, "{what}");
+            // a sub-update is two A spans: boundary + surface, sweep (its
+            // active rows are combined inside the F span)
+            assert_eq!(op(obs::Phase::A), 6 * m, "{what}");
             assert_eq!(
                 op(obs::Phase::C),
                 if alg2 { 2 * m } else { 3 * m },

@@ -95,14 +95,16 @@ impl FilterScratch {
 
 /// Filter the `C::SLOTS` circles `rows[s] = (damping profile, key)` of
 /// `store` in lock-step: load, forward transform (half spectrum only),
-/// damp and mirror, inverse transform, store the real parts.  Slot for
-/// slot the arithmetic of the oracle [`FourierFilter::apply_row`].
+/// damp and mirror, inverse transform, store the real parts and hand each
+/// stored circle to `done`.  Slot for slot the arithmetic of the oracle
+/// [`FourierFilter::apply_row`].
 fn filter_rows<C: Cx, S: ?Sized, K: Copy>(
     bufs: &mut Buffers<C>,
     tw: &TwiddleCache,
     store: &mut S,
     rows: &[(&[f64], K)],
     row_of: &impl for<'a> Fn(&'a mut S, K) -> &'a mut [f64],
+    done: &impl Fn(&mut [f64], K),
 ) {
     debug_assert_eq!(rows.len(), C::SLOTS);
     let n = bufs.a.len();
@@ -124,9 +126,11 @@ fn filter_rows<C: Cx, S: ?Sized, K: Copy>(
     bufs.run(tw, 1.0, n);
     let inv = 1.0 / n as f64;
     for (s, &(_, key)) in rows.iter().enumerate() {
-        for (o, b) in row_of(store, key).iter_mut().zip(&bufs.b) {
+        let row = row_of(store, key);
+        for (o, b) in row.iter_mut().zip(&bufs.b) {
             *o = b.re(s) * inv;
         }
+        done(row, key);
     }
 }
 
@@ -229,7 +233,8 @@ impl FourierFilter {
     /// allocation once `scratch` has warmed up at this `nx`.
     pub fn apply_row_with(&self, j: usize, row: &mut [f64], scratch: &mut FilterScratch) {
         assert_eq!(row.len(), self.nx, "row must span the full circle");
-        self.apply_rows_with(row, [(j, ())], |row, ()| row, &mut scratch.worker(self.nx));
+        let worker = &mut scratch.worker(self.nx);
+        self.apply_rows_with(row, [(j, ())], |row, ()| row, |_, ()| {}, worker);
     }
 
     /// Filter a stream of latitude circles in place, [`W`] at a time.
@@ -241,11 +246,14 @@ impl FourierFilter {
     /// latitudes and fields), the ragged tail one circle at a time.  Either
     /// way every circle comes out bitwise identical to
     /// [`FourierFilter::apply_row`], in any order and any batch position.
+    /// `done(row, key)` runs on each filtered circle as soon as it is
+    /// stored, while it is cache-hot; identity rows never reach it.
     pub fn apply_rows_with<S: ?Sized, K: Copy>(
         &self,
         store: &mut S,
         rows: impl IntoIterator<Item = (usize, K)>,
         row_of: impl for<'a> Fn(&'a mut S, K) -> &'a mut [f64],
+        done: impl Fn(&mut [f64], K),
         worker: &mut FilterWorker<'_>,
     ) {
         let FilterWorker { tw, arena } = worker;
@@ -261,16 +269,11 @@ impl FourierFilter {
                 fill += 1;
             }
             if fill == W {
-                filter_rows(&mut arena.lanes, tw, store, &batch, &row_of);
+                filter_rows(&mut arena.lanes, tw, store, &batch, &row_of, &done);
             } else {
                 for row in &batch[..fill] {
-                    filter_rows(
-                        &mut arena.one,
-                        tw,
-                        store,
-                        std::slice::from_ref(row),
-                        &row_of,
-                    );
+                    let one = std::slice::from_ref(row);
+                    filter_rows(&mut arena.one, tw, store, one, &row_of, &done);
                 }
             }
         }
@@ -448,7 +451,8 @@ mod tests {
     }
 
     /// Filter `rows` (profile row, data) through the batched entry point
-    /// and, row by row, through the allocating oracle; assert bit equality.
+    /// and, row by row, through the allocating oracle; assert bit equality
+    /// — and that `done` saw every active row once, already filtered.
     fn assert_batched_matches_oracle(f: &FourierFilter, rows: &[(usize, Vec<f64>)], what: &str) {
         let n = f.nx();
         let mut want: Vec<Vec<f64>> = Vec::new();
@@ -460,12 +464,24 @@ mod tests {
         let mut got: Vec<f64> = rows.iter().flat_map(|(_, r)| r.iter().copied()).collect();
         let mut scratch = FilterScratch::new();
         let mut worker = scratch.worker(n);
+        let seen = std::cell::RefCell::new(Vec::new());
         f.apply_rows_with(
             got.as_mut_slice(),
             rows.iter().enumerate().map(|(r, (j, _))| (*j, r)),
             |all, r| &mut all[r * n..(r + 1) * n],
+            |row, r| {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(row), bits(&want[r]), "{what}: row {r} handed to done");
+                seen.borrow_mut().push(r);
+            },
             &mut worker,
         );
+        let mut seen = seen.into_inner();
+        seen.sort_unstable();
+        let active: Vec<usize> = (0..rows.len())
+            .filter(|&r| f.is_active(rows[r].0))
+            .collect();
+        assert_eq!(seen, active, "{what}: done once per active row");
         for (r, w) in want.iter().enumerate() {
             for (i, (x, y)) in got[r * n..(r + 1) * n].iter().zip(w).enumerate() {
                 assert_eq!(
@@ -543,6 +559,7 @@ mod tests {
                             flat.as_mut_slice(),
                             (0..count).map(|r| (r % 2, r)),
                             |all, r| &mut all[r * n..(r + 1) * n],
+                            |_, _| {},
                             &mut worker,
                         );
                         for (r, row) in flat.chunks(n).enumerate() {

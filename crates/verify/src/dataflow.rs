@@ -385,8 +385,9 @@ fn apply_compute(
         }
         ck.require(st.avail_of(read.field), c.dilate, read)?;
     }
-    // the lincomb `out = base + dt·tend` reads the base point-wise on the
-    // region
+    // the combine `out = form(base, dt·tendency)` — in the sweep for a
+    // filter-inactive row, after the filter for an active one — reads the
+    // base point-wise on the region
     if c.reads_base {
         let base_read = FieldAccess {
             field: "base",
