@@ -20,8 +20,7 @@ use agcm_core::{diagnostics, init, tables, Integrator, ModelConfig};
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
 
-const USAGE: &str =
-    "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|validate|verify|trace|restart]";
+const USAGE: &str = "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|validate|verify|trace]";
 
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -38,7 +37,6 @@ fn main() {
         "validate" => validate(),
         "verify" => verify(),
         "trace" => trace(),
-        "restart" => restart(),
         "all" => {
             print_tables();
             fig1(&cfg, &model);
@@ -49,7 +47,6 @@ fn main() {
             validate();
             verify();
             trace();
-            restart();
         }
         other => {
             eprintln!("unknown figure '{other}'\n{USAGE}");
@@ -674,59 +671,4 @@ fn trace() {
     }
 
     println!("load the timelines at ui.perfetto.dev");
-}
-
-/// Checkpoint/restart round-trip smoke (ISSUE 3 satellite): run the CA
-/// model, write a versioned binary checkpoint to disk, read it back into a
-/// *fresh* model, continue both, and require **bitwise** equality.  Exits
-/// non-zero on any divergence so CI's chaos job can gate on it.
-fn restart() {
-    use agcm_core::par::CaModel;
-    use agcm_core::resilience::{read_checkpoint, write_checkpoint};
-
-    header("restart — checkpoint round-trip must be bitwise");
-    let cfg = {
-        let mut c = ModelConfig::test_medium();
-        c.ny = 24;
-        c
-    };
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!(
-        "agcm_restart_smoke_{}.agcmckpt",
-        std::process::id()
-    ));
-    let cfg2 = cfg.clone();
-    let path2 = path.clone();
-    let ok = Universe::run(1, move |comm| {
-        let pg = ProcessGrid::serial();
-        let mut m = CaModel::new(&cfg2, pg, comm).expect("CA model");
-        let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
-        m.set_state(&ic);
-        m.run(comm, 3).expect("first leg");
-        let ck = m.capture();
-        write_checkpoint(&path2, &ck).expect("write checkpoint");
-        let back = read_checkpoint(&path2).expect("read checkpoint");
-        assert_eq!(back, ck, "disk round-trip must be bitwise");
-        // continue the original
-        m.run(comm, 2).expect("second leg");
-        m.finish(comm).expect("finish");
-        let gold = m.state.clone();
-        // restart a fresh model from the file and replay the second leg
-        let mut r = CaModel::new(&cfg2, pg, comm).expect("CA model (restart)");
-        r.restore(&back);
-        r.run(comm, 2).expect("restarted leg");
-        r.finish(comm).expect("finish (restart)");
-        let diff = r.state.max_abs_diff(&gold);
-        println!("  5 steps direct vs 3 + checkpoint + 2 restarted: max |diff| = {diff:e}");
-        diff == 0.0
-    })
-    .pop()
-    .unwrap();
-    std::fs::remove_file(&path).ok();
-    if ok {
-        println!("restart round-trip: PASS (bitwise)");
-    } else {
-        eprintln!("restart round-trip: FAIL — checkpoint restore is not bitwise");
-        std::process::exit(1);
-    }
 }

@@ -12,11 +12,13 @@
 //! The second half checks that a checkpoint restored into a *fresh* model
 //! continues bitwise like the uninterrupted run: with rotating buffers the
 //! model's scratch states hold different stale data after a restore than
-//! mid-run, and none of it may be read.
+//! mid-run, and none of it may be read.  Algorithm 2's checkpoint, with a
+//! smoothing pending, takes the trip through the on-disk format.
 
 use agcm_comm::Universe;
 use agcm_core::init;
 use agcm_core::par::{Alg1Model, CaModel, GlobalState};
+use agcm_core::resilience::{read_checkpoint, write_checkpoint};
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
@@ -204,8 +206,18 @@ fn alg2_restore_into_a_fresh_model_continues_bitwise() {
         }
         let ck = first.capture();
         assert!(ck.pending_smooth);
+        // through the on-disk format: the pending smoothing must survive it
+        let path = std::env::temp_dir().join(format!(
+            "agcm_fingerprint_alg2_{}_rank{}.agcmckpt",
+            std::process::id(),
+            comm.rank()
+        ));
+        write_checkpoint(&path, &ck).unwrap();
+        let back = read_checkpoint(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back, ck, "disk round-trip must be bitwise");
         let mut second = CaModel::new(&cfg, pgrid, comm).unwrap();
-        second.restore(&ck);
+        second.restore(&back);
         second.run(comm, 2).unwrap();
         second.gather_state(comm).unwrap()
     });

@@ -508,13 +508,17 @@ pub const ALLOC_ONLY_MODULES: &[&str] = &[
 pub const ACCESS_REGISTRY: &str = "crates/core/src/access.rs";
 
 /// Transport/resilience modules bound by [`Rule::Unwrap`]: every error arm
-/// here is reachable under fault injection.
+/// here is reachable under fault injection — in the launcher (`agcm-run`,
+/// `agcm-soak`) by a killed or failing worker.
 pub const NO_UNWRAP_MODULES: &[&str] = &[
     "crates/comm/src/transport.rs",
     "crates/comm/src/runtime.rs",
     "crates/comm/src/collective.rs",
     "crates/comm/src/fault.rs",
     "crates/core/src/resilience.rs",
+    "crates/run/src/lib.rs",
+    "crates/run/src/elastic.rs",
+    "crates/run/src/soak.rs",
 ];
 
 /// Which rules bind a workspace-relative path (forward slashes).

@@ -1,41 +1,36 @@
-//! Elastic self-healing worlds: supervised rank respawn, epoch-tagged mesh
-//! rewiring, and checkpoint re-decomposition.
+//! The launcher every `agcm-run` and `agcm-soak` world goes through: a
+//! [`Plan`] of fixed-size phases, one phase runner ([`run_phase`]: hand-off,
+//! supervise, verify), one pure [`Supervisor`] whose decisions its driver
+//! ([`supervise_world`]) performs, and the elastic worker.
 //!
-//! In elastic mode the parent is a *supervisor*: every worker checkpoints
-//! each step to a durable per-rank file (tmp + rename), and when a rank's
-//! process dies — detected twice, as a child exit in the parent and as
-//! poison on every surviving peer's connection — the parent respawns it
-//! from the latest checkpoint while the survivors park in a recovery
-//! barrier and rewire the socket mesh to the next epoch.  The epoch word in
-//! every frame (and in the reconnect hello) is what makes this safe: stale
-//! in-flight frames of the dead generation are dropped on receive, frames
-//! from a fast-recovering peer are parked until the local epoch catches up,
-//! and the whole world rolls back in lockstep to the newest step every rank
-//! holds durable — so the completed run is still **bitwise identical** to
-//! the serial reference.
+//! A world is *classic* or *elastic* by its respawn policy.  A classic world
+//! writes no checkpoints and fails on its first non-zero exit.  In an
+//! elastic world every worker checkpoints to a durable per-rank file
+//! (tmp + rename), and when a rank's process dies — detected twice, as a
+//! child exit in the parent and as poison on every surviving peer's
+//! connection — the parent respawns it from the latest checkpoint while the
+//! survivors park in a recovery barrier and rewire the socket mesh to the
+//! next epoch.  The epoch word in every frame (and in the reconnect hello)
+//! is what makes this safe: stale in-flight frames of the dead generation
+//! are dropped on receive, frames from a fast-recovering peer are parked
+//! until the local epoch catches up, and the whole world rolls back in
+//! lockstep to the newest step every rank holds durable — so the completed
+//! run is still **bitwise identical** to the serial reference.
 //!
-//! Planned shrink/grow rides the same machinery: `--resize P2` runs the
-//! first half of the steps at `--ranks`, re-decomposes the checkpointed
-//! Y-Z mesh onto `P2` ranks ([`agcm_core::redistribute`]), certifies the
-//! re-decomposed schedule ([`agcm_verify::certify_yz`]) before stepping
-//! resumes, and finishes at `P2` — both halves verified bitwise.
-//!
-//! The elastic verifier is bitwise-only: replayed (rolled-back) steps send
-//! real frames, so the classic measured-traffic bracket and wire identity
-//! do not hold under failure injection and are deliberately out of scope
-//! here (the fault-free classic mode keeps certifying them).
+//! A planned shrink/grow is the next phase of a plan: [`run_phase`]
+//! re-decomposes the previous phase's checkpoints onto the new world
+//! ([`agcm_core::redistribute`]) and certifies its schedule
+//! ([`agcm_verify::certify_yz`]) before stepping resumes.
 
 use crate::{
-    new_model, read_state, req_env, run_config, serial_reference, set_default_ic,
-    states_bitwise_equal, write_state, ParentError, RunOpts,
+    new_model, run_config, set_default_ic, verify_world, write_state, ParentError, Worker,
 };
 use agcm_comm::{
     AllreduceAlgo, CommError, Communicator, Endpoint, ReduceOp, SocketTransport, Transport,
 };
-use agcm_core::serial::Iteration;
 use agcm_core::{
     checkpoint_path, latest_checkpoint_step, prune_checkpoints, read_checkpoint, redistribute,
-    resize_retention, write_checkpoint, Integrator, ModelConfig,
+    resize_retention, write_checkpoint, Integrator,
 };
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
@@ -58,8 +53,96 @@ const STEP_TIMEOUT: Duration = Duration::from_secs(10);
 const RECOVERY_TIMEOUT: Duration = Duration::from_secs(30);
 
 // ---------------------------------------------------------------------------
+// Plan
+// ---------------------------------------------------------------------------
+
+/// One phase of a run: a fixed-size world integrating to `end`.
+#[derive(Debug, Clone)]
+pub struct Phase {
+    /// World size.
+    pub p: usize,
+    /// First step this phase integrates (the previous phase's hand-off).
+    pub start: u64,
+    /// Step count at the end of this phase (the workers' `AGCM_RUN_STEPS`).
+    pub end: u64,
+    /// Kill events `(rank, step)` injected into this phase: that rank's
+    /// first incarnation aborts after completing the step.
+    pub kills: Vec<(usize, u64)>,
+}
+
+/// The phases one run executes, in order: `agcm-run` builds one (two under
+/// `--resize`), `agcm-soak` expands one from its seed.
+#[derive(Debug, Clone)]
+pub struct Plan {
+    /// Phases in execution order; each after the first starts with a
+    /// hand-off of its predecessor's checkpoints.
+    pub phases: Vec<Phase>,
+    /// Message-fault injection shipped to every worker: an
+    /// `AGCM_FAULT_SPEC` grammar string plus its `AGCM_FAULT_SEED` (`None`:
+    /// workers inherit the parent's environment).
+    pub fault: Option<(String, u64)>,
+}
+
+impl Plan {
+    /// The kill invariants: every kill names a rank inside its phase's
+    /// world, and a rank carries at most one kill per phase (only the first
+    /// incarnation reads its kill step, so a second would be silently inert).
+    pub fn check(&self) -> Result<(), String> {
+        for ph in &self.phases {
+            for (n, &(rank, step)) in ph.kills.iter().enumerate() {
+                let p = ph.p;
+                if rank >= p {
+                    return Err(format!(
+                        "--kill rank {rank} outside the world of {p} ranks \
+                         (step {step} lands in the p={p} phase)"
+                    ));
+                }
+                if ph.kills[..n].iter().any(|&(r, _)| r == rank) {
+                    return Err(format!(
+                        "--kill rank {rank} listed twice in the same phase (only the first \
+                         incarnation honors a kill step)"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checkpoint retention of phase `i` — the one rule.  Neighbor-lockstep
+    /// skew lets a distant survivor run up to `p − 1` steps past the
+    /// victim's last durable step before noticing the death, so a world
+    /// keeps `p + 1` files; and a hand-off shares one checkpoint lineage
+    /// between two worlds, so each side of it keeps what the larger one
+    /// needs ([`resize_retention`]).
+    pub fn keep(&self, i: usize) -> usize {
+        let p = self.phases[i].p;
+        self.phases[i.saturating_sub(1)..self.phases.len().min(i + 2)]
+            .iter()
+            .map(|n| resize_retention(p, n.p))
+            .max()
+            .unwrap_or(p + 1)
+    }
+
+    /// Phase `i`'s checkpoint directory under a run's scratch root.
+    pub(crate) fn ckpt_dir(&self, out: &Path, i: usize) -> PathBuf {
+        out.join(format!("ckpt-phase{i}-p{}", self.phases[i].p))
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Worker
 // ---------------------------------------------------------------------------
+
+/// Where and how often an elastic world's workers write durable
+/// checkpoints: the parent ships it in `AGCM_CKPT_*`, and a worker is
+/// elastic exactly when `AGCM_CKPT_DIR` is set.
+pub(crate) struct Ckpt {
+    pub dir: PathBuf,
+    /// Steady-state cadence (steps between durable writes).
+    pub interval: u64,
+    /// Files each rank retains ([`Plan::keep`]).
+    pub keep: usize,
+}
 
 /// Why one epoch's run ended early.
 enum EpochEnd {
@@ -79,31 +162,24 @@ fn classify(rank: usize, what: &str, e: CommError) -> EpochEnd {
     }
 }
 
-/// One rank of a supervised world: integrate with per-step durable
-/// checkpoints, and on peer death rewire the mesh to the next epoch and
-/// re-enter from the agreed restore point.  Returns only when the run
-/// completed (`Ok`) or hit a non-recoverable error (`Err` → exit code 1,
-/// at which point the supervisor's respawn budget takes over).
-pub(crate) fn elastic_worker(rank: usize) -> Result<(), String> {
-    let transport = Rc::new(
-        SocketTransport::from_env()
-            .expect("elastic_worker requires AGCM_RANK")
-            .map_err(|e| format!("socket transport: {e}"))?,
-    );
-
-    let alg: u32 = req_env("AGCM_RUN_ALG")?;
-    let total: usize = req_env("AGCM_RUN_STEPS")?;
-    let py: usize = req_env("AGCM_RUN_PY")?;
-    let pz: usize = req_env("AGCM_RUN_PZ")?;
-    let out = PathBuf::from(req_env::<String>("AGCM_RUN_OUT")?);
-    let ckpt_dir = PathBuf::from(req_env::<String>("AGCM_CKPT_DIR")?);
-    let interval: u64 = agcm_comm::parse_env_or("AGCM_CKPT_INTERVAL", 1);
-    let keep: usize = agcm_comm::parse_env_or("AGCM_CKPT_KEEP", 0);
+/// One rank of an elastic world: integrate with durable checkpoints into
+/// `dir`, and on peer death rewire the mesh to the next epoch and re-enter
+/// from the agreed restore point.  Returns only when the run completed
+/// (`Ok`) or hit a non-recoverable error (`Err` → exit code 1, at which
+/// point the supervisor's respawn policy takes over).
+pub(crate) fn elastic_worker(
+    w: &Worker,
+    transport: &Rc<SocketTransport>,
+    dir: PathBuf,
+) -> Result<(), String> {
+    let ckpt = Ckpt {
+        dir,
+        interval: agcm_comm::parse_env_or("AGCM_CKPT_INTERVAL", 1),
+        keep: agcm_comm::parse_env_or("AGCM_CKPT_KEEP", 0),
+    };
     let kill_step: Option<u64> =
         agcm_comm::parse_env("AGCM_KILL_STEP").map_err(|e| e.to_string())?;
-    let cfg = run_config();
-    let pgrid = ProcessGrid::yz(py, pz).map_err(|e| e.to_string())?;
-
+    let rank = w.rank;
     let mut epoch = transport.epoch();
     // the epoch this incarnation was born into: every metrics snapshot this
     // process ships is tagged with it, so the merge can sum counters across
@@ -112,14 +188,11 @@ pub(crate) fn elastic_worker(rank: usize) -> Result<(), String> {
     let birth = epoch;
     let gauge = obs::Registry::global().gauge("resilience.epoch");
     gauge.set(epoch as f64);
-    write_metrics_file(&ckpt_dir, rank, birth);
+    write_metrics_file(&ckpt.dir, rank, birth);
     loop {
-        let end = run_epoch(
-            &transport, rank, alg, total, &cfg, pgrid, &ckpt_dir, interval, keep, kill_step, &out,
-        );
-        match end {
+        match run_epoch(w, transport, &ckpt, kill_step) {
             Ok(()) => {
-                write_metrics_file(&ckpt_dir, rank, birth);
+                write_metrics_file(&ckpt.dir, rank, birth);
                 return Ok(());
             }
             Err(EpochEnd::PeerLost(peer, detail)) => {
@@ -134,7 +207,7 @@ pub(crate) fn elastic_worker(rank: usize) -> Result<(), String> {
                     .rewire(epoch, peer, RECOVERY_TIMEOUT)
                     .map_err(|e| format!("rank {rank}: rewire to epoch {epoch}: {e}"))?;
                 gauge.set(epoch as f64);
-                write_metrics_file(&ckpt_dir, rank, birth);
+                write_metrics_file(&ckpt.dir, rank, birth);
             }
             Err(EpochEnd::Fatal(msg)) => return Err(msg),
         }
@@ -206,20 +279,13 @@ pub(crate) fn read_rank_metrics(dir: &Path, rank: usize) -> Vec<(u64, obs::Metri
 /// recovery barrier (agree on the restore step), restore or cold-start,
 /// step with durable checkpoints, and on completion gather + write the
 /// state behind a final barrier.
-#[allow(clippy::too_many_arguments)]
 fn run_epoch(
+    w: &Worker,
     transport: &Rc<SocketTransport>,
-    rank: usize,
-    alg: u32,
-    total: usize,
-    cfg: &ModelConfig,
-    pgrid: ProcessGrid,
-    ckpt_dir: &Path,
-    interval: u64,
-    keep: usize,
+    ck: &Ckpt,
     kill_step: Option<u64>,
-    out: &Path,
 ) -> Result<(), EpochEnd> {
+    let rank = w.rank;
     let fatal = |msg: String| EpochEnd::Fatal(format!("rank {rank}: {msg}"));
     // a kill -9 exactly between two frames EOFs the stream cleanly; under
     // a supervisor that still means "peer died", so arm the poison path
@@ -230,23 +296,23 @@ fn run_epoch(
     // rebuilt worlds agree), and the failed generation's sticky poison is
     // gone — per-frame epoch filtering is what keeps the reuse safe
     let mut comm = Communicator::on_transport(Rc::clone(transport) as Rc<dyn Transport>);
-    let mut model = new_model(alg, cfg, pgrid, &mut comm).map_err(fatal)?;
+    let mut model = new_model(w.alg, &w.cfg, w.pgrid, &mut comm).map_err(fatal)?;
 
     // the recovery barrier: agree on the newest step EVERY rank holds
     // durable (-1 = none).  A replacement may be behind the survivors —
     // everyone rolls back to the minimum, in lockstep, so the continued
     // run is the bitwise continuation of a state that actually existed.
     comm.set_timeout(RECOVERY_TIMEOUT);
-    let mine = latest_checkpoint_step(ckpt_dir, rank)
+    let mine = latest_checkpoint_step(&ck.dir, rank)
         .map_err(|e| fatal(format!("listing checkpoints: {e}")))?;
     let mut agreed = [mine.map_or(-1.0, |s| s as f64)];
     comm.allreduce(ReduceOp::Min, &mut agreed, AllreduceAlgo::Ring)
         .map_err(|e| classify(rank, "recovery barrier", e))?;
     let restored = if agreed[0] >= 0.0 {
         let step = agreed[0] as u64;
-        let ck = read_checkpoint(&checkpoint_path(ckpt_dir, rank, step))
+        let snap = read_checkpoint(&checkpoint_path(&ck.dir, rank, step))
             .map_err(|e| fatal(format!("reading checkpoint at step {step}: {e}")))?;
-        model.restore(&ck);
+        model.restore(&snap);
         Some(step)
     } else {
         set_default_ic(&mut model);
@@ -262,14 +328,14 @@ fn run_epoch(
     // so the per-rank checkpoint step sets stay aligned and the recovery
     // barrier's minimum always names a file every rank holds.
     let burst_end: Option<u64> = if transport.epoch() > 0 {
-        Some(restored.unwrap_or(0) + pgrid.size() as u64)
+        Some(restored.unwrap_or(0) + w.pgrid.size() as u64)
     } else {
         None
     };
-    while model.steps < total {
+    while model.steps < w.steps {
         let s = model.steps as u64;
-        if s.is_multiple_of(interval) || burst_end.is_some_and(|b| s <= b) {
-            durable_checkpoint(&model, ckpt_dir, rank, keep).map_err(fatal)?;
+        if s.is_multiple_of(ck.interval) || burst_end.is_some_and(|b| s <= b) {
+            durable_checkpoint(&model, ck, rank).map_err(fatal)?;
         }
         if kill_step == Some(s) {
             // chaos injection: die like a kill -9 — no unwinding, no
@@ -288,7 +354,7 @@ fn run_epoch(
         .map_err(|e| classify(rank, "finish", e))?;
     // the completed state must be durable too: a planned resize
     // re-decomposes exactly this step's checkpoints
-    durable_checkpoint(&model, ckpt_dir, rank, keep).map_err(fatal)?;
+    durable_checkpoint(&model, ck, rank).map_err(fatal)?;
 
     let gathered = model
         .gather_state(&comm)
@@ -309,7 +375,7 @@ fn run_epoch(
     comm.allreduce(ReduceOp::Min, &mut one, AllreduceAlgo::Ring)
         .map_err(|e| classify(rank, "completion barrier", e))?;
     if let Some(gs) = gathered {
-        write_state(&out.join("state.bin"), &gs).map_err(|e| fatal(format!("state.bin: {e}")))?;
+        write_state(&w.out.join("state.bin"), &gs).map_err(|e| fatal(format!("state.bin: {e}")))?;
     }
     Ok(())
 }
@@ -318,17 +384,12 @@ fn run_epoch(
 /// retention budget.  The measured wall cost lands in the
 /// `resilience.ckpt_write_ns` histogram — the soak harness's checkpoint
 /// auto-tuner reads its mean as the per-checkpoint overhead δ.
-fn durable_checkpoint(
-    model: &Integrator,
-    dir: &Path,
-    rank: usize,
-    keep: usize,
-) -> Result<(), String> {
+fn durable_checkpoint(model: &Integrator, ck: &Ckpt, rank: usize) -> Result<(), String> {
     let t0 = Instant::now();
-    let ck = model.capture();
-    write_checkpoint(&checkpoint_path(dir, rank, ck.step), &ck)
-        .map_err(|e| format!("writing checkpoint at step {}: {e}", ck.step))?;
-    prune_checkpoints(dir, rank, keep).map_err(|e| format!("pruning checkpoints: {e}"))?;
+    let snap = model.capture();
+    write_checkpoint(&checkpoint_path(&ck.dir, rank, snap.step), &snap)
+        .map_err(|e| format!("writing checkpoint at step {}: {e}", snap.step))?;
+    prune_checkpoints(&ck.dir, rank, ck.keep).map_err(|e| format!("pruning checkpoints: {e}"))?;
     obs::Registry::global()
         .histogram("resilience.ckpt_write_ns")
         .record(t0.elapsed().as_nanos() as u64);
@@ -336,55 +397,277 @@ fn durable_checkpoint(
 }
 
 // ---------------------------------------------------------------------------
-// Supervisor
+// Supervisor: the decisions, as a transition function
 // ---------------------------------------------------------------------------
 
-/// Everything needed to (re)spawn one world's workers.
-pub(crate) struct WorldSpec {
-    pub exe: PathBuf,
-    pub endpoint: Endpoint,
-    pub alg: u32,
-    pub p: usize,
-    /// Process-grid factorization of `p` (py * pz == p).
-    pub py: usize,
-    pub pz: usize,
-    pub steps: usize,
-    pub out: PathBuf,
-    pub ckpt: PathBuf,
-    /// Steady-state checkpoint cadence (steps between durable writes).
-    pub interval: u64,
-    /// Checkpoint retention: neighbor-lockstep skew lets a distant
-    /// survivor run up to p-1 steps past the victim's last durable step
-    /// before noticing the death, so keep at least `p + 1` files — and
-    /// across a resize, [`resize_retention`] of both world sizes.
-    pub keep: usize,
-    /// Message-fault injection shipped to every worker: an
-    /// `AGCM_FAULT_SPEC` grammar string plus its `AGCM_FAULT_SEED`.
-    pub fault: Option<(String, u64)>,
+/// What the driver observed of a world.
+#[derive(Debug)]
+pub(crate) enum Event {
+    /// A worker process exited; `status` is how the OS reported it.
+    Exited {
+        rank: usize,
+        success: bool,
+        status: String,
+    },
+    /// `rank`'s newest durable checkpoint is at `step`.
+    Durable { rank: usize, step: u64 },
+    /// Time since the world was launched.
+    Tick { elapsed: Duration },
 }
 
-pub(crate) fn spawn_rank(
+/// What the supervisor decided; the driver performs it.
+#[derive(Debug)]
+pub(crate) enum Action {
+    /// Start a replacement for `rank` at mesh epoch `epoch`.
+    Respawn { rank: usize, epoch: u64 },
+    /// Kill the world and fail the run.
+    Fail(ParentError),
+    /// Every rank exited cleanly.
+    Done(SuperviseReport),
+}
+
+/// One repaired failure: which rank died, the epoch its replacement was
+/// spawned into, and the measured repair time — from death detection until
+/// the replacement's durable progress passes the victim's last
+/// checkpointed step (the world has provably re-achieved what it lost) or
+/// the replacement exits cleanly.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Incident {
+    pub rank: usize,
+    pub epoch: u64,
+    pub downtime: Duration,
+}
+
+/// What one supervised world's run looked like, for soak accounting:
+/// total supervised wall time plus every repaired death, in order.
+#[derive(Debug)]
+pub(crate) struct SuperviseReport {
+    pub wall: Duration,
+    pub incidents: Vec<Incident>,
+}
+
+/// A repair in progress: the victim's newest durable step at its death
+/// (`None`: it had written none) and when the death was detected.
+struct Repair {
+    incident: usize,
+    rank: usize,
+    baseline: Option<u64>,
+    detected: Duration,
+}
+
+/// The supervisor of one world: no clock, process or filesystem in it —
+/// [`supervise_world`] feeds it [`Event`]s and performs the [`Action`]s it
+/// returns.
+pub(crate) struct Supervisor<'a> {
+    /// Respawns left, one counter for every phase of a run; `None` is the
+    /// classic policy: the first failed exit fails the world.
+    budget: Option<&'a mut u32>,
+    timeout: Duration,
+    now: Duration,
+    epoch: u64,
+    /// Ranks that have not exited cleanly yet.
+    running: usize,
+    /// Newest durable step reported per rank.
+    durable: Vec<Option<u64>>,
+    incidents: Vec<Incident>,
+    open: Vec<Repair>,
+}
+
+impl<'a> Supervisor<'a> {
+    pub(crate) fn new(p: usize, budget: Option<&'a mut u32>, timeout: Duration) -> Self {
+        Supervisor {
+            budget,
+            timeout,
+            now: Duration::ZERO,
+            epoch: 0,
+            running: p,
+            durable: vec![None; p],
+            incidents: Vec::new(),
+            open: Vec::new(),
+        }
+    }
+
+    /// Ranks with an open repair, whose durable progress the driver reports.
+    pub(crate) fn repairing(&self) -> Vec<usize> {
+        self.open.iter().map(|r| r.rank).collect()
+    }
+
+    /// Respawns left (none under the classic policy).
+    pub(crate) fn left(&self) -> u32 {
+        self.budget.as_deref().copied().unwrap_or(0)
+    }
+
+    pub(crate) fn on(&mut self, event: Event) -> Option<Action> {
+        match event {
+            Event::Tick { elapsed } => {
+                self.now = elapsed;
+                (elapsed >= self.timeout).then(|| {
+                    Action::Fail(ParentError::Other(format!(
+                        "world did not finish within {:?}; killed {} straggler(s)",
+                        self.timeout, self.running
+                    )))
+                })
+            }
+            Event::Durable { rank, step } => {
+                self.durable[rank] = Some(step);
+                self.close(|r| r.rank == rank && r.baseline.is_none_or(|b| step > b));
+                None
+            }
+            Event::Exited {
+                rank,
+                success: true,
+                ..
+            } => {
+                self.running = self.running.saturating_sub(1);
+                let all = self.running == 0;
+                self.close(|r| r.rank == rank || all);
+                all.then(|| {
+                    Action::Done(SuperviseReport {
+                        wall: self.now,
+                        incidents: std::mem::take(&mut self.incidents),
+                    })
+                })
+            }
+            Event::Exited { rank, status, .. } => Some(match self.budget.as_deref_mut() {
+                None => Action::Fail(ParentError::Other(format!("rank {rank} failed ({status})"))),
+                Some(0) => Action::Fail(ParentError::RespawnExhausted(format!(
+                    "rank {rank} died ({status}) after the respawn budget was spent"
+                ))),
+                Some(left) => {
+                    *left -= 1;
+                    self.epoch += 1;
+                    self.open.push(Repair {
+                        incident: self.incidents.len(),
+                        rank,
+                        baseline: self.durable[rank],
+                        detected: self.now,
+                    });
+                    self.incidents.push(Incident {
+                        rank,
+                        epoch: self.epoch,
+                        downtime: Duration::ZERO,
+                    });
+                    Action::Respawn {
+                        rank,
+                        epoch: self.epoch,
+                    }
+                }
+            }),
+        }
+    }
+
+    /// Close, at the current time, every open repair `done` selects.
+    fn close(&mut self, done: impl Fn(&Repair) -> bool) {
+        let (now, incidents) = (self.now, &mut self.incidents);
+        self.open.retain(|r| {
+            if done(r) {
+                incidents[r.incident].downtime = now.saturating_sub(r.detected);
+            }
+            !done(r)
+        });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Driver: processes, the checkpoint directory and the clock
+// ---------------------------------------------------------------------------
+
+/// What every phase of one run shares.
+pub(crate) struct Launch {
+    /// The binary the workers run (this one).
+    pub exe: PathBuf,
+    pub alg: u32,
+    /// Ranks along z of every world (1 for every elastic one).
+    pub pz: usize,
+    /// Scratch root: the gathered state, per-rank reports and every
+    /// phase's checkpoints.
+    pub out: PathBuf,
+    /// Kill a world that has not finished within this budget.
+    pub timeout: Duration,
+    /// `--trace`'s artifact directory (classic worlds only).
+    pub trace: Option<PathBuf>,
+}
+
+impl Launch {
+    /// Resolve this binary and create the run's scratch root, named by `tag`.
+    pub(crate) fn new(
+        alg: u32,
+        pz: usize,
+        tag: &str,
+        timeout: Duration,
+        trace: Option<PathBuf>,
+    ) -> Result<Launch, ParentError> {
+        let out = std::env::temp_dir().join(format!("agcm-run-{}-{tag}", std::process::id()));
+        fs::create_dir_all(&out).map_err(|e| format!("{}: {e}", out.display()))?;
+        let exe = std::env::current_exe().map_err(|e| e.to_string())?;
+        Ok(Launch {
+            exe,
+            alg,
+            pz,
+            out,
+            timeout,
+            trace,
+        })
+    }
+
+    /// Delete the scratch root after a success (unless `keep`); name it
+    /// after a failure.
+    pub(crate) fn finish<T>(
+        &self,
+        result: Result<T, ParentError>,
+        keep: bool,
+    ) -> Result<T, ParentError> {
+        if result.is_err() {
+            eprintln!("agcm-run: scratch directory kept at {}", self.out.display());
+        } else if !keep {
+            let _ = fs::remove_dir_all(&self.out);
+        }
+        result
+    }
+}
+
+/// One phase's world: everything needed to (re)spawn its workers.
+pub(crate) struct WorldSpec<'a> {
+    pub run: &'a Launch,
+    pub endpoint: Endpoint,
+    pub pgrid: ProcessGrid,
+    pub steps: usize,
+    /// `None`: a classic world.
+    pub ckpt: Option<Ckpt>,
+    pub fault: Option<&'a (String, u64)>,
+}
+
+/// Start worker `rank` of `w` at mesh epoch `epoch` — the one place a
+/// worker process is created.  A rank listed in `kills` aborts after its
+/// kill step.
+fn spawn_rank(
     w: &WorldSpec,
     rank: usize,
     epoch: u64,
     kills: &[(usize, u64)],
 ) -> Result<Child, ParentError> {
-    let mut cmd = Command::new(&w.exe);
+    let mut cmd = Command::new(&w.run.exe);
     cmd.env("AGCM_RANK", rank.to_string())
-        .env("AGCM_WORLD_SIZE", w.p.to_string())
+        .env("AGCM_WORLD_SIZE", w.pgrid.size().to_string())
         .env("AGCM_ENDPOINT", w.endpoint.to_string())
         .env("AGCM_EPOCH", epoch.to_string())
-        .env("AGCM_SUPERVISED", "1")
-        .env("AGCM_RUN_ALG", w.alg.to_string())
+        .env("AGCM_RUN_ALG", w.run.alg.to_string())
         .env("AGCM_RUN_STEPS", w.steps.to_string())
-        .env("AGCM_RUN_PY", w.py.to_string())
-        .env("AGCM_RUN_PZ", w.pz.to_string())
-        .env("AGCM_RUN_OUT", &w.out)
-        .env("AGCM_CKPT_DIR", &w.ckpt)
-        .env("AGCM_CKPT_INTERVAL", w.interval.to_string())
-        .env("AGCM_CKPT_KEEP", w.keep.to_string())
+        .env("AGCM_RUN_PY", w.pgrid.py().to_string())
+        .env("AGCM_RUN_PZ", w.pgrid.pz().to_string())
+        .env("AGCM_RUN_OUT", &w.run.out)
         .stdin(Stdio::null());
-    if let Some((spec, seed)) = &w.fault {
+    match &w.ckpt {
+        Some(ck) => cmd
+            .env("AGCM_CKPT_DIR", &ck.dir)
+            .env("AGCM_CKPT_INTERVAL", ck.interval.to_string())
+            .env("AGCM_CKPT_KEEP", ck.keep.to_string()),
+        None => cmd.env_remove("AGCM_CKPT_DIR"),
+    };
+    if w.run.trace.is_some() {
+        cmd.env("AGCM_RUN_TRACE", "1");
+    }
+    if let Some((spec, seed)) = w.fault {
         cmd.env("AGCM_FAULT_SPEC", spec)
             .env("AGCM_FAULT_SEED", seed.to_string());
     }
@@ -395,305 +678,346 @@ pub(crate) fn spawn_rank(
         .map_err(|e| ParentError::Other(format!("spawning rank {rank}: {e}")))
 }
 
-fn kill_world(children: &mut [Option<Child>]) {
-    for c in children.iter_mut().flatten() {
-        let _ = c.kill();
-        let _ = c.wait();
-    }
-}
-
-/// One repaired failure: which rank died, the epoch its replacement was
-/// spawned into, and the measured repair time — from death detection until
-/// the replacement's durable progress passes the victim's last
-/// checkpointed step (the world has provably re-achieved what it lost).
-pub(crate) struct Incident {
-    pub rank: usize,
-    pub epoch: u64,
-    pub downtime: Duration,
-}
-
-/// What one supervised world's run looked like, for soak accounting:
-/// total supervised wall time plus every repaired death.
-pub(crate) struct SuperviseReport {
-    pub wall: Duration,
-    pub incidents: Vec<Incident>,
-}
-
-/// Launch one supervised world and babysit it to completion: a rank that
-/// exits non-zero (or is signalled) is respawned at the next epoch from
-/// its durable checkpoints, decrementing the shared `budget` counter — one
-/// budget spans every phase of a run (the resize flow and the soak harness
-/// pass the same counter to consecutive worlds).
+/// Launch one world and drive its [`Supervisor`] to a verdict, performing
+/// each action it returns; on failure every child still running is killed.
 pub(crate) fn supervise_world(
     w: &WorldSpec,
     kills: &[(usize, u64)],
-    budget: &mut u32,
-    timeout: Duration,
+    budget: Option<&mut u32>,
 ) -> Result<SuperviseReport, ParentError> {
-    fs::create_dir_all(&w.ckpt)
-        .map_err(|e| ParentError::Other(format!("{}: {e}", w.ckpt.display())))?;
-    let mut children: Vec<Option<Child>> = Vec::with_capacity(w.p);
-    for rank in 0..w.p {
-        children.push(Some(spawn_rank(w, rank, 0, kills)?));
+    if let Some(ck) = &w.ckpt {
+        fs::create_dir_all(&ck.dir).map_err(|e| format!("{}: {e}", ck.dir.display()))?;
     }
-    let respawns = obs::Registry::global().counter("resilience.respawns");
-    let mut epoch = 0u64;
+    let mut children: Vec<Option<Child>> = Vec::with_capacity(w.pgrid.size());
+    let sup = Supervisor::new(w.pgrid.size(), budget, w.run.timeout);
+    let result = (|| {
+        for rank in 0..w.pgrid.size() {
+            children.push(Some(spawn_rank(w, rank, 0, kills)?));
+        }
+        drive(w, &mut children, sup)
+    })();
+    if result.is_err() {
+        for c in children.iter_mut().flatten() {
+            let _ = c.kill();
+            let _ = c.wait();
+        }
+    }
+    result
+}
+
+/// The poll loop: every pass feeds the clock, each child that exited (a
+/// failed one after its newest durable step, the repair's baseline), and
+/// the durable progress of every rank under repair.
+fn drive(
+    w: &WorldSpec,
+    children: &mut [Option<Child>],
+    mut sup: Supervisor,
+) -> Result<SuperviseReport, ParentError> {
+    let durable = |rank| {
+        let step = latest_checkpoint_step(&w.ckpt.as_ref()?.dir, rank).ok()??;
+        Some(Event::Durable { rank, step })
+    };
     let started = Instant::now();
-    let deadline = started + timeout;
-    let mut incidents: Vec<Incident> = Vec::new();
-    // open repairs: (incident index, victim's last durable step (-1 =
-    // none), rank, detection time)
-    let mut open: Vec<(usize, i64, usize, Instant)> = Vec::new();
     loop {
-        let mut running = 0usize;
-        for rank in 0..w.p {
-            let Some(child) = children[rank].as_mut() else {
-                continue;
+        let mut events = vec![Event::Tick {
+            elapsed: started.elapsed(),
+        }];
+        for (rank, slot) in children.iter_mut().enumerate() {
+            let Some(child) = slot else { continue };
+            let status = match child.try_wait() {
+                Ok(None) => continue,
+                Ok(Some(status)) => status,
+                Err(e) => return Err(format!("waiting for rank {rank}: {e}").into()),
             };
-            match child.try_wait() {
-                Ok(None) => running += 1,
-                Ok(Some(st)) if st.success() => children[rank] = None,
-                Ok(Some(st)) => {
-                    if *budget == 0 {
-                        kill_world(&mut children);
-                        return Err(ParentError::RespawnExhausted(format!(
-                            "rank {rank} died ({st}) after the respawn budget was spent"
-                        )));
-                    }
-                    *budget -= 1;
-                    epoch += 1;
-                    respawns.inc();
-                    let baseline = latest_checkpoint_step(&w.ckpt, rank)
-                        .ok()
-                        .flatten()
-                        .map_or(-1, |s| s as i64);
+            *slot = None;
+            if !status.success() {
+                events.extend(durable(rank));
+            }
+            events.push(Event::Exited {
+                rank,
+                success: status.success(),
+                status: status.to_string(),
+            });
+        }
+        events.extend(sup.repairing().into_iter().filter_map(durable));
+        for event in events {
+            let died = match &event {
+                Event::Exited { status, .. } => status.clone(),
+                _ => String::new(),
+            };
+            match sup.on(event) {
+                None => {}
+                Some(Action::Respawn { rank, epoch }) => {
+                    obs::Registry::global().counter("resilience.respawns").inc();
                     eprintln!(
-                        "agcm-run: rank {rank} died ({st}); respawning from checkpoint at \
+                        "agcm-run: rank {rank} died ({died}); respawning from checkpoint at \
                          epoch {epoch} ({} respawn(s) left)",
-                        *budget
+                        sup.left()
                     );
                     // the kill injection applies to the first incarnation
                     // only — the replacement gets a clean environment
                     children[rank] = Some(spawn_rank(w, rank, epoch, &[])?);
-                    open.push((incidents.len(), baseline, rank, Instant::now()));
-                    incidents.push(Incident {
-                        rank,
-                        epoch,
-                        downtime: Duration::ZERO,
-                    });
-                    running += 1;
                 }
-                Err(e) => {
-                    kill_world(&mut children);
-                    return Err(ParentError::Other(format!("waiting for rank {rank}: {e}")));
-                }
+                Some(Action::Fail(e)) => return Err(e),
+                Some(Action::Done(report)) => return Ok(report),
             }
-        }
-        // close repairs whose replacement has durably overtaken the victim
-        // (or already exited successfully)
-        open.retain(|&(idx, baseline, rank, t0)| {
-            let repaired = children[rank].is_none()
-                || matches!(
-                    latest_checkpoint_step(&w.ckpt, rank),
-                    Ok(Some(s)) if (s as i64) > baseline
-                );
-            if repaired {
-                incidents[idx].downtime = t0.elapsed();
-            }
-            !repaired
-        });
-        if running == 0 {
-            for &(idx, _, _, t0) in &open {
-                incidents[idx].downtime = t0.elapsed();
-            }
-            return Ok(SuperviseReport {
-                wall: started.elapsed(),
-                incidents,
-            });
-        }
-        if Instant::now() >= deadline {
-            kill_world(&mut children);
-            return Err(ParentError::Other(format!(
-                "elastic world did not finish within {timeout:?}"
-            )));
         }
         std::thread::sleep(Duration::from_millis(10));
     }
 }
 
 // ---------------------------------------------------------------------------
-// Parent-side flows
+// The phase runner
 // ---------------------------------------------------------------------------
 
-/// The elastic entry: every selected algorithm runs supervised; with
-/// `--resize` the two-phase re-decomposition flow runs instead.
-pub(crate) fn run_elastic(opts: &RunOpts) -> Result<(), ParentError> {
-    for &alg in opts.alg.algs() {
-        if let Some(p2) = opts.resize {
-            run_resize_world(alg, opts, p2)?;
-        } else {
-            run_elastic_world(alg, opts)?;
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("agcm-run-{}-{tag}", std::process::id()))
-}
-
-fn endpoint_for(opts: &RunOpts) -> Result<Endpoint, ParentError> {
-    Ok(match &opts.endpoint {
-        Some(s) => Endpoint::parse(s).map_err(ParentError::Other)?,
-        None => Endpoint::unique_uds(),
-    })
-}
-
-fn finish_scratch(
-    result: Result<(), ParentError>,
-    out: &Path,
-    opts: &RunOpts,
-) -> Result<(), ParentError> {
-    if result.is_ok() && !opts.keep_out {
-        let _ = fs::remove_dir_all(out);
-    } else if result.is_err() {
-        eprintln!("agcm-run: scratch directory kept at {}", out.display());
-    }
-    result
-}
-
-/// Supervised run at a fixed rank count (the kill/respawn flow).
-fn run_elastic_world(alg: u32, opts: &RunOpts) -> Result<(), ParentError> {
-    let p = opts.ranks;
+/// Run phase `i` of `plan`: hand off from phase `i − 1` (re-decompose its
+/// checkpoints onto this world and certify the new schedule before any
+/// stepping resumes), supervise the world under the respawn policy
+/// `budget` (`None`: classic), and verify what it gathered.  `label` names
+/// the phase in the lines it prints.
+pub(crate) fn run_phase(
+    plan: &Plan,
+    i: usize,
+    run: &Launch,
+    endpoint: Endpoint,
+    interval: u64,
+    budget: Option<&mut u32>,
+    label: &str,
+) -> Result<SuperviseReport, ParentError> {
     let cfg = run_config();
-    let out = scratch_dir(&format!("elastic-alg{alg}-p{p}"));
-    fs::create_dir_all(&out).map_err(|e| ParentError::Other(format!("{}: {e}", out.display())))?;
-    let w = WorldSpec {
-        exe: std::env::current_exe().map_err(|e| ParentError::Other(e.to_string()))?,
-        endpoint: endpoint_for(opts)?,
-        alg,
-        p,
-        py: p,
-        pz: 1,
-        steps: opts.steps,
-        out: out.clone(),
-        ckpt: out.join("ckpt"),
-        interval: 1,
-        keep: p + 1,
-        fault: None,
-    };
-    let mut budget = opts.respawn_budget();
-    let result = supervise_world(&w, &opts.kills, &mut budget, opts.timeout)
-        .and_then(|_| verify_elastic(alg, p, &cfg, opts.steps, &out, "elastic"));
-    finish_scratch(result, &out, opts)
-}
-
-/// Planned shrink/grow: integrate the first half of the steps at `--ranks`,
-/// re-decompose the checkpointed mesh onto `p2` ranks, certify the new
-/// schedule, and finish there — each phase's gathered state verified
-/// bitwise against the serial reference at its step count.
-fn run_resize_world(alg: u32, opts: &RunOpts, p2: usize) -> Result<(), ParentError> {
-    let p1 = opts.ranks;
-    let total = opts.steps;
-    let h = total / 2; // the hand-off step (total >= 2, so h >= 1)
-    let cfg = run_config();
-    let from = ProcessGrid::yz(p1, 1).map_err(|e| ParentError::Other(e.to_string()))?;
-    let to = ProcessGrid::yz(p2, 1).map_err(|e| ParentError::Other(e.to_string()))?;
-    let out = scratch_dir(&format!("resize-alg{alg}-p{p1}to{p2}"));
-    fs::create_dir_all(&out).map_err(|e| ParentError::Other(format!("{}: {e}", out.display())))?;
-    let exe = std::env::current_exe().map_err(|e| ParentError::Other(e.to_string()))?;
-
-    // one respawn budget for the WHOLE run: both phases draw from the same
-    // counter, so `--max-respawns N` bounds total recoveries, not N per
-    // phase (the pre-fix behavior let a resize run consume 2N)
-    let mut budget = opts.respawn_budget();
-    // retention must cover the larger world's skew window on BOTH sides of
-    // the hand-off: phase-2 survivors pruning with the smaller world's
-    // p'+1 budget can delete the re-decomposed hand-off step while a
-    // straggling replacement still rolls back to it
-    let keep = resize_retention(p1, p2);
-    // kills before the hand-off step hit phase 1, the rest hit phase 2
-    let (kills1, kills2): (Vec<_>, Vec<_>) =
-        opts.kills.iter().copied().partition(|&(_, s)| s < h as u64);
-
-    let w1 = WorldSpec {
-        exe: exe.clone(),
-        endpoint: endpoint_for(opts)?,
-        alg,
-        p: p1,
-        py: p1,
-        pz: 1,
-        steps: h,
-        out: out.clone(),
-        ckpt: out.join(format!("ckpt-p{p1}")),
-        interval: 1,
-        keep,
-        fault: None,
-    };
-    let result = (|| {
-        supervise_world(&w1, &kills1, &mut budget, opts.timeout)?;
-        verify_elastic(alg, p1, &cfg, h, &out, "resize phase 1")?;
-
-        let w2 = WorldSpec {
-            exe,
-            // a fresh endpoint: no socket-path reuse between the worlds
-            endpoint: Endpoint::unique_uds(),
-            alg,
-            p: p2,
-            py: p2,
-            pz: 1,
-            steps: total,
-            out: out.clone(),
-            ckpt: out.join(format!("ckpt-p{p2}")),
-            interval: 1,
-            keep,
-            fault: None,
-        };
-        let step = redistribute(&w1.ckpt, &w2.ckpt, from, to, cfg.extents())
-            .map_err(|e| ParentError::Other(format!("re-decomposing {p1}->{p2}: {e}")))?;
+    let grid = |p: usize| ProcessGrid::yz(p / run.pz, run.pz).map_err(|e| e.to_string());
+    let ph = &plan.phases[i];
+    let pgrid = grid(ph.p)?;
+    if let Some(prev) = i.checked_sub(1) {
+        let (from, to) = (plan.phases[prev].p, ph.p);
+        let dirs = (plan.ckpt_dir(&run.out, prev), plan.ckpt_dir(&run.out, i));
+        let step = redistribute(&dirs.0, &dirs.1, grid(from)?, pgrid, cfg.extents())
+            .map_err(|e| format!("{label}: re-decomposing {from}->{to}: {e}"))?;
         // the gate: the re-decomposed schedule must certify (deadlock-free,
-        // count-exact, flow-clean at p2) before any stepping resumes
-        let cert = certify_yz(&cfg, to).map_err(|e| {
-            ParentError::VerificationMismatch(format!("certifying the p={p2} schedule: {e}"))
+        // count-exact, flow-clean) before any stepping resumes
+        let cert = certify_yz(&cfg, pgrid).map_err(|e| {
+            ParentError::VerificationMismatch(format!("certifying the p={to} schedule: {e}"))
         })?;
         println!(
-            "agcm-run: resize {p1}->{p2}: checkpoints re-decomposed at step {step}; \
-             p={p2} schedule certified (alg1: {} exchanges, {} collectives per step)",
+            "agcm-run: {label}: checkpoints re-decomposed {from}->{to} at step {step}; \
+             p={to} schedule certified (alg1: {} exchanges, {} collectives per step)",
             cert.alg1.exchanges, cert.alg1.collectives
         );
-
-        supervise_world(&w2, &kills2, &mut budget, opts.timeout)?;
-        verify_elastic(alg, p2, &cfg, total, &out, "resize phase 2")
-    })();
-    finish_scratch(result, &out, opts)
+    }
+    let w = WorldSpec {
+        run,
+        endpoint,
+        pgrid,
+        steps: ph.end as usize,
+        ckpt: budget.is_some().then(|| Ckpt {
+            dir: plan.ckpt_dir(&run.out, i),
+            interval,
+            keep: plan.keep(i),
+        }),
+        fault: plan.fault.as_ref(),
+    };
+    let report = supervise_world(&w, &ph.kills, budget)?;
+    verify_world(&w, &cfg, label)?;
+    Ok(report)
 }
 
-/// The elastic verifier: bitwise state equivalence only (replayed steps
-/// break the measured-traffic bracket, so the classic count and wire
-/// identities stay with the fault-free mode).
-pub(crate) fn verify_elastic(
-    alg: u32,
-    p: usize,
-    cfg: &ModelConfig,
-    steps: usize,
-    out: &Path,
-    what: &str,
-) -> Result<(), ParentError> {
-    let gathered = read_state(&out.join("state.bin"))
-        .map_err(|e| ParentError::Other(format!("{what}: reading gathered state: {e}")))?;
-    let variant = if alg == 1 {
-        Iteration::Exact
-    } else {
-        Iteration::Approximate
-    };
-    let serial = serial_reference(cfg, variant, steps).map_err(ParentError::Other)?;
-    if !states_bitwise_equal(&gathered, &serial) {
-        return Err(ParentError::VerificationMismatch(format!(
-            "{what}: alg{alg} p={p} steps={steps}: gathered state differs from the serial \
-             reference (max |diff| = {:e})",
-            gathered.max_abs_diff(&serial)
-        )));
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const T: Duration = Duration::from_secs(60);
+
+    fn tick(ms: u64) -> Event {
+        Event::Tick {
+            elapsed: Duration::from_millis(ms),
+        }
     }
-    println!("agcm-run: {what}: alg{alg} p={p} steps={steps}: state bitwise == serial reference");
-    Ok(())
+
+    fn exit(rank: usize, success: bool) -> Event {
+        let status = if success {
+            "exit status: 0"
+        } else {
+            "signal: 6"
+        };
+        Event::Exited {
+            rank,
+            success,
+            status: status.into(),
+        }
+    }
+
+    fn durable(rank: usize, step: u64) -> Event {
+        Event::Durable { rank, step }
+    }
+
+    /// Feed `events` in order; the actions they produced, `None`s dropped.
+    fn feed(sup: &mut Supervisor, events: Vec<Event>) -> Vec<Action> {
+        events.into_iter().filter_map(|e| sup.on(e)).collect()
+    }
+
+    fn respawned(actions: &[Action]) -> Vec<(usize, u64)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Respawn { rank, epoch } => Some((*rank, *epoch)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn report(actions: Vec<Action>) -> SuperviseReport {
+        match actions.into_iter().last() {
+            Some(Action::Done(r)) => r,
+            other => panic!("want Done, got {other:?}"),
+        }
+    }
+
+    /// The shared-budget regression without processes: one budget of 1
+    /// lent to two consecutive phases fails the second death with exit 4.
+    #[test]
+    fn one_budget_spans_phases() {
+        let mut budget = 1u32;
+        let mut phase1 = Supervisor::new(2, Some(&mut budget), T);
+        let acts = feed(&mut phase1, vec![tick(0), exit(0, false), tick(5)]);
+        assert_eq!(respawned(&acts), [(0, 1)]);
+        feed(&mut phase1, vec![exit(0, true), exit(1, true)]);
+        assert_eq!(budget, 0);
+        let mut phase2 = Supervisor::new(2, Some(&mut budget), T);
+        let acts = feed(&mut phase2, vec![tick(0), exit(1, false)]);
+        match &acts[..] {
+            [Action::Fail(e @ ParentError::RespawnExhausted(m))] => {
+                assert_eq!(e.exit_code(), 4);
+                assert!(m.contains("rank 1 died"), "{m}");
+            }
+            other => panic!("want RespawnExhausted, got {other:?}"),
+        }
+    }
+
+    /// A repair closes at the first durable step past the victim's
+    /// baseline (not at it), or at the replacement's clean exit; downtime
+    /// runs from detection to that event.
+    #[test]
+    fn repair_closes_past_the_baseline_or_at_clean_exit() {
+        let mut budget = 2u32;
+        let mut sup = Supervisor::new(3, Some(&mut budget), T);
+        let acts = feed(
+            &mut sup,
+            vec![
+                tick(10),
+                durable(1, 4), // the victim's newest durable step
+                exit(1, false),
+                tick(20),
+                exit(2, false), // never wrote a checkpoint
+            ],
+        );
+        assert_eq!(respawned(&acts), [(1, 1), (2, 2)]);
+        assert_eq!(sup.repairing(), [1, 2]);
+        feed(&mut sup, vec![tick(30), durable(1, 4), tick(45)]);
+        assert_eq!(
+            sup.repairing(),
+            [1, 2],
+            "step 4 is the baseline, not past it"
+        );
+        feed(&mut sup, vec![durable(1, 5), tick(70), exit(2, true)]);
+        assert!(sup.repairing().is_empty());
+        let r = report(feed(&mut sup, vec![tick(90), exit(0, true), exit(1, true)]));
+        let got: Vec<_> = r
+            .incidents
+            .iter()
+            .map(|x| (x.rank, x.epoch, x.downtime))
+            .collect();
+        let ms = Duration::from_millis;
+        assert_eq!(got, [(1, 1, ms(35)), (2, 2, ms(50))]);
+        assert_eq!(r.wall, ms(90));
+    }
+
+    /// Classic policy: the first failed exit fails the world with exit 1,
+    /// naming the rank, and nothing is respawned.
+    #[test]
+    fn classic_failure_names_the_rank() {
+        let mut sup = Supervisor::new(2, None, T);
+        let acts = feed(&mut sup, vec![tick(0), exit(1, false)]);
+        match &acts[..] {
+            [Action::Fail(e @ ParentError::Other(m))] => {
+                assert_eq!(e.exit_code(), 1);
+                assert!(m.contains("rank 1"), "{m}");
+            }
+            other => panic!("want Fail(Other), got {other:?}"),
+        }
+        assert_eq!(sup.left(), 0);
+    }
+
+    #[test]
+    fn tick_past_the_timeout_fails() {
+        let mut budget = 3u32;
+        let mut sup = Supervisor::new(2, Some(&mut budget), Duration::from_secs(1));
+        assert!(feed(&mut sup, vec![tick(999), exit(0, true)]).is_empty());
+        match &feed(&mut sup, vec![tick(1000)])[..] {
+            [Action::Fail(ParentError::Other(m))] => {
+                assert!(m.contains("did not finish within"), "{m}");
+                assert!(m.contains("1 straggler"), "{m}");
+            }
+            other => panic!("want a timeout, got {other:?}"),
+        }
+    }
+
+    /// Clean exits of every rank end in `Done`, incidents in order.
+    #[test]
+    fn all_clean_exits_are_done_with_incidents_in_order() {
+        let mut sup = Supervisor::new(2, None, T);
+        let r = report(feed(&mut sup, vec![tick(7), exit(1, true), exit(0, true)]));
+        assert!(r.incidents.is_empty());
+        assert_eq!(r.wall, Duration::from_millis(7));
+
+        let mut budget = 5u32;
+        let mut sup = Supervisor::new(2, Some(&mut budget), T);
+        let acts = feed(&mut sup, vec![tick(1), exit(1, false), exit(0, false)]);
+        assert_eq!(respawned(&acts), [(1, 1), (0, 2)]);
+        let r = report(feed(&mut sup, vec![tick(2), exit(0, true), exit(1, true)]));
+        let order: Vec<_> = r.incidents.iter().map(|x| (x.rank, x.epoch)).collect();
+        assert_eq!(order, [(1, 1), (0, 2)]);
+    }
+
+    fn plan(sizes: &[usize]) -> Plan {
+        let phases = sizes
+            .iter()
+            .map(|&p| Phase {
+                p,
+                start: 0,
+                end: 0,
+                kills: Vec::new(),
+            })
+            .collect();
+        Plan {
+            phases,
+            fault: None,
+        }
+    }
+
+    /// `keep` reproduces the three rules it replaced: `p + 1` for one
+    /// world, `max(p1, p2) + 1` on both sides of a resize, and the soak's
+    /// maximum over each phase's neighbours.
+    #[test]
+    fn keep_is_every_earlier_retention_rule() {
+        for p in [1usize, 2, 4, 8] {
+            assert_eq!(plan(&[p]).keep(0), p + 1);
+        }
+        for (p1, p2) in [(4usize, 2usize), (2, 4), (4, 4), (8, 4)] {
+            let pl = plan(&[p1, p2]);
+            assert_eq!((pl.keep(0), pl.keep(1)), (p1.max(p2) + 1, p1.max(p2) + 1));
+        }
+        for sizes in [&[8usize, 4, 8][..], &[4, 2], &[2, 4, 2], &[8, 4, 8, 4, 2]] {
+            let pl = plan(sizes);
+            for i in 0..sizes.len() {
+                let soak = sizes
+                    .iter()
+                    .take(i + 2)
+                    .skip(i.saturating_sub(1))
+                    .map(|&n| resize_retention(sizes[i], n))
+                    .max()
+                    .unwrap_or(sizes[i] + 1);
+                assert_eq!(pl.keep(i), soak, "{sizes:?} phase {i}");
+            }
+        }
+    }
 }

@@ -10,10 +10,12 @@
 //! environment it acts as the parent, spawning `--ranks` copies of itself
 //! with the handshake variables set (`AGCM_RANK`, `AGCM_WORLD_SIZE`,
 //! `AGCM_ENDPOINT`); launched *with* `AGCM_RANK` it connects the socket
-//! mesh and integrates its block of the model.
+//! mesh and integrates its block of the model — as an elastic worker
+//! (see the `elastic` module) when `AGCM_CKPT_DIR` names its checkpoints.
 //!
-//! The parent does not merely babysit the children — it re-derives every
-//! cross-transport claim the paper reproduction rests on:
+//! Every world, classic or elastic, is a phase of a [`Plan`] run by one
+//! phase runner under one supervisor.  Of a classic world the parent
+//! re-derives every cross-transport claim the paper reproduction rests on:
 //!
 //! 1. **Bitwise equivalence**: rank 0's gathered [`GlobalState`] must match
 //!    a serial reference integrated in the parent process bit for bit, for
@@ -31,7 +33,7 @@
 #![forbid(unsafe_code)]
 use agcm_comm::telemetry::{self, CLOCK_ROUNDS};
 use agcm_comm::{
-    p2p_only_delta, Communicator, CostModel, Endpoint, SocketTransport, Universe, WireStats,
+    p2p_only_delta, Communicator, CostModel, Endpoint, SocketTransport, Universe,
     WIRE_OVERHEAD_BYTES,
 };
 use agcm_core::analysis::{predict, AlgKind, CaMode, Prediction};
@@ -42,11 +44,11 @@ use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
 use agcm_obs::dist::{self, OffsetEstimate};
 use agcm_verify::{critpath, rank_counts, ScheduleGraph};
+use elastic::{run_phase, Launch, WorldSpec};
 use std::fmt::Display;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::rc::Rc;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
@@ -56,6 +58,8 @@ pub const STATE_MAGIC: &[u8; 8] = b"AGCMGST1";
 
 mod elastic;
 pub mod soak;
+
+pub use elastic::{Phase, Plan};
 
 // ---------------------------------------------------------------------------
 // Parent failure taxonomy
@@ -195,10 +199,40 @@ impl RunOpts {
         self.max_respawns.is_some() || self.resize.is_some() || !self.kills.is_empty()
     }
 
-    /// The respawn budget in elastic mode (default 2 when elastic mode was
-    /// implied by `--resize`/`--kill` rather than set explicitly).
-    pub fn respawn_budget(&self) -> u32 {
-        self.max_respawns.unwrap_or(2)
+    /// The respawn policy: `None` in classic mode, else the budget of the
+    /// whole run (default 2 when elastic mode was implied by
+    /// `--resize`/`--kill` rather than set explicitly).
+    pub fn respawn_budget(&self) -> Option<u32> {
+        self.elastic().then(|| self.max_respawns.unwrap_or(2))
+    }
+
+    /// The phases this invocation runs: one world of `--ranks`, or under
+    /// `--resize` the first `steps / 2` there and the rest at P2.  A kill
+    /// belongs to the last phase starting at or before its step.
+    pub fn plan(&self) -> Plan {
+        let (steps, p) = (self.steps as u64, self.ranks);
+        let bounds = match self.resize {
+            Some(p2) => vec![(p, 0, steps / 2), (p2, steps / 2, steps)],
+            None => vec![(p, 0, steps)],
+        };
+        let mut phases: Vec<Phase> = bounds
+            .into_iter()
+            .map(|(p, start, end)| Phase {
+                p,
+                start,
+                end,
+                kills: Vec::new(),
+            })
+            .collect();
+        for &(rank, step) in &self.kills {
+            if let Some(ph) = phases.iter_mut().rev().find(|ph| ph.start <= step) {
+                ph.kills.push((rank, step));
+            }
+        }
+        Plan {
+            phases,
+            fault: None,
+        }
     }
 }
 
@@ -323,33 +357,7 @@ pub fn parse_args(args: &[String]) -> Result<Option<RunOpts>, String> {
             );
         }
     }
-    // Each kill event must name a rank that exists in the world it hits.
-    // Under --resize, kills before the hand-off step (steps/2) hit phase 1
-    // (world of --ranks), the rest hit phase 2 (world of P2); a rank may
-    // carry at most one kill per phase (only the first incarnation reads
-    // the kill environment, so a second event on the same rank would be
-    // silently inert).
-    let h = (opts.steps / 2) as u64;
-    let mut seen: Vec<(usize, bool)> = Vec::new();
-    for &(rank, step) in &opts.kills {
-        let (world, phase2) = match opts.resize {
-            Some(p2) if step >= h => (p2, true),
-            _ => (opts.ranks, false),
-        };
-        if rank >= world {
-            return Err(format!(
-                "--kill rank {rank} outside the world of {world} ranks \
-                 (step {step} lands in the p={world} phase)"
-            ));
-        }
-        if seen.contains(&(rank, phase2)) {
-            return Err(format!(
-                "--kill rank {rank} listed twice in the same phase (only the first \
-                 incarnation honors a kill step)"
-            ));
-        }
-        seen.push((rank, phase2));
-    }
+    opts.plan().check()?;
     if opts.elastic() && opts.pz != 1 {
         return Err("--pz is not supported in elastic mode (it re-decomposes along y)".into());
     }
@@ -383,43 +391,38 @@ pub fn run_config() -> ModelConfig {
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Process entry: worker when `AGCM_RANK` is set, parent otherwise.
-/// Returns the process exit code.
+/// `agcm-run` process entry: worker when `AGCM_RANK` is set, parent
+/// otherwise.  Returns the process exit code.
 pub fn main_entry() -> u8 {
-    let is_worker = match agcm_comm::parse_env::<usize>("AGCM_RANK") {
-        Ok(v) => v.is_some(),
-        Err(e) => {
-            eprintln!("agcm-run: {e}");
-            return 2;
-        }
+    entry("agcm-run", USAGE, parse_args, run_parent)
+}
+
+/// The process entry of both binaries, each its own worker: a worker when
+/// `AGCM_RANK` is set, else the parent — `parse` the command line, `run`
+/// it, and map the outcome to the exit code.
+fn entry<O>(
+    name: &str,
+    usage: &str,
+    parse: fn(&[String]) -> Result<Option<O>, String>,
+    run: fn(&O) -> Result<(), ParentError>,
+) -> u8 {
+    let failed = |what: &str, e: &dyn Display, code: u8| {
+        eprintln!("{name}{what}: {e}");
+        code
     };
-    if is_worker {
-        match worker_main() {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("agcm-run worker: {e}");
-                1
-            }
-        }
-    } else {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match parse_args(&args) {
+    match agcm_comm::parse_env::<usize>("AGCM_RANK") {
+        Err(e) => failed("", &e, 2),
+        Ok(Some(_)) => worker_main().map_or_else(|e| failed(" worker", &e, 1), |()| 0),
+        Ok(None) => match parse(&std::env::args().skip(1).collect::<Vec<_>>()) {
             Ok(None) => {
-                println!("{USAGE}");
+                println!("{usage}");
                 0
             }
-            Ok(Some(opts)) => match run_parent(&opts) {
-                Ok(()) => 0,
-                Err(e) => {
-                    eprintln!("agcm-run: FAILED: {e}");
-                    e.exit_code()
-                }
-            },
-            Err(e) => {
-                eprintln!("agcm-run: {e}\n\n{USAGE}");
-                2
+            Ok(Some(opts)) => {
+                run(&opts).map_or_else(|e| failed(": FAILED", &e, e.exit_code()), |()| 0)
             }
-        }
+            Err(e) => failed("", &format!("{e}\n\n{usage}"), 2),
+        },
     }
 }
 
@@ -438,19 +441,23 @@ where
     }
 }
 
-/// This rank's integrator for `AGCM_RUN_ALG` (1 or 2) at rest.
+/// The algorithm behind `AGCM_RUN_ALG` (1 or 2).
+fn alg_kind(alg: u32) -> Result<AlgKind, String> {
+    match alg {
+        1 => Ok(AlgKind::OriginalYZ),
+        2 => Ok(AlgKind::CommAvoiding),
+        other => Err(format!("AGCM_RUN_ALG must be 1 or 2, got {other}")),
+    }
+}
+
+/// This rank's integrator for `AGCM_RUN_ALG` at rest.
 pub(crate) fn new_model(
     alg: u32,
     cfg: &ModelConfig,
     pgrid: ProcessGrid,
     comm: &mut Communicator,
 ) -> Result<Integrator, String> {
-    let kind = match alg {
-        1 => AlgKind::OriginalYZ,
-        2 => AlgKind::CommAvoiding,
-        other => return Err(format!("AGCM_RUN_ALG must be 1 or 2, got {other}")),
-    };
-    Integrator::parallel(cfg, kind, pgrid, comm).map_err(|e| e.to_string())
+    Integrator::parallel(cfg, alg_kind(alg)?, pgrid, comm).map_err(|e| e.to_string())
 }
 
 /// The standard initial condition every world in this crate integrates.
@@ -459,15 +466,25 @@ pub(crate) fn set_default_ic(model: &mut Integrator) {
     model.set_state(&ic);
 }
 
-/// One rank of a launched world: connect the socket mesh, integrate, gather
-/// to rank 0, and drop a per-rank traffic report in the scratch directory.
-/// Under `AGCM_SUPERVISED=1` the elastic variant runs instead: checkpoint
-/// every step, survive peer death by rewiring, and roll back in lockstep.
+/// What every worker reads from the launcher's environment.
+pub(crate) struct Worker {
+    pub rank: usize,
+    pub alg: u32,
+    /// Step count the world integrates to.
+    pub steps: usize,
+    pub pgrid: ProcessGrid,
+    /// The run's scratch root.
+    pub out: PathBuf,
+    pub cfg: ModelConfig,
+}
+
+/// One rank of a launched world: connect the socket mesh and integrate.  A
+/// worker told where its checkpoints go (`AGCM_CKPT_DIR`) is elastic: it
+/// checkpoints as it steps, survives peer death by rewiring, and rolls back
+/// in lockstep.  Any other is classic: it also measures its traffic and, on
+/// `AGCM_RUN_TRACE=1`, ships its spans to rank 0.
 pub fn worker_main() -> Result<(), String> {
     let rank: usize = req_env("AGCM_RANK")?;
-    if matches!(agcm_comm::parse_env::<u32>("AGCM_SUPERVISED"), Ok(Some(1))) {
-        return elastic::elastic_worker(rank);
-    }
     let tracing = matches!(agcm_comm::parse_env::<u32>("AGCM_RUN_TRACE"), Ok(Some(1)));
     if tracing {
         // before the socket mesh comes up, so this rank's own handshake
@@ -476,17 +493,29 @@ pub fn worker_main() -> Result<(), String> {
         obs::enable();
     }
     let transport = SocketTransport::from_env()
-        .expect("worker_main requires AGCM_RANK")
+        .ok_or("AGCM_RANK must be set for a worker")?
         .map_err(|e| format!("socket transport: {e}"))?;
-    let mut comm = Communicator::on_transport(Rc::new(transport));
+    let w = Worker {
+        rank,
+        alg: req_env("AGCM_RUN_ALG")?,
+        steps: req_env("AGCM_RUN_STEPS")?,
+        pgrid: ProcessGrid::yz(req_env("AGCM_RUN_PY")?, req_env("AGCM_RUN_PZ")?)
+            .map_err(|e| e.to_string())?,
+        out: PathBuf::from(req_env::<String>("AGCM_RUN_OUT")?),
+        cfg: run_config(),
+    };
+    let transport = Rc::new(transport);
+    match agcm_comm::parse_env::<String>("AGCM_CKPT_DIR").map_err(|e| e.to_string())? {
+        Some(dir) => elastic::elastic_worker(&w, &transport, PathBuf::from(dir)),
+        None => classic_worker(&w, transport, tracing),
+    }
+}
 
-    let alg: u32 = req_env("AGCM_RUN_ALG")?;
-    let steps: usize = req_env("AGCM_RUN_STEPS")?;
-    let py: usize = req_env("AGCM_RUN_PY")?;
-    let pz: usize = req_env("AGCM_RUN_PZ")?;
-    let out = PathBuf::from(req_env::<String>("AGCM_RUN_OUT")?);
-    let cfg = run_config();
-    let pgrid = ProcessGrid::yz(py, pz).map_err(|e| e.to_string())?;
+/// A classic rank: integrate, gather to rank 0, and drop a per-rank
+/// traffic report of the measured step in the scratch directory.
+fn classic_worker(w: &Worker, transport: Rc<SocketTransport>, tracing: bool) -> Result<(), String> {
+    let (rank, steps, out) = (w.rank, w.steps, &w.out);
+    let mut comm = Communicator::on_transport(transport);
 
     // telemetry rides a dedicated split communicator so its reserved tags
     // never meet model traffic; the clock handshake runs before any model
@@ -513,7 +542,7 @@ pub fn worker_main() -> Result<(), String> {
     // as the thread-backed verifier cross-check does
     comm.stats().set_event_logging(true);
 
-    let mut model = new_model(alg, &cfg, pgrid, &mut comm)?;
+    let mut model = new_model(w.alg, &w.cfg, w.pgrid, &mut comm)?;
     set_default_ic(&mut model);
     let step = |model: &mut Integrator| model.step(Some(&comm)).map_err(|e| e.to_string());
 
@@ -576,7 +605,7 @@ pub fn worker_main() -> Result<(), String> {
         .write(&out.join(format!("stats.rank{rank}.txt")))
         .map_err(|e| format!("stats.rank{rank}.txt: {e}"))?;
     if let Some((ctl, offset)) = &ctl {
-        finish_trace(ctl, offset, rank, steps, &out)?;
+        finish_trace(ctl, offset, rank, steps, out)?;
     }
     Ok(())
 }
@@ -653,139 +682,70 @@ fn finish_trace(
 // Parent
 // ---------------------------------------------------------------------------
 
-/// Launch, await and verify every selected algorithm; `Err` carries the
-/// first failed check, classified for the exit code (respawn exhaustion,
-/// verification mismatch, or anything else).
+/// Run every selected algorithm's plan; `Err` carries the first failed
+/// check, classified for the exit code (respawn exhaustion, verification
+/// mismatch, or anything else).
 pub fn run_parent(opts: &RunOpts) -> Result<(), ParentError> {
-    if opts.elastic() {
-        return elastic::run_elastic(opts);
-    }
+    let plan = opts.plan();
+    let trace = opts.trace.then(|| {
+        opts.trace_out
+            .clone()
+            .unwrap_or_else(|| PathBuf::from("target/trace-dist"))
+    });
     for &alg in opts.alg.algs() {
-        run_one_world(alg, opts)?;
+        let run = Launch::new(
+            alg,
+            opts.pz,
+            &format!("alg{alg}"),
+            opts.timeout,
+            trace.clone(),
+        )?;
+        // one respawn budget for the whole run: every phase draws from it
+        let mut budget = opts.respawn_budget();
+        let result = (0..plan.phases.len()).try_for_each(|i| {
+            let endpoint = match (&opts.endpoint, i) {
+                (Some(s), 0) => Endpoint::parse(s)?,
+                // a fresh endpoint per later phase: no socket-path reuse
+                _ => Endpoint::unique_uds(),
+            };
+            let label = match (opts.resize, &budget) {
+                (Some(_), _) => format!("resize phase {}", i + 1),
+                (None, Some(_)) => "elastic".to_string(),
+                (None, None) => "classic".to_string(),
+            };
+            run_phase(&plan, i, &run, endpoint, 1, budget.as_mut(), &label).map(drop)
+        });
+        run.finish(result, opts.keep_out)?;
     }
     Ok(())
 }
 
-fn run_one_world(alg: u32, opts: &RunOpts) -> Result<(), ParentError> {
-    let p = opts.ranks;
-    let cfg = run_config();
-    let pgrid = ProcessGrid::yz(p / opts.pz, opts.pz).map_err(|e| e.to_string())?;
-    let endpoint = match &opts.endpoint {
-        Some(s) => Endpoint::parse(s)?,
-        None => Endpoint::unique_uds(),
-    };
-    let out = std::env::temp_dir().join(format!("agcm-run-{}-alg{alg}-p{p}", std::process::id()));
-    fs::create_dir_all(&out).map_err(|e| format!("{}: {e}", out.display()))?;
-    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-
-    let mut children: Vec<Child> = Vec::with_capacity(p);
-    for rank in 0..p {
-        let mut cmd = Command::new(&exe);
-        cmd.env("AGCM_RANK", rank.to_string())
-            .env("AGCM_WORLD_SIZE", p.to_string())
-            .env("AGCM_ENDPOINT", endpoint.to_string())
-            .env("AGCM_RUN_ALG", alg.to_string())
-            .env("AGCM_RUN_STEPS", opts.steps.to_string())
-            .env("AGCM_RUN_PY", (p / opts.pz).to_string())
-            .env("AGCM_RUN_PZ", opts.pz.to_string())
-            .env("AGCM_RUN_OUT", &out)
-            .stdin(Stdio::null());
-        if opts.trace {
-            cmd.env("AGCM_RUN_TRACE", "1");
-        }
-        let child = cmd
-            .spawn()
-            .map_err(|e| format!("spawning rank {rank}: {e}"))?;
-        children.push(child);
-    }
-    let result = await_world(&mut children, opts.timeout)
-        .map_err(ParentError::Other)
-        .and_then(|()| {
-            verify_world(alg, p, pgrid, &cfg, opts.steps, &out)
-                .map_err(ParentError::VerificationMismatch)
-        })
-        .and_then(|()| {
-            if opts.trace {
-                analyze_world_trace(alg, p, pgrid, &cfg, opts, &out)
-                    .map_err(ParentError::VerificationMismatch)
-            } else {
-                Ok(())
-            }
-        });
-    if result.is_ok() && !opts.keep_out {
-        let _ = fs::remove_dir_all(&out);
-    } else if result.is_err() {
-        eprintln!("agcm-run: scratch directory kept at {}", out.display());
-    }
-    result
-}
-
-/// Wait for every child within `timeout`; on expiry, kill the stragglers.
-fn await_world(children: &mut [Child], timeout: Duration) -> Result<(), String> {
-    let deadline = Instant::now() + timeout;
-    let mut status = vec![None; children.len()];
-    loop {
-        let mut running = 0usize;
-        for (rank, child) in children.iter_mut().enumerate() {
-            if status[rank].is_some() {
-                continue;
-            }
-            match child.try_wait() {
-                Ok(Some(st)) => status[rank] = Some(st),
-                Ok(None) => running += 1,
-                Err(e) => return Err(format!("waiting for rank {rank}: {e}")),
-            }
-        }
-        if running == 0 {
-            break;
-        }
-        if Instant::now() >= deadline {
-            for child in children.iter_mut() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            return Err(format!(
-                "world did not finish within {timeout:?}; killed {running} straggler(s)"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let failed: Vec<String> = status
-        .iter()
-        .enumerate()
-        .filter(|(_, st)| !st.expect("all joined").success())
-        .map(|(rank, st)| format!("rank {rank}: {}", st.expect("all joined")))
-        .collect();
-    if failed.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("worker(s) failed: {}", failed.join("; ")))
-    }
-}
-
-/// All three post-mortem checks of a finished world; `Err` on the first
-/// mismatch, with enough context to debug it.
-fn verify_world(
-    alg: u32,
-    p: usize,
-    pgrid: ProcessGrid,
+/// The checks a finished world ends with.  Its gathered state must be
+/// bitwise the in-process reference: the serial model — or, under a z
+/// split, whose allgather re-associates `C`'s column sums so that no
+/// z-split world is bitwise the serial one, the same world on threads over
+/// the mpsc transport.  A classic world then adds the measured traffic
+/// against the static schedule, the wire identity and, under `--trace`,
+/// the trace analysis; an elastic world's replayed (rolled-back) steps send
+/// real frames, so those hold only in a classic one.
+pub(crate) fn verify_world(
+    w: &WorldSpec,
     cfg: &ModelConfig,
-    steps: usize,
-    out: &Path,
-) -> Result<(), String> {
-    // 1. bitwise state equivalence against the in-process reference: the
-    // serial model — or, under a z split, whose allgather re-associates
-    // `C`'s column sums so that no z-split world is bitwise the serial one,
-    // the same world on threads over the mpsc transport
-    let gathered =
-        read_state(&out.join("state.bin")).map_err(|e| format!("reading gathered state: {e}"))?;
-    let (reference, what) = if pgrid.dims().2 == 1 {
+    label: &str,
+) -> Result<(), ParentError> {
+    let (alg, pgrid, steps, out) = (w.run.alg, w.pgrid, w.steps, &w.run.out);
+    let p = pgrid.size();
+    let mismatch = ParentError::VerificationMismatch;
+    let head = format!("{label}: alg{alg} p={p} steps={steps}");
+    let gathered = read_state(&out.join("state.bin"))
+        .map_err(|e| mismatch(format!("{head}: reading gathered state: {e}")))?;
+    let (reference, what) = if pgrid.pz() == 1 {
         let variant = if alg == 1 {
             Iteration::Exact
         } else {
             Iteration::Approximate
         };
-        (serial_reference(cfg, variant, steps)?, "serial")
+        (serial_reference(cfg, variant, steps)?, "serial reference")
     } else {
         (
             threaded_reference(alg, cfg, pgrid, steps)?,
@@ -793,31 +753,28 @@ fn verify_world(
         )
     };
     if !states_bitwise_equal(&gathered, &reference) {
-        return Err(format!(
-            "alg{alg} p={p}: gathered state differs from the {what} reference \
-             (max |diff| = {:e})",
+        return Err(mismatch(format!(
+            "{head}: gathered state differs from the {what} (max |diff| = {:e})",
             gathered.max_abs_diff(&reference)
-        ));
+        )));
+    }
+    if w.ckpt.is_some() {
+        println!("agcm-run: {head}: state bitwise == {what}");
+        return Ok(());
     }
 
-    // 2. measured traffic == static schedule prediction, rank by rank
-    let alg_kind = if alg == 1 {
-        AlgKind::OriginalYZ
-    } else {
-        AlgKind::CommAvoiding
-    };
-    let graph = ScheduleGraph::extract(cfg, alg_kind, CaMode::Grouped, pgrid)?;
-    let predicted = rank_counts(&graph);
+    // measured traffic == static schedule prediction, rank by rank
+    let graph = ScheduleGraph::extract(cfg, alg_kind(alg)?, CaMode::Grouped, pgrid)?;
     let mut wire_bytes_total = 0u64;
     let mut step_ns = 0u64; // the slowest rank's median steady step
-    for (rank, pred) in predicted.iter().enumerate() {
+    for (rank, pred) in rank_counts(&graph).iter().enumerate() {
         let t = RankTraffic::read(&out.join(format!("stats.rank{rank}.txt")))
-            .map_err(|e| format!("stats.rank{rank}.txt: {e}"))?;
+            .map_err(|e| mismatch(format!("stats.rank{rank}.txt: {e}")))?;
         if t.pure_msgs != pred.send_msgs
             || t.pure_elems != pred.send_elems
             || t.collectives != pred.collectives
         {
-            return Err(format!(
+            return Err(mismatch(format!(
                 "alg{alg} rank {rank}: measured ({} msgs, {} elems, {} colls) != \
                  static schedule ({}, {}, {})",
                 t.pure_msgs,
@@ -826,25 +783,24 @@ fn verify_world(
                 pred.send_msgs,
                 pred.send_elems,
                 pred.collectives
-            ));
+            )));
         }
-        // 3. wire identity: every logical message crossed the kernel as
+        // wire identity: every logical message crossed the kernel as
         // exactly one frame of 8·elems payload + fixed overhead
-        let expect_bytes = 8 * t.raw_send_elems + WIRE_OVERHEAD_BYTES * t.raw_sends;
+        let expect_bytes = expected_wire_bytes(t.raw_sends, t.raw_send_elems);
         if t.wire_msgs != t.raw_sends || t.wire_bytes != expect_bytes {
-            return Err(format!(
+            return Err(mismatch(format!(
                 "alg{alg} rank {rank}: wire counters ({} frames, {} bytes) != \
                  logical stats ({} msgs, 8·{} + {WIRE_OVERHEAD_BYTES}·{} = {} bytes)",
                 t.wire_msgs, t.wire_bytes, t.raw_sends, t.raw_send_elems, t.raw_sends, expect_bytes
-            ));
+            )));
         }
         wire_bytes_total += t.wire_bytes;
         step_ns = step_ns.max(t.step_ns_p50);
     }
     println!(
-        "agcm-run: alg{alg} p={p} steps={steps}: state bitwise == {what}, \
-         measured traffic == static schedule on all {p} ranks, \
-         wire identity holds ({wire_bytes_total} bytes in the measured step)"
+        "agcm-run: {head}: state bitwise == {what}, measured traffic == static schedule on \
+         all {p} ranks, wire identity holds ({wire_bytes_total} bytes in the measured step)"
     );
     if step_ns > 0 {
         println!(
@@ -854,7 +810,10 @@ fn verify_world(
             obs::build_isa()
         );
     }
-    Ok(())
+    match &w.run.trace {
+        Some(dir) => analyze_world_trace(alg, pgrid, cfg, dir, out).map_err(mismatch),
+        None => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -889,21 +848,17 @@ pub(crate) fn jnum(x: f64) -> String {
 ///    segment by segment.
 ///
 /// Artifacts (`trace_alg{N}.json`, `critpath_alg{N}.json`,
-/// `telemetry_alg{N}.txt`) land in `--trace-out` (default
+/// `telemetry_alg{N}.txt`) land in `trace_out` (`--trace-out`, default
 /// `target/trace-dist`).
 fn analyze_world_trace(
     alg: u32,
-    p: usize,
     pgrid: ProcessGrid,
     cfg: &ModelConfig,
-    opts: &RunOpts,
+    trace_out: &Path,
     out: &Path,
 ) -> Result<(), String> {
-    let trace_out = opts
-        .trace_out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("target/trace-dist"));
-    fs::create_dir_all(&trace_out).map_err(|e| format!("{}: {e}", trace_out.display()))?;
+    let p = pgrid.size();
+    fs::create_dir_all(trace_out).map_err(|e| format!("{}: {e}", trace_out.display()))?;
 
     // 1. merged trace: valid JSON, every rank and phase represented
     let trace_src = fs::read_to_string(out.join("trace.json"))
@@ -945,12 +900,8 @@ fn analyze_world_trace(
     }
 
     // 2. critical path of the measured step against the static schedule
-    let alg_kind = if alg == 1 {
-        AlgKind::OriginalYZ
-    } else {
-        AlgKind::CommAvoiding
-    };
-    let graph = ScheduleGraph::extract(cfg, alg_kind, CaMode::Grouped, pgrid)?;
+    let kind = alg_kind(alg)?;
+    let graph = ScheduleGraph::extract(cfg, kind, CaMode::Grouped, pgrid)?;
     let measured: Vec<obs::Event> = merged
         .iter()
         .filter(|e| e.step == MEASURED_STEP)
@@ -970,14 +921,8 @@ fn analyze_world_trace(
 
     // 3. what the cost model says the same step costs, by the segments
     // the measured critical path is split into
-    let predicted = predict(
-        cfg,
-        alg_kind,
-        pgrid,
-        CaMode::Grouped,
-        &CostModel::BENCH_HOST,
-    )
-    .map_err(|e| format!("alg{alg}: predicting the traced step: {e}"))?;
+    let predicted = predict(cfg, kind, pgrid, CaMode::Grouped, &CostModel::BENCH_HOST)
+        .map_err(|e| format!("alg{alg}: predicting the traced step: {e}"))?;
     let segments = segments(&predicted, step);
 
     fs::copy(
@@ -1130,7 +1075,10 @@ fn threaded_reference(
         model.finish(Some(comm)).map_err(|e| e.to_string())?;
         model.gather_state(comm).map_err(|e| e.to_string())
     });
-    let root: Result<Option<GlobalState>, String> = gathered.into_iter().next().expect("rank 0");
+    let root = gathered
+        .into_iter()
+        .next()
+        .ok_or("the in-process world has no rank 0")?;
     root?.ok_or_else(|| "rank 0 gathered no state".into())
 }
 
@@ -1287,17 +1235,6 @@ fn r_vec(r: &mut impl Read) -> io::Result<Vec<f64>> {
 /// tests: expected bytes for `msgs` frames carrying `elems` total `f64`s.
 pub fn expected_wire_bytes(msgs: u64, elems: u64) -> u64 {
     8 * elems + WIRE_OVERHEAD_BYTES * msgs
-}
-
-/// Convenience used by tests: the wire counters of a communicator as a
-/// plain struct (zeroes over an in-memory transport).
-pub fn wire_or_zero(comm: &Communicator) -> WireStats {
-    comm.wire_stats().unwrap_or(WireStats {
-        msgs_sent: 0,
-        bytes_sent: 0,
-        msgs_recvd: 0,
-        bytes_recvd: 0,
-    })
 }
 
 #[cfg(test)]

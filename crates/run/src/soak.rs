@@ -14,8 +14,8 @@
 //!
 //! * **MTTR** per repaired death — from the supervisor detecting the exit
 //!   until the replacement's durable progress passes the victim's last
-//!   checkpointed step (see the elastic supervisor's `SuperviseReport`) —
-//!   reported as interpolated percentiles;
+//!   checkpointed step (see the supervisor's `SuperviseReport`) — reported
+//!   as interpolated percentiles;
 //! * **availability** — `1 − Σ downtime / Σ (phase wall · ranks)`, i.e.
 //!   the fraction of rank-time the world was fully repaired;
 //! * a **checkpoint-cadence auto-tuner**: the Young/Daly interval
@@ -29,16 +29,14 @@
 //! The verdict plus all of the above lands in a schema-validated
 //! `BENCH_soak.json`.
 
-use crate::elastic::{
-    read_rank_metrics, scratch_dir, supervise_world, verify_elastic, SuperviseReport, WorldSpec,
-};
-use crate::{jnum, parse_num, run_config, ParentError};
+use crate::elastic::{read_rank_metrics, run_phase, Incident, Launch};
+use crate::{jnum, parse_num, run_config, ParentError, Phase, Plan};
 use agcm_comm::{splitmix64, Endpoint};
-use agcm_core::{redistribute, resize_retention, ModelConfig};
+use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Default soak seed (shared with the fault layer's default, so a bare
@@ -183,33 +181,6 @@ pub fn parse_soak_args(args: &[String]) -> Result<Option<SoakOpts>, String> {
 // The deterministic chaos plan
 // ---------------------------------------------------------------------------
 
-/// One phase of the soak: a fixed-size world integrating to `end`.
-#[derive(Debug, Clone)]
-pub struct SoakPhase {
-    /// World size.
-    pub p: usize,
-    /// First step this phase integrates (the previous phase's hand-off).
-    pub start: u64,
-    /// Step count at the end of this phase (the workers' `--steps`).
-    pub end: u64,
-    /// Kill events `(rank, step)` injected into this phase.
-    pub kills: Vec<(usize, u64)>,
-}
-
-/// The full schedule a seed expands to.  Printing it (`--plan-only`) is a
-/// pure function of the options, which is what the replay test pins.
-#[derive(Debug, Clone)]
-pub struct SoakPlan {
-    /// The seed everything below derives from.
-    pub seed: u64,
-    /// Seed handed to the workers' fault layer (`AGCM_FAULT_SEED`).
-    pub fault_seed: u64,
-    /// The background fault spec (see [`SOAK_FAULT_SPEC`]).
-    pub fault_spec: String,
-    /// Phases in execution order; `phases.len() == resizes + 1`.
-    pub phases: Vec<SoakPhase>,
-}
-
 /// splitmix64 sequence over the plan seed.
 struct Rng(u64);
 
@@ -229,8 +200,11 @@ fn feasible(p: usize, cfg: &ModelConfig) -> bool {
     p >= 2 && cfg.ny.is_multiple_of(p) && ProcessGrid::yz(p, 1).is_ok()
 }
 
-/// Expand a seed + options into the deterministic chaos schedule.
-pub fn build_plan(opts: &SoakOpts, cfg: &ModelConfig) -> Result<SoakPlan, String> {
+/// Expand a seed + options into the deterministic chaos schedule: the
+/// plan's phases (`resizes + 1` of them) and the background fault layer.
+/// Printing it (`--plan-only`) is a pure function of the options, which is
+/// what the replay test pins.
+pub fn build_plan(opts: &SoakOpts, cfg: &ModelConfig) -> Result<Plan, String> {
     if !feasible(opts.ranks, cfg) {
         return Err(format!(
             "--ranks {} cannot decompose the ny={} test mesh evenly",
@@ -242,9 +216,9 @@ pub fn build_plan(opts: &SoakOpts, cfg: &ModelConfig) -> Result<SoakPlan, String
     // every world feasible (8 -> 4 -> 8 -> ..., or grow first when the
     // halved world would be degenerate)
     let mut sizes = vec![opts.ranks];
+    let mut cur = opts.ranks;
     for _ in 0..opts.resizes {
-        let cur = *sizes.last().expect("non-empty");
-        let shrink = cur % 2 == 0 && feasible(cur / 2, cfg);
+        let shrink = cur.is_multiple_of(2) && feasible(cur / 2, cfg);
         let grow = feasible(cur * 2, cfg);
         let next = match (shrink, grow) {
             // prefer returning toward the initial size, else shrink first
@@ -259,9 +233,10 @@ pub fn build_plan(opts: &SoakOpts, cfg: &ModelConfig) -> Result<SoakPlan, String
             }
         };
         sizes.push(next);
+        cur = next;
     }
     let nphases = sizes.len() as u64;
-    let mut phases: Vec<SoakPhase> = Vec::with_capacity(sizes.len());
+    let mut phases: Vec<Phase> = Vec::with_capacity(sizes.len());
     for (i, &p) in sizes.iter().enumerate() {
         let start = opts.steps * i as u64 / nphases;
         let end = opts.steps * (i as u64 + 1) / nphases;
@@ -272,7 +247,7 @@ pub fn build_plan(opts: &SoakOpts, cfg: &ModelConfig) -> Result<SoakPlan, String
                 end - start
             ));
         }
-        phases.push(SoakPhase {
+        phases.push(Phase {
             p,
             start,
             end,
@@ -318,33 +293,41 @@ pub fn build_plan(opts: &SoakOpts, cfg: &ModelConfig) -> Result<SoakPlan, String
     for phase in &mut phases {
         phase.kills.sort_by_key(|&(_, s)| s);
     }
-    Ok(SoakPlan {
-        seed: opts.seed,
-        fault_seed: splitmix64(opts.seed ^ 0xFA17_FA17),
-        fault_spec: SOAK_FAULT_SPEC.to_string(),
+    let plan = Plan {
         phases,
-    })
+        fault: Some((
+            SOAK_FAULT_SPEC.to_string(),
+            splitmix64(opts.seed ^ 0xFA17_FA17),
+        )),
+    };
+    plan.check()?;
+    Ok(plan)
+}
+
+/// The background fault layer a soak plan ships: spec and seed.
+fn fault_of(plan: &Plan) -> (&str, u64) {
+    plan.fault
+        .as_ref()
+        .map_or(("", 0), |(spec, seed)| (spec.as_str(), *seed))
 }
 
 /// FNV-1a 64 over the printed plan — the replay fingerprint recorded in
 /// `BENCH_soak.json`.
-pub fn plan_hash(plan: &SoakPlan) -> u64 {
+pub fn plan_hash(seed: u64, plan: &Plan) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in render_plan(plan).bytes() {
+    for b in render_plan(seed, plan).bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
 }
 
-/// The canonical plan listing (what `--plan-only` prints; byte-stable for
-/// a given seed + options).
-pub fn render_plan(plan: &SoakPlan) -> String {
+/// The canonical listing of the plan `seed` expanded to (what `--plan-only`
+/// prints; byte-stable for a given seed + options).
+pub fn render_plan(seed: u64, plan: &Plan) -> String {
+    let (spec, fault_seed) = fault_of(plan);
     let mut s = format!(
-        "agcm-soak: plan seed={} fault_seed={} fault=\"{}\" phases={}\n",
-        plan.seed,
-        plan.fault_seed,
-        plan.fault_spec,
+        "agcm-soak: plan seed={seed} fault_seed={fault_seed} fault=\"{spec}\" phases={}\n",
         plan.phases.len()
     );
     for (i, ph) in plan.phases.iter().enumerate() {
@@ -366,72 +349,38 @@ pub fn render_plan(plan: &SoakPlan) -> String {
 // ---------------------------------------------------------------------------
 
 /// What one finished phase contributed to the report.
-struct PhaseOutcome {
-    p: usize,
-    start: u64,
-    end: u64,
+struct PhaseOutcome<'a> {
+    ph: &'a Phase,
+    keep: usize,
     interval: u64,
     /// The mean step `interval` was tuned from (`None`: phase 0's fixed
     /// densest cadence).
     t_step_s: Option<f64>,
-    keep: usize,
     wall: Duration,
-    kills: usize,
-    respawns: usize,
     rewires: u64,
-    incidents: Vec<(usize, u64, Duration)>, // (rank, epoch, downtime)
+    /// The repaired deaths; one respawn each.
+    incidents: Vec<Incident>,
 }
 
-impl PhaseOutcome {
+impl PhaseOutcome<'_> {
     fn mean_step_s(&self) -> f64 {
-        self.wall.as_secs_f64() / (self.end - self.start).max(1) as f64
+        self.wall.as_secs_f64() / (self.ph.end - self.ph.start).max(1) as f64
     }
 }
 
 /// Merge every incarnation of every rank in one phase's checkpoint
-/// directory: per rank, sum counters across epochs
-/// ([`obs::dist::merge_rank_metrics`]); across ranks, sum counters and
-/// histogram mass (gauges keep any rank's last value — they are per-rank
+/// directory: per rank across its epochs, then across ranks by the same
+/// rule ([`obs::dist::merge_rank_metrics`], keyed by rank) — counters and
+/// histogram mass sum, gauges keep the last rank's value (they are per-rank
 /// quantities like the epoch, meaningless to sum).
-fn merge_world_metrics(dir: &std::path::Path, p: usize) -> obs::MetricsSnapshot {
-    let mut out = obs::MetricsSnapshot::default();
-    for rank in 0..p {
-        let per = obs::dist::merge_rank_metrics(&read_rank_metrics(dir, rank));
-        for (k, v) in &per.counters {
-            *out.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &per.gauges {
-            out.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &per.histograms {
-            let m = out
-                .histograms
-                .entry(k.clone())
-                .or_insert(obs::HistogramSummary {
-                    count: 0,
-                    sum: 0,
-                    mean: 0.0,
-                    p50: 0,
-                    p95: 0,
-                    p99: 0,
-                    max: 0,
-                });
-            m.count += h.count;
-            m.sum += h.sum;
-            m.max = m.max.max(h.max);
-            m.p50 = m.p50.max(h.p50);
-            m.p95 = m.p95.max(h.p95);
-            m.p99 = m.p99.max(h.p99);
-        }
-    }
-    for h in out.histograms.values_mut() {
-        h.mean = if h.count == 0 {
-            0.0
-        } else {
-            h.sum as f64 / h.count as f64
-        };
-    }
-    out
+fn merge_world_metrics(dir: &Path, p: usize) -> obs::MetricsSnapshot {
+    let per_rank: Vec<_> = (0..p)
+        .map(|rank| {
+            let snaps = read_rank_metrics(dir, rank);
+            (rank as u64, obs::dist::merge_rank_metrics(&snaps))
+        })
+        .collect();
+    obs::dist::merge_rank_metrics(&per_rank)
 }
 
 /// Young/Daly: `k ≈ √(2·δ·MTBF) / T_step`, clamped to a sane cadence (at
@@ -448,29 +397,27 @@ fn tune_interval(delta_s: f64, mtbf_s: f64, t_step_s: f64, phase_steps: u64) -> 
     (k as u64).clamp(1, hi)
 }
 
-/// Run the whole soak: expand the plan, drive every phase through the
-/// elastic supervisor with a single shared respawn budget, verify bitwise,
-/// and write the validated benchmark report.
+/// Run the whole soak: expand the plan, run every phase through the phase
+/// runner with a single shared respawn budget, and write the validated
+/// benchmark report.
 pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
-    let cfg = run_config();
-    let plan = build_plan(opts, &cfg).map_err(ParentError::Other)?;
+    let plan = build_plan(opts, &run_config()).map_err(ParentError::Other)?;
+    print!("{}", render_plan(opts.seed, &plan));
     if opts.plan_only {
-        print!("{}", render_plan(&plan));
-        println!("agcm-soak: plan hash 0x{:016x}", plan_hash(&plan));
+        println!(
+            "agcm-soak: plan hash 0x{:016x}",
+            plan_hash(opts.seed, &plan)
+        );
         return Ok(());
     }
-    print!("{}", render_plan(&plan));
 
-    let out = scratch_dir(&format!("soak-seed{}", plan.seed));
-    fs::create_dir_all(&out).map_err(|e| ParentError::Other(format!("{}: {e}", out.display())))?;
-    let exe = std::env::current_exe().map_err(|e| ParentError::Other(e.to_string()))?;
-
+    let run = Launch::new(1, 1, &format!("soak-seed{}", opts.seed), opts.timeout, None)?;
     let mut budget = opts.max_respawns;
     let mut interval = 1u64; // phase 0 runs the densest cadence
     let mut tuned_from = None;
     let mut outcomes: Vec<PhaseOutcome> = Vec::new();
-    let mut delta_sum = 0u64; // ckpt_write_ns mass across phases
-    let mut delta_count = 0u64;
+    let (mut delta_sum, mut delta_count) = (0u64, 0u64); // ckpt_write_ns mass
+    let mut delta_s = 0.0; // its mean, in seconds
     let min_phase_steps = plan
         .phases
         .iter()
@@ -480,51 +427,7 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
     let t_soak = Instant::now();
 
     let result: Result<(), ParentError> = (|| {
-        let mut prev: Option<(PathBuf, usize)> = None; // (ckpt dir, p)
         for (i, ph) in plan.phases.iter().enumerate() {
-            // retention must cover the larger neighboring world on either
-            // side of each hand-off (see the shrink-then-rollback test)
-            let keep = plan
-                .phases
-                .iter()
-                .take(i + 2)
-                .skip(i.saturating_sub(1))
-                .map(|n| resize_retention(ph.p, n.p))
-                .max()
-                .unwrap_or(ph.p + 1);
-            let w = WorldSpec {
-                exe: exe.clone(),
-                // a fresh endpoint per phase: no socket-path reuse
-                endpoint: Endpoint::unique_uds(),
-                alg: 1,
-                p: ph.p,
-                py: ph.p,
-                pz: 1,
-                steps: ph.end as usize,
-                out: out.clone(),
-                ckpt: out.join(format!("ckpt-phase{i}-p{}", ph.p)),
-                interval,
-                keep,
-                fault: Some((plan.fault_spec.clone(), plan.fault_seed)),
-            };
-            if let Some((prev_ckpt, prev_p)) = &prev {
-                let from =
-                    ProcessGrid::yz(*prev_p, 1).map_err(|e| ParentError::Other(e.to_string()))?;
-                let to = ProcessGrid::yz(ph.p, 1).map_err(|e| ParentError::Other(e.to_string()))?;
-                let step = redistribute(prev_ckpt, &w.ckpt, from, to, cfg.extents())
-                    .map_err(|e| ParentError::Other(format!("phase {i} hand-off: {e}")))?;
-                let cert = agcm_verify::certify_yz(&cfg, to).map_err(|e| {
-                    ParentError::VerificationMismatch(format!(
-                        "certifying the p={} schedule: {e}",
-                        ph.p
-                    ))
-                })?;
-                println!(
-                    "agcm-soak: phase {i}: resize {prev_p}->{}: checkpoints re-decomposed at \
-                     step {step}; schedule certified (alg1: {} exchanges, {} collectives per step)",
-                    ph.p, cert.alg1.exchanges, cert.alg1.collectives
-                );
-            }
             println!(
                 "agcm-soak: phase {i}: p={} steps [{}, {}) ckpt interval {} keep {} \
                  ({} kill(s) scheduled, budget {})",
@@ -532,22 +435,21 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
                 ph.start,
                 ph.end,
                 interval,
-                keep,
+                plan.keep(i),
                 ph.kills.len(),
                 budget
             );
-            let report: SuperviseReport =
-                supervise_world(&w, &ph.kills, &mut budget, opts.timeout)?;
-            verify_elastic(
-                1,
-                ph.p,
-                &cfg,
-                ph.end as usize,
-                &out,
+            let report = run_phase(
+                &plan,
+                i,
+                &run,
+                Endpoint::unique_uds(),
+                interval,
+                Some(&mut budget),
                 &format!("soak phase {i}"),
             )?;
 
-            let merged = merge_world_metrics(&w.ckpt, ph.p);
+            let merged = merge_world_metrics(&plan.ckpt_dir(&run.out, i), ph.p);
             let rewires = merged
                 .counters
                 .get("resilience.rewires")
@@ -556,46 +458,34 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
             if let Some(h) = merged.histograms.get("resilience.ckpt_write_ns") {
                 delta_sum += h.sum;
                 delta_count += h.count;
+                delta_s = delta_sum as f64 / delta_count.max(1) as f64 * 1e-9;
             }
             let mttr_hist = obs::Registry::global().histogram("soak.mttr_ns");
             for inc in &report.incidents {
                 mttr_hist.record(inc.downtime.as_nanos() as u64);
             }
 
+            let repairs = report.incidents.len();
+            outcomes.push(PhaseOutcome {
+                ph,
+                keep: plan.keep(i),
+                interval,
+                t_step_s: tuned_from,
+                wall: report.wall,
+                rewires,
+                incidents: report.incidents,
+            });
             // tune the NEXT phase's cadence from everything measured so far
-            let delta_s = if delta_count > 0 {
-                delta_sum as f64 / delta_count as f64 * 1e-9
-            } else {
-                0.0
-            };
-            let kills_so_far: usize =
-                outcomes.iter().map(|o| o.kills).sum::<usize>() + ph.kills.len();
+            let kills_so_far = total(&outcomes, |o| o.ph.kills.len());
             let mtbf_s = if kills_so_far > 0 {
                 t_soak.elapsed().as_secs_f64() / kills_so_far as f64
             } else {
                 f64::INFINITY
             };
-            outcomes.push(PhaseOutcome {
-                p: ph.p,
-                start: ph.start,
-                end: ph.end,
-                interval,
-                t_step_s: tuned_from,
-                keep,
-                wall: report.wall,
-                kills: ph.kills.len(),
-                respawns: report.incidents.len(),
-                rewires,
-                incidents: report
-                    .incidents
-                    .iter()
-                    .map(|x| (x.rank, x.epoch, x.downtime))
-                    .collect(),
-            });
             // the step the next phase will take: the latest one measured at
             // its rank count, else the one just measured
             let next_p = plan.phases.get(i + 1).map_or(ph.p, |next| next.p);
-            let at_next_p = outcomes.iter().rev().find(|o| o.p == next_p);
+            let at_next_p = outcomes.iter().rev().find(|o| o.ph.p == next_p);
             let t_step = at_next_p
                 .or(outcomes.last())
                 .map_or(0.0, |o| o.mean_step_s());
@@ -605,77 +495,66 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
                 "agcm-soak: phase {i}: wall {:.2}s, {} repair(s), {} rewire(s); \
                  tuner: delta={:.3}ms mtbf={:.1}s T_step={:.3}ms -> interval {interval} for next phase",
                 report.wall.as_secs_f64(),
-                report.incidents.len(),
+                repairs,
                 rewires,
                 delta_s * 1e3,
                 if mtbf_s.is_finite() { mtbf_s } else { -1.0 },
                 t_step * 1e3,
             );
-            prev = Some((w.ckpt.clone(), ph.p));
         }
         Ok(())
     })();
 
-    if let Err(_e) = &result {
+    let result = run.finish(result, opts.keep_out);
+    if result.is_err() {
         // the error itself is reported by the caller with the exit code
-        eprintln!("agcm-soak: scratch directory kept at {}", out.display());
-        eprintln!("agcm-soak: replay with --seed {}", plan.seed);
-    } else if !opts.keep_out {
-        let _ = fs::remove_dir_all(&out);
+        eprintln!("agcm-soak: replay with --seed {}", opts.seed);
     }
     result?;
 
-    let report = bench_report(opts, &plan, &outcomes, delta_sum, delta_count);
+    let report = bench_report(opts, &plan, &outcomes, delta_s);
     obs::validate_json(&report).map_err(|e| {
         ParentError::Other(format!("BENCH_soak.json failed RFC 8259 validation: {e}"))
     })?;
     fs::write(&opts.bench_out, &report)
         .map_err(|e| ParentError::Other(format!("{}: {e}", opts.bench_out.display())))?;
 
-    let total_kills: usize = outcomes.iter().map(|o| o.kills).sum();
-    let total_respawns: usize = outcomes.iter().map(|o| o.respawns).sum();
     println!(
         "agcm-soak: PASS: {} steps survived {} kill(s) ({} respawn(s)) and {} resize(s), \
          bitwise == serial reference; report -> {}",
         opts.steps,
-        total_kills,
-        total_respawns,
+        total(&outcomes, |o| o.ph.kills.len()),
+        total(&outcomes, |o| o.incidents.len()),
         plan.phases.len() - 1,
         opts.bench_out.display()
     );
     Ok(())
 }
 
+/// `f` summed over every phase.
+fn total(outcomes: &[PhaseOutcome], f: impl Fn(&PhaseOutcome) -> usize) -> usize {
+    outcomes.iter().map(f).sum()
+}
+
 /// Render the validated `BENCH_soak.json` document.
-fn bench_report(
-    opts: &SoakOpts,
-    plan: &SoakPlan,
-    outcomes: &[PhaseOutcome],
-    delta_sum: u64,
-    delta_count: u64,
-) -> String {
+fn bench_report(opts: &SoakOpts, plan: &Plan, outcomes: &[PhaseOutcome], delta_s: f64) -> String {
     let mttr = obs::Registry::global().histogram("soak.mttr_ns");
     let q = |x: f64| mttr.quantile(x) as f64 * 1e-6; // ns -> ms
     let total_rank_s: f64 = outcomes
         .iter()
-        .map(|o| o.wall.as_secs_f64() * o.p as f64)
+        .map(|o| o.wall.as_secs_f64() * o.ph.p as f64)
         .sum();
     let down_s: f64 = outcomes
         .iter()
         .flat_map(|o| o.incidents.iter())
-        .map(|(_, _, d)| d.as_secs_f64())
+        .map(|x| x.downtime.as_secs_f64())
         .sum();
     let availability = if total_rank_s > 0.0 {
         1.0 - (down_s / total_rank_s)
     } else {
         1.0
     };
-    let n_incidents: usize = outcomes.iter().map(|o| o.incidents.len()).sum();
-    let delta_s = if delta_count > 0 {
-        delta_sum as f64 / delta_count as f64 * 1e-9
-    } else {
-        0.0
-    };
+    let n_incidents = total(outcomes, |o| o.incidents.len());
 
     let mut s = String::with_capacity(4096);
     s.push_str("{\n");
@@ -683,14 +562,14 @@ fn bench_report(
     s.push_str("  \"label\": \"agcm-soak\",\n");
     s.push_str(&format!("  \"build_isa\": \"{}\",\n", obs::build_isa()));
     s.push_str("  \"alg\": 1,\n");
-    s.push_str(&format!("  \"seed\": {},\n", plan.seed));
+    s.push_str(&format!("  \"seed\": {},\n", opts.seed));
     s.push_str(&format!(
         "  \"plan_hash\": \"0x{:016x}\",\n",
-        plan_hash(plan)
+        plan_hash(opts.seed, plan)
     ));
+    let (spec, fault_seed) = fault_of(plan);
     s.push_str(&format!(
-        "  \"fault_spec\": \"{}\",\n  \"fault_seed\": {},\n",
-        plan.fault_spec, plan.fault_seed
+        "  \"fault_spec\": \"{spec}\",\n  \"fault_seed\": {fault_seed},\n"
     ));
     s.push_str(&format!(
         "  \"ranks_initial\": {},\n  \"steps\": {},\n  \"steps_survived\": {},\n",
@@ -703,14 +582,14 @@ fn bench_report(
                 "    {{\"p\": {}, \"start\": {}, \"end\": {}, \"ckpt_interval\": {}, \
                  \"ckpt_keep\": {}, \"wall_s\": {}, \"kills\": {}, \"respawns\": {}, \
                  \"rewires\": {}}}",
-                o.p,
-                o.start,
-                o.end,
+                o.ph.p,
+                o.ph.start,
+                o.ph.end,
                 o.interval,
                 o.keep,
                 jnum(o.wall.as_secs_f64()),
-                o.kills,
-                o.respawns,
+                o.ph.kills.len(),
+                o.incidents.len(),
                 o.rewires
             )
         })
@@ -719,9 +598,9 @@ fn bench_report(
     s.push_str(&format!(
         "  \"kills_injected\": {},\n  \"resizes_completed\": {},\n  \"respawns_total\": {},\n  \
          \"rewires_total\": {},\n",
-        outcomes.iter().map(|o| o.kills).sum::<usize>(),
+        total(outcomes, |o| o.ph.kills.len()),
         outcomes.len().saturating_sub(1),
-        outcomes.iter().map(|o| o.respawns).sum::<usize>(),
+        n_incidents,
         outcomes.iter().map(|o| o.rewires).sum::<u64>(),
     ));
     if n_incidents > 0 {
@@ -743,11 +622,13 @@ fn bench_report(
         .iter()
         .enumerate()
         .flat_map(|(i, o)| {
-            o.incidents.iter().map(move |&(rank, epoch, d)| {
+            o.incidents.iter().map(move |x| {
                 format!(
-                    "    {{\"phase\": {i}, \"rank\": {rank}, \"epoch\": {epoch}, \
+                    "    {{\"phase\": {i}, \"rank\": {}, \"epoch\": {}, \
                      \"downtime_ms\": {}}}",
-                    jnum(d.as_secs_f64() * 1e3)
+                    x.rank,
+                    x.epoch,
+                    jnum(x.downtime.as_secs_f64() * 1e3)
                 )
             })
         })
@@ -777,40 +658,7 @@ fn bench_report(
 /// (the supervisor spawns the soak binary itself as its workers), the soak
 /// driver otherwise.  Returns the process exit code.
 pub fn soak_main() -> u8 {
-    let is_worker = match agcm_comm::parse_env::<usize>("AGCM_RANK") {
-        Ok(v) => v.is_some(),
-        Err(e) => {
-            eprintln!("agcm-soak: {e}");
-            return 2;
-        }
-    };
-    if is_worker {
-        return match crate::worker_main() {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("agcm-soak worker: {e}");
-                1
-            }
-        };
-    }
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_soak_args(&args) {
-        Ok(None) => {
-            println!("{USAGE}");
-            0
-        }
-        Ok(Some(opts)) => match run_soak(&opts) {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("agcm-soak: FAILED: {e}");
-                e.exit_code()
-            }
-        },
-        Err(e) => {
-            eprintln!("agcm-soak: {e}\n\n{USAGE}");
-            2
-        }
-    }
+    crate::entry("agcm-soak", USAGE, parse_soak_args, run_soak)
 }
 
 #[cfg(test)]
@@ -835,8 +683,13 @@ mod tests {
             let o = opts(8, 2000, seed, 5, 2);
             let a = build_plan(&o, &cfg).expect("plan");
             let b = build_plan(&o, &cfg).expect("plan");
-            assert_eq!(render_plan(&a), render_plan(&b), "seed {seed}: replay");
-            assert_eq!(plan_hash(&a), plan_hash(&b));
+            assert_eq!(
+                render_plan(seed, &a),
+                render_plan(seed, &b),
+                "seed {seed}: replay"
+            );
+            assert_eq!(plan_hash(seed, &a), plan_hash(seed, &b));
+            assert_eq!(a.check(), Ok(()));
 
             assert_eq!(a.phases.len(), 3);
             assert_eq!(a.phases[0].p, 8);
@@ -861,7 +714,7 @@ mod tests {
         // different seeds place different chaos
         let a = build_plan(&opts(8, 2000, 1, 5, 2), &cfg).expect("plan");
         let b = build_plan(&opts(8, 2000, 2, 5, 2), &cfg).expect("plan");
-        assert_ne!(render_plan(&a), render_plan(&b));
+        assert_ne!(render_plan(1, &a), render_plan(2, &b));
     }
 
     #[test]
