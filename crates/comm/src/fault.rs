@@ -55,6 +55,7 @@
 
 use agcm_obs::Phase;
 use std::fmt;
+use std::io;
 
 /// One splitmix64 output for input `z` (stateless mixer; the de-facto
 /// standard seeding PRNG, also used by the repo's property tests).
@@ -491,6 +492,70 @@ pub fn checksum_bytes(bytes: &[u8]) -> u64 {
         hash_word(h, u64::from_le_bytes(w.try_into().expect("8 bytes")))
     });
     tail.iter().fold(h, |h, &b| hash_word(h, b as u64))
+}
+
+/// A stream of little-endian `u64` words under the integrity hash: every
+/// word it moves is folded in with [`hash_word`] from [`checksum`]'s seed,
+/// and the stream ends in the hash as one trailing word.  The durable
+/// formats — the checkpoint and the gathered-state file — are written and
+/// read through it, so a flipped bit anywhere after their magic is caught.
+pub struct HashedWords<T> {
+    inner: T,
+    hash: u64,
+}
+
+impl<T> HashedWords<T> {
+    /// Start a hashed stream over `inner`.
+    pub fn new(inner: T) -> Self {
+        HashedWords {
+            inner,
+            hash: HASH_OFFSET,
+        }
+    }
+}
+
+impl<W: io::Write> HashedWords<W> {
+    /// Write one word.
+    pub fn put(&mut self, word: u64) -> io::Result<()> {
+        self.hash = hash_word(self.hash, word);
+        self.inner.write_all(&word.to_le_bytes())
+    }
+
+    /// End the stream with the hash of every word put.
+    pub fn put_trailer(mut self) -> io::Result<()> {
+        self.inner.write_all(&self.hash.to_le_bytes())
+    }
+}
+
+impl<R: io::Read> HashedWords<R> {
+    fn raw(&mut self) -> io::Result<u64> {
+        let mut b = [0u8; 8];
+        self.inner.read_exact(&mut b)?;
+        Ok(u64::from_le_bytes(b))
+    }
+
+    /// Read one word.
+    pub fn take(&mut self) -> io::Result<u64> {
+        let word = self.raw()?;
+        self.hash = hash_word(self.hash, word);
+        Ok(word)
+    }
+
+    /// Read the trailing hash; a stream whose words do not hash to it is
+    /// `InvalidData` "`what` hash mismatch".
+    pub fn check_trailer(mut self, what: &str) -> io::Result<()> {
+        let stored = self.raw()?;
+        if stored != self.hash {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{what} hash mismatch: {:#018x} != stored {stored:#018x}",
+                    self.hash
+                ),
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -758,33 +758,6 @@ impl Communicator {
         Ok(())
     }
 
-    /// Drop every queued message that does not belong to this communicator's
-    /// context (rollback hygiene: stale messages from an aborted step
-    /// attempt must not survive into the re-run).  Messages for any of the
-    /// `keep` communicators survive — the resilient runner passes its
-    /// control communicator here so an in-flight control barrier can never
-    /// be purged on the receiving side.  Poison envelopes still take
-    /// effect.
-    pub fn purge_other_contexts(&self, keep: &[&Communicator]) {
-        let mut pending = self.mailbox.pending.borrow_mut();
-        while let Some(env) = self.transport.try_recv() {
-            if env.ctx == POISON_CTX {
-                self.mailbox.poisoned.set(Some(env.src_global));
-                continue;
-            }
-            pending.push(env);
-        }
-        pending.retain(|e| e.ctx == self.ctx || keep.iter().any(|c| c.ctx == e.ctx));
-    }
-
-    /// Jump the collective sequence to an epoch-derived base (must be
-    /// called collectively with the same `epoch` on every rank).  After a
-    /// rollback this guarantees post-recovery collective tags can never
-    /// cross-match stragglers from the aborted attempt.
-    pub fn resync_collectives(&self, epoch: u64) {
-        self.coll_seq.set(epoch << 10);
-    }
-
     /// Blocking send-and-receive with (possibly different) partners, safe
     /// against head-of-line deadlock thanks to buffered sends.
     pub fn sendrecv(

@@ -55,9 +55,9 @@
 //! respawns the rank, which re-joins the existing mesh at a higher
 //! **epoch**.  Every frame carries its sender's epoch; the receiver
 //! delivers only frames of its *current* epoch, drops older ones (stale
-//! in-flight traffic of an aborted step attempt — unlike the in-memory
-//! transport, the kernel's socket buffers can hold frames long past a
-//! purge, and a rebuilt world reuses the same deterministic context ids),
+//! in-flight traffic of an aborted step attempt — the kernel's socket
+//! buffers can hold frames of a dead generation indefinitely, and a rebuilt
+//! world reuses the same deterministic context ids),
 //! and parks newer ones until its own epoch catches up (a recovered peer
 //! may race ahead).  The accept thread keeps listening after the initial
 //! mesh is up, so a replacement rank can dial in; survivors call

@@ -28,8 +28,7 @@
 //!    Algorithm 1 ends a step smoothed, Algorithm 2 leaves the smoothing to
 //!    the next step's first exchange, and [`Integrator::finish`] is the
 //!    smoothing program alone,
-//! 5. degraded mode makes overlapped exchanges blocking and `Cached` fresh,
-//! 6. `ZAllgather` / `FilterTranspose` mark the collectives `C` and the
+//! 5. `ZAllgather` / `FilterTranspose` mark the collectives `C` and the
 //!    distributed filter issue from inside their sub-update.
 
 use crate::analysis::AlgKind;
@@ -64,10 +63,6 @@ pub struct Integrator {
     pub steps: usize,
     /// Whether `state` still awaits its smoothing.
     pub pending_smooth: bool,
-    /// Degraded (post-rollback) mode: blocking instead of overlapped
-    /// exchanges, and exact `C(ψ^{i-1})` instead of the Eq. 13 reuse — the
-    /// most conservative schedule the program has.
-    degraded: bool,
     /// Name of the step span.
     label: &'static str,
     /// Shared so a walk can hold it while the kernels borrow the rest.
@@ -221,7 +216,6 @@ impl Integrator {
             state,
             steps: 0,
             pending_smooth: false,
-            degraded: false,
             label,
             program: program.into(),
             exchanger,
@@ -247,11 +241,6 @@ impl Integrator {
         self.pending_smooth = false;
     }
 
-    /// Enter/leave degraded mode (rollback recovery).
-    pub fn set_degraded(&mut self, on: bool) {
-        self.degraded = on;
-    }
-
     /// Enable checksum-framed halo payloads with validated, retrying
     /// receives (see [`RetryPolicy`]).
     pub fn set_framed(&mut self, on: bool) {
@@ -261,17 +250,6 @@ impl Integrator {
     /// Change the framed-receive retry policy.
     pub fn set_retry(&mut self, retry: RetryPolicy) {
         self.exchanger.set_retry(retry);
-    }
-
-    /// Re-align communication sequence numbers after a rollback (must be
-    /// called collectively with the same `epoch`): halo-exchange tags and
-    /// the sub-communicators' collective tags jump to an epoch-derived base
-    /// so the re-run can never match stragglers of the aborted attempt.
-    pub fn resync(&mut self, epoch: u64) {
-        self.exchanger.resync(epoch);
-        for sub in self.zcomm.iter().chain(&self.xcomm) {
-            sub.resync_collectives(epoch);
-        }
     }
 
     /// Completed halo exchanges (all steps).
@@ -437,7 +415,7 @@ impl Integrator {
         // only a kernel that issues no collective of its own can be split
         // around the messages
         let splits = rest.first() == Some(&StepOp::Compute(user)) && user.splits();
-        let overlap = x.overlapped && !self.degraded && splits;
+        let overlap = x.overlapped && splits;
         let arg = arg_of(user.sub, &mut self.state, &mut self.eta1, &mut self.mid);
         if overlap {
             // the part swept while the messages fly reads the boundary fill
@@ -506,9 +484,8 @@ impl Integrator {
                     Some(z) => ZContext::Parallel(z),
                     None => ZContext::Serial,
                 };
-                // rules 4 and 5: the Eq. 13 reuse needs a cache and a
-                // healthy run
-                let fresh = c.c != CSource::Cached || !engine.c_cached || self.degraded;
+                // rule 4: the Eq. 13 reuse needs a cache
+                let fresh = c.c != CSource::Cached || !engine.c_cached;
                 let dt = engine.cfg.dt1;
                 engine.adaptation_subupdate(base, arg, out, region, dt, form, fresh, &zctx, &fctx)
             }

@@ -43,6 +43,6 @@ pub use integrator::Integrator;
 pub use resilience::{
     checkpoint_path, common_checkpoint_step, latest_checkpoint_step, list_checkpoints,
     prune_checkpoints, read_checkpoint, redistribute, resize_retention, write_checkpoint,
-    Checkpoint, CheckpointRing, ResilienceConfig, ResilienceError, ResilientRunner, RunReport,
+    Checkpoint,
 };
 pub use state::State;

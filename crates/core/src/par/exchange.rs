@@ -27,7 +27,9 @@ use std::time::Duration;
 /// Bounded retry-with-backoff for transient receive failures (injected
 /// drops surface as timeouts, injected corruption as `CorruptPayload`;
 /// both leave the clean payload in the mailbox, so a retry of the same
-/// receive can succeed — see `agcm_comm::fault`).
+/// receive can succeed — see `agcm_comm::fault`).  Retry is the recovery
+/// that stays bitwise inside a step; what it cannot recover fails the step
+/// (an elastic world then rolls back from its durable checkpoints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (first try included).  1 = no retries.
@@ -149,8 +151,8 @@ pub struct HaloExchanger {
     seq: u64,
     /// Communications completed (the paper's per-step frequency metric).
     pub exchanges: u64,
-    /// Checksum-framed payloads + receive-side validation and retry
-    /// (resilient mode; off by default so certified traffic is unchanged).
+    /// Checksum-framed payloads + receive-side validation and retry (off by
+    /// default so certified traffic is unchanged).
     framed: bool,
     retry: RetryPolicy,
     /// Memoized message lists keyed by `(depth, field geometries)` — a step
@@ -203,23 +205,9 @@ impl HaloExchanger {
         self.framed = on;
     }
 
-    /// Whether halo payloads are checksum-framed.
-    pub fn framed(&self) -> bool {
-        self.framed
-    }
-
     /// Change the retry policy used by framed receives.
     pub fn set_retry(&mut self, retry: RetryPolicy) {
         self.retry = retry;
-    }
-
-    /// Jump the exchange sequence to an epoch-derived base (rollback
-    /// recovery: tags of the re-run must not collide with stragglers of the
-    /// aborted attempt; all ranks must resync with the same `epoch`).
-    pub fn resync(&mut self, epoch: u64) {
-        // 4096 exchanges per epoch, far above any rollback window; the
-        // 23-bit seq field of `wire_tag` wraps after 2048 epochs
-        self.seq = epoch << 12;
     }
 
     /// Index of the memoized message list for `fields` at `depth`, building
@@ -318,7 +306,8 @@ impl HaloExchanger {
     /// (timeout from an injected drop, rejected corrupt frame) is retried
     /// up to the policy's budget with linear backoff, because the runtime
     /// keeps the clean payload queued.  Non-transient errors and exhausted
-    /// budgets propagate to the caller (the rollback driver).
+    /// budgets propagate to the caller: the step fails, and in an elastic
+    /// world its worker exits and is rolled back from disk.
     fn recv_validated(
         &self,
         comm: &Communicator,
@@ -719,15 +708,6 @@ mod tests {
         assert_eq!(results[1].1.corrupted, 1);
         let retries: u64 = results.iter().map(|r| r.1.retries).sum();
         assert!(retries >= 2, "both faults need retries, saw {retries}");
-    }
-
-    #[test]
-    fn resync_jumps_sequence() {
-        let d = decomp(2, 2);
-        let mut ex = HaloExchanger::new(d, 0);
-        assert_eq!(ex.seq, 0);
-        ex.resync(3);
-        assert_eq!(ex.seq, 3 << 12);
     }
 
     #[test]

@@ -1,40 +1,33 @@
-//! Checkpoint/rollback resilience for the CA dynamical core.
-//!
-//! The communication layer (`agcm-comm`) can *detect* trouble — corrupt
-//! payloads behind the checksum framing, receive timeouts, failed peers —
-//! and the exchanger retries what is transient.  This module supplies the
-//! *recovery* half:
+//! Durable state of the dynamical core: checkpoints, their files and what a
+//! world does with them.
 //!
 //! * [`Checkpoint`] — everything a bitwise restart of a model needs: the
 //!   prognostic state, the cached `C` outputs that Eq. 13 reuses across
 //!   steps, and the step-loop flags,
-//! * [`CheckpointRing`] — a bounded in-memory ring of recent checkpoints,
-//! * [`write_checkpoint`]/[`read_checkpoint`] — a versioned binary on-disk
-//!   format for restart files,
-//! * [`ResilientRunner`] — the step loop around an [`Integrator`] (whatever
-//!   its program) with a blow-up guard: every step
-//!   ends in one small control-plane `allreduce(Max)` that agrees on
-//!   health; on failure all ranks roll back to the last checkpoint in
-//!   lockstep and re-run the window in degraded mode (blocking exchanges,
-//!   exact `C(ψ^{i-1})`) before giving up with a typed
-//!   [`ResilienceError`].
+//! * [`write_checkpoint`]/[`read_checkpoint`] — the versioned on-disk
+//!   format: every word after the magic is under the integrity hash, which
+//!   ends the file, and a write is durable (tmp, fsync, rename, directory
+//!   fsync),
+//! * the checkpoint directory — canonical names, listing, pruning, the
+//!   newest step a whole world holds, and [`resize_retention`],
+//! * [`redistribute`] — a world's checkpoints re-decomposed onto another
+//!   process grid (planned shrink/grow).
 //!
-//! The control plane runs on a **dedicated split communicator** so its
-//! collective sequence numbers stay in lockstep no matter how many model
-//! collectives the aborted attempt did or did not reach.
+//! Recovery is not here.  The framed exchange retries a dropped or corrupt
+//! message ([`crate::par::RetryPolicy`]); any other failed step ends its
+//! worker, and the elastic runtime (`agcm-run`) respawns it and rolls every
+//! rank back to the newest step all of them hold on disk — the one rollback
+//! protocol (DESIGN.md §12).
 
-use crate::integrator::Integrator;
 use crate::state::State;
 use crate::tables;
-use agcm_comm::{AllreduceAlgo, CommError, CommResult, Communicator, ReduceOp};
+use agcm_comm::fault::HashedWords;
 use agcm_mesh::{Decomposition, Field2, Field3, HaloWidths, ProcessGrid};
-use std::collections::VecDeque;
-use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic + version tag of the on-disk checkpoint format.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"AGCMCKP1";
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"AGCMCKP2";
 
 // ---------------------------------------------------------------------------
 // Checkpoint
@@ -65,127 +58,59 @@ pub struct Checkpoint {
 }
 
 // ---------------------------------------------------------------------------
-// CheckpointRing
-// ---------------------------------------------------------------------------
-
-/// A bounded ring of recent checkpoints (oldest evicted first).
-#[derive(Debug)]
-pub struct CheckpointRing {
-    cap: usize,
-    items: VecDeque<Checkpoint>,
-}
-
-impl CheckpointRing {
-    /// A ring holding at most `capacity >= 1` checkpoints.
-    pub fn new(capacity: usize) -> Self {
-        CheckpointRing {
-            cap: capacity.max(1),
-            items: VecDeque::new(),
-        }
-    }
-
-    /// Insert, evicting the oldest entry when full.
-    pub fn push(&mut self, ck: Checkpoint) {
-        if self.items.len() == self.cap {
-            self.items.pop_front();
-        }
-        self.items.push_back(ck);
-    }
-
-    /// The most recent checkpoint, if any.
-    pub fn latest(&self) -> Option<&Checkpoint> {
-        self.items.back()
-    }
-
-    /// Remove and return the most recent checkpoint (fall back to an older
-    /// one after a failed degraded re-run).
-    pub fn drop_latest(&mut self) -> Option<Checkpoint> {
-        self.items.pop_back()
-    }
-
-    /// Stored checkpoints.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Maximum capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Binary on-disk format
 // ---------------------------------------------------------------------------
 
-fn w_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn r_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn w_halo(w: &mut impl Write, h: HaloWidths) -> io::Result<()> {
-    for v in [h.xm, h.xp, h.ym, h.yp, h.zm, h.zp] {
-        w_u64(w, v as u64)?;
+/// One field: its extents, halo and length, then its values.
+fn w_field(
+    w: &mut HashedWords<impl Write>,
+    dims: &[usize],
+    h: HaloWidths,
+    data: &[f64],
+) -> io::Result<()> {
+    let header = [h.xm, h.xp, h.ym, h.yp, h.zm, h.zp, data.len()];
+    for v in dims.iter().chain(&header) {
+        w.put(*v as u64)?;
     }
-    Ok(())
+    data.iter().try_for_each(|v| w.put(v.to_bits()))
 }
 
-fn r_halo(r: &mut impl Read) -> io::Result<HaloWidths> {
-    let mut v = [0usize; 6];
-    for slot in &mut v {
-        *slot = r_u64(r)? as usize;
+/// A field's extents and halo, and its length word, which must be what
+/// they allot — all checked before the caller allocates, so no single
+/// flipped bit can size an allocation.
+fn r_header<const N: usize>(
+    r: &mut HashedWords<impl Read>,
+) -> io::Result<([usize; N], HaloWidths)> {
+    let mut dims = [0; N];
+    let mut h = [0; 6];
+    for v in dims.iter_mut().chain(&mut h) {
+        *v = r.take()? as usize;
     }
-    Ok(HaloWidths {
-        xm: v[0],
-        xp: v[1],
-        ym: v[2],
-        yp: v[3],
-        zm: v[4],
-        zp: v[5],
-    })
-}
-
-fn w_raw(w: &mut impl Write, data: &[f64]) -> io::Result<()> {
-    w_u64(w, data.len() as u64)?;
-    for v in data {
-        w.write_all(&v.to_bits().to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn r_raw(r: &mut impl Read, into: &mut [f64]) -> io::Result<()> {
-    let n = r_u64(r)? as usize;
-    if n != into.len() {
+    let [xm, xp, ym, yp, zm, zp] = h;
+    let halo = HaloWidths {
+        xm,
+        xp,
+        ym,
+        yp,
+        zm,
+        zp,
+    };
+    let elems = check_field_dims(&dims, halo)?;
+    let n = r.take()?;
+    if n != elems as u64 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("checkpoint array length {n} != allocated {}", into.len()),
+            format!("checkpoint array length {n} != {elems} its extents allot"),
         ));
     }
-    let mut b = [0u8; 8];
-    for v in into {
-        r.read_exact(&mut b)?;
-        *v = f64::from_bits(u64::from_le_bytes(b));
-    }
-    Ok(())
+    Ok((dims, halo))
 }
 
-fn w_field3(w: &mut impl Write, f: &Field3) -> io::Result<()> {
-    let (nx, ny, nz) = f.extents();
-    w_u64(w, nx as u64)?;
-    w_u64(w, ny as u64)?;
-    w_u64(w, nz as u64)?;
-    w_halo(w, f.halo())?;
-    w_raw(w, f.raw())
+fn r_values(r: &mut HashedWords<impl Read>, into: &mut [f64]) -> io::Result<()> {
+    for v in into {
+        *v = f64::from_bits(r.take()?);
+    }
+    Ok(())
 }
 
 /// Ceiling on any single checkpointed array, in elements (2 GiB of f64).
@@ -194,54 +119,56 @@ fn w_field3(w: &mut impl Write, f: &Field3) -> io::Result<()> {
 /// with a typed error before any memory is reserved.
 const MAX_FIELD_ELEMS: u64 = 1 << 28;
 
-fn check_field_dims(dims: &[usize], halo: HaloWidths) -> io::Result<()> {
-    let padded: [u64; 3] = [
-        dims.first().copied().unwrap_or(1) as u64 + (halo.xm + halo.xp) as u64,
-        dims.get(1).copied().unwrap_or(1) as u64 + (halo.ym + halo.yp) as u64,
-        dims.get(2).copied().unwrap_or(1) as u64 + (halo.zm + halo.zp) as u64,
+/// Elements of an array with extents `dims` (missing axes 1) padded by
+/// `halo`, or `InvalidData` when that is zero or past the ceiling of a
+/// plausible field (2 GiB) — the bound every reader of a durable state
+/// file puts on extents before it allocates.
+pub fn check_field_dims(dims: &[usize], halo: HaloWidths) -> io::Result<usize> {
+    let axis = |i: usize, lo: usize, hi: usize| {
+        let d = dims.get(i).copied().unwrap_or(1) as u64;
+        d.checked_add(lo as u64)?.checked_add(hi as u64)
+    };
+    let padded = [
+        axis(0, halo.xm, halo.xp),
+        axis(1, halo.ym, halo.yp),
+        axis(2, halo.zm, halo.zp),
     ];
-    let total = padded
-        .iter()
-        .try_fold(1u64, |acc, &d| acc.checked_mul(d))
+    let total = (padded.into_iter())
+        .try_fold(1u64, |acc, d| acc.checked_mul(d?))
         .unwrap_or(u64::MAX);
     if total == 0 || total > MAX_FIELD_ELEMS {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
-                "checkpoint field extents {dims:?} with halo {halo:?} are \
-                 implausible ({total} elements); file is corrupt or truncated"
+                "field extents {dims:?} with halo {halo:?} are implausible \
+                 ({total} elements); file is corrupt or truncated"
             ),
         ));
     }
-    Ok(())
+    Ok(total as usize)
 }
 
-fn r_field3(r: &mut impl Read) -> io::Result<Field3> {
-    let nx = r_u64(r)? as usize;
-    let ny = r_u64(r)? as usize;
-    let nz = r_u64(r)? as usize;
-    let halo = r_halo(r)?;
-    check_field_dims(&[nx, ny, nz], halo)?;
+fn w_field3(w: &mut HashedWords<impl Write>, f: &Field3) -> io::Result<()> {
+    let (nx, ny, nz) = f.extents();
+    w_field(w, &[nx, ny, nz], f.halo(), f.raw())
+}
+
+fn r_field3(r: &mut HashedWords<impl Read>) -> io::Result<Field3> {
+    let ([nx, ny, nz], halo) = r_header(r)?;
     let mut f = Field3::new(nx, ny, nz, halo);
-    r_raw(r, f.raw_mut())?;
+    r_values(r, f.raw_mut())?;
     Ok(f)
 }
 
-fn w_field2(w: &mut impl Write, f: &Field2) -> io::Result<()> {
+fn w_field2(w: &mut HashedWords<impl Write>, f: &Field2) -> io::Result<()> {
     let (nx, ny) = f.extents();
-    w_u64(w, nx as u64)?;
-    w_u64(w, ny as u64)?;
-    w_halo(w, f.halo())?;
-    w_raw(w, f.raw())
+    w_field(w, &[nx, ny], f.halo(), f.raw())
 }
 
-fn r_field2(r: &mut impl Read) -> io::Result<Field2> {
-    let nx = r_u64(r)? as usize;
-    let ny = r_u64(r)? as usize;
-    let halo = r_halo(r)?;
-    check_field_dims(&[nx, ny], halo)?;
+fn r_field2(r: &mut HashedWords<impl Read>) -> io::Result<Field2> {
+    let ([nx, ny], halo) = r_header(r)?;
     let mut f = Field2::new(nx, ny, halo);
-    r_raw(r, f.raw_mut())?;
+    r_values(r, f.raw_mut())?;
     Ok(f)
 }
 
@@ -249,10 +176,12 @@ const FLAG_C_CACHED: u64 = 1;
 const FLAG_PENDING_SMOOTH: u64 = 2;
 const FLAG_HAS_TRIO: u64 = 4;
 
-/// Serialize a checkpoint to `writer` (versioned, little-endian, bitwise).
+/// Serialize a checkpoint to `writer` (versioned, little-endian, bitwise):
+/// the magic, then words under the integrity hash, then the hash.
 pub fn write_checkpoint_to(writer: &mut impl Write, ck: &Checkpoint) -> io::Result<()> {
     writer.write_all(CHECKPOINT_MAGIC)?;
-    w_u64(writer, ck.step)?;
+    let mut w = HashedWords::new(writer);
+    w.put(ck.step)?;
     let mut flags = 0;
     if ck.c_cached {
         flags |= FLAG_C_CACHED;
@@ -267,24 +196,26 @@ pub fn write_checkpoint_to(writer: &mut impl Write, ck: &Checkpoint) -> io::Resu
     if trio.is_some() {
         flags |= FLAG_HAS_TRIO;
     }
-    w_u64(writer, flags)?;
-    w_field3(writer, &ck.state.u)?;
-    w_field3(writer, &ck.state.v)?;
-    w_field3(writer, &ck.state.phi)?;
-    w_field2(writer, &ck.state.psa)?;
+    w.put(flags)?;
+    w_field3(&mut w, &ck.state.u)?;
+    w_field3(&mut w, &ck.state.v)?;
+    w_field3(&mut w, &ck.state.phi)?;
+    w_field2(&mut w, &ck.state.psa)?;
     if let Some((vsum, gw, phi_p)) = trio {
-        w_field2(writer, vsum)?;
-        w_field3(writer, gw)?;
-        w_field3(writer, phi_p)?;
+        w_field2(&mut w, vsum)?;
+        w_field3(&mut w, gw)?;
+        w_field3(&mut w, phi_p)?;
     }
-    Ok(())
+    w.put_trailer()
 }
 
 /// Deserialize a checkpoint written by [`write_checkpoint_to`].
 ///
 /// A short read anywhere in the body is reported as a typed
-/// `InvalidData` "checkpoint truncated" error — a half-written or cut-off
-/// restart file must be rejected loudly, never restored from.
+/// `InvalidData` "checkpoint truncated" error, and a body that does not
+/// hash to its trailer as "checkpoint hash mismatch" — a half-written,
+/// cut-off or bit-rotted restart file must be rejected loudly, never
+/// restored from.
 pub fn read_checkpoint_from(reader: &mut impl Read) -> io::Result<Checkpoint> {
     read_checkpoint_body(reader).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -307,21 +238,23 @@ fn read_checkpoint_body(reader: &mut impl Read) -> io::Result<Checkpoint> {
             "not an AGCM checkpoint (bad magic)",
         ));
     }
-    let step = r_u64(reader)?;
-    let flags = r_u64(reader)?;
-    let u = r_field3(reader)?;
-    let v = r_field3(reader)?;
-    let phi = r_field3(reader)?;
-    let psa = r_field2(reader)?;
+    let mut r = HashedWords::new(reader);
+    let step = r.take()?;
+    let flags = r.take()?;
+    let u = r_field3(&mut r)?;
+    let v = r_field3(&mut r)?;
+    let phi = r_field3(&mut r)?;
+    let psa = r_field2(&mut r)?;
     let (vsum, gw, phi_p) = if flags & FLAG_HAS_TRIO != 0 {
         (
-            Some(r_field2(reader)?),
-            Some(r_field3(reader)?),
-            Some(r_field3(reader)?),
+            Some(r_field2(&mut r)?),
+            Some(r_field3(&mut r)?),
+            Some(r_field3(&mut r)?),
         )
     } else {
         (None, None, None)
     };
+    r.check_trailer("checkpoint")?;
     Ok(Checkpoint {
         step,
         state: State { u, v, phi, psa },
@@ -643,317 +576,6 @@ pub fn redistribute(
 }
 
 // ---------------------------------------------------------------------------
-// Config + errors
-// ---------------------------------------------------------------------------
-
-/// Tunables of the [`ResilientRunner`].
-#[derive(Debug, Clone)]
-pub struct ResilienceConfig {
-    /// Take a checkpoint every this many steps (0 disables checkpointing —
-    /// any failure is then immediately fatal).
-    pub checkpoint_interval: u64,
-    /// How many checkpoints the in-memory ring keeps.
-    pub ring_capacity: usize,
-    /// Give up (typed error) after this many rollbacks in one run.
-    pub max_rollbacks: u32,
-    /// Blow-up guard: roll back when `max|ξ|` exceeds this.
-    pub max_abs_limit: f64,
-    /// When set, every checkpoint is also written here as
-    /// `rank{R}_step{S}.agcmckpt`.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// How many on-disk checkpoints to retain per rank (older ones are
-    /// pruned after each durable write; 0 keeps everything).  Elastic
-    /// recovery needs at least 2: a kill mid-write must leave the
-    /// previous common step intact on every rank.
-    pub disk_keep: usize,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            checkpoint_interval: 5,
-            ring_capacity: 2,
-            max_rollbacks: 4,
-            max_abs_limit: 1e6,
-            checkpoint_dir: None,
-            disk_keep: 3,
-        }
-    }
-}
-
-/// Why a resilient run gave up.
-#[derive(Debug)]
-pub enum ResilienceError {
-    /// The rollback budget is spent (or no checkpoint exists to return to).
-    RollbackExhausted {
-        /// Step whose attempt failed last.
-        step: u64,
-        /// Rollbacks performed before giving up.
-        rollbacks: u32,
-    },
-    /// A peer rank died — retry/rollback cannot recover a lost rank.
-    PeerLost(CommError),
-    /// The control-plane communicator itself failed.
-    ControlLost(CommError),
-    /// Checkpoint I/O failed.
-    Io(io::Error),
-}
-
-impl fmt::Display for ResilienceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ResilienceError::RollbackExhausted { step, rollbacks } => write!(
-                f,
-                "rollback budget exhausted after {rollbacks} rollback(s); \
-                 last failure at step {step}"
-            ),
-            ResilienceError::PeerLost(e) => write!(f, "peer rank lost: {e}"),
-            ResilienceError::ControlLost(e) => write!(f, "control plane failed: {e}"),
-            ResilienceError::Io(e) => write!(f, "checkpoint I/O failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ResilienceError {}
-
-impl From<io::Error> for ResilienceError {
-    fn from(e: io::Error) -> Self {
-        ResilienceError::Io(e)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ResilientRunner
-// ---------------------------------------------------------------------------
-
-/// What a resilient run did.
-#[derive(Debug, Clone, Default)]
-pub struct RunReport {
-    /// Net completed steps (== the requested count on success).
-    pub steps: u64,
-    /// Step attempts, including re-runs after rollbacks.
-    pub attempted_steps: u64,
-    /// Rollbacks performed.
-    pub rollbacks: u32,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Steps executed in degraded mode.
-    pub degraded_steps: u64,
-}
-
-/// The resilient step loop: checkpoint ring + health consensus + rollback.
-pub struct ResilientRunner {
-    cfg: ResilienceConfig,
-    ctrl: Communicator,
-    ring: CheckpointRing,
-    epoch: u64,
-    report: RunReport,
-    last_ck: Option<u64>,
-    failed_at: Option<u64>,
-}
-
-// health-flag encoding on the control plane: 0 = ok, 1 = transient error /
-// NaN / blow-up, 2 + peer = a peer rank is gone (unrecoverable)
-const HEALTH_PEER_BASE: f64 = 2.0;
-
-fn ctrl_err(e: CommError) -> ResilienceError {
-    match e {
-        CommError::PeerFailed { .. } | CommError::PeerGone { .. } => ResilienceError::PeerLost(e),
-        _ => ResilienceError::ControlLost(e),
-    }
-}
-
-/// How one step attempt ended, locally.
-enum Attempt {
-    Ok,
-    /// Recoverable: a transient comm error, or a mid-step panic (a blown
-    /// dycore invariant — e.g. `p_es > 0` — is a blow-up signal; the
-    /// checkpoint restore discards the inconsistent model state).
-    Transient,
-    /// Unrecoverable: a peer rank is gone.
-    PeerLoss(CommError),
-}
-
-fn classify(res: std::thread::Result<CommResult<()>>) -> Attempt {
-    match res {
-        Ok(Ok(())) => Attempt::Ok,
-        Ok(Err(e @ (CommError::PeerFailed { .. } | CommError::PeerGone { .. }))) => {
-            Attempt::PeerLoss(e)
-        }
-        Ok(Err(_)) => Attempt::Transient,
-        Err(_panic) => Attempt::Transient,
-    }
-}
-
-impl ResilientRunner {
-    /// Build a runner; splits a **dedicated control communicator** off
-    /// `comm` (collective — every rank of `comm` must call this).
-    pub fn new(comm: &mut Communicator, cfg: ResilienceConfig) -> CommResult<Self> {
-        let rank = comm.rank();
-        let ctrl = comm.split(0, rank)?;
-        // the control plane must outlast a peer that is still draining a
-        // doomed step attempt (whose receives give up after the *model*
-        // comm's timeout), so it waits strictly longer
-        ctrl.set_timeout(comm.timeout() * 3 + std::time::Duration::from_secs(1));
-        let ring = CheckpointRing::new(cfg.ring_capacity);
-        Ok(ResilientRunner {
-            cfg,
-            ctrl,
-            ring,
-            epoch: 0,
-            report: RunReport::default(),
-            last_ck: None,
-            failed_at: None,
-        })
-    }
-
-    /// The report accumulated so far.
-    pub fn report(&self) -> &RunReport {
-        &self.report
-    }
-
-    /// Run `model` to `n_steps` completed steps, recovering from transient
-    /// faults via checkpoint rollback + degraded re-runs.
-    ///
-    /// Collective: every rank calls with its share of the model and the
-    /// same `n_steps`.  On success the model's deferred smoothing has been
-    /// drained ([`Integrator::finish`]).
-    pub fn run(
-        &mut self,
-        model: &mut Integrator,
-        comm: &Communicator,
-        n_steps: u64,
-    ) -> Result<RunReport, ResilienceError> {
-        loop {
-            let s = model.steps as u64;
-            // leave degraded mode once safely past the failure point
-            if let Some(f) = self.failed_at {
-                if s > f {
-                    model.set_degraded(false);
-                    self.failed_at = None;
-                }
-            }
-            if s >= n_steps {
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    model.finish(Some(comm))
-                }));
-                if self.health_round(model, classify(res))? {
-                    break;
-                }
-                self.rollback(model, comm, s)?;
-                continue;
-            }
-            if self.cfg.checkpoint_interval > 0
-                && s.is_multiple_of(self.cfg.checkpoint_interval)
-                && self.last_ck != Some(s)
-            {
-                self.take_checkpoint(model)?;
-            }
-            let res =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.step(Some(comm))));
-            self.report.attempted_steps += 1;
-            if self.health_round(model, classify(res))? {
-                if self.failed_at.is_some() {
-                    self.report.degraded_steps += 1;
-                }
-            } else {
-                self.rollback(model, comm, s)?;
-            }
-        }
-        self.report.steps = n_steps;
-        Ok(self.report.clone())
-    }
-
-    /// One control-plane consensus: `Ok(true)` = everyone healthy,
-    /// `Ok(false)` = somebody needs a rollback, `Err` = unrecoverable.
-    fn health_round(&self, model: &Integrator, attempt: Attempt) -> Result<bool, ResilienceError> {
-        let nan = model.state.has_nan();
-        let mut flags = [
-            match &attempt {
-                Attempt::Ok => 0.0,
-                Attempt::Transient => 1.0,
-                Attempt::PeerLoss(CommError::PeerFailed { peer })
-                | Attempt::PeerLoss(CommError::PeerGone { peer }) => {
-                    HEALTH_PEER_BASE + *peer as f64
-                }
-                Attempt::PeerLoss(_) => HEALTH_PEER_BASE,
-            },
-            if nan { 1.0 } else { 0.0 },
-            if nan { 0.0 } else { model.state.max_abs() },
-        ];
-        self.ctrl
-            .allreduce(ReduceOp::Max, &mut flags, AllreduceAlgo::Ring)
-            .map_err(ctrl_err)?;
-        if flags[0] >= HEALTH_PEER_BASE {
-            let peer = (flags[0] - HEALTH_PEER_BASE) as usize;
-            return Err(ResilienceError::PeerLost(match attempt {
-                Attempt::PeerLoss(e) => e,
-                _ => CommError::PeerFailed { peer },
-            }));
-        }
-        Ok(flags[0] == 0.0 && flags[1] == 0.0 && flags[2] <= self.cfg.max_abs_limit)
-    }
-
-    fn take_checkpoint(&mut self, model: &Integrator) -> Result<(), ResilienceError> {
-        let ck = model.capture();
-        if let Some(dir) = &self.cfg.checkpoint_dir {
-            let rank = self.ctrl.rank();
-            write_checkpoint(&checkpoint_path(dir, rank, ck.step), &ck)?;
-            prune_checkpoints(dir, rank, self.cfg.disk_keep)?;
-        }
-        self.last_ck = Some(ck.step);
-        self.ring.push(ck);
-        self.report.checkpoints += 1;
-        agcm_obs::Registry::global()
-            .counter("resilience.checkpoints")
-            .inc();
-        Ok(())
-    }
-
-    /// The lockstep rollback protocol (see DESIGN.md §7).
-    fn rollback(
-        &mut self,
-        model: &mut Integrator,
-        comm: &Communicator,
-        failed_step: u64,
-    ) -> Result<(), ResilienceError> {
-        let _sp = agcm_obs::span(agcm_obs::SpanKind::Recovery, "resilience.rollback");
-        // a *degraded* re-run that fails again means the latest checkpoint
-        // window is poisoned: fall back to an older checkpoint
-        if self.failed_at.is_some() {
-            self.ring.drop_latest();
-        }
-        if self.report.rollbacks >= self.cfg.max_rollbacks || self.ring.is_empty() {
-            return Err(ResilienceError::RollbackExhausted {
-                step: failed_step,
-                rollbacks: self.report.rollbacks,
-            });
-        }
-        self.report.rollbacks += 1;
-        agcm_obs::Registry::global()
-            .counter("resilience.rollbacks")
-            .inc();
-        self.epoch += 1;
-        // 1. everyone has stopped stepping (control plane is in lockstep)
-        self.ctrl.barrier().map_err(ctrl_err)?;
-        // 2. drop stragglers of the aborted attempt; own-context mail and
-        //    control-plane messages (which may be in flight from a rank
-        //    already past its purge) survive
-        comm.purge_other_contexts(&[&self.ctrl]);
-        // 3. nobody re-enters the model until all queues are purged
-        self.ctrl.barrier().map_err(ctrl_err)?;
-        let ck = self.ring.latest().expect("ring checked non-empty above");
-        model.restore(ck);
-        // 4. sequence numbers jump to an epoch base: a straggler of the
-        //    aborted attempt can never match a tag of the re-run
-        model.resync(self.epoch);
-        model.set_degraded(true);
-        self.failed_at = Some(self.failed_at.map_or(failed_step, |f| f.max(failed_step)));
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
 
@@ -963,7 +585,6 @@ mod tests {
     use crate::config::ModelConfig;
     use crate::init;
     use crate::serial::{Iteration, SerialModel};
-    use agcm_comm::Universe;
 
     fn seeded_serial(variant: Iteration) -> SerialModel {
         let cfg = ModelConfig::test_small();
@@ -971,24 +592,6 @@ mod tests {
         let ic = init::perturbed_rest(m.geom(), 200.0, 0.3, 3);
         m.set_state(&ic);
         m
-    }
-
-    #[test]
-    fn ring_evicts_oldest_and_drops_latest() {
-        let m = seeded_serial(Iteration::Exact);
-        let mut ring = CheckpointRing::new(2);
-        assert!(ring.is_empty());
-        for step in 0..3u64 {
-            let mut ck = m.capture();
-            ck.step = step;
-            ring.push(ck);
-        }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.latest().unwrap().step, 2);
-        assert_eq!(ring.drop_latest().unwrap().step, 2);
-        assert_eq!(ring.latest().unwrap().step, 1);
-        assert!(ring.drop_latest().is_some());
-        assert!(ring.drop_latest().is_none());
     }
 
     #[test]
@@ -1098,6 +701,68 @@ mod tests {
         assert!(err.to_string().contains("implausible"), "{err}");
     }
 
+    /// Every word after the magic is under the trailer: one flipped bit in
+    /// the step, the flags, a field's extents or halo, its data, the cached
+    /// `C` trio or the trailer itself is a typed `InvalidData`, never a
+    /// panic — and a flip in a field's header is refused before that field
+    /// is allocated.  A file of the unhashed version is refused by its magic.
+    #[test]
+    fn read_rejects_every_flipped_bit_and_the_unhashed_version() {
+        let mut m = seeded_serial(Iteration::Approximate);
+        m.run(1);
+        let ck = m.capture();
+        let mut buf = Vec::new();
+        write_checkpoint_to(&mut buf, &ck).unwrap();
+        assert_eq!(read_checkpoint_from(&mut &buf[..]).unwrap(), ck);
+
+        // u's header is words 2..=11 after the magic, its data from word 12
+        let word = |i: usize| 8 + 8 * i;
+        let ((nx, ny, nz), h) = (ck.state.u.extents(), ck.state.u.halo());
+        let (tx, ty) = (nx + h.xm + h.xp, ny + h.ym + h.yp);
+        let interior = (nx / 2 + h.xm) + (ny / 2 + h.ym) * tx + (nz / 2 + h.zm) * tx * ty;
+        // the trio is what a checkpoint without it lacks before the trailer
+        let mut untrio = Vec::new();
+        let bare = Checkpoint {
+            vsum: None,
+            gw: None,
+            phi_p: None,
+            ..ck.clone()
+        };
+        write_checkpoint_to(&mut untrio, &bare).unwrap();
+        let (trio, trailer) = (untrio.len() - 8, buf.len() - 8);
+        let places = [
+            ("step", word(0), false),
+            ("flags", word(1), false),
+            ("extent", word(2), true),
+            ("halo", word(5), true),
+            ("interior", word(12 + interior), false),
+            ("trio", trio + 8 * ((trailer - trio) / 16), false),
+            ("trailer", trailer, false),
+        ];
+        for (what, at, header) in places {
+            for bit in 0..64 {
+                let mut bad = buf.clone();
+                bad[at + bit / 8] ^= 1 << (bit % 8);
+                let err = read_checkpoint_from(&mut &bad[..]).unwrap_err();
+                let msg = err.to_string();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "{what} {bit}: {msg}"
+                );
+                let caught = match header {
+                    true => msg.contains("implausible") || msg.contains("allot"),
+                    false => msg.contains("checkpoint hash mismatch"),
+                };
+                assert!(caught, "{what} bit {bit}: {msg}");
+            }
+        }
+        let mut v1 = buf;
+        v1[..8].copy_from_slice(b"AGCMCKP1");
+        let err = read_checkpoint_from(&mut &v1[..]).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
+    }
+
     #[test]
     fn disk_retention_prunes_oldest_keeps_newest() {
         let m = seeded_serial(Iteration::Exact);
@@ -1126,69 +791,5 @@ mod tests {
         std::fs::remove_file(checkpoint_path(&dir, 0, 4)).unwrap();
         assert_eq!(common_checkpoint_step(&dir, 2).unwrap(), Some(3));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn runner_happy_path_matches_plain_run() {
-        let gold = {
-            let mut m = seeded_serial(Iteration::Approximate);
-            m.run(4);
-            m.state.clone()
-        };
-        let report = Universe::run(1, move |comm| {
-            let mut m = seeded_serial(Iteration::Approximate);
-            let mut runner = ResilientRunner::new(
-                comm,
-                ResilienceConfig {
-                    checkpoint_interval: 2,
-                    ..ResilienceConfig::default()
-                },
-            )
-            .unwrap();
-            let report = runner.run(&mut m, comm, 4).unwrap();
-            assert_eq!(
-                m.state.max_abs_diff(&gold),
-                0.0,
-                "resilient run must not perturb"
-            );
-            report
-        })
-        .pop()
-        .unwrap();
-        assert_eq!(report.steps, 4);
-        assert_eq!(report.attempted_steps, 4);
-        assert_eq!(report.rollbacks, 0);
-        assert_eq!(report.checkpoints, 2); // steps 0 and 2
-        assert_eq!(report.degraded_steps, 0);
-    }
-
-    #[test]
-    fn runner_exhausts_rollbacks_on_persistent_blowup() {
-        // an absurd blow-up threshold makes every attempt "fail": the
-        // runner must retry through its budget and then give up typed
-        let err = Universe::run(1, |comm| {
-            let mut m = seeded_serial(Iteration::Exact);
-            let mut runner = ResilientRunner::new(
-                comm,
-                ResilienceConfig {
-                    checkpoint_interval: 1,
-                    ring_capacity: 2,
-                    max_rollbacks: 3,
-                    max_abs_limit: 1e-12,
-                    checkpoint_dir: None,
-                    disk_keep: 0,
-                },
-            )
-            .unwrap();
-            runner.run(&mut m, comm, 4).unwrap_err()
-        })
-        .pop()
-        .unwrap();
-        match err {
-            ResilienceError::RollbackExhausted { rollbacks, .. } => {
-                assert!(rollbacks <= 3, "budget respected, got {rollbacks}")
-            }
-            other => panic!("expected RollbackExhausted, got {other}"),
-        }
     }
 }

@@ -535,8 +535,8 @@ mod tests {
 
     #[test]
     fn non_finite_rows_come_out_non_finite() {
-        // the blow-up guard and the benchmark's `final_state_finite` rely on
-        // a poisoned circle staying poisoned: the reduced unit-twiddle term
+        // the benchmark's `final_state_finite` relies on a poisoned circle
+        // staying poisoned: the reduced unit-twiddle term
         // no longer turns `inf` into `NaN` by itself, the other terms must
         let lats = latitudes(18);
         let mut seed = 7u64;

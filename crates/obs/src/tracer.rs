@@ -46,7 +46,8 @@ pub enum SpanKind {
     Collective,
     /// An instant gauge sample (`value` holds the sample).
     Gauge,
-    /// Fault recovery: a rollback + degraded re-run window.
+    /// Fault recovery: an elastic rank rewiring its mesh to a new epoch, or
+    /// checkpoints re-decomposed onto another process grid.
     Recovery,
     /// One intra-rank worker executing a `(j, k)` band of a kernel sweep
     /// (the `AGCM_THREADS` pool).  Never counted by the schedule

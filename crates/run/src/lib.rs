@@ -31,6 +31,7 @@
 //!    the kernel as exactly one checksummed frame, nothing more.
 
 #![forbid(unsafe_code)]
+use agcm_comm::fault::HashedWords;
 use agcm_comm::telemetry::{self, CLOCK_ROUNDS};
 use agcm_comm::{
     p2p_only_delta, Communicator, CostModel, Endpoint, SocketTransport, Universe,
@@ -38,9 +39,10 @@ use agcm_comm::{
 };
 use agcm_core::analysis::{predict, AlgKind, CaMode, Prediction};
 use agcm_core::par::GlobalState;
+use agcm_core::resilience::check_field_dims;
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::{init, Integrator, ModelConfig};
-use agcm_mesh::ProcessGrid;
+use agcm_mesh::{HaloWidths, ProcessGrid};
 use agcm_obs as obs;
 use agcm_obs::dist::{self, OffsetEstimate};
 use agcm_verify::{critpath, rank_counts, ScheduleGraph};
@@ -54,7 +56,7 @@ use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// Magic header of the gathered-state file rank 0 writes.
-pub const STATE_MAGIC: &[u8; 8] = b"AGCMGST1";
+pub const STATE_MAGIC: &[u8; 8] = b"AGCMGST2";
 
 mod elastic;
 pub mod soak;
@@ -737,8 +739,9 @@ pub(crate) fn verify_world(
     let p = pgrid.size();
     let mismatch = ParentError::VerificationMismatch;
     let head = format!("{label}: alg{alg} p={p} steps={steps}");
+    // a corrupt file is a failed run (exit 1), not a wrong answer (exit 5)
     let gathered = read_state(&out.join("state.bin"))
-        .map_err(|e| mismatch(format!("{head}: reading gathered state: {e}")))?;
+        .map_err(|e| ParentError::Other(format!("{head}: reading gathered state: {e}")))?;
     let (reference, what) = if pgrid.pz() == 1 {
         let variant = if alg == 1 {
             Iteration::Exact
@@ -1169,39 +1172,63 @@ fn bad(msg: String) -> io::Error {
 }
 
 /// Write a gathered state with exact bit patterns (little-endian `f64`
-/// bits), so the parent's comparison is genuinely bitwise.
+/// bits), so the parent's comparison is genuinely bitwise: the magic, then
+/// the extents and each array's length and values under the integrity
+/// hash, then the hash.
 pub fn write_state(path: &Path, gs: &GlobalState) -> io::Result<()> {
     let mut w = io::BufWriter::new(fs::File::create(path)?);
-    w.write_all(STATE_MAGIC)?;
-    let (nx, ny, nz) = gs.extents;
-    for d in [nx as u64, ny as u64, nz as u64] {
-        w.write_all(&d.to_le_bytes())?;
-    }
-    for arr in [&gs.u, &gs.v, &gs.phi, &gs.psa] {
-        w.write_all(&(arr.len() as u64).to_le_bytes())?;
-        for v in arr.iter() {
-            w.write_all(&v.to_bits().to_le_bytes())?;
-        }
-    }
+    write_state_to(&mut w, gs)?;
     w.flush()
 }
 
-/// Read a state written by [`write_state`].
+fn write_state_to(w: &mut impl Write, gs: &GlobalState) -> io::Result<()> {
+    w.write_all(STATE_MAGIC)?;
+    let mut words = HashedWords::new(w);
+    let (nx, ny, nz) = gs.extents;
+    for d in [nx, ny, nz] {
+        words.put(d as u64)?;
+    }
+    for arr in [&gs.u, &gs.v, &gs.phi, &gs.psa] {
+        words.put(arr.len() as u64)?;
+        arr.iter().try_for_each(|v| words.put(v.to_bits()))?;
+    }
+    words.put_trailer()
+}
+
+/// Read a state written by [`write_state`].  Each array's length must be
+/// what the extents allot (`nx·ny·nz`, `nx·ny` for `psa`), bounded as a
+/// checkpoint's are before anything is allocated, and the file must hash to
+/// its trailer: a corrupt file is `InvalidData`, never a wrong state.
 pub fn read_state(path: &Path) -> io::Result<GlobalState> {
-    let mut r = io::BufReader::new(fs::File::open(path)?);
+    read_state_from(&mut io::BufReader::new(fs::File::open(path)?))
+}
+
+fn read_state_from(r: &mut impl Read) -> io::Result<GlobalState> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != STATE_MAGIC {
         return Err(bad(format!("bad magic {magic:02x?}")));
     }
-    let nx = r_u64(&mut r)? as usize;
-    let ny = r_u64(&mut r)? as usize;
-    let nz = r_u64(&mut r)? as usize;
-    let mut arrs = [const { Vec::new() }; 4];
-    for arr in arrs.iter_mut() {
-        *arr = r_vec(&mut r)?;
-    }
-    let [u, v, phi, psa] = arrs;
+    let mut words = HashedWords::new(r);
+    let [nx, ny, nz] = [words.take()?, words.take()?, words.take()?].map(|d| d as usize);
+    let volume = check_field_dims(&[nx, ny, nz], HaloWidths::default())?;
+    let surface = check_field_dims(&[nx, ny], HaloWidths::default())?;
+    let mut array = |elems: usize| -> io::Result<Vec<f64>> {
+        let n = words.take()?;
+        if n != elems as u64 {
+            return Err(bad(format!(
+                "array length {n} != {elems} the extents allot"
+            )));
+        }
+        let mut out = Vec::with_capacity(elems);
+        for _ in 0..elems {
+            out.push(f64::from_bits(words.take()?));
+        }
+        Ok(out)
+    };
+    let (u, v) = (array(volume)?, array(volume)?);
+    let (phi, psa) = (array(volume)?, array(surface)?);
+    words.check_trailer("gathered state")?;
     Ok(GlobalState {
         extents: (nx, ny, nz),
         u,
@@ -1209,26 +1236,6 @@ pub fn read_state(path: &Path) -> io::Result<GlobalState> {
         phi,
         psa,
     })
-}
-
-fn r_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn r_vec(r: &mut impl Read) -> io::Result<Vec<f64>> {
-    let n = r_u64(r)?;
-    if n > 1 << 32 {
-        return Err(bad(format!("absurd array length {n}")));
-    }
-    let mut out = Vec::with_capacity(n as usize);
-    let mut b = [0u8; 8];
-    for _ in 0..n {
-        r.read_exact(&mut b)?;
-        out.push(f64::from_bits(u64::from_le_bytes(b)));
-    }
-    Ok(out)
 }
 
 /// The wire-stats identity the parent asserts, exported for reuse in
@@ -1267,7 +1274,7 @@ mod tests {
             extents: (2, 1, 1),
             u: vec![1.5, -0.0],
             v: vec![f64::from_bits(0x7FF0_0000_0000_0001), 0.0],
-            phi: vec![std::f64::consts::PI],
+            phi: vec![std::f64::consts::PI, 2.0],
             psa: vec![-3.25, 4.0],
         };
         let path = std::env::temp_dir().join(format!("agcm_run_state_{}.bin", std::process::id()));
@@ -1279,6 +1286,73 @@ mod tests {
         let mut flipped = gs.clone();
         flipped.u[1] = 0.0;
         assert!(!states_bitwise_equal(&back, &flipped));
+    }
+
+    /// A (2, 3, 1) state file's bytes, and the byte offset of word `i`
+    /// after its magic (words 0–2 are the extents, 3 is `u`'s length).
+    fn state_bytes() -> (Vec<u8>, impl Fn(usize) -> usize) {
+        let vals = |k: f64| (0..6).map(|i| k + i as f64 / 8.0).collect();
+        let gs = GlobalState {
+            extents: (2, 3, 1),
+            u: vals(1.0),
+            v: vals(2.0),
+            phi: vals(3.0),
+            psa: vals(4.0),
+        };
+        let mut bytes = Vec::new();
+        write_state_to(&mut bytes, &gs).unwrap();
+        (bytes, |i| 8 + 8 * i)
+    }
+
+    fn read_bytes(bytes: &[u8]) -> io::Error {
+        read_state_from(&mut &bytes[..]).unwrap_err()
+    }
+
+    #[test]
+    fn state_file_refuses_a_length_the_extents_do_not_allot() {
+        let (mut bytes, word) = state_bytes();
+        assert!(read_state_from(&mut &bytes[..]).is_ok());
+        // 2^32 values promised: refused before any of them is reserved
+        bytes[word(3)..word(4)].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        let err = read_bytes(&bytes);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("allot"), "{err}");
+        // one value too few for 2·3·1
+        bytes[word(3)..word(4)].copy_from_slice(&5u64.to_le_bytes());
+        let err = read_bytes(&bytes);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("6 the extents allot"), "{err}");
+        // extents past any plausible field
+        let (mut bytes, word) = state_bytes();
+        bytes[word(0)..word(1)].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = read_bytes(&bytes);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("implausible"), "{err}");
+    }
+
+    #[test]
+    fn state_file_refuses_every_flipped_bit() {
+        let (bytes, _) = state_bytes();
+        for at in 8..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[at] ^= 1 << bit;
+                let err = read_bytes(&bad);
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "byte {at} bit {bit}"
+                );
+            }
+        }
+        // a flipped value bit is caught by the trailer alone
+        let (mut bytes, word) = state_bytes();
+        bytes[word(5)] ^= 1;
+        let err = read_bytes(&bytes);
+        assert!(
+            err.to_string().contains("gathered state hash mismatch"),
+            "{err}"
+        );
     }
 
     #[test]
