@@ -48,20 +48,30 @@ where
     T: FromStr,
     T::Err: fmt::Display,
 {
-    let Ok(raw) = std::env::var(name) else {
+    parse_value(name, std::env::var(name).ok().as_deref())
+}
+
+/// [`parse_env`] of a value already looked up (`None`: unset), so a caller
+/// can be tested without touching the process environment.
+pub(crate) fn parse_value<T>(name: &str, raw: Option<&str>) -> Result<Option<T>, EnvError>
+where
+    T: FromStr,
+    T::Err: fmt::Display,
+{
+    let Some(raw) = raw else {
         return Ok(None);
     };
     let trimmed = raw.trim();
     if trimmed.is_empty() {
         return Err(EnvError {
             name: name.to_string(),
-            value: raw.clone(),
+            value: raw.to_string(),
             reason: "empty value".to_string(),
         });
     }
     trimmed.parse::<T>().map(Some).map_err(|e| EnvError {
         name: name.to_string(),
-        value: raw.clone(),
+        value: raw.to_string(),
         reason: e.to_string(),
     })
 }

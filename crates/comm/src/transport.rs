@@ -682,15 +682,51 @@ pub struct SocketTransport {
     listen_path: Option<PathBuf>,
 }
 
+/// `(rank, size, endpoint, epoch)` of a launched worker from the handshake
+/// variables `var` looks up: `None` when `AGCM_RANK` is unset.  A set but
+/// malformed value is `InvalidInput` naming the variable and the value; a
+/// missing endpoint or a rank outside the world is `InvalidData`.
+fn launch_params(
+    var: impl Fn(&str) -> Option<String>,
+) -> Option<io::Result<(usize, usize, Endpoint, u64)>> {
+    let rank: usize = match strict_var(&var, "AGCM_RANK") {
+        Ok(rank) => rank?,
+        Err(e) => return Some(Err(e)),
+    };
+    let rest = || {
+        let size: usize = strict_var(&var, "AGCM_WORLD_SIZE")?.unwrap_or(0);
+        let epoch: u64 = strict_var(&var, "AGCM_EPOCH")?.unwrap_or(0);
+        let ep: String = strict_var(&var, "AGCM_ENDPOINT")?
+            .ok_or_else(|| bad_data("AGCM_RANK set without AGCM_ENDPOINT".into()))?;
+        let ep = Endpoint::parse(&ep).map_err(|e| bad_data(format!("AGCM_ENDPOINT: {e}")))?;
+        if rank >= size {
+            let why = format!("AGCM_RANK={rank} outside AGCM_WORLD_SIZE={size}");
+            return Err(bad_data(why));
+        }
+        Ok((rank, size, ep, epoch))
+    };
+    Some(rest())
+}
+
+/// Variable `name` of the lookup `var`, parsed strictly: a set but
+/// malformed value is `InvalidInput` naming the variable and the value.
+fn strict_var<T: std::str::FromStr>(
+    var: &impl Fn(&str) -> Option<String>,
+    name: &str,
+) -> io::Result<Option<T>>
+where
+    T::Err: std::fmt::Display,
+{
+    crate::env::parse_value(name, var(name).as_deref())
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
+}
+
 /// The handshake deadline: `AGCM_CONNECT_TIMEOUT_MS` (strict parse — a
 /// set-but-malformed value is a loud error, not a silent default), falling
 /// back to [`crate::default_timeout`].
 fn connect_timeout_from_env() -> io::Result<Duration> {
-    match crate::env::parse_env::<u64>("AGCM_CONNECT_TIMEOUT_MS") {
-        Ok(Some(ms)) => Ok(Duration::from_millis(ms)),
-        Ok(None) => Ok(crate::runtime::default_timeout()),
-        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidInput, e.to_string())),
-    }
+    let ms = strict_var(&|name| std::env::var(name).ok(), "AGCM_CONNECT_TIMEOUT_MS")?;
+    Ok(ms.map_or_else(crate::runtime::default_timeout, Duration::from_millis))
 }
 
 impl SocketTransport {
@@ -704,28 +740,14 @@ impl SocketTransport {
     /// Build a transport from the launcher handshake environment
     /// (`AGCM_RANK`, `AGCM_WORLD_SIZE`, `AGCM_ENDPOINT`, plus `AGCM_EPOCH`
     /// for a respawned rank re-joining a live mesh); `None` when
-    /// `AGCM_RANK` is unset (not launched by `agcm-run`).  Malformed values
-    /// fail loudly via the strict env parser.
+    /// `AGCM_RANK` is unset (not launched by `agcm-run`).  A malformed value
+    /// is an `InvalidInput` error naming the variable and the value.
     pub fn from_env() -> Option<io::Result<SocketTransport>> {
-        let rank: usize = match crate::env::parse_env("AGCM_RANK") {
-            Ok(v) => v?,
-            Err(e) => panic!("{e}"),
-        };
-        let size: usize = crate::env::parse_env_or("AGCM_WORLD_SIZE", 0);
-        let epoch: u64 = crate::env::parse_env_or("AGCM_EPOCH", 0);
-        let ep = match crate::env::parse_env::<String>("AGCM_ENDPOINT") {
-            Ok(Some(s)) => s,
-            Ok(None) => return Some(Err(bad_data("AGCM_RANK set without AGCM_ENDPOINT".into()))),
-            Err(e) => panic!("{e}"),
-        };
-        Some(match Endpoint::parse(&ep) {
-            Ok(ep) if rank < size => connect_timeout_from_env()
-                .and_then(|t| Self::connect_at_epoch(rank, size, &ep, t, epoch)),
-            Ok(_) => Err(bad_data(format!(
-                "AGCM_RANK={rank} outside AGCM_WORLD_SIZE={size}"
-            ))),
-            Err(e) => Err(bad_data(format!("AGCM_ENDPOINT: {e}"))),
-        })
+        let params = launch_params(|name| std::env::var(name).ok())?;
+        Some(params.and_then(|(rank, size, ep, epoch)| {
+            connect_timeout_from_env()
+                .and_then(|t| Self::connect_at_epoch(rank, size, &ep, t, epoch))
+        }))
     }
 
     /// Like [`SocketTransport::connect`] with an explicit handshake
@@ -1400,6 +1422,54 @@ impl Drop for SocketTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`launch_params`] over a fixed variable table: the process
+    /// environment is never touched.
+    fn params(vars: &[(&str, &str)]) -> Option<io::Result<(usize, usize, Endpoint, u64)>> {
+        launch_params(|name| {
+            let hit = vars.iter().find(|(n, _)| *n == name);
+            hit.map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn launch_params_refuse_malformed_values_with_a_typed_error() {
+        assert!(params(&[]).is_none(), "not launched: no AGCM_RANK");
+        let ok = [
+            ("AGCM_RANK", "1"),
+            ("AGCM_WORLD_SIZE", "2"),
+            ("AGCM_ENDPOINT", "tcp:localhost:4100"),
+            ("AGCM_EPOCH", "3"),
+        ];
+        let (rank, size, ep, epoch) = params(&ok).unwrap().unwrap();
+        assert_eq!((rank, size, epoch), (1, 2, 3));
+        assert!(matches!(ep, Endpoint::Tcp(h, 4100) if h == "localhost"));
+        for (name, bad) in [
+            ("AGCM_RANK", "one"),
+            ("AGCM_WORLD_SIZE", "2x"),
+            ("AGCM_EPOCH", "-1"),
+            ("AGCM_ENDPOINT", " "),
+        ] {
+            let mut vars = ok;
+            vars.iter_mut().find(|(n, _)| *n == name).unwrap().1 = bad;
+            let err = params(&vars).unwrap().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{name}={bad:?}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(name) && msg.contains(&format!("{bad:?}")),
+                "{msg}"
+            );
+        }
+        let no_endpoint = &ok[..2];
+        let err = params(no_endpoint).unwrap().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let outside = [("AGCM_RANK", "2"), ok[1], ok[2]];
+        let err = params(&outside).unwrap().unwrap_err();
+        assert!(
+            err.to_string().contains("outside AGCM_WORLD_SIZE=2"),
+            "{err}"
+        );
+    }
 
     fn sample_env() -> Envelope {
         let mut env = Envelope::new(7, 3, 0x8000_1234, vec![1.5, -2.25, f64::NAN, 0.0]);

@@ -201,6 +201,9 @@ const ADAPTATION_FIELDS: [FieldAccess; 13] = [
     FieldAccess::read("psa", OffsetBox::new(3, 3, 1, 1, 0, 0)),
     // C outputs: φ' at (j, j+1) — declared symmetric in y like D(P);
     // g_w at interfaces (k, k+1); vsum/dsa/dp produced on the region.
+    // `dp` is a logical field: in a sub-update it is stored in the output
+    // state's Φ rows (the sweep copies row (j, k) out before it writes the
+    // row), in the standalone entry points in `Diag::dp`.
     FieldAccess::read("phi_p", OffsetBox::new(3, 3, 1, 1, 0, 0)),
     FieldAccess::read("gw", OffsetBox::new(1, 1, 0, 0, 0, 1)),
     FieldAccess::read("dp", OffsetBox::new(1, 1, 0, 0, 0, 0)),
@@ -247,6 +250,7 @@ pub const VERTICAL_C: AccessSpec = AccessSpec {
         FieldAccess::read("phi", OffsetBox::new(1, 1, 1, 1, 1, 1)).whole_z(),
         FieldAccess::read("psa", OffsetBox::new(1, 1, 1, 1, 0, 0)),
         FieldAccess::write("dsa", PW),
+        // the logical `dp`, wherever it is stored (see ADAPTATION_FIELDS)
         FieldAccess::write("dp", OffsetBox::new(1, 1, 0, 0, 0, 0)),
         FieldAccess::write("vsum", OffsetBox::new(1, 1, 0, 0, 0, 0)),
         // g_w holds interfaces k − 1/2 … one entry past the region.

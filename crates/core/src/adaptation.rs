@@ -15,7 +15,9 @@
 //! `lanes.rs`).  [`fused_adaptation_update`] is the same sweep with the
 //! sub-update's combination folded into the pass over each filter-inactive
 //! `(j, k)` row ([`crate::sweep`]) — the fusion the dataflow proof
-//! certifies under the `adaptation.fused` access spec.
+//! certifies under the `adaptation.fused` access spec.  It reads `D(P)`
+//! from its output's Φ rows, where the sub-update's `C` left it: each row
+//! is copied out before the row's update is stored over it.
 //!
 //! The kernel is bound by f64 division throughput (0.68 ns per element on
 //! the bench host, Emerald Rapids at 2.1 GHz, whether the divider is fed
@@ -38,6 +40,7 @@ use crate::lanes::{lane_loop, Elem};
 use crate::state::State;
 use crate::sweep::{self, SweepBand, SweepScratch, Update};
 use agcm_mesh::grid::constants as c;
+use agcm_mesh::Field3;
 
 /// Small sin θ guard: V faces on a pole have `sin θ = 0`; tendencies there
 /// are pinned to zero (the wind through the pole is zero).
@@ -48,9 +51,10 @@ const SIN_EPS: f64 = 1e-12;
 /// Preconditions:
 /// * `arg` halos valid one row/level beyond `region` (x via wrap),
 /// * `diag.pes`/`diag.cap_p` updated on `region ⊕ 1` rows,
-/// * `diag.dsa`, `diag.dp`, `diag.vsum`, `diag.gw` valid on `region` and
-///   `diag.phi_p` on `region ⊕ 1` rows — i.e. [`crate::vertical::apply_c`]
-///   has run (for the state the `C` terms should be evaluated at).
+/// * `diag.dsa`, `diag.dp` (the standalone `D(P)`), `diag.vsum`, `diag.gw`
+///   valid on `region` and `diag.phi_p` on `region ⊕ 1` rows — i.e.
+///   [`crate::vertical::apply_c`] has run (for the state the `C` terms
+///   should be evaluated at).
 ///
 /// The 3-D sweep runs row-sliced over latitude bands of the intra-rank worker pool;
 /// every point evaluates the same expression tree as the scalar reference
@@ -65,13 +69,16 @@ pub fn adaptation_tendency(
 ) {
     // a transient scratch: a dozen row-sized allocations per call
     let mut scratch = SweepScratch::new();
-    run_sweep(geom, arg, diag, tend, None, region, &mut scratch);
+    let dp = Some(&diag.dp);
+    run_sweep(geom, arg, diag, dp, tend, None, region, &mut scratch);
 }
 
 /// The adaptation sub-update's sweep: the tendency of `arg`, combined into
 /// `out` at once on polar-filter-inactive rows and stored raw to `out` on
 /// the active ones, which the caller filters and combines in place
-/// (`Update::combine_filtered`).
+/// (`Update::combine_filtered`).  `out.phi` holds `D(P)` on `region` —
+/// [`crate::vertical::apply_c_into`] or [`Diag::update_dp`] wrote it there;
+/// `diag` the other diagnostics, as for [`adaptation_tendency`].
 pub fn fused_adaptation_update(
     geom: &LocalGeometry,
     arg: &State,
@@ -81,13 +88,16 @@ pub fn fused_adaptation_update(
     region: Region,
     scratch: &mut SweepScratch,
 ) {
-    run_sweep(geom, arg, diag, out, Some(upd), region, scratch);
+    run_sweep(geom, arg, diag, None, out, Some(upd), region, scratch);
 }
 
+/// `dp`: where `D(P)` is read — `None` for `out`'s own Φ rows.
+#[allow(clippy::too_many_arguments)]
 fn run_sweep(
     geom: &LocalGeometry,
     arg: &State,
     diag: &Diag,
+    dp: Option<&Field3>,
     out: &mut State,
     upd: Option<&Update<'_>>,
     region: Region,
@@ -101,7 +111,7 @@ fn run_sweep(
         upd,
         scratch,
         "adaptation.band",
-        |band, rows| adaptation_band(geom, arg, diag, band, rows),
+        |band, rows| adaptation_band(geom, arg, diag, dp, band, rows),
         // p'_sa equation (2-D): p₀·(κ*·D_sa − Σ Δσ D(P)) with κ* = 1
         |j, o| {
             let r_dsa = diag.dsa.row(0, nx, j);
@@ -113,7 +123,8 @@ fn run_sweep(
 
 /// Input rows of one `(j, k)` adaptation row triple, fetched once at
 /// `x ∈ [-1, nx+1)` so the slice index of logical point `i + d` is
-/// `ii + 1 + d`.
+/// `ii + 1 + d` — except `dp`, the worker's copy of the `D(P)` row
+/// (`x ∈ [0, nx)`, read at `i` only).
 struct Rows<'a> {
     u: &'a [f64],
     u_s: &'a [f64],
@@ -133,7 +144,14 @@ struct Rows<'a> {
     pes_s: &'a [f64],
 }
 
-fn fetch<'a>(nx: isize, arg: &'a State, diag: &'a Diag, j: isize, k: isize) -> Rows<'a> {
+fn fetch<'a>(
+    nx: isize,
+    arg: &'a State,
+    diag: &'a Diag,
+    dp: &'a [f64],
+    j: isize,
+    k: isize,
+) -> Rows<'a> {
     Rows {
         u: arg.u.row(-1, nx + 1, j, k),
         u_s: arg.u.row(-1, nx + 1, j + 1, k),
@@ -145,7 +163,7 @@ fn fetch<'a>(nx: isize, arg: &'a State, diag: &'a Diag, j: isize, k: isize) -> R
         pp_s: diag.phi_p.row(-1, nx + 1, j + 1, k),
         gw_lo: diag.gw.row(-1, nx + 1, j, k),
         gw_hi: diag.gw.row(-1, nx + 1, j, k + 1),
-        dp: diag.dp.row(-1, nx + 1, j, k),
+        dp,
         cp: diag.cap_p.row(-1, nx + 1, j),
         cp_s: diag.cap_p.row(-1, nx + 1, j + 1),
         pes: diag.pes.row(-1, nx + 1, j),
@@ -252,7 +270,7 @@ fn phi_eq<E: Elem>(ii: usize, o: &mut [f64], r: &Rows<'_>, cf: &Coefs) {
     let gw_hi = E::load(r.gw_hi, q);
     let gw_c = half * (gw_lo + gw_hi);
     let dpw_dsig = (gw_hi * E::splat(cf.sig_hi) - gw_lo * E::splat(cf.sig_lo)) / E::splat(cf.ds);
-    let omega1 = (gw_c - E::load(r.dp, q) - dpw_dsig) / p;
+    let omega1 = (gw_c - E::load(r.dp, ii) - dpw_dsig) / p;
     let v_c = half * (E::load(r.v, q) + E::load(r.v_n, q));
     let omega_t2 = v_c / pes * (E::load(r.pes_s, q) - E::load(r.pes_n, q)) / E::splat(cf.two_adt);
     let u_c = half * (E::load(r.u, q) + E::load(r.u, q + 1));
@@ -278,20 +296,23 @@ fn tendency_rows(r: &Rows<'_>, cf: &Coefs, o_u: &mut [f64], o_v: &mut [f64], o_p
     lane_loop!(o_phi.len(), E, ii, phi_eq::<E>(ii, o_phi, r, cf));
 }
 
-/// Row-sliced adaptation sweep over one worker band.
+/// Row-sliced adaptation sweep over one worker band; `D(P)` from `dp`, or
+/// from the output's Φ rows (`None`).
 fn adaptation_band(
     geom: &LocalGeometry,
     arg: &State,
     diag: &Diag,
+    dp: Option<&Field3>,
     band: &mut SweepBand<'_>,
     region: Region,
 ) {
     let nx = geom.nx as isize;
     for k in region.z0..region.z1 {
         for j in region.y0..region.y1 {
-            let r = fetch(nx, arg, diag, j, k);
             let cf = coefs(geom, j, k);
-            band.emit(nx, (j, k), |_, o_u, o_v, o_phi| {
+            band.load_dp(nx, (j, k), dp);
+            band.emit(nx, (j, k), |_, r_dp, o_u, o_v, o_phi| {
+                let r = fetch(nx, arg, diag, r_dp, j, k);
                 tendency_rows(&r, &cf, o_u, o_v, o_phi)
             });
         }

@@ -436,7 +436,7 @@ fn advection_band(
         for j in region.y0..region.y1 {
             let r = fetch(nx, arg, diag, j, k);
             let cf = coefs(geom, j, k);
-            band.emit(nx, (j, k), |st, o_u, o_v, o_phi| {
+            band.emit(nx, (j, k), |st, _, o_u, o_v, o_phi| {
                 st.advance(&r, &cf, j == region.y0);
                 tendency_rows(&r, st, &cf, o_u, o_v, o_phi)
             });

@@ -6,14 +6,21 @@
 //!
 //! * `pes`, `cap_p` — pointwise surface diagnostics (`p_es = p̃_es + p'_sa`,
 //!   `P = √(p_es/p₀)`),
-//! * `dsa`, `dp` — the horizontal stencil terms `D_sa` and `D(P)` of
+//! * `dsa` and `D(P)` — the horizontal stencil terms `D_sa` and `D(P)` of
 //!   Table 1 (local computation),
 //! * `vsum`, `gw`, `phi_p` — the outputs of the **collective operator `C`**
 //!   (vertical sum, the continuity mass flux `σ̇·p_es/p₀` at interfaces, and
 //!   the hydrostatic geopotential deviation `φ'`), produced in
 //!   [`crate::vertical`].
+//!
+//! `D(P)` is a temporary of one adaptation sub-update: `C` (or the cached-`C`
+//! path, [`Diag::update_dp`]) writes it and the adaptation sweep reads it at
+//! the same `(j, k)`.  An engine keeps it in the Φ rows of the sub-update's
+//! output state, dead until the sweep stores row `(j, k)` over it, so a rank
+//! holds two 3-D diagnostic arrays, `gw` and `phi_p`.  Only the standalone
+//! entry points (`apply_c`, then `adaptation_tendency`) use [`Diag::dp`].
 
-use crate::geometry::LocalGeometry;
+use crate::geometry::{LocalGeometry, Region};
 use crate::lanes::{lane_loop, row_loop, Elem};
 use crate::state::State;
 use crate::stdatm::StandardAtmosphere;
@@ -29,7 +36,11 @@ pub struct Diag {
     pub cap_p: Field2,
     /// `D_sa` — surface-pressure diffusion (2-D).
     pub dsa: Field2,
-    /// `D(P)` — transformed mass divergence (3-D).
+    /// `D(P)` — transformed mass divergence (3-D) — of the standalone entry
+    /// points: [`crate::vertical::apply_c`] writes it and
+    /// [`crate::adaptation::adaptation_tendency`] reads it.  Empty until the
+    /// first of them runs; an engine's sub-updates keep `D(P)` in their
+    /// output's Φ rows and never size it.
     pub dp: Field3,
     /// `Σ_k Δσ_k D(P)` over **all** global levels (2-D, from the collective).
     pub vsum: Field2,
@@ -183,7 +194,7 @@ impl Diag {
             pes: Field2::new(nx, ny, h),
             cap_p: Field2::new(nx, ny, h),
             dsa: Field2::new(nx, ny, h),
-            dp: Field3::new(nx, ny, nz, h),
+            dp: Field3::default(),
             vsum: Field2::new(nx, ny, h),
             gw: Field3::new(nx, ny, nz + 1, h),
             phi_p: Field3::new(nx, ny, nz, h),
@@ -229,27 +240,35 @@ impl Diag {
 
     /// Compute the transformed divergence
     /// `D(P) = (1/(a sin θ)) [∂(PU)/∂λ + ∂(PV sin θ)/∂θ]`
-    /// on rows `[y0, y1)` and levels `[z0, z1)` — the C-grid flux form whose
-    /// reads sit inside Table 1's `D(P)` footprint.  `xe` extends the x
-    /// range into the halo (used by X-Y decompositions, where the x halo is
-    /// exchanged rather than wrapped).
-    #[allow(clippy::too_many_arguments)]
+    /// of `state` on `region` into `out` — the C-grid flux form whose reads
+    /// sit inside Table 1's `D(P)` footprint.  `xe` extends the x range into
+    /// the halo (used by X-Y decompositions, where the x halo is exchanged
+    /// rather than wrapped).  The cached-`C` sub-update passes its output's
+    /// Φ field: it writes nothing else there before its sweep reads row
+    /// `(j, k)` back and stores the row's update over it.
     pub fn update_dp(
-        &mut self,
+        &self,
         geom: &LocalGeometry,
         state: &State,
-        y0: isize,
-        y1: isize,
-        z0: isize,
-        z1: isize,
+        region: Region,
         xe: isize,
+        out: &mut Field3,
     ) {
         let (x0, x1) = (-xe, geom.nx as isize + xe);
-        for k in z0..z1 {
-            for j in y0..y1 {
-                let out = self.dp.row_mut(x0, x1, j, k);
-                dp_row(geom, state, &self.cap_p, (j, k), xe, out);
+        for k in region.z0..region.z1 {
+            for j in region.y0..region.y1 {
+                let row = out.row_mut(x0, x1, j, k);
+                dp_row(geom, state, &self.cap_p, (j, k), xe, row);
             }
+        }
+    }
+
+    /// Take the standalone entry points' `D(P)` out of `self` (for a
+    /// disjoint borrow; put it back after), sized for `geom` the first time.
+    pub(crate) fn take_dp(&mut self, geom: &LocalGeometry) -> Field3 {
+        match std::mem::take(&mut self.dp) {
+            dp if dp.total_len() > 0 => dp,
+            _ => Field3::new(geom.nx, geom.ny, geom.nz, geom.halo),
         }
     }
 
@@ -389,19 +408,20 @@ mod tests {
         let (nx, ny) = (geom.nx as isize, geom.ny as isize);
         boundary::fill_boundaries(&mut state, &geom);
         diag.update_surface(&geom, &sa, &state, -1, ny + 1);
-        diag.update_dp(&geom, &state, 0, ny, 0, geom.nz as isize, 0);
+        let mut dp = Field3::like(&state.phi);
+        diag.update_dp(&geom, &state, geom.interior(), 0, &mut dp);
         for j in 0..ny {
             for i in 0..nx {
-                assert_eq!(diag.dp.get(i, j, 0), 0.0);
+                assert_eq!(dp.get(i, j, 0), 0.0);
             }
         }
         // a lone positive U at face i=5 creates divergence at i=4, conv at 5
         state.u.set(5, 4, 1, 10.0);
         boundary::fill_boundaries(&mut state, &geom);
-        diag.update_dp(&geom, &state, 0, ny, 0, geom.nz as isize, 0);
-        assert!(diag.dp.get(4, 4, 1) > 0.0);
-        assert!(diag.dp.get(5, 4, 1) < 0.0);
-        assert_eq!(diag.dp.get(4, 4, 0), 0.0, "other levels untouched");
+        diag.update_dp(&geom, &state, geom.interior(), 0, &mut dp);
+        assert!(dp.get(4, 4, 1) > 0.0);
+        assert!(dp.get(5, 4, 1) < 0.0);
+        assert_eq!(dp.get(4, 4, 0), 0.0, "other levels untouched");
     }
 
     #[test]
@@ -423,10 +443,15 @@ mod tests {
         crate::boundary::enforce_pole_v(&mut state, &geom);
         boundary::fill_boundaries(&mut state, &geom);
         diag.update_surface(&geom, &sa, &state, -1, ny + 1);
-        diag.update_dp(&geom, &state, 0, ny, 0, 1, 0);
+        let mut dp = Field3::like(&state.phi);
+        let level0 = Region {
+            z1: 1,
+            ..geom.interior()
+        };
+        diag.update_dp(&geom, &state, level0, 0, &mut dp);
         let mut total = 0.0;
         for j in 0..ny {
-            total += diag.dp.row(0, nx, j, 0).iter().sum::<f64>() * geom.sin_c(j);
+            total += dp.row(0, nx, j, 0).iter().sum::<f64>() * geom.sin_c(j);
         }
         let scale: f64 = (0..ny).map(|j| geom.sin_c(j)).sum::<f64>() * nx as f64;
         assert!(

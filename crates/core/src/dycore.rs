@@ -19,7 +19,7 @@ use crate::pool;
 use crate::state::{Combine, State};
 use crate::stdatm::StandardAtmosphere;
 use crate::sweep::{SweepScratch, Update};
-use crate::vertical::{apply_c, ZContext};
+use crate::vertical::{apply_c_into, ZContext};
 use agcm_comm::{CommResult, Communicator};
 use agcm_fft::{FilterScratch, FourierFilter};
 use agcm_obs as obs;
@@ -136,8 +136,11 @@ impl Engine {
     ///   diagnostics (`D_sa`, `D(P)`, surface fields) are recomputed.
     ///
     /// Requires `arg` valid one row/level beyond `region` (owned halos via
-    /// exchange; boundary halos are filled here).  A polar-filter-active
-    /// row's tendency passes through its own row of `out` ([`crate::sweep`]).
+    /// exchange; boundary halos are filled here).  `out` is scratch on
+    /// `region` until the sweep stores a row: `D(P)` passes from `C` to the
+    /// sweep in its Φ rows, and a polar-filter-active row's tendency in its
+    /// own row ([`crate::sweep`]).  `out` is a third buffer — the borrows
+    /// keep it from being `arg` or `base`.
     #[allow(clippy::too_many_arguments)]
     pub fn adaptation_subupdate(
         &mut self,
@@ -161,27 +164,23 @@ impl Engine {
                 .update_surface(&self.geom, &self.stdatm, arg, region.y0 - 1, region.y1 + 1);
             if !fresh_c {
                 debug_assert!(self.c_cached, "approximate iteration without a cache");
-                // stencil (Â) parts still evaluate at `arg`
+                // stencil (Â) parts still evaluate at `arg`; D(P) into the
+                // Φ rows of `out`, which the sweep reads back row by row
                 self.diag.update_dsa(&self.geom, arg, region.y0, region.y1);
-                self.diag.update_dp(
-                    &self.geom,
-                    arg,
-                    region.y0,
-                    region.y1,
-                    region.z0,
-                    region.z1,
-                    if self.px1 { 0 } else { 1 },
-                );
+                let xe = if self.px1 { 0 } else { 1 };
+                self.diag
+                    .update_dp(&self.geom, arg, region, xe, &mut out.phi);
             }
         }
         let arg = &*arg;
         if fresh_c {
-            // dsa/dp are inputs of apply_c's column sums
-            apply_c(
+            // dsa/D(P) are inputs of C's column sums; D(P) stays in `out`
+            apply_c_into(
                 &self.geom,
                 &self.stdatm,
                 arg,
                 &mut self.diag,
+                &mut out.phi,
                 region,
                 zctx,
                 self.px1,
@@ -306,6 +305,9 @@ impl Engine {
         if !self.cfg.held_suarez {
             return;
         }
+        // a program op of no operator phase: its own span, so a trace can
+        // name its time rather than leave it in the step's self time
+        let _f = obs::span_phase(obs::SpanKind::Op, obs::Phase::Other, "forcing");
         self.fill(st);
         self.diag
             .update_surface(&self.geom, &self.stdatm, st, region.y0, region.y1);
@@ -353,11 +355,98 @@ mod tests {
     use std::sync::Arc;
 
     fn engine() -> Engine {
-        let cfg = ModelConfig::test_small();
+        engine_on(&ModelConfig::test_small(), ProcessGrid::serial(), 0)
+    }
+
+    fn engine_on(cfg: &ModelConfig, pgrid: ProcessGrid, rank: usize) -> Engine {
         let grid = Arc::new(cfg.grid().unwrap());
-        let d = Decomposition::new(cfg.extents(), ProcessGrid::serial()).unwrap();
-        let geom = LocalGeometry::new(&cfg, grid, &d, 0, HaloWidths::uniform(3));
-        Engine::new(&cfg, geom, true)
+        let d = Decomposition::new(cfg.extents(), pgrid).unwrap();
+        let geom = LocalGeometry::new(cfg, grid, &d, rank, HaloWidths::uniform(3));
+        Engine::new(cfg, geom, true)
+    }
+
+    /// The bits of `st` on `region` (owned longitudes), field after field.
+    fn region_bits(st: &State, region: Region) -> Vec<u64> {
+        let nx = st.extents().0 as isize;
+        let mut bits = Vec::new();
+        for k in region.z0..region.z1 {
+            for j in region.y0..region.y1 {
+                for f in st.fields3() {
+                    bits.extend(f.row(0, nx, j, k).iter().map(|v| v.to_bits()));
+                }
+            }
+        }
+        for j in region.y0..region.y1 {
+            bits.extend(st.psa.row(0, nx, j).iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    /// `out` is scratch to an adaptation sub-update until its sweep stores
+    /// a row — `D(P)` passes through its Φ rows — so the update on the
+    /// region is the same bits whether `out` held zeros or NaN everywhere,
+    /// halos included: for a fresh and a cached `C`, and for a cached one
+    /// split as an overlapped sweep is, the halo-free part first and then
+    /// the frame strips around it.
+    fn assert_out_is_scratch(e: &mut Engine, zctx: &ZContext<'_>) {
+        let region = e.geom.interior();
+        let inner = Region {
+            y0: region.y0 + 2,
+            y1: region.y1 - 2,
+            z0: region.z0 + 1,
+            z1: region.z1 - 1,
+        };
+        let split: Vec<Region> = std::iter::once(inner)
+            .chain(crate::geometry::frame(&region, &inner))
+            .collect();
+        let base = crate::init::perturbed_rest(&e.geom, 200.0, 1.0, 3);
+        let arg0 = crate::init::perturbed_rest(&e.geom, 350.0, 1.0, 4);
+        let mut run = |fill: f64, fresh: bool, parts: &[Region]| {
+            let mut arg = arg0.clone();
+            let mut out = State::like(&base);
+            for f in out.fields3_mut() {
+                f.fill(fill);
+            }
+            out.psa.fill(fill);
+            for &part in parts {
+                let (dt, form, fctx) = (e.cfg.dt1, Combine::Euler, &FilterCtx::Local);
+                e.adaptation_subupdate(
+                    Some(&base),
+                    &mut arg,
+                    &mut out,
+                    part,
+                    dt,
+                    form,
+                    fresh,
+                    zctx,
+                    fctx,
+                )
+                .unwrap();
+            }
+            region_bits(&out, region)
+        };
+        // the fresh C first: the cached sub-updates reuse its outputs
+        for fresh in [true, false] {
+            let clean = run(0.0, fresh, &[region]);
+            assert!(clean.iter().all(|&b| f64::from_bits(b).is_finite()));
+            assert!(clean == run(f64::NAN, fresh, &[region]), "fresh C: {fresh}");
+        }
+        let clean = run(0.0, false, &[region]);
+        assert!(clean == run(f64::NAN, false, &split), "split cached C");
+    }
+
+    #[test]
+    fn adaptation_subupdate_output_is_scratch() {
+        let cfg = ModelConfig::test_medium();
+        assert_out_is_scratch(
+            &mut engine_on(&cfg, ProcessGrid::serial(), 0),
+            &ZContext::Serial,
+        );
+        let pgrid = ProcessGrid::yz(1, 2).unwrap();
+        agcm_comm::Universe::run(2, |comm| {
+            let mut e = engine_on(&cfg, pgrid, comm.rank());
+            assert_out_is_scratch(&mut e, &ZContext::Parallel(comm));
+        });
     }
 
     #[test]

@@ -83,6 +83,8 @@ fn random_diag(geom: &LocalGeometry, seed: u64) -> Diag {
     fill2_pos(&mut d.pes, &mut s); // divided by: keep positive
     fill2_pos(&mut d.cap_p, &mut s); // divided by: keep positive
     fill2(&mut d.dsa, &mut s);
+    // the standalone entry points' D(P), sized as `apply_c` sizes it
+    d.dp = Field3::like(&d.phi_p);
     fill3(&mut d.dp, &mut s);
     fill2(&mut d.vsum, &mut s);
     fill3(&mut d.gw, &mut s);
@@ -98,6 +100,17 @@ fn random_region(geom: &LocalGeometry, s: &mut u64) -> Region {
     let z0 = (splitmix64(s) % 2) as isize;
     let z1 = (nz - (splitmix64(s) % 2) as isize).max(z0 + 1);
     Region { y0, y1, z0, z1 }
+}
+
+/// random region of a `C`: random rows, the owned levels its column sums
+/// run over, and on each side one level into the halo or not
+fn random_c_region(geom: &LocalGeometry, s: &mut u64) -> Region {
+    let r = random_region(geom, s);
+    Region {
+        z0: r.z0 - 1,
+        z1: r.z1 + 1,
+        ..r
+    }
 }
 
 fn assert_bits3(a: &Field3, b: &Field3, what: &str) {
@@ -233,7 +246,7 @@ fn apply_c_row_kernel_matches_scalar_bitwise() {
             let mut s = seed.wrapping_mul(17);
             let dseed = splitmix64(&mut s);
             let arg = random_state(&geom, splitmix64(&mut s));
-            let region = random_region(&geom, &mut s);
+            let region = random_c_region(&geom, &mut s);
             let mut want = random_diag(&geom, dseed);
             apply_c_scalar(
                 &geom,
@@ -489,12 +502,34 @@ fn assert_fused_sweep_matches_scalar(name: &str, scalar: ScalarTendency, fused: 
     }
 }
 
+/// The adaptation sub-update's sweep fed as its engine feeds it: `D(P)`
+/// — `diag.dp` here — in the Φ rows of `out` on `region`, where `C` leaves
+/// it.
+fn fused_adaptation_update(
+    geom: &LocalGeometry,
+    arg: &State,
+    diag: &Diag,
+    upd: &Update<'_>,
+    out: &mut State,
+    region: Region,
+    scratch: &mut SweepScratch,
+) {
+    let nx = geom.nx as isize;
+    for k in region.z0..region.z1 {
+        for j in region.y0..region.y1 {
+            let dp = diag.dp.row(0, nx, j, k);
+            out.phi.row_mut(0, nx, j, k).copy_from_slice(dp);
+        }
+    }
+    crate::adaptation::fused_adaptation_update(geom, arg, diag, upd, out, region, scratch)
+}
+
 #[test]
 fn fused_adaptation_matches_scalar_tendency_then_combine_bitwise() {
     assert_fused_sweep_matches_scalar(
         "adaptation",
         adaptation_tendency_scalar,
-        crate::adaptation::fused_adaptation_update,
+        fused_adaptation_update,
     );
 }
 
@@ -721,10 +756,8 @@ fn assert_xy_subupdate_matches_oracle_chain(
 
 #[test]
 fn adaptation_subupdate_is_the_oracle_chain_bitwise() {
-    let (scalar, fused): (ScalarTendency, FusedUpdate) = (
-        adaptation_tendency_scalar,
-        crate::adaptation::fused_adaptation_update,
-    );
+    let (scalar, fused): (ScalarTendency, FusedUpdate) =
+        (adaptation_tendency_scalar, fused_adaptation_update);
     assert_subupdate_matches_oracle_chain("adaptation", scalar, fused);
     assert_xy_subupdate_matches_oracle_chain("adaptation", scalar, fused);
 }

@@ -16,7 +16,8 @@
 //!    step's sub-update 2, after which `mid` *is* `state`.  Those three are
 //!    every buffer a program needs: a filter-active row's tendency lives in
 //!    its own output row until it is filtered and combined there
-//!    ([`crate::sweep`]).  An exchange refreshes the argument of the kernel
+//!    ([`crate::sweep`]), and `out`'s Φ rows carry `D(P)` from `C` to the
+//!    sweep.  An exchange refreshes the argument of the kernel
 //!    that follows it and wraps the `C` outputs it carried in x,
 //! 2. `dilate` is the region: the interior grown on the sides that face a
 //!    neighbour, or (negative) the part of it that reads no exchanged halo,
@@ -646,6 +647,33 @@ mod tests {
                     Integrator::alg2(&cfg, pgrid, comm, groups).unwrap()
                 });
             }
+        }
+    }
+
+    /// `D(P)` passes from `C` to the sweep in the output's Φ rows, so after
+    /// the steps of any integrator the engine's diagnostics hold two sized
+    /// 3-D arrays: `gw` and `phi_p`.
+    #[test]
+    fn diag_holds_two_3d_arrays() {
+        let cfg = ModelConfig::test_medium();
+        let sized_3d = |model: &Integrator| {
+            let d = &model.engine.diag;
+            let fields = [&d.dp, &d.gw, &d.phi_p];
+            fields.iter().filter(|f| f.total_len() > 0).count()
+        };
+        for variant in [Iteration::Exact, Iteration::Approximate] {
+            let mut model = Integrator::serial(&cfg, variant).unwrap();
+            run(&mut model, None, false);
+            assert_eq!(sized_3d(&model), 2, "serial {variant:?}");
+        }
+        for alg in [AlgKind::OriginalYZ, AlgKind::CommAvoiding] {
+            let pgrid = ProcessGrid::yz(1, 2).unwrap();
+            let sized = Universe::run(2, |comm| {
+                let mut model = Integrator::parallel(&cfg, alg, pgrid, comm).unwrap();
+                run(&mut model, Some(comm), false);
+                sized_3d(&model)
+            });
+            assert_eq!(sized, [2, 2], "{alg:?}");
         }
     }
 }

@@ -19,16 +19,21 @@
 //! levels of the region ([`crate::pool`]); it sweeps its 3-D rows level by
 //! level and then its own rows of the 2-D `p'_sa` component.
 //!
+//! The adaptation sub-update's `C` leaves `D(P)` in the output's Φ rows as
+//! well: the sweep copies row `(j, k)` of it into a per-worker row
+//! (`SweepBand::load_dp`) before it emits the row's update over it.
+//!
 //! [`SweepScratch`] owns what the sweep needs per worker: the three
-//! tendency row buffers and the advection kernel's staged quotient rows
-//! (`advection::Staged`).  The engine warms one for its worker
-//! count, like the filter's `FilterScratch`; the tendency-only entry points
-//! build a transient one.
+//! tendency row buffers, the `D(P)` row and the advection kernel's staged
+//! quotient rows (`advection::Staged`).  The engine warms one for its
+//! worker count, like the filter's `FilterScratch`; the tendency-only entry
+//! points build a transient one.
 
 use crate::advection::Staged;
 use crate::geometry::Region;
 use crate::pool::{self, band_struct, PerWorker};
 use crate::state::{combine_row, combine_row_in_place, Combine, RowId, State, StateBand};
+use agcm_mesh::Field3;
 
 /// The combination of a sub-update: applied by its sweep to filter-inactive
 /// rows, and by its filter to the active ones.
@@ -71,6 +76,8 @@ impl Update<'_> {
 #[derive(Debug, Default)]
 pub(crate) struct RowScratch {
     staged: Staged,
+    /// `D(P)` of the row the adaptation sweep emits next.
+    dp: Vec<f64>,
     tend: [Vec<f64>; 3],
 }
 
@@ -95,7 +102,7 @@ impl SweepScratch {
         }
         for w in &mut self.workers[..n] {
             w.staged.size(nx);
-            for t in &mut w.tend {
+            for t in std::iter::once(&mut w.dp).chain(&mut w.tend) {
                 t.resize(nx, 0.0);
             }
         }
@@ -113,23 +120,36 @@ pub(crate) struct SweepBand<'a> {
 band_struct!(SweepBand { out, upd, rows });
 
 impl SweepBand<'_> {
-    /// Produce the three tendency rows of `(j, k)` with `compute` — into
-    /// the row buffers, combined into the output at once, when the sweep
-    /// combines and the row is filter-inactive; into the output rows
-    /// otherwise.
+    /// Copy row `(j, k)` of `D(P)` into this worker's row for the next
+    /// [`Self::emit`]: from `src`, or — `None` — from the output's own Φ
+    /// row, where the adaptation sub-update's `C` left it and over which
+    /// that emit stores the row's update.
+    #[inline]
+    pub fn load_dp(&mut self, nx: isize, (j, k): (isize, isize), src: Option<&Field3>) {
+        let row = match src {
+            Some(dp) => dp.row(0, nx, j, k),
+            None => self.out.phi.row(0, nx, j, k),
+        };
+        self.rows.mine().dp.copy_from_slice(row);
+    }
+
+    /// Produce the three tendency rows of `(j, k)` with `compute`, which
+    /// also gets the row [`Self::load_dp`] loaded — into the row buffers,
+    /// combined into the output at once, when the sweep combines and the
+    /// row is filter-inactive; into the output rows otherwise.
     #[inline]
     pub fn emit(
         &mut self,
         nx: isize,
         (j, k): (isize, isize),
-        compute: impl FnOnce(&mut Staged, &mut [f64], &mut [f64], &mut [f64]),
+        compute: impl FnOnce(&mut Staged, &[f64], &mut [f64], &mut [f64], &mut [f64]),
     ) {
-        let RowScratch { staged, tend } = self.rows.mine();
+        let RowScratch { staged, dp, tend } = self.rows.mine();
         let out = &mut self.out;
         match self.upd {
             Some(u) if !u.is_active(j) => {
                 let [t_u, t_v, t_phi] = tend;
-                compute(staged, t_u, t_v, t_phi);
+                compute(staged, dp, t_u, t_v, t_phi);
                 let b = u.base;
                 u.combine_row(out.u.row_mut(0, nx, j, k), b.u.row(0, nx, j, k), t_u);
                 u.combine_row(out.v.row_mut(0, nx, j, k), b.v.row(0, nx, j, k), t_v);
@@ -137,6 +157,7 @@ impl SweepBand<'_> {
             }
             _ => compute(
                 staged,
+                dp,
                 out.u.row_mut(0, nx, j, k),
                 out.v.row_mut(0, nx, j, k),
                 out.phi.row_mut(0, nx, j, k),

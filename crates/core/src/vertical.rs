@@ -20,6 +20,12 @@
 //! matching the paper's counting, where the approximate nonlinear iteration
 //! drops `C` executions from 3 to 2 per iteration (§4.2.2) and the cost
 //! attains the `Ω(2(p_z−1)·n_x·n_y)` bound of Theorem 4.2.
+//!
+//! `C` also produces `D(P)`, the input of its sums, into a field its caller
+//! names ([`apply_c_into`]): an engine's sub-update passes its output's Φ
+//! field, which the adaptation sweep reads `D(P)` back from row by row
+//! before it stores the row's update there; the standalone [`apply_c`]
+//! writes `Diag::dp`.
 
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
@@ -29,7 +35,7 @@ use crate::state::State;
 use crate::stdatm::StandardAtmosphere;
 use agcm_comm::{CommResult, Communicator};
 use agcm_mesh::grid::constants as c;
-use agcm_mesh::{Field2, RowBand2, RowBand3};
+use agcm_mesh::{Field2, Field3, RowBand2, RowBand3};
 
 /// `s[ii] += a·d[ii]` — the block-sum / running-walk accumulation.
 #[inline(always)]
@@ -104,10 +110,30 @@ impl ZContext<'_> {
 }
 
 /// Apply the operator `C` for an evaluation state `arg`: fill `diag.dsa`,
-/// `diag.dp`, `diag.vsum`, `diag.gw` and `diag.phi_p`.
+/// `diag.dp`, `diag.vsum`, `diag.gw` and `diag.phi_p` — [`apply_c_into`]
+/// with `diag.dp` (sized on first use) as the home of `D(P)`, which
+/// [`crate::adaptation::adaptation_tendency`] reads.
+pub fn apply_c(
+    geom: &LocalGeometry,
+    stdatm: &StandardAtmosphere,
+    arg: &State,
+    diag: &mut Diag,
+    region: Region,
+    zctx: &ZContext<'_>,
+    wrap_x: bool,
+) -> CommResult<()> {
+    let mut dp = diag.take_dp(geom);
+    let result = apply_c_into(geom, stdatm, arg, diag, &mut dp, region, zctx, wrap_x);
+    diag.dp = dp;
+    result
+}
+
+/// Apply the operator `C` for an evaluation state `arg`: fill `diag.dsa`,
+/// `dp` (`D(P)`), `diag.vsum`, `diag.gw` and `diag.phi_p`.
 ///
-/// * `region` — the sweep's target region.  `dsa`, `dp`, `vsum` and `gw`
-///   are produced on it; `φ'` on the region grown by one latitude row (the
+/// * `region` — the sweep's target region, covering every owned level (the
+///   column sums run over them).  `dsa`, `D(P)`, `vsum` and `gw` are
+///   produced on it; `φ'` on the region grown by one latitude row (the
 ///   pressure-gradient stencils read `φ'` at `j±1`).
 /// * Requires `arg`'s halos valid one row/level beyond `region` and the
 ///   surface diagnostics (`pes`, `cap_p`) already updated on the grown
@@ -126,17 +152,26 @@ impl ZContext<'_> {
 /// share of the grown rows — one phase on a serial column.  Under a
 /// z-split the walks need the other ranks' block sums, so the phase splits
 /// in two around the allgather, which stays on the rank thread.
-pub fn apply_c(
+#[allow(clippy::too_many_arguments)]
+pub fn apply_c_into(
     geom: &LocalGeometry,
     stdatm: &StandardAtmosphere,
     arg: &State,
     diag: &mut Diag,
+    dp: &mut Field3,
     region: Region,
     zctx: &ZContext<'_>,
     wrap_x: bool,
 ) -> CommResult<()> {
     // the whole of C — the nested allgather inherits Phase::C
     let _c = agcm_obs::span_phase(agcm_obs::SpanKind::Op, agcm_obs::Phase::C, "apply_c");
+    // only a region's own D(P) rows are written: a column sum over owned
+    // levels outside it would read whatever `dp` held (an engine's output
+    // rows).  Only an unsplit sweep runs a fresh C, so this always holds
+    debug_assert!(
+        region.z0 <= 0 && region.z1 >= geom.nz as isize,
+        "C on a region that does not cover the owned column"
+    );
     // X-Y decompositions exchange (not wrap) the x halo, so the C outputs
     // must be computed one x column into the halo; their z collectives are
     // serial there (p_z = 1), so the extended width never reaches an
@@ -179,7 +214,7 @@ pub fn apply_c(
     zs.phis.resize(n_grown, 0.0);
     let result = match zctx {
         ZContext::Serial => {
-            let whole = cx.band(diag, &mut zs.run, &mut zs.phis, None);
+            let whole = cx.band(diag, dp, &mut zs.run, &mut zs.phis, None);
             pool::run(whole, &cuts, "vertical.band", |band, j0, j1| {
                 cx.stencils(band, region_rows(j0, j1));
                 cx.gw_walk(band, region_rows(j0, j1), None);
@@ -199,7 +234,7 @@ pub fn apply_c(
                 RowBand2::over_rows(sums_dp, nxu, region.y0),
                 RowBand2::over_rows(sums_phi, nxu, grown.0),
             );
-            let whole = cx.band(diag, &mut zs.run, &mut zs.phis, Some(sums));
+            let whole = cx.band(diag, dp, &mut zs.run, &mut zs.phis, Some(sums));
             pool::run(whole, &cuts, "vertical.sums", |band, j0, j1| {
                 cx.stencils(band, region_rows(j0, j1));
                 cx.phi_sums(band, (j0, j1));
@@ -231,7 +266,7 @@ pub fn apply_c(
                     prefix: &zs.prefix[..n_dp],
                     suffix: &zs.suffix[n_dp..],
                 };
-                let whole = cx.band(diag, &mut zs.run, &mut zs.phis, None);
+                let whole = cx.band(diag, dp, &mut zs.run, &mut zs.phis, None);
                 pool::run(whole, &cuts, "vertical.walks", |band, j0, j1| {
                     cx.gw_walk(band, region_rows(j0, j1), Some(&blocks));
                     cx.phi_walk(band, (j0, j1), Some(&blocks));
@@ -327,19 +362,17 @@ impl Columns<'_> {
     fn band<'a>(
         &self,
         diag: &'a mut Diag,
+        dp: &'a mut Field3,
         run: &'a mut [f64],
         phis: &'a mut [f64],
         sums: Option<(RowBand2<'a>, RowBand2<'a>)>,
     ) -> ColumnBand<'a> {
         let Region { y0, y1, z0, z1 } = self.region;
-        let nz = self.geom.nz as isize;
         let w = (self.x.1 - self.x.0) as usize;
         ColumnBand {
             cap_p: &diag.cap_p,
             dsa: diag.dsa.row_band_mut((y0, y1)),
-            // the column sums run over the owned levels, inside the
-            // region or not
-            dp: diag.dp.row_band_mut((y0, y1), (z0.min(0), z1.max(nz))),
+            dp: dp.row_band_mut((y0, y1), (z0, z1)),
             vsum: diag.vsum.row_band_mut((y0, y1)),
             gw: diag.gw.row_band_mut((y0, y1), (z0, z1 + 1)),
             phi_p: diag.phi_p.row_band_mut(self.grown, (z0, z1)),
@@ -369,13 +402,11 @@ impl Columns<'_> {
             crate::diag::dsa_row(geom, &arg.psa, j, dsa.row_mut(0, nx, j, 0));
             sum_row(sums, vsum, self.x, j).fill(0.0);
         }
-        for k in z0.min(0)..z1.max(nz) {
+        for k in z0..z1 {
             let ds = geom.dsigma(k);
             for j in rows.0..rows.1 {
-                if (z0..z1).contains(&k) {
-                    let out = dp.row_mut(x0, x1, j, k);
-                    crate::diag::dp_row(geom, arg, band.cap_p, (j, k), -x0, out);
-                }
+                let out = dp.row_mut(x0, x1, j, k);
+                crate::diag::dp_row(geom, arg, band.cap_p, (j, k), -x0, out);
                 if (0..nz).contains(&k) {
                     let (acc, r_dp) = (sum_row(sums, vsum, self.x, j), dp.row(x0, x1, j, k));
                     lane_loop!(acc.len(), E, ii, axpy_body::<E>(ii, acc, ds, r_dp));
@@ -525,6 +556,7 @@ pub fn apply_c_scalar(
         wrap_x || matches!(zctx, ZContext::Serial),
         "3-D decompositions (split x AND z) are not supported"
     );
+    diag.dp = diag.take_dp(geom);
     // φ' needs one extra row on each side (clamped to the allocation)
     let gy0 = (region.y0 - 1).max(-(geom.halo.ym as isize));
     let gy1 = (region.y1 + 1).min(geom.ny as isize + geom.halo.yp as isize);

@@ -210,8 +210,9 @@ fn vertical_c_footprint_matches_declaration() {
     let (geom, sa, state, mut diag) = setup();
     let region = geom.interior();
     // surface diagnostics are an input contract of `apply_c`, not part of
-    // the declared kernel: prepare them unrecorded
-    diag.update_surface(&geom, &sa, &state, region.y0 - 1, region.y1 + 1);
+    // the declared kernel, and its first call sizes `diag.dp` (the tracker
+    // keys a field by its allocation): prepare both unrecorded
+    prep_diag(&geom, &sa, &state, &mut diag, region);
 
     track_state(&state, "");
     track_diag(&diag);

@@ -24,7 +24,7 @@ use agcm_core::stdatm::StandardAtmosphere;
 use agcm_core::tables;
 use agcm_core::vertical::{apply_c, ZContext};
 use agcm_core::ModelConfig;
-use agcm_mesh::{Decomposition, HaloWidths, ProcessGrid, StencilFootprint};
+use agcm_mesh::{Decomposition, Field3, HaloWidths, ProcessGrid, StencilFootprint};
 use std::sync::Arc;
 
 struct Probe {
@@ -180,7 +180,9 @@ fn adaptation_stencil(geom: &LocalGeometry, sa: &StandardAtmosphere, st: &State,
     // dependence flows through them, while dsa/dp/pes/cap_p are live
     diag.update_surface(geom, sa, st, region.y0 - 1, region.y1 + 1);
     diag.update_dsa(geom, st, region.y0, region.y1);
-    diag.update_dp(geom, st, region.y0, region.y1, region.z0, region.z1, 0);
+    let mut dp = Field3::like(&st.phi);
+    diag.update_dp(geom, st, region, 0, &mut dp);
+    diag.dp = dp;
     adaptation_tendency(geom, st, &diag, out, region);
 }
 

@@ -237,3 +237,54 @@ fn one_walk_opens_the_spans_of_a_step() {
         }
     }
 }
+
+/// The Held–Suarez forcing is a program op of no operator phase: a step
+/// opens one `forcing` span per rank when it is on and none when it is
+/// off, and the operator phases' span counts — the ledger's
+/// `core.dycore.*.calls_per_step` — are the same either way.
+#[test]
+fn held_suarez_step_opens_one_forcing_span_per_rank() {
+    let pgrid = ProcessGrid::yz(2, 1).unwrap();
+    for alg2 in [false, true] {
+        let spans = [false, true].map(|held_suarez| {
+            let cfg = ModelConfig {
+                held_suarez,
+                ..ModelConfig::test_medium()
+            };
+            let _guard = obs::exclusive();
+            obs::reset();
+            obs::enable();
+            Universe::run(2, move |comm| {
+                let mut model = if alg2 {
+                    agcm_core::Integrator::alg2(&cfg, pgrid, comm, (3, true, 3)).unwrap()
+                } else {
+                    agcm_core::Integrator::alg1(&cfg, pgrid, comm).unwrap()
+                };
+                let ic = init::perturbed_rest(model.geom(), 100.0, 1.0, 3);
+                model.set_state(&ic);
+                model.step(Some(comm)).unwrap();
+                model.step(Some(comm)).unwrap();
+            });
+            obs::disable();
+            let ops = obs::drain()
+                .into_iter()
+                .filter(|e| e.step == 1 && e.kind == obs::SpanKind::Op);
+            (0..2)
+                .map(|rank| {
+                    let mine: Vec<_> = ops.clone().filter(|e| e.rank == rank).collect();
+                    let forcing: Vec<_> = mine.iter().filter(|e| e.name == "forcing").collect();
+                    assert!(forcing.iter().all(|e| e.phase == obs::Phase::Other));
+                    let by_phase =
+                        obs::Phase::OPERATORS.map(|p| mine.iter().filter(|e| e.phase == p).count());
+                    (forcing.len(), by_phase)
+                })
+                .collect::<Vec<_>>()
+        });
+        let [off, on] = spans;
+        for rank in 0..2 {
+            let what = format!("alg{} rank {rank}", 1 + usize::from(alg2));
+            assert_eq!((off[rank].0, on[rank].0), (0, 1), "forcing spans, {what}");
+            assert_eq!(off[rank].1, on[rank].1, "operator spans, {what}");
+        }
+    }
+}

@@ -91,8 +91,9 @@ impl HaloWidths {
     }
 }
 
-/// A 3-D scalar field on one rank's subdomain, with halos.
-#[derive(Debug, Clone, PartialEq)]
+/// A 3-D scalar field on one rank's subdomain, with halos.  The `Default`
+/// field is empty: no points, no allocation.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Field3 {
     data: Vec<f64>,
     nx: usize,
