@@ -1,28 +1,26 @@
 //! Collective operations.
 //!
-//! The summation operator `C` of the dynamical core is an `allreduce` along
-//! the z direction; the distributed FFT of the X-Y decomposition needs
-//! `alltoall`; `split` (in [`crate::runtime`]) builds the per-axis
-//! communicators from the world.  All collectives here are implemented on
-//! top of the point-to-point layer, so every byte they move is counted by
-//! the same statistics the benchmark harness reads.
+//! The vertical operator `C` of the dynamical core allgathers per-rank
+//! block sums along the z direction; the distributed FFT of the X-Y
+//! decomposition needs `alltoall`; `split` (in [`crate::runtime`]) builds
+//! the per-axis communicators from the world with an allgather and a
+//! broadcast; the global mass/energy budget and the elastic runtime's
+//! restore step are allreduces.  All collectives here are implemented on top of the
+//! point-to-point layer, so every byte they move is counted by the same
+//! statistics the benchmark harness reads.
 //!
-//! Two allreduce algorithms are provided, because the paper's Theorem 4.2
-//! cites the **ring** algorithm as the one attaining the data-movement lower
-//! bound `Ω(2(p_z - 1) n_x n_y)` for long vectors (Thakur, Rabenseifner &
-//! Gropp 2005):
-//!
-//! * [`AllreduceAlgo::Ring`] — reduce-scatter + allgather; bandwidth-optimal,
-//!   `2(p-1)` messages of `n/p` elements per rank,
-//! * [`AllreduceAlgo::RecursiveDoubling`] — `log₂ p` rounds of full-vector
-//!   exchanges; latency-optimal for short vectors (used for ablation).
+//! The allreduce is the **ring** algorithm — reduce-scatter, then
+//! allgather — the one the paper's Theorem 4.2 cites as attaining the
+//! data-movement lower bound `Ω(2(p_z - 1) n_x n_y)` for long vectors
+//! (Thakur, Rabenseifner & Gropp 2005): `2(p-1)` messages of `n/p`
+//! elements per rank.
 
 use crate::error::{CommError, CommResult};
 use crate::runtime::Communicator;
 use crate::stats::CollectiveKind;
 use agcm_obs as obs;
 
-/// Reduction operator for `reduce`/`allreduce`.
+/// Reduction operator of [`Communicator::allreduce`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Element-wise sum.
@@ -43,16 +41,6 @@ impl ReduceOp {
             ReduceOp::Min => acc.iter_mut().zip(other).for_each(|(a, &b)| *a = a.min(b)),
         }
     }
-}
-
-/// Allreduce algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllreduceAlgo {
-    /// Bandwidth-optimal ring (the paper's reference algorithm).
-    #[default]
-    Ring,
-    /// Latency-optimal recursive doubling.
-    RecursiveDoubling,
 }
 
 /// Balanced block partition (same convention as `agcm_mesh::decomp`): the
@@ -86,13 +74,14 @@ impl Communicator {
         Ok(())
     }
 
-    /// In-place allreduce with the default (ring) algorithm.
+    /// In-place sum allreduce.
     pub fn allreduce_sum(&self, data: &mut [f64]) -> CommResult<()> {
-        self.allreduce(ReduceOp::Sum, data, AllreduceAlgo::Ring)
+        self.allreduce(ReduceOp::Sum, data)
     }
 
-    /// In-place allreduce.
-    pub fn allreduce(&self, op: ReduceOp, data: &mut [f64], algo: AllreduceAlgo) -> CommResult<()> {
+    /// In-place allreduce (ring: reduce-scatter then allgather, `2(p-1)`
+    /// rounds).
+    pub fn allreduce(&self, op: ReduceOp, data: &mut [f64]) -> CommResult<()> {
         self.bump_coll_seq();
         let mut span = obs::span(obs::SpanKind::Collective, "allreduce");
         span.add_bytes(8 * data.len() as u64);
@@ -102,15 +91,6 @@ impl Communicator {
         if p == 1 {
             return Ok(());
         }
-        match algo {
-            AllreduceAlgo::Ring => self.allreduce_ring(op, data),
-            AllreduceAlgo::RecursiveDoubling => self.allreduce_rd(op, data),
-        }
-    }
-
-    /// Ring allreduce: reduce-scatter then allgather, `2(p-1)` rounds.
-    fn allreduce_ring(&self, op: ReduceOp, data: &mut [f64]) -> CommResult<()> {
-        let p = self.size();
         let r = self.rank();
         let next = (r + 1) % p;
         let prev = (r + p - 1) % p;
@@ -148,89 +128,6 @@ impl Communicator {
                 });
             }
             data[recv_b].copy_from_slice(&incoming);
-        }
-        Ok(())
-    }
-
-    /// Recursive-doubling allreduce (MPICH-style non-power-of-two handling).
-    fn allreduce_rd(&self, op: ReduceOp, data: &mut [f64]) -> CommResult<()> {
-        let p = self.size();
-        let r = self.rank();
-        let pof2 = 1usize << (usize::BITS - 1 - p.leading_zeros());
-        let rem = p - pof2;
-        // Fold the first 2*rem ranks pairwise so pof2 ranks stay active.
-        let new_rank: Option<usize> = if r < 2 * rem {
-            if r % 2 == 1 {
-                let tag = self.next_coll_tag(0);
-                self.send_raw(r - 1, tag, data.to_vec())?;
-                None
-            } else {
-                let tag = self.next_coll_tag(0);
-                let incoming = self.recv_raw(r + 1, tag)?;
-                op.apply(data, &incoming);
-                Some(r / 2)
-            }
-        } else {
-            Some(r - rem)
-        };
-        if let Some(nr) = new_rank {
-            let to_real = |v: usize| if v < rem { v * 2 } else { v + rem };
-            let mut mask = 1usize;
-            let mut round = 1u32;
-            while mask < pof2 {
-                let partner = to_real(nr ^ mask);
-                let tag = self.next_coll_tag(round);
-                self.send_raw(partner, tag, data.to_vec())?;
-                let incoming = self.recv_raw(partner, tag)?;
-                op.apply(data, &incoming);
-                mask <<= 1;
-                round += 1;
-            }
-        }
-        // Send results back to the folded (odd) ranks.
-        if r < 2 * rem {
-            let tag = self.next_coll_tag(63);
-            if r.is_multiple_of(2) {
-                self.send_raw(r + 1, tag, data.to_vec())?;
-            } else {
-                let incoming = self.recv_raw(r - 1, tag)?;
-                data.copy_from_slice(&incoming);
-            }
-        }
-        Ok(())
-    }
-
-    /// Reduce to `root` (binomial tree).  `data` holds this rank's
-    /// contribution on entry and the reduced result on exit at the root
-    /// (other ranks' buffers end up holding partial sums).
-    pub fn reduce(&self, root: usize, op: ReduceOp, data: &mut [f64]) -> CommResult<()> {
-        self.bump_coll_seq();
-        let mut span = obs::span(obs::SpanKind::Collective, "reduce");
-        span.add_bytes(8 * data.len() as u64);
-        let p = self.size();
-        self.stats()
-            .record_collective(CollectiveKind::Reduce, p, data.len());
-        if p == 1 {
-            return Ok(());
-        }
-        let vr = (self.rank() + p - root) % p;
-        let mut mask = 1usize;
-        let mut round = 0u32;
-        while mask < p {
-            let tag = self.next_coll_tag(round);
-            if vr & mask == 0 {
-                let src = vr | mask;
-                if src < p {
-                    let incoming = self.recv_raw((src + root) % p, tag)?;
-                    op.apply(data, &incoming);
-                }
-            } else {
-                let dst = vr & !mask;
-                self.send_raw((dst + root) % p, tag, data.to_vec())?;
-                break;
-            }
-            mask <<= 1;
-            round += 1;
         }
         Ok(())
     }
@@ -348,23 +245,6 @@ impl Communicator {
         }
     }
 
-    /// Exclusive prefix sum across ranks: on return `data` holds the
-    /// element-wise sum of the `data` of all ranks with a *lower* rank
-    /// (zeros on rank 0).  Implemented over allgather — the dynamical core
-    /// uses this for the hydrostatic / continuity integrals along z, whose
-    /// data movement the paper folds into the summation operator `C`.
-    pub fn exscan_sum(&self, data: &mut [f64]) -> CommResult<()> {
-        let all = self.allgather(data)?;
-        let n = data.len();
-        data.fill(0.0);
-        for r in 0..self.rank() {
-            for (d, &v) in data.iter_mut().zip(&all[r * n..(r + 1) * n]) {
-                *d += v;
-            }
-        }
-        Ok(())
-    }
-
     /// Personalized all-to-all with per-destination payloads.
     /// `send[d]` goes to rank `d`; returns `recv[s]` from each rank `s`.
     /// Pairwise exchange, `p-1` rounds.
@@ -421,8 +301,7 @@ mod tests {
             for n in [1usize, 3, 7, 16, 33] {
                 let results = Universe::run(p, |comm| {
                     let mut data: Vec<f64> = (0..n).map(|i| (comm.rank() + i) as f64).collect();
-                    comm.allreduce(ReduceOp::Sum, &mut data, AllreduceAlgo::Ring)
-                        .unwrap();
+                    comm.allreduce(ReduceOp::Sum, &mut data).unwrap();
                     data
                 });
                 let want = expected_sum(p, n);
@@ -434,31 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_recursive_doubling_matches() {
-        for p in [2usize, 3, 4, 5, 6, 7, 8] {
-            let n = 10;
-            let results = Universe::run(p, |comm| {
-                let mut data: Vec<f64> = (0..n).map(|i| (comm.rank() + i) as f64).collect();
-                comm.allreduce(ReduceOp::Sum, &mut data, AllreduceAlgo::RecursiveDoubling)
-                    .unwrap();
-                data
-            });
-            let want = expected_sum(p, n);
-            for r in &results {
-                assert_eq!(r, &want, "p={p}");
-            }
-        }
-    }
-
-    #[test]
     fn allreduce_max_min() {
         let results = Universe::run(4, |comm| {
             let mut mx = vec![comm.rank() as f64];
-            comm.allreduce(ReduceOp::Max, &mut mx, AllreduceAlgo::Ring)
-                .unwrap();
+            comm.allreduce(ReduceOp::Max, &mut mx).unwrap();
             let mut mn = vec![comm.rank() as f64];
-            comm.allreduce(ReduceOp::Min, &mut mn, AllreduceAlgo::RecursiveDoubling)
-                .unwrap();
+            comm.allreduce(ReduceOp::Min, &mut mn).unwrap();
             (mx[0], mn[0])
         });
         for (mx, mn) in results {
@@ -477,18 +337,6 @@ mod tests {
         });
         for r in results {
             assert_eq!(r, vec![15.0, 6.0]);
-        }
-    }
-
-    #[test]
-    fn reduce_to_each_root() {
-        for root in 0..4 {
-            let results = Universe::run(4, |comm| {
-                let mut data = vec![comm.rank() as f64 + 1.0];
-                comm.reduce(root, ReduceOp::Sum, &mut data).unwrap();
-                data[0]
-            });
-            assert_eq!(results[root], 10.0, "root={root}");
         }
     }
 
@@ -557,23 +405,6 @@ mod tests {
     fn alltoallv_wrong_bufcount() {
         let results = Universe::run(2, |comm| comm.alltoallv(&[vec![1.0]]).err());
         assert!(matches!(results[0], Some(CommError::CollectiveMismatch(_))));
-    }
-
-    #[test]
-    fn exscan_prefix_sums() {
-        for p in [1usize, 2, 4, 5] {
-            let results = Universe::run(p, |comm| {
-                let mut data = vec![comm.rank() as f64 + 1.0, 10.0];
-                comm.exscan_sum(&mut data).unwrap();
-                data
-            });
-            for (r, d) in results.iter().enumerate() {
-                // sum of (1..=r) and r copies of 10
-                let want0: f64 = (1..=r).map(|v| v as f64).sum();
-                assert_eq!(d[0], want0, "p={p} r={r}");
-                assert_eq!(d[1], 10.0 * r as f64);
-            }
-        }
     }
 
     #[test]

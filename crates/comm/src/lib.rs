@@ -25,7 +25,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod transport;
 
-pub use collective::{AllreduceAlgo, ReduceOp};
+pub use collective::ReduceOp;
 pub use env::{parse_env, parse_env_or, EnvError};
 pub use error::{CommError, CommResult};
 pub use fault::{
@@ -35,7 +35,6 @@ pub use fault::{
 pub use model::{p2p_only_delta, CostModel, KernelCosts};
 pub use runtime::{default_timeout, Communicator, Universe, FRAME_WORDS};
 pub use stats::{CollectiveEvent, CollectiveKind, CommStats, FaultSnapshot, StatsSnapshot};
-pub use telemetry::RankTelemetry;
 pub use transport::{
     Endpoint, Envelope, MpscTransport, SocketTransport, Transport, WireStats, WIRE_OVERHEAD_BYTES,
 };

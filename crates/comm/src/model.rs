@@ -170,7 +170,6 @@ pub fn p2p_only_delta(d: &StatsSnapshot, events: &[CollectiveEvent]) -> StatsSna
                     (p.ilog2() as u64 + 1) * e.elems as u64,
                 )
             }
-            CollectiveKind::Reduce => (1, e.elems as u64),
             CollectiveKind::Allgather => (p - 1, (p - 1) * e.elems as u64),
             CollectiveKind::Gather => (1, e.elems as u64),
             CollectiveKind::Alltoall => (p - 1, e.elems as u64),

@@ -44,9 +44,8 @@ use std::time::{Duration, Instant};
 /// Default deadlock-detection timeout: `AGCM_COMM_TIMEOUT_MS` (milliseconds)
 /// if set in the environment, otherwise 30 s.  A malformed value panics (see
 /// [`crate::env`]).  Tests that exercise failure paths should either set the
-/// env var for the whole run or call [`Communicator::set_timeout`] /
-/// [`Universe::run_with_timeout`] so expected deadlocks fail in
-/// milliseconds.
+/// env var for the whole run or call [`Communicator::set_timeout`] so
+/// expected deadlocks fail in milliseconds.
 pub fn default_timeout() -> Duration {
     static MS: OnceLock<u64> = OnceLock::new();
     let ms = *MS.get_or_init(|| crate::env::parse_env_or("AGCM_COMM_TIMEOUT_MS", 30_000));
@@ -111,9 +110,7 @@ fn fault_metric_name(kind: FaultKind) -> &'static str {
 }
 
 /// A set of ranks executing one SPMD program.
-pub struct Universe {
-    size: usize,
-}
+pub struct Universe;
 
 impl Universe {
     /// Run `f` on `p` ranks (threads) over the in-memory transport.
@@ -163,24 +160,6 @@ impl Universe {
             },
             f,
         )
-    }
-
-    /// Like [`Universe::run`], but with an explicit deadlock-detection
-    /// timeout applied to every rank's world communicator before `f` runs.
-    pub fn run_with_timeout<T, F>(p: usize, timeout: Duration, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut Communicator) -> T + Sync,
-    {
-        Self::run(p, move |comm| {
-            comm.set_timeout(timeout);
-            f(comm)
-        })
-    }
-
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.size
     }
 }
 
@@ -305,11 +284,6 @@ impl Communicator {
         self.members.len()
     }
 
-    /// Global (world) rank of a local rank.
-    pub fn global_rank(&self, local: usize) -> usize {
-        self.members[local]
-    }
-
     /// Shared traffic counters of this rank (shared with sub-communicators).
     pub fn stats(&self) -> &CommStats {
         &self.stats
@@ -321,11 +295,6 @@ impl Communicator {
     /// redundant duplicate deliveries included.
     pub fn wire_stats(&self) -> Option<WireStats> {
         self.transport.wire_stats()
-    }
-
-    /// Short name of the underlying transport (`"mpsc"`, `"uds"`, `"tcp"`).
-    pub fn transport_name(&self) -> &'static str {
-        self.transport.name()
     }
 
     /// Change the deadlock-detection timeout (default: [`default_timeout`]).
@@ -742,36 +711,6 @@ impl Communicator {
         })
     }
 
-    /// Receive into a preallocated buffer; errors if the message length
-    /// differs from `buf.len()`.
-    pub fn recv_into(&self, src: usize, tag: u32, buf: &mut [f64]) -> CommResult<()> {
-        let data = self.recv(src, tag)?;
-        if data.len() != buf.len() {
-            return Err(CommError::SizeMismatch {
-                expected: buf.len(),
-                got: data.len(),
-                src,
-                tag,
-            });
-        }
-        buf.copy_from_slice(&data);
-        Ok(())
-    }
-
-    /// Blocking send-and-receive with (possibly different) partners, safe
-    /// against head-of-line deadlock thanks to buffered sends.
-    pub fn sendrecv(
-        &self,
-        dest: usize,
-        send_tag: u32,
-        data: &[f64],
-        src: usize,
-        recv_tag: u32,
-    ) -> CommResult<Vec<f64>> {
-        self.send(dest, send_tag, data)?;
-        self.recv(src, recv_tag)
-    }
-
     /// Allocate a contiguous block of `n` context ids from this world
     /// rank's private id space.
     ///
@@ -933,32 +872,13 @@ mod tests {
     }
 
     #[test]
-    fn run_with_timeout_applies_to_all_ranks() {
-        let results = Universe::run_with_timeout(2, Duration::from_millis(20), |comm| {
-            assert_eq!(comm.timeout(), Duration::from_millis(20));
-            if comm.rank() == 1 {
-                comm.recv(0, 99).err()
-            } else {
-                None
-            }
-        });
-        match &results[1] {
-            Some(CommError::DeadlockTimeout {
-                src: 0, tag: 99, ..
-            }) => {}
-            other => panic!("expected fast deadlock, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn size_mismatch_detected() {
         let results = Universe::run(2, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 1, &[1.0, 2.0, 3.0]).unwrap();
+                comm.send_framed(1, 1, &[1.0, 2.0, 3.0]).unwrap();
                 None
             } else {
-                let mut buf = [0.0; 2];
-                comm.recv_into(0, 1, &mut buf).err()
+                comm.recv_framed(0, 1, 2).err()
             }
         });
         assert_eq!(
@@ -979,16 +899,6 @@ mod tests {
             results[0],
             Some(CommError::InvalidRank { rank: 5, size: 2 })
         );
-    }
-
-    #[test]
-    fn sendrecv_exchanges() {
-        let results = Universe::run(2, |comm| {
-            let other = 1 - comm.rank();
-            comm.sendrecv(other, 3, &[comm.rank() as f64 + 10.0], other, 3)
-                .unwrap()[0]
-        });
-        assert_eq!(results, vec![11.0, 10.0]);
     }
 
     #[test]
@@ -1078,7 +988,6 @@ mod tests {
         // kernel byte streams
         let ep = Endpoint::unique_uds();
         let results = Universe::run_sockets(4, &ep, |comm| {
-            assert_eq!(comm.transport_name(), "uds");
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
             comm.send(next, 1, &[comm.rank() as f64]).unwrap();

@@ -19,10 +19,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Which collective operation an event describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveKind {
-    /// All-reduce (ring or recursive doubling).
+    /// All-reduce (ring).
     Allreduce,
-    /// Reduce to a root.
-    Reduce,
     /// Broadcast from a root.
     Bcast,
     /// All-gather.

@@ -1,54 +1,38 @@
-//! The control-channel telemetry protocol of distributed observability.
+//! The clock handshake of distributed observability.
 //!
-//! A multi-process run keeps one per-rank tracer; at run end every rank
-//! ships its drained span stream and metrics snapshot to rank 0, which
-//! merges them into a single timeline (`agcm_obs::dist`).  The shipping
-//! rides the ordinary [`Communicator`] point-to-point layer — the same
-//! frames, checksums and fault semantics as model traffic — on reserved
-//! user tags, so a dedicated *control communicator* (a [`Communicator::split`]
-//! clone of the world) keeps telemetry out of the model's tag space and
-//! its traffic out of the measured step brackets.
-//!
-//! The wall-clock problem: each process's `obs::now_ns` counts from its own
-//! trace epoch (first use), so raw timestamps are mutually meaningless.
-//! [`clock_align`] runs a Cristian-style ping/pong handshake against rank 0
-//! ([`clock_serve`]): each round brackets rank 0's clock reading between a
-//! local send and receive, the minimum-RTT round wins, and the resulting
+//! A multi-process run keeps one tracer per process, and each process's
+//! `obs::now_ns` counts from its own trace epoch (first use), so raw
+//! timestamps are mutually meaningless.  [`clock_align`] runs a
+//! Cristian-style ping/pong handshake against rank 0 ([`clock_serve`]):
+//! each round brackets rank 0's clock reading between a local send and
+//! receive, the minimum-RTT round wins, and the resulting
 //! [`OffsetEstimate`] maps this rank's clock onto rank 0's within ±RTT/2
 //! (sub-microsecond over Unix-domain sockets in practice — the spans being
-//! aligned are tens of microseconds long).
+//! aligned are tens of microseconds long).  Each rank leaves the offset in
+//! its record for the parent, which merges the span streams
+//! (`agcm_obs::dist`).
 //!
-//! Payload encoding: byte blobs travel as `f64` bit patterns
-//! ([`agcm_obs::dist::bytes_to_words`]); both transports move payload bits
-//! exactly (NaN round-trip is tested), so this is lossless.
+//! The handshake rides the ordinary [`Communicator`] point-to-point layer
+//! on two reserved user tags, so a dedicated *control communicator* (a
+//! [`Communicator::split`] clone of the world) keeps it out of the model's
+//! tag space; it runs before the model is built, outside every measured
+//! bracket.
 
 use crate::error::{CommError, CommResult};
 use crate::runtime::Communicator;
 use agcm_obs as obs;
 use agcm_obs::dist::{self, ClockSample, OffsetEstimate};
 
-/// Reserved tag range of the telemetry protocol (user tag space: bit 31
-/// clear).  Use a split control communicator to keep even these away from
-/// model traffic.
+/// A clock ping (user tag space: bit 31 clear).  Use a split control
+/// communicator to keep even this away from model traffic.
 pub const TAG_CLOCK_PING: u32 = 0x7C1A_0001;
 /// Rank 0's reply to a [`TAG_CLOCK_PING`], carrying its clock reading.
 pub const TAG_CLOCK_PONG: u32 = 0x7C1A_0002;
-/// A rank's full encoded event stream (end of run).
-pub const TAG_EVENTS: u32 = 0x7C1A_0003;
-/// A rank's encoded metrics snapshot (end of run).
-pub const TAG_METRICS: u32 = 0x7C1A_0004;
-/// A small live progress snapshot (`[step, events_so_far]`), shipped
-/// between steps so rank 0 can watch a long run move.
-pub const TAG_LIVE: u32 = 0x7C1A_0005;
 
 /// Ping/pong rounds of the default clock handshake: enough that at least
 /// one round dodges scheduler noise, cheap enough to be invisible (~8
 /// round trips of 9-byte payloads per rank).
 pub const CLOCK_ROUNDS: usize = 8;
-
-// ---------------------------------------------------------------------------
-// clock alignment handshake
-// ---------------------------------------------------------------------------
 
 /// Rank 0's side of the clock handshake: answer `rounds` pings from every
 /// other rank (clients are served in rank order; each client's rounds are
@@ -95,144 +79,10 @@ pub fn clock_align(comm: &Communicator, rounds: usize) -> CommResult<OffsetEstim
     })
 }
 
-// ---------------------------------------------------------------------------
-// blob shipping
-// ---------------------------------------------------------------------------
-
-/// Ship a byte blob to `dest` under `tag` (one envelope; the transports
-/// carry word counts far beyond any trace stream this repo produces).
-pub fn send_blob(comm: &Communicator, dest: usize, tag: u32, bytes: &[u8]) -> CommResult<()> {
-    comm.send(dest, tag, &dist::bytes_to_words(bytes))
-}
-
-/// Receive a byte blob from `src` under `tag`.
-pub fn recv_blob(comm: &Communicator, src: usize, tag: u32) -> CommResult<Vec<u8>> {
-    let words = comm.recv(src, tag)?;
-    dist::words_to_bytes(&words).map_err(|detail| CommError::CorruptPayload { src, tag, detail })
-}
-
-/// Everything one rank contributes to the merged picture.
-#[derive(Debug, Clone)]
-pub struct RankTelemetry {
-    /// Offset mapping the rank's clock onto rank 0's (0 for rank 0).
-    pub offset_ns: i64,
-    /// Error bound of the offset (RTT of the chosen handshake round).
-    pub rtt_ns: u64,
-    /// The resilience epoch this snapshot belongs to.  A respawned rank
-    /// restarts its instruments from zero, so snapshots from different
-    /// epochs must be **summed** ([`agcm_obs::dist::merge_rank_metrics`]),
-    /// never last-write-merged.
-    pub epoch: u64,
-    /// The rank's drained span stream (local timestamps).
-    pub events: Vec<obs::Event>,
-    /// The rank's metrics snapshot.
-    pub metrics: obs::MetricsSnapshot,
-}
-
-/// Ship this rank's telemetry to rank 0 at run end.  The events blob is
-/// prefixed with the rank's clock offset and its error bound, and the
-/// metrics blob with the rank's resilience epoch, so rank 0 needs no
-/// separate bookkeeping (and can tell a respawned incarnation's
-/// from-zero counters apart from the pre-crash ones).
-pub fn ship_telemetry(
-    comm: &Communicator,
-    offset: &OffsetEstimate,
-    epoch: u64,
-    events: &[obs::Event],
-    metrics: &obs::MetricsSnapshot,
-) -> CommResult<()> {
-    let mut blob = Vec::with_capacity(16 + events.len() * 56);
-    blob.extend_from_slice(&offset.offset_ns.to_le_bytes());
-    blob.extend_from_slice(&offset.rtt_ns.to_le_bytes());
-    blob.extend_from_slice(&dist::encode_events(events));
-    send_blob(comm, 0, TAG_EVENTS, &blob)?;
-    let mut mblob = Vec::with_capacity(8 + 256);
-    mblob.extend_from_slice(&epoch.to_le_bytes());
-    mblob.extend_from_slice(&dist::encode_metrics(metrics));
-    send_blob(comm, 0, TAG_METRICS, &mblob)
-}
-
-/// Rank 0: collect one rank's telemetry shipped by [`ship_telemetry`].
-pub fn collect_telemetry(comm: &Communicator, src: usize) -> CommResult<RankTelemetry> {
-    let corrupt = |detail: String| CommError::CorruptPayload {
-        src,
-        tag: TAG_EVENTS,
-        detail,
-    };
-    let blob = recv_blob(comm, src, TAG_EVENTS)?;
-    if blob.len() < 16 {
-        return Err(corrupt(format!("telemetry blob of {} bytes", blob.len())));
-    }
-    let offset_ns = i64::from_le_bytes(blob[0..8].try_into().expect("8 bytes"));
-    let rtt_ns = u64::from_le_bytes(blob[8..16].try_into().expect("8 bytes"));
-    let events = dist::decode_events(&blob[16..]).map_err(corrupt)?;
-    let metrics_blob = recv_blob(comm, src, TAG_METRICS)?;
-    let corrupt_m = |detail: String| CommError::CorruptPayload {
-        src,
-        tag: TAG_METRICS,
-        detail,
-    };
-    if metrics_blob.len() < 8 {
-        return Err(corrupt_m(format!(
-            "metrics blob of {} bytes (no epoch prefix)",
-            metrics_blob.len()
-        )));
-    }
-    let epoch = u64::from_le_bytes(metrics_blob[0..8].try_into().expect("8 bytes"));
-    let metrics = dist::decode_metrics(&metrics_blob[8..]).map_err(corrupt_m)?;
-    Ok(RankTelemetry {
-        offset_ns,
-        rtt_ns,
-        epoch,
-        events,
-        metrics,
-    })
-}
-
-/// Ship a live progress snapshot (`step`, cumulative event count) to
-/// rank 0.  Sends are eager/buffered: the sender never blocks, rank 0
-/// drains at its leisure.
-pub fn send_live_snapshot(comm: &Communicator, step: u64, events_so_far: u64) -> CommResult<()> {
-    comm.send(
-        0,
-        TAG_LIVE,
-        &[f64::from_bits(step), f64::from_bits(events_so_far)],
-    )
-}
-
-/// Rank 0: receive one live snapshot from `src`; `(step, events_so_far)`.
-pub fn recv_live_snapshot(comm: &Communicator, src: usize) -> CommResult<(u64, u64)> {
-    let words = comm.recv(src, TAG_LIVE)?;
-    match words.as_slice() {
-        [step, events] => Ok((step.to_bits(), events.to_bits())),
-        _ => Err(CommError::CorruptPayload {
-            src,
-            tag: TAG_LIVE,
-            detail: format!("live snapshot of {} words, want 2", words.len()),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::Universe;
-    use agcm_obs::{Phase, SpanKind};
-
-    fn ev(rank: usize, name: &'static str, t0: u64, t1: u64) -> obs::Event {
-        obs::Event {
-            rank,
-            step: 2,
-            kind: SpanKind::Op,
-            phase: Phase::A,
-            name,
-            t0_ns: t0,
-            t1_ns: t1,
-            seq: t0,
-            bytes: 0,
-            value: 0.0,
-        }
-    }
 
     #[test]
     fn clock_handshake_estimates_small_offset_in_process() {
@@ -254,62 +104,5 @@ mod tests {
                 est.rtt_ns
             );
         }
-    }
-
-    #[test]
-    fn telemetry_ships_and_merges() {
-        let merged = Universe::run(3, |comm| {
-            let rank = comm.rank();
-            if rank == 0 {
-                let mut streams = vec![(0i64, vec![ev(0, "alg2.step", 100, 900)])];
-                for src in 1..comm.size() {
-                    let t = collect_telemetry(comm, src).expect("collect");
-                    assert_eq!(t.metrics.counters["steps"], src as u64);
-                    // the epoch tag survives the wire: pre-/post-crash
-                    // snapshots stay distinguishable on the collector side
-                    assert_eq!(t.epoch, 2 * src as u64);
-                    streams.push((t.offset_ns, t.events));
-                }
-                Some(dist::merge_events(&streams))
-            } else {
-                let events = vec![ev(rank, "alg2.step", 50 * rank as u64, 800)];
-                let mut snap = obs::MetricsSnapshot::default();
-                snap.counters.insert("steps".into(), rank as u64);
-                let est = OffsetEstimate {
-                    offset_ns: 10 * rank as i64,
-                    rtt_ns: 4,
-                };
-                ship_telemetry(comm, &est, 2 * rank as u64, &events, &snap).expect("ship");
-                None
-            }
-        });
-        let merged = merged.into_iter().flatten().next().expect("rank 0 merged");
-        assert_eq!(merged.len(), 3);
-        let ranks: Vec<usize> = merged.iter().map(|e| e.rank).collect();
-        assert!(ranks.contains(&0) && ranks.contains(&1) && ranks.contains(&2));
-        // rank 1's event: local 50 + offset 10 = 60; rank 2's: 100 + 20 =
-        // 120; rank 0's at 100 -> origin is rank 1's 60
-        assert_eq!(merged[0].rank, 1);
-        assert_eq!(merged[0].t0_ns, 0);
-    }
-
-    #[test]
-    fn live_snapshots_drain_in_any_order() {
-        let got = Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                let mut seen = Vec::new();
-                for _ in 0..3 {
-                    seen.push(recv_live_snapshot(comm, 1).expect("live"));
-                }
-                Some(seen)
-            } else {
-                for step in 2..5u64 {
-                    send_live_snapshot(comm, step, step * 100).expect("send");
-                }
-                None
-            }
-        });
-        let seen = got.into_iter().flatten().next().expect("rank 0");
-        assert_eq!(seen, vec![(2, 200), (3, 300), (4, 400)]);
     }
 }

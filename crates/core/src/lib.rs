@@ -41,7 +41,7 @@ pub use config::ModelConfig;
 pub use geometry::{LocalGeometry, Region};
 pub use integrator::Integrator;
 pub use resilience::{
-    checkpoint_path, common_checkpoint_step, latest_checkpoint_step, list_checkpoints,
+    assemble, checkpoint_path, common_checkpoint_step, latest_checkpoint_step, list_checkpoints,
     prune_checkpoints, read_checkpoint, redistribute, resize_retention, write_checkpoint,
     Checkpoint,
 };

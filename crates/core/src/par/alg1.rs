@@ -80,29 +80,57 @@ pub struct GlobalState {
 }
 
 impl GlobalState {
-    /// Build from a serial model's state.
-    pub fn from_serial(st: &State, geom: &LocalGeometry) -> Self {
-        let (nx, ny, nz) = (geom.nx, geom.ny, geom.nz);
-        let mut u = Vec::with_capacity(nx * ny * nz);
-        let mut v = Vec::with_capacity(nx * ny * nz);
-        let mut phi = Vec::with_capacity(nx * ny * nz);
-        let mut psa = Vec::with_capacity(nx * ny);
-        for k in 0..nz as isize {
-            for j in 0..ny as isize {
-                u.extend_from_slice(st.u.row(0, nx as isize, j, k));
-                v.extend_from_slice(st.v.row(0, nx as isize, j, k));
-                phi.extend_from_slice(st.phi.row(0, nx as isize, j, k));
-            }
-        }
-        for j in 0..ny as isize {
-            psa.extend_from_slice(st.psa.row(0, nx as isize, j));
-        }
+    /// A zero global state of `extents`.
+    pub fn zeros((nx, ny, nz): (usize, usize, usize)) -> Self {
         GlobalState {
             extents: (nx, ny, nz),
-            u,
-            v,
-            phi,
-            psa,
+            u: vec![0.0; nx * ny * nz],
+            v: vec![0.0; nx * ny * nz],
+            phi: vec![0.0; nx * ny * nz],
+            psa: vec![0.0; nx * ny],
+        }
+    }
+
+    /// Build from a serial model's state.
+    pub fn from_serial(st: &State, geom: &LocalGeometry) -> Self {
+        let mut gs = GlobalState::zeros((geom.nx, geom.ny, geom.nz));
+        gs.insert(st, (0, 0, 0));
+        gs
+    }
+
+    /// Copy `st`'s interior into place as the block whose first global
+    /// point is `origin`.  A replicated `p'_sa` (a z split) is overwritten
+    /// by each block in turn, so the last one inserted stands.
+    pub fn insert(&mut self, st: &State, origin: (usize, usize, usize)) {
+        self.insert_rows(origin, st.extents(), state_rows(st));
+    }
+
+    /// Copy a block of `dims` points whose first global point is `origin`
+    /// into place, its x-rows taken from `rows` in block order (see
+    /// [`state_rows`]).  The one statement of the dense layout: x fastest,
+    /// then y, then z.
+    fn insert_rows<'a>(
+        &mut self,
+        (x0, y0, z0): (usize, usize, usize),
+        (nx, ny, nz): (usize, usize, usize),
+        rows: impl IntoIterator<Item = &'a [f64]>,
+    ) {
+        let (gnx, gny, _) = self.extents;
+        let mut rows = rows.into_iter();
+        let fields = [
+            (&mut self.u, z0, nz),
+            (&mut self.v, z0, nz),
+            (&mut self.phi, z0, nz),
+            (&mut self.psa, 0, 1),
+        ];
+        for (dst, z0, nz) in fields {
+            for k in 0..nz {
+                for j in 0..ny {
+                    let g0 = ((z0 + k) * gny + y0 + j) * gnx + x0;
+                    let row = rows.next().expect("one row per field, level and row");
+                    dst[g0..g0 + nx].copy_from_slice(row);
+                }
+            }
         }
     }
 
@@ -131,67 +159,44 @@ impl GlobalState {
     }
 }
 
-/// Gather a decomposed state to rank 0 of `comm`.
+/// `st`'s interior x-rows in block order: `U`, `V`, `Φ`, each level by
+/// level and row by row, then `p'_sa` row by row.
+fn state_rows(st: &State) -> impl Iterator<Item = &[f64]> {
+    let (nx, ny, nz) = st.extents();
+    let (nx, ny, nz) = (nx as isize, ny as isize, nz as isize);
+    [&st.u, &st.v, &st.phi]
+        .into_iter()
+        .flat_map(move |f| (0..nz).flat_map(move |k| (0..ny).map(move |j| f.row(0, nx, j, k))))
+        .chain((0..ny).map(move |j| st.psa.row(0, nx, j)))
+}
+
+/// Gather a decomposed state to rank 0 of `comm`: each rank sends its
+/// origin and extents, then its rows in block order, and rank 0 inserts
+/// the blocks in rank order.
 pub fn gather_state_impl(
     state: &State,
     geom: &LocalGeometry,
     comm: &Communicator,
 ) -> CommResult<Option<GlobalState>> {
-    // each rank packs: [x0, y0, z0, nxl, nyl, nzl, u..., v..., phi..., psa...]
-    let (nxl, nyl, nzl) = (geom.nx, geom.ny, geom.nz);
-    let mut buf: Vec<f64> = vec![
-        geom.sub.x.start as f64,
-        geom.sub.y.start as f64,
-        geom.sub.z.start as f64,
-        nxl as f64,
-        nyl as f64,
-        nzl as f64,
-    ];
-    for f in [&state.u, &state.v, &state.phi] {
-        for k in 0..nzl as isize {
-            for j in 0..nyl as isize {
-                buf.extend_from_slice(f.row(0, nxl as isize, j, k));
-            }
-        }
-    }
-    for j in 0..nyl as isize {
-        buf.extend_from_slice(state.psa.row(0, nxl as isize, j));
-    }
-    let gathered = comm.gatherv(0, &buf)?;
-    let Some(parts) = gathered else {
+    let sub = &geom.sub;
+    let mut buf: Vec<f64> = [
+        sub.x.start,
+        sub.y.start,
+        sub.z.start,
+        geom.nx,
+        geom.ny,
+        geom.nz,
+    ]
+    .map(|v| v as f64)
+    .to_vec();
+    state_rows(state).for_each(|row| buf.extend_from_slice(row));
+    let Some(parts) = comm.gatherv(0, &buf)? else {
         return Ok(None);
     };
-    let (gnx, gny, gnz) = (geom.grid.nx(), geom.grid.ny(), geom.grid.nz());
-    let mut out = GlobalState {
-        extents: (gnx, gny, gnz),
-        u: vec![0.0; gnx * gny * gnz],
-        v: vec![0.0; gnx * gny * gnz],
-        phi: vec![0.0; gnx * gny * gnz],
-        psa: vec![0.0; gnx * gny],
-    };
+    let mut out = GlobalState::zeros((geom.grid.nx(), geom.grid.ny(), geom.grid.nz()));
     for p in parts {
-        let (x0, y0, z0) = (p[0] as usize, p[1] as usize, p[2] as usize);
-        let (nxl, nyl, nzl) = (p[3] as usize, p[4] as usize, p[5] as usize);
-        let mut off = 6;
-        for fi in 0..3 {
-            let dst: &mut [f64] = match fi {
-                0 => &mut out.u,
-                1 => &mut out.v,
-                _ => &mut out.phi,
-            };
-            for k in 0..nzl {
-                for j in 0..nyl {
-                    let g0 = (z0 + k) * gnx * gny + (y0 + j) * gnx + x0;
-                    dst[g0..g0 + nxl].copy_from_slice(&p[off..off + nxl]);
-                    off += nxl;
-                }
-            }
-        }
-        for j in 0..nyl {
-            let g0 = (y0 + j) * gnx + x0;
-            out.psa[g0..g0 + nxl].copy_from_slice(&p[off..off + nxl]);
-            off += nxl;
-        }
+        let [x0, y0, z0, nx, ny, nz] = std::array::from_fn(|i| p[i] as usize);
+        out.insert_rows((x0, y0, z0), (nx, ny, nz), p[6..].chunks(nx));
     }
     Ok(Some(out))
 }

@@ -10,6 +10,8 @@
 //!   fsync),
 //! * the checkpoint directory — canonical names, listing, pruning, the
 //!   newest step a whole world holds, and [`resize_retention`],
+//! * [`assemble`] — the dense global state a world left in its directory,
+//!   from every rank's checkpoint,
 //! * [`redistribute`] — a world's checkpoints re-decomposed onto another
 //!   process grid (planned shrink/grow).
 //!
@@ -19,6 +21,7 @@
 //! rank back to the newest step all of them hold on disk — the one rollback
 //! protocol (DESIGN.md §12).
 
+use crate::par::GlobalState;
 use crate::state::State;
 use crate::tables;
 use agcm_comm::fault::HashedWords;
@@ -414,7 +417,7 @@ pub fn resize_retention(p1: usize, p2: usize) -> usize {
 // Checkpoint re-decomposition (planned shrink/grow)
 // ---------------------------------------------------------------------------
 
-fn redistribute_err(msg: String) -> io::Error {
+fn invalid_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
@@ -436,6 +439,54 @@ pub fn common_checkpoint_step(dir: &Path, p: usize) -> io::Result<Option<u64>> {
     Ok(common.and_then(|steps| steps.into_iter().max()))
 }
 
+/// The dense global state a `grid` world left in `dir` at `step`: every
+/// rank's checkpoint at that step, its interior inserted in rank order
+/// exactly as [`gather_state_impl`] inserts the blocks it gathers — so a z
+/// split's replicated `p'_sa` lands identically.  Only interiors are read:
+/// an Algorithm 2 checkpoint's cached-`C` trio and halos do not matter.
+/// A missing, corrupt or misshapen file is an error naming it.
+///
+/// [`gather_state_impl`]: crate::par::gather_state_impl
+pub fn assemble(
+    dir: &Path,
+    grid: ProcessGrid,
+    extents: (usize, usize, usize),
+    step: u64,
+) -> io::Result<GlobalState> {
+    assemble_checked(dir, grid, extents, step, |_| Ok(()))
+}
+
+/// [`assemble`], with each checkpoint passed through `check` first.
+fn assemble_checked(
+    dir: &Path,
+    grid: ProcessGrid,
+    extents: (usize, usize, usize),
+    step: u64,
+    check: impl Fn(&Checkpoint) -> Result<(), String>,
+) -> io::Result<GlobalState> {
+    let dec = Decomposition::new(extents, grid)
+        .map_err(|e| invalid_data(format!("decomposition of {extents:?} over {grid:?}: {e}")))?;
+    let mut gs = GlobalState::zeros(extents);
+    for rank in 0..grid.size() {
+        let path = checkpoint_path(dir, rank, step);
+        let named = |e: String| format!("{}: {e}", path.display());
+        let ck =
+            read_checkpoint(&path).map_err(|e| io::Error::new(e.kind(), named(e.to_string())))?;
+        let sub = dec.subdomain(rank);
+        let dims = (sub.x.len(), sub.y.len(), sub.z.len());
+        if ck.step != step || ck.state.extents() != dims {
+            return Err(invalid_data(named(format!(
+                "step {} with extents {:?}, want step {step} with subdomain {dims:?} of {grid:?}",
+                ck.step,
+                ck.state.extents()
+            ))));
+        }
+        check(&ck).map_err(|e| invalid_data(named(e)))?;
+        gs.insert(&ck.state, (sub.x.start, sub.y.start, sub.z.start));
+    }
+    Ok(gs)
+}
+
 /// Re-decompose a `from`-grid set of Algorithm 1 checkpoints in `src_dir`
 /// onto the `to` grid, writing one durable checkpoint per destination rank
 /// into `dst_dir` (created if missing).  Returns the step the new world
@@ -447,15 +498,13 @@ pub fn common_checkpoint_step(dir: &Path, p: usize) -> io::Result<Option<u64>> {
 ///   tied to the old decomposition's sweep order; a checkpoint carrying it
 ///   (or a pending fused smoothing) is rejected with a typed error rather
 ///   than silently diverging.
-/// * **Interiors are authoritative.**  The global arrays are assembled
-///   from subdomain interiors exactly as [`gather_state_impl`] does; halos
-///   of the re-decomposed states start zeroed, matching a fresh
-///   [`crate::init::perturbed_rest`] start — the integrator re-exchanges
-///   halos before any read, so the continued run is bitwise identical.
+/// * **Interiors are authoritative.**  The global arrays are
+///   [`assemble`]d from subdomain interiors; halos of the re-decomposed
+///   states start zeroed, matching a fresh [`crate::init::perturbed_rest`]
+///   start — the integrator re-exchanges halos before any read, so the
+///   continued run is bitwise identical.
 /// * **Durable like any checkpoint**: each output goes through
 ///   [`write_checkpoint`]'s tmp+fsync+rename dance.
-///
-/// [`gather_state_impl`]: crate::par::gather_state_impl
 pub fn redistribute(
     src_dir: &Path,
     dst_dir: &Path,
@@ -464,69 +513,24 @@ pub fn redistribute(
     extents: (usize, usize, usize),
 ) -> io::Result<u64> {
     let _sp = agcm_obs::span(agcm_obs::SpanKind::Recovery, "resilience.redistribute");
-    let dec_from = Decomposition::new(extents, from)
-        .map_err(|e| redistribute_err(format!("source decomposition: {e}")))?;
     let dec_to = Decomposition::new(extents, to)
-        .map_err(|e| redistribute_err(format!("destination decomposition: {e}")))?;
+        .map_err(|e| invalid_data(format!("destination decomposition: {e}")))?;
     let step = common_checkpoint_step(src_dir, from.size())?.ok_or_else(|| {
-        redistribute_err(format!(
+        invalid_data(format!(
             "no step checkpointed by all {} source ranks in {}",
             from.size(),
             src_dir.display()
         ))
     })?;
-
-    // assemble the dense global prognostic arrays from subdomain interiors
-    let (gnx, gny, gnz) = extents;
-    let mut gu = vec![0.0f64; gnx * gny * gnz];
-    let mut gv = vec![0.0f64; gnx * gny * gnz];
-    let mut gphi = vec![0.0f64; gnx * gny * gnz];
-    let mut gpsa = vec![0.0f64; gnx * gny];
-    for rank in 0..from.size() {
-        let path = checkpoint_path(src_dir, rank, step);
-        let ck = read_checkpoint(&path)
-            .map_err(|e| redistribute_err(format!("{}: {e}", path.display())))?;
+    let global = assemble_checked(src_dir, from, extents, step, |ck| {
         if ck.c_cached || ck.pending_smooth || ck.vsum.is_some() {
-            return Err(redistribute_err(format!(
-                "{}: carries cached-C / pending-smoothing state; \
-                 redistribution supports Algorithm 1 checkpoints only",
-                path.display()
-            )));
+            return Err("carries cached-C / pending-smoothing state; \
+                        redistribution supports Algorithm 1 checkpoints only"
+                .to_string());
         }
-        let sub = dec_from.subdomain(rank);
-        let (nxl, nyl, nzl) = (sub.x.len(), sub.y.len(), sub.z.len());
-        if ck.state.extents() != (nxl, nyl, nzl) {
-            return Err(redistribute_err(format!(
-                "{}: state extents {:?} do not match subdomain {:?} of grid {:?}",
-                path.display(),
-                ck.state.extents(),
-                (nxl, nyl, nzl),
-                from.dims()
-            )));
-        }
-        let (x0, y0, z0) = (sub.x.start, sub.y.start, sub.z.start);
-        for (field, global) in [
-            (&ck.state.u, &mut gu),
-            (&ck.state.v, &mut gv),
-            (&ck.state.phi, &mut gphi),
-        ] {
-            for k in 0..nzl {
-                for j in 0..nyl {
-                    let g0 = (z0 + k) * gnx * gny + (y0 + j) * gnx + x0;
-                    global[g0..g0 + nxl].copy_from_slice(field.row(
-                        0,
-                        nxl as isize,
-                        j as isize,
-                        k as isize,
-                    ));
-                }
-            }
-        }
-        for j in 0..nyl {
-            let g0 = (y0 + j) * gnx + x0;
-            gpsa[g0..g0 + nxl].copy_from_slice(ck.state.psa.row(0, nxl as isize, j as isize));
-        }
-    }
+        Ok(())
+    })?;
+    let (gnx, gny, _) = extents;
 
     // scatter onto the destination grid; halo widths must match what
     // Alg1Model::new will allocate so restore() can copy bit-for-bit
@@ -538,9 +542,9 @@ pub fn redistribute(
         let (x0, y0, z0) = (sub.x.start, sub.y.start, sub.z.start);
         let mut state = State::new(nxl, nyl, nzl, halo);
         for (field, global) in [
-            (&mut state.u, &gu),
-            (&mut state.v, &gv),
-            (&mut state.phi, &gphi),
+            (&mut state.u, &global.u),
+            (&mut state.v, &global.v),
+            (&mut state.phi, &global.phi),
         ] {
             for k in 0..nzl {
                 for j in 0..nyl {
@@ -556,7 +560,7 @@ pub fn redistribute(
             state
                 .psa
                 .row_mut(0, nxl as isize, j as isize)
-                .copy_from_slice(&gpsa[g0..g0 + nxl]);
+                .copy_from_slice(&global.psa[g0..g0 + nxl]);
         }
         let ck = Checkpoint {
             step,

@@ -63,9 +63,9 @@ fn prune_property_interleaved_ranks_and_epochs() {
         let p = 2 + rng.below(5) as usize; // 2..=6 ranks
         let dir = scratch(&format!("prop{case}"));
         // non-checkpoint debris prune must never touch: a tmp leftover and
-        // an epoch-tagged metrics file sharing the directory
+        // an incarnation's record sharing the directory
         fs::write(dir.join("rank0000_step00000001.agcmckpt.tmp"), b"x").unwrap();
-        fs::write(dir.join("metrics.rank0000.epoch00000002.bin"), b"x").unwrap();
+        fs::write(dir.join("record.rank0000.epoch00000002.bin"), b"x").unwrap();
 
         let mut model: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); p];
         let mut step = vec![0u64; p]; // per-rank step cursors (epoch skew)
@@ -100,7 +100,7 @@ fn prune_property_interleaved_ranks_and_epochs() {
                 );
             }
             assert!(dir.join("rank0000_step00000001.agcmckpt.tmp").exists());
-            assert!(dir.join("metrics.rank0000.epoch00000002.bin").exists());
+            assert!(dir.join("record.rank0000.epoch00000002.bin").exists());
         }
         let _ = fs::remove_dir_all(&dir);
     }

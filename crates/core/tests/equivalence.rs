@@ -12,13 +12,18 @@
 //! comparisons use a tiny tolerance; splits along z re-associate the
 //! column sums of the operator `C` (block-wise instead of level-by-level),
 //! so those use a small-but-nonzero tolerance.
+//!
+//! Every parallel run also checks the other way a world's state is put
+//! together: `assemble` over the ranks' final checkpoints must be bitwise
+//! the state `gather_state` collects over the wire.
 
-use agcm_comm::Universe;
-use agcm_core::init;
+use agcm_comm::{Communicator, Universe};
 use agcm_core::par::{gather_state_impl, Alg1Model, CaModel, GlobalState};
 use agcm_core::serial::{Iteration, SerialModel};
-use agcm_core::ModelConfig;
+use agcm_core::{assemble, checkpoint_path, init, write_checkpoint, Integrator, ModelConfig};
 use agcm_mesh::ProcessGrid;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const STEPS: usize = 2;
 
@@ -31,27 +36,65 @@ fn serial_reference(cfg: &ModelConfig, variant: Iteration) -> GlobalState {
 }
 
 fn run_alg1(cfg: &ModelConfig, pgrid: ProcessGrid) -> GlobalState {
-    let cfg = cfg.clone();
-    let mut results = Universe::run(pgrid.size(), move |comm| {
+    let (cfg, dir) = (cfg.clone(), scratch_dir());
+    let mut results = Universe::run(pgrid.size(), |comm| {
         let mut m = Alg1Model::new(&cfg, pgrid, comm).unwrap();
         let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
         m.set_state(&ic);
         m.run(comm, STEPS).unwrap();
-        m.gather_state(comm).unwrap()
+        gather_and_assemble(&m, comm, &cfg, pgrid, &dir, false)
     });
     results.remove(0).expect("rank 0 gathers")
 }
 
 fn run_alg2(cfg: &ModelConfig, pgrid: ProcessGrid) -> GlobalState {
-    let cfg = cfg.clone();
-    let mut results = Universe::run(pgrid.size(), move |comm| {
+    let (cfg, dir) = (cfg.clone(), scratch_dir());
+    let mut results = Universe::run(pgrid.size(), |comm| {
         let mut m = CaModel::new(&cfg, pgrid, comm).unwrap();
         let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
         m.set_state(&ic);
         m.run(comm, STEPS).unwrap();
-        m.gather_state(comm).unwrap()
+        gather_and_assemble(&m, comm, &cfg, pgrid, &dir, true)
     });
     results.remove(0).expect("rank 0 gathers")
+}
+
+/// A fresh directory for one world's final checkpoints.
+fn scratch_dir() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("agcm_equiv_{}_{n}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Rank 0's gathered state, once `assemble` has built the same state bit
+/// for bit from every rank's final checkpoint in `dir` — interiors only, so
+/// an Algorithm 2 file's cached-`C` trio (`trio`) is no obstacle.
+fn gather_and_assemble(
+    m: &Integrator,
+    comm: &Communicator,
+    cfg: &ModelConfig,
+    pgrid: ProcessGrid,
+    dir: &Path,
+    trio: bool,
+) -> Option<GlobalState> {
+    let ck = m.capture();
+    assert_eq!(ck.vsum.is_some(), trio, "cached-C trio in the checkpoint");
+    write_checkpoint(&checkpoint_path(dir, comm.rank(), ck.step), &ck).unwrap();
+    // every rank writes its file before it sends its part of the gather
+    let gathered = m.gather_state(comm).unwrap()?;
+    let assembled = assemble(dir, pgrid, cfg.extents(), ck.step).unwrap();
+    std::fs::remove_dir_all(dir).ok();
+    let bits = |gs: &GlobalState| -> Vec<u64> {
+        let fields = [&gs.u, &gs.v, &gs.phi, &gs.psa];
+        fields.into_iter().flatten().map(|v| v.to_bits()).collect()
+    };
+    assert!(
+        assembled.extents == gathered.extents && bits(&assembled) == bits(&gathered),
+        "{pgrid:?}: assembled state != gathered state"
+    );
+    Some(gathered)
 }
 
 fn assert_close(a: &GlobalState, b: &GlobalState, tol: f64, what: &str) {

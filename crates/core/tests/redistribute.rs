@@ -2,13 +2,15 @@
 //! step `H` and re-decomposed onto a different rank count must continue to
 //! step `N` **bitwise identical** to the uninterrupted run — shrink and
 //! grow alike.  Also pins the typed rejection of cached-`C` checkpoints,
-//! whose approximation state is tied to the old decomposition.
+//! whose approximation state is tied to the old decomposition, and that
+//! `assemble` names the rank file it cannot use.
 
 use agcm_comm::Universe;
 use agcm_core::init;
 use agcm_core::par::{Alg1Model, GlobalState};
 use agcm_core::resilience::{
-    checkpoint_path, latest_checkpoint_step, read_checkpoint, redistribute, write_checkpoint,
+    assemble, checkpoint_path, latest_checkpoint_step, read_checkpoint, redistribute,
+    write_checkpoint,
 };
 use agcm_core::serial::{Iteration, SerialModel};
 use agcm_core::ModelConfig;
@@ -124,5 +126,37 @@ fn cached_c_checkpoint_is_rejected_typed() {
     let err = redistribute(&src, &dst, yz(1), yz(2), cfg.extents()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("Algorithm 1"), "{err}");
+    std::fs::remove_dir_all(src.parent().unwrap()).ok();
+}
+
+/// One flipped bit in one rank's file is `InvalidData` naming that file,
+/// and a missing file is `NotFound` naming it: a failed run, never a
+/// wrong state.
+#[test]
+fn assemble_names_a_corrupt_or_missing_rank_file() {
+    let (src, _) = fresh_dirs("assemble");
+    run_alg1(2, None, Some(src.clone()), N);
+    let gold = run_alg1(2, None, None, H);
+    let at = |rank| checkpoint_path(&src, rank, H as u64);
+    let whole = assemble(&src, yz(2), cfg().extents(), H as u64).unwrap();
+    assert_eq!(whole.max_abs_diff(&gold), 0.0, "the files hold step H");
+
+    let mut bytes = std::fs::read(at(1)).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(at(1), &bytes).unwrap();
+    let err = assemble(&src, yz(2), cfg().extents(), H as u64).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains(&at(1).display().to_string()), "{msg}");
+    assert!(msg.contains("hash mismatch"), "{msg}");
+
+    std::fs::remove_file(at(0)).unwrap();
+    let err = assemble(&src, yz(2), cfg().extents(), H as u64).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+    assert!(
+        err.to_string().contains(&at(0).display().to_string()),
+        "{err}"
+    );
     std::fs::remove_dir_all(src.parent().unwrap()).ok();
 }

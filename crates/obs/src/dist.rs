@@ -4,7 +4,7 @@
 //! into per-process tracers whose wall clocks share no epoch — each
 //! process's [`crate::now_ns`] counts from its own first use.  This module
 //! supplies the pieces that turn those per-rank streams into one coherent
-//! timeline on rank 0:
+//! timeline in the parent:
 //!
 //! * **codec** ([`encode_events`] / [`decode_events`],
 //!   [`encode_metrics`] / [`decode_metrics`]) — a compact, versioned
@@ -12,10 +12,10 @@
 //!   Event names are deduplicated through a string table and re-interned
 //!   on decode (names are `&'static str`; unseen names are leaked once
 //!   per distinct name, bounded by the instrumentation-site count);
-//! * **word packing** ([`bytes_to_words`] / [`words_to_bytes`]) — the
-//!   transport moves `f64` payloads whose bit patterns round-trip exactly
-//!   (checksummed frames, NaN-safe), so arbitrary bytes ride in `u64` bit
-//!   patterns, length-prefixed;
+//! * **record** ([`Record`], [`encode_record`] / [`decode_record`]) — what
+//!   one rank incarnation leaves in its world's directory for the parent:
+//!   its metrics snapshot and, when it traced, its clock offset and span
+//!   stream, in the two codecs above;
 //! * **clock alignment** ([`ClockSample`], [`estimate_offset`]) — a
 //!   Cristian-style offset estimator over ping/pong samples: each round
 //!   brackets the server's timestamp between local send and receive; the
@@ -40,47 +40,8 @@ use std::sync::{Mutex, OnceLock};
 const EVENTS_MAGIC: &[u8; 8] = b"AGCMTRC1";
 /// Codec magic + version for an encoded metrics snapshot.
 const METRICS_MAGIC: &[u8; 8] = b"AGCMMET1";
-
-// ---------------------------------------------------------------------------
-// bytes <-> f64 words
-// ---------------------------------------------------------------------------
-
-/// Pack a byte string into `f64` words for transport payloads: a length
-/// word followed by the bytes, 8 per word, little-endian, zero-padded.
-///
-/// The socket and mpsc transports both move `f64` bit patterns exactly
-/// (their tests round-trip NaN payloads), so this is lossless.
-pub fn bytes_to_words(bytes: &[u8]) -> Vec<f64> {
-    let mut words = Vec::with_capacity(1 + bytes.len().div_ceil(8));
-    words.push(f64::from_bits(bytes.len() as u64));
-    for chunk in bytes.chunks(8) {
-        let mut b = [0u8; 8];
-        b[..chunk.len()].copy_from_slice(chunk);
-        words.push(f64::from_bits(u64::from_le_bytes(b)));
-    }
-    words
-}
-
-/// Inverse of [`bytes_to_words`].
-pub fn words_to_bytes(words: &[f64]) -> Result<Vec<u8>, String> {
-    let Some((len_word, data)) = words.split_first() else {
-        return Err("word stream empty (missing length word)".to_string());
-    };
-    let len = len_word.to_bits() as usize;
-    if data.len() != len.div_ceil(8) {
-        return Err(format!(
-            "word stream carries {} data words, want {} for {len} bytes",
-            data.len(),
-            len.div_ceil(8)
-        ));
-    }
-    let mut out = Vec::with_capacity(len);
-    for w in data {
-        out.extend_from_slice(&w.to_bits().to_le_bytes());
-    }
-    out.truncate(len);
-    Ok(out)
-}
+/// Codec magic + version for an encoded [`Record`].
+const RECORD_MAGIC: &[u8; 8] = b"AGCMREC1";
 
 // ---------------------------------------------------------------------------
 // primitive writers/readers
@@ -374,6 +335,62 @@ pub fn decode_metrics(bytes: &[u8]) -> Result<MetricsSnapshot, String> {
 }
 
 // ---------------------------------------------------------------------------
+// record codec
+// ---------------------------------------------------------------------------
+
+/// What one rank incarnation reports to the parent of its world, written
+/// once into the world's directory when it ends.
+#[derive(Debug, Clone, Default)]
+pub struct Record {
+    /// Its metrics snapshot.
+    pub metrics: MetricsSnapshot,
+    /// When it traced: its clock's offset onto rank 0's and its drained
+    /// span stream (local timestamps), ready for [`merge_events`].
+    pub trace: Option<(OffsetEstimate, Vec<Event>)>,
+}
+
+/// Encode a record: the magic, the metrics snapshot behind its byte
+/// length, then a trace flag and, if set, the offset, its RTT and the span
+/// stream.
+pub fn encode_record(rec: &Record) -> Vec<u8> {
+    let mut out = RECORD_MAGIC.to_vec();
+    let metrics = encode_metrics(&rec.metrics);
+    put_u64(&mut out, metrics.len() as u64);
+    out.extend_from_slice(&metrics);
+    out.push(u8::from(rec.trace.is_some()));
+    if let Some((offset, events)) = &rec.trace {
+        put_u64(&mut out, offset.offset_ns as u64);
+        put_u64(&mut out, offset.rtt_ns);
+        out.extend_from_slice(&encode_events(events));
+    }
+    out
+}
+
+/// Decode a record encoded by [`encode_record`].
+pub fn decode_record(bytes: &[u8]) -> Result<Record, String> {
+    let mut r = Reader { b: bytes, i: 0 };
+    if r.take(8)? != RECORD_MAGIC {
+        return Err("bad record magic".to_string());
+    }
+    let len = usize::try_from(r.u64()?).map_err(|e| format!("metrics length: {e}"))?;
+    let metrics = decode_metrics(r.take(len)?)?;
+    let trace = match r.take(1)?[0] {
+        0 => None,
+        1 => {
+            let offset_ns = r.u64()? as i64;
+            let rtt_ns = r.u64()?;
+            let events = decode_events(r.take(bytes.len() - r.i)?)?;
+            Some((OffsetEstimate { offset_ns, rtt_ns }, events))
+        }
+        flag => return Err(format!("bad record trace flag {flag}")),
+    };
+    if !r.done() {
+        return Err(format!("trailing bytes after record at {}", r.i));
+    }
+    Ok(Record { metrics, trace })
+}
+
+// ---------------------------------------------------------------------------
 // epoch-aware metrics merging
 // ---------------------------------------------------------------------------
 
@@ -562,22 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn words_roundtrip_bytes() {
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
-            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let words = bytes_to_words(&bytes);
-            assert_eq!(words.len(), 1 + len.div_ceil(8));
-            let back = words_to_bytes(&words).expect("roundtrip");
-            assert_eq!(back, bytes, "len {len}");
-        }
-        // NaN-pattern bytes survive (the length word 2047*2^52.. patterns)
-        let bytes = vec![0xffu8; 16];
-        assert_eq!(words_to_bytes(&bytes_to_words(&bytes)).unwrap(), bytes);
-        assert!(words_to_bytes(&[]).is_err());
-        assert!(words_to_bytes(&[f64::from_bits(9)]).is_err());
-    }
-
-    #[test]
     fn events_roundtrip_all_kinds() {
         let mut evs = Vec::new();
         for (i, kind) in [
@@ -628,18 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn events_roundtrip_through_words() {
-        let evs = vec![
-            ev(0, SpanKind::Op, Phase::A, "adaptation.local", 10, 20),
-            ev(1, SpanKind::ExchangeWait, Phase::Other, "halo.wait", 15, 40),
-        ];
-        let words = bytes_to_words(&encode_events(&evs));
-        let dec = decode_events(&words_to_bytes(&words).unwrap()).unwrap();
-        assert_eq!(dec.len(), 2);
-        assert_eq!(dec[1].name, "halo.wait");
-    }
-
-    #[test]
     fn metrics_roundtrip() {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("comm.msgs".into(), 42);
@@ -663,6 +652,54 @@ mod tests {
         assert_eq!(h.count, 9);
         assert_eq!(h.p95, 180);
         assert_eq!(h.max, 230);
+    }
+
+    /// A record carries a rank's metrics — the measured step's traffic
+    /// among its counters — and, when it traced, its clock offset and span
+    /// stream; each decodes bit for bit, and a record that did not trace
+    /// stays one.  Truncation, a bad flag and a bad magic are refused.
+    #[test]
+    fn record_round_trips() {
+        let mut metrics = MetricsSnapshot::default();
+        metrics.counters.insert("run.measured.pure_msgs".into(), 13);
+        metrics
+            .counters
+            .insert("run.measured.wire_bytes".into(), 1 << 40);
+        metrics.gauges.insert("resilience.epoch".into(), 2.0);
+        let events = vec![
+            ev(1, SpanKind::Op, Phase::A, "adaptation.local", 10, 20),
+            ev(1, SpanKind::ExchangeWait, Phase::Other, "halo.wait", 15, 40),
+        ];
+        let offset = OffsetEstimate {
+            offset_ns: -1_234_567,
+            rtt_ns: 8_000,
+        };
+        let traced = Record {
+            metrics: metrics.clone(),
+            trace: Some((offset, events)),
+        };
+        let bytes = encode_record(&traced);
+        let back = decode_record(&bytes).expect("decode");
+        assert_eq!(back.metrics.counters, metrics.counters);
+        assert_eq!(back.metrics.gauges, metrics.gauges);
+        let (o, evs) = back.trace.expect("trace survives");
+        assert_eq!(o, offset);
+        assert_eq!(evs.len(), 2);
+        assert_eq!((evs[1].name, evs[1].t1_ns), ("halo.wait", 40));
+
+        let plain = Record {
+            metrics,
+            trace: None,
+        };
+        let back = decode_record(&encode_record(&plain)).expect("decode");
+        assert!(back.trace.is_none());
+        assert_eq!(back.metrics.counters["run.measured.pure_msgs"], 13);
+
+        assert!(decode_record(&bytes[..bytes.len() - 1]).is_err());
+        assert!(decode_record(b"BADMAGIC").is_err());
+        let mut flag = encode_record(&plain);
+        *flag.last_mut().expect("flag byte") = 2;
+        assert!(decode_record(&flag).unwrap_err().contains("flag"));
     }
 
     #[test]

@@ -25,10 +25,9 @@
 //! costs when it is *on* is a row of the benchmark ledger
 //! (`obs.overhead_frac` = best traced step ÷ best untraced step − 1, beside
 //! `obs.events_per_step`; `benchmark/README.md`): inside the host's noise
-//! on the 180×90×30 and 720×360×30 meshes, but +17 % on
-//! `small_alg1_y2_uds`, where a step is 2 ms and carries 276 events — the
-//! tracer is not free there (ROADMAP item 5; EXPERIMENTS.md "One kernel
-//! path").  Building with
+//! on the 180×90×30 and 720×360×30 meshes, but 0.25 on
+//! `small_alg1_y2_uds`, where a step is under 2 ms — the tracer is
+//! not free there (ROADMAP item 2).  Building with
 //! `default-features = false` (dropping the `trace` feature) compiles
 //! every site down to nothing.
 //!
@@ -68,8 +67,8 @@ pub use export::{
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
 pub use phase::{current_phase, Phase};
 pub use tracer::{
-    disable, drain, enable, enabled, exclusive, now_ns, pending_events, record_span, record_value,
-    reset, set_rank, set_step, span, span_phase, Event, Span, SpanKind,
+    disable, drain, enable, enabled, exclusive, now_ns, record_span, record_value, reset, set_rank,
+    set_step, span, span_phase, Event, Span, SpanKind,
 };
 
 /// The instruction set this binary was compiled for — `"x86_64 avx2

@@ -14,7 +14,7 @@
 //!   push into one of [`SHARDS`] sharded buffers (a short uncontended lock
 //!   — ranks hash to different shards); the benchmark ledger's
 //!   `obs.overhead_frac` row measures the sum over a step (noise on the
-//!   mid and paper meshes, +17 % on `small_alg1_y2_uds`),
+//!   mid and paper meshes, 0.25 on `small_alg1_y2_uds`; ROADMAP item 2),
 //! * feature `trace` **off**: everything here compiles to nothing.
 //!
 //! Buffers grow until [`drain`]; runs that trace should drain per run.
@@ -390,15 +390,6 @@ pub fn drain() -> Vec<Event> {
     }
     out.sort_by_key(|e| (e.t0_ns, e.seq));
     out
-}
-
-/// How many events are buffered right now, without draining them — a
-/// cheap progress figure for live telemetry snapshots.
-pub fn pending_events() -> usize {
-    shards()
-        .iter()
-        .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).len())
-        .sum()
 }
 
 /// Drop all buffered events and reset the logical clock (the wall-clock

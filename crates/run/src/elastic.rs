@@ -23,17 +23,16 @@
 //! ([`agcm_verify::certify_yz`]) before stepping resumes.
 
 use crate::{
-    new_model, run_config, set_default_ic, verify_world, write_state, ParentError, Worker,
+    new_model, run_config, set_default_ic, verify_world, write_record, ParentError, Worker,
 };
-use agcm_comm::{
-    AllreduceAlgo, CommError, Communicator, Endpoint, ReduceOp, SocketTransport, Transport,
-};
+use agcm_comm::{CommError, Communicator, Endpoint, ReduceOp, SocketTransport, Transport};
 use agcm_core::{
     checkpoint_path, latest_checkpoint_step, prune_checkpoints, read_checkpoint, redistribute,
     resize_retention, write_checkpoint, Integrator,
 };
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
+use agcm_obs::dist::Record;
 use agcm_verify::certify_yz;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -163,36 +162,40 @@ fn classify(rank: usize, what: &str, e: CommError) -> EpochEnd {
 }
 
 /// One rank of an elastic world: integrate with durable checkpoints into
-/// `dir`, and on peer death rewire the mesh to the next epoch and re-enter
-/// from the agreed restore point.  Returns only when the run completed
-/// (`Ok`) or hit a non-recoverable error (`Err` → exit code 1, at which
-/// point the supervisor's respawn policy takes over).
+/// `ckpt.dir`, and on peer death rewire the mesh to the next epoch and
+/// re-enter from the agreed restore point.  Returns only when the run
+/// completed (`Ok`) or hit a non-recoverable error (`Err` → exit code 1, at
+/// which point the supervisor's respawn policy takes over).
 pub(crate) fn elastic_worker(
     w: &Worker,
     transport: &Rc<SocketTransport>,
-    dir: PathBuf,
+    ckpt: &Ckpt,
+    kill_step: Option<u64>,
 ) -> Result<(), String> {
-    let ckpt = Ckpt {
-        dir,
-        interval: agcm_comm::parse_env_or("AGCM_CKPT_INTERVAL", 1),
-        keep: agcm_comm::parse_env_or("AGCM_CKPT_KEEP", 0),
-    };
-    let kill_step: Option<u64> =
-        agcm_comm::parse_env("AGCM_KILL_STEP").map_err(|e| e.to_string())?;
     let rank = w.rank;
     let mut epoch = transport.epoch();
-    // the epoch this incarnation was born into: every metrics snapshot this
-    // process ships is tagged with it, so the merge can sum counters across
-    // a rank's incarnations instead of last-write-wins mixing pre- and
-    // post-crash counts
+    // the epoch this incarnation was born into names its record, one file
+    // per incarnation, so the merge can sum counters across a rank's
+    // incarnations instead of last-write-wins mixing pre- and post-crash
+    // counts.  The record is refreshed at birth, after every rewire and at
+    // completion; a failed write is logged, never fatal
     let birth = epoch;
+    let record = || {
+        let rec = Record {
+            metrics: obs::Registry::global().snapshot(),
+            trace: None,
+        };
+        if let Err(e) = write_record(&ckpt.dir, rank, birth, &rec) {
+            eprintln!("agcm-run worker {rank}: writing its record: {e}");
+        }
+    };
     let gauge = obs::Registry::global().gauge("resilience.epoch");
     gauge.set(epoch as f64);
-    write_metrics_file(&ckpt.dir, rank, birth);
+    record();
     loop {
-        match run_epoch(w, transport, &ckpt, kill_step) {
+        match run_epoch(w, transport, ckpt, kill_step) {
             Ok(()) => {
-                write_metrics_file(&ckpt.dir, rank, birth);
+                record();
                 return Ok(());
             }
             Err(EpochEnd::PeerLost(peer, detail)) => {
@@ -207,78 +210,18 @@ pub(crate) fn elastic_worker(
                     .rewire(epoch, peer, RECOVERY_TIMEOUT)
                     .map_err(|e| format!("rank {rank}: rewire to epoch {epoch}: {e}"))?;
                 gauge.set(epoch as f64);
-                write_metrics_file(&ckpt.dir, rank, birth);
+                record();
             }
             Err(EpochEnd::Fatal(msg)) => return Err(msg),
         }
     }
 }
 
-/// File name of one incarnation's durable metrics snapshot inside the
-/// checkpoint directory, tagged with the epoch the incarnation was born
-/// into (its `AGCM_EPOCH`).  Fixed-width so the names sort.
-pub(crate) fn metrics_file_name(rank: usize, birth_epoch: u64) -> String {
-    format!("metrics.rank{rank:04}.epoch{birth_epoch:08}.bin")
-}
-
-/// Best-effort tmp+rename write of this incarnation's cumulative counters.
-/// One file per incarnation (keyed by birth epoch), overwritten as the run
-/// progresses: summing the *files* across epochs therefore sums the final
-/// counts of each incarnation — exactly what
-/// [`agcm_obs::dist::merge_rank_metrics`] does.  Failures are logged, not
-/// fatal: telemetry must never take down a healthy worker.
-fn write_metrics_file(dir: &Path, rank: usize, birth_epoch: u64) {
-    let snap = obs::Registry::global().snapshot();
-    let path = dir.join(metrics_file_name(rank, birth_epoch));
-    let tmp = path.with_extension("bin.tmp");
-    let write =
-        fs::write(&tmp, obs::dist::encode_metrics(&snap)).and_then(|()| fs::rename(&tmp, &path));
-    if let Err(e) = write {
-        eprintln!(
-            "agcm-run worker {rank}: writing metrics snapshot {}: {e}",
-            path.display()
-        );
-    }
-}
-
-/// Scan a checkpoint directory for the epoch-tagged metrics snapshots of
-/// one rank's incarnations, decoded as `(birth_epoch, snapshot)` pairs
-/// ready for [`agcm_obs::dist::merge_rank_metrics`].  Unreadable or
-/// non-matching files are skipped: the reader runs post-mortem over a
-/// directory that crashes may have left half-written.
-pub(crate) fn read_rank_metrics(dir: &Path, rank: usize) -> Vec<(u64, obs::MetricsSnapshot)> {
-    let mut out = Vec::new();
-    let Ok(entries) = fs::read_dir(dir) else {
-        return out;
-    };
-    let prefix = format!("metrics.rank{rank:04}.epoch");
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix(&prefix) else {
-            continue;
-        };
-        let Some(digits) = rest.strip_suffix(".bin") else {
-            continue;
-        };
-        let Ok(epoch) = digits.parse::<u64>() else {
-            continue;
-        };
-        let Ok(bytes) = fs::read(entry.path()) else {
-            continue;
-        };
-        if let Ok(snap) = obs::dist::decode_metrics(&bytes) {
-            out.push((epoch, snap));
-        }
-    }
-    out.sort_by_key(|(e, _)| *e);
-    out
-}
-
 /// One incarnation of the integration at the transport's current epoch:
 /// recovery barrier (agree on the restore step), restore or cold-start,
-/// step with durable checkpoints, and on completion gather + write the
-/// state behind a final barrier.
+/// step with durable checkpoints, and on completion the final checkpoint —
+/// the one the parent assembles the world's state from — and a final
+/// barrier.
 fn run_epoch(
     w: &Worker,
     transport: &Rc<SocketTransport>,
@@ -306,7 +249,7 @@ fn run_epoch(
     let mine = latest_checkpoint_step(&ck.dir, rank)
         .map_err(|e| fatal(format!("listing checkpoints: {e}")))?;
     let mut agreed = [mine.map_or(-1.0, |s| s as f64)];
-    comm.allreduce(ReduceOp::Min, &mut agreed, AllreduceAlgo::Ring)
+    comm.allreduce(ReduceOp::Min, &mut agreed)
         .map_err(|e| classify(rank, "recovery barrier", e))?;
     let restored = if agreed[0] >= 0.0 {
         let step = agreed[0] as u64;
@@ -352,13 +295,11 @@ fn run_epoch(
     model
         .finish(Some(&comm))
         .map_err(|e| classify(rank, "finish", e))?;
-    // the completed state must be durable too: a planned resize
-    // re-decomposes exactly this step's checkpoints
+    // the completed state must be durable too: the parent assembles the
+    // world's state from exactly this step's checkpoints, and a planned
+    // resize re-decomposes them
     durable_checkpoint(&model, ck, rank).map_err(fatal)?;
 
-    let gathered = model
-        .gather_state(&comm)
-        .map_err(|e| classify(rank, "gather", e))?;
     // completion barrier — but disarm poison-on-EOF FIRST.  A rank exiting
     // while a peer still has receives pending would otherwise read as a
     // death, and exits during the barrier itself do race: a ring rank can
@@ -372,11 +313,8 @@ fn run_epoch(
     // supervisor's respawn budget bounds.
     transport.set_poison_on_eof(false);
     let mut one = [1.0];
-    comm.allreduce(ReduceOp::Min, &mut one, AllreduceAlgo::Ring)
+    comm.allreduce(ReduceOp::Min, &mut one)
         .map_err(|e| classify(rank, "completion barrier", e))?;
-    if let Some(gs) = gathered {
-        write_state(&w.out.join("state.bin"), &gs).map_err(|e| fatal(format!("state.bin: {e}")))?;
-    }
     Ok(())
 }
 
@@ -579,8 +517,8 @@ pub(crate) struct Launch {
     pub alg: u32,
     /// Ranks along z of every world (1 for every elastic one).
     pub pz: usize,
-    /// Scratch root: the gathered state, per-rank reports and every
-    /// phase's checkpoints.
+    /// Scratch root: a classic world's final checkpoints and records, and
+    /// every elastic phase's checkpoint directory.
     pub out: PathBuf,
     /// Kill a world that has not finished within this budget.
     pub timeout: Duration,
@@ -635,6 +573,15 @@ pub(crate) struct WorldSpec<'a> {
     /// `None`: a classic world.
     pub ckpt: Option<Ckpt>,
     pub fault: Option<&'a (String, u64)>,
+}
+
+impl WorldSpec<'_> {
+    /// Where every worker leaves its final checkpoint and its record: the
+    /// phase's checkpoint directory, or the run's scratch root for a
+    /// classic world.
+    pub(crate) fn dir(&self) -> &Path {
+        self.ckpt.as_ref().map_or(&self.run.out, |ck| &ck.dir)
+    }
 }
 
 /// Start worker `rank` of `w` at mesh epoch `epoch` — the one place a
@@ -773,7 +720,7 @@ fn drive(
 /// Run phase `i` of `plan`: hand off from phase `i − 1` (re-decompose its
 /// checkpoints onto this world and certify the new schedule before any
 /// stepping resumes), supervise the world under the respawn policy
-/// `budget` (`None`: classic), and verify what it gathered.  `label` names
+/// `budget` (`None`: classic), and verify what its workers left behind.  `label` names
 /// the phase in the lines it prints.
 pub(crate) fn run_phase(
     plan: &Plan,

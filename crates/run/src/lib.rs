@@ -17,10 +17,10 @@
 //! phase runner under one supervisor.  Of a classic world the parent
 //! re-derives every cross-transport claim the paper reproduction rests on:
 //!
-//! 1. **Bitwise equivalence**: rank 0's gathered [`GlobalState`] must match
-//!    a serial reference integrated in the parent process bit for bit, for
-//!    Algorithm 1 (vs the exact iteration) and Algorithm 2 (vs the
-//!    approximate iteration).
+//! 1. **Bitwise equivalence**: the [`GlobalState`] the parent assembles
+//!    from every rank's final checkpoint must match a serial reference
+//!    integrated in the parent process bit for bit, for Algorithm 1 (vs the
+//!    exact iteration) and Algorithm 2 (vs the approximate iteration).
 //! 2. **Certified counts**: each rank's measured steady-state halo traffic
 //!    (collective-internal messages subtracted, exactly as
 //!    [`agcm_verify::cross_check`] does over threads) must equal the static
@@ -29,9 +29,14 @@
 //!    `bytes == 8·elems + WIRE_OVERHEAD_BYTES·msgs` against the logical
 //!    element counts — every message the model believes it sent crossed
 //!    the kernel as exactly one checksummed frame, nothing more.
+//!
+//! Each rank reports one way: when its world ends it leaves its final
+//! checkpoint and one record ([`agcm_obs::dist::Record`]: its metrics, the
+//! measured step's traffic among them, and under `--trace` its clock
+//! offset and span stream) in its world's directory, and the parent reads
+//! them there.
 
 #![forbid(unsafe_code)]
-use agcm_comm::fault::HashedWords;
 use agcm_comm::telemetry::{self, CLOCK_ROUNDS};
 use agcm_comm::{
     p2p_only_delta, Communicator, CostModel, Endpoint, SocketTransport, Universe,
@@ -39,24 +44,20 @@ use agcm_comm::{
 };
 use agcm_core::analysis::{predict, AlgKind, CaMode, Prediction};
 use agcm_core::par::GlobalState;
-use agcm_core::resilience::check_field_dims;
 use agcm_core::serial::{Iteration, SerialModel};
-use agcm_core::{init, Integrator, ModelConfig};
-use agcm_mesh::{HaloWidths, ProcessGrid};
+use agcm_core::{assemble, checkpoint_path, init, write_checkpoint, Integrator, ModelConfig};
+use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
-use agcm_obs::dist::{self, OffsetEstimate};
+use agcm_obs::dist::{self, OffsetEstimate, Record};
 use agcm_verify::{critpath, rank_counts, ScheduleGraph};
-use elastic::{run_phase, Launch, WorldSpec};
+use elastic::{run_phase, Ckpt, Launch, WorldSpec};
 use std::fmt::Display;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
-
-/// Magic header of the gathered-state file rank 0 writes.
-pub const STATE_MAGIC: &[u8; 8] = b"AGCMGST2";
 
 mod elastic;
 pub mod soak;
@@ -152,9 +153,9 @@ pub struct RunOpts {
     pub timeout: Duration,
     /// Keep the per-run scratch directory instead of deleting it.
     pub keep_out: bool,
-    /// Collect per-rank span streams, merge them on rank 0 into one
+    /// Record per-rank span streams, merge them in the parent into one
     /// clock-aligned Chrome trace, and run the critical-path/cost-model
-    /// analysis in the parent.
+    /// analysis there.
     pub trace: bool,
     /// Where the merged trace and critical-path artifacts land (default
     /// `target/trace-dist`).
@@ -249,7 +250,8 @@ USAGE:
 Launches N copies of this binary (handshake via AGCM_RANK / AGCM_WORLD_SIZE /
 AGCM_ENDPOINT) as the yz(N / pz, pz) process grid (--pz defaults to 1, a
 latitude split), integrates the test_medium configuration, and verifies the
-gathered state bitwise against an in-process serial reference, the measured
+state assembled from the ranks' final checkpoints bitwise against an
+in-process serial reference, the measured
 per-rank traffic against the static schedule analyzer, and the wire-level
 byte counters against the logical element counts.  Exit code 0 only if every
 check passes on every rank.  With --steps above 2 it also prints the median
@@ -258,11 +260,11 @@ environment reaches every rank, so `AGCM_FAULT_SPEC=lat:us=200` makes every
 message arrive 200 us late — the latency dial of a host that has none.
 
 With --trace every rank records spans, aligns its clock against rank 0 and
-ships its stream over a control communicator at run end; rank 0 merges them
-into one Chrome trace, and the parent validates the JSON, attributes the
-measured step's critical path against the static schedule, and sets it
-beside the cost model's prediction of the same step, segment by segment
-(artifacts under --trace-out, default target/trace-dist).
+leaves its stream in its record at run end; the parent merges them into one
+Chrome trace, validates the JSON, attributes the measured step's critical
+path against the static schedule, and sets it beside the cost model's
+prediction of the same step, segment by segment (artifacts under
+--trace-out, default target/trace-dist).
 
 Any of --max-respawns / --resize / --kill selects ELASTIC mode: workers
 checkpoint every step, the parent supervises them, and a dead rank is
@@ -432,15 +434,20 @@ fn entry<O>(
 // Worker
 // ---------------------------------------------------------------------------
 
-pub(crate) fn req_env<T: FromStr>(name: &str) -> Result<T, String>
+/// A worker variable, `None` when unset; a malformed one is an error
+/// naming it.
+fn opt_env<T: FromStr>(name: &str) -> Result<Option<T>, String>
 where
     T::Err: Display,
 {
-    match agcm_comm::parse_env::<T>(name) {
-        Ok(Some(v)) => Ok(v),
-        Ok(None) => Err(format!("{name} must be set for a worker")),
-        Err(e) => Err(e.to_string()),
-    }
+    agcm_comm::parse_env(name).map_err(|e| e.to_string())
+}
+
+fn req_env<T: FromStr>(name: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    opt_env(name)?.ok_or_else(|| format!("{name} must be set for a worker"))
 }
 
 /// The algorithm behind `AGCM_RUN_ALG` (1 or 2).
@@ -484,10 +491,30 @@ pub(crate) struct Worker {
 /// worker told where its checkpoints go (`AGCM_CKPT_DIR`) is elastic: it
 /// checkpoints as it steps, survives peer death by rewiring, and rolls back
 /// in lockstep.  Any other is classic: it also measures its traffic and, on
-/// `AGCM_RUN_TRACE=1`, ships its spans to rank 0.
+/// `AGCM_RUN_TRACE=1`, records its spans.
 pub fn worker_main() -> Result<(), String> {
+    // every launcher variable is parsed before the socket mesh connects: a
+    // malformed one is an error naming it (exit 1), never a panic mid-world
     let rank: usize = req_env("AGCM_RANK")?;
-    let tracing = matches!(agcm_comm::parse_env::<u32>("AGCM_RUN_TRACE"), Ok(Some(1)));
+    let w = Worker {
+        rank,
+        alg: req_env("AGCM_RUN_ALG")?,
+        steps: req_env("AGCM_RUN_STEPS")?,
+        pgrid: ProcessGrid::yz(req_env("AGCM_RUN_PY")?, req_env("AGCM_RUN_PZ")?)
+            .map_err(|e| e.to_string())?,
+        out: req_env("AGCM_RUN_OUT")?,
+        cfg: run_config(),
+    };
+    let ckpt = match opt_env("AGCM_CKPT_DIR")? {
+        Some(dir) => Some(Ckpt {
+            dir,
+            interval: opt_env("AGCM_CKPT_INTERVAL")?.unwrap_or(1),
+            keep: opt_env("AGCM_CKPT_KEEP")?.unwrap_or(0),
+        }),
+        None => None,
+    };
+    let kill_step: Option<u64> = opt_env("AGCM_KILL_STEP")?;
+    let tracing = opt_env::<u32>("AGCM_RUN_TRACE")? == Some(1);
     if tracing {
         // before the socket mesh comes up, so this rank's own handshake
         // and reader-thread spans are captured and attributed to it
@@ -497,36 +524,43 @@ pub fn worker_main() -> Result<(), String> {
     let transport = SocketTransport::from_env()
         .ok_or("AGCM_RANK must be set for a worker")?
         .map_err(|e| format!("socket transport: {e}"))?;
-    let w = Worker {
-        rank,
-        alg: req_env("AGCM_RUN_ALG")?,
-        steps: req_env("AGCM_RUN_STEPS")?,
-        pgrid: ProcessGrid::yz(req_env("AGCM_RUN_PY")?, req_env("AGCM_RUN_PZ")?)
-            .map_err(|e| e.to_string())?,
-        out: PathBuf::from(req_env::<String>("AGCM_RUN_OUT")?),
-        cfg: run_config(),
-    };
     let transport = Rc::new(transport);
-    match agcm_comm::parse_env::<String>("AGCM_CKPT_DIR").map_err(|e| e.to_string())? {
-        Some(dir) => elastic::elastic_worker(&w, &transport, PathBuf::from(dir)),
+    match ckpt {
+        Some(ck) => elastic::elastic_worker(&w, &transport, &ck, kill_step),
         None => classic_worker(&w, transport, tracing),
     }
 }
 
-/// A classic rank: integrate, gather to rank 0, and drop a per-rank
-/// traffic report of the measured step in the scratch directory.
+/// The measured step's traffic, as the counters a classic rank's record
+/// carries: halo messages and elements sent (collective-internal p2p
+/// subtracted), collective calls entered, all p2p messages and elements
+/// sent, the frames and bytes the transport wrote, and the median wall time
+/// in ns of the steps after the measured one (0 when `--steps` leaves none).
+const TRAFFIC: [&str; 8] = [
+    "run.measured.pure_msgs",
+    "run.measured.pure_elems",
+    "run.measured.collectives",
+    "run.measured.raw_sends",
+    "run.measured.raw_send_elems",
+    "run.measured.wire_msgs",
+    "run.measured.wire_bytes",
+    "run.measured.step_ns_p50",
+];
+
+/// A classic rank: integrate, measure the second step's traffic, and leave
+/// the final checkpoint and the record in the run's scratch root.
 fn classic_worker(w: &Worker, transport: Rc<SocketTransport>, tracing: bool) -> Result<(), String> {
     let (rank, steps, out) = (w.rank, w.steps, &w.out);
     let mut comm = Communicator::on_transport(transport);
 
-    // telemetry rides a dedicated split communicator so its reserved tags
-    // never meet model traffic; the clock handshake runs before any model
+    // the clock handshake rides a split control communicator, so its
+    // reserved tags never meet model traffic, and runs before any model
     // construction, outside every measured bracket
-    let ctl = if tracing {
+    let offset = if tracing {
         let ctl = comm
             .split(0, rank)
             .map_err(|e| format!("control communicator: {e}"))?;
-        let offset = if rank == 0 {
+        Some(if rank == 0 {
             telemetry::clock_serve(&ctl, CLOCK_ROUNDS).map_err(|e| format!("clock serve: {e}"))?;
             OffsetEstimate {
                 offset_ns: 0,
@@ -534,8 +568,7 @@ fn classic_worker(w: &Worker, transport: Rc<SocketTransport>, tracing: bool) -> 
             }
         } else {
             telemetry::clock_align(&ctl, CLOCK_ROUNDS).map_err(|e| format!("clock align: {e}"))?
-        };
-        Some((ctl, offset))
+        })
     } else {
         None
     };
@@ -551,14 +584,6 @@ fn classic_worker(w: &Worker, transport: Rc<SocketTransport>, tracing: bool) -> 
     // step 1: warm-up (fills the C cache, leaves a smoothing pending);
     // step 2: the steady-state step the static analyzer predicts
     step(&mut model)?;
-    // live progress snapshots only ever run OUTSIDE the s0→delta bracket
-    // below, so the verified traffic and wire identities stay exact
-    if let Some((ctl, _)) = &ctl {
-        if rank != 0 {
-            telemetry::send_live_snapshot(ctl, 1, obs::pending_events() as u64)
-                .map_err(|e| format!("live snapshot: {e}"))?;
-        }
-    }
     let s0 = comm.stats().snapshot();
     let e0 = comm.stats().collective_events().len();
     let w0 = comm
@@ -572,112 +597,101 @@ fn classic_worker(w: &Worker, transport: Rc<SocketTransport>, tracing: bool) -> 
         .ok_or("socket transport must expose wire stats")?
         .delta(&w0);
     let pure = p2p_only_delta(&delta, &events);
-    // wall time of the steady steps (tracing off: no snapshot between them)
+    // wall time of the steady steps
     let mut step_ns: Vec<u64> = Vec::with_capacity(steps.saturating_sub(2));
-    for s in 2..steps {
+    for _ in 2..steps {
         let t = Instant::now();
         step(&mut model)?;
         step_ns.push(t.elapsed().as_nanos() as u64);
-        if let Some((ctl, _)) = &ctl {
-            if rank != 0 {
-                telemetry::send_live_snapshot(ctl, (s + 1) as u64, obs::pending_events() as u64)
-                    .map_err(|e| format!("live snapshot: {e}"))?;
-            }
-        }
     }
     model.finish(Some(&comm)).map_err(|e| e.to_string())?;
-
     step_ns.sort_unstable();
-    let traffic = RankTraffic {
-        pure_msgs: pure.p2p_sends,
-        pure_elems: pure.p2p_send_elems,
-        collectives: events.len() as u64,
-        raw_sends: delta.p2p_sends,
-        raw_send_elems: delta.p2p_send_elems,
-        wire_msgs: wire.msgs_sent,
-        wire_bytes: wire.bytes_sent,
-        step_ns_p50: step_ns.get(step_ns.len() / 2).copied().unwrap_or(0),
-    };
 
-    let gathered = model.gather_state(&comm).map_err(|e| e.to_string())?;
-    if let Some(gs) = gathered {
-        write_state(&out.join("state.bin"), &gs).map_err(|e| format!("state.bin: {e}"))?;
+    // what the parent assembles and checks, all of it written after
+    // `finish`: the final checkpoint, then the record
+    let trace = offset.map(|offset| {
+        obs::disable();
+        (offset, obs::drain())
+    });
+    let snap = model.capture();
+    write_checkpoint(&checkpoint_path(out, rank, snap.step), &snap)
+        .map_err(|e| format!("final checkpoint: {e}"))?;
+    let mut metrics = obs::Registry::global().snapshot();
+    let measured = [
+        pure.p2p_sends,
+        pure.p2p_send_elems,
+        events.len() as u64,
+        delta.p2p_sends,
+        delta.p2p_send_elems,
+        wire.msgs_sent,
+        wire.bytes_sent,
+        step_ns.get(step_ns.len() / 2).copied().unwrap_or(0),
+    ];
+    for (name, v) in TRAFFIC.into_iter().zip(measured) {
+        metrics.counters.insert(name.to_string(), v);
     }
-    traffic
-        .write(&out.join(format!("stats.rank{rank}.txt")))
-        .map_err(|e| format!("stats.rank{rank}.txt: {e}"))?;
-    if let Some((ctl, offset)) = &ctl {
-        finish_trace(ctl, offset, rank, steps, out)?;
-    }
-    Ok(())
+    write_record(out, rank, 0, &Record { metrics, trace }).map_err(|e| format!("record: {e}"))
 }
 
-/// End-of-run telemetry: every rank drains its tracer and ships its span
-/// stream + metrics snapshot; rank 0 merges all streams onto its own
-/// clock and writes the trace artifacts into the scratch directory for
-/// the parent to validate and analyze.
-fn finish_trace(
-    ctl: &Communicator,
-    offset: &OffsetEstimate,
-    rank: usize,
-    steps: usize,
-    out: &Path,
-) -> Result<(), String> {
-    obs::disable();
-    let events = obs::drain();
-    let metrics = obs::Registry::global().snapshot();
-    if rank != 0 {
-        // classic traced mode never rewires: every snapshot is epoch 0
-        return telemetry::ship_telemetry(ctl, offset, 0, &events, &metrics)
-            .map_err(|e| format!("shipping telemetry: {e}"));
-    }
+// ---------------------------------------------------------------------------
+// Records: what each rank leaves in its world's directory
+// ---------------------------------------------------------------------------
 
-    // drain the buffered live snapshots (one per peer per unmeasured step)
-    let live_per_rank = 1 + steps.saturating_sub(2);
-    let mut lines = Vec::new();
-    for src in 1..ctl.size() {
-        for _ in 0..live_per_rank {
-            let (step, pending) = telemetry::recv_live_snapshot(ctl, src)
-                .map_err(|e| format!("live snapshot from rank {src}: {e}"))?;
-            lines.push(format!("live rank={src} step={step} events={pending}"));
+/// File name of one incarnation's record in its world's directory, tagged
+/// with the epoch the incarnation was born into (its `AGCM_EPOCH`; always 0
+/// in a classic world).  Fixed-width so the names sort.
+pub(crate) fn record_file_name(rank: usize, birth_epoch: u64) -> String {
+    format!("record.rank{rank:04}.epoch{birth_epoch:08}.bin")
+}
+
+/// Write (or overwrite) one incarnation's record in `dir`, tmp + rename: a
+/// reader sees the previous record or this one, never a torn file.
+pub(crate) fn write_record(dir: &Path, rank: usize, birth: u64, rec: &Record) -> io::Result<()> {
+    let path = dir.join(record_file_name(rank, birth));
+    let tmp = path.with_extension("bin.tmp");
+    fs::write(&tmp, dist::encode_record(rec)).and_then(|()| fs::rename(&tmp, &path))
+}
+
+/// Read one record; a missing or undecodable file is an error naming it.
+pub(crate) fn read_record(path: &Path) -> Result<Record, String> {
+    let bytes = fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    dist::decode_record(&bytes).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Every record `rank`'s incarnations left in `dir`, as `(birth epoch,
+/// record)` by ascending epoch — one file per incarnation, so summing them
+/// ([`agcm_obs::dist::merge_rank_metrics`]) sums each incarnation's final
+/// counts.  A `.tmp` a killed writer left behind is not a record; any other
+/// unreadable one is an error naming it.
+pub(crate) fn read_records(dir: &Path, rank: usize) -> Result<Vec<(u64, Record)>, String> {
+    let prefix = format!("record.rank{rank:04}.epoch");
+    let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut out = Vec::new();
+    for entry in entries {
+        let path = entry.map_err(|e| format!("{}: {e}", dir.display()))?.path();
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        let epoch = name
+            .strip_prefix(&prefix)
+            .and_then(|r| r.strip_suffix(".bin"));
+        if let Some(epoch) = epoch.and_then(|e| e.parse().ok()) {
+            out.push((epoch, read_record(&path)?));
         }
     }
+    out.sort_by_key(|(e, _)| *e);
+    Ok(out)
+}
 
-    let wait_line = |rank: usize, m: &obs::MetricsSnapshot| {
-        m.histograms.get("comm.recv_wait_ns").map(|h| {
-            format!(
-                "recv_wait rank={rank} count={} p50={} p95={} p99={} max={}",
-                h.count, h.p50, h.p95, h.p99, h.max
-            )
-        })
-    };
-    lines.push(format!(
-        "offset rank=0 offset_ns=0 rtt_ns=0 events={}",
-        events.len()
-    ));
-    lines.extend(wait_line(0, &metrics));
-    let mut streams = vec![(0i64, events)];
-    for src in 1..ctl.size() {
-        let t = telemetry::collect_telemetry(ctl, src)
-            .map_err(|e| format!("telemetry from rank {src}: {e}"))?;
-        lines.push(format!(
-            "offset rank={src} offset_ns={} rtt_ns={} events={}",
-            t.offset_ns,
-            t.rtt_ns,
-            t.events.len()
-        ));
-        lines.extend(wait_line(src, &t.metrics));
-        streams.push((t.offset_ns, t.events));
+/// The measured step's traffic a record carries ([`TRAFFIC`]'s order), or
+/// `None` when a counter is missing.
+fn measured_traffic(rec: &Record) -> Option<[u64; 8]> {
+    let mut out = [0; 8];
+    for (v, name) in out.iter_mut().zip(TRAFFIC) {
+        *v = *rec.metrics.counters.get(name)?;
     }
-
-    let merged = dist::merge_events(&streams);
-    fs::write(out.join("trace.json"), obs::chrome_trace_json(&merged))
-        .map_err(|e| format!("trace.json: {e}"))?;
-    fs::write(out.join("events.bin"), dist::encode_events(&merged))
-        .map_err(|e| format!("events.bin: {e}"))?;
-    fs::write(out.join("telemetry.txt"), lines.join("\n") + "\n")
-        .map_err(|e| format!("telemetry.txt: {e}"))?;
-    Ok(())
+    Some(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -722,26 +736,29 @@ pub fn run_parent(opts: &RunOpts) -> Result<(), ParentError> {
     Ok(())
 }
 
-/// The checks a finished world ends with.  Its gathered state must be
-/// bitwise the in-process reference: the serial model — or, under a z
-/// split, whose allgather re-associates `C`'s column sums so that no
-/// z-split world is bitwise the serial one, the same world on threads over
-/// the mpsc transport.  A classic world then adds the measured traffic
-/// against the static schedule, the wire identity and, under `--trace`,
-/// the trace analysis; an elastic world's replayed (rolled-back) steps send
-/// real frames, so those hold only in a classic one.
+/// The checks a finished world ends with.  The state assembled from every
+/// rank's final checkpoint must be bitwise the in-process reference: the
+/// serial model — or, under a z split, whose allgather re-associates `C`'s
+/// column sums so that no z-split world is bitwise the serial one, the same
+/// world on threads over the mpsc transport.  A classic world then adds the
+/// measured traffic its ranks' records carry against the static schedule,
+/// the wire identity and, under `--trace`, the trace analysis; an elastic
+/// world's replayed (rolled-back) steps send real frames, so those hold
+/// only in a classic one.
 pub(crate) fn verify_world(
     w: &WorldSpec,
     cfg: &ModelConfig,
     label: &str,
 ) -> Result<(), ParentError> {
-    let (alg, pgrid, steps, out) = (w.run.alg, w.pgrid, w.steps, &w.run.out);
+    let (alg, pgrid, steps, dir) = (w.run.alg, w.pgrid, w.steps, w.dir());
     let p = pgrid.size();
     let mismatch = ParentError::VerificationMismatch;
     let head = format!("{label}: alg{alg} p={p} steps={steps}");
-    // a corrupt file is a failed run (exit 1), not a wrong answer (exit 5)
-    let gathered = read_state(&out.join("state.bin"))
-        .map_err(|e| ParentError::Other(format!("{head}: reading gathered state: {e}")))?;
+    // a missing or corrupt rank file is a failed run (exit 1), not a wrong
+    // answer (exit 5)
+    let failed = |e: String| ParentError::Other(format!("{head}: {e}"));
+    let assembled = assemble(dir, pgrid, cfg.extents(), steps as u64)
+        .map_err(|e| failed(format!("assembling the final state: {e}")))?;
     let (reference, what) = if pgrid.pz() == 1 {
         let variant = if alg == 1 {
             Iteration::Exact
@@ -755,10 +772,10 @@ pub(crate) fn verify_world(
             "in-process world",
         )
     };
-    if !states_bitwise_equal(&gathered, &reference) {
+    if !states_bitwise_equal(&assembled, &reference) {
         return Err(mismatch(format!(
-            "{head}: gathered state differs from the {what} (max |diff| = {:e})",
-            gathered.max_abs_diff(&reference)
+            "{head}: assembled state differs from the {what} (max |diff| = {:e})",
+            assembled.max_abs_diff(&reference)
         )));
     }
     if w.ckpt.is_some() {
@@ -767,39 +784,40 @@ pub(crate) fn verify_world(
     }
 
     // measured traffic == static schedule prediction, rank by rank
+    let records = (0..p)
+        .map(|rank| read_record(&dir.join(record_file_name(rank, 0))))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(failed)?;
     let graph = ScheduleGraph::extract(cfg, alg_kind(alg)?, CaMode::Grouped, pgrid)?;
     let mut wire_bytes_total = 0u64;
     let mut step_ns = 0u64; // the slowest rank's median steady step
-    for (rank, pred) in rank_counts(&graph).iter().enumerate() {
-        let t = RankTraffic::read(&out.join(format!("stats.rank{rank}.txt")))
-            .map_err(|e| mismatch(format!("stats.rank{rank}.txt: {e}")))?;
-        if t.pure_msgs != pred.send_msgs
-            || t.pure_elems != pred.send_elems
-            || t.collectives != pred.collectives
+    for (rank, (pred, rec)) in rank_counts(&graph).iter().zip(&records).enumerate() {
+        let [pure_msgs, pure_elems, collectives, raw_sends, raw_send_elems, wire_msgs, wire_bytes, step_ns_p50] =
+            measured_traffic(rec).ok_or_else(|| {
+                failed(format!("rank {rank}'s record carries no measured traffic"))
+            })?;
+        if pure_msgs != pred.send_msgs
+            || pure_elems != pred.send_elems
+            || collectives != pred.collectives
         {
             return Err(mismatch(format!(
-                "alg{alg} rank {rank}: measured ({} msgs, {} elems, {} colls) != \
-                 static schedule ({}, {}, {})",
-                t.pure_msgs,
-                t.pure_elems,
-                t.collectives,
-                pred.send_msgs,
-                pred.send_elems,
-                pred.collectives
+                "alg{alg} rank {rank}: measured ({pure_msgs} msgs, {pure_elems} elems, \
+                 {collectives} colls) != static schedule ({}, {}, {})",
+                pred.send_msgs, pred.send_elems, pred.collectives
             )));
         }
         // wire identity: every logical message crossed the kernel as
         // exactly one frame of 8·elems payload + fixed overhead
-        let expect_bytes = expected_wire_bytes(t.raw_sends, t.raw_send_elems);
-        if t.wire_msgs != t.raw_sends || t.wire_bytes != expect_bytes {
+        let expect_bytes = expected_wire_bytes(raw_sends, raw_send_elems);
+        if wire_msgs != raw_sends || wire_bytes != expect_bytes {
             return Err(mismatch(format!(
-                "alg{alg} rank {rank}: wire counters ({} frames, {} bytes) != \
-                 logical stats ({} msgs, 8·{} + {WIRE_OVERHEAD_BYTES}·{} = {} bytes)",
-                t.wire_msgs, t.wire_bytes, t.raw_sends, t.raw_send_elems, t.raw_sends, expect_bytes
+                "alg{alg} rank {rank}: wire counters ({wire_msgs} frames, {wire_bytes} bytes) != \
+                 logical stats ({raw_sends} msgs, 8·{raw_send_elems} + \
+                 {WIRE_OVERHEAD_BYTES}·{raw_sends} = {expect_bytes} bytes)"
             )));
         }
-        wire_bytes_total += t.wire_bytes;
-        step_ns = step_ns.max(t.step_ns_p50);
+        wire_bytes_total += wire_bytes;
+        step_ns = step_ns.max(step_ns_p50);
     }
     println!(
         "agcm-run: {head}: state bitwise == {what}, measured traffic == static schedule on \
@@ -814,7 +832,9 @@ pub(crate) fn verify_world(
         );
     }
     match &w.run.trace {
-        Some(dir) => analyze_world_trace(alg, pgrid, cfg, dir, out).map_err(mismatch),
+        Some(trace_out) => {
+            analyze_world_trace(alg, pgrid, cfg, trace_out, records).map_err(mismatch)
+        }
         None => Ok(()),
     }
 }
@@ -838,7 +858,8 @@ pub(crate) fn jnum(x: f64) -> String {
     }
 }
 
-/// Validate and analyze the merged trace of one finished world:
+/// Merge the span streams of one finished world's records onto rank 0's
+/// clock, then validate and analyze the merged trace:
 ///
 /// 1. the merged Chrome trace must be RFC 8259-valid JSON with at least
 ///    one span per rank and one `Op` span per operator phase per rank in
@@ -858,17 +879,35 @@ fn analyze_world_trace(
     pgrid: ProcessGrid,
     cfg: &ModelConfig,
     trace_out: &Path,
-    out: &Path,
+    records: Vec<Record>,
 ) -> Result<(), String> {
     let p = pgrid.size();
     fs::create_dir_all(trace_out).map_err(|e| format!("{}: {e}", trace_out.display()))?;
 
     // 1. merged trace: valid JSON, every rank and phase represented
-    let trace_src = fs::read_to_string(out.join("trace.json"))
-        .map_err(|e| format!("reading merged trace: {e}"))?;
+    let mut telemetry = Vec::new();
+    let mut streams = Vec::with_capacity(p);
+    for (rank, rec) in records.into_iter().enumerate() {
+        let (offset, events) = rec
+            .trace
+            .ok_or_else(|| format!("alg{alg} rank {rank}: its record carries no spans"))?;
+        telemetry.push(format!(
+            "offset rank={rank} offset_ns={} rtt_ns={} events={}",
+            offset.offset_ns,
+            offset.rtt_ns,
+            events.len()
+        ));
+        if let Some(h) = rec.metrics.histograms.get("comm.recv_wait_ns") {
+            telemetry.push(format!(
+                "recv_wait rank={rank} count={} p50={} p95={} p99={} max={}",
+                h.count, h.p50, h.p95, h.p99, h.max
+            ));
+        }
+        streams.push((offset.offset_ns, events));
+    }
+    let merged = dist::merge_events(&streams);
+    let trace_src = obs::chrome_trace_json(&merged);
     obs::validate_json(&trace_src).map_err(|e| format!("merged trace is not valid JSON: {e}"))?;
-    let blob = fs::read(out.join("events.bin")).map_err(|e| format!("reading events.bin: {e}"))?;
-    let merged = dist::decode_events(&blob).map_err(|e| format!("decoding events.bin: {e}"))?;
     // the program is SPMD: any operator phase one rank ran in the measured
     // step, every rank must have run (Alg 1 has no deferred-smoothing S2
     // phase, so the required set is derived from the trace, not hardcoded)
@@ -928,19 +967,17 @@ fn analyze_world_trace(
         .map_err(|e| format!("alg{alg}: predicting the traced step: {e}"))?;
     let segments = segments(&predicted, step);
 
-    fs::copy(
-        out.join("trace.json"),
-        trace_out.join(format!("trace_alg{alg}.json")),
-    )
-    .map_err(|e| format!("copying trace: {e}"))?;
-    let _ = fs::copy(
-        out.join("telemetry.txt"),
-        trace_out.join(format!("telemetry_alg{alg}.txt")),
-    );
+    let artifact = |name: String, body: &str| {
+        fs::write(trace_out.join(&name), body).map_err(|e| format!("{name}: {e}"))
+    };
+    artifact(format!("trace_alg{alg}.json"), &trace_src)?;
+    artifact(
+        format!("telemetry_alg{alg}.txt"),
+        &(telemetry.join("\n") + "\n"),
+    )?;
     let report = critpath_report_json(alg, p, step, &predicted, &segments);
     obs::validate_json(&report).map_err(|e| format!("critical-path report JSON invalid: {e}"))?;
-    fs::write(trace_out.join(format!("critpath_alg{alg}.json")), &report)
-        .map_err(|e| format!("critpath_alg{alg}.json: {e}"))?;
+    artifact(format!("critpath_alg{alg}.json"), &report)?;
 
     let block = step
         .blocking
@@ -1098,146 +1135,6 @@ pub fn states_bitwise_equal(a: &GlobalState, b: &GlobalState) -> bool {
         && bits(&a.psa, &b.psa)
 }
 
-// ---------------------------------------------------------------------------
-// On-disk exchange formats (state + per-rank traffic)
-// ---------------------------------------------------------------------------
-
-/// One rank's traffic report for the measured (second) step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RankTraffic {
-    /// Halo messages sent (collective-internal p2p subtracted).
-    pub pure_msgs: u64,
-    /// Halo `f64` elements sent.
-    pub pure_elems: u64,
-    /// Collective calls entered.
-    pub collectives: u64,
-    /// All p2p messages sent, collective-internal included.
-    pub raw_sends: u64,
-    /// All `f64` elements sent, collective-internal included.
-    pub raw_send_elems: u64,
-    /// Frames the transport wrote.
-    pub wire_msgs: u64,
-    /// Bytes the transport wrote (headers + payloads + checksums).
-    pub wire_bytes: u64,
-    /// Median wall time, in ns, of the steps after the measured one (0
-    /// when `--steps` leaves none).
-    pub step_ns_p50: u64,
-}
-
-impl RankTraffic {
-    /// Serialize as `key=value` lines.
-    pub fn write(&self, path: &Path) -> io::Result<()> {
-        let body = format!(
-            "pure_msgs={}\npure_elems={}\ncollectives={}\nraw_sends={}\n\
-             raw_send_elems={}\nwire_msgs={}\nwire_bytes={}\nstep_ns_p50={}\n",
-            self.pure_msgs,
-            self.pure_elems,
-            self.collectives,
-            self.raw_sends,
-            self.raw_send_elems,
-            self.wire_msgs,
-            self.wire_bytes,
-            self.step_ns_p50
-        );
-        fs::write(path, body)
-    }
-
-    /// Parse a file written by [`RankTraffic::write`].
-    pub fn read(path: &Path) -> io::Result<RankTraffic> {
-        let body = fs::read_to_string(path)?;
-        let mut t = RankTraffic::default();
-        for line in body.lines() {
-            let Some((k, v)) = line.split_once('=') else {
-                return Err(bad(format!("malformed line {line:?}")));
-            };
-            let v: u64 = v.parse().map_err(|e| bad(format!("{k}: {e}")))?;
-            match k {
-                "pure_msgs" => t.pure_msgs = v,
-                "pure_elems" => t.pure_elems = v,
-                "collectives" => t.collectives = v,
-                "raw_sends" => t.raw_sends = v,
-                "raw_send_elems" => t.raw_send_elems = v,
-                "wire_msgs" => t.wire_msgs = v,
-                "wire_bytes" => t.wire_bytes = v,
-                "step_ns_p50" => t.step_ns_p50 = v,
-                other => return Err(bad(format!("unknown key {other:?}"))),
-            }
-        }
-        Ok(t)
-    }
-}
-
-fn bad(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Write a gathered state with exact bit patterns (little-endian `f64`
-/// bits), so the parent's comparison is genuinely bitwise: the magic, then
-/// the extents and each array's length and values under the integrity
-/// hash, then the hash.
-pub fn write_state(path: &Path, gs: &GlobalState) -> io::Result<()> {
-    let mut w = io::BufWriter::new(fs::File::create(path)?);
-    write_state_to(&mut w, gs)?;
-    w.flush()
-}
-
-fn write_state_to(w: &mut impl Write, gs: &GlobalState) -> io::Result<()> {
-    w.write_all(STATE_MAGIC)?;
-    let mut words = HashedWords::new(w);
-    let (nx, ny, nz) = gs.extents;
-    for d in [nx, ny, nz] {
-        words.put(d as u64)?;
-    }
-    for arr in [&gs.u, &gs.v, &gs.phi, &gs.psa] {
-        words.put(arr.len() as u64)?;
-        arr.iter().try_for_each(|v| words.put(v.to_bits()))?;
-    }
-    words.put_trailer()
-}
-
-/// Read a state written by [`write_state`].  Each array's length must be
-/// what the extents allot (`nx·ny·nz`, `nx·ny` for `psa`), bounded as a
-/// checkpoint's are before anything is allocated, and the file must hash to
-/// its trailer: a corrupt file is `InvalidData`, never a wrong state.
-pub fn read_state(path: &Path) -> io::Result<GlobalState> {
-    read_state_from(&mut io::BufReader::new(fs::File::open(path)?))
-}
-
-fn read_state_from(r: &mut impl Read) -> io::Result<GlobalState> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != STATE_MAGIC {
-        return Err(bad(format!("bad magic {magic:02x?}")));
-    }
-    let mut words = HashedWords::new(r);
-    let [nx, ny, nz] = [words.take()?, words.take()?, words.take()?].map(|d| d as usize);
-    let volume = check_field_dims(&[nx, ny, nz], HaloWidths::default())?;
-    let surface = check_field_dims(&[nx, ny], HaloWidths::default())?;
-    let mut array = |elems: usize| -> io::Result<Vec<f64>> {
-        let n = words.take()?;
-        if n != elems as u64 {
-            return Err(bad(format!(
-                "array length {n} != {elems} the extents allot"
-            )));
-        }
-        let mut out = Vec::with_capacity(elems);
-        for _ in 0..elems {
-            out.push(f64::from_bits(words.take()?));
-        }
-        Ok(out)
-    };
-    let (u, v) = (array(volume)?, array(volume)?);
-    let (phi, psa) = (array(volume)?, array(surface)?);
-    words.check_trailer("gathered state")?;
-    Ok(GlobalState {
-        extents: (nx, ny, nz),
-        u,
-        v,
-        phi,
-        psa,
-    })
-}
-
 /// The wire-stats identity the parent asserts, exported for reuse in
 /// tests: expected bytes for `msgs` frames carrying `elems` total `f64`s.
 pub fn expected_wire_bytes(msgs: u64, elems: u64) -> u64 {
@@ -1247,6 +1144,24 @@ pub fn expected_wire_bytes(msgs: u64, elems: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bitwise_comparison_sees_sign_of_zero_and_nan_payload() {
+        let gs = GlobalState {
+            extents: (2, 1, 1),
+            u: vec![1.5, -0.0],
+            v: vec![f64::from_bits(0x7FF0_0000_0000_0001), 0.0],
+            phi: vec![std::f64::consts::PI, 2.0],
+            psa: vec![-3.25, 4.0],
+        };
+        assert!(states_bitwise_equal(&gs, &gs.clone()));
+        let mut zero = gs.clone();
+        zero.u[1] = 0.0;
+        assert!(!states_bitwise_equal(&gs, &zero));
+        let mut nan = gs.clone();
+        nan.v[0] = f64::from_bits(0x7FF0_0000_0000_0002);
+        assert!(!states_bitwise_equal(&gs, &nan));
+    }
 
     #[test]
     fn args_parse_defaults_and_flags() {
@@ -1268,109 +1183,37 @@ mod tests {
         assert!(parse_args(&["--help".into()]).unwrap().is_none());
     }
 
+    /// A rank's records round-trip through its world's directory: one per
+    /// incarnation, by ascending birth epoch, the measured traffic among
+    /// their counters.  A `.tmp` is not a record, another rank's file is
+    /// not this rank's, and a corrupt record is an error naming the file.
     #[test]
-    fn state_file_round_trips_bit_patterns() {
-        let gs = GlobalState {
-            extents: (2, 1, 1),
-            u: vec![1.5, -0.0],
-            v: vec![f64::from_bits(0x7FF0_0000_0000_0001), 0.0],
-            phi: vec![std::f64::consts::PI, 2.0],
-            psa: vec![-3.25, 4.0],
-        };
-        let path = std::env::temp_dir().join(format!("agcm_run_state_{}.bin", std::process::id()));
-        write_state(&path, &gs).unwrap();
-        let back = read_state(&path).unwrap();
-        fs::remove_file(&path).ok();
-        assert!(states_bitwise_equal(&back, &gs));
-        // -0.0 vs 0.0 must be caught by the bitwise comparison
-        let mut flipped = gs.clone();
-        flipped.u[1] = 0.0;
-        assert!(!states_bitwise_equal(&back, &flipped));
-    }
-
-    /// A (2, 3, 1) state file's bytes, and the byte offset of word `i`
-    /// after its magic (words 0–2 are the extents, 3 is `u`'s length).
-    fn state_bytes() -> (Vec<u8>, impl Fn(usize) -> usize) {
-        let vals = |k: f64| (0..6).map(|i| k + i as f64 / 8.0).collect();
-        let gs = GlobalState {
-            extents: (2, 3, 1),
-            u: vals(1.0),
-            v: vals(2.0),
-            phi: vals(3.0),
-            psa: vals(4.0),
-        };
-        let mut bytes = Vec::new();
-        write_state_to(&mut bytes, &gs).unwrap();
-        (bytes, |i| 8 + 8 * i)
-    }
-
-    fn read_bytes(bytes: &[u8]) -> io::Error {
-        read_state_from(&mut &bytes[..]).unwrap_err()
-    }
-
-    #[test]
-    fn state_file_refuses_a_length_the_extents_do_not_allot() {
-        let (mut bytes, word) = state_bytes();
-        assert!(read_state_from(&mut &bytes[..]).is_ok());
-        // 2^32 values promised: refused before any of them is reserved
-        bytes[word(3)..word(4)].copy_from_slice(&(1u64 << 32).to_le_bytes());
-        let err = read_bytes(&bytes);
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        assert!(err.to_string().contains("allot"), "{err}");
-        // one value too few for 2·3·1
-        bytes[word(3)..word(4)].copy_from_slice(&5u64.to_le_bytes());
-        let err = read_bytes(&bytes);
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        assert!(err.to_string().contains("6 the extents allot"), "{err}");
-        // extents past any plausible field
-        let (mut bytes, word) = state_bytes();
-        bytes[word(0)..word(1)].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        let err = read_bytes(&bytes);
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        assert!(err.to_string().contains("implausible"), "{err}");
-    }
-
-    #[test]
-    fn state_file_refuses_every_flipped_bit() {
-        let (bytes, _) = state_bytes();
-        for at in 8..bytes.len() {
-            for bit in 0..8 {
-                let mut bad = bytes.clone();
-                bad[at] ^= 1 << bit;
-                let err = read_bytes(&bad);
-                assert_eq!(
-                    err.kind(),
-                    io::ErrorKind::InvalidData,
-                    "byte {at} bit {bit}"
-                );
+    fn record_files_round_trip() {
+        let dir = std::env::temp_dir().join(format!("agcm_run_records_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let with = |traffic: [u64; 8]| {
+            let mut rec = Record::default();
+            for (name, v) in TRAFFIC.into_iter().zip(traffic) {
+                rec.metrics.counters.insert(name.to_string(), v);
             }
-        }
-        // a flipped value bit is caught by the trailer alone
-        let (mut bytes, word) = state_bytes();
-        bytes[word(5)] ^= 1;
-        let err = read_bytes(&bytes);
-        assert!(
-            err.to_string().contains("gathered state hash mismatch"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn traffic_file_round_trips() {
-        let t = RankTraffic {
-            pure_msgs: 4,
-            pure_elems: 1000,
-            collectives: 7,
-            raw_sends: 16,
-            raw_send_elems: 1200,
-            wire_msgs: 16,
-            wire_bytes: expected_wire_bytes(16, 1200),
-            step_ns_p50: 1_875_000,
+            rec
         };
-        let path = std::env::temp_dir().join(format!("agcm_run_stats_{}.txt", std::process::id()));
-        t.write(&path).unwrap();
-        let back = RankTraffic::read(&path).unwrap();
-        fs::remove_file(&path).ok();
-        assert_eq!(back, t);
+        write_record(&dir, 3, 2, &with([2; 8])).unwrap();
+        write_record(&dir, 3, 0, &with([0; 8])).unwrap();
+        write_record(&dir, 1, 0, &with([9; 8])).unwrap();
+        fs::write(dir.join("record.rank0003.epoch00000005.bin.tmp"), b"torn").unwrap();
+        let recs = read_records(&dir, 3).unwrap();
+        let got: Vec<_> = recs
+            .iter()
+            .map(|(epoch, r)| (*epoch, measured_traffic(r)))
+            .collect();
+        assert_eq!(got, [(0, Some([0; 8])), (2, Some([2; 8]))]);
+        assert_eq!(measured_traffic(&Record::default()), None);
+
+        let bad = dir.join(record_file_name(3, 7));
+        fs::write(&bad, b"AGCMREC1 but not one").unwrap();
+        let err = read_records(&dir, 3).unwrap_err();
+        assert!(err.contains(&bad.display().to_string()), "{err}");
+        fs::remove_dir_all(&dir).ok();
     }
 }

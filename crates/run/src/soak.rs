@@ -29,8 +29,8 @@
 //! The verdict plus all of the above lands in a schema-validated
 //! `BENCH_soak.json`.
 
-use crate::elastic::{read_rank_metrics, run_phase, Incident, Launch};
-use crate::{jnum, parse_num, run_config, ParentError, Phase, Plan};
+use crate::elastic::{run_phase, Incident, Launch};
+use crate::{jnum, parse_num, read_records, run_config, ParentError, Phase, Plan};
 use agcm_comm::{splitmix64, Endpoint};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
@@ -368,19 +368,20 @@ impl PhaseOutcome<'_> {
     }
 }
 
-/// Merge every incarnation of every rank in one phase's checkpoint
-/// directory: per rank across its epochs, then across ranks by the same
-/// rule ([`obs::dist::merge_rank_metrics`], keyed by rank) — counters and
-/// histogram mass sum, gauges keep the last rank's value (they are per-rank
-/// quantities like the epoch, meaningless to sum).
-fn merge_world_metrics(dir: &Path, p: usize) -> obs::MetricsSnapshot {
-    let per_rank: Vec<_> = (0..p)
-        .map(|rank| {
-            let snaps = read_rank_metrics(dir, rank);
-            (rank as u64, obs::dist::merge_rank_metrics(&snaps))
-        })
-        .collect();
-    obs::dist::merge_rank_metrics(&per_rank)
+/// Merge the records of every incarnation of every rank in one phase's
+/// checkpoint directory: per rank across its epochs, then across ranks by
+/// the same rule ([`obs::dist::merge_rank_metrics`], keyed by rank) —
+/// counters and histogram mass sum, gauges keep the last rank's value (they
+/// are per-rank quantities like the epoch, meaningless to sum).
+fn merge_world_metrics(dir: &Path, p: usize) -> Result<obs::MetricsSnapshot, String> {
+    let mut per_rank = Vec::with_capacity(p);
+    for rank in 0..p {
+        let snaps: Vec<_> = (read_records(dir, rank)?.into_iter())
+            .map(|(epoch, rec)| (epoch, rec.metrics))
+            .collect();
+        per_rank.push((rank as u64, obs::dist::merge_rank_metrics(&snaps)));
+    }
+    Ok(obs::dist::merge_rank_metrics(&per_rank))
 }
 
 /// Young/Daly: `k ≈ √(2·δ·MTBF) / T_step`, clamped to a sane cadence (at
@@ -449,7 +450,7 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
                 &format!("soak phase {i}"),
             )?;
 
-            let merged = merge_world_metrics(&plan.ckpt_dir(&run.out, i), ph.p);
+            let merged = merge_world_metrics(&plan.ckpt_dir(&run.out, i), ph.p)?;
             let rewires = merged
                 .counters
                 .get("resilience.rewires")

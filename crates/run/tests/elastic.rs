@@ -305,3 +305,29 @@ fn elastic_usage_errors_exit_2() {
         stderr(&out)
     );
 }
+
+/// A malformed launcher variable is a typed error naming it, before the
+/// socket mesh connects: the worker exits 1, it does not panic.
+#[test]
+fn malformed_worker_variable_exits_1_naming_it() {
+    let dir = std::env::temp_dir().join(format!("agcm_bad_env_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_agcm-run"))
+        .env("AGCM_RANK", "0")
+        .env("AGCM_WORLD_SIZE", "1")
+        .env("AGCM_ENDPOINT", dir.join("ep"))
+        .env("AGCM_RUN_ALG", "1")
+        .env("AGCM_RUN_STEPS", "2")
+        .env("AGCM_RUN_PY", "1")
+        .env("AGCM_RUN_PZ", "1")
+        .env("AGCM_RUN_OUT", &dir)
+        .env("AGCM_CKPT_DIR", &dir)
+        .env("AGCM_CKPT_INTERVAL", "x")
+        .output()
+        .expect("spawn agcm-run worker");
+    let se = stderr(&out);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1), "want exit 1:\n{se}");
+    assert!(se.contains("AGCM_CKPT_INTERVAL"), "{se}");
+    assert!(!se.contains("panicked"), "{se}");
+}
