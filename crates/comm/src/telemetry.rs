@@ -83,6 +83,65 @@ pub fn clock_align(comm: &Communicator, rounds: usize) -> CommResult<OffsetEstim
 mod tests {
     use super::*;
     use crate::runtime::Universe;
+    use agcm_obs::{Phase, SpanKind};
+
+    fn ev(rank: usize, name: &'static str, t0: u64, t1: u64) -> obs::Event {
+        obs::Event {
+            rank,
+            step: 2,
+            kind: SpanKind::Op,
+            phase: Phase::A,
+            name,
+            t0_ns: t0,
+            t1_ns: t1,
+            seq: t0,
+            bytes: 0,
+            value: 0.0,
+        }
+    }
+
+    /// Each rank ships its telemetry as the bytes of one record; the parent
+    /// decodes every record and merges the span streams onto rank 0's clock.
+    #[test]
+    fn telemetry_ships_and_merges() {
+        let shipped = Universe::run(3, |comm| {
+            let rank = comm.rank();
+            let mut metrics = obs::MetricsSnapshot::default();
+            metrics.counters.insert("steps".into(), rank as u64);
+            // the epoch survives the trip: pre-/post-crash records stay
+            // distinguishable on the parent's side
+            metrics
+                .gauges
+                .insert("resilience.epoch".into(), 2.0 * rank as f64);
+            // rank 0's clock is the reference; the others stand skewed
+            let offset = OffsetEstimate {
+                offset_ns: 10 * rank as i64,
+                rtt_ns: 4,
+            };
+            let t0 = if rank == 0 { 100 } else { 50 * rank as u64 };
+            let events = vec![ev(rank, "alg2.step", t0, t0 + 800)];
+            dist::encode_record(&dist::Record {
+                metrics,
+                trace: Some((offset, events)),
+            })
+        });
+        let mut streams = Vec::new();
+        for (rank, bytes) in shipped.iter().enumerate() {
+            let rec = dist::decode_record(bytes).expect("decode");
+            assert_eq!(rec.metrics.counters["steps"], rank as u64);
+            assert_eq!(rec.metrics.gauges["resilience.epoch"], 2.0 * rank as f64);
+            let (offset, events) = rec.trace.expect("traced");
+            streams.push((offset.offset_ns, events));
+        }
+        let merged = dist::merge_events(&streams);
+        assert_eq!(merged.len(), 3);
+        let ranks: Vec<usize> = merged.iter().map(|e| e.rank).collect();
+        assert!(ranks.contains(&0) && ranks.contains(&1) && ranks.contains(&2));
+        // rank 1's event: local 50 + offset 10 = 60; rank 2's: 100 + 20 =
+        // 120; rank 0's at 100 -> origin is rank 1's 60
+        assert_eq!(merged[0].rank, 1);
+        assert_eq!(merged[0].t0_ns, 0);
+    }
 
     #[test]
     fn clock_handshake_estimates_small_offset_in_process() {
