@@ -76,22 +76,6 @@ where
     })
 }
 
-/// Like [`parse_env`] but panics on a malformed value, naming the variable
-/// and the offending value.  Used at initialization sites where there is no
-/// error channel to the caller (thread pools, lazily-initialized timeouts):
-/// failing loudly beats silently running with a default the user did not
-/// ask for.
-pub fn parse_env_or<T>(name: &str, default: T) -> T
-where
-    T: FromStr,
-    T::Err: fmt::Display,
-{
-    match parse_env(name) {
-        Ok(v) => v.unwrap_or(default),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,14 +86,12 @@ mod tests {
     #[test]
     fn unset_is_none() {
         assert_eq!(parse_env::<u64>("AGCM_TEST_ENV_UNSET"), Ok(None));
-        assert_eq!(parse_env_or("AGCM_TEST_ENV_UNSET", 7u64), 7);
     }
 
     #[test]
     fn valid_value_parses() {
         std::env::set_var("AGCM_TEST_ENV_VALID", "42");
         assert_eq!(parse_env::<usize>("AGCM_TEST_ENV_VALID"), Ok(Some(42)));
-        assert_eq!(parse_env_or("AGCM_TEST_ENV_VALID", 0usize), 42);
     }
 
     #[test]
@@ -145,12 +127,5 @@ mod tests {
     fn negative_into_unsigned_is_an_error() {
         std::env::set_var("AGCM_TEST_ENV_NEG", "-3");
         assert!(parse_env::<u64>("AGCM_TEST_ENV_NEG").is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "AGCM_TEST_ENV_PANIC")]
-    fn parse_env_or_panics_with_variable_name() {
-        std::env::set_var("AGCM_TEST_ENV_PANIC", "not-a-number");
-        let _ = parse_env_or("AGCM_TEST_ENV_PANIC", 1u64);
     }
 }

@@ -375,21 +375,26 @@ impl FaultPlan {
         Ok(FaultPlan { seed, rules })
     }
 
-    /// Build a plan from `AGCM_FAULT_SPEC` / `AGCM_FAULT_SEED`.  Returns
-    /// `None` when no spec is set; panics on a malformed spec (a chaos run
-    /// with a typo'd spec must not silently run fault-free).
-    pub fn from_env() -> Option<FaultPlan> {
-        let spec = std::env::var("AGCM_FAULT_SPEC").ok()?;
+    /// Build a plan from `AGCM_FAULT_SPEC` / `AGCM_FAULT_SEED`: `None` when
+    /// no spec is set, an error naming the variable when either is
+    /// malformed — a typo'd seed must not silently replay the *default*
+    /// schedule, nor a typo'd spec run fault-free.
+    pub fn try_from_env() -> Result<Option<FaultPlan>, String> {
+        let spec = std::env::var("AGCM_FAULT_SPEC").unwrap_or_default();
         if spec.trim().is_empty() {
-            return None;
+            return Ok(None);
         }
-        // strict parse: a typo'd seed must not silently replay the
-        // *default* schedule instead of the requested one
-        let seed = crate::env::parse_env_or("AGCM_FAULT_SEED", DEFAULT_SEED);
-        match FaultPlan::parse(seed, &spec) {
-            Ok(p) => Some(p),
-            Err(e) => panic!("invalid AGCM_FAULT_SPEC: {e}"),
-        }
+        let seed = crate::env::parse_env("AGCM_FAULT_SEED").map_err(|e| e.to_string())?;
+        FaultPlan::parse(seed.unwrap_or(DEFAULT_SEED), &spec)
+            .map(Some)
+            .map_err(|e| format!("invalid AGCM_FAULT_SPEC={spec:?}: {e}"))
+    }
+
+    /// [`FaultPlan::try_from_env`], panicking on a malformed variable (a
+    /// communicator has no error channel at construction; `agcm-run` and
+    /// `agcm-soak` refuse one at their entry instead).
+    pub fn from_env() -> Option<FaultPlan> {
+        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Decide deterministically whether a fault fires at `site`.

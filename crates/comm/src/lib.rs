@@ -26,14 +26,14 @@ pub mod telemetry;
 pub mod transport;
 
 pub use collective::ReduceOp;
-pub use env::{parse_env, parse_env_or, EnvError};
+pub use env::{parse_env, EnvError};
 pub use error::{CommError, CommResult};
 pub use fault::{
     checksum, checksum_bytes, splitmix64, FaultAction, FaultEvent, FaultKind, FaultPlan, FaultRule,
     FaultSite,
 };
 pub use model::{p2p_only_delta, CostModel, KernelCosts};
-pub use runtime::{default_timeout, Communicator, Universe, FRAME_WORDS};
+pub use runtime::{default_timeout, timeout_from_env, Communicator, Universe, FRAME_WORDS};
 pub use stats::{CollectiveEvent, CollectiveKind, CommStats, FaultSnapshot, StatsSnapshot};
 pub use transport::{
     Endpoint, Envelope, MpscTransport, SocketTransport, Transport, WireStats, WIRE_OVERHEAD_BYTES,

@@ -29,6 +29,7 @@
 //! running at `p = 1024` is instead *modelled* (see [`crate::model`]) from
 //! the traffic this runtime counts, as explained in `DESIGN.md`.
 
+use crate::env::EnvError;
 use crate::error::{CommError, CommResult};
 use crate::fault::{self, FaultAction, FaultEvent, FaultKind, FaultPlan, FaultSite};
 use crate::stats::CommStats;
@@ -41,15 +42,22 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Default deadlock-detection timeout: `AGCM_COMM_TIMEOUT_MS` (milliseconds)
-/// if set in the environment, otherwise 30 s.  A malformed value panics (see
-/// [`crate::env`]).  Tests that exercise failure paths should either set the
-/// env var for the whole run or call [`Communicator::set_timeout`] so
-/// expected deadlocks fail in milliseconds.
+/// `AGCM_COMM_TIMEOUT_MS` (milliseconds) if set in the environment,
+/// otherwise 30 s; a malformed value is an error naming the variable, so a
+/// launcher can refuse it before any communicator exists.
+pub fn timeout_from_env() -> Result<Duration, EnvError> {
+    let ms = crate::env::parse_env("AGCM_COMM_TIMEOUT_MS")?.unwrap_or(30_000);
+    Ok(Duration::from_millis(ms))
+}
+
+/// Default deadlock-detection timeout: [`timeout_from_env`], read once.  A
+/// malformed value panics here — `agcm-run` and `agcm-soak` refuse it at
+/// their entry instead.  Tests that exercise failure paths should either
+/// set the env var for the whole run or call [`Communicator::set_timeout`]
+/// so expected deadlocks fail in milliseconds.
 pub fn default_timeout() -> Duration {
-    static MS: OnceLock<u64> = OnceLock::new();
-    let ms = *MS.get_or_init(|| crate::env::parse_env_or("AGCM_COMM_TIMEOUT_MS", 30_000));
-    Duration::from_millis(ms)
+    static T: OnceLock<Duration> = OnceLock::new();
+    *T.get_or_init(|| timeout_from_env().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Tags with this bit set are reserved for collectives.

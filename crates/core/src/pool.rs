@@ -34,24 +34,26 @@ thread_local! {
     static OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
-fn env_workers() -> usize {
-    // strict parse: `AGCM_THREADS=8x` must fail loudly, not silently run
-    // single-threaded
-    agcm_comm::env::parse_env_or("AGCM_THREADS", 1usize).clamp(1, MAX_WORKERS)
+/// `AGCM_THREADS` (default 1, clamped to [`MAX_WORKERS`]); strict:
+/// `AGCM_THREADS=8x` is an error naming the variable, not a silent
+/// single-threaded run.
+pub fn workers_from_env() -> Result<usize, agcm_comm::EnvError> {
+    agcm_comm::parse_env("AGCM_THREADS").map(|n| n.unwrap_or(1).clamp(1, MAX_WORKERS))
 }
 
 /// Number of intra-rank workers for kernel sweeps.
 ///
-/// Reads `AGCM_THREADS` once (default 1, clamped to [`MAX_WORKERS`]); tests
-/// override it per-thread via [`with_workers`] so parallel test binaries
-/// never mutate the process environment.
+/// Reads [`workers_from_env`] once (a malformed value panics here; the
+/// launchers refuse it at their entry); tests override it per-thread via
+/// [`with_workers`] so parallel test binaries never mutate the process
+/// environment.
 #[inline]
 pub fn workers() -> usize {
     let o = OVERRIDE.with(Cell::get);
     if o != 0 {
         return o;
     }
-    *ENV_WORKERS.get_or_init(env_workers)
+    *ENV_WORKERS.get_or_init(|| workers_from_env().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Minimum grid points per band before a phase is worth another worker.

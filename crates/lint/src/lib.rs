@@ -509,8 +509,10 @@ pub const ACCESS_REGISTRY: &str = "crates/core/src/access.rs";
 
 /// Transport/resilience modules bound by [`Rule::Unwrap`]: every error arm
 /// here is reachable under fault injection — in the launcher (`agcm-run`,
-/// `agcm-soak`) by a killed or failing worker.
+/// `agcm-soak`) by a killed or failing worker — or, in the record codec
+/// (`obs::dist`), by bytes the parent reads but did not write.
 pub const NO_UNWRAP_MODULES: &[&str] = &[
+    "crates/obs/src/dist.rs",
     "crates/comm/src/transport.rs",
     "crates/comm/src/runtime.rs",
     "crates/comm/src/collective.rs",

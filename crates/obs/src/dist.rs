@@ -100,6 +100,13 @@ impl<'a> Reader<'a> {
     fn done(&self) -> bool {
         self.i == self.b.len()
     }
+
+    /// A capacity hint for `n` items of at least `min_bytes` each, bounded
+    /// by the bytes left: an unverified count in hostile bytes must not
+    /// size an allocation.
+    fn hint(&self, n: usize, min_bytes: usize) -> usize {
+        n.min((self.b.len() - self.i) / min_bytes)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -188,6 +195,10 @@ fn intern(name: &str) -> &'static str {
 // event stream codec
 // ---------------------------------------------------------------------------
 
+/// Encoded size of one event: rank, name index (u32 each), kind and phase
+/// codes (a byte each), step, t0, t1, seq, bytes and value (u64 each).
+const EVENT_BYTES: usize = 2 * 4 + 2 + 6 * 8;
+
 /// Encode a drained event stream into the versioned binary form.
 pub fn encode_events(events: &[Event]) -> Vec<u8> {
     let mut names: Vec<&'static str> = Vec::new();
@@ -198,7 +209,7 @@ pub fn encode_events(events: &[Event]) -> Vec<u8> {
             (names.len() - 1) as u32
         });
     }
-    let mut out = Vec::with_capacity(16 + names.len() * 24 + events.len() * 56);
+    let mut out = Vec::with_capacity(16 + names.len() * 24 + events.len() * EVENT_BYTES);
     out.extend_from_slice(EVENTS_MAGIC);
     put_u32(&mut out, names.len() as u32);
     for n in &names {
@@ -227,12 +238,12 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, String> {
         return Err("bad event-stream magic".to_string());
     }
     let n_names = r.u32()? as usize;
-    let mut names = Vec::with_capacity(n_names);
+    let mut names = Vec::with_capacity(r.hint(n_names, 4));
     for _ in 0..n_names {
         names.push(intern(&r.str()?));
     }
     let n_events = r.u32()? as usize;
-    let mut events = Vec::with_capacity(n_events);
+    let mut events = Vec::with_capacity(r.hint(n_events, EVENT_BYTES));
     for _ in 0..n_events {
         let rank = r.u32()? as usize;
         let step = r.u64()?;
@@ -487,8 +498,9 @@ impl ClockSample {
     }
 }
 
-/// The fitted clock relation `peer_clock ≈ local_clock + offset_ns`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The fitted clock relation `peer_clock ≈ local_clock + offset_ns`; the
+/// default (zero offset, zero RTT) is the reference clock's own.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OffsetEstimate {
     /// Estimated offset (add to local times to land on the peer clock).
     pub offset_ns: i64,
@@ -700,6 +712,30 @@ mod tests {
         let mut flag = encode_record(&plain);
         *flag.last_mut().expect("flag byte") = 2;
         assert!(decode_record(&flag).unwrap_err().contains("flag"));
+    }
+
+    /// A 69-byte record whose span stream claims 2³²−1 names or events is
+    /// refused as truncated: the unverified count does not size an
+    /// allocation before the bytes behind it are read.
+    #[test]
+    fn hostile_counts_are_refused_without_allocating() {
+        let offset = OffsetEstimate {
+            offset_ns: 0,
+            rtt_ns: 0,
+        };
+        let rec = Record {
+            metrics: MetricsSnapshot::default(),
+            trace: Some((offset, Vec::new())),
+        };
+        let bytes = encode_record(&rec);
+        assert_eq!(bytes.len(), 69);
+        // the stream's last eight bytes: its name count, then its event count
+        for at in [bytes.len() - 8, bytes.len() - 4] {
+            let mut hostile = bytes.clone();
+            hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let err = decode_record(&hostile).unwrap_err();
+            assert!(err.contains("truncated"), "{err}");
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! The launcher every `agcm-run` and `agcm-soak` world goes through: a
 //! [`Plan`] of fixed-size phases, one phase runner ([`run_phase`]: hand-off,
 //! supervise, verify), one pure [`Supervisor`] whose decisions its driver
-//! ([`supervise_world`]) performs, and the elastic worker.
+//! ([`supervise_world`]) performs, and the one worker loop every rank of
+//! every world runs.
 //!
-//! A world is *classic* or *elastic* by its respawn policy.  A classic world
-//! writes no checkpoints and fails on its first non-zero exit.  In an
-//! elastic world every worker checkpoints to a durable per-rank file
-//! (tmp + rename), and when a rank's process dies — detected twice, as a
+//! A world is *classic* or *elastic* only by the respawn policy the parent
+//! gives its supervisor: a classic world fails on its first non-zero exit,
+//! and only its records carry traffic the parent can check against the
+//! static schedule.  The workers are the same in both.  Every worker
+//! checkpoints to a durable per-rank file (tmp + rename), and in an elastic
+//! world, when a rank's process dies — detected twice, as a
 //! child exit in the parent and as poison on every surviving peer's
 //! connection — the parent respawns it from the latest checkpoint while the
 //! survivors park in a recovery barrier and rewire the socket mesh to the
@@ -23,16 +26,19 @@
 //! ([`agcm_verify::certify_yz`]) before stepping resumes.
 
 use crate::{
-    new_model, run_config, set_default_ic, verify_world, write_record, ParentError, Worker,
+    new_model, run_config, set_default_ic, verify_world, write_record, ParentError, Worker, TRAFFIC,
 };
-use agcm_comm::{CommError, Communicator, Endpoint, ReduceOp, SocketTransport, Transport};
+use agcm_comm::telemetry::{self, CLOCK_ROUNDS};
+use agcm_comm::{
+    p2p_only_delta, CommError, Communicator, Endpoint, ReduceOp, SocketTransport, Transport,
+};
 use agcm_core::{
     checkpoint_path, latest_checkpoint_step, prune_checkpoints, read_checkpoint, redistribute,
     resize_retention, write_checkpoint, Integrator,
 };
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
-use agcm_obs::dist::Record;
+use agcm_obs::dist::{OffsetEstimate, Record};
 use agcm_verify::certify_yz;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -132,10 +138,11 @@ impl Plan {
 // Worker
 // ---------------------------------------------------------------------------
 
-/// Where and how often an elastic world's workers write durable
-/// checkpoints: the parent ships it in `AGCM_CKPT_*`, and a worker is
-/// elastic exactly when `AGCM_CKPT_DIR` is set.
+/// Where and how often a world's workers write durable checkpoints, the
+/// final one among them, and leave their records: the parent ships it in
+/// `AGCM_CKPT_*`.
 pub(crate) struct Ckpt {
+    /// The phase's checkpoint directory ([`Plan::ckpt_dir`]).
     pub dir: PathBuf,
     /// Steady-state cadence (steps between durable writes).
     pub interval: u64,
@@ -161,42 +168,45 @@ fn classify(rank: usize, what: &str, e: CommError) -> EpochEnd {
     }
 }
 
-/// One rank of an elastic world: integrate with durable checkpoints into
-/// `ckpt.dir`, and on peer death rewire the mesh to the next epoch and
+/// One rank of any world: integrate with durable checkpoints into
+/// `w.ckpt.dir`, and on peer death rewire the mesh to the next epoch and
 /// re-enter from the agreed restore point.  Returns only when the run
-/// completed (`Ok`) or hit a non-recoverable error (`Err` → exit code 1, at
-/// which point the supervisor's respawn policy takes over).
-pub(crate) fn elastic_worker(
-    w: &Worker,
-    transport: &Rc<SocketTransport>,
-    ckpt: &Ckpt,
-    kill_step: Option<u64>,
-) -> Result<(), String> {
+/// completed (`Ok`, its completion record written) or hit a non-recoverable
+/// error (`Err` → exit code 1, at which point the supervisor's respawn
+/// policy takes over).
+pub(crate) fn elastic_worker(w: &Worker, transport: &Rc<SocketTransport>) -> Result<(), String> {
     let rank = w.rank;
     let mut epoch = transport.epoch();
     // the epoch this incarnation was born into names its record, one file
     // per incarnation, so the merge can sum counters across a rank's
     // incarnations instead of last-write-wins mixing pre- and post-crash
-    // counts.  The record is refreshed at birth, after every rewire and at
-    // completion; a failed write is logged, never fatal
+    // counts.  The record is refreshed at birth and after every rewire (a
+    // failed write logged, never fatal) and written at completion
     let birth = epoch;
-    let record = || {
-        let rec = Record {
-            metrics: obs::Registry::global().snapshot(),
-            trace: None,
-        };
-        if let Err(e) = write_record(&ckpt.dir, rank, birth, &rec) {
+    let record = |trace| {
+        let metrics = obs::Registry::global().snapshot();
+        write_record(&w.ckpt.dir, rank, birth, &Record { metrics, trace })
+    };
+    let refresh = || {
+        if let Err(e) = record(None) {
             eprintln!("agcm-run worker {rank}: writing its record: {e}");
         }
     };
     let gauge = obs::Registry::global().gauge("resilience.epoch");
     gauge.set(epoch as f64);
-    record();
+    refresh();
+    let mut offset = None;
     loop {
-        match run_epoch(w, transport, ckpt, kill_step) {
+        match run_epoch(w, transport, &mut offset) {
             Ok(()) => {
-                record();
-                return Ok(());
+                // the completion record, spans drained into it: the
+                // parent's verdict reads it, so failing to write it fails
+                // the worker
+                let trace = offset.map(|offset| {
+                    obs::disable();
+                    (offset, obs::drain())
+                });
+                return record(trace).map_err(|e| format!("rank {rank}: record: {e}"));
             }
             Err(EpochEnd::PeerLost(peer, detail)) => {
                 let _sp = obs::span(obs::SpanKind::Recovery, "run.rewire");
@@ -210,7 +220,7 @@ pub(crate) fn elastic_worker(
                     .rewire(epoch, peer, RECOVERY_TIMEOUT)
                     .map_err(|e| format!("rank {rank}: rewire to epoch {epoch}: {e}"))?;
                 gauge.set(epoch as f64);
-                record();
+                refresh();
             }
             Err(EpochEnd::Fatal(msg)) => return Err(msg),
         }
@@ -218,17 +228,17 @@ pub(crate) fn elastic_worker(
 }
 
 /// One incarnation of the integration at the transport's current epoch:
+/// under tracing at epoch 0 the clock handshake (into `offset`), the
 /// recovery barrier (agree on the restore step), restore or cold-start,
-/// step with durable checkpoints, and on completion the final checkpoint —
-/// the one the parent assembles the world's state from — and a final
-/// barrier.
+/// step with durable checkpoints — a fresh world measuring its steady step
+/// for the parent — and on completion the final checkpoint (the one the
+/// parent assembles the world's state from) and a final barrier.
 fn run_epoch(
     w: &Worker,
     transport: &Rc<SocketTransport>,
-    ck: &Ckpt,
-    kill_step: Option<u64>,
+    offset: &mut Option<OffsetEstimate>,
 ) -> Result<(), EpochEnd> {
-    let rank = w.rank;
+    let (rank, ck) = (w.rank, &w.ckpt);
     let fatal = |msg: String| EpochEnd::Fatal(format!("rank {rank}: {msg}"));
     // a kill -9 exactly between two frames EOFs the stream cleanly; under
     // a supervisor that still means "peer died", so arm the poison path
@@ -239,12 +249,27 @@ fn run_epoch(
     // rebuilt worlds agree), and the failed generation's sticky poison is
     // gone — per-frame epoch filtering is what keeps the reuse safe
     let mut comm = Communicator::on_transport(Rc::clone(transport) as Rc<dyn Transport>);
+    if w.tracing && transport.epoch() == 0 {
+        // the clock handshake rides a split control communicator, so its
+        // reserved tags never meet model traffic, and runs before the model
+        // is built, outside every measured bracket
+        let ctl = comm
+            .split(0, rank)
+            .map_err(|e| classify(rank, "control communicator", e))?;
+        let estimate = if rank == 0 {
+            telemetry::clock_serve(&ctl, CLOCK_ROUNDS).map(|()| OffsetEstimate::default())
+        } else {
+            telemetry::clock_align(&ctl, CLOCK_ROUNDS)
+        };
+        *offset = Some(estimate.map_err(|e| classify(rank, "clock handshake", e))?);
+    }
     let mut model = new_model(w.alg, &w.cfg, w.pgrid, &mut comm).map_err(fatal)?;
 
     // the recovery barrier: agree on the newest step EVERY rank holds
-    // durable (-1 = none).  A replacement may be behind the survivors —
-    // everyone rolls back to the minimum, in lockstep, so the continued
-    // run is the bitwise continuation of a state that actually existed.
+    // durable (-1 = none: use the IC).  A replacement may be behind the
+    // survivors — everyone rolls back to the minimum, in lockstep, so the
+    // continued run is the bitwise continuation of a state that actually
+    // existed.  Its spans are stamped step 0, outside the measured step.
     comm.set_timeout(RECOVERY_TIMEOUT);
     let mine = latest_checkpoint_step(&ck.dir, rank)
         .map_err(|e| fatal(format!("listing checkpoints: {e}")))?;
@@ -270,17 +295,20 @@ fn run_epoch(
     // function of (epoch, agreed step), both identical across the world,
     // so the per-rank checkpoint step sets stay aligned and the recovery
     // barrier's minimum always names a file every rank holds.
-    let burst_end: Option<u64> = if transport.epoch() > 0 {
-        Some(restored.unwrap_or(0) + w.pgrid.size() as u64)
-    } else {
-        None
-    };
+    let burst_end = (transport.epoch() > 0).then(|| restored.unwrap_or(0) + w.pgrid.size() as u64);
+    // a fresh world measures its steady step — the second, the one the
+    // static schedule describes — with the collective event log on only
+    // inside that bracket, and times the steady steps after it; checkpoint
+    // writes fall outside both.  A socket transport always has wire stats.
+    let measure = restored.is_none() && transport.epoch() == 0;
+    let wire = || transport.wire_stats().unwrap_or_default();
+    let (mut bracket, mut step_ns) = (None, Vec::new());
     while model.steps < w.steps {
         let s = model.steps as u64;
         if s.is_multiple_of(ck.interval) || burst_end.is_some_and(|b| s <= b) {
             durable_checkpoint(&model, ck, rank).map_err(fatal)?;
         }
-        if kill_step == Some(s) {
+        if w.kill_step == Some(s) {
             // chaos injection: die like a kill -9 — no unwinding, no
             // flushes, the kernel closes the sockets mid-run.  Fires in
             // whatever epoch this incarnation first reaches the step
@@ -288,9 +316,40 @@ fn run_epoch(
             // scheduled kill fires at most once).
             std::process::abort();
         }
+        if measure && s == 1 {
+            comm.stats().set_event_logging(true);
+            bracket = Some((comm.stats().snapshot(), wire()));
+        }
+        let t0 = Instant::now();
         model
             .step(Some(&comm))
             .map_err(|e| classify(rank, "step", e))?;
+        if measure && s > 1 {
+            step_ns.push(t0.elapsed().as_nanos() as u64);
+        }
+        if let Some((s0, w0)) = bracket.take() {
+            comm.stats().set_event_logging(false);
+            let delta = comm.stats().snapshot().delta(&s0);
+            let events = comm.stats().collective_events();
+            let (pure, wire) = (p2p_only_delta(&delta, &events), wire().delta(&w0));
+            let measured = [
+                pure.p2p_sends,
+                pure.p2p_send_elems,
+                events.len() as u64,
+                delta.p2p_sends,
+                delta.p2p_send_elems,
+                wire.msgs_sent,
+                wire.bytes_sent,
+            ];
+            for (name, v) in TRAFFIC.into_iter().zip(measured) {
+                obs::Registry::global().counter(name).add(v);
+            }
+        }
+    }
+    if measure {
+        step_ns.sort_unstable();
+        let p50 = step_ns.get(step_ns.len() / 2).copied().unwrap_or(0);
+        obs::Registry::global().counter(TRAFFIC[7]).add(p50);
     }
     model
         .finish(Some(&comm))
@@ -310,7 +369,8 @@ fn run_epoch(
     // every rank *entered* it — and entering happens after disarming, so
     // by the time any peer's EOF can arrive, this rank ignores it.  A real
     // crash inside this last window degrades to a step timeout, which the
-    // supervisor's respawn budget bounds.
+    // supervisor's respawn budget bounds.  Its spans carry `finish`'s
+    // stamp, the step count, outside the measured step.
     transport.set_poison_on_eof(false);
     let mut one = [1.0];
     comm.allreduce(ReduceOp::Min, &mut one)
@@ -517,8 +577,7 @@ pub(crate) struct Launch {
     pub alg: u32,
     /// Ranks along z of every world (1 for every elastic one).
     pub pz: usize,
-    /// Scratch root: a classic world's final checkpoints and records, and
-    /// every elastic phase's checkpoint directory.
+    /// Scratch root: every phase's checkpoint directory.
     pub out: PathBuf,
     /// Kill a world that has not finished within this budget.
     pub timeout: Duration,
@@ -570,18 +629,9 @@ pub(crate) struct WorldSpec<'a> {
     pub endpoint: Endpoint,
     pub pgrid: ProcessGrid,
     pub steps: usize,
-    /// `None`: a classic world.
-    pub ckpt: Option<Ckpt>,
+    /// Where every worker leaves its checkpoints and its records.
+    pub ckpt: Ckpt,
     pub fault: Option<&'a (String, u64)>,
-}
-
-impl WorldSpec<'_> {
-    /// Where every worker leaves its final checkpoint and its record: the
-    /// phase's checkpoint directory, or the run's scratch root for a
-    /// classic world.
-    pub(crate) fn dir(&self) -> &Path {
-        self.ckpt.as_ref().map_or(&self.run.out, |ck| &ck.dir)
-    }
 }
 
 /// Start worker `rank` of `w` at mesh epoch `epoch` — the one place a
@@ -602,15 +652,10 @@ fn spawn_rank(
         .env("AGCM_RUN_STEPS", w.steps.to_string())
         .env("AGCM_RUN_PY", w.pgrid.py().to_string())
         .env("AGCM_RUN_PZ", w.pgrid.pz().to_string())
-        .env("AGCM_RUN_OUT", &w.run.out)
+        .env("AGCM_CKPT_DIR", &w.ckpt.dir)
+        .env("AGCM_CKPT_INTERVAL", w.ckpt.interval.to_string())
+        .env("AGCM_CKPT_KEEP", w.ckpt.keep.to_string())
         .stdin(Stdio::null());
-    match &w.ckpt {
-        Some(ck) => cmd
-            .env("AGCM_CKPT_DIR", &ck.dir)
-            .env("AGCM_CKPT_INTERVAL", ck.interval.to_string())
-            .env("AGCM_CKPT_KEEP", ck.keep.to_string()),
-        None => cmd.env_remove("AGCM_CKPT_DIR"),
-    };
     if w.run.trace.is_some() {
         cmd.env("AGCM_RUN_TRACE", "1");
     }
@@ -632,9 +677,8 @@ pub(crate) fn supervise_world(
     kills: &[(usize, u64)],
     budget: Option<&mut u32>,
 ) -> Result<SuperviseReport, ParentError> {
-    if let Some(ck) = &w.ckpt {
-        fs::create_dir_all(&ck.dir).map_err(|e| format!("{}: {e}", ck.dir.display()))?;
-    }
+    let dir = &w.ckpt.dir;
+    fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let mut children: Vec<Option<Child>> = Vec::with_capacity(w.pgrid.size());
     let sup = Supervisor::new(w.pgrid.size(), budget, w.run.timeout);
     let result = (|| {
@@ -661,7 +705,7 @@ fn drive(
     mut sup: Supervisor,
 ) -> Result<SuperviseReport, ParentError> {
     let durable = |rank| {
-        let step = latest_checkpoint_step(&w.ckpt.as_ref()?.dir, rank).ok()??;
+        let step = latest_checkpoint_step(&w.ckpt.dir, rank).ok()??;
         Some(Event::Durable { rank, step })
     };
     let started = Instant::now();
@@ -756,15 +800,16 @@ pub(crate) fn run_phase(
         endpoint,
         pgrid,
         steps: ph.end as usize,
-        ckpt: budget.is_some().then(|| Ckpt {
+        ckpt: Ckpt {
             dir: plan.ckpt_dir(&run.out, i),
             interval,
             keep: plan.keep(i),
-        }),
+        },
         fault: plan.fault.as_ref(),
     };
+    let classic = budget.is_none();
     let report = supervise_world(&w, &ph.kills, budget)?;
-    verify_world(&w, &cfg, label)?;
+    verify_world(&w, &cfg, label, classic)?;
     Ok(report)
 }
 

@@ -10,12 +10,13 @@
 //! environment it acts as the parent, spawning `--ranks` copies of itself
 //! with the handshake variables set (`AGCM_RANK`, `AGCM_WORLD_SIZE`,
 //! `AGCM_ENDPOINT`); launched *with* `AGCM_RANK` it connects the socket
-//! mesh and integrates its block of the model — as an elastic worker
-//! (see the `elastic` module) when `AGCM_CKPT_DIR` names its checkpoints.
+//! mesh and integrates its block of the model in the one worker loop every
+//! rank of every world runs (see the `elastic` module).
 //!
-//! Every world, classic or elastic, is a phase of a [`Plan`] run by one
-//! phase runner under one supervisor.  Of a classic world the parent
-//! re-derives every cross-transport claim the paper reproduction rests on:
+//! Every world is a phase of a [`Plan`] run by one phase runner under one
+//! supervisor; it is classic or elastic only by the respawn policy the
+//! parent gives that supervisor.  Of a classic world the parent re-derives
+//! every cross-transport claim the paper reproduction rests on:
 //!
 //! 1. **Bitwise equivalence**: the [`GlobalState`] the parent assembles
 //!    from every rank's final checkpoint must match a serial reference
@@ -37,18 +38,17 @@
 //! them there.
 
 #![forbid(unsafe_code)]
-use agcm_comm::telemetry::{self, CLOCK_ROUNDS};
+use agcm_comm::fault::FaultPlan;
 use agcm_comm::{
-    p2p_only_delta, Communicator, CostModel, Endpoint, SocketTransport, Universe,
-    WIRE_OVERHEAD_BYTES,
+    Communicator, CostModel, Endpoint, SocketTransport, Universe, WIRE_OVERHEAD_BYTES,
 };
 use agcm_core::analysis::{predict, AlgKind, CaMode, Prediction};
 use agcm_core::par::GlobalState;
 use agcm_core::serial::{Iteration, SerialModel};
-use agcm_core::{assemble, checkpoint_path, init, write_checkpoint, Integrator, ModelConfig};
+use agcm_core::{assemble, init, Integrator, ModelConfig};
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
-use agcm_obs::dist::{self, OffsetEstimate, Record};
+use agcm_obs::dist::{self, Record};
 use agcm_verify::{critpath, rank_counts, ScheduleGraph};
 use elastic::{run_phase, Ckpt, Launch, WorldSpec};
 use std::fmt::Display;
@@ -57,7 +57,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::str::FromStr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 mod elastic;
 pub mod soak;
@@ -266,18 +266,19 @@ path against the static schedule, and sets it beside the cost model's
 prediction of the same step, segment by segment (artifacts under
 --trace-out, default target/trace-dist).
 
-Any of --max-respawns / --resize / --kill selects ELASTIC mode: workers
-checkpoint every step, the parent supervises them, and a dead rank is
-respawned from its latest durable checkpoint while the survivors rewire the
-socket mesh to a new epoch and roll back in lockstep — the completed run is
-still verified bitwise against the serial reference.  --kill RANK:STEP
+Every worker checkpoints every step.  Any of --max-respawns / --resize /
+--kill selects ELASTIC mode: a dead rank is respawned from its latest
+durable checkpoint while the survivors rewire the socket mesh to a new
+epoch and roll back in lockstep — the completed run is still verified
+bitwise against the serial reference.  --kill RANK:STEP
 (repeatable) injects failures (that worker aborts after completing STEP, as
 if kill -9'd); --max-respawns N bounds the recovery budget for the WHOLE
 run, across every resize phase (default 2).
 --resize P2 runs the first half of the steps at --ranks, re-decomposes the
 checkpointed mesh onto P2 ranks, re-certifies the P2 schedule, and finishes
 there (Algorithm 1 only: CA checkpoints are tied to their decomposition).
-Exit codes: 0 all checks passed, 1 runtime failure, 2 usage,
+Exit codes: 0 all checks passed, 1 runtime failure, 2 usage (a malformed
+AGCM_FAULT_SPEC/_SEED, AGCM_COMM_TIMEOUT_MS or AGCM_THREADS among them),
 4 respawn budget exhausted, 5 verification mismatch.";
 
 /// Parse the parent's command line (everything after `argv[0]`).
@@ -414,10 +415,12 @@ fn entry<O>(
         eprintln!("{name}{what}: {e}");
         code
     };
-    match agcm_comm::parse_env::<usize>("AGCM_RANK") {
-        Err(e) => failed("", &e, 2),
-        Ok(Some(_)) => worker_main().map_or_else(|e| failed(" worker", &e, 1), |()| 0),
-        Ok(None) => match parse(&std::env::args().skip(1).collect::<Vec<_>>()) {
+    match (agcm_comm::parse_env::<usize>("AGCM_RANK"), runtime_env()) {
+        (Err(e), _) => failed("", &e, 2),
+        (Ok(Some(_)), Err(e)) => failed(" worker", &e, 1),
+        (Ok(None), Err(e)) => failed("", &e, 2),
+        (Ok(Some(_)), Ok(())) => worker_main().map_or_else(|e| failed(" worker", &e, 1), |()| 0),
+        (Ok(None), Ok(())) => match parse(&std::env::args().skip(1).collect::<Vec<_>>()) {
             Ok(None) => {
                 println!("{usage}");
                 0
@@ -428,6 +431,17 @@ fn entry<O>(
             Err(e) => failed("", &format!("{e}\n\n{usage}"), 2),
         },
     }
+}
+
+/// The runtime variables every process reads (the fault plan, the comm
+/// timeout, the pool size), parsed before anything else: a malformed one is
+/// an error naming it — exit 2 in the parent, before any spawn; exit 1 in a
+/// worker, before the mesh connects — not a panic mid-world.
+fn runtime_env() -> Result<(), Box<dyn std::error::Error>> {
+    FaultPlan::try_from_env()?;
+    agcm_comm::timeout_from_env()?;
+    agcm_core::pool::workers_from_env()?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -482,16 +496,20 @@ pub(crate) struct Worker {
     /// Step count the world integrates to.
     pub steps: usize,
     pub pgrid: ProcessGrid,
-    /// The run's scratch root.
-    pub out: PathBuf,
     pub cfg: ModelConfig,
+    /// Where its checkpoints and records go, and how often.
+    pub ckpt: Ckpt,
+    /// Chaos injection: abort after completing this step (first
+    /// incarnation only).
+    pub kill_step: Option<u64>,
+    /// `AGCM_RUN_TRACE=1`: record spans and align the clock onto rank 0's.
+    pub tracing: bool,
 }
 
-/// One rank of a launched world: connect the socket mesh and integrate.  A
-/// worker told where its checkpoints go (`AGCM_CKPT_DIR`) is elastic: it
-/// checkpoints as it steps, survives peer death by rewiring, and rolls back
-/// in lockstep.  Any other is classic: it also measures its traffic and, on
-/// `AGCM_RUN_TRACE=1`, records its spans.
+/// One rank of a launched world: connect the socket mesh and run the one
+/// worker loop (`elastic_worker`).  What the world's records can
+/// prove is the parent's to decide, by the respawn policy it supervises
+/// the world under.
 pub fn worker_main() -> Result<(), String> {
     // every launcher variable is parsed before the socket mesh connects: a
     // malformed one is an error naming it (exit 1), never a panic mid-world
@@ -502,20 +520,16 @@ pub fn worker_main() -> Result<(), String> {
         steps: req_env("AGCM_RUN_STEPS")?,
         pgrid: ProcessGrid::yz(req_env("AGCM_RUN_PY")?, req_env("AGCM_RUN_PZ")?)
             .map_err(|e| e.to_string())?,
-        out: req_env("AGCM_RUN_OUT")?,
         cfg: run_config(),
+        ckpt: Ckpt {
+            dir: req_env("AGCM_CKPT_DIR")?,
+            interval: req_env("AGCM_CKPT_INTERVAL")?,
+            keep: req_env("AGCM_CKPT_KEEP")?,
+        },
+        kill_step: opt_env("AGCM_KILL_STEP")?,
+        tracing: opt_env::<u32>("AGCM_RUN_TRACE")? == Some(1),
     };
-    let ckpt = match opt_env("AGCM_CKPT_DIR")? {
-        Some(dir) => Some(Ckpt {
-            dir,
-            interval: opt_env("AGCM_CKPT_INTERVAL")?.unwrap_or(1),
-            keep: opt_env("AGCM_CKPT_KEEP")?.unwrap_or(0),
-        }),
-        None => None,
-    };
-    let kill_step: Option<u64> = opt_env("AGCM_KILL_STEP")?;
-    let tracing = opt_env::<u32>("AGCM_RUN_TRACE")? == Some(1);
-    if tracing {
+    if w.tracing {
         // before the socket mesh comes up, so this rank's own handshake
         // and reader-thread spans are captured and attributed to it
         obs::set_rank(rank);
@@ -524,19 +538,16 @@ pub fn worker_main() -> Result<(), String> {
     let transport = SocketTransport::from_env()
         .ok_or("AGCM_RANK must be set for a worker")?
         .map_err(|e| format!("socket transport: {e}"))?;
-    let transport = Rc::new(transport);
-    match ckpt {
-        Some(ck) => elastic::elastic_worker(&w, &transport, &ck, kill_step),
-        None => classic_worker(&w, transport, tracing),
-    }
+    elastic::elastic_worker(&w, &Rc::new(transport))
 }
 
-/// The measured step's traffic, as the counters a classic rank's record
-/// carries: halo messages and elements sent (collective-internal p2p
-/// subtracted), collective calls entered, all p2p messages and elements
-/// sent, the frames and bytes the transport wrote, and the median wall time
-/// in ns of the steps after the measured one (0 when `--steps` leaves none).
-const TRAFFIC: [&str; 8] = [
+/// The measured step's traffic, as the counters the record of a fresh
+/// world's rank carries: halo messages and elements sent
+/// (collective-internal p2p subtracted), collective calls entered, all p2p
+/// messages and elements sent, the frames and bytes the transport wrote,
+/// and the median wall time in ns of the steps after the measured one (0
+/// when `--steps` leaves none).
+pub(crate) const TRAFFIC: [&str; 8] = [
     "run.measured.pure_msgs",
     "run.measured.pure_elems",
     "run.measured.collectives",
@@ -547,99 +558,13 @@ const TRAFFIC: [&str; 8] = [
     "run.measured.step_ns_p50",
 ];
 
-/// A classic rank: integrate, measure the second step's traffic, and leave
-/// the final checkpoint and the record in the run's scratch root.
-fn classic_worker(w: &Worker, transport: Rc<SocketTransport>, tracing: bool) -> Result<(), String> {
-    let (rank, steps, out) = (w.rank, w.steps, &w.out);
-    let mut comm = Communicator::on_transport(transport);
-
-    // the clock handshake rides a split control communicator, so its
-    // reserved tags never meet model traffic, and runs before any model
-    // construction, outside every measured bracket
-    let offset = if tracing {
-        let ctl = comm
-            .split(0, rank)
-            .map_err(|e| format!("control communicator: {e}"))?;
-        Some(if rank == 0 {
-            telemetry::clock_serve(&ctl, CLOCK_ROUNDS).map_err(|e| format!("clock serve: {e}"))?;
-            OffsetEstimate {
-                offset_ns: 0,
-                rtt_ns: 0,
-            }
-        } else {
-            telemetry::clock_align(&ctl, CLOCK_ROUNDS).map_err(|e| format!("clock align: {e}"))?
-        })
-    } else {
-        None
-    };
-
-    // the event log is needed to subtract collective-internal p2p, exactly
-    // as the thread-backed verifier cross-check does
-    comm.stats().set_event_logging(true);
-
-    let mut model = new_model(w.alg, &w.cfg, w.pgrid, &mut comm)?;
-    set_default_ic(&mut model);
-    let step = |model: &mut Integrator| model.step(Some(&comm)).map_err(|e| e.to_string());
-
-    // step 1: warm-up (fills the C cache, leaves a smoothing pending);
-    // step 2: the steady-state step the static analyzer predicts
-    step(&mut model)?;
-    let s0 = comm.stats().snapshot();
-    let e0 = comm.stats().collective_events().len();
-    let w0 = comm
-        .wire_stats()
-        .ok_or("socket transport must expose wire stats")?;
-    step(&mut model)?;
-    let delta = comm.stats().snapshot().delta(&s0);
-    let events = comm.stats().collective_events()[e0..].to_vec();
-    let wire = comm
-        .wire_stats()
-        .ok_or("socket transport must expose wire stats")?
-        .delta(&w0);
-    let pure = p2p_only_delta(&delta, &events);
-    // wall time of the steady steps
-    let mut step_ns: Vec<u64> = Vec::with_capacity(steps.saturating_sub(2));
-    for _ in 2..steps {
-        let t = Instant::now();
-        step(&mut model)?;
-        step_ns.push(t.elapsed().as_nanos() as u64);
-    }
-    model.finish(Some(&comm)).map_err(|e| e.to_string())?;
-    step_ns.sort_unstable();
-
-    // what the parent assembles and checks, all of it written after
-    // `finish`: the final checkpoint, then the record
-    let trace = offset.map(|offset| {
-        obs::disable();
-        (offset, obs::drain())
-    });
-    let snap = model.capture();
-    write_checkpoint(&checkpoint_path(out, rank, snap.step), &snap)
-        .map_err(|e| format!("final checkpoint: {e}"))?;
-    let mut metrics = obs::Registry::global().snapshot();
-    let measured = [
-        pure.p2p_sends,
-        pure.p2p_send_elems,
-        events.len() as u64,
-        delta.p2p_sends,
-        delta.p2p_send_elems,
-        wire.msgs_sent,
-        wire.bytes_sent,
-        step_ns.get(step_ns.len() / 2).copied().unwrap_or(0),
-    ];
-    for (name, v) in TRAFFIC.into_iter().zip(measured) {
-        metrics.counters.insert(name.to_string(), v);
-    }
-    write_record(out, rank, 0, &Record { metrics, trace }).map_err(|e| format!("record: {e}"))
-}
-
 // ---------------------------------------------------------------------------
 // Records: what each rank leaves in its world's directory
 // ---------------------------------------------------------------------------
 
 /// File name of one incarnation's record in its world's directory, tagged
 /// with the epoch the incarnation was born into (its `AGCM_EPOCH`; always 0
-/// in a classic world).  Fixed-width so the names sort.
+/// in a world that respawns nothing).  Fixed-width so the names sort.
 pub(crate) fn record_file_name(rank: usize, birth_epoch: u64) -> String {
     format!("record.rank{rank:04}.epoch{birth_epoch:08}.bin")
 }
@@ -740,17 +665,18 @@ pub fn run_parent(opts: &RunOpts) -> Result<(), ParentError> {
 /// rank's final checkpoint must be bitwise the in-process reference: the
 /// serial model — or, under a z split, whose allgather re-associates `C`'s
 /// column sums so that no z-split world is bitwise the serial one, the same
-/// world on threads over the mpsc transport.  A classic world then adds the
-/// measured traffic its ranks' records carry against the static schedule,
-/// the wire identity and, under `--trace`, the trace analysis; an elastic
-/// world's replayed (rolled-back) steps send real frames, so those hold
-/// only in a classic one.
+/// world on threads over the mpsc transport.  A `classic` world — no
+/// respawn policy — then adds the measured traffic its ranks' records
+/// carry against the static schedule, the wire identity and, under
+/// `--trace`, the trace analysis; an elastic world's replayed (rolled-back)
+/// steps send real frames, so those hold only in a classic one.
 pub(crate) fn verify_world(
     w: &WorldSpec,
     cfg: &ModelConfig,
     label: &str,
+    classic: bool,
 ) -> Result<(), ParentError> {
-    let (alg, pgrid, steps, dir) = (w.run.alg, w.pgrid, w.steps, w.dir());
+    let (alg, pgrid, steps, dir) = (w.run.alg, w.pgrid, w.steps, &w.ckpt.dir);
     let p = pgrid.size();
     let mismatch = ParentError::VerificationMismatch;
     let head = format!("{label}: alg{alg} p={p} steps={steps}");
@@ -778,7 +704,7 @@ pub(crate) fn verify_world(
             assembled.max_abs_diff(&reference)
         )));
     }
-    if w.ckpt.is_some() {
+    if !classic {
         println!("agcm-run: {head}: state bitwise == {what}");
         return Ok(());
     }
@@ -1215,5 +1141,74 @@ mod tests {
         let err = read_records(&dir, 3).unwrap_err();
         assert!(err.contains(&bad.display().to_string()), "{err}");
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The parent decodes records it did not write: a seeded mutation of a
+    /// record with spans — truncated, bit-flipped or extended — decodes or
+    /// is refused, and never panics or aborts on an allocation.
+    #[test]
+    fn mutated_records_never_panic() {
+        use agcm_comm::fault::splitmix64;
+        let span = |name, kind, phase, t0| obs::Event {
+            rank: 1,
+            step: 1,
+            kind,
+            phase,
+            name,
+            t0_ns: t0,
+            t1_ns: t0 + 40,
+            seq: t0,
+            bytes: 4096,
+            value: 0.0,
+        };
+        let mut rec = Record::default();
+        for (name, v) in TRAFFIC.into_iter().zip(1..) {
+            rec.metrics.counters.insert(name.to_string(), v);
+        }
+        rec.metrics.gauges.insert("resilience.epoch".into(), 1.0);
+        let h = obs::HistogramSummary {
+            count: 2,
+            sum: 9,
+            mean: 4.5,
+            p50: 2,
+            p95: 7,
+            p99: 7,
+            max: 7,
+        };
+        rec.metrics.histograms.insert("comm.recv_wait_ns".into(), h);
+        let events = vec![
+            span("adaptation.local", obs::SpanKind::Op, obs::Phase::A, 10),
+            span(
+                "halo.wait",
+                obs::SpanKind::ExchangeWait,
+                obs::Phase::Other,
+                60,
+            ),
+            span("allreduce", obs::SpanKind::Collective, obs::Phase::C, 90),
+        ];
+        let offset = dist::OffsetEstimate {
+            offset_ns: -5,
+            rtt_ns: 9,
+        };
+        rec.trace = Some((offset, events));
+        let good = dist::encode_record(&rec);
+        assert!(dist::decode_record(&good).is_ok());
+        for seed in 0..4000u64 {
+            let mut x = splitmix64(seed);
+            let mut next = || {
+                x = splitmix64(x);
+                x
+            };
+            let mut bytes = good.clone();
+            for _ in 0..1 + next() % 3 {
+                let n = bytes.len() as u64;
+                match next() % 3 {
+                    0 => bytes.truncate((next() % (n + 1)) as usize),
+                    1 if n > 0 => bytes[(next() % n) as usize] ^= 1 << (next() % 8),
+                    _ => bytes.extend((0..next() % 16).map(|_| next() as u8)),
+                }
+            }
+            let _ = dist::decode_record(&bytes);
+        }
     }
 }

@@ -655,7 +655,7 @@ fn bench_report(opts: &SoakOpts, plan: &Plan, outcomes: &[PhaseOutcome], delta_s
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// `agcm-soak` process entry: an elastic worker when `AGCM_RANK` is set
+/// `agcm-soak` process entry: a worker when `AGCM_RANK` is set
 /// (the supervisor spawns the soak binary itself as its workers), the soak
 /// driver otherwise.  Returns the process exit code.
 pub fn soak_main() -> u8 {

@@ -7,13 +7,27 @@
 use std::process::{Command, Output};
 
 fn run(args: &[&str]) -> Output {
+    run_env(args, &[])
+}
+
+fn run_env(args: &[&str], vars: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_agcm-run"))
         .args(args)
         .args(["--timeout-secs", "180"])
+        .envs(vars.iter().copied())
         .env_remove("AGCM_RANK") // never inherit worker role from the test env
         .output()
         .expect("spawn agcm-run")
 }
+
+/// A malformed runtime variable each, beside a valid `AGCM_FAULT_SPEC` (a
+/// seed is read only under a spec).
+const BAD_RUNTIME_VARS: [(&str, &str); 4] = [
+    ("AGCM_FAULT_SPEC", "bogus"),
+    ("AGCM_FAULT_SEED", "x"),
+    ("AGCM_COMM_TIMEOUT_MS", "10s"),
+    ("AGCM_THREADS", "8x"),
+];
 
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
@@ -304,30 +318,55 @@ fn elastic_usage_errors_exit_2() {
         "{}",
         stderr(&out)
     );
+
+    // a malformed runtime variable is refused by the parent before any
+    // spawn, not read as a dying rank and respawned until the budget is
+    // spent
+    for (var, bad) in BAD_RUNTIME_VARS {
+        let vars = [("AGCM_FAULT_SPEC", "lat:us=1"), (var, bad)];
+        let out = run_env(
+            &["--ranks", "2", "--alg", "1", "--max-respawns", "2"],
+            &vars,
+        );
+        let se = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{var}={bad}:\n{se}");
+        assert!(se.contains(var) && !se.contains("panicked"), "{se}");
+    }
 }
 
-/// A malformed launcher variable is a typed error naming it, before the
-/// socket mesh connects: the worker exits 1, it does not panic.
+/// A malformed launcher or runtime variable is a typed error naming it,
+/// before the socket mesh connects: the worker exits 1, it does not panic.
 #[test]
 fn malformed_worker_variable_exits_1_naming_it() {
     let dir = std::env::temp_dir().join(format!("agcm_bad_env_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_agcm-run"))
-        .env("AGCM_RANK", "0")
-        .env("AGCM_WORLD_SIZE", "1")
-        .env("AGCM_ENDPOINT", dir.join("ep"))
-        .env("AGCM_RUN_ALG", "1")
-        .env("AGCM_RUN_STEPS", "2")
-        .env("AGCM_RUN_PY", "1")
-        .env("AGCM_RUN_PZ", "1")
-        .env("AGCM_RUN_OUT", &dir)
-        .env("AGCM_CKPT_DIR", &dir)
-        .env("AGCM_CKPT_INTERVAL", "x")
-        .output()
-        .expect("spawn agcm-run worker");
-    let se = stderr(&out);
+    for (var, bad) in [("AGCM_CKPT_INTERVAL", "x")]
+        .into_iter()
+        .chain(BAD_RUNTIME_VARS)
+    {
+        let out = Command::new(env!("CARGO_BIN_EXE_agcm-run"))
+            .env("AGCM_RANK", "0")
+            .env("AGCM_WORLD_SIZE", "1")
+            .env("AGCM_ENDPOINT", dir.join("ep"))
+            .env("AGCM_RUN_ALG", "1")
+            .env("AGCM_RUN_STEPS", "2")
+            .env("AGCM_RUN_PY", "1")
+            .env("AGCM_RUN_PZ", "1")
+            .env("AGCM_CKPT_DIR", &dir)
+            .env("AGCM_CKPT_INTERVAL", "1")
+            .env("AGCM_CKPT_KEEP", "2")
+            .env("AGCM_FAULT_SPEC", "lat:us=1")
+            .env(var, bad)
+            .output()
+            .expect("spawn agcm-run worker");
+        let se = stderr(&out);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{var}={bad}: want exit 1:\n{se}"
+        );
+        assert!(se.contains(var), "{se}");
+        assert!(!se.contains("panicked"), "{se}");
+    }
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(out.status.code(), Some(1), "want exit 1:\n{se}");
-    assert!(se.contains("AGCM_CKPT_INTERVAL"), "{se}");
-    assert!(!se.contains("panicked"), "{se}");
 }

@@ -1,7 +1,8 @@
 //! A classic (unsupervised) world fails fast: the first worker that exits
 //! non-zero fails the run at once, naming the rank, instead of leaving the
-//! survivors to wait out their communication timeout for a peer that is
-//! gone.
+//! survivors to wait for a peer that is gone — in the rewire, whose 30 s
+//! patience awaits a replacement that a world without a respawn policy
+//! never spawns.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -13,7 +14,7 @@ fn classic_world_fails_as_soon_as_a_rank_dies() {
         .args(["--ranks", "2", "--alg", "1", "--steps", "4"])
         .args(["--timeout-secs", "120"])
         // rank 1 fail-stops at its third user-tag message; rank 0 would
-        // wait 60 s for the next one
+        // wait 30 s in its rewire for a replacement that never comes
         .env("AGCM_FAULT_SPEC", "crash:rank=1,user=1,nth=3")
         .env("AGCM_COMM_TIMEOUT_MS", "60000")
         .env_remove("AGCM_RANK") // never inherit worker role from the test env
