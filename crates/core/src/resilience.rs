@@ -78,11 +78,15 @@ fn w_field(
     data.iter().try_for_each(|v| w.put(v.to_bits()))
 }
 
-/// A field's extents and halo, and its length word, which must be what
-/// they allot — all checked before the caller allocates, so no single
-/// flipped bit can size an allocation.
+/// Field `name`'s extents and halo, and its length word, which must be
+/// what they allot and, with the trailer, fit in the `left` words the file
+/// still holds (`u64::MAX` for a stream of unknown length) — all checked
+/// before the caller allocates, so neither a flipped bit nor a short file
+/// can size an allocation past the file.
 fn r_header<const N: usize>(
     r: &mut HashedWords<impl Read>,
+    left: &mut u64,
+    name: &str,
 ) -> io::Result<([usize; N], HaloWidths)> {
     let mut dims = [0; N];
     let mut h = [0; 6];
@@ -101,19 +105,20 @@ fn r_header<const N: usize>(
     let elems = check_field_dims(&dims, halo)?;
     let n = r.take()?;
     if n != elems as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("checkpoint array length {n} != {elems} its extents allot"),
-        ));
+        let msg = format!("checkpoint array length {n} != {elems} its extents allot");
+        return Err(invalid_data(msg));
     }
+    *left = left.saturating_sub(N as u64 + 7);
+    if n >= *left {
+        let msg = format!("checkpoint field {name} claims {n} words, {left} left");
+        return Err(invalid_data(msg));
+    }
+    *left -= n;
     Ok((dims, halo))
 }
 
 fn r_values(r: &mut HashedWords<impl Read>, into: &mut [f64]) -> io::Result<()> {
-    for v in into {
-        *v = f64::from_bits(r.take()?);
-    }
-    Ok(())
+    (into.iter_mut()).try_for_each(|v| r.take().map(|w| *v = f64::from_bits(w)))
 }
 
 /// Ceiling on any single checkpointed array, in elements (2 GiB of f64).
@@ -140,13 +145,10 @@ pub fn check_field_dims(dims: &[usize], halo: HaloWidths) -> io::Result<usize> {
         .try_fold(1u64, |acc, d| acc.checked_mul(d?))
         .unwrap_or(u64::MAX);
     if total == 0 || total > MAX_FIELD_ELEMS {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "field extents {dims:?} with halo {halo:?} are implausible \
-                 ({total} elements); file is corrupt or truncated"
-            ),
-        ));
+        return Err(invalid_data(format!(
+            "field extents {dims:?} with halo {halo:?} are implausible \
+             ({total} elements); file is corrupt or truncated"
+        )));
     }
     Ok(total as usize)
 }
@@ -156,8 +158,8 @@ fn w_field3(w: &mut HashedWords<impl Write>, f: &Field3) -> io::Result<()> {
     w_field(w, &[nx, ny, nz], f.halo(), f.raw())
 }
 
-fn r_field3(r: &mut HashedWords<impl Read>) -> io::Result<Field3> {
-    let ([nx, ny, nz], halo) = r_header(r)?;
+fn r_field3(r: &mut HashedWords<impl Read>, left: &mut u64, name: &str) -> io::Result<Field3> {
+    let ([nx, ny, nz], halo) = r_header(r, left, name)?;
     let mut f = Field3::new(nx, ny, nz, halo);
     r_values(r, f.raw_mut())?;
     Ok(f)
@@ -168,8 +170,8 @@ fn w_field2(w: &mut HashedWords<impl Write>, f: &Field2) -> io::Result<()> {
     w_field(w, &[nx, ny], f.halo(), f.raw())
 }
 
-fn r_field2(r: &mut HashedWords<impl Read>) -> io::Result<Field2> {
-    let ([nx, ny], halo) = r_header(r)?;
+fn r_field2(r: &mut HashedWords<impl Read>, left: &mut u64, name: &str) -> io::Result<Field2> {
+    let ([nx, ny], halo) = r_header(r, left, name)?;
     let mut f = Field2::new(nx, ny, halo);
     r_values(r, f.raw_mut())?;
     Ok(f)
@@ -220,39 +222,42 @@ pub fn write_checkpoint_to(writer: &mut impl Write, ck: &Checkpoint) -> io::Resu
 /// cut-off or bit-rotted restart file must be rejected loudly, never
 /// restored from.
 pub fn read_checkpoint_from(reader: &mut impl Read) -> io::Result<Checkpoint> {
-    read_checkpoint_body(reader).map_err(|e| {
+    read_checkpoint_within(reader, u64::MAX)
+}
+
+/// [`read_checkpoint_from`] a stream of `bytes` bytes: a field that claims
+/// more words than the rest of the stream holds is refused before it is
+/// allocated.
+fn read_checkpoint_within(reader: &mut impl Read, bytes: u64) -> io::Result<Checkpoint> {
+    read_checkpoint_body(reader, bytes).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checkpoint truncated: {e}"),
-            )
+            invalid_data(format!("checkpoint truncated: {e}"))
         } else {
             e
         }
     })
 }
 
-fn read_checkpoint_body(reader: &mut impl Read) -> io::Result<Checkpoint> {
+fn read_checkpoint_body(reader: &mut impl Read, bytes: u64) -> io::Result<Checkpoint> {
     let mut magic = [0u8; 8];
     reader.read_exact(&mut magic)?;
     if &magic != CHECKPOINT_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not an AGCM checkpoint (bad magic)",
-        ));
+        return Err(invalid_data("not an AGCM checkpoint (bad magic)".into()));
     }
     let mut r = HashedWords::new(reader);
     let step = r.take()?;
     let flags = r.take()?;
-    let u = r_field3(&mut r)?;
-    let v = r_field3(&mut r)?;
-    let phi = r_field3(&mut r)?;
-    let psa = r_field2(&mut r)?;
+    // the words after the magic, the step and the flags
+    let left = &mut (bytes.saturating_sub(24) / 8);
+    let u = r_field3(&mut r, left, "u")?;
+    let v = r_field3(&mut r, left, "v")?;
+    let phi = r_field3(&mut r, left, "phi")?;
+    let psa = r_field2(&mut r, left, "psa")?;
     let (vsum, gw, phi_p) = if flags & FLAG_HAS_TRIO != 0 {
         (
-            Some(r_field2(&mut r)?),
-            Some(r_field3(&mut r)?),
-            Some(r_field3(&mut r)?),
+            Some(r_field2(&mut r, left, "vsum")?),
+            Some(r_field3(&mut r, left, "gw")?),
+            Some(r_field3(&mut r, left, "phi_p")?),
         )
     } else {
         (None, None, None)
@@ -324,10 +329,12 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Read a checkpoint file written by [`write_checkpoint`].
+/// Read a checkpoint file written by [`write_checkpoint`]; a field that
+/// claims more words than the file holds is refused before it is allocated.
 pub fn read_checkpoint(path: &Path) -> io::Result<Checkpoint> {
-    let mut r = io::BufReader::new(std::fs::File::open(path)?);
-    read_checkpoint_from(&mut r)
+    let file = std::fs::File::open(path)?;
+    let bytes = file.metadata()?.len();
+    read_checkpoint_within(&mut io::BufReader::new(file), bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -703,6 +710,65 @@ mod tests {
         let err = read_checkpoint_from(&mut &buf[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("implausible"), "{err}");
+    }
+
+    /// A file whose `u` header is consistent but claims more levels than
+    /// the file holds is refused by name before `u` is allocated; the same
+    /// bytes as a stream of unknown length read as truncated.
+    #[test]
+    fn read_refuses_a_field_larger_than_the_file() {
+        let ck = seeded_serial(Iteration::Exact).capture();
+        let mut buf = Vec::new();
+        write_checkpoint_to(&mut buf, &ck).unwrap();
+        let ((nx, ny, nz), h) = (ck.state.u.extents(), ck.state.u.halo());
+        let word = |i: usize| 8 + 8 * i..16 + 8 * i;
+        let deep = [nx + h.xm + h.xp, ny + h.ym + h.yp, 64 * nz + h.zm + h.zp];
+        buf[word(4)].copy_from_slice(&(64 * nz as u64).to_le_bytes());
+        buf[word(11)].copy_from_slice(&(deep.iter().product::<usize>() as u64).to_le_bytes());
+        let path = std::env::temp_dir().join(format!("agcm_ckpt_deep_{}", std::process::id()));
+        std::fs::write(&path, &buf).unwrap();
+        let err = read_checkpoint(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("field u claims"), "{err}");
+        let err = read_checkpoint_from(&mut &buf[..]).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
+    /// A seeded mutation of a checkpoint — truncated, bit-flipped or
+    /// extended — decodes to the same bytes or is a typed `InvalidData`,
+    /// and never panics or allocates past the file.
+    #[test]
+    fn mutated_checkpoints_never_panic() {
+        use agcm_comm::fault::splitmix64;
+        let mut m = seeded_serial(Iteration::Approximate);
+        m.run(1);
+        let mut good = Vec::new();
+        write_checkpoint_to(&mut good, &m.capture()).unwrap();
+        for seed in 0..3000u64 {
+            let mut x = splitmix64(seed);
+            let mut next = || {
+                x = splitmix64(x);
+                x
+            };
+            let mut bytes = good.clone();
+            for _ in 0..1 + next() % 3 {
+                let n = bytes.len() as u64;
+                match next() % 3 {
+                    0 => bytes.truncate((next() % (n + 1)) as usize),
+                    1 if n > 0 => bytes[(next() % n) as usize] ^= 1 << (next() % 8),
+                    _ => bytes.extend((0..next() % 16).map(|_| next() as u8)),
+                }
+            }
+            match read_checkpoint_within(&mut &bytes[..], bytes.len() as u64) {
+                Ok(back) => {
+                    let mut again = Vec::new();
+                    write_checkpoint_to(&mut again, &back).unwrap();
+                    assert_eq!(again, good, "seed {seed} decoded to another checkpoint");
+                }
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "seed {seed}: {e}"),
+            }
+        }
     }
 
     /// Every word after the magic is under the trailer: one flipped bit in

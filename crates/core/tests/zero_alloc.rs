@@ -17,9 +17,9 @@
 //! through an exchanger of the same shape.
 //!
 //! This test gets its own binary so the global allocator hook cannot leak
-//! into unrelated tests.  It is also the only `unsafe` in the workspace
-//! (every crate is `#![forbid(unsafe_code)]`): a `GlobalAlloc` impl cannot
-//! be written without it.
+//! into unrelated tests.  It is the only `unsafe` outside `crates/*/src`,
+//! whose one block is `agcm-mesh`'s page advice (DESIGN.md §10): a
+//! `GlobalAlloc` impl cannot be written without it.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

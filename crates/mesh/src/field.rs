@@ -16,6 +16,7 @@
 
 use crate::band::{RowBand2, RowBand3, Shape};
 use crate::error::MeshError;
+use crate::pages;
 use crate::stencil::{Axis, StencilFootprint};
 
 /// Halo widths of a field, per axis and side.
@@ -91,9 +92,25 @@ impl HaloWidths {
     }
 }
 
+/// `index` on an axis of `n` points with `m` halo layers below and `p`
+/// above, or the typed error [`Field3::checked_idx`] returns.
+fn check(axis: char, index: isize, m: usize, n: usize, p: usize) -> Result<(), MeshError> {
+    let (lo, hi) = (-(m as isize), (n + p) as isize);
+    if (lo..hi).contains(&index) {
+        return Ok(());
+    }
+    Err(MeshError::OutOfBounds {
+        axis,
+        index,
+        lo,
+        hi,
+    })
+}
+
 /// A 3-D scalar field on one rank's subdomain, with halos.  The `Default`
-/// field is empty: no points, no allocation.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// field is empty: no points, no allocation.  Its array, a clone's too,
+/// comes from `pages::zeroed`.
+#[derive(Debug, PartialEq, Default)]
 pub struct Field3 {
     data: Vec<f64>,
     nx: usize,
@@ -119,7 +136,7 @@ impl Field3 {
         let sz = tx * ty;
         let base = halo.xm + halo.ym * sy + halo.zm * sz;
         Field3 {
-            data: vec![0.0; tx * ty * tz],
+            data: pages::zeroed(tx * ty * tz),
             nx,
             ny,
             nz,
@@ -148,11 +165,6 @@ impl Field3 {
     /// Halo widths.
     pub fn halo(&self) -> HaloWidths {
         self.halo
-    }
-
-    /// Number of interior points.
-    pub fn interior_len(&self) -> usize {
-        self.nx * self.ny * self.nz
     }
 
     /// Total allocated points (interior + halo).
@@ -189,19 +201,6 @@ impl Field3 {
     /// on paths where an out-of-range index must surface as a typed error
     /// instead of a panic (or worse, a wrapped index into the wrong point).
     pub fn checked_idx(&self, i: isize, j: isize, k: isize) -> Result<usize, MeshError> {
-        let check = |axis, index, m: usize, n: usize, p: usize| {
-            let (lo, hi) = (-(m as isize), (n + p) as isize);
-            if index < lo || index >= hi {
-                Err(MeshError::OutOfBounds {
-                    axis,
-                    index,
-                    lo,
-                    hi,
-                })
-            } else {
-                Ok(())
-            }
-        };
         check('x', i, self.halo.xm, self.nx, self.halo.xp)?;
         check('y', j, self.halo.ym, self.ny, self.halo.yp)?;
         check('z', k, self.halo.zm, self.nz, self.halo.zp)?;
@@ -366,24 +365,6 @@ impl Field3 {
         self.data.fill(v);
     }
 
-    /// Poison the halo with NaN.  Tests use this to prove an operator never
-    /// reads outside the region its footprint declares.
-    pub fn poison_halo(&mut self) {
-        let (nx, ny, nz) = (self.nx as isize, self.ny as isize, self.nz as isize);
-        let h = self.halo;
-        for k in -(h.zm as isize)..nz + h.zp as isize {
-            for j in -(h.ym as isize)..ny + h.yp as isize {
-                for i in -(h.xm as isize)..nx + h.xp as isize {
-                    let interior =
-                        (0..nx).contains(&i) && (0..ny).contains(&j) && (0..nz).contains(&k);
-                    if !interior {
-                        self.set(i, j, k, f64::NAN);
-                    }
-                }
-            }
-        }
-    }
-
     /// `self = a` (interiors must have identical extents; halos may differ —
     /// only the interior is copied).
     pub fn assign_interior(&mut self, a: &Field3) {
@@ -543,9 +524,17 @@ impl Field3 {
     }
 }
 
+impl Clone for Field3 {
+    fn clone(&self) -> Self {
+        let data = pages::copied(&self.data);
+        Field3 { data, ..*self }
+    }
+}
+
 /// A 2-D (single-level) scalar field with halos, used for the surface
-/// variables (`p'_sa`, `p_es`, …).
-#[derive(Debug, Clone, PartialEq)]
+/// variables (`p'_sa`, `p_es`, …).  Its array, a clone's too, comes from
+/// `pages::zeroed`.
+#[derive(Debug, PartialEq)]
 pub struct Field2 {
     data: Vec<f64>,
     nx: usize,
@@ -564,7 +553,7 @@ impl Field2 {
         let sy = tx;
         let base = halo.xm + halo.ym * sy;
         Field2 {
-            data: vec![0.0; tx * ty],
+            data: pages::zeroed(tx * ty),
             nx,
             ny,
             hx: (halo.xm, halo.xp),
@@ -581,12 +570,7 @@ impl Field2 {
 
     /// A new field with the same shape, zero-filled.
     pub fn like(other: &Field2) -> Self {
-        let mut h = HaloWidths::zero();
-        h.xm = other.hx.0;
-        h.xp = other.hx.1;
-        h.ym = other.hy.0;
-        h.yp = other.hy.1;
-        Field2::new(other.nx, other.ny, h)
+        Field2::new(other.nx, other.ny, other.halo())
     }
 
     /// Interior extents.
@@ -631,19 +615,6 @@ impl Field2 {
 
     /// Bounds-check one local coordinate pair; see [`Field3::checked_idx`].
     pub fn checked_idx(&self, i: isize, j: isize) -> Result<usize, MeshError> {
-        let check = |axis, index, m: usize, n: usize, p: usize| {
-            let (lo, hi) = (-(m as isize), (n + p) as isize);
-            if index < lo || index >= hi {
-                Err(MeshError::OutOfBounds {
-                    axis,
-                    index,
-                    lo,
-                    hi,
-                })
-            } else {
-                Ok(())
-            }
-        };
         check('x', i, self.hx.0, self.nx, self.hx.1)?;
         check('y', j, self.hy.0, self.ny, self.hy.1)?;
         Ok((self.base as isize + i + j * self.sy as isize) as usize)
@@ -885,6 +856,13 @@ impl Field2 {
     }
 }
 
+impl Clone for Field2 {
+    fn clone(&self) -> Self {
+        let data = pages::copied(&self.data);
+        Field2 { data, ..*self }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,7 +883,6 @@ mod tests {
         let mut f = Field3::new(4, 3, 2, HaloWidths::uniform(1));
         assert_eq!(f.extents(), (4, 3, 2));
         assert_eq!(f.total_len(), 6 * 5 * 4);
-        assert_eq!(f.interior_len(), 24);
         f.set(0, 0, 0, 1.5);
         f.set(3, 2, 1, 2.5);
         f.set(-1, -1, -1, 9.0); // halo corner
@@ -1049,10 +1026,12 @@ mod tests {
     fn poison_and_nan_detection() {
         let mut f = Field3::new(3, 3, 2, HaloWidths::uniform(1));
         fill_pattern(&mut f);
-        f.poison_halo();
-        assert!(!f.has_nan_interior());
-        assert!(f.get(-1, 0, 0).is_nan());
-        assert!(f.get(3, 2, 1).is_nan());
+        f.set(-1, 0, 0, f64::NAN);
+        f.set(3, 2, 1, f64::NAN);
+        assert!(
+            !f.has_nan_interior(),
+            "a NaN in the halo is not in the interior"
+        );
         f.set(1, 1, 0, f64::NAN);
         assert!(f.has_nan_interior());
     }

@@ -238,11 +238,6 @@ impl LatLonGrid {
         self.dtheta
     }
 
-    /// Longitude of the scalar column `i`: `λ_i = i·Δλ`.
-    pub fn lambda(&self, i: usize) -> f64 {
-        i as f64 * self.dlambda
-    }
-
     /// Colatitude of scalar row `j`.
     pub fn theta_center(&self, j: usize) -> f64 {
         self.theta_c[j]
@@ -277,11 +272,6 @@ impl LatLonGrid {
     /// Latitude (geographic, radians, positive north) of scalar row `j`.
     pub fn latitude(&self, j: usize) -> f64 {
         std::f64::consts::FRAC_PI_2 - self.theta_c[j]
-    }
-
-    /// Approximate grid resolution at the equator in kilometres.
-    pub fn equatorial_resolution_km(&self) -> f64 {
-        constants::EARTH_RADIUS * self.dlambda / 1000.0
     }
 }
 
@@ -357,9 +347,6 @@ mod tests {
     fn paper_grid() {
         let g = LatLonGrid::paper_50km();
         assert_eq!((g.nx(), g.ny(), g.nz()), (720, 360, 30));
-        // 720 points around the equator ≈ 55.6 km spacing: "50 km resolution"
-        let res = g.equatorial_resolution_km();
-        assert!((40.0..70.0).contains(&res), "res = {res}");
     }
 
     #[test]

@@ -18,12 +18,15 @@
 //! * [`band`] — mutable latitude-row bands of a field (the worker pool's
 //!   split axis),
 //! * [`halo`] — halo exchange planning (Figure 4's eight halo areas),
+//! * `pages` — the one allocation function behind every field array, which
+//!   advises transparent huge pages for buffers of 2 MiB and up (the
+//!   workspace's one `unsafe` block, DESIGN.md §10),
 //! * `sanitize` — runtime access sanitizer (feature `access-sanitizer`):
 //!   shadow-records the index ranges kernels actually touch so tests can
 //!   diff them against the declared `AccessSpec` footprints.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod band;
 pub mod decomp;
@@ -31,6 +34,7 @@ pub mod error;
 pub mod field;
 pub mod grid;
 pub mod halo;
+mod pages;
 #[cfg(feature = "access-sanitizer")]
 pub mod sanitize;
 pub mod stencil;

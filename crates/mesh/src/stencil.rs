@@ -107,11 +107,6 @@ impl AxisOffsets {
         (*self.offsets.last().expect("non-empty")).max(0) as u32
     }
 
-    /// Whether the stencil is wider than a single point along this axis.
-    pub fn is_nontrivial(&self) -> bool {
-        self.offsets.len() > 1
-    }
-
     /// Union with another offset set.
     pub fn union(&self, other: &AxisOffsets) -> AxisOffsets {
         let mut v = self.offsets.clone();
@@ -295,8 +290,7 @@ mod tests {
         assert_eq!(o.offsets(), &[-1, 0, 1, 3]);
         assert_eq!(o.neg_extent(), 1);
         assert_eq!(o.pos_extent(), 3);
-        assert!(o.is_nontrivial());
-        assert!(!AxisOffsets::center().is_nontrivial());
+        assert_eq!(AxisOffsets::center().offsets(), &[0]);
     }
 
     #[test]
