@@ -1599,6 +1599,80 @@ mod tests {
         assert!(decode_hello(&bad, 8).is_err(), "bad magic");
     }
 
+    /// A seeded stream of mutation choices.
+    fn mutations(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = fault::splitmix64(seed);
+        move || {
+            x = fault::splitmix64(x);
+            x
+        }
+    }
+
+    /// Bit flips of a hello decode to a typed `InvalidData` or to exactly
+    /// the hello the flipped bytes encode.  A hello carries no hash, so a
+    /// flip in its rank or epoch is another valid hello; what the decoder
+    /// must not do is accept bytes `encode_hello` would not write, or panic.
+    #[test]
+    fn mutated_hellos_never_panic() {
+        let good = encode_hello(3, 8, 42);
+        let mut refused = 0;
+        for seed in 0..3000u64 {
+            let mut next = mutations(seed);
+            let mut b = good;
+            for _ in 0..1 + next() % 3 {
+                b[(next() % HELLO_BYTES as u64) as usize] ^= 1 << (next() % 8);
+            }
+            match decode_hello(&b, 8) {
+                Ok((rank, epoch)) => assert_eq!(encode_hello(rank, 8, epoch), b, "seed {seed}"),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "seed {seed}: {e}");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(refused > 1000, "only {refused} of 3000 mutants refused");
+    }
+
+    /// A truncated, bit-flipped or extended frame reads back as the same
+    /// envelope (an extension is the next frame's business) or as a typed
+    /// error, never a panic — and the body buffer holds what arrived, never
+    /// what an unverified length prefix claimed.
+    #[test]
+    fn mutated_frames_never_panic() {
+        let env = sample_env();
+        let good = encoded(&env);
+        for seed in 0..3000u64 {
+            let mut next = mutations(seed);
+            let mut bytes = good.clone();
+            for _ in 0..1 + next() % 3 {
+                let n = bytes.len() as u64;
+                match next() % 3 {
+                    0 => bytes.truncate((next() % (n + 1)) as usize),
+                    1 if n > 0 => bytes[(next() % n) as usize] ^= 1 << (next() % 8),
+                    _ => bytes.extend((0..next() % 64).map(|_| next() as u8)),
+                }
+            }
+            let mut body = Vec::new();
+            match read_frame(&mut &bytes[..], &mut body) {
+                Ok(None) => assert!(bytes.is_empty(), "seed {seed}: clean EOF on data"),
+                Ok(Some((back, size))) => {
+                    assert_env_eq(&env, &back);
+                    assert_eq!(size, good.len() as u64, "seed {seed}");
+                }
+                Err(e) => {
+                    let typed = [io::ErrorKind::InvalidData, io::ErrorKind::UnexpectedEof];
+                    assert!(typed.contains(&e.kind()), "seed {seed}: {e}");
+                }
+            }
+            let bound = 4096 + 2 * bytes.len();
+            assert!(
+                body.capacity() <= bound,
+                "seed {seed}: body grew to {}",
+                body.capacity()
+            );
+        }
+    }
+
     #[test]
     fn mpsc_mesh_delivers_and_loops_back() {
         let mesh = MpscTransport::mesh(2);

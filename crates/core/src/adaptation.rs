@@ -114,8 +114,8 @@ fn run_sweep(
         |band, rows| adaptation_band(geom, arg, diag, dp, band, rows),
         // p'_sa equation (2-D): p₀·(κ*·D_sa − Σ Δσ D(P)) with κ* = 1
         |j, o| {
-            let r_dsa = diag.dsa.row(0, nx, j);
-            let r_vsum = diag.vsum.row(0, nx, j);
+            let r_dsa = diag.dsa.row(0, nx, j, 0);
+            let r_vsum = diag.vsum.row(0, nx, j, 0);
             lane_loop!(o.len(), E, ii, psa_eq::<E>(ii, o, r_dsa, r_vsum));
         },
     );
@@ -164,11 +164,11 @@ fn fetch<'a>(
         gw_lo: diag.gw.row(-1, nx + 1, j, k),
         gw_hi: diag.gw.row(-1, nx + 1, j, k + 1),
         dp,
-        cp: diag.cap_p.row(-1, nx + 1, j),
-        cp_s: diag.cap_p.row(-1, nx + 1, j + 1),
-        pes: diag.pes.row(-1, nx + 1, j),
-        pes_n: diag.pes.row(-1, nx + 1, j - 1),
-        pes_s: diag.pes.row(-1, nx + 1, j + 1),
+        cp: diag.cap_p.row(-1, nx + 1, j, 0),
+        cp_s: diag.cap_p.row(-1, nx + 1, j + 1, 0),
+        pes: diag.pes.row(-1, nx + 1, j, 0),
+        pes_n: diag.pes.row(-1, nx + 1, j - 1, 0),
+        pes_s: diag.pes.row(-1, nx + 1, j + 1, 0),
     }
 }
 
@@ -349,12 +349,13 @@ pub fn adaptation_tendency_scalar(
             for i in 0..nx {
                 // ---- U equation at U point (i-1/2, j, k) ----
                 {
-                    let p_u = 0.5 * (diag.cap_p.get(i - 1, j) + diag.cap_p.get(i, j));
-                    let pes_u = 0.5 * (diag.pes.get(i - 1, j) + diag.pes.get(i, j));
+                    let p_u = 0.5 * (diag.cap_p.get(i - 1, j, 0) + diag.cap_p.get(i, j, 0));
+                    let pes_u = 0.5 * (diag.pes.get(i - 1, j, 0) + diag.pes.get(i, j, 0));
                     let phi_u = 0.5 * (arg.phi.get(i - 1, j, k) + arg.phi.get(i, j, k));
                     let p_l1 = p_u * (diag.phi_p.get(i, j, k) - diag.phi_p.get(i - 1, j, k))
                         / (a * s_c * dl);
-                    let p_l2 = b * phi_u / pes_u * (diag.pes.get(i, j) - diag.pes.get(i - 1, j))
+                    let p_l2 = b * phi_u / pes_u
+                        * (diag.pes.get(i, j, 0) - diag.pes.get(i - 1, j, 0))
                         / (a * s_c * dl);
                     let u_phys = arg.u.get(i, j, k) / p_u;
                     let fstar = two_omega * cos_c + u_phys * cos_c / (s_c * a);
@@ -370,13 +371,13 @@ pub fn adaptation_tendency_scalar(
                     if s_v < SIN_EPS {
                         tend.v.set(i, j, k, 0.0); // pole face: V pinned
                     } else {
-                        let p_v = 0.5 * (diag.cap_p.get(i, j) + diag.cap_p.get(i, j + 1));
-                        let pes_v = 0.5 * (diag.pes.get(i, j) + diag.pes.get(i, j + 1));
+                        let p_v = 0.5 * (diag.cap_p.get(i, j, 0) + diag.cap_p.get(i, j + 1, 0));
+                        let pes_v = 0.5 * (diag.pes.get(i, j, 0) + diag.pes.get(i, j + 1, 0));
                         let phi_v = 0.5 * (arg.phi.get(i, j, k) + arg.phi.get(i, j + 1, k));
                         let p_t1 = p_v * (diag.phi_p.get(i, j + 1, k) - diag.phi_p.get(i, j, k))
                             / (a * dt);
                         let p_t2 = b * phi_v / pes_v
-                            * (diag.pes.get(i, j + 1) - diag.pes.get(i, j))
+                            * (diag.pes.get(i, j + 1, 0) - diag.pes.get(i, j, 0))
                             / (a * dt);
                         let u_bar = 0.25
                             * (arg.u.get(i, j, k)
@@ -390,18 +391,20 @@ pub fn adaptation_tendency_scalar(
                 }
                 // ---- Φ equation at cell centre (i, j, k) ----
                 {
-                    let p = diag.cap_p.get(i, j);
-                    let pes = diag.pes.get(i, j);
+                    let p = diag.cap_p.get(i, j, 0);
+                    let pes = diag.pes.get(i, j, 0);
                     let gw_lo = diag.gw.get(i, j, k);
                     let gw_hi = diag.gw.get(i, j, k + 1);
                     let gw_c = 0.5 * (gw_lo + gw_hi);
                     let dpw_dsig = (gw_hi * sig_hi - gw_lo * sig_lo) / ds;
                     let omega1 = (gw_c - diag.dp.get(i, j, k) - dpw_dsig) / p;
                     let v_c = 0.5 * (arg.v.get(i, j, k) + arg.v.get(i, j - 1, k));
-                    let omega_t2 = v_c / pes * (diag.pes.get(i, j + 1) - diag.pes.get(i, j - 1))
+                    let omega_t2 = v_c / pes
+                        * (diag.pes.get(i, j + 1, 0) - diag.pes.get(i, j - 1, 0))
                         / (2.0 * a * dt);
                     let u_c = 0.5 * (arg.u.get(i, j, k) + arg.u.get(i + 1, j, k));
-                    let omega_l2 = u_c / pes * (diag.pes.get(i + 1, j) - diag.pes.get(i - 1, j))
+                    let omega_l2 = u_c / pes
+                        * (diag.pes.get(i + 1, j, 0) - diag.pes.get(i - 1, j, 0))
                         / (2.0 * a * s_c * dl);
                     tend.phi.set(i, j, k, b * (omega1 + omega_t2 + omega_l2));
                 }
@@ -412,8 +415,12 @@ pub fn adaptation_tendency_scalar(
     // ---- p'_sa equation (2-D): p₀·(κ*·D_sa − Σ Δσ D(P)) with κ* = 1 ----
     for j in region.y0..region.y1 {
         for i in 0..nx {
-            tend.psa
-                .set(i, j, c::P_REF * (diag.dsa.get(i, j) - diag.vsum.get(i, j)));
+            tend.psa.set(
+                i,
+                j,
+                0,
+                c::P_REF * (diag.dsa.get(i, j, 0) - diag.vsum.get(i, j, 0)),
+            );
         }
     }
 }
@@ -484,7 +491,7 @@ mod tests {
         // positive p'_sa bump → pes gradient pushes U away from the bump
         let mut s = setup();
         let (ic, jc) = (8isize, 5isize);
-        s.state.psa.set(ic, jc, 500.0);
+        s.state.psa.set(ic, jc, 0, 500.0);
         let tend = run_tendency(&mut s);
         // U point east of the bump (i = ic+1 reads pes at ic, ic+1):
         // pressure decreases eastward → force eastward (positive U tendency
@@ -500,7 +507,7 @@ mod tests {
         );
         // mass flows away: vsum initially 0 (no wind) so psa tendency is
         // only diffusion, which is negative at the bump
-        assert!(tend.psa.get(ic, jc) < 0.0);
+        assert!(tend.psa.get(ic, jc, 0) < 0.0);
     }
 
     #[test]
@@ -549,14 +556,17 @@ mod tests {
         }
         let tend = run_tendency(&mut s);
         // divergence at i = 5 (U_east = +10 at face 6, U_west = −10 at face 5)
-        assert!(s.diag.vsum.get(5, 4) > 0.0);
-        assert!(tend.psa.get(5, 4) < 0.0, "mass leaves the divergent column");
+        assert!(s.diag.vsum.get(5, 4, 0) > 0.0);
+        assert!(
+            tend.psa.get(5, 4, 0) < 0.0,
+            "mass leaves the divergent column"
+        );
     }
 
     #[test]
     fn pole_faces_have_zero_v_tendency() {
         let mut s = setup();
-        s.state.psa.set(3, s.geom.ny as isize - 1, 300.0);
+        s.state.psa.set(3, s.geom.ny as isize - 1, 0, 300.0);
         let tend = run_tendency(&mut s);
         let jp = s.geom.ny as isize - 1; // south pole face row
         for i in 0..s.geom.nx as isize {

@@ -153,11 +153,11 @@ fn fetch<'a>(nx: isize, arg: &'a State, diag: &'a Diag, j: isize, k: isize) -> R
         f_n: arg.phi.row(-2, nx + 1, j - 1, k),
         f_kl: arg.phi.row(-2, nx + 1, j, k - 1),
         f_kh: arg.phi.row(-2, nx + 1, j, k + 1),
-        cp: diag.cap_p.row(-2, nx + 1, j),
-        cp_s: diag.cap_p.row(-2, nx + 1, j + 1),
-        cp_n: diag.cap_p.row(-2, nx + 1, j - 1),
-        pes: diag.pes.row(-2, nx + 1, j),
-        pes_s: diag.pes.row(-2, nx + 1, j + 1),
+        cp: diag.cap_p.row(-2, nx + 1, j, 0),
+        cp_s: diag.cap_p.row(-2, nx + 1, j + 1, 0),
+        cp_n: diag.cap_p.row(-2, nx + 1, j - 1, 0),
+        pes: diag.pes.row(-2, nx + 1, j, 0),
+        pes_s: diag.pes.row(-2, nx + 1, j + 1, 0),
         gw: diag.gw.row(-2, nx + 1, j, k),
         gw_h: diag.gw.row(-2, nx + 1, j, k + 1),
         gw_s: diag.gw.row(-2, nx + 1, j + 1, k),
@@ -461,14 +461,14 @@ pub fn advection_tendency_scalar(
 
     // physical velocities: u = U/P at U points, v = V/P at V points
     let u_at = |i: isize, j: isize, k: isize| {
-        arg.u.get(i, j, k) / (0.5 * (diag.cap_p.get(i - 1, j) + diag.cap_p.get(i, j)))
+        arg.u.get(i, j, k) / (0.5 * (diag.cap_p.get(i - 1, j, 0) + diag.cap_p.get(i, j, 0)))
     };
     let v_at = |i: isize, j: isize, k: isize| {
-        arg.v.get(i, j, k) / (0.5 * (diag.cap_p.get(i, j) + diag.cap_p.get(i, j + 1)))
+        arg.v.get(i, j, k) / (0.5 * (diag.cap_p.get(i, j, 0) + diag.cap_p.get(i, j + 1, 0)))
     };
     // σ̇ at the interface below centre k of the scalar column (i, j)
     let sdot_at = |i: isize, j: isize, k: isize| {
-        let pes = diag.pes.get(i, j);
+        let pes = diag.pes.get(i, j, 0);
         diag.gw.get(i, j, k) * c::P_REF / pes
     };
 
@@ -526,10 +526,10 @@ pub fn advection_tendency_scalar(
                         // row's own value), keeping the read depth at the
                         // j±1 of Table 2's L2(V) row.
                         let vs_s = 0.5 * (arg.v.get(i, j, k) + arg.v.get(i, j + 1, k))
-                            / diag.cap_p.get(i, j + 1)
+                            / diag.cap_p.get(i, j + 1, 0)
                             * geom.sin_c(j + 1);
                         let vs_n = 0.5 * (arg.v.get(i, j - 1, k) + arg.v.get(i, j, k))
-                            / diag.cap_p.get(i, j)
+                            / diag.cap_p.get(i, j, 0)
                             * geom.sin_c(j);
                         let ff_s = 0.5 * (arg.v.get(i, j, k) + arg.v.get(i, j + 1, k));
                         let ff_n = 0.5 * (arg.v.get(i, j - 1, k) + arg.v.get(i, j, k));
@@ -577,7 +577,7 @@ pub fn advection_tendency_scalar(
     // L̃'s fourth component is zero
     for j in region.y0..region.y1 {
         for i in 0..nx {
-            tend.psa.set(i, j, 0.0);
+            tend.psa.set(i, j, 0, 0.0);
         }
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::geometry::LocalGeometry;
 use crate::state::State;
-use agcm_mesh::{Field2, Field3};
+use agcm_mesh::Field3;
 
 /// clamped reflection of halo offset `d ∈ 1..` into interior rows
 #[inline]
@@ -42,7 +42,7 @@ fn mirror_row((dst, src): (&mut [f64], &mut [f64]), sym: f64) {
     }
 }
 
-fn mirror_y_field3(f: &mut Field3, sym: f64, north: bool, south: bool, v_stagger: bool) {
+fn mirror_y(f: &mut Field3, sym: f64, north: bool, south: bool, v_stagger: bool) {
     let (nx, ny, nz) = f.extents();
     let h = f.halo();
     let (ny, nz) = (ny as isize, nz as isize);
@@ -80,25 +80,7 @@ fn mirror_y_field3(f: &mut Field3, sym: f64, north: bool, south: bool, v_stagger
     }
 }
 
-fn mirror_y_field2(f: &mut Field2, north: bool, south: bool) {
-    let (nx, ny) = f.extents();
-    let h = f.halo();
-    let ny = ny as isize;
-    let (x0, x1) = (-(h.xm as isize), (nx + h.xp) as isize);
-    if north {
-        for d in 1..=h.ym as isize {
-            mirror_row(f.row_pair(x0, x1, -d, reflect(d, ny)), 1.0);
-        }
-    }
-    if south {
-        for d in 1..=h.yp as isize {
-            let src = (ny - d).max(0).min(ny - 1);
-            mirror_row(f.row_pair(x0, x1, ny - 1 + d, src), 1.0);
-        }
-    }
-}
-
-fn mirror_z_field3(f: &mut Field3, top: bool, bottom: bool) {
+fn mirror_z(f: &mut Field3, top: bool, bottom: bool) {
     let (nx, ny, nz) = f.extents();
     let h = f.halo();
     let (ny, nz) = (ny as isize, nz as isize);
@@ -149,16 +131,15 @@ pub fn fill_boundaries(state: &mut State, geom: &LocalGeometry) {
 pub fn fill_boundaries_no_wrap(state: &mut State, geom: &LocalGeometry) {
     let (n, s) = (geom.at_north(), geom.at_south());
     let (t, b) = (geom.at_top(), geom.at_surface());
-    if n || s {
-        mirror_y_field3(&mut state.u, 1.0, n, s, false);
-        mirror_y_field3(&mut state.v, -1.0, n, s, true);
-        mirror_y_field3(&mut state.phi, 1.0, n, s, false);
-        mirror_y_field2(&mut state.psa, n, s);
-    }
-    if t || b {
-        mirror_z_field3(&mut state.u, t, b);
-        mirror_z_field3(&mut state.v, t, b);
-        mirror_z_field3(&mut state.phi, t, b);
+    // (symmetry, V-staggered) of U, V, Φ, p'_sa; `p'_sa` has no z halo
+    let kinds = [(1.0, false), (-1.0, true), (1.0, false), (1.0, false)];
+    for (f, (sym, v_stagger)) in state.fields_mut().into_iter().zip(kinds) {
+        if n || s {
+            mirror_y(f, sym, n, s, v_stagger);
+        }
+        if t || b {
+            mirror_z(f, t, b);
+        }
     }
 }
 
@@ -190,7 +171,7 @@ mod tests {
         }
         for j in 0..geom.ny as isize {
             for i in 0..geom.nx as isize {
-                st.psa.set(i, j, (i * j) as f64);
+                st.psa.set(i, j, 0, (i * j) as f64);
             }
         }
         st
@@ -205,7 +186,7 @@ mod tests {
             assert_eq!(st.phi.get(i, -1, 0), st.phi.get(i, 0, 0));
             assert_eq!(st.phi.get(i, -2, 0), st.phi.get(i, 1, 0));
             assert_eq!(st.u.get(i, -1, 1), st.u.get(i, 0, 1));
-            assert_eq!(st.psa.get(i, -2), st.psa.get(i, 1));
+            assert_eq!(st.psa.get(i, -2, 0), st.psa.get(i, 1, 0));
         }
     }
 

@@ -25,25 +25,26 @@ use crate::lanes::{lane_loop, row_loop, Elem};
 use crate::state::State;
 use crate::stdatm::StandardAtmosphere;
 use agcm_mesh::grid::constants as c;
-use agcm_mesh::{Field2, Field3};
+use agcm_mesh::Field3;
 
 /// Scratch diagnostics for one rank.
 #[derive(Debug, Clone)]
 pub struct Diag {
-    /// `p_es = p̃_es + p'_sa` (2-D).
-    pub pes: Field2,
-    /// `P = √(p_es/p₀)` (2-D).
-    pub cap_p: Field2,
-    /// `D_sa` — surface-pressure diffusion (2-D).
-    pub dsa: Field2,
+    /// `p_es = p̃_es + p'_sa` (surface).
+    pub pes: Field3,
+    /// `P = √(p_es/p₀)` (surface).
+    pub cap_p: Field3,
+    /// `D_sa` — surface-pressure diffusion (surface).
+    pub dsa: Field3,
     /// `D(P)` — transformed mass divergence (3-D) — of the standalone entry
     /// points: [`crate::vertical::apply_c`] writes it and
     /// [`crate::adaptation::adaptation_tendency`] reads it.  Empty until the
     /// first of them runs; an engine's sub-updates keep `D(P)` in their
     /// output's Φ rows and never size it.
     pub dp: Field3,
-    /// `Σ_k Δσ_k D(P)` over **all** global levels (2-D, from the collective).
-    pub vsum: Field2,
+    /// `Σ_k Δσ_k D(P)` over **all** global levels (surface, from the
+    /// collective).
+    pub vsum: Field3,
     /// `g_w = σ̇·p_es/p₀` at interfaces: entry `k` holds interface `k−1/2`
     /// (3-D with `nz+1` levels).
     pub gw: Field3,
@@ -107,7 +108,7 @@ fn dsa_body<E: Elem>(ii: usize, o: &mut [f64], [p_n, p, p_s]: [&[f64]; 3], cf: &
 }
 
 /// `D_sa` of row `j` into `out` (`x ∈ [0, nx)`).
-pub(crate) fn dsa_row(geom: &LocalGeometry, psa: &Field2, j: isize, out: &mut [f64]) {
+pub(crate) fn dsa_row(geom: &LocalGeometry, psa: &Field3, j: isize, out: &mut [f64]) {
     let nx = geom.nx as isize;
     let (dl, dt, s) = (geom.dlambda(), geom.dtheta(), geom.sin_c(j));
     let cf = DsaCoefs {
@@ -116,7 +117,7 @@ pub(crate) fn dsa_row(geom: &LocalGeometry, psa: &Field2, j: isize, out: &mut [f
         s_n: geom.sin_v(j - 1), // face between j-1 and j
         s_s: geom.sin_v(j),     // face between j and j+1
     };
-    let rows = [-1, 0, 1].map(|m| psa.row(-1, nx + 1, j + m));
+    let rows = [-1, 0, 1].map(|m| psa.row(-1, nx + 1, j + m, 0));
     lane_loop!(out.len(), E, ii, dsa_body::<E>(ii, out, rows, &cf));
 }
 
@@ -157,7 +158,7 @@ fn dp_body<E: Elem>(ii: usize, o: &mut [f64], r: &DpRows<'_>) {
 pub(crate) fn dp_row(
     geom: &LocalGeometry,
     state: &State,
-    cap_p: &Field2,
+    cap_p: &Field3,
     (j, k): (isize, isize),
     xe: isize,
     out: &mut [f64],
@@ -167,9 +168,9 @@ pub(crate) fn dp_row(
         u: state.u.row(x0, x1, j, k),
         v_n: state.v.row(x0, x1, j - 1, k),
         v: state.v.row(x0, x1, j, k),
-        cp_n: cap_p.row(x0, x1, j - 1),
-        cp: cap_p.row(x0, x1, j),
-        cp_s: cap_p.row(x0, x1, j + 1),
+        cp_n: cap_p.row(x0, x1, j - 1, 0),
+        cp: cap_p.row(x0, x1, j, 0),
+        cp_s: cap_p.row(x0, x1, j + 1, 0),
         sv_n: geom.sin_v(j - 1),
         sv_s: geom.sin_v(j),
         dl: geom.dlambda(),
@@ -191,11 +192,11 @@ impl Diag {
         let (nx, ny, nz) = (geom.nx, geom.ny, geom.nz);
         let h = geom.halo;
         Diag {
-            pes: Field2::new(nx, ny, h),
-            cap_p: Field2::new(nx, ny, h),
-            dsa: Field2::new(nx, ny, h),
+            pes: Field3::surface(nx, ny, h),
+            cap_p: Field3::surface(nx, ny, h),
+            dsa: Field3::surface(nx, ny, h),
             dp: Field3::default(),
-            vsum: Field2::new(nx, ny, h),
+            vsum: Field3::surface(nx, ny, h),
             gw: Field3::new(nx, ny, nz + 1, h),
             phi_p: Field3::new(nx, ny, nz, h),
             zscratch: ZScratch::default(),
@@ -216,9 +217,9 @@ impl Diag {
         let x0 = -(geom.halo.xm as isize);
         let x1 = geom.nx as isize + geom.halo.xp as isize;
         for j in y0..y1 {
-            let psa = state.psa.row(x0, x1, j);
-            let pes = self.pes.row_mut(x0, x1, j);
-            let cp = self.cap_p.row_mut(x0, x1, j);
+            let psa = state.psa.row(x0, x1, j, 0);
+            let pes = self.pes.row_mut(x0, x1, j, 0);
+            let cp = self.cap_p.row_mut(x0, x1, j, 0);
             lane_loop!(pes.len(), E, ii, {
                 surface_body::<E>(ii, pes, cp, psa, stdatm.pes_tilde)
             });
@@ -233,7 +234,7 @@ impl Diag {
     pub fn update_dsa(&mut self, geom: &LocalGeometry, state: &State, y0: isize, y1: isize) {
         let nx = geom.nx as isize;
         for j in y0..y1 {
-            let out = self.dsa.row_mut(0, nx, j);
+            let out = self.dsa.row_mut(0, nx, j, 0);
             dsa_row(geom, &state.psa, j, out);
         }
     }
@@ -286,13 +287,13 @@ impl Diag {
             let s_n = geom.sin_v(j - 1); // face between j-1 and j
             let s_s = geom.sin_v(j); // face between j and j+1
             for i in 0..nx {
-                let q = state.psa.get(i, j);
-                let d2x = (state.psa.get(i + 1, j) - 2.0 * q + state.psa.get(i - 1, j))
+                let q = state.psa.get(i, j, 0);
+                let d2x = (state.psa.get(i + 1, j, 0) - 2.0 * q + state.psa.get(i - 1, j, 0))
                     / (dl * dl * s * s);
                 let dyn_ =
-                    (state.psa.get(i, j + 1) - q) * s_s - (q - state.psa.get(i, j - 1)) * s_n;
+                    (state.psa.get(i, j + 1, 0) - q) * s_s - (q - state.psa.get(i, j - 1, 0)) * s_n;
                 let d2y = dyn_ / (dt * dt * s);
-                self.dsa.set(i, j, coef * (d2x + d2y) / (a * a));
+                self.dsa.set(i, j, 0, coef * (d2x + d2y) / (a * a));
             }
         }
     }
@@ -324,18 +325,18 @@ impl Diag {
                     // PU at x faces i∓1/2 (U index i, i+1)
                     let pu_w = state.u.get(i, j, k)
                         * 0.5
-                        * (self.cap_p.get(i - 1, j) + self.cap_p.get(i, j));
+                        * (self.cap_p.get(i - 1, j, 0) + self.cap_p.get(i, j, 0));
                     let pu_e = state.u.get(i + 1, j, k)
                         * 0.5
-                        * (self.cap_p.get(i, j) + self.cap_p.get(i + 1, j));
+                        * (self.cap_p.get(i, j, 0) + self.cap_p.get(i + 1, j, 0));
                     // PV·sinθ at y faces j∓1/2 (V index j-1, j)
                     let pv_n = state.v.get(i, j - 1, k)
                         * 0.5
-                        * (self.cap_p.get(i, j - 1) + self.cap_p.get(i, j))
+                        * (self.cap_p.get(i, j - 1, 0) + self.cap_p.get(i, j, 0))
                         * sv_n;
                     let pv_s = state.v.get(i, j, k)
                         * 0.5
-                        * (self.cap_p.get(i, j) + self.cap_p.get(i, j + 1))
+                        * (self.cap_p.get(i, j, 0) + self.cap_p.get(i, j + 1, 0))
                         * sv_s;
                     let div = ((pu_e - pu_w) / dl + (pv_s - pv_n) / dt) / (a * s);
                     self.dp.set(i, j, k, div);
@@ -369,11 +370,14 @@ mod tests {
         let (geom, sa, state, mut diag) = setup();
         diag.update_surface(&geom, &sa, &state, 0, geom.ny as isize);
         // p'_sa = 0 → p_es = p̃_es, P = √(p̃_es/p₀) slightly below 1
-        let p = diag.cap_p.get(3, 3);
-        assert!((diag.pes.get(3, 3) - sa.pes_tilde).abs() < 1e-9);
+        let p = diag.cap_p.get(3, 3, 0);
+        assert!((diag.pes.get(3, 3, 0) - sa.pes_tilde).abs() < 1e-9);
         assert!(p < 1.0 && p > 0.99);
         // x halo wrapped
-        assert_eq!(diag.pes.get(-1, 2), diag.pes.get(geom.nx as isize - 1, 2));
+        assert_eq!(
+            diag.pes.get(-1, 2, 0),
+            diag.pes.get(geom.nx as isize - 1, 2, 0)
+        );
     }
 
     #[test]
@@ -383,7 +387,7 @@ mod tests {
         // constant p'_sa → Laplacian 0
         for j in 0..ny {
             for i in 0..geom.nx as isize {
-                state.psa.set(i, j, 50.0);
+                state.psa.set(i, j, 0, 50.0);
             }
         }
         boundary::fill_boundaries(&mut state, &geom);
@@ -391,15 +395,15 @@ mod tests {
         diag.update_dsa(&geom, &state, 0, ny);
         for j in 0..ny {
             for i in 0..geom.nx as isize {
-                assert!(diag.dsa.get(i, j).abs() < 1e-18, "({i},{j})");
+                assert!(diag.dsa.get(i, j, 0).abs() < 1e-18, "({i},{j})");
             }
         }
         // a single positive bump diffuses down: D_sa < 0 at the peak
-        state.psa.set(8, 5, 150.0);
+        state.psa.set(8, 5, 0, 150.0);
         boundary::fill_boundaries(&mut state, &geom);
         diag.update_dsa(&geom, &state, 0, ny);
-        assert!(diag.dsa.get(8, 5) < 0.0);
-        assert!(diag.dsa.get(7, 5) > 0.0, "neighbours gain mass");
+        assert!(diag.dsa.get(8, 5, 0) < 0.0);
+        assert!(diag.dsa.get(7, 5, 0) > 0.0, "neighbours gain mass");
     }
 
     #[test]

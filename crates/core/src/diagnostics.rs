@@ -97,7 +97,7 @@ pub fn local_budget(geom: &LocalGeometry, state: &State) -> Budget {
     for j in 0..geom.ny as isize {
         let w = geom.sin_c(j);
         for i in 0..nx {
-            let ps = state.psa.get(i, j);
+            let ps = state.psa.get(i, j, 0);
             b.surface += 0.5 * w * bsq * ps * ps;
             b.mass += w * ps;
             b.weight += w;

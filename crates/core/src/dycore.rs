@@ -369,15 +369,13 @@ mod tests {
     fn region_bits(st: &State, region: Region) -> Vec<u64> {
         let nx = st.extents().0 as isize;
         let mut bits = Vec::new();
-        for k in region.z0..region.z1 {
-            for j in region.y0..region.y1 {
-                for f in st.fields3() {
+        let z = region.z0..region.z1;
+        for (f, levels) in st.fields().into_iter().zip([z.clone(), z.clone(), z, 0..1]) {
+            for k in levels {
+                for j in region.y0..region.y1 {
                     bits.extend(f.row(0, nx, j, k).iter().map(|v| v.to_bits()));
                 }
             }
-        }
-        for j in region.y0..region.y1 {
-            bits.extend(st.psa.row(0, nx, j).iter().map(|v| v.to_bits()));
         }
         bits
     }
@@ -404,10 +402,9 @@ mod tests {
         let mut run = |fill: f64, fresh: bool, parts: &[Region]| {
             let mut arg = arg0.clone();
             let mut out = State::like(&base);
-            for f in out.fields3_mut() {
+            for f in out.fields_mut() {
                 f.fill(fill);
             }
-            out.psa.fill(fill);
             for &part in parts {
                 let (dt, form, fctx) = (e.cfg.dt1, Combine::Euler, &FilterCtx::Local);
                 e.adaptation_subupdate(

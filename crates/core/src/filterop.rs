@@ -184,7 +184,7 @@ mod tests {
         for j in 0..geom.ny as isize {
             for i in 0..geom.nx as isize {
                 let gi = i as usize + x_off;
-                state.psa.set(i, j, ((gi * 5 + j as usize) % 9) as f64);
+                state.psa.set(i, j, 0, ((gi * 5 + j as usize) % 9) as f64);
             }
         }
     }

@@ -115,7 +115,7 @@ pub fn apply_held_suarez(
                 }
                 // temperature: relax Φ to Φ_eq
                 let phi = band.phi.row_mut(0, nx, j, k);
-                let (cap_p, pes) = (diag.cap_p.row(0, nx, j), diag.pes.row(0, nx, j));
+                let (cap_p, pes) = (diag.cap_p.row(0, nx, j, 0), diag.pes.row(0, nx, j, 0));
                 for ((phi, &p_cap), &pes) in phi.iter_mut().zip(cap_p).zip(pes) {
                     let t_eq = t_equilibrium_at(sin2, cos2, c::P_TOP + sigma * pes);
                     let phi_eq = p_cap * c::R_DRY * (t_eq - t_tilde) / c::B_GRAVITY_WAVE;
@@ -159,8 +159,8 @@ pub fn apply_held_suarez_scalar(
                     state.v.set(i, j, k, v * wind_fac);
                 }
                 // temperature: relax Φ to Φ_eq
-                let p_cap = diag.cap_p.get(i, j);
-                let pres = c::P_TOP + sigma * diag.pes.get(i, j);
+                let p_cap = diag.cap_p.get(i, j, 0);
+                let pres = c::P_TOP + sigma * diag.pes.get(i, j, 0);
                 let t_eq = t_equilibrium(lat, pres);
                 let phi_eq = p_cap * c::R_DRY * (t_eq - t_tilde) / c::B_GRAVITY_WAVE;
                 let phi = state.phi.get(i, j, k);
@@ -243,10 +243,11 @@ mod tests {
         let j = geom.ny as isize / 2;
         let lat = grid.latitude(j as usize);
         let sigma = geom.sigma_c(k);
-        let pres = c::P_TOP + sigma * diag.pes.get(3, j);
-        let want =
-            diag.cap_p.get(3, j) * c::R_DRY * (t_equilibrium(lat, pres) - sa.t_tilde[k as usize])
-                / c::B_GRAVITY_WAVE;
+        let pres = c::P_TOP + sigma * diag.pes.get(3, j, 0);
+        let want = diag.cap_p.get(3, j, 0)
+            * c::R_DRY
+            * (t_equilibrium(lat, pres) - sa.t_tilde[k as usize])
+            / c::B_GRAVITY_WAVE;
         assert!((st.phi.get(3, j, k) - want).abs() < 1e-9);
         // equator ends warmer than pole at the surface
         assert!(st.phi.get(3, j, k) > st.phi.get(3, 0, k));

@@ -19,7 +19,7 @@ use crate::state::{Combine, RowId, State};
 use crate::stdatm::StandardAtmosphere;
 use crate::sweep::{SweepScratch, Update};
 use crate::vertical::{apply_c, apply_c_scalar, ZContext};
-use agcm_mesh::{Decomposition, Field2, Field3, HaloWidths, ProcessGrid};
+use agcm_mesh::{Decomposition, Field3, HaloWidths, ProcessGrid};
 use std::sync::Arc;
 
 fn splitmix64(s: &mut u64) -> u64 {
@@ -47,19 +47,13 @@ fn geom_with(nx: usize, h: usize) -> LocalGeometry {
     LocalGeometry::new(&cfg, grid, &d, 0, HaloWidths::uniform(h))
 }
 
-fn fill3(f: &mut Field3, s: &mut u64) {
+fn fill(f: &mut Field3, s: &mut u64) {
     for v in f.raw_mut() {
         *v = rand_sym(s);
     }
 }
 
-fn fill2(f: &mut Field2, s: &mut u64) {
-    for v in f.raw_mut() {
-        *v = rand_sym(s);
-    }
-}
-
-fn fill2_pos(f: &mut Field2, s: &mut u64) {
+fn fill_pos(f: &mut Field3, s: &mut u64) {
     for v in f.raw_mut() {
         *v = rand_pos(s);
     }
@@ -70,25 +64,24 @@ fn fill2_pos(f: &mut Field2, s: &mut u64) {
 fn random_state(geom: &LocalGeometry, seed: u64) -> State {
     let mut s = seed;
     let mut st = State::new(geom.nx, geom.ny, geom.nz, geom.halo);
-    fill3(&mut st.u, &mut s);
-    fill3(&mut st.v, &mut s);
-    fill3(&mut st.phi, &mut s);
-    fill2(&mut st.psa, &mut s);
+    for f in st.fields_mut() {
+        fill(f, &mut s);
+    }
     st
 }
 
 fn random_diag(geom: &LocalGeometry, seed: u64) -> Diag {
     let mut s = seed;
     let mut d = Diag::new(geom);
-    fill2_pos(&mut d.pes, &mut s); // divided by: keep positive
-    fill2_pos(&mut d.cap_p, &mut s); // divided by: keep positive
-    fill2(&mut d.dsa, &mut s);
+    fill_pos(&mut d.pes, &mut s); // divided by: keep positive
+    fill_pos(&mut d.cap_p, &mut s); // divided by: keep positive
+    fill(&mut d.dsa, &mut s);
     // the standalone entry points' D(P), sized as `apply_c` sizes it
     d.dp = Field3::like(&d.phi_p);
-    fill3(&mut d.dp, &mut s);
-    fill2(&mut d.vsum, &mut s);
-    fill3(&mut d.gw, &mut s);
-    fill3(&mut d.phi_p, &mut s);
+    fill(&mut d.dp, &mut s);
+    fill(&mut d.vsum, &mut s);
+    fill(&mut d.gw, &mut s);
+    fill(&mut d.phi_p, &mut s);
     d
 }
 
@@ -113,23 +106,16 @@ fn random_c_region(geom: &LocalGeometry, s: &mut u64) -> Region {
     }
 }
 
-fn assert_bits3(a: &Field3, b: &Field3, what: &str) {
-    for (i, (x, y)) in a.raw().iter().zip(b.raw()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: raw index {i}");
-    }
-}
-
-fn assert_bits2(a: &Field2, b: &Field2, what: &str) {
+fn assert_bits(a: &Field3, b: &Field3, what: &str) {
     for (i, (x, y)) in a.raw().iter().zip(b.raw()).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "{what}: raw index {i}");
     }
 }
 
 fn assert_state_bits(a: &State, b: &State, what: &str) {
-    assert_bits3(&a.u, &b.u, what);
-    assert_bits3(&a.v, &b.v, what);
-    assert_bits3(&a.phi, &b.phi, what);
-    assert_bits2(&a.psa, &b.psa, what);
+    for (x, y) in a.fields().into_iter().zip(b.fields()) {
+        assert_bits(x, y, what);
+    }
 }
 
 /// `(nx, halo)` of the serial geometries: `test_small`'s 16 longitudes are
@@ -273,11 +259,11 @@ fn apply_c_row_kernel_matches_scalar_bitwise() {
                 })
                 .unwrap();
                 let what = format!("apply_c nx={nx} h={h} nt={nt} seed={seed}");
-                assert_bits3(&got.dp, &want.dp, &what);
-                assert_bits2(&got.vsum, &want.vsum, &what);
-                assert_bits3(&got.gw, &want.gw, &what);
-                assert_bits3(&got.phi_p, &want.phi_p, &what);
-                assert_bits2(&got.dsa, &want.dsa, &what);
+                assert_bits(&got.dp, &want.dp, &what);
+                assert_bits(&got.vsum, &want.vsum, &what);
+                assert_bits(&got.gw, &want.gw, &what);
+                assert_bits(&got.phi_p, &want.phi_p, &what);
+                assert_bits(&got.dsa, &want.dsa, &what);
             }
         }
     }
@@ -317,11 +303,11 @@ fn apply_c_under_a_z_split_matches_scalar_bitwise_at_any_worker_count() {
                     "z-split apply_c nx={nx} rank={} nt={nt} seed={seed}",
                     comm.rank()
                 );
-                assert_bits3(&got.dp, &want.dp, &what);
-                assert_bits2(&got.vsum, &want.vsum, &what);
-                assert_bits3(&got.gw, &want.gw, &what);
-                assert_bits3(&got.phi_p, &want.phi_p, &what);
-                assert_bits2(&got.dsa, &want.dsa, &what);
+                assert_bits(&got.dp, &want.dp, &what);
+                assert_bits(&got.vsum, &want.vsum, &what);
+                assert_bits(&got.gw, &want.gw, &what);
+                assert_bits(&got.phi_p, &want.phi_p, &what);
+                assert_bits(&got.dsa, &want.dsa, &what);
             }
         });
     }
@@ -453,7 +439,7 @@ fn combine_oracle(
                 }
             }
             out.psa
-                .set(i, j, pick(base.psa.get(i, j), tend.psa.get(i, j)));
+                .set(i, j, 0, pick(base.psa.get(i, j, 0), tend.psa.get(i, j, 0)));
         }
     }
     out
@@ -886,12 +872,12 @@ fn division_budget_of_the_tendency_sweeps_and_c() {
         let n = divisions_in(|| {
             apply_c(&geom, &stdatm, &arg, &mut d_got, interior, &zctx, true).unwrap()
         });
-        assert_bits3(&d_got.phi_p, &d_want.phi_p, "counted C");
-        assert_bits3(&d_got.gw, &d_want.gw, "counted C");
+        assert_bits(&d_got.phi_p, &d_want.phi_p, "counted C");
+        assert_bits(&d_got.gw, &d_want.gw, "counted C");
         let walked_rows = ny + 2; // φ' is produced one row beyond the region
         assert_eq!(n, 3 * nx * ny * (nz + 1) + nx * walked_rows * (nz + 1), "C");
-        assert_bits3(&d_got.dp, &d_want.dp, "counted C");
-        assert_bits2(&d_got.dsa, &d_want.dsa, "counted C");
+        assert_bits(&d_got.dp, &d_want.dp, "counted C");
+        assert_bits(&d_got.dsa, &d_want.dsa, "counted C");
     }
 }
 
@@ -918,7 +904,7 @@ fn batched_fft_filter_matches_row_oracle_bitwise_at_any_worker_count() {
                         filter.apply_row(gj, f.row_mut(0, nx, j, k));
                     }
                 }
-                filter.apply_row(gj, want.psa.row_mut(0, nx, j));
+                filter.apply_row(gj, want.psa.row_mut(0, nx, j, 0));
             }
 
             // one scratch across worker counts: it must grow on demand

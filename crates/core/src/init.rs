@@ -56,7 +56,7 @@ pub fn perturbed_rest(geom: &LocalGeometry, bump_amp: f64, noise_amp: f64, seed:
             let mut dx = (gi - ic).abs();
             dx = dx.min(gnx - dx);
             let r2 = (dx / rx).powi(2) + ((gj - jc) / ry).powi(2);
-            st.psa.set(i, j, bump_amp * (-r2).exp());
+            st.psa.set(i, j, 0, bump_amp * (-r2).exp());
         }
     }
     if noise_amp > 0.0 {
@@ -125,8 +125,8 @@ mod tests {
         let mut peak = (0, 0, f64::MIN);
         for j in 0..g.ny as isize {
             for i in 0..g.nx as isize {
-                if st.psa.get(i, j) > peak.2 {
-                    peak = (i, j, st.psa.get(i, j));
+                if st.psa.get(i, j, 0) > peak.2 {
+                    peak = (i, j, st.psa.get(i, j, 0));
                 }
             }
         }
@@ -150,7 +150,7 @@ mod tests {
                         let gj = g.global_j(j) as isize;
                         let gk = g.global_k(k) as isize;
                         assert_eq!(st.phi.get(i, j, k), serial.phi.get(i, gj, gk));
-                        assert_eq!(st.psa.get(i, j), serial.psa.get(i, gj));
+                        assert_eq!(st.psa.get(i, j, 0), serial.psa.get(i, gj, 0));
                     }
                 }
             }

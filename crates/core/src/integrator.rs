@@ -290,10 +290,9 @@ impl Integrator {
     /// physical boundary — lies in the layers the two have in common.
     pub fn restore(&mut self, ck: &Checkpoint) {
         self.steps = ck.step as usize;
-        self.state.u.assign_common(&ck.state.u);
-        self.state.v.assign_common(&ck.state.v);
-        self.state.phi.assign_common(&ck.state.phi);
-        self.state.psa.assign_common(&ck.state.psa);
+        for (f, saved) in self.state.fields_mut().into_iter().zip(ck.state.fields()) {
+            f.assign_common(saved);
+        }
         // without the cached-C arrays: recompute on first use
         self.engine.c_cached = false;
         if let (Some(vsum), Some(gw), Some(phi_p)) = (&ck.vsum, &ck.gw, &ck.phi_p) {
@@ -547,25 +546,21 @@ mod tests {
     use agcm_comm::Universe;
 
     fn poison(st: &mut State) {
-        for f in st.fields3_mut() {
+        for f in st.fields_mut() {
             f.fill(f64::NAN);
         }
-        st.psa.fill(f64::NAN);
     }
 
     /// The bits of a state's interior, field after field.
     fn interior_bits(st: &State) -> Vec<u64> {
-        let (nx, ny, nz) = st.extents();
-        let (nx, ny, nz) = (nx as isize, ny as isize, nz as isize);
-        let rows3 = (0..nz).flat_map(|k| (0..ny).map(move |j| (j, k)));
         let mut bits = Vec::new();
-        for f in st.fields3() {
-            for (j, k) in rows3.clone() {
-                bits.extend(f.row(0, nx, j, k).iter().map(|v| v.to_bits()));
+        for f in st.fields() {
+            let (nx, ny, nz) = f.extents();
+            for k in 0..nz as isize {
+                for j in 0..ny as isize {
+                    bits.extend(f.row(0, nx as isize, j, k).iter().map(|v| v.to_bits()));
+                }
             }
-        }
-        for j in 0..ny {
-            bits.extend(st.psa.row(0, nx, j).iter().map(|v| v.to_bits()));
         }
         bits
     }

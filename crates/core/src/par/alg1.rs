@@ -159,15 +159,14 @@ impl GlobalState {
     }
 }
 
-/// `st`'s interior x-rows in block order: `U`, `V`, `Φ`, each level by
-/// level and row by row, then `p'_sa` row by row.
+/// `st`'s interior x-rows in block order: `U`, `V`, `Φ`, `p'_sa`, each
+/// level by level and row by row (`p'_sa` has one level).
 fn state_rows(st: &State) -> impl Iterator<Item = &[f64]> {
-    let (nx, ny, nz) = st.extents();
-    let (nx, ny, nz) = (nx as isize, ny as isize, nz as isize);
-    [&st.u, &st.v, &st.phi]
-        .into_iter()
-        .flat_map(move |f| (0..nz).flat_map(move |k| (0..ny).map(move |j| f.row(0, nx, j, k))))
-        .chain((0..ny).map(move |j| st.psa.row(0, nx, j)))
+    st.fields().into_iter().flat_map(|f| {
+        let (nx, ny, nz) = f.extents();
+        let (nx, ny, nz) = (nx as isize, ny as isize, nz as isize);
+        (0..nz).flat_map(move |k| (0..ny).map(move |j| f.row(0, nx, j, k)))
+    })
 }
 
 /// Gather a decomposed state to rank 0 of `comm`: each rank sends its

@@ -20,7 +20,7 @@
 use crate::diag::Diag;
 use crate::par::schedule::ExFields;
 use agcm_comm::{CommResult, Communicator};
-use agcm_mesh::{BoxRange, Decomposition, ExchangePlan, Field2, Field3, HaloWidths, NeighborLink};
+use agcm_mesh::{BoxRange, Decomposition, ExchangePlan, Field3, HaloWidths, NeighborLink};
 use agcm_obs as obs;
 use std::time::Duration;
 
@@ -47,20 +47,28 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A field participating in an exchange.
+/// A field participating in an exchange, marked with whether it is a
+/// surface field — marked, not inferred: a rank's one-level block of a 3-D
+/// field travels on z links too.
 pub enum ExField<'a> {
     /// A 3-D field (any level count — interface fields have `nz+1`).
-    F3(&'a mut Field3),
-    /// A 2-D surface field (replicated across z ranks; exchanged only with
-    /// `dz = 0` neighbours).
-    F2(&'a mut Field2),
+    Volume(&'a mut Field3),
+    /// A surface field ([`Field3::surface`]): replicated across z ranks, so
+    /// exchanged only with `dz = 0` neighbours.
+    Surface(&'a mut Field3),
 }
 
 impl ExField<'_> {
     fn geom(&self) -> FieldGeom {
         match self {
-            ExField::F3(f) => (f.extents(), false),
-            ExField::F2(f) => ((f.extents().0, f.extents().1, 1), true),
+            ExField::Volume(f) => (f.extents(), false),
+            ExField::Surface(f) => (f.extents(), true),
+        }
+    }
+
+    fn field(&mut self) -> &mut Field3 {
+        match self {
+            ExField::Volume(f) | ExField::Surface(f) => f,
         }
     }
 }
@@ -74,8 +82,8 @@ pub struct Pending {
 }
 
 /// Geometry of one exchanged array: its local interior extents (a surface
-/// field has one level) and whether it is 2-D — a 2-D field is replicated
-/// across z ranks and travels on `dz = 0` links only.
+/// field has one level) and whether it is a surface field — one that is
+/// replicated across z ranks and travels on `dz = 0` links only.
 pub type FieldGeom = ((usize, usize, usize), bool);
 
 /// One message of an exchange: everything one neighbour link carries.
@@ -130,7 +138,7 @@ pub fn link_messages(
     let mut msgs = Vec::new();
     for link in decomp.neighbors(rank) {
         let parts: Vec<_> = (fields.iter().zip(&plans).enumerate())
-            .filter(|(_, (&(_, is2d), _))| !(is2d && link.offset.2 != 0))
+            .filter(|(_, (&(_, surface), _))| !(surface && link.offset.2 != 0))
             .filter_map(|(field, (_, plan))| {
                 let spec = plan.specs().iter().find(|s| s.link == link)?;
                 let (send, recv) = (spec.send.clone(), spec.recv.clone());
@@ -248,11 +256,8 @@ impl HaloExchanger {
         for msg in &self.plans[plan].msgs {
             buf.clear();
             for LinkPart { field, send, .. } in &msg.parts {
-                let (x, y) = (send.x.clone(), send.y.clone());
-                match &fields[*field] {
-                    ExField::F3(f3) => f3.pack_box(x, y, send.z.clone(), buf),
-                    ExField::F2(f2) => f2.pack_box(x, y, buf),
-                };
+                let (x, y, z) = (send.x.clone(), send.y.clone(), send.z.clone());
+                fields[*field].field().pack_box(x, y, z, buf);
             }
             let t = wire_tag(seq, dir_index(msg.link.offset));
             span.add_bytes(8 * buf.len() as u64);
@@ -290,11 +295,8 @@ impl HaloExchanger {
             span.add_bytes(8 * data.len() as u64);
             let mut off = 0;
             for LinkPart { field, recv, .. } in &msg.parts {
-                let (x, y, rest) = (recv.x.clone(), recv.y.clone(), &data[off..]);
-                off += match &mut fields[*field] {
-                    ExField::F3(f3) => f3.unpack_box(x, y, recv.z.clone(), rest),
-                    ExField::F2(f2) => f2.unpack_box(x, y, rest),
-                };
+                let (x, y, z) = (recv.x.clone(), recv.y.clone(), recv.z.clone());
+                off += fields[*field].field().unpack_box(x, y, z, &data[off..]);
             }
             debug_assert_eq!(off, data.len());
         }
@@ -377,10 +379,10 @@ impl HaloExchanger {
 /// Convenience: exchange the four prognostic components of a state.
 pub fn state_fields<'a>(st: &'a mut crate::state::State) -> [ExField<'a>; 4] {
     [
-        ExField::F3(&mut st.u),
-        ExField::F3(&mut st.v),
-        ExField::F3(&mut st.phi),
-        ExField::F2(&mut st.psa),
+        ExField::Volume(&mut st.u),
+        ExField::Volume(&mut st.v),
+        ExField::Volume(&mut st.phi),
+        ExField::Surface(&mut st.psa),
     ]
 }
 
@@ -393,12 +395,13 @@ pub fn with_fields<R>(
     f: impl FnOnce(&mut [ExField<'_>]) -> R,
 ) -> R {
     let [u, v, phi, psa] = state_fields(st);
-    let gw = ExField::F3(&mut diag.gw);
+    let gw = ExField::Volume(&mut diag.gw);
     match set {
         ExFields::State => f(&mut [u, v, phi, psa]),
         ExFields::StateGw => f(&mut [u, v, phi, psa, gw]),
         ExFields::StateC => {
-            let (vsum, phi_p) = (ExField::F2(&mut diag.vsum), ExField::F3(&mut diag.phi_p));
+            let vsum = ExField::Surface(&mut diag.vsum);
+            let phi_p = ExField::Volume(&mut diag.phi_p);
             f(&mut [u, v, phi, psa, vsum, gw, phi_p])
         }
     }
@@ -417,28 +420,6 @@ mod tests {
     /// global value of field `fi` at (i, gj, gk)
     fn val(fi: usize, i: isize, gj: i64, gk: i64) -> f64 {
         (fi as f64 + 1.0) * 1000.0 + i as f64 + 10.0 * gj as f64 + 100.0 * gk as f64
-    }
-
-    /// One array of an exchanged bundle, 2-D or 3-D.
-    enum Arr {
-        A3(Field3),
-        A2(Field2),
-    }
-
-    impl Arr {
-        fn ex(&mut self) -> ExField<'_> {
-            match self {
-                Arr::A3(f) => ExField::F3(f),
-                Arr::A2(f) => ExField::F2(f),
-            }
-        }
-
-        fn get(&self, i: isize, j: isize, k: isize) -> f64 {
-            match self {
-                Arr::A3(f) => f.get(i, j, k),
-                Arr::A2(f) => f.get(i, j),
-            }
-        }
     }
 
     #[test]
@@ -470,28 +451,29 @@ mod tests {
             };
             let errs = Universe::run(pgrid.size(), |comm| {
                 let rank = comm.rank();
-                let mut arrs: Vec<Arr> = (geoms(rank).iter().enumerate())
-                    .map(|(fi, &((nx, ny, nz), is2d))| {
-                        let mut a = match is2d {
-                            true => Arr::A2(Field2::new(nx, ny, h)),
-                            false => Arr::A3(Field3::new(nx, ny, nz, h)),
+                let mut arrs: Vec<(Field3, bool)> = (geoms(rank).iter().enumerate())
+                    .map(|(fi, &((nx, ny, nz), surface))| {
+                        let mut a = match surface {
+                            true => Field3::surface(nx, ny, h),
+                            false => Field3::new(nx, ny, nz, h),
                         };
                         for k in 0..nz as isize {
                             for j in 0..ny as isize {
                                 for i in 0..nx as isize {
-                                    let v = code(fi, rank, (i, j, k));
-                                    match &mut a {
-                                        Arr::A3(f) => f.set(i, j, k, v),
-                                        Arr::A2(f) => f.set(i, j, v),
-                                    }
+                                    a.set(i, j, k, code(fi, rank, (i, j, k)));
                                 }
                             }
                         }
-                        a
+                        (a, surface)
                     })
                     .collect();
                 let mut ex = HaloExchanger::new(d.clone(), rank);
-                let mut fields: Vec<ExField<'_>> = arrs.iter_mut().map(Arr::ex).collect();
+                let mut fields: Vec<ExField<'_>> = (arrs.iter_mut())
+                    .map(|(f, surface)| match surface {
+                        true => ExField::Surface(f),
+                        false => ExField::Volume(f),
+                    })
+                    .collect();
                 ex.exchange(comm, h, &mut fields).unwrap();
                 // every halo cell a plan covers equals its owner's value:
                 // the recv box mirrors the neighbour's send box on the
@@ -507,7 +489,11 @@ mod tests {
                         .expect("mirrored link");
                     assert_eq!(m.recv_elems(), back.send_elems());
                     // surface arrays ride `dz = 0` links only
-                    let surface = m.parts.iter().filter(|p| shapes[p.field].is_2d()).count();
+                    let surface = m
+                        .parts
+                        .iter()
+                        .filter(|p| shapes[p.field].is_surface())
+                        .count();
                     assert_eq!(surface, if dz == 0 { 2 } else { 0 });
                     for (mine, theirs) in m.parts.iter().zip(&back.parts) {
                         let (fi, recv, send) = (mine.field, &mine.recv, &theirs.send);
@@ -516,7 +502,7 @@ mod tests {
                             for (j, sj) in recv.y.clone().zip(send.y.clone()) {
                                 for (i, si) in recv.x.clone().zip(send.x.clone()) {
                                     let want = code(fi, m.link.rank, (si, sj, sk));
-                                    errs += (arrs[fi].get(i, j, k) != want) as usize;
+                                    errs += (arrs[fi].0.get(i, j, k) != want) as usize;
                                 }
                             }
                         }
@@ -562,7 +548,7 @@ mod tests {
                 }
             }
             let mut ex = HaloExchanger::new(d, comm.rank());
-            let mut fields = [ExField::F3(&mut f)];
+            let mut fields = [ExField::Volume(&mut f)];
             ex.exchange(comm, h, &mut fields).unwrap();
             // rank 0's bottom halo should hold rank 1's first interfaces
             if comm.rank() == 0 {
@@ -598,13 +584,13 @@ mod tests {
             let mut f = Field3::new(nx, ny, nz, h);
             f.fill(comm.rank() as f64 + 1.0);
             let mut ex = HaloExchanger::new(d, comm.rank());
-            let mut fields = [ExField::F3(&mut f)];
+            let mut fields = [ExField::Volume(&mut f)];
             let pending = ex.post_sends(comm, h, &mut fields).unwrap();
             // ... computation would happen here ...
             let overlap_work: f64 = (0..100).map(|i| i as f64).sum();
             ex.finish_recvs(comm, pending, &mut fields).unwrap();
             assert_eq!(ex.exchanges, 1);
-            let ExField::F3(f) = &fields[0] else { panic!() };
+            let f = fields[0].field();
             let other = 2.0 - comm.rank() as f64;
             // halo toward the neighbour holds its value
             if comm.rank() == 0 {
@@ -652,7 +638,7 @@ mod tests {
                 }
                 let mut ex = HaloExchanger::new(d, comm.rank());
                 ex.set_framed(framed);
-                let mut fields = [ExField::F3(&mut f)];
+                let mut fields = [ExField::Volume(&mut f)];
                 ex.exchange(comm, h, &mut fields).unwrap();
                 (fnv1a_bits(f.raw()), comm.stats().snapshot())
             })
@@ -692,7 +678,7 @@ mod tests {
             f.fill(comm.rank() as f64 + 1.0);
             let mut ex = HaloExchanger::new(d, comm.rank());
             ex.set_framed(true);
-            let mut fields = [ExField::F3(&mut f)];
+            let mut fields = [ExField::Volume(&mut f)];
             ex.exchange(comm, h, &mut fields).unwrap();
             let got = if comm.rank() == 0 {
                 f.get(0, ny as isize, 0)
@@ -760,7 +746,7 @@ mod tests {
             let mut ex = HaloExchanger::new(d, comm.rank());
             f.fill(10.0 + comm.rank() as f64);
             {
-                let mut fields = [ExField::F3(&mut f)];
+                let mut fields = [ExField::Volume(&mut f)];
                 ex.exchange(comm, h, &mut fields).unwrap();
             }
             let first = if comm.rank() == 0 {
@@ -775,7 +761,7 @@ mod tests {
                 }
             }
             {
-                let mut fields = [ExField::F3(&mut f)];
+                let mut fields = [ExField::Volume(&mut f)];
                 ex.exchange(comm, h, &mut fields).unwrap();
             }
             let second = if comm.rank() == 0 {

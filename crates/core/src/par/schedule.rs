@@ -33,9 +33,9 @@ pub enum FieldShape {
     Level3,
     /// An interface 3-D field (`g_w`): `(nxl, nyl, nzl + 1)`.
     Interface3,
-    /// A surface 2-D field (`p_sa`, `vsum`): `(nxl, nyl, 1)`; never
-    /// exchanged along z.
-    Surface2,
+    /// A surface field (`p_sa`, `vsum`): `(nxl, nyl, 1)`; never exchanged
+    /// along z.
+    Surface,
 }
 
 impl FieldShape {
@@ -45,19 +45,19 @@ impl FieldShape {
         match self {
             FieldShape::Level3 => (nx, ny, nz),
             FieldShape::Interface3 => (nx, ny, nz + 1),
-            FieldShape::Surface2 => (nx, ny, 1),
+            FieldShape::Surface => (nx, ny, 1),
         }
     }
 
-    /// Whether the field is two-dimensional (skips z-offset neighbours).
-    pub fn is_2d(self) -> bool {
-        matches!(self, FieldShape::Surface2)
+    /// Whether the field is a surface field (skips z-offset neighbours).
+    pub fn is_surface(self) -> bool {
+        self == FieldShape::Surface
     }
 
     /// What the exchange planner needs of the field on a subdomain of the
     /// given extents ([`super::exchange::link_messages`]).
     pub fn geom(self, sub: (usize, usize, usize)) -> super::exchange::FieldGeom {
-        (self.extents(sub), self.is_2d())
+        (self.extents(sub), self.is_surface())
     }
 }
 
@@ -78,13 +78,11 @@ impl ExFields {
     /// The arrays in wire order: a link's message packs their boxes in the
     /// order of this slice.
     pub fn shapes(self) -> &'static [FieldShape] {
-        use FieldShape::{Interface3, Level3, Surface2};
+        use FieldShape::{Interface3, Level3, Surface};
         match self {
-            ExFields::State => &[Level3, Level3, Level3, Surface2],
-            ExFields::StateGw => &[Level3, Level3, Level3, Surface2, Interface3],
-            ExFields::StateC => &[
-                Level3, Level3, Level3, Surface2, Surface2, Interface3, Level3,
-            ],
+            ExFields::State => &[Level3, Level3, Level3, Surface],
+            ExFields::StateGw => &[Level3, Level3, Level3, Surface, Interface3],
+            ExFields::StateC => &[Level3, Level3, Level3, Surface, Surface, Interface3, Level3],
         }
     }
 

@@ -281,7 +281,7 @@ fn run_split<T: Band>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agcm_mesh::{Field2, Field3, HaloWidths};
+    use agcm_mesh::{Field3, HaloWidths};
 
     #[test]
     fn row_cuts_cover_range_without_gaps_or_empty_bands() {
@@ -344,13 +344,16 @@ mod tests {
     fn run_executes_every_band_exactly_once() {
         let h = HaloWidths::uniform(1);
         let mut u = Field3::new(4, 6, 3, h);
-        let mut p = Field2::new(4, 6, h);
+        let mut p = Field3::surface(4, 6, h);
         let mut scratch = [0usize; MAX_WORKERS];
         for nw in [1usize, 2, 3, 4] {
             let cuts = with_workers(nw, || row_cuts(-1, 7, 1, |_| true));
             assert_eq!(cuts.bands(), nw);
             let whole = (
-                (u.row_band_mut((-1, 7), (0, 3)), p.row_band_mut((-1, 7))),
+                (
+                    u.row_band_mut::<3>((-1, 7), (0, 3)),
+                    p.row_band_mut::<1>((-1, 7), (0, 1)),
+                ),
                 PerWorker(&mut scratch[..nw]),
             );
             run(whole, &cuts, "test.band", |((u, p), mine), j0, j1| {
@@ -370,7 +373,7 @@ mod tests {
             for k in 0..3 {
                 assert_eq!(u.row(-1, 5, j, k), [0.0, 4.0, 4.0, 4.0, 4.0, 0.0]);
             }
-            assert_eq!(p.row(-1, 5, j), [8.0; 6]);
+            assert_eq!(p.row(-1, 5, j, 0), [8.0; 6]);
         }
     }
 }

@@ -25,12 +25,14 @@ use crate::par::GlobalState;
 use crate::state::State;
 use crate::tables;
 use agcm_comm::fault::HashedWords;
-use agcm_mesh::{Decomposition, Field2, Field3, HaloWidths, ProcessGrid};
+use agcm_mesh::{Decomposition, Field3, HaloWidths, ProcessGrid};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic + version tag of the on-disk checkpoint format.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"AGCMCKP2";
+/// Magic + version tag of the on-disk checkpoint format.  Version 3 writes
+/// a surface field with its three extents like every other field; version 2
+/// wrote it with two, version 1 had no integrity hash.
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"AGCMCKP3";
 
 // ---------------------------------------------------------------------------
 // Checkpoint
@@ -48,8 +50,9 @@ pub struct Checkpoint {
     pub step: u64,
     /// The prognostic state (full arrays, halos included).
     pub state: State,
-    /// Cached vertical sums `Σ` from the last `C` execution.
-    pub vsum: Option<Field2>,
+    /// Cached vertical sums `Σ` from the last `C` execution (a surface
+    /// field).
+    pub vsum: Option<Field3>,
     /// Cached `g_w` from the last `C` execution.
     pub gw: Option<Field3>,
     /// Cached `φ'` from the last `C` execution.
@@ -64,31 +67,23 @@ pub struct Checkpoint {
 // Binary on-disk format
 // ---------------------------------------------------------------------------
 
-/// One field: its extents, halo and length, then its values.
-fn w_field(
-    w: &mut HashedWords<impl Write>,
-    dims: &[usize],
-    h: HaloWidths,
-    data: &[f64],
-) -> io::Result<()> {
-    let header = [h.xm, h.xp, h.ym, h.yp, h.zm, h.zp, data.len()];
-    for v in dims.iter().chain(&header) {
-        w.put(*v as u64)?;
+/// One field: its three extents, halo and length, then its values.
+fn w_field(w: &mut HashedWords<impl Write>, f: &Field3) -> io::Result<()> {
+    let ((nx, ny, nz), h) = (f.extents(), f.halo());
+    let halo = [h.xm, h.xp, h.ym, h.yp, h.zm, h.zp];
+    for v in [nx, ny, nz].into_iter().chain(halo).chain([f.total_len()]) {
+        w.put(v as u64)?;
     }
-    data.iter().try_for_each(|v| w.put(v.to_bits()))
+    f.raw().iter().try_for_each(|v| w.put(v.to_bits()))
 }
 
-/// Field `name`'s extents and halo, and its length word, which must be
+/// Field `name`: its extents and halo, and its length word, which must be
 /// what they allot and, with the trailer, fit in the `left` words the file
-/// still holds (`u64::MAX` for a stream of unknown length) — all checked
-/// before the caller allocates, so neither a flipped bit nor a short file
-/// can size an allocation past the file.
-fn r_header<const N: usize>(
-    r: &mut HashedWords<impl Read>,
-    left: &mut u64,
-    name: &str,
-) -> io::Result<([usize; N], HaloWidths)> {
-    let mut dims = [0; N];
+/// still holds — all checked before the field is allocated, so neither a
+/// flipped bit nor a short file can size an allocation past the file —
+/// then its values.
+fn r_field(r: &mut HashedWords<impl Read>, left: &mut u64, name: &str) -> io::Result<Field3> {
+    let mut dims = [0; 3];
     let mut h = [0; 6];
     for v in dims.iter_mut().chain(&mut h) {
         *v = r.take()? as usize;
@@ -108,17 +103,17 @@ fn r_header<const N: usize>(
         let msg = format!("checkpoint array length {n} != {elems} its extents allot");
         return Err(invalid_data(msg));
     }
-    *left = left.saturating_sub(N as u64 + 7);
+    *left = left.saturating_sub(10);
     if n >= *left {
-        let msg = format!("checkpoint field {name} claims {n} words, {left} left");
+        let msg =
+            format!("checkpoint truncated or corrupt: field {name} claims {n} words, {left} left");
         return Err(invalid_data(msg));
     }
     *left -= n;
-    Ok((dims, halo))
-}
-
-fn r_values(r: &mut HashedWords<impl Read>, into: &mut [f64]) -> io::Result<()> {
-    (into.iter_mut()).try_for_each(|v| r.take().map(|w| *v = f64::from_bits(w)))
+    let [nx, ny, nz] = dims;
+    let mut f = Field3::new(nx, ny, nz, halo);
+    (f.raw_mut().iter_mut()).try_for_each(|v| r.take().map(|w| *v = f64::from_bits(w)))?;
+    Ok(f)
 }
 
 /// Ceiling on any single checkpointed array, in elements (2 GiB of f64).
@@ -153,37 +148,13 @@ pub fn check_field_dims(dims: &[usize], halo: HaloWidths) -> io::Result<usize> {
     Ok(total as usize)
 }
 
-fn w_field3(w: &mut HashedWords<impl Write>, f: &Field3) -> io::Result<()> {
-    let (nx, ny, nz) = f.extents();
-    w_field(w, &[nx, ny, nz], f.halo(), f.raw())
-}
-
-fn r_field3(r: &mut HashedWords<impl Read>, left: &mut u64, name: &str) -> io::Result<Field3> {
-    let ([nx, ny, nz], halo) = r_header(r, left, name)?;
-    let mut f = Field3::new(nx, ny, nz, halo);
-    r_values(r, f.raw_mut())?;
-    Ok(f)
-}
-
-fn w_field2(w: &mut HashedWords<impl Write>, f: &Field2) -> io::Result<()> {
-    let (nx, ny) = f.extents();
-    w_field(w, &[nx, ny], f.halo(), f.raw())
-}
-
-fn r_field2(r: &mut HashedWords<impl Read>, left: &mut u64, name: &str) -> io::Result<Field2> {
-    let ([nx, ny], halo) = r_header(r, left, name)?;
-    let mut f = Field2::new(nx, ny, halo);
-    r_values(r, f.raw_mut())?;
-    Ok(f)
-}
-
 const FLAG_C_CACHED: u64 = 1;
 const FLAG_PENDING_SMOOTH: u64 = 2;
 const FLAG_HAS_TRIO: u64 = 4;
 
 /// Serialize a checkpoint to `writer` (versioned, little-endian, bitwise):
 /// the magic, then words under the integrity hash, then the hash.
-pub fn write_checkpoint_to(writer: &mut impl Write, ck: &Checkpoint) -> io::Result<()> {
+fn write_checkpoint_to(writer: &mut impl Write, ck: &Checkpoint) -> io::Result<()> {
     writer.write_all(CHECKPOINT_MAGIC)?;
     let mut w = HashedWords::new(writer);
     w.put(ck.step)?;
@@ -195,39 +166,29 @@ pub fn write_checkpoint_to(writer: &mut impl Write, ck: &Checkpoint) -> io::Resu
         flags |= FLAG_PENDING_SMOOTH;
     }
     let trio = match (&ck.vsum, &ck.gw, &ck.phi_p) {
-        (Some(vsum), Some(gw), Some(phi_p)) => Some((vsum, gw, phi_p)),
+        (Some(vsum), Some(gw), Some(phi_p)) => Some([vsum, gw, phi_p]),
         _ => None,
     };
     if trio.is_some() {
         flags |= FLAG_HAS_TRIO;
     }
     w.put(flags)?;
-    w_field3(&mut w, &ck.state.u)?;
-    w_field3(&mut w, &ck.state.v)?;
-    w_field3(&mut w, &ck.state.phi)?;
-    w_field2(&mut w, &ck.state.psa)?;
-    if let Some((vsum, gw, phi_p)) = trio {
-        w_field2(&mut w, vsum)?;
-        w_field3(&mut w, gw)?;
-        w_field3(&mut w, phi_p)?;
+    let trio = trio.into_iter().flatten();
+    for f in ck.state.fields().into_iter().chain(trio) {
+        w_field(&mut w, f)?;
     }
     w.put_trailer()
 }
 
-/// Deserialize a checkpoint written by [`write_checkpoint_to`].
+/// Deserialize a checkpoint written by [`write_checkpoint_to`] from a
+/// stream of `bytes` bytes: a field that claims more words than the rest
+/// of the stream holds is refused before it is allocated.
 ///
 /// A short read anywhere in the body is reported as a typed
 /// `InvalidData` "checkpoint truncated" error, and a body that does not
 /// hash to its trailer as "checkpoint hash mismatch" — a half-written,
 /// cut-off or bit-rotted restart file must be rejected loudly, never
 /// restored from.
-pub fn read_checkpoint_from(reader: &mut impl Read) -> io::Result<Checkpoint> {
-    read_checkpoint_within(reader, u64::MAX)
-}
-
-/// [`read_checkpoint_from`] a stream of `bytes` bytes: a field that claims
-/// more words than the rest of the stream holds is refused before it is
-/// allocated.
 fn read_checkpoint_within(reader: &mut impl Read, bytes: u64) -> io::Result<Checkpoint> {
     read_checkpoint_body(reader, bytes).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -242,22 +203,30 @@ fn read_checkpoint_body(reader: &mut impl Read, bytes: u64) -> io::Result<Checkp
     let mut magic = [0u8; 8];
     reader.read_exact(&mut magic)?;
     if &magic != CHECKPOINT_MAGIC {
-        return Err(invalid_data("not an AGCM checkpoint (bad magic)".into()));
+        let msg = match magic.strip_prefix(b"AGCMCKP") {
+            Some(v) => format!(
+                "checkpoint format version {} is not {} (bad magic)",
+                String::from_utf8_lossy(v),
+                CHECKPOINT_MAGIC[7] as char
+            ),
+            None => "not an AGCM checkpoint (bad magic)".into(),
+        };
+        return Err(invalid_data(msg));
     }
     let mut r = HashedWords::new(reader);
     let step = r.take()?;
     let flags = r.take()?;
     // the words after the magic, the step and the flags
     let left = &mut (bytes.saturating_sub(24) / 8);
-    let u = r_field3(&mut r, left, "u")?;
-    let v = r_field3(&mut r, left, "v")?;
-    let phi = r_field3(&mut r, left, "phi")?;
-    let psa = r_field2(&mut r, left, "psa")?;
+    let u = r_field(&mut r, left, "u")?;
+    let v = r_field(&mut r, left, "v")?;
+    let phi = r_field(&mut r, left, "phi")?;
+    let psa = r_field(&mut r, left, "psa")?;
     let (vsum, gw, phi_p) = if flags & FLAG_HAS_TRIO != 0 {
         (
-            Some(r_field2(&mut r, left, "vsum")?),
-            Some(r_field3(&mut r, left, "gw")?),
-            Some(r_field3(&mut r, left, "phi_p")?),
+            Some(r_field(&mut r, left, "vsum")?),
+            Some(r_field(&mut r, left, "gw")?),
+            Some(r_field(&mut r, left, "phi_p")?),
         )
     } else {
         (None, None, None)
@@ -566,7 +535,7 @@ pub fn redistribute(
             let g0 = (y0 + j) * gnx + x0;
             state
                 .psa
-                .row_mut(0, nxl as isize, j as isize)
+                .row_mut(0, nxl as isize, j as isize, 0)
                 .copy_from_slice(&global.psa[g0..g0 + nxl]);
         }
         let ck = Checkpoint {
@@ -596,6 +565,11 @@ mod tests {
     use crate::config::ModelConfig;
     use crate::init;
     use crate::serial::{Iteration, SerialModel};
+
+    /// Decode a checkpoint held in memory, bounded by its length.
+    fn decode(bytes: &[u8]) -> io::Result<Checkpoint> {
+        read_checkpoint_within(&mut &bytes[..], bytes.len() as u64)
+    }
 
     fn seeded_serial(variant: Iteration) -> SerialModel {
         let cfg = ModelConfig::test_small();
@@ -674,7 +648,7 @@ mod tests {
     fn read_rejects_bad_magic() {
         let mut buf: Vec<u8> = b"NOTACKPT".to_vec();
         buf.extend_from_slice(&[0u8; 64]);
-        let err = read_checkpoint_from(&mut &buf[..]).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -688,7 +662,7 @@ mod tests {
         // mid-array — every one must be InvalidData "truncated", not a
         // panic and not a bare UnexpectedEof
         for cut in [10, 30, buf.len() / 2, buf.len() - 1] {
-            let err = read_checkpoint_from(&mut &buf[..cut]).unwrap_err();
+            let err = decode(&buf[..cut]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
             assert!(err.to_string().contains("truncated"), "cut at {cut}: {err}");
         }
@@ -707,14 +681,14 @@ mod tests {
         }
         buf.extend_from_slice(&[0u8; 6 * 8]); // zero halo
         buf.extend_from_slice(&[0u8; 64]); // some body bytes
-        let err = read_checkpoint_from(&mut &buf[..]).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("implausible"), "{err}");
     }
 
     /// A file whose `u` header is consistent but claims more levels than
     /// the file holds is refused by name before `u` is allocated; the same
-    /// bytes as a stream of unknown length read as truncated.
+    /// bytes decoded from memory are refused the same way.
     #[test]
     fn read_refuses_a_field_larger_than_the_file() {
         let ck = seeded_serial(Iteration::Exact).capture();
@@ -731,8 +705,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("field u claims"), "{err}");
-        let err = read_checkpoint_from(&mut &buf[..]).unwrap_err();
-        assert!(err.to_string().contains("truncated"), "{err}");
+        assert_eq!(decode(&buf).unwrap_err().to_string(), err.to_string());
     }
 
     /// A seeded mutation of a checkpoint — truncated, bit-flipped or
@@ -760,7 +733,7 @@ mod tests {
                     _ => bytes.extend((0..next() % 16).map(|_| next() as u8)),
                 }
             }
-            match read_checkpoint_within(&mut &bytes[..], bytes.len() as u64) {
+            match decode(&bytes) {
                 Ok(back) => {
                     let mut again = Vec::new();
                     write_checkpoint_to(&mut again, &back).unwrap();
@@ -783,7 +756,7 @@ mod tests {
         let ck = m.capture();
         let mut buf = Vec::new();
         write_checkpoint_to(&mut buf, &ck).unwrap();
-        assert_eq!(read_checkpoint_from(&mut &buf[..]).unwrap(), ck);
+        assert_eq!(decode(&buf).unwrap(), ck);
 
         // u's header is words 2..=11 after the magic, its data from word 12
         let word = |i: usize| 8 + 8 * i;
@@ -813,7 +786,7 @@ mod tests {
             for bit in 0..64 {
                 let mut bad = buf.clone();
                 bad[at + bit / 8] ^= 1 << (bit % 8);
-                let err = read_checkpoint_from(&mut &bad[..]).unwrap_err();
+                let err = decode(&bad).unwrap_err();
                 let msg = err.to_string();
                 assert_eq!(
                     err.kind(),
@@ -827,10 +800,19 @@ mod tests {
                 assert!(caught, "{what} bit {bit}: {msg}");
             }
         }
-        let mut v1 = buf;
-        v1[..8].copy_from_slice(b"AGCMCKP1");
-        let err = read_checkpoint_from(&mut &v1[..]).unwrap_err();
-        assert!(err.to_string().contains("bad magic"), "{err}");
+        // the unhashed version and the one that wrote surface fields with
+        // two extents are refused by their magic, naming the version
+        for v in ['1', '2'] {
+            let mut old = buf.clone();
+            old[..8].copy_from_slice(format!("AGCMCKP{v}").as_bytes());
+            let err = decode(&old).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("version {v}")) && msg.contains("bad magic"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

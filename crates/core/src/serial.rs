@@ -146,7 +146,7 @@ mod tests {
             for j in 0..g.ny as isize {
                 let w = g.sin_c(j);
                 for i in 0..g.nx as isize {
-                    t += w * st.psa.get(i, j);
+                    t += w * st.psa.get(i, j, 0);
                 }
             }
             t

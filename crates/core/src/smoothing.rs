@@ -22,7 +22,7 @@ use crate::lanes::{lane_loop, Elem};
 use crate::pool;
 use crate::state::{State, StateBand};
 #[cfg(test)]
-use agcm_mesh::{Field2, Field3};
+use agcm_mesh::Field3;
 
 /// Fourth-difference coefficients for offsets −2..=+2.
 const A4: [f64; 5] = [1.0, -4.0, 6.0, -4.0, 1.0];
@@ -109,13 +109,6 @@ fn d4_lambda_f3(f: &Field3, i: isize, j: isize, k: isize) -> f64 {
         + f.get(i + 2, j, k)
 }
 
-#[cfg(test)]
-#[inline]
-fn d4_lambda_f2(f: &Field2, i: isize, j: isize) -> f64 {
-    f.get(i - 2, j) - 4.0 * f.get(i - 1, j) + 6.0 * f.get(i, j) - 4.0 * f.get(i + 1, j)
-        + f.get(i + 2, j)
-}
-
 /// `P₁` applied to one 3-D field on `region` (x-only smoothing — U and V).
 #[cfg(test)]
 fn p1_field(beta: f64, src: &Field3, dst: &mut Field3, region: Region, nx: isize, mask: RowMask) {
@@ -146,19 +139,6 @@ fn p2_contrib_f3(beta: f64, src: &Field3, i: isize, j: isize, k: isize, m: isize
     let mut v = -b16 * a * src.get(i, j + m, k) + b2 * a * d4_lambda_f3(src, i, j + m, k);
     if m == 0 {
         v += src.get(i, j, k) - b16 * d4_lambda_f3(src, i, j, k);
-    }
-    v
-}
-
-#[cfg(test)]
-#[inline]
-fn p2_contrib_f2(beta: f64, src: &Field2, i: isize, j: isize, m: isize) -> f64 {
-    let b16 = beta / 16.0;
-    let b2 = beta * beta / 256.0;
-    let a = A4[(m + 2) as usize];
-    let mut v = -b16 * a * src.get(i, j + m) + b2 * a * d4_lambda_f2(src, i, j + m);
-    if m == 0 {
-        v += src.get(i, j) - b16 * d4_lambda_f2(src, i, j);
     }
     v
 }
@@ -249,7 +229,7 @@ fn smooth_band(
     // p'_sa: P₂ (2-D) on the band's own rows
     for j in region.y0..region.y1 {
         let rows: [Option<&[f64]>; 5] = std::array::from_fn(|mi| {
-            mask.0[mi].then(|| src.psa.row(-2, nx + 2, j + (mi as isize - 2)))
+            mask.0[mi].then(|| src.psa.row(-2, nx + 2, j + (mi as isize - 2), 0))
         });
         let out = t_psa.row_mut(0, nx, j, 0);
         lane_loop!(out.len(), E, ii, p2_body::<E>(ii, out, &rows, b16, b2, add));
@@ -285,37 +265,27 @@ pub fn smooth_rows_scalar(
             }
         }
     }
-    // Φ: P₂
-    for k in region.z0..region.z1 {
-        for j in region.y0..region.y1 {
-            for i in 0..nx {
-                let mut v = 0.0;
-                for m in -2isize..=2 {
-                    if mask.has(m) {
-                        v += p2_contrib_f3(beta, &src.phi, i, j, k, m);
+    // Φ and p'_sa (its one level): P₂
+    let levels = [region.z0..region.z1, 0..1];
+    for ((s, d), ks) in [(&src.phi, &mut dst.phi), (&src.psa, &mut dst.psa)]
+        .into_iter()
+        .zip(levels)
+    {
+        for k in ks {
+            for j in region.y0..region.y1 {
+                for i in 0..nx {
+                    let mut v = 0.0;
+                    for m in -2isize..=2 {
+                        if mask.has(m) {
+                            v += p2_contrib_f3(beta, s, i, j, k, m);
+                        }
+                    }
+                    if add {
+                        d.add(i, j, k, v);
+                    } else {
+                        d.set(i, j, k, v);
                     }
                 }
-                if add {
-                    dst.phi.add(i, j, k, v);
-                } else {
-                    dst.phi.set(i, j, k, v);
-                }
-            }
-        }
-    }
-    // p'_sa: P₂ (2-D)
-    for j in region.y0..region.y1 {
-        for i in 0..nx {
-            let mut v = 0.0;
-            for m in -2isize..=2 {
-                if mask.has(m) {
-                    v += p2_contrib_f2(beta, &src.psa, i, j, m);
-                }
-            }
-            if add {
-                dst.psa.add(i, j, v);
-            } else {
-                dst.psa.set(i, j, v);
             }
         }
     }
@@ -352,7 +322,7 @@ mod tests {
         }
         for j in 0..geom.ny as isize {
             for i in 0..geom.nx as isize {
-                state.psa.set(i, j, ((i * 3 + j * 5) % 7) as f64 * 10.0);
+                state.psa.set(i, j, 0, ((i * 3 + j * 5) % 7) as f64 * 10.0);
             }
         }
         boundary::enforce_pole_v(&mut state, &geom);
@@ -382,7 +352,7 @@ mod tests {
             }
         }
         for j in 0..geom.ny as isize {
-            assert!((out.psa.get(2, j) - 1.5).abs() < 1e-12);
+            assert!((out.psa.get(2, j, 0) - 1.5).abs() < 1e-12);
         }
     }
 

@@ -2,14 +2,16 @@
 //!
 //! `U`, `V` and `Φ` are the transformed wind and geopotential-like variables
 //! of Eq. 1 of the paper (3-D, on the Arakawa C grid); `p'_sa` is the
-//! surface-pressure deviation (2-D).  The state supports the linear algebra
-//! Algorithm 1/2 need (`ψ + Δt·F(…)` and its midpoint with `ψ`, see
-//! [`Combine`]) plus the halo bookkeeping shared by all four components.
+//! surface-pressure deviation, a surface field (one level of a `Field3`).
+//! The state supports the linear algebra Algorithm 1/2 need (`ψ + Δt·F(…)`
+//! and its midpoint with `ψ`, see [`Combine`]) plus the halo bookkeeping
+//! shared by all four components, each one loop over the four same-typed
+//! fields ([`State::fields`]).
 
 use crate::geometry::Region;
 use crate::lanes::{lane_loop, Elem};
 use crate::pool::band_struct;
-use agcm_mesh::{Field2, Field3, HaloWidths, RowBand2, RowBand3};
+use agcm_mesh::{Field3, HaloWidths, RowBand2, RowBand3};
 
 /// Per-element body of `x + c·y` — the same expression tree as the scalar
 /// row loop, instantiated at `f64` or `crate::lanes::Lane`.
@@ -69,7 +71,8 @@ pub(crate) fn combine_row_in_place(form: Combine, d: &mut [f64], x: &[f64], c: f
 }
 
 /// One x-row of a state: component (0 `U`, 1 `V`, 2 `Φ`, 3 `p'_sa`),
-/// latitude row `j` and level `k` (ignored for `p'_sa`).
+/// latitude row `j` and level `k` (`p'_sa` has the one level 0, whatever
+/// `k` says).
 pub(crate) type RowId = (u8, isize, isize);
 
 /// One full prognostic state on a rank's subdomain.
@@ -81,8 +84,9 @@ pub struct State {
     pub v: Field3,
     /// Transformed thermal variable `Φ = P·R·(T - T̃)/b` at cell centres.
     pub phi: Field3,
-    /// Surface-pressure deviation `p'_sa = p_s - p̃_s` (2-D).
-    pub psa: Field2,
+    /// Surface-pressure deviation `p'_sa = p_s - p̃_s`: a surface field
+    /// ([`Field3::surface`]), indexed at level 0.
+    pub psa: Field3,
 }
 
 /// Mutable row bands of the four components: what a worker-pool phase that
@@ -113,9 +117,7 @@ impl StateBand<'_> {
     }
 }
 
-/// Number of 3-D prognostic components.
-pub const N3D: usize = 3;
-/// Total number of prognostic arrays (3-D + 2-D).
+/// Number of prognostic arrays (three 3-D, one surface).
 pub const N_COMPONENTS: usize = 4;
 
 impl State {
@@ -125,18 +127,14 @@ impl State {
             u: Field3::new(nx, ny, nz, halo),
             v: Field3::new(nx, ny, nz, halo),
             phi: Field3::new(nx, ny, nz, halo),
-            psa: Field2::new(nx, ny, halo),
+            psa: Field3::surface(nx, ny, halo),
         }
     }
 
     /// Allocate a state shaped like `other`, zeroed.
     pub fn like(other: &State) -> Self {
-        State {
-            u: Field3::like(&other.u),
-            v: Field3::like(&other.v),
-            phi: Field3::like(&other.phi),
-            psa: Field2::like(&other.psa),
-        }
+        let [u, v, phi, psa] = other.fields().map(Field3::like);
+        State { u, v, phi, psa }
     }
 
     /// Local interior extents.
@@ -149,14 +147,19 @@ impl State {
         self.u.halo()
     }
 
-    /// The three 3-D fields, in canonical order (U, V, Φ).
-    pub fn fields3(&self) -> [&Field3; N3D] {
-        [&self.u, &self.v, &self.phi]
+    /// All four components in canonical order (U, V, Φ, p'_sa).
+    pub fn fields(&self) -> [&Field3; N_COMPONENTS] {
+        [&self.u, &self.v, &self.phi, &self.psa]
     }
 
-    /// Mutable access to the 3-D fields in canonical order.
-    pub fn fields3_mut(&mut self) -> [&mut Field3; N3D] {
-        [&mut self.u, &mut self.v, &mut self.phi]
+    /// Mutable access to all four components in canonical order.
+    pub fn fields_mut(&mut self) -> [&mut Field3; N_COMPONENTS] {
+        [&mut self.u, &mut self.v, &mut self.phi, &mut self.psa]
+    }
+
+    /// The components of `self` beside the same components of `a`.
+    fn pairs<'a>(&'a mut self, a: &'a State) -> impl Iterator<Item = (&'a mut Field3, &'a Field3)> {
+        self.fields_mut().into_iter().zip(a.fields())
     }
 
     /// The rows and levels of `region` as one mutable band, for the worker
@@ -167,7 +170,7 @@ impl State {
             u: self.u.row_band_mut(rows, levels),
             v: self.v.row_band_mut(rows, levels),
             phi: self.phi.row_band_mut(rows, levels),
-            psa: self.psa.row_band_mut(rows),
+            psa: self.psa.row_band_mut(rows, (0, 1)),
         }
     }
 
@@ -175,26 +178,23 @@ impl State {
     /// allocation-reusing replacement for `self = a.clone()` (the derived
     /// `Clone` allocates fresh arrays every call).  Shapes must match.
     pub fn copy_from(&mut self, a: &State) {
-        self.u.raw_mut().copy_from_slice(a.u.raw());
-        self.v.raw_mut().copy_from_slice(a.v.raw());
-        self.phi.raw_mut().copy_from_slice(a.phi.raw());
-        self.psa.raw_mut().copy_from_slice(a.psa.raw());
+        for (d, s) in self.pairs(a) {
+            d.raw_mut().copy_from_slice(s.raw());
+        }
     }
 
     /// `self = a` (interiors).
     pub fn assign(&mut self, a: &State) {
-        self.u.assign_interior(&a.u);
-        self.v.assign_interior(&a.v);
-        self.phi.assign_interior(&a.phi);
-        self.psa.assign_interior(&a.psa);
+        for (d, s) in self.pairs(a) {
+            d.assign_interior(s);
+        }
     }
 
     /// `self = x + c·y` (interiors).
     pub fn lincomb(&mut self, x: &State, c: f64, y: &State) {
-        self.u.lincomb_interior(&x.u, c, &y.u);
-        self.v.lincomb_interior(&x.v, c, &y.v);
-        self.phi.lincomb_interior(&x.phi, c, &y.phi);
-        self.psa.lincomb_interior(&x.psa, c, &y.psa);
+        for ((d, x), y) in self.pairs(x).zip(y.fields()) {
+            d.lincomb_interior(x, c, y);
+        }
     }
 
     /// Row `id` over the owned longitudes `[0, nx)`.
@@ -203,7 +203,7 @@ impl State {
             0 => self.u.row(0, nx, j, k),
             1 => self.v.row(0, nx, j, k),
             2 => self.phi.row(0, nx, j, k),
-            _ => self.psa.row(0, nx, j),
+            _ => self.psa.row(0, nx, j, 0),
         }
     }
 
@@ -213,7 +213,7 @@ impl State {
             0 => self.u.row_mut(0, nx, j, k),
             1 => self.v.row_mut(0, nx, j, k),
             2 => self.phi.row_mut(0, nx, j, k),
-            _ => self.psa.row_mut(0, nx, j),
+            _ => self.psa.row_mut(0, nx, j, 0),
         }
     }
 
@@ -242,55 +242,39 @@ impl State {
         for j in region.y0..region.y1 {
             combine_row(
                 form,
-                self.psa.row_mut(0, nx, j),
-                x.psa.row(0, nx, j),
+                self.psa.row_mut(0, nx, j, 0),
+                x.psa.row(0, nx, j, 0),
                 c,
-                y.psa.row(0, nx, j),
+                y.psa.row(0, nx, j, 0),
             );
         }
     }
 
     /// Largest absolute difference over all components (interiors).
     pub fn max_abs_diff(&self, other: &State) -> f64 {
-        self.u
-            .max_abs_diff(&other.u)
-            .max(self.v.max_abs_diff(&other.v))
-            .max(self.phi.max_abs_diff(&other.phi))
-            .max(self.psa.max_abs_diff(&other.psa))
+        let pairs = self.fields().into_iter().zip(other.fields());
+        pairs.fold(0.0, |m, (a, b)| m.max(a.max_abs_diff(b)))
     }
 
     /// Largest absolute value over all components (interiors).
     pub fn max_abs(&self) -> f64 {
-        self.u
-            .max_abs()
-            .max(self.v.max_abs())
-            .max(self.phi.max_abs())
-            .max(self.psa.max_abs())
+        self.fields().iter().fold(0.0, |m, f| m.max(f.max_abs()))
     }
 
     /// Whether any interior value is NaN.
     pub fn has_nan(&self) -> bool {
-        self.u.has_nan_interior() || self.v.has_nan_interior() || self.phi.has_nan_interior() || {
-            let (nx, ny) = self.psa.extents();
-            (0..ny as isize).any(|j| self.psa.row(0, nx as isize, j).iter().any(|v| v.is_nan()))
-        }
+        self.fields().iter().any(|f| f.has_nan_interior())
     }
 
     /// Fill the x halos of every component by periodic wrap (valid when the
     /// rank owns full latitude circles, i.e. `p_x = 1`).
     pub fn wrap_x(&mut self) {
-        self.u.wrap_x_halo();
-        self.v.wrap_x_halo();
-        self.phi.wrap_x_halo();
-        self.psa.wrap_x_halo();
+        self.fields_mut().into_iter().for_each(Field3::wrap_x_halo);
     }
 
     /// Zero every array including halos.
     pub fn zero(&mut self) {
-        self.u.fill(0.0);
-        self.v.fill(0.0);
-        self.phi.fill(0.0);
-        self.psa.fill(0.0);
+        self.fields_mut().into_iter().for_each(|f| f.fill(0.0));
     }
 }
 
@@ -312,7 +296,7 @@ mod tests {
         }
         for j in 0..ny as isize {
             for i in 0..nx as isize {
-                st.psa.set(i, j, s - (i + j) as f64);
+                st.psa.set(i, j, 0, s - (i + j) as f64);
             }
         }
         st
@@ -326,7 +310,10 @@ mod tests {
         let mut c = State::like(&a);
         c.lincomb(&a, 2.0, &b);
         assert_eq!(c.u.get(1, 1, 1), a.u.get(1, 1, 1) + 2.0 * b.u.get(1, 1, 1));
-        assert_eq!(c.psa.get(2, 3), a.psa.get(2, 3) + 2.0 * b.psa.get(2, 3));
+        assert_eq!(
+            c.psa.get(2, 3, 0),
+            a.psa.get(2, 3, 0) + 2.0 * b.psa.get(2, 3, 0)
+        );
         let mut d = State::like(&a);
         d.assign(&c);
         assert_eq!(d.max_abs_diff(&c), 0.0);
@@ -355,8 +342,8 @@ mod tests {
                 assert_eq!(euler.v.get(i, j, k).to_bits(), e.to_bits());
             }
         }
-        let want = 0.5 * (x.psa.get(2, -1) + euler.psa.get(2, -1));
-        assert_eq!(mid.psa.get(2, -1).to_bits(), want.to_bits());
+        let want = 0.5 * (x.psa.get(2, -1, 0) + euler.psa.get(2, -1, 0));
+        assert_eq!(mid.psa.get(2, -1, 0).to_bits(), want.to_bits());
         // outside the region nothing is written
         assert_eq!(mid.phi.get(0, 4, 0), 0.0);
     }
@@ -378,13 +365,14 @@ mod tests {
         a.wrap_x();
         assert_eq!(a.u.get(-1, 0, 0), a.u.get(5, 0, 0));
         assert_eq!(a.v.get(7, 1, 2), a.v.get(1, 1, 2));
-        assert_eq!(a.psa.get(-2, 3), a.psa.get(4, 3));
+        assert_eq!(a.psa.get(-2, 3, 0), a.psa.get(4, 3, 0));
     }
 
     #[test]
     fn component_counts() {
         let a = State::new(6, 4, 3, HaloWidths::zero());
-        assert_eq!(a.fields3().len(), N3D);
+        assert_eq!(a.fields().len(), N_COMPONENTS);
         assert_eq!(N_COMPONENTS, 4);
+        assert_eq!(a.psa.extents(), (6, 4, 1), "p'_sa is one level");
     }
 }

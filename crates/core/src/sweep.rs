@@ -172,7 +172,7 @@ impl SweepBand<'_> {
                 let t = &mut self.rows.mine().tend[0][..];
                 psa_row(j, t);
                 let d = self.out.psa.row_mut(0, nx, j, 0);
-                u.combine_row(d, u.base.psa.row(0, nx, j), t);
+                u.combine_row(d, u.base.psa.row(0, nx, j, 0), t);
             }
             _ => psa_row(j, self.out.psa.row_mut(0, nx, j, 0)),
         }

@@ -35,7 +35,7 @@ use crate::state::State;
 use crate::stdatm::StandardAtmosphere;
 use agcm_comm::{CommResult, Communicator};
 use agcm_mesh::grid::constants as c;
-use agcm_mesh::{Field2, Field3, RowBand2, RowBand3};
+use agcm_mesh::{Field3, RowBand2, RowBand3};
 
 /// `s[ii] += a·d[ii]` — the block-sum / running-walk accumulation.
 #[inline(always)]
@@ -299,7 +299,7 @@ struct Blocks<'a> {
 /// share of the grown rows), of the allgather payload when that is the
 /// phase's output, and of the walks' row buffers.
 struct ColumnBand<'a> {
-    cap_p: &'a Field2,
+    cap_p: &'a Field3,
     dsa: RowBand2<'a>,
     dp: RowBand3<'a>,
     vsum: RowBand2<'a>,
@@ -371,9 +371,9 @@ impl Columns<'_> {
         let w = (self.x.1 - self.x.0) as usize;
         ColumnBand {
             cap_p: &diag.cap_p,
-            dsa: diag.dsa.row_band_mut((y0, y1)),
+            dsa: diag.dsa.row_band_mut((y0, y1), (0, 1)),
             dp: dp.row_band_mut((y0, y1), (z0, z1)),
-            vsum: diag.vsum.row_band_mut((y0, y1)),
+            vsum: diag.vsum.row_band_mut((y0, y1), (0, 1)),
             gw: diag.gw.row_band_mut((y0, y1), (z0, z1 + 1)),
             phi_p: diag.phi_p.row_band_mut(self.grown, (z0, z1)),
             sums,
@@ -470,7 +470,7 @@ impl Columns<'_> {
             let (ds, sigc) = (geom.dsigma(k), geom.sigma_c(k));
             for j in rows.0..rows.1 {
                 let row = phi_sums.row_mut(0, x1 - x0, j, 0);
-                let (r_phi, r_cp) = (arg.phi.row(x0, x1, j, k), band.cap_p.row(x0, x1, j));
+                let (r_phi, r_cp) = (arg.phi.row(x0, x1, j, k), band.cap_p.row(x0, x1, j, 0));
                 lane_loop!(row.len(), E, ii, {
                     (E::load(row, ii) + integrand_at::<E>(r_phi, r_cp, ds, sigc, ii)).store(row, ii)
                 });
@@ -507,7 +507,7 @@ impl Columns<'_> {
                 }
                 None => run.fill(0.0),
             }
-            let r_cp = cap_p.row(x0, x1, j);
+            let r_cp = cap_p.row(x0, x1, j, 0);
             for l in geom.nz as isize..z1 {
                 let (ds, sigc) = (geom.dsigma(l), geom.sigma_c(l));
                 let r_phi = arg.phi.row(x0, x1, j, l);
@@ -515,7 +515,7 @@ impl Columns<'_> {
                     (E::load(run, ii) - integrand_at::<E>(r_phi, r_cp, ds, sigc, ii)).store(run, ii)
                 });
             }
-            let (phis, r_psa) = (phis.row_mut(0, w, j, 0), arg.psa.row(x0, x1, j));
+            let (phis, r_psa) = (phis.row_mut(0, w, j, 0), arg.psa.row(x0, x1, j, 0));
             lane_loop!(phis.len(), E, ii, {
                 phis_body::<E>(ii, phis, rt, r_psa, stdatm.ps_tilde)
             });
@@ -584,7 +584,7 @@ pub fn apply_c_scalar(
     let integrand =
         |geom: &LocalGeometry, diag: &Diag, arg: &State, i: isize, j: isize, k: isize| {
             c::B_GRAVITY_WAVE * arg.phi.get(i, j, k) * geom.dsigma(k)
-                / (diag.cap_p.get(i, j) * geom.sigma_c(k))
+                / (diag.cap_p.get(i, j, 0) * geom.sigma_c(k))
         };
     for k in 0..nz {
         for (jj, j) in (gy0..gy1).enumerate() {
@@ -632,7 +632,7 @@ pub fn apply_c_scalar(
     for (jj, j) in (region.y0..region.y1).enumerate() {
         for i in -xe..nx + xe {
             let vs = total[jj * nxu + (i + xe) as usize];
-            diag.vsum.set(i, j, vs);
+            diag.vsum.set(i, j, 0, vs);
         }
     }
     for (jj, j) in (region.y0..region.y1).enumerate() {
@@ -662,7 +662,7 @@ pub fn apply_c_scalar(
         let base = (wy + jj) * nxu;
         for i in -xe..nx + xe {
             // surface geopotential deviation: φ'_s = R·T̃_s·p'_sa/p̃_s
-            let phi_s = c::R_DRY * stdatm.ts * arg.psa.get(i, j) / stdatm.ps_tilde;
+            let phi_s = c::R_DRY * stdatm.ts * arg.psa.get(i, j, 0) / stdatm.ps_tilde;
             // running suffix Σ_{l > k} c_l, starting at k = z1 − 1
             let mut run = suffix[base + (i + xe) as usize];
             for l in nz..region.z1 {
@@ -725,7 +725,7 @@ mod tests {
             for i in 0..geom.nx as isize {
                 state
                     .psa
-                    .set(i, j, amp * ((i * j) as f64 * 0.05).sin() * 30.0);
+                    .set(i, j, 0, amp * ((i * j) as f64 * 0.05).sin() * 30.0);
             }
         }
         boundary::enforce_pole_v(state, geom);
@@ -766,7 +766,7 @@ mod tests {
         run_c(&geom, &sa, &state, &mut diag);
         for k in 0..geom.nz as isize {
             let d = (diag.gw.get(4, 5, k + 1) - diag.gw.get(4, 5, k)) / geom.dsigma(k);
-            let want = diag.vsum.get(4, 5) - diag.dp.get(4, 5, k);
+            let want = diag.vsum.get(4, 5, 0) - diag.dp.get(4, 5, k);
             assert!((d - want).abs() < 1e-10 * (1.0 + want.abs()));
         }
     }
@@ -844,7 +844,7 @@ mod tests {
                     for i in 0..geom.nx as isize {
                         state
                             .psa
-                            .set(i, j, 4.0 * ((i * j) as f64 * 0.05).sin() * 30.0);
+                            .set(i, j, 0, 4.0 * ((i * j) as f64 * 0.05).sin() * 30.0);
                     }
                 }
                 boundary::enforce_pole_v(&mut state, &geom);
@@ -870,7 +870,7 @@ mod tests {
                     out.push(diag.gw.get(5, 3, k));
                     out.push(diag.phi_p.get(5, 3, k));
                 }
-                out.push(diag.vsum.get(5, 3));
+                out.push(diag.vsum.get(5, 3, 0));
                 (geom.sub.z.start, out)
             });
             for (z0, vals) in results {
@@ -889,7 +889,7 @@ mod tests {
                         z0 + kk
                     );
                 }
-                assert!((vals[vals.len() - 1] - sdiag.vsum.get(5, 3)).abs() < 1e-10);
+                assert!((vals[vals.len() - 1] - sdiag.vsum.get(5, 3, 0)).abs() < 1e-10);
             }
         }
     }
@@ -926,8 +926,8 @@ mod tests {
         for j in 0..geom.ny as isize {
             for i in 0..geom.nx as isize {
                 assert_eq!(
-                    d_rows.vsum.get(i, j).to_bits(),
-                    d_scalar.vsum.get(i, j).to_bits()
+                    d_rows.vsum.get(i, j, 0).to_bits(),
+                    d_scalar.vsum.get(i, j, 0).to_bits()
                 );
             }
         }

@@ -59,7 +59,7 @@ fn setup() -> (LocalGeometry, StandardAtmosphere, State, Diag) {
     }
     for j in 0..geom.ny as isize {
         for i in 0..geom.nx as isize {
-            state.psa.set(i, j, 30.0 * ((i * j) as f64 * 0.05).sin());
+            state.psa.set(i, j, 0, 30.0 * ((i * j) as f64 * 0.05).sin());
         }
     }
     boundary::enforce_pole_v(&mut state, &geom);

@@ -59,7 +59,8 @@ impl Probe {
         }
         for j in 0..self.geom.ny as isize {
             for i in 0..self.geom.nx as isize {
-                st.psa.set(i, j, 40.0 * ((i + 2 * j) as f64 * 0.23).sin());
+                st.psa
+                    .set(i, j, 0, 40.0 * ((i + 2 * j) as f64 * 0.23).sin());
             }
         }
         boundary::enforce_pole_v(&mut st, &self.geom);
@@ -97,7 +98,7 @@ impl Probe {
         let out0 = self.eval(&st0, f);
         let mut st1 = st0.clone();
         if perturb_psa {
-            st1.psa.add(qi, qj, 2.9);
+            st1.psa.add(qi, qj, 0, 2.9);
         } else {
             st1.u.add(qi, qj, qk, 0.37);
             st1.v.add(qi, qj, qk, 0.53);
@@ -115,7 +116,7 @@ impl Probe {
                         + (out1.v.get(i, j, k) - out0.v.get(i, j, k)).abs()
                         + (out1.phi.get(i, j, k) - out0.phi.get(i, j, k)).abs()
                         + if k == 0 {
-                            (out1.psa.get(i, j) - out0.psa.get(i, j)).abs()
+                            (out1.psa.get(i, j, 0) - out0.psa.get(i, j, 0)).abs()
                         } else {
                             0.0
                         };

@@ -57,7 +57,7 @@ fn random_state(geom: &LocalGeometry, seed: u64) -> State {
     }
     for j in 0..geom.ny as isize {
         for i in 0..geom.nx as isize {
-            st.psa.set(i, j, next());
+            st.psa.set(i, j, 0, next());
         }
     }
     boundary::enforce_pole_v(&mut st, geom);

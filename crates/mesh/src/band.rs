@@ -4,7 +4,8 @@
 //! (full x extent including the halo).  Rows of one level are contiguous in
 //! memory, levels are not: a [`RowBand3`] therefore holds one slice per
 //! level, carved with `split_at_mut` and kept in a stack array; a
-//! [`RowBand2`] is the same view with its single level `k = 0`.
+//! [`RowBand2`], the band of a surface field, is the same view with one
+//! slot for its single level `k = 0`.
 //! [`RowBand::split_at_row`] cuts every level's slice at the same row, so
 //! the two halves are disjoint **by construction** — they can go to
 //! different threads with no `unsafe` and no heap traffic.
@@ -23,8 +24,9 @@ pub const MAX_BAND_PLANES: usize = 64;
 /// Rows `[j0, j1)` × levels `[k0, k1)` of a [`crate::Field3`], mutable.
 pub type RowBand3<'a> = RowBand<'a, MAX_BAND_PLANES>;
 
-/// Rows `[j0, j1)` of a [`crate::Field2`] (or of any slice of equal-length
-/// rows, [`RowBand::over_rows`]), mutable; its one level is `k = 0`.
+/// Rows `[j0, j1)` of a surface field ([`crate::Field3::surface`]) or of
+/// any slice of equal-length rows ([`RowBand::over_rows`]), mutable; its
+/// one level is `k = 0`.
 pub type RowBand2<'a> = RowBand<'a, 1>;
 
 /// A band of rows on up to `P` levels; see [`RowBand3`] and [`RowBand2`].
@@ -171,7 +173,7 @@ impl<'a> RowBand2<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Field2, Field3, HaloWidths};
+    use crate::{Field3, HaloWidths};
 
     /// `f(i, j, k) = i + 10 j + 1000 k` on every point, halos included.
     fn numbered(nx: usize, ny: usize, nz: usize, h: HaloWidths) -> Field3 {
@@ -199,7 +201,7 @@ mod tests {
         let mut f = numbered(5, 4, 3, h);
         let want = f.clone();
         // every row and level the allocation has, x into both halos
-        let band = f.row_band_mut((-2, 7), (-1, 5));
+        let band: RowBand3 = f.row_band_mut((-2, 7), (-1, 5));
         assert_eq!(band.rows(), (-2, 7));
         for k in -1..5 {
             for j in -2..7 {
@@ -217,7 +219,7 @@ mod tests {
         let mut f = Field3::new(4, 5, 3, h);
         // cuts in the north halo, the interior, the south halo
         let cuts = [-2isize, -1, 3, 6, 7];
-        let mut rest = f.row_band_mut((-2, 7), (-2, 5));
+        let mut rest: RowBand3 = f.row_band_mut((-2, 7), (-2, 5));
         let mut bands = Vec::new();
         for &cut in &cuts[1..4] {
             let (band, tail) = rest.split_at_row(cut);
@@ -248,7 +250,7 @@ mod tests {
     #[test]
     fn empty_and_single_row_bands() {
         let mut f = numbered(3, 4, 2, HaloWidths::uniform(1));
-        let whole = f.row_band_mut((0, 4), (0, 2));
+        let whole: RowBand3 = f.row_band_mut((0, 4), (0, 2));
         let (empty, rest) = whole.split_at_row(0);
         assert_eq!(empty.rows(), (0, 0));
         let (one, rest) = rest.split_at_row(1);
@@ -258,8 +260,8 @@ mod tests {
         assert_eq!((rest.rows(), empty.rows()), ((1, 4), (4, 4)));
         assert_eq!(rest.row(-1, 4, 3, 0), [29.0, 30.0, 31.0, 32.0, 33.0]);
         // a band of no rows at all, or of no levels, is fine too
-        assert_eq!(f.row_band_mut((2, 2), (0, 2)).rows(), (2, 2));
-        assert_eq!(f.row_band_mut((0, 4), (1, 1)).rows(), (0, 4));
+        assert_eq!(f.row_band_mut::<2>((2, 2), (0, 2)).rows(), (2, 2));
+        assert_eq!(f.row_band_mut::<2>((0, 4), (1, 1)).rows(), (0, 4));
     }
 
     #[test]
@@ -267,7 +269,7 @@ mod tests {
         // g_w: nz + 1 levels, the band covers z0 ..= z1
         let (nz, h) = (4, HaloWidths::uniform(1));
         let mut gw = numbered(3, 2, nz + 1, h);
-        let mut band = gw.row_band_mut((0, 2), (0, nz as isize + 1));
+        let mut band: RowBand3 = gw.row_band_mut((0, 2), (0, nz as isize + 1));
         band.row_mut(0, 3, 1, nz as isize).fill(-1.0);
         assert_eq!(band.row(0, 3, 1, nz as isize - 1), [3010.0, 3011.0, 3012.0]);
         assert_eq!(gw.row(0, 3, 1, nz as isize), [-1.0; 3]);
@@ -275,9 +277,9 @@ mod tests {
     }
 
     #[test]
-    fn field2_bands_split_contiguously() {
-        let mut f = Field2::new(3, 4, HaloWidths::uniform(1));
-        let (north, south) = f.row_band_mut((-1, 5)).split_at_row(2);
+    fn surface_bands_split_contiguously() {
+        let mut f = Field3::surface(3, 4, HaloWidths::uniform(1));
+        let (north, south) = f.row_band_mut::<1>((-1, 5), (0, 1)).split_at_row(2);
         let (mut north, mut south) = (north, south);
         assert_eq!((north.rows(), south.rows()), ((-1, 2), (2, 5)));
         for j in -1..2 {
@@ -287,10 +289,10 @@ mod tests {
             south.row_mut(0, 3, j, 0).fill(2.0);
         }
         assert_eq!(south.row(-1, 4, 4, 0), [0.0, 2.0, 2.0, 2.0, 0.0]);
-        assert_eq!(f.get(-1, -1), 1.0);
-        assert_eq!(f.get(3, 1), 1.0);
-        assert_eq!(f.get(0, 2), 2.0);
-        assert_eq!(f.get(-1, 2), 0.0);
+        assert_eq!(f.get(-1, -1, 0), 1.0);
+        assert_eq!(f.get(3, 1, 0), 1.0);
+        assert_eq!(f.get(0, 2, 0), 2.0);
+        assert_eq!(f.get(-1, 2, 0), 0.0);
     }
 
     #[test]
@@ -309,7 +311,7 @@ mod tests {
     #[should_panic]
     fn a_row_of_the_other_band_is_out_of_reach() {
         let mut f = Field3::new(3, 4, 2, HaloWidths::uniform(1));
-        let (north, _south) = f.row_band_mut((0, 4), (0, 2)).split_at_row(2);
+        let (north, _south) = f.row_band_mut::<2>((0, 4), (0, 2)).split_at_row(2);
         let _ = north.row(0, 3, 2, 0);
     }
 
@@ -317,7 +319,7 @@ mod tests {
     #[should_panic]
     fn a_level_outside_the_band_is_out_of_reach() {
         let mut f = Field3::new(3, 4, 4, HaloWidths::uniform(1));
-        let band = f.row_band_mut((0, 4), (1, 3));
+        let band: RowBand3 = f.row_band_mut((0, 4), (1, 3));
         let _ = band.row(0, 3, 0, 3);
     }
 
@@ -325,6 +327,6 @@ mod tests {
     #[should_panic(expected = "at most")]
     fn more_levels_than_the_plane_list_holds_is_refused() {
         let mut f = Field3::dense(2, 2, MAX_BAND_PLANES + 1);
-        let _ = f.row_band_mut((0, 2), (0, MAX_BAND_PLANES as isize + 1));
+        let _: RowBand3 = f.row_band_mut((0, 2), (0, MAX_BAND_PLANES as isize + 1));
     }
 }

@@ -20,19 +20,6 @@
 use crate::error::MeshError;
 use std::ops::Range;
 
-/// Which 2-D/3-D decomposition family a process grid belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DecompKind {
-    /// `pz = 1`: decompose longitude and latitude.
-    XY,
-    /// `px = 1`: decompose latitude and vertical (the paper's choice).
-    YZ,
-    /// All three directions decomposed.
-    ThreeD,
-    /// Single process (serial reference).
-    Serial,
-}
-
 /// A cartesian grid of processes over the mesh directions.
 ///
 /// Rank numbering is x-fastest: `rank = cx + cy·px + cz·px·py`.
@@ -94,16 +81,6 @@ impl ProcessGrid {
     /// Total process count `p = px·py·pz`.
     pub fn size(&self) -> usize {
         self.px * self.py * self.pz
-    }
-
-    /// Classify the grid.
-    pub fn kind(&self) -> DecompKind {
-        match (self.px, self.py, self.pz) {
-            (1, 1, 1) => DecompKind::Serial,
-            (1, _, _) => DecompKind::YZ,
-            (_, _, 1) => DecompKind::XY,
-            _ => DecompKind::ThreeD,
-        }
     }
 
     /// Cartesian coordinates of `rank`.
@@ -246,11 +223,6 @@ impl Decomposition {
         &self.pgrid
     }
 
-    /// Decomposition family.
-    pub fn kind(&self) -> DecompKind {
-        self.pgrid.kind()
-    }
-
     /// Total process count.
     pub fn size(&self) -> usize {
         self.pgrid.size()
@@ -373,13 +345,10 @@ mod tests {
 
     #[test]
     fn process_grid_kinds() {
-        assert_eq!(ProcessGrid::serial().kind(), DecompKind::Serial);
-        assert_eq!(ProcessGrid::xy(4, 2).unwrap().kind(), DecompKind::XY);
-        assert_eq!(ProcessGrid::yz(4, 2).unwrap().kind(), DecompKind::YZ);
-        assert_eq!(
-            ProcessGrid::new(2, 2, 2).unwrap().kind(),
-            DecompKind::ThreeD
-        );
+        assert_eq!(ProcessGrid::serial().dims(), (1, 1, 1));
+        assert_eq!(ProcessGrid::xy(4, 2).unwrap().dims(), (4, 2, 1));
+        assert_eq!(ProcessGrid::yz(4, 2).unwrap().dims(), (1, 4, 2));
+        assert_eq!(ProcessGrid::new(2, 2, 2).unwrap().dims(), (2, 2, 2));
         assert!(ProcessGrid::new(0, 1, 1).is_err());
     }
 
@@ -479,7 +448,7 @@ mod tests {
     #[test]
     fn serial_decomposition() {
         let d = Decomposition::new((8, 8, 4), ProcessGrid::serial()).unwrap();
-        assert_eq!(d.kind(), DecompKind::Serial);
+        assert_eq!(d.size(), 1);
         let s = d.subdomain(0);
         assert_eq!(s.extents(), (8, 8, 4));
         assert!(d.neighbors(0).is_empty());

@@ -11,10 +11,11 @@
 //! owned point; negative indices and indices `≥ n` reach into the halo.
 //! Accessors take `isize` and are bounds-checked in debug builds.
 //!
-//! [`Field2`] is the 2-D (surface) analogue used for `p'_sa` and the other
-//! single-level variables.
+//! A surface variable (`p'_sa` and the other single-level diagnostics) is a
+//! one-level `Field3` with no z halo, built by [`Field3::surface`]: the same
+//! array a 2-D field would be, indexed at level `k = 0`.
 
-use crate::band::{RowBand2, RowBand3, Shape};
+use crate::band::{RowBand, Shape};
 use crate::error::MeshError;
 use crate::pages;
 use crate::stencil::{Axis, StencilFootprint};
@@ -150,6 +151,18 @@ impl Field3 {
     /// Allocate with no halo.
     pub fn dense(nx: usize, ny: usize, nz: usize) -> Self {
         Self::new(nx, ny, nz, HaloWidths::zero())
+    }
+
+    /// A zero-filled surface field: the one level `k = 0` with `halo`'s x
+    /// and y widths and no z halo, so it holds `(nx + xm + xp)·(ny + ym +
+    /// yp)` values whatever `halo.zm`/`halo.zp` say.
+    pub fn surface(nx: usize, ny: usize, halo: HaloWidths) -> Self {
+        let flat = HaloWidths {
+            zm: 0,
+            zp: 0,
+            ..halo
+        };
+        Self::new(nx, ny, 1, flat)
     }
 
     /// A new field with the same shape (extents and halos), zero-filled.
@@ -331,11 +344,17 @@ impl Field3 {
     }
 
     /// Rows `rows = [j0, j1)` of levels `levels = [k0, k1)` as one mutable
-    /// band (full x extent; both ranges may reach into the halo).  The
-    /// worker pool carves a field into disjoint per-thread bands by
-    /// splitting this view at row cuts ([`RowBand3::split_at_row`]) —
-    /// allocation-free, indexed like the parent field.
-    pub fn row_band_mut(&mut self, rows: (isize, isize), levels: (isize, isize)) -> RowBand3<'_> {
+    /// band of at most `P` planes (full x extent; both ranges may reach
+    /// into the halo) — a [`crate::RowBand3`] of a volume, a
+    /// [`crate::RowBand2`] of a surface field's level `(0, 1)`.  The worker
+    /// pool carves a field into disjoint per-thread bands by splitting this
+    /// view at row cuts ([`RowBand::split_at_row`]) — allocation-free,
+    /// indexed like the parent field.
+    pub fn row_band_mut<const P: usize>(
+        &mut self,
+        rows: (isize, isize),
+        levels: (isize, isize),
+    ) -> RowBand<'_, P> {
         let h = self.halo;
         assert!(rows.0 >= -(h.ym as isize) && rows.1 <= (self.ny + h.yp) as isize);
         assert!(levels.0 >= -(h.zm as isize) && levels.1 <= (self.nz + h.zp) as isize);
@@ -346,7 +365,7 @@ impl Field3 {
             sy: self.sy,
             sz: self.sz,
         };
-        RowBand3::carve(&mut self.data, shape, rows, levels)
+        RowBand::carve(&mut self.data, shape, rows, levels)
     }
 
     /// Raw data (including halos) — escape hatch for the FFT, which
@@ -531,338 +550,6 @@ impl Clone for Field3 {
     }
 }
 
-/// A 2-D (single-level) scalar field with halos, used for the surface
-/// variables (`p'_sa`, `p_es`, …).  Its array, a clone's too, comes from
-/// `pages::zeroed`.
-#[derive(Debug, PartialEq)]
-pub struct Field2 {
-    data: Vec<f64>,
-    nx: usize,
-    ny: usize,
-    hx: (usize, usize),
-    hy: (usize, usize),
-    sy: usize,
-    base: usize,
-}
-
-impl Field2 {
-    /// Allocate a zero-filled 2-D field; `halo.z*` components are ignored.
-    pub fn new(nx: usize, ny: usize, halo: HaloWidths) -> Self {
-        let tx = nx + halo.xm + halo.xp;
-        let ty = ny + halo.ym + halo.yp;
-        let sy = tx;
-        let base = halo.xm + halo.ym * sy;
-        Field2 {
-            data: pages::zeroed(tx * ty),
-            nx,
-            ny,
-            hx: (halo.xm, halo.xp),
-            hy: (halo.ym, halo.yp),
-            sy,
-            base,
-        }
-    }
-
-    /// Allocate with no halo.
-    pub fn dense(nx: usize, ny: usize) -> Self {
-        Self::new(nx, ny, HaloWidths::zero())
-    }
-
-    /// A new field with the same shape, zero-filled.
-    pub fn like(other: &Field2) -> Self {
-        Field2::new(other.nx, other.ny, other.halo())
-    }
-
-    /// Interior extents.
-    pub fn extents(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
-    /// Halo widths (z components zero).
-    pub fn halo(&self) -> HaloWidths {
-        HaloWidths {
-            xm: self.hx.0,
-            xp: self.hx.1,
-            ym: self.hy.0,
-            yp: self.hy.1,
-            zm: 0,
-            zp: 0,
-        }
-    }
-
-    /// Raw data (including halos) — escape hatch for checkpoint I/O.
-    pub fn raw(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Raw mutable data.
-    pub fn raw_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    #[inline]
-    fn idx(&self, i: isize, j: isize) -> usize {
-        debug_assert!(
-            i >= -(self.hx.0 as isize) && i < (self.nx + self.hx.1) as isize,
-            "x index {i} out of range"
-        );
-        debug_assert!(
-            j >= -(self.hy.0 as isize) && j < (self.ny + self.hy.1) as isize,
-            "y index {j} out of range"
-        );
-        (self.base as isize + i + j * self.sy as isize) as usize
-    }
-
-    /// Bounds-check one local coordinate pair; see [`Field3::checked_idx`].
-    pub fn checked_idx(&self, i: isize, j: isize) -> Result<usize, MeshError> {
-        check('x', i, self.hx.0, self.nx, self.hx.1)?;
-        check('y', j, self.hy.0, self.ny, self.hy.1)?;
-        Ok((self.base as isize + i + j * self.sy as isize) as usize)
-    }
-
-    /// Bounds-checked read at local coordinates.
-    pub fn try_get(&self, i: isize, j: isize) -> Result<f64, MeshError> {
-        Ok(self.data[self.checked_idx(i, j)?])
-    }
-
-    /// Bounds-checked write at local coordinates.
-    pub fn try_set(&mut self, i: isize, j: isize, v: f64) -> Result<(), MeshError> {
-        let ix = self.checked_idx(i, j)?;
-        self.data[ix] = v;
-        Ok(())
-    }
-
-    /// Sanitizer identity of this field's allocation: pass to
-    /// [`crate::sanitize::track`] to have its accesses recorded.
-    #[cfg(feature = "access-sanitizer")]
-    pub fn sanitizer_key(&self) -> usize {
-        self.data.as_ptr() as usize
-    }
-
-    #[cfg(feature = "access-sanitizer")]
-    #[inline]
-    fn san(&self, write: bool, i0: isize, i1: isize, j: isize) {
-        crate::sanitize::record(self.data.as_ptr() as usize, write, i0, i1, j, 0);
-    }
-
-    /// Read at local coordinates.
-    #[inline]
-    pub fn get(&self, i: isize, j: isize) -> f64 {
-        #[cfg(feature = "access-sanitizer")]
-        self.san(false, i, i, j);
-        self.data[self.idx(i, j)]
-    }
-
-    /// Write at local coordinates.
-    #[inline]
-    pub fn set(&mut self, i: isize, j: isize, v: f64) {
-        #[cfg(feature = "access-sanitizer")]
-        self.san(true, i, i, j);
-        let ix = self.idx(i, j);
-        self.data[ix] = v;
-    }
-
-    /// Add at local coordinates.
-    #[inline]
-    pub fn add(&mut self, i: isize, j: isize, v: f64) {
-        #[cfg(feature = "access-sanitizer")]
-        self.san(true, i, i, j);
-        let ix = self.idx(i, j);
-        self.data[ix] += v;
-    }
-
-    /// Contiguous x-row `[x0, x1)` at row `j` — same safety contract as
-    /// [`Field3::row`].
-    #[inline]
-    pub fn row(&self, x0: isize, x1: isize, j: isize) -> &[f64] {
-        debug_assert!(x0 <= x1);
-        debug_assert!(x1 <= (self.nx + self.hx.1) as isize);
-        #[cfg(feature = "access-sanitizer")]
-        self.san(false, x0, (x1 - 1).max(x0), j);
-        let a = self.idx(x0, j);
-        &self.data[a..a + (x1 - x0) as usize]
-    }
-
-    /// Mutable contiguous x-row — same safety contract as
-    /// [`Field3::row_mut`].
-    #[inline]
-    pub fn row_mut(&mut self, x0: isize, x1: isize, j: isize) -> &mut [f64] {
-        debug_assert!(x0 <= x1);
-        debug_assert!(x1 <= (self.nx + self.hx.1) as isize);
-        #[cfg(feature = "access-sanitizer")]
-        self.san(true, x0, (x1 - 1).max(x0), j);
-        let a = self.idx(x0, j);
-        &mut self.data[a..a + (x1 - x0) as usize]
-    }
-
-    /// Two *disjoint* mutable x-rows at `ja` and `jb`, in that order.
-    /// Panics if the rows coincide.  Same bounds contract as
-    /// [`Field3::row`].
-    #[inline]
-    pub fn row_pair(
-        &mut self,
-        x0: isize,
-        x1: isize,
-        ja: isize,
-        jb: isize,
-    ) -> (&mut [f64], &mut [f64]) {
-        assert!(ja != jb, "row_pair requires two distinct rows");
-        debug_assert!(x0 <= x1);
-        #[cfg(feature = "access-sanitizer")]
-        {
-            self.san(true, x0, (x1 - 1).max(x0), ja);
-            self.san(true, x0, (x1 - 1).max(x0), jb);
-        }
-        let w = (x1 - x0) as usize;
-        let a = self.idx(x0, ja);
-        let b = self.idx(x0, jb);
-        if a < b {
-            let (lo, hi) = self.data.split_at_mut(b);
-            (&mut lo[a..a + w], &mut hi[..w])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(a);
-            let second = &mut lo[b..b + w];
-            (&mut hi[..w], second)
-        }
-    }
-
-    /// Rows `[j0, j1)` as one mutable band of the single level `k = 0` —
-    /// see [`Field3::row_band_mut`].
-    pub fn row_band_mut(&mut self, rows: (isize, isize)) -> RowBand2<'_> {
-        assert!(rows.0 >= -(self.hy.0 as isize) && rows.1 <= (self.ny + self.hy.1) as isize);
-        let shape = Shape {
-            xm: self.hx.0,
-            ym: self.hy.0 as isize,
-            zm: 0,
-            sy: self.sy,
-            sz: self.data.len(),
-        };
-        RowBand2::carve(&mut self.data, shape, rows, (0, 1))
-    }
-
-    /// Set every point (interior and halo) to `v`.
-    pub fn fill(&mut self, v: f64) {
-        self.data.fill(v);
-    }
-
-    /// `self = a` over the interior.
-    pub fn assign_interior(&mut self, a: &Field2) {
-        assert_eq!(self.extents(), a.extents());
-        for j in 0..self.ny as isize {
-            let src = a.row(0, a.nx as isize, j);
-            self.row_mut(0, self.nx as isize, j).copy_from_slice(src);
-        }
-    }
-
-    /// `self = a` on every point both fields hold (see
-    /// [`Field3::assign_common`]).
-    pub fn assign_common(&mut self, a: &Field2) {
-        assert_eq!(self.extents(), a.extents());
-        let (h, ah) = (self.halo(), a.halo());
-        let lo = |mine: usize, theirs: usize| -(mine.min(theirs) as isize);
-        let hi = |n: usize, mine: usize, theirs: usize| (n + mine.min(theirs)) as isize;
-        let (x0, x1) = (lo(h.xm, ah.xm), hi(self.nx, h.xp, ah.xp));
-        for j in lo(h.ym, ah.ym)..hi(self.ny, h.yp, ah.yp) {
-            self.row_mut(x0, x1, j).copy_from_slice(a.row(x0, x1, j));
-        }
-    }
-
-    /// `self = x + c*y` over the interior.
-    pub fn lincomb_interior(&mut self, x: &Field2, c: f64, y: &Field2) {
-        assert_eq!(self.extents(), x.extents());
-        assert_eq!(self.extents(), y.extents());
-        for j in 0..self.ny as isize {
-            let n = self.nx as isize;
-            let xr = x.row(0, n, j);
-            let yr = y.row(0, n, j);
-            let dr = self.row_mut(0, n, j);
-            for ((d, &xv), &yv) in dr.iter_mut().zip(xr).zip(yr) {
-                *d = xv + c * yv;
-            }
-        }
-    }
-
-    /// Maximum absolute difference over interiors.
-    pub fn max_abs_diff(&self, other: &Field2) -> f64 {
-        assert_eq!(self.extents(), other.extents());
-        let mut m: f64 = 0.0;
-        for j in 0..self.ny as isize {
-            let n = self.nx as isize;
-            for (&x, &y) in self.row(0, n, j).iter().zip(other.row(0, n, j)) {
-                m = m.max((x - y).abs());
-            }
-        }
-        m
-    }
-
-    /// Maximum absolute interior value.
-    pub fn max_abs(&self) -> f64 {
-        let mut m: f64 = 0.0;
-        for j in 0..self.ny as isize {
-            for &v in self.row(0, self.nx as isize, j) {
-                m = m.max(v.abs());
-            }
-        }
-        m
-    }
-
-    /// Pack a rectangular box into `buf`.
-    pub fn pack_box(
-        &self,
-        xr: std::ops::Range<isize>,
-        yr: std::ops::Range<isize>,
-        buf: &mut Vec<f64>,
-    ) -> usize {
-        let n0 = buf.len();
-        for j in yr {
-            buf.extend_from_slice(self.row(xr.start, xr.end, j));
-        }
-        buf.len() - n0
-    }
-
-    /// Unpack a rectangular box from `buf`; returns values consumed.
-    pub fn unpack_box(
-        &mut self,
-        xr: std::ops::Range<isize>,
-        yr: std::ops::Range<isize>,
-        buf: &[f64],
-    ) -> usize {
-        let w = (xr.end - xr.start) as usize;
-        let mut off = 0;
-        for j in yr {
-            self.row_mut(xr.start, xr.end, j)
-                .copy_from_slice(&buf[off..off + w]);
-            off += w;
-        }
-        off
-    }
-
-    /// Fill the x halo by periodic wrap within this rank (requires `px = 1`,
-    /// see [`Field3::wrap_x_halo`]).
-    pub fn wrap_x_halo(&mut self) {
-        let nx = self.nx;
-        let (hm, hp) = (self.hx.0, self.hx.1);
-        if hm == 0 && hp == 0 {
-            return;
-        }
-        let ny = self.ny as isize;
-        let (hym, hyp) = (self.hy.0 as isize, self.hy.1 as isize);
-        for j in -hym..ny + hyp {
-            let a = self.idx(-(hm as isize), j);
-            let row = &mut self.data[a..a + hm + nx + hp];
-            row.copy_within(nx..nx + hm, 0);
-            row.copy_within(hm..hm + hp, hm + nx);
-        }
-    }
-}
-
-impl Clone for Field2 {
-    fn clone(&self) -> Self {
-        let data = pages::copied(&self.data);
-        Field2 { data, ..*self }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -948,14 +635,14 @@ mod tests {
         let mut c = Field3::like(&a);
         c.assign_common(&a);
         assert_eq!(c, a);
-        let mut p = Field2::new(4, 3, deep);
+        let mut p = Field3::surface(4, 3, deep);
         for (n, v) in p.raw_mut().iter_mut().enumerate() {
             *v = n as f64;
         }
-        let mut q = Field2::new(4, 3, HaloWidths::uniform(2));
+        let mut q = Field3::surface(4, 3, HaloWidths::uniform(2));
         q.assign_common(&p);
-        assert_eq!(q.get(-1, -2), p.get(-1, -2));
-        assert_eq!(q.get(4, 3), p.get(4, 3));
+        assert_eq!(q.get(-1, -2, 0), p.get(-1, -2, 0));
+        assert_eq!(q.get(4, 3, 0), p.get(4, 3, 0));
     }
 
     #[test]
@@ -1047,26 +734,30 @@ mod tests {
         assert_eq!((m.xm, m.zm), (2, 1));
     }
 
+    /// A surface field is one level with the x and y halo it was asked
+    /// for and no z halo: it never allocates z-halo planes.
     #[test]
-    fn field2_basics() {
-        let mut f = Field2::new(5, 4, HaloWidths::uniform(2));
-        for j in 0..4isize {
-            for i in 0..5isize {
-                f.set(i, j, (i + 10 * j) as f64);
-            }
-        }
-        assert_eq!(f.get(3, 2), 23.0);
+    fn surface_field_basics() {
+        let (nx, ny) = (5, 4);
+        let mut f = Field3::surface(nx, ny, HaloWidths::uniform(2));
+        assert_eq!(f.extents(), (nx, ny, 1));
+        assert_eq!((f.halo().zm, f.halo().zp), (0, 0));
+        assert_eq!((f.halo().xm, f.halo().yp), (2, 2));
+        assert_eq!(f.total_len(), (nx + 4) * (ny + 4));
+        assert_eq!(Field3::like(&f).total_len(), f.total_len());
+        fill_pattern(&mut f);
+        assert_eq!(f.get(3, 2, 0), 23.0);
         f.wrap_x_halo();
-        assert_eq!(f.get(-1, 1), f.get(4, 1));
-        assert_eq!(f.get(6, 3), f.get(1, 3));
+        assert_eq!(f.get(-1, 1, 0), f.get(4, 1, 0));
+        assert_eq!(f.get(6, 3, 0), f.get(1, 3, 0));
 
-        let mut b = Field2::like(&f);
+        let mut b = Field3::like(&f);
         let mut buf = Vec::new();
-        f.pack_box(0..5, 2..4, &mut buf);
-        b.unpack_box(0..5, -2..0, &buf);
-        assert_eq!(b.get(2, -1), f.get(2, 3));
+        f.pack_box(0..5, 2..4, 0..1, &mut buf);
+        b.unpack_box(0..5, -2..0, 0..1, &buf);
+        assert_eq!(b.get(2, -1, 0), f.get(2, 3, 0));
 
-        let mut c = Field2::like(&f);
+        let mut c = Field3::like(&f);
         c.lincomb_interior(&f, -1.0, &f);
         assert_eq!(c.max_abs(), 0.0);
         c.assign_interior(&f);
@@ -1088,6 +779,14 @@ mod tests {
         let (c, d) = f.row_pair(0, 4, (2, 1), (0, 0));
         assert_eq!(c[3], -2.0);
         assert_eq!(d[0], -1.0);
+        // and on a surface field, whose rows differ in j only
+        let mut s = Field3::surface(3, 3, HaloWidths::uniform(1));
+        fill_pattern(&mut s);
+        let (a, b) = s.row_pair(0, 3, (2, 0), (0, 0));
+        assert_eq!(a, &[20.0, 21.0, 22.0]);
+        assert_eq!(b, &[0.0, 1.0, 2.0]);
+        b.copy_from_slice(a);
+        assert_eq!(s.get(1, 0, 0), 21.0);
     }
 
     #[test]
@@ -1095,21 +794,6 @@ mod tests {
     fn row_pair_same_row_panics() {
         let mut f = Field3::new(4, 3, 2, HaloWidths::uniform(1));
         let _ = f.row_pair(0, 4, (1, 1), (1, 1));
-    }
-
-    #[test]
-    fn field2_row_pair_keeps_argument_order() {
-        let mut f = Field2::new(3, 3, HaloWidths::uniform(1));
-        for j in 0..3 {
-            for i in 0..3 {
-                f.set(i, j, (i + 10 * j) as f64);
-            }
-        }
-        let (a, b) = f.row_pair(0, 3, 2, 0);
-        assert_eq!(a, &[20.0, 21.0, 22.0]);
-        assert_eq!(b, &[0.0, 1.0, 2.0]);
-        b.copy_from_slice(a);
-        assert_eq!(f.get(1, 0), 21.0);
     }
 
     #[test]
@@ -1154,10 +838,11 @@ mod tests {
         // checked and unchecked agree on in-range points
         assert_eq!(f.checked_idx(2, 1, 1).unwrap(), f.idx(2, 1, 1));
 
-        let mut g = Field2::new(4, 3, HaloWidths::uniform(2));
-        assert!(g.try_set(-2, 4, 9.0).is_ok());
-        assert_eq!(g.try_get(-2, 4).unwrap(), 9.0);
-        let e = g.try_get(0, 5).unwrap_err();
+        let mut g = Field3::surface(4, 3, HaloWidths::uniform(2));
+        assert!(g.try_set(-2, 4, 0, 9.0).is_ok());
+        assert_eq!(g.try_get(-2, 4, 0).unwrap(), 9.0);
+        assert!(g.try_get(0, 0, 1).is_err(), "a surface field has one level");
+        let e = g.try_get(0, 5, 0).unwrap_err();
         assert!(
             matches!(
                 e,

@@ -14,7 +14,8 @@
 //! * [`grid`] — global lat-lon mesh with Arakawa C staggering and σ levels,
 //! * [`stencil`] — stencil footprints (the paper's Tables 1-3 as data),
 //! * [`decomp`] — X-Y / Y-Z / 3-D domain decomposition,
-//! * [`field`] — flat-array field storage with halos,
+//! * [`field`] — flat-array field storage with halos (one type, `Field3`;
+//!   a surface field is one level of it),
 //! * [`band`] — mutable latitude-row bands of a field (the worker pool's
 //!   split axis),
 //! * [`halo`] — halo exchange planning (Figure 4's eight halo areas),
@@ -40,9 +41,9 @@ pub mod sanitize;
 pub mod stencil;
 
 pub use band::{RowBand, RowBand2, RowBand3, MAX_BAND_PLANES};
-pub use decomp::{DecompKind, Decomposition, NeighborLink, ProcessGrid, Subdomain};
+pub use decomp::{Decomposition, NeighborLink, ProcessGrid, Subdomain};
 pub use error::MeshError;
-pub use field::{Field2, Field3, HaloWidths};
+pub use field::{Field3, HaloWidths};
 pub use grid::{constants, LatLonGrid, SigmaLevels};
 pub use halo::{BoxRange, ExchangePlan, ExchangeSpec};
 pub use stencil::{Axis, AxisOffsets, StencilFootprint};

@@ -1,5 +1,5 @@
-//! Field storage: the one allocation function behind every [`Field3`] and
-//! [`Field2`] array.
+//! Field storage: the one allocation function behind every [`Field3`]
+//! array, volume or surface.
 //!
 //! [`zeroed`] returns the same `vec![0.0; n]` as a plain allocation: a
 //! zeroed request, which for a large buffer is fresh pages the kernel
@@ -15,7 +15,6 @@
 //! refuses it) nothing changes.
 //!
 //! [`Field3`]: crate::Field3
-//! [`Field2`]: crate::Field2
 
 /// One PMD (huge) page on x86-64.
 const HUGE_PAGE: usize = 2 << 20;
@@ -65,7 +64,7 @@ fn advise_huge(_buf: &[f64]) {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Field2, Field3, HaloWidths};
+    use crate::{Field3, HaloWidths};
 
     #[test]
     fn only_whole_huge_pages_inside_the_buffer_are_advised() {
@@ -83,7 +82,7 @@ mod tests {
     fn clones_are_bitwise() {
         let specials = [-0.0, f64::from_bits(0x7ff8_dead_beef_0001), 1.5];
         let mut f = Field3::new(5, 4, 3, HaloWidths::uniform(2));
-        let mut g = Field2::new(5, 4, HaloWidths::uniform(1));
+        let mut g = Field3::surface(5, 4, HaloWidths::uniform(1));
         for (n, v) in f.raw_mut().iter_mut().enumerate() {
             *v = specials[n % 3];
         }

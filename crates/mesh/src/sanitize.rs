@@ -1,8 +1,9 @@
 //! Runtime access sanitizer (feature `access-sanitizer`).
 //!
-//! When the feature is on, every element/row accessor of [`crate::Field3`],
-//! [`crate::Field2`] and their row bands ([`crate::band`]) shadow-records the index
-//! ranges it touches into a global table, keyed by the field's allocation.
+//! When the feature is on, every element/row accessor of [`crate::Field3`]
+//! (a surface field's too: its level is `k = 0`) and of its row bands
+//! ([`crate::band`]) shadow-records the index ranges it touches into a
+//! global table, keyed by the field's allocation.
 //! Tests register a human name per tracked field, run a kernel, and diff
 //! the observed read/write ranges against the kernel's declared
 //! `AccessSpec` (the `core::access` registry) — so the declarations the
@@ -31,9 +32,9 @@ pub struct TouchRange {
     pub jmin: isize,
     /// Largest y index touched.
     pub jmax: isize,
-    /// Smallest z index touched (0 for 2-D fields).
+    /// Smallest z index touched (0 for a surface field).
     pub kmin: isize,
-    /// Largest z index touched (0 for 2-D fields).
+    /// Largest z index touched (0 for a surface field).
     pub kmax: isize,
 }
 
