@@ -265,11 +265,6 @@ impl StatsSnapshot {
         self.p2p_send_elems * 8
     }
 
-    /// Bytes received point-to-point (8 bytes per `f64`).
-    pub fn p2p_recv_bytes(&self) -> u64 {
-        self.p2p_recv_elems * 8
-    }
-
     /// Bytes contributed to collectives (8 bytes per `f64`).
     pub fn collective_bytes(&self) -> u64 {
         self.collective_elems * 8
@@ -294,7 +289,7 @@ mod tests {
         assert_eq!(snap.collective_calls, 1);
         assert_eq!(snap.collective_elems, 32);
         assert_eq!(snap.p2p_send_bytes(), 1200);
-        assert_eq!(snap.p2p_recv_bytes(), 800);
+        assert_eq!(snap.p2p_recv_elems, 100);
         assert_eq!(snap.collective_bytes(), 256);
     }
 

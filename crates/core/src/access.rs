@@ -369,13 +369,6 @@ pub fn spec(op: &str) -> Option<&'static AccessSpec> {
     registry().iter().find(|s| s.op == op)
 }
 
-/// Union of the read boxes of a set of specs — the per-sweep footprint the
-/// dataflow analysis dilates.
-pub fn read_union_of(ops: &[&AccessSpec]) -> OffsetBox {
-    ops.iter()
-        .fold(OffsetBox::pointwise(), |acc, s| acc.union(&s.read_union()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,7 +393,7 @@ mod tests {
     #[test]
     fn adaptation_spec_union_equals_table1_impl_union() {
         // one adaptation sub-update = stencil part + C diagnostics
-        let u = read_union_of(&[&ADAPTATION, &VERTICAL_C]);
+        let u = ADAPTATION.read_union().union(&VERTICAL_C.read_union());
         assert_union_matches(u, &tables::adaptation_impl_union());
     }
 

@@ -278,17 +278,6 @@ impl FourierFilter {
             }
         }
     }
-
-    /// Apply the damping profile of row `j` directly to a half spectrum
-    /// (used by the distributed filter, which owns the transform steps).
-    pub fn apply_spectrum(&self, j: usize, spec: &mut [Complex]) {
-        if let Some(prof) = &self.damping[j] {
-            assert_eq!(spec.len(), prof.len());
-            for (c, &d) in spec.iter_mut().zip(prof) {
-                *c = c.scale(d);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
