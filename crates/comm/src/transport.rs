@@ -24,7 +24,6 @@
 //! u32  corrupt_bit
 //! u32  flags          (bit 0: redundant duplicate)
 //! u64  corrupt_seed
-//! u64  epoch          (mesh generation the frame belongs to)
 //! 8n   payload        (f64 bit patterns)
 //! u64  integrity hash over all preceding frame bytes
 //! ```
@@ -41,43 +40,34 @@
 //! Connection setup is a full-mesh handshake: rank `i` listens on
 //! `<endpoint>.<i>` (Unix) or `port + i` (TCP), and every ordered pair of
 //! ranks gets one simplex connection opened by the sender, announced by a
-//! 28-byte hello (`"AGCMWIRE"`, version, sender rank, world size, epoch).
+//! 20-byte hello (`"AGCMWIRE"`, version 3, sender rank, world size).
 //! [`SocketTransport::connect`] returns only once every peer connection is
 //! up in both directions, so a successful construction doubles as the
-//! launcher's barrier that the whole world exists.  The mesh (re)wiring
-//! phases are bounded by `AGCM_CONNECT_TIMEOUT_MS` (strict env parse;
-//! default [`crate::default_timeout`]) so a hung peer fails loudly with
+//! launcher's barrier that the whole world exists.  The handshake is
+//! bounded by `AGCM_CONNECT_TIMEOUT_MS` (strict env parse; default
+//! [`crate::default_timeout`]) so a hung peer fails loudly with
 //! rank/peer/phase context instead of blocking forever.
 //!
-//! # Epochs and elastic rewiring
+//! # A mesh is built once
 //!
-//! A supervised run survives the death of a rank process: the launcher
-//! respawns the rank, which re-joins the existing mesh at a higher
-//! **epoch**.  Every frame carries its sender's epoch; the receiver
-//! delivers only frames of its *current* epoch, drops older ones (stale
-//! in-flight traffic of an aborted step attempt — the kernel's socket
-//! buffers can hold frames of a dead generation indefinitely, and a rebuilt
-//! world reuses the same deterministic context ids),
-//! and parks newer ones until its own epoch catches up (a recovered peer
-//! may race ahead).  The accept thread keeps listening after the initial
-//! mesh is up, so a replacement rank can dial in; survivors call
-//! [`SocketTransport::rewire`] to bump their epoch, re-dial the
-//! replacement's listener and wait for its inbound reconnect.  Poison
-//! envelopes are stamped with the receiver's epoch at EOF time, so the
-//! failure that *triggers* a recovery is delivered while stale poison from
-//! an already-recovered failure is filtered like any other old frame.
+//! The accept thread exits once the mesh is up: a world's connections live
+//! and die with it, and nothing re-joins a running mesh.  A launcher that
+//! loses a rank ends the whole world and starts the next one from its
+//! checkpoint set on fresh transports, so a frame can only ever belong to
+//! the one world whose sockets carry it.  A peer that closes its end
+//! cleanly (at a frame boundary) ends that stream and nothing more; a torn
+//! or corrupt frame poisons the mailbox, as above.
 
 use crate::error::{CommError, CommResult};
 use crate::fault;
 use agcm_obs as obs;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -112,10 +102,6 @@ pub struct Envelope {
     pub corrupt_seed: u64,
     /// Injected duplicate: delivered, but never counted as traffic.
     pub redundant: bool,
-    /// Mesh generation the frame belongs to.  The socket transport stamps
-    /// this at send time and filters on receive (see the module docs);
-    /// in-memory transports leave it at 0.
-    pub epoch: u64,
 }
 
 impl Envelope {
@@ -131,7 +117,6 @@ impl Envelope {
             corrupt_bit: 0,
             corrupt_seed: 0,
             redundant: false,
-            epoch: 0,
         }
     }
 
@@ -257,7 +242,7 @@ impl Transport for MpscTransport {
 // ---------------------------------------------------------------------------
 
 /// Fixed frame header size in bytes (see the module docs for the layout).
-pub const WIRE_HEADER_BYTES: u64 = 52;
+pub const WIRE_HEADER_BYTES: u64 = 44;
 
 /// Trailing checksum size in bytes.
 pub const WIRE_TRAILER_BYTES: u64 = 8;
@@ -286,7 +271,6 @@ fn encode_frame(env: &Envelope, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&env.corrupt_bit.to_le_bytes());
     buf.extend_from_slice(&(env.redundant as u32).to_le_bytes());
     buf.extend_from_slice(&env.corrupt_seed.to_le_bytes());
-    buf.extend_from_slice(&env.epoch.to_le_bytes());
     let mut h = fault::checksum_bytes(buf);
     buf.resize(WIRE_HEADER_BYTES as usize + 8 * n, 0);
     let payload = buf[WIRE_HEADER_BYTES as usize..].chunks_exact_mut(8);
@@ -377,7 +361,6 @@ fn read_frame(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<Option<(Envel
         corrupt_bit: u32_at(&header, 28),
         corrupt_seed: u64_at(&header, 36),
         redundant: u32_at(&header, 32) & 1 != 0,
-        epoch: u64_at(&header, 44),
         data,
     };
     Ok(Some((env, WIRE_OVERHEAD_BYTES + 8 * n as u64)))
@@ -581,26 +564,15 @@ impl Listener {
 }
 
 const HELLO_MAGIC: u64 = u64::from_le_bytes(*b"AGCMWIRE");
-const HELLO_VERSION: u32 = 2;
-const HELLO_BYTES: usize = 28;
+const HELLO_VERSION: u32 = 3;
+const HELLO_BYTES: usize = 20;
 
-/// Single byte the acceptor writes back after validating a hello.  Initial
-/// mesh dial-outs never read it (one buffered byte on a write-only
-/// connection), but [`SocketTransport::rewire`] does: a process tears its
-/// file descriptors down over a small window while dying, and a `connect()`
-/// that lands in the doomed listener's backlog during that window succeeds
-/// from the dialer's side — only a process that actually *accepted and
-/// validated* the hello can ack, so reading the ack is what proves the
-/// dial reached the live replacement and not its dying predecessor.
-const HELLO_ACK: u8 = 0xA7;
-
-fn encode_hello(rank: usize, size: usize, epoch: u64) -> [u8; HELLO_BYTES] {
+fn encode_hello(rank: usize, size: usize) -> [u8; HELLO_BYTES] {
     let mut b = [0u8; HELLO_BYTES];
     b[0..8].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
     b[8..12].copy_from_slice(&HELLO_VERSION.to_le_bytes());
     b[12..16].copy_from_slice(&(rank as u32).to_le_bytes());
     b[16..20].copy_from_slice(&(size as u32).to_le_bytes());
-    b[20..28].copy_from_slice(&epoch.to_le_bytes());
     b
 }
 
@@ -608,30 +580,16 @@ fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Block (bounded by `deadline`) until the acceptor's [`HELLO_ACK`] arrives
-/// on a freshly dialed connection, leaving the read timeout cleared.
-fn read_ack(conn: &mut Conn, deadline: Instant) -> io::Result<()> {
-    conn.set_read_timeout(Some(
-        deadline
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_millis(1)),
-    ))?;
-    let mut ack = [0u8; 1];
-    conn.read_exact(&mut ack)?;
-    if ack[0] != HELLO_ACK {
-        return Err(bad_data(format!("handshake ack byte {:#04x}", ack[0])));
-    }
-    conn.set_read_timeout(None)
-}
-
-/// Decode a hello; returns the announcing peer's `(rank, epoch)`.
-fn decode_hello(b: &[u8; HELLO_BYTES], expect_size: usize) -> io::Result<(usize, u64)> {
+/// Decode a hello; returns the announcing peer's rank.
+fn decode_hello(b: &[u8; HELLO_BYTES], expect_size: usize) -> io::Result<usize> {
     if u64_at(b, 0) != HELLO_MAGIC {
         return Err(bad_data("handshake: bad magic".to_string()));
     }
     let version = u32_at(b, 8);
     if version != HELLO_VERSION {
-        return Err(bad_data(format!("handshake: wire version {version}")));
+        return Err(bad_data(format!(
+            "handshake: wire version {version}, this build speaks {HELLO_VERSION}"
+        )));
     }
     let rank = u32_at(b, 12) as usize;
     let size = u32_at(b, 16) as usize;
@@ -640,7 +598,7 @@ fn decode_hello(b: &[u8; HELLO_BYTES], expect_size: usize) -> io::Result<(usize,
             "handshake: rank {rank} of world {size}, expected world {expect_size}"
         )));
     }
-    Ok((rank, u64_at(b, 20)))
+    Ok(rank)
 }
 
 /// A byte-stream transport over Unix-domain sockets (or TCP): each rank is
@@ -650,9 +608,8 @@ pub struct SocketTransport {
     rank: usize,
     size: usize,
     kind: &'static str,
-    /// One simplex outgoing connection per peer (`None` at the own rank).
-    /// `RefCell` so [`SocketTransport::rewire`] can swap in a replacement
-    /// connection through a shared reference.
+    /// One simplex outgoing connection per peer (`None` at the own rank);
+    /// `RefCell` because [`Transport::send`] takes `&self`.
     writers: Vec<Option<RefCell<Conn>>>,
     /// Local loopback for self-sends; also keeps `rx` alive after every
     /// reader thread exited.
@@ -661,41 +618,23 @@ pub struct SocketTransport {
     /// Reusable frame staging buffer of [`Transport::send`].
     frame_buf: RefCell<Vec<u8>>,
     counters: Arc<WireCounters>,
-    /// Where this world lives; kept for re-dialing a respawned peer.
-    endpoint: Endpoint,
-    /// Current mesh generation: sends stamp it, receives filter on it.
-    epoch: Arc<AtomicU64>,
-    /// Frames from a *future* epoch, parked until our epoch catches up.
-    stash: RefCell<VecDeque<Envelope>>,
-    /// `(peer, epoch)` notifications from the accept thread when a
-    /// replacement rank dials back in.
-    rewired_rx: Receiver<(usize, u64)>,
-    /// When set, a *clean* EOF on an incoming connection also poisons the
-    /// mailbox.  Supervised (elastic) runs need this: a `kill -9` exactly at
-    /// a frame boundary closes the socket without a torn frame, which is
-    /// indistinguishable from a peer that finished normally — but under a
-    /// supervisor no peer ever disconnects mid-run on purpose.
-    poison_on_eof: Arc<AtomicBool>,
-    /// Tells the persistent accept thread to exit.
-    shutdown: Arc<AtomicBool>,
     /// Own listening socket path, removed on drop (Unix only).
     listen_path: Option<PathBuf>,
 }
 
-/// `(rank, size, endpoint, epoch)` of a launched worker from the handshake
+/// `(rank, size, endpoint)` of a launched worker from the handshake
 /// variables `var` looks up: `None` when `AGCM_RANK` is unset.  A set but
 /// malformed value is `InvalidInput` naming the variable and the value; a
 /// missing endpoint or a rank outside the world is `InvalidData`.
 fn launch_params(
     var: impl Fn(&str) -> Option<String>,
-) -> Option<io::Result<(usize, usize, Endpoint, u64)>> {
+) -> Option<io::Result<(usize, usize, Endpoint)>> {
     let rank: usize = match strict_var(&var, "AGCM_RANK") {
         Ok(rank) => rank?,
         Err(e) => return Some(Err(e)),
     };
     let rest = || {
         let size: usize = strict_var(&var, "AGCM_WORLD_SIZE")?.unwrap_or(0);
-        let epoch: u64 = strict_var(&var, "AGCM_EPOCH")?.unwrap_or(0);
         let ep: String = strict_var(&var, "AGCM_ENDPOINT")?
             .ok_or_else(|| bad_data("AGCM_RANK set without AGCM_ENDPOINT".into()))?;
         let ep = Endpoint::parse(&ep).map_err(|e| bad_data(format!("AGCM_ENDPOINT: {e}")))?;
@@ -703,7 +642,7 @@ fn launch_params(
             let why = format!("AGCM_RANK={rank} outside AGCM_WORLD_SIZE={size}");
             return Err(bad_data(why));
         }
-        Ok((rank, size, ep, epoch))
+        Ok((rank, size, ep))
     };
     Some(rest())
 }
@@ -738,15 +677,13 @@ impl SocketTransport {
     }
 
     /// Build a transport from the launcher handshake environment
-    /// (`AGCM_RANK`, `AGCM_WORLD_SIZE`, `AGCM_ENDPOINT`, plus `AGCM_EPOCH`
-    /// for a respawned rank re-joining a live mesh); `None` when
+    /// (`AGCM_RANK`, `AGCM_WORLD_SIZE`, `AGCM_ENDPOINT`); `None` when
     /// `AGCM_RANK` is unset (not launched by `agcm-run`).  A malformed value
     /// is an `InvalidInput` error naming the variable and the value.
     pub fn from_env() -> Option<io::Result<SocketTransport>> {
         let params = launch_params(|name| std::env::var(name).ok())?;
-        Some(params.and_then(|(rank, size, ep, epoch)| {
-            connect_timeout_from_env()
-                .and_then(|t| Self::connect_at_epoch(rank, size, &ep, t, epoch))
+        Some(params.and_then(|(rank, size, ep)| {
+            connect_timeout_from_env().and_then(|t| Self::connect_timeout(rank, size, &ep, t))
         }))
     }
 
@@ -759,20 +696,6 @@ impl SocketTransport {
         endpoint: &Endpoint,
         timeout: Duration,
     ) -> io::Result<SocketTransport> {
-        Self::connect_at_epoch(rank, size, endpoint, timeout, 0)
-    }
-
-    /// Join (or, for a respawned rank, re-join) the world at mesh
-    /// generation `epoch`.  Peers accepting this rank's connections at the
-    /// initial mesh build must be at the same epoch (survivors of a failure
-    /// bump theirs in [`SocketTransport::rewire`] before re-dialing).
-    pub fn connect_at_epoch(
-        rank: usize,
-        size: usize,
-        endpoint: &Endpoint,
-        timeout: Duration,
-        epoch: u64,
-    ) -> io::Result<SocketTransport> {
         assert!(size >= 1, "need at least one rank");
         assert!(rank < size, "rank {rank} outside world of {size}");
         // the whole mesh handshake (listen + dial-out + incoming hellos) as
@@ -783,10 +706,10 @@ impl SocketTransport {
             #[cfg(unix)]
             Endpoint::Unix(base) => {
                 let path = uds_path(base, rank);
-                // a stale socket file from a crashed previous run (or the
-                // killed predecessor of a respawned rank) would make bind
-                // fail; the path is namespaced per run by the launcher, so
-                // removing it is safe
+                // a stale socket file from a crashed previous run (or from
+                // this rank in the world a launcher just ended) would make
+                // bind fail; the path is namespaced per run by the launcher,
+                // so removing it is safe
                 let _ = std::fs::remove_file(&path);
                 (
                     "uds",
@@ -802,55 +725,27 @@ impl SocketTransport {
         };
         let (tx, rx) = channel::<Envelope>();
         let counters = Arc::new(WireCounters::default());
-        let epoch = Arc::new(AtomicU64::new(epoch));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let poison_on_eof = Arc::new(AtomicBool::new(false));
-        // highest epoch at which each peer has *re*connected (0 = never);
-        // a reader whose peer has since reconnected swallows its death
-        // report — the failure it observed belongs to an older generation
-        let last_reconnect: Arc<Vec<AtomicU64>> =
-            Arc::new((0..size).map(|_| AtomicU64::new(0)).collect());
-        let (rewired_tx, rewired_rx) = channel::<(usize, u64)>();
 
         // Accept the size-1 incoming connections on a helper thread while
         // this thread dials out, so no connect ordering can deadlock the
         // mesh.  Each accepted peer gets a detached reader thread that
         // decodes frames into the internal channel; draining the wire
         // eagerly is what preserves the runtime's buffered non-blocking
-        // send semantics (a sender can never block on a full pipe).  After
-        // the initial mesh is up the helper keeps accepting, so respawned
-        // peers can reconnect at a later epoch.
+        // send semantics (a sender can never block on a full pipe).  The
+        // helper and the listener end with the initial mesh.
         let (done_tx, done_rx) = channel::<io::Result<()>>();
         if size > 1 {
-            let ctx = AcceptCtx {
-                my_rank: rank,
-                size,
-                start_epoch: epoch.load(Ordering::Relaxed),
-                handshake_timeout: timeout,
-                tx: tx.clone(),
-                counters: Arc::clone(&counters),
-                epoch: Arc::clone(&epoch),
-                poison_on_eof: Arc::clone(&poison_on_eof),
-                last_reconnect: Arc::clone(&last_reconnect),
-                rewired_tx,
-                shutdown: Arc::clone(&shutdown),
-            };
+            let (tx, counters) = (tx.clone(), Arc::clone(&counters));
             std::thread::spawn(move || {
-                obs::set_rank(ctx.my_rank);
-                let r = accept_initial(&listener, &ctx, deadline);
-                let ok = r.is_ok();
-                let _ = done_tx.send(r);
-                if ok {
-                    accept_reconnects(&listener, &ctx);
-                }
+                obs::set_rank(rank);
+                let _ = done_tx.send(accept_mesh(&listener, rank, size, deadline, &tx, &counters));
             });
         } else {
             drop(listener);
-            drop(rewired_tx);
             let _ = done_tx.send(Ok(()));
         }
 
-        let hello = encode_hello(rank, size, epoch.load(Ordering::Relaxed));
+        let hello = encode_hello(rank, size);
         let mut writers = Vec::with_capacity(size);
         for peer in 0..size {
             if peer == rank {
@@ -862,11 +757,6 @@ impl SocketTransport {
             conn.write_all(&hello)
                 .and_then(|()| conn.flush())
                 .map_err(|e| phase_err(rank, "mesh hello", e))?;
-            // consume the acceptor's ack: every dialer drains this byte so
-            // no connection carries unread data (an unread byte would make
-            // the kernel RST instead of FIN on close, turning this rank's
-            // normal exit into a spurious peer-failure on the acceptor)
-            read_ack(&mut conn, deadline).map_err(|e| phase_err(rank, "mesh ack", e))?;
             writers.push(Some(RefCell::new(conn)));
         }
 
@@ -892,156 +782,12 @@ impl SocketTransport {
             rx,
             frame_buf: RefCell::new(Vec::new()),
             counters,
-            endpoint: endpoint.clone(),
-            epoch,
-            stash: RefCell::new(VecDeque::new()),
-            rewired_rx,
-            poison_on_eof,
-            shutdown,
             listen_path,
         })
     }
-
-    /// Current mesh generation.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Treat a clean EOF on an incoming connection as a peer death (poison)
-    /// instead of a normal disconnect.  Supervised elastic runs set this:
-    /// under a supervisor no peer legitimately disconnects before the final
-    /// barrier, and a `kill -9` landing exactly between two frames closes
-    /// the stream without the torn frame the error path would catch.
-    pub fn set_poison_on_eof(&self, on: bool) {
-        self.poison_on_eof.store(on, Ordering::Relaxed);
-    }
-
-    /// Rewire the mesh to `new_epoch` after `lost_peer`'s process died and
-    /// was respawned: advance the epoch (so stale in-flight frames of the
-    /// old generation are dropped on receive), re-dial the replacement's
-    /// listener, and wait for its inbound reconnect.  The respawned rank
-    /// itself re-joins via [`SocketTransport::connect_at_epoch`] and never
-    /// calls this.
-    ///
-    /// Every rank of the surviving world must call this with the same
-    /// `new_epoch` before re-entering collective code.
-    pub fn rewire(&self, new_epoch: u64, lost_peer: usize, timeout: Duration) -> io::Result<()> {
-        let _sp = obs::span(obs::SpanKind::Transport, "transport.rewire");
-        let rank = self.rank;
-        if lost_peer == rank || lost_peer >= self.size {
-            return Err(bad_data(format!(
-                "rank {rank}: cannot rewire to peer {lost_peer} of world {}",
-                self.size
-            )));
-        }
-        let old = self.epoch.load(Ordering::Relaxed);
-        if new_epoch <= old {
-            return Err(bad_data(format!(
-                "rank {rank}: rewire epoch {new_epoch} must exceed current {old}"
-            )));
-        }
-        self.epoch.store(new_epoch, Ordering::Relaxed);
-        // frames parked for epochs the failure obsoleted are stale now
-        self.stash.borrow_mut().retain(|e| e.epoch >= new_epoch);
-
-        let deadline = Instant::now() + timeout;
-        // dial until the *replacement* acks the hello.  A plain successful
-        // connect is not proof of anything: while the dead predecessor
-        // tears down, a connect can land in its doomed listener backlog and
-        // still succeed from this side.  Only a live acceptor that read and
-        // validated the hello sends `HELLO_ACK`, so redial until it arrives.
-        let conn = loop {
-            let mut conn = dial(&self.endpoint, lost_peer, deadline)
-                .map_err(|e| phase_err(rank, "rewire dial", e))?;
-            let attempt = conn
-                .write_all(&encode_hello(rank, self.size, new_epoch))
-                .and_then(|()| conn.flush())
-                .and_then(|()| read_ack(&mut conn, deadline));
-            match attempt {
-                Ok(()) => break conn,
-                Err(e) => {
-                    if Instant::now() >= deadline {
-                        return Err(phase_err(rank, "rewire handshake", e));
-                    }
-                    // the predecessor's doomed backlog (or a torn listener):
-                    // back off briefly and dial again
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-        };
-        let cell = self.writers[lost_peer]
-            .as_ref()
-            .ok_or_else(|| bad_data(format!("rank {rank}: no writer slot for {lost_peer}")))?;
-        // swapping the RefCell drops the dead connection
-        cell.replace(conn);
-
-        // the replacement dials every survivor as part of its own
-        // connect_at_epoch; the accept thread reports it here
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!(
-                        "rank {rank}: no reconnect from respawned peer {lost_peer} \
-                         at epoch {new_epoch} within {timeout:?} (rewire accept)"
-                    ),
-                ));
-            }
-            match self.rewired_rx.recv_timeout(remaining) {
-                Ok((peer, ep)) if peer == lost_peer && ep >= new_epoch => {
-                    // sweep the queue: the dead peer's reader may have raced
-                    // its poison in *after* our epoch bump (stamping it with
-                    // the new epoch) — a death report for the generation we
-                    // just recovered from must not fail the next one
-                    let mut stash = self.stash.borrow_mut();
-                    while let Ok(env) = self.rx.try_recv() {
-                        let obsolete = env.ctx == POISON_CTX
-                            && env.src_global == lost_peer
-                            && env.epoch <= new_epoch;
-                        if !obsolete && env.epoch >= new_epoch {
-                            stash.push_back(env);
-                        }
-                    }
-                    return Ok(());
-                }
-                // notification from an older recovery or another peer
-                Ok(_) => continue,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        format!("rank {rank}: accept thread gone during rewire"),
-                    ))
-                }
-            }
-        }
-    }
-
-    /// Route one received envelope by epoch: deliver current, park future,
-    /// drop stale.
-    fn route(&self, env: Envelope) -> Option<Envelope> {
-        let cur = self.epoch.load(Ordering::Relaxed);
-        match env.epoch.cmp(&cur) {
-            std::cmp::Ordering::Equal => Some(env),
-            std::cmp::Ordering::Greater => {
-                self.stash.borrow_mut().push_back(env);
-                None
-            }
-            std::cmp::Ordering::Less => None,
-        }
-    }
-
-    /// The oldest parked envelope that now matches the current epoch.
-    fn unstash(&self) -> Option<Envelope> {
-        let cur = self.epoch.load(Ordering::Relaxed);
-        let mut stash = self.stash.borrow_mut();
-        let at = stash.iter().position(|e| e.epoch == cur)?;
-        stash.remove(at)
-    }
 }
 
-/// Prefix an I/O error with the owning rank and (re)wiring phase, so a hung
+/// Prefix an I/O error with the owning rank and handshake phase, so a hung
 /// or misbehaving peer is diagnosable from the message alone.
 fn phase_err(rank: usize, phase: &str, e: io::Error) -> io::Error {
     io::Error::new(e.kind(), format!("rank {rank}: {phase}: {e}"))
@@ -1099,67 +845,16 @@ fn dial(endpoint: &Endpoint, peer: usize, deadline: Instant) -> io::Result<Conn>
     }
 }
 
-/// Everything the persistent accept thread needs: handshake identity, the
-/// envelope queue, and the rewire plumbing.
-struct AcceptCtx {
-    my_rank: usize,
-    size: usize,
-    /// Epoch this world was built at; initial-mesh hellos must match it.
-    start_epoch: u64,
-    /// Per-connection handshake budget for reconnects (the initial mesh
-    /// uses the overall connect deadline instead).
-    handshake_timeout: Duration,
-    tx: Sender<Envelope>,
-    counters: Arc<WireCounters>,
-    /// The owning transport's live epoch — readers stamp poison with it.
-    epoch: Arc<AtomicU64>,
-    /// Whether clean EOFs poison too (supervised mode).
-    poison_on_eof: Arc<AtomicBool>,
-    /// Highest reconnect epoch per peer; readers of superseded connections
-    /// swallow their death reports.
-    last_reconnect: Arc<Vec<AtomicU64>>,
-    rewired_tx: Sender<(usize, u64)>,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl AcceptCtx {
-    fn spawn_reader(&self, conn: Conn, peer: usize, conn_epoch: u64) {
-        let my_rank = self.my_rank;
-        let tx = self.tx.clone();
-        let counters = Arc::clone(&self.counters);
-        let epoch = Arc::clone(&self.epoch);
-        let poison_on_eof = Arc::clone(&self.poison_on_eof);
-        let last_reconnect = Arc::clone(&self.last_reconnect);
-        std::thread::spawn(move || {
-            reader_loop(
-                conn,
-                my_rank,
-                peer,
-                conn_epoch,
-                tx,
-                counters,
-                epoch,
-                poison_on_eof,
-                last_reconnect,
-            )
-        });
-    }
-}
-
-/// Accept one connection with the given per-phase deadline, or `None` if
-/// shutdown was requested while polling.
-fn accept_one(listener: &Listener, ctx: &AcceptCtx, deadline: Instant) -> io::Result<Option<Conn>> {
+/// Accept one connection, polling until `deadline`.
+fn accept_one(listener: &Listener, my_rank: usize, deadline: Instant) -> io::Result<Conn> {
     loop {
-        if ctx.shutdown.load(Ordering::Relaxed) {
-            return Ok(None);
-        }
         match listener.accept() {
-            Ok(c) => return Ok(Some(c)),
+            Ok(c) => return Ok(c),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 if Instant::now() >= deadline {
                     return Err(io::Error::new(
                         io::ErrorKind::TimedOut,
-                        format!("rank {}: timed out accepting peer connections", ctx.my_rank),
+                        format!("rank {my_rank}: timed out accepting peer connections"),
                     ));
                 }
                 std::thread::sleep(Duration::from_millis(1));
@@ -1170,137 +865,58 @@ fn accept_one(listener: &Listener, ctx: &AcceptCtx, deadline: Instant) -> io::Re
     }
 }
 
-/// Read and validate one hello from a freshly accepted connection.
-fn handshake(conn: &mut Conn, ctx: &AcceptCtx, deadline: Instant) -> io::Result<(usize, u64)> {
-    conn.set_read_timeout(Some(
-        deadline
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_millis(1)),
-    ))?;
-    let mut hello = [0u8; HELLO_BYTES];
-    conn.read_exact(&mut hello)
-        .map_err(|e| phase_err(ctx.my_rank, "accept handshake (peer hello)", e))?;
-    let parsed = decode_hello(&hello, ctx.size)?;
-    conn.set_read_timeout(None)?;
-    Ok(parsed)
-}
-
 /// Accept, handshake and spawn a reader for each of the `size - 1` peers of
-/// the initial mesh.  Every hello must carry this world's start epoch.
-fn accept_initial(listener: &Listener, ctx: &AcceptCtx, deadline: Instant) -> io::Result<()> {
+/// the mesh.
+fn accept_mesh(
+    listener: &Listener,
+    my_rank: usize,
+    size: usize,
+    deadline: Instant,
+    tx: &Sender<Envelope>,
+    counters: &Arc<WireCounters>,
+) -> io::Result<()> {
     let _sp = obs::span(obs::SpanKind::Transport, "transport.accept");
     listener.set_nonblocking(true)?;
-    let mut seen = vec![false; ctx.size];
-    for _ in 0..ctx.size - 1 {
-        let Some(mut conn) = accept_one(listener, ctx, deadline)? else {
-            return Ok(());
-        };
-        let (peer, epoch) = handshake(&mut conn, ctx, deadline)?;
-        if epoch != ctx.start_epoch {
-            return Err(bad_data(format!(
-                "rank {}: peer {peer} hello at epoch {epoch}, expected {} (initial mesh)",
-                ctx.my_rank, ctx.start_epoch
-            )));
-        }
+    let mut seen = vec![false; size];
+    for _ in 1..size {
+        let mut conn = accept_one(listener, my_rank, deadline)?;
+        conn.set_read_timeout(Some(
+            deadline
+                .saturating_duration_since(Instant::now())
+                .max(Duration::from_millis(1)),
+        ))?;
+        let mut hello = [0u8; HELLO_BYTES];
+        conn.read_exact(&mut hello)
+            .map_err(|e| phase_err(my_rank, "accept handshake (peer hello)", e))?;
+        let peer = decode_hello(&hello, size)?;
+        conn.set_read_timeout(None)?;
         if std::mem::replace(&mut seen[peer], true) {
             return Err(bad_data(format!(
-                "rank {}: peer {peer} connected twice",
-                ctx.my_rank
+                "rank {my_rank}: peer {peer} connected twice"
             )));
         }
-        // best-effort: a fast peer may have dialed, sent everything and
-        // exited before this accept ran — its frames are still buffered in
-        // the socket and must be read, so an unackable connection is not
-        // an error here (only rewire dialers block on the ack, and they
-        // hold their end open until it arrives)
-        let _ = conn.write_all(&[HELLO_ACK]).and_then(|()| conn.flush());
-        ctx.spawn_reader(conn, peer, epoch);
+        let (tx, counters) = (tx.clone(), Arc::clone(counters));
+        std::thread::spawn(move || reader_loop(conn, my_rank, peer, tx, counters));
     }
     Ok(())
 }
 
-/// After the initial mesh: keep accepting so a respawned peer can rejoin at
-/// a later epoch.  Each accepted reconnect must advance that peer's epoch
-/// (a replay or duplicate is dropped); the owning transport is notified via
-/// `rewired_tx` so a concurrent [`SocketTransport::rewire`] can complete.
-/// Exits when the transport is dropped (shutdown flag) or the envelope
-/// queue is gone.
-fn accept_reconnects(listener: &Listener, ctx: &AcceptCtx) {
-    let mut peer_epoch = vec![ctx.start_epoch; ctx.size];
-    loop {
-        // poll forever in small slices so the shutdown flag is honored
-        let slice = Instant::now() + Duration::from_millis(50);
-        let conn = match accept_one(listener, ctx, slice) {
-            Ok(Some(c)) => Some(c),
-            Ok(None) => return,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => None,
-            Err(_) => return,
-        };
-        let Some(mut conn) = conn else { continue };
-        let hs_deadline = Instant::now() + ctx.handshake_timeout;
-        match handshake(&mut conn, ctx, hs_deadline) {
-            Ok((peer, epoch)) if epoch > peer_epoch[peer] => {
-                // ack before anything else becomes visible: the dialer's
-                // rewire blocks on this byte, and a failed ack means the
-                // dialer is already gone — drop the connection unrecorded
-                if conn
-                    .write_all(&[HELLO_ACK])
-                    .and_then(|()| conn.flush())
-                    .is_err()
-                {
-                    continue;
-                }
-                peer_epoch[peer] = epoch;
-                // publish the supersession *before* the notification: once
-                // rewire() returns, any still-running reader of this peer's
-                // old connection must see it and swallow its stale poison
-                ctx.last_reconnect[peer].store(epoch, Ordering::Relaxed);
-                ctx.spawn_reader(conn, peer, epoch);
-                if ctx.rewired_tx.send((peer, epoch)).is_err() {
-                    return;
-                }
-            }
-            // stale replay or duplicate: drop the connection on the floor
-            Ok(_) | Err(_) => {}
-        }
-    }
-}
-
 /// Decode frames from one incoming connection into the internal queue.  A
-/// clean EOF (peer finished and dropped its transport) simply ends the
-/// stream; a validation failure poisons the mailbox — after a torn or
-/// corrupted frame the stream position cannot be trusted, so the peer is
-/// treated as failed rather than risking silent desynchronization.  A
-/// `kill -9`'d peer surfaces here too: the kernel EOFs/resets the
-/// connection mid-stream, which `read_frame` reports as an error.
-///
-/// Poison is stamped with the *receiver's* epoch at failure time (not the
-/// connection's hello epoch): surviving-pair connections keep their
-/// original hello forever, and a failure at a later epoch must still pass
-/// the receive-side epoch filter.  But a reader whose peer has since
-/// *reconnected* at a newer epoch swallows its report entirely — the death
-/// it observed belongs to a generation the mesh already recovered from.
-#[allow(clippy::too_many_arguments)]
+/// clean EOF (the peer dropped its transport, or died between two frames)
+/// simply ends the stream; a validation failure poisons the mailbox —
+/// after a torn or corrupted frame the stream position cannot be trusted,
+/// so the peer is treated as failed rather than risking silent
+/// desynchronization.  A `kill -9`'d peer mid-frame surfaces here too: the
+/// kernel EOFs/resets the connection mid-stream, which `read_frame` reports
+/// as an error.
 fn reader_loop(
     mut conn: Conn,
     my_rank: usize,
     peer: usize,
-    conn_epoch: u64,
     tx: Sender<Envelope>,
     counters: Arc<WireCounters>,
-    epoch: Arc<AtomicU64>,
-    poison_on_eof: Arc<AtomicBool>,
-    last_reconnect: Arc<Vec<AtomicU64>>,
 ) {
     obs::set_rank(my_rank);
-    let poison = |tx: &Sender<Envelope>| {
-        if last_reconnect[peer].load(Ordering::Relaxed) > conn_epoch {
-            return; // superseded: the peer already rejoined a newer mesh
-        }
-        let mut env = Envelope::poison(peer);
-        env.epoch = epoch.load(Ordering::Relaxed);
-        let _ = tx.send(env);
-    };
     let mut body = Vec::new();
     loop {
         // bracket the blocking read so traces show what each connection's
@@ -1322,14 +938,9 @@ fn reader_loop(
                     return;
                 }
             }
-            Ok(None) => {
-                if poison_on_eof.load(Ordering::Relaxed) {
-                    poison(&tx);
-                }
-                return;
-            }
+            Ok(None) => return,
             Err(_) => {
-                poison(&tx);
+                let _ = tx.send(Envelope::poison(peer));
                 return;
             }
         }
@@ -1345,8 +956,7 @@ impl Transport for SocketTransport {
         self.size
     }
 
-    fn send(&self, peer: usize, mut env: Envelope) -> CommResult<()> {
-        env.epoch = self.epoch.load(Ordering::Relaxed);
+    fn send(&self, peer: usize, env: Envelope) -> CommResult<()> {
         if peer == self.rank {
             // loopback: counted as if it crossed the wire so the byte
             // identity against the logical stats stays exact
@@ -1371,31 +981,11 @@ impl Transport for SocketTransport {
     }
 
     fn recv(&self, timeout: Duration) -> Option<Envelope> {
-        if let Some(env) = self.unstash() {
-            return Some(env);
-        }
-        // stale frames consume none of the caller's patience budget beyond
-        // their own arrival time: keep draining until the deadline
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let env = self.rx.recv_timeout(remaining).ok()?;
-            if let Some(env) = self.route(env) {
-                return Some(env);
-            }
-        }
+        self.rx.recv_timeout(timeout).ok()
     }
 
     fn try_recv(&self) -> Option<Envelope> {
-        if let Some(env) = self.unstash() {
-            return Some(env);
-        }
-        while let Ok(env) = self.rx.try_recv() {
-            if let Some(env) = self.route(env) {
-                return Some(env);
-            }
-        }
-        None
+        self.rx.try_recv().ok()
     }
 
     fn wire_stats(&self) -> Option<WireStats> {
@@ -1410,9 +1000,7 @@ impl Transport for SocketTransport {
 impl Drop for SocketTransport {
     fn drop(&mut self) {
         // closing the writers (field drop) EOFs every peer's reader; the
-        // persistent accept thread polls this flag and exits; the
         // listening socket file is ours to clean up
-        self.shutdown.store(true, Ordering::Relaxed);
         if let Some(path) = &self.listen_path {
             let _ = std::fs::remove_file(path);
         }
@@ -1425,7 +1013,7 @@ mod tests {
 
     /// [`launch_params`] over a fixed variable table: the process
     /// environment is never touched.
-    fn params(vars: &[(&str, &str)]) -> Option<io::Result<(usize, usize, Endpoint, u64)>> {
+    fn params(vars: &[(&str, &str)]) -> Option<io::Result<(usize, usize, Endpoint)>> {
         launch_params(|name| {
             let hit = vars.iter().find(|(n, _)| *n == name);
             hit.map(|(_, v)| v.to_string())
@@ -1439,15 +1027,13 @@ mod tests {
             ("AGCM_RANK", "1"),
             ("AGCM_WORLD_SIZE", "2"),
             ("AGCM_ENDPOINT", "tcp:localhost:4100"),
-            ("AGCM_EPOCH", "3"),
         ];
-        let (rank, size, ep, epoch) = params(&ok).unwrap().unwrap();
-        assert_eq!((rank, size, epoch), (1, 2, 3));
+        let (rank, size, ep) = params(&ok).unwrap().unwrap();
+        assert_eq!((rank, size), (1, 2));
         assert!(matches!(ep, Endpoint::Tcp(h, 4100) if h == "localhost"));
         for (name, bad) in [
             ("AGCM_RANK", "one"),
             ("AGCM_WORLD_SIZE", "2x"),
-            ("AGCM_EPOCH", "-1"),
             ("AGCM_ENDPOINT", " "),
         ] {
             let mut vars = ok;
@@ -1478,7 +1064,6 @@ mod tests {
         env.corrupt_bit = 51;
         env.corrupt_seed = 0xDEAD_BEEF;
         env.redundant = true;
-        env.epoch = 3;
         env
     }
 
@@ -1491,7 +1076,6 @@ mod tests {
         assert_eq!(a.corrupt_bit, b.corrupt_bit);
         assert_eq!(a.corrupt_seed, b.corrupt_seed);
         assert_eq!(a.redundant, b.redundant);
-        assert_eq!(a.epoch, b.epoch);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a.data), bits(&b.data));
     }
@@ -1563,7 +1147,7 @@ mod tests {
         buf[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // the largest prefix the bound admits claims 2 GiB on a 60-byte
+        // the largest prefix the bound admits claims 2 GiB on a 52-byte
         // stream: the body buffer holds what arrived, not what was claimed
         buf[0..4].copy_from_slice(&(MAX_WIRE_WORDS - 1).to_le_bytes());
         let mut body = Vec::new();
@@ -1591,12 +1175,27 @@ mod tests {
 
     #[test]
     fn hello_round_trips_and_validates() {
-        let b = encode_hello(3, 8, 42);
-        assert_eq!(decode_hello(&b, 8).unwrap(), (3, 42));
+        let b = encode_hello(3, 8);
+        assert_eq!(decode_hello(&b, 8).unwrap(), 3);
         assert!(decode_hello(&b, 4).is_err(), "world size mismatch");
         let mut bad = b;
         bad[0] ^= 1;
         assert!(decode_hello(&bad, 8).is_err(), "bad magic");
+    }
+
+    /// A v2 hello (28 bytes: magic, version, rank, size, epoch) is refused
+    /// on its version word, which sits where v3's does.
+    #[test]
+    fn a_v2_hello_is_refused_naming_its_version() {
+        let mut v2 = [0u8; 28];
+        v2[0..8].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        v2[12..16].copy_from_slice(&1u32.to_le_bytes());
+        v2[16..20].copy_from_slice(&4u32.to_le_bytes());
+        let head: [u8; HELLO_BYTES] = v2[..HELLO_BYTES].try_into().unwrap();
+        let err = decode_hello(&head, 4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("wire version 2"), "{err}");
     }
 
     /// A seeded stream of mutation choices.
@@ -1610,11 +1209,11 @@ mod tests {
 
     /// Bit flips of a hello decode to a typed `InvalidData` or to exactly
     /// the hello the flipped bytes encode.  A hello carries no hash, so a
-    /// flip in its rank or epoch is another valid hello; what the decoder
-    /// must not do is accept bytes `encode_hello` would not write, or panic.
+    /// flip in its rank is another valid hello; what the decoder must not
+    /// do is accept bytes `encode_hello` would not write, or panic.
     #[test]
     fn mutated_hellos_never_panic() {
-        let good = encode_hello(3, 8, 42);
+        let good = encode_hello(3, 8);
         let mut refused = 0;
         for seed in 0..3000u64 {
             let mut next = mutations(seed);
@@ -1623,7 +1222,7 @@ mod tests {
                 b[(next() % HELLO_BYTES as u64) as usize] ^= 1 << (next() % 8);
             }
             match decode_hello(&b, 8) {
-                Ok((rank, epoch)) => assert_eq!(encode_hello(rank, 8, epoch), b, "seed {seed}"),
+                Ok(rank) => assert_eq!(encode_hello(rank, 8), b, "seed {seed}"),
                 Err(e) => {
                     assert_eq!(e.kind(), io::ErrorKind::InvalidData, "seed {seed}: {e}");
                     refused += 1;
@@ -1799,89 +1398,31 @@ mod tests {
         assert_eq!(tr.recv(Duration::from_secs(1)).unwrap().data, vec![1.0]);
     }
 
-    /// The tentpole mechanics at transport level: a peer's transport goes
-    /// away, the survivor rewires to epoch 1, a replacement re-joins via
-    /// `connect_at_epoch`, and a stale epoch-0 frame parked in the
-    /// survivor's queue is dropped instead of delivered to the new world.
+    /// A peer disconnecting cleanly — no torn frame, the `kill -9`-at-a-
+    /// frame-boundary case among them — ends its stream and never poisons:
+    /// a launcher learns of a death from the exit, not from the mesh.
     #[cfg(unix)]
     #[test]
-    fn rewire_reconnects_after_peer_restart() {
+    fn a_clean_eof_never_poisons() {
         let ep = Endpoint::unique_uds();
-        let (died_tx, died_rx) = channel::<()>();
-        let ep2 = ep.clone();
         std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let ep = ep2;
+            scope.spawn(|| {
                 let tr = SocketTransport::connect_timeout(0, 2, &ep, Duration::from_secs(20))
                     .expect("survivor connect");
-                assert_eq!(tr.epoch(), 0);
-                // first incarnation's frame arrives while both are epoch 0
-                let env = tr.recv(Duration::from_secs(10)).expect("epoch-0 frame");
-                assert_eq!((env.tag, env.epoch), (7, 0));
-                died_rx.recv().expect("death signal");
-                // second epoch-0 frame is still in flight / queued: it must
-                // NOT surface once the epoch advances
-                tr.rewire(1, 1, Duration::from_secs(20)).expect("rewire");
-                assert_eq!(tr.epoch(), 1);
-                let env = tr.recv(Duration::from_secs(10)).expect("epoch-1 frame");
-                assert_eq!((env.tag, env.epoch), (8, 1));
-                assert_eq!(env.data, vec![2.0]);
-                assert!(tr.try_recv().is_none(), "stale frame leaked");
-                // ack so the replacement outlives our last recv
-                tr.send(1, Envelope::new(0, 0, 9, vec![])).unwrap();
+                let env = tr.recv(Duration::from_secs(10)).expect("frame");
+                assert_eq!(env.tag, 7);
+                assert!(tr.recv(Duration::from_millis(300)).is_none());
             });
             scope.spawn(|| {
                 let tr = SocketTransport::connect_timeout(1, 2, &ep, Duration::from_secs(20))
-                    .expect("victim connect");
+                    .expect("peer connect");
                 tr.send(0, Envelope::new(0, 1, 7, vec![1.0])).unwrap();
-                tr.send(0, Envelope::new(0, 1, 70, vec![9.0])).unwrap();
-                // give the frames time to land before "dying"
                 std::thread::sleep(Duration::from_millis(50));
-                drop(tr);
-                died_tx.send(()).unwrap();
-                let tr = SocketTransport::connect_at_epoch(1, 2, &ep, Duration::from_secs(20), 1)
-                    .expect("replacement connect");
-                assert_eq!(tr.epoch(), 1);
-                tr.send(0, Envelope::new(0, 1, 8, vec![2.0])).unwrap();
-                let env = tr.recv(Duration::from_secs(10)).expect("ack");
-                assert_eq!(env.tag, 9);
+                // dropping the transport closes the stream at a frame
+                // boundary: a clean EOF, exactly like an abort between
+                // two sends
             });
         });
-    }
-
-    /// Supervised mode: a peer disconnecting *cleanly* (no torn frame — the
-    /// `kill -9`-at-a-frame-boundary case) must still poison the survivor
-    /// when `poison_on_eof` is set, and must not when it is not.
-    #[cfg(unix)]
-    #[test]
-    fn clean_eof_poisons_only_in_supervised_mode() {
-        for supervised in [false, true] {
-            let ep = Endpoint::unique_uds();
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let tr = SocketTransport::connect_timeout(0, 2, &ep, Duration::from_secs(20))
-                        .expect("survivor connect");
-                    tr.set_poison_on_eof(supervised);
-                    let env = tr.recv(Duration::from_secs(10)).expect("frame");
-                    assert_eq!(env.tag, 7);
-                    if supervised {
-                        let env = tr.recv(Duration::from_secs(10)).expect("poison");
-                        assert_eq!((env.ctx, env.src_global), (POISON_CTX, 1));
-                    } else {
-                        assert!(tr.recv(Duration::from_millis(300)).is_none());
-                    }
-                });
-                scope.spawn(|| {
-                    let tr = SocketTransport::connect_timeout(1, 2, &ep, Duration::from_secs(20))
-                        .expect("peer connect");
-                    tr.send(0, Envelope::new(0, 1, 7, vec![1.0])).unwrap();
-                    std::thread::sleep(Duration::from_millis(50));
-                    // dropping the transport closes the stream at a frame
-                    // boundary: a clean EOF, exactly like an abort between
-                    // two sends
-                });
-            });
-        }
     }
 
     #[cfg(unix)]

@@ -1,24 +1,20 @@
 //! The launcher every `agcm-run` and `agcm-soak` world goes through: a
 //! [`Plan`] of fixed-size phases, one phase runner ([`run_phase`]: hand-off,
 //! supervise, verify), one pure [`Supervisor`] whose decisions its driver
-//! ([`supervise_world`]) performs, and the one worker loop every rank of
-//! every world runs.
+//! ([`supervise_world`]) performs, and the one worker every rank of every
+//! world runs ([`run_rank`]).
 //!
 //! A world is *classic* or *elastic* only by the respawn policy the parent
 //! gives its supervisor: a classic world fails on its first non-zero exit,
 //! and only its records carry traffic the parent can check against the
 //! static schedule.  The workers are the same in both.  Every worker
 //! checkpoints to a durable per-rank file (tmp + rename), and in an elastic
-//! world, when a rank's process dies — detected twice, as a
-//! child exit in the parent and as poison on every surviving peer's
-//! connection — the parent respawns it from the latest checkpoint while the
-//! survivors park in a recovery barrier and rewire the socket mesh to the
-//! next epoch.  The epoch word in every frame (and in the reconnect hello)
-//! is what makes this safe: stale in-flight frames of the dead generation
-//! are dropped on receive, frames from a fast-recovering peer are parked
-//! until the local epoch catches up, and the whole world rolls back in
-//! lockstep to the newest step every rank holds durable — so the completed
-//! run is still **bitwise identical** to the serial reference.
+//! world a rank's failed exit ends the whole world (crash-only recovery):
+//! the parent kills and reaps the rest and starts the next *generation* of
+//! the world at the same endpoint, every rank a fresh process.  Each world
+//! starts the same way — cold, resized or restarted: its ranks agree on the
+//! newest step every one of them holds durable and restore it, so the
+//! completed run is still **bitwise identical** to the serial reference.
 //!
 //! A planned shrink/grow is the next phase of a plan: [`run_phase`]
 //! re-decomposes the previous phase's checkpoints onto the new world
@@ -29,9 +25,7 @@ use crate::{
     new_model, run_config, set_default_ic, verify_world, write_record, ParentError, Worker, TRAFFIC,
 };
 use agcm_comm::telemetry::{self, CLOCK_ROUNDS};
-use agcm_comm::{
-    p2p_only_delta, CommError, Communicator, Endpoint, ReduceOp, SocketTransport, Transport,
-};
+use agcm_comm::{p2p_only_delta, Communicator, Endpoint, ReduceOp, SocketTransport};
 use agcm_core::{
     checkpoint_path, latest_checkpoint_step, prune_checkpoints, read_checkpoint, redistribute,
     resize_retention, write_checkpoint, Integrator,
@@ -41,21 +35,17 @@ use agcm_obs as obs;
 use agcm_obs::dist::{OffsetEstimate, Record};
 use agcm_verify::certify_yz;
 use std::fs;
+use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-/// Patience for one model step's communication.  Generous against a busy
-/// CI box, but bounded: a peer that died without leaving poison (or a
-/// genuinely wedged mesh) must surface as an error, not a hang.
+/// Patience for one receive of a world's communication, the start-of-world
+/// agreement included.  Generous against a busy CI box, but bounded: a
+/// peer that died between two frames leaves no poison, and a rank must not
+/// outwait the parent that ends its world.
 const STEP_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Patience for the recovery barrier and the rewire handshake: covers the
-/// supervisor noticing the death, respawning the replacement, and the
-/// replacement re-dialing the mesh — plus the skew of survivors arriving
-/// at the barrier at different times.
-const RECOVERY_TIMEOUT: Duration = Duration::from_secs(30);
 
 // ---------------------------------------------------------------------------
 // Plan
@@ -70,8 +60,9 @@ pub struct Phase {
     pub start: u64,
     /// Step count at the end of this phase (the workers' `AGCM_RUN_STEPS`).
     pub end: u64,
-    /// Kill events `(rank, step)` injected into this phase: that rank's
-    /// first incarnation aborts after completing the step.
+    /// Kill events `(rank, step)` injected into this phase: that rank
+    /// aborts after completing the step, in whichever generation of the
+    /// world first reaches it.
     pub kills: Vec<(usize, u64)>,
 }
 
@@ -90,8 +81,8 @@ pub struct Plan {
 
 impl Plan {
     /// The kill invariants: every kill names a rank inside its phase's
-    /// world, and a rank carries at most one kill per phase (only the first
-    /// incarnation reads its kill step, so a second would be silently inert).
+    /// world, and a rank carries at most one kill per phase (a worker reads
+    /// one kill step, so a second would be silently inert).
     pub fn check(&self) -> Result<(), String> {
         for ph in &self.phases {
             for (n, &(rank, step)) in ph.kills.iter().enumerate() {
@@ -104,8 +95,8 @@ impl Plan {
                 }
                 if ph.kills[..n].iter().any(|&(r, _)| r == rank) {
                     return Err(format!(
-                        "--kill rank {rank} listed twice in the same phase (only the first \
-                         incarnation honors a kill step)"
+                        "--kill rank {rank} listed twice in the same phase (a worker \
+                         honors one kill step)"
                     ));
                 }
             }
@@ -150,170 +141,83 @@ pub(crate) struct Ckpt {
     pub keep: usize,
 }
 
-/// Why one epoch's run ended early.
-enum EpochEnd {
-    /// A peer's process died: recoverable by rewiring to the next epoch.
-    /// Carries the detection detail for the recovery log line.
-    PeerLost(usize, String),
-    /// Anything else: this worker exits and lets the supervisor decide.
-    Fatal(String),
-}
-
-fn classify(rank: usize, what: &str, e: CommError) -> EpochEnd {
-    match e {
-        CommError::PeerGone { peer } | CommError::PeerFailed { peer } => {
-            EpochEnd::PeerLost(peer, format!("{what}: {e}"))
-        }
-        other => EpochEnd::Fatal(format!("rank {rank}: {what}: {other}")),
-    }
-}
-
-/// One rank of any world: integrate with durable checkpoints into
-/// `w.ckpt.dir`, and on peer death rewire the mesh to the next epoch and
-/// re-enter from the agreed restore point.  Returns only when the run
-/// completed (`Ok`, its completion record written) or hit a non-recoverable
-/// error (`Err` → exit code 1, at which point the supervisor's respawn
-/// policy takes over).
-pub(crate) fn elastic_worker(w: &Worker, transport: &Rc<SocketTransport>) -> Result<(), String> {
-    let rank = w.rank;
-    let mut epoch = transport.epoch();
-    // the epoch this incarnation was born into names its record, one file
-    // per incarnation, so the merge can sum counters across a rank's
-    // incarnations instead of last-write-wins mixing pre- and post-crash
-    // counts.  The record is refreshed at birth and after every rewire (a
-    // failed write logged, never fatal) and written at completion
-    let birth = epoch;
-    let record = |trace| {
-        let metrics = obs::Registry::global().snapshot();
-        write_record(&w.ckpt.dir, rank, birth, &Record { metrics, trace })
-    };
-    let refresh = || {
-        if let Err(e) = record(None) {
-            eprintln!("agcm-run worker {rank}: writing its record: {e}");
-        }
-    };
-    let gauge = obs::Registry::global().gauge("resilience.epoch");
-    gauge.set(epoch as f64);
-    refresh();
-    let mut offset = None;
-    loop {
-        match run_epoch(w, transport, &mut offset) {
-            Ok(()) => {
-                // the completion record, spans drained into it: the
-                // parent's verdict reads it, so failing to write it fails
-                // the worker
-                let trace = offset.map(|offset| {
-                    obs::disable();
-                    (offset, obs::drain())
-                });
-                return record(trace).map_err(|e| format!("rank {rank}: record: {e}"));
-            }
-            Err(EpochEnd::PeerLost(peer, detail)) => {
-                let _sp = obs::span(obs::SpanKind::Recovery, "run.rewire");
-                obs::Registry::global().counter("resilience.rewires").inc();
-                epoch += 1;
-                eprintln!(
-                    "agcm-run worker {rank}: peer {peer} lost ({detail}); rewiring mesh to \
-                     epoch {epoch}"
-                );
-                transport
-                    .rewire(epoch, peer, RECOVERY_TIMEOUT)
-                    .map_err(|e| format!("rank {rank}: rewire to epoch {epoch}: {e}"))?;
-                gauge.set(epoch as f64);
-                refresh();
-            }
-            Err(EpochEnd::Fatal(msg)) => return Err(msg),
-        }
-    }
-}
-
-/// One incarnation of the integration at the transport's current epoch:
-/// under tracing at epoch 0 the clock handshake (into `offset`), the
-/// recovery barrier (agree on the restore step), restore or cold-start,
-/// step with durable checkpoints — a fresh world measuring its steady step
-/// for the parent — and on completion the final checkpoint (the one the
-/// parent assembles the world's state from) and a final barrier.
-fn run_epoch(
-    w: &Worker,
-    transport: &Rc<SocketTransport>,
-    offset: &mut Option<OffsetEstimate>,
-) -> Result<(), EpochEnd> {
+/// One incarnation of one rank of any world: under tracing the clock
+/// handshake, then the start-of-world agreement on the restore step,
+/// restore or cold-start, step with durable checkpoints into `w.ckpt.dir` —
+/// a fresh world measuring its steady step for the parent — and on
+/// completion the final checkpoint (the one the parent assembles the
+/// world's state from) and the record.  Any error ends the incarnation
+/// (exit 1): a world that loses a rank is ended and restarted whole by the
+/// parent, whose respawn policy decides.
+pub(crate) fn run_rank(w: &Worker, transport: SocketTransport) -> Result<(), String> {
     let (rank, ck) = (w.rank, &w.ckpt);
-    let fatal = |msg: String| EpochEnd::Fatal(format!("rank {rank}: {msg}"));
-    // a kill -9 exactly between two frames EOFs the stream cleanly; under
-    // a supervisor that still means "peer died", so arm the poison path
-    // (re-armed on every epoch: completion disarms it, see below)
-    transport.set_poison_on_eof(true);
-    // a *fresh* communicator per mesh generation: context ids restart from
-    // the same base on every rank (deterministic across epochs, so the
-    // rebuilt worlds agree), and the failed generation's sticky poison is
-    // gone — per-frame epoch filtering is what keeps the reuse safe
-    let mut comm = Communicator::on_transport(Rc::clone(transport) as Rc<dyn Transport>);
-    if w.tracing && transport.epoch() == 0 {
+    let failed = |what: &str, e: &dyn std::fmt::Display| format!("rank {rank}: {what}: {e}");
+    let mut comm = Communicator::on_transport(Rc::new(transport));
+    let offset = if w.tracing {
         // the clock handshake rides a split control communicator, so its
         // reserved tags never meet model traffic, and runs before the model
         // is built, outside every measured bracket
         let ctl = comm
             .split(0, rank)
-            .map_err(|e| classify(rank, "control communicator", e))?;
+            .map_err(|e| failed("control communicator", &e))?;
         let estimate = if rank == 0 {
             telemetry::clock_serve(&ctl, CLOCK_ROUNDS).map(|()| OffsetEstimate::default())
         } else {
             telemetry::clock_align(&ctl, CLOCK_ROUNDS)
         };
-        *offset = Some(estimate.map_err(|e| classify(rank, "clock handshake", e))?);
-    }
-    let mut model = new_model(w.alg, &w.cfg, w.pgrid, &mut comm).map_err(fatal)?;
+        Some(estimate.map_err(|e| failed("clock handshake", &e))?)
+    } else {
+        None
+    };
+    let mut model =
+        new_model(w.alg, &w.cfg, w.pgrid, &mut comm).map_err(|e| failed("model", &e))?;
 
-    // the recovery barrier: agree on the newest step EVERY rank holds
-    // durable (-1 = none: use the IC).  A replacement may be behind the
-    // survivors — everyone rolls back to the minimum, in lockstep, so the
-    // continued run is the bitwise continuation of a state that actually
-    // existed.  Its spans are stamped step 0, outside the measured step.
-    comm.set_timeout(RECOVERY_TIMEOUT);
-    let mine = latest_checkpoint_step(&ck.dir, rank)
-        .map_err(|e| fatal(format!("listing checkpoints: {e}")))?;
+    // the start of every world — cold, resized or restarted — agrees on
+    // the newest step EVERY rank holds durable (-1 = none: use the IC), so
+    // the continued run is the bitwise continuation of a state that
+    // actually existed.  Its spans are stamped step 0, outside the measured
+    // step.
+    comm.set_timeout(STEP_TIMEOUT);
+    let mine =
+        latest_checkpoint_step(&ck.dir, rank).map_err(|e| failed("listing checkpoints", &e))?;
     let mut agreed = [mine.map_or(-1.0, |s| s as f64)];
     comm.allreduce(ReduceOp::Min, &mut agreed)
-        .map_err(|e| classify(rank, "recovery barrier", e))?;
+        .map_err(|e| failed("agreeing on the restore step", &e))?;
     let restored = if agreed[0] >= 0.0 {
         let step = agreed[0] as u64;
         let snap = read_checkpoint(&checkpoint_path(&ck.dir, rank, step))
-            .map_err(|e| fatal(format!("reading checkpoint at step {step}: {e}")))?;
+            .map_err(|e| failed(&format!("reading checkpoint at step {step}"), &e))?;
         model.restore(&snap);
         Some(step)
     } else {
         set_default_ic(&mut model);
         None
     };
-    comm.set_timeout(STEP_TIMEOUT);
 
-    // recovery burst: in a rewired epoch every rank checkpoints every step
-    // through one skew window past the agreed restore point, so a
-    // replacement's durable progress overtakes the victim's quickly even
-    // when the steady-state interval is sparse.  The rule is a pure
-    // function of (epoch, agreed step), both identical across the world,
-    // so the per-rank checkpoint step sets stay aligned and the recovery
-    // barrier's minimum always names a file every rank holds.
-    let burst_end = (transport.epoch() > 0).then(|| restored.unwrap_or(0) + w.pgrid.size() as u64);
+    // recovery burst: in a restarted world every rank checkpoints every
+    // step through one skew window past the agreed restore point, so the
+    // durable progress overtakes the dead rank's quickly even when the
+    // steady-state interval is sparse.  The rule is a pure function of
+    // (generation, agreed step), both identical across the world, so the
+    // per-rank checkpoint step sets stay aligned and the next agreement's
+    // minimum always names a file every rank holds.
+    let burst_end = (w.generation > 0).then(|| restored.unwrap_or(0) + w.pgrid.size() as u64);
     // a fresh world measures its steady step — the second, the one the
     // static schedule describes — with the collective event log on only
     // inside that bracket, and times the steady steps after it; checkpoint
     // writes fall outside both.  A socket transport always has wire stats.
-    let measure = restored.is_none() && transport.epoch() == 0;
-    let wire = || transport.wire_stats().unwrap_or_default();
+    let measure = restored.is_none() && w.generation == 0;
+    let wire = || comm.wire_stats().unwrap_or_default();
     let (mut bracket, mut step_ns) = (None, Vec::new());
     while model.steps < w.steps {
         let s = model.steps as u64;
         if s.is_multiple_of(ck.interval) || burst_end.is_some_and(|b| s <= b) {
-            durable_checkpoint(&model, ck, rank).map_err(fatal)?;
+            durable_checkpoint(&model, ck, rank).map_err(|e| format!("rank {rank}: {e}"))?;
         }
         if w.kill_step == Some(s) {
             // chaos injection: die like a kill -9 — no unwinding, no
-            // flushes, the kernel closes the sockets mid-run.  Fires in
-            // whatever epoch this incarnation first reaches the step
-            // (replacements never inherit the kill environment, so each
-            // scheduled kill fires at most once).
+            // flushes, the kernel closes the sockets mid-run.  The parent
+            // hands a kill to every generation until its abort is seen.
             std::process::abort();
         }
         if measure && s == 1 {
@@ -321,9 +225,7 @@ fn run_epoch(
             bracket = Some((comm.stats().snapshot(), wire()));
         }
         let t0 = Instant::now();
-        model
-            .step(Some(&comm))
-            .map_err(|e| classify(rank, "step", e))?;
+        model.step(Some(&comm)).map_err(|e| failed("step", &e))?;
         if measure && s > 1 {
             step_ns.push(t0.elapsed().as_nanos() as u64);
         }
@@ -353,29 +255,21 @@ fn run_epoch(
     }
     model
         .finish(Some(&comm))
-        .map_err(|e| classify(rank, "finish", e))?;
+        .map_err(|e| failed("finish", &e))?;
     // the completed state must be durable too: the parent assembles the
     // world's state from exactly this step's checkpoints, and a planned
     // resize re-decomposes them
-    durable_checkpoint(&model, ck, rank).map_err(fatal)?;
-
-    // completion barrier — but disarm poison-on-EOF FIRST.  A rank exiting
-    // while a peer still has receives pending would otherwise read as a
-    // death, and exits during the barrier itself do race: a ring rank can
-    // complete its rounds and exit while a distant rank still awaits a
-    // frame from a third party, and the EOF (a different connection) is
-    // not ordered against that frame.  An allreduce output depends on
-    // every rank's input, so any rank *completing* the barrier implies
-    // every rank *entered* it — and entering happens after disarming, so
-    // by the time any peer's EOF can arrive, this rank ignores it.  A real
-    // crash inside this last window degrades to a step timeout, which the
-    // supervisor's respawn budget bounds.  Its spans carry `finish`'s
-    // stamp, the step count, outside the measured step.
-    transport.set_poison_on_eof(false);
-    let mut one = [1.0];
-    comm.allreduce(ReduceOp::Min, &mut one)
-        .map_err(|e| classify(rank, "completion barrier", e))?;
-    Ok(())
+    durable_checkpoint(&model, ck, rank).map_err(|e| format!("rank {rank}: {e}"))?;
+    // the record, spans drained into it, named by this incarnation's
+    // generation: the parent's verdict reads it, so failing to write it
+    // fails the worker
+    let trace = offset.map(|offset| {
+        obs::disable();
+        (offset, obs::drain())
+    });
+    let metrics = obs::Registry::global().snapshot();
+    write_record(&ck.dir, rank, w.generation, &Record { metrics, trace })
+        .map_err(|e| failed("record", &e))
 }
 
 /// Capture + tmp/rename-write this rank's checkpoint, then prune to the
@@ -416,23 +310,24 @@ pub(crate) enum Event {
 /// What the supervisor decided; the driver performs it.
 #[derive(Debug)]
 pub(crate) enum Action {
-    /// Start a replacement for `rank` at mesh epoch `epoch`.
-    Respawn { rank: usize, epoch: u64 },
+    /// End the world and start its generation `generation` from the
+    /// checkpoint set: `rank`'s failed exit ended it.
+    Restart { rank: usize, generation: u64 },
     /// Kill the world and fail the run.
     Fail(ParentError),
     /// Every rank exited cleanly.
     Done(SuperviseReport),
 }
 
-/// One repaired failure: which rank died, the epoch its replacement was
-/// spawned into, and the measured repair time — from death detection until
-/// the replacement's durable progress passes the victim's last
-/// checkpointed step (the world has provably re-achieved what it lost) or
-/// the replacement exits cleanly.
+/// One repaired failure: which rank died, the generation of the world
+/// started after it, and the measured repair time — from death detection
+/// until that rank's durable progress in the restarted world passes its
+/// last checkpointed step (the world has provably re-achieved what it lost)
+/// or it exits cleanly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Incident {
     pub rank: usize,
-    pub epoch: u64,
+    pub generation: u64,
     pub downtime: Duration,
 }
 
@@ -457,13 +352,15 @@ struct Repair {
 /// [`supervise_world`] feeds it [`Event`]s and performs the [`Action`]s it
 /// returns.
 pub(crate) struct Supervisor<'a> {
-    /// Respawns left, one counter for every phase of a run; `None` is the
+    /// Restarts left, one counter for every phase of a run; `None` is the
     /// classic policy: the first failed exit fails the world.
     budget: Option<&'a mut u32>,
     timeout: Duration,
     now: Duration,
-    epoch: u64,
-    /// Ranks that have not exited cleanly yet.
+    /// World size: every generation starts all of it.
+    p: usize,
+    generation: u64,
+    /// Ranks of the current generation that have not exited cleanly yet.
     running: usize,
     /// Newest durable step reported per rank.
     durable: Vec<Option<u64>>,
@@ -477,7 +374,8 @@ impl<'a> Supervisor<'a> {
             budget,
             timeout,
             now: Duration::ZERO,
-            epoch: 0,
+            p,
+            generation: 0,
             running: p,
             durable: vec![None; p],
             incidents: Vec::new(),
@@ -490,7 +388,7 @@ impl<'a> Supervisor<'a> {
         self.open.iter().map(|r| r.rank).collect()
     }
 
-    /// Respawns left (none under the classic policy).
+    /// Restarts left (none under the classic policy).
     pub(crate) fn left(&self) -> u32 {
         self.budget.as_deref().copied().unwrap_or(0)
     }
@@ -533,7 +431,8 @@ impl<'a> Supervisor<'a> {
                 ))),
                 Some(left) => {
                     *left -= 1;
-                    self.epoch += 1;
+                    self.generation += 1;
+                    self.running = self.p;
                     self.open.push(Repair {
                         incident: self.incidents.len(),
                         rank,
@@ -542,12 +441,12 @@ impl<'a> Supervisor<'a> {
                     });
                     self.incidents.push(Incident {
                         rank,
-                        epoch: self.epoch,
+                        generation: self.generation,
                         downtime: Duration::ZERO,
                     });
-                    Action::Respawn {
+                    Action::Restart {
                         rank,
-                        epoch: self.epoch,
+                        generation: self.generation,
                     }
                 }
             }),
@@ -634,20 +533,20 @@ pub(crate) struct WorldSpec<'a> {
     pub fault: Option<&'a (String, u64)>,
 }
 
-/// Start worker `rank` of `w` at mesh epoch `epoch` — the one place a
+/// Start worker `rank` of generation `generation` of `w` — the one place a
 /// worker process is created.  A rank listed in `kills` aborts after its
 /// kill step.
 fn spawn_rank(
     w: &WorldSpec,
     rank: usize,
-    epoch: u64,
+    generation: u64,
     kills: &[(usize, u64)],
 ) -> Result<Child, ParentError> {
     let mut cmd = Command::new(&w.run.exe);
     cmd.env("AGCM_RANK", rank.to_string())
         .env("AGCM_WORLD_SIZE", w.pgrid.size().to_string())
         .env("AGCM_ENDPOINT", w.endpoint.to_string())
-        .env("AGCM_EPOCH", epoch.to_string())
+        .env("AGCM_EPOCH", generation.to_string())
         .env("AGCM_RUN_ALG", w.run.alg.to_string())
         .env("AGCM_RUN_STEPS", w.steps.to_string())
         .env("AGCM_RUN_PY", w.pgrid.py().to_string())
@@ -670,6 +569,28 @@ fn spawn_rank(
         .map_err(|e| ParentError::Other(format!("spawning rank {rank}: {e}")))
 }
 
+/// Whether a worker exited the way a kill injection makes it: `abort()`.
+fn aborted(status: &ExitStatus) -> bool {
+    const SIGABRT: i32 = 6;
+    status.signal() == Some(SIGABRT)
+}
+
+/// Kill and reap every child still running; the ranks among them that had
+/// already aborted on their own.
+fn end_world(children: &mut [Option<Child>]) -> Vec<usize> {
+    let mut gone = Vec::new();
+    for (rank, slot) in children.iter_mut().enumerate() {
+        let Some(mut child) = slot.take() else {
+            continue;
+        };
+        let _ = child.kill();
+        if child.wait().is_ok_and(|s| aborted(&s)) {
+            gone.push(rank);
+        }
+    }
+    gone
+}
+
 /// Launch one world and drive its [`Supervisor`] to a verdict, performing
 /// each action it returns; on failure every child still running is killed.
 pub(crate) fn supervise_world(
@@ -685,42 +606,54 @@ pub(crate) fn supervise_world(
         for rank in 0..w.pgrid.size() {
             children.push(Some(spawn_rank(w, rank, 0, kills)?));
         }
-        drive(w, &mut children, sup)
+        drive(w, &mut children, kills, sup)
     })();
     if result.is_err() {
-        for c in children.iter_mut().flatten() {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
+        end_world(&mut children);
     }
     result
 }
 
 /// The poll loop: every pass feeds the clock, each child that exited (a
 /// failed one after its newest durable step, the repair's baseline), and
-/// the durable progress of every rank under repair.
+/// the durable progress of every rank under repair.  A restart ends the
+/// pass: its other events describe the world it ended.  A kill is handed
+/// to every generation until its rank's abort is seen.
 fn drive(
     w: &WorldSpec,
     children: &mut [Option<Child>],
+    kills: &[(usize, u64)],
     mut sup: Supervisor,
 ) -> Result<SuperviseReport, ParentError> {
+    let mut pending = kills.to_vec();
     let durable = |rank| {
         let step = latest_checkpoint_step(&w.ckpt.dir, rank).ok()??;
         Some(Event::Durable { rank, step })
     };
     let started = Instant::now();
     loop {
+        let mut exits = Vec::new();
+        for (rank, slot) in children.iter_mut().enumerate() {
+            let Some(child) = slot else { continue };
+            match child.try_wait() {
+                Ok(None) => {}
+                Ok(Some(status)) => {
+                    *slot = None;
+                    exits.push((rank, status));
+                }
+                Err(e) => return Err(format!("waiting for rank {rank}: {e}").into()),
+            }
+        }
+        // a worker's error exit (1) is most often its report of a peer's
+        // death: the deaths it reports go first
+        exits.sort_by_key(|(_, status)| status.code() == Some(1));
         let mut events = vec![Event::Tick {
             elapsed: started.elapsed(),
         }];
-        for (rank, slot) in children.iter_mut().enumerate() {
-            let Some(child) = slot else { continue };
-            let status = match child.try_wait() {
-                Ok(None) => continue,
-                Ok(Some(status)) => status,
-                Err(e) => return Err(format!("waiting for rank {rank}: {e}").into()),
-            };
-            *slot = None;
+        for (rank, status) in exits {
+            if aborted(&status) {
+                pending.retain(|&(r, _)| r != rank);
+            }
             if !status.success() {
                 events.extend(durable(rank));
             }
@@ -738,16 +671,20 @@ fn drive(
             };
             match sup.on(event) {
                 None => {}
-                Some(Action::Respawn { rank, epoch }) => {
-                    obs::Registry::global().counter("resilience.respawns").inc();
+                Some(Action::Restart { rank, generation }) => {
                     eprintln!(
-                        "agcm-run: rank {rank} died ({died}); respawning from checkpoint at \
-                         epoch {epoch} ({} respawn(s) left)",
+                        "agcm-run: rank {rank} died ({died}); restarting all {} ranks from the \
+                         checkpoint set as generation {generation} ({} restart(s) left)",
+                        children.len(),
                         sup.left()
                     );
-                    // the kill injection applies to the first incarnation
-                    // only — the replacement gets a clean environment
-                    children[rank] = Some(spawn_rank(w, rank, epoch, &[])?);
+                    for gone in end_world(children) {
+                        pending.retain(|&(r, _)| r != gone);
+                    }
+                    for (rank, slot) in children.iter_mut().enumerate() {
+                        *slot = Some(spawn_rank(w, rank, generation, &pending)?);
+                    }
+                    break;
                 }
                 Some(Action::Fail(e)) => return Err(e),
                 Some(Action::Done(report)) => return Ok(report),
@@ -847,11 +784,11 @@ mod tests {
         events.into_iter().filter_map(|e| sup.on(e)).collect()
     }
 
-    fn respawned(actions: &[Action]) -> Vec<(usize, u64)> {
+    fn restarted(actions: &[Action]) -> Vec<(usize, u64)> {
         actions
             .iter()
             .filter_map(|a| match a {
-                Action::Respawn { rank, epoch } => Some((*rank, *epoch)),
+                Action::Restart { rank, generation } => Some((*rank, *generation)),
                 _ => None,
             })
             .collect()
@@ -871,7 +808,7 @@ mod tests {
         let mut budget = 1u32;
         let mut phase1 = Supervisor::new(2, Some(&mut budget), T);
         let acts = feed(&mut phase1, vec![tick(0), exit(0, false), tick(5)]);
-        assert_eq!(respawned(&acts), [(0, 1)]);
+        assert_eq!(restarted(&acts), [(0, 1)]);
         feed(&mut phase1, vec![exit(0, true), exit(1, true)]);
         assert_eq!(budget, 0);
         let mut phase2 = Supervisor::new(2, Some(&mut budget), T);
@@ -902,7 +839,7 @@ mod tests {
                 exit(2, false), // never wrote a checkpoint
             ],
         );
-        assert_eq!(respawned(&acts), [(1, 1), (2, 2)]);
+        assert_eq!(restarted(&acts), [(1, 1), (2, 2)]);
         assert_eq!(sup.repairing(), [1, 2]);
         feed(&mut sup, vec![tick(30), durable(1, 4), tick(45)]);
         assert_eq!(
@@ -916,19 +853,52 @@ mod tests {
         let got: Vec<_> = r
             .incidents
             .iter()
-            .map(|x| (x.rank, x.epoch, x.downtime))
+            .map(|x| (x.rank, x.generation, x.downtime))
             .collect();
         let ms = Duration::from_millis;
         assert_eq!(got, [(1, 1, ms(35)), (2, 2, ms(50))]);
         assert_eq!(r.wall, ms(90));
     }
 
+    /// A failed exit ends the world: the supervisor restarts every rank,
+    /// so the ranks that had already exited cleanly run again and the world
+    /// is done only when all `p` of the new generation are.
+    #[test]
+    fn a_failed_exit_restarts_the_whole_world() {
+        let mut budget = 3u32;
+        let mut sup = Supervisor::new(3, Some(&mut budget), T);
+        let acts = feed(&mut sup, vec![tick(0), exit(0, true), exit(2, true)]);
+        assert!(acts.is_empty());
+        let acts = feed(&mut sup, vec![exit(1, false)]);
+        assert_eq!(restarted(&acts), [(1, 1)]);
+        assert!(feed(&mut sup, vec![exit(0, true), exit(2, true)]).is_empty());
+        report(feed(&mut sup, vec![exit(1, true)]));
+    }
+
+    /// The budget counts restarts: each failed exit spends one, and the
+    /// first one past it is exit 4.
+    #[test]
+    fn the_budget_drops_once_per_restart() {
+        let mut budget = 2u32;
+        let mut sup = Supervisor::new(4, Some(&mut budget), T);
+        let acts = feed(&mut sup, vec![tick(0), exit(3, false)]);
+        assert_eq!((restarted(&acts), sup.left()), (vec![(3, 1)], 1));
+        let acts = feed(&mut sup, vec![tick(9), exit(0, false)]);
+        assert_eq!((restarted(&acts), sup.left()), (vec![(0, 2)], 0));
+        match &feed(&mut sup, vec![exit(2, false)])[..] {
+            [Action::Fail(e @ ParentError::RespawnExhausted(_))] => assert_eq!(e.exit_code(), 4),
+            other => panic!("want RespawnExhausted, got {other:?}"),
+        }
+        assert_eq!(budget, 0);
+    }
+
     /// Classic policy: the first failed exit fails the world with exit 1,
-    /// naming the rank, and nothing is respawned.
+    /// naming the rank, and nothing is restarted — even after ranks that
+    /// exited cleanly.
     #[test]
     fn classic_failure_names_the_rank() {
         let mut sup = Supervisor::new(2, None, T);
-        let acts = feed(&mut sup, vec![tick(0), exit(1, false)]);
+        let acts = feed(&mut sup, vec![tick(0), exit(0, true), exit(1, false)]);
         match &acts[..] {
             [Action::Fail(e @ ParentError::Other(m))] => {
                 assert_eq!(e.exit_code(), 1);
@@ -964,9 +934,9 @@ mod tests {
         let mut budget = 5u32;
         let mut sup = Supervisor::new(2, Some(&mut budget), T);
         let acts = feed(&mut sup, vec![tick(1), exit(1, false), exit(0, false)]);
-        assert_eq!(respawned(&acts), [(1, 1), (0, 2)]);
+        assert_eq!(restarted(&acts), [(1, 1), (0, 2)]);
         let r = report(feed(&mut sup, vec![tick(2), exit(0, true), exit(1, true)]));
-        let order: Vec<_> = r.incidents.iter().map(|x| (x.rank, x.epoch)).collect();
+        let order: Vec<_> = r.incidents.iter().map(|x| (x.rank, x.generation)).collect();
         assert_eq!(order, [(1, 1), (0, 2)]);
     }
 

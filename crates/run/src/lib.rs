@@ -10,8 +10,8 @@
 //! environment it acts as the parent, spawning `--ranks` copies of itself
 //! with the handshake variables set (`AGCM_RANK`, `AGCM_WORLD_SIZE`,
 //! `AGCM_ENDPOINT`); launched *with* `AGCM_RANK` it connects the socket
-//! mesh and integrates its block of the model in the one worker loop every
-//! rank of every world runs (see the `elastic` module).
+//! mesh and integrates its block of the model in the one worker every rank
+//! of every world runs (see the `elastic` module).
 //!
 //! Every world is a phase of a [`Plan`] run by one phase runner under one
 //! supervisor; it is classic or elastic only by the respawn policy the
@@ -55,7 +55,6 @@ use std::fmt::Display;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::str::FromStr;
 use std::time::Duration;
 
@@ -160,9 +159,10 @@ pub struct RunOpts {
     /// Where the merged trace and critical-path artifacts land (default
     /// `target/trace-dist`).
     pub trace_out: Option<PathBuf>,
-    /// Elastic mode: supervise the workers and respawn a dead rank from its
-    /// latest durable checkpoint up to this many times (`Some(0)` supervises
-    /// but never respawns).  `None` = classic fail-fast mode.
+    /// Elastic mode: supervise the workers and, when a rank dies, restart
+    /// the whole world from its checkpoint set up to this many times
+    /// (`Some(0)` supervises but never restarts).  `None` = classic
+    /// fail-fast mode.
     pub max_respawns: Option<u32>,
     /// Planned resize: run the first half of the steps at `--ranks`, then
     /// re-decompose the checkpoints onto this many ranks, re-certify the
@@ -267,12 +267,12 @@ prediction of the same step, segment by segment (artifacts under
 --trace-out, default target/trace-dist).
 
 Every worker checkpoints every step.  Any of --max-respawns / --resize /
---kill selects ELASTIC mode: a dead rank is respawned from its latest
-durable checkpoint while the survivors rewire the socket mesh to a new
-epoch and roll back in lockstep — the completed run is still verified
-bitwise against the serial reference.  --kill RANK:STEP
-(repeatable) injects failures (that worker aborts after completing STEP, as
-if kill -9'd); --max-respawns N bounds the recovery budget for the WHOLE
+--kill selects ELASTIC mode: a dead rank ends its world, and every rank is
+restarted as a fresh process from the newest step all of them hold
+durable — the completed run is still verified bitwise against the serial
+reference.  --kill RANK:STEP (repeatable) injects failures (that worker
+aborts after completing STEP, as if kill -9'd, in whichever restart first
+reaches it); --max-respawns N bounds the number of restarts for the WHOLE
 run, across every resize phase (default 2).
 --resize P2 runs the first half of the steps at --ranks, re-decomposes the
 checkpointed mesh onto P2 ranks, re-certifies the P2 schedule, and finishes
@@ -499,17 +499,19 @@ pub(crate) struct Worker {
     pub cfg: ModelConfig,
     /// Where its checkpoints and records go, and how often.
     pub ckpt: Ckpt,
-    /// Chaos injection: abort after completing this step (first
-    /// incarnation only).
+    /// Chaos injection: abort after completing this step.
     pub kill_step: Option<u64>,
+    /// `AGCM_EPOCH`: which generation of its world this incarnation
+    /// belongs to (0 until the first restart).  It names the record and
+    /// decides the measured bracket and the recovery burst.
+    pub generation: u64,
     /// `AGCM_RUN_TRACE=1`: record spans and align the clock onto rank 0's.
     pub tracing: bool,
 }
 
 /// One rank of a launched world: connect the socket mesh and run the one
-/// worker loop (`elastic_worker`).  What the world's records can
-/// prove is the parent's to decide, by the respawn policy it supervises
-/// the world under.
+/// worker (`run_rank`).  What the world's records can prove is the
+/// parent's to decide, by the respawn policy it supervises the world under.
 pub fn worker_main() -> Result<(), String> {
     // every launcher variable is parsed before the socket mesh connects: a
     // malformed one is an error naming it (exit 1), never a panic mid-world
@@ -527,6 +529,7 @@ pub fn worker_main() -> Result<(), String> {
             keep: req_env("AGCM_CKPT_KEEP")?,
         },
         kill_step: opt_env("AGCM_KILL_STEP")?,
+        generation: opt_env("AGCM_EPOCH")?.unwrap_or(0),
         tracing: opt_env::<u32>("AGCM_RUN_TRACE")? == Some(1),
     };
     if w.tracing {
@@ -538,7 +541,7 @@ pub fn worker_main() -> Result<(), String> {
     let transport = SocketTransport::from_env()
         .ok_or("AGCM_RANK must be set for a worker")?
         .map_err(|e| format!("socket transport: {e}"))?;
-    elastic::elastic_worker(&w, &Rc::new(transport))
+    elastic::run_rank(&w, transport)
 }
 
 /// The measured step's traffic, as the counters the record of a fresh
@@ -563,16 +566,21 @@ pub(crate) const TRAFFIC: [&str; 8] = [
 // ---------------------------------------------------------------------------
 
 /// File name of one incarnation's record in its world's directory, tagged
-/// with the epoch the incarnation was born into (its `AGCM_EPOCH`; always 0
-/// in a world that respawns nothing).  Fixed-width so the names sort.
-pub(crate) fn record_file_name(rank: usize, birth_epoch: u64) -> String {
-    format!("record.rank{rank:04}.epoch{birth_epoch:08}.bin")
+/// with the generation of the world it ran in (its `AGCM_EPOCH`; always 0
+/// in a world that restarts nothing).  Fixed-width so the names sort.
+pub(crate) fn record_file_name(rank: usize, generation: u64) -> String {
+    format!("record.rank{rank:04}.epoch{generation:08}.bin")
 }
 
 /// Write (or overwrite) one incarnation's record in `dir`, tmp + rename: a
 /// reader sees the previous record or this one, never a torn file.
-pub(crate) fn write_record(dir: &Path, rank: usize, birth: u64, rec: &Record) -> io::Result<()> {
-    let path = dir.join(record_file_name(rank, birth));
+pub(crate) fn write_record(
+    dir: &Path,
+    rank: usize,
+    generation: u64,
+    rec: &Record,
+) -> io::Result<()> {
+    let path = dir.join(record_file_name(rank, generation));
     let tmp = path.with_extension("bin.tmp");
     fs::write(&tmp, dist::encode_record(rec)).and_then(|()| fs::rename(&tmp, &path))
 }
@@ -583,8 +591,8 @@ pub(crate) fn read_record(path: &Path) -> Result<Record, String> {
     dist::decode_record(&bytes).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Every record `rank`'s incarnations left in `dir`, as `(birth epoch,
-/// record)` by ascending epoch — one file per incarnation, so summing them
+/// Every record `rank`'s incarnations left in `dir`, as `(generation,
+/// record)` by ascending generation — one file per incarnation, so summing them
 /// ([`agcm_obs::dist::merge_rank_metrics`]) sums each incarnation's final
 /// counts.  A `.tmp` a killed writer left behind is not a record; any other
 /// unreadable one is an error naming it.
@@ -598,11 +606,11 @@ pub(crate) fn read_records(dir: &Path, rank: usize) -> Result<Vec<(u64, Record)>
             .file_name()
             .and_then(|n| n.to_str())
             .unwrap_or_default();
-        let epoch = name
+        let generation = name
             .strip_prefix(&prefix)
             .and_then(|r| r.strip_suffix(".bin"));
-        if let Some(epoch) = epoch.and_then(|e| e.parse().ok()) {
-            out.push((epoch, read_record(&path)?));
+        if let Some(generation) = generation.and_then(|g| g.parse().ok()) {
+            out.push((generation, read_record(&path)?));
         }
     }
     out.sort_by_key(|(e, _)| *e);
@@ -1110,7 +1118,7 @@ mod tests {
     }
 
     /// A rank's records round-trip through its world's directory: one per
-    /// incarnation, by ascending birth epoch, the measured traffic among
+    /// incarnation, by ascending generation, the measured traffic among
     /// their counters.  A `.tmp` is not a record, another rank's file is
     /// not this rank's, and a corrupt record is an error naming the file.
     #[test]

@@ -13,9 +13,9 @@
 //! Along the way the harness measures what the chaos costs:
 //!
 //! * **MTTR** per repaired death — from the supervisor detecting the exit
-//!   until the replacement's durable progress passes the victim's last
-//!   checkpointed step (see the supervisor's `SuperviseReport`) — reported
-//!   as interpolated percentiles;
+//!   until the victim rank's durable progress in the restarted world passes
+//!   its last checkpointed step (see the supervisor's `SuperviseReport`) —
+//!   reported as interpolated percentiles;
 //! * **availability** — `1 − Σ downtime / Σ (phase wall · ranks)`, i.e.
 //!   the fraction of rank-time the world was fully repaired;
 //! * a **checkpoint-cadence auto-tuner**: the Young/Daly interval
@@ -45,9 +45,9 @@ pub const DEFAULT_SOAK_SEED: u64 = 24473;
 
 /// The benign background fault layer every soak worker runs under: delays
 /// reorder frame delivery without touching payloads, so the run stays
-/// bitwise while the queues and the epoch filter soak under pressure
-/// (drop/corrupt faults would surface as fatal worker errors and burn the
-/// respawn budget on non-kill events, which the accounting must not mix).
+/// bitwise while the queues soak under pressure (drop/corrupt faults would
+/// surface as fatal worker errors and burn the respawn budget on non-kill
+/// events, which the accounting must not mix).
 pub const SOAK_FAULT_SPEC: &str = "delay:prob=0.05,k=3";
 
 // ---------------------------------------------------------------------------
@@ -109,7 +109,8 @@ random kill -9 events, R planned shrink/grow resize cycles (checkpoints
 re-decomposed and the new schedule re-certified at every hand-off), and
 benign delay-only message faults — all deterministic functions of the seed
 (--seed, or AGCM_SOAK_SEED; default 24473), so a soak replays byte-for-byte.
-The respawn budget (--max-respawns, default kills + 2) spans the whole run.
+The restart budget (--max-respawns, default kills + 2) spans the whole run:
+a dead rank ends its world, which restarts from its checkpoint set.
 
 The completed run must be bitwise identical to the serial reference.  MTTR
 percentiles, availability, and the auto-tuned checkpoint cadence (Young/Daly
@@ -357,8 +358,7 @@ struct PhaseOutcome<'a> {
     /// densest cadence).
     t_step_s: Option<f64>,
     wall: Duration,
-    rewires: u64,
-    /// The repaired deaths; one respawn each.
+    /// The repaired deaths; one restart each.
     incidents: Vec<Incident>,
 }
 
@@ -369,15 +369,15 @@ impl PhaseOutcome<'_> {
 }
 
 /// Merge the records of every incarnation of every rank in one phase's
-/// checkpoint directory: per rank across its epochs, then across ranks by
-/// the same rule ([`obs::dist::merge_rank_metrics`], keyed by rank) —
-/// counters and histogram mass sum, gauges keep the last rank's value (they
-/// are per-rank quantities like the epoch, meaningless to sum).
+/// checkpoint directory: per rank across its generations, then across
+/// ranks by the same rule ([`obs::dist::merge_rank_metrics`], keyed by
+/// rank) — counters and histogram mass sum, gauges keep the last rank's
+/// value (they are per-rank quantities, meaningless to sum).
 fn merge_world_metrics(dir: &Path, p: usize) -> Result<obs::MetricsSnapshot, String> {
     let mut per_rank = Vec::with_capacity(p);
     for rank in 0..p {
         let snaps: Vec<_> = (read_records(dir, rank)?.into_iter())
-            .map(|(epoch, rec)| (epoch, rec.metrics))
+            .map(|(generation, rec)| (generation, rec.metrics))
             .collect();
         per_rank.push((rank as u64, obs::dist::merge_rank_metrics(&snaps)));
     }
@@ -451,11 +451,6 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
             )?;
 
             let merged = merge_world_metrics(&plan.ckpt_dir(&run.out, i), ph.p)?;
-            let rewires = merged
-                .counters
-                .get("resilience.rewires")
-                .copied()
-                .unwrap_or(0);
             if let Some(h) = merged.histograms.get("resilience.ckpt_write_ns") {
                 delta_sum += h.sum;
                 delta_count += h.count;
@@ -473,7 +468,6 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
                 interval,
                 t_step_s: tuned_from,
                 wall: report.wall,
-                rewires,
                 incidents: report.incidents,
             });
             // tune the NEXT phase's cadence from everything measured so far
@@ -493,11 +487,10 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
             interval = tune_interval(delta_s, mtbf_s, t_step, min_phase_steps);
             tuned_from = Some(t_step);
             println!(
-                "agcm-soak: phase {i}: wall {:.2}s, {} repair(s), {} rewire(s); \
+                "agcm-soak: phase {i}: wall {:.2}s, {} repair(s); \
                  tuner: delta={:.3}ms mtbf={:.1}s T_step={:.3}ms -> interval {interval} for next phase",
                 report.wall.as_secs_f64(),
                 repairs,
-                rewires,
                 delta_s * 1e3,
                 if mtbf_s.is_finite() { mtbf_s } else { -1.0 },
                 t_step * 1e3,
@@ -521,7 +514,7 @@ pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
         .map_err(|e| ParentError::Other(format!("{}: {e}", opts.bench_out.display())))?;
 
     println!(
-        "agcm-soak: PASS: {} steps survived {} kill(s) ({} respawn(s)) and {} resize(s), \
+        "agcm-soak: PASS: {} steps survived {} kill(s) ({} restart(s)) and {} resize(s), \
          bitwise == serial reference; report -> {}",
         opts.steps,
         total(&outcomes, |o| o.ph.kills.len()),
@@ -576,13 +569,16 @@ fn bench_report(opts: &SoakOpts, plan: &Plan, outcomes: &[PhaseOutcome], delta_s
         "  \"ranks_initial\": {},\n  \"steps\": {},\n  \"steps_survived\": {},\n",
         opts.ranks, opts.steps, opts.steps
     ));
+    // a restart rewires no mesh: the `rewires` keys stay for the schema and
+    // read 0; `respawns` counts restarts and an incident's `epoch` is the
+    // generation of the world started after it
     let rows: Vec<String> = outcomes
         .iter()
         .map(|o| {
             format!(
                 "    {{\"p\": {}, \"start\": {}, \"end\": {}, \"ckpt_interval\": {}, \
                  \"ckpt_keep\": {}, \"wall_s\": {}, \"kills\": {}, \"respawns\": {}, \
-                 \"rewires\": {}}}",
+                 \"rewires\": 0}}",
                 o.ph.p,
                 o.ph.start,
                 o.ph.end,
@@ -591,18 +587,16 @@ fn bench_report(opts: &SoakOpts, plan: &Plan, outcomes: &[PhaseOutcome], delta_s
                 jnum(o.wall.as_secs_f64()),
                 o.ph.kills.len(),
                 o.incidents.len(),
-                o.rewires
             )
         })
         .collect();
     s.push_str(&format!("  \"phases\": [\n{}\n  ],\n", rows.join(",\n")));
     s.push_str(&format!(
         "  \"kills_injected\": {},\n  \"resizes_completed\": {},\n  \"respawns_total\": {},\n  \
-         \"rewires_total\": {},\n",
+         \"rewires_total\": 0,\n",
         total(outcomes, |o| o.ph.kills.len()),
         outcomes.len().saturating_sub(1),
         n_incidents,
-        outcomes.iter().map(|o| o.rewires).sum::<u64>(),
     ));
     if n_incidents > 0 {
         s.push_str(&format!(
@@ -628,7 +622,7 @@ fn bench_report(opts: &SoakOpts, plan: &Plan, outcomes: &[PhaseOutcome], delta_s
                     "    {{\"phase\": {i}, \"rank\": {}, \"epoch\": {}, \
                      \"downtime_ms\": {}}}",
                     x.rank,
-                    x.epoch,
+                    x.generation,
                     jnum(x.downtime.as_secs_f64() * 1e3)
                 )
             })

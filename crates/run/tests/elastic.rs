@@ -1,8 +1,8 @@
-//! Elastic acceptance (ISSUE 8): chaos kill -9 with supervised respawn and
-//! epoch-tagged mesh rewiring, planned shrink/grow with checkpoint
-//! re-decomposition — each completed run bitwise identical to the serial
-//! reference — plus the distinct exit codes for a spent respawn budget and
-//! for usage errors.
+//! Elastic acceptance: chaos kill -9 ending the world and the supervisor
+//! restarting it from the checkpoint set, planned shrink/grow with
+//! checkpoint re-decomposition — each completed run bitwise identical to
+//! the serial reference — plus the distinct exit codes for a spent restart
+//! budget and for usage errors.
 
 use std::process::{Command, Output};
 
@@ -37,9 +37,9 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// kill -9 (abort) one rank mid-run at p=4: the supervisor respawns it from
-/// its durable checkpoint, the survivors rewire, and the completed run is
-/// bitwise identical to serial.
+/// kill -9 (abort) one rank mid-run at p=4: the supervisor ends the world
+/// and restarts all four ranks from the checkpoint set, and the completed
+/// run is bitwise identical to serial.
 #[test]
 fn killed_rank_respawns_and_completes_bitwise() {
     let out = run(&[
@@ -65,12 +65,8 @@ fn killed_rank_respawns_and_completes_bitwise() {
         "missing bitwise verdict:\n{so}\n{se}"
     );
     assert!(
-        se.contains("respawning from checkpoint at epoch 1"),
-        "no respawn logged:\n{se}"
-    );
-    assert!(
-        se.contains("rewiring mesh to epoch 1"),
-        "no rewire logged:\n{se}"
+        se.contains("restarting all 4 ranks from the checkpoint set as generation 1"),
+        "no restart logged:\n{se}"
     );
 }
 
@@ -100,6 +96,53 @@ fn killed_rank_respawns_alg2_bitwise() {
         so.contains("elastic: alg2 p=4 steps=4: state bitwise == serial reference"),
         "missing bitwise verdict:\n{so}\n{se}"
     );
+    assert!(
+        se.contains("restarting all 4 ranks from the checkpoint set as generation 1"),
+        "no restart logged:\n{se}"
+    );
+}
+
+/// Two ranks killed at the same step — overlapping failures — end one
+/// world between them; the default budget of two restarts covers it and
+/// the run completes bitwise.
+#[test]
+fn two_ranks_killed_at_one_step_complete_bitwise() {
+    let out = run(&[
+        "--ranks", "4", "--steps", "12", "--alg", "both", "--kill", "1:3", "--kill", "2:3",
+    ]);
+    let (so, se) = (stdout(&out), stderr(&out));
+    assert!(
+        out.status.success(),
+        "simultaneous kills failed ({}):\n{so}\n{se}",
+        out.status
+    );
+    for alg in [1, 2] {
+        let verdict = format!("elastic: alg{alg} p=4 steps=12: state bitwise == serial reference");
+        assert!(so.contains(&verdict), "{so}\n{se}");
+    }
+}
+
+/// Two kills on different ranks in one phase, at different steps, both
+/// fire: the first ends the world before the second is reached, and the
+/// restarted world is handed the kill that has not fired yet.
+#[test]
+fn a_pending_kill_fires_in_the_restarted_world() {
+    let out = run(&[
+        "--ranks", "4", "--alg", "1", "--steps", "10", "--kill", "1:2", "--kill", "2:6",
+    ]);
+    let (so, se) = (stdout(&out), stderr(&out));
+    assert!(
+        out.status.success(),
+        "two kills failed ({}):\n{so}\n{se}",
+        out.status
+    );
+    assert!(
+        so.contains("elastic: alg1 p=4 steps=10: state bitwise == serial reference"),
+        "{so}\n{se}"
+    );
+    // one restart per kill: the budget of two is spent exactly
+    assert!(se.contains("as generation 1 (1 restart(s) left)"), "{se}");
+    assert!(se.contains("as generation 2 (0 restart(s) left)"), "{se}");
 }
 
 /// Planned shrink: half the run at p=4, checkpoints re-decomposed onto
@@ -270,7 +313,7 @@ fn shrink_then_kill_rolls_back_and_completes_bitwise() {
         "{so}"
     );
     assert!(
-        se.contains("respawning from checkpoint"),
+        se.contains("restarting all 2 ranks from the checkpoint set"),
         "kill must actually have fired in phase 2:\n{se}"
     );
 }
@@ -307,8 +350,8 @@ fn elastic_usage_errors_exit_2() {
         stderr(&out)
     );
 
-    // only the first incarnation honors a kill step: two kills on one rank
-    // in the same phase can never both fire
+    // a worker honors one kill step: two kills on one rank in the same
+    // phase can never both fire
     let out = run(&[
         "--ranks", "4", "--alg", "1", "--steps", "6", "--kill", "1:1", "--kill", "1:4",
     ]);

@@ -1,8 +1,8 @@
 //! A classic (unsupervised) world fails fast: the first worker that exits
 //! non-zero fails the run at once, naming the rank, instead of leaving the
-//! survivors to wait for a peer that is gone — in the rewire, whose 30 s
-//! patience awaits a replacement that a world without a respawn policy
-//! never spawns.
+//! survivors to wait out their receive timeout for a peer that is gone — a
+//! peer that closed its sockets between two frames leaves no poison, and a
+//! world without a respawn policy is never restarted.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -14,7 +14,7 @@ fn classic_world_fails_as_soon_as_a_rank_dies() {
         .args(["--ranks", "2", "--alg", "1", "--steps", "4"])
         .args(["--timeout-secs", "120"])
         // rank 1 fail-stops at its third user-tag message; rank 0 would
-        // wait 30 s in its rewire for a replacement that never comes
+        // wait out its receive timeout for a peer that never comes back
         .env("AGCM_FAULT_SPEC", "crash:rank=1,user=1,nth=3")
         .env("AGCM_COMM_TIMEOUT_MS", "60000")
         .env_remove("AGCM_RANK") // never inherit worker role from the test env

@@ -142,7 +142,7 @@ fn short_soak_completes_bitwise_and_reports() {
         "missing per-phase bitwise verdicts:\n{so}"
     );
     assert_eq!(
-        se.matches("respawning from checkpoint").count(),
+        se.matches("restarting all").count(),
         2,
         "both planned kills must fire:\n{se}"
     );
