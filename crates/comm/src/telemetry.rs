@@ -108,11 +108,10 @@ mod tests {
             let rank = comm.rank();
             let mut metrics = obs::MetricsSnapshot::default();
             metrics.counters.insert("steps".into(), rank as u64);
-            // the epoch survives the trip: pre-/post-crash records stay
-            // distinguishable on the parent's side
+            // a gauge survives the trip: each rank's value arrives as sent
             metrics
                 .gauges
-                .insert("resilience.epoch".into(), 2.0 * rank as f64);
+                .insert("test.gauge".into(), 2.0 * rank as f64);
             // rank 0's clock is the reference; the others stand skewed
             let offset = OffsetEstimate {
                 offset_ns: 10 * rank as i64,
@@ -129,7 +128,7 @@ mod tests {
         for (rank, bytes) in shipped.iter().enumerate() {
             let rec = dist::decode_record(bytes).expect("decode");
             assert_eq!(rec.metrics.counters["steps"], rank as u64);
-            assert_eq!(rec.metrics.gauges["resilience.epoch"], 2.0 * rank as f64);
+            assert_eq!(rec.metrics.gauges["test.gauge"], 2.0 * rank as f64);
             let (offset, events) = rec.trace.expect("traced");
             streams.push((offset.offset_ns, events));
         }

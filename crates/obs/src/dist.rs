@@ -677,7 +677,7 @@ mod tests {
         metrics
             .counters
             .insert("run.measured.wire_bytes".into(), 1 << 40);
-        metrics.gauges.insert("resilience.epoch".into(), 2.0);
+        metrics.gauges.insert("test.gauge".into(), 2.0);
         let events = vec![
             ev(1, SpanKind::Op, Phase::A, "adaptation.local", 10, 20),
             ev(1, SpanKind::ExchangeWait, Phase::Other, "halo.wait", 15, 40),
@@ -740,26 +740,26 @@ mod tests {
 
     #[test]
     fn epoch_merge_sums_counters_instead_of_last_snapshot() {
-        // incarnation born at epoch 0 counted 3 rewires and died; its
-        // replacement (born at epoch 1) restarted from zero and counted 1
+        // the generation-0 incarnation counted 3 and died; its replacement
+        // (generation 1) restarted from zero and counted 1
         let mut e0 = MetricsSnapshot::default();
-        e0.counters.insert("resilience.rewires".into(), 3);
-        e0.counters.insert("resilience.checkpoints".into(), 7);
-        e0.gauges.insert("resilience.epoch".into(), 1.0);
+        e0.counters.insert("test.counter".into(), 3);
+        e0.counters.insert("test.other_counter".into(), 7);
+        e0.gauges.insert("test.gauge".into(), 1.0);
         let mut e1 = MetricsSnapshot::default();
-        e1.counters.insert("resilience.rewires".into(), 1);
-        e1.gauges.insert("resilience.epoch".into(), 2.0);
+        e1.counters.insert("test.counter".into(), 1);
+        e1.gauges.insert("test.gauge".into(), 2.0);
         // out-of-order input: the merge must sort by epoch itself
         let merged = merge_rank_metrics(&[(1, e1.clone()), (0, e0.clone())]);
         // the bug this guards against: last-snapshot-wins reports 1
-        assert_eq!(merged.counters["resilience.rewires"], 4);
+        assert_eq!(merged.counters["test.counter"], 4);
         // a counter only the first incarnation bumped still survives
-        assert_eq!(merged.counters["resilience.checkpoints"], 7);
+        assert_eq!(merged.counters["test.other_counter"], 7);
         // gauges are last-value-wins: the newest incarnation's value
-        assert_eq!(merged.gauges["resilience.epoch"], 2.0);
+        assert_eq!(merged.gauges["test.gauge"], 2.0);
         // duplicate epoch tag: the later entry wins, no double count
         let dup = merge_rank_metrics(&[(0, e0.clone()), (0, e1.clone())]);
-        assert_eq!(dup.counters["resilience.rewires"], 1);
+        assert_eq!(dup.counters["test.counter"], 1);
         assert!(merge_rank_metrics(&[]).counters.is_empty());
     }
 

@@ -1173,7 +1173,7 @@ mod tests {
         for (name, v) in TRAFFIC.into_iter().zip(1..) {
             rec.metrics.counters.insert(name.to_string(), v);
         }
-        rec.metrics.gauges.insert("resilience.epoch".into(), 1.0);
+        rec.metrics.gauges.insert("test.gauge".into(), 1.0);
         let h = obs::HistogramSummary {
             count: 2,
             sum: 9,

@@ -257,10 +257,10 @@ pub fn build_plan(opts: &SoakOpts, cfg: &ModelConfig) -> Result<Plan, String> {
     }
     // place the kills: round-robin over phases, each kill at a random rank
     // and a random step inside the phase, spaced at least p+2 steps from
-    // every other kill in the same phase (recoveries serialize: the
-    // neighbor-lockstep skew bounds how far the world runs before noticing
-    // a death) and one kill per rank per phase (only the first incarnation
-    // reads the kill environment)
+    // every other kill in the same phase (the neighbor-lockstep skew bounds
+    // how far the world runs before a death ends it, so the spacing keeps
+    // each kill its own restart and its own incident) and one kill per rank
+    // per phase (a worker reads one kill step)
     for k in 0..opts.kills {
         let phase = &mut phases[k % sizes.len()];
         let gap = (phase.p + 2) as u64;
