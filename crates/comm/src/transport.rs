@@ -527,12 +527,10 @@ impl Write for Conn {
         }
     }
 
+    /// A socket has no user-space buffer: every `write` is already the
+    /// kernel's.
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
+        Ok(())
     }
 }
 
@@ -543,14 +541,6 @@ enum Listener {
 }
 
 impl Listener {
-    fn set_nonblocking(&self, v: bool) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(v),
-            Listener::Tcp(l) => l.set_nonblocking(v),
-        }
-    }
-
     fn accept(&self) -> io::Result<Conn> {
         match self {
             #[cfg(unix)]
@@ -682,9 +672,7 @@ impl SocketTransport {
     /// is an `InvalidInput` error naming the variable and the value.
     pub fn from_env() -> Option<io::Result<SocketTransport>> {
         let params = launch_params(|name| std::env::var(name).ok())?;
-        Some(params.and_then(|(rank, size, ep)| {
-            connect_timeout_from_env().and_then(|t| Self::connect_timeout(rank, size, &ep, t))
-        }))
+        Some(params.and_then(|(rank, size, ep)| Self::connect(rank, size, &ep)))
     }
 
     /// Like [`SocketTransport::connect`] with an explicit handshake
@@ -702,6 +690,7 @@ impl SocketTransport {
         // one transport span; one relaxed load when tracing is disabled
         let _handshake = obs::span(obs::SpanKind::Transport, "transport.handshake");
         let deadline = Instant::now() + timeout;
+        // the listener is polled (`accept_one`) so the mesh deadline holds
         let (kind, listener, listen_path) = match endpoint {
             #[cfg(unix)]
             Endpoint::Unix(base) => {
@@ -711,17 +700,15 @@ impl SocketTransport {
                 // bind fail; the path is namespaced per run by the launcher,
                 // so removing it is safe
                 let _ = std::fs::remove_file(&path);
-                (
-                    "uds",
-                    Listener::Unix(UnixListener::bind(&path)?),
-                    Some(path),
-                )
+                let l = UnixListener::bind(&path)?;
+                l.set_nonblocking(true)?;
+                ("uds", Listener::Unix(l), Some(path))
             }
-            Endpoint::Tcp(host, port) => (
-                "tcp",
-                Listener::Tcp(TcpListener::bind((host.as_str(), tcp_port(*port, rank)?))?),
-                None,
-            ),
+            Endpoint::Tcp(host, port) => {
+                let l = TcpListener::bind((host.as_str(), tcp_port(*port, rank)?))?;
+                l.set_nonblocking(true)?;
+                ("tcp", Listener::Tcp(l), None)
+            }
         };
         let (tx, rx) = channel::<Envelope>();
         let counters = Arc::new(WireCounters::default());
@@ -755,7 +742,6 @@ impl SocketTransport {
             let mut conn =
                 dial(endpoint, peer, deadline).map_err(|e| phase_err(rank, "mesh dial-out", e))?;
             conn.write_all(&hello)
-                .and_then(|()| conn.flush())
                 .map_err(|e| phase_err(rank, "mesh hello", e))?;
             writers.push(Some(RefCell::new(conn)));
         }
@@ -839,11 +825,18 @@ fn dial(endpoint: &Endpoint, peer: usize, deadline: Instant) -> io::Result<Conn>
                         format!("dialing peer {peer}: {e}"),
                     ));
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                std::thread::sleep(MESH_POLL);
             }
         }
     }
 }
+
+/// How long the mesh build sleeps between two dials of a peer whose
+/// listener is not up yet, and between two polls of its own listener.  A
+/// world's set-up takes a few of these; at 1–2 ms they were most of a
+/// socket world's set-up time, and which poll a connection landed on
+/// decided whether it read 2 or 3 ms.
+const MESH_POLL: Duration = Duration::from_micros(100);
 
 /// Accept one connection, polling until `deadline`.
 fn accept_one(listener: &Listener, my_rank: usize, deadline: Instant) -> io::Result<Conn> {
@@ -857,7 +850,7 @@ fn accept_one(listener: &Listener, my_rank: usize, deadline: Instant) -> io::Res
                         format!("rank {my_rank}: timed out accepting peer connections"),
                     ));
                 }
-                std::thread::sleep(Duration::from_millis(1));
+                std::thread::sleep(MESH_POLL);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -876,7 +869,6 @@ fn accept_mesh(
     counters: &Arc<WireCounters>,
 ) -> io::Result<()> {
     let _sp = obs::span(obs::SpanKind::Transport, "transport.accept");
-    listener.set_nonblocking(true)?;
     let mut seen = vec![false; size];
     for _ in 1..size {
         let mut conn = accept_one(listener, my_rank, deadline)?;
