@@ -833,9 +833,9 @@ fn dial(endpoint: &Endpoint, peer: usize, deadline: Instant) -> io::Result<Conn>
 
 /// How long the mesh build sleeps between two dials of a peer whose
 /// listener is not up yet, and between two polls of its own listener.  A
-/// world's set-up takes a few of these; at 1–2 ms they were most of a
-/// socket world's set-up time, and which poll a connection landed on
-/// decided whether it read 2 or 3 ms.
+/// world's set-up waits out a few of these, so they set both its length
+/// and how much it varies: a connection that just misses a poll waits a
+/// whole one.
 const MESH_POLL: Duration = Duration::from_micros(100);
 
 /// Accept one connection, polling until `deadline`.
