@@ -33,7 +33,7 @@ pub use fault::{
     FaultSite,
 };
 pub use model::{p2p_only_delta, CostModel, KernelCosts};
-pub use runtime::{default_timeout, timeout_from_env, Communicator, Universe, FRAME_WORDS};
+pub use runtime::{default_timeout, timeout_from_env, Communicator, Universe};
 pub use stats::{CollectiveEvent, CollectiveKind, CommStats, FaultSnapshot, StatsSnapshot};
 pub use transport::{
     Endpoint, Envelope, MpscTransport, SocketTransport, Transport, WireStats, WIRE_OVERHEAD_BYTES,

@@ -66,7 +66,7 @@ pub(crate) const COLLECTIVE_TAG_BIT: u32 = 0x8000_0000;
 /// Trailer words appended by [`Communicator::send_framed`]:
 /// `[payload_len, checksum_lo32, checksum_hi32]`, each stored as an
 /// exactly-representable small `f64`.
-pub const FRAME_WORDS: usize = 3;
+const FRAME_WORDS: usize = 3;
 
 /// Message-latency histogram: time a rank spends blocked in `recv` waiting
 /// for the matching message (only sampled while tracing is enabled, so the

@@ -117,11 +117,6 @@ impl CommStats {
         self.inner.event_log.store(on, Ordering::Relaxed);
     }
 
-    /// Whether the per-event collective log is recording.
-    pub fn event_logging(&self) -> bool {
-        self.inner.event_log.load(Ordering::Relaxed)
-    }
-
     /// Record a collective call.  Counters always update; the per-event
     /// log only when [`Self::set_event_logging`] enabled it (one relaxed
     /// atomic check on the hot path otherwise).
@@ -334,14 +329,12 @@ mod tests {
     #[test]
     fn event_log_off_by_default_counters_still_on() {
         let s = CommStats::new();
-        assert!(!s.event_logging());
         s.record_collective(CollectiveKind::Allreduce, 4, 8);
         assert_eq!(s.snapshot().collective_calls, 1);
         assert!(s.collective_events().is_empty());
         // clones share the flag, like the counters
         let t = s.clone();
         t.set_event_logging(true);
-        assert!(s.event_logging());
         s.record_collective(CollectiveKind::Bcast, 4, 1);
         assert_eq!(t.collective_events().len(), 1);
     }

@@ -25,9 +25,9 @@ use agcm_obs::dist::{self, ClockSample, OffsetEstimate};
 
 /// A clock ping (user tag space: bit 31 clear).  Use a split control
 /// communicator to keep even this away from model traffic.
-pub const TAG_CLOCK_PING: u32 = 0x7C1A_0001;
+const TAG_CLOCK_PING: u32 = 0x7C1A_0001;
 /// Rank 0's reply to a [`TAG_CLOCK_PING`], carrying its clock reading.
-pub const TAG_CLOCK_PONG: u32 = 0x7C1A_0002;
+const TAG_CLOCK_PONG: u32 = 0x7C1A_0002;
 
 /// Ping/pong rounds of the default clock handshake: enough that at least
 /// one round dodges scheduler noise, cheap enough to be invisible (~8

@@ -242,10 +242,10 @@ impl Transport for MpscTransport {
 // ---------------------------------------------------------------------------
 
 /// Fixed frame header size in bytes (see the module docs for the layout).
-pub const WIRE_HEADER_BYTES: u64 = 44;
+const WIRE_HEADER_BYTES: u64 = 44;
 
 /// Trailing checksum size in bytes.
-pub const WIRE_TRAILER_BYTES: u64 = 8;
+const WIRE_TRAILER_BYTES: u64 = 8;
 
 /// Total per-message wire overhead: a frame carrying `n` payload words is
 /// exactly `WIRE_OVERHEAD_BYTES + 8 n` bytes on the wire.
@@ -678,7 +678,7 @@ impl SocketTransport {
     /// Like [`SocketTransport::connect`] with an explicit handshake
     /// deadline covering listener setup, all outgoing connections and all
     /// incoming handshakes.
-    pub fn connect_timeout(
+    fn connect_timeout(
         rank: usize,
         size: usize,
         endpoint: &Endpoint,

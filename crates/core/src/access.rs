@@ -169,14 +169,6 @@ impl AccessSpec {
             .find(|a| a.field == field && a.dir == dir)
     }
 
-    /// Union box over all reads.
-    pub fn read_union(&self) -> OffsetBox {
-        self.fields
-            .iter()
-            .filter(|a| a.dir == AccessDir::Read)
-            .fold(OffsetBox::pointwise(), |acc, a| acc.union(&a.bounds))
-    }
-
     /// All read accesses.
     pub fn reads(&self) -> impl Iterator<Item = &'static FieldAccess> {
         self.fields.iter().filter(|a| a.dir == AccessDir::Read)
@@ -216,7 +208,7 @@ const ADAPTATION_FIELDS: [FieldAccess; 13] = [
 ];
 
 /// The adaptation sweep `Â` (Table 1's stencil part; the z-global terms
-/// enter through the `C` diagnostics declared in [`VERTICAL_C`]).
+/// enter through the `C` diagnostics declared in `VERTICAL_C`).
 pub const ADAPTATION: AccessSpec = AccessSpec {
     op: "adaptation",
     fields: &ADAPTATION_FIELDS,
@@ -231,7 +223,7 @@ pub const ADAPTATION: AccessSpec = AccessSpec {
 /// it MUST be registered under its own key: a fused kernel the schedule
 /// emits without a registry entry fails certification with a named
 /// `UnregisteredOp` counterexample instead of silently running.
-pub const ADAPTATION_FUSED: AccessSpec = AccessSpec {
+const ADAPTATION_FUSED: AccessSpec = AccessSpec {
     op: "adaptation.fused",
     fields: &ADAPTATION_FIELDS,
 };
@@ -240,7 +232,7 @@ pub const ADAPTATION_FUSED: AccessSpec = AccessSpec {
 /// sums (the z-allgather) plus local prefix/suffix walks that read one
 /// row/level beyond the region — the `z ± 1` widening of
 /// [`crate::tables::adaptation_impl_union`].
-pub const VERTICAL_C: AccessSpec = AccessSpec {
+const VERTICAL_C: AccessSpec = AccessSpec {
     op: "vertical.c",
     fields: &[
         // D(P) inputs (Table 1 row `D(P)`: x ±3 declared, y ±1).
@@ -282,7 +274,7 @@ pub const ADVECTION: AccessSpec = AccessSpec {
 
 /// The *fused* advection sub-update — same contract rationale as
 /// [`ADAPTATION_FUSED`].
-pub const ADVECTION_FUSED: AccessSpec = AccessSpec {
+const ADVECTION_FUSED: AccessSpec = AccessSpec {
     op: "advection.fused",
     fields: &ADVECTION_FIELDS,
 };
@@ -291,14 +283,14 @@ pub const ADVECTION_FUSED: AccessSpec = AccessSpec {
 /// (x and y, ±2) on `Φ` and `p'_sa`.  `smooth.s1` is the former/full
 /// smoothing; `smooth.s2` the later smoothing that completes edge and halo
 /// rows after the fused deep exchange lands (§4.3.2) — same footprint.
-pub const SMOOTH_S1: AccessSpec = AccessSpec {
+const SMOOTH_S1: AccessSpec = AccessSpec {
     op: "smooth.s1",
     fields: &SMOOTH_FIELDS,
 };
 
 /// The later (post-exchange) smoothing: identical contract to
 /// [`SMOOTH_S1`], evaluated on edge rows and (redundantly) the halo.
-pub const SMOOTH_S2: AccessSpec = AccessSpec {
+const SMOOTH_S2: AccessSpec = AccessSpec {
     op: "smooth.s2",
     fields: &SMOOTH_FIELDS,
 };
@@ -319,7 +311,7 @@ const SMOOTH_FIELDS: [FieldAccess; 8] = [
 /// whole x halo — that `update_surface` turns into the `p_es` / `P` the
 /// relaxation reads.  It writes the interior only, so whatever halo
 /// validity its argument had is gone after it.
-pub const FORCING: AccessSpec = AccessSpec {
+const FORCING: AccessSpec = AccessSpec {
     op: "forcing",
     fields: &[
         FieldAccess::read("u", PW),
@@ -335,7 +327,7 @@ pub const FORCING: AccessSpec = AccessSpec {
 /// The polar Fourier filter: whole-x rows (communication-free under the
 /// Y-Z decomposition, §4.2.1; two transposes per application when x is
 /// decomposed).
-pub const FILTER: AccessSpec = AccessSpec {
+const FILTER: AccessSpec = AccessSpec {
     op: "filter",
     fields: &[
         FieldAccess::read("u", PW).whole_x(),
@@ -350,7 +342,7 @@ pub const FILTER: AccessSpec = AccessSpec {
 };
 
 /// Every registered kernel spec.
-pub fn registry() -> &'static [AccessSpec] {
+fn registry() -> &'static [AccessSpec] {
     &[
         ADAPTATION,
         ADAPTATION_FUSED,
@@ -379,6 +371,12 @@ mod tests {
         fp.required_halo(axis)
     }
 
+    /// Union box over all reads of `spec`.
+    fn read_union(spec: &AccessSpec) -> OffsetBox {
+        spec.reads()
+            .fold(OffsetBox::pointwise(), |acc, a| acc.union(&a.bounds))
+    }
+
     fn assert_union_matches(b: OffsetBox, fp: &StencilFootprint) {
         for axis in Axis::ALL {
             assert_eq!(
@@ -393,19 +391,19 @@ mod tests {
     #[test]
     fn adaptation_spec_union_equals_table1_impl_union() {
         // one adaptation sub-update = stencil part + C diagnostics
-        let u = ADAPTATION.read_union().union(&VERTICAL_C.read_union());
+        let u = read_union(&ADAPTATION).union(&read_union(&VERTICAL_C));
         assert_union_matches(u, &tables::adaptation_impl_union());
     }
 
     #[test]
     fn advection_spec_union_equals_table2_union() {
-        assert_union_matches(ADVECTION.read_union(), &tables::advection_union());
+        assert_union_matches(read_union(&ADVECTION), &tables::advection_union());
     }
 
     #[test]
     fn smoothing_spec_union_equals_table3_union() {
-        assert_union_matches(SMOOTH_S1.read_union(), &tables::smoothing_union());
-        assert_union_matches(SMOOTH_S2.read_union(), &tables::smoothing_union());
+        assert_union_matches(read_union(&SMOOTH_S1), &tables::smoothing_union());
+        assert_union_matches(read_union(&SMOOTH_S2), &tables::smoothing_union());
     }
 
     #[test]

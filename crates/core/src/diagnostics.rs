@@ -41,15 +41,6 @@ impl Budget {
         self.kinetic + self.potential + self.surface
     }
 
-    /// Element-wise accumulate (for cross-rank reduction).
-    pub fn accumulate(&mut self, o: &Budget) {
-        self.kinetic += o.kinetic;
-        self.potential += o.potential;
-        self.surface += o.surface;
-        self.mass += o.mass;
-        self.weight += o.weight;
-    }
-
     fn to_vec(self) -> [f64; 5] {
         [
             self.kinetic,

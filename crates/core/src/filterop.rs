@@ -113,19 +113,9 @@ pub(crate) fn filter_local_then(
 
 /// Filter a state in place on `region` when longitude circles are split
 /// over the ranks of `xcomm` — the X-Y-decomposition path (two `alltoallv`
-/// transposes per call, the communication Theorem 4.1 lower-bounds).
-pub fn filter_state_distributed(
-    geom: &LocalGeometry,
-    filter: &FourierFilter,
-    state: &mut State,
-    region: Region,
-    xcomm: &Communicator,
-) -> CommResult<()> {
-    filter_distributed_then(geom, filter, state, region, xcomm, |_, _| {})
-}
-
-/// [`filter_state_distributed`] that hands every filtered row to `done` as
-/// the transposes' result is scattered back into it.
+/// transposes per call, the communication Theorem 4.1 lower-bounds) — and
+/// hand every filtered row to `done` as the transposes' result is
+/// scattered back into it.
 pub(crate) fn filter_distributed_then(
     geom: &LocalGeometry,
     filter: &FourierFilter,
@@ -254,7 +244,8 @@ mod tests {
             let filter = build_filter(&geom, cfg.filter_cutoff_deg);
             let mut st = State::new(geom.nx, geom.ny, geom.nz, geom.halo);
             fill(&mut st, &geom, geom.sub.x.start);
-            filter_state_distributed(&geom, &filter, &mut st, geom.interior(), comm).unwrap();
+            filter_distributed_then(&geom, &filter, &mut st, geom.interior(), comm, |_, _| {})
+                .unwrap();
             let mut out = Vec::new();
             for j in 0..geom.ny as isize {
                 out.extend_from_slice(st.phi.row(0, geom.nx as isize, j, 0));

@@ -20,53 +20,45 @@ use crate::state::State;
 use crate::stdatm::StandardAtmosphere;
 use agcm_mesh::grid::constants as c;
 
-/// Held–Suarez constants.
-pub mod hs {
-    /// Surface equilibrium temperature at the equator \[K\].
-    pub const T_EQ_SURF: f64 = 315.0;
-    /// Minimum (stratospheric) equilibrium temperature \[K\].
-    pub const T_MIN: f64 = 200.0;
-    /// Equator-to-pole temperature difference \[K\].
-    pub const DELTA_T_Y: f64 = 60.0;
-    /// Static-stability parameter \[K\].
-    pub const DELTA_THETA_Z: f64 = 10.0;
-    /// Base relaxation rate `k_a` \[1/s\] (1/40 day).
-    pub const K_A: f64 = 1.0 / (40.0 * 86400.0);
-    /// Enhanced boundary-layer relaxation `k_s` \[1/s\] (1/4 day).
-    pub const K_S: f64 = 1.0 / (4.0 * 86400.0);
-    /// Rayleigh friction rate `k_f` \[1/s\] (1/day).
-    pub const K_F: f64 = 1.0 / 86400.0;
-    /// Boundary-layer top in σ.
-    pub const SIGMA_B: f64 = 0.7;
-}
+// Held–Suarez constants.
 
-/// The H-S radiative-equilibrium temperature at latitude `φ` (radians) and
-/// pressure `p` \[Pa\].
-pub fn t_equilibrium(lat: f64, p: f64) -> f64 {
-    let sin2 = lat.sin() * lat.sin();
-    t_equilibrium_at(sin2, 1.0 - sin2, p)
-}
+/// Surface equilibrium temperature at the equator \[K\].
+const T_EQ_SURF: f64 = 315.0;
+/// Minimum (stratospheric) equilibrium temperature \[K\].
+const T_MIN: f64 = 200.0;
+/// Equator-to-pole temperature difference \[K\].
+const DELTA_T_Y: f64 = 60.0;
+/// Static-stability parameter \[K\].
+const DELTA_THETA_Z: f64 = 10.0;
+/// Base relaxation rate `k_a` \[1/s\] (1/40 day).
+const K_A: f64 = 1.0 / (40.0 * 86400.0);
+/// Enhanced boundary-layer relaxation `k_s` \[1/s\] (1/4 day).
+const K_S: f64 = 1.0 / (4.0 * 86400.0);
+/// Rayleigh friction rate `k_f` \[1/s\] (1/day).
+const K_F: f64 = 1.0 / 86400.0;
+/// Boundary-layer top in σ.
+const SIGMA_B: f64 = 0.7;
 
-/// [`t_equilibrium`] from `sin²φ` and `cos²φ` — the part that varies along
-/// a latitude row.
+/// The H-S radiative-equilibrium temperature at pressure `p` \[Pa\] from
+/// `sin²φ` and `cos²φ` of the latitude `φ` — the part that varies along a
+/// latitude row.
 #[inline]
 fn t_equilibrium_at(sin2: f64, cos2: f64, p: f64) -> f64 {
     let pr = (p / c::P_REF).max(1e-6);
-    let t = (hs::T_EQ_SURF - hs::DELTA_T_Y * sin2 - hs::DELTA_THETA_Z * pr.ln() * cos2)
-        * pr.powf(c::KAPPA);
-    t.max(hs::T_MIN)
+    let t = (T_EQ_SURF - DELTA_T_Y * sin2 - DELTA_THETA_Z * pr.ln() * cos2) * pr.powf(c::KAPPA);
+    t.max(T_MIN)
 }
 
 /// The latitude/σ-dependent thermal relaxation rate `k_T`.
-pub fn k_t(lat: f64, sigma: f64) -> f64 {
+fn k_t(lat: f64, sigma: f64) -> f64 {
     let cos4 = lat.cos().powi(4);
-    let bl = ((sigma - hs::SIGMA_B) / (1.0 - hs::SIGMA_B)).max(0.0);
-    hs::K_A + (hs::K_S - hs::K_A) * bl * cos4
+    let bl = ((sigma - SIGMA_B) / (1.0 - SIGMA_B)).max(0.0);
+    K_A + (K_S - K_A) * bl * cos4
 }
 
 /// The σ-dependent Rayleigh friction rate `k_v`.
-pub fn k_v(sigma: f64) -> f64 {
-    hs::K_F * ((sigma - hs::SIGMA_B) / (1.0 - hs::SIGMA_B)).max(0.0)
+fn k_v(sigma: f64) -> f64 {
+    K_F * ((sigma - SIGMA_B) / (1.0 - SIGMA_B)).max(0.0)
 }
 
 /// Apply one Held–Suarez forcing step of length `dt` to `state` on
@@ -124,6 +116,13 @@ pub fn apply_held_suarez(
             }
         }
     });
+}
+
+/// [`t_equilibrium_at`] at latitude `lat` (radians).
+#[cfg(test)]
+fn t_equilibrium(lat: f64, p: f64) -> f64 {
+    let sin2 = lat.sin() * lat.sin();
+    t_equilibrium_at(sin2, 1.0 - sin2, p)
 }
 
 /// Scalar per-point reference implementation, retained verbatim as the
@@ -184,9 +183,9 @@ mod tests {
         let p = c::P_REF;
         assert!(t_equilibrium(0.0, p) > t_equilibrium(1.2, p));
         // equatorial surface T_eq = 315 K
-        assert!((t_equilibrium(0.0, p) - hs::T_EQ_SURF).abs() < 1e-9);
+        assert!((t_equilibrium(0.0, p) - T_EQ_SURF).abs() < 1e-9);
         // stratosphere clamps to 200 K
-        assert_eq!(t_equilibrium(0.3, 3.0e3), hs::T_MIN);
+        assert_eq!(t_equilibrium(0.3, 3.0e3), T_MIN);
     }
 
     #[test]
@@ -194,11 +193,11 @@ mod tests {
         // boundary layer relaxes faster, most strongly at the equator
         assert!(k_t(0.0, 1.0) > k_t(0.0, 0.5));
         assert!(k_t(0.0, 1.0) > k_t(1.0, 1.0));
-        assert_eq!(k_t(0.5, 0.3), hs::K_A, "free atmosphere uses k_a");
+        assert_eq!(k_t(0.5, 0.3), K_A, "free atmosphere uses k_a");
         // friction only below σ_b
         assert_eq!(k_v(0.5), 0.0);
         assert!(k_v(0.9) > 0.0);
-        assert!((k_v(1.0) - hs::K_F).abs() < 1e-18);
+        assert!((k_v(1.0) - K_F).abs() < 1e-18);
     }
 
     #[test]

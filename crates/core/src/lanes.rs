@@ -88,7 +88,7 @@ impl Elem for f64 {
 /// All arithmetic is slot-wise; there is no horizontal operation, so a
 /// `Lane` computation is exactly [`W`] independent scalar computations.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Lane([f64; W]);
+pub(crate) struct Lane([f64; W]);
 
 macro_rules! lane_binop {
     ($tr:ident, $f:ident, $op:tt) => {

@@ -233,7 +233,7 @@ pub fn depth_sweep() -> HaloWidths {
 }
 
 /// Halo depth of the smoothing exchange, `(2, 2, 0)` (Table 3).
-pub fn depth_smooth() -> HaloWidths {
+fn depth_smooth() -> HaloWidths {
     depth(2, 2, 0)
 }
 

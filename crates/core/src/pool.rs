@@ -15,8 +15,8 @@
 //!   single-band path runs inline without entering `thread::scope` (which
 //!   allocates per spawn);
 //! * **aliasing-safe splitting** — a phase describes its outputs once, as a
-//!   [`Band`] over the whole row range, and [`run`] peels one band per
-//!   worker off it with [`Band::split_at_row`] (`split_at_mut` underneath,
+//!   `Band` over the whole row range, and `run` peels one band per
+//!   worker off it with `Band::split_at_row` (`split_at_mut` underneath,
 //!   see `agcm_mesh::band`); a `&mut Field3` is never shared across threads.
 
 use crate::geometry::Region;
@@ -67,7 +67,7 @@ pub fn workers() -> usize {
 /// its work.  At the ≈ 10 ns a point of the stencil sweeps
 /// that is 30 000 points; 2¹⁵ is the constant.  (It was 8192 ≈ 80 µs a
 /// band: at or below the cost of the phase.)
-pub const MIN_BAND_POINTS: usize = 32_768;
+const MIN_BAND_POINTS: usize = 32_768;
 
 /// Worker count for a phase over `points` grid points.
 ///
@@ -78,7 +78,7 @@ pub const MIN_BAND_POINTS: usize = 32_768;
 /// bit-identical at any worker count, so this is purely a scheduling
 /// heuristic.
 #[inline]
-pub fn workers_for(points: usize) -> usize {
+fn workers_for(points: usize) -> usize {
     let o = OVERRIDE.with(Cell::get);
     if o != 0 {
         return o;
@@ -106,7 +106,7 @@ pub fn with_workers<T>(n: usize, f: impl FnOnce() -> T) -> T {
 
 /// Row cuts of one phase: band `b` owns rows `[at[b], at[b + 1])`.
 #[derive(Debug, Clone, Copy)]
-pub struct Cuts {
+pub(crate) struct Cuts {
     at: [isize; MAX_WORKERS + 1],
     bands: usize,
 }
@@ -131,7 +131,12 @@ impl Cuts {
 /// The band count is [`workers_for`] the working points, at most one band
 /// per working row; band `b > 0` starts at its first working row, so idle
 /// rows ride along with a neighbour and a phase without work has no bands.
-pub fn row_cuts(y0: isize, y1: isize, row_points: usize, works: impl Fn(isize) -> bool) -> Cuts {
+pub(crate) fn row_cuts(
+    y0: isize,
+    y1: isize,
+    row_points: usize,
+    works: impl Fn(isize) -> bool,
+) -> Cuts {
     let total = (y0..y1).filter(|&j| works(j)).count();
     let bands = workers_for(total * row_points).min(total);
     let mut at = [y0; MAX_WORKERS + 1];
@@ -148,14 +153,14 @@ pub fn row_cuts(y0: isize, y1: isize, row_points: usize, works: impl Fn(isize) -
 }
 
 /// [`row_cuts`] of a sweep over `region` with `nx` points a row and level.
-pub fn region_cuts(region: &Region, nx: usize, works: impl Fn(isize) -> bool) -> Cuts {
+pub(crate) fn region_cuts(region: &Region, nx: usize, works: impl Fn(isize) -> bool) -> Cuts {
     let levels = (region.z1 - region.z0).max(0) as usize;
     row_cuts(region.y0, region.y1, nx * levels, works)
 }
 
 /// What a phase hands its workers: mutable views and scratch covering the
 /// phase's whole row range, which [`run`] splits into one value per band.
-pub trait Band: Send + Sized {
+pub(crate) trait Band: Send + Sized {
     /// Split into the part north of row `j` (one band) and the rest.
     fn split_at_row(self, j: isize) -> (Self, Self);
 }
@@ -189,7 +194,7 @@ impl<T: Band> Band for Option<T> {
 
 /// Per-worker scratch: every band takes the first remaining element.
 #[derive(Debug)]
-pub struct PerWorker<'a, S>(pub &'a mut [S]);
+pub(crate) struct PerWorker<'a, S>(pub &'a mut [S]);
 
 impl<S> PerWorker<'_, S> {
     /// This band's element.
@@ -230,7 +235,7 @@ pub(crate) use band_struct;
 /// `f` writes only through the band it is handed; bands are disjoint by
 /// construction, so the result is independent of the band count and of
 /// scheduling.
-pub fn run<T: Band>(
+pub(crate) fn run<T: Band>(
     mut whole: T,
     cuts: &Cuts,
     label: &'static str,

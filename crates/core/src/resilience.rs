@@ -15,11 +15,10 @@
 //! * [`redistribute`] — a world's checkpoints re-decomposed onto another
 //!   process grid (planned shrink/grow).
 //!
-//! Recovery is not here.  The framed exchange retries a dropped or corrupt
-//! message ([`crate::par::RetryPolicy`]); any other failed step ends its
-//! worker, and the elastic runtime (`agcm-run`) respawns it and rolls every
-//! rank back to the newest step all of them hold on disk — the one rollback
-//! protocol (DESIGN.md §12).
+//! Recovery is not here.  A failed step ends its worker, and a failed exit
+//! ends its world: the elastic runtime (`agcm-run`) restarts every rank as
+//! the next generation from the newest step all of them hold on disk — the
+//! one recovery protocol (DESIGN.md §12).
 
 use crate::par::GlobalState;
 use crate::state::State;
@@ -32,7 +31,7 @@ use std::path::{Path, PathBuf};
 /// Magic + version tag of the on-disk checkpoint format.  Version 3 writes
 /// a surface field with its three extents like every other field; version 2
 /// wrote it with two, version 1 had no integrity hash.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"AGCMCKP3";
+const CHECKPOINT_MAGIC: &[u8; 8] = b"AGCMCKP3";
 
 // ---------------------------------------------------------------------------
 // Checkpoint
@@ -126,7 +125,7 @@ const MAX_FIELD_ELEMS: u64 = 1 << 28;
 /// `halo`, or `InvalidData` when that is zero or past the ceiling of a
 /// plausible field (2 GiB) — the bound every reader of a durable state
 /// file puts on extents before it allocates.
-pub fn check_field_dims(dims: &[usize], halo: HaloWidths) -> io::Result<usize> {
+fn check_field_dims(dims: &[usize], halo: HaloWidths) -> io::Result<usize> {
     let axis = |i: usize, lo: usize, hi: usize| {
         let d = dims.get(i).copied().unwrap_or(1) as u64;
         d.checked_add(lo as u64)?.checked_add(hi as u64)
@@ -310,14 +309,9 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Checkpoint> {
 // On-disk checkpoint directory: naming, retention, discovery
 // ---------------------------------------------------------------------------
 
-/// The canonical on-disk name of rank `rank`'s checkpoint at `step`.
-pub fn checkpoint_file_name(rank: usize, step: u64) -> String {
-    format!("rank{rank:04}_step{step:08}.agcmckpt")
-}
-
 /// The canonical path of rank `rank`'s checkpoint at `step` under `dir`.
 pub fn checkpoint_path(dir: &Path, rank: usize, step: u64) -> PathBuf {
-    dir.join(checkpoint_file_name(rank, step))
+    dir.join(format!("rank{rank:04}_step{step:08}.agcmckpt"))
 }
 
 /// Parse `rank{R:04}_step{S:08}.agcmckpt` back into `(rank, step)`.

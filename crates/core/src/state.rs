@@ -118,7 +118,7 @@ impl StateBand<'_> {
 }
 
 /// Number of prognostic arrays (three 3-D, one surface).
-pub const N_COMPONENTS: usize = 4;
+const N_COMPONENTS: usize = 4;
 
 impl State {
     /// Allocate a zeroed state of local extents `(nx, ny, nz)` with halos.

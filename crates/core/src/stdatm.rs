@@ -27,14 +27,14 @@ pub struct StandardAtmosphere {
 }
 
 /// ISA sea-level temperature \[K\].
-pub const T_SEA_LEVEL: f64 = 288.15;
+const T_SEA_LEVEL: f64 = 288.15;
 /// ISA tropospheric lapse rate \[K/m\].
-pub const LAPSE_RATE: f64 = 6.5e-3;
+const LAPSE_RATE: f64 = 6.5e-3;
 /// ISA stratospheric (isothermal) temperature \[K\].
-pub const T_STRATOSPHERE: f64 = 216.65;
+const T_STRATOSPHERE: f64 = 216.65;
 
 /// ISA temperature at pressure `p` \[Pa\].
-pub fn isa_temperature(p: f64) -> f64 {
+fn isa_temperature(p: f64) -> f64 {
     // T = T0 (p/p0)^(RΓ/g), floored at the tropopause temperature
     let expo = c::R_DRY * LAPSE_RATE / c::GRAVITY;
     (T_SEA_LEVEL * (p / c::P_REF).max(1e-6).powf(expo)).max(T_STRATOSPHERE)
@@ -59,13 +59,6 @@ impl StandardAtmosphere {
             ts,
             rho_sa: ps_tilde / (c::R_DRY * ts),
         }
-    }
-
-    /// `T̃` at global level `k`, clamped into range for halo levels.
-    #[inline]
-    pub fn t_at(&self, k: i64) -> f64 {
-        let n = self.t_tilde.len() as i64;
-        self.t_tilde[k.clamp(0, n - 1) as usize]
     }
 }
 
@@ -94,13 +87,5 @@ mod tests {
         // sea-level density ≈ 1.2 kg/m³
         assert!((sa.rho_sa - 1.2).abs() < 0.1);
         assert!((sa.pes_tilde - (c::P_REF - c::P_TOP)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn t_at_clamps_halo_levels() {
-        let grid = LatLonGrid::new(8, 6, 4).unwrap();
-        let sa = StandardAtmosphere::new(&grid);
-        assert_eq!(sa.t_at(-2), sa.t_tilde[0]);
-        assert_eq!(sa.t_at(7), sa.t_tilde[3]);
     }
 }

@@ -15,47 +15,47 @@ use agcm_mesh::{Axis, StencilFootprint};
 // ---------------------------------------------------------------------------
 
 /// `P_λ^(1)`: x: i, i±1, i−2; y: j; z: k, k+1.
-pub fn t1_p_lambda_1() -> StencilFootprint {
+fn t1_p_lambda_1() -> StencilFootprint {
     StencilFootprint::new("P_lambda^(1)", vec![-2, -1, 1], vec![], vec![1])
 }
 
 /// `P_λ^(2)`: x: i, i±1, i−2; y: j; z: k.
-pub fn t1_p_lambda_2() -> StencilFootprint {
+fn t1_p_lambda_2() -> StencilFootprint {
     StencilFootprint::new("P_lambda^(2)", vec![-2, -1, 1], vec![], vec![])
 }
 
 /// `f*V`: x: i, i−1; y: j, j−1; z: k.
-pub fn t1_fstar_v() -> StencilFootprint {
+fn t1_fstar_v() -> StencilFootprint {
     StencilFootprint::new("f*V", vec![-1], vec![-1], vec![])
 }
 
 /// `P_θ^(1)`: x: i; y: j, j+1; z: k, k+1.
-pub fn t1_p_theta_1() -> StencilFootprint {
+fn t1_p_theta_1() -> StencilFootprint {
     StencilFootprint::new("P_theta^(1)", vec![], vec![1], vec![1])
 }
 
 /// `P_θ^(2)`: x: i; y: j, j+1; z: k.
-pub fn t1_p_theta_2() -> StencilFootprint {
+fn t1_p_theta_2() -> StencilFootprint {
     StencilFootprint::new("P_theta^(2)", vec![], vec![1], vec![])
 }
 
 /// `f*U`: x: i, i+1; y: j, j+1; z: k.
-pub fn t1_fstar_u() -> StencilFootprint {
+fn t1_fstar_u() -> StencilFootprint {
     StencilFootprint::new("f*U", vec![1], vec![1], vec![])
 }
 
 /// `Ω^(1)`: x: i; y: j; z: k, k+1.
-pub fn t1_omega_1() -> StencilFootprint {
+fn t1_omega_1() -> StencilFootprint {
     StencilFootprint::new("Omega^(1)", vec![], vec![], vec![1])
 }
 
 /// `Ω_θ^(2)`: x: i; y: j, j±1; z: k.
-pub fn t1_omega_theta_2() -> StencilFootprint {
+fn t1_omega_theta_2() -> StencilFootprint {
     StencilFootprint::new("Omega_theta^(2)", vec![], vec![-1, 1], vec![])
 }
 
 /// `Ω_λ^(2)`: x: i, i±1, i−2, i±3; y: j; z: k.
-pub fn t1_omega_lambda_2() -> StencilFootprint {
+fn t1_omega_lambda_2() -> StencilFootprint {
     StencilFootprint::new("Omega_lambda^(2)", vec![-3, -2, -1, 1, 3], vec![], vec![])
 }
 
@@ -67,12 +67,12 @@ pub fn t1_omega_lambda_2() -> StencilFootprint {
 /// The y list is also widened from the printed "j, j−1" to `j, j±1`: the
 /// C-grid meridional mass flux `(PV sin θ)_{j+1/2}` reads `P` on both sides
 /// of the V face.  The adaptation union's y-extent (±1) is unchanged.
-pub fn t1_d_of_p() -> StencilFootprint {
+fn t1_d_of_p() -> StencilFootprint {
     StencilFootprint::new("D(P)", vec![-3, -2, -1, 1, 2, 3], vec![-1, 1], vec![])
 }
 
 /// `D_sa`: x: i, i±1; y: j, j±1; z: k.
-pub fn t1_d_sa() -> StencilFootprint {
+fn t1_d_sa() -> StencilFootprint {
     StencilFootprint::new("D_sa", vec![-1, 1], vec![-1, 1], vec![])
 }
 
@@ -98,47 +98,47 @@ pub fn table1() -> Vec<StencilFootprint> {
 // ---------------------------------------------------------------------------
 
 /// `L₁(U)`: x: i, i±1, i±2, i±3; y: j; z: k, k+1.
-pub fn t2_l1_u() -> StencilFootprint {
+fn t2_l1_u() -> StencilFootprint {
     StencilFootprint::new("L1(U)", vec![-3, -2, -1, 1, 2, 3], vec![], vec![1])
 }
 
 /// `L₂(U)`: x: i, i−1; y: j, j±1; z: k.
-pub fn t2_l2_u() -> StencilFootprint {
+fn t2_l2_u() -> StencilFootprint {
     StencilFootprint::new("L2(U)", vec![-1], vec![-1, 1], vec![])
 }
 
 /// `L₃(U)`: x: i, i−1; y: j; z: k, k±1.
-pub fn t2_l3_u() -> StencilFootprint {
+fn t2_l3_u() -> StencilFootprint {
     StencilFootprint::new("L3(U)", vec![-1], vec![], vec![-1, 1])
 }
 
 /// `L₁(V)`: x: i, i±1, i+2, i±3; y: j, j+1; z: k.
-pub fn t2_l1_v() -> StencilFootprint {
+fn t2_l1_v() -> StencilFootprint {
     StencilFootprint::new("L1(V)", vec![-3, -1, 1, 2, 3], vec![1], vec![])
 }
 
 /// `L₂(V)`: x: i; y: j, j±1; z: k.
-pub fn t2_l2_v() -> StencilFootprint {
+fn t2_l2_v() -> StencilFootprint {
     StencilFootprint::new("L2(V)", vec![], vec![-1, 1], vec![])
 }
 
 /// `L₃(V)`: x: i; y: j, j+1; z: k, k±1.
-pub fn t2_l3_v() -> StencilFootprint {
+fn t2_l3_v() -> StencilFootprint {
     StencilFootprint::new("L3(V)", vec![], vec![1], vec![-1, 1])
 }
 
 /// `L₁(Φ)`: x: i, i±1, i+2, i±3; y: j; z: k.
-pub fn t2_l1_phi() -> StencilFootprint {
+fn t2_l1_phi() -> StencilFootprint {
     StencilFootprint::new("L1(Phi)", vec![-3, -1, 1, 2, 3], vec![], vec![])
 }
 
 /// `L₂(Φ)`: x: i; y: j, j±1; z: k.
-pub fn t2_l2_phi() -> StencilFootprint {
+fn t2_l2_phi() -> StencilFootprint {
     StencilFootprint::new("L2(Phi)", vec![], vec![-1, 1], vec![])
 }
 
 /// `L₃(Φ)`: x: i; y: j; z: k, k±1.
-pub fn t2_l3_phi() -> StencilFootprint {
+fn t2_l3_phi() -> StencilFootprint {
     StencilFootprint::new("L3(Phi)", vec![], vec![], vec![-1, 1])
 }
 
@@ -162,12 +162,12 @@ pub fn table2() -> Vec<StencilFootprint> {
 // ---------------------------------------------------------------------------
 
 /// `P₁`: x: i, i±1, i±2; y: j; z: k.
-pub fn t3_p1() -> StencilFootprint {
+fn t3_p1() -> StencilFootprint {
     StencilFootprint::new("P1", vec![-2, -1, 1, 2], vec![], vec![])
 }
 
 /// `P₂`: x: i, i±1, i±2; y: j, j±1, j±2; z: k.
-pub fn t3_p2() -> StencilFootprint {
+fn t3_p2() -> StencilFootprint {
     StencilFootprint::new("P2", vec![-2, -1, 1, 2], vec![-2, -1, 1, 2], vec![])
 }
 
@@ -215,22 +215,15 @@ pub fn adaptation_impl_union() -> StencilFootprint {
     adaptation_union().union(&StencilFootprint::new("z-prefix", vec![], vec![], vec![-1]))
 }
 
-/// Deep-halo footprint of the communication-avoiding algorithm: `3M`
-/// adaptation sweeps between exchanges (§4.3.1) plus the two extra latitude
-/// rows the fused smoothing needs (§4.3.2); the same halos are reused for
-/// the 3 advection sweeps, whose dilated footprint is also covered when
-/// `M ≥ 1`.
-pub fn ca_union(m_iters: u32) -> StencilFootprint {
+/// Halo widths (low, high) along an axis for the CA deep-halo scheme: the
+/// footprint of `3M` adaptation sweeps between exchanges (§4.3.1), whose
+/// halos are reused for the 3 advection sweeps (their dilated footprint is
+/// also covered when `M ≥ 1`), plus in y the two extra latitude rows the
+/// fused smoothing needs (§4.3.2).
+pub fn ca_halo_extent(m_iters: u32, axis: Axis) -> (u32, u32) {
     let adap = adaptation_impl_union().repeated(3 * m_iters);
     let adv = advection_union().repeated(3);
-    let smooth = smoothing_union();
-    adap.union(&adv).union(&smooth.union(&adap))
-}
-
-/// Halo widths (low, high) along an axis for the CA deep-halo scheme, with
-/// the smoothing fusion margin added in y.
-pub fn ca_halo_extent(m_iters: u32, axis: Axis) -> (u32, u32) {
-    let u = ca_union(m_iters);
+    let u = adap.union(&adv).union(&smoothing_union().union(&adap));
     let (lo, hi) = u.required_halo(axis);
     match axis {
         Axis::Y => (lo + 2, hi + 2), // former/later smoothing margin

@@ -14,7 +14,7 @@
 //!   stepping path calls it; tests compare against it bit for bit.
 //! * the **kernel** — `transform`: one allocation-free body, generic
 //!   over the element (one circle or `W` circles in lock-step), behind
-//!   [`FftScratch`] and the polar filter's batched sweep.
+//!   the polar filter's batched sweep.
 //!
 //! Conventions: forward transform `X[k] = Σ_j x[j]·e^{-2πi jk/n}` without
 //! normalization; the inverse carries the `1/n` factor, so
@@ -311,64 +311,6 @@ impl<C: Cx> Buffers<C> {
     }
 }
 
-/// Reusable buffers for allocation-free transforms of one signal at a time
-/// — the [`Complex`] instantiation of the kernel the batched polar filter
-/// runs `W` circles at a time.
-#[derive(Debug, Clone, Default)]
-pub struct FftScratch {
-    bufs: Buffers<Complex>,
-    /// Roots of unity per transform length and direction.
-    tw: TwiddleCache,
-}
-
-impl FftScratch {
-    /// Empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forward real-to-complex FFT into `out` (resized to `n/2 + 1`).
-    /// Bitwise-identical to [`rfft`]; allocation-free once warmed up at a
-    /// given length.
-    pub fn rfft_into(&mut self, x: &[f64], out: &mut Vec<Complex>) {
-        let n = x.len();
-        self.bufs.size(n);
-        self.tw.ensure(n, -1.0);
-        for (a, &v) in self.bufs.a.iter_mut().zip(x) {
-            *a = Complex::from(v);
-        }
-        // only the half spectrum is kept, so only it is combined
-        let half = n / 2 + 1;
-        self.bufs.run(&self.tw, -1.0, half);
-        out.clear();
-        out.extend_from_slice(&self.bufs.b[..half]);
-    }
-
-    /// Inverse of [`FftScratch::rfft_into`]: reconstruct `out.len()` real
-    /// samples from the half spectrum (`spectrum.len() == n/2 + 1`).
-    /// Bitwise-identical to [`irfft`].
-    pub fn irfft_into(&mut self, spectrum: &[Complex], out: &mut [f64]) {
-        let n = out.len();
-        assert_eq!(
-            spectrum.len(),
-            n / 2 + 1,
-            "half spectrum of length n/2+1 required"
-        );
-        self.bufs.size(n);
-        self.tw.ensure(n, 1.0);
-        let a = &mut self.bufs.a;
-        a[..spectrum.len()].copy_from_slice(spectrum);
-        for k in spectrum.len()..n {
-            a[k] = spectrum[n - k].conj();
-        }
-        self.bufs.run(&self.tw, 1.0, n);
-        let s = 1.0 / n as f64;
-        for (o, c) in out.iter_mut().zip(&self.bufs.b) {
-            *o = c.scale(s).re;
-        }
-    }
-}
-
 /// Forward FFT (no normalization).
 pub fn fft(x: &[Complex]) -> Vec<Complex> {
     fft_rec(x, -1.0)
@@ -557,9 +499,10 @@ mod tests {
     fn kernel_bitwise_matches_oracle() {
         // smooth, prime and mixed lengths (24 is the test mesh circle, 180
         // the mid mesh's, 720 the paper's); data with planted ±0 so the
-        // unit-twiddle reduction meets the signed zeros it must preserve
-        let mut scratch = FftScratch::new();
-        let mut spec = Vec::new();
+        // unit-twiddle reduction meets the signed zeros it must preserve.
+        // The kernel's `Complex` instantiation, one signal at a time
+        let mut bufs = Buffers::<Complex>::default();
+        let mut tw = TwiddleCache::default();
         for n in [1usize, 2, 3, 5, 7, 9, 12, 23, 24, 30, 34, 64, 97, 180, 720] {
             let x: Vec<f64> = (0..n)
                 .map(|i| match (i * i * 31 + 5) % 23 {
@@ -568,13 +511,27 @@ mod tests {
                     v => v as f64 - 11.0,
                 })
                 .collect();
+            // forward: only the half spectrum is kept, so only it is combined
+            let half = n / 2 + 1;
+            bufs.size(n);
+            tw.ensure(n, -1.0);
+            for (a, &v) in bufs.a.iter_mut().zip(&x) {
+                *a = Complex::from(v);
+            }
+            bufs.run(&tw, -1.0, half);
+            let spec = bufs.b[..half].to_vec();
             let want_spec = rfft(&x);
-            scratch.rfft_into(&x, &mut spec);
             assert_bits(&flat(&spec), &flat(&want_spec), &format!("rfft n={n}"));
-            let want_back = irfft(&want_spec, n);
-            let mut back = vec![0.0; n];
-            scratch.irfft_into(&spec, &mut back);
-            assert_bits(&back, &want_back, &format!("irfft n={n}"));
+            // inverse: the half spectrum mirrored into the full one
+            tw.ensure(n, 1.0);
+            bufs.a[..half].copy_from_slice(&spec);
+            for k in half..n {
+                bufs.a[k] = spec[n - k].conj();
+            }
+            bufs.run(&tw, 1.0, n);
+            let s = 1.0 / n as f64;
+            let back: Vec<f64> = bufs.b.iter().map(|c| c.scale(s).re).collect();
+            assert_bits(&back, &irfft(&want_spec, n), &format!("irfft n={n}"));
         }
     }
 

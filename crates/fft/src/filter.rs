@@ -200,16 +200,6 @@ impl FourierFilter {
         self.damping[j].is_some()
     }
 
-    /// Number of damped rows.
-    pub fn active_rows(&self) -> usize {
-        self.damping.iter().filter(|d| d.is_some()).count()
-    }
-
-    /// Damping profile of row `j` (`None` = identity).
-    pub fn profile(&self, j: usize) -> Option<&[f64]> {
-        self.damping[j].as_deref()
-    }
-
     /// Filter one latitude circle in place.  `row.len()` must equal `nx`.
     ///
     /// Allocates per call; hot paths should hold a [`FilterScratch`] and use
@@ -293,6 +283,11 @@ mod tests {
             .collect()
     }
 
+    /// Number of damped rows.
+    fn active_rows(f: &FourierFilter) -> usize {
+        f.damping.iter().filter(|d| d.is_some()).count()
+    }
+
     #[test]
     fn equator_rows_untouched() {
         let lats = latitudes(18);
@@ -311,10 +306,10 @@ mod tests {
         let f = FourierFilter::with_default_cutoff(24, &lats);
         assert!(f.is_active(0), "northernmost row must be filtered");
         assert!(f.is_active(17), "southernmost row must be filtered");
-        assert_eq!(f.active_rows() % 2, 0, "hemispheric symmetry");
+        assert_eq!(active_rows(&f) % 2, 0, "hemispheric symmetry");
         // symmetric profiles north/south
-        let n = f.profile(0).unwrap();
-        let s = f.profile(17).unwrap();
+        let n = f.damping[0].as_deref().unwrap();
+        let s = f.damping[17].as_deref().unwrap();
         for (a, b) in n.iter().zip(s) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -324,7 +319,7 @@ mod tests {
     fn damping_monotone_in_wavenumber() {
         let lats = latitudes(36);
         let f = FourierFilter::with_default_cutoff(48, &lats);
-        let prof = f.profile(0).unwrap();
+        let prof = f.damping[0].as_deref().unwrap();
         assert_eq!(prof[0], 1.0, "zonal mean never damped");
         for w in prof[1..].windows(2) {
             assert!(w[1] <= w[0] + 1e-15, "profile must not increase with m");
@@ -336,8 +331,8 @@ mod tests {
     fn closer_to_pole_damps_more() {
         let lats = latitudes(36);
         let f = FourierFilter::with_default_cutoff(48, &lats);
-        let near_pole = f.profile(0).unwrap();
-        let less_polar = f.profile(3).unwrap();
+        let near_pole = f.damping[0].as_deref().unwrap();
+        let less_polar = f.damping[3].as_deref().unwrap();
         let m = 10;
         assert!(near_pole[m] < less_polar[m]);
     }
@@ -579,6 +574,6 @@ mod tests {
         let lats = latitudes(36);
         let strict = FourierFilter::new(16, &lats, 80.0_f64.to_radians());
         let loose = FourierFilter::new(16, &lats, 40.0_f64.to_radians());
-        assert!(loose.active_rows() > strict.active_rows());
+        assert!(active_rows(&loose) > active_rows(&strict));
     }
 }

@@ -19,5 +19,5 @@ pub mod filter;
 
 pub use complex::{Complex, W};
 pub use distributed::filter_rows_distributed;
-pub use fft::{dft_naive, fft, ifft, irfft, rfft, FftScratch};
+pub use fft::{dft_naive, fft, ifft, irfft, rfft};
 pub use filter::{FilterScratch, FilterWorker, FourierFilter};

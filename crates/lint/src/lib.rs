@@ -1,7 +1,7 @@
 //! # agcm-lint — repo-specific static lint pass
 //!
-//! Three structural rules clippy cannot express, enforced over the
-//! workspace source tree (no rustc plumbing — a hand-rolled lexer that
+//! Five structural rules clippy and rustc cannot express, enforced over
+//! the workspace source tree (no rustc plumbing — a hand-rolled lexer that
 //! strips comments, string/char literals and `#[cfg(test)]`-gated items,
 //! then scans the residual code):
 //!
@@ -21,22 +21,31 @@
 //! * [`Rule::FusedAccess`] — **every fused kernel is registered**: a kernel
 //!   module defining a `fn fused_*` sweep must have a matching
 //!   `"<module>.fused"` op key in the `core::access` registry
-//!   ([`ACCESS_REGISTRY`]), so the `verify::dataflow` proof can resolve the
+//!   (`ACCESS_REGISTRY`), so the `verify::dataflow` proof can resolve the
 //!   fused footprint.  The runtime backstop is the `UnregisteredOp`
 //!   counterexample certification raises on an unregistered op; this lint
 //!   catches the omission at review time, before any schedule runs.
+//! * [`Rule::PubCaller`] — **every `pub` item has a caller outside its
+//!   file**: a `pub` fn, struct, enum, trait, const, type or static
+//!   declared under `crates/*/src` must be named, in code, by another
+//!   `.rs` file under `crates/` or `benchmark/` (tests count; a comment, a
+//!   string or a `pub use` re-export does not).  rustc's `dead_code` cannot
+//!   see a `pub` item; once narrowed to private or `pub(crate)` it can.
 //!
 //! A finding can be waived in place with `// lint:allow(<rule>)` on the
-//! same line or the line above, where `<rule>` is `alloc`, `raw-index` or
-//! `unwrap`.  The waiver comment is expected to say *why* (reviewed like
-//! any other code).
+//! same line or the line above, where `<rule>` is the rule's key
+//! ([`Rule::key`]).  The waiver comment is expected to say *why* (reviewed
+//! like any other code); there is no allowlist file.
 //!
-//! Which rules bind which files is the repo policy in [`rules_for`]; the
-//! `agcm-lint` binary walks `crates/*/src` and applies it.
+//! Which per-file rules bind which files is the repo policy in
+//! [`rules_for`]; the pub-caller rule binds every file under `crates/*/src`.
+//! The `agcm-lint` binary walks `crates/` and `benchmark/` and applies
+//! both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -53,6 +62,8 @@ pub enum Rule {
     Unwrap,
     /// A `fn fused_*` kernel with no matching access-registry op key.
     FusedAccess,
+    /// A `pub` item no other file names in code.
+    PubCaller,
 }
 
 impl Rule {
@@ -63,6 +74,7 @@ impl Rule {
             Rule::RawIndex => "raw-index",
             Rule::Unwrap => "unwrap",
             Rule::FusedAccess => "fused-access",
+            Rule::PubCaller => "pub-caller",
         }
     }
 
@@ -85,9 +97,9 @@ impl Rule {
             ],
             Rule::RawIndex => &[".raw()", ".raw_mut()", ".idx(", "as_ptr", "as_mut_ptr"],
             Rule::Unwrap => &[".unwrap()"],
-            // cross-file rule — checked by `lint_fused_access`, not the
-            // per-file pattern scan
-            Rule::FusedAccess => &[],
+            // cross-file rules — checked by `lint_fused_access` and
+            // `lint_pub_callers`, not the per-file pattern scan
+            Rule::FusedAccess | Rule::PubCaller => &[],
         }
     }
 }
@@ -107,8 +119,8 @@ pub struct Violation {
     pub line: usize,
     /// The violated rule.
     pub rule: Rule,
-    /// The matched pattern.
-    pub pattern: &'static str,
+    /// The matched pattern (for [`Rule::PubCaller`], the item's name).
+    pub pattern: String,
 }
 
 impl fmt::Display for Violation {
@@ -133,6 +145,28 @@ struct Lexed {
     allows: Vec<(usize, String)>,
 }
 
+impl Lexed {
+    /// Whether a `lint:allow(<rule>)` sits on `line` or the line above.
+    fn waives(&self, line: usize, rule: Rule) -> bool {
+        self.allows
+            .iter()
+            .any(|(l, k)| (*l == line || *l + 1 == line) && k == rule.key())
+    }
+}
+
+fn line_of(code: &[u8], p: usize) -> usize {
+    1 + code[..p].iter().filter(|&&b| b == b'\n').count()
+}
+
+/// Replace `code[from..to]` by spaces, newlines kept.
+fn blank(code: &mut [u8], from: usize, to: usize) {
+    for c in code.iter_mut().take(to).skip(from) {
+        if *c != b'\n' {
+            *c = b' ';
+        }
+    }
+}
+
 fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
@@ -143,13 +177,6 @@ fn lex(src: &str) -> Lexed {
     let mut allows = Vec::new();
     let mut line = 1usize;
     let mut i = 0usize;
-    let blank = |code: &mut [u8], from: usize, to: usize| {
-        for c in code.iter_mut().take(to).skip(from) {
-            if *c != b'\n' {
-                *c = b' ';
-            }
-        }
-    };
     while i < s.len() {
         match s[i] {
             b'\n' => {
@@ -352,33 +379,31 @@ fn blank_test_gated(src: &str, code: &mut [u8]) {
             k += 1;
         }
         let end = if k < s.len() && code[k] == b'{' {
-            let mut depth = 0i32;
-            let mut m = k;
-            while m < s.len() {
-                match code[m] {
-                    b'{' => depth += 1,
-                    b'}' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            m += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                m += 1;
-            }
-            m
+            block_end(code, k)
         } else {
             (k + 1).min(s.len())
         };
-        for c in code.iter_mut().take(end).skip(p) {
-            if *c != b'\n' {
-                *c = b' ';
-            }
-        }
+        blank(code, p, end);
         i = end;
     }
+}
+
+/// One past the `}` that closes the `{` at `open`.
+fn block_end(code: &[u8], open: usize) -> usize {
+    let mut depth = 0i32;
+    for (m, &b) in code.iter().enumerate().skip(open) {
+        match b {
+            b'{' => depth += 1,
+            b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return m + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    code.len()
 }
 
 fn find_in_code(code: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
@@ -406,17 +431,13 @@ pub fn lint_source(file: &str, src: &str, rules: &[Rule]) -> Vec<Violation> {
                 if pat.as_bytes()[0].is_ascii_alphabetic() && p > 0 && is_ident(lexed.code[p - 1]) {
                     continue;
                 }
-                let line = 1 + lexed.code[..p].iter().filter(|&&b| b == b'\n').count();
-                let waived = lexed
-                    .allows
-                    .iter()
-                    .any(|(l, k)| (*l == line || *l + 1 == line) && k == rule.key());
-                if !waived {
+                let line = line_of(&lexed.code, p);
+                if !lexed.waives(line, rule) {
                     out.push(Violation {
                         file: file.to_string(),
                         line,
                         rule,
-                        pattern: pat,
+                        pattern: pat.to_string(),
                     });
                 }
             }
@@ -428,7 +449,7 @@ pub fn lint_source(file: &str, src: &str, rules: &[Rule]) -> Vec<Violation> {
 
 /// Cross-file rule: every `fn fused_*` kernel in `module_src` must have a
 /// `"<module-stem>.fused"` op key registered in the access-registry source
-/// (`access_src`, normally [`ACCESS_REGISTRY`]).  Waivable with
+/// (`access_src`, normally `ACCESS_REGISTRY`).  Waivable with
 /// `// lint:allow(fused-access)` on the `fn` line or the line above.
 pub fn lint_fused_access(module_rel: &str, module_src: &str, access_src: &str) -> Vec<Violation> {
     let mut lexed = lex(module_src);
@@ -447,18 +468,180 @@ pub fn lint_fused_access(module_rel: &str, module_src: &str, access_src: &str) -
         if registered {
             continue;
         }
-        let line = 1 + lexed.code[..p].iter().filter(|&&b| b == b'\n').count();
-        let waived = lexed
-            .allows
-            .iter()
-            .any(|(l, k)| (*l == line || *l + 1 == line) && k == Rule::FusedAccess.key());
-        if !waived {
+        let line = line_of(&lexed.code, p);
+        if !lexed.waives(line, Rule::FusedAccess) {
             out.push(Violation {
                 file: module_rel.to_string(),
                 line,
                 rule: Rule::FusedAccess,
-                pattern: "fn fused_",
+                pattern: "fn fused_".to_string(),
             });
+        }
+    }
+    out
+}
+
+/// The identifiers of lexed code in order, each with its byte offset.
+fn words(code: &[u8]) -> impl Iterator<Item = (usize, &str)> {
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        i += code[i..].iter().take_while(|&&b| !is_ident(b)).count();
+        let start = i;
+        i += code[i..].iter().take_while(|&&b| is_ident(b)).count();
+        (start < i).then(|| (start, std::str::from_utf8(&code[start..i]).unwrap_or("")))
+    })
+}
+
+/// The keywords that declare the name after them.
+const DECLARES: &[&str] = &[
+    "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod", "let",
+];
+
+/// The names a file's code calls: every word but a declared name and
+/// the words of a `pub use …;` or `pub(…) use …;` re-export.
+fn called_names(code: &[u8]) -> HashSet<String> {
+    let ws: Vec<(usize, &str)> = words(code).collect();
+    let mut out = HashSet::new();
+    let mut skip_to = 0;
+    for (n, &(p, w)) in ws.iter().enumerate() {
+        let prev = if n > 0 { ws[n - 1].1 } else { "" };
+        if p < skip_to {
+            continue;
+        } else if w == "use" && (prev == "pub" || code[..p].trim_ascii_end().ends_with(b")")) {
+            skip_to = p + code[p..].iter().position(|&b| b == b';').unwrap_or(0);
+        } else if !DECLARES.contains(&prev) {
+            out.insert(w.to_string());
+        }
+    }
+    out
+}
+
+/// One `pub` (not `pub(…)`) item declared outside `#[cfg(test)]`.
+struct PubItem {
+    line: usize,
+    name: String,
+    /// A struct, enum, union, trait or type alias.
+    is_type: bool,
+    /// What a caller of the item reaches: a fn's signature, a const's or
+    /// static's type, an alias's target, a type's whole declaration.
+    sig: std::ops::Range<usize>,
+}
+
+/// End of the signature that starts at `from`: the first of `stops` at
+/// bracket depth 0 (`(`, `[` and `<`; the `>` of `->` closes nothing).
+fn sig_end(code: &[u8], from: usize, stops: &[u8]) -> usize {
+    let mut depth = 0i32;
+    for (q, &b) in code.iter().enumerate().skip(from) {
+        match b {
+            b'(' | b'[' | b'<' => depth += 1,
+            b'>' if code[q - 1] == b'-' => {}
+            b')' | b']' | b'>' => depth -= 1,
+            _ if depth <= 0 && stops.contains(&b) => return q,
+            _ => {}
+        }
+    }
+    code.len()
+}
+
+/// Every `pub` fn, struct, enum, union, trait, const, type and static a
+/// file's code declares.
+fn pub_items(code: &[u8]) -> Vec<PubItem> {
+    let ws: Vec<(usize, &str)> = words(code).collect();
+    let word = |k: usize| ws.get(k).map_or("", |w| w.1);
+    let mut out = Vec::new();
+    for (n, &(p, _)) in ws.iter().enumerate().filter(|(_, w)| w.1 == "pub") {
+        if code[p + 3..].trim_ascii_start().starts_with(b"(") {
+            continue;
+        }
+        // qualifiers: `pub unsafe fn`, `pub const fn` (not `pub const X`)
+        let mut k = n + 1;
+        while matches!(word(k), "unsafe" | "async" | "extern")
+            || (word(k) == "const" && matches!(word(k + 1), "fn" | "unsafe"))
+        {
+            k += 1;
+        }
+        let (is_type, stops): (bool, &[u8]) = match word(k) {
+            "fn" => (false, b"{;"),
+            "const" | "static" => (false, b"=;"),
+            "type" => (true, b";"),
+            "struct" | "enum" | "union" | "trait" => (true, b"{;"),
+            _ => continue,
+        };
+        // the name follows its keyword directly (a `$name` macro fragment
+        // does not)
+        let (Some(&(kp, kw)), Some(&(q, name))) = (ws.get(k), ws.get(k + 1)) else {
+            continue;
+        };
+        if !code[kp + kw.len()..q].iter().all(u8::is_ascii_whitespace) {
+            continue;
+        }
+        let mut end = sig_end(code, q + name.len(), stops);
+        if is_type && code.get(end) == Some(&b'{') {
+            end = block_end(code, end);
+        }
+        out.push(PubItem {
+            line: line_of(code, p),
+            name: name.to_string(),
+            is_type,
+            sig: q + name.len()..end,
+        });
+    }
+    out
+}
+
+/// Cross-file rule [`Rule::PubCaller`] over `files` — `(workspace-relative
+/// path, source)` of every `.rs` file under `crates/` and `benchmark/`:
+/// every `pub` item declared outside `#[cfg(test)]` in a
+/// `crates/<name>/src` file must be named in the code of another file.  A
+/// word in a comment, a string literal or a `pub use` statement, or the
+/// name in another item's declaration (`fn name`), is not a caller; test
+/// code is.  A `pub` type is also reached when a reached `pub` item of its
+/// own file names it in its signature (`pub fn f() -> T`) or declaration
+/// (`pub struct S { field: T }`): its callers hold a `T` without naming it,
+/// and rustc would refuse `T` narrower than `f`.  Waivable in place on the
+/// `pub` line or the line above, with the rule's key.
+pub fn lint_pub_callers(files: &[(String, String)]) -> Vec<Violation> {
+    let lexed: Vec<Lexed> = files.iter().map(|(_, src)| lex(src)).collect();
+    let callers: Vec<HashSet<String>> = lexed.iter().map(|l| called_names(&l.code)).collect();
+    let mut out = Vec::new();
+    for (f, ((rel, src), l)) in files.iter().zip(&lexed).enumerate() {
+        let mut parts = rel.split('/');
+        if parts.next() != Some("crates") || parts.nth(1) != Some("src") {
+            continue;
+        }
+        let mut code = l.code.clone();
+        blank_test_gated(src, &mut code);
+        let items = pub_items(&code);
+        let mut reached: Vec<bool> = items
+            .iter()
+            .map(|d| {
+                callers
+                    .iter()
+                    .enumerate()
+                    .any(|(g, words)| g != f && words.contains(&d.name))
+            })
+            .collect();
+        // a type named in a reached signature is reached, to a fixpoint
+        let exposed = |t: &PubItem, reached: &[bool]| {
+            items
+                .iter()
+                .zip(reached)
+                .any(|(d, &r)| r && words(&code[d.sig.clone()]).any(|(_, w)| w == t.name))
+        };
+        while let Some(t) = (0..items.len())
+            .find(|&t| !reached[t] && items[t].is_type && exposed(&items[t], &reached))
+        {
+            reached[t] = true;
+        }
+        for (d, _) in items.into_iter().zip(reached).filter(|(_, r)| !r) {
+            if !l.waives(d.line, Rule::PubCaller) {
+                out.push(Violation {
+                    file: rel.clone(),
+                    line: d.line,
+                    rule: Rule::PubCaller,
+                    pattern: d.name,
+                });
+            }
         }
     }
     out
@@ -471,7 +654,7 @@ pub fn lint_fused_access(module_rel: &str, module_src: &str, access_src: &str) -
 /// The kernel modules bound by [`Rule::Alloc`] and [`Rule::RawIndex`] —
 /// the zero-alloc stepping paths whose footprints the `core::access`
 /// registry declares.
-pub const KERNEL_MODULES: &[&str] = &[
+const KERNEL_MODULES: &[&str] = &[
     "crates/core/src/adaptation.rs",
     "crates/core/src/advection.rs",
     "crates/core/src/smoothing.rs",
@@ -495,7 +678,7 @@ pub const KERNEL_MODULES: &[&str] = &[
 /// checkpoint snapshots carry the waivers.  `C`'s per-worker rows are warmed in `core::diag`
 /// and the Held–Suarez row body lives in `core::forcing`, both kernel
 /// modules above.
-pub const ALLOC_ONLY_MODULES: &[&str] = &[
+const ALLOC_ONLY_MODULES: &[&str] = &[
     "crates/fft/src/filter.rs",
     "crates/fft/src/fft.rs",
     "crates/core/src/sweep.rs",
@@ -505,44 +688,48 @@ pub const ALLOC_ONLY_MODULES: &[&str] = &[
 ];
 
 /// The access registry the [`Rule::FusedAccess`] cross-file rule consults.
-pub const ACCESS_REGISTRY: &str = "crates/core/src/access.rs";
+const ACCESS_REGISTRY: &str = "crates/core/src/access.rs";
 
 /// Transport/resilience modules bound by [`Rule::Unwrap`]: every error arm
 /// here is reachable under fault injection — in the launcher (`agcm-run`,
 /// `agcm-soak`) by a killed or failing worker — or, in the record codec
-/// (`obs::dist`), by bytes the parent reads but did not write.
-pub const NO_UNWRAP_MODULES: &[&str] = &[
+/// (`obs::dist`), by bytes the parent reads but did not write.  An entry
+/// ending in `/` binds every file under that directory, so a new
+/// `agcm-comm` module is under the rule from its first line.  A path is
+/// bound by an entry it starts with.
+const NO_UNWRAP_MODULES: &[&str] = &[
     "crates/obs/src/dist.rs",
-    "crates/comm/src/transport.rs",
-    "crates/comm/src/runtime.rs",
-    "crates/comm/src/collective.rs",
-    "crates/comm/src/fault.rs",
+    "crates/comm/src/",
     "crates/core/src/resilience.rs",
     "crates/run/src/lib.rs",
     "crates/run/src/elastic.rs",
     "crates/run/src/soak.rs",
 ];
 
-/// Which rules bind a workspace-relative path (forward slashes).
+/// Which per-file rules bind a workspace-relative path (forward slashes).
+/// [`Rule::PubCaller`] is not among them: it binds every `crates/*/src`
+/// file, through [`lint_pub_callers`].
 pub fn rules_for(rel: &str) -> Vec<Rule> {
+    let listed = |modules: &[&str]| modules.iter().any(|m| rel.starts_with(m));
     let mut rules = Vec::new();
-    if KERNEL_MODULES.iter().any(|m| rel.ends_with(m)) {
+    if listed(KERNEL_MODULES) {
         rules.push(Rule::Alloc);
         rules.push(Rule::RawIndex);
         rules.push(Rule::FusedAccess);
     }
-    if ALLOC_ONLY_MODULES.iter().any(|m| rel.ends_with(m)) {
+    if listed(ALLOC_ONLY_MODULES) {
         rules.push(Rule::Alloc);
     }
-    if NO_UNWRAP_MODULES.iter().any(|m| rel.ends_with(m)) {
+    if listed(NO_UNWRAP_MODULES) {
         rules.push(Rule::Unwrap);
     }
     rules
 }
 
-/// Walk `root` (a workspace checkout) and lint every bound file.
+/// Walk `root` (a workspace checkout): lint every file under `crates/`
+/// its per-file rules bind, and the pub-caller rule over `crates/` and
+/// `benchmark/`.
 pub fn lint_tree(root: &Path) -> io::Result<Vec<Violation>> {
-    let mut out = Vec::new();
     for rel in KERNEL_MODULES
         .iter()
         .chain(ALLOC_ONLY_MODULES)
@@ -557,11 +744,13 @@ pub fn lint_tree(root: &Path) -> io::Result<Vec<Violation>> {
             ));
         }
     }
-    let mut stack = vec![root.join("crates")];
+    // every `.rs` file under `crates/` and `benchmark/` (not `target/`)
+    let mut files = Vec::new();
+    let mut stack = vec![root.join("crates"), root.join("benchmark")];
     while let Some(dir) = stack.pop() {
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();
-            if path.is_dir() {
+            if path.is_dir() && !path.ends_with("target") {
                 stack.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let rel = path
@@ -569,16 +758,18 @@ pub fn lint_tree(root: &Path) -> io::Result<Vec<Violation>> {
                     .unwrap_or(&path)
                     .to_string_lossy()
                     .replace('\\', "/");
-                let rules = rules_for(&rel);
-                if !rules.is_empty() {
-                    let src = fs::read_to_string(&path)?;
-                    out.extend(lint_source(&rel, &src, &rules));
-                    if rules.contains(&Rule::FusedAccess) {
-                        let access = fs::read_to_string(root.join(ACCESS_REGISTRY))?;
-                        out.extend(lint_fused_access(&rel, &src, &access));
-                    }
-                }
+                files.push((rel, fs::read_to_string(&path)?));
             }
+        }
+    }
+    files.sort();
+    let access = fs::read_to_string(root.join(ACCESS_REGISTRY))?;
+    let mut out = lint_pub_callers(&files);
+    for (rel, src) in files.iter().filter(|(rel, _)| rel.starts_with("crates/")) {
+        let rules = rules_for(rel);
+        out.extend(lint_source(rel, src, &rules));
+        if rules.contains(&Rule::FusedAccess) {
+            out.extend(lint_fused_access(rel, src, &access));
         }
     }
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));

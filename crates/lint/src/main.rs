@@ -20,7 +20,7 @@ fn main() -> ExitCode {
         println!("{v}");
     }
     if violations.is_empty() {
-        println!("agcm-lint: clean (alloc / raw-index / unwrap / fused-access rules)");
+        println!("agcm-lint: clean (alloc / raw-index / unwrap / fused-access / pub-caller rules)");
         ExitCode::SUCCESS
     } else {
         eprintln!("agcm-lint: {} violation(s)", violations.len());

@@ -1,9 +1,10 @@
 //! Fixture coverage for the lint pass: each rule fires on a minimal
 //! triggering source, stays silent on clean code, honours the
 //! `lint:allow` waiver and the `cfg(test)` exemption, and never
-//! matches inside comments or string literals.
+//! matches inside comments or string literals (nor, for the pub-caller
+//! rule, counts a `pub use` re-export as a caller).
 
-use agcm_lint::{lint_fused_access, lint_source, lint_tree, rules_for, Rule};
+use agcm_lint::{lint_fused_access, lint_pub_callers, lint_source, lint_tree, rules_for, Rule};
 
 const ALL: &[Rule] = &[Rule::Alloc, Rule::RawIndex, Rule::Unwrap];
 
@@ -178,6 +179,166 @@ fn policy_binds_kernels_and_transport_only() {
     assert!(rules_for("crates/mesh/src/field.rs").is_empty());
 }
 
+/// The no-unwrap rule binds `agcm-comm` by directory: a module added to it
+/// tomorrow is under the rule without a policy edit.
+#[test]
+fn a_new_comm_module_is_under_the_no_unwrap_rule() {
+    assert_eq!(
+        rules_for("crates/comm/src/new_module.rs"),
+        vec![Rule::Unwrap]
+    );
+    assert_eq!(rules_for("crates/comm/src/lib.rs"), vec![Rule::Unwrap]);
+    assert!(rules_for("crates/comm/tests/fault_injection.rs").is_empty());
+}
+
+/// `(path, source)` pairs for [`lint_pub_callers`].
+fn tree(files: &[(&str, &str)]) -> Vec<(String, String)> {
+    files
+        .iter()
+        .map(|&(p, s)| (p.to_string(), s.to_string()))
+        .collect()
+}
+
+const LONE: &str = "pub fn lone() -> u32 { 1 }\n";
+
+#[test]
+fn pub_caller_fires_on_a_lone_pub_item() {
+    for (src, name) in [
+        (LONE, "lone"),
+        ("pub struct S;", "S"),
+        ("pub enum E { A }", "E"),
+        ("pub trait T {}", "T"),
+        ("pub const C: u32 = 1;", "C"),
+        ("pub const fn cf() {}", "cf"),
+        ("pub type Alias = u32;", "Alias"),
+        ("pub static STATIC: u32 = 1;", "STATIC"),
+        ("impl S {\n    pub fn method(&self) {}\n}", "method"),
+    ] {
+        let v = lint_pub_callers(&tree(&[("crates/x/src/a.rs", src)]));
+        assert_eq!(v.len(), 1, "{src}");
+        assert_eq!(v[0].rule, Rule::PubCaller);
+        assert_eq!(v[0].pattern, name, "{src}");
+        assert_eq!(v[0].file, "crates/x/src/a.rs");
+    }
+    // a mention in the declaring file itself is no outside caller
+    let own =
+        "pub fn lone() {}\nfn user() { lone() }\n#[cfg(test)]\nmod t { fn f() { super::lone() } }";
+    let v = lint_pub_callers(&tree(&[("crates/x/src/a.rs", own)]));
+    assert_eq!(v.len(), 1);
+    assert_eq!(v[0].line, 1);
+}
+
+#[test]
+fn pub_caller_is_cleared_by_code_in_another_file() {
+    for caller in [
+        ("crates/x/src/b.rs", "fn f() -> u32 { crate::a::lone() }"),
+        (
+            "crates/y/tests/t.rs",
+            "#[test] fn t() { assert_eq!(x::lone(), 1); }",
+        ),
+        (
+            "crates/x/src/c.rs",
+            "#[cfg(test)] mod tests { fn t() { lone(); } }",
+        ),
+        ("benchmark/src/main.rs", "use x::lone;"),
+    ] {
+        let v = lint_pub_callers(&tree(&[("crates/x/src/a.rs", LONE), caller]));
+        assert!(v.is_empty(), "{caller:?}");
+    }
+}
+
+#[test]
+fn pub_caller_is_not_cleared_by_comments_strings_reexports_or_declarations() {
+    for other in [
+        "// lone() is called nowhere\n/* lone */\n/// [`lone`]\nfn f() {}",
+        "fn f() -> &'static str { \"lone\" }",
+        "pub use crate::a::lone;",
+        "pub use crate::a::{lone, other};",
+        "pub(crate) use crate::a::lone;",
+        "fn lone() {}",
+    ] {
+        let v = lint_pub_callers(&tree(&[
+            ("crates/x/src/a.rs", LONE),
+            ("crates/x/src/lib.rs", other),
+        ]));
+        assert_eq!(v.len(), 1, "{other}");
+        assert_eq!(v[0].pattern, "lone", "{other}");
+    }
+}
+
+#[test]
+fn pub_caller_honours_an_in_place_waiver() {
+    let same = "pub fn lone() {} // lint:allow(pub-caller) entry point of a binary\n";
+    let above = "#[derive(Debug)]\n// lint:allow(pub-caller) read by a test harness\npub struct S;";
+    let wrong = "// lint:allow(unwrap)\npub fn lone() {}";
+    for (src, n) in [(same, 0), (above, 0), (wrong, 1)] {
+        assert_eq!(
+            lint_pub_callers(&tree(&[("crates/x/src/a.rs", src)])).len(),
+            n,
+            "{src}"
+        );
+    }
+}
+
+#[test]
+fn pub_caller_binds_only_pub_items_of_crate_sources() {
+    let src = "
+pub(crate) fn narrow() {}
+pub(super) struct Up;
+fn private() {}
+pub mod m {}
+pub use other::Thing;
+pub struct Named { pub field: u32 }
+#[cfg(test)]
+pub fn test_helper() {}
+macro_rules! m { ($name:ident) => { pub fn $name() {} } }
+";
+    let v = lint_pub_callers(&tree(&[
+        ("crates/x/src/a.rs", src),
+        ("crates/x/src/b.rs", "Named"),
+    ]));
+    assert!(v.is_empty(), "{v:?}");
+    // outside `crates/*/src` nothing is bound
+    for path in [
+        "crates/x/tests/t.rs",
+        "crates/x/examples/e.rs",
+        "benchmark/src/lib.rs",
+    ] {
+        assert!(
+            lint_pub_callers(&tree(&[(path, LONE)])).is_empty(),
+            "{path}"
+        );
+    }
+}
+
+/// A type its callers hold without naming — returned by a called `pub`
+/// function, or a field of a called `pub` struct — is reached; rustc would
+/// refuse it narrower than its function.
+#[test]
+fn pub_caller_reaches_types_through_called_signatures() {
+    let src = "
+pub struct Report { detail: Detail }
+pub struct Detail;
+pub struct Unused;
+pub fn make() -> Report { Report { detail: Detail } }
+pub fn internal() -> Unused { Unused }
+";
+    let v = lint_pub_callers(&tree(&[
+        ("crates/x/src/a.rs", src),
+        ("crates/y/src/b.rs", "fn f() { x::make(); }"),
+    ]));
+    let flagged: Vec<&str> = v.iter().map(|v| v.pattern.as_str()).collect();
+    assert_eq!(flagged, ["Unused", "internal"]);
+    // a private struct exposes nothing
+    let private = "struct Opts { pub alg: Alg }\npub enum Alg { One }";
+    let v = lint_pub_callers(&tree(&[
+        ("crates/x/src/a.rs", private),
+        ("crates/x/src/b.rs", "fn f(o: Opts) { o.alg; }"),
+    ]));
+    assert_eq!(v.len(), 1);
+    assert_eq!(v[0].pattern, "Alg");
+}
+
 const FUSED_MODULE: &str = "
 pub fn plain_kernel() {}
 pub fn fused_adaptation_update(x: f64) -> f64 { x }
@@ -229,8 +390,9 @@ fn fused_access_key_is_per_module_stem() {
 }
 
 /// The enforcement test: the real workspace tree is clean.  Any allocation
-/// / raw-index / unwrap introduced into a bound module fails this test
-/// (and the `agcm-lint` CI step) until waived or fixed.
+/// / raw-index / unwrap introduced into a bound module, or a `pub` item no
+/// other file calls, fails this test (and the `agcm-lint` CI step) until
+/// waived or fixed.
 #[test]
 fn workspace_tree_is_clean() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

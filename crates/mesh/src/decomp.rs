@@ -101,7 +101,7 @@ impl ProcessGrid {
     /// The rank at coordinate offset `(dx, dy, dz)` from `rank`, honouring
     /// periodicity (x wraps, y and z do not).  `None` when the offset walks
     /// off a non-periodic boundary.
-    pub fn neighbor(&self, rank: usize, dx: i32, dy: i32, dz: i32) -> Option<usize> {
+    fn neighbor(&self, rank: usize, dx: i32, dy: i32, dz: i32) -> Option<usize> {
         let (cx, cy, cz) = self.coords(rank);
         let nxt = |c: usize, d: i32, p: usize, periodic: bool| -> Option<usize> {
             let t = c as i64 + d as i64;

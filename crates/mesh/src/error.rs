@@ -25,18 +25,6 @@ pub enum MeshError {
         /// Processes along z.
         pz: usize,
     },
-    /// A field access outside interior + halo (checked accessors only; the
-    /// unchecked hot-path accessors debug-assert instead).
-    OutOfBounds {
-        /// Axis name: `'x'`, `'y'` or `'z'`.
-        axis: char,
-        /// The offending index.
-        index: isize,
-        /// Valid range start (inclusive, may be negative into the halo).
-        lo: isize,
-        /// Valid range end (exclusive).
-        hi: isize,
-    },
     /// More processes than mesh points along some axis.
     Oversubscribed {
         /// Longitude points.
@@ -66,14 +54,6 @@ impl fmt::Display for MeshError {
             MeshError::InvalidSigma(msg) => write!(f, "invalid sigma levels: {msg}"),
             MeshError::InvalidProcessGrid { px, py, pz } => {
                 write!(f, "process grid {px}x{py}x{pz} has a zero dimension")
-            }
-            MeshError::OutOfBounds {
-                axis,
-                index,
-                lo,
-                hi,
-            } => {
-                write!(f, "{axis} index {index} outside [{lo}, {hi})")
             }
             MeshError::Oversubscribed {
                 nx,

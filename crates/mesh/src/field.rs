@@ -16,7 +16,6 @@
 //! array a 2-D field would be, indexed at level `k = 0`.
 
 use crate::band::{RowBand, Shape};
-use crate::error::MeshError;
 use crate::pages;
 use crate::stencil::{Axis, StencilFootprint};
 
@@ -91,21 +90,6 @@ impl HaloWidths {
             Axis::Z => (self.zm, self.zp),
         }
     }
-}
-
-/// `index` on an axis of `n` points with `m` halo layers below and `p`
-/// above, or the typed error [`Field3::checked_idx`] returns.
-fn check(axis: char, index: isize, m: usize, n: usize, p: usize) -> Result<(), MeshError> {
-    let (lo, hi) = (-(m as isize), (n + p) as isize);
-    if (lo..hi).contains(&index) {
-        return Ok(());
-    }
-    Err(MeshError::OutOfBounds {
-        axis,
-        index,
-        lo,
-        hi,
-    })
 }
 
 /// A 3-D scalar field on one rank's subdomain, with halos.  The `Default`
@@ -208,30 +192,6 @@ impl Field3 {
         (self.base as isize + i + j * self.sy as isize + k * self.sz as isize) as usize
     }
 
-    /// Bounds-check one local coordinate triple against interior + halo,
-    /// returning the linear index.  The hot-path accessors ([`Field3::get`]
-    /// and friends) skip this in release builds; use the `try_*` accessors
-    /// on paths where an out-of-range index must surface as a typed error
-    /// instead of a panic (or worse, a wrapped index into the wrong point).
-    pub fn checked_idx(&self, i: isize, j: isize, k: isize) -> Result<usize, MeshError> {
-        check('x', i, self.halo.xm, self.nx, self.halo.xp)?;
-        check('y', j, self.halo.ym, self.ny, self.halo.yp)?;
-        check('z', k, self.halo.zm, self.nz, self.halo.zp)?;
-        Ok((self.base as isize + i + j * self.sy as isize + k * self.sz as isize) as usize)
-    }
-
-    /// Bounds-checked read at local coordinates.
-    pub fn try_get(&self, i: isize, j: isize, k: isize) -> Result<f64, MeshError> {
-        Ok(self.data[self.checked_idx(i, j, k)?])
-    }
-
-    /// Bounds-checked write at local coordinates.
-    pub fn try_set(&mut self, i: isize, j: isize, k: isize, v: f64) -> Result<(), MeshError> {
-        let ix = self.checked_idx(i, j, k)?;
-        self.data[ix] = v;
-        Ok(())
-    }
-
     /// Sanitizer identity of this field's allocation: pass to
     /// [`crate::sanitize::track`] to have its accesses recorded.
     #[cfg(feature = "access-sanitizer")]
@@ -285,7 +245,7 @@ impl Field3 {
     /// into *adjacent rows* of the same allocation — never out of the
     /// allocation for in-halo `j`/`k` (the slice bounds themselves are still
     /// checked by the indexing operation), but logically wrong.  Callers
-    /// that take untrusted coordinates must use [`Self::checked_idx`] first.
+    /// that take untrusted coordinates must bound them first.
     #[inline]
     pub fn row(&self, x0: isize, x1: isize, j: isize, k: isize) -> &[f64] {
         debug_assert!(x0 <= x1);
@@ -812,47 +772,5 @@ mod tests {
         assert_eq!(f.get(-1, 0, 0), f.get(4, 0, 0));
         assert_eq!(f.get(-2, 1, 1), f.get(3, 1, 1));
         assert_eq!(f.get(5, 1, 0), f.get(0, 1, 0));
-    }
-
-    #[test]
-    fn checked_accessors_bound_interior_plus_halo() {
-        let mut f = Field3::new(4, 3, 2, HaloWidths::uniform(1));
-        f.set(0, 0, 0, 5.0);
-        assert_eq!(f.try_get(0, 0, 0).unwrap(), 5.0);
-        assert!(f.try_get(-1, -1, -1).is_ok(), "halo is reachable");
-        assert!(f.try_set(4, 2, 1, 1.0).is_ok(), "upper halo is reachable");
-        let e = f.try_get(5, 0, 0).unwrap_err();
-        assert!(
-            matches!(
-                e,
-                MeshError::OutOfBounds {
-                    axis: 'x',
-                    index: 5,
-                    ..
-                }
-            ),
-            "{e}"
-        );
-        assert!(f.try_get(0, -2, 0).is_err());
-        assert!(f.try_set(0, 0, 3, 0.0).is_err());
-        // checked and unchecked agree on in-range points
-        assert_eq!(f.checked_idx(2, 1, 1).unwrap(), f.idx(2, 1, 1));
-
-        let mut g = Field3::surface(4, 3, HaloWidths::uniform(2));
-        assert!(g.try_set(-2, 4, 0, 9.0).is_ok());
-        assert_eq!(g.try_get(-2, 4, 0).unwrap(), 9.0);
-        assert!(g.try_get(0, 0, 1).is_err(), "a surface field has one level");
-        let e = g.try_get(0, 5, 0).unwrap_err();
-        assert!(
-            matches!(
-                e,
-                MeshError::OutOfBounds {
-                    axis: 'y',
-                    index: 5,
-                    ..
-                }
-            ),
-            "{e}"
-        );
     }
 }

@@ -15,8 +15,7 @@
 //!   so no scalar row sits exactly on a pole and `sin θ_j > 0` everywhere.
 //!   `V` lives at `θ_{j+1/2} = (j+1)·Δθ`.
 //! * `z` = σ level, index `k ∈ [0, nz)`, cell centres `σ_k = (k + 1/2)·Δσ`,
-//!   interfaces `σ_{k±1/2}`, uniform `Δσ = 1/nz` by default (the general
-//!   non-uniform case is supported through [`SigmaLevels::from_interfaces`]).
+//!   interfaces `σ_{k±1/2}`, uniform `Δσ = 1/nz`.
 //!
 //! All trigonometric tables are precomputed once per grid; the inner loops
 //! of the operators only ever index into slices.
@@ -32,7 +31,7 @@ pub mod constants {
     /// Gas constant for dry air `R` \[J kg⁻¹ K⁻¹\].
     pub const R_DRY: f64 = 287.04;
     /// Specific heat of dry air at constant pressure `c_p` \[J kg⁻¹ K⁻¹\].
-    pub const CP_DRY: f64 = 1004.64;
+    const CP_DRY: f64 = 1004.64;
     /// `κ = R/c_p`.
     pub const KAPPA: f64 = R_DRY / CP_DRY;
     /// Characteristic velocity of gravity wave propagation `b` \[m s⁻¹\]
@@ -75,7 +74,7 @@ impl SigmaLevels {
 
     /// Build from explicit interface values.  Must start at 0, end at 1 and
     /// be strictly increasing.
-    pub fn from_interfaces(interfaces: Vec<f64>) -> Result<Self, MeshError> {
+    fn from_interfaces(interfaces: Vec<f64>) -> Result<Self, MeshError> {
         if interfaces.len() < 2 {
             return Err(MeshError::InvalidSigma("need at least 2 interfaces".into()));
         }
@@ -141,9 +140,6 @@ pub struct LatLonGrid {
     dtheta: f64,
     /// Colatitude of scalar rows `θ_j = (j+1/2)Δθ`, length `ny`.
     theta_c: Vec<f64>,
-    /// Colatitude of V rows `θ_{j+1/2} = (j+1)Δθ`, length `ny` (the last row
-    /// sits on the south pole and is treated as a boundary).
-    theta_v: Vec<f64>,
     /// `sin θ_j` at scalar rows.
     sin_c: Vec<f64>,
     /// `cos θ_j` at scalar rows.
@@ -157,11 +153,7 @@ pub struct LatLonGrid {
 impl LatLonGrid {
     /// Create a grid with `nx × ny` horizontal points and uniform σ levels.
     pub fn new(nx: usize, ny: usize, nz: usize) -> Result<Self, MeshError> {
-        Self::with_sigma(nx, ny, SigmaLevels::uniform(nz))
-    }
-
-    /// Create a grid with explicit σ levels.
-    pub fn with_sigma(nx: usize, ny: usize, sigma: SigmaLevels) -> Result<Self, MeshError> {
+        let sigma = SigmaLevels::uniform(nz);
         if nx < 4 || ny < 4 || sigma.nz() < 1 {
             return Err(MeshError::InvalidGrid {
                 nx,
@@ -172,6 +164,8 @@ impl LatLonGrid {
         let dlambda = 2.0 * std::f64::consts::PI / nx as f64;
         let dtheta = std::f64::consts::PI / ny as f64;
         let theta_c: Vec<f64> = (0..ny).map(|j| (j as f64 + 0.5) * dtheta).collect();
+        // V rows sit at `θ_{j+1/2} = (j+1)Δθ`; the last one is on the south
+        // pole and is treated as a boundary
         let theta_v: Vec<f64> = (0..ny).map(|j| (j as f64 + 1.0) * dtheta).collect();
         let sin_c = theta_c.iter().map(|t| t.sin()).collect();
         let cos_c = theta_c.iter().map(|t| t.cos()).collect();
@@ -184,7 +178,6 @@ impl LatLonGrid {
             dlambda,
             dtheta,
             theta_c,
-            theta_v,
             sin_c,
             cos_c,
             sin_v,
@@ -236,16 +229,6 @@ impl LatLonGrid {
     /// Colatitude spacing `Δθ` \[rad\].
     pub fn dtheta(&self) -> f64 {
         self.dtheta
-    }
-
-    /// Colatitude of scalar row `j`.
-    pub fn theta_center(&self, j: usize) -> f64 {
-        self.theta_c[j]
-    }
-
-    /// Colatitude of the V row `j+1/2`.
-    pub fn theta_vface(&self, j: usize) -> f64 {
-        self.theta_v[j]
     }
 
     /// `sin θ` at scalar rows (length `ny`).
@@ -320,15 +303,9 @@ mod tests {
         assert!(g.sin_center().iter().all(|&s| s > 0.0));
         // colatitude increases monotonically
         for j in 1..g.ny() {
-            assert!(g.theta_center(j) > g.theta_center(j - 1));
-        }
-        // V row j sits between scalar rows j and j+1
-        for j in 0..g.ny() - 1 {
-            assert!(g.theta_vface(j) > g.theta_center(j));
-            assert!(g.theta_vface(j) < g.theta_center(j + 1));
+            assert!(g.theta_c[j] > g.theta_c[j - 1]);
         }
         // last V row is the south pole
-        assert!((g.theta_vface(g.ny() - 1) - PI).abs() < 1e-12);
         assert!(g.sin_vface()[g.ny() - 1].abs() < 1e-12);
     }
 

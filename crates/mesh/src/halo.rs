@@ -62,7 +62,7 @@ pub struct ExchangeSpec {
 /// we receive from offset `(dx,dy,dz)` was sent by the neighbour as its
 /// direction `(-dx,-dy,-dz)`; both sides compute the same tag from the
 /// sender's offset.
-pub fn direction_tag(dx: i32, dy: i32, dz: i32) -> u32 {
+fn direction_tag(dx: i32, dy: i32, dz: i32) -> u32 {
     ((dx + 1) + 3 * (dy + 1) + 9 * (dz + 1)) as u32
 }
 
@@ -156,11 +156,6 @@ impl ExchangePlan {
         &self.specs
     }
 
-    /// Number of neighbours communicated with.
-    pub fn neighbor_count(&self) -> usize {
-        self.specs.len()
-    }
-
     /// Total `f64` values sent per field per exchange.
     pub fn send_volume(&self) -> usize {
         self.specs.iter().map(|s| s.send.len()).sum()
@@ -197,7 +192,7 @@ mod tests {
     #[test]
     fn interior_yz_rank_has_eight_exchanges() {
         let (_, plan) = yz_plan(1);
-        assert_eq!(plan.neighbor_count(), 8);
+        assert_eq!(plan.specs().len(), 8);
     }
 
     #[test]
@@ -264,7 +259,7 @@ mod tests {
         let d = Decomposition::new((8, 12, 9), ProcessGrid::yz(3, 3).unwrap()).unwrap();
         let corner = d.process_grid().rank(0, 0, 0);
         let plan = ExchangePlan::new(&d, corner, HaloWidths::uniform(1));
-        assert_eq!(plan.neighbor_count(), 3); // S, down, S-down corner
+        assert_eq!(plan.specs().len(), 3); // S, down, S-down corner
     }
 
     #[test]
@@ -273,14 +268,14 @@ mod tests {
         let west_edge = d.process_grid().rank(0, 1, 0);
         let plan = ExchangePlan::new(&d, west_edge, HaloWidths::uniform(1));
         // full 8-neighbourhood despite being at cx = 0, due to x periodicity
-        assert_eq!(plan.neighbor_count(), 8);
+        assert_eq!(plan.specs().len(), 8);
     }
 
     #[test]
     fn serial_plan_is_empty() {
         let d = Decomposition::new((8, 8, 4), ProcessGrid::serial()).unwrap();
         let plan = ExchangePlan::new(&d, 0, HaloWidths::uniform(2));
-        assert_eq!(plan.neighbor_count(), 0);
+        assert_eq!(plan.specs().len(), 0);
         assert_eq!(plan.send_volume(), 0);
     }
 

@@ -81,7 +81,7 @@ impl AxisOffsets {
     }
 
     /// Only the centre point.
-    pub fn center() -> Self {
+    fn center() -> Self {
         AxisOffsets { offsets: vec![0] }
     }
 

@@ -6,8 +6,8 @@
 //! supplies the pieces that turn those per-rank streams into one coherent
 //! timeline in the parent:
 //!
-//! * **codec** ([`encode_events`] / [`decode_events`],
-//!   [`encode_metrics`] / [`decode_metrics`]) — a compact, versioned
+//! * **codec** (`encode_events` / `decode_events`,
+//!   `encode_metrics` / `decode_metrics`) — a compact, versioned
 //!   binary encoding of a drained event stream and a metrics snapshot.
 //!   Event names are deduplicated through a string table and re-interned
 //!   on decode (names are `&'static str`; unseen names are leaked once
@@ -26,9 +26,10 @@
 //!   existing [`crate::chrome_trace_json`] exporter renders with one
 //!   track per rank;
 //! * **epoch merging** ([`merge_rank_metrics`]) — folds the metric
-//!   snapshots of one rank's successive *incarnations* (a respawned rank
-//!   restarts its counters from zero) into lifetime totals by summing
-//!   across epoch-tagged snapshots instead of taking the last one.
+//!   snapshots of one rank's successive *incarnations* (a restarted world
+//!   runs every rank as a new process of the next generation, whose
+//!   counters start from zero) into lifetime totals by summing across
+//!   epoch-tagged snapshots instead of taking the last one.
 
 use crate::metrics::{HistogramSummary, MetricsSnapshot};
 use crate::phase::Phase;
@@ -200,7 +201,7 @@ fn intern(name: &str) -> &'static str {
 const EVENT_BYTES: usize = 2 * 4 + 2 + 6 * 8;
 
 /// Encode a drained event stream into the versioned binary form.
-pub fn encode_events(events: &[Event]) -> Vec<u8> {
+fn encode_events(events: &[Event]) -> Vec<u8> {
     let mut names: Vec<&'static str> = Vec::new();
     let mut index: BTreeMap<&'static str, u32> = BTreeMap::new();
     for e in events {
@@ -232,7 +233,7 @@ pub fn encode_events(events: &[Event]) -> Vec<u8> {
 }
 
 /// Decode an event stream encoded by [`encode_events`].
-pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, String> {
+fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, String> {
     let mut r = Reader { b: bytes, i: 0 };
     if r.take(8)? != EVENTS_MAGIC {
         return Err("bad event-stream magic".to_string());
@@ -282,7 +283,7 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, String> {
 // ---------------------------------------------------------------------------
 
 /// Encode a metrics snapshot into the versioned binary form.
-pub fn encode_metrics(snap: &MetricsSnapshot) -> Vec<u8> {
+fn encode_metrics(snap: &MetricsSnapshot) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(METRICS_MAGIC);
     put_u32(&mut out, snap.counters.len() as u32);
@@ -310,7 +311,7 @@ pub fn encode_metrics(snap: &MetricsSnapshot) -> Vec<u8> {
 }
 
 /// Decode a metrics snapshot encoded by [`encode_metrics`].
-pub fn decode_metrics(bytes: &[u8]) -> Result<MetricsSnapshot, String> {
+fn decode_metrics(bytes: &[u8]) -> Result<MetricsSnapshot, String> {
     let mut r = Reader { b: bytes, i: 0 };
     if r.take(8)? != METRICS_MAGIC {
         return Err("bad metrics-snapshot magic".to_string());
@@ -409,8 +410,9 @@ pub fn decode_record(bytes: &[u8]) -> Result<Record, String> {
 /// the epoch that incarnation was *born* at — into the rank's lifetime
 /// totals.
 ///
-/// A respawned rank restarts every instrument from zero, so taking the
-/// last snapshot silently drops everything the earlier incarnations
+/// A restarted world runs every rank as a new process of the next
+/// generation, whose instruments start from zero, so taking the last
+/// snapshot silently drops everything the earlier incarnations
 /// counted and skews MTTR/availability math.  Counters are cumulative
 /// within one incarnation and incarnation lifetimes are disjoint, so the
 /// lifetime total is the **sum** of the per-incarnation finals; histogram

@@ -122,7 +122,7 @@ pub struct StepOverlap {
 impl StepOverlap {
     /// Fraction of each exchange window covered by useful computation:
     /// `compute / (compute + wait)`.  1.0 means the wait was fully hidden.
-    pub fn efficiency(&self) -> f64 {
+    fn efficiency(&self) -> f64 {
         let total = self.overlap_compute_ns + self.wait_ns;
         if total == 0 {
             0.0
@@ -151,7 +151,7 @@ pub struct DurQuantiles {
 
 impl DurQuantiles {
     /// Compute from an unsorted duration list (sorts in place).
-    pub fn from_durations(durs: &mut [u64]) -> DurQuantiles {
+    fn from_durations(durs: &mut [u64]) -> DurQuantiles {
         if durs.is_empty() {
             return DurQuantiles::default();
         }

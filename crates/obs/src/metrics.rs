@@ -74,9 +74,9 @@ pub struct Histogram {
 
 impl Histogram {
     /// Linear sub-buckets per power-of-two octave.
-    pub const SUB: usize = 4;
+    const SUB: usize = 4;
     /// Number of octaves covered (values ≥ 2^63 clamp into the last).
-    pub const OCTAVES: usize = 64;
+    const OCTAVES: usize = 64;
 
     fn new() -> Self {
         let n = Self::SUB * Self::OCTAVES;

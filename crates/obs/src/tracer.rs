@@ -119,7 +119,7 @@ static SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Number of event-buffer shards (threads hash across them, so rank
 /// threads rarely contend on the same lock).
-pub const SHARDS: usize = 16;
+const SHARDS: usize = 16;
 
 fn shards() -> &'static [Mutex<Vec<Event>>; SHARDS] {
     static BUFS: OnceLock<[Mutex<Vec<Event>>; SHARDS]> = OnceLock::new();

@@ -113,7 +113,7 @@ impl From<String> for ParentError {
 
 /// Which algorithm(s) one `agcm-run` invocation executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlgSel {
+enum AlgSel {
     /// Algorithm 1 (original, exact iteration).
     Alg1,
     /// Algorithm 2 (communication-avoiding, approximate iteration).
@@ -134,7 +134,7 @@ impl AlgSel {
 
 /// Parsed command line of the parent process.
 #[derive(Debug, Clone)]
-pub struct RunOpts {
+struct RunOpts {
     /// World size (one OS process per rank).
     pub ranks: usize,
     /// Ranks along z: the world is the `yz(ranks / pz, pz)` process grid
@@ -205,7 +205,7 @@ impl RunOpts {
     /// The respawn policy: `None` in classic mode, else the budget of the
     /// whole run (default 2 when elastic mode was implied by
     /// `--resize`/`--kill` rather than set explicitly).
-    pub fn respawn_budget(&self) -> Option<u32> {
+    fn respawn_budget(&self) -> Option<u32> {
         self.elastic().then(|| self.max_respawns.unwrap_or(2))
     }
 
@@ -282,7 +282,7 @@ AGCM_FAULT_SPEC/_SEED, AGCM_COMM_TIMEOUT_MS or AGCM_THREADS among them),
 4 respawn budget exhausted, 5 verification mismatch.";
 
 /// Parse the parent's command line (everything after `argv[0]`).
-pub fn parse_args(args: &[String]) -> Result<Option<RunOpts>, String> {
+fn parse_args(args: &[String]) -> Result<Option<RunOpts>, String> {
     let mut opts = RunOpts::default();
     let mut it = args.iter();
     let value = |flag: &str, it: &mut std::slice::Iter<String>| {
@@ -512,7 +512,7 @@ pub(crate) struct Worker {
 /// One rank of a launched world: connect the socket mesh and run the one
 /// worker (`run_rank`).  What the world's records can prove is the
 /// parent's to decide, by the respawn policy it supervises the world under.
-pub fn worker_main() -> Result<(), String> {
+fn worker_main() -> Result<(), String> {
     // every launcher variable is parsed before the socket mesh connects: a
     // malformed one is an error naming it (exit 1), never a panic mid-world
     let rank: usize = req_env("AGCM_RANK")?;
@@ -634,7 +634,7 @@ fn measured_traffic(rec: &Record) -> Option<[u64; 8]> {
 /// Run every selected algorithm's plan; `Err` carries the first failed
 /// check, classified for the exit code (respawn exhaustion, verification
 /// mismatch, or anything else).
-pub fn run_parent(opts: &RunOpts) -> Result<(), ParentError> {
+fn run_parent(opts: &RunOpts) -> Result<(), ParentError> {
     let plan = opts.plan();
     let trace = opts.trace.then(|| {
         opts.trace_out
@@ -742,7 +742,7 @@ pub(crate) fn verify_world(
         }
         // wire identity: every logical message crossed the kernel as
         // exactly one frame of 8·elems payload + fixed overhead
-        let expect_bytes = expected_wire_bytes(raw_sends, raw_send_elems);
+        let expect_bytes = 8 * raw_send_elems + WIRE_OVERHEAD_BYTES * raw_sends;
         if wire_msgs != raw_sends || wire_bytes != expect_bytes {
             return Err(mismatch(format!(
                 "alg{alg} rank {rank}: wire counters ({wire_msgs} frames, {wire_bytes} bytes) != \
@@ -781,7 +781,7 @@ pub(crate) fn verify_world(
 /// spans with their pre-increment step counter, so the warm-up records
 /// step 0 and the measured steady-state step — the one the static
 /// schedule describes — records step 1.
-pub const MEASURED_STEP: u64 = 1;
+const MEASURED_STEP: u64 = 1;
 
 /// A finite `f64` as a JSON number (non-finite values become `null`).
 pub(crate) fn jnum(x: f64) -> String {
@@ -1067,12 +1067,6 @@ pub fn states_bitwise_equal(a: &GlobalState, b: &GlobalState) -> bool {
         && bits(&a.v, &b.v)
         && bits(&a.phi, &b.phi)
         && bits(&a.psa, &b.psa)
-}
-
-/// The wire-stats identity the parent asserts, exported for reuse in
-/// tests: expected bytes for `msgs` frames carrying `elems` total `f64`s.
-pub fn expected_wire_bytes(msgs: u64, elems: u64) -> u64 {
-    8 * elems + WIRE_OVERHEAD_BYTES * msgs
 }
 
 #[cfg(test)]

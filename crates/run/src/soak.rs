@@ -41,14 +41,14 @@ use std::time::{Duration, Instant};
 
 /// Default soak seed (shared with the fault layer's default, so a bare
 /// `agcm-soak` and a bare `AGCM_FAULT_SPEC` run replay the same schedule).
-pub const DEFAULT_SOAK_SEED: u64 = 24473;
+const DEFAULT_SOAK_SEED: u64 = 24473;
 
 /// The benign background fault layer every soak worker runs under: delays
 /// reorder frame delivery without touching payloads, so the run stays
 /// bitwise while the queues soak under pressure (drop/corrupt faults would
 /// surface as fatal worker errors and burn the respawn budget on non-kill
 /// events, which the accounting must not mix).
-pub const SOAK_FAULT_SPEC: &str = "delay:prob=0.05,k=3";
+const SOAK_FAULT_SPEC: &str = "delay:prob=0.05,k=3";
 
 // ---------------------------------------------------------------------------
 // Options
@@ -56,7 +56,7 @@ pub const SOAK_FAULT_SPEC: &str = "delay:prob=0.05,k=3";
 
 /// Parsed `agcm-soak` command line.
 #[derive(Debug, Clone)]
-pub struct SoakOpts {
+struct SoakOpts {
     /// Initial world size (phase 0 rank count).
     pub ranks: usize,
     /// Total steps to integrate across all phases.
@@ -122,7 +122,7 @@ Exit codes: 0 soak passed, 1 runtime failure, 2 usage,
 4 respawn budget exhausted, 5 verification mismatch.";
 
 /// Parse the soak command line (everything after `argv[0]`).
-pub fn parse_soak_args(args: &[String]) -> Result<Option<SoakOpts>, String> {
+fn parse_soak_args(args: &[String]) -> Result<Option<SoakOpts>, String> {
     let mut opts = SoakOpts::default();
     let mut seed_set = false;
     let mut budget_set = false;
@@ -205,7 +205,7 @@ fn feasible(p: usize, cfg: &ModelConfig) -> bool {
 /// plan's phases (`resizes + 1` of them) and the background fault layer.
 /// Printing it (`--plan-only`) is a pure function of the options, which is
 /// what the replay test pins.
-pub fn build_plan(opts: &SoakOpts, cfg: &ModelConfig) -> Result<Plan, String> {
+fn build_plan(opts: &SoakOpts, cfg: &ModelConfig) -> Result<Plan, String> {
     if !feasible(opts.ranks, cfg) {
         return Err(format!(
             "--ranks {} cannot decompose the ny={} test mesh evenly",
@@ -314,7 +314,7 @@ fn fault_of(plan: &Plan) -> (&str, u64) {
 
 /// FNV-1a 64 over the printed plan — the replay fingerprint recorded in
 /// `BENCH_soak.json`.
-pub fn plan_hash(seed: u64, plan: &Plan) -> u64 {
+fn plan_hash(seed: u64, plan: &Plan) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in render_plan(seed, plan).bytes() {
         h ^= b as u64;
@@ -325,7 +325,7 @@ pub fn plan_hash(seed: u64, plan: &Plan) -> u64 {
 
 /// The canonical listing of the plan `seed` expanded to (what `--plan-only`
 /// prints; byte-stable for a given seed + options).
-pub fn render_plan(seed: u64, plan: &Plan) -> String {
+fn render_plan(seed: u64, plan: &Plan) -> String {
     let (spec, fault_seed) = fault_of(plan);
     let mut s = format!(
         "agcm-soak: plan seed={seed} fault_seed={fault_seed} fault=\"{spec}\" phases={}\n",
@@ -401,7 +401,7 @@ fn tune_interval(delta_s: f64, mtbf_s: f64, t_step_s: f64, phase_steps: u64) -> 
 /// Run the whole soak: expand the plan, run every phase through the phase
 /// runner with a single shared respawn budget, and write the validated
 /// benchmark report.
-pub fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
+fn run_soak(opts: &SoakOpts) -> Result<(), ParentError> {
     let plan = build_plan(opts, &run_config()).map_err(ParentError::Other)?;
     print!("{}", render_plan(opts.seed, &plan));
     if opts.plan_only {

@@ -62,7 +62,5 @@ pub use report::{
     certify_one, certify_paper_ranks, certify_yz, paper_yz_grid, AlgCertification, Certification,
     PAPER_RANKS,
 };
-pub use runtime::{cross_check, measure_step, measure_step_under_faults, MeasuredTraffic};
-pub use trace::{
-    expected_counts, measure_spans, trace_cross_check, ExpectedSpanCounts, RankSpanCounts,
-};
+pub use runtime::{cross_check, measure_step_under_faults, MeasuredTraffic};
+pub use trace::{expected_counts, trace_cross_check, ExpectedSpanCounts, RankSpanCounts};

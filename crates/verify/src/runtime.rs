@@ -26,19 +26,15 @@ pub struct MeasuredTraffic {
     pub collectives: u64,
 }
 
-/// Run `alg` on `pgrid` for real (threads), measure the second step —
+/// Run `alg` on `pgrid` for real (threads) with a deterministic fault plan
+/// installed and framed, retrying exchanges, measure the second step —
 /// steady state: warm `C` cache, pending smoothing — and return per-rank
-/// halo traffic with collective-internal messages subtracted.
-pub fn measure_step(cfg: &ModelConfig, alg: AlgKind, pgrid: ProcessGrid) -> Vec<MeasuredTraffic> {
-    measure_step_inner(cfg, alg, pgrid, None).0
-}
-
-/// Like [`measure_step`] but with a deterministic fault plan installed and
-/// framed, retrying exchanges.  The certified counts must be *invariant*
-/// under delivery faults: the stats count logical payloads (checksum
-/// frames excluded), redundant duplicate deliveries are never counted,
-/// drops/corruptions are recovered receiver-side without reposting sends,
-/// and stalls/delays only move messages in time.
+/// halo traffic with collective-internal messages subtracted.  The
+/// certified counts must be *invariant* under delivery faults: the stats
+/// count logical payloads (checksum frames excluded), redundant duplicate
+/// deliveries are never counted, drops/corruptions are recovered
+/// receiver-side without reposting sends, and stalls/delays only move
+/// messages in time.
 pub fn measure_step_under_faults(
     cfg: &ModelConfig,
     alg: AlgKind,

@@ -74,7 +74,7 @@ pub fn expected_counts(cfg: &ModelConfig, alg: AlgKind, pgrid: ProcessGrid) -> E
 /// Takes the process-global tracer exclusively for the duration (see
 /// [`agcm_obs::exclusive`]); prior buffered events are discarded.  Returns
 /// an empty vector when the tracer is compiled out (feature `trace` off).
-pub fn measure_spans(cfg: &ModelConfig, alg: AlgKind, pgrid: ProcessGrid) -> Vec<RankSpanCounts> {
+fn measure_spans(cfg: &ModelConfig, alg: AlgKind, pgrid: ProcessGrid) -> Vec<RankSpanCounts> {
     let _guard = obs::exclusive();
     obs::reset();
     obs::enable();
