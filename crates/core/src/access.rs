@@ -118,6 +118,12 @@ pub struct FieldAccess {
     /// `C`'s sums, satisfied by a z-allgather (or `p_z = 1`), never by a
     /// halo.  The box's z extents still apply to the *local* prefix walks.
     pub whole_z: bool,
+    /// The field is scratch in a sub-update that runs `C` fresh: it lives
+    /// in the rows of this component (`"u"`, `"phi"`) of the sub-update's
+    /// output, where `C` writes it and the sweep reads it back before it
+    /// stores its own update over the row.  `verify::dataflow` proves each
+    /// such read lies inside `C`'s matching write.
+    pub in_out: Option<&'static str>,
 }
 
 impl FieldAccess {
@@ -128,6 +134,7 @@ impl FieldAccess {
             bounds,
             whole_x: false,
             whole_z: false,
+            in_out: None,
         }
     }
 
@@ -138,7 +145,13 @@ impl FieldAccess {
             bounds,
             whole_x: false,
             whole_z: false,
+            in_out: None,
         }
+    }
+
+    const fn in_out(mut self, component: &'static str) -> Self {
+        self.in_out = Some(component);
+        self
     }
 
     const fn whole_x(mut self) -> Self {
@@ -182,36 +195,48 @@ impl AccessSpec {
 
 const PW: OffsetBox = OffsetBox::pointwise();
 
-const ADAPTATION_FIELDS: [FieldAccess; 13] = [
-    // prognostic reads: the Table 1 x extent (±3) and the C-grid
-    // meridional coupling (±1); single level.
-    FieldAccess::read("u", OffsetBox::new(3, 3, 1, 1, 0, 0)),
-    FieldAccess::read("v", OffsetBox::new(3, 3, 1, 1, 0, 0)),
-    FieldAccess::read("phi", OffsetBox::new(3, 3, 1, 1, 0, 0)),
-    // p'_sa feeds the point-wise surface diagnostics `p_es`/`P`, read
-    // at j ± 1 by the pressure-gradient and Ω terms.
-    FieldAccess::read("psa", OffsetBox::new(3, 3, 1, 1, 0, 0)),
+/// The adaptation sweep's fields; `fused`: the sub-update's sweep, which
+/// reads `φ'` and `D(P)` from its output's U and Φ rows when its `C` ran
+/// fresh.
+const fn adaptation_fields(fused: bool) -> [FieldAccess; 13] {
     // C outputs: φ' at (j, j+1) — declared symmetric in y like D(P);
     // g_w at interfaces (k, k+1); vsum/dsa/dp produced on the region.
     // `dp` is a logical field: in a sub-update it is stored in the output
     // state's Φ rows (the sweep copies row (j, k) out before it writes the
-    // row), in the standalone entry points in `Diag::dp`.
-    FieldAccess::read("phi_p", OffsetBox::new(3, 3, 1, 1, 0, 0)),
-    FieldAccess::read("gw", OffsetBox::new(1, 1, 0, 0, 0, 1)),
-    FieldAccess::read("dp", OffsetBox::new(1, 1, 0, 0, 0, 0)),
-    FieldAccess::read("vsum", OffsetBox::new(1, 1, 0, 0, 0, 0)),
-    FieldAccess::read("dsa", PW),
-    FieldAccess::write("u", PW),
-    FieldAccess::write("v", PW),
-    FieldAccess::write("phi", PW),
-    FieldAccess::write("psa", PW),
-];
+    // row), in the standalone entry points in `Diag::dp`.  `phi_p` is one
+    // too wherever nothing caches `C`: the output's U rows carry it.
+    let mut phi_p = FieldAccess::read("phi_p", OffsetBox::new(3, 3, 1, 1, 0, 0));
+    let mut dp = FieldAccess::read("dp", OffsetBox::new(1, 1, 0, 0, 0, 0));
+    if fused {
+        phi_p = phi_p.in_out("u");
+        dp = dp.in_out("phi");
+    }
+    [
+        // prognostic reads: the Table 1 x extent (±3) and the C-grid
+        // meridional coupling (±1); single level.
+        FieldAccess::read("u", OffsetBox::new(3, 3, 1, 1, 0, 0)),
+        FieldAccess::read("v", OffsetBox::new(3, 3, 1, 1, 0, 0)),
+        FieldAccess::read("phi", OffsetBox::new(3, 3, 1, 1, 0, 0)),
+        // p'_sa feeds the point-wise surface diagnostics `p_es`/`P`, read
+        // at j ± 1 by the pressure-gradient and Ω terms.
+        FieldAccess::read("psa", OffsetBox::new(3, 3, 1, 1, 0, 0)),
+        phi_p,
+        FieldAccess::read("gw", OffsetBox::new(1, 1, 0, 0, 0, 1)),
+        dp,
+        FieldAccess::read("vsum", OffsetBox::new(1, 1, 0, 0, 0, 0)),
+        FieldAccess::read("dsa", PW),
+        FieldAccess::write("u", PW),
+        FieldAccess::write("v", PW),
+        FieldAccess::write("phi", PW),
+        FieldAccess::write("psa", PW),
+    ]
+}
 
 /// The adaptation sweep `Â` (Table 1's stencil part; the z-global terms
 /// enter through the `C` diagnostics declared in `VERTICAL_C`).
 pub const ADAPTATION: AccessSpec = AccessSpec {
     op: "adaptation",
-    fields: &ADAPTATION_FIELDS,
+    fields: &adaptation_fields(false),
 };
 
 /// The *fused* adaptation sub-update (`crate::adaptation::
@@ -219,13 +244,14 @@ pub const ADAPTATION: AccessSpec = AccessSpec {
 /// filter-active rows combined in place after the filter).  The
 /// point-wise `base` read of the combine is modeled by the schedule's
 /// `reads_base`, and the output write is the state write already declared,
-/// so the fused kernel's contract is exactly the sweep's field list — but
+/// so the fused kernel's contract is the sweep's field list, with `φ'` and
+/// `D(P)` named as the scratch rows of its output that `C` fills — but
 /// it MUST be registered under its own key: a fused kernel the schedule
 /// emits without a registry entry fails certification with a named
 /// `UnregisteredOp` counterexample instead of silently running.
 const ADAPTATION_FUSED: AccessSpec = AccessSpec {
     op: "adaptation.fused",
-    fields: &ADAPTATION_FIELDS,
+    fields: &adaptation_fields(true),
 };
 
 /// The collective operator `C` ([`crate::vertical::apply_c`]): whole-column
@@ -242,13 +268,14 @@ const VERTICAL_C: AccessSpec = AccessSpec {
         FieldAccess::read("phi", OffsetBox::new(1, 1, 1, 1, 1, 1)).whole_z(),
         FieldAccess::read("psa", OffsetBox::new(1, 1, 1, 1, 0, 0)),
         FieldAccess::write("dsa", PW),
-        // the logical `dp`, wherever it is stored (see ADAPTATION_FIELDS)
-        FieldAccess::write("dp", OffsetBox::new(1, 1, 0, 0, 0, 0)),
+        // the logical `dp`, wherever it is stored (see `adaptation_fields`)
+        FieldAccess::write("dp", OffsetBox::new(1, 1, 0, 0, 0, 0)).in_out("phi"),
         FieldAccess::write("vsum", OffsetBox::new(1, 1, 0, 0, 0, 0)),
         // g_w holds interfaces k − 1/2 … one entry past the region.
         FieldAccess::write("gw", OffsetBox::new(1, 1, 0, 0, 0, 1)),
-        // φ' is produced on the region grown by one latitude row.
-        FieldAccess::write("phi_p", OffsetBox::new(1, 1, 1, 1, 0, 0)),
+        // φ' is produced on the region grown by one latitude row — into
+        // the output's U rows where nothing caches it.
+        FieldAccess::write("phi_p", OffsetBox::new(1, 1, 1, 1, 0, 0)).in_out("u"),
     ],
 };
 

@@ -16,7 +16,8 @@
 //! sub-update's combination folded into the pass over each filter-inactive
 //! `(j, k)` row ([`crate::sweep`]) — the fusion the dataflow proof
 //! certifies under the `adaptation.fused` access spec.  It reads `D(P)`
-//! from its output's Φ rows, where the sub-update's `C` left it: each row
+//! from its output's Φ rows, where the sub-update's `C` left it, and —
+//! unless the program caches `C` — `φ'` from its output's U rows: each row
 //! is copied out before the row's update is stored over it.
 //!
 //! The kernel is bound by f64 division throughput (0.68 ns per element on
@@ -38,7 +39,7 @@ use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
 use crate::lanes::{lane_loop, Elem};
 use crate::state::State;
-use crate::sweep::{self, SweepBand, SweepScratch, Update};
+use crate::sweep::{self, Loaded, SweepBand, SweepScratch, Update};
 use agcm_mesh::grid::constants as c;
 use agcm_mesh::Field3;
 
@@ -69,8 +70,11 @@ pub fn adaptation_tendency(
 ) {
     // a transient scratch: a dozen row-sized allocations per call
     let mut scratch = SweepScratch::new();
-    let dp = Some(&diag.dp);
-    run_sweep(geom, arg, diag, dp, tend, None, region, &mut scratch);
+    let homes = Homes {
+        dp: Some(&diag.dp),
+        phi_p: Some(&diag.phi_p),
+    };
+    run_sweep(geom, arg, diag, homes, tend, None, region, &mut scratch);
 }
 
 /// The adaptation sub-update's sweep: the tendency of `arg`, combined into
@@ -78,26 +82,38 @@ pub fn adaptation_tendency(
 /// the active ones, which the caller filters and combines in place
 /// (`Update::combine_filtered`).  `out.phi` holds `D(P)` on `region` —
 /// [`crate::vertical::apply_c_into`] or [`Diag::update_dp`] wrote it there;
-/// `diag` the other diagnostics, as for [`adaptation_tendency`].
+/// `φ'` is `phi_p`, the cache of a program that reuses `C`, or — `None` —
+/// `out.u` on `region ⊕ 1` rows, where `apply_c_into` wrote it; `diag`
+/// holds the other diagnostics, as for [`adaptation_tendency`].
+#[allow(clippy::too_many_arguments)]
 pub fn fused_adaptation_update(
     geom: &LocalGeometry,
     arg: &State,
     diag: &Diag,
+    phi_p: Option<&Field3>,
     upd: &Update<'_>,
     out: &mut State,
     region: Region,
     scratch: &mut SweepScratch,
 ) {
-    run_sweep(geom, arg, diag, None, out, Some(upd), region, scratch);
+    let homes = Homes { dp: None, phi_p };
+    run_sweep(geom, arg, diag, homes, out, Some(upd), region, scratch);
 }
 
-/// `dp`: where `D(P)` is read — `None` for `out`'s own Φ rows.
+/// Where the sweep reads `D(P)` and `φ'` — `None` for `out`'s own rows:
+/// its Φ rows and its U rows.
+#[derive(Clone, Copy)]
+struct Homes<'a> {
+    dp: Option<&'a Field3>,
+    phi_p: Option<&'a Field3>,
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_sweep(
     geom: &LocalGeometry,
     arg: &State,
     diag: &Diag,
-    dp: Option<&Field3>,
+    homes: Homes<'_>,
     out: &mut State,
     upd: Option<&Update<'_>>,
     region: Region,
@@ -111,7 +127,8 @@ fn run_sweep(
         upd,
         scratch,
         "adaptation.band",
-        |band, rows| adaptation_band(geom, arg, diag, dp, band, rows),
+        homes.phi_p.is_none(),
+        |band, rows| adaptation_band(geom, arg, diag, homes, band, rows),
         // p'_sa equation (2-D): p₀·(κ*·D_sa − Σ Δσ D(P)) with κ* = 1
         |j, o| {
             let r_dsa = diag.dsa.row(0, nx, j, 0);
@@ -123,8 +140,9 @@ fn run_sweep(
 
 /// Input rows of one `(j, k)` adaptation row triple, fetched once at
 /// `x ∈ [-1, nx+1)` so the slice index of logical point `i + d` is
-/// `ii + 1 + d` — except `dp`, the worker's copy of the `D(P)` row
-/// (`x ∈ [0, nx)`, read at `i` only).
+/// `ii + 1 + d` — `pp` and `pp_s` are the worker's copies of the `φ'` rows
+/// — except `dp`, the worker's copy of the `D(P)` row (`x ∈ [0, nx)`, read
+/// at `i` only).
 struct Rows<'a> {
     u: &'a [f64],
     u_s: &'a [f64],
@@ -148,10 +166,11 @@ fn fetch<'a>(
     nx: isize,
     arg: &'a State,
     diag: &'a Diag,
-    dp: &'a [f64],
+    loaded: &Loaded<'a>,
     j: isize,
     k: isize,
 ) -> Rows<'a> {
+    let [pp, pp_s] = loaded.phi_p;
     Rows {
         u: arg.u.row(-1, nx + 1, j, k),
         u_s: arg.u.row(-1, nx + 1, j + 1, k),
@@ -159,11 +178,11 @@ fn fetch<'a>(
         v_n: arg.v.row(-1, nx + 1, j - 1, k),
         phi: arg.phi.row(-1, nx + 1, j, k),
         phi_s: arg.phi.row(-1, nx + 1, j + 1, k),
-        pp: diag.phi_p.row(-1, nx + 1, j, k),
-        pp_s: diag.phi_p.row(-1, nx + 1, j + 1, k),
+        pp,
+        pp_s,
         gw_lo: diag.gw.row(-1, nx + 1, j, k),
         gw_hi: diag.gw.row(-1, nx + 1, j, k + 1),
-        dp,
+        dp: loaded.dp,
         cp: diag.cap_p.row(-1, nx + 1, j, 0),
         cp_s: diag.cap_p.row(-1, nx + 1, j + 1, 0),
         pes: diag.pes.row(-1, nx + 1, j, 0),
@@ -296,13 +315,13 @@ fn tendency_rows(r: &Rows<'_>, cf: &Coefs, o_u: &mut [f64], o_v: &mut [f64], o_p
     lane_loop!(o_phi.len(), E, ii, phi_eq::<E>(ii, o_phi, r, cf));
 }
 
-/// Row-sliced adaptation sweep over one worker band; `D(P)` from `dp`, or
-/// from the output's Φ rows (`None`).
+/// Row-sliced adaptation sweep over one worker band; `D(P)` and `φ'` from
+/// their `homes`.
 fn adaptation_band(
     geom: &LocalGeometry,
     arg: &State,
     diag: &Diag,
-    dp: Option<&Field3>,
+    homes: Homes<'_>,
     band: &mut SweepBand<'_>,
     region: Region,
 ) {
@@ -310,9 +329,10 @@ fn adaptation_band(
     for k in region.z0..region.z1 {
         for j in region.y0..region.y1 {
             let cf = coefs(geom, j, k);
-            band.load_dp(nx, (j, k), dp);
-            band.emit(nx, (j, k), |_, r_dp, o_u, o_v, o_phi| {
-                let r = fetch(nx, arg, diag, r_dp, j, k);
+            band.load_dp(nx, (j, k), homes.dp);
+            band.load_phi_p(nx, (j, k), homes.phi_p);
+            band.emit(nx, (j, k), |_, loaded, o_u, o_v, o_phi| {
+                let r = fetch(nx, arg, diag, loaded, j, k);
                 tendency_rows(&r, &cf, o_u, o_v, o_phi)
             });
         }

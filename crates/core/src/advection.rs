@@ -99,6 +99,7 @@ fn run_sweep(
         upd,
         scratch,
         "advection.band",
+        false,
         |band, rows| advection_band(geom, arg, diag, band, rows),
         // L̃'s fourth component is zero
         |_, o| o.fill(0.0),

@@ -16,9 +16,14 @@
 //! `D(P)` is a temporary of one adaptation sub-update: `C` (or the cached-`C`
 //! path, [`Diag::update_dp`]) writes it and the adaptation sweep reads it at
 //! the same `(j, k)`.  An engine keeps it in the Φ rows of the sub-update's
-//! output state, dead until the sweep stores row `(j, k)` over it, so a rank
-//! holds two 3-D diagnostic arrays, `gw` and `phi_p`.  Only the standalone
-//! entry points (`apply_c`, then `adaptation_tendency`) use [`Diag::dp`].
+//! output state, dead until the sweep stores row `(j, k)` over it.  `φ'` is
+//! such a temporary too wherever every `C` runs fresh (the serial exact
+//! iteration, Algorithm 1): `C` writes it into the output's U rows and the
+//! sweep reads rows `j` and `j + 1` back before it stores row `j`.  So a
+//! rank of those programs holds one 3-D diagnostic array, `gw`; a program
+//! that reuses `C` (Eq. 13) keeps `φ'` as state in [`Diag::phi_p`] and holds
+//! two.  Only the standalone entry points (`apply_c`, then
+//! `adaptation_tendency`) use [`Diag::dp`].
 
 use crate::geometry::{LocalGeometry, Region};
 use crate::lanes::{lane_loop, row_loop, Elem};
@@ -48,17 +53,21 @@ pub struct Diag {
     /// `g_w = σ̇·p_es/p₀` at interfaces: entry `k` holds interface `k−1/2`
     /// (3-D with `nz+1` levels).
     pub gw: Field3,
-    /// Geopotential deviation `φ'` at level centres (3-D).
+    /// Geopotential deviation `φ'` at level centres (3-D) — the cache of a
+    /// program that reuses `C` and of the standalone entry points.  Empty
+    /// until the first `C` that writes it runs, or until an integrator
+    /// whose program reuses `C` is built (`Engine::keep_phi_p`); a program
+    /// whose every `C` runs fresh keeps `φ'` in its sub-updates' output U
+    /// rows and never sizes it.
     pub phi_p: Field3,
     /// Reusable scratch for [`crate::vertical::apply_c`]'s column sums —
     /// kept here so steady-state stepping allocates nothing.
     pub(crate) zscratch: ZScratch,
 }
 
-/// Column-sum scratch buffers for the `C` operator.  Pulled out of [`Diag`]
-/// with `mem::take` for the duration of an `apply_c` call (disjoint-borrow
-/// convenience) and put back afterwards, so the capacity is reused across
-/// steps.  The four block-sum arrays are used under a z-split only; bands
+/// Column-sum scratch buffers for the `C` operator, borrowed apart from the
+/// rest of [`Diag`] for the duration of an `apply_c` call, so the capacity
+/// is reused across steps.  The four block-sum arrays are used under a z-split only; bands
 /// split `run` and `phis` by rows along with the fields.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ZScratch {
@@ -75,6 +84,15 @@ pub(crate) struct ZScratch {
     pub run: Vec<f64>,
     /// Surface geopotential deviation `φ'_s` of the φ' walk, likewise.
     pub phis: Vec<f64>,
+}
+
+/// `f`, a level-centred 3-D field of `geom`, allocated the first time —
+/// the diagnostic arrays that are sized on first use.
+pub(crate) fn sized<'a>(f: &'a mut Field3, geom: &LocalGeometry) -> &'a mut Field3 {
+    if f.total_len() == 0 {
+        *f = Field3::new(geom.nx, geom.ny, geom.nz, geom.halo);
+    }
+    f
 }
 
 /// `p_es = p̃_es + p'_sa` and `P = √(p_es/p₀)` at one element.
@@ -198,7 +216,7 @@ impl Diag {
             dp: Field3::default(),
             vsum: Field3::surface(nx, ny, h),
             gw: Field3::new(nx, ny, nz + 1, h),
-            phi_p: Field3::new(nx, ny, nz, h),
+            phi_p: Field3::default(),
             zscratch: ZScratch::default(),
         }
     }
@@ -265,12 +283,9 @@ impl Diag {
     }
 
     /// Take the standalone entry points' `D(P)` out of `self` (for a
-    /// disjoint borrow; put it back after), sized for `geom` the first time.
+    /// disjoint borrow; put it back after), sized the first time.
     pub(crate) fn take_dp(&mut self, geom: &LocalGeometry) -> Field3 {
-        match std::mem::take(&mut self.dp) {
-            dp if dp.total_len() > 0 => dp,
-            _ => Field3::new(geom.nx, geom.ny, geom.nz, geom.halo),
-        }
+        std::mem::take(sized(&mut self.dp, geom))
     }
 
     /// Per-point reference of [`Self::update_dsa`], retained verbatim for

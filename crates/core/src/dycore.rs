@@ -59,8 +59,15 @@ pub struct Engine {
     active_j: Vec<bool>,
     /// Offset mapping local row `j` into `active_j`.
     active_off: isize,
-    /// Whether `diag.{vsum, gw, phi_p}` hold valid (possibly stale) values.
+    /// Whether `diag.{vsum, gw, phi_p}` hold valid (possibly stale) values
+    /// for a cached-`C` sub-update to reuse.
     pub c_cached: bool,
+    /// Whether `φ'` lives in `Diag::phi_p`, the cache a cached-`C`
+    /// sub-update reuses (Eq. 13).  Without it a fresh `C` leaves `φ'` in
+    /// the U rows of its sub-update's output, where the sweep reads it
+    /// back, and no sub-update may reuse `C`.  Set for a bare engine;
+    /// [`Self::keep_phi_p`] chooses.
+    pub(crate) keeps_phi_p: bool,
     /// Whether this rank owns full longitude circles (enables the local
     /// x-wrap; false only under X-Y decompositions).
     pub px1: bool,
@@ -105,7 +112,18 @@ impl Engine {
             active_j,
             active_off,
             c_cached: false,
+            keeps_phi_p: true,
             px1,
+        }
+    }
+
+    /// Keep `φ'` in `Diag::phi_p` (`keeps`: the program reuses `C`), sized
+    /// now — the cache's first use may be an exchange or a snapshot rather
+    /// than a `C` — or leave it to the sub-updates' output U rows.
+    pub(crate) fn keep_phi_p(&mut self, keeps: bool) {
+        self.keeps_phi_p = keeps;
+        if keeps {
+            crate::diag::sized(&mut self.diag.phi_p, &self.geom);
         }
     }
 
@@ -130,7 +148,8 @@ impl Engine {
     ///   sub-update, the forcing, the smoothing) fills it first, pinning
     ///   the row again before anything is read from it,
     /// * `fresh_c = true` — the original iteration: run the collective `C`
-    ///   on `arg` (refreshing `vsum`, `g_w`, `φ'`),
+    ///   on `arg` (refreshing `vsum`, `g_w`, `φ'`; `φ'` into `out`'s U rows
+    ///   when the engine does not keep it),
     /// * `fresh_c = false` — the approximate iteration (§4.2.2): reuse the
     ///   cached `C` outputs of an earlier state; only the local stencil
     ///   diagnostics (`D_sa`, `D(P)`, surface fields) are recomputed.
@@ -138,9 +157,10 @@ impl Engine {
     /// Requires `arg` valid one row/level beyond `region` (owned halos via
     /// exchange; boundary halos are filled here).  `out` is scratch on
     /// `region` until the sweep stores a row: `D(P)` passes from `C` to the
-    /// sweep in its Φ rows, and a polar-filter-active row's tendency in its
-    /// own row ([`crate::sweep`]).  `out` is a third buffer — the borrows
-    /// keep it from being `arg` or `base`.
+    /// sweep in its Φ rows, `φ'` (unless the engine keeps it) in its U rows
+    /// and one row beyond `region` on each side, and a polar-filter-active
+    /// row's tendency in its own row ([`crate::sweep`]).  `out` is a third
+    /// buffer — the borrows keep it from being `arg` or `base`.
     #[allow(clippy::too_many_arguments)]
     pub fn adaptation_subupdate(
         &mut self,
@@ -174,18 +194,21 @@ impl Engine {
         }
         let arg = &*arg;
         if fresh_c {
-            // dsa/D(P) are inputs of C's column sums; D(P) stays in `out`
+            // dsa/D(P) are inputs of C's column sums; D(P) stays in `out`,
+            // and so does φ' where nothing reuses it
+            let State { u, phi, .. } = out;
             apply_c_into(
                 &self.geom,
                 &self.stdatm,
                 arg,
                 &mut self.diag,
-                &mut out.phi,
+                phi,
+                (!self.keeps_phi_p).then_some(u),
                 region,
                 zctx,
                 self.px1,
             )?;
-            self.c_cached = true;
+            self.c_cached = self.keeps_phi_p;
         }
         let upd = Update {
             base: base.unwrap_or(arg),
@@ -202,6 +225,7 @@ impl Engine {
                 &self.geom,
                 arg,
                 &self.diag,
+                phi_p_cache(&self.diag, self.keeps_phi_p),
                 &upd,
                 out,
                 region,
@@ -322,6 +346,13 @@ impl Engine {
     }
 }
 
+/// Where an adaptation sweep reads `φ'`: the cached-`C` path's array
+/// `diag.phi_p` when the engine `keeps` it, else `None` — the U rows of
+/// the sweep's output.
+fn phi_p_cache(diag: &Diag, keeps: bool) -> Option<&agcm_mesh::Field3> {
+    keeps.then_some(&diag.phi_p)
+}
+
 /// The rest of a sub-update after its sweep: `F̃` on the filter-active rows
 /// of `region`, whose raw tendencies the sweep left in `out`, each row then
 /// combined in place — `out = form(base, dt·F̃(t))` — as soon as it is
@@ -381,11 +412,13 @@ mod tests {
     }
 
     /// `out` is scratch to an adaptation sub-update until its sweep stores
-    /// a row — `D(P)` passes through its Φ rows — so the update on the
-    /// region is the same bits whether `out` held zeros or NaN everywhere,
-    /// halos included: for a fresh and a cached `C`, and for a cached one
-    /// split as an overlapped sweep is, the halo-free part first and then
-    /// the frame strips around it.
+    /// a row — `D(P)` passes through its Φ rows, and `φ'` through its U
+    /// rows unless the engine keeps it — so the update on the region is the
+    /// same bits whether `out` held zeros or NaN everywhere, halos
+    /// included: for a fresh and (where `φ'` is kept) a cached `C`, for a
+    /// cached one split as an overlapped sweep is, the halo-free part first
+    /// and then the frame strips around it, and at 1, 2 and 3 workers, so
+    /// the sweep's internal cuts read their edge rows.
     fn assert_out_is_scratch(e: &mut Engine, zctx: &ZContext<'_>) {
         let region = e.geom.interior();
         let inner = Region {
@@ -399,6 +432,7 @@ mod tests {
             .collect();
         let base = crate::init::perturbed_rest(&e.geom, 200.0, 1.0, 3);
         let arg0 = crate::init::perturbed_rest(&e.geom, 350.0, 1.0, 4);
+        let keeps = e.keeps_phi_p;
         let mut run = |fill: f64, fresh: bool, parts: &[Region]| {
             let mut arg = arg0.clone();
             let mut out = State::like(&base);
@@ -422,28 +456,43 @@ mod tests {
             }
             region_bits(&out, region)
         };
-        // the fresh C first: the cached sub-updates reuse its outputs
-        for fresh in [true, false] {
-            let clean = run(0.0, fresh, &[region]);
-            assert!(clean.iter().all(|&b| f64::from_bits(b).is_finite()));
-            assert!(clean == run(f64::NAN, fresh, &[region]), "fresh C: {fresh}");
+        let mut first = None;
+        for nt in [1, 2, 3] {
+            pool::with_workers(nt, || {
+                // the fresh C first: the cached sub-updates reuse its outputs
+                for fresh in [true, false].into_iter().filter(|&f| f || keeps) {
+                    let clean = run(0.0, fresh, &[region]);
+                    assert!(clean.iter().all(|&b| f64::from_bits(b).is_finite()));
+                    let what = format!("fresh C: {fresh}, keeps φ': {keeps}, {nt} workers");
+                    assert!(clean == run(f64::NAN, fresh, &[region]), "{what}");
+                    if fresh {
+                        let one_worker = first.get_or_insert_with(|| clean.clone());
+                        assert!(*one_worker == clean, "{what}: a bit moved with the workers");
+                    }
+                }
+                if keeps {
+                    let clean = run(0.0, false, &[region]);
+                    let what = format!("split cached C, {nt} workers");
+                    assert!(clean == run(f64::NAN, false, &split), "{what}");
+                }
+            });
         }
-        let clean = run(0.0, false, &[region]);
-        assert!(clean == run(f64::NAN, false, &split), "split cached C");
     }
 
     #[test]
     fn adaptation_subupdate_output_is_scratch() {
         let cfg = ModelConfig::test_medium();
-        assert_out_is_scratch(
-            &mut engine_on(&cfg, ProcessGrid::serial(), 0),
-            &ZContext::Serial,
-        );
-        let pgrid = ProcessGrid::yz(1, 2).unwrap();
-        agcm_comm::Universe::run(2, |comm| {
-            let mut e = engine_on(&cfg, pgrid, comm.rank());
-            assert_out_is_scratch(&mut e, &ZContext::Parallel(comm));
-        });
+        for keeps in [true, false] {
+            let mut e = engine_on(&cfg, ProcessGrid::serial(), 0);
+            e.keeps_phi_p = keeps;
+            assert_out_is_scratch(&mut e, &ZContext::Serial);
+            let pgrid = ProcessGrid::yz(1, 2).unwrap();
+            agcm_comm::Universe::run(2, |comm| {
+                let mut e = engine_on(&cfg, pgrid, comm.rank());
+                e.keeps_phi_p = keeps;
+                assert_out_is_scratch(&mut e, &ZContext::Parallel(comm));
+            });
+        }
     }
 
     #[test]

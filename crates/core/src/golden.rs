@@ -76,7 +76,9 @@ fn random_diag(geom: &LocalGeometry, seed: u64) -> Diag {
     fill_pos(&mut d.pes, &mut s); // divided by: keep positive
     fill_pos(&mut d.cap_p, &mut s); // divided by: keep positive
     fill(&mut d.dsa, &mut s);
-    // the standalone entry points' D(P), sized as `apply_c` sizes it
+    // the standalone entry points' D(P) and φ', sized as `apply_c` sizes
+    // them
+    crate::diag::sized(&mut d.phi_p, geom);
     d.dp = Field3::like(&d.phi_p);
     fill(&mut d.dp, &mut s);
     fill(&mut d.vsum, &mut s);
@@ -488,9 +490,9 @@ fn assert_fused_sweep_matches_scalar(name: &str, scalar: ScalarTendency, fused: 
     }
 }
 
-/// The adaptation sub-update's sweep fed as its engine feeds it: `D(P)`
-/// — `diag.dp` here — in the Φ rows of `out` on `region`, where `C` leaves
-/// it.
+/// The adaptation sub-update's sweep fed as the engine of a program that
+/// caches `C` feeds it: `D(P)` — `diag.dp` here — in the Φ rows of `out` on
+/// `region`, where `C` leaves it, and `φ'` in the cache `diag.phi_p`.
 fn fused_adaptation_update(
     geom: &LocalGeometry,
     arg: &State,
@@ -507,7 +509,49 @@ fn fused_adaptation_update(
             out.phi.row_mut(0, nx, j, k).copy_from_slice(dp);
         }
     }
-    crate::adaptation::fused_adaptation_update(geom, arg, diag, upd, out, region, scratch)
+    let phi_p = Some(&diag.phi_p);
+    crate::adaptation::fused_adaptation_update(geom, arg, diag, phi_p, upd, out, region, scratch)
+}
+
+/// The same sweep as the engine of a program whose every `C` runs fresh
+/// feeds it: `φ'` as well in `out`, in its U rows at `x ∈ [-1, nx+1)` on
+/// the rows `region` reads (its own and the one past it).  The sweep
+/// stores `x ∈ [0, nx)` of the region's rows over it; what it leaves of
+/// `φ'` is scratch, and gets `out`'s prior values back, as the oracle has
+/// them.
+fn fused_adaptation_carried(
+    geom: &LocalGeometry,
+    arg: &State,
+    diag: &Diag,
+    upd: &Update<'_>,
+    out: &mut State,
+    region: Region,
+    scratch: &mut SweepScratch,
+) {
+    let nx = geom.nx as isize;
+    let prior = out.u.clone();
+    let rows = |k| (region.y0..=region.y1).map(move |j| (j, k));
+    let grown: Vec<_> = (region.z0..region.z1).flat_map(rows).collect();
+    for &(j, k) in &grown {
+        let phi_p = diag.phi_p.row(-1, nx + 1, j, k);
+        out.u.row_mut(-1, nx + 1, j, k).copy_from_slice(phi_p);
+    }
+    for k in region.z0..region.z1 {
+        for j in region.y0..region.y1 {
+            let dp = diag.dp.row(0, nx, j, k);
+            out.phi.row_mut(0, nx, j, k).copy_from_slice(dp);
+        }
+    }
+    crate::adaptation::fused_adaptation_update(geom, arg, diag, None, upd, out, region, scratch);
+    for (j, k) in grown {
+        let (row, was) = (out.u.row_mut(-1, nx + 1, j, k), prior.row(-1, nx + 1, j, k));
+        if j == region.y1 {
+            row.copy_from_slice(was);
+        } else {
+            let last = row.len() - 1;
+            (row[0], row[last]) = (was[0], was[last]);
+        }
+    }
 }
 
 #[test]
@@ -516,6 +560,11 @@ fn fused_adaptation_matches_scalar_tendency_then_combine_bitwise() {
         "adaptation",
         adaptation_tendency_scalar,
         fused_adaptation_update,
+    );
+    assert_fused_sweep_matches_scalar(
+        "adaptation, φ' carried",
+        adaptation_tendency_scalar,
+        fused_adaptation_carried,
     );
 }
 
@@ -742,10 +791,15 @@ fn assert_xy_subupdate_matches_oracle_chain(
 
 #[test]
 fn adaptation_subupdate_is_the_oracle_chain_bitwise() {
-    let (scalar, fused): (ScalarTendency, FusedUpdate) =
-        (adaptation_tendency_scalar, fused_adaptation_update);
-    assert_subupdate_matches_oracle_chain("adaptation", scalar, fused);
-    assert_xy_subupdate_matches_oracle_chain("adaptation", scalar, fused);
+    let scalar: ScalarTendency = adaptation_tendency_scalar;
+    let cases: [(&str, FusedUpdate); 2] = [
+        ("adaptation", fused_adaptation_update),
+        ("adaptation, φ' carried", fused_adaptation_carried),
+    ];
+    for (name, fused) in cases {
+        assert_subupdate_matches_oracle_chain(name, scalar, fused);
+        assert_xy_subupdate_matches_oracle_chain(name, scalar, fused);
+    }
 }
 
 #[test]

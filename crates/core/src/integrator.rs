@@ -17,8 +17,10 @@
 //!    every buffer a program needs: a filter-active row's tendency lives in
 //!    its own output row until it is filtered and combined there
 //!    ([`crate::sweep`]), and `out`'s Φ rows carry `D(P)` from `C` to the
-//!    sweep.  An exchange refreshes the argument of the kernel
-//!    that follows it and wraps the `C` outputs it carried in x,
+//!    sweep — and, in a program whose every `C` runs fresh, its U rows
+//!    carry `φ'` (only a program that reuses `C` keeps `Diag::phi_p`).  An
+//!    exchange refreshes the argument of the kernel that follows it and
+//!    wraps the `C` outputs it carried in x,
 //! 2. `dilate` is the region: the interior grown on the sides that face a
 //!    neighbour, or (negative) the part of it that reads no exchanged halo,
 //! 3. an overlapped exchange is post → that halo-free part of the next kernel
@@ -39,7 +41,7 @@ use crate::dycore::{Engine, FilterCtx};
 use crate::error::ModelError;
 use crate::geometry::{frame, GrowSides, LocalGeometry, Region};
 use crate::par::alg1::{gather_state_impl, GlobalState};
-use crate::par::exchange::{with_fields, ExField, HaloExchanger, RetryPolicy};
+use crate::par::exchange::{with_fields, wrap_x_fields, ExField, HaloExchanger, RetryPolicy};
 use crate::par::schedule::{self, CSource, ComputeOp, ExchangeOp, StepOp};
 use crate::resilience::Checkpoint;
 use crate::serial::Iteration;
@@ -90,6 +92,12 @@ fn arg_of<'a>(
         3 => mid,
         _ => state,
     }
+}
+
+/// Whether `program` reuses `C` across sub-updates (Eq. 13): then its
+/// engine keeps `φ'` as state, and its snapshots carry the cached outputs.
+fn reuses_c(program: &[StepOp]) -> bool {
+    (program.iter()).any(|op| matches!(op, StepOp::Compute(k) if k.c == CSource::Cached))
 }
 
 /// Rule 2: the region `c` sweeps.
@@ -208,8 +216,9 @@ impl Integrator {
         let zcomm = split(pz > 1, cx + cy * px, cz)?;
         let xcomm = split(px > 1, cy + cz * py, cx)?;
 
-        let engine = Engine::new(cfg, geom, px == 1);
+        let mut engine = Engine::new(cfg, geom, px == 1);
         let state = State::new(engine.geom.nx, engine.geom.ny, engine.geom.nz, halo);
+        engine.keep_phi_p(reuses_c(&program));
         Ok(Integrator {
             eta1: State::like(&state),
             mid: State::like(&state),
@@ -270,8 +279,7 @@ impl Integrator {
     /// every `C` fresh restores from the state alone.
     pub fn capture(&self) -> Checkpoint {
         let diag = &self.engine.diag;
-        let cached = (self.program.iter())
-            .any(|op| matches!(op, StepOp::Compute(k) if k.c == CSource::Cached));
+        let cached = reuses_c(&self.program);
         Checkpoint {
             step: self.steps as u64,
             state: self.state.clone(), // lint:allow(alloc) — a snapshot owns its arrays
@@ -293,12 +301,15 @@ impl Integrator {
         for (f, saved) in self.state.fields_mut().into_iter().zip(ck.state.fields()) {
             f.assign_common(saved);
         }
-        // without the cached-C arrays: recompute on first use
+        // without the cached-C arrays, or in a program that reuses no C:
+        // recompute on first use
         self.engine.c_cached = false;
-        if let (Some(vsum), Some(gw), Some(phi_p)) = (&ck.vsum, &ck.gw, &ck.phi_p) {
-            self.engine.diag.vsum.assign_common(vsum);
-            self.engine.diag.gw.assign_common(gw);
-            self.engine.diag.phi_p.assign_common(phi_p);
+        let trio = (&ck.vsum, &ck.gw, &ck.phi_p);
+        if let (true, (Some(vsum), Some(gw), Some(phi_p))) = (self.engine.keeps_phi_p, trio) {
+            let diag = &mut self.engine.diag;
+            diag.vsum.assign_common(vsum);
+            diag.gw.assign_common(gw);
+            diag.phi_p.assign_common(phi_p);
             self.engine.c_cached = ck.c_cached;
         }
         self.pending_smooth = ck.pending_smooth;
@@ -434,14 +445,7 @@ impl Integrator {
         }
         self.wire(x, user.sub, |ex, f| ex.finish_recvs(comm, pending, f))?;
         if self.engine.px1 {
-            let diag = &mut self.engine.diag;
-            if x.fields.has_gw() {
-                diag.gw.wrap_x_halo();
-            }
-            if x.fields.has_c() {
-                diag.phi_p.wrap_x_halo();
-                diag.vsum.wrap_x_halo();
-            }
+            wrap_x_fields(x.fields, &mut self.engine.diag);
         }
         if overlap {
             // the rest of the kernel: its parts share one boundary fill
@@ -645,30 +649,94 @@ mod tests {
         }
     }
 
-    /// `D(P)` passes from `C` to the sweep in the output's Φ rows, so after
-    /// the steps of any integrator the engine's diagnostics hold two sized
-    /// 3-D arrays: `gw` and `phi_p`.
+    /// `D(P)` passes from `C` to the sweep in the output's Φ rows, and `φ'`
+    /// in its U rows wherever nothing reuses `C`: after the steps of a
+    /// program whose every `C` runs fresh the engine's diagnostics hold one
+    /// sized 3-D array, `gw`; where `C` is cached (Eq. 13) two, `gw` and
+    /// `phi_p`.
     #[test]
-    fn diag_holds_two_3d_arrays() {
-        let cfg = ModelConfig::test_medium();
+    fn diag_holds_a_3d_array_per_cached_c_output() {
+        let cfg = ModelConfig {
+            ny: 24,
+            ..ModelConfig::test_medium()
+        };
         let sized_3d = |model: &Integrator| {
             let d = &model.engine.diag;
             let fields = [&d.dp, &d.gw, &d.phi_p];
             fields.iter().filter(|f| f.total_len() > 0).count()
         };
-        for variant in [Iteration::Exact, Iteration::Approximate] {
+        for (variant, n) in [(Iteration::Exact, 1), (Iteration::Approximate, 2)] {
             let mut model = Integrator::serial(&cfg, variant).unwrap();
             run(&mut model, None, false);
-            assert_eq!(sized_3d(&model), 2, "serial {variant:?}");
+            assert_eq!(sized_3d(&model), n, "serial {variant:?}");
         }
-        for alg in [AlgKind::OriginalYZ, AlgKind::CommAvoiding] {
-            let pgrid = ProcessGrid::yz(1, 2).unwrap();
-            let sized = Universe::run(2, |comm| {
-                let mut model = Integrator::parallel(&cfg, alg, pgrid, comm).unwrap();
+        let alg1 = [
+            ProcessGrid::yz(2, 1),
+            ProcessGrid::yz(1, 2),
+            ProcessGrid::xy(2, 1),
+        ];
+        let mut cases: Vec<_> = alg1
+            .map(Result::unwrap)
+            .into_iter()
+            .map(|pgrid| (pgrid, None, 1))
+            .collect();
+        for pgrid in [ProcessGrid::yz(2, 1), ProcessGrid::yz(1, 2)].map(Result::unwrap) {
+            cases.extend(
+                ca_ladder(&cfg, &pgrid)
+                    .into_iter()
+                    .map(|g| (pgrid, Some(g), 2)),
+            );
+        }
+        for (pgrid, groups, n) in cases {
+            let sized = Universe::run(pgrid.size(), |comm| {
+                let mut model = match groups {
+                    None => Integrator::alg1(&cfg, pgrid, comm),
+                    Some(groups) => Integrator::alg2(&cfg, pgrid, comm, groups),
+                }
+                .unwrap();
                 run(&mut model, Some(comm), false);
                 sized_3d(&model)
             });
-            assert_eq!(sized, [2, 2], "{alg:?}");
+            let what = format!("{:?} {groups:?}", pgrid.dims());
+            assert!(sized.iter().all(|&s| s == n), "{what}: {sized:?}");
         }
+    }
+
+    /// A program that runs every `C` fresh snapshots the state alone — no
+    /// `φ'` — and restarts from it bit for bit: two steps after the restore
+    /// are the two steps after the capture.
+    #[test]
+    fn fresh_program_checkpoint_round_trips_without_phi_p() {
+        fn two_steps(model: &mut Integrator, comm: Option<&Communicator>) -> Vec<u64> {
+            for _ in 0..2 {
+                model.step(comm).unwrap();
+            }
+            interior_bits(&model.state)
+        }
+        // `second` is built like `first` and restores `first`'s snapshot
+        fn round_trip(
+            mut first: Integrator,
+            mut second: Integrator,
+            comm: Option<&Communicator>,
+        ) -> bool {
+            first.set_state(&crate::init::perturbed_rest(first.geom(), 100.0, 1.0, 3));
+            two_steps(&mut first, comm);
+            let ck = first.capture();
+            assert!(ck.vsum.is_none() && ck.gw.is_none() && ck.phi_p.is_none());
+            let want = two_steps(&mut first, comm);
+            second.restore(&ck);
+            assert_eq!(second.engine.diag.phi_p.total_len(), 0);
+            want == two_steps(&mut second, comm)
+        }
+        let cfg = ModelConfig::test_medium();
+        let serial = || Integrator::serial(&cfg, Iteration::Exact).unwrap();
+        assert!(round_trip(serial(), serial(), None), "serial exact");
+        let pgrid = ProcessGrid::yz(2, 1).unwrap();
+        let ranks = Universe::run(2, |comm| {
+            let first = Integrator::alg1(&cfg, pgrid, comm).unwrap();
+            let second = Integrator::alg1(&cfg, pgrid, comm).unwrap();
+            round_trip(first, second, Some(comm))
+        });
+        assert!(ranks.iter().all(|&same| same), "alg1 yz(2,1): {ranks:?}");
     }
 }

@@ -407,6 +407,18 @@ pub fn with_fields<R>(
     }
 }
 
+/// Wrap in x the cached `C` outputs in `diag` that an exchange of `set`
+/// carried, on a rank that owns full longitude circles.
+pub(crate) fn wrap_x_fields(set: ExFields, diag: &mut Diag) {
+    if set.has_gw() {
+        diag.gw.wrap_x_halo();
+    }
+    if set.has_c() {
+        diag.phi_p.wrap_x_halo();
+        diag.vsum.wrap_x_halo();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

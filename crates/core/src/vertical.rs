@@ -25,7 +25,10 @@
 //! names ([`apply_c_into`]): an engine's sub-update passes its output's Φ
 //! field, which the adaptation sweep reads `D(P)` back from row by row
 //! before it stores the row's update there; the standalone [`apply_c`]
-//! writes `Diag::dp`.
+//! writes `Diag::dp`.  `φ'` goes where the caller says as well: into the
+//! output's U field when every `C` of the program runs fresh, into the
+//! cache `Diag::phi_p` when the program reuses it (Eq. 13) and for the
+//! standalone [`apply_c`].
 
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
@@ -111,8 +114,9 @@ impl ZContext<'_> {
 
 /// Apply the operator `C` for an evaluation state `arg`: fill `diag.dsa`,
 /// `diag.dp`, `diag.vsum`, `diag.gw` and `diag.phi_p` — [`apply_c_into`]
-/// with `diag.dp` (sized on first use) as the home of `D(P)`, which
-/// [`crate::adaptation::adaptation_tendency`] reads.
+/// with `diag.dp` and `diag.phi_p` (each sized on first use) as the homes
+/// of `D(P)` and `φ'`, which [`crate::adaptation::adaptation_tendency`]
+/// reads.
 pub fn apply_c(
     geom: &LocalGeometry,
     stdatm: &StandardAtmosphere,
@@ -123,13 +127,14 @@ pub fn apply_c(
     wrap_x: bool,
 ) -> CommResult<()> {
     let mut dp = diag.take_dp(geom);
-    let result = apply_c_into(geom, stdatm, arg, diag, &mut dp, region, zctx, wrap_x);
+    let result = apply_c_into(geom, stdatm, arg, diag, &mut dp, None, region, zctx, wrap_x);
     diag.dp = dp;
     result
 }
 
 /// Apply the operator `C` for an evaluation state `arg`: fill `diag.dsa`,
-/// `dp` (`D(P)`), `diag.vsum`, `diag.gw` and `diag.phi_p`.
+/// `dp` (`D(P)`), `diag.vsum`, `diag.gw` and `φ'` — into `phi_p`, or with
+/// `None` into the cache `diag.phi_p` (sized on first use).
 ///
 /// * `region` — the sweep's target region, covering every owned level (the
 ///   column sums run over them).  `dsa`, `D(P)`, `vsum` and `gw` are
@@ -159,6 +164,7 @@ pub fn apply_c_into(
     arg: &State,
     diag: &mut Diag,
     dp: &mut Field3,
+    phi_p: Option<&mut Field3>,
     region: Region,
     zctx: &ZContext<'_>,
     wrap_x: bool,
@@ -205,16 +211,30 @@ pub fn apply_c_into(
     let cuts = pool::region_cuts(&grown_region, nxu, |_| true);
     let region_rows = |j0: isize, j1: isize| (j0.max(region.y0), j1.min(region.y1));
 
-    // scratch lives in `diag` across calls; taken out for disjoint borrows
-    // (`Default` leaves empty Vecs behind — no allocation either way)
-    let mut zs = std::mem::take(&mut diag.zscratch);
+    let Diag {
+        cap_p,
+        dsa,
+        vsum,
+        gw,
+        phi_p: cache,
+        zscratch: zs,
+        ..
+    } = diag;
+    let mut out = Outputs {
+        cap_p,
+        dsa,
+        vsum,
+        gw,
+        dp,
+        phi_p: phi_p.unwrap_or_else(|| crate::diag::sized(cache, geom)),
+    };
     // the walks' running accumulators and φ'_s, a row per grown row
     let n_grown = nxu * (grown.1 - grown.0).max(0) as usize;
     zs.run.resize(n_grown, 0.0);
     zs.phis.resize(n_grown, 0.0);
     let result = match zctx {
         ZContext::Serial => {
-            let whole = cx.band(diag, dp, &mut zs.run, &mut zs.phis, None);
+            let whole = cx.band(&mut out, &mut zs.run, &mut zs.phis, None);
             pool::run(whole, &cuts, "vertical.band", |band, j0, j1| {
                 cx.stencils(band, region_rows(j0, j1));
                 cx.gw_walk(band, region_rows(j0, j1), None);
@@ -234,7 +254,7 @@ pub fn apply_c_into(
                 RowBand2::over_rows(sums_dp, nxu, region.y0),
                 RowBand2::over_rows(sums_phi, nxu, grown.0),
             );
-            let whole = cx.band(diag, dp, &mut zs.run, &mut zs.phis, Some(sums));
+            let whole = cx.band(&mut out, &mut zs.run, &mut zs.phis, Some(sums));
             pool::run(whole, &cuts, "vertical.sums", |band, j0, j1| {
                 cx.stencils(band, region_rows(j0, j1));
                 cx.phi_sums(band, (j0, j1));
@@ -266,7 +286,7 @@ pub fn apply_c_into(
                     prefix: &zs.prefix[..n_dp],
                     suffix: &zs.suffix[n_dp..],
                 };
-                let whole = cx.band(diag, dp, &mut zs.run, &mut zs.phis, None);
+                let whole = cx.band(&mut out, &mut zs.run, &mut zs.phis, None);
                 pool::run(whole, &cuts, "vertical.walks", |band, j0, j1| {
                     cx.gw_walk(band, region_rows(j0, j1), Some(&blocks));
                     cx.phi_walk(band, (j0, j1), Some(&blocks));
@@ -274,17 +294,27 @@ pub fn apply_c_into(
             })
         }
     };
-    diag.zscratch = zs;
     result?;
 
     // x halos of the C outputs (read at i±1 by the tendencies); under X-Y
     // decompositions the extended-x computation above covered them instead
     if wrap_x {
-        diag.phi_p.wrap_x_halo();
-        diag.gw.wrap_x_halo();
-        diag.vsum.wrap_x_halo();
+        out.phi_p.wrap_x_halo();
+        out.gw.wrap_x_halo();
+        out.vsum.wrap_x_halo();
     }
     Ok(())
+}
+
+/// The arrays one `C` application reads from `Diag` and writes, borrowed
+/// apart — `dp` and `phi_p` wherever its caller keeps them.
+struct Outputs<'a> {
+    cap_p: &'a Field3,
+    dsa: &'a mut Field3,
+    vsum: &'a mut Field3,
+    gw: &'a mut Field3,
+    dp: &'a mut Field3,
+    phi_p: &'a mut Field3,
 }
 
 /// The other ranks' block sums a z-split's walks start from: rows of `w`
@@ -361,8 +391,7 @@ impl Columns<'_> {
     /// The whole row range of the outputs as one band.
     fn band<'a>(
         &self,
-        diag: &'a mut Diag,
-        dp: &'a mut Field3,
+        out: &'a mut Outputs<'_>,
         run: &'a mut [f64],
         phis: &'a mut [f64],
         sums: Option<(RowBand2<'a>, RowBand2<'a>)>,
@@ -370,12 +399,12 @@ impl Columns<'_> {
         let Region { y0, y1, z0, z1 } = self.region;
         let w = (self.x.1 - self.x.0) as usize;
         ColumnBand {
-            cap_p: &diag.cap_p,
-            dsa: diag.dsa.row_band_mut((y0, y1), (0, 1)),
-            dp: dp.row_band_mut((y0, y1), (z0, z1)),
-            vsum: diag.vsum.row_band_mut((y0, y1), (0, 1)),
-            gw: diag.gw.row_band_mut((y0, y1), (z0, z1 + 1)),
-            phi_p: diag.phi_p.row_band_mut(self.grown, (z0, z1)),
+            cap_p: out.cap_p,
+            dsa: out.dsa.row_band_mut((y0, y1), (0, 1)),
+            dp: out.dp.row_band_mut((y0, y1), (z0, z1)),
+            vsum: out.vsum.row_band_mut((y0, y1), (0, 1)),
+            gw: out.gw.row_band_mut((y0, y1), (z0, z1 + 1)),
+            phi_p: out.phi_p.row_band_mut(self.grown, (z0, z1)),
             sums,
             run: RowBand2::over_rows(run, w, self.grown.0),
             phis: RowBand2::over_rows(phis, w, self.grown.0),
@@ -557,6 +586,7 @@ pub fn apply_c_scalar(
         "3-D decompositions (split x AND z) are not supported"
     );
     diag.dp = diag.take_dp(geom);
+    crate::diag::sized(&mut diag.phi_p, geom);
     // φ' needs one extra row on each side (clamped to the allocation)
     let gy0 = (region.y0 - 1).max(-(geom.halo.ym as isize));
     let gy1 = (region.y1 + 1).min(geom.ny as isize + geom.halo.yp as isize);

@@ -178,7 +178,9 @@ fn adaptation_stencil(geom: &LocalGeometry, sa: &StandardAtmosphere, st: &State,
     let region = geom.interior();
     let mut diag = Diag::new(geom);
     // freeze C at the ZERO state: gw = phi_p = vsum = 0 identically, so no
-    // dependence flows through them, while dsa/dp/pes/cap_p are live
+    // dependence flows through them, while dsa/dp/pes/cap_p are live (φ' is
+    // sized on first use, like D(P): sized here, zero)
+    diag.phi_p = Field3::like(&st.phi);
     diag.update_surface(geom, sa, st, region.y0 - 1, region.y1 + 1);
     diag.update_dsa(geom, st, region.y0, region.y1);
     let mut dp = Field3::like(&st.phi);

@@ -176,7 +176,7 @@ fn policy_binds_kernels_and_transport_only() {
         vec![Rule::Unwrap]
     );
     assert!(rules_for("crates/core/src/serial.rs").is_empty());
-    assert!(rules_for("crates/mesh/src/field.rs").is_empty());
+    assert_eq!(rules_for("crates/mesh/src/field.rs"), vec![Rule::Unwrap]);
 }
 
 /// The no-unwrap rule binds `agcm-comm` by directory: a module added to it
@@ -189,6 +189,22 @@ fn a_new_comm_module_is_under_the_no_unwrap_rule() {
     );
     assert_eq!(rules_for("crates/comm/src/lib.rs"), vec![Rule::Unwrap]);
     assert!(rules_for("crates/comm/tests/fault_injection.rs").is_empty());
+}
+
+/// The no-unwrap rule binds `agcm-mesh` by directory as well: a mesh file
+/// added tomorrow is under it, and its unwraps are findings.
+#[test]
+fn a_new_mesh_module_is_under_the_no_unwrap_rule() {
+    let rel = "crates/mesh/src/new_module.rs";
+    assert_eq!(rules_for(rel), vec![Rule::Unwrap]);
+    let src = "pub fn cells(n: Option<usize>) -> usize { n.unwrap() }";
+    let v = lint_source(rel, src, &rules_for(rel));
+    assert_eq!(v.len(), 1);
+    assert_eq!(
+        (v[0].rule, v[0].pattern.as_str()),
+        (Rule::Unwrap, ".unwrap()")
+    );
+    assert!(rules_for("crates/mesh/tests/proptest_mesh.rs").is_empty());
 }
 
 /// `(path, source)` pairs for [`lint_pub_callers`].

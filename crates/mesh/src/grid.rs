@@ -65,11 +65,9 @@ pub struct SigmaLevels {
 }
 
 impl SigmaLevels {
-    /// Uniform levels: `Δσ_k = 1/nz`.
-    pub fn uniform(nz: usize) -> Self {
-        assert!(nz >= 1, "need at least one vertical level");
-        let interfaces: Vec<f64> = (0..=nz).map(|k| k as f64 / nz as f64).collect();
-        Self::from_interfaces(interfaces).expect("uniform interfaces are valid")
+    /// Uniform levels: `Δσ_k = 1/nz` (`nz ≥ 1`).
+    pub fn uniform(nz: usize) -> Result<Self, MeshError> {
+        Self::from_interfaces((0..=nz).map(|k| k as f64 / nz as f64).collect())
     }
 
     /// Build from explicit interface values.  Must start at 0, end at 1 and
@@ -153,14 +151,10 @@ pub struct LatLonGrid {
 impl LatLonGrid {
     /// Create a grid with `nx × ny` horizontal points and uniform σ levels.
     pub fn new(nx: usize, ny: usize, nz: usize) -> Result<Self, MeshError> {
-        let sigma = SigmaLevels::uniform(nz);
-        if nx < 4 || ny < 4 || sigma.nz() < 1 {
-            return Err(MeshError::InvalidGrid {
-                nx,
-                ny,
-                nz: sigma.nz(),
-            });
+        if nx < 4 || ny < 4 || nz < 1 {
+            return Err(MeshError::InvalidGrid { nx, ny, nz });
         }
+        let sigma = SigmaLevels::uniform(nz)?;
         let dlambda = 2.0 * std::f64::consts::PI / nx as f64;
         let dtheta = std::f64::consts::PI / ny as f64;
         let theta_c: Vec<f64> = (0..ny).map(|j| (j as f64 + 0.5) * dtheta).collect();
@@ -187,8 +181,8 @@ impl LatLonGrid {
 
     /// The 50 km-resolution mesh of the paper's evaluation:
     /// `n_x × n_y × n_z = 720 × 360 × 30`.
-    pub fn paper_50km() -> Self {
-        Self::new(720, 360, 30).expect("paper grid is valid")
+    pub fn paper_50km() -> Result<Self, MeshError> {
+        Self::new(720, 360, 30)
     }
 
     /// Number of longitude points.
@@ -265,7 +259,7 @@ mod tests {
 
     #[test]
     fn uniform_sigma_levels() {
-        let s = SigmaLevels::uniform(4);
+        let s = SigmaLevels::uniform(4).unwrap();
         assert_eq!(s.nz(), 4);
         assert_eq!(s.interfaces(), &[0.0, 0.25, 0.5, 0.75, 1.0]);
         assert_eq!(s.centers(), &[0.125, 0.375, 0.625, 0.875]);
@@ -322,7 +316,7 @@ mod tests {
 
     #[test]
     fn paper_grid() {
-        let g = LatLonGrid::paper_50km();
+        let g = LatLonGrid::paper_50km().unwrap();
         assert_eq!((g.nx(), g.ny(), g.nz()), (720, 360, 30));
     }
 
@@ -330,6 +324,8 @@ mod tests {
     fn too_small_grid_rejected() {
         assert!(LatLonGrid::new(2, 6, 3).is_err());
         assert!(LatLonGrid::new(8, 2, 3).is_err());
+        assert!(LatLonGrid::new(8, 6, 0).is_err());
+        assert!(SigmaLevels::uniform(0).is_err());
     }
 
     #[test]

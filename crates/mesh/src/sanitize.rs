@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Inclusive index bounds touched on one field, in the field's own local
 /// coordinates (halo indices negative / overflowing, exactly as passed to
@@ -103,7 +103,7 @@ pub fn disable() {
 /// allocations are ignored, so scratch buffers do not pollute reports.
 /// The key is the field's [`sanitizer key`](crate::Field3::sanitizer_key).
 pub fn track(key: usize, name: &str) {
-    let mut t = table().lock().expect("sanitizer table poisoned");
+    let mut t = table().lock().unwrap_or_else(PoisonError::into_inner);
     t.names.insert(key, name.to_string());
 }
 
@@ -111,7 +111,7 @@ pub fn track(key: usize, name: &str) {
 /// field that was accessed while enabled, and clears the collection (names
 /// stay registered).
 pub fn take_report() -> Vec<(String, FieldTouches)> {
-    let mut t = table().lock().expect("sanitizer table poisoned");
+    let mut t = table().lock().unwrap_or_else(PoisonError::into_inner);
     let drained: Vec<(usize, FieldTouches)> = t.touches.drain().collect();
     let mut out: Vec<(String, FieldTouches)> = drained
         .into_iter()
@@ -123,7 +123,7 @@ pub fn take_report() -> Vec<(String, FieldTouches)> {
 
 /// Forget all tracked names and collected ranges.
 pub fn reset() {
-    let mut t = table().lock().expect("sanitizer table poisoned");
+    let mut t = table().lock().unwrap_or_else(PoisonError::into_inner);
     t.names.clear();
     t.touches.clear();
 }
@@ -135,7 +135,7 @@ pub fn record(key: usize, write: bool, i0: isize, i1: isize, j: isize, k: isize)
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
-    let mut t = table().lock().expect("sanitizer table poisoned");
+    let mut t = table().lock().unwrap_or_else(PoisonError::into_inner);
     if !t.names.contains_key(&key) {
         return;
     }

@@ -99,12 +99,12 @@ impl AxisOffsets {
 
     /// Largest read distance towards negative indices (≥ 0).
     pub fn neg_extent(&self) -> u32 {
-        (-self.offsets[0]).max(0) as u32
+        self.offsets.first().map_or(0, |&o| (-o).max(0) as u32)
     }
 
     /// Largest read distance towards positive indices (≥ 0).
     pub fn pos_extent(&self) -> u32 {
-        (*self.offsets.last().expect("non-empty")).max(0) as u32
+        self.offsets.last().map_or(0, |&o| o.max(0) as u32)
     }
 
     /// Union with another offset set.

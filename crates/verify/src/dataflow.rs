@@ -20,6 +20,10 @@
 //!   [`StepOp::ZAllgather`] whenever a sub-update runs it fresh with
 //!   `p_z > 1` — so deleting a collective whose column sums are still
 //!   read is caught, not just miscounted,
+//! * a sweep's read of a field its sub-update carries in the output's rows
+//!   (`FieldAccess::in_out`: `D(P)` in the Φ rows, `φ'` in the U rows)
+//!   must lie inside the matching write of the sub-update's fresh `C` —
+//!   that scratch holds nothing from before the sub-update,
 //! * the whole-x filter consumes two pending
 //!   [`StepOp::FilterTranspose`] legs when x is decomposed.
 //!
@@ -75,6 +79,10 @@ pub enum FailureKind {
     UnregisteredOp,
     /// The whole-x filter runs without its two transpose legs.
     MissingTranspose,
+    /// A sweep reads a field its sub-update carries in the output's rows
+    /// (`FieldAccess::in_out`) beyond where the sub-update's `C` wrote it
+    /// there — it would read what the output held before.
+    UnwrittenScratch,
 }
 
 /// The first uncovered read of a broken schedule: operator, field, offset
@@ -123,6 +131,11 @@ impl fmt::Display for Counterexample {
                 f,
                 "op {}: {} needs 2 filter-transpose legs for whole-x `{}` rows, {} pending",
                 self.op_index, self.operator, self.field, self.have
+            ),
+            FailureKind::UnwrittenScratch => write!(
+                f,
+                "op {}: {} reads scratch `{}` at {}{sign}{} of its output but its C wrote {}",
+                self.op_index, self.operator, self.field, self.axis, self.needed, self.have
             ),
         }
     }
@@ -283,6 +296,41 @@ impl Checker<'_> {
         }
         Ok(())
     }
+
+    /// A read of scratch the sub-update's output carries: it must lie, in
+    /// y and z, inside `C`'s write of the same field to the same rows (`x`
+    /// is never region-dilated; a write covers its circle by wrap or by
+    /// its own halo columns).
+    fn require_scratch(
+        &mut self,
+        cspec: &AccessSpec,
+        read: &FieldAccess,
+    ) -> Result<(), Counterexample> {
+        let write = cspec
+            .writes()
+            .find(|w| w.field == read.field && w.in_out == read.in_out);
+        for side in 2..SIDES {
+            let extent = |b: &access::OffsetBox| {
+                let (neg, pos) = b.along(side_axis(side));
+                u64::from(if side % 2 == 0 { neg } else { pos })
+            };
+            let (needed, have) = (extent(&read.bounds), write.map_or(0, |w| extent(&w.bounds)));
+            if write.is_none() || have < needed {
+                return Err(Counterexample {
+                    kind: FailureKind::UnwrittenScratch,
+                    op_index: self.oi,
+                    operator: self.operator.clone(),
+                    field: read.field,
+                    axis: side_axis(side),
+                    positive: side % 2 == 1,
+                    needed,
+                    have,
+                });
+            }
+            self.proof.reads_checked += 1;
+        }
+        Ok(())
+    }
 }
 
 /// Locally derived diagnostics: recomputed on the evaluation region from
@@ -293,10 +341,14 @@ fn locally_derived(field: &str) -> bool {
     matches!(field, "dp" | "dsa")
 }
 
+/// Where [`check_ops_with`] looks a kernel's access spec up.
+type Specs<'a> = &'a dyn Fn(&str) -> Option<&'static AccessSpec>;
+
 fn apply_compute(
     st: &mut FlowState,
     oi: usize,
     c: &ComputeOp,
+    specs: Specs<'_>,
     proof: &mut FlowProof,
 ) -> Result<(), Counterexample> {
     let operator = if c.sub > 0 {
@@ -307,7 +359,7 @@ fn apply_compute(
     // A kernel the schedule emits but the registry does not declare has no
     // provable footprint — e.g. an over-fused pair whose combined reads were
     // never certified. It must fail the proof, not silently run.
-    let Some(spec) = access::spec(c.op) else {
+    let Some(spec) = specs(c.op) else {
         return Err(Counterexample {
             kind: FailureKind::UnregisteredOp,
             op_index: oi,
@@ -332,8 +384,8 @@ fn apply_compute(
 
     // the collective C runs (and its outputs land) before the stencil
     // tendency reads them
+    let cspec = specs("vertical.c").expect("vertical.c registered");
     if c.c == CSource::Fresh {
-        let cspec = access::spec("vertical.c").expect("vertical.c registered");
         for read in cspec.reads() {
             if locally_derived(read.field) {
                 continue;
@@ -378,8 +430,13 @@ fn apply_compute(
         st.pending_transposes -= 2;
     }
 
-    // every declared stencil read against the current validity
+    // every declared stencil read against the current validity — or, for
+    // the scratch a fresh C left in the output's rows, against that write
     for read in spec.reads() {
+        if read.in_out.is_some() && c.c == CSource::Fresh {
+            ck.require_scratch(cspec, read)?;
+            continue;
+        }
         if locally_derived(read.field) {
             continue;
         }
@@ -395,6 +452,7 @@ fn apply_compute(
             bounds: access::OffsetBox::pointwise(),
             whole_x: false,
             whole_z: false,
+            in_out: None,
         };
         ck.require(&st.base, c.dilate, &base_read)?;
     }
@@ -447,6 +505,17 @@ pub fn check_ops(
     pgrid: &ProcessGrid,
     ops: &[StepOp],
 ) -> Result<FlowProof, Counterexample> {
+    check_ops_with(cfg, pgrid, ops, &access::spec)
+}
+
+/// [`check_ops`] against the access specs `specs` looks up instead of the
+/// registry's — how a test shows a broken declaration refused.
+pub fn check_ops_with(
+    cfg: &ModelConfig,
+    pgrid: &ProcessGrid,
+    ops: &[StepOp],
+    specs: Specs<'_>,
+) -> Result<FlowProof, Counterexample> {
     let mut st = FlowState::new(cfg, pgrid);
     let mut proof = FlowProof {
         ops: ops.len(),
@@ -464,7 +533,7 @@ pub fn check_ops(
             }
             StepOp::ZAllgather => st.pending_allgathers += 1,
             StepOp::FilterTranspose => st.pending_transposes += 1,
-            StepOp::Compute(c) => apply_compute(&mut st, oi, c, &mut proof)?,
+            StepOp::Compute(c) => apply_compute(&mut st, oi, c, specs, &mut proof)?,
         }
     }
     Ok(proof)

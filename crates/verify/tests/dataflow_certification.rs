@@ -3,6 +3,7 @@
 //! counterexamples naming operator, field and uncovered offset.
 
 use agcm_comm::Universe;
+use agcm_core::access::{self, AccessDir, AccessSpec, FieldAccess};
 use agcm_core::analysis::{ca_group_size, ca_ladder, AlgKind, CaMode};
 use agcm_core::par::schedule::{self, StepOp};
 use agcm_core::serial::Iteration;
@@ -314,6 +315,72 @@ fn uncertified_fused_op_yields_named_counterexample() {
     assert!(ce.operator.contains("adaptation.fused.smooth"), "{ce}");
     let msg = format!("{ce}");
     assert!(msg.contains("not in the access registry"), "{msg}");
+}
+
+/// `vertical.c` as registered but without its write of `field`, every other
+/// kernel as registered.
+fn c_without_write_of(field: &str) -> impl Fn(&str) -> Option<&'static AccessSpec> {
+    let c = access::spec("vertical.c").expect("vertical.c registered");
+    let fields: Vec<FieldAccess> = (c.fields.iter())
+        .filter(|a| !(a.field == field && a.dir == AccessDir::Write))
+        .copied()
+        .collect();
+    assert_eq!(fields.len() + 1, c.fields.len(), "C writes `{field}` once");
+    let broken: &'static AccessSpec = Box::leak(Box::new(AccessSpec {
+        op: c.op,
+        fields: Box::leak(fields.into_boxed_slice()),
+    }));
+    move |op| {
+        if op == broken.op {
+            Some(broken)
+        } else {
+            access::spec(op)
+        }
+    }
+}
+
+/// `φ'` and `D(P)` are scratch in the rows of a fresh sub-update's output:
+/// a `C` declared without its write of either leaves the sweep reading
+/// whatever the output held, and the proof refuses it — also on one rank,
+/// where no halo is short.  The registry as it stands proves the same
+/// programs.
+#[test]
+fn scratch_read_without_c_write_yields_named_counterexample() {
+    let c = cfg();
+    for (pg, ops) in [
+        (
+            ProcessGrid::serial(),
+            schedule::alg1_step(&c, &ProcessGrid::serial()),
+        ),
+        (
+            ProcessGrid::yz(2, 1).unwrap(),
+            schedule::alg1_step(&c, &ProcessGrid::yz(2, 1).unwrap()),
+        ),
+        (
+            ProcessGrid::yz(2, 1).unwrap(),
+            schedule::alg2_step(&c, &ProcessGrid::yz(2, 1).unwrap(), CaMode::Grouped),
+        ),
+    ] {
+        dataflow::check_ops(&c, &pg, &ops).expect("the registry proves the program");
+        for (field, component) in [("phi_p", "u"), ("dp", "phi")] {
+            let read = access::spec("adaptation.fused")
+                .and_then(|s| s.access(field, AccessDir::Read))
+                .expect("the fused sweep reads it");
+            assert_eq!(
+                read.in_out,
+                Some(component),
+                "{field} rides in out.{component}"
+            );
+            let specs = c_without_write_of(field);
+            let ce = dataflow::check_ops_with(&c, &pg, &ops, &specs)
+                .expect_err("a scratch read C never wrote must fail");
+            assert_eq!(ce.kind, FailureKind::UnwrittenScratch, "{ce}");
+            assert_eq!(ce.field, field);
+            assert!(ce.operator.contains("adaptation.fused"), "{ce}");
+            let msg = format!("{ce}");
+            assert!(msg.contains("reads scratch"), "{msg}");
+        }
+    }
 }
 
 /// Which program a live integrator is built to run.
