@@ -16,11 +16,11 @@
 use agcm_bench::{paper_step, steps_10_years, PAPER_RANKS};
 use agcm_comm::{p2p_only_delta, CostModel, Universe};
 use agcm_core::analysis::{self, AlgKind, CaMode, Prediction};
-use agcm_core::{diagnostics, init, tables, Integrator, ModelConfig};
+use agcm_core::{init, tables, Integrator, ModelConfig};
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
 
-const USAGE: &str = "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|validate|verify|trace]";
+const USAGE: &str = "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|validate|verify]";
 
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -36,7 +36,6 @@ fn main() {
         "tables" => print_tables(),
         "validate" => validate(),
         "verify" => verify(),
-        "trace" => trace(),
         "all" => {
             print_tables();
             fig1(&cfg, &model);
@@ -46,7 +45,6 @@ fn main() {
             theory(&cfg);
             validate();
             verify();
-            trace();
         }
         other => {
             eprintln!("unknown figure '{other}'\n{USAGE}");
@@ -426,7 +424,7 @@ fn verify() {
     let y2 = ProcessGrid::yz(2, 1).expect("yz(2,1)");
     let mut grids = vec![("small 24x24x8", small, y2), ("mid 180x90x30", mid, y2)];
     grids.extend(certs.iter().map(|c| {
-        let pg = agcm_verify::paper_yz_grid(c.p);
+        let pg = agcm_verify::paper_yz_grid(c.p).expect("a certified rank count has a grid");
         ("paper 720x360x30", paper.clone(), pg)
     }));
     for (label, cfg, pg) in grids {
@@ -461,9 +459,16 @@ fn verify() {
     // and the trace stream (agcm-obs spans) to the static schedule
     for alg in [AlgKind::OriginalYZ, AlgKind::CommAvoiding] {
         match agcm_verify::trace_cross_check(&cfg, alg, pg) {
-            Ok(_) => {
+            Ok(rep) if rep.is_consistent() => {
                 println!("trace cross-check {alg:?} @ 4 ranks: EXACT");
                 report.push_str(&format!("- trace cross-check {alg:?} @ 4 ranks: EXACT\n"));
+            }
+            Ok(rep) => {
+                eprintln!(
+                    "trace cross-check {alg:?} FAILED:\n{}",
+                    rep.errors.join("\n")
+                );
+                std::process::exit(1);
             }
             Err(e) => {
                 eprintln!("trace cross-check {alg:?} FAILED:\n{e}");
@@ -540,135 +545,4 @@ fn ladder_lines(label: &str, cfg: &ModelConfig, pg: ProcessGrid) -> Vec<String> 
         ));
     }
     lines
-}
-
-/// Operator-level tracing of executing runs: Chrome-trace timelines (load
-/// them at `ui.perfetto.dev` or `chrome://tracing`) and the §4.3.1
-/// overlap-efficiency profile.  The merged multi-process trace, its
-/// critical path and the cost model's prediction of it are `agcm-run
-/// --trace`'s.
-///
-/// Output directory: second CLI argument, default `target/trace`.
-fn trace() {
-    header("trace — operator spans, metrics, and overlap profile (executing runs)");
-    let outdir = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "target/trace".into());
-    std::fs::create_dir_all(&outdir).expect("create trace output directory");
-    let mut cfg = ModelConfig::test_medium();
-    cfg.m_iters = 1; // the CA deep halo fits the 2x2 blocks
-    const STEPS: usize = 3;
-    for (name, alg) in [
-        ("alg1", AlgKind::OriginalYZ),
-        ("alg2", AlgKind::CommAvoiding),
-    ] {
-        // the tracer and registry are process-global: isolate each run
-        let guard = obs::exclusive();
-        obs::reset();
-        obs::Registry::global().clear();
-        obs::enable();
-        let cfg2 = cfg.clone();
-        let budgets = Universe::run(4, move |comm| {
-            comm.stats().set_event_logging(true);
-            let pg = ProcessGrid::yz(2, 2).unwrap();
-            // per-step global mass/energy budgets ride along as gauge
-            // samples on rank 0's trace timeline
-            let sample = |b: &diagnostics::Budget, comm: &agcm_comm::Communicator| {
-                if comm.rank() == 0 {
-                    obs::record_value("physics.mass", b.mass);
-                    obs::record_value("physics.energy", b.energy());
-                }
-            };
-            let mut m = Integrator::parallel(&cfg2, alg, pg, comm).unwrap();
-            let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-            m.set_state(&ic);
-            let b0 = diagnostics::global_budget(m.geom(), &m.state, comm).unwrap();
-            let mut b1 = b0;
-            for _ in 0..STEPS {
-                m.step(Some(comm)).unwrap();
-                b1 = diagnostics::global_budget(m.geom(), &m.state, comm).unwrap();
-                sample(&b1, comm);
-            }
-            (b0, b1)
-        });
-        obs::disable();
-        let events = obs::drain();
-        let (b0, b1) = budgets[0];
-
-        // physics health gauges: relative drift per step
-        let reg = obs::Registry::global();
-        let mass_scale = b0.mass.abs().max(1.0);
-        let energy_scale = b0.energy().abs().max(1.0);
-        let mass_drift = (b1.mass - b0.mass) / STEPS as f64 / mass_scale;
-        let energy_drift = (b1.energy() - b0.energy()) / STEPS as f64 / energy_scale;
-        reg.gauge("physics.mass_drift_per_step").set(mass_drift);
-        reg.gauge("physics.energy_drift_per_step").set(energy_drift);
-        reg.counter("trace.events").add(events.len() as u64);
-        reg.counter("trace.steps").add(STEPS as u64);
-
-        let report = obs::TraceReport::from_events(&events);
-        let snap = reg.snapshot();
-
-        // Chrome-trace timeline, self-validated: every operator the
-        // algorithm runs must appear (Alg 1 smooths unsplit, so no S2)
-        let chrome = obs::chrome_trace_json(&events);
-        let phases: &[obs::Phase] = match alg {
-            AlgKind::CommAvoiding => &[
-                obs::Phase::A,
-                obs::Phase::C,
-                obs::Phase::F,
-                obs::Phase::L,
-                obs::Phase::S1,
-                obs::Phase::S2,
-            ],
-            _ => &[
-                obs::Phase::A,
-                obs::Phase::C,
-                obs::Phase::F,
-                obs::Phase::L,
-                obs::Phase::S1,
-            ],
-        };
-        if let Err(e) = obs::validate_chrome_trace(&chrome, phases, 1) {
-            eprintln!("{name}: invalid Chrome trace: {e}");
-            std::process::exit(1);
-        }
-        let path = format!("{outdir}/trace_{name}.json");
-        std::fs::write(&path, &chrome).expect("write Chrome trace");
-
-        let doc = obs::metrics_json(name, &report, &snap);
-        obs::validate_json(&doc).expect("metrics JSON validates");
-        drop(guard);
-
-        println!(
-            "{name}: {} events from {} ranks over {STEPS} steps -> {path}",
-            report.events, report.ranks
-        );
-        println!(
-            "  {:<4} {:>14} {:>8} {:>11}",
-            "op", "wall [ms]", "spans", "imbalance"
-        );
-        for (label, ns) in &report.op_wall_ns {
-            let imb = report
-                .imbalance
-                .get(label)
-                .map(|i| i.imbalance)
-                .unwrap_or(0.0);
-            println!(
-                "  {label:<4} {:>14.3} {:>8} {:>10.2}x",
-                *ns as f64 / 1e6,
-                report.op_count[label],
-                imb
-            );
-        }
-        println!(
-            "  overlap efficiency (mean over steps): {:.1}%   (compute hidden / window)",
-            100.0 * report.mean_overlap_efficiency()
-        );
-        println!(
-            "  mass drift/step: {mass_drift:+.3e} (rel), energy drift/step: {energy_drift:+.3e} (rel)"
-        );
-    }
-
-    println!("load the timelines at ui.perfetto.dev");
 }

@@ -74,11 +74,6 @@ impl Communicator {
         Ok(())
     }
 
-    /// In-place sum allreduce.
-    pub fn allreduce_sum(&self, data: &mut [f64]) -> CommResult<()> {
-        self.allreduce(ReduceOp::Sum, data)
-    }
-
     /// In-place allreduce (ring: reduce-scatter then allgather, `2(p-1)`
     /// rounds).
     pub fn allreduce(&self, op: ReduceOp, data: &mut [f64]) -> CommResult<()> {
@@ -332,7 +327,7 @@ mod tests {
         // vector shorter than p: some ring blocks are empty
         let results = Universe::run(6, |comm| {
             let mut data = vec![comm.rank() as f64, 1.0];
-            comm.allreduce_sum(&mut data).unwrap();
+            comm.allreduce(ReduceOp::Sum, &mut data).unwrap();
             data
         });
         for r in results {
@@ -426,9 +421,9 @@ mod tests {
         // tags must keep the rounds separate even under thread-timing skew
         let results = Universe::run(4, |comm| {
             let mut a = vec![1.0];
-            comm.allreduce_sum(&mut a).unwrap();
+            comm.allreduce(ReduceOp::Sum, &mut a).unwrap();
             let mut b = vec![10.0];
-            comm.allreduce_sum(&mut b).unwrap();
+            comm.allreduce(ReduceOp::Sum, &mut b).unwrap();
             (a[0], b[0])
         });
         for (a, b) in results {
@@ -443,7 +438,7 @@ mod tests {
             let row = comm.rank() / 3;
             let sub = comm.split(row, comm.rank()).unwrap();
             let mut v = vec![comm.rank() as f64];
-            sub.allreduce_sum(&mut v).unwrap();
+            sub.allreduce(ReduceOp::Sum, &mut v).unwrap();
             v[0]
         });
         assert_eq!(results, vec![3.0, 3.0, 3.0, 12.0, 12.0, 12.0]);
@@ -453,7 +448,7 @@ mod tests {
     fn stats_see_collective_traffic() {
         let results = Universe::run(4, |comm| {
             let mut v = vec![0.0; 64];
-            comm.allreduce_sum(&mut v).unwrap();
+            comm.allreduce(ReduceOp::Sum, &mut v).unwrap();
             comm.stats().snapshot()
         });
         for s in results {

@@ -17,7 +17,6 @@
 
 use crate::geometry::LocalGeometry;
 use crate::state::State;
-use agcm_comm::{CommResult, Communicator};
 use agcm_mesh::grid::constants as c;
 
 /// Pointwise-summable budget of one (sub)domain.
@@ -39,26 +38,6 @@ impl Budget {
     /// Total transformed energy.
     pub fn energy(&self) -> f64 {
         self.kinetic + self.potential + self.surface
-    }
-
-    fn to_vec(self) -> [f64; 5] {
-        [
-            self.kinetic,
-            self.potential,
-            self.surface,
-            self.mass,
-            self.weight,
-        ]
-    }
-
-    fn from_slice(v: &[f64]) -> Budget {
-        Budget {
-            kinetic: v[0],
-            potential: v[1],
-            surface: v[2],
-            mass: v[3],
-            weight: v[4],
-        }
     }
 }
 
@@ -97,27 +76,12 @@ pub fn local_budget(geom: &LocalGeometry, state: &State) -> Budget {
     b
 }
 
-/// Budget reduced over all ranks of `comm` (every rank gets the global
-/// values).  Serial callers can use [`local_budget`] directly.
-pub fn global_budget(
-    geom: &LocalGeometry,
-    state: &State,
-    comm: &Communicator,
-) -> CommResult<Budget> {
-    let mut v = local_budget(geom, state).to_vec();
-    comm.allreduce_sum(&mut v)?;
-    Ok(Budget::from_slice(&v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
     use crate::init;
     use crate::serial::{Iteration, SerialModel};
-    use agcm_comm::Universe;
-    use agcm_mesh::{Decomposition, HaloWidths, ProcessGrid};
-    use std::sync::Arc;
 
     #[test]
     fn rest_budget_is_zero() {
@@ -162,37 +126,5 @@ mod tests {
         // is neutral); must not collapse either
         assert!(b1.energy() <= b0.energy() * 1.02);
         assert!(b1.energy() >= b0.energy() * 0.2, "energy collapsed");
-    }
-
-    #[test]
-    fn global_budget_sums_ranks() {
-        let results = Universe::run(4, |comm| {
-            let cfg = ModelConfig::test_medium();
-            let grid = Arc::new(cfg.grid().unwrap());
-            let d = Decomposition::new(cfg.extents(), ProcessGrid::yz(2, 2).unwrap()).unwrap();
-            let geom = crate::geometry::LocalGeometry::new(
-                &cfg,
-                grid,
-                &d,
-                comm.rank(),
-                HaloWidths::uniform(1),
-            );
-            let st = init::perturbed_rest(&geom, 100.0, 2.0, 5);
-            global_budget(&geom, &st, comm).unwrap()
-        });
-        // every rank agrees on the global budget
-        for r in &results[1..] {
-            assert!((r.energy() - results[0].energy()).abs() < 1e-9);
-            assert!((r.mass - results[0].mass).abs() < 1e-9);
-        }
-        // and it equals the serial budget of the same global state
-        let cfg = ModelConfig::test_medium();
-        let grid = Arc::new(cfg.grid().unwrap());
-        let d = Decomposition::new(cfg.extents(), ProcessGrid::serial()).unwrap();
-        let geom = crate::geometry::LocalGeometry::new(&cfg, grid, &d, 0, HaloWidths::uniform(1));
-        let st = init::perturbed_rest(&geom, 100.0, 2.0, 5);
-        let serial = local_budget(&geom, &st);
-        assert!((serial.energy() - results[0].energy()).abs() < 1e-9 * serial.energy().max(1.0));
-        assert!((serial.weight - results[0].weight).abs() < 1e-9);
     }
 }

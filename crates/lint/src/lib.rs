@@ -692,15 +692,17 @@ const ACCESS_REGISTRY: &str = "crates/core/src/access.rs";
 
 /// Transport/resilience modules bound by [`Rule::Unwrap`]: every error arm
 /// here is reachable under fault injection — in the launcher (`agcm-run`,
-/// `agcm-soak`) by a killed or failing worker — or, in the record codec
-/// (`obs::dist`), by bytes the parent reads but did not write.  The mesh
-/// layer (`agcm-mesh`) under every rank is bound too: its refusals are
-/// typed errors and nothing else in it can fail.  An entry ending in `/`
-/// binds every file under that directory, so a new `agcm-comm` or
-/// `agcm-mesh` module is under the rule from its first line.  A path is
-/// bound by an entry it starts with.
+/// `agcm-soak`) by a killed or failing worker — or, in `agcm-obs` (the
+/// record codec, the trace validator), by bytes the parent reads but did
+/// not write.  The mesh layer (`agcm-mesh`) under every rank is bound too:
+/// its refusals are typed errors and nothing else in it can fail, and so
+/// is `agcm-verify`, whose analyses answer a broken schedule or trace with
+/// a counterexample, not an abort.  An entry ending in `/` binds every
+/// file under that directory, so a new module there is under the rule
+/// from its first line.  A path is bound by an entry it starts with.
 const NO_UNWRAP_MODULES: &[&str] = &[
-    "crates/obs/src/dist.rs",
+    "crates/obs/src/",
+    "crates/verify/src/",
     "crates/comm/src/",
     "crates/mesh/src/",
     "crates/core/src/resilience.rs",

@@ -40,7 +40,7 @@ use std::sync::{Mutex, OnceLock};
 /// Codec magic + version for an encoded event stream.
 const EVENTS_MAGIC: &[u8; 8] = b"AGCMTRC1";
 /// Codec magic + version for an encoded metrics snapshot.
-const METRICS_MAGIC: &[u8; 8] = b"AGCMMET1";
+const METRICS_MAGIC: &[u8; 8] = b"AGCMMET2";
 /// Codec magic + version for an encoded [`Record`].
 const RECORD_MAGIC: &[u8; 8] = b"AGCMREC1";
 
@@ -291,11 +291,6 @@ fn encode_metrics(snap: &MetricsSnapshot) -> Vec<u8> {
         put_str(&mut out, k);
         put_u64(&mut out, *v);
     }
-    put_u32(&mut out, snap.gauges.len() as u32);
-    for (k, v) in &snap.gauges {
-        put_str(&mut out, k);
-        put_u64(&mut out, v.to_bits());
-    }
     put_u32(&mut out, snap.histograms.len() as u32);
     for (k, h) in &snap.histograms {
         put_str(&mut out, k);
@@ -321,11 +316,6 @@ fn decode_metrics(bytes: &[u8]) -> Result<MetricsSnapshot, String> {
         let k = r.str()?;
         let v = r.u64()?;
         snap.counters.insert(k, v);
-    }
-    for _ in 0..r.u32()? {
-        let k = r.str()?;
-        let v = f64::from_bits(r.u64()?);
-        snap.gauges.insert(k, v);
     }
     for _ in 0..r.u32()? {
         let k = r.str()?;
@@ -417,15 +407,14 @@ pub fn decode_record(bytes: &[u8]) -> Result<Record, String> {
 /// within one incarnation and incarnation lifetimes are disjoint, so the
 /// lifetime total is the **sum** of the per-incarnation finals; histogram
 /// mass (count, sum, exact max) adds the same way, with the mean
-/// recomputed from the merged sum/count.  Gauges are last-value-wins
-/// instruments: the highest epoch's value stands.  Histogram quantiles
+/// recomputed from the merged sum/count.  Histogram quantiles
 /// cannot be re-derived from summaries, so the merged p50/p95/p99 take
 /// the maximum across incarnations — a documented conservative upper
 /// bound.  Duplicate epoch tags resolve to the later entry in `snaps`.
 pub fn merge_rank_metrics(snaps: &[(u64, MetricsSnapshot)]) -> MetricsSnapshot {
     let mut ordered: Vec<&(u64, MetricsSnapshot)> = snaps.iter().collect();
-    // stable sort: among duplicate epochs the later input wins the
-    // last-write-wins fields below
+    // stable sort: among duplicate epochs the later input is inserted
+    // last below, so it wins
     ordered.sort_by_key(|(epoch, _)| *epoch);
     let mut by_epoch: BTreeMap<u64, &MetricsSnapshot> = BTreeMap::new();
     for (epoch, snap) in ordered {
@@ -435,9 +424,6 @@ pub fn merge_rank_metrics(snaps: &[(u64, MetricsSnapshot)]) -> MetricsSnapshot {
     for snap in by_epoch.values() {
         for (k, v) in &snap.counters {
             *out.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &snap.gauges {
-            out.gauges.insert(k.clone(), *v);
         }
         for (k, h) in &snap.histograms {
             let m = out.histograms.entry(k.clone()).or_insert(HistogramSummary {
@@ -646,7 +632,6 @@ mod tests {
     fn metrics_roundtrip() {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("comm.msgs".into(), 42);
-        snap.gauges.insert("physics.mass_drift".into(), -3.25e-13);
         snap.histograms.insert(
             "comm.recv_wait_ns".into(),
             HistogramSummary {
@@ -661,7 +646,6 @@ mod tests {
         );
         let back = decode_metrics(&encode_metrics(&snap)).expect("decode");
         assert_eq!(back.counters["comm.msgs"], 42);
-        assert_eq!(back.gauges["physics.mass_drift"], -3.25e-13);
         let h = back.histograms["comm.recv_wait_ns"];
         assert_eq!(h.count, 9);
         assert_eq!(h.p95, 180);
@@ -679,7 +663,6 @@ mod tests {
         metrics
             .counters
             .insert("run.measured.wire_bytes".into(), 1 << 40);
-        metrics.gauges.insert("test.gauge".into(), 2.0);
         let events = vec![
             ev(1, SpanKind::Op, Phase::A, "adaptation.local", 10, 20),
             ev(1, SpanKind::ExchangeWait, Phase::Other, "halo.wait", 15, 40),
@@ -695,7 +678,6 @@ mod tests {
         let bytes = encode_record(&traced);
         let back = decode_record(&bytes).expect("decode");
         assert_eq!(back.metrics.counters, metrics.counters);
-        assert_eq!(back.metrics.gauges, metrics.gauges);
         let (o, evs) = back.trace.expect("trace survives");
         assert_eq!(o, offset);
         assert_eq!(evs.len(), 2);
@@ -716,7 +698,7 @@ mod tests {
         assert!(decode_record(&flag).unwrap_err().contains("flag"));
     }
 
-    /// A 69-byte record whose span stream claims 2³²−1 names or events is
+    /// A 65-byte record whose span stream claims 2³²−1 names or events is
     /// refused as truncated: the unverified count does not size an
     /// allocation before the bytes behind it are read.
     #[test]
@@ -730,7 +712,7 @@ mod tests {
             trace: Some((offset, Vec::new())),
         };
         let bytes = encode_record(&rec);
-        assert_eq!(bytes.len(), 69);
+        assert_eq!(bytes.len(), 65);
         // the stream's last eight bytes: its name count, then its event count
         for at in [bytes.len() - 8, bytes.len() - 4] {
             let mut hostile = bytes.clone();
@@ -747,18 +729,14 @@ mod tests {
         let mut e0 = MetricsSnapshot::default();
         e0.counters.insert("test.counter".into(), 3);
         e0.counters.insert("test.other_counter".into(), 7);
-        e0.gauges.insert("test.gauge".into(), 1.0);
         let mut e1 = MetricsSnapshot::default();
         e1.counters.insert("test.counter".into(), 1);
-        e1.gauges.insert("test.gauge".into(), 2.0);
         // out-of-order input: the merge must sort by epoch itself
         let merged = merge_rank_metrics(&[(1, e1.clone()), (0, e0.clone())]);
         // the bug this guards against: last-snapshot-wins reports 1
         assert_eq!(merged.counters["test.counter"], 4);
         // a counter only the first incarnation bumped still survives
         assert_eq!(merged.counters["test.other_counter"], 7);
-        // gauges are last-value-wins: the newest incarnation's value
-        assert_eq!(merged.gauges["test.gauge"], 2.0);
         // duplicate epoch tag: the later entry wins, no double count
         let dup = merge_rank_metrics(&[(0, e0.clone()), (0, e1.clone())]);
         assert_eq!(dup.counters["test.counter"], 1);

@@ -1,14 +1,12 @@
-//! Exporters: Chrome-trace/Perfetto JSON timeline, metrics JSON dump, and
-//! the derived aggregates (per-operator wall time, per-rank load
-//! imbalance, overlap efficiency).
+//! Exporters: Chrome-trace/Perfetto JSON timeline and the derived
+//! aggregates (per-operator wall time, per-rank load imbalance, overlap
+//! efficiency).
 //!
 //! The workspace is dependency-free, so JSON is hand-rolled: a small
 //! writer with correct string escaping and a minimal recursive-descent
-//! validator ([`validate_json`]) used by the `figures trace` smoke test to
-//! prove the emitted files parse.
+//! validator ([`validate_json`]) with which `agcm-run --trace` proves the
+//! files it writes parse.
 
-use crate::metrics::MetricsSnapshot;
-use crate::phase::Phase;
 use crate::tracer::{Event, SpanKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -279,129 +277,6 @@ impl TraceReport {
     }
 }
 
-/// Render a [`TraceReport`] plus a [`MetricsSnapshot`] as a metrics JSON
-/// document shaped like the repo's `BENCH_*.json` dumps.
-pub fn metrics_json(label: &str, report: &TraceReport, metrics: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"label\": ");
-    push_json_str(&mut out, label);
-    let _ = write!(
-        &mut out,
-        ",\n  \"ranks\": {},\n  \"events\": {},\n",
-        report.ranks, report.events
-    );
-
-    out.push_str("  \"op_wall_ns\": {");
-    for (i, (k, v)) in report.op_wall_ns.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        push_json_str(&mut out, k);
-        let _ = write!(&mut out, ": {v}");
-    }
-    out.push_str("\n  },\n");
-
-    out.push_str("  \"op_count\": {");
-    for (i, (k, v)) in report.op_count.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        push_json_str(&mut out, k);
-        let _ = write!(&mut out, ": {v}");
-    }
-    out.push_str("\n  },\n");
-
-    out.push_str("  \"load_imbalance\": {");
-    for (i, (k, v)) in report.imbalance.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        push_json_str(&mut out, k);
-        let _ = write!(
-            &mut out,
-            ": {{\"max_ns\": {}, \"avg_ns\": {}, \"imbalance\": {}}}",
-            v.max_ns,
-            json_f64(v.avg_ns),
-            json_f64(v.imbalance)
-        );
-    }
-    out.push_str("\n  },\n");
-
-    out.push_str("  \"overlap\": [");
-    for (i, s) in report.overlap.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            &mut out,
-            "\n    {{\"step\": {}, \"overlap_compute_ns\": {}, \"wait_ns\": {}, \"efficiency\": {}}}",
-            s.step,
-            s.overlap_compute_ns,
-            s.wait_ns,
-            json_f64(s.efficiency())
-        );
-    }
-    out.push_str("\n  ],\n");
-    let _ = writeln!(
-        &mut out,
-        "  \"mean_overlap_efficiency\": {},",
-        json_f64(report.mean_overlap_efficiency())
-    );
-    let wq = &report.wait_quantiles;
-    let _ = writeln!(
-        &mut out,
-        "  \"wait_quantiles\": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}},",
-        wq.count, wq.p50_ns, wq.p95_ns, wq.p99_ns, wq.max_ns
-    );
-
-    out.push_str("  \"counters\": {");
-    for (i, (k, v)) in metrics.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        push_json_str(&mut out, k);
-        let _ = write!(&mut out, ": {v}");
-    }
-    out.push_str("\n  },\n");
-
-    out.push_str("  \"gauges\": {");
-    for (i, (k, v)) in metrics.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        push_json_str(&mut out, k);
-        let _ = write!(&mut out, ": {}", json_f64(*v));
-    }
-    out.push_str("\n  },\n");
-
-    out.push_str("  \"histograms\": {");
-    for (i, (k, v)) in metrics.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        push_json_str(&mut out, k);
-        let _ = write!(
-            &mut out,
-            ": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-            v.count,
-            v.sum,
-            json_f64(v.mean),
-            v.p50,
-            v.p95,
-            v.p99,
-            v.max
-        );
-    }
-    out.push_str("\n  }\n}\n");
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Minimal JSON validator
 // ---------------------------------------------------------------------------
@@ -442,7 +317,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), String> {
+    fn eat(&mut self, c: u8) -> Result<(), String> {
         if self.peek() == Some(c) {
             self.i += 1;
             Ok(())
@@ -474,7 +349,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.i += 1;
@@ -484,7 +359,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             self.value()?;
             self.skip_ws();
@@ -500,7 +375,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.i += 1;
@@ -522,7 +397,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
@@ -593,35 +468,10 @@ impl Parser<'_> {
     }
 }
 
-/// Check that a Chrome-trace document is well-formed JSON *and* contains
-/// at least `min_per_phase` operator spans for each phase label in
-/// `phases` (textual scan — good enough for the smoke test without a DOM).
-pub fn validate_chrome_trace(
-    src: &str,
-    phases: &[Phase],
-    min_per_phase: usize,
-) -> Result<(), String> {
-    validate_json(src)?;
-    if !src.contains("\"traceEvents\"") {
-        return Err("missing traceEvents key".to_string());
-    }
-    for p in phases {
-        let needle = format!("\"phase\":\"{}\"", p.label());
-        let count = src.matches(&needle).count();
-        if count < min_per_phase {
-            return Err(format!(
-                "phase {} has {count} spans, want >= {min_per_phase}",
-                p.label()
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracer::SpanKind;
+    use crate::phase::Phase;
 
     fn ev(rank: usize, step: u64, kind: SpanKind, phase: Phase, t0: u64, t1: u64) -> Event {
         Event {
@@ -664,8 +514,6 @@ mod tests {
         validate_json(&doc).expect("valid");
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("\"phase\":\"A\""));
-        validate_chrome_trace(&doc, &[Phase::A], 1).expect("has A span");
-        assert!(validate_chrome_trace(&doc, &[Phase::L], 1).is_err());
     }
 
     #[test]
@@ -691,18 +539,5 @@ mod tests {
         assert_eq!(s.step, 1);
         assert!((s.efficiency() - 0.8).abs() < 1e-9);
         assert!((rep.mean_overlap_efficiency() - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn metrics_json_is_valid() {
-        let evs = vec![ev(0, 0, SpanKind::Op, Phase::F, 0, 10)];
-        let rep = TraceReport::from_events(&evs);
-        let mut snap = MetricsSnapshot::default();
-        snap.counters.insert("x".into(), 3);
-        snap.gauges.insert("mass_drift".into(), 1e-12);
-        let doc = metrics_json("alg2", &rep, &snap);
-        validate_json(&doc).expect("valid metrics json");
-        assert!(doc.contains("\"mean_overlap_efficiency\""));
-        assert!(doc.contains("\"load_imbalance\""));
     }
 }

@@ -9,14 +9,13 @@
 //!   logical timestamps for every operator application (`A`, `C`, `F`,
 //!   `L`, `S1`, `S2`), nonlinear iteration, halo exchange and collective,
 //!   tagged with rank, time step, and operator [`Phase`];
-//! * **metrics registry** ([`Registry`]) — counters, gauges and
-//!   log-linear histograms for cumulative aggregates (message latency,
-//!   per-operator wall time, physics health gauges);
-//! * **exporters** ([`chrome_trace_json`], [`metrics_json`],
-//!   [`TraceReport`]) — a Chrome-trace/Perfetto timeline and a
-//!   `BENCH_*.json`-style metrics dump, including the per-step
-//!   **overlap-efficiency profile** (how much exchange wait is hidden
-//!   behind inner-region computation in Algorithm 2, §4.3.1).
+//! * **metrics registry** ([`Registry`]) — counters and log-linear
+//!   histograms for cumulative aggregates (message latency, checkpoint
+//!   write time);
+//! * **exporters** ([`chrome_trace_json`], [`TraceReport`]) — a
+//!   Chrome-trace/Perfetto timeline and the derived aggregates, including
+//!   the per-step **overlap-efficiency profile** (how much exchange wait
+//!   is hidden behind inner-region computation in Algorithm 2, §4.3.1).
 //!
 //! # Cost model
 //!
@@ -27,9 +26,8 @@
 //! `obs.events_per_step`; `benchmark/README.md`): inside the host's noise
 //! on the 180×90×30 and 720×360×30 meshes, but 0.25 on
 //! `small_alg1_y2_uds`, where a step is under 2 ms — the tracer is
-//! not free there (ROADMAP item 2).  Building with
-//! `default-features = false` (dropping the `trace` feature) compiles
-//! every site down to nothing.
+//! not free there (ROADMAP item 2).  The tracer is always compiled in:
+//! that load is the only gate.
 //!
 //! # Usage
 //!
@@ -61,10 +59,9 @@ mod phase;
 mod tracer;
 
 pub use export::{
-    chrome_trace_json, metrics_json, validate_chrome_trace, validate_json, DurQuantiles,
-    PhaseImbalance, StepOverlap, TraceReport,
+    chrome_trace_json, validate_json, DurQuantiles, PhaseImbalance, StepOverlap, TraceReport,
 };
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
+pub use metrics::{Counter, Histogram, HistogramSummary, MetricsSnapshot, Registry};
 pub use phase::{current_phase, Phase};
 pub use tracer::{
     disable, drain, enable, enabled, exclusive, now_ns, record_span, record_value, reset, set_rank,

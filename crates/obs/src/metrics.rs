@@ -1,4 +1,4 @@
-//! The metrics registry: counters, gauges, and log-linear histograms.
+//! The metrics registry: counters and log-linear histograms.
 //!
 //! Unlike the tracer (which records a timeline and is drained per run),
 //! metrics are cheap cumulative aggregates: every instrument is a handful
@@ -41,25 +41,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.n.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value-wins gauge holding an `f64` (stored as bits).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value (0.0 if never set).
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -192,7 +173,6 @@ impl Histogram {
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -209,12 +189,6 @@ impl Registry {
         m.entry(name.to_string()).or_default().clone()
     }
 
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.gauges.lock().unwrap_or_else(|p| p.into_inner());
-        m.entry(name.to_string()).or_default().clone()
-    }
-
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut m = self.histograms.lock().unwrap_or_else(|p| p.into_inner());
@@ -227,13 +201,6 @@ impl Registry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = self
             .counters
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let gauges = self
-            .gauges
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .iter()
@@ -261,7 +228,6 @@ impl Registry {
             .collect();
         MetricsSnapshot {
             counters,
-            gauges,
             histograms,
         }
     }
@@ -270,10 +236,6 @@ impl Registry {
     /// detached from future snapshots).
     pub fn clear(&self) {
         self.counters
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clear();
-        self.gauges
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .clear();
@@ -308,8 +270,6 @@ pub struct HistogramSummary {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, f64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
 }
@@ -319,15 +279,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let reg = Registry::default();
         let c = reg.counter("steps");
         c.inc();
         c.add(4);
         assert_eq!(reg.counter("steps").get(), 5);
-        let g = reg.gauge("drift");
-        g.set(-3.5);
-        assert_eq!(reg.gauge("drift").get(), -3.5);
     }
 
     #[test]
@@ -405,11 +362,9 @@ mod tests {
     fn snapshot_collects_everything() {
         let reg = Registry::default();
         reg.counter("a").add(2);
-        reg.gauge("b").set(1.5);
         reg.histogram("c").record(10);
         let s = reg.snapshot();
         assert_eq!(s.counters["a"], 2);
-        assert_eq!(s.gauges["b"], 1.5);
         assert_eq!(s.histograms["c"].count, 1);
         reg.clear();
         assert!(reg.snapshot().counters.is_empty());

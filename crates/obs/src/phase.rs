@@ -13,7 +13,6 @@
 //! ([`crate::span_phase`]); reading it ([`current_phase`]) is how the
 //! communication layer tags its events without knowing any model code.
 
-#[cfg(feature = "trace")]
 use std::cell::Cell;
 
 /// The operator a span or communication event belongs to.
@@ -56,7 +55,6 @@ impl Phase {
         [Phase::A, Phase::C, Phase::F, Phase::L, Phase::S1, Phase::S2];
 }
 
-#[cfg(feature = "trace")]
 thread_local! {
     static CURRENT: Cell<Phase> = const { Cell::new(Phase::Other) };
 }
@@ -65,19 +63,11 @@ thread_local! {
 /// outside any phase span).
 #[inline]
 pub fn current_phase() -> Phase {
-    #[cfg(feature = "trace")]
-    {
-        CURRENT.with(|c| c.get())
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        Phase::Other
-    }
+    CURRENT.with(|c| c.get())
 }
 
 /// Set the current phase, returning the previous one (span guards restore
 /// it on drop).
-#[cfg(feature = "trace")]
 #[inline]
 pub(crate) fn swap_phase(p: Phase) -> Phase {
     CURRENT.with(|c| c.replace(p))

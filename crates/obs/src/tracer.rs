@@ -14,8 +14,7 @@
 //!   push into one of [`SHARDS`] sharded buffers (a short uncontended lock
 //!   — ranks hash to different shards); the benchmark ledger's
 //!   `obs.overhead_frac` row measures the sum over a step (noise on the
-//!   mid and paper meshes, 0.25 on `small_alg1_y2_uds`; ROADMAP item 2),
-//! * feature `trace` **off**: everything here compiles to nothing.
+//!   mid and paper meshes, 0.25 on `small_alg1_y2_uds`; ROADMAP item 2).
 //!
 //! Buffers grow until [`drain`]; runs that trace should drain per run.
 
@@ -147,14 +146,7 @@ thread_local! {
 /// instrumentation site pays when tracing is disabled.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "trace")]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        false
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Start recording trace events.
@@ -173,22 +165,15 @@ pub fn disable() {
 /// default to rank 0.
 #[inline]
 pub fn set_rank(rank: usize) {
-    #[cfg(feature = "trace")]
     RANK.with(|c| c.set(rank));
-    #[cfg(not(feature = "trace"))]
-    let _ = rank;
 }
 
 /// Stamp the time step subsequent events on this thread belong to.
 #[inline]
 pub fn set_step(step: u64) {
-    #[cfg(feature = "trace")]
     STEP.with(|c| c.set(step));
-    #[cfg(not(feature = "trace"))]
-    let _ = step;
 }
 
-#[cfg(feature = "trace")]
 fn my_shard() -> usize {
     SHARD.with(|c| {
         let s = c.get();
@@ -203,7 +188,6 @@ fn my_shard() -> usize {
     })
 }
 
-#[cfg(feature = "trace")]
 fn push(ev: Event) {
     let shard = &shards()[my_shard()];
     shard.lock().unwrap_or_else(|p| p.into_inner()).push(ev);
@@ -213,69 +197,53 @@ fn push(ev: Event) {
 /// code that measured an interval itself).
 #[inline]
 pub fn record_span(kind: SpanKind, phase: Phase, name: &'static str, t0_ns: u64, bytes: u64) {
-    #[cfg(feature = "trace")]
-    {
-        if !enabled() {
-            return;
-        }
-        let t1 = now_ns();
-        let ev = Event {
-            rank: RANK.with(|c| c.get()),
-            step: STEP.with(|c| c.get()),
-            kind,
-            phase,
-            name,
-            t0_ns,
-            t1_ns: t1,
-            seq: SEQ.fetch_add(1, Ordering::Relaxed),
-            bytes,
-            value: 0.0,
-        };
-        push(ev);
+    if !enabled() {
+        return;
     }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = (kind, phase, name, t0_ns, bytes);
-    }
+    let t1 = now_ns();
+    let ev = Event {
+        rank: RANK.with(|c| c.get()),
+        step: STEP.with(|c| c.get()),
+        kind,
+        phase,
+        name,
+        t0_ns,
+        t1_ns: t1,
+        seq: SEQ.fetch_add(1, Ordering::Relaxed),
+        bytes,
+        value: 0.0,
+    };
+    push(ev);
 }
 
 /// Record an instant gauge sample (`value` at now).
 #[inline]
 pub fn record_value(name: &'static str, value: f64) {
-    #[cfg(feature = "trace")]
-    {
-        if !enabled() {
-            return;
-        }
-        let t = now_ns();
-        push(Event {
-            rank: RANK.with(|c| c.get()),
-            step: STEP.with(|c| c.get()),
-            kind: SpanKind::Gauge,
-            phase: crate::phase::current_phase(),
-            name,
-            t0_ns: t,
-            t1_ns: t,
-            seq: SEQ.fetch_add(1, Ordering::Relaxed),
-            bytes: 0,
-            value,
-        });
+    if !enabled() {
+        return;
     }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = (name, value);
-    }
+    let t = now_ns();
+    push(Event {
+        rank: RANK.with(|c| c.get()),
+        step: STEP.with(|c| c.get()),
+        kind: SpanKind::Gauge,
+        phase: crate::phase::current_phase(),
+        name,
+        t0_ns: t,
+        t1_ns: t,
+        seq: SEQ.fetch_add(1, Ordering::Relaxed),
+        bytes: 0,
+        value,
+    });
 }
 
 /// An in-flight span; records itself on drop.  Construct with [`span`] or
 /// [`span_phase`].
 #[must_use = "a span records its interval when dropped"]
 pub struct Span {
-    #[cfg(feature = "trace")]
     state: Option<SpanState>,
 }
 
-#[cfg(feature = "trace")]
 struct SpanState {
     kind: SpanKind,
     phase: Phase,
@@ -289,19 +257,15 @@ impl Span {
     /// Attribute moved payload bytes to this span (no-op when disabled).
     #[inline]
     pub fn add_bytes(&mut self, n: u64) {
-        #[cfg(feature = "trace")]
         if let Some(s) = self.state.as_mut() {
             s.bytes += n;
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = n;
     }
 }
 
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(feature = "trace")]
         if let Some(s) = self.state.take() {
             if let Some(prev) = s.restore_phase {
                 crate::phase::swap_phase(prev);
@@ -315,26 +279,18 @@ impl Drop for Span {
 /// atomic load when tracing is disabled.
 #[inline]
 pub fn span(kind: SpanKind, name: &'static str) -> Span {
-    #[cfg(feature = "trace")]
-    {
-        if !enabled() {
-            return Span { state: None };
-        }
-        Span {
-            state: Some(SpanState {
-                kind,
-                phase: crate::phase::current_phase(),
-                name,
-                t0_ns: now_ns(),
-                bytes: 0,
-                restore_phase: None,
-            }),
-        }
+    if !enabled() {
+        return Span { state: None };
     }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = (kind, name);
-        Span {}
+    Span {
+        state: Some(SpanState {
+            kind,
+            phase: crate::phase::current_phase(),
+            name,
+            t0_ns: now_ns(),
+            bytes: 0,
+            restore_phase: None,
+        }),
     }
 }
 
@@ -346,37 +302,19 @@ pub fn span(kind: SpanKind, name: &'static str) -> Span {
 /// e.g. `agcm-comm`'s collective-event log — works without the tracer.
 #[inline]
 pub fn span_phase(kind: SpanKind, phase: Phase, name: &'static str) -> Span {
-    #[cfg(feature = "trace")]
-    {
-        let prev = crate::phase::swap_phase(phase);
-        if !enabled() {
-            // keep the phase switched; drop restores it
-            return Span {
-                state: Some(SpanState {
-                    kind,
-                    phase,
-                    name,
-                    t0_ns: 0,
-                    bytes: 0,
-                    restore_phase: Some(prev),
-                }),
-            };
-        }
-        Span {
-            state: Some(SpanState {
-                kind,
-                phase,
-                name,
-                t0_ns: now_ns(),
-                bytes: 0,
-                restore_phase: Some(prev),
-            }),
-        }
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = (kind, phase, name);
-        Span {}
+    let prev = crate::phase::swap_phase(phase);
+    // Disabled: keep the phase switched (drop restores it) but read no
+    // clock; the recorder drops the span.
+    let t0_ns = if enabled() { now_ns() } else { 0 };
+    Span {
+        state: Some(SpanState {
+            kind,
+            phase,
+            name,
+            t0_ns,
+            bytes: 0,
+            restore_phase: Some(prev),
+        }),
     }
 }
 
@@ -409,9 +347,7 @@ pub fn exclusive() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-// The behavioral tests exercise recording, which requires the compiled-in
-// tracer; without the feature every call is a no-op by design.
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -371,8 +371,7 @@ impl PhaseOutcome<'_> {
 /// Merge the records of every incarnation of every rank in one phase's
 /// checkpoint directory: per rank across its generations, then across
 /// ranks by the same rule ([`obs::dist::merge_rank_metrics`], keyed by
-/// rank) — counters and histogram mass sum, gauges keep the last rank's
-/// value (they are per-rank quantities, meaningless to sum).
+/// rank) — counters and histogram mass sum.
 fn merge_world_metrics(dir: &Path, p: usize) -> Result<obs::MetricsSnapshot, String> {
     let mut per_rank = Vec::with_capacity(p);
     for rank in 0..p {

@@ -1,11 +1,12 @@
-//! End-to-end distributed-trace validation (ISSUE 7): drive the `agcm-run`
-//! binary with `--trace` so four OS processes ship their span streams to
-//! rank 0 over the Unix-domain socket mesh, then check the merged
-//! artifacts with the in-tree RFC 8259 validator — one timeline track per
-//! rank, every operator phase the algorithm runs, and a critical-path
-//! report that joined cleanly against the static schedule and sets the cost
-//! model's prediction beside each measured segment (the launcher exits
-//! non-zero otherwise, which this test would surface).
+//! End-to-end distributed-trace validation: drive the `agcm-run` binary
+//! with `--trace` so four OS processes ship their span streams to the
+//! parent, then check the merged artifacts with the in-tree RFC 8259
+//! validator — one timeline track per rank, and a critical-path report
+//! that sets the cost model's prediction beside each measured segment.
+//! Whether the trace is consistent with the step program — every rank's
+//! wait and collective spans, every operator phase on every rank — is the
+//! launcher's verdict (`verify::critpath::analyze`): it exits non-zero
+//! otherwise, which this test surfaces.
 
 #![cfg(unix)]
 
@@ -50,17 +51,6 @@ fn traced_multiprocess_run_produces_valid_merged_artifacts() {
         let trace = std::fs::read_to_string(dir.join(format!("trace_alg{alg}.json")))
             .expect("merged trace exists");
         obs::validate_json(&trace).expect("merged trace is RFC 8259-valid");
-        // the phases every configuration runs (S2 exists only when the CA
-        // smoothing is fused-split; the launcher itself enforces that any
-        // phase one rank ran, every rank ran)
-        let phases = [
-            obs::Phase::A,
-            obs::Phase::C,
-            obs::Phase::F,
-            obs::Phase::L,
-            obs::Phase::S1,
-        ];
-        obs::validate_chrome_trace(&trace, &phases, 1).expect("merged trace covers every phase");
         for rank in 0..4 {
             assert!(
                 trace.contains(&format!("\"tid\":{rank}")),

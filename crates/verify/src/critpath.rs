@@ -1,19 +1,31 @@
-//! Analysis 6 — critical-path attribution of a merged distributed trace.
+//! Analysis 5 — the trace check: a span stream joined to its schedule.
 //!
-//! Given the merged, clock-aligned span stream of a multi-process run
-//! (`agcm_obs::dist::merge_events`) and the statically extracted
-//! [`ScheduleGraph`] of the same configuration, this module answers the
+//! Given a clock-aligned span stream — the merged trace of a multi-process
+//! run (`agcm_obs::dist::merge_events`) or the in-process one
+//! [`crate::trace::trace_cross_check`] records — and the [`ScheduleGraph`]
+//! of the program that ran, this module is the one place that decides
+//! whether the trace is consistent with the step program, and answers the
 //! question per-process tracing cannot: *which rank's which operation made
 //! the step take as long as it did*.
 //!
-//! The join is order-based, the same invariant the trace cross-check
-//! ([`crate::trace`]) certifies: within one (rank, step) the `i`-th
+//! Every `(step, rank)` with a `Step` span is checked:
+//!
+//! * its `ExchangeWait` spans number the schedule's exchanges and its
+//!   phase-`C` `Collective` spans its z-allgathers — zero spans included,
+//!   so a rank whose waits all went missing is loud;
+//! * it ran an operator (`Op`) span, and every operator phase any rank ran
+//!   in that step (the program is SPMD: Algorithm 1 has no `S2`, so the
+//!   set comes from the trace, not a table).
+//!
+//! A stream in which no step has a `Step` span on every rank is
+//! inconsistent too: it checks nothing.
+//!
+//! The join is order-based: within one (rank, step) the `i`-th
 //! `ExchangeWait` span is the `i`-th `Exchange` op of the schedule, and
 //! the `i`-th phase-`C` `Collective` span is the `i`-th `ZAllgather` op —
 //! SPMD programs issue their communication in program order, and the span
-//! sequence numbers preserve it.  Count mismatches are reported as join
-//! errors, not papered over, so a trace inconsistent with the schedule is
-//! loud.
+//! sequence numbers preserve it.  Deviations are reported as errors, not
+//! papered over.
 //!
 //! Per step the analyzer finds the **critical rank** — the one whose step
 //! span ends last on the aligned clock — and attributes its wall time to
@@ -87,12 +99,13 @@ pub struct CriticalPathReport {
     pub steps: Vec<StepCriticalPath>,
     /// Spans successfully joined to schedule ops.
     pub joined: usize,
-    /// Join inconsistencies (span counts deviating from the schedule).
+    /// Every failed check: span counts off the schedule, an operator phase
+    /// missing on a rank, no complete step.
     pub errors: Vec<String>,
 }
 
 impl CriticalPathReport {
-    /// Whether every joined span matched the schedule.
+    /// Whether the trace passed every check (`errors` is empty).
     pub fn is_consistent(&self) -> bool {
         self.errors.is_empty()
     }
@@ -107,11 +120,12 @@ fn op_label(op: &StepOp) -> String {
     }
 }
 
-/// Analyze the merged span stream `events` against `graph`.
+/// Analyze the span stream `events` against `graph`.
 ///
 /// `events` may span several steps; each is analyzed independently.
-/// Steps without a `Step` span on every rank (warm-up partials) are
-/// skipped.  The stream must already be clock-aligned
+/// Steps without a `Step` span on every rank (warm-up partials) get no
+/// critical path; a stream without any complete step is inconsistent.
+/// The stream must already be clock-aligned
 /// ([`agcm_obs::dist::merge_events`]) — attribution compares timestamps
 /// across ranks.
 pub fn analyze(events: &[Event], graph: &ScheduleGraph) -> CriticalPathReport {
@@ -140,6 +154,7 @@ pub fn analyze(events: &[Event], graph: &ScheduleGraph) -> CriticalPathReport {
     let mut waits: BTreeMap<Key, Vec<&Event>> = BTreeMap::new();
     let mut colls_c: BTreeMap<Key, Vec<&Event>> = BTreeMap::new();
     let mut agg: BTreeMap<Key, SegmentBreakdown> = BTreeMap::new();
+    let mut phases: BTreeMap<Key, Vec<Phase>> = BTreeMap::new();
     for e in events {
         let key = (e.step, e.rank);
         match e.kind {
@@ -149,7 +164,13 @@ pub fn analyze(events: &[Event], graph: &ScheduleGraph) -> CriticalPathReport {
                 s.0 = s.0.min(e.t0_ns);
                 s.1 = s.1.max(e.t1_ns);
             }
-            SpanKind::Op => agg.entry(key).or_default().compute_ns += e.dur_ns(),
+            SpanKind::Op => {
+                agg.entry(key).or_default().compute_ns += e.dur_ns();
+                let ran = phases.entry(key).or_default();
+                if !ran.contains(&e.phase) {
+                    ran.push(e.phase);
+                }
+            }
             SpanKind::ExchangePost => agg.entry(key).or_default().pack_ns += e.dur_ns(),
             SpanKind::ExchangeWait => {
                 agg.entry(key).or_default().wire_wait_ns += e.dur_ns();
@@ -168,70 +189,57 @@ pub fn analyze(events: &[Event], graph: &ScheduleGraph) -> CriticalPathReport {
         v.sort_by_key(|e| e.seq);
     }
 
-    // join per (step, rank)
+    // check and join every (step, rank) that ran a step
     let mut joins: BTreeMap<Key, Vec<SpanAttribution>> = BTreeMap::new();
-    for (&(step, rank), rank_waits) in &waits {
-        if rank_waits.len() != exchange_ops.len() {
-            rep.errors.push(format!(
-                "step {step} rank {rank}: {} exchange-wait spans vs {} scheduled exchanges",
-                rank_waits.len(),
-                exchange_ops.len()
-            ));
-        }
-        for (i, w) in rank_waits.iter().enumerate() {
-            let op = exchange_ops.get(i).copied().unwrap_or(u32::MAX);
-            let label = graph
-                .ops
-                .get(op as usize)
-                .map(op_label)
-                .unwrap_or_else(|| "unmatched".to_string());
-            joins
-                .entry((step, rank))
-                .or_default()
-                .push(SpanAttribution {
+    for &(step, rank) in step_spans.keys() {
+        let key = (step, rank);
+        let joined = joins.entry(key).or_default();
+        for (spans, targets, what, scheduled) in [
+            (&waits, &exchange_ops, "exchange-wait", "exchanges"),
+            (&colls_c, &zallgather_ops, "C-collective", "z-allgathers"),
+        ] {
+            let spans = spans.get(&key).map_or(&[][..], Vec::as_slice);
+            if spans.len() != targets.len() {
+                rep.errors.push(format!(
+                    "step {step} rank {rank}: {} {what} spans vs {} scheduled {scheduled}",
+                    spans.len(),
+                    targets.len()
+                ));
+            }
+            for (i, e) in spans.iter().enumerate() {
+                let op = targets.get(i).copied().unwrap_or(u32::MAX);
+                let op_label = graph
+                    .ops
+                    .get(op as usize)
+                    .map_or_else(|| "unmatched".to_string(), op_label);
+                if op != u32::MAX {
+                    rep.joined += 1;
+                }
+                joined.push(SpanAttribution {
                     rank,
                     op,
-                    op_label: label,
-                    name: w.name,
-                    t0_ns: w.t0_ns,
-                    dur_ns: w.dur_ns(),
-                    bytes: w.bytes,
+                    op_label,
+                    name: e.name,
+                    t0_ns: e.t0_ns,
+                    dur_ns: e.dur_ns(),
+                    bytes: e.bytes,
                 });
-            if op != u32::MAX {
-                rep.joined += 1;
             }
         }
-    }
-    for (&(step, rank), rank_colls) in &colls_c {
-        if rank_colls.len() != zallgather_ops.len() {
-            rep.errors.push(format!(
-                "step {step} rank {rank}: {} C-collective spans vs {} scheduled z-allgathers",
-                rank_colls.len(),
-                zallgather_ops.len()
-            ));
+        // SPMD: any operator phase one rank ran in this step, every rank ran
+        let ran = phases.get(&key).map_or(&[][..], Vec::as_slice);
+        if ran.is_empty() {
+            rep.errors
+                .push(format!("step {step} rank {rank}: no operator spans"));
         }
-        for (i, c) in rank_colls.iter().enumerate() {
-            let op = zallgather_ops.get(i).copied().unwrap_or(u32::MAX);
-            let label = graph
-                .ops
-                .get(op as usize)
-                .map(op_label)
-                .unwrap_or_else(|| "unmatched".to_string());
-            if op != u32::MAX {
-                rep.joined += 1;
+        let step_ran = phases.range((step, 0)..=(step, usize::MAX));
+        for phase in Phase::OPERATORS {
+            if !ran.contains(&phase) && step_ran.clone().any(|(_, r)| r.contains(&phase)) {
+                rep.errors.push(format!(
+                    "step {step} rank {rank}: no phase-{} op span (other ranks ran it)",
+                    phase.label()
+                ));
             }
-            joins
-                .entry((step, rank))
-                .or_default()
-                .push(SpanAttribution {
-                    rank,
-                    op,
-                    op_label: label,
-                    name: c.name,
-                    t0_ns: c.t0_ns,
-                    dur_ns: c.dur_ns(),
-                    bytes: c.bytes,
-                });
         }
     }
 
@@ -260,6 +268,11 @@ pub fn analyze(events: &[Event], graph: &ScheduleGraph) -> CriticalPathReport {
             breakdown: agg.get(&(step, critical_rank)).copied().unwrap_or_default(),
             blocking,
         });
+    }
+    if rep.steps.is_empty() {
+        // an empty or partial trace checks nothing: it is not consistent
+        rep.errors
+            .push("no step has a Step span on every rank".to_string());
     }
     rep
 }
@@ -305,6 +318,97 @@ mod tests {
             ProcessGrid::new(1, 2, 1).expect("grid"),
         )
         .expect("graph")
+    }
+
+    /// Algorithm 1 on a two-way z split: every step runs z-allgathers.
+    fn z_split_graph() -> ScheduleGraph {
+        let cfg = ModelConfig::test_small();
+        ScheduleGraph::extract(
+            &cfg,
+            AlgKind::OriginalYZ,
+            CaMode::Grouped,
+            ProcessGrid::yz(1, 2).expect("grid"),
+        )
+        .expect("graph")
+    }
+
+    /// Step 1 of `rank`: a step span, one op span per phase of `phases`,
+    /// `waits` exchange waits and `colls` phase-`C` collectives.
+    fn rank_step(rank: usize, phases: &[Phase], waits: usize, colls: usize) -> Vec<Event> {
+        let mut out = vec![ev(
+            rank,
+            1,
+            SpanKind::Step,
+            Phase::Other,
+            "step",
+            0,
+            1_000,
+            0,
+        )];
+        let spans = (phases.iter().map(|&p| (SpanKind::Op, p, "op")))
+            .chain((0..waits).map(|_| (SpanKind::ExchangeWait, Phase::Other, "halo.wait")))
+            .chain((0..colls).map(|_| (SpanKind::Collective, Phase::C, "allgather")));
+        for (i, (kind, phase, name)) in spans.enumerate() {
+            let t = 10 * (i as u64 + 1);
+            out.push(ev(rank, 1, kind, phase, name, t, t + 5, i as u64 + 1));
+        }
+        out
+    }
+
+    #[test]
+    fn a_rank_without_exchange_wait_spans_is_inconsistent() {
+        let g = graph();
+        let n_ex = g.exchange_ops() as usize;
+        assert!(n_ex > 0);
+        let mut events = rank_step(0, &[Phase::A], n_ex, 0);
+        // rank 1 ran its step and its operators, but no wait was traced
+        events.extend(rank_step(1, &[Phase::A], 0, 0));
+        let rep = analyze(&events, &g);
+        assert!(!rep.is_consistent());
+        assert_eq!(
+            rep.errors,
+            [format!(
+                "step 1 rank 1: 0 exchange-wait spans vs {n_ex} scheduled exchanges"
+            )]
+        );
+    }
+
+    #[test]
+    fn a_rank_without_c_collective_spans_is_inconsistent() {
+        let g = z_split_graph();
+        let (n_ex, n_zag) = (g.exchange_ops() as usize, g.collective_ops() as usize);
+        assert!(n_zag > 0);
+        let whole = |rank| rank_step(rank, &[Phase::A, Phase::C], n_ex, n_zag);
+        let consistent: Vec<Event> = whole(0).into_iter().chain(whole(1)).collect();
+        let rep = analyze(&consistent, &g);
+        assert!(rep.is_consistent(), "errors: {:?}", rep.errors);
+        assert_eq!(rep.joined, 2 * (n_ex + n_zag));
+
+        let mut events = whole(0);
+        events.extend(rank_step(1, &[Phase::A, Phase::C], n_ex, 0));
+        let rep = analyze(&events, &g);
+        assert_eq!(
+            rep.errors,
+            [format!(
+                "step 1 rank 1: 0 C-collective spans vs {n_zag} scheduled z-allgathers"
+            )]
+        );
+    }
+
+    #[test]
+    fn a_rank_missing_an_operator_phase_others_ran_is_inconsistent() {
+        let g = graph();
+        let n_ex = g.exchange_ops() as usize;
+        let mut events = rank_step(0, &[Phase::A, Phase::L], n_ex, 0);
+        events.extend(rank_step(1, &[Phase::A, Phase::L], n_ex, 0));
+        assert!(analyze(&events, &g).is_consistent());
+        // rank 1 skips the advection rank 0 ran
+        events.retain(|e| !(e.rank == 1 && e.phase == Phase::L));
+        let rep = analyze(&events, &g);
+        assert_eq!(
+            rep.errors,
+            ["step 1 rank 1: no phase-L op span (other ranks ran it)"]
+        );
     }
 
     #[test]
@@ -420,5 +524,6 @@ mod tests {
         )];
         let rep = analyze(&events, &g);
         assert!(rep.steps.is_empty());
+        assert!(!analyze(&[], &g).is_consistent());
     }
 }

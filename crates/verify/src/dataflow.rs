@@ -384,7 +384,18 @@ fn apply_compute(
 
     // the collective C runs (and its outputs land) before the stencil
     // tendency reads them
-    let cspec = specs("vertical.c").expect("vertical.c registered");
+    let Some(cspec) = specs("vertical.c") else {
+        return Err(Counterexample {
+            kind: FailureKind::UnregisteredOp,
+            op_index: oi,
+            operator: format!("vertical.C @ {}", ck.operator),
+            field: "*",
+            axis: Axis::Z,
+            positive: true,
+            needed: 0,
+            have: 0,
+        });
+    };
     if c.c == CSource::Fresh {
         for read in cspec.reads() {
             if locally_derived(read.field) {
@@ -414,13 +425,13 @@ fn apply_compute(
 
     // whole-x reads (the filter) need their transpose legs when x is
     // decomposed
-    if spec.reads().any(|r| r.whole_x) && st.pdims[0] > 1 {
+    if let Some(whole_x) = spec.reads().find(|r| r.whole_x).filter(|_| st.pdims[0] > 1) {
         if st.pending_transposes < 2 {
             return Err(Counterexample {
                 kind: FailureKind::MissingTranspose,
                 op_index: oi,
                 operator: ck.operator,
-                field: spec.reads().find(|r| r.whole_x).map(|r| r.field).unwrap(),
+                field: whole_x.field,
                 axis: Axis::X,
                 positive: true,
                 needed: 2,

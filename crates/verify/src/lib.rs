@@ -22,18 +22,16 @@
 //!    reduction become machine-checked assertions.
 //! 4. **Runtime cross-check** ([`runtime::cross_check`]): at small p the
 //!    same counts equal the traffic a real thread-backed run measures.
-//! 5. **Trace cross-check** ([`trace::trace_cross_check`]): the span
-//!    stream `agcm-obs` records from inside an executing step — one
-//!    `ExchangeWait` span per exchange, one phase-`C` `Collective` span
-//!    per z-allgather — also equals the schedule, pinning the
-//!    *instrumentation* (which the figures' trace exporter consumes) to
-//!    the same ground truth.
-//!
-//! 6. **Critical-path attribution** ([`critpath::analyze`]): a merged,
-//!    clock-aligned multi-process trace is joined span-by-span against the
-//!    static graph, naming per step the blocking (rank, op, event) chain
-//!    and the critical rank's compute / pack / wire-wait / collective
-//!    split — the measured side of the cost model's predicted one.
+//! 5. **Trace check** ([`critpath::analyze`]): a clock-aligned span
+//!    stream — the merged trace of a multi-process run, or the one
+//!    [`trace::trace_cross_check`] records from an in-process step — is
+//!    joined span by span against the static graph.  Every rank's
+//!    `ExchangeWait` spans must number the exchanges and its phase-`C`
+//!    `Collective` spans the z-allgathers, and every rank must run every
+//!    operator phase any rank ran; per step the join names the blocking
+//!    (rank, op, event) chain and the critical rank's compute / pack /
+//!    wire-wait / collective split — the measured side of the cost
+//!    model's predicted one.
 //!
 //! [`report::certify_yz`] bundles the static analyses;
 //! `cargo run -p agcm-bench --bin figures -- verify` prints the paper-mesh
@@ -63,4 +61,4 @@ pub use report::{
     PAPER_RANKS,
 };
 pub use runtime::{cross_check, measure_step_under_faults, MeasuredTraffic};
-pub use trace::{expected_counts, trace_cross_check, ExpectedSpanCounts, RankSpanCounts};
+pub use trace::trace_cross_check;

@@ -164,10 +164,11 @@ pub fn certify_yz(cfg: &ModelConfig, pgrid: ProcessGrid) -> Result<Certification
 pub const PAPER_RANKS: [usize; 4] = [128, 256, 512, 1024];
 
 /// The Y-Z process grid used at a paper rank count (8 z-ranks as in §5.1,
-/// falling back to 2 at tiny p) — mirrors `agcm_bench::yz_grid`.
-pub fn paper_yz_grid(p: usize) -> ProcessGrid {
+/// falling back to 2 at tiny p) — mirrors `agcm_bench::yz_grid`.  `Err`
+/// when `p` has no such grid (fewer than 2 ranks).
+pub fn paper_yz_grid(p: usize) -> Result<ProcessGrid, String> {
     let pz = 8.min(p / 16).max(2);
-    ProcessGrid::yz(p / pz, pz).expect("valid Y-Z grid")
+    ProcessGrid::yz(p / pz, pz).map_err(|e| format!("no Y-Z grid of {p} ranks: {e}"))
 }
 
 /// Certify the paper mesh at every paper rank count.
@@ -175,6 +176,6 @@ pub fn certify_paper_ranks() -> Result<Vec<Certification>, String> {
     let cfg = ModelConfig::paper_50km();
     PAPER_RANKS
         .iter()
-        .map(|&p| certify_yz(&cfg, paper_yz_grid(p)))
+        .map(|&p| certify_yz(&cfg, paper_yz_grid(p)?))
         .collect()
 }

@@ -9,7 +9,7 @@
 
 use crate::counts::{rank_counts, RankCounts};
 use crate::graph::ScheduleGraph;
-use agcm_comm::{p2p_only_delta, Universe};
+use agcm_comm::{p2p_only_delta, FaultPlan, Universe};
 use agcm_core::analysis::AlgKind;
 use agcm_core::par::StepOp;
 use agcm_core::{init, Integrator, ModelConfig};
@@ -34,15 +34,17 @@ pub struct MeasuredTraffic {
 /// count logical payloads (checksum frames excluded), redundant duplicate
 /// deliveries are never counted, drops/corruptions are recovered
 /// receiver-side without reposting sends, and stalls/delays only move
-/// messages in time.
+/// messages in time.  `Err` names a malformed `spec`, a model that does
+/// not build, or a step that failed.
 pub fn measure_step_under_faults(
     cfg: &ModelConfig,
     alg: AlgKind,
     pgrid: ProcessGrid,
     seed: u64,
     spec: &str,
-) -> Vec<MeasuredTraffic> {
-    measure_step_inner(cfg, alg, pgrid, Some((seed, spec.to_string()))).0
+) -> Result<Vec<MeasuredTraffic>, String> {
+    let plan = agcm_comm::FaultPlan::parse(seed, spec)?;
+    Ok(measure_step_inner(cfg, alg, pgrid, Some(plan))?.0)
 }
 
 /// The per-rank traffic of the measured step and the program it walked.
@@ -50,18 +52,18 @@ fn measure_step_inner(
     cfg: &ModelConfig,
     alg: AlgKind,
     pgrid: ProcessGrid,
-    fault: Option<(u64, String)>,
-) -> (Vec<MeasuredTraffic>, Vec<StepOp>) {
+    fault: Option<FaultPlan>,
+) -> Result<(Vec<MeasuredTraffic>, Vec<StepOp>), String> {
     let cfg = cfg.clone();
-    let mut ranks = Universe::run(pgrid.size(), move |comm| {
-        if let Some((seed, spec)) = &fault {
-            comm.install_faults(agcm_comm::FaultPlan::parse(*seed, spec).expect("valid spec"));
+    let ranks = Universe::run(pgrid.size(), move |comm| {
+        if let Some(plan) = &fault {
+            comm.install_faults(plan.clone());
             comm.set_timeout(std::time::Duration::from_millis(500));
         }
         // the per-event log (needed to subtract collective-internal p2p)
         // is opt-in since it grows unboundedly on long runs
         comm.stats().set_event_logging(true);
-        let mut m = Integrator::parallel(&cfg, alg, pgrid, comm).expect("valid model");
+        let mut m = Integrator::parallel(&cfg, alg, pgrid, comm).map_err(|e| e.to_string())?;
         if fault.is_some() {
             // framed + retrying exchanges recover drops/corruption
             m.set_framed(true);
@@ -69,10 +71,10 @@ fn measure_step_inner(
         }
         let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
         m.set_state(&ic);
-        m.step(Some(comm)).expect("step"); // warm-up: fills caches, leaves a smoothing pending
+        m.step(Some(comm)).map_err(|e| e.to_string())?; // warm-up: fills caches, leaves a smoothing pending
         let s0 = comm.stats().snapshot();
         let e0 = comm.stats().collective_events().len();
-        m.step(Some(comm)).expect("step");
+        m.step(Some(comm)).map_err(|e| e.to_string())?;
         let delta = comm.stats().snapshot().delta(&s0);
         let events = comm.stats().collective_events()[e0..].to_vec();
         let pure = p2p_only_delta(&delta, &events);
@@ -81,11 +83,15 @@ fn measure_step_inner(
             elems: pure.p2p_send_elems,
             collectives: events.len() as u64,
         };
-        // SPMD: every rank walks the same program; rank 0 reports it
-        (traffic, (comm.rank() == 0).then(|| m.program().to_vec()))
+        Ok::<_, String>((traffic, m.program().to_vec()))
     });
-    let program = ranks[0].1.take().expect("rank 0 reports the program");
-    (ranks.into_iter().map(|(t, _)| t).collect(), program)
+    let (traffic, mut programs): (Vec<_>, Vec<_>) = ranks
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
+    // SPMD: every rank walked the same program
+    Ok((traffic, programs.swap_remove(0)))
 }
 
 /// Compare the schedule graph against an executed run, rank by rank.
@@ -95,7 +101,7 @@ pub fn cross_check(
     alg: AlgKind,
     pgrid: ProcessGrid,
 ) -> Result<Vec<RankCounts>, String> {
-    let (meas, program) = measure_step_inner(cfg, alg, pgrid, None);
+    let (meas, program) = measure_step_inner(cfg, alg, pgrid, None)?;
     // the graph of the program that ran, not of a regenerated twin
     let g = ScheduleGraph::of_program(cfg, pgrid, &program)?;
     let stat = rank_counts(&g);

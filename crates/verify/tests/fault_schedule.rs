@@ -17,7 +17,7 @@ fn check_under(spec: &str, alg: AlgKind) {
     let pg = ProcessGrid::yz(2, 2).unwrap();
     let g = ScheduleGraph::extract(&cfg, alg, CaMode::Grouped, pg).unwrap();
     let stat = rank_counts(&g);
-    let meas = measure_step_under_faults(&cfg, alg, pg, SEED, spec);
+    let meas = measure_step_under_faults(&cfg, alg, pg, SEED, spec).unwrap();
     for (rank, (s, m)) in stat.iter().zip(&meas).enumerate() {
         assert_eq!(
             (s.send_msgs, s.send_elems, s.collectives),

@@ -14,7 +14,7 @@ fn paper_mesh_certifies_at_every_paper_rank_count() {
     let cfg = ModelConfig::paper_50km();
     let m = cfg.m_iters as u64;
     for &p in &PAPER_RANKS {
-        let cert = certify_yz(&cfg, paper_yz_grid(p)).unwrap_or_else(|e| {
+        let cert = certify_yz(&cfg, paper_yz_grid(p).unwrap()).unwrap_or_else(|e| {
             panic!("certification failed at p = {p}: {e}");
         });
         assert_eq!(cert.p, p);
