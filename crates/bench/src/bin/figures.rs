@@ -16,13 +16,49 @@
 use agcm_bench::{paper_step, steps_10_years, PAPER_RANKS};
 use agcm_comm::{p2p_only_delta, CostModel, Universe};
 use agcm_core::analysis::{self, AlgKind, CaMode, Prediction};
+use agcm_core::error::ModelError;
 use agcm_core::{init, tables, Integrator, ModelConfig};
-use agcm_mesh::ProcessGrid;
+use agcm_mesh::{MeshError, ProcessGrid};
 use agcm_obs as obs;
+use std::fmt;
 
 const USAGE: &str = "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|validate|verify]";
 
-fn main() {
+/// Why a figure that executes or writes something could not be produced.
+enum FigError {
+    /// The model refused a grid or a run failed.
+    Model(ModelError),
+    /// The certification report could not be written.
+    Io(std::io::Error),
+    /// A check a figure rests on failed: a certification, or an executing
+    /// run against the static schedule or the cost model's counts.
+    Check(String),
+}
+
+/// `main` returns it, and the runtime prints its `Debug`: the message.
+impl fmt::Debug for FigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FigError::Model(e) => write!(f, "{e}"),
+            FigError::Io(e) => write!(f, "writing the certification report: {e}"),
+            FigError::Check(m) => write!(f, "FAILED: {m}"),
+        }
+    }
+}
+
+impl From<ModelError> for FigError {
+    fn from(e: ModelError) -> Self {
+        FigError::Model(e)
+    }
+}
+
+impl From<MeshError> for FigError {
+    fn from(e: MeshError) -> Self {
+        FigError::Model(e.into())
+    }
+}
+
+fn main() -> Result<(), FigError> {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".into());
     println!("figures {what}: built for {}", obs::build_isa());
     let cfg = ModelConfig::paper_50km();
@@ -34,8 +70,8 @@ fn main() {
         "fig8" => fig8(&cfg, &model),
         "theory" => theory(&cfg),
         "tables" => print_tables(),
-        "validate" => validate(),
-        "verify" => verify(),
+        "validate" => validate()?,
+        "verify" => verify()?,
         "all" => {
             print_tables();
             fig1(&cfg, &model);
@@ -43,14 +79,15 @@ fn main() {
             fig7(&cfg, &model);
             fig8(&cfg, &model);
             theory(&cfg);
-            validate();
-            verify();
+            validate()?;
+            verify()?;
         }
         other => {
             eprintln!("unknown figure '{other}'\n{USAGE}");
             std::process::exit(2);
         }
     }
+    Ok(())
 }
 
 fn header(title: &str) {
@@ -282,45 +319,36 @@ fn print_tables() {
 }
 
 /// Execute small real runs and show the predictor matching them exactly.
-fn validate() {
+fn validate() -> Result<(), FigError> {
     header("validation — executing runtime vs cost-model traffic counts");
     let mut cfg = ModelConfig::test_medium();
     cfg.m_iters = 1;
     for (name, alg, pg) in [
-        (
-            "original Y-Z",
-            AlgKind::OriginalYZ,
-            ProcessGrid::yz(2, 2).unwrap(),
-        ),
-        (
-            "original X-Y",
-            AlgKind::OriginalXY,
-            ProcessGrid::xy(2, 2).unwrap(),
-        ),
+        ("original Y-Z", AlgKind::OriginalYZ, ProcessGrid::yz(2, 2)?),
+        ("original X-Y", AlgKind::OriginalXY, ProcessGrid::xy(2, 2)?),
         (
             "comm-avoiding",
             AlgKind::CommAvoiding,
-            ProcessGrid::yz(2, 2).unwrap(),
+            ProcessGrid::yz(2, 2)?,
         ),
     ] {
         let cfg2 = cfg.clone();
-        let measured = Universe::run(4, move |comm| {
+        let measured = Universe::run(4, move |comm| -> Result<_, ModelError> {
             comm.stats().set_event_logging(true); // collective_events is opt-in
-            let mut m = Integrator::parallel(&cfg2, alg, pg, comm).unwrap();
+            let mut m = Integrator::parallel(&cfg2, alg, pg, comm)?;
             let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
             m.set_state(&ic);
-            let mut step = |c| m.step(Some(c)).unwrap();
-            step(comm); // warm-up (CA cache bootstrap)
+            m.step(Some(comm))?; // warm-up (CA cache bootstrap)
             let s0 = comm.stats().snapshot();
             let e0 = comm.stats().collective_events().len();
-            step(comm);
+            m.step(Some(comm))?;
             let d = comm.stats().snapshot().delta(&s0);
             let ev = comm.stats().collective_events()[e0..].to_vec();
             let pure = p2p_only_delta(&d, &ev);
-            (pure.p2p_sends, pure.p2p_send_elems)
+            Ok((pure.p2p_sends, pure.p2p_send_elems))
         });
-        let predicted = analysis::predict(&cfg, alg, pg, CaMode::Grouped, &CostModel::BENCH_HOST)
-            .expect("the validation grids decompose the test mesh");
+        let measured = measured.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let predicted = analysis::predict(&cfg, alg, pg, CaMode::Grouped, &CostModel::BENCH_HOST)?;
         println!("{name} (4 ranks, measured vs predicted per-rank):");
         for (rank, (&(msgs, elems), want)) in measured.iter().zip(&predicted.ranks).enumerate() {
             let ok = want.msgs == msgs && want.elems == elems;
@@ -330,25 +358,24 @@ fn validate() {
                 want.elems,
                 if ok { "EXACT" } else { "MISMATCH" }
             );
-            assert!(ok, "prediction diverged from the executing runtime");
+            if !ok {
+                let why =
+                    format!("{name}, rank {rank}: prediction diverged from the executing runtime");
+                return Err(FigError::Check(why));
+            }
         }
     }
     println!("every count matches: the figures above rest on the executing implementation.");
+    Ok(())
 }
 
 /// Static certification of the paper-mesh communication schedules
 /// (`agcm-verify`): matched, deadlock-free, counts equal to the §5.3
 /// closed forms — no threads spawned, any rank count.
-fn verify() {
+fn verify() -> Result<(), FigError> {
     header("verify — static certification of the communication schedules");
     let mut report = String::from("# Static certification report\n\n## Schedule counts\n\n");
-    let certs = match agcm_verify::certify_paper_ranks() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("CERTIFICATION FAILED: {e}");
-            std::process::exit(1);
-        }
-    };
+    let certs = agcm_verify::certify_paper_ranks().map_err(FigError::Check)?;
     let head = format!(
         "{:>6} {:>14} {:>14} {:>12} {:>12} {:>12}",
         "p", "Alg1 exch/Δt", "CA exch/Δt", "Alg1 colls", "CA colls", "events"
@@ -421,12 +448,12 @@ fn verify() {
         ny: 90,
         ..paper.clone()
     };
-    let y2 = ProcessGrid::yz(2, 1).expect("yz(2,1)");
+    let y2 = ProcessGrid::yz(2, 1)?;
     let mut grids = vec![("small 24x24x8", small, y2), ("mid 180x90x30", mid, y2)];
-    grids.extend(certs.iter().map(|c| {
-        let pg = agcm_verify::paper_yz_grid(c.p).expect("a certified rank count has a grid");
-        ("paper 720x360x30", paper.clone(), pg)
-    }));
+    for c in &certs {
+        let pg = agcm_verify::paper_yz_grid(c.p).map_err(ModelError::Config)?;
+        grids.push(("paper 720x360x30", paper.clone(), pg));
+    }
     for (label, cfg, pg) in grids {
         for line in ladder_lines(label, &cfg, pg) {
             println!("{line}");
@@ -443,44 +470,30 @@ fn verify() {
     // the cross-check pins the static model to the executing runtime
     report.push_str("\n## Runtime cross-checks\n\n");
     let cfg = ModelConfig::test_medium();
-    let pg = ProcessGrid::yz(2, 2).unwrap();
+    let pg = ProcessGrid::yz(2, 2)?;
     for alg in [AlgKind::OriginalYZ, AlgKind::CommAvoiding] {
-        match agcm_verify::cross_check(&cfg, alg, pg) {
-            Ok(_) => {
-                println!("runtime cross-check {alg:?} @ 4 ranks: EXACT");
-                report.push_str(&format!("- runtime cross-check {alg:?} @ 4 ranks: EXACT\n"));
-            }
-            Err(e) => {
-                eprintln!("runtime cross-check {alg:?} FAILED:\n{e}");
-                std::process::exit(1);
-            }
-        }
+        agcm_verify::cross_check(&cfg, alg, pg)
+            .map_err(|e| FigError::Check(format!("runtime cross-check {alg:?}:\n{e}")))?;
+        println!("runtime cross-check {alg:?} @ 4 ranks: EXACT");
+        report.push_str(&format!("- runtime cross-check {alg:?} @ 4 ranks: EXACT\n"));
     }
     // and the trace stream (agcm-obs spans) to the static schedule
     for alg in [AlgKind::OriginalYZ, AlgKind::CommAvoiding] {
-        match agcm_verify::trace_cross_check(&cfg, alg, pg) {
-            Ok(rep) if rep.is_consistent() => {
-                println!("trace cross-check {alg:?} @ 4 ranks: EXACT");
-                report.push_str(&format!("- trace cross-check {alg:?} @ 4 ranks: EXACT\n"));
-            }
-            Ok(rep) => {
-                eprintln!(
-                    "trace cross-check {alg:?} FAILED:\n{}",
-                    rep.errors.join("\n")
-                );
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("trace cross-check {alg:?} FAILED:\n{e}");
-                std::process::exit(1);
-            }
+        let failed = |why: String| FigError::Check(format!("trace cross-check {alg:?}:\n{why}"));
+        let rep =
+            agcm_verify::trace_cross_check(&cfg, alg, pg).map_err(|e| failed(e.to_string()))?;
+        if !rep.is_consistent() {
+            return Err(failed(rep.errors.join("\n")));
         }
+        println!("trace cross-check {alg:?} @ 4 ranks: EXACT");
+        report.push_str(&format!("- trace cross-check {alg:?} @ 4 ranks: EXACT\n"));
     }
     // publish the certification as a build artifact (CI uploads it)
     let out = std::path::Path::new("target/certification-report.md");
-    std::fs::create_dir_all("target").expect("create target dir");
-    std::fs::write(out, &report).expect("write certification report");
+    std::fs::create_dir_all("target").map_err(FigError::Io)?;
+    std::fs::write(out, &report).map_err(FigError::Io)?;
     println!("certification report written to {}", out.display());
+    Ok(())
 }
 
 /// The sweep-group ladder of Algorithm 2 on one grid: every rung certified

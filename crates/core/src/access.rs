@@ -280,6 +280,9 @@ const VERTICAL_C: AccessSpec = AccessSpec {
 };
 
 const ADVECTION_FIELDS: [FieldAccess; 9] = [
+    // `z ± 1` reaches a z neighbour's halo; at the model top and the
+    // surface, where no halo is stored, the read is the boundary level
+    // itself (`boundary::z_neighbours`), inside the region
     FieldAccess::read("u", OffsetBox::new(3, 3, 1, 1, 1, 1)),
     FieldAccess::read("v", OffsetBox::new(3, 3, 1, 1, 1, 1)),
     FieldAccess::read("phi", OffsetBox::new(3, 3, 1, 1, 1, 1)),

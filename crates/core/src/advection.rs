@@ -36,6 +36,7 @@
 //! band and level (≤ 16 on every mesh the tests run; pinned by the
 //! `division_budget` test).
 
+use crate::boundary;
 use crate::diag::Diag;
 use crate::geometry::{LocalGeometry, Region};
 use crate::lanes::{lane_loop, Elem};
@@ -47,7 +48,9 @@ const SIN_EPS: f64 = 1e-12;
 
 /// Compute the advection tendency of `arg` into `tend` over `region`.
 ///
-/// Preconditions: `arg` halos valid one row/level beyond `region`,
+/// Preconditions: `arg` halos valid one row beyond `region` and one level
+/// beyond it where a z neighbour is (past the model top and the surface
+/// the `k ± 1` read is the boundary level, `boundary::z_neighbours`),
 /// `diag.pes`/`cap_p` on `region ⊕ 1` rows, and `diag.gw` valid on `region`
 /// (frozen from the adaptation process; exchanged alongside ξ by the CA
 /// algorithm's advection message).  `tend.psa` is set to zero — the paper's
@@ -137,23 +140,25 @@ struct Rows<'a> {
     gw_s_h: &'a [f64],
 }
 
-fn fetch<'a>(nx: isize, arg: &'a State, diag: &'a Diag, j: isize, k: isize) -> Rows<'a> {
+fn fetch<'a>(geom: &LocalGeometry, arg: &'a State, diag: &'a Diag, j: isize, k: isize) -> Rows<'a> {
+    let nx = geom.nx as isize;
+    let (kl, kh) = boundary::z_neighbours(geom, k);
     Rows {
         u: arg.u.row(-2, nx + 1, j, k),
         u_s: arg.u.row(-2, nx + 1, j + 1, k),
         u_n: arg.u.row(-2, nx + 1, j - 1, k),
-        u_kl: arg.u.row(-2, nx + 1, j, k - 1),
-        u_kh: arg.u.row(-2, nx + 1, j, k + 1),
+        u_kl: arg.u.row(-2, nx + 1, j, kl),
+        u_kh: arg.u.row(-2, nx + 1, j, kh),
         v: arg.v.row(-2, nx + 1, j, k),
         v_s: arg.v.row(-2, nx + 1, j + 1, k),
         v_n: arg.v.row(-2, nx + 1, j - 1, k),
-        v_kl: arg.v.row(-2, nx + 1, j, k - 1),
-        v_kh: arg.v.row(-2, nx + 1, j, k + 1),
+        v_kl: arg.v.row(-2, nx + 1, j, kl),
+        v_kh: arg.v.row(-2, nx + 1, j, kh),
         f: arg.phi.row(-2, nx + 1, j, k),
         f_s: arg.phi.row(-2, nx + 1, j + 1, k),
         f_n: arg.phi.row(-2, nx + 1, j - 1, k),
-        f_kl: arg.phi.row(-2, nx + 1, j, k - 1),
-        f_kh: arg.phi.row(-2, nx + 1, j, k + 1),
+        f_kl: arg.phi.row(-2, nx + 1, j, kl),
+        f_kh: arg.phi.row(-2, nx + 1, j, kh),
         cp: diag.cap_p.row(-2, nx + 1, j, 0),
         cp_s: diag.cap_p.row(-2, nx + 1, j + 1, 0),
         cp_n: diag.cap_p.row(-2, nx + 1, j - 1, 0),
@@ -435,7 +440,7 @@ fn advection_band(
     let nx = geom.nx as isize;
     for k in region.z0..region.z1 {
         for j in region.y0..region.y1 {
-            let r = fetch(nx, arg, diag, j, k);
+            let r = fetch(geom, arg, diag, j, k);
             let cf = coefs(geom, j, k);
             band.emit(nx, (j, k), |st, _, o_u, o_v, o_phi| {
                 st.advance(&r, &cf, j == region.y0);
@@ -475,6 +480,7 @@ pub fn advection_tendency_scalar(
 
     for k in region.z0..region.z1 {
         let ds = geom.dsigma(k);
+        let (kl, kh) = boundary::z_neighbours(geom, k);
         for j in region.y0..region.y1 {
             let s_c = geom.sin_c(j);
             let s_v = geom.sin_v(j);
@@ -502,8 +508,8 @@ pub fn advection_tendency_scalar(
                     // --- L3: σ̇ advection; interfaces k∓1/2 at the U point ---
                     let sd_lo = 0.5 * (sdot_at(i - 1, j, k) + sdot_at(i, j, k));
                     let sd_hi = 0.5 * (sdot_at(i - 1, j, k + 1) + sdot_at(i, j, k + 1));
-                    let fk_lo = 0.5 * (arg.u.get(i, j, k - 1) + arg.u.get(i, j, k));
-                    let fk_hi = 0.5 * (arg.u.get(i, j, k) + arg.u.get(i, j, k + 1));
+                    let fk_lo = 0.5 * (arg.u.get(i, j, kl) + arg.u.get(i, j, k));
+                    let fk_hi = 0.5 * (arg.u.get(i, j, k) + arg.u.get(i, j, kh));
                     let l3 =
                         (2.0 * (fk_hi * sd_hi - fk_lo * sd_lo) - f * (sd_hi - sd_lo)) / (2.0 * ds);
                     tend.u.set(i, j, k, -(l1 + l2 + l3));
@@ -539,8 +545,8 @@ pub fn advection_tendency_scalar(
                         // L3: σ̇ at V point interfaces
                         let sd_lo = 0.5 * (sdot_at(i, j, k) + sdot_at(i, j + 1, k));
                         let sd_hi = 0.5 * (sdot_at(i, j, k + 1) + sdot_at(i, j + 1, k + 1));
-                        let fk_lo = 0.5 * (arg.v.get(i, j, k - 1) + arg.v.get(i, j, k));
-                        let fk_hi = 0.5 * (arg.v.get(i, j, k) + arg.v.get(i, j, k + 1));
+                        let fk_lo = 0.5 * (arg.v.get(i, j, kl) + arg.v.get(i, j, k));
+                        let fk_hi = 0.5 * (arg.v.get(i, j, k) + arg.v.get(i, j, kh));
                         let l3 = (2.0 * (fk_hi * sd_hi - fk_lo * sd_lo) - f * (sd_hi - sd_lo))
                             / (2.0 * ds);
                         tend.v.set(i, j, k, -(l1 + l2 + l3));
@@ -566,8 +572,8 @@ pub fn advection_tendency_scalar(
                     // L3: interfaces of the scalar column
                     let sd_lo = sdot_at(i, j, k);
                     let sd_hi = sdot_at(i, j, k + 1);
-                    let fk_lo = 0.5 * (arg.phi.get(i, j, k - 1) + arg.phi.get(i, j, k));
-                    let fk_hi = 0.5 * (arg.phi.get(i, j, k) + arg.phi.get(i, j, k + 1));
+                    let fk_lo = 0.5 * (arg.phi.get(i, j, kl) + arg.phi.get(i, j, k));
+                    let fk_hi = 0.5 * (arg.phi.get(i, j, k) + arg.phi.get(i, j, kh));
                     let l3 =
                         (2.0 * (fk_hi * sd_hi - fk_lo * sd_lo) - f * (sd_hi - sd_lo)) / (2.0 * ds);
                     tend.phi.set(i, j, k, -(l1 + l2 + l3));

@@ -1,17 +1,21 @@
 //! Physical boundary conditions: poles and vertical caps.
 //!
 //! The latitude–longitude mesh has no neighbours beyond the poles or beyond
-//! the model top/surface.  Halo rows there are filled from a **free-slip
-//! wall** condition so that the operator loops can sweep interior and halo
-//! uniformly:
+//! the model top/surface.  Past a pole, halo rows are filled from a
+//! **free-slip wall** condition so that the operator loops can sweep
+//! interior and halo uniformly:
 //!
 //! * scalars (`Φ`, `p'_sa`) and the zonal wind `U` mirror symmetrically
 //!   across the boundary,
 //! * the meridional wind `V` is antisymmetric across a pole and pinned to
 //!   zero on the pole face itself (`V` rows sit on faces; the southernmost
-//!   stored row *is* the south-pole face),
-//! * all fields mirror symmetrically across the top/surface, which combined
-//!   with `σ̇ = 0` at those interfaces closes the vertical fluxes.
+//!   stored row *is* the south-pole face).
+//!
+//! Past the model top and the surface no halo is stored: every field
+//! mirrors symmetrically there, which combined with `σ̇ = 0` at those
+//! interfaces closes the vertical fluxes, and the one read that crosses
+//! them — `L`'s `k ± 1` — takes the boundary level itself
+//! (`z_neighbours`), the value the mirror would have copied.
 //!
 //! A real GCM treats the pole with cross-pole averaging (column `i` couples
 //! to column `i + n_x/2`); the wall condition used here is local in every
@@ -22,12 +26,6 @@
 use crate::geometry::LocalGeometry;
 use crate::state::State;
 use agcm_mesh::Field3;
-
-/// clamped reflection of halo offset `d ∈ 1..` into interior rows
-#[inline]
-fn reflect(d: isize, n: isize) -> isize {
-    (d - 1).min(n - 1)
-}
 
 /// `dst = sym·src` for two rows of one field (`sym = ±1`, so the copy and
 /// the negation are bit-for-bit the products).
@@ -58,7 +56,8 @@ fn mirror_y(f: &mut Field3, sym: f64, north: bool, south: bool, v_stagger: bool)
                     // face -1 is the pole: zero; deeper faces reflect
                     f.row_mut(x0, x1, -1, k).fill(0.0);
                 } else {
-                    let src = reflect(if v_stagger { d - 1 } else { d }, ny);
+                    // clamped reflection into the interior rows
+                    let src = (if v_stagger { d - 2 } else { d - 1 }).min(ny - 1);
                     mirror_row(f.row_pair(x0, x1, (-d, k), (src, k)), sym);
                 }
             }
@@ -80,24 +79,14 @@ fn mirror_y(f: &mut Field3, sym: f64, north: bool, south: bool, v_stagger: bool)
     }
 }
 
-fn mirror_z(f: &mut Field3, top: bool, bottom: bool) {
-    let (nx, ny, nz) = f.extents();
-    let h = f.halo();
-    let (ny, nz) = (ny as isize, nz as isize);
-    let (x0, x1) = (-(h.xm as isize), (nx + h.xp) as isize);
-    for j in -(h.ym as isize)..ny + h.yp as isize {
-        if top {
-            for d in 1..=h.zm as isize {
-                mirror_row(f.row_pair(x0, x1, (j, -d), (j, reflect(d, nz))), 1.0);
-            }
-        }
-        if bottom {
-            for d in 1..=h.zp as isize {
-                let src = (nz - d).max(0).min(nz - 1);
-                mirror_row(f.row_pair(x0, x1, (j, nz - 1 + d), (j, src)), 1.0);
-            }
-        }
-    }
+/// The levels `(k − 1, k + 1)` that a read at level `k` of a `k ± 1`
+/// stencil takes: past the model top and the surface, where no halo is
+/// stored, the boundary level itself — the symmetric mirror's value.
+#[inline]
+pub(crate) fn z_neighbours(geom: &LocalGeometry, k: isize) -> (isize, isize) {
+    let top = k == 0 && geom.at_top();
+    let surface = k == geom.nz as isize - 1 && geom.at_surface();
+    (if top { k } else { k - 1 }, if surface { k } else { k + 1 })
 }
 
 /// Pin the meridional wind to zero on the south-pole face (an interior row
@@ -114,10 +103,9 @@ pub fn enforce_pole_v(state: &mut State, geom: &LocalGeometry) {
     }
 }
 
-/// Fill every physical-boundary halo of the state (y mirrors where this
-/// rank touches a pole, z mirrors where it touches top/surface) and then
-/// wrap the periodic x halos.  Halos facing real neighbours are left alone
-/// (the halo exchange owns them).
+/// Fill the pole halos of the state (y mirrors where this rank touches a
+/// pole) and then wrap the periodic x halos.  Halos facing real neighbours
+/// are left alone (the halo exchange owns them).
 ///
 /// Requires `p_x = 1` (full circles owned locally) for the x wrap; the X-Y
 /// decomposition path exchanges x halos instead and calls
@@ -130,16 +118,13 @@ pub fn fill_boundaries(state: &mut State, geom: &LocalGeometry) {
 /// As [`fill_boundaries`] but without the periodic x wrap.
 pub fn fill_boundaries_no_wrap(state: &mut State, geom: &LocalGeometry) {
     let (n, s) = (geom.at_north(), geom.at_south());
-    let (t, b) = (geom.at_top(), geom.at_surface());
-    // (symmetry, V-staggered) of U, V, Φ, p'_sa; `p'_sa` has no z halo
+    if !(n || s) {
+        return;
+    }
+    // (symmetry, V-staggered) of U, V, Φ, p'_sa
     let kinds = [(1.0, false), (-1.0, true), (1.0, false), (1.0, false)];
     for (f, (sym, v_stagger)) in state.fields_mut().into_iter().zip(kinds) {
-        if n || s {
-            mirror_y(f, sym, n, s, v_stagger);
-        }
-        if t || b {
-            mirror_z(f, t, b);
-        }
+        mirror_y(f, sym, n, s, v_stagger);
     }
 }
 
@@ -209,16 +194,19 @@ mod tests {
     }
 
     #[test]
-    fn z_mirror_top_and_surface() {
-        let geom = serial_geom(HaloWidths::uniform(2));
-        let mut st = seeded_state(&geom);
-        fill_boundaries(&mut st, &geom);
-        let nz = geom.nz as isize;
-        for i in 0..geom.nx as isize {
-            assert_eq!(st.phi.get(i, 2, -1), st.phi.get(i, 2, 0));
-            assert_eq!(st.phi.get(i, 2, -2), st.phi.get(i, 2, 1));
-            assert_eq!(st.u.get(i, 2, nz), st.u.get(i, 2, nz - 1));
-            assert_eq!(st.u.get(i, 2, nz + 1), st.u.get(i, 2, nz - 2));
+    fn z_reads_clamp_at_top_and_surface_only() {
+        // serial, then the top and the surface rank of a z-split, which read
+        // their neighbour's level across the split
+        let cfg = ModelConfig::test_medium();
+        let grid = Arc::new(cfg.grid().unwrap());
+        let cases = [(1, 0, true, true), (2, 0, true, false), (2, 1, false, true)];
+        for (pz, rank, top, surface) in cases {
+            let d = Decomposition::new(cfg.extents(), ProcessGrid::yz(1, pz).unwrap()).unwrap();
+            let g = LocalGeometry::new(&cfg, Arc::clone(&grid), &d, rank, HaloWidths::uniform(1));
+            let last = g.nz as isize - 1;
+            assert_eq!(z_neighbours(&g, 0).0, if top { 0 } else { -1 });
+            assert_eq!(z_neighbours(&g, last).1, last + isize::from(!surface));
+            assert_eq!(z_neighbours(&g, 1), (0, 2));
         }
     }
 

@@ -183,7 +183,7 @@ pub struct LocalGeometry {
     sin_v: Vec<f64>,
     cos_v: Vec<f64>,
     y_off: usize,
-    // σ tables indexed by (local k + z_off)
+    // σ tables indexed by (local k + z_off), whatever the arrays store
     sigma_c: Vec<f64>,
     dsigma: Vec<f64>,
     /// σ at the interface *below* centre k (i.e. `σ_{k-1/2}`), same indexing.
@@ -253,9 +253,10 @@ impl LocalGeometry {
             }
         }
 
-        // --- σ tables with linearly extended halo levels ---
-        let z_off = halo.zm;
-        let levels = nz + halo.zm + halo.zp;
+        // --- σ tables with linearly extended halo levels, at least one
+        // past each side (the walks of `C` and `A` read `σ_lo(nz)`) ---
+        let z_off = halo.zm.max(1);
+        let levels = nz + z_off + halo.zp.max(1);
         let sig = grid.sigma();
         let mut sigma_c = Vec::with_capacity(levels);
         let mut dsigma = Vec::with_capacity(levels);
@@ -267,18 +268,13 @@ impl LocalGeometry {
                 sigma_c.push(sig.centers()[gu]);
                 dsigma.push(sig.thickness()[gu]);
                 sigma_lo.push(sig.interfaces()[gu]);
-            } else if g < 0 {
-                // extend above the top with the first thickness
-                let d = sig.thickness()[0];
-                sigma_c.push(sig.centers()[0] + g as f64 * d);
-                dsigma.push(d);
-                sigma_lo.push(sig.interfaces()[0] + g as f64 * d);
             } else {
-                let d = sig.thickness()[gnz - 1];
-                let over = (g - gnz as i64 + 1) as f64;
-                sigma_c.push(sig.centers()[gnz - 1] + over * d);
+                // extend past the top or the surface with its thickness
+                let edge = if g < 0 { 0 } else { gnz - 1 };
+                let (d, over) = (sig.thickness()[edge], (g - edge as i64) as f64);
+                sigma_c.push(sig.centers()[edge] + over * d);
                 dsigma.push(d);
-                sigma_lo.push(sig.interfaces()[gnz - 1] + over * d);
+                sigma_lo.push(sig.interfaces()[edge] + over * d);
             }
         }
 

@@ -6,7 +6,9 @@
 //! Equality is `f64::to_bits` — the lane chunks and the `f64` tail must be
 //! *bit*-identical to the per-point form, not merely close, because the
 //! paper's correctness statement (parallel CA ≡ serial approximate) is
-//! itself bitwise.
+//! itself bitwise.  The module is test code as a whole.
+
+#![cfg(test)]
 
 use crate::adaptation::{adaptation_tendency, adaptation_tendency_scalar};
 use crate::advection::{advection_tendency, advection_tendency_scalar};

@@ -277,10 +277,12 @@ pub fn exchange_depths(ops: &[StepOp]) -> impl Iterator<Item = HaloWidths> + '_ 
 }
 
 /// The halo a rank running `ops` allocates around its fields.  A side that
-/// faces a neighbour (`grow`) holds the deepest exchange that lands on it;
-/// a side on a pole, the model top or the surface is never exchanged into
-/// and no sweep region grows across it, so it holds what the boundary fill
-/// feeds a single sweep — Algorithm 1's halo.
+/// faces a neighbour (`grow`) holds the deepest exchange that lands on it.
+/// A side on a pole, the model top or the surface is never exchanged into
+/// and no sweep region grows across it: a pole side holds what the
+/// boundary fill feeds a single sweep — Algorithm 1's halo — and the top
+/// and surface hold nothing, since the one read across them takes the
+/// boundary level itself (`boundary::z_neighbours`).
 pub fn halo_alloc(ops: &[StepOp], grow: GrowSides) -> HaloWidths {
     let fill = HaloWidths::for_footprint(&tables::per_sweep_union());
     let ex = exchange_depths(ops).fold(fill, |a, d| a.max(d));
@@ -290,8 +292,8 @@ pub fn halo_alloc(ops: &[StepOp], grow: GrowSides) -> HaloWidths {
         xp: ex.xp,
         ym: side(grow.north, ex.ym, fill.ym),
         yp: side(grow.south, ex.yp, fill.yp),
-        zm: side(grow.top, ex.zm, fill.zm),
-        zp: side(grow.bottom, ex.zp, fill.zp),
+        zm: side(grow.top, ex.zm, 0),
+        zp: side(grow.bottom, ex.zp, 0),
     }
 }
 
@@ -578,9 +580,10 @@ mod tests {
             top,
             bottom,
         };
-        // north-pole rank of a y-split: deep towards the neighbour only
+        // north-pole rank of a y-split: deep towards the neighbour only,
+        // the pole's fill, nothing past the model top and the surface
         let h = alloc(9, true, 3, sides(false, true, false, false));
-        assert_eq!((h.ym, h.yp, h.zm, h.zp), (2, 11, 1, 1));
+        assert_eq!((h.ym, h.yp, h.zm, h.zp), (2, 11, 0, 0));
         assert_eq!((h.xm, h.xp), (3, 3));
         // an interior rank of a y-z split holds the exchange depth all round
         let h = alloc(9, true, 3, sides(true, true, true, true));
@@ -588,9 +591,10 @@ mod tests {
         // a shallow rung still holds the smoothing's two rows
         let h = alloc(1, false, 1, sides(true, true, true, true));
         assert_eq!((h.ym, h.yp, h.zm, h.zp), (2, 2, 1, 1));
-        // Algorithm 1 holds the per-sweep union wherever the rank sits
+        // Algorithm 1 holds the per-sweep union wherever a pole or a
+        // neighbour is, and nothing past the surface
         let h = halo_alloc(&alg1_step(&c, &pg), sides(false, true, true, false));
-        assert_eq!((h.xm, h.ym, h.yp, h.zm, h.zp), (3, 2, 2, 1, 1));
+        assert_eq!((h.xm, h.ym, h.yp, h.zm, h.zp), (3, 2, 2, 1, 0));
     }
 
     #[test]

@@ -15,9 +15,11 @@
 
 use agcm_core::adaptation::adaptation_tendency;
 use agcm_core::advection::advection_tendency;
+use agcm_core::analysis::ca_ladder;
 use agcm_core::boundary;
 use agcm_core::diag::Diag;
-use agcm_core::geometry::LocalGeometry;
+use agcm_core::geometry::{GrowSides, LocalGeometry};
+use agcm_core::par::schedule::{alg1_step, alg2_step_for, exchange_depths, halo_alloc};
 use agcm_core::smoothing::smooth_full;
 use agcm_core::state::State;
 use agcm_core::stdatm::StandardAtmosphere;
@@ -34,13 +36,17 @@ struct Probe {
 
 impl Probe {
     fn new() -> Probe {
+        Probe::with_halo(HaloWidths::uniform(4))
+    }
+
+    fn with_halo(halo: HaloWidths) -> Probe {
         let mut cfg = ModelConfig::test_medium();
         cfg.nx = 24;
         cfg.ny = 18;
         cfg.nz = 10;
         let grid = Arc::new(cfg.grid().unwrap());
         let d = Decomposition::new(cfg.extents(), ProcessGrid::serial()).unwrap();
-        let geom = LocalGeometry::new(&cfg, Arc::clone(&grid), &d, 0, HaloWidths::uniform(4));
+        let geom = LocalGeometry::new(&cfg, Arc::clone(&grid), &d, 0, halo);
         let sa = StandardAtmosphere::new(&grid);
         Probe { geom, sa }
     }
@@ -289,5 +295,98 @@ fn c_outputs_are_z_global_as_charged_to_the_collective() {
             (d1.phi_p.get(qi, qj, k) - d0.phi_p.get(qi, qj, k)).abs() < 1e-12,
             "φ' below the perturbation must be unaffected"
         );
+    }
+}
+
+/// Past the model top and the surface `L` reads the boundary level, not a
+/// stored plane: NaN in those planes of a uniform-halo state leaves its
+/// output finite and bitwise that of the same state stored without them,
+/// the way `schedule::halo_alloc` sizes a top or surface rank's arrays.
+#[test]
+fn advection_reads_no_plane_past_the_top_or_the_surface() {
+    let p = Probe::new();
+    let (g, sa) = (&p.geom, &p.sa);
+    let h = g.halo;
+    let lean = Probe::with_halo(HaloWidths { zm: 0, zp: 0, ..h });
+    let mut st = p.base_state();
+    let region = g.interior();
+    let mut diag = Diag::new(g);
+    diag.update_surface(g, sa, &st, region.y0 - 1, region.y1 + 1);
+    apply_c(g, sa, &st, &mut diag, region, &ZContext::Serial, true).unwrap();
+    let (nx, ny, nz) = (g.nx as isize, g.ny as isize, g.nz as isize);
+    let (x0, x1) = (-(h.xm as isize), nx + h.xp as isize);
+    for f in [&mut st.u, &mut st.v, &mut st.phi] {
+        for k in (-(h.zm as isize)..0).chain(nz..nz + h.zp as isize) {
+            for j in -(h.ym as isize)..ny + h.yp as isize {
+                f.row_mut(x0, x1, j, k).fill(f64::NAN);
+            }
+        }
+    }
+    let mut st_lean = State::new(g.nx, g.ny, g.nz, lean.geom.halo);
+    for (f, full) in st_lean.fields_mut().into_iter().zip(st.fields()) {
+        f.assign_common(full);
+    }
+    let mut diag_lean = Diag::new(&lean.geom);
+    diag_lean.pes.assign_common(&diag.pes);
+    diag_lean.cap_p.assign_common(&diag.cap_p);
+    diag_lean.gw.assign_common(&diag.gw);
+    let got = p.eval(&st, &|g, _, st, out| {
+        advection_tendency(g, st, &diag, out, region)
+    });
+    let want = lean.eval(&st_lean, &|g, _, st, out| {
+        advection_tendency(g, st, &diag_lean, out, region)
+    });
+    for (a, b) in got.fields().into_iter().zip(want.fields()) {
+        let (_, _, levels) = a.extents();
+        for k in 0..levels as isize {
+            for j in 0..ny {
+                let (a, b) = (a.row(0, nx, j, k), b.row(0, nx, j, k));
+                assert!(
+                    a.iter().all(|v| v.is_finite()),
+                    "L read a NaN plane: ({j}, {k})"
+                );
+                let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "row {j}, level {k}");
+            }
+        }
+    }
+}
+
+/// `halo_alloc` on every rank of every grid the tests run, for Algorithm 1
+/// and every rung of Algorithm 2's ladder: a side facing a neighbour holds
+/// its deepest exchange, a pole side the per-sweep fill, and the model top
+/// and the surface nothing.
+#[test]
+fn boundary_z_sides_hold_nothing_and_neighbour_sides_their_deepest_exchange() {
+    let medium = ModelConfig::test_medium();
+    let grids = [
+        (medium.clone(), ProcessGrid::serial()),
+        (medium.clone(), ProcessGrid::yz(2, 1).unwrap()),
+        (medium.clone(), ProcessGrid::yz(2, 2).unwrap()),
+        (medium, ProcessGrid::xy(2, 2).unwrap()),
+        (ModelConfig::paper_50km(), ProcessGrid::yz(16, 8).unwrap()),
+    ];
+    let fill = HaloWidths::for_footprint(&tables::per_sweep_union());
+    for (c, pg) in grids {
+        let decomp = Decomposition::new(c.extents(), pg).unwrap();
+        let rungs = ca_ladder(&c, &pg);
+        let alg2 = rungs
+            .iter()
+            .map(|&(g, f, ga)| alg2_step_for(&c, &pg, g, f, ga));
+        for ops in std::iter::once(alg1_step(&c, &pg)).chain(alg2) {
+            let deepest = exchange_depths(&ops).fold(fill, |a, d| a.max(d));
+            for rank in 0..pg.size() {
+                let grow = GrowSides::of(&decomp.subdomain(rank), c.ny, c.nz);
+                let h = halo_alloc(&ops, grow);
+                let side = |on: bool, ex: usize, off: usize| if on { ex } else { off };
+                let want = (
+                    side(grow.north, deepest.ym, fill.ym),
+                    side(grow.south, deepest.yp, fill.yp),
+                    side(grow.top, deepest.zm, 0),
+                    side(grow.bottom, deepest.zp, 0),
+                );
+                assert_eq!((h.ym, h.yp, h.zm, h.zp), want, "{pg:?} rank {rank}");
+            }
+        }
     }
 }

@@ -13,15 +13,17 @@
 //! continues bitwise like the uninterrupted run: with rotating buffers the
 //! model's scratch states hold different stale data after a restore than
 //! mid-run, and none of it may be read.  Algorithm 2's checkpoint, with a
-//! smoothing pending, takes the trip through the on-disk format.
+//! smoothing pending, takes the trip through the on-disk format, and so do
+//! checkpoints in the layout from before the model top and the surface
+//! lost their halo plane.
 
 use agcm_comm::Universe;
 use agcm_core::init;
 use agcm_core::par::{Alg1Model, CaModel, GlobalState};
 use agcm_core::resilience::{read_checkpoint, write_checkpoint};
 use agcm_core::serial::{Iteration, SerialModel};
-use agcm_core::ModelConfig;
-use agcm_mesh::ProcessGrid;
+use agcm_core::{Checkpoint, ModelConfig};
+use agcm_mesh::{Field3, HaloWidths, ProcessGrid};
 
 const STEPS: usize = 3;
 const SEED: u64 = 42;
@@ -223,4 +225,123 @@ fn alg2_restore_into_a_fresh_model_continues_bitwise() {
     });
     let got = out.remove(0).expect("rank 0 gathers");
     assert_bitwise(&got, &want, "alg2 yz(2,1)");
+}
+
+/// `f` in the layout from before the model top and the surface lost their
+/// halo plane: one z plane past each side of a 3-D array that has none,
+/// NaN there, so a restore that read it would show.
+fn with_old_z_halo(f: &Field3) -> Field3 {
+    let (nx, ny, nz) = f.extents();
+    if nz == 1 {
+        // a surface field never had a z halo
+        return f.clone();
+    }
+    let h = f.halo();
+    let old_halo = HaloWidths {
+        zm: h.zm.max(1),
+        zp: h.zp.max(1),
+        ..h
+    };
+    let mut old = Field3::new(nx, ny, nz, old_halo);
+    old.fill(f64::NAN);
+    old.assign_common(f);
+    old
+}
+
+fn old_layout(ck: &Checkpoint) -> Checkpoint {
+    let mut old = ck.clone();
+    for (f, new) in old.state.fields_mut().into_iter().zip(ck.state.fields()) {
+        *f = with_old_z_halo(new);
+    }
+    old.gw = ck.gw.as_ref().map(with_old_z_halo);
+    old.phi_p = ck.phi_p.as_ref().map(with_old_z_halo);
+    old
+}
+
+/// Every point `new` stores holds the same bits at its index in `old`.
+fn assert_held_by(new: &Field3, old: &Field3, what: &str) {
+    let (nx, ny, nz) = new.extents();
+    let h = new.halo();
+    let (x0, x1) = (-(h.xm as isize), (nx + h.xp) as isize);
+    for k in -(h.zm as isize)..(nz + h.zp) as isize {
+        for j in -(h.ym as isize)..(ny + h.yp) as isize {
+            let bits = |f: &Field3| {
+                f.row(x0, x1, j, k)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(new), bits(old), "{what}: row {j}, level {k}");
+        }
+    }
+}
+
+/// Through the file: the old layout restores into the new one and the run
+/// continues bitwise, and every value of the new layout is held at its
+/// index by the old one (whose extra planes the old model refilled from
+/// the boundary level before any read).
+fn across_layouts(ck: &Checkpoint, tag: &str) -> Checkpoint {
+    let old = old_layout(ck);
+    for (new, o) in ck.state.fields().into_iter().zip(old.state.fields()) {
+        assert_held_by(new, o, tag);
+    }
+    for (new, o) in [(&ck.gw, &old.gw), (&ck.phi_p, &old.phi_p)] {
+        if let (Some(new), Some(o)) = (new, o) {
+            assert_held_by(new, o, tag);
+        }
+    }
+    let path = std::env::temp_dir().join(format!(
+        "agcm_fingerprint_old_layout_{}_{tag}.agcmckpt",
+        std::process::id()
+    ));
+    write_checkpoint(&path, &old).unwrap();
+    let back = read_checkpoint(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    back
+}
+
+#[test]
+fn checkpoints_restore_across_the_z_halo_layout_change() {
+    let cfg = config(true);
+    for variant in [Iteration::Exact, Iteration::Approximate] {
+        let want = serial(&cfg, variant, 4);
+        let mut first = SerialModel::new(&cfg, variant).unwrap();
+        let ic = init::perturbed_rest(first.geom(), 150.0, 1.0, SEED);
+        first.set_state(&ic);
+        first.run(2);
+        let ck = first.capture();
+        let h = ck.state.u.halo();
+        assert_eq!((h.zm, h.zp), (0, 0), "a serial model stores no z halo");
+        let back = across_layouts(&ck, &format!("serial_{variant:?}"));
+        assert_eq!(back.state.u.halo().zm, 1);
+        let mut second = SerialModel::new(&cfg, variant).unwrap();
+        second.restore(&back);
+        second.run(2);
+        let got = GlobalState::from_serial(&second.state, second.geom());
+        assert_bitwise(
+            &got,
+            &want,
+            &format!("serial {variant:?} from the old layout"),
+        );
+    }
+    // a z split: the top rank keeps the plane it receives from below and
+    // gains one above, the surface rank the reverse
+    let pgrid = ProcessGrid::yz(1, 2).unwrap();
+    let want = alg1(&cfg, pgrid, 4);
+    let mut out = Universe::run(pgrid.size(), move |comm| {
+        let mut first = Alg1Model::new(&cfg, pgrid, comm).unwrap();
+        let ic = init::perturbed_rest(first.geom(), 150.0, 1.0, SEED);
+        first.set_state(&ic);
+        first.run(comm, 2).unwrap();
+        let ck = first.capture();
+        let h = ck.state.phi.halo();
+        assert_eq!(h.zm + h.zp, 1, "one side faces a neighbour, one a boundary");
+        let back = across_layouts(&ck, &format!("alg1_yz12_rank{}", comm.rank()));
+        let mut second = Alg1Model::new(&cfg, pgrid, comm).unwrap();
+        second.restore(&back);
+        second.run(comm, 2).unwrap();
+        second.gather_state(comm).unwrap()
+    });
+    let got = out.remove(0).expect("rank 0 gathers");
+    assert_bitwise(&got, &want, "alg1 yz(1,2) from the old layout");
 }

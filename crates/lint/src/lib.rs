@@ -345,21 +345,20 @@ fn gates_on_test(attr: &[u8]) -> bool {
 /// Blank every item gated by a `#[cfg(…)]` attribute that
 /// [`gates_on_test`]: test modules and the per-point reference kernels the
 /// tests compare against are exempt from the stepping-path rules.
+/// A file whose inner `#![cfg(…)]`, ahead of its first item, gates on
+/// test (a module that is test code as a whole) is blanked from there on.
 fn blank_test_gated(src: &str, code: &mut [u8]) {
     let s = src.as_bytes();
+    if let Some(p) = find_in_code(code, 0, b"#![cfg(") {
+        let heads_the_file = !code[..p].iter().any(|&b| b == b';' || b == b'{');
+        if heads_the_file && gates_on_test(&code[p..attr_end(code, p + 2)]) {
+            blank(code, p, s.len());
+            return;
+        }
+    }
     let mut i = 0usize;
     while let Some(p) = find_in_code(code, i, b"#[cfg(") {
-        // find the attribute's closing `]` (brackets nest in cfg(any(…)))
-        let mut j = p + 2;
-        let mut depth = 1; // the `[` of `#[`
-        while j < s.len() && depth > 0 {
-            match code[j] {
-                b'[' => depth += 1,
-                b']' => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
+        let j = attr_end(code, p + 1);
         if !gates_on_test(&code[p..j]) {
             i = j;
             continue;
@@ -386,6 +385,22 @@ fn blank_test_gated(src: &str, code: &mut [u8]) {
         blank(code, p, end);
         i = end;
     }
+}
+
+/// One past the `]` that closes an attribute whose `[` is at `open`
+/// (brackets nest in `cfg(any(…))`).
+fn attr_end(code: &[u8], open: usize) -> usize {
+    let mut j = open + 1;
+    let mut depth = 1;
+    while j < code.len() && depth > 0 {
+        match code[j] {
+            b'[' => depth += 1,
+            b']' => depth -= 1,
+            _ => {}
+        }
+        j += 1;
+    }
+    j
 }
 
 /// One past the `}` that closes the `{` at `open`.
@@ -697,7 +712,9 @@ const ACCESS_REGISTRY: &str = "crates/core/src/access.rs";
 /// not write.  The mesh layer (`agcm-mesh`) under every rank is bound too:
 /// its refusals are typed errors and nothing else in it can fail, and so
 /// is `agcm-verify`, whose analyses answer a broken schedule or trace with
-/// a counterexample, not an abort.  An entry ending in `/` binds every
+/// a counterexample, not an abort.  So are the model (`agcm-core`), whose
+/// refusals are `ModelError`s, and the `figures` binary, whose failures
+/// are the error `main` returns.  An entry ending in `/` binds every
 /// file under that directory, so a new module there is under the rule
 /// from its first line.  A path is bound by an entry it starts with.
 const NO_UNWRAP_MODULES: &[&str] = &[
@@ -705,7 +722,8 @@ const NO_UNWRAP_MODULES: &[&str] = &[
     "crates/verify/src/",
     "crates/comm/src/",
     "crates/mesh/src/",
-    "crates/core/src/resilience.rs",
+    "crates/core/src/",
+    "crates/bench/src/",
     "crates/run/src/lib.rs",
     "crates/run/src/elastic.rs",
     "crates/run/src/soak.rs",

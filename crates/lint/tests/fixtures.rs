@@ -166,7 +166,7 @@ let c = '"';
 fn policy_binds_kernels_and_transport_only() {
     assert_eq!(
         rules_for("crates/core/src/adaptation.rs"),
-        vec![Rule::Alloc, Rule::RawIndex, Rule::FusedAccess]
+        vec![Rule::Alloc, Rule::RawIndex, Rule::FusedAccess, Rule::Unwrap]
     );
     // the pooled FFT worker path: allocation-free, but its row buffers are
     // plain slices — no row-API rule
@@ -175,8 +175,37 @@ fn policy_binds_kernels_and_transport_only() {
         rules_for("crates/comm/src/transport.rs"),
         vec![Rule::Unwrap]
     );
-    assert!(rules_for("crates/core/src/serial.rs").is_empty());
+    assert_eq!(rules_for("crates/core/src/serial.rs"), vec![Rule::Unwrap]);
     assert_eq!(rules_for("crates/mesh/src/field.rs"), vec![Rule::Unwrap]);
+    assert!(rules_for("crates/run/src/bin/agcm-soak.rs").is_empty());
+}
+
+/// The model and the `figures` binary are under the no-unwrap rule by
+/// directory; their tests and examples are not.
+#[test]
+fn core_and_bench_sources_are_under_the_no_unwrap_rule() {
+    for rel in [
+        "crates/core/src/new_module.rs",
+        "crates/core/src/par/new_module.rs",
+        "crates/bench/src/bin/figures.rs",
+    ] {
+        assert!(rules_for(rel).contains(&Rule::Unwrap), "{rel}");
+    }
+    assert!(rules_for("crates/core/tests/step_fingerprints.rs").is_empty());
+    assert!(rules_for("crates/core/examples/quickstart.rs").is_empty());
+}
+
+/// A module that is test code as a whole says so with an inner
+/// `#![cfg(test)]` ahead of its items, and the rules pass over it; a
+/// later one, or a non-test gate, exempts nothing.
+#[test]
+fn a_file_gated_on_test_as_a_whole_is_exempt() {
+    let whole = "//! oracles\n\n#![cfg(test)]\n\nfn f() { x.unwrap(); }\n";
+    assert!(lint_source("crates/core/src/golden.rs", whole, ALL).is_empty());
+    let gated = "#![cfg(feature = \"x\")]\nfn f() { x.unwrap(); }\n";
+    assert_eq!(lint_source("k.rs", gated, ALL).len(), 1);
+    let late = "fn f() { x.unwrap(); }\nmod m {\n#![cfg(test)]\n}\n";
+    assert_eq!(lint_source("k.rs", late, ALL).len(), 1);
 }
 
 /// The no-unwrap rule binds `agcm-comm` by directory: a module added to it

@@ -44,8 +44,8 @@ use agcm_mesh::{Axis, ProcessGrid};
 use std::fmt;
 
 /// "Unbounded" halo validity: the axis is not decomposed (its halo is
-/// maintained locally — periodic wrap in x, physical boundary fill in
-/// y/z), so no read can outrun it.
+/// maintained locally — periodic wrap in x, the pole fill in y, and in z
+/// the boundary level itself), so no read can outrun it.
 const INF: u64 = u64::MAX;
 
 /// Side index: `[x−, x+, y−, y+, z−, z+]`.
