@@ -13,13 +13,14 @@
 //! (who wins, by what factor, where) are the reproduction targets — see
 //! EXPERIMENTS.md.
 
-use agcm_bench::{paper_step, steps_10_years, PAPER_RANKS};
+use agcm_bench::{paper_step, steps_10_years};
 use agcm_comm::{p2p_only_delta, CostModel, Universe};
 use agcm_core::analysis::{self, AlgKind, CaMode, Prediction};
 use agcm_core::error::ModelError;
 use agcm_core::{init, tables, Integrator, ModelConfig};
 use agcm_mesh::{MeshError, ProcessGrid};
 use agcm_obs as obs;
+use agcm_verify::PAPER_RANKS;
 use std::fmt;
 
 const USAGE: &str = "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|validate|verify]";
@@ -233,8 +234,11 @@ fn fig8(cfg: &ModelConfig, model: &CostModel) {
     );
     let mut best_red: f64 = 0.0;
     let mut yz_speedups = Vec::new();
+    let mut computes = Vec::new();
     for p in PAPER_RANKS {
-        let [xy, yz, ca] = lines(cfg, p, model).map(|c| c.makespan_s * k);
+        let at = lines(cfg, p, model);
+        computes.push((p, at.each_ref().map(|c| c.path.compute_s * k)));
+        let [xy, yz, ca] = at.map(|c| c.makespan_s * k);
         let red = 1.0 - ca / xy;
         best_red = best_red.max(red);
         yz_speedups.push(yz / ca);
@@ -255,6 +259,13 @@ fn fig8(cfg: &ModelConfig, model: &CostModel) {
         "average speedup vs Y-Z: {:.2}x   (paper: 1.4x)",
         yz_speedups.iter().sum::<f64>() / yz_speedups.len() as f64
     );
+    // the rest of each total is compute; CA's includes its redundant rows
+    // (its sweep groups at each p: `figures verify`'s paper ladders)
+    println!("\ncompute [s] of each total:");
+    println!("     p           X-Y           Y-Z            CA");
+    for (p, [xy, yz, ca]) in computes {
+        println!("{p:>6} {xy:>13.0} {yz:>13.0} {ca:>13.0}");
+    }
     validated();
 }
 
@@ -268,7 +279,7 @@ fn theory(cfg: &ModelConfig) {
         "p", "W_XY", "W_YZ", "W_CA", "S_XY", "S_YZ", "S_CA"
     );
     for p in PAPER_RANKS {
-        let (Ok(yz), Ok(xy)) = (agcm_bench::yz_grid(p), agcm_bench::xy_grid(p)) else {
+        let (Ok(yz), Ok(xy)) = (agcm_verify::paper_yz_grid(p), agcm_bench::xy_grid(p)) else {
             continue; // not a rank count the paper's grids are defined for
         };
         let (py, pz) = (yz.py(), yz.pz());
@@ -300,17 +311,16 @@ fn theory(cfg: &ModelConfig) {
 /// Tables 1–3: the declared stencil footprints.
 fn print_tables() {
     header("Tables 1-3 — stencil footprints (declared = enforced by tests)");
-    println!("Table 1 (adaptation):");
-    for fp in tables::table1() {
-        println!("  {fp}");
-    }
-    println!("Table 2 (advection):");
-    for fp in tables::table2() {
-        println!("  {fp}");
-    }
-    println!("Table 3 (smoothing):");
-    for fp in tables::table3() {
-        println!("  {fp}");
+    let all = [
+        ("Table 1 (adaptation)", tables::table1()),
+        ("Table 2 (advection)", tables::table2()),
+        ("Table 3 (smoothing)", tables::table3()),
+    ];
+    for (name, footprints) in all {
+        println!("{name}:");
+        for fp in footprints {
+            println!("  {fp}");
+        }
     }
     let u = tables::adaptation_union();
     println!("adaptation union: {u}");
@@ -392,9 +402,7 @@ fn verify() -> Result<(), FigError> {
             c.ca_ideal.collectives,
             c.alg1.actions + c.ca_ideal.actions + c.ca_grouped.actions,
         );
-        println!("{row}");
-        report.push_str(&row);
-        report.push('\n');
+        emit(&mut report, &row);
     }
     report.push_str("```\n");
     println!(
@@ -424,9 +432,7 @@ fn verify() -> Result<(), FigError> {
             fmt_df(&c.ca_grouped),
             fmt_df(&c.ca_ideal),
         );
-        println!("{row}");
-        report.push_str(&row);
-        report.push('\n');
+        emit(&mut report, &row);
     }
     report.push_str("```\n");
     println!(
@@ -456,9 +462,7 @@ fn verify() -> Result<(), FigError> {
     }
     for (label, cfg, pg) in grids {
         for line in ladder_lines(label, &cfg, pg) {
-            println!("{line}");
-            report.push_str(&line);
-            report.push('\n');
+            emit(&mut report, &line);
         }
     }
     report.push_str("```\n");
@@ -494,6 +498,13 @@ fn verify() -> Result<(), FigError> {
     std::fs::write(out, &report).map_err(FigError::Io)?;
     println!("certification report written to {}", out.display());
     Ok(())
+}
+
+/// Print `line` and add it to the certification report.
+fn emit(report: &mut String, line: &str) {
+    println!("{line}");
+    report.push_str(line);
+    report.push('\n');
 }
 
 /// The sweep-group ladder of Algorithm 2 on one grid: every rung certified

@@ -18,21 +18,12 @@ use agcm_core::analysis::{self, ca_pick, AlgKind, CaMode, Prediction};
 use agcm_core::error::ModelError;
 use agcm_core::ModelConfig;
 use agcm_mesh::{MeshError, ProcessGrid};
-
-/// The rank counts of the paper's evaluation.
-pub const PAPER_RANKS: [usize; 4] = [128, 256, 512, 1024];
+use agcm_verify::paper_yz_grid;
 
 /// Steps in a 10-model-year run at the configuration's advection step
 /// (the paper's benchmark length).
 pub fn steps_10_years(cfg: &ModelConfig) -> f64 {
     10.0 * 365.25 * 86400.0 / cfg.dt2
-}
-
-/// The Y-Z process grid used for `p` total ranks on the paper mesh
-/// (z-direction capped at 8, as `p_z ≤ n_z/2` and powers of two compose).
-pub fn yz_grid(p: usize) -> Result<ProcessGrid, MeshError> {
-    let pz = 8.min(p / 16).max(2);
-    ProcessGrid::yz(p / pz, pz)
 }
 
 /// The X-Y process grid used for `p` total ranks.
@@ -54,9 +45,9 @@ pub fn paper_step(
     model: &CostModel,
 ) -> Result<Prediction, ModelError> {
     let pg = match alg {
-        AlgKind::OriginalXY => xy_grid(p),
-        _ => yz_grid(p),
-    }?;
+        AlgKind::OriginalXY => xy_grid(p)?,
+        _ => paper_yz_grid(p).map_err(ModelError::Config)?,
+    };
     let mode = if ideal {
         CaMode::PaperIdeal
     } else {
@@ -69,15 +60,16 @@ pub fn paper_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agcm_verify::PAPER_RANKS;
 
     #[test]
     fn grids_multiply_to_p() {
         for p in PAPER_RANKS {
-            assert_eq!(yz_grid(p).unwrap().size(), p);
+            assert_eq!(paper_yz_grid(p).unwrap().size(), p);
             assert_eq!(xy_grid(p).unwrap().size(), p);
         }
         // a rank count the recipe has no grid for is refused, not a panic
-        assert!(yz_grid(1).is_err());
+        assert!(paper_yz_grid(1).is_err());
         assert!(xy_grid(0).is_err());
     }
 

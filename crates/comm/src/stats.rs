@@ -255,11 +255,6 @@ impl StatsSnapshot {
         }
     }
 
-    /// Bytes sent point-to-point (8 bytes per `f64`).
-    pub fn p2p_send_bytes(&self) -> u64 {
-        self.p2p_send_elems * 8
-    }
-
     /// Bytes contributed to collectives (8 bytes per `f64`).
     pub fn collective_bytes(&self) -> u64 {
         self.collective_elems * 8
@@ -283,7 +278,6 @@ mod tests {
         assert_eq!(snap.p2p_recvs, 1);
         assert_eq!(snap.collective_calls, 1);
         assert_eq!(snap.collective_elems, 32);
-        assert_eq!(snap.p2p_send_bytes(), 1200);
         assert_eq!(snap.p2p_recv_elems, 100);
         assert_eq!(snap.collective_bytes(), 256);
     }

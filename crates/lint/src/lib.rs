@@ -1,136 +1,161 @@
-//! # agcm-lint — repo-specific static lint pass
+//! # agcm-lint — the repo's structural guards, in one table
 //!
-//! Five structural rules clippy and rustc cannot express, enforced over
-//! the workspace source tree (no rustc plumbing — a hand-rolled lexer that
-//! strips comments, string/char literals and `#[cfg(test)]`-gated items,
-//! then scans the residual code):
+//! What the reproduction's claims rest on — one step loop runs the
+//! certified program, one cost model prices it, one kernel path, one
+//! worker, one `unsafe` block, allocation-free stepping paths — is held by
+//! the rows of one committed table, [`guards::GUARDS`].  A row ([`Guard`])
+//! is a key, a match mode, a scope, patterns and a bound:
 //!
-//! * [`Rule::Alloc`] — **no allocation-capable calls in the zero-alloc
-//!   stepping paths** (the hot kernel modules).  The runtime guard in
-//!   `core/tests/zero_alloc.rs` catches steady-state allocations that
-//!   actually happen; this lint catches them at review time, including on
-//!   cold branches the test never takes.
-//! * [`Rule::RawIndex`] — **no raw indexing outside the row API in kernel
-//!   modules**: kernels go through `row`/`row_mut`/`get`/`set`, never
-//!   `.raw()`/`.idx()`/pointer casts, so the access sanitizer and the
-//!   declared `AccessSpec` footprints see every touch.
-//! * [`Rule::Unwrap`] — **no `.unwrap()` in transport/resilience code**:
-//!   fault-injection drives those paths through every error arm, and an
-//!   unwrap turns an injected, recoverable fault into an abort.
-//!   `.expect("…")` is permitted — the message documents the invariant.
-//! * [`Rule::FusedAccess`] — **every fused kernel is registered**: a kernel
-//!   module defining a `fn fused_*` sweep must have a matching
-//!   `"<module>.fused"` op key in the `core::access` registry
-//!   (`ACCESS_REGISTRY`), so the `verify::dataflow` proof can resolve the
-//!   fused footprint.  The runtime backstop is the `UnregisteredOp`
-//!   counterexample certification raises on an unregistered op; this lint
-//!   catches the omission at review time, before any schedule runs.
-//! * [`Rule::PubCaller`] — **every `pub` item has a caller outside its
-//!   file**: a `pub` fn, struct, enum, trait, const, type or static
-//!   declared under `crates/*/src` must be named, in code, by another
-//!   `.rs` file under `crates/` or `benchmark/` (tests count; a comment, a
-//!   string or a `pub use` re-export does not).  rustc's `dead_code` cannot
-//!   see a `pub` item; once narrowed to private or `pub(crate)` it can.
+//! * the **key** names the guard.  Only the keys of `guards::WAIVABLE`
+//!   — the per-file rules `alloc`, `raw-index` and `unwrap`, and the
+//!   `fused-access` and `pub-caller` checks — waive a line finding in
+//!   place, with `// lint:allow(<key>) <why>` on the same line or the line
+//!   above; a structural guard has no in-place exception;
+//! * the **mode** ([`Mode`]) is code as the hand-rolled lexer leaves it —
+//!   comments, string and char literals and (unless kept) `#[cfg(test)]`
+//!   items blanked — or the raw text of every file in scope, where a name
+//!   in a string, a cargo feature or a workflow line lives;
+//! * the **scope** is files, directories or item bodies;
+//! * the **bound** ([`Bound`]) is absent, exactly `N` lines, present in
+//!   every file, or only inside named owners.
 //!
-//! A finding can be waived in place with `// lint:allow(<rule>)` on the
-//! same line or the line above, where `<rule>` is the rule's key
-//! ([`Rule::key`]).  The waiver comment is expected to say *why* (reviewed
-//! like any other code); there is no allowlist file.
+//! The table is the whole policy — there is no allowlist beside it — and a
+//! location it names that the tree lacks is a refusal ([`lint_files`]), so
+//! a rename cannot empty a guard.  Four checks read the table but are not
+//! rows:
 //!
-//! Which per-file rules bind which files is the repo policy in
-//! [`rules_for`]; the pub-caller rule binds every file under `crates/*/src`.
-//! The `agcm-lint` binary walks `crates/` and `benchmark/` and applies
-//! both.
+//! * `line-budget` — the code lines of each [`guards::BUDGETS`] scope:
+//!   lines left once comments and `#[cfg(test)]` modules are blanked (a
+//!   `mod x;` declaration is one item; a file headed by an inner
+//!   `#![cfg(test)]` is all test).  A `#[cfg(test)]` function counts, so
+//!   gating cannot meet a budget;
+//! * under key `one-unsafe`, every `unsafe {` directly under its
+//!   `// SAFETY:` line;
+//! * `fused-access` — a kernel module's `fn fused_*` sweep needs its
+//!   `"<module>.fused"` op key in the `core::access` registry, so the
+//!   `verify::dataflow` proof can resolve its footprint;
+//! * `pub-caller` — a `pub` item under `crates/*/src` must be named, in
+//!   code, by another `.rs` file under `crates/` or `benchmark/` (tests
+//!   count; a comment, a string or a `pub use` re-export does not):
+//!   rustc's `dead_code` cannot see a `pub` item, but can once narrowed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[rustfmt::skip]
+pub mod guards;
+
+use guards::{ACCESS_REGISTRY, BUDGETS, GUARDS, KERNELS, SAFETY_SCOPE, WAIVABLE};
 use std::collections::HashSet;
-use std::fmt;
-use std::fs;
-use std::io;
+use std::ops::Range;
 use std::path::Path;
+use std::{fmt, fs, io};
 
-/// One lint rule.
+/// The file that holds the table: text-mode rows do not read it.
+const TABLE_FILE: &str = "crates/lint/src/guards.rs";
+const LINE_BUDGET: &str = "line-budget";
+const FUSED_ACCESS: &str = "fused-access";
+const PUB_CALLER: &str = "pub-caller";
+
+/// What a row's patterns are matched against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rule {
-    /// Allocation-capable call in a zero-alloc stepping path.
-    Alloc,
-    /// Raw indexing outside the row API in a kernel module.
-    RawIndex,
-    /// `.unwrap()` in transport/resilience code.
-    Unwrap,
-    /// A `fn fused_*` kernel with no matching access-registry op key.
-    FusedAccess,
-    /// A `pub` item no other file names in code.
-    PubCaller,
+pub enum Mode {
+    /// `.rs` files, comments, literals and `#[cfg(test)]` items blanked.
+    Code,
+    /// `.rs` files, comments and literals blanked, test items kept.
+    CodeAndTests,
+    /// The raw text of every file in scope, of any type, as `grep -r`
+    /// reads it: comments, literals, tests, `Cargo.toml`, workflows.
+    Text,
 }
 
-impl Rule {
-    /// The `lint:allow(...)` key for this rule.
-    pub fn key(self) -> &'static str {
-        match self {
-            Rule::Alloc => "alloc",
-            Rule::RawIndex => "raw-index",
-            Rule::Unwrap => "unwrap",
-            Rule::FusedAccess => "fused-access",
-            Rule::PubCaller => "pub-caller",
-        }
-    }
-
-    /// Code patterns whose presence (in lexed code, not comments/strings)
-    /// violates the rule.
-    fn patterns(self) -> &'static [&'static str] {
-        match self {
-            Rule::Alloc => &[
-                "Vec::new",
-                "vec!",
-                "Box::new",
-                "format!",
-                "String::from",
-                ".to_vec()",
-                ".to_string()",
-                ".to_owned()",
-                ".clone()",
-                "with_capacity",
-                ".collect()",
-            ],
-            Rule::RawIndex => &[".raw()", ".raw_mut()", ".idx(", "as_ptr", "as_mut_ptr"],
-            Rule::Unwrap => &[".unwrap()"],
-            // cross-file rules — checked by `lint_fused_access` and
-            // `lint_pub_callers`, not the per-file pattern scan
-            Rule::FusedAccess | Rule::PubCaller => &[],
-        }
-    }
+/// How many matches of each of its patterns a row allows in its scope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound {
+    /// None.
+    Absent,
+    /// On exactly this many lines.
+    Exactly(usize),
+    /// At least one in every file of the scope.
+    Present,
+    /// Only inside these owners (locations like the scope's), and at least
+    /// one there.
+    OnlyIn(&'static [&'static str]),
 }
 
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.key())
-    }
+/// One row of the guard table.
+pub struct Guard {
+    /// The guard's name, and its waiver key if `guards::WAIVABLE` lists
+    /// it; rows that share it are adjacent.
+    pub key: &'static str,
+    /// What the patterns are matched against.
+    pub mode: Mode,
+    /// Where: files, directories (`dir/`), `*` for one path component, `!`
+    /// to exclude, `path::name` for the bodies of `fn name` or
+    /// `struct name` in that file.
+    pub scope: &'static [&'static str],
+    /// What: literal text; `\b` at either end asks for a word boundary
+    /// there, and `*` matches one or more characters of the line up to the
+    /// pattern's next character.
+    pub patterns: &'static [&'static str],
+    /// How many.
+    pub bound: Bound,
+}
+
+/// A ceiling on the code lines of a set of `.rs` files.
+pub struct Budget {
+    /// What it is reported as.
+    pub name: &'static str,
+    /// The files, as a row's scope names them.
+    pub scope: &'static [&'static str],
+    /// The most code lines they may hold.
+    pub max: usize,
 }
 
 /// One finding.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// File the finding is in (as passed to the linter).
+    /// The file, or for a finding about a whole scope, the scope.
     pub file: String,
-    /// 1-based line number.
+    /// 1-based line number; 0 for a finding about a whole file or scope.
     pub line: usize,
-    /// The violated rule.
-    pub rule: Rule,
-    /// The matched pattern (for [`Rule::PubCaller`], the item's name).
+    /// The key of the guard or check.
+    pub rule: &'static str,
+    /// The matched pattern (for `pub-caller`, the item's name), or for a
+    /// line-0 finding, what is wrong.
     pub pattern: String,
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] `{}` (waive with `// lint:allow({})`)",
-            self.file, self.line, self.rule, self.pattern, self.rule
-        )
+        let (file, rule, what) = (&self.file, self.rule, &self.pattern);
+        match self.line {
+            0 => write!(f, "{file}: [{rule}] {what}"),
+            n if WAIVABLE.contains(&rule) => write!(
+                f,
+                "{file}:{n}: [{rule}] `{what}` (waive: // lint:allow({rule}))"
+            ),
+            n => write!(f, "{file}:{n}: [{rule}] `{what}`"),
+        }
     }
+}
+
+fn finding(file: &str, line: usize, rule: &'static str, what: impl Into<String>) -> Violation {
+    let (file, pattern) = (file.to_string(), what.into());
+    Violation {
+        file,
+        line,
+        rule,
+        pattern,
+    }
+}
+
+/// The key of every guard and check.
+pub fn rule_keys() -> Vec<&'static str> {
+    let mut keys: Vec<&str> = GUARDS.iter().map(|g| g.key).collect();
+    keys.dedup();
+    keys.extend([LINE_BUDGET, FUSED_ACCESS, PUB_CALLER]);
+    keys
 }
 
 // ---------------------------------------------------------------------------
@@ -138,19 +163,22 @@ impl fmt::Display for Violation {
 // ---------------------------------------------------------------------------
 
 struct Lexed {
-    /// Source with comments and string/char literals replaced by spaces
+    /// Source with comments (and string/char literals) replaced by spaces
     /// (newlines kept, so offsets and line numbers are unchanged).
-    code: Vec<u8>,
-    /// `(line, rule-key)` for every `lint:allow(...)` comment.
+    code: String,
+    /// `(line, key)` for every `lint:allow(...)` comment.
     allows: Vec<(usize, String)>,
 }
 
 impl Lexed {
-    /// Whether a `lint:allow(<rule>)` sits on `line` or the line above.
-    fn waives(&self, line: usize, rule: Rule) -> bool {
-        self.allows
-            .iter()
-            .any(|(l, k)| (*l == line || *l + 1 == line) && k == rule.key())
+    /// Whether `key` takes a waiver and a `lint:allow(<key>)` sits on
+    /// `line` or the line above.
+    fn waives(&self, line: usize, key: &str) -> bool {
+        if !WAIVABLE.contains(&key) {
+            return false;
+        }
+        let mut allows = self.allows.iter();
+        allows.any(|(l, k)| (*l == line || *l + 1 == line) && k == key)
     }
 }
 
@@ -171,18 +199,20 @@ fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-fn lex(src: &str) -> Lexed {
+/// Blank `src`'s comments — and, with `literals`, its string and char
+/// literals — and collect its waivers.
+fn lex(src: &str, literals: bool) -> Lexed {
     let s = src.as_bytes();
     let mut code = s.to_vec();
+    let blank_literal = |code: &mut [u8], from, to| {
+        if literals {
+            blank(code, from, to);
+        }
+    };
     let mut allows = Vec::new();
-    let mut line = 1usize;
     let mut i = 0usize;
     while i < s.len() {
         match s[i] {
-            b'\n' => {
-                line += 1;
-                i += 1;
-            }
             b'/' if i + 1 < s.len() && s[i + 1] == b'/' => {
                 let start = i;
                 while i < s.len() && s[i] != b'\n' {
@@ -192,7 +222,7 @@ fn lex(src: &str) -> Lexed {
                 if let Some(p) = text.find("lint:allow(") {
                     if let Some(q) = text[p..].find(')') {
                         let key = text[p + "lint:allow(".len()..p + q].trim();
-                        allows.push((line, key.to_string()));
+                        allows.push((line_of(s, start), key.to_string()));
                     }
                 }
                 blank(&mut code, start, i);
@@ -202,10 +232,7 @@ fn lex(src: &str) -> Lexed {
                 let mut depth = 1;
                 i += 2;
                 while i < s.len() && depth > 0 {
-                    if s[i] == b'\n' {
-                        line += 1;
-                        i += 1;
-                    } else if s[i] == b'/' && i + 1 < s.len() && s[i + 1] == b'*' {
+                    if s[i] == b'/' && i + 1 < s.len() && s[i + 1] == b'*' {
                         depth += 1;
                         i += 2;
                     } else if s[i] == b'*' && i + 1 < s.len() && s[i + 1] == b'/' {
@@ -220,21 +247,11 @@ fn lex(src: &str) -> Lexed {
             b'"' => {
                 let start = i;
                 i += 1;
-                while i < s.len() {
-                    match s[i] {
-                        b'\\' => i += 2,
-                        b'\n' => {
-                            line += 1;
-                            i += 1;
-                        }
-                        b'"' => {
-                            i += 1;
-                            break;
-                        }
-                        _ => i += 1,
-                    }
+                while i < s.len() && s[i] != b'"' {
+                    i += if s[i] == b'\\' { 2 } else { 1 };
                 }
-                blank(&mut code, start, i);
+                i += 1;
+                blank_literal(&mut code, start, i);
             }
             b'r' | b'b' if !(i > 0 && is_ident(s[i - 1])) => {
                 // maybe a raw/byte string: r"", r#""#, br"", b"" …
@@ -251,30 +268,15 @@ fn lex(src: &str) -> Lexed {
                 let raw = j > i + 1 || s[i] == b'r';
                 if j < s.len() && s[j] == b'"' && (raw || s[i] == b'b') {
                     j += 1;
-                    loop {
-                        if j >= s.len() {
-                            break;
-                        }
-                        if s[j] == b'\n' {
-                            line += 1;
-                            j += 1;
-                        } else if !raw && s[j] == b'\\' {
-                            j += 2;
-                        } else if s[j] == b'"' {
-                            let mut h = 0usize;
-                            while j + 1 + h < s.len() && s[j + 1 + h] == b'#' && h < hashes {
-                                h += 1;
-                            }
-                            if h == hashes {
-                                j += 1 + hashes;
-                                break;
-                            }
-                            j += 1;
-                        } else {
-                            j += 1;
-                        }
+                    let closes = |j: usize| {
+                        let tail = s.get(j + 1..j + 1 + hashes);
+                        s[j] == b'"' && tail.is_some_and(|t| t.iter().all(|&c| c == b'#'))
+                    };
+                    while j < s.len() && !closes(j) {
+                        j += if !raw && s[j] == b'\\' { 2 } else { 1 };
                     }
-                    blank(&mut code, start, j);
+                    j += 1 + hashes;
+                    blank_literal(&mut code, start, j);
                     i = j;
                 } else {
                     i += 1;
@@ -289,9 +291,9 @@ fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                     i += 1;
-                    blank(&mut code, start, i);
+                    blank_literal(&mut code, start, i);
                 } else if i + 2 < s.len() && s[i + 2] == b'\'' {
-                    blank(&mut code, i, i + 3);
+                    blank_literal(&mut code, i, i + 3);
                     i += 3;
                 } else {
                     i += 1; // lifetime: leave the identifier as code
@@ -300,11 +302,12 @@ fn lex(src: &str) -> Lexed {
             _ => i += 1,
         }
     }
+    let code = String::from_utf8_lossy(&code).into_owned();
     Lexed { code, allows }
 }
 
 // ---------------------------------------------------------------------------
-// cfg(test) item skipping
+// cfg(test) items
 // ---------------------------------------------------------------------------
 
 /// Whether a `#[cfg(…)]` attribute (code view: string literals blanked, so
@@ -315,186 +318,375 @@ fn lex(src: &str) -> Lexed {
 fn gates_on_test(attr: &[u8]) -> bool {
     // one entry per open `(`: whether it is the paren of a `not`
     let mut negated = Vec::new();
-    let mut i = 0usize;
-    while i < attr.len() {
-        if attr[i] == b')' {
-            negated.pop();
-        }
-        if !is_ident(attr[i]) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < attr.len() && is_ident(attr[i]) {
-            i += 1;
-        }
-        let word = &attr[start..i];
-        while i < attr.len() && attr[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i < attr.len() && attr[i] == b'(' {
-            negated.push(word == b"not");
-            i += 1;
-        } else if word == b"test" && !negated.contains(&true) {
+    let mut last = 0;
+    for (p, w) in words(attr) {
+        let closed = attr[last..p].iter().filter(|&&b| b == b')').count();
+        negated.truncate(negated.len().saturating_sub(closed));
+        last = p + w.len();
+        if attr[last..].trim_ascii_start().starts_with(b"(") {
+            negated.push(w == "not");
+        } else if w == "test" && !negated.contains(&true) {
             return true;
         }
     }
     false
 }
 
-/// Blank every item gated by a `#[cfg(…)]` attribute that
-/// [`gates_on_test`]: test modules and the per-point reference kernels the
-/// tests compare against are exempt from the stepping-path rules.
-/// A file whose inner `#![cfg(…)]`, ahead of its first item, gates on
-/// test (a module that is test code as a whole) is blanked from there on.
-fn blank_test_gated(src: &str, code: &mut [u8]) {
-    let s = src.as_bytes();
-    if let Some(p) = find_in_code(code, 0, b"#![cfg(") {
-        let heads_the_file = !code[..p].iter().any(|&b| b == b';' || b == b'{');
-        if heads_the_file && gates_on_test(&code[p..attr_end(code, p + 2)]) {
-            blank(code, p, s.len());
-            return;
+/// The spans of every item of lexed `code` gated by a `#[cfg(…)]` that
+/// [`gates_on_test`] — with `mods_only`, of every such `mod` item (a
+/// `mod x;` declaration is one item).  A file whose inner `#![cfg(…)]`,
+/// ahead of its first item, gates on test (a module that is test code as a
+/// whole) is one span from there on.
+fn test_items(code: &str, mods_only: bool) -> Vec<Range<usize>> {
+    let b = code.as_bytes();
+    if let Some(p) = code.find("#![cfg(") {
+        let heads_the_file = !b[..p].iter().any(|&c| c == b';' || c == b'{');
+        if heads_the_file && gates_on_test(&b[p..close(b, p + 2)]) {
+            return std::iter::once(p..b.len()).collect();
         }
     }
+    let mut out = Vec::new();
     let mut i = 0usize;
-    while let Some(p) = find_in_code(code, i, b"#[cfg(") {
-        let j = attr_end(code, p + 1);
-        if !gates_on_test(&code[p..j]) {
+    while let Some(p) = code[i..].find("#[cfg(").map(|p| p + i) {
+        let j = close(b, p + 1);
+        if !gates_on_test(&b[p..j]) {
             i = j;
             continue;
         }
-        // skip to the gated item's body: the first `{` or `;` at depth 0
-        // (further attributes / visibility / signature in between)
-        let mut k = j;
-        let mut par = 0i32;
-        while k < s.len() {
-            match code[k] {
-                b'(' | b'[' => par += 1,
-                b')' | b']' => par -= 1,
-                b'{' if par == 0 => break,
-                b';' if par == 0 => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        let end = if k < s.len() && code[k] == b'{' {
-            block_end(code, k)
+        let k = head_end(b, j);
+        let end = if k < b.len() && b[k] == b'{' {
+            close(b, k)
         } else {
-            (k + 1).min(s.len())
+            (k + 1).min(b.len())
         };
-        blank(code, p, end);
+        if !mods_only || words(&b[j..k.min(b.len())]).any(|(_, w)| w == "mod") {
+            out.push(p..end);
+        }
         i = end;
     }
+    out
 }
 
-/// One past the `]` that closes an attribute whose `[` is at `open`
-/// (brackets nest in `cfg(any(…))`).
-fn attr_end(code: &[u8], open: usize) -> usize {
-    let mut j = open + 1;
-    let mut depth = 1;
-    while j < code.len() && depth > 0 {
-        match code[j] {
-            b'[' => depth += 1,
-            b']' => depth -= 1,
-            _ => {}
-        }
-        j += 1;
-    }
-    j
+/// Where the item whose head starts at `from` (attributes, visibility,
+/// signature) opens its body: the first `{` or `;` at bracket depth 0.
+fn head_end(b: &[u8], from: usize) -> usize {
+    let mut depth = 0i32;
+    let n = b[from..].iter().position(|&c| {
+        depth += i32::from(matches!(c, b'(' | b'[')) - i32::from(matches!(c, b')' | b']'));
+        depth == 0 && matches!(c, b'{' | b';')
+    });
+    from + n.unwrap_or(b.len() - from)
 }
 
-/// One past the `}` that closes the `{` at `open`.
-fn block_end(code: &[u8], open: usize) -> usize {
+/// One past the bracket that closes the `[` or `{` at `open` (brackets
+/// nest in `cfg(any(…))`).
+fn close(code: &[u8], open: usize) -> usize {
+    // in ASCII, `]` and `}` are two past `[` and `{`
+    let (o, c) = (code[open], code[open] + 2);
     let mut depth = 0i32;
     for (m, &b) in code.iter().enumerate().skip(open) {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return m + 1;
-                }
-            }
-            _ => {}
+        depth += i32::from(b == o) - i32::from(b == c);
+        if depth == 0 {
+            return m + 1;
         }
     }
     code.len()
 }
 
-fn find_in_code(code: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
-    code[from..]
-        .windows(needle.len())
-        .position(|w| w == needle)
-        .map(|p| p + from)
+// ---------------------------------------------------------------------------
+// patterns and locations
+// ---------------------------------------------------------------------------
+
+/// Byte offsets where `pat` matches `hay`: literal text, except that `\b`
+/// at either end asks for a word boundary there and `*` matches one or
+/// more characters of the line, none of them the pattern's next character.
+fn find(hay: &str, pat: &str) -> Vec<usize> {
+    let (left, pat) = pat.strip_prefix("\\b").map_or((false, pat), |p| (true, p));
+    let (right, pat) = pat.strip_suffix("\\b").map_or((false, pat), |p| (true, p));
+    let mut parts = pat.split('*');
+    let head = parts.next().unwrap_or_default();
+    let rest: Vec<&[u8]> = parts.map(str::as_bytes).collect();
+    let h = hay.as_bytes();
+    let matches_at = |p: usize| {
+        let mut end = p + head.len();
+        for part in &rest {
+            let stop = part.first().copied().unwrap_or(b'\n');
+            let n = h[end..]
+                .iter()
+                .take_while(|&&b| b != b'\n' && b != stop)
+                .count();
+            if n == 0 || !h[end + n..].starts_with(part) {
+                return false;
+            }
+            end += n + part.len();
+        }
+        !(left && p > 0 && is_ident(h[p - 1]) || right && end < h.len() && is_ident(h[end]))
+    };
+    hay.match_indices(head)
+        .map(|(p, _)| p)
+        .filter(|&p| matches_at(p))
+        .collect()
+}
+
+/// A scope or owner entry: whether it excludes (`!`), its path, and the
+/// item whose bodies it names (`path::name`).
+fn location(entry: &str) -> (bool, &str, Option<&str>) {
+    let neg = entry.starts_with('!');
+    let rest = &entry[usize::from(neg)..];
+    match rest.split_once("::") {
+        Some((path, item)) => (neg, path, Some(item)),
+        None => (neg, rest, None),
+    }
+}
+
+/// Whether a location's path names `rel`: the file itself, or a file under
+/// it when it ends in `/`; `*` stands for any one component.
+fn names(path: &str, rel: &str) -> bool {
+    let (mut want, mut have) = (path.split('/'), rel.split('/'));
+    loop {
+        match (want.next(), have.next()) {
+            (None, None) | (Some(""), Some(_)) => return true,
+            (Some(w), Some(h)) if w == "*" || w == h => {}
+            _ => return false,
+        }
+    }
+}
+
+/// Whether an entry of `scope` names `rel` and no `!` entry excludes it.
+fn in_scope(scope: &[&str], rel: &str) -> bool {
+    let named = |neg: bool| {
+        let mut entries = scope.iter().map(|e| location(e));
+        entries.any(|(n, path, _)| n == neg && names(path, rel))
+    };
+    named(false) && !named(true)
+}
+
+impl Guard {
+    /// Whether the row reads `rel`, a workspace-relative path: its scope
+    /// names it, a code mode reads `.rs` files only, and a text mode does
+    /// not read the table's own file.
+    pub fn covers(&self, rel: &str) -> bool {
+        let text = self.mode == Mode::Text;
+        in_scope(self.scope, rel) && (text && rel != TABLE_FILE || !text && rel.ends_with(".rs"))
+    }
+
+    fn owners(&self) -> &'static [&'static str] {
+        match self.bound {
+            Bound::OnlyIn(owners) => owners,
+            _ => &[],
+        }
+    }
+}
+
+/// Every body of a `fn name` or `struct name` in lexed code.
+fn item_bodies(code: &str, name: &str) -> Vec<Range<usize>> {
+    let heads = [format!("\\bfn {name}\\b"), format!("\\bstruct {name}\\b")];
+    let b = code.as_bytes();
+    let opens = heads
+        .iter()
+        .flat_map(|h| find(code, h))
+        .map(|p| head_end(b, p));
+    let opens = opens.filter(|&q| b.get(q) == Some(&b'{'));
+    opens.map(|q| q..close(b, q)).collect()
+}
+
+/// The spans of `src` the including `locs` name: all of it, or the bodies
+/// of the items they name in it.
+fn regions(locs: &[&str], src: &Source) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let named = locs.iter().map(|e| location(e));
+    for (_, _, item) in named.filter(|l| !l.0 && names(l.1, src.rel)) {
+        match item {
+            None => return std::iter::once(0..src.text.len()).collect(),
+            Some(name) => out.extend(item_bodies(&src.lexed.code, name)),
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
-// scanning
+// the rows
 // ---------------------------------------------------------------------------
 
-/// Lint one source file's text against `rules`.
-pub fn lint_source(file: &str, src: &str, rules: &[Rule]) -> Vec<Violation> {
-    let mut lexed = lex(src);
-    blank_test_gated(src, &mut lexed.code);
+/// A file of the tree and its views, which share byte offsets.
+struct Source<'a> {
+    rel: &'a str,
+    text: &'a str,
+    /// Comments and literals blanked, and the waivers (lexed as Rust
+    /// whatever the file; code modes read `.rs` files only).
+    lexed: Lexed,
+    /// The same with `#[cfg(test)]` items blanked too.
+    code: String,
+}
+
+/// `code` with the [`test_items`] of `tokens`, its lexed view, blanked.
+fn without_tests(code: &str, tokens: &str, mods_only: bool) -> Vec<u8> {
+    let mut code = code.as_bytes().to_vec();
+    for r in test_items(tokens, mods_only) {
+        blank(&mut code, r.start, r.end);
+    }
+    code
+}
+
+impl<'a> Source<'a> {
+    fn new(rel: &'a str, text: &'a str) -> Self {
+        let lexed = lex(text, true);
+        let code = without_tests(&lexed.code, &lexed.code, false);
+        let code = String::from_utf8_lossy(&code).into_owned();
+        Source {
+            rel,
+            text,
+            lexed,
+            code,
+        }
+    }
+
+    fn view(&self, mode: Mode) -> &str {
+        match mode {
+            Mode::Code => &self.code,
+            Mode::CodeAndTests => &self.lexed.code,
+            Mode::Text => self.text,
+        }
+    }
+
+    /// Lines with code, literals included, once comments and test modules
+    /// are blanked.
+    fn code_lines(&self) -> usize {
+        let bare = without_tests(&lex(self.text, false).code, &self.lexed.code, true);
+        let lines = bare.split(|&b| b == b'\n');
+        lines.filter(|l| !l.trim_ascii().is_empty()).count()
+    }
+}
+
+fn sources(files: &[(String, String)]) -> Vec<Source<'_>> {
+    files.iter().map(|(rel, t)| Source::new(rel, t)).collect()
+}
+
+/// Check one row over the tree.
+fn check_row(g: &Guard, srcs: &[Source]) -> Vec<Violation> {
+    let owners = g.owners();
+    let files: Vec<&Source> = srcs.iter().filter(|s| g.covers(s.rel)).collect();
+    let scope = g.scope.join(", ");
     let mut out = Vec::new();
-    for &rule in rules {
-        for &pat in rule.patterns() {
-            let mut from = 0usize;
-            while let Some(p) = find_in_code(&lexed.code, from, pat.as_bytes()) {
-                from = p + pat.len();
-                // `vec!` must not match e.g. `to_vec!`-like idents
-                if pat.as_bytes()[0].is_ascii_alphabetic() && p > 0 && is_ident(lexed.code[p - 1]) {
-                    continue;
-                }
-                let line = line_of(&lexed.code, p);
-                if !lexed.waives(line, rule) {
-                    out.push(Violation {
-                        file: file.to_string(),
-                        line,
-                        rule,
-                        pattern: pat.to_string(),
-                    });
+    for &pat in g.patterns {
+        // (file, line, inside an owner), one per line
+        let mut hits: Vec<(&Source, usize, bool)> = Vec::new();
+        for &s in &files {
+            let (within, owned, view) = (regions(g.scope, s), regions(owners, s), s.view(g.mode));
+            for p in find(view, pat) {
+                let line = line_of(view.as_bytes(), p);
+                let new = hits.last().is_none_or(|h| h.0.rel != s.rel || h.1 != line);
+                if new && within.iter().any(|r| r.contains(&p)) {
+                    hits.push((s, line, owned.iter().any(|r| r.contains(&p))));
                 }
             }
         }
+        let stray = hits
+            .iter()
+            .filter(|h| !h.2 && !h.0.lexed.waives(h.1, g.key));
+        match g.bound {
+            Bound::Absent | Bound::OnlyIn(_) => {
+                out.extend(stray.map(|h| finding(h.0.rel, h.1, g.key, pat)));
+            }
+            Bound::Exactly(n) if hits.len() != n => {
+                let what = format!("`{pat}` on {} lines, not {n}", hits.len());
+                out.push(finding(&scope, 0, g.key, what));
+            }
+            Bound::Exactly(_) => {}
+            Bound::Present => {
+                let bare = files
+                    .iter()
+                    .filter(|s| !hits.iter().any(|h| h.0.rel == s.rel));
+                out.extend(bare.map(|s| finding(s.rel, 0, g.key, format!("`{pat}` is missing"))));
+            }
+        }
+        if !owners.is_empty() && !hits.iter().any(|h| h.2) {
+            let what = format!("`{pat}` is not in {}", owners.join(", "));
+            out.push(finding(&scope, 0, g.key, what));
+        }
     }
-    out.sort_by_key(|v| v.line);
     out
 }
 
-/// Cross-file rule: every `fn fused_*` kernel in `module_src` must have a
-/// `"<module-stem>.fused"` op key registered in the access-registry source
-/// (`access_src`, normally `ACCESS_REGISTRY`).  Waivable with
-/// `// lint:allow(fused-access)` on the `fn` line or the line above.
-pub fn lint_fused_access(module_rel: &str, module_src: &str, access_src: &str) -> Vec<Violation> {
-    let mut lexed = lex(module_src);
-    blank_test_gated(module_src, &mut lexed.code);
-    let stem = Path::new(module_rel)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    // the op key lives in a string literal, so search the raw registry text
-    let token = format!("\"{stem}.fused\"");
-    let registered = access_src.contains(&token);
+/// The first location the table names that no file of the tree answers
+/// to: a path no file is at or under, or an item its file does not define.
+fn missing_location(srcs: &[Source]) -> Option<&'static str> {
+    let rows = GUARDS.iter().flat_map(|g| g.scope.iter().chain(g.owners()));
+    let budgets = BUDGETS.iter().flat_map(|b| b.scope);
+    let others = KERNELS
+        .iter()
+        .chain(SAFETY_SCOPE)
+        .chain([&ACCESS_REGISTRY, &TABLE_FILE]);
+    rows.chain(budgets).chain(others).copied().find(|entry| {
+        let (_, path, item) = location(entry);
+        let defines = |s: &Source| item.is_none_or(|i| !item_bodies(&s.lexed.code, i).is_empty());
+        !srcs.iter().any(|s| names(path, s.rel) && defines(s))
+    })
+}
+
+/// Every `unsafe {` of `s`, tests included, must sit directly under a run
+/// of `//` lines whose first line, and no later one, holds `// SAFETY:`.
+fn lint_safety(s: &Source) -> Vec<Violation> {
+    let lines: Vec<&str> = s.text.lines().collect();
     let mut out = Vec::new();
-    let mut from = 0usize;
-    while let Some(p) = find_in_code(&lexed.code, from, b"fn fused_") {
-        from = p + "fn fused_".len();
-        if registered {
-            continue;
-        }
-        let line = line_of(&lexed.code, p);
-        if !lexed.waives(line, Rule::FusedAccess) {
-            out.push(Violation {
-                file: module_rel.to_string(),
-                line,
-                rule: Rule::FusedAccess,
-                pattern: "fn fused_".to_string(),
-            });
+    for p in find(&s.lexed.code, "unsafe {") {
+        let n = line_of(s.text.as_bytes(), p);
+        let above = &lines[..n - 1];
+        let run = above
+            .iter()
+            .rev()
+            .take_while(|l| l.trim_start().starts_with("//"));
+        let first = above.len() - run.count();
+        if (first..above.len()).rfind(|&i| above[i].contains("// SAFETY:")) != Some(first) {
+            out.push(finding(
+                s.rel,
+                n,
+                "one-unsafe",
+                "no // SAFETY: line directly above",
+            ));
         }
     }
     out
 }
+
+/// Each line budget with the code lines its scope holds.
+fn budget_counts(srcs: &[Source]) -> Vec<(&'static Budget, usize)> {
+    let count = |b: &Budget| {
+        let files = srcs
+            .iter()
+            .filter(|s| s.rel.ends_with(".rs") && in_scope(b.scope, s.rel));
+        files.map(Source::code_lines).sum()
+    };
+    BUDGETS.iter().map(|b| (b, count(b))).collect()
+}
+
+/// Each line budget with the code lines its scope holds in `files`.
+pub fn code_lines(files: &[(String, String)]) -> Vec<(&'static Budget, usize)> {
+    budget_counts(&sources(files))
+}
+
+/// Cross-file rule `fused-access`: every `fn fused_*` kernel in
+/// `module_src` must have a `"<module-stem>.fused"` op key registered in
+/// the access-registry source (`access_src`).  Waivable with
+/// `// lint:allow(fused-access)` on the `fn` line or the line above.
+pub fn lint_fused_access(module_rel: &str, module_src: &str, access_src: &str) -> Vec<Violation> {
+    let s = Source::new(module_rel, module_src);
+    let stem = Path::new(module_rel).file_stem().unwrap_or_default();
+    // the op key lives in a string literal, so search the raw registry text
+    if access_src.contains(&format!("\"{}.fused\"", stem.to_string_lossy())) {
+        return Vec::new();
+    }
+    let lines = find(&s.code, "fn fused_").into_iter();
+    let lines = lines.map(|p| line_of(s.code.as_bytes(), p));
+    let lines = lines.filter(|&line| !s.lexed.waives(line, FUSED_ACCESS));
+    lines
+        .map(|line| finding(module_rel, line, FUSED_ACCESS, "fn fused_"))
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// pub-caller
+// ---------------------------------------------------------------------------
 
 /// The identifiers of lexed code in order, each with its byte offset.
 fn words(code: &[u8]) -> impl Iterator<Item = (usize, &str)> {
@@ -592,7 +784,7 @@ fn pub_items(code: &[u8]) -> Vec<PubItem> {
         }
         let mut end = sig_end(code, q + name.len(), stops);
         if is_type && code.get(end) == Some(&b'{') {
-            end = block_end(code, end);
+            end = close(code, end);
         }
         out.push(PubItem {
             line: line_of(code, p),
@@ -604,7 +796,7 @@ fn pub_items(code: &[u8]) -> Vec<PubItem> {
     out
 }
 
-/// Cross-file rule [`Rule::PubCaller`] over `files` — `(workspace-relative
+/// Cross-file rule `pub-caller` over `files` — `(workspace-relative
 /// path, source)` of every `.rs` file under `crates/` and `benchmark/`:
 /// every `pub` item declared outside `#[cfg(test)]` in a
 /// `crates/<name>/src` file must be named in the code of another file.  A
@@ -616,26 +808,26 @@ fn pub_items(code: &[u8]) -> Vec<PubItem> {
 /// and rustc would refuse `T` narrower than `f`.  Waivable in place on the
 /// `pub` line or the line above, with the rule's key.
 pub fn lint_pub_callers(files: &[(String, String)]) -> Vec<Violation> {
-    let lexed: Vec<Lexed> = files.iter().map(|(_, src)| lex(src)).collect();
-    let callers: Vec<HashSet<String>> = lexed.iter().map(|l| called_names(&l.code)).collect();
+    pub_callers(&sources(files))
+}
+
+fn pub_callers(srcs: &[Source]) -> Vec<Violation> {
+    let rust: Vec<&Source> = srcs.iter().filter(|s| s.rel.ends_with(".rs")).collect();
+    let callers: Vec<HashSet<String>> = rust
+        .iter()
+        .map(|s| called_names(s.lexed.code.as_bytes()))
+        .collect();
     let mut out = Vec::new();
-    for (f, ((rel, src), l)) in files.iter().zip(&lexed).enumerate() {
-        let mut parts = rel.split('/');
+    for (f, s) in rust.iter().enumerate() {
+        let mut parts = s.rel.split('/');
         if parts.next() != Some("crates") || parts.nth(1) != Some("src") {
             continue;
         }
-        let mut code = l.code.clone();
-        blank_test_gated(src, &mut code);
-        let items = pub_items(&code);
-        let mut reached: Vec<bool> = items
-            .iter()
-            .map(|d| {
-                callers
-                    .iter()
-                    .enumerate()
-                    .any(|(g, words)| g != f && words.contains(&d.name))
-            })
-            .collect();
+        let code = s.code.as_bytes();
+        let items = pub_items(code);
+        let called =
+            |name: &String| (callers.iter().enumerate()).any(|(g, c)| g != f && c.contains(name));
+        let mut reached: Vec<bool> = items.iter().map(|d| called(&d.name)).collect();
         // a type named in a reached signature is reached, to a fixpoint
         let exposed = |t: &PubItem, reached: &[bool]| {
             items
@@ -649,13 +841,8 @@ pub fn lint_pub_callers(files: &[(String, String)]) -> Vec<Violation> {
             reached[t] = true;
         }
         for (d, _) in items.into_iter().zip(reached).filter(|(_, r)| !r) {
-            if !l.waives(d.line, Rule::PubCaller) {
-                out.push(Violation {
-                    file: rel.clone(),
-                    line: d.line,
-                    rule: Rule::PubCaller,
-                    pattern: d.name,
-                });
+            if !s.lexed.waives(d.line, PUB_CALLER) {
+                out.push(finding(s.rel, d.line, PUB_CALLER, d.name));
             }
         }
     }
@@ -663,136 +850,60 @@ pub fn lint_pub_callers(files: &[(String, String)]) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------------
-// repo policy
+// the tree
 // ---------------------------------------------------------------------------
 
-/// The kernel modules bound by [`Rule::Alloc`] and [`Rule::RawIndex`] —
-/// the zero-alloc stepping paths whose footprints the `core::access`
-/// registry declares.
-const KERNEL_MODULES: &[&str] = &[
-    "crates/core/src/adaptation.rs",
-    "crates/core/src/advection.rs",
-    "crates/core/src/smoothing.rs",
-    "crates/core/src/vertical.rs",
-    "crates/core/src/filterop.rs",
-    "crates/core/src/diag.rs",
-    "crates/core/src/forcing.rs",
-];
-
-/// Modules bound by [`Rule::Alloc`] only: the FFT polar filter's stepping
-/// path (the batched `FourierFilter::apply_rows_with`, the `FilterScratch`
-/// arenas it consumes and the transform kernel behind them), the tendency
-/// sweep driver with its per-worker `SweepScratch` row buffers, and the
-/// worker pool with the row-band views it splits (`core::pool`,
-/// `mesh::band`: a phase at one worker must not touch the heap) must stay
-/// allocation-free at steady state — only the allocating test oracle and
-/// first-sight table/arena construction carry waivers — but these modules
-/// index plain slices (the band views *are* the row API), so the row-API
-/// rule does not apply.  So must the step-program interpreter
-/// (`core::integrator`): its walk touches no heap; refused constructors and
-/// checkpoint snapshots carry the waivers.  `C`'s per-worker rows are warmed in `core::diag`
-/// and the Held–Suarez row body lives in `core::forcing`, both kernel
-/// modules above.
-const ALLOC_ONLY_MODULES: &[&str] = &[
-    "crates/fft/src/filter.rs",
-    "crates/fft/src/fft.rs",
-    "crates/core/src/sweep.rs",
-    "crates/core/src/pool.rs",
-    "crates/core/src/integrator.rs",
-    "crates/mesh/src/band.rs",
-];
-
-/// The access registry the [`Rule::FusedAccess`] cross-file rule consults.
-const ACCESS_REGISTRY: &str = "crates/core/src/access.rs";
-
-/// Transport/resilience modules bound by [`Rule::Unwrap`]: every error arm
-/// here is reachable under fault injection — in the launcher (`agcm-run`,
-/// `agcm-soak`) by a killed or failing worker — or, in `agcm-obs` (the
-/// record codec, the trace validator), by bytes the parent reads but did
-/// not write.  The mesh layer (`agcm-mesh`) under every rank is bound too:
-/// its refusals are typed errors and nothing else in it can fail, and so
-/// is `agcm-verify`, whose analyses answer a broken schedule or trace with
-/// a counterexample, not an abort.  So are the model (`agcm-core`), whose
-/// refusals are `ModelError`s, and the `figures` binary, whose failures
-/// are the error `main` returns.  An entry ending in `/` binds every
-/// file under that directory, so a new module there is under the rule
-/// from its first line.  A path is bound by an entry it starts with.
-const NO_UNWRAP_MODULES: &[&str] = &[
-    "crates/obs/src/",
-    "crates/verify/src/",
-    "crates/comm/src/",
-    "crates/mesh/src/",
-    "crates/core/src/",
-    "crates/bench/src/",
-    "crates/run/src/lib.rs",
-    "crates/run/src/elastic.rs",
-    "crates/run/src/soak.rs",
-];
-
-/// Which per-file rules bind a workspace-relative path (forward slashes).
-/// [`Rule::PubCaller`] is not among them: it binds every `crates/*/src`
-/// file, through [`lint_pub_callers`].
-pub fn rules_for(rel: &str) -> Vec<Rule> {
-    let listed = |modules: &[&str]| modules.iter().any(|m| rel.starts_with(m));
-    let mut rules = Vec::new();
-    if listed(KERNEL_MODULES) {
-        rules.push(Rule::Alloc);
-        rules.push(Rule::RawIndex);
-        rules.push(Rule::FusedAccess);
-    }
-    if listed(ALLOC_ONLY_MODULES) {
-        rules.push(Rule::Alloc);
-    }
-    if listed(NO_UNWRAP_MODULES) {
-        rules.push(Rule::Unwrap);
-    }
-    rules
-}
-
-/// Walk `root` (a workspace checkout): lint every file under `crates/`
-/// its per-file rules bind, and the pub-caller rule over `crates/` and
-/// `benchmark/`.
-pub fn lint_tree(root: &Path) -> io::Result<Vec<Violation>> {
-    for rel in KERNEL_MODULES
-        .iter()
-        .chain(ALLOC_ONLY_MODULES)
-        .chain(NO_UNWRAP_MODULES)
-        .chain([&ACCESS_REGISTRY])
-    {
-        let path = root.join(rel);
-        if !path.exists() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("policy file missing: {}", path.display()),
-            ));
-        }
-    }
-    // every `.rs` file under `crates/` and `benchmark/` (not `target/`)
+/// Every file of the checkout at `root` the lint reads, `(workspace-relative
+/// path, text)` in order: the `.rs` files under `crates/` and `benchmark/`,
+/// and every other file under `crates/`, `.github/` and `.cargo/`, as
+/// `grep -r` would read them (no `target/`).
+pub fn read_tree(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
-    let mut stack = vec![root.join("crates"), root.join("benchmark")];
+    let mut stack: Vec<_> = ["crates", "benchmark", ".github", ".cargo"]
+        .iter()
+        .map(|d| root.join(d))
+        .filter(|d| d.is_dir())
+        .collect();
     while let Some(dir) = stack.pop() {
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+            let rel = rel.replace('\\', "/");
             if path.is_dir() && !path.ends_with("target") {
                 stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap_or(&path)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                files.push((rel, fs::read_to_string(&path)?));
+            } else if path.is_file() && (rel.ends_with(".rs") || !rel.starts_with("benchmark/")) {
+                files.push((rel, String::from_utf8_lossy(&fs::read(&path)?).into_owned()));
             }
         }
     }
     files.sort();
-    let access = fs::read_to_string(root.join(ACCESS_REGISTRY))?;
-    let mut out = lint_pub_callers(&files);
-    for (rel, src) in files.iter().filter(|(rel, _)| rel.starts_with("crates/")) {
-        let rules = rules_for(rel);
-        out.extend(lint_source(rel, src, &rules));
-        if rules.contains(&Rule::FusedAccess) {
-            out.extend(lint_fused_access(rel, src, &access));
+    Ok(files)
+}
+
+/// Lint a tree, `(workspace-relative path, text)` of each file as
+/// [`read_tree`] returns it: every row of the table, the line budgets, the
+/// `// SAFETY:` check, `fused-access` over the kernel modules and
+/// `pub-caller`.  `Err` names a location the table names that the tree
+/// does not have.
+pub fn lint_files(files: &[(String, String)]) -> Result<Vec<Violation>, String> {
+    let srcs = sources(files);
+    if let Some(entry) = missing_location(&srcs) {
+        return Err(format!("{TABLE_FILE} names {entry}, absent from the tree"));
+    }
+    let mut out = pub_callers(&srcs);
+    out.extend(GUARDS.iter().flat_map(|g| check_row(g, &srcs)));
+    for (b, n) in budget_counts(&srcs).into_iter().filter(|&(b, n)| n > b.max) {
+        let what = format!("{n} code lines, budget {}", b.max);
+        out.push(finding(b.name, 0, LINE_BUDGET, what));
+    }
+    let registry = srcs.iter().find(|s| s.rel == ACCESS_REGISTRY);
+    let access = registry.map_or("", |s| s.text);
+    for s in &srcs {
+        if s.rel.ends_with(".rs") && in_scope(SAFETY_SCOPE, s.rel) {
+            out.extend(lint_safety(s));
+        }
+        if in_scope(KERNELS, s.rel) {
+            out.extend(lint_fused_access(s.rel, s.text, access));
         }
     }
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));

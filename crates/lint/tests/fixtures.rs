@@ -1,33 +1,69 @@
 //! Fixture coverage for the lint pass: each rule fires on a minimal
-//! triggering source, stays silent on clean code, honours the
-//! `lint:allow` waiver and the `cfg(test)` exemption, and never
-//! matches inside comments or string literals (nor, for the pub-caller
-//! rule, counts a `pub use` re-export as a caller).
+//! triggering source appended to a file of the workspace, stays silent on
+//! clean code, honours the `lint:allow` waiver where its key takes one and
+//! the `cfg(test)` exemption, and never matches inside comments or string
+//! literals (nor, for the pub-caller rule, counts a `pub use` re-export as
+//! a caller).  Every guard of the table fails on the workspace with the
+//! mutation it was written for (`mutated`), and the unmutated workspace is
+//! clean.
+//!
+//! The table's text-mode rows read this file, so a name they forbid is
+//! spelled here in two `concat!` pieces.
 
-use agcm_lint::{lint_fused_access, lint_pub_callers, lint_source, lint_tree, rules_for, Rule};
+use agcm_lint::guards::GUARDS;
+use agcm_lint::Violation;
+use agcm_lint::{code_lines, lint_files, lint_fused_access, lint_pub_callers, read_tree};
+use std::path::Path;
+use std::sync::OnceLock;
 
-const ALL: &[Rule] = &[Rule::Alloc, Rule::RawIndex, Rule::Unwrap];
+const ALL: &[&str] = &["alloc", "raw-index", "unwrap"];
+
+/// A kernel module: under all three per-file rules.
+const KERNEL: &str = "crates/core/src/adaptation.rs";
+
+/// The per-file rules among `ALL` whose rows read `rel`.
+fn rules_for(rel: &str) -> Vec<&'static str> {
+    let mut keys: Vec<&str> = GUARDS
+        .iter()
+        .filter(|g| ALL.contains(&g.key) && g.covers(rel))
+        .map(|g| g.key)
+        .collect();
+    keys.dedup();
+    keys
+}
+
+/// The findings of the rules `keys` on the workspace with `code` appended
+/// to `rel` (other guards, the line budgets among them, may fire too).
+fn found(keys: &[&str], rel: &str, code: &str) -> Vec<Violation> {
+    let v = mutated(rel, append(code));
+    v.into_iter().filter(|v| keys.contains(&v.rule)).collect()
+}
+
+/// The line that code appended to `rel` starts on.
+fn tail(rel: &str) -> usize {
+    let file = workspace().iter().find(|f| f.0 == rel);
+    file.map_or(0, |f| f.1.lines().count()) + 2
+}
 
 #[test]
 fn alloc_rule_fires_on_each_allocation_pattern() {
     let fixtures = [
-        ("let v = Vec::new();", "Vec::new"),
-        ("let v = vec![0.0; n];", "vec!"),
-        ("let b = Box::new(x);", "Box::new"),
-        ("let s = format!(\"{x}\");", "format!"),
-        ("let s = String::from(\"x\");", "String::from"),
+        ("let v = Vec::new();", r"\bVec::new"),
+        ("let v = vec![0.0; n];", r"\bvec!"),
+        ("let b = Box::new(x);", r"\bBox::new"),
+        ("let s = format!(\"{x}\");", r"\bformat!"),
+        ("let s = String::from(\"x\");", r"\bString::from"),
         ("let v = xs.to_vec();", ".to_vec()"),
         ("let s = x.to_string();", ".to_string()"),
         ("let v = x.clone();", ".clone()"),
-        ("let v = Vec::with_capacity(3);", "with_capacity"),
+        ("let v = Vec::with_capacity(3);", r"\bwith_capacity"),
         ("let v = it.collect();", ".collect()"),
     ];
     for (src, pat) in fixtures {
-        let v = lint_source("k.rs", src, &[Rule::Alloc]);
+        let v = found(&["alloc"], KERNEL, src);
         assert_eq!(v.len(), 1, "{src}");
         assert_eq!(v[0].pattern, pat, "{src}");
-        assert_eq!(v[0].rule, Rule::Alloc);
-        assert_eq!(v[0].line, 1);
+        assert_eq!((v[0].file.as_str(), v[0].line), (KERNEL, tail(KERNEL)));
     }
 }
 
@@ -37,10 +73,10 @@ fn raw_index_rule_fires_on_raw_accessors() {
         ("let s = f.raw();", ".raw()"),
         ("let s = f.raw_mut();", ".raw_mut()"),
         ("let p = f.idx(i, j, k);", ".idx("),
-        ("let p = data.as_ptr();", "as_ptr"),
-        ("let p = data.as_mut_ptr();", "as_mut_ptr"),
+        ("let p = data.as_ptr();", r"\bas_ptr"),
+        ("let p = data.as_mut_ptr();", r"\bas_mut_ptr"),
     ] {
-        let v = lint_source("k.rs", src, &[Rule::RawIndex]);
+        let v = found(&["raw-index"], KERNEL, src);
         assert_eq!(v.len(), 1, "{src}");
         assert_eq!(v[0].pattern, pat, "{src}");
     }
@@ -48,14 +84,15 @@ fn raw_index_rule_fires_on_raw_accessors() {
 
 #[test]
 fn unwrap_rule_fires_and_expect_is_permitted() {
-    let v = lint_source("t.rs", "let x = rx.recv().unwrap();", &[Rule::Unwrap]);
+    let rel = "crates/comm/src/transport.rs";
+    let v = found(&["unwrap"], rel, "let x = rx.recv().unwrap();");
     assert_eq!(v.len(), 1);
     assert_eq!(v[0].pattern, ".unwrap()");
     // .expect("…") documents the invariant — allowed
-    let v = lint_source(
-        "t.rs",
+    let v = found(
+        &["unwrap"],
+        rel,
         "let x = rx.recv().expect(\"sender alive\");",
-        &[Rule::Unwrap],
     );
     assert!(v.is_empty());
 }
@@ -63,7 +100,7 @@ fn unwrap_rule_fires_and_expect_is_permitted() {
 #[test]
 fn clean_kernel_code_passes_all_rules() {
     let src = r#"
-pub fn kernel(f: &Field3, out: &mut Field3, region: Region) {
+fn kernel(f: &Field3, out: &mut Field3, region: Region) {
     for k in region.z0..region.z1 {
         for j in region.y0..region.y1 {
             let r = f.row(-3, nx + 3, j, k);
@@ -75,27 +112,65 @@ pub fn kernel(f: &Field3, out: &mut Field3, region: Region) {
     }
 }
 "#;
-    assert!(lint_source("k.rs", src, ALL).is_empty());
+    assert!(found(ALL, KERNEL, src).is_empty());
 }
 
 #[test]
 fn waiver_on_same_or_preceding_line_suppresses_the_finding() {
-    let same = "let v: Vec<f64> = Vec::new(); // lint:allow(alloc) build-time only";
-    assert!(lint_source("k.rs", same, &[Rule::Alloc]).is_empty());
-    let above = "// init-time table build: lint:allow(alloc)\nlet v = Vec::new();";
-    assert!(lint_source("k.rs", above, &[Rule::Alloc]).is_empty());
+    let alloc = |src: &str| found(&["alloc"], KERNEL, src).len();
+    assert_eq!(
+        alloc("let v = Vec::new(); // lint:allow(alloc) build-time only"),
+        0
+    );
+    assert_eq!(
+        alloc("// init-time table build: lint:allow(alloc)\nlet v = Vec::new();"),
+        0
+    );
     // a waiver for a DIFFERENT rule does not suppress
-    let wrong = "let v = Vec::new(); // lint:allow(unwrap)";
-    assert_eq!(lint_source("k.rs", wrong, &[Rule::Alloc]).len(), 1);
+    assert_eq!(alloc("let v = Vec::new(); // lint:allow(unwrap)"), 1);
     // a waiver two lines up does not suppress
-    let far = "// lint:allow(alloc)\n\nlet v = Vec::new();";
-    assert_eq!(lint_source("k.rs", far, &[Rule::Alloc]).len(), 1);
+    assert_eq!(alloc("// lint:allow(alloc)\n\nlet v = Vec::new();"), 1);
+}
+
+/// Only the per-file rules and the `fused-access` and `pub-caller` checks
+/// take a waiver: a structural guard's finding stands under one, and is
+/// printed without the waiver hint.
+#[test]
+fn a_structural_guard_takes_no_waiver() {
+    let cases = [
+        (
+            "one-unsafe",
+            "crates/run/src/main.rs",
+            "// SAFETY: nothing\n// lint:allow(one-unsafe)\nfn f() { unsafe {} }",
+        ),
+        (
+            "deleted-knobs",
+            "crates/core/src/dycore.rs",
+            concat!(
+                "// lint:allow(deleted-knobs)\nfn f(e: &mut Engine) { e.set_fu",
+                "sion(true); }"
+            ),
+        ),
+        (
+            "one-step-loop",
+            "crates/core/src/smoothing.rs",
+            "fn f(ex: &mut Exchanger) { ex.post_sends(x); } // lint:allow(one-step-loop)",
+        ),
+    ];
+    for (key, rel, code) in cases {
+        let v = found(&[key], rel, code);
+        assert!(
+            v.iter().any(|v| v.file == rel && v.line > 0),
+            "{key} waived in {rel}: {v:?}"
+        );
+        assert!(v.iter().all(|v| !v.to_string().contains("lint:allow")));
+    }
 }
 
 #[test]
 fn test_modules_and_cfg_test_items_are_exempt() {
     let src = r#"
-pub fn hot(f: &Field3) -> f64 {
+fn hot(f: &Field3) -> f64 {
     f.get(0, 0, 0)
 }
 
@@ -126,7 +201,7 @@ mod tests {
     }
 }
 "#;
-    assert!(lint_source("k.rs", src, ALL).is_empty());
+    assert!(found(ALL, KERNEL, src).is_empty());
 }
 
 /// Only `test` as a cfg word in positive position exempts an item: code
@@ -143,9 +218,9 @@ fn non_test_cfg_gates_are_not_exempt() {
         "testing",
     ] {
         let src = format!("#[cfg({gate})]\nfn hot() {{ let v = Vec::new(); }}");
-        let v = lint_source("k.rs", &src, &[Rule::Alloc]);
+        let v = found(&["alloc"], KERNEL, &src);
         assert_eq!(v.len(), 1, "cfg({gate})");
-        assert_eq!(v[0].line, 2, "cfg({gate})");
+        assert_eq!(v[0].line, tail(KERNEL) + 1, "cfg({gate})");
     }
 }
 
@@ -159,24 +234,23 @@ let raw = r#inner#;
 let c = '"';
 "#
     .replace("r#inner#", "r#\".unwrap() inside raw string\"#");
-    assert!(lint_source("k.rs", &src, ALL).is_empty());
+    assert!(found(ALL, KERNEL, &src).is_empty());
 }
 
 #[test]
 fn policy_binds_kernels_and_transport_only() {
-    assert_eq!(
-        rules_for("crates/core/src/adaptation.rs"),
-        vec![Rule::Alloc, Rule::RawIndex, Rule::FusedAccess, Rule::Unwrap]
-    );
+    assert_eq!(rules_for(KERNEL), ["alloc", "raw-index", "unwrap"]);
+    // and the fused-access check: a kernel's unregistered fused sweep
+    let v = mutated("crates/core/src/smoothing.rs", |t| {
+        format!("{t}\npub fn fused_smoothing_update() {{}}\n")
+    });
+    assert!(fired(&v, "fused-access"), "{v:?}");
     // the pooled FFT worker path: allocation-free, but its row buffers are
     // plain slices — no row-API rule
-    assert_eq!(rules_for("crates/fft/src/filter.rs"), vec![Rule::Alloc]);
-    assert_eq!(
-        rules_for("crates/comm/src/transport.rs"),
-        vec![Rule::Unwrap]
-    );
-    assert_eq!(rules_for("crates/core/src/serial.rs"), vec![Rule::Unwrap]);
-    assert_eq!(rules_for("crates/mesh/src/field.rs"), vec![Rule::Unwrap]);
+    assert_eq!(rules_for("crates/fft/src/filter.rs"), ["alloc"]);
+    assert_eq!(rules_for("crates/comm/src/transport.rs"), ["unwrap"]);
+    assert_eq!(rules_for("crates/core/src/serial.rs"), ["unwrap"]);
+    assert_eq!(rules_for("crates/mesh/src/field.rs"), ["unwrap"]);
     assert!(rules_for("crates/run/src/bin/agcm-soak.rs").is_empty());
 }
 
@@ -189,7 +263,7 @@ fn core_and_bench_sources_are_under_the_no_unwrap_rule() {
         "crates/core/src/par/new_module.rs",
         "crates/bench/src/bin/figures.rs",
     ] {
-        assert!(rules_for(rel).contains(&Rule::Unwrap), "{rel}");
+        assert!(rules_for(rel).contains(&"unwrap"), "{rel}");
     }
     assert!(rules_for("crates/core/tests/step_fingerprints.rs").is_empty());
     assert!(rules_for("crates/core/examples/quickstart.rs").is_empty());
@@ -200,23 +274,21 @@ fn core_and_bench_sources_are_under_the_no_unwrap_rule() {
 /// later one, or a non-test gate, exempts nothing.
 #[test]
 fn a_file_gated_on_test_as_a_whole_is_exempt() {
+    let rel = "crates/core/src/oracles.rs";
     let whole = "//! oracles\n\n#![cfg(test)]\n\nfn f() { x.unwrap(); }\n";
-    assert!(lint_source("crates/core/src/golden.rs", whole, ALL).is_empty());
+    assert!(found(ALL, rel, whole).is_empty());
     let gated = "#![cfg(feature = \"x\")]\nfn f() { x.unwrap(); }\n";
-    assert_eq!(lint_source("k.rs", gated, ALL).len(), 1);
+    assert_eq!(found(ALL, rel, gated).len(), 1);
     let late = "fn f() { x.unwrap(); }\nmod m {\n#![cfg(test)]\n}\n";
-    assert_eq!(lint_source("k.rs", late, ALL).len(), 1);
+    assert_eq!(found(ALL, rel, late).len(), 1);
 }
 
 /// The no-unwrap rule binds `agcm-comm` by directory: a module added to it
 /// tomorrow is under the rule without a policy edit.
 #[test]
 fn a_new_comm_module_is_under_the_no_unwrap_rule() {
-    assert_eq!(
-        rules_for("crates/comm/src/new_module.rs"),
-        vec![Rule::Unwrap]
-    );
-    assert_eq!(rules_for("crates/comm/src/lib.rs"), vec![Rule::Unwrap]);
+    assert_eq!(rules_for("crates/comm/src/new_module.rs"), ["unwrap"]);
+    assert_eq!(rules_for("crates/comm/src/lib.rs"), ["unwrap"]);
     assert!(rules_for("crates/comm/tests/fault_injection.rs").is_empty());
 }
 
@@ -225,14 +297,11 @@ fn a_new_comm_module_is_under_the_no_unwrap_rule() {
 #[test]
 fn a_new_mesh_module_is_under_the_no_unwrap_rule() {
     let rel = "crates/mesh/src/new_module.rs";
-    assert_eq!(rules_for(rel), vec![Rule::Unwrap]);
-    let src = "pub fn cells(n: Option<usize>) -> usize { n.unwrap() }";
-    let v = lint_source(rel, src, &rules_for(rel));
+    assert_eq!(rules_for(rel), ["unwrap"]);
+    let src = "fn cells(n: Option<usize>) -> usize { n.unwrap() }";
+    let v = found(ALL, rel, src);
     assert_eq!(v.len(), 1);
-    assert_eq!(
-        (v[0].rule, v[0].pattern.as_str()),
-        (Rule::Unwrap, ".unwrap()")
-    );
+    assert_eq!((v[0].rule, v[0].pattern.as_str()), ("unwrap", ".unwrap()"));
     assert!(rules_for("crates/mesh/tests/proptest_mesh.rs").is_empty());
 }
 
@@ -261,7 +330,7 @@ fn pub_caller_fires_on_a_lone_pub_item() {
     ] {
         let v = lint_pub_callers(&tree(&[("crates/x/src/a.rs", src)]));
         assert_eq!(v.len(), 1, "{src}");
-        assert_eq!(v[0].rule, Rule::PubCaller);
+        assert_eq!(v[0].rule, "pub-caller");
         assert_eq!(v[0].pattern, name, "{src}");
         assert_eq!(v[0].file, "crates/x/src/a.rs");
     }
@@ -395,7 +464,7 @@ fn fused_kernel_without_registry_entry_is_flagged() {
     let access = "pub const ADAPTATION: AccessSpec = AccessSpec { op: \"adaptation\" };";
     let v = lint_fused_access("crates/core/src/adaptation.rs", FUSED_MODULE, access);
     assert_eq!(v.len(), 1);
-    assert_eq!(v[0].rule, Rule::FusedAccess);
+    assert_eq!(v[0].rule, "fused-access");
     assert_eq!(v[0].pattern, "fn fused_");
     assert_eq!(v[0].line, 3);
 }
@@ -434,17 +503,72 @@ fn fused_access_key_is_per_module_stem() {
     assert!(v.is_empty());
 }
 
-/// The enforcement test: the real workspace tree is clean.  Any allocation
-/// / raw-index / unwrap introduced into a bound module, or a `pub` item no
-/// other file calls, fails this test (and the `agcm-lint` CI step) until
-/// waived or fixed.
+// ---------------------------------------------------------------------------
+// the guard table on the workspace
+// ---------------------------------------------------------------------------
+
+fn root() -> &'static Path {
+    let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    crate_dir
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root")
+}
+
+/// The workspace tree as `agcm-lint` reads it, read once.
+fn workspace() -> &'static [(String, String)] {
+    static TREE: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    TREE.get_or_init(|| read_tree(root()).expect("read the workspace"))
+}
+
+/// The findings on the workspace with the text of `rel` replaced by
+/// `edit` of it (a new file gets `edit("")`).
+fn mutated(rel: &str, edit: impl FnOnce(&str) -> String) -> Vec<Violation> {
+    let mut files = workspace().to_vec();
+    match files.iter_mut().find(|f| f.0 == rel) {
+        Some(f) => f.1 = edit(&f.1),
+        None => files.push((rel.to_string(), edit(""))),
+    }
+    lint_files(&files).expect("every table location present")
+}
+
+/// Whether guard `key` reported a finding: the unmutated workspace is
+/// clean, so it is the mutation's.
+fn fired(v: &[Violation], key: &str) -> bool {
+    v.iter().any(|v| v.rule == key)
+}
+
+/// `text` with `line` inserted before its 1-based line `n`.
+fn insert_at(text: &str, n: usize, line: &str) -> String {
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.insert(n - 1, line);
+    lines.join("\n") + "\n"
+}
+
+/// Append `code` to the file.
+fn append(code: &str) -> impl FnOnce(&str) -> String + '_ {
+    move |t| format!("{t}\n{code}\n")
+}
+
+/// Assert that appending `code` to `rel` fails guard `key`.
+fn fails(key: &str, rel: &str, code: &str) {
+    let v = mutated(rel, append(code));
+    assert!(fired(&v, key), "{key} passed `{code}` in {rel}: {v:?}");
+}
+
+/// Assert that appending `code` to `rel` does not fail guard `key`.
+fn passes(key: &str, rel: &str, code: &str) {
+    let v = mutated(rel, append(code));
+    assert!(!fired(&v, key), "{key} failed `{code}`: {v:?}");
+}
+
+/// The enforcement test: the real workspace tree is clean.  Any guard of
+/// the table broken, a line budget exceeded, or a `pub` item no other file
+/// calls, fails this test (and the `agcm-lint` CI step) until waived or
+/// fixed.
 #[test]
 fn workspace_tree_is_clean() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("workspace root");
-    let violations = lint_tree(root).expect("lint walk");
+    let violations = lint_files(workspace()).expect("lint walk");
     assert!(
         violations.is_empty(),
         "lint violations:\n{}",
@@ -454,4 +578,368 @@ fn workspace_tree_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+#[test]
+fn deleted_knobs_stay_deleted_in_code_strings_and_manifests() {
+    let key = "deleted-knobs";
+    fails(
+        key,
+        "crates/core/src/dycore.rs",
+        concat!("fn f(e: &mut Engine) { e.set_fu", "sion(true); }"),
+    );
+    let env = concat!("fn g() { let _ = std::env::var(\"AGCM_TILE", "_J\"); }");
+    fails(key, "crates/run/src/lib.rs", env);
+    fails(
+        key,
+        "crates/core/Cargo.toml",
+        concat!("[features]\nset_gr", "oup = []"),
+    );
+}
+
+#[test]
+fn one_kernel_path_reads_workflows_and_features() {
+    let key = "one-kernel-path";
+    fails(
+        key,
+        ".github/workflows/ci.yml",
+        concat!("      AGCM_BEN", "CH_ITERS: 1"),
+    );
+    fails(
+        key,
+        "crates/core/Cargo.toml",
+        concat!("[features]\nscalar-r", "ows = []"),
+    );
+    fails(
+        key,
+        "crates/core/src/adaptation.rs",
+        concat!("pub enum Kernel", "Path { Lanes }"),
+    );
+}
+
+#[test]
+fn one_isa_refuses_target_features_and_fused_multiply_add() {
+    let key = "one-isa";
+    fails(
+        key,
+        "crates/fft/src/fft.rs",
+        concat!("#[target", "_feature(enable = \"avx2\")]\nfn f() {}"),
+    );
+    fails(
+        key,
+        "crates/core/src/lanes.rs",
+        concat!("fn g(x: f64) -> f64 { x.mul", "_add(x, x) }"),
+    );
+    let v = mutated(".cargo/config.toml", |t| {
+        t.replace("target-cpu=", "target-cpu-")
+    });
+    assert!(fired(&v, key), "{v:?}");
+}
+
+#[test]
+fn one_message_per_link_refuses_a_field_index_and_a_second_codec() {
+    let key = "one-message-per-link";
+    fails(
+        key,
+        "crates/core/src/par/exchange.rs",
+        concat!("// wire_", "tag(seq, dir, field)"),
+    );
+    fails(
+        key,
+        "crates/verify/src/lib.rs",
+        concat!("pub fn wire_", "tag(seq: u64, dir: u32) {}"),
+    );
+    passes(
+        key,
+        "crates/core/src/par/exchange.rs",
+        concat!("// wire_", "tag(seq, dir)"),
+    );
+}
+
+#[test]
+fn one_band_axis_refuses_a_z_slab_view() {
+    fails(
+        "one-band-axis",
+        "crates/core/src/pool.rs",
+        concat!("fn f() { split_z", "_slabs(); }"),
+    );
+}
+
+#[test]
+fn one_field_type_matches_whole_words() {
+    let key = "one-field-type";
+    fails(
+        key,
+        "crates/mesh/src/field.rs",
+        concat!("pub struct Field", "2;"),
+    );
+    passes(
+        key,
+        "crates/mesh/src/field.rs",
+        concat!("pub struct Field", "2x;"),
+    );
+}
+
+/// The step primitives in `smooth_band`, on the stepping path — the mutation
+/// the former grep guard missed: it stopped reading `smoothing.rs` at line
+/// 24's `#[cfg(test)]`.
+#[test]
+fn one_step_loop_sees_code_after_an_early_cfg_test() {
+    let (key, rel) = ("one-step-loop", "crates/core/src/smoothing.rs");
+    let v = mutated(rel, |t| insert_at(t, 200, "            ex.post_sends(x);"));
+    assert!(fired(&v, key), "{v:?}");
+    // after a gated `use` and after a gated oracle fn, in a new module
+    let call = "fn step(ex: &mut Exchanger) { ex.post_sends(x); }";
+    fails(
+        key,
+        "crates/core/src/blind.rs",
+        &format!("#[cfg(test)]\nuse std::fmt;\n{call}"),
+    );
+    let oracle = "#[cfg(test)]\npub fn oracle() -> u32 {\n    1\n}";
+    fails(
+        key,
+        "crates/core/src/blind.rs",
+        &format!("{oracle}\n{call}"),
+    );
+    // a test calls what it likes
+    passes(key, rel, &format!("#[cfg(test)]\nmod more {{ {call} }}"));
+    // and the interpreter must still call each primitive
+    let v = mutated("crates/core/src/integrator.rs", |t| {
+        t.replace(".post_sends(", ".posts(")
+    });
+    assert!(fired(&v, key), "{v:?}");
+}
+
+#[test]
+fn three_state_buffers_and_none_allocated_by_the_sweep() {
+    let key = "three-state-buffers";
+    let v = mutated("crates/core/src/integrator.rs", |t| {
+        t.replace(
+            "pub struct Integrator {",
+            "pub struct Integrator {\n    spare: State,",
+        )
+    });
+    assert!(fired(&v, key), "{v:?}");
+    fails(
+        key,
+        "crates/core/src/sweep.rs",
+        "fn spare(s: &State) -> State { State::like(s) }",
+    );
+}
+
+#[test]
+fn phi_p_and_dp_stay_with_their_owners() {
+    let key = "phi-p-where-cached";
+    fails(
+        key,
+        "crates/core/src/dycore.rs",
+        "fn peek(diag: &Diag) -> f64 { diag.dp.get(0, 0, 0) }",
+    );
+    let phi = "fn peek(diag: &Diag) -> f64 { diag.phi_p.get(0, 0, 0) }";
+    fails(key, "crates/core/src/integrator.rs", phi);
+}
+
+#[test]
+fn one_cost_model_refuses_fitters_and_constants_outside_model_rs() {
+    let key = "one-cost-model";
+    fails(
+        key,
+        "crates/comm/src/lib.rs",
+        concat!("pub fn fit_gam", "ma() {}"),
+    );
+    fails(
+        key,
+        "crates/core/src/analysis.rs",
+        concat!("fn p() { predict", "_step(); }"),
+    );
+    let literal = "fn m() -> CostModel { CostModel { alpha: 0.0, ..CostModel::BENCH_HOST } }";
+    fails(key, "crates/core/src/analysis.rs", literal);
+    passes(
+        key,
+        "crates/core/src/analysis.rs",
+        &format!("#[cfg(test)]\nmod m {{ {literal} }}"),
+    );
+}
+
+#[test]
+fn one_launcher_spawns_and_polls_once() {
+    let key = "one-launcher";
+    fails(
+        key,
+        "crates/run/src/lib.rs",
+        "fn spawn2() { let _ = Command::new(\"x\"); }",
+    );
+    fails(key, "crates/run/src/elastic.rs", "fn await_world() {}");
+    fails(
+        key,
+        ".github/workflows/ci.yml",
+        concat!("      AGCM_SUPER", "VISED: 1"),
+    );
+}
+
+#[test]
+fn one_worker_steps_the_model_twice() {
+    let key = "one-worker";
+    fails(
+        key,
+        "crates/run/src/soak.rs",
+        "fn again(m: &mut M) { m.step(Some(&c)); }",
+    );
+    fails(
+        key,
+        "crates/run/src/lib.rs",
+        concat!("fn classic_wo", "rker() {}"),
+    );
+}
+
+#[test]
+fn one_rollback_keeps_the_in_process_runner_deleted() {
+    fails(
+        "one-rollback",
+        "crates/core/src/resilience.rs",
+        concat!("pub struct Resilient", "Runner;"),
+    );
+}
+
+#[test]
+fn crash_only_matches_whole_words() {
+    fails(
+        "crash-only",
+        "crates/comm/src/transport.rs",
+        concat!("fn re", "wire() {}"),
+    );
+    passes(
+        "crash-only",
+        "crates/comm/src/transport.rs",
+        concat!("fn re", "wires() {}"),
+    );
+}
+
+#[test]
+fn one_way_home_gathers_once() {
+    let key = "one-way-home";
+    fails(
+        key,
+        "crates/run/src/lib.rs",
+        concat!("fn write_st", "ate() {}"),
+    );
+    fails(
+        key,
+        "crates/run/src/elastic.rs",
+        "fn g(m: &M) { m.gather_state(c); }",
+    );
+}
+
+#[test]
+fn one_trace_check_refuses_the_feature_and_the_figures_subcommand() {
+    let key = "one-trace-check";
+    fails(
+        key,
+        "crates/obs/src/lib.rs",
+        concat!("#[cfg(feature = \"tr", "ace\")]\nfn t() {}"),
+    );
+    let rel = "crates/bench/src/bin/figures.rs";
+    let v = mutated(rel, |t| {
+        t.replace(
+            "\"all\" =>",
+            concat!("\"tr", "ace\" => {}\n        \"all\" =>"),
+        )
+    });
+    assert!(fired(&v, key), "{v:?}");
+}
+
+#[test]
+fn one_unsafe_block_under_its_safety_line() {
+    let key = "one-unsafe";
+    let block = "// SAFETY: nothing\nfn f() { unsafe {} }";
+    fails(key, "crates/core/src/pool.rs", block);
+    fails(key, "crates/mesh/src/pages.rs", block);
+    fails(
+        key,
+        "crates/core/src/pool.rs",
+        &format!("#[cfg(test)]\nmod t {{\n{block}\n}}"),
+    );
+    fails(
+        key,
+        "crates/core/src/pool.rs",
+        "extern \"C\" { fn free(p: *mut u8); }",
+    );
+    let rel = "crates/mesh/src/pages.rs";
+    let v = mutated(rel, |t| {
+        t.replace("\n    unsafe {", "\n    let _gap = 0;\n    unsafe {")
+    });
+    assert!(
+        v.iter()
+            .any(|v| v.rule == key && v.file == rel && v.line > 0),
+        "{v:?}"
+    );
+    let v = mutated("crates/comm/src/lib.rs", |t| {
+        t.replace("#![forbid(unsafe_code)]", "")
+    });
+    assert!(fired(&v, key), "{v:?}");
+    let v = mutated("crates/mesh/src/lib.rs", |t| {
+        t.replace("#![deny(unsafe_code)]", "")
+    });
+    assert!(fired(&v, key), "{v:?}");
+}
+
+/// Code after `#[cfg(test)] mod golden;` is code (the former counter
+/// stopped reading `core/src/lib.rs` there), a `#[cfg(test)]` fn is code,
+/// and a `#[cfg(test)]` module is not.
+#[test]
+fn line_budgets_count_what_a_test_module_does_not_hide() {
+    let key = "line-budget";
+    // `n` more code lines than budget `name` has room for
+    let over = |name: &str, line: &str| {
+        let lines = code_lines(workspace());
+        let (b, n) = lines.iter().find(|(b, _)| b.name == name).expect(name);
+        line.repeat(b.max + 1 - n)
+    };
+    let tail = over("agcm-core", "pub const TAIL: u32 = 1;\n");
+    let v = mutated("crates/core/src/lib.rs", append(&tail));
+    assert!(fired(&v, key), "{v:?}");
+    let oracles = over("integrator + par", "#[cfg(test)]\nfn oracle() {}\n");
+    let v = mutated("crates/core/src/par/extra.rs", |_| oracles);
+    assert!(fired(&v, key), "{v:?}");
+    let module = format!(
+        "#[cfg(test)]\nmod extra {{\n{}}}",
+        over("integrator + par", "fn f() {}\n")
+    );
+    passes(key, "crates/core/src/par/mod.rs", &module);
+}
+
+/// A location the table names that the tree lacks — a renamed owner file,
+/// a renamed owner fn — is a refusal, not an empty guard.
+#[test]
+fn a_table_location_missing_from_the_tree_is_an_error() {
+    for (from, to) in [
+        (
+            "crates/core/src/integrator.rs",
+            "crates/core/src/interpreter.rs",
+        ),
+        ("crates/mesh/src/pages.rs", "crates/mesh/src/alloc.rs"),
+        ("crates/comm/src/model.rs", "crates/comm/src/costs.rs"),
+    ] {
+        let mut files = workspace().to_vec();
+        let f = files.iter_mut().find(|f| f.0 == from).expect("in the tree");
+        f.0 = to.to_string();
+        let err = lint_files(&files).expect_err(from);
+        assert!(err.contains(from), "{err}");
+    }
+    let mut files = workspace().to_vec();
+    let f = files
+        .iter_mut()
+        .find(|f| f.0.ends_with("core/src/integrator.rs"));
+    let f = f.expect("in the tree");
+    f.1 = f.1.replace("pub fn capture(", "pub fn snapshot(");
+    let err = lint_files(&files).expect_err("capture renamed");
+    assert!(err.contains("integrator.rs::capture"), "{err}");
+    // and on disk: a checkout without the table's paths
+    let dir = std::env::temp_dir().join(format!("agcm-lint-fixture-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("crates/x/src")).expect("temp tree");
+    std::fs::write(dir.join("crates/x/src/lib.rs"), "pub fn f() {}\n").expect("temp file");
+    let files = read_tree(&dir).expect("read the temp tree");
+    std::fs::remove_dir_all(&dir).expect("remove the temp tree");
+    assert_eq!(files.len(), 1);
+    assert!(lint_files(&files).is_err());
 }

@@ -163,9 +163,9 @@ pub fn certify_yz(cfg: &ModelConfig, pgrid: ProcessGrid) -> Result<Certification
 /// The paper's evaluation rank counts.
 pub const PAPER_RANKS: [usize; 4] = [128, 256, 512, 1024];
 
-/// The Y-Z process grid used at a paper rank count (8 z-ranks as in §5.1,
-/// falling back to 2 at tiny p) — mirrors `agcm_bench::yz_grid`.  `Err`
-/// when `p` has no such grid (fewer than 2 ranks).
+/// The Y-Z process grid used at a paper rank count: 8 z-ranks as in §5.1
+/// (`p_z ≤ n_z/2`, and powers of two compose), falling back to 2 at tiny
+/// p.  `Err` when `p` has no such grid (fewer than 2 ranks).
 pub fn paper_yz_grid(p: usize) -> Result<ProcessGrid, String> {
     let pz = 8.min(p / 16).max(2);
     ProcessGrid::yz(p / pz, pz).map_err(|e| format!("no Y-Z grid of {p} ranks: {e}"))
