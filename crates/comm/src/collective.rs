@@ -45,7 +45,7 @@ impl ReduceOp {
 
 /// Balanced block partition (same convention as `agcm_mesh::decomp`): the
 /// first `n mod p` blocks get one extra element.
-fn block(n: usize, p: usize, r: usize) -> std::ops::Range<usize> {
+pub fn block(n: usize, p: usize, r: usize) -> std::ops::Range<usize> {
     let base = n / p;
     let rem = n % p;
     let start = r * base + r.min(rem);

@@ -46,12 +46,12 @@ pub struct Engine {
     pub filter: FourierFilter,
     /// Diagnostics / C-output cache.
     pub diag: Diag,
-    /// FFT tables and per-worker arenas of the local filter path, warmed
-    /// at this rank's circle length for the configured worker count (zero
-    /// steady-state allocation).
+    /// FFT tables and per-worker arenas of the polar filter, local or
+    /// transposed, warmed at the global circle length for the configured
+    /// worker count (no transform buffer grows in a step).
     fscratch: FilterScratch,
-    /// Per-worker row buffers of the tendency sweeps, warmed like
-    /// `fscratch`.
+    /// Per-worker row buffers of the tendency sweeps, warmed at this
+    /// rank's row length for the configured worker count.
     sscratch: SweepScratch,
     /// `active_j[j + active_off]` — whether local row `j` (including halo
     /// mirror rows) is polar-filter active; precomputed so the sweeps can
@@ -93,12 +93,10 @@ impl Engine {
         let active_j: Vec<bool> = (-active_off..geom.ny as isize + geom.halo.yp as isize)
             .map(|j| filter.is_active(filter_row(&geom, j)))
             .collect();
-        // one FFT arena per configured worker, warmed so the local filter
-        // is allocation-free from the first step
+        // one FFT arena per configured worker, warmed at the global circle
+        // length so the filter allocates no transform buffer in a step
         let mut fscratch = FilterScratch::new();
-        if px1 {
-            fscratch.warm(geom.nx, pool::workers());
-        }
+        fscratch.warm(geom.grid.nx(), pool::workers());
         let mut sscratch = SweepScratch::new();
         sscratch.warm(geom.nx, pool::workers());
         Engine {
@@ -370,13 +368,11 @@ pub(crate) fn filter_and_combine(
     // F̃ span; the distributed path's alltoallv inherits Phase::F
     let _f = obs::span_phase(obs::SpanKind::Op, obs::Phase::F, "filter");
     let done = |row: &mut [f64], id| upd.combine_filtered(row, id);
-    match fctx {
-        FilterCtx::Local => {
-            filter_local_then(geom, filter, out, region, fscratch, done);
-            Ok(())
-        }
-        FilterCtx::Distributed(xc) => filter_distributed_then(geom, filter, out, region, xc, done),
-    }
+    let FilterCtx::Distributed(xc) = fctx else {
+        filter_local_then(geom, filter, out, region, fscratch, done);
+        return Ok(());
+    };
+    filter_distributed_then(geom, filter, out, region, fscratch, xc, done)
 }
 
 #[cfg(test)]

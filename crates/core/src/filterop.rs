@@ -5,7 +5,8 @@
 //! latitude circles, so the filter is purely local (§4.2.1 — the whole
 //! point of the communication-avoiding algorithm's decomposition choice).
 //! Under the X-Y decomposition the circles are split and the transpose
-//! filter of `agcm-fft` runs on the x-axis communicator.
+//! filter of `agcm-fft` runs on the x-axis communicator.  Both paths run
+//! the same transform, [`FourierFilter::apply_rows_with`]'s batched kernel.
 
 use crate::geometry::{LocalGeometry, Region};
 use crate::pool::{self, PerWorker, MAX_WORKERS};
@@ -112,15 +113,18 @@ pub(crate) fn filter_local_then(
 }
 
 /// Filter a state in place on `region` when longitude circles are split
-/// over the ranks of `xcomm` — the X-Y-decomposition path (two `alltoallv`
-/// transposes per call, the communication Theorem 4.1 lower-bounds) — and
-/// hand every filtered row to `done` as the transposes' result is
-/// scattered back into it.
+/// over the ranks of `xcomm` (`p_x > 1`) — the X-Y-decomposition path (two
+/// `alltoallv` transposes per call, the communication Theorem 4.1
+/// lower-bounds) — and hand every filtered row to `done` as the
+/// transposes' result is scattered back into it.  The full circles a rank
+/// is assigned go through the first worker arena of `scratch`, sized for
+/// the global circle.
 pub(crate) fn filter_distributed_then(
     geom: &LocalGeometry,
     filter: &FourierFilter,
     state: &mut State,
     region: Region,
+    scratch: &mut FilterScratch,
     xcomm: &Communicator,
     done: impl Fn(&mut [f64], RowId),
 ) -> CommResult<()> {
@@ -141,7 +145,8 @@ pub(crate) fn filter_distributed_then(
             ids.push(id);
         }
     }
-    filter_rows_distributed(xcomm, geom.grid.nx(), &mut rows, &row_j, filter)?;
+    let worker = &mut scratch.worker(filter.nx());
+    filter_rows_distributed(xcomm, &mut rows, &row_j, filter, worker)?;
     // scatter the filtered rows back
     for (src, &id) in rows.chunks_exact(geom.nx).zip(&ids) {
         let row = state.row_mut(nx, id);
@@ -244,7 +249,9 @@ mod tests {
             let filter = build_filter(&geom, cfg.filter_cutoff_deg);
             let mut st = State::new(geom.nx, geom.ny, geom.nz, geom.halo);
             fill(&mut st, &geom, geom.sub.x.start);
-            filter_distributed_then(&geom, &filter, &mut st, geom.interior(), comm, |_, _| {})
+            let scratch = &mut FilterScratch::new();
+            let region = geom.interior();
+            filter_distributed_then(&geom, &filter, &mut st, region, scratch, comm, |_, _| {})
                 .unwrap();
             let mut out = Vec::new();
             for j in 0..geom.ny as isize {
@@ -257,7 +264,7 @@ mod tests {
                 for ii in 0..nxl {
                     let want = sref.phi.get((x0 + ii) as isize, j as isize, 0);
                     let got = vals[j * nxl + ii];
-                    assert!((got - want).abs() < 1e-9, "row {j} col {}", x0 + ii);
+                    assert_eq!(got.to_bits(), want.to_bits(), "row {j} col {}", x0 + ii);
                 }
             }
         }

@@ -9,41 +9,38 @@
 //! This module implements the standard **transpose** method: the ranks of
 //! an x-axis communicator exchange blocks (`alltoallv`) so that each rank
 //! temporarily owns a subset of *complete* circles, filters them locally
-//! with the serial kernel, and transposes back.  Two all-to-alls move
+//! through the batched kernel ([`FourierFilter::apply_rows_with`], the
+//! transform every step runs), and transposes back.  Two all-to-alls move
 //! (roughly) every value twice — matching the volume the X-Y baseline is
 //! charged in the cost model.
 
-use crate::filter::FourierFilter;
+use crate::filter::{FilterWorker, FourierFilter};
+use agcm_comm::collective::block;
 use agcm_comm::{CommResult, Communicator};
-
-/// Balanced block partition (same convention used across the workspace).
-fn block(n: usize, p: usize, r: usize) -> std::ops::Range<usize> {
-    let base = n / p;
-    let rem = n % p;
-    let start = r * base + r.min(rem);
-    start..start + base + usize::from(r < rem)
-}
 
 /// Filter a batch of latitude-circle rows that are split along x across the
 /// ranks of `comm`.
 ///
 /// * `comm` — the x-axis communicator; rank `q` owns the x-block
-///   `block(nx, p_x, q)` of every row,
-/// * `nx` — global circle length,
+///   `block(nx, p_x, q)` of every row, `nx = filter.nx()` the global
+///   circle length,
 /// * `rows` — this rank's data, row-major `[n_rows][nx_local]`,
 /// * `row_j` — global latitude index of each row (length `n_rows`, the same
 ///   on every rank of the communicator),
-/// * `filter` — the damping profiles.
+/// * `filter` — the damping profiles,
+/// * `worker` — transform buffers for circles of `nx` longitudes.
 ///
 /// All ranks of `comm` must call this collectively with consistent
-/// arguments.
+/// arguments.  Every filtered circle is bitwise
+/// [`FourierFilter::apply_row`]'s.
 pub fn filter_rows_distributed(
     comm: &Communicator,
-    nx: usize,
     rows: &mut [f64],
     row_j: &[usize],
     filter: &FourierFilter,
+    worker: &mut FilterWorker<'_>,
 ) -> CommResult<()> {
+    let nx = filter.nx();
     let px = comm.size();
     let q = comm.rank();
     let my_x = block(nx, px, q);
@@ -54,14 +51,6 @@ pub fn filter_rows_distributed(
         n_rows * nx_local,
         "rows buffer must be n_rows x nx_local"
     );
-    if px == 1 {
-        // full circles already local — the Y-Z fast path
-        for (r, &j) in row_j.iter().enumerate() {
-            filter.apply_row(j, &mut rows[r * nx..(r + 1) * nx]);
-        }
-        return Ok(());
-    }
-
     // ---- forward transpose: ship my x-block of rank s's assigned rows ----
     let send: Vec<Vec<f64>> = (0..px)
         .map(|s| {
@@ -87,9 +76,13 @@ pub fn filter_rows_distributed(
             full[m * nx + xs.start..m * nx + xs.end].copy_from_slice(&part[m * w..(m + 1) * w]);
         }
     }
-    for (m, r) in my_rows.clone().enumerate() {
-        filter.apply_row(row_j[r], &mut full[m * nx..(m + 1) * nx]);
-    }
+    filter.apply_rows_with(
+        full.as_mut_slice(),
+        my_rows.clone().enumerate().map(|(m, r)| (row_j[r], m)),
+        |full, m| &mut full[m * nx..(m + 1) * nx],
+        |_, _| {},
+        worker,
+    );
 
     // ---- reverse transpose: return each rank's x-block of my rows ----
     let send_back: Vec<Vec<f64>> = (0..px)
@@ -117,6 +110,7 @@ pub fn filter_rows_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::FilterScratch;
     use agcm_comm::Universe;
 
     fn latitudes(ny: usize) -> Vec<f64> {
@@ -138,7 +132,7 @@ mod tests {
         // rows map to polar latitudes so the filter actually does something
         let row_j: Vec<usize> = (0..n_rows).map(|r| r % 2 * (ny - 1)).collect();
 
-        // serial reference
+        // the oracle, circle by circle
         let filter = FourierFilter::with_default_cutoff(nx, &lats);
         let mut reference: Vec<Vec<f64>> = (0..n_rows)
             .map(|r| (0..nx).map(|i| val(r, i)).collect())
@@ -154,7 +148,9 @@ mod tests {
             let mut rows: Vec<f64> = (0..n_rows)
                 .flat_map(|r| xs.clone().map(move |i| val(r, i)))
                 .collect();
-            filter_rows_distributed(comm, nx, &mut rows, &row_j, &filter).unwrap();
+            let mut scratch = FilterScratch::new();
+            let worker = &mut scratch.worker(nx);
+            filter_rows_distributed(comm, &mut rows, &row_j, &filter, worker).unwrap();
             (xs, rows)
         });
 
@@ -164,9 +160,10 @@ mod tests {
                 for (c, i) in xs.clone().enumerate() {
                     let got = rows[r * w + c];
                     let want = reference[r][i];
-                    assert!(
-                        (got - want).abs() < 1e-9,
-                        "px={px} row={r} i={i}: {got} vs {want}"
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "px={px} row={r} i={i}: {got:e} vs {want:e}"
                     );
                 }
             }
@@ -211,7 +208,9 @@ mod tests {
             let row_j = vec![0usize; n_rows];
             let xs = block(nx, 2, comm.rank());
             let mut rows = vec![1.0; n_rows * xs.len()];
-            filter_rows_distributed(comm, nx, &mut rows, &row_j, &filter).unwrap();
+            let mut scratch = FilterScratch::new();
+            let worker = &mut scratch.worker(nx);
+            filter_rows_distributed(comm, &mut rows, &row_j, &filter, worker).unwrap();
             comm.stats().snapshot()
         });
         for s in results {

@@ -10,17 +10,18 @@
 //!
 //! * the **oracle** — [`dft_naive`], [`fft`]/[`ifft`], [`rfft`]/[`irfft`]:
 //!   the textbook formulation, allocating per call, every twiddle an inline
-//!   `cis`, every accumulate the full `zero + x·w` chain.  Nothing on the
-//!   stepping path calls it; tests compare against it bit for bit.
-//! * the **kernel** — `transform`: one allocation-free body, generic
-//!   over the element (one circle or `W` circles in lock-step), behind
-//!   the polar filter's batched sweep.
+//!   `cis`, every accumulate the full `zero + x·w` chain.  It is the tests'
+//!   reference, which they compare the kernel against bit for bit; no step
+//!   calls it (`agcm-lint`'s `one-transform-path` guard).
+//! * the **kernel** — `transform`: one allocation-free body over `W`
+//!   circles in lock-step, the only transform any step runs, behind the
+//!   polar filter's batched sweep on every decomposition.
 //!
 //! Conventions: forward transform `X[k] = Σ_j x[j]·e^{-2πi jk/n}` without
 //! normalization; the inverse carries the `1/n` factor, so
 //! `ifft(fft(x)) = x`.
 
-use crate::complex::{Complex, Cx};
+use crate::complex::{CLane, Complex};
 
 /// Naive O(n²) discrete Fourier transform — the testing oracle.
 /// `sign = -1.0` is forward, `+1.0` inverse-style (without normalization).
@@ -172,8 +173,7 @@ impl TwiddleCache {
 }
 
 /// The transform kernel — the one body every stepping-path transform runs,
-/// generic over the element: [`Complex`] for a single circle, `CLane` for
-/// [`crate::complex::W`] circles in lock-step.
+/// on [`crate::complex::W`] circles in lock-step (`CLane`).
 ///
 /// Computes the first `out.len()` coefficients of the DFT of the strided
 /// sequence `x[0], x[stride], x[2·stride], …` whose length and factor chain
@@ -189,14 +189,14 @@ impl TwiddleCache {
 /// `k mod m` and `(l·k) mod n` are maintained incrementally (wrap by reset
 /// / by subtraction).  And the first term of every accumulate, which the
 /// oracle evaluates as `zero + x·table[0]` with `table[0] = (1, ±0)`
-/// exactly, is evaluated as `x + 0.0` ([`Cx::unit`]).  A prime length
+/// exactly, is evaluated as `x + 0.0` (`CLane::unit`).  A prime length
 /// (`m = 1`) is the same combine reading the strided input directly — its
 /// one-point "subsequence transforms" are the input samples themselves.
-fn transform<C: Cx>(
-    x: &[C],
+fn transform(
+    x: &[CLane],
     stride: usize,
-    out: &mut [C],
-    arena: &mut [C],
+    out: &mut [CLane],
+    arena: &mut [CLane],
     tw: &TwiddleCache,
     chain: &[Level],
 ) {
@@ -238,14 +238,14 @@ fn transform<C: Cx>(
 /// The combine of [`transform`]: `out[k] = Σ_l src[l·step + k mod m] ·
 /// table[(l·k) mod n]` for `l ∈ 0..r`, in that order.
 #[inline(always)]
-fn combine<C: Cx>(
-    src: &[C],
+fn combine(
+    src: &[CLane],
     step: usize,
     m: usize,
     n: usize,
     r: usize,
     table: &[Complex],
-    out: &mut [C],
+    out: &mut [CLane],
 ) {
     let mut km = 0usize; // k mod m
     for (k, o) in out.iter_mut().enumerate() {
@@ -268,31 +268,31 @@ fn combine<C: Cx>(
     }
 }
 
-/// Staging input, transform output and recursion arena of one worker, for
-/// one element type.  Steady-state transforms at a fixed length perform no
-/// heap allocation: the buffers are grown once and reused.
+/// Staging input, transform output and recursion arena of one worker.
+/// Steady-state transforms at a fixed length perform no heap allocation:
+/// the buffers are grown once and reused.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Buffers<C> {
-    /// Full-length staging input (complexified signal / mirrored spectrum).
-    pub(crate) a: Vec<C>,
+pub(crate) struct Buffers {
+    /// Full-length staging input (complexified signals / mirrored spectra).
+    pub(crate) a: Vec<CLane>,
     /// Full-length transform output.
-    pub(crate) b: Vec<C>,
+    pub(crate) b: Vec<CLane>,
     /// Recursion arena (`2n`).
-    arena: Vec<C>,
+    arena: Vec<CLane>,
 }
 
-impl<C: Cx> Buffers<C> {
+impl Buffers {
     /// Size for length-`n` transforms.  `a` and `b` are fully overwritten
     /// before being read and stale arena slots are written before the
     /// combine reads them, so a same-length reuse is a single compare.
     pub(crate) fn size(&mut self, n: usize) {
         if self.a.len() != n {
             self.a.clear();
-            self.a.resize(n, C::default());
+            self.a.resize(n, CLane::default());
             self.b.clear();
-            self.b.resize(n, C::default());
+            self.b.resize(n, CLane::default());
             self.arena.clear();
-            self.arena.resize(2 * n, C::default());
+            self.arena.resize(2 * n, CLane::default());
         }
     }
 
@@ -360,6 +360,7 @@ pub fn irfft(spectrum: &[Complex], n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::W;
 
     fn assert_close(a: &[Complex], b: &[Complex], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -495,43 +496,61 @@ mod tests {
         c.iter().flat_map(|c| [c.re, c.im]).collect()
     }
 
+    /// Slot `s` of each lane, as one complex sequence.
+    fn slot(lanes: &[CLane], s: usize) -> Vec<Complex> {
+        lanes
+            .iter()
+            .map(|c| Complex::new(c.re[s], c.im[s]))
+            .collect()
+    }
+
     #[test]
     fn kernel_bitwise_matches_oracle() {
         // smooth, prime and mixed lengths (24 is the test mesh circle, 180
         // the mid mesh's, 720 the paper's); data with planted ±0 so the
-        // unit-twiddle reduction meets the signed zeros it must preserve.
-        // The kernel's `Complex` instantiation, one signal at a time
-        let mut bufs = Buffers::<Complex>::default();
+        // unit-twiddle reduction meets the signed zeros it must preserve,
+        // a different signal in every slot
+        let mut bufs = Buffers::default();
         let mut tw = TwiddleCache::default();
         for n in [1usize, 2, 3, 5, 7, 9, 12, 23, 24, 30, 34, 64, 97, 180, 720] {
-            let x: Vec<f64> = (0..n)
-                .map(|i| match (i * i * 31 + 5) % 23 {
-                    0 => 0.0,
-                    1 => -0.0,
-                    v => v as f64 - 11.0,
+            let x: Vec<Vec<f64>> = (0..W)
+                .map(|s| {
+                    (0..n)
+                        .map(|i| match (i * i * 31 + 7 * s + 5) % 23 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            v => v as f64 - 11.0,
+                        })
+                        .collect()
                 })
                 .collect();
             // forward: only the half spectrum is kept, so only it is combined
             let half = n / 2 + 1;
             bufs.size(n);
             tw.ensure(n, -1.0);
-            for (a, &v) in bufs.a.iter_mut().zip(&x) {
-                *a = Complex::from(v);
+            for (s, xs) in x.iter().enumerate() {
+                for (a, &v) in bufs.a.iter_mut().zip(xs) {
+                    a.set_real(s, v);
+                }
             }
             bufs.run(&tw, -1.0, half);
-            let spec = bufs.b[..half].to_vec();
-            let want_spec = rfft(&x);
-            assert_bits(&flat(&spec), &flat(&want_spec), &format!("rfft n={n}"));
+            let want_spec: Vec<Vec<Complex>> = x.iter().map(|xs| rfft(xs)).collect();
+            for (s, want) in want_spec.iter().enumerate() {
+                let spec = slot(&bufs.b[..half], s);
+                assert_bits(&flat(&spec), &flat(want), &format!("rfft n={n} slot {s}"));
+            }
             // inverse: the half spectrum mirrored into the full one
             tw.ensure(n, 1.0);
-            bufs.a[..half].copy_from_slice(&spec);
+            bufs.a[..half].copy_from_slice(&bufs.b[..half]);
             for k in half..n {
-                bufs.a[k] = spec[n - k].conj();
+                bufs.a[k] = bufs.a[n - k].conj();
             }
             bufs.run(&tw, 1.0, n);
-            let s = 1.0 / n as f64;
-            let back: Vec<f64> = bufs.b.iter().map(|c| c.scale(s).re).collect();
-            assert_bits(&back, &irfft(&want_spec, n), &format!("irfft n={n}"));
+            let inv = 1.0 / n as f64;
+            for (s, want) in want_spec.iter().enumerate() {
+                let back: Vec<f64> = bufs.b.iter().map(|c| c.re[s] * inv).collect();
+                assert_bits(&back, &irfft(want, n), &format!("irfft n={n} slot {s}"));
+            }
         }
     }
 
@@ -552,12 +571,18 @@ mod tests {
                     let x = Complex::new(re, im);
                     let mut full = Complex::zero();
                     full += x * table0;
-                    let reduced = x.unit();
-                    assert_eq!(
-                        (full.re.to_bits(), full.im.to_bits()),
-                        (reduced.re.to_bits(), reduced.im.to_bits()),
-                        "x = {x:?}, table[0] = {table0:?}"
-                    );
+                    let reduced = CLane {
+                        re: [re; W],
+                        im: [im; W],
+                    }
+                    .unit();
+                    for s in 0..W {
+                        assert_eq!(
+                            (full.re.to_bits(), full.im.to_bits()),
+                            (reduced.re[s].to_bits(), reduced.im[s].to_bits()),
+                            "x = {x:?}, table[0] = {table0:?}"
+                        );
+                    }
                 }
             }
         }

@@ -18,7 +18,7 @@
 //! communication along x that the paper's Theorem 4.1 bounds from below —
 //! and that the Y-Z decomposition (`p_x = 1`) eliminates entirely (§4.2.1).
 
-use crate::complex::{CLane, Complex, Cx, W};
+use crate::complex::{Complex, W};
 use crate::fft::{irfft, rfft, Buffers, TwiddleCache};
 
 /// Reusable buffers for allocation-free row filtering: the twiddle tables
@@ -31,15 +31,7 @@ use crate::fft::{irfft, rfft, Buffers, TwiddleCache};
 #[derive(Debug, Clone, Default)]
 pub struct FilterScratch {
     tw: TwiddleCache,
-    arenas: Vec<Arena>,
-}
-
-/// One worker's transform buffers: `W` circles in lock-step, and a single
-/// circle for the row API and the ragged tail of a batch stream.
-#[derive(Debug, Clone, Default)]
-struct Arena {
-    lanes: Buffers<CLane>,
-    one: Buffers<Complex>,
+    arenas: Vec<Buffers>,
 }
 
 /// One worker's share of a [`FilterScratch`]: the shared tables plus its
@@ -47,7 +39,7 @@ struct Arena {
 #[derive(Debug)]
 pub struct FilterWorker<'a> {
     tw: &'a TwiddleCache,
-    arena: &'a mut Arena,
+    arena: &'a mut Buffers,
 }
 
 impl FilterScratch {
@@ -65,11 +57,10 @@ impl FilterScratch {
         self.tw.ensure(nx, -1.0);
         self.tw.ensure(nx, 1.0);
         if self.arenas.len() < n {
-            self.arenas.resize_with(n, Arena::default);
+            self.arenas.resize_with(n, Buffers::default);
         }
         for arena in &mut self.arenas[..n] {
-            arena.lanes.size(nx);
-            arena.one.size(nx);
+            arena.size(nx);
         }
     }
 
@@ -93,42 +84,48 @@ impl FilterScratch {
     }
 }
 
-/// Filter the `C::SLOTS` circles `rows[s] = (damping profile, key)` of
+/// Filter the first `live` circles `batch[s] = (damping profile, key)` of
 /// `store` in lock-step: load, forward transform (half spectrum only),
 /// damp and mirror, inverse transform, store the real parts and hand each
 /// stored circle to `done`.  Slot for slot the arithmetic of the oracle
-/// [`FourierFilter::apply_row`].
-fn filter_rows<C: Cx, S: ?Sized, K: Copy>(
-    bufs: &mut Buffers<C>,
+/// [`FourierFilter::apply_row`].  The slots past `live` transform zeros
+/// (under whatever profile they carry) and are never stored.
+fn filter_rows<S: ?Sized, K: Copy>(
+    bufs: &mut Buffers,
     tw: &TwiddleCache,
     store: &mut S,
-    rows: &[(&[f64], K)],
+    batch: &[(&[f64], K); W],
+    live: usize,
     row_of: &impl for<'a> Fn(&'a mut S, K) -> &'a mut [f64],
     done: &impl Fn(&mut [f64], K),
 ) {
-    debug_assert_eq!(rows.len(), C::SLOTS);
     let n = bufs.a.len();
-    for (s, &(_, key)) in rows.iter().enumerate() {
+    for (s, &(_, key)) in batch[..live].iter().enumerate() {
         let row = row_of(store, key);
         assert_eq!(row.len(), n, "row must span the full circle");
         for (a, &v) in bufs.a.iter_mut().zip(&*row) {
             a.set_real(s, v);
         }
     }
+    for s in live..W {
+        for a in &mut bufs.a {
+            a.set_real(s, 0.0);
+        }
+    }
     let half = n / 2;
     bufs.run(tw, -1.0, half + 1);
     for k in 0..=half {
-        bufs.a[k] = bufs.b[k].scale_by(|s| rows[s].0[k]);
+        bufs.a[k] = bufs.b[k].scale_by(|s| batch[s].0[k]);
     }
     for k in half + 1..n {
         bufs.a[k] = bufs.a[n - k].conj();
     }
     bufs.run(tw, 1.0, n);
     let inv = 1.0 / n as f64;
-    for (s, &(_, key)) in rows.iter().enumerate() {
+    for (s, &(_, key)) in batch[..live].iter().enumerate() {
         let row = row_of(store, key);
         for (o, b) in row.iter_mut().zip(&bufs.b) {
-            *o = b.re(s) * inv;
+            *o = b.re[s] * inv;
         }
         done(row, key);
     }
@@ -217,7 +214,8 @@ impl FourierFilter {
         row.copy_from_slice(&out);
     }
 
-    /// Filter one latitude circle in place using reusable buffers.
+    /// Filter one latitude circle in place using reusable buffers: a batch
+    /// of [`FourierFilter::apply_rows_with`] with one live slot.
     ///
     /// Bitwise-identical to [`FourierFilter::apply_row`]; performs no heap
     /// allocation once `scratch` has warmed up at this `nx`.
@@ -231,10 +229,10 @@ impl FourierFilter {
     ///
     /// `rows` yields `(j, key)` — the profile row and whatever `row_of`
     /// needs to find the circle in `store`; identity rows are skipped.
-    /// Full batches run the transform kernel on `W` circles in lock-step
+    /// Every batch runs the transform kernel on `W` circles in lock-step
     /// (each slot with its own row's damping profile, so a batch may mix
-    /// latitudes and fields), the ragged tail one circle at a time.  Either
-    /// way every circle comes out bitwise identical to
+    /// latitudes and fields); the ragged tail is a batch with fewer live
+    /// slots.  Every circle comes out bitwise identical to
     /// [`FourierFilter::apply_row`], in any order and any batch position.
     /// `done(row, key)` runs on each filtered circle as soon as it is
     /// stored, while it is cache-hot; identity rows never reach it.
@@ -252,20 +250,13 @@ impl FourierFilter {
             .filter_map(|(j, key)| Some((self.damping[j].as_deref()?, key)));
         while let Some(first) = active.next() {
             let mut batch = [first; W];
-            let mut fill = 1;
+            let mut live = 1;
             for slot in &mut batch[1..] {
                 let Some(next) = active.next() else { break };
                 *slot = next;
-                fill += 1;
+                live += 1;
             }
-            if fill == W {
-                filter_rows(&mut arena.lanes, tw, store, &batch, &row_of, &done);
-            } else {
-                for row in &batch[..fill] {
-                    let one = std::slice::from_ref(row);
-                    filter_rows(&mut arena.one, tw, store, one, &row_of, &done);
-                }
-            }
+            filter_rows(arena, tw, store, &batch, live, &row_of, &done);
         }
     }
 }
@@ -482,8 +473,8 @@ mod tests {
     fn batched_filter_is_bitwise_the_oracle() {
         // every length class (prime, prime power, smooth, the three mesh
         // circles); active-row counts on both sides of every multiple of W,
-        // so full batches fill every slot position and the ragged tail takes
-        // the one-circle instantiation; the four active latitudes of the
+        // so full batches fill every slot position and the ragged tail runs
+        // with fewer live slots; the four active latitudes of the
         // 18-row profile cycle through the slots (per-slot damping) with an
         // identity row after every third active one
         let lats = latitudes(18);
@@ -529,7 +520,7 @@ mod tests {
             for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 for at in [0, n / 2, n - 1] {
                     // a full batch (lanes; the poisoned row in slot 2 must
-                    // not leak into its neighbours) and a single row (scalar)
+                    // not leak into its neighbours) and a single live slot
                     for count in [W, 1] {
                         let bad = 2 % count;
                         let mut rows: Vec<Vec<f64>> = (0..count)

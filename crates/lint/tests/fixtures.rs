@@ -848,6 +848,23 @@ fn one_trace_check_refuses_the_feature_and_the_figures_subcommand() {
     assert!(fired(&v, key), "{v:?}");
 }
 
+/// The X-Y transpose filter on the allocating oracle — the path it ran
+/// before it went through the batched kernel.
+#[test]
+fn one_transform_path_keeps_the_oracle_in_tests() {
+    let (key, rel) = ("one-transform-path", "crates/fft/src/distributed.rs");
+    let call = "fn f(filter: &FourierFilter, row: &mut [f64]) { filter.apply_row(0, row); }";
+    fails(key, rel, call);
+    fails(
+        key,
+        "crates/core/src/filterop.rs",
+        "fn g(x: &[f64]) -> usize { agcm_fft::irfft(&agcm_fft::rfft(x), x.len()).len() }",
+    );
+    // a test compares against it, and the oracle's own files define it
+    passes(key, rel, &format!("#[cfg(test)]\nmod more {{ {call} }}"));
+    passes(key, "crates/fft/src/filter.rs", call);
+}
+
 #[test]
 fn one_unsafe_block_under_its_safety_line() {
     let key = "one-unsafe";
