@@ -131,9 +131,10 @@ pub(crate) fn filter_distributed_then(
     let nx = geom.nx as isize;
     // collect the active rows of all components into one batch so a single
     // pair of transposes carries the whole state (one "communication")
-    // the zero-alloc stepping guarantee covers the Y-Z path (filtering is
-    // local there); this X-Y transpose batch grows to its high-water mark
-    // and the alltoallv buffers behind it are pooled: lint:allow(alloc)
+    // the zero-alloc stepping guarantee covers the Y-Z path only (filtering
+    // is local there).  This X-Y transpose batch is three fresh `Vec`s a
+    // call, and `fft::filter_rows_distributed` allocates its send, receive
+    // and full-circle buffers a call too: lint:allow(alloc)
     let mut rows: Vec<f64> = Vec::new(); // lint:allow(alloc)
     let mut row_j: Vec<usize> = Vec::new(); // lint:allow(alloc)
     let mut ids: Vec<RowId> = Vec::new(); // lint:allow(alloc)

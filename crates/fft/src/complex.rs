@@ -171,13 +171,6 @@ impl CLane {
         self
     }
 
-    /// Put the real sample `v` into `slot` (imaginary part zero).
-    #[inline(always)]
-    pub(crate) fn set_real(&mut self, slot: usize, v: f64) {
-        self.re[slot] = v;
-        self.im[slot] = 0.0;
-    }
-
     /// Multiply slot `s` by the real factor `d(s)`.
     #[inline(always)]
     pub(crate) fn scale_by(mut self, d: impl Fn(usize) -> f64) -> Self {

@@ -15,13 +15,20 @@
 //!   calls it (`agcm-lint`'s `one-transform-path` guard).
 //! * the **kernel** — `transform`: one allocation-free body over `W`
 //!   circles in lock-step, the only transform any step runs, behind the
-//!   polar filter's batched sweep on every decomposition.
+//!   polar filter's batched sweep on every decomposition.  Two adjacent
+//!   radix-2 levels of the factor chain run as one *paired* pass (720 =
+//!   2·2 | 2·2 | 3 | 3 | 5), which never stores the inner level's
+//!   sub-transforms; every other level is a single-level pass.  Both
+//!   evaluate each coefficient with the oracle's expressions, in its
+//!   order, from the same table entries, so the kernel is bit for bit the
+//!   oracle.  ("Paired", not "fused": no multiply-add is ever fused, see
+//!   `complex::tests::mul_acc_is_never_fused`.)
 //!
 //! Conventions: forward transform `X[k] = Σ_j x[j]·e^{-2πi jk/n}` without
 //! normalization; the inverse carries the `1/n` factor, so
 //! `ifft(fft(x)) = x`.
 
-use crate::complex::{CLane, Complex};
+use crate::complex::{CLane, Complex, W};
 
 /// Naive O(n²) discrete Fourier transform — the testing oracle.
 /// `sign = -1.0` is forward, `+1.0` inverse-style (without normalization).
@@ -42,21 +49,10 @@ pub fn dft_naive(x: &[Complex], sign: f64) -> Vec<Complex> {
     out
 }
 
-/// Smallest prime factor of `n` (n ≥ 2).
+/// Smallest prime factor of `n` (n ≥ 2): its smallest divisor above 1.
 fn smallest_factor(n: usize) -> usize {
-    for r in [2usize, 3, 5, 7, 11, 13] {
-        if n.is_multiple_of(r) {
-            return r;
-        }
-    }
-    let mut r = 17;
-    while r * r <= n {
-        if n.is_multiple_of(r) {
-            return r;
-        }
-        r += 2;
-    }
-    n
+    let mut divisors = (2..).take_while(|r| r * r <= n);
+    divisors.find(|&r| n.is_multiple_of(r)).unwrap_or(n)
 }
 
 /// Recursive mixed-radix transform, oracle formulation.
@@ -179,19 +175,33 @@ impl TwiddleCache {
 /// sequence `x[0], x[stride], x[2·stride], …` whose length and factor chain
 /// `chain` describes (a caller that keeps only the half spectrum asks for
 /// `n/2 + 1` outputs; recursive calls always ask for all).  `arena` is
-/// recursion scratch, `2n` elements suffice: each level parks its `r`
+/// recursion scratch, `2n` elements suffice: each pass parks its
 /// transformed subsequences in the first `n` slots and recurses into the
 /// remainder (`n + n/2 + n/4 + … < 2n`).
 ///
+/// **Paired levels.** Where the next two levels of the chain are both of
+/// radix 2, one pass does both ([`paired`]): it decimates by 4 at once,
+/// recurses into the four sub-subsequences, and evaluates the inner
+/// level's sub-transforms on the way to the outer level's outputs without
+/// storing them to the arena (720 = 2·2 | 2·2 | 3 | 3 | 5: five passes,
+/// not seven).  Any other level (an odd radix-2 one, radix 3 and up, the
+/// prime leaf) is a single-level pass ([`combine`]).  A 3·3 pair, nine
+/// sub-sub lanes at a time, measured slower than its two single levels
+/// on the AVX-512 bench host (EXPERIMENTS.md "Two transform levels a
+/// pass"), so it is not taken.
+///
 /// Bitwise identical to the oracle [`fft_rec`] for finite data: same
 /// decimation, same table entries (see [`TwiddleCache`]), same accumulation
-/// order.  Two things differ, neither in a rounded operation.  The indices
-/// `k mod m` and `(l·k) mod n` are maintained incrementally (wrap by reset
-/// / by subtraction).  And the first term of every accumulate, which the
-/// oracle evaluates as `zero + x·table[0]` with `table[0] = (1, ±0)`
-/// exactly, is evaluated as `x + 0.0` (`CLane::unit`).  A prime length
-/// (`m = 1`) is the same combine reading the strided input directly — its
-/// one-point "subsequence transforms" are the input samples themselves.
+/// order — a paired pass computes every inner and outer coefficient with
+/// the same expression as two single-level passes would, and an
+/// intermediate it never stores is the same `f64` a stored one would be.
+/// Two things differ, neither in a rounded operation.  The indices
+/// `k mod m` and `(l·k) mod n` are walked instead of computed.  And the
+/// first term of every accumulate, which the oracle evaluates as
+/// `zero + x·table[0]` with `table[0] = (1, ±0)` exactly, is evaluated as
+/// `x + 0.0` (`CLane::unit`).  Where the subsequences have length one (a
+/// prime leaf, or a pair whose inner level is the leaf) the pass reads the
+/// strided input directly — the one-point transforms are the input samples.
 fn transform(
     x: &[CLane],
     stride: usize,
@@ -206,74 +216,137 @@ fn transform(
         return;
     };
     let table = tw.tables[table].2.as_slice();
-    let m = n / r;
-    // sub l is the strided sequence starting at x[l·stride] with stride
-    // r·stride; the transformed subs land contiguously in the arena
+    let inner = deeper.first().filter(|inner| r == 2 && inner.r == 2);
+    let (subs_n, deeper) = match inner {
+        Some(_) => (4, &deeper[1..]),
+        None => (r, deeper),
+    };
+    let m = n / subs_n;
+    // sub s is the strided sequence starting at x[s·stride] with stride
+    // subs_n·stride; the transformed subs land contiguously in the arena
     let (src, step) = if m == 1 {
         (x, stride)
     } else {
         let (subs, rest) = arena.split_at_mut(n);
-        for l in 0..r {
-            transform(
-                &x[l * stride..],
-                r * stride,
-                &mut subs[l * m..(l + 1) * m],
-                rest,
-                tw,
-                deeper,
-            );
+        for (s, sub) in subs.chunks_exact_mut(m).enumerate() {
+            transform(&x[s * stride..], subs_n * stride, sub, rest, tw, deeper);
         }
         (&*subs, m)
     };
-    // the radices smooth lengths are made of get the combine with `r` a
-    // compile-time constant (the `l` loop unrolls); same body, same order
+    if let Some(inner) = inner {
+        return paired(src, step, m, [table, &tw.tables[inner.table].2], out);
+    }
+    // the radices smooth lengths are made of get the pass with `r` a
+    // compile-time constant (the loops over it unroll); same body, same order
     match r {
-        2 => combine(src, step, m, n, 2, table, out),
-        3 => combine(src, step, m, n, 3, table, out),
-        5 => combine(src, step, m, n, 5, table, out),
-        _ => combine(src, step, m, n, r, table, out),
+        2 => combine::<2>(src, step, m, 2, table, out),
+        3 => combine::<3>(src, step, m, 3, table, out),
+        5 => combine::<5>(src, step, m, 5, table, out),
+        _ => combine::<0>(src, step, m, r, table, out),
     }
 }
 
-/// The combine of [`transform`]: `out[k] = Σ_l src[l·step + k mod m] ·
-/// table[(l·k) mod n]` for `l ∈ 0..r`, in that order.
+/// A single-level pass of [`transform`]: `out[k] = Σ_l src[l·step + k mod
+/// m] · table[(l·k) mod n]` for `l ∈ 0..r`, in that order.  It walks each
+/// `kk = k mod m` once: a radix `r = R` loads its `r` inputs into
+/// registers once and emits the `r` outputs `k = kk + t·m` that share
+/// them; a larger prime (`R = 0`, adversarial lengths only) reads them in
+/// place.
 #[inline(always)]
-fn combine(
+fn combine<const R: usize>(
     src: &[CLane],
     step: usize,
     m: usize,
-    n: usize,
     r: usize,
     table: &[Complex],
     out: &mut [CLane],
 ) {
-    let mut km = 0usize; // k mod m
-    for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = src[km].unit();
-        let mut idx = k; // (l·k) mod n, stepped by k per l
-        let mut off = km + step; // l·step + (k mod m), stepped by step per l
-        for _ in 1..r {
-            acc = acc.mul_acc(src[off], table[idx]);
-            off += step;
-            idx += k;
-            if idx >= n {
-                idx -= n;
-            }
+    for kk in 0..m {
+        let mut v = [CLane::default(); R];
+        for (l, v) in v.iter_mut().enumerate() {
+            *v = src[kk + l * step];
         }
-        *o = acc;
-        km += 1;
-        if km == m {
-            km = 0;
+        let (v, first, step) = if R == r {
+            (&v[..], 0, 1)
+        } else {
+            (src, kk, step)
+        };
+        for t in 0..r {
+            let k = kk + t * m;
+            if k >= out.len() {
+                break;
+            }
+            out[k] = dot(v, first, step, r, k, table);
         }
     }
 }
 
-/// Staging input, transform output and recursion arena of one worker.
-/// Steady-state transforms at a fixed length perform no heap allocation:
-/// the buffers are grown once and reused.
+/// A paired pass of [`transform`]: two radix-2 levels, the outer one of
+/// length `n = 4·m2` over two subs of length `m = 2·m2`, each over two
+/// sub-subs of length `m2`; `tables` are the two levels' tables, outer
+/// first.
+/// Sub-sub `(l, q)` — the `q`-th decimation of the outer level's sub `l` —
+/// starts at `x[(l + 2q)·stride]`, so it is at `src[(l + 2q)·step + kk]`.
+///
+/// For each `kk < m2` the pass loads the four sub-sub values at `kk`
+/// once, evaluates the two coefficients `k' = kk + t·m2` of both subs
+/// from them (the inner level) into `mid[t][l]`, and from those the four
+/// outputs `k = k' + u·m` below `out.len()` (the outer level).  Both are
+/// the single-level pass's sum, in its order, from the same table entries.
+#[inline(always)]
+fn paired(src: &[CLane], step: usize, m2: usize, tables: [&[Complex]; 2], out: &mut [CLane]) {
+    let [outer, inner] = tables;
+    let m = inner.len();
+    for kk in 0..m2 {
+        let mut ss = [CLane::default(); 4];
+        for (s, v) in ss.iter_mut().enumerate() {
+            *v = src[s * step + kk];
+        }
+        let mut mid = [[CLane::default(); 2]; 2];
+        for (t, mid) in mid.iter_mut().enumerate() {
+            for (l, sub) in mid.iter_mut().enumerate() {
+                *sub = dot(&ss, l, 2, 2, kk + t * m2, inner);
+            }
+        }
+        for (t, mid) in mid.iter().enumerate() {
+            for k in [kk + t * m2, kk + t * m2 + m] {
+                if k < out.len() {
+                    out[k] = dot(mid, 0, 1, 2, k, outer);
+                }
+            }
+        }
+    }
+}
+
+/// Coefficient `k` of one level: `Σ_l src[first + l·step] · table[(l·k)
+/// mod n]` for `l ∈ 0..r`, `n = table.len()`, the first term `unit` and
+/// the index `(l·k) mod n` stepped by `k` and wrapped by subtraction.
+#[inline(always)]
+fn dot(src: &[CLane], first: usize, step: usize, r: usize, k: usize, table: &[Complex]) -> CLane {
+    let mut acc = src[first].unit();
+    let (mut off, mut idx) = (first + step, k);
+    for _ in 1..r {
+        acc = acc.mul_acc(src[off], table[idx]);
+        off += step;
+        idx += k;
+        if idx >= table.len() {
+            idx -= table.len();
+        }
+    }
+    acc
+}
+
+/// Staging tile, transform input and output and recursion arena of one
+/// worker.  Steady-state transforms at a fixed length perform no heap
+/// allocation: the buffers are grown once and reused.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Buffers {
-    /// Full-length staging input (complexified signals / mirrored spectra).
+    /// Slot-major staging tile, `W` circles of `n` samples back to back
+    /// (`W·n` f64, 45 KiB at `n = 720`): the filter copies circles in and
+    /// out of it whole and moves it to and from lanes in one pass over
+    /// `a` / `b`, instead of `W` strided passes, one a circle.
+    pub(crate) tile: Vec<f64>,
+    /// Full-length transform input (complexified signals / mirrored spectra).
     pub(crate) a: Vec<CLane>,
     /// Full-length transform output.
     pub(crate) b: Vec<CLane>,
@@ -282,11 +355,13 @@ pub(crate) struct Buffers {
 }
 
 impl Buffers {
-    /// Size for length-`n` transforms.  `a` and `b` are fully overwritten
-    /// before being read and stale arena slots are written before the
-    /// combine reads them, so a same-length reuse is a single compare.
+    /// Size for length-`n` transforms.  Every buffer is fully overwritten
+    /// before being read and stale arena slots are written before a pass
+    /// reads them, so a same-length reuse is a single compare.
     pub(crate) fn size(&mut self, n: usize) {
         if self.a.len() != n {
+            self.tile.clear();
+            self.tile.resize(W * n, 0.0);
             self.a.clear();
             self.a.resize(n, CLane::default());
             self.b.clear();
@@ -360,7 +435,6 @@ pub fn irfft(spectrum: &[Complex], n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::W;
 
     fn assert_close(a: &[Complex], b: &[Complex], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -507,12 +581,22 @@ mod tests {
     #[test]
     fn kernel_bitwise_matches_oracle() {
         // smooth, prime and mixed lengths (24 is the test mesh circle, 180
-        // the mid mesh's, 720 the paper's); data with planted ±0 so the
+        // the mid mesh's, 720 the paper's, 1440 a finer mesh's), and every
+        // pass shape: a radix-2 pair cut to the half spectrum at the top
+        // (4, 8, 16, 48), pairs back to back (16, 48, 720, 1440), an odd
+        // radix-2 level left between a pair and the odd radices (8, 24,
+        // 360, 1440), a pair directly above a prime leaf (12, 20, 28) and
+        // one whose inner level is the leaf, reading the input (4),
+        // equal odd radices left single (9, 25, 27, 45) and single levels
+        // only (6, 10, 15, 18, 30, 34, 90); data with planted ±0 so the
         // unit-twiddle reduction meets the signed zeros it must preserve,
         // a different signal in every slot
         let mut bufs = Buffers::default();
         let mut tw = TwiddleCache::default();
-        for n in [1usize, 2, 3, 5, 7, 9, 12, 23, 24, 30, 34, 64, 97, 180, 720] {
+        for n in [
+            1usize, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 18, 20, 23, 24, 25, 27, 28, 30, 34, 36,
+            45, 48, 60, 64, 90, 97, 180, 360, 720, 1440,
+        ] {
             let x: Vec<Vec<f64>> = (0..W)
                 .map(|s| {
                     (0..n)
@@ -528,10 +612,11 @@ mod tests {
             let half = n / 2 + 1;
             bufs.size(n);
             tw.ensure(n, -1.0);
-            for (s, xs) in x.iter().enumerate() {
-                for (a, &v) in bufs.a.iter_mut().zip(xs) {
-                    a.set_real(s, v);
-                }
+            for (i, a) in bufs.a.iter_mut().enumerate() {
+                *a = CLane {
+                    re: std::array::from_fn(|s| x[s][i]),
+                    im: [0.0; W],
+                };
             }
             bufs.run(&tw, -1.0, half);
             let want_spec: Vec<Vec<Complex>> = x.iter().map(|xs| rfft(xs)).collect();

@@ -84,50 +84,62 @@ impl FilterScratch {
     }
 }
 
-/// Filter the first `live` circles `batch[s] = (damping profile, key)` of
-/// `store` in lock-step: load, forward transform (half spectrum only),
-/// damp and mirror, inverse transform, store the real parts and hand each
-/// stored circle to `done`.  Slot for slot the arithmetic of the oracle
-/// [`FourierFilter::apply_row`].  The slots past `live` transform zeros
-/// (under whatever profile they carry) and are never stored.
-fn filter_rows<S: ?Sized, K: Copy>(
+/// Copy the `live` circles into the staging tile whole (zeros in the
+/// slots past them), then the tile into the transform input's lanes in
+/// one pass, imaginary parts zero.
+fn load<S: ?Sized, K: Copy>(
     bufs: &mut Buffers,
-    tw: &TwiddleCache,
     store: &mut S,
-    batch: &[(&[f64], K); W],
-    live: usize,
+    live: &[(&[f64], K)],
+    row_of: &impl for<'a> Fn(&'a mut S, K) -> &'a mut [f64],
+) {
+    let n = bufs.a.len();
+    for (circle, &(_, key)) in bufs.tile.chunks_exact_mut(n).zip(live) {
+        let row = row_of(store, key);
+        assert_eq!(row.len(), n, "row must span the full circle");
+        circle.copy_from_slice(row);
+    }
+    bufs.tile[live.len() * n..].fill(0.0);
+    for (i, a) in bufs.a.iter_mut().enumerate() {
+        a.re = std::array::from_fn(|s| bufs.tile[s * n + i]);
+        a.im = [0.0; W];
+    }
+}
+
+/// The inverse transform's real parts, `1/n`-scaled, into the tile in one
+/// pass, and from it back into the `live` circles whole, each handed to
+/// `done` once stored.
+fn store_back<S: ?Sized, K: Copy>(
+    bufs: &mut Buffers,
+    store: &mut S,
+    live: &[(&[f64], K)],
     row_of: &impl for<'a> Fn(&'a mut S, K) -> &'a mut [f64],
     done: &impl Fn(&mut [f64], K),
 ) {
-    let n = bufs.a.len();
-    for (s, &(_, key)) in batch[..live].iter().enumerate() {
+    let n = bufs.b.len();
+    let inv = 1.0 / n as f64;
+    for (i, b) in bufs.b.iter().enumerate() {
+        for (s, &re) in b.re.iter().enumerate() {
+            bufs.tile[s * n + i] = re * inv;
+        }
+    }
+    for (circle, &(_, key)) in bufs.tile.chunks_exact(n).zip(live) {
         let row = row_of(store, key);
-        assert_eq!(row.len(), n, "row must span the full circle");
-        for (a, &v) in bufs.a.iter_mut().zip(&*row) {
-            a.set_real(s, v);
-        }
+        row.copy_from_slice(circle);
+        done(row, key);
     }
-    for s in live..W {
-        for a in &mut bufs.a {
-            a.set_real(s, 0.0);
-        }
-    }
+}
+
+/// `a =` the half spectrum in `b` damped slot by slot with each circle's
+/// profile, mirrored into the full spectrum by conjugate symmetry.
+fn damp_and_mirror<K>(bufs: &mut Buffers, batch: &[(&[f64], K); W]) {
+    let n = bufs.a.len();
     let half = n / 2;
-    bufs.run(tw, -1.0, half + 1);
     for k in 0..=half {
         bufs.a[k] = bufs.b[k].scale_by(|s| batch[s].0[k]);
     }
     for k in half + 1..n {
         bufs.a[k] = bufs.a[n - k].conj();
-    }
-    bufs.run(tw, 1.0, n);
-    let inv = 1.0 / n as f64;
-    for (s, &(_, key)) in batch[..live].iter().enumerate() {
-        let row = row_of(store, key);
-        for (o, b) in row.iter_mut().zip(&bufs.b) {
-            *o = b.re[s] * inv;
-        }
-        done(row, key);
     }
 }
 
@@ -256,7 +268,17 @@ impl FourierFilter {
                 *slot = next;
                 live += 1;
             }
-            filter_rows(arena, tw, store, &batch, live, &row_of, &done);
+            // load, forward transform (half spectrum only), damp and
+            // mirror, inverse transform, store: slot for slot the
+            // arithmetic of the oracle `apply_row`; the slots past `live`
+            // transform zeros (under whatever profile they carry) and are
+            // never stored
+            let n = arena.a.len();
+            load(arena, store, &batch[..live], &row_of);
+            arena.run(tw, -1.0, n / 2 + 1);
+            damp_and_mirror(arena, &batch);
+            arena.run(tw, 1.0, n);
+            store_back(arena, store, &batch[..live], &row_of, &done);
         }
     }
 }
@@ -472,14 +494,17 @@ mod tests {
     #[test]
     fn batched_filter_is_bitwise_the_oracle() {
         // every length class (prime, prime power, smooth, the three mesh
-        // circles); active-row counts on both sides of every multiple of W,
-        // so full batches fill every slot position and the ragged tail runs
-        // with fewer live slots; the four active latitudes of the
-        // 18-row profile cycle through the slots (per-slot damping) with an
-        // identity row after every third active one
+        // circles, 360 and a finer mesh's 1440); active-row counts on both
+        // sides of every multiple of W, so full batches fill every slot
+        // position and the ragged tail runs with fewer live slots; the four
+        // active latitudes of the 18-row profile cycle through the slots
+        // (per-slot damping) with an identity row after every third active
+        // one
         let lats = latitudes(18);
         let mut seed = 0xF117E5u64;
-        for n in [2usize, 3, 5, 7, 9, 12, 23, 24, 30, 34, 64, 97, 180, 720] {
+        for n in [
+            2usize, 3, 5, 7, 9, 12, 23, 24, 30, 34, 64, 97, 180, 360, 720, 1440,
+        ] {
             let f = FourierFilter::with_default_cutoff(n, &lats);
             let counts: &[usize] = if n <= 97 {
                 &[1, W - 1, W, W + 1, 2 * W + 3, 3 * W]
@@ -515,7 +540,7 @@ mod tests {
         // no longer turns `inf` into `NaN` by itself, the other terms must
         let lats = latitudes(18);
         let mut seed = 7u64;
-        for n in [5usize, 24, 180] {
+        for n in [5usize, 24, 180, 720] {
             let f = FourierFilter::with_default_cutoff(n, &lats);
             for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 for at in [0, n / 2, n - 1] {
@@ -548,6 +573,78 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The batched filter's stages, timed one by one: load, forward, damp
+    /// and mirror, inverse and store, over the 455 batches of 8 polar
+    /// circles of one paper rank's `F` call (3 640 circles), nine sweeps at
+    /// each mesh circle.  Prints the median and best over the sweeps of
+    /// each stage's µs a batch; asserts the bits against the oracle, never
+    /// a time.  `cargo test --release -p agcm-fft --lib stage_probe --
+    /// --ignored --nocapture`
+    #[test]
+    #[ignore = "timing probe: prints µs a batch, asserts bits only"]
+    fn stage_probe() {
+        const BATCHES: usize = 455;
+        const SWEEPS: usize = 9;
+        const STAGES: [&str; 5] = ["load", "forward", "damp+mirror", "inverse", "store"];
+        fn circles<F: for<'a> Fn(&'a mut [f64], usize) -> &'a mut [f64]>(f: F) -> F {
+            f
+        }
+        let lats = latitudes(18);
+        let mut seed = 44u64;
+        println!("stage probe: µs a batch of {W} circles, median (best) of {SWEEPS} sweeps");
+        for n in [24usize, 180, 720] {
+            let f = FourierFilter::with_default_cutoff(n, &lats);
+            let rows = BATCHES * W;
+            let profile = |r: usize| f.damping[[0, 1, 16, 17][r % 4]].as_deref().unwrap();
+            let orig: Vec<f64> = (0..rows * n).map(|_| noise(&mut seed)).collect();
+            let mut data = orig.clone();
+            let mut scratch = FilterScratch::new();
+            let FilterWorker { tw, arena } = scratch.worker(n);
+            let row_of = circles(move |all, r| &mut all[r * n..(r + 1) * n]);
+            let mut secs = [[0.0f64; SWEEPS]; STAGES.len()];
+            for sweep in 0..SWEEPS {
+                data.copy_from_slice(&orig);
+                for b in 0..BATCHES {
+                    let batch = std::array::from_fn(|s| (profile(b * W + s), b * W + s));
+                    let mut t = [std::time::Instant::now(); STAGES.len() + 1];
+                    load(arena, data.as_mut_slice(), &batch, &row_of);
+                    t[1] = std::time::Instant::now();
+                    arena.run(tw, -1.0, n / 2 + 1);
+                    t[2] = std::time::Instant::now();
+                    damp_and_mirror(arena, &batch);
+                    t[3] = std::time::Instant::now();
+                    arena.run(tw, 1.0, n);
+                    t[4] = std::time::Instant::now();
+                    store_back(arena, data.as_mut_slice(), &batch, &row_of, &|_, _| {});
+                    t[5] = std::time::Instant::now();
+                    for (stage, secs) in secs.iter_mut().enumerate() {
+                        secs[sweep] += (t[stage + 1] - t[stage]).as_secs_f64();
+                    }
+                }
+            }
+            for (r, got) in data.chunks_exact(n).enumerate() {
+                let mut want = orig[r * n..(r + 1) * n].to_vec();
+                f.apply_row([0, 1, 16, 17][r % 4], &mut want);
+                for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "n={n} row {r} [{i}]");
+                }
+            }
+            let us = |v: f64| v * 1e6 / BATCHES as f64;
+            let mut total = [0.0f64; SWEEPS];
+            for (name, secs) in STAGES.iter().zip(&mut secs) {
+                for (t, s) in total.iter_mut().zip(&*secs) {
+                    *t += s;
+                }
+                secs.sort_by(f64::total_cmp);
+                let (med, best) = (us(secs[SWEEPS / 2]), us(secs[0]));
+                println!("  nx={n:4} {name:11} {med:8.2} ({best:.2})");
+            }
+            total.sort_by(f64::total_cmp);
+            let (med, best) = (us(total[SWEEPS / 2]), us(total[0]));
+            println!("  nx={n:4} {:11} {med:8.2} ({best:.2})", "batch");
         }
     }
 

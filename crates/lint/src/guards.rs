@@ -198,5 +198,5 @@ pub const BUDGETS: &[Budget] = &[
     Budget { name: "integrator + par", max: 1219, scope: &[
         "crates/core/src/serial.rs", "crates/core/src/integrator.rs", "crates/core/src/par/"] },
     Budget { name: "agcm-core", max: 5854, scope: &["crates/core/src/"] },
-    Budget { name: "crates/*/src", max: 16089, scope: &["crates/*/src/"] },
+    Budget { name: "crates/*/src", max: 16126, scope: &["crates/*/src/"] },
 ];
