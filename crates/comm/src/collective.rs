@@ -96,15 +96,7 @@ impl Communicator {
             let send_b = block(n, p, (r + p - s) % p);
             let recv_b = block(n, p, (r + p - s - 1) % p);
             self.send_raw(next, tag, data[send_b].to_vec())?;
-            let incoming = self.recv_raw(prev, tag)?;
-            if incoming.len() != recv_b.len() {
-                return Err(CommError::SizeMismatch {
-                    expected: recv_b.len(),
-                    got: incoming.len(),
-                    src: prev,
-                    tag,
-                });
-            }
+            let incoming = self.recv_raw_exact(prev, tag, recv_b.len())?;
             op.apply(&mut data[recv_b], &incoming);
         }
         // allgather of the reduced blocks
@@ -113,15 +105,7 @@ impl Communicator {
             let send_b = block(n, p, (r + 1 + p - s) % p);
             let recv_b = block(n, p, (r + p - s) % p);
             self.send_raw(next, tag, data[send_b].to_vec())?;
-            let incoming = self.recv_raw(prev, tag)?;
-            if incoming.len() != recv_b.len() {
-                return Err(CommError::SizeMismatch {
-                    expected: recv_b.len(),
-                    got: incoming.len(),
-                    src: prev,
-                    tag,
-                });
-            }
+            let incoming = self.recv_raw_exact(prev, tag, recv_b.len())?;
             data[recv_b].copy_from_slice(&incoming);
         }
         Ok(())
@@ -145,15 +129,7 @@ impl Communicator {
             if vr & mask != 0 {
                 let src = vr - mask;
                 let tag = self.next_coll_tag(round);
-                let incoming = self.recv_raw((src + root) % p, tag)?;
-                if incoming.len() != data.len() {
-                    return Err(CommError::SizeMismatch {
-                        expected: data.len(),
-                        got: incoming.len(),
-                        src: (src + root) % p,
-                        tag,
-                    });
-                }
+                let incoming = self.recv_raw_exact((src + root) % p, tag, data.len())?;
                 data.copy_from_slice(&incoming);
                 break;
             }
@@ -200,15 +176,7 @@ impl Communicator {
             let send_blk = (r + p - s) % p;
             let recv_blk = (r + p - s - 1) % p;
             self.send_raw(next, tag, out[send_blk * n..(send_blk + 1) * n].to_vec())?;
-            let incoming = self.recv_raw(prev, tag)?;
-            if incoming.len() != n {
-                return Err(CommError::SizeMismatch {
-                    expected: n,
-                    got: incoming.len(),
-                    src: prev,
-                    tag,
-                });
-            }
+            let incoming = self.recv_raw_exact(prev, tag, n)?;
             out[recv_blk * n..(recv_blk + 1) * n].copy_from_slice(&incoming);
         }
         Ok(out)

@@ -7,8 +7,7 @@ use std::time::Duration;
 ///
 /// A real MPI job would abort on most of these; the simulated runtime turns
 /// them into values so tests can inject failures and assert on the exact
-/// failure mode (deadlock, size mismatch, invalid rank, peer failure,
-/// payload corruption).
+/// failure mode (deadlock, size mismatch, invalid rank, peer failure).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CommError {
     /// A receive matched no message within the deadlock timeout.
@@ -57,30 +56,8 @@ pub enum CommError {
         /// The failed peer (global rank).
         peer: usize,
     },
-    /// A framed receive failed payload validation (length/checksum frame),
-    /// i.e. the payload was corrupted in flight.
-    CorruptPayload {
-        /// Source rank of the corrupt message (communicator-local).
-        src: usize,
-        /// Tag of the corrupt message.
-        tag: u32,
-        /// What the validation found.
-        detail: String,
-    },
     /// A collective was called with inconsistent arguments across ranks.
     CollectiveMismatch(String),
-}
-
-impl CommError {
-    /// Whether a retry of the same receive could plausibly succeed
-    /// (transient corruption / lost first delivery) as opposed to a
-    /// permanent condition (dead peer, wrong program).
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            CommError::CorruptPayload { .. } | CommError::DeadlockTimeout { .. }
-        )
-    }
 }
 
 impl fmt::Display for CommError {
@@ -116,9 +93,6 @@ impl fmt::Display for CommError {
             CommError::PeerGone { peer } => write!(f, "peer rank {peer} is gone"),
             CommError::PeerFailed { peer } => {
                 write!(f, "peer rank {peer} failed (panicked mid-run)")
-            }
-            CommError::CorruptPayload { src, tag, detail } => {
-                write!(f, "corrupt payload from src {src} tag {tag}: {detail}")
             }
             CommError::CollectiveMismatch(m) => write!(f, "collective mismatch: {m}"),
         }
@@ -161,43 +135,8 @@ mod tests {
         assert!(CommError::PeerFailed { peer: 3 }
             .to_string()
             .contains("panicked"));
-        assert!(CommError::CorruptPayload {
-            src: 1,
-            tag: 9,
-            detail: "checksum".into()
-        }
-        .to_string()
-        .contains("checksum"));
         assert!(CommError::CollectiveMismatch("x".into())
             .to_string()
             .contains("x"));
-    }
-
-    #[test]
-    fn transient_classification() {
-        assert!(CommError::CorruptPayload {
-            src: 0,
-            tag: 1,
-            detail: String::new()
-        }
-        .is_transient());
-        assert!(CommError::DeadlockTimeout {
-            rank: 0,
-            src: 1,
-            tag: 2,
-            waited: Duration::ZERO,
-            phase: agcm_obs::Phase::Other,
-            events_so_far: 0,
-        }
-        .is_transient());
-        assert!(!CommError::PeerFailed { peer: 1 }.is_transient());
-        assert!(!CommError::PeerGone { peer: 1 }.is_transient());
-        assert!(!CommError::SizeMismatch {
-            expected: 1,
-            got: 2,
-            src: 0,
-            tag: 0
-        }
-        .is_transient());
     }
 }

@@ -1,7 +1,6 @@
 //! Deterministic fault injection.
 //!
-//! A [`FaultPlan`] describes a set of network/process faults to inject into
-//! a run: message **drop**, **bit-corruption**, **duplication** and
+//! A [`FaultPlan`] describes a set of faults to inject into a run: message
 //! **delay** (reordering), rank **stall** and **crash**, plus one dial that
 //! is not a fault: a fixed per-message receive **latency** (`lat`).  Every
 //! decision is a pure function of the plan's seed and the *site* of the
@@ -10,20 +9,27 @@
 //! schedule on every run, independent of thread timing.  The per-rank
 //! *event index* (a counter of that rank's **sends**, shared by all
 //! communicators split from it) provides the deterministic clock: sends
-//! are posted exactly once per logical operation, whereas receives may be
-//! retried (after an injected fault, or after a load-induced spurious
-//! timeout), so only a send-counting clock is immune to thread timing.
+//! are posted exactly once per logical operation, whereas how often a
+//! receive polls its transport depends on timing, so only a send-counting
+//! clock is immune to it.
+//!
+//! There is no lossy link to simulate: both transports deliver every
+//! envelope once, whole and in order per sender, and a socket frame that
+//! arrives damaged fails its integrity hash, poisons the mailbox and ends
+//! the world as a typed [`crate::CommError::PeerFailed`] (crash-only
+//! restart takes it from there).  The kinds `drop`, `corrupt` and `dup`
+//! and the `bit` key are therefore refused by name ([`FaultPlan::parse`]).
 //!
 //! Plans come from the API ([`crate::Communicator::install_faults`]) or
 //! from the environment:
 //!
 //! * `AGCM_FAULT_SPEC` — `;`-separated rules, e.g.
-//!   `drop:rank=1,user=1,nth=3;corrupt:prob=0.01;stall:rank=2,event=40,ms=20`
+//!   `delay:rank=1,user=1,nth=3,k=4;stall:rank=2,event=40,ms=20`
 //! * `AGCM_FAULT_SEED` — decimal seed (default `24473` when only the spec
 //!   is set).
 //!
-//! Rule grammar: `<kind>:<key>=<value>,...` with kinds `drop`, `corrupt`,
-//! `dup`, `delay`, `stall`, `crash`, `lat` and keys
+//! Rule grammar: `<kind>:<key>=<value>,...` with kinds `delay`, `stall`,
+//! `crash`, `lat` and keys
 //!
 //! | key     | meaning                                                    |
 //! |---------|------------------------------------------------------------|
@@ -38,7 +44,6 @@
 //! | `k`     | *delay*: release after this many further events (default 2)|
 //! | `ms`    | *stall*: sleep milliseconds (default 20)                   |
 //! | `us`    | *lat*: microseconds every matching message arrives late    |
-//! | `bit`   | *corrupt*: flip this bit (0–63; default seeded mantissa)   |
 //!
 //! All fault kinds fire at send sites (the clock ticks on sends); `stall`
 //! and `crash` model slow-rank jitter and fail-stop process faults at the
@@ -70,16 +75,6 @@ pub fn splitmix64(z: u64) -> u64 {
 /// What a fault does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// First delivery of the message is lost (a retry finds the payload —
-    /// the runtime models a link-layer loss with the copy surviving in the
-    /// receiver's mailbox, so recovery needs no sender cooperation).
-    Drop,
-    /// One bit of the payload flips on the wire for the first delivery;
-    /// the clean payload survives for a retry.
-    Corrupt,
-    /// The message is delivered twice (the duplicate is marked redundant
-    /// and not counted as traffic).
-    Dup,
     /// The send is held back and released a few events later (reordering).
     Delay,
     /// The rank sleeps at this event (slow-rank / OS-jitter model).
@@ -94,21 +89,11 @@ impl FaultKind {
     /// Stable lower-case label (spec syntax and metric names).
     pub fn label(self) -> &'static str {
         match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Corrupt => "corrupt",
-            FaultKind::Dup => "dup",
             FaultKind::Delay => "delay",
             FaultKind::Stall => "stall",
             FaultKind::Crash => "crash",
             FaultKind::Lat => "lat",
         }
-    }
-
-    fn sends_only(self) -> bool {
-        matches!(
-            self,
-            FaultKind::Drop | FaultKind::Corrupt | FaultKind::Dup | FaultKind::Delay
-        )
     }
 }
 
@@ -140,9 +125,6 @@ pub struct FaultRule {
     pub stall_ms: u64,
     /// `Lat`: microseconds a matching message arrives late.
     pub lat_us: u64,
-    /// `Corrupt`: fixed bit to flip (0–63); `None` picks a seeded mantissa
-    /// bit.
-    pub bit: Option<u32>,
 }
 
 impl FaultRule {
@@ -162,7 +144,6 @@ impl FaultRule {
             delay_events: 2,
             stall_ms: 20,
             lat_us: 0,
-            bit: None,
         }
     }
 }
@@ -202,17 +183,6 @@ pub struct FaultSite {
 /// A resolved fault to apply at a site.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
-    /// Lose the first delivery.
-    Drop,
-    /// Flip `bit` of element `elem_seed % len`.
-    Corrupt {
-        /// Bit index to flip (0–63).
-        bit: u32,
-        /// Seed selecting the payload element.
-        elem_seed: u64,
-    },
-    /// Deliver a redundant duplicate.
-    Dup,
     /// Hold the message for this many further events.
     Delay {
         /// Events to hold the message for.
@@ -269,6 +239,10 @@ pub struct FaultPlan {
 /// Default seed when `AGCM_FAULT_SPEC` is set without `AGCM_FAULT_SEED`.
 pub const DEFAULT_SEED: u64 = 24473;
 
+/// Why a lossy-link kind or the `bit` key is refused.
+const RELIABLE: &str = "the transports are reliable, and a damaged frame fails its hash and \
+                        ends the world (crash-only restart), so there is no lossy link to simulate";
+
 impl FaultPlan {
     /// An empty plan (injects nothing).
     pub fn new(seed: u64) -> Self {
@@ -288,9 +262,9 @@ impl FaultPlan {
             }
             let (kind_s, args) = part.split_once(':').unwrap_or((part, ""));
             let kind = match kind_s.trim() {
-                "drop" => FaultKind::Drop,
-                "corrupt" => FaultKind::Corrupt,
-                "dup" => FaultKind::Dup,
+                k @ ("drop" | "corrupt" | "dup") => {
+                    return Err(format!("fault kind '{k}' is refused: {RELIABLE}"))
+                }
                 "delay" => FaultKind::Delay,
                 "stall" => FaultKind::Stall,
                 "crash" => FaultKind::Crash,
@@ -352,13 +326,7 @@ impl FaultPlan {
                     "k" => rule.delay_events = parse_u64(v)?.max(1),
                     "ms" => rule.stall_ms = parse_u64(v)?,
                     "us" => rule.lat_us = parse_u64(v)?,
-                    "bit" => {
-                        let b = parse_u64(v)? as u32;
-                        if b > 63 {
-                            return Err(format!("bit {b} out of range 0..64"));
-                        }
-                        rule.bit = Some(b);
-                    }
+                    "bit" => return Err(format!("fault key 'bit' is refused: {RELIABLE}")),
                     other => return Err(format!("unknown fault key '{other}'")),
                 }
             }
@@ -404,7 +372,7 @@ impl FaultPlan {
         debug_assert_eq!(nth_counts.len(), self.rules.len());
         for (i, rule) in self.rules.iter().enumerate() {
             // the latency dial is not a fault: see `recv_latency`
-            if rule.kind == FaultKind::Lat || (rule.kind.sends_only() && !site.is_send) {
+            if rule.kind == FaultKind::Lat || (rule.kind == FaultKind::Delay && !site.is_send) {
                 continue;
             }
             if !rule.matches(site) {
@@ -428,17 +396,7 @@ impl FaultPlan {
             if !fired {
                 continue;
             }
-            let aux = splitmix64(self.seed ^ splitmix64(site.event ^ (i as u64) << 48));
             return Some(match rule.kind {
-                FaultKind::Drop => FaultAction::Drop,
-                FaultKind::Corrupt => FaultAction::Corrupt {
-                    // default: a mantissa bit — silent data corruption the
-                    // checksum frame must catch; bit= can force exponent
-                    // bits for blow-up-guard tests
-                    bit: rule.bit.unwrap_or((aux % 52) as u32),
-                    elem_seed: aux,
-                },
-                FaultKind::Dup => FaultAction::Dup,
                 FaultKind::Delay => FaultAction::Delay {
                     events: rule.delay_events,
                 },
@@ -478,18 +436,11 @@ pub fn hash_word(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(HASH_PRIME)
 }
 
-/// The integrity hash of a payload's bit patterns: [`hash_word`] over the
-/// values (the checksum carried by the framed send/recv pair,
-/// [`crate::Communicator::send_framed`]).
-pub fn checksum(data: &[f64]) -> u64 {
-    (data.iter()).fold(HASH_OFFSET, |h, v| hash_word(h, v.to_bits()))
-}
-
-/// The same hash over a raw byte stream: little-endian `u64` words, then
-/// the tail shorter than a word one byte a step.  For a payload of
-/// little-endian `f64` bit patterns this equals [`checksum`] of the values;
-/// the socket transport hashes a frame's header with it and continues with
-/// [`hash_word`] over the payload as it encodes or decodes it.
+/// The integrity hash of a raw byte stream: [`hash_word`] over its
+/// little-endian `u64` words, then over the tail shorter than a word one
+/// byte a step.  The socket transport hashes a frame's header with it and
+/// continues with [`hash_word`] over the payload as it encodes or decodes
+/// it; [`HashedWords`] folds the same chain from the same seed.
 pub fn checksum_bytes(bytes: &[u8]) -> u64 {
     let words = bytes.chunks_exact(8);
     let tail = words.remainder();
@@ -500,7 +451,7 @@ pub fn checksum_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// A stream of little-endian `u64` words under the integrity hash: every
-/// word it moves is folded in with [`hash_word`] from [`checksum`]'s seed,
+/// word it moves is folded in with [`hash_word`] from [`checksum_bytes`]'s seed,
 /// and the stream ends in the hash as one trailing word.  The durable
 /// formats — the checkpoint and the gathered-state file — are written and
 /// read through it, so a flipped bit anywhere after their magic is caught.
@@ -583,16 +534,18 @@ mod tests {
     fn parse_round_trip() {
         let p = FaultPlan::parse(
             7,
-            "drop:rank=1,user=1,nth=3; corrupt:prob=0.5,bit=62 ;stall:rank=2,event=40,ms=5",
+            "delay:rank=1,user=1,nth=3,k=4; crash:prob=0.5,phase=S1 ;stall:rank=2,event=40,ms=5",
         )
         .unwrap();
         assert_eq!(p.seed, 7);
         assert_eq!(p.rules.len(), 3);
-        assert_eq!(p.rules[0].kind, FaultKind::Drop);
+        assert_eq!(p.rules[0].kind, FaultKind::Delay);
         assert_eq!(p.rules[0].rank, Some(1));
         assert!(p.rules[0].user_only);
         assert_eq!(p.rules[0].nth, Some(3));
-        assert_eq!(p.rules[1].bit, Some(62));
+        assert_eq!(p.rules[0].delay_events, 4);
+        assert_eq!(p.rules[1].kind, FaultKind::Crash);
+        assert_eq!(p.rules[1].phase, Some(Phase::S1));
         assert_eq!(p.rules[2].stall_ms, 5);
         assert_eq!(p.rules[2].event, Some(40));
     }
@@ -600,18 +553,39 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(FaultPlan::parse(1, "melt:prob=1").is_err());
-        assert!(FaultPlan::parse(1, "drop:frobnicate=2,prob=1").is_err());
-        assert!(FaultPlan::parse(1, "drop:rank=x,prob=1").is_err());
-        assert!(FaultPlan::parse(1, "corrupt:bit=64,prob=1").is_err());
-        assert!(FaultPlan::parse(1, "drop:nth=0").is_err());
+        assert!(FaultPlan::parse(1, "delay:frobnicate=2,prob=1").is_err());
+        assert!(FaultPlan::parse(1, "delay:rank=x,prob=1").is_err());
+        assert!(FaultPlan::parse(1, "delay:nth=0").is_err());
         // a rule without any selector is a footgun, not a wildcard
         assert!(FaultPlan::parse(1, "crash:rank=1").is_err());
         assert!(FaultPlan::parse(1, "").unwrap().rules.is_empty());
     }
 
     #[test]
+    fn lossy_link_kinds_and_the_bit_key_are_refused_naming_why() {
+        for (spec, named) in [
+            ("drop:nth=1", "fault kind 'drop'"),
+            ("corrupt:prob=0.1", "fault kind 'corrupt'"),
+            ("dup:user=1,nth=2", "fault kind 'dup'"),
+            ("delay:nth=1,bit=3", "fault key 'bit'"),
+        ] {
+            let err = FaultPlan::parse(1, spec).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{named} is refused")),
+                "{spec}: {err}"
+            );
+            assert!(
+                err.contains("reliable") && err.contains("hash"),
+                "{spec}: {err}"
+            );
+        }
+        // refused inside a longer plan too, whatever comes first
+        assert!(FaultPlan::parse(1, "delay:prob=0.1;drop:nth=1").is_err());
+    }
+
+    #[test]
     fn decisions_are_deterministic() {
-        let p = FaultPlan::parse(42, "drop:prob=0.3").unwrap();
+        let p = FaultPlan::parse(42, "delay:prob=0.3").unwrap();
         let mut c1 = vec![0u64; 1];
         let mut c2 = vec![0u64; 1];
         for ev in 0..200 {
@@ -622,7 +596,7 @@ mod tests {
 
     #[test]
     fn prob_rate_roughly_matches() {
-        let p = FaultPlan::parse(99, "drop:prob=0.25").unwrap();
+        let p = FaultPlan::parse(99, "delay:prob=0.25").unwrap();
         let mut c = vec![0u64; 1];
         let fired = (0..4000)
             .filter(|&ev| p.decide(&site(0, 1, 5, ev, true), &mut c).is_some())
@@ -632,7 +606,7 @@ mod tests {
 
     #[test]
     fn nth_fires_exactly_once() {
-        let p = FaultPlan::parse(1, "corrupt:nth=3").unwrap();
+        let p = FaultPlan::parse(1, "crash:nth=3").unwrap();
         let mut c = vec![0u64; 1];
         let fired: Vec<u64> = (0..10)
             .filter(|&ev| p.decide(&site(0, 1, 5, ev, true), &mut c).is_some())
@@ -642,20 +616,20 @@ mod tests {
 
     #[test]
     fn filters_respected() {
-        let p = FaultPlan::parse(1, "drop:rank=1,peer=2,tag=7,event=5").unwrap();
+        let p = FaultPlan::parse(1, "delay:rank=1,peer=2,tag=7,event=5").unwrap();
         let mut c = vec![0u64; 1];
         assert!(p.decide(&site(1, 2, 7, 5, true), &mut c).is_some());
         assert!(p.decide(&site(0, 2, 7, 5, true), &mut c).is_none());
         assert!(p.decide(&site(1, 3, 7, 5, true), &mut c).is_none());
         assert!(p.decide(&site(1, 2, 8, 5, true), &mut c).is_none());
         assert!(p.decide(&site(1, 2, 7, 6, true), &mut c).is_none());
-        // send-only kinds never fire on receives
+        // a delay holds a send: it never fires on a receive
         assert!(p.decide(&site(1, 2, 7, 5, false), &mut c).is_none());
     }
 
     #[test]
     fn user_only_skips_collective_tags() {
-        let p = FaultPlan::parse(1, "drop:user=1,nth=1").unwrap();
+        let p = FaultPlan::parse(1, "delay:user=1,nth=1").unwrap();
         let mut c = vec![0u64; 1];
         let coll = crate::runtime::COLLECTIVE_TAG_BIT | 3;
         assert!(p.decide(&site(0, 1, coll, 0, true), &mut c).is_none());
@@ -708,29 +682,40 @@ mod tests {
     #[test]
     fn checksum_detects_any_single_bit_flip() {
         let data: Vec<f64> = (0..64).map(|i| i as f64 * 0.37 - 3.0).collect();
-        let base = checksum(&data);
-        for elem in 0..data.len() {
-            for bit in 0..64 {
-                let mut d = data.clone();
-                d[elem] = f64::from_bits(d[elem].to_bits() ^ (1u64 << bit));
-                assert_ne!(checksum(&d), base, "flip at {elem}/{bit} undetected");
-            }
+        let mut bytes: Vec<u8> = (data.iter())
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        // a ragged tail, as a frame header has
+        bytes.extend_from_slice(&[7, 0, 9, 255]);
+        let base = checksum_bytes(&bytes);
+        for bit in 0..8 * bytes.len() {
+            let mut b = bytes.clone();
+            b[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum_bytes(&b), base, "flip of bit {bit} undetected");
         }
     }
 
     #[test]
     fn byte_and_word_checksums_are_one_definition() {
-        let data: Vec<f64> = (0..9).map(|i| (i as f64 - 4.0) / 7.0).collect();
-        let mut bytes: Vec<u8> = data
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .collect();
-        assert_eq!(checksum_bytes(&bytes), checksum(&data));
+        // the checkpoint stream's trailer is the frame hash of its words
+        let words: Vec<u64> = (0..9).map(|i| ((i as f64 - 4.0) / 7.0).to_bits()).collect();
+        let mut out = Vec::new();
+        let mut w = HashedWords::new(&mut out);
+        for &x in &words {
+            w.put(x).unwrap();
+        }
+        w.put_trailer().unwrap();
+        let (body, trailer) = out.split_at(out.len() - 8);
+        let stored = u64::from_le_bytes(trailer.try_into().unwrap());
+        assert_eq!(checksum_bytes(body), stored);
+        assert_eq!(
+            words.iter().fold(HASH_OFFSET, |h, &x| hash_word(h, x)),
+            stored
+        );
         // a ragged tail continues the same chain one byte a step
+        let mut bytes = body.to_vec();
         bytes.extend_from_slice(&[7, 0, 9]);
-        let want = [7u64, 0, 9]
-            .iter()
-            .fold(checksum(&data), |h, &b| hash_word(h, b));
+        let want = [7u64, 0, 9].iter().fold(stored, |h, &b| hash_word(h, b));
         assert_eq!(checksum_bytes(&bytes), want);
         assert_ne!(checksum_bytes(&[]), checksum_bytes(&[0]));
     }

@@ -29,8 +29,7 @@ pub use collective::ReduceOp;
 pub use env::{parse_env, EnvError};
 pub use error::{CommError, CommResult};
 pub use fault::{
-    checksum, checksum_bytes, splitmix64, FaultAction, FaultEvent, FaultKind, FaultPlan, FaultRule,
-    FaultSite,
+    checksum_bytes, splitmix64, FaultAction, FaultEvent, FaultKind, FaultPlan, FaultRule, FaultSite,
 };
 pub use model::{p2p_only_delta, CostModel, KernelCosts};
 pub use runtime::{default_timeout, timeout_from_env, Communicator, Universe};

@@ -31,7 +31,7 @@
 
 use crate::env::EnvError;
 use crate::error::{CommError, CommResult};
-use crate::fault::{self, FaultAction, FaultEvent, FaultKind, FaultPlan, FaultSite};
+use crate::fault::{FaultAction, FaultEvent, FaultKind, FaultPlan, FaultSite};
 use crate::stats::CommStats;
 use crate::transport::{
     Endpoint, Envelope, MpscTransport, SocketTransport, Transport, WireStats, POISON_CTX,
@@ -62,11 +62,6 @@ pub fn default_timeout() -> Duration {
 
 /// Tags with this bit set are reserved for collectives.
 pub(crate) const COLLECTIVE_TAG_BIT: u32 = 0x8000_0000;
-
-/// Trailer words appended by [`Communicator::send_framed`]:
-/// `[payload_len, checksum_lo32, checksum_hi32]`, each stored as an
-/// exactly-representable small `f64`.
-const FRAME_WORDS: usize = 3;
 
 /// Message-latency histogram: time a rank spends blocked in `recv` waiting
 /// for the matching message (only sampled while tracing is enabled, so the
@@ -107,9 +102,6 @@ impl FaultCtx {
 
 fn fault_metric_name(kind: FaultKind) -> &'static str {
     match kind {
-        FaultKind::Drop => "comm.fault.drop",
-        FaultKind::Corrupt => "comm.fault.corrupt",
-        FaultKind::Dup => "comm.fault.dup",
         FaultKind::Delay => "comm.fault.delay",
         FaultKind::Stall => "comm.fault.stall",
         FaultKind::Crash => "comm.fault.crash",
@@ -299,8 +291,8 @@ impl Communicator {
 
     /// Wire-level byte/frame counters of the underlying transport (`None`
     /// on in-memory transports).  Unlike [`Communicator::stats`], these
-    /// count *everything* that crosses the wire: checksum framing and
-    /// redundant duplicate deliveries included.
+    /// count *everything* that crosses the wire: each frame's header and
+    /// integrity hash included.
     pub fn wire_stats(&self) -> Option<WireStats> {
         self.transport.wire_stats()
     }
@@ -336,55 +328,15 @@ impl Communicator {
         self.send_raw(dest, tag, data.to_vec())
     }
 
+    /// The shared send path: applies the fault plan (if any) and records
+    /// the element count.
     pub(crate) fn send_raw(&self, dest: usize, tag: u32, data: Vec<f64>) -> CommResult<()> {
         self.check_rank(dest)?;
-        let peer = self.members[dest];
-        self.send_impl(peer, tag, data, 0)
-    }
-
-    /// Checksum-framed send: the payload travels with a
-    /// `[len, checksum_lo, checksum_hi]` trailer that [`Self::recv_framed`]
-    /// validates, turning silent in-flight corruption into a typed,
-    /// retryable [`CommError::CorruptPayload`].  Traffic stats count the
-    /// *logical* payload only, so framing does not perturb the certified
-    /// communication counts.
-    pub fn send_framed(&self, dest: usize, tag: u32, data: &[f64]) -> CommResult<()> {
-        assert!(
-            tag & COLLECTIVE_TAG_BIT == 0,
-            "user tags must leave the top bit clear"
-        );
-        self.check_rank(dest)?;
-        let peer = self.members[dest];
-        let ck = fault::checksum(data);
-        let mut framed = Vec::with_capacity(data.len() + FRAME_WORDS);
-        framed.extend_from_slice(data);
-        framed.push(data.len() as f64);
-        framed.push((ck & 0xFFFF_FFFF) as u32 as f64);
-        framed.push((ck >> 32) as u32 as f64);
-        self.send_impl(peer, tag, framed, FRAME_WORDS)
-    }
-
-    /// The shared send path: applies the fault plan (if any) and records
-    /// the logical (`data.len() - frame_words`) element count.
-    fn send_impl(
-        &self,
-        peer_global: usize,
-        tag: u32,
-        data: Vec<f64>,
-        frame_words: usize,
-    ) -> CommResult<()> {
-        let n = data.len() - frame_words;
-        let mut env = Envelope::new(self.ctx, self.members[self.rank], tag, data);
-        let mut dup = false;
+        let peer_global = self.members[dest];
+        let n = data.len();
+        let env = Envelope::new(self.ctx, self.members[self.rank], tag, data);
         match self.fault_tick(peer_global, tag) {
             None => {}
-            Some(FaultAction::Drop) => env.drops = 1,
-            Some(FaultAction::Corrupt { bit, elem_seed }) => {
-                env.corrupt = 1;
-                env.corrupt_bit = bit;
-                env.corrupt_seed = elem_seed;
-            }
-            Some(FaultAction::Dup) => dup = true,
             Some(FaultAction::Delay { events }) => {
                 // hold the message; it is released (possibly out of order)
                 // once this rank's event counter passes the release point,
@@ -401,17 +353,8 @@ impl Communicator {
                 self.members[self.rank]
             ),
         }
-        let redundant = dup.then(|| {
-            let mut copy = env.clone();
-            copy.redundant = true;
-            copy
-        });
         self.transport.send(peer_global, env)?;
         self.stats.record_send(n);
-        if let Some(copy) = redundant {
-            // the duplicate is best-effort and never counted
-            let _ = self.transport.send(peer_global, copy);
-        }
         Ok(())
     }
 
@@ -434,12 +377,11 @@ impl Communicator {
     /// Advance the per-rank fault clock by one **send**, release due
     /// delayed messages, and decide whether a fault fires here.
     ///
-    /// Only sends tick the clock: a receive may legitimately run more than
-    /// once (retry after an injected drop/corruption — or after a spurious
-    /// deadlock timeout on a loaded machine), so a clock that counted
-    /// receives would drift between otherwise identical runs and break the
-    /// byte-for-byte replay contract.  Sends are posted exactly once per
-    /// logical operation, timing cannot change their count.
+    /// Only sends tick the clock: how often a receive polls its transport
+    /// depends on timing, so a clock that counted receive work would drift
+    /// between otherwise identical runs and break the byte-for-byte replay
+    /// contract.  Sends are posted exactly once per logical operation,
+    /// timing cannot change their count.
     fn fault_tick(&self, peer_global: usize, tag: u32) -> Option<FaultAction> {
         let ctx = self.fault.as_ref()?;
         let event = ctx.event.get();
@@ -459,9 +401,6 @@ impl Communicator {
             ctx.plan.decide(&site, &mut nth)?
         };
         let kind = match action {
-            FaultAction::Drop => FaultKind::Drop,
-            FaultAction::Corrupt { .. } => FaultKind::Corrupt,
-            FaultAction::Dup => FaultKind::Dup,
             FaultAction::Delay { .. } => FaultKind::Delay,
             FaultAction::Stall { .. } => FaultKind::Stall,
             FaultAction::Crash => FaultKind::Crash,
@@ -533,72 +472,38 @@ impl Communicator {
         self.recv_raw(src, tag)
     }
 
-    pub(crate) fn recv_raw(&self, src: usize, tag: u32) -> CommResult<Vec<f64>> {
-        self.recv_inner(src, tag, 0)
-    }
-
-    /// Checksum-validated receive of a [`Self::send_framed`] message
-    /// carrying `expected` logical elements.  A corrupted or truncated
-    /// frame returns [`CommError::CorruptPayload`]; because the runtime
-    /// keeps the clean payload for injected corruption, a retry of the same
-    /// receive can succeed (see [`crate::fault`]).
-    pub fn recv_framed(&self, src: usize, tag: u32, expected: usize) -> CommResult<Vec<f64>> {
+    /// [`Self::recv`] of a message that must carry exactly `len` values:
+    /// any other length is a typed [`CommError::SizeMismatch`] naming the
+    /// source and tag, never a slice panic in the caller.
+    pub fn recv_exact(&self, src: usize, tag: u32, len: usize) -> CommResult<Vec<f64>> {
         assert!(
             tag & COLLECTIVE_TAG_BIT == 0,
             "user tags must leave the top bit clear"
         );
-        let mut data = self.recv_inner(src, tag, FRAME_WORDS)?;
-        if data.len() < FRAME_WORDS {
-            return Err(CommError::CorruptPayload {
-                src,
-                tag,
-                detail: format!("framed message of {} words has no trailer", data.len()),
-            });
-        }
-        if data.len() != expected + FRAME_WORDS {
+        self.recv_raw_exact(src, tag, len)
+    }
+
+    pub(crate) fn recv_raw_exact(&self, src: usize, tag: u32, len: usize) -> CommResult<Vec<f64>> {
+        let data = self.recv_raw(src, tag)?;
+        if data.len() != len {
             return Err(CommError::SizeMismatch {
-                expected,
-                got: data.len() - FRAME_WORDS,
+                expected: len,
+                got: data.len(),
                 src,
                 tag,
-            });
-        }
-        let trailer = data.split_off(data.len() - FRAME_WORDS);
-        if trailer[0] != data.len() as f64 {
-            return Err(CommError::CorruptPayload {
-                src,
-                tag,
-                detail: format!(
-                    "length word {} != payload length {}",
-                    trailer[0],
-                    data.len()
-                ),
-            });
-        }
-        // the trailer words are u32 values; `as` saturates on corrupted
-        // garbage (NaN, negatives), which just fails the comparison below
-        let stored = (trailer[1] as u32 as u64) | ((trailer[2] as u32 as u64) << 32);
-        let computed = fault::checksum(&data);
-        if stored != computed {
-            return Err(CommError::CorruptPayload {
-                src,
-                tag,
-                detail: format!("checksum {computed:#018x} != framed {stored:#018x}"),
             });
         }
         Ok(data)
     }
 
-    /// The shared receive path.  Fails fast on poisoned mailboxes, honours
-    /// injected drop/corrupt riders on matching envelopes, and records the
-    /// logical (`len - frame_words`) element count.  Receives do **not**
-    /// tick the fault clock (see [`Self::fault_tick`]): retried receives
-    /// would make the clock timing-dependent.  They do release every held
+    /// The shared receive path.  Fails fast on poisoned mailboxes and
+    /// records the received element count.  Receives do **not** tick the
+    /// fault clock (see [`Self::fault_tick`]).  They do release every held
     /// (delayed) message first — this rank is about to block, and a message
     /// held past the end of its send batch would deadlock the peer; the
     /// flush point is fixed by program order, so replay stays exact.
-    fn recv_inner(&self, src: usize, tag: u32, frame_words: usize) -> CommResult<Vec<f64>> {
-        let data = self.recv_matched(src, tag, frame_words)?;
+    pub(crate) fn recv_raw(&self, src: usize, tag: u32) -> CommResult<Vec<f64>> {
+        let data = self.recv_matched(src, tag)?;
         if let Some(ctx) = &self.fault {
             // the `lat` dial: the message is here, its receiver is not told
             // yet.  Spun, not slept — a sleep oversleeps by more than most
@@ -620,19 +525,13 @@ impl Communicator {
         Ok(data)
     }
 
-    fn recv_matched(&self, src: usize, tag: u32, frame_words: usize) -> CommResult<Vec<f64>> {
+    fn recv_matched(&self, src: usize, tag: u32) -> CommResult<Vec<f64>> {
         self.check_rank(src)?;
         self.flush_held(0, true);
         let want_src = self.members[src];
         if let Some(peer) = self.mailbox.poisoned.get() {
             return Err(CommError::PeerFailed { peer });
         }
-        let record = |env: &Envelope| {
-            if !env.redundant {
-                self.stats
-                    .record_recv(env.data.len() - frame_words.min(env.data.len()));
-            }
-        };
         // 1. check the unexpected-message queue
         {
             let mut pending = self.mailbox.pending.borrow_mut();
@@ -640,25 +539,9 @@ impl Communicator {
                 .iter()
                 .position(|e| e.ctx == self.ctx && e.src_global == want_src && e.tag == tag)
             {
-                if pending[pos].drops > 0 {
-                    // injected loss of this delivery; the payload stays
-                    // queued so a later retry can still succeed.  Fail fast
-                    // instead of sleeping out the timeout: recovery must
-                    // cost one retry, not one deadlock-detection window —
-                    // otherwise every rank waiting on this one races its
-                    // own identical timeout while we sleep
-                    pending[pos].drops -= 1;
-                    return self.timeout_err(src, tag);
-                } else if pending[pos].corrupt > 0 {
-                    pending[pos].corrupt -= 1;
-                    let env = &pending[pos];
-                    record(env);
-                    return Ok(env.corrupted_copy());
-                } else {
-                    let env = pending.swap_remove(pos);
-                    record(&env);
-                    return Ok(env.data);
-                }
+                let env = pending.swap_remove(pos);
+                self.stats.record_recv(env.data.len());
+                return Ok(env.data);
             }
         }
         // 2. drain the transport until the match arrives
@@ -678,25 +561,10 @@ impl Communicator {
                         });
                     }
                     if env.ctx == self.ctx && env.src_global == want_src && env.tag == tag {
-                        let mut env = env;
-                        if env.drops > 0 {
-                            // injected loss: queue the payload for a retry
-                            // and fail fast (see the pending-queue branch)
-                            env.drops -= 1;
-                            self.mailbox.pending.borrow_mut().push(env);
-                            return self.timeout_err(src, tag);
-                        }
-                        if env.corrupt > 0 {
-                            env.corrupt -= 1;
-                            record(&env);
-                            let data = env.corrupted_copy();
-                            self.mailbox.pending.borrow_mut().push(env);
-                            return Ok(data);
-                        }
                         if obs::enabled() {
                             recv_wait_hist().record(entered.elapsed().as_nanos() as u64);
                         }
-                        record(&env);
+                        self.stats.record_recv(env.data.len());
                         return Ok(env.data);
                     }
                     self.mailbox.pending.borrow_mut().push(env);
@@ -883,10 +751,10 @@ mod tests {
     fn size_mismatch_detected() {
         let results = Universe::run(2, |comm| {
             if comm.rank() == 0 {
-                comm.send_framed(1, 1, &[1.0, 2.0, 3.0]).unwrap();
+                comm.send(1, 1, &[1.0, 2.0, 3.0]).unwrap();
                 None
             } else {
-                comm.recv_framed(0, 1, 2).err()
+                comm.recv_exact(0, 1, 2).err()
             }
         });
         assert_eq!(

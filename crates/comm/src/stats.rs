@@ -59,13 +59,9 @@ struct Inner {
     // Injected-fault counters (see crate::fault).  Kept out of
     // StatsSnapshot: that struct is the certified-traffic contract the
     // verifier constructs literally; faults get their own snapshot type.
-    faults_dropped: AtomicU64,
-    faults_corrupted: AtomicU64,
-    faults_duplicated: AtomicU64,
     faults_delayed: AtomicU64,
     faults_stalled: AtomicU64,
     faults_crashed: AtomicU64,
-    retries: AtomicU64,
     // The per-event log is opt-in: the unconditional push-under-mutex it
     // used to do both grew without bound in long runs and serialized every
     // rank's collectives on one lock.  Counters above stay always-on.
@@ -140,9 +136,6 @@ impl CommStats {
     pub fn record_fault(&self, kind: crate::fault::FaultKind) {
         use crate::fault::FaultKind::*;
         let ctr = match kind {
-            Drop => &self.inner.faults_dropped,
-            Corrupt => &self.inner.faults_corrupted,
-            Dup => &self.inner.faults_duplicated,
             Delay => &self.inner.faults_delayed,
             Stall => &self.inner.faults_stalled,
             Crash => &self.inner.faults_crashed,
@@ -151,21 +144,12 @@ impl CommStats {
         ctr.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one receive retry attempt (resilience layer bookkeeping).
-    pub fn record_retry(&self) {
-        self.inner.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Current injected-fault totals.
     pub fn fault_snapshot(&self) -> FaultSnapshot {
         FaultSnapshot {
-            dropped: self.inner.faults_dropped.load(Ordering::Relaxed),
-            corrupted: self.inner.faults_corrupted.load(Ordering::Relaxed),
-            duplicated: self.inner.faults_duplicated.load(Ordering::Relaxed),
             delayed: self.inner.faults_delayed.load(Ordering::Relaxed),
             stalled: self.inner.faults_stalled.load(Ordering::Relaxed),
             crashed: self.inner.faults_crashed.load(Ordering::Relaxed),
-            retries: self.inner.retries.load(Ordering::Relaxed),
         }
     }
 
@@ -196,27 +180,18 @@ impl CommStats {
 /// [`StatsSnapshot`], which only carries certified traffic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSnapshot {
-    /// Messages whose first delivery was dropped.
-    pub dropped: u64,
-    /// Messages whose first delivery was bit-corrupted.
-    pub corrupted: u64,
-    /// Messages delivered twice.
-    pub duplicated: u64,
     /// Messages held back for reordering.
     pub delayed: u64,
     /// Rank stalls injected.
     pub stalled: u64,
     /// Rank crashes injected.
     pub crashed: u64,
-    /// Receive retry attempts performed by the resilience layer.
-    pub retries: u64,
 }
 
 impl FaultSnapshot {
-    /// Total injected message/process faults (retries are reactions, not
-    /// faults, and are excluded).
+    /// Total injected message/process faults.
     pub fn total(&self) -> u64 {
-        self.dropped + self.corrupted + self.duplicated + self.delayed + self.stalled + self.crashed
+        self.delayed + self.stalled + self.crashed
     }
 }
 
@@ -337,17 +312,15 @@ mod tests {
     fn fault_counters_accumulate() {
         use crate::fault::FaultKind;
         let s = CommStats::new();
-        s.record_fault(FaultKind::Drop);
-        s.record_fault(FaultKind::Drop);
-        s.record_fault(FaultKind::Corrupt);
+        s.record_fault(FaultKind::Delay);
+        s.record_fault(FaultKind::Delay);
         s.record_fault(FaultKind::Stall);
-        s.record_retry();
+        // the latency dial is not a fault
+        s.record_fault(FaultKind::Lat);
         let f = s.fault_snapshot();
-        assert_eq!(f.dropped, 2);
-        assert_eq!(f.corrupted, 1);
+        assert_eq!(f.delayed, 2);
         assert_eq!(f.stalled, 1);
-        assert_eq!(f.retries, 1);
-        assert_eq!(f.total(), 4);
+        assert_eq!(f.total(), 3);
         // fault counters are shared across clones like the traffic ones
         let t = s.clone();
         t.record_fault(FaultKind::Crash);

@@ -56,27 +56,17 @@ pub fn clock_align(comm: &Communicator, rounds: usize) -> CommResult<OffsetEstim
     for round in 0..rounds.max(1) {
         let t_send_ns = obs::now_ns();
         comm.send(0, TAG_CLOCK_PING, &[round as f64])?;
-        let pong = comm.recv(0, TAG_CLOCK_PONG)?;
+        let pong = comm.recv_exact(0, TAG_CLOCK_PONG, 1)?;
         let t_recv_ns = obs::now_ns();
-        let t_peer_ns = pong
-            .first()
-            .ok_or_else(|| CommError::CorruptPayload {
-                src: 0,
-                tag: TAG_CLOCK_PONG,
-                detail: "empty clock pong".to_string(),
-            })?
-            .to_bits();
+        let t_peer_ns = pong[0].to_bits();
         samples.push(ClockSample {
             t_send_ns,
             t_peer_ns,
             t_recv_ns,
         });
     }
-    dist::estimate_offset(&samples).map_err(|detail| CommError::CorruptPayload {
-        src: 0,
-        tag: TAG_CLOCK_PONG,
-        detail,
-    })
+    dist::estimate_offset(&samples)
+        .map_err(|detail| CommError::CollectiveMismatch(format!("clock handshake: {detail}")))
 }
 
 #[cfg(test)]

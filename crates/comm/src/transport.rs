@@ -19,20 +19,15 @@
 //! u64  ctx            (communicator context id; u64::MAX = poison)
 //! u32  src_global     (sender's world rank)
 //! u32  tag
-//! u32  drops          (fault rider: deliveries to lose)
-//! u32  corrupt        (fault rider: deliveries to bit-flip)
-//! u32  corrupt_bit
-//! u32  flags          (bit 0: redundant duplicate)
-//! u64  corrupt_seed
 //! 8n   payload        (f64 bit patterns)
 //! u64  integrity hash over all preceding frame bytes
 //! ```
 //!
-//! The hash is the one the in-runtime [`crate::fault::checksum`] frames use:
-//! [`crate::fault::checksum_bytes`] over the header, continued a payload
-//! word per multiply ([`crate::fault::hash_word`]) in the pass that encodes
-//! or decodes the payload; every single-bit corruption of header, payload
-//! or trailer changes it.  A frame that fails validation poisons the
+//! The hash is the checkpoint files' ([`crate::fault::HashedWords`]):
+//! [`crate::fault::checksum_bytes`] over the 20-byte header, continued a
+//! payload word per multiply ([`crate::fault::hash_word`]) in the pass that
+//! encodes or decodes the payload; every single-bit corruption of header,
+//! payload or trailer changes it.  A frame that fails validation poisons the
 //! receiving mailbox (the stream position can no longer be trusted), which
 //! surfaces as a typed [`crate::CommError::PeerFailed`] instead of silent
 //! corruption.
@@ -40,7 +35,7 @@
 //! Connection setup is a full-mesh handshake: rank `i` listens on
 //! `<endpoint>.<i>` (Unix) or `port + i` (TCP), and every ordered pair of
 //! ranks gets one simplex connection opened by the sender, announced by a
-//! 20-byte hello (`"AGCMWIRE"`, version 3, sender rank, world size).
+//! 20-byte hello (`"AGCMWIRE"`, version 4, sender rank, world size).
 //! [`SocketTransport::connect`] returns only once every peer connection is
 //! up in both directions, so a successful construction doubles as the
 //! launcher's barrier that the whole world exists.  The handshake is
@@ -79,7 +74,7 @@ use std::time::{Duration, Instant};
 pub(crate) const POISON_CTX: u64 = u64::MAX;
 
 /// A message in flight between two world ranks.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Envelope {
     /// Communicator context id (`POISON_CTX` marks a poison envelope).
     pub ctx: u64,
@@ -89,51 +84,22 @@ pub struct Envelope {
     pub tag: u32,
     /// Payload.
     pub data: Vec<f64>,
-    /// Injected link faults riding on the envelope: how many deliveries to
-    /// lose before the clean payload gets through (the receiver applies
-    /// these, modelling loss on the wire while keeping the runtime's
-    /// eager-copy architecture).
-    pub drops: u32,
-    /// Fault rider: deliveries to corrupt before the clean payload.
-    pub corrupt: u32,
-    /// Fault rider: which bit the injected corruption flips.
-    pub corrupt_bit: u32,
-    /// Fault rider: seeds the corrupted element choice.
-    pub corrupt_seed: u64,
-    /// Injected duplicate: delivered, but never counted as traffic.
-    pub redundant: bool,
 }
 
 impl Envelope {
-    /// A fresh fault-free envelope.
+    /// An envelope of `data` from world rank `src_global`.
     pub fn new(ctx: u64, src_global: usize, tag: u32, data: Vec<f64>) -> Self {
         Envelope {
             ctx,
             src_global,
             tag,
             data,
-            drops: 0,
-            corrupt: 0,
-            corrupt_bit: 0,
-            corrupt_seed: 0,
-            redundant: false,
         }
     }
 
     /// A poison envelope announcing that world rank `src_global` died.
     pub fn poison(src_global: usize) -> Self {
         Envelope::new(POISON_CTX, src_global, 0, Vec::new())
-    }
-
-    /// The payload with the injected bit flip applied (the stored data
-    /// stays clean for a retry).
-    pub(crate) fn corrupted_copy(&self) -> Vec<f64> {
-        let mut data = self.data.clone();
-        if !data.is_empty() {
-            let idx = (self.corrupt_seed % data.len() as u64) as usize;
-            data[idx] = f64::from_bits(data[idx].to_bits() ^ (1u64 << self.corrupt_bit));
-        }
-        data
     }
 }
 
@@ -242,7 +208,7 @@ impl Transport for MpscTransport {
 // ---------------------------------------------------------------------------
 
 /// Fixed frame header size in bytes (see the module docs for the layout).
-const WIRE_HEADER_BYTES: u64 = 44;
+const WIRE_HEADER_BYTES: u64 = 20;
 
 /// Trailing checksum size in bytes.
 const WIRE_TRAILER_BYTES: u64 = 8;
@@ -266,11 +232,6 @@ fn encode_frame(env: &Envelope, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&env.ctx.to_le_bytes());
     buf.extend_from_slice(&(env.src_global as u32).to_le_bytes());
     buf.extend_from_slice(&env.tag.to_le_bytes());
-    buf.extend_from_slice(&env.drops.to_le_bytes());
-    buf.extend_from_slice(&env.corrupt.to_le_bytes());
-    buf.extend_from_slice(&env.corrupt_bit.to_le_bytes());
-    buf.extend_from_slice(&(env.redundant as u32).to_le_bytes());
-    buf.extend_from_slice(&env.corrupt_seed.to_le_bytes());
     let mut h = fault::checksum_bytes(buf);
     buf.resize(WIRE_HEADER_BYTES as usize + 8 * n, 0);
     let payload = buf[WIRE_HEADER_BYTES as usize..].chunks_exact_mut(8);
@@ -356,11 +317,6 @@ fn read_frame(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<Option<(Envel
         ctx: u64_at(&header, 4),
         src_global: u32_at(&header, 12) as usize,
         tag: u32_at(&header, 16),
-        drops: u32_at(&header, 20),
-        corrupt: u32_at(&header, 24),
-        corrupt_bit: u32_at(&header, 28),
-        corrupt_seed: u64_at(&header, 36),
-        redundant: u32_at(&header, 32) & 1 != 0,
         data,
     };
     Ok(Some((env, WIRE_OVERHEAD_BYTES + 8 * n as u64)))
@@ -371,11 +327,11 @@ fn read_frame(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<Option<(Envel
 // ---------------------------------------------------------------------------
 
 /// Wire-level traffic counters of a byte-stream transport: *actual* frames
-/// and bytes moved, including checksum framing and redundant (injected
-/// duplicate) deliveries that the logical [`crate::CommStats`] deliberately
-/// excludes.  Loopback (self-send) frames are counted as if they crossed
-/// the wire, so the identity `bytes = 8·elems + OVERHEAD·msgs` holds
-/// exactly against the logical counters on fault-free runs.
+/// and bytes moved, each frame's header and integrity hash included, which
+/// the logical [`crate::CommStats`] leave out.  Loopback (self-send) frames
+/// are counted as if they crossed the wire, so the identity
+/// `bytes = 8·elems + WIRE_OVERHEAD_BYTES·msgs` holds exactly against the
+/// logical counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Frames written.
@@ -554,7 +510,7 @@ impl Listener {
 }
 
 const HELLO_MAGIC: u64 = u64::from_le_bytes(*b"AGCMWIRE");
-const HELLO_VERSION: u32 = 3;
+const HELLO_VERSION: u32 = 4;
 const HELLO_BYTES: usize = 20;
 
 fn encode_hello(rank: usize, size: usize) -> [u8; HELLO_BYTES] {
@@ -1050,24 +1006,13 @@ mod tests {
     }
 
     fn sample_env() -> Envelope {
-        let mut env = Envelope::new(7, 3, 0x8000_1234, vec![1.5, -2.25, f64::NAN, 0.0]);
-        env.drops = 1;
-        env.corrupt = 2;
-        env.corrupt_bit = 51;
-        env.corrupt_seed = 0xDEAD_BEEF;
-        env.redundant = true;
-        env
+        Envelope::new(7, 3, 0x8000_1234, vec![1.5, -2.25, f64::NAN, 0.0])
     }
 
     fn assert_env_eq(a: &Envelope, b: &Envelope) {
         assert_eq!(a.ctx, b.ctx);
         assert_eq!(a.src_global, b.src_global);
         assert_eq!(a.tag, b.tag);
-        assert_eq!(a.drops, b.drops);
-        assert_eq!(a.corrupt, b.corrupt);
-        assert_eq!(a.corrupt_bit, b.corrupt_bit);
-        assert_eq!(a.corrupt_seed, b.corrupt_seed);
-        assert_eq!(a.redundant, b.redundant);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a.data), bits(&b.data));
     }
@@ -1086,6 +1031,8 @@ mod tests {
     fn frame_round_trips_bitwise() {
         let env = sample_env();
         let buf = encoded(&env);
+        // a 20-byte header and an 8-byte hash around the payload
+        assert_eq!(WIRE_OVERHEAD_BYTES, 28);
         assert_eq!(buf.len() as u64, WIRE_OVERHEAD_BYTES + 8 * 4);
         let (back, bytes) = decode(&buf).unwrap().unwrap();
         assert_eq!(bytes, buf.len() as u64);
@@ -1139,7 +1086,7 @@ mod tests {
         buf[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // the largest prefix the bound admits claims 2 GiB on a 52-byte
+        // the largest prefix the bound admits claims 2 GiB on a 28-byte
         // stream: the body buffer holds what arrived, not what was claimed
         buf[0..4].copy_from_slice(&(MAX_WIRE_WORDS - 1).to_le_bytes());
         let mut body = Vec::new();
@@ -1175,8 +1122,23 @@ mod tests {
         assert!(decode_hello(&bad, 8).is_err(), "bad magic");
     }
 
+    /// A v3 hello has v4's layout; only its frames carried the 24 bytes of
+    /// fault riders that v4 dropped, so its version word is what refuses it.
+    #[test]
+    fn a_v3_hello_is_refused_naming_its_version() {
+        let mut v3 = encode_hello(1, 4);
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let err = decode_hello(&v3, 4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("wire version 3") && msg.contains("speaks 4"),
+            "{msg}"
+        );
+    }
+
     /// A v2 hello (28 bytes: magic, version, rank, size, epoch) is refused
-    /// on its version word, which sits where v3's does.
+    /// on its version word, which sits where v4's does.
     #[test]
     fn a_v2_hello_is_refused_naming_its_version() {
         let mut v2 = [0u8; 28];

@@ -1,7 +1,7 @@
 //! Integration tests of the deterministic fault-injection layer: each
 //! fault kind end to end through real rank threads, the byte-for-byte
 //! schedule-replay guarantee, and the fail-fast poison path when a rank
-//! panics (ISSUE 3 satellite: no more full-timeout hangs at p = 4).
+//! panics (no full-timeout hang at p = 4).
 
 use agcm_comm::{CommError, FaultKind, FaultPlan, Universe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +14,8 @@ const SHORT: Duration = Duration::from_millis(200);
 fn identical_plans_replay_identical_schedules() {
     let run = || {
         Universe::run(2, |comm| {
-            comm.install_faults(FaultPlan::parse(0xA11CE, "drop:prob=0.4;dup:prob=0.2").unwrap());
+            let plan = FaultPlan::parse(0xA11CE, "delay:prob=0.4,k=3;stall:prob=0.2,ms=1");
+            comm.install_faults(plan.unwrap());
             comm.set_timeout(SHORT);
             let other = 1 - comm.rank();
             for i in 0..20u32 {
@@ -22,11 +23,9 @@ fn identical_plans_replay_identical_schedules() {
                     .unwrap();
             }
             for i in 0..20u32 {
-                // dropped first deliveries time out; the payload survives
-                // in the mailbox, so one retry always succeeds
-                if comm.recv(other, i).is_err() {
-                    comm.recv(other, i).expect("retry after drop");
-                }
+                // a held message is released before this rank blocks
+                let got = comm.recv(other, i).expect("every message arrives");
+                assert_eq!(got, [other as f64, i as f64]);
             }
             (comm.fault_log(), comm.stats().fault_snapshot())
         })
@@ -44,107 +43,19 @@ fn identical_plans_replay_identical_schedules() {
 fn different_seeds_differ() {
     let run = |seed: u64| {
         Universe::run(2, |comm| {
-            comm.install_faults(FaultPlan::parse(seed, "drop:prob=0.5").unwrap());
+            comm.install_faults(FaultPlan::parse(seed, "delay:prob=0.5").unwrap());
             comm.set_timeout(SHORT);
             let other = 1 - comm.rank();
             for i in 0..32u32 {
                 comm.send(other, i, &[i as f64]).unwrap();
             }
             for i in 0..32u32 {
-                if comm.recv(other, i).is_err() {
-                    comm.recv(other, i).unwrap();
-                }
+                comm.recv(other, i).unwrap();
             }
             comm.fault_log()
         })
     };
     assert_ne!(run(1), run(2), "seeds must select different schedules");
-}
-
-#[test]
-fn drop_times_out_then_retry_succeeds() {
-    let results = Universe::run(2, |comm| {
-        comm.install_faults(FaultPlan::parse(7, "drop:rank=0,user=1,nth=1").unwrap());
-        comm.set_timeout(SHORT);
-        if comm.rank() == 0 {
-            comm.send(1, 5, &[1.0, 2.0, 3.0]).unwrap();
-            None
-        } else {
-            let first = comm.recv(0, 5);
-            let second = comm.recv(0, 5);
-            Some((first, second))
-        }
-    });
-    let (first, second) = results[1].clone().unwrap();
-    match first {
-        Err(CommError::DeadlockTimeout { src: 0, tag: 5, .. }) => {}
-        other => panic!("dropped delivery should time out, got {other:?}"),
-    }
-    assert_eq!(second.unwrap(), vec![1.0, 2.0, 3.0]);
-}
-
-#[test]
-fn corrupt_framed_rejected_then_retry_recovers() {
-    let payload: Vec<f64> = (0..40).map(|i| i as f64 * 0.5 - 3.0).collect();
-    let results = Universe::run(2, |comm| {
-        comm.install_faults(FaultPlan::parse(11, "corrupt:rank=0,user=1,nth=1").unwrap());
-        comm.set_timeout(SHORT);
-        let payload: Vec<f64> = (0..40).map(|i| i as f64 * 0.5 - 3.0).collect();
-        if comm.rank() == 0 {
-            comm.send_framed(1, 9, &payload).unwrap();
-            (None, comm.stats().fault_snapshot())
-        } else {
-            let first = comm.recv_framed(0, 9, payload.len());
-            assert!(
-                matches!(first, Err(CommError::CorruptPayload { src: 0, tag: 9, .. })),
-                "corrupted frame must be rejected, got {first:?}"
-            );
-            let second = comm.recv_framed(0, 9, payload.len()).unwrap();
-            (Some(second), comm.stats().fault_snapshot())
-        }
-    });
-    // the retry sees the clean payload bit-for-bit
-    assert_eq!(results[1].0.as_ref().unwrap(), &payload);
-    assert_eq!(results[0].1.corrupted, 1, "exactly the injected fault");
-}
-
-#[test]
-fn unframed_corruption_is_silent() {
-    // without framing a mantissa flip sails through — the motivation for
-    // checksum framing on halo payloads
-    let results = Universe::run(2, |comm| {
-        comm.install_faults(FaultPlan::parse(3, "corrupt:rank=0,user=1,nth=1,bit=51").unwrap());
-        comm.set_timeout(SHORT);
-        if comm.rank() == 0 {
-            comm.send(1, 2, &[1.0; 8]).unwrap();
-            None
-        } else {
-            Some(comm.recv(0, 2).unwrap())
-        }
-    });
-    let got = results[1].as_ref().unwrap();
-    assert_ne!(got, &vec![1.0; 8], "bit flip must reach the payload");
-}
-
-#[test]
-fn dup_delivers_once_and_is_not_counted() {
-    let results = Universe::run(2, |comm| {
-        comm.install_faults(FaultPlan::parse(5, "dup:rank=0,user=1,nth=1").unwrap());
-        comm.set_timeout(SHORT);
-        if comm.rank() == 0 {
-            comm.send(1, 4, &[7.0; 10]).unwrap();
-            comm.stats().snapshot()
-        } else {
-            let data = comm.recv(0, 4).unwrap();
-            assert_eq!(data, vec![7.0; 10]);
-            // the redundant copy must not satisfy a second receive as a
-            // *distinct* message in the traffic stats
-            comm.stats().snapshot()
-        }
-    });
-    assert_eq!(results[0].p2p_sends, 1, "dup is not a second logical send");
-    assert_eq!(results[0].p2p_send_elems, 10);
-    assert!(results[1].p2p_recvs <= 1, "redundant delivery not counted");
 }
 
 #[test]
@@ -288,42 +199,21 @@ fn timeout_error_carries_context() {
 }
 
 #[test]
-fn framed_roundtrip_counts_logical_payload_only() {
-    let results = Universe::run(2, |comm| {
-        let other = 1 - comm.rank();
-        comm.send_framed(other, 1, &[0.5; 32]).unwrap();
-        let got = comm.recv_framed(other, 1, 32).unwrap();
-        assert_eq!(got, vec![0.5; 32]);
-        comm.stats().snapshot()
-    });
-    for s in results {
-        // the 3 trailer words must be invisible to the certified counts
-        assert_eq!(s.p2p_sends, 1);
-        assert_eq!(s.p2p_send_elems, 32);
-        assert_eq!(s.p2p_recvs, 1);
-        assert_eq!(s.p2p_recv_elems, 32);
-    }
-}
-
-#[test]
 fn faults_reach_split_communicators() {
     // install on world, then split: the shared per-rank event clock keeps
     // firing inside the sub-communicator
     let results = Universe::run(4, |comm| {
-        comm.install_faults(FaultPlan::parse(13, "drop:user=1,nth=1").unwrap());
+        comm.install_faults(FaultPlan::parse(13, "delay:user=1,nth=1").unwrap());
         comm.set_timeout(SHORT);
         let sub = comm.split(comm.rank() % 2, comm.rank()).unwrap();
         let other = 1 - sub.rank();
         sub.send(other, 1, &[1.0]).unwrap();
-        let first = sub.recv(other, 1);
-        if first.is_err() {
-            sub.recv(other, 1).unwrap();
-        }
-        comm.stats().fault_snapshot().dropped
+        assert_eq!(sub.recv(other, 1).unwrap(), [1.0]);
+        comm.stats().fault_snapshot().delayed
     });
     assert!(
         results.iter().all(|&d| d == 1),
-        "each rank's first user send dropped: {results:?}"
+        "each rank's first user send delayed: {results:?}"
     );
 }
 
@@ -331,21 +221,20 @@ fn faults_reach_split_communicators() {
 fn fault_log_records_kinds() {
     let results = Universe::run(2, |comm| {
         comm.install_faults(
-            FaultPlan::parse(21, "drop:rank=0,tag=1,nth=1;dup:rank=0,tag=2,nth=1").unwrap(),
+            FaultPlan::parse(21, "delay:rank=0,tag=1,nth=1;stall:rank=0,tag=2,nth=1,ms=1").unwrap(),
         );
         comm.set_timeout(SHORT);
         if comm.rank() == 0 {
             comm.send(1, 1, &[1.0]).unwrap();
             comm.send(1, 2, &[2.0]).unwrap();
         } else {
-            let _ = comm.recv(0, 1); // times out (dropped)
-            let _ = comm.recv(0, 1); // retry
-            let _ = comm.recv(0, 2);
+            assert_eq!(comm.recv(0, 1).unwrap(), [1.0]);
+            assert_eq!(comm.recv(0, 2).unwrap(), [2.0]);
         }
         comm.fault_log()
     });
     let kinds: Vec<FaultKind> = results[0].iter().map(|e| e.kind).collect();
-    assert_eq!(kinds, vec![FaultKind::Drop, FaultKind::Dup]);
+    assert_eq!(kinds, vec![FaultKind::Delay, FaultKind::Stall]);
     assert_eq!(results[0][0].event, 0);
     assert_eq!(results[0][1].event, 1);
     assert!(results[1].is_empty(), "rank 1 injected nothing");

@@ -41,7 +41,7 @@ use crate::dycore::{Engine, FilterCtx};
 use crate::error::ModelError;
 use crate::geometry::{frame, GrowSides, LocalGeometry, Region};
 use crate::par::alg1::{gather_state_impl, GlobalState};
-use crate::par::exchange::{with_fields, wrap_x_fields, ExField, HaloExchanger, RetryPolicy};
+use crate::par::exchange::{with_fields, wrap_x_fields, ExField, HaloExchanger};
 use crate::par::schedule::{self, CSource, ComputeOp, ExchangeOp, StepOp};
 use crate::resilience::Checkpoint;
 use crate::serial::Iteration;
@@ -249,17 +249,6 @@ impl Integrator {
         self.state.assign(st);
         self.engine.c_cached = false;
         self.pending_smooth = false;
-    }
-
-    /// Enable checksum-framed halo payloads with validated, retrying
-    /// receives (see [`RetryPolicy`]).
-    pub fn set_framed(&mut self, on: bool) {
-        self.exchanger.set_framed(on);
-    }
-
-    /// Change the framed-receive retry policy.
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
-        self.exchanger.set_retry(retry);
     }
 
     /// Completed halo exchanges (all steps).

@@ -22,30 +22,6 @@ use crate::par::schedule::ExFields;
 use agcm_comm::{CommResult, Communicator};
 use agcm_mesh::{BoxRange, Decomposition, ExchangePlan, Field3, HaloWidths, NeighborLink};
 use agcm_obs as obs;
-use std::time::Duration;
-
-/// Bounded retry-with-backoff for transient receive failures (injected
-/// drops surface as timeouts, injected corruption as `CorruptPayload`;
-/// both leave the clean payload in the mailbox, so a retry of the same
-/// receive can succeed — see `agcm_comm::fault`).  Retry is the recovery
-/// that stays bitwise inside a step; what it cannot recover fails the step
-/// (an elastic world then rolls back from its durable checkpoints).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included).  1 = no retries.
-    pub max_attempts: u32,
-    /// Sleep before attempt `n` is `backoff * n` (linear backoff).
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-        }
-    }
-}
 
 /// A field participating in an exchange, marked with whether it is a
 /// surface field — marked, not inferred: a rank's one-level block of a 3-D
@@ -159,10 +135,6 @@ pub struct HaloExchanger {
     seq: u64,
     /// Communications completed (the paper's per-step frequency metric).
     pub exchanges: u64,
-    /// Checksum-framed payloads + receive-side validation and retry (off by
-    /// default so certified traffic is unchanged).
-    framed: bool,
-    retry: RetryPolicy,
     /// Memoized message lists keyed by `(depth, field geometries)` — a step
     /// cycles through a handful of them, so each is built once and reused.
     plans: Vec<CachedPlan>,
@@ -201,21 +173,9 @@ impl HaloExchanger {
             rank,
             seq: 0,
             exchanges: 0,
-            framed: false,
-            retry: RetryPolicy::default(),
             plans: Vec::new(),
             pack_buf: Vec::new(),
         }
-    }
-
-    /// Enable/disable checksum framing + receive validation and retry.
-    pub fn set_framed(&mut self, on: bool) {
-        self.framed = on;
-    }
-
-    /// Change the retry policy used by framed receives.
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// Index of the memoized message list for `fields` at `depth`, building
@@ -261,17 +221,15 @@ impl HaloExchanger {
             }
             let t = wire_tag(seq, dir_index(msg.link.offset));
             span.add_bytes(8 * buf.len() as u64);
-            if self.framed {
-                comm.send_framed(msg.link.rank, t, buf)?;
-            } else {
-                comm.send(msg.link.rank, t, buf)?;
-            }
+            comm.send(msg.link.rank, t, buf)?;
         }
         Ok(Pending { seq, plan })
     }
 
     /// Receive and unpack every message of a pending exchange.  `fields`
-    /// must be the same list (same order) passed to `post_sends`.
+    /// must be the same list (same order) passed to `post_sends`.  A
+    /// message of any length but the one its link's receive boxes hold is
+    /// a typed `CommError::SizeMismatch`, checked before it is unpacked.
     pub fn finish_recvs(
         &mut self,
         comm: &Communicator,
@@ -287,51 +245,16 @@ impl HaloExchanger {
             let (dx, dy, dz) = msg.link.offset;
             let from = dir_index((-dx, -dy, -dz));
             let t = wire_tag(pending.seq, from);
-            let data = if self.framed {
-                self.recv_validated(comm, msg.link.rank, t, msg.recv_elems())?
-            } else {
-                comm.recv(msg.link.rank, t)?
-            };
+            let data = comm.recv_exact(msg.link.rank, t, msg.recv_elems())?;
             span.add_bytes(8 * data.len() as u64);
             let mut off = 0;
             for LinkPart { field, recv, .. } in &msg.parts {
                 let (x, y, z) = (recv.x.clone(), recv.y.clone(), recv.z.clone());
                 off += fields[*field].field().unpack_box(x, y, z, &data[off..]);
             }
-            debug_assert_eq!(off, data.len());
         }
         self.exchanges += 1;
         Ok(())
-    }
-
-    /// Checksum-validated receive with bounded retry: a transient failure
-    /// (timeout from an injected drop, rejected corrupt frame) is retried
-    /// up to the policy's budget with linear backoff, because the runtime
-    /// keeps the clean payload queued.  Non-transient errors and exhausted
-    /// budgets propagate to the caller: the step fails, and in an elastic
-    /// world its worker exits and is rolled back from disk.
-    fn recv_validated(
-        &self,
-        comm: &Communicator,
-        src: usize,
-        tag: u32,
-        expected: usize,
-    ) -> CommResult<Vec<f64>> {
-        let mut attempt = 1;
-        loop {
-            match comm.recv_framed(src, tag, expected) {
-                Ok(data) => return Ok(data),
-                Err(e) if e.is_transient() && attempt < self.retry.max_attempts => {
-                    comm.stats().record_retry();
-                    obs::Registry::global().counter("comm.recv_retries").inc();
-                    if !self.retry.backoff.is_zero() {
-                        std::thread::sleep(self.retry.backoff * attempt);
-                    }
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Post + finish in one call (no overlap).
@@ -427,11 +350,6 @@ mod tests {
 
     fn decomp(py: usize, pz: usize) -> Decomposition {
         Decomposition::new((8, 12, 8), ProcessGrid::yz(py, pz).unwrap()).unwrap()
-    }
-
-    /// global value of field `fi` at (i, gj, gk)
-    fn val(fi: usize, i: isize, gj: i64, gk: i64) -> f64 {
-        (fi as f64 + 1.0) * 1000.0 + i as f64 + 10.0 * gj as f64 + 100.0 * gk as f64
     }
 
     #[test]
@@ -615,97 +533,55 @@ mod tests {
         assert!(results.into_iter().all(|b| b));
     }
 
-    /// FNV-1a over the raw f64 bits — cheap bitwise fingerprint so the test
-    /// below compares whole fields without cloning them out of each rank.
-    fn fnv1a_bits(data: &[f64]) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for v in data {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        h
-    }
-
+    /// A peer's message one element short or one long is a typed
+    /// `SizeMismatch` naming it, not a slice panic inside `unpack_box` or a
+    /// silently ignored tail.
     #[test]
-    fn framed_exchange_is_bitwise_identical_and_counts_match() {
-        // the resilient (framed) exchange must move exactly the same data
-        // and record exactly the same certified traffic as the plain one
-        let run = |framed: bool| {
-            Universe::run(4, move |comm| {
-                let d = decomp(2, 2);
-                let sub = d.subdomain(comm.rank());
-                let (nx, ny, nz) = sub.extents();
-                let h = HaloWidths::uniform(2);
-                let mut f = Field3::new(nx, ny, nz, h);
-                for k in 0..nz as isize {
-                    for j in 0..ny as isize {
-                        for i in 0..nx as isize {
-                            let gj = sub.y.start as i64 + j as i64;
-                            let gk = sub.z.start as i64 + k as i64;
-                            f.set(i, j, k, val(0, i, gj, gk));
-                        }
-                    }
-                }
-                let mut ex = HaloExchanger::new(d, comm.rank());
-                ex.set_framed(framed);
-                let mut fields = [ExField::Volume(&mut f)];
-                ex.exchange(comm, h, &mut fields).unwrap();
-                (fnv1a_bits(f.raw()), comm.stats().snapshot())
-            })
-        };
-        let plain = run(false);
-        let resilient = run(true);
-        for (p, r) in plain.iter().zip(&resilient) {
-            assert_eq!(p.0, r.0, "framed exchange changed the data");
-            assert_eq!(
-                p.1, r.1,
-                "framing must not perturb certified traffic counts"
-            );
-        }
-    }
-
-    #[test]
-    fn framed_recv_retries_through_injected_drop_and_corruption() {
-        use agcm_comm::FaultPlan;
+    fn a_message_of_the_wrong_length_is_a_typed_size_mismatch() {
+        use agcm_comm::CommError;
+        let d = decomp(2, 1);
+        let mut h = HaloWidths::uniform(0);
+        (h.ym, h.yp) = (1, 1);
+        let geoms = |rank: usize| vec![(d.subdomain(rank).extents(), false)];
         let results = Universe::run(2, |comm| {
-            comm.install_faults(
-                FaultPlan::parse(77, "drop:rank=0,user=1,nth=1;corrupt:rank=1,user=1,nth=1")
-                    .unwrap(),
-            );
-            comm.set_timeout(std::time::Duration::from_millis(300));
-            let d = decomp(2, 1);
-            let sub = d.subdomain(comm.rank());
-            let (nx, ny, nz) = sub.extents();
-            let h = HaloWidths {
-                xm: 0,
-                xp: 0,
-                ym: 2,
-                yp: 2,
-                zm: 0,
-                zp: 0,
-            };
+            let rank = comm.rank();
+            if rank == 1 {
+                // two forged messages, the length of the real one ∓ 1, on
+                // the tags of rank 0's first two exchanges
+                let [msg] = &link_messages(&d, 1, h, &geoms(1))[..] else {
+                    panic!("one link")
+                };
+                let dir = dir_index(msg.link.offset);
+                for (seq, len) in [(0, msg.send_elems() - 1), (1, msg.send_elems() + 1)] {
+                    let tag = wire_tag(seq, dir);
+                    comm.send(0, tag, &vec![1.0; len]).unwrap();
+                }
+                // outlive rank 0's sends to this rank
+                comm.barrier().unwrap();
+                return Vec::new();
+            }
+            let (nx, ny, nz) = d.subdomain(0).extents();
             let mut f = Field3::new(nx, ny, nz, h);
-            f.fill(comm.rank() as f64 + 1.0);
-            let mut ex = HaloExchanger::new(d, comm.rank());
-            ex.set_framed(true);
-            let mut fields = [ExField::Volume(&mut f)];
-            ex.exchange(comm, h, &mut fields).unwrap();
-            let got = if comm.rank() == 0 {
-                f.get(0, ny as isize, 0)
-            } else {
-                f.get(0, -1, 0)
-            };
-            (got, comm.stats().fault_snapshot())
+            let mut ex = HaloExchanger::new(d.clone(), 0);
+            let expected = link_messages(&d, 0, h, &geoms(0))[0].recv_elems();
+            let errs: Vec<_> = (0..2)
+                .map(|_| ex.exchange(comm, h, &mut [ExField::Volume(&mut f)]))
+                .collect();
+            assert_eq!(ex.exchanges, 0, "a refused message completes no exchange");
+            comm.barrier().unwrap();
+            errs.into_iter()
+                .map(|e| match e {
+                    Err(CommError::SizeMismatch {
+                        expected: want,
+                        got,
+                        src: 1,
+                        ..
+                    }) if want == expected => got as i64 - want as i64,
+                    other => panic!("want a size mismatch from rank 1, got {other:?}"),
+                })
+                .collect()
         });
-        // both faults fired and the exchange still delivered clean halos
-        assert_eq!(results[0].0, 2.0);
-        assert_eq!(results[1].0, 1.0);
-        assert_eq!(results[0].1.dropped, 1);
-        assert_eq!(results[1].1.corrupted, 1);
-        let retries: u64 = results.iter().map(|r| r.1.retries).sum();
-        assert!(retries >= 2, "both faults need retries, saw {retries}");
+        assert_eq!(results[0], [-1, 1]);
     }
 
     #[test]

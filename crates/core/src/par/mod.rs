@@ -12,6 +12,6 @@ pub use alg1::{gather_state_impl, Alg1Model, GlobalState};
 pub use alg2::CaModel;
 pub use exchange::{
     dir_index, link_messages, state_fields, wire_tag, with_fields, ExField, HaloExchanger,
-    LinkMessage, LinkPart, RetryPolicy,
+    LinkMessage, LinkPart,
 };
 pub use schedule::{ExFields, ExchangeOp, FieldShape, StepOp};

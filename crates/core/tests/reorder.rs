@@ -1,7 +1,8 @@
-//! Delivery-order robustness (ISSUE 3 satellite): the deep-halo exchanges
-//! of Algorithm 1 and Algorithm 2 must produce bit-identical owned values
-//! under *adversarial* message delivery — here, deterministic `delay`
-//! faults that hold messages back and release them out of order.
+//! Delivery-order robustness: the deep-halo exchanges of Algorithm 1 and
+//! Algorithm 2 must produce bit-identical owned values under *adversarial*
+//! message delivery — here, deterministic `delay` faults that hold
+//! messages back and release them out of order — and a rerun under the
+//! same plan must replay its fault schedule byte for byte.
 //!
 //! Tag matching (not arrival order) defines which payload lands in which
 //! halo, so any reordering the fault layer produces must be invisible in
@@ -10,7 +11,7 @@
 
 use agcm_comm::{FaultPlan, Universe};
 use agcm_core::init;
-use agcm_core::par::{Alg1Model, CaModel};
+use agcm_core::par::{Alg1Model, CaModel, GlobalState};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
 use std::time::Duration;
@@ -36,10 +37,12 @@ fn ca_cfg() -> ModelConfig {
     cfg
 }
 
-fn run_alg2(cfg: &ModelConfig, fault: Option<(u64, &str)>) -> agcm_core::par::GlobalState {
+/// Algorithm 2 at p = 2 under an optional fault plan: the gathered state
+/// and every fault the ranks fired, rank-major, one event a line.
+fn run_alg2(cfg: &ModelConfig, fault: Option<(u64, &str)>) -> (GlobalState, String) {
     let cfg = cfg.clone();
     let fault = fault.map(|(s, spec)| (s, spec.to_string()));
-    let mut results = Universe::run(2, move |comm| {
+    let results = Universe::run(2, move |comm| {
         if let Some((seed, spec)) = &fault {
             comm.install_faults(FaultPlan::parse(*seed, spec).unwrap());
         }
@@ -49,12 +52,15 @@ fn run_alg2(cfg: &ModelConfig, fault: Option<(u64, &str)>) -> agcm_core::par::Gl
         let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
         m.set_state(&ic);
         m.run(comm, STEPS).unwrap();
-        m.gather_state(comm).unwrap()
+        let log: String = comm.fault_log().iter().map(|e| format!("{e}\n")).collect();
+        (m.gather_state(comm).unwrap(), log)
     });
-    results.remove(0).expect("rank 0 gathers")
+    let log = results.iter().map(|r| r.1.as_str()).collect();
+    let state = results.into_iter().find_map(|r| r.0);
+    (state.expect("rank 0 gathers"), log)
 }
 
-fn run_alg1(cfg: &ModelConfig, fault: Option<(u64, &str)>) -> agcm_core::par::GlobalState {
+fn run_alg1(cfg: &ModelConfig, fault: Option<(u64, &str)>) -> GlobalState {
     let cfg = cfg.clone();
     let fault = fault.map(|(s, spec)| (s, spec.to_string()));
     let mut results = Universe::run(2, move |comm| {
@@ -75,9 +81,9 @@ fn run_alg1(cfg: &ModelConfig, fault: Option<(u64, &str)>) -> agcm_core::par::Gl
 #[test]
 fn alg2_bitwise_under_adversarial_delivery_order() {
     let cfg = ca_cfg();
-    let clean = run_alg2(&cfg, None);
+    let clean = run_alg2(&cfg, None).0;
     for seed in seeds() {
-        let delayed = run_alg2(&cfg, Some((seed, DELAY_SPEC)));
+        let delayed = run_alg2(&cfg, Some((seed, DELAY_SPEC))).0;
         let d = clean.max_abs_diff(&delayed);
         assert_eq!(
             d, 0.0,
@@ -104,19 +110,27 @@ fn alg1_bitwise_under_adversarial_delivery_order() {
 fn delay_schedule_actually_fires() {
     // guard against a vacuous pass: at least one seed must hold back at
     // least one message in the alg2 run
-    let cfg = ca_cfg();
-    let cfg2 = cfg.clone();
-    let fired: u64 = Universe::run(2, move |comm| {
-        comm.install_faults(FaultPlan::parse(DEFAULT_SEEDS[0], DELAY_SPEC).unwrap());
-        comm.set_timeout(Duration::from_secs(20));
-        let pgrid = ProcessGrid::yz(2, 1).unwrap();
-        let mut m = CaModel::new(&cfg2, pgrid, comm).unwrap();
-        let ic = init::perturbed_rest(m.geom(), 200.0, 1.0, 42);
-        m.set_state(&ic);
-        m.run(comm, STEPS).unwrap();
-        comm.stats().fault_snapshot().delayed
-    })
-    .into_iter()
-    .sum();
+    let log = run_alg2(&ca_cfg(), Some((DEFAULT_SEEDS[0], DELAY_SPEC))).1;
+    let fired = log.lines().filter(|l| l.starts_with("delay@")).count();
     assert!(fired > 0, "a 35% delay plan over a 2-step run must fire");
+}
+
+/// An identical rerun (same seed, same spec) reproduces the fault schedule
+/// byte for byte, and the state bit for bit.
+#[test]
+fn identical_rerun_replays_schedule_byte_for_byte() {
+    let cfg = ca_cfg();
+    // the stall rule first: it fires on rank 1's third user send whatever
+    // the seed makes of the delays
+    let spec = format!("stall:rank=1,user=1,nth=3,ms=2;{DELAY_SPEC}");
+    let seed = seeds()[0];
+    let (state_a, log_a) = run_alg2(&cfg, Some((seed, &spec)));
+    let (state_b, log_b) = run_alg2(&cfg, Some((seed, &spec)));
+    assert!(
+        log_a.contains("stall@rank1"),
+        "the stall must fire:\n{log_a}"
+    );
+    assert!(log_a.contains("delay@"), "the delays must fire:\n{log_a}");
+    assert_eq!(log_a, log_b, "fault schedule must replay byte-for-byte");
+    assert_eq!(state_a.max_abs_diff(&state_b), 0.0);
 }

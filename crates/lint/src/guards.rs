@@ -151,11 +151,16 @@ pub const GUARDS: &[Guard] = &[
     Guard { key: "one-rollback", mode: Text, bound: Absent, scope: &["crates/", ".github/"],
         patterns: &["ResilientRunner", "CheckpointRing", "ResilienceConfig", "ResilienceError",
             "set_degraded", "purge_other_contexts", "resync_collectives", r"fn resync\b"] },
-    // A dead rank ends its world.  Whole words: the soak report keeps its
-    // `rewires` keys for its schema.
+    // A dead rank ends its world, and so does a frame that fails its hash:
+    // no second recovery protocol (the framed, retrying exchange) and no
+    // lossy-link fault kinds for it to survive.  Whole words: the soak
+    // report keeps its `rewires` keys for its schema.
     Guard { key: "crash-only", mode: Text, bound: Absent, scope: &["crates/"], patterns: &[
         r"\brewire\b", r"\bconnect_at_epoch\b", r"\bset_poison_on_eof\b", r"\baccept_reconnects\b",
-        r"\blast_reconnect\b", r"\bRECOVERY_TIMEOUT\b"] },
+        r"\blast_reconnect\b", r"\bRECOVERY_TIMEOUT\b", r"\bsend_framed\b", r"\brecv_framed\b",
+        r"\bRetryPolicy\b", r"\bset_framed\b", r"\bset_retry\b", r"\bCorruptPayload\b",
+        r"\bcorrupted_copy\b", r"\brecord_retry\b", r"\bis_transient\b", "FaultKind::Drop",
+        "FaultKind::Corrupt", "FaultKind::Dup"] },
     // A rank reports one way, its final checkpoint and one record; the one
     // `gather_state(` is the parent's threaded reference.
     Guard { key: "one-way-home", mode: Text, bound: Absent, scope: &["crates/", ".github/"],
@@ -195,8 +200,8 @@ pub const GUARDS: &[Guard] = &[
 /// The line budgets, each set where its last change landed, so that it
 /// ratchets.
 pub const BUDGETS: &[Budget] = &[
-    Budget { name: "integrator + par", max: 1219, scope: &[
+    Budget { name: "integrator + par", max: 1157, scope: &[
         "crates/core/src/serial.rs", "crates/core/src/integrator.rs", "crates/core/src/par/"] },
-    Budget { name: "agcm-core", max: 5854, scope: &["crates/core/src/"] },
-    Budget { name: "crates/*/src", max: 16126, scope: &["crates/*/src/"] },
+    Budget { name: "agcm-core", max: 5792, scope: &["crates/core/src/"] },
+    Budget { name: "crates/*/src", max: 15819, scope: &["crates/*/src/"] },
 ];

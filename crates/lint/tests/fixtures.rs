@@ -816,6 +816,25 @@ fn crash_only_matches_whole_words() {
 }
 
 #[test]
+fn crash_only_keeps_the_retrying_exchange_deleted() {
+    fails(
+        "crash-only",
+        "crates/core/src/par/exchange.rs",
+        concat!("pub struct Retry", "Policy { pub max_attempts: u32 }"),
+    );
+    fails(
+        "crash-only",
+        "crates/comm/tests/fault_injection.rs",
+        concat!("// m.set_fr", "amed(true);"),
+    );
+    fails(
+        "crash-only",
+        "crates/comm/src/stats.rs",
+        concat!("fn f(k: FaultKind) { if k == FaultKind::Co", "rrupt {} }"),
+    );
+}
+
+#[test]
 fn one_way_home_gathers_once() {
     let key = "one-way-home";
     fails(

@@ -45,9 +45,7 @@ const DEFAULT_SOAK_SEED: u64 = 24473;
 
 /// The benign background fault layer every soak worker runs under: delays
 /// reorder frame delivery without touching payloads, so the run stays
-/// bitwise while the queues soak under pressure (drop/corrupt faults would
-/// surface as fatal worker errors and burn the respawn budget on non-kill
-/// events, which the accounting must not mix).
+/// bitwise while the queues soak under pressure.
 const SOAK_FAULT_SPEC: &str = "delay:prob=0.05,k=3";
 
 // ---------------------------------------------------------------------------

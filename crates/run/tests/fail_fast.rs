@@ -2,7 +2,8 @@
 //! non-zero fails the run at once, naming the rank, instead of leaving the
 //! survivors to wait out their receive timeout for a peer that is gone — a
 //! peer that closed its sockets between two frames leaves no poison, and a
-//! world without a respawn policy is never restarted.
+//! world without a respawn policy is never restarted.  A fault spec the
+//! runtime refuses never starts a world at all.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -28,4 +29,28 @@ fn classic_world_fails_as_soon_as_a_rank_dies() {
         wall < Duration::from_secs(20),
         "took {wall:?}: the parent waited for the survivor's timeout\n{se}"
     );
+}
+
+/// A lossy-link fault kind is a named refusal: the parent's check of the
+/// runtime variables exits 2 naming the variable and why, before any rank
+/// is spawned — never a silent no-op, never a panicking worker.
+#[test]
+fn a_drop_fault_spec_exits_2_naming_the_refusal() {
+    let out = Command::new(env!("CARGO_BIN_EXE_agcm-run"))
+        .args(["--ranks", "2", "--alg", "1", "--steps", "2"])
+        .env("AGCM_FAULT_SPEC", "drop:nth=1")
+        .env_remove("AGCM_RANK")
+        .output()
+        .expect("spawn agcm-run");
+    let se = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "want exit 2:\n{se}");
+    assert!(
+        se.contains("AGCM_FAULT_SPEC"),
+        "the variable must be named:\n{se}"
+    );
+    assert!(
+        se.contains("'drop' is refused"),
+        "the refusal must say why:\n{se}"
+    );
+    assert!(!se.contains("panicked") && !se.contains("rank 0"), "{se}");
 }

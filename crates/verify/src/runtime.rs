@@ -27,15 +27,13 @@ pub struct MeasuredTraffic {
 }
 
 /// Run `alg` on `pgrid` for real (threads) with a deterministic fault plan
-/// installed and framed, retrying exchanges, measure the second step —
-/// steady state: warm `C` cache, pending smoothing — and return per-rank
-/// halo traffic with collective-internal messages subtracted.  The
-/// certified counts must be *invariant* under delivery faults: the stats
-/// count logical payloads (checksum frames excluded), redundant duplicate
-/// deliveries are never counted, drops/corruptions are recovered
-/// receiver-side without reposting sends, and stalls/delays only move
-/// messages in time.  `Err` names a malformed `spec`, a model that does
-/// not build, or a step that failed.
+/// installed, measure the second step — steady state: warm `C` cache,
+/// pending smoothing — and return per-rank halo traffic with
+/// collective-internal messages subtracted.  The certified counts must be
+/// *invariant* under the faults a plan can inject: a delay reorders
+/// messages and a stall pauses a rank, but each message is still sent and
+/// received exactly once.  `Err` names a malformed or refused `spec`, a
+/// model that does not build, or a step that failed.
 pub fn measure_step_under_faults(
     cfg: &ModelConfig,
     alg: AlgKind,
@@ -58,17 +56,11 @@ fn measure_step_inner(
     let ranks = Universe::run(pgrid.size(), move |comm| {
         if let Some(plan) = &fault {
             comm.install_faults(plan.clone());
-            comm.set_timeout(std::time::Duration::from_millis(500));
         }
         // the per-event log (needed to subtract collective-internal p2p)
         // is opt-in since it grows unboundedly on long runs
         comm.stats().set_event_logging(true);
         let mut m = Integrator::parallel(&cfg, alg, pgrid, comm).map_err(|e| e.to_string())?;
-        if fault.is_some() {
-            // framed + retrying exchanges recover drops/corruption
-            m.set_framed(true);
-            m.set_retry(agcm_core::par::RetryPolicy::default());
-        }
         let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
         m.set_state(&ic);
         m.step(Some(comm)).map_err(|e| e.to_string())?; // warm-up: fills caches, leaves a smoothing pending
