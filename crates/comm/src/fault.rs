@@ -47,9 +47,14 @@
 //!
 //! All fault kinds fire at send sites (the clock ticks on sends); `stall`
 //! and `crash` model slow-rank jitter and fail-stop process faults at the
-//! chosen send.  `lat:us=N` is the latency dial of a host that has none: the
-//! receiver of **every** matching message (the `rank`/`peer`/`tag`/`user`/
-//! `phase` filters apply; it takes no selector) waits `N` µs past the
+//! chosen send.  A `crash` is the one way a rank is killed: a rank that is
+//! its own process `abort()`s there, as `kill -9` would end it, and a rank
+//! of an in-process world (a thread) panics, so that its harness can
+//! poison its peers and re-throw at join.
+//!
+//! `lat:us=N` is the latency dial of a host that has none: the receiver of
+//! **every** matching message (the `rank`/`peer`/`tag`/`user`/`phase`
+//! filters apply; it takes no selector) waits `N` µs past the
 //! message's arrival before it returns — a per-message `α`, where `stall`
 //! sleeps a rank once.  It never touches the fault clock, the log or the
 //! counters, so a plan replays the same with or without it
@@ -79,7 +84,7 @@ pub enum FaultKind {
     Delay,
     /// The rank sleeps at this event (slow-rank / OS-jitter model).
     Stall,
-    /// The rank panics at this event (fail-stop process fault).
+    /// The rank dies at this event (fail-stop process fault).
     Crash,
     /// Every matching message reaches its receiver a fixed time late.
     Lat,
@@ -175,9 +180,6 @@ pub struct FaultSite {
     pub event: u64,
     /// Operator phase active on the calling thread.
     pub phase: Phase,
-    /// Whether the operation is a send (always `true` for sites built by
-    /// the runtime — only sends tick the fault clock).
-    pub is_send: bool,
 }
 
 /// A resolved fault to apply at a site.
@@ -193,7 +195,7 @@ pub enum FaultAction {
         /// Sleep duration in milliseconds.
         ms: u64,
     },
-    /// Panic on the calling rank.
+    /// End the calling rank.
     Crash,
 }
 
@@ -365,17 +367,14 @@ impl FaultPlan {
         Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Decide deterministically whether a fault fires at `site`.
+    /// Decide deterministically whether a fault fires at the send `site`.
     /// `nth_counts` must hold one counter per rule (the per-rank match
     /// counters backing `nth=`); the first firing rule wins.
     pub fn decide(&self, site: &FaultSite, nth_counts: &mut [u64]) -> Option<FaultAction> {
         debug_assert_eq!(nth_counts.len(), self.rules.len());
         for (i, rule) in self.rules.iter().enumerate() {
             // the latency dial is not a fault: see `recv_latency`
-            if rule.kind == FaultKind::Lat || (rule.kind == FaultKind::Delay && !site.is_send) {
-                continue;
-            }
-            if !rule.matches(site) {
+            if rule.kind == FaultKind::Lat || !rule.matches(site) {
                 continue;
             }
             let fired = if let Some(ev) = rule.event {
@@ -408,14 +407,15 @@ impl FaultPlan {
         None
     }
 
-    /// How late the message received at `site` arrives: the sum of the
+    /// How late the message received at `site` (the receiving rank, the
+    /// sender as its peer) arrives: the sum of the
     /// plan's matching `lat` rules.  A pure function of the plan and the
     /// site's rank, peer, tag and phase — no clock, no counters, no log.
     pub fn recv_latency(&self, site: &FaultSite) -> std::time::Duration {
         let us = self
             .rules
             .iter()
-            .filter(|r| r.kind == FaultKind::Lat && !site.is_send && r.matches(site))
+            .filter(|r| r.kind == FaultKind::Lat && r.matches(site))
             .map(|r| r.lat_us)
             .sum();
         std::time::Duration::from_micros(us)
@@ -518,7 +518,7 @@ impl<R: io::Read> HashedWords<R> {
 mod tests {
     use super::*;
 
-    fn site(rank: usize, peer: usize, tag: u32, event: u64, is_send: bool) -> FaultSite {
+    fn site(rank: usize, peer: usize, tag: u32, event: u64) -> FaultSite {
         FaultSite {
             rank,
             peer,
@@ -526,7 +526,6 @@ mod tests {
             user_tag: tag & crate::runtime::COLLECTIVE_TAG_BIT == 0,
             event,
             phase: Phase::Other,
-            is_send,
         }
     }
 
@@ -589,7 +588,7 @@ mod tests {
         let mut c1 = vec![0u64; 1];
         let mut c2 = vec![0u64; 1];
         for ev in 0..200 {
-            let s = site(0, 1, 9, ev, true);
+            let s = site(0, 1, 9, ev);
             assert_eq!(p.decide(&s, &mut c1), p.decide(&s, &mut c2));
         }
     }
@@ -599,7 +598,7 @@ mod tests {
         let p = FaultPlan::parse(99, "delay:prob=0.25").unwrap();
         let mut c = vec![0u64; 1];
         let fired = (0..4000)
-            .filter(|&ev| p.decide(&site(0, 1, 5, ev, true), &mut c).is_some())
+            .filter(|&ev| p.decide(&site(0, 1, 5, ev), &mut c).is_some())
             .count();
         assert!((700..=1300).contains(&fired), "rate off: {fired}/4000");
     }
@@ -609,7 +608,7 @@ mod tests {
         let p = FaultPlan::parse(1, "crash:nth=3").unwrap();
         let mut c = vec![0u64; 1];
         let fired: Vec<u64> = (0..10)
-            .filter(|&ev| p.decide(&site(0, 1, 5, ev, true), &mut c).is_some())
+            .filter(|&ev| p.decide(&site(0, 1, 5, ev), &mut c).is_some())
             .collect();
         assert_eq!(fired, vec![2]); // 3rd matching event, 0-based index 2
     }
@@ -618,13 +617,11 @@ mod tests {
     fn filters_respected() {
         let p = FaultPlan::parse(1, "delay:rank=1,peer=2,tag=7,event=5").unwrap();
         let mut c = vec![0u64; 1];
-        assert!(p.decide(&site(1, 2, 7, 5, true), &mut c).is_some());
-        assert!(p.decide(&site(0, 2, 7, 5, true), &mut c).is_none());
-        assert!(p.decide(&site(1, 3, 7, 5, true), &mut c).is_none());
-        assert!(p.decide(&site(1, 2, 8, 5, true), &mut c).is_none());
-        assert!(p.decide(&site(1, 2, 7, 6, true), &mut c).is_none());
-        // a delay holds a send: it never fires on a receive
-        assert!(p.decide(&site(1, 2, 7, 5, false), &mut c).is_none());
+        assert!(p.decide(&site(1, 2, 7, 5), &mut c).is_some());
+        assert!(p.decide(&site(0, 2, 7, 5), &mut c).is_none());
+        assert!(p.decide(&site(1, 3, 7, 5), &mut c).is_none());
+        assert!(p.decide(&site(1, 2, 8, 5), &mut c).is_none());
+        assert!(p.decide(&site(1, 2, 7, 6), &mut c).is_none());
     }
 
     #[test]
@@ -632,18 +629,8 @@ mod tests {
         let p = FaultPlan::parse(1, "delay:user=1,nth=1").unwrap();
         let mut c = vec![0u64; 1];
         let coll = crate::runtime::COLLECTIVE_TAG_BIT | 3;
-        assert!(p.decide(&site(0, 1, coll, 0, true), &mut c).is_none());
-        assert!(p.decide(&site(0, 1, 3, 1, true), &mut c).is_some());
-    }
-
-    #[test]
-    fn stall_and_crash_fire_on_recvs_too() {
-        let p = FaultPlan::parse(1, "stall:event=4,ms=1").unwrap();
-        let mut c = vec![0u64; 1];
-        assert_eq!(
-            p.decide(&site(0, 1, 5, 4, false), &mut c),
-            Some(FaultAction::Stall { ms: 1 })
-        );
+        assert!(p.decide(&site(0, 1, coll, 0), &mut c).is_none());
+        assert!(p.decide(&site(0, 1, 3, 1), &mut c).is_some());
     }
 
     #[test]
@@ -655,23 +642,20 @@ mod tests {
         let us = |site: FaultSite| p.recv_latency(&site).as_micros();
         // every user-tag receive, on every rank, at every event
         for event in [0, 4, 1000] {
-            assert_eq!(us(site(0, 1, 5, event, false)), 250);
+            assert_eq!(us(site(0, 1, 5, event)), 250);
         }
         // rules add up; filters apply
-        assert_eq!(us(site(1, 0, 5, 0, false)), 300);
+        assert_eq!(us(site(1, 0, 5, 0)), 300);
         let coll = crate::runtime::COLLECTIVE_TAG_BIT | 3;
-        assert_eq!(us(site(0, 1, coll, 0, false)), 0);
-        assert_eq!(us(site(1, 0, coll, 0, false)), 50);
-        // a message is late at its receiver, never at its sender
-        assert_eq!(us(site(0, 1, 5, 0, true)), 0);
+        assert_eq!(us(site(0, 1, coll, 0)), 0);
+        assert_eq!(us(site(1, 0, coll, 0)), 50);
         // and the dial is invisible to the fault schedule: no action, no
-        // `nth` tick, whichever side asks
+        // `nth` tick
         let mut c = vec![0u64; 3];
-        assert_eq!(p.decide(&site(0, 1, 5, 0, true), &mut c), None);
-        assert_eq!(p.decide(&site(0, 1, 5, 0, false), &mut c), None);
+        assert_eq!(p.decide(&site(0, 1, 5, 0), &mut c), None);
         assert_eq!(c, [0, 0, 0]);
         assert_eq!(
-            p.decide(&site(0, 1, 5, 4, false), &mut c),
+            p.decide(&site(0, 1, 5, 4), &mut c),
             Some(FaultAction::Stall { ms: 1 })
         );
         // `us` is the dial's only knob; without it the rule is a no-op

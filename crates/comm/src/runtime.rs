@@ -164,9 +164,9 @@ impl Universe {
 }
 
 /// Shared SPMD harness: one scoped thread per rank, a communicator built
-/// *on* that thread (communicators are `!Send`), panics caught so peers
-/// get poisoned (fail-fast [`CommError::PeerFailed`]) and re-thrown at
-/// join.
+/// *on* that thread (communicators are `!Send`) and marked in-process, so
+/// that an injected crash panics too, and panics caught so peers get
+/// poisoned (fail-fast [`CommError::PeerFailed`]) and re-thrown at join.
 fn run_scoped<T, F, S>(p: usize, setup: S, f: F) -> Vec<T>
 where
     T: Send,
@@ -183,6 +183,7 @@ where
                 // tag trace events from this thread with its rank
                 obs::set_rank(rank);
                 let mut comm = setup(rank);
+                comm.in_process = true;
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
                 if r.is_err() {
                     comm.poison_peers();
@@ -249,6 +250,9 @@ pub struct Communicator {
     /// Fault-injection state, shared with every sub-communicator split off
     /// after [`Communicator::install_faults`].
     fault: Option<Rc<FaultCtx>>,
+    /// Whether this rank is a thread of an in-process world, whose injected
+    /// crash panics; a rank that is its own process aborts instead.
+    in_process: bool,
 }
 
 impl Communicator {
@@ -271,6 +275,7 @@ impl Communicator {
             coll_seq: Cell::new(0),
             stats: CommStats::new(),
             fault: FaultPlan::from_env().map(|p| Rc::new(FaultCtx::new(p))),
+            in_process: false,
         }
     }
 
@@ -348,10 +353,18 @@ impl Communicator {
                 return Ok(());
             }
             Some(FaultAction::Stall { ms }) => std::thread::sleep(Duration::from_millis(ms)),
-            Some(FaultAction::Crash) => panic!(
-                "injected fault: crash at world rank {} (tag {tag:#x})",
-                self.members[self.rank]
-            ),
+            Some(FaultAction::Crash) => {
+                let (me, send) = (self.members[self.rank], self.events_so_far() - 1);
+                let what =
+                    format!("injected fault: crash at world rank {me} (send {send}, tag {tag:#x})");
+                if self.in_process {
+                    panic!("{what}");
+                }
+                // die as `kill -9` would end the process: no unwinding, no
+                // flush of held messages, the kernel closes the sockets
+                eprintln!("{what}");
+                std::process::abort();
+            }
         }
         self.transport.send(peer_global, env)?;
         self.stats.record_send(n);
@@ -394,7 +407,6 @@ impl Communicator {
             user_tag: tag & COLLECTIVE_TAG_BIT == 0,
             event,
             phase: obs::current_phase(),
-            is_send: true,
         };
         let action = {
             let mut nth = ctx.nth.borrow_mut();
@@ -515,7 +527,6 @@ impl Communicator {
                 user_tag: tag & COLLECTIVE_TAG_BIT == 0,
                 event: ctx.event.get(),
                 phase: obs::current_phase(),
-                is_send: false,
             });
             let arrived = Instant::now();
             while arrived.elapsed() < late {
@@ -660,6 +671,7 @@ impl Communicator {
             coll_seq: Cell::new(0),
             stats: self.stats.clone(),
             fault: self.fault.clone(),
+            in_process: self.in_process,
         })
     }
 
@@ -857,7 +869,6 @@ mod tests {
         }
     }
 
-    #[cfg(unix)]
     #[test]
     fn socket_universe_matches_mpsc_semantics() {
         // same program as ring_pass + out_of_order_matching, over real
@@ -879,7 +890,6 @@ mod tests {
 
     /// Helper: re-run a tiny exchange and check the wire-byte identity
     /// `bytes == 8·elems + overhead·msgs` against the logical stats.
-    #[cfg(unix)]
     fn comm_wire_identity_holds(_: &Endpoint) -> bool {
         use crate::transport::WIRE_OVERHEAD_BYTES;
         let ep = Endpoint::unique_uds();
@@ -895,7 +905,6 @@ mod tests {
         ok.into_iter().all(|b| b)
     }
 
-    #[cfg(unix)]
     #[test]
     fn socket_poison_fails_peers_fast() {
         let ep = Endpoint::unique_uds();

@@ -161,6 +161,12 @@ pub const GUARDS: &[Guard] = &[
         r"\bRetryPolicy\b", r"\bset_framed\b", r"\bset_retry\b", r"\bCorruptPayload\b",
         r"\bcorrupted_copy\b", r"\brecord_retry\b", r"\bis_transient\b", "FaultKind::Drop",
         "FaultKind::Corrupt", "FaultKind::Dup"] },
+    // A rank is killed one way, a `crash` fault at a send, which the parent
+    // places per generation: no step-boundary abort read from the
+    // environment, and no receive-side fault site.  The Unix-domain socket
+    // is the one socket transport.
+    Guard { key: "one-kill", mode: Text, bound: Absent, scope: &["crates/"], patterns: &[
+        "AGCM_KILL_STEP", r"\bkill_step\b", r"\bis_send\b", r"\bTcpStream\b"] },
     // A rank reports one way, its final checkpoint and one record; the one
     // `gather_state(` is the parent's threaded reference.
     Guard { key: "one-way-home", mode: Text, bound: Absent, scope: &["crates/", ".github/"],
@@ -203,5 +209,5 @@ pub const BUDGETS: &[Budget] = &[
     Budget { name: "integrator + par", max: 1157, scope: &[
         "crates/core/src/serial.rs", "crates/core/src/integrator.rs", "crates/core/src/par/"] },
     Budget { name: "agcm-core", max: 5792, scope: &["crates/core/src/"] },
-    Budget { name: "crates/*/src", max: 15819, scope: &["crates/*/src/"] },
+    Budget { name: "crates/*/src", max: 15753, scope: &["crates/*/src/"] },
 ];

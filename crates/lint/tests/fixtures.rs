@@ -835,6 +835,33 @@ fn crash_only_keeps_the_retrying_exchange_deleted() {
 }
 
 #[test]
+fn one_kill_keeps_the_step_abort_the_receive_site_and_tcp_deleted() {
+    let key = "one-kill";
+    for (rel, code) in [
+        ("crates/run/src/lib.rs", concat!("// AGCM_KILL", "_STEP=3")),
+        (
+            "crates/run/src/elastic.rs",
+            concat!("fn f(w: &W) { w.kill", "_step; }"),
+        ),
+        (
+            "crates/comm/src/fault.rs",
+            concat!("fn g(s: &S) -> bool { s.is", "_send }"),
+        ),
+        (
+            "crates/comm/src/transport.rs",
+            concat!("use std::net::Tcp", "Stream;"),
+        ),
+    ] {
+        fails(key, rel, code);
+    }
+    passes(
+        key,
+        "crates/run/src/elastic.rs",
+        concat!("fn f(w: &W) { w.kill", "_steps; }"),
+    );
+}
+
+#[test]
 fn one_way_home_gathers_once() {
     let key = "one-way-home";
     fails(

@@ -22,18 +22,20 @@
 //! ([`agcm_verify::certify_yz`]) before stepping resumes.
 
 use crate::{
-    new_model, run_config, set_default_ic, verify_world, write_record, ParentError, Worker, TRAFFIC,
+    alg_kind, new_model, run_config, set_default_ic, verify_world, write_record, ParentError,
+    Worker, TRAFFIC,
 };
 use agcm_comm::telemetry::{self, CLOCK_ROUNDS};
 use agcm_comm::{p2p_only_delta, Communicator, Endpoint, ReduceOp, SocketTransport};
+use agcm_core::analysis::CaMode;
 use agcm_core::{
     checkpoint_path, latest_checkpoint_step, prune_checkpoints, read_checkpoint, redistribute,
-    resize_retention, write_checkpoint, Integrator,
+    resize_retention, write_checkpoint, Integrator, ModelConfig,
 };
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
 use agcm_obs::dist::{OffsetEstimate, Record};
-use agcm_verify::certify_yz;
+use agcm_verify::{certify_yz, rank_counts, ScheduleGraph};
 use std::fs;
 use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
@@ -46,6 +48,11 @@ use std::time::{Duration, Instant};
 /// peer that died between two frames leaves no poison, and a rank must not
 /// outwait the parent that ends its world.
 const STEP_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a world that lost a rank is left running for the other ranks
+/// handed a kill to reach theirs: a rank on its way there gets to it in
+/// far less, and one blocked on the dead rank never does.
+const KILL_GRACE: Duration = Duration::from_secs(1);
 
 // ---------------------------------------------------------------------------
 // Plan
@@ -60,10 +67,60 @@ pub struct Phase {
     pub start: u64,
     /// Step count at the end of this phase (the workers' `AGCM_RUN_STEPS`).
     pub end: u64,
-    /// Kill events `(rank, step)` injected into this phase: that rank
-    /// aborts after completing the step, in whichever generation of the
-    /// world first reaches it.
-    pub kills: Vec<(usize, u64)>,
+    /// The kills injected into this phase, in step order: the kills at one
+    /// step go to one generation, and each is handed to every generation of
+    /// the world until its rank's abort is seen.
+    pub kills: Vec<Kill>,
+}
+
+/// One kill: rank `rank` dies at its `send`-th send (0-based) in a world
+/// restored at step `step`.  Such a world's first [`Kill::agreement_sends`]
+/// sends are its start-of-world agreement, and the rest are the exchanges
+/// of step `step + 1` and on, a fixed count a step; so `send` below that
+/// count lands in the agreement of the generation the kill is handed to
+/// (`step` then only orders it), and `agreement_sends` itself is the first
+/// send after step `step` completes (`--kill R:S`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kill {
+    /// The rank that dies.
+    pub rank: usize,
+    /// The step whose restored world the kill's send counts in.
+    pub step: u64,
+    /// The send it dies at.
+    pub send: u64,
+}
+
+impl Kill {
+    /// The sends of a `p`-rank world's start-of-world agreement, each rank's:
+    /// the ring allreduce's `2(p − 1)`.
+    pub(crate) fn agreement_sends(p: usize) -> u64 {
+        2 * (p as u64).saturating_sub(1)
+    }
+
+    /// Whether the kill lands in a `p`-rank world's agreement.
+    pub(crate) fn in_agreement(&self, p: usize) -> bool {
+        self.send < Kill::agreement_sends(p)
+    }
+
+    /// The index on its rank's fault clock (sends since its world started)
+    /// at which the kill fires in a world restored at step `restore`, whose
+    /// steps send `per_step[rank]` messages each; `None` when the world
+    /// restores past the kill's step.
+    pub(crate) fn event(&self, p: usize, per_step: &[u64], restore: u64) -> Option<u64> {
+        if self.in_agreement(p) {
+            return Some(self.send);
+        }
+        Some(self.send + self.step.checked_sub(restore)? * per_step[self.rank])
+    }
+}
+
+/// Each rank's sends a step in the y-split `p`-rank world of `alg`, as every
+/// elastic one is: the static schedule's messages, every send of such a
+/// step, since it runs no collective.
+pub(crate) fn sends_per_step(cfg: &ModelConfig, alg: u32, p: usize) -> Result<Vec<u64>, String> {
+    let pgrid = ProcessGrid::yz(p, 1).map_err(|e| e.to_string())?;
+    let graph = ScheduleGraph::extract(cfg, alg_kind(alg)?, CaMode::Grouped, pgrid)?;
+    Ok(rank_counts(&graph).iter().map(|c| c.send_msgs).collect())
 }
 
 /// The phases one run executes, in order: `agcm-run` builds one (two under
@@ -81,24 +138,22 @@ pub struct Plan {
 
 impl Plan {
     /// The kill invariants: every kill names a rank inside its phase's
-    /// world, and a rank carries at most one kill per phase (a worker reads
-    /// one kill step, so a second would be silently inert).
+    /// world and a step the phase runs, and a world of one rank takes none,
+    /// since it sends nothing for a kill to land at.
     pub fn check(&self) -> Result<(), String> {
         for ph in &self.phases {
-            for (n, &(rank, step)) in ph.kills.iter().enumerate() {
-                let p = ph.p;
-                if rank >= p {
-                    return Err(format!(
-                        "--kill rank {rank} outside the world of {p} ranks \
-                         (step {step} lands in the p={p} phase)"
-                    ));
-                }
-                if ph.kills[..n].iter().any(|&(r, _)| r == rank) {
-                    return Err(format!(
-                        "--kill rank {rank} listed twice in the same phase (a worker \
-                         honors one kill step)"
-                    ));
-                }
+            for &Kill { rank, step, .. } in &ph.kills {
+                let (p, end) = (ph.p, ph.end);
+                let why = if rank >= p {
+                    format!("rank {rank} is outside the world of {p} ranks of its phase")
+                } else if step >= end {
+                    format!("no step follows step {step}: the run ends at step {end}")
+                } else if p == 1 {
+                    "a world of one rank sends nothing for a kill to land at".to_string()
+                } else {
+                    continue;
+                };
+                return Err(format!("--kill {rank}:{step} is refused: {why}"));
             }
         }
         Ok(())
@@ -169,30 +224,7 @@ pub(crate) fn run_rank(w: &Worker, transport: SocketTransport) -> Result<(), Str
     } else {
         None
     };
-    let mut model =
-        new_model(w.alg, &w.cfg, w.pgrid, &mut comm).map_err(|e| failed("model", &e))?;
-
-    // the start of every world — cold, resized or restarted — agrees on
-    // the newest step EVERY rank holds durable (-1 = none: use the IC), so
-    // the continued run is the bitwise continuation of a state that
-    // actually existed.  Its spans are stamped step 0, outside the measured
-    // step.
-    comm.set_timeout(STEP_TIMEOUT);
-    let mine =
-        latest_checkpoint_step(&ck.dir, rank).map_err(|e| failed("listing checkpoints", &e))?;
-    let mut agreed = [mine.map_or(-1.0, |s| s as f64)];
-    comm.allreduce(ReduceOp::Min, &mut agreed)
-        .map_err(|e| failed("agreeing on the restore step", &e))?;
-    let restored = if agreed[0] >= 0.0 {
-        let step = agreed[0] as u64;
-        let snap = read_checkpoint(&checkpoint_path(&ck.dir, rank, step))
-            .map_err(|e| failed(&format!("reading checkpoint at step {step}"), &e))?;
-        model.restore(&snap);
-        Some(step)
-    } else {
-        set_default_ic(&mut model);
-        None
-    };
+    let (mut model, restored) = open_world(w.alg, w.pgrid, &ck.dir, &mut comm)?;
 
     // recovery burst: in a restarted world every rank checkpoints every
     // step through one skew window past the agreed restore point, so the
@@ -213,12 +245,6 @@ pub(crate) fn run_rank(w: &Worker, transport: SocketTransport) -> Result<(), Str
         let s = model.steps as u64;
         if s.is_multiple_of(ck.interval) || burst_end.is_some_and(|b| s <= b) {
             durable_checkpoint(&model, ck, rank).map_err(|e| format!("rank {rank}: {e}"))?;
-        }
-        if w.kill_step == Some(s) {
-            // chaos injection: die like a kill -9 — no unwinding, no
-            // flushes, the kernel closes the sockets mid-run.  The parent
-            // hands a kill to every generation until its abort is seen.
-            std::process::abort();
         }
         if measure && s == 1 {
             comm.stats().set_event_logging(true);
@@ -270,6 +296,48 @@ pub(crate) fn run_rank(w: &Worker, transport: SocketTransport) -> Result<(), Str
     let metrics = obs::Registry::global().snapshot();
     write_record(&ck.dir, rank, w.generation, &Record { metrics, trace })
         .map_err(|e| failed("record", &e))
+}
+
+/// The start of every world — cold, resized or restarted: build this rank's
+/// model of `alg` on `pgrid` and agree with every other rank on the newest
+/// step EVERY rank holds durable in `dir` (none: the initial condition), so
+/// that the continued run is the bitwise continuation of a state that
+/// actually existed.  Its spans are stamped step 0, outside the measured
+/// step.  The model at the agreed step, and the step when it was restored.
+fn open_world(
+    alg: u32,
+    pgrid: ProcessGrid,
+    dir: &Path,
+    comm: &mut Communicator,
+) -> Result<(Integrator, Option<u64>), String> {
+    let rank = comm.rank();
+    let failed = |what: &str, e: &dyn std::fmt::Display| format!("rank {rank}: {what}: {e}");
+    let mut model = new_model(alg, &run_config(), pgrid, comm).map_err(|e| failed("model", &e))?;
+    comm.set_timeout(STEP_TIMEOUT);
+    let mine = latest_checkpoint_step(dir, rank).map_err(|e| failed("listing checkpoints", &e))?;
+    let mut agreed = [mine.map_or(-1.0, |s| s as f64)];
+    comm.allreduce(ReduceOp::Min, &mut agreed)
+        .map_err(|e| failed("agreeing on the restore step", &e))?;
+    if agreed[0] < 0.0 {
+        set_default_ic(&mut model);
+        return Ok((model, None));
+    }
+    let step = agreed[0] as u64;
+    let snap = read_checkpoint(&checkpoint_path(dir, rank, step))
+        .map_err(|e| failed(&format!("reading checkpoint at step {step}"), &e))?;
+    model.restore(&snap);
+    Ok((model, Some(step)))
+}
+
+/// The step the next world of `p` ranks at `dir` restores: the minimum its
+/// workers' start-of-world agreement computes from the same files, 0 when a
+/// rank holds none.
+fn restore_step(dir: &Path, p: usize) -> Result<u64, String> {
+    (0..p).try_fold(u64::MAX, |min, rank| {
+        let step =
+            latest_checkpoint_step(dir, rank).map_err(|e| format!("{}: {e}", dir.display()))?;
+        Ok(min.min(step.unwrap_or(0)))
+    })
 }
 
 /// Capture + tmp/rename-write this rank's checkpoint, then prune to the
@@ -533,51 +601,72 @@ pub(crate) struct WorldSpec<'a> {
     pub fault: Option<&'a (String, u64)>,
 }
 
-/// Start worker `rank` of generation `generation` of `w` — the one place a
-/// worker process is created.  A rank listed in `kills` aborts after its
-/// kill step.
-fn spawn_rank(
+/// Start generation `generation` of `w` into `children`, every rank a fresh
+/// process — the one place a worker process is created.  `crash` is the
+/// `crash` rules of the kills handed to this generation; they go ahead of the
+/// plan's fault layer (or of the parent's own `AGCM_FAULT_SPEC`), since the
+/// first rule that fires wins.
+fn spawn_world(
     w: &WorldSpec,
-    rank: usize,
+    children: &mut Vec<Option<Child>>,
     generation: u64,
-    kills: &[(usize, u64)],
-) -> Result<Child, ParentError> {
-    let mut cmd = Command::new(&w.run.exe);
-    cmd.env("AGCM_RANK", rank.to_string())
-        .env("AGCM_WORLD_SIZE", w.pgrid.size().to_string())
-        .env("AGCM_ENDPOINT", w.endpoint.to_string())
-        .env("AGCM_EPOCH", generation.to_string())
-        .env("AGCM_RUN_ALG", w.run.alg.to_string())
-        .env("AGCM_RUN_STEPS", w.steps.to_string())
-        .env("AGCM_RUN_PY", w.pgrid.py().to_string())
-        .env("AGCM_RUN_PZ", w.pgrid.pz().to_string())
-        .env("AGCM_CKPT_DIR", &w.ckpt.dir)
-        .env("AGCM_CKPT_INTERVAL", w.ckpt.interval.to_string())
-        .env("AGCM_CKPT_KEEP", w.ckpt.keep.to_string())
-        .stdin(Stdio::null());
-    if w.run.trace.is_some() {
-        cmd.env("AGCM_RUN_TRACE", "1");
+    crash: Vec<String>,
+) -> Result<(), ParentError> {
+    let layer = match w.fault {
+        Some((spec, _)) => Some(spec.clone()),
+        None => std::env::var("AGCM_FAULT_SPEC").ok(),
+    };
+    let spec: Vec<String> = crash.into_iter().chain(layer).collect();
+    children.clear();
+    for rank in 0..w.pgrid.size() {
+        let mut cmd = Command::new(&w.run.exe);
+        cmd.env("AGCM_RANK", rank.to_string())
+            .env("AGCM_WORLD_SIZE", w.pgrid.size().to_string())
+            .env("AGCM_ENDPOINT", w.endpoint.to_string())
+            .env("AGCM_EPOCH", generation.to_string())
+            .env("AGCM_RUN_ALG", w.run.alg.to_string())
+            .env("AGCM_RUN_STEPS", w.steps.to_string())
+            .env("AGCM_RUN_PY", w.pgrid.py().to_string())
+            .env("AGCM_RUN_PZ", w.pgrid.pz().to_string())
+            .env("AGCM_CKPT_DIR", &w.ckpt.dir)
+            .env("AGCM_CKPT_INTERVAL", w.ckpt.interval.to_string())
+            .env("AGCM_CKPT_KEEP", w.ckpt.keep.to_string())
+            .stdin(Stdio::null());
+        if w.run.trace.is_some() {
+            cmd.env("AGCM_RUN_TRACE", "1");
+        }
+        if !spec.is_empty() {
+            cmd.env("AGCM_FAULT_SPEC", spec.join(";"));
+        }
+        if let Some((_, seed)) = w.fault {
+            cmd.env("AGCM_FAULT_SEED", seed.to_string());
+        }
+        let spawned = cmd
+            .spawn()
+            .map_err(|e| format!("spawning rank {rank}: {e}"));
+        children.push(Some(spawned?));
     }
-    if let Some((spec, seed)) = w.fault {
-        cmd.env("AGCM_FAULT_SPEC", spec)
-            .env("AGCM_FAULT_SEED", seed.to_string());
-    }
-    if let Some(&(_, ks)) = kills.iter().find(|&&(kr, _)| kr == rank) {
-        cmd.env("AGCM_KILL_STEP", ks.to_string());
-    }
-    cmd.spawn()
-        .map_err(|e| ParentError::Other(format!("spawning rank {rank}: {e}")))
+    Ok(())
 }
 
-/// Whether a worker exited the way a kill injection makes it: `abort()`.
+/// Whether a worker exited the way a kill makes it: `abort()`.
 fn aborted(status: &ExitStatus) -> bool {
     const SIGABRT: i32 = 6;
     status.signal() == Some(SIGABRT)
 }
 
-/// Kill and reap every child still running; the ranks among them that had
-/// already aborted on their own.
-fn end_world(children: &mut [Option<Child>]) -> Vec<usize> {
+/// Kill and reap every child still running, once the ranks `handed` a kill
+/// have had [`KILL_GRACE`] to reach it, so that overlapping failures end
+/// one world; the ranks among them that had already aborted on their own.
+fn end_world(children: &mut [Option<Child>], handed: &[Kill]) -> Vec<usize> {
+    let deadline = Instant::now() + KILL_GRACE;
+    for k in handed {
+        let running =
+            |c: &mut Option<Child>| matches!(c.as_mut().map(Child::try_wait), Some(Ok(None)));
+        while Instant::now() < deadline && running(&mut children[k.rank]) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
     let mut gone = Vec::new();
     for (rank, slot) in children.iter_mut().enumerate() {
         let Some(mut child) = slot.take() else {
@@ -593,39 +682,67 @@ fn end_world(children: &mut [Option<Child>]) -> Vec<usize> {
 
 /// Launch one world and drive its [`Supervisor`] to a verdict, performing
 /// each action it returns; on failure every child still running is killed.
+/// `kills` fire in step order, the kills at one step in one generation;
+/// `per_step` is each rank's sends a step, which place them.
 pub(crate) fn supervise_world(
     w: &WorldSpec,
-    kills: &[(usize, u64)],
+    kills: &[Kill],
+    per_step: &[u64],
     budget: Option<&mut u32>,
 ) -> Result<SuperviseReport, ParentError> {
     let dir = &w.ckpt.dir;
     fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut children: Vec<Option<Child>> = Vec::with_capacity(w.pgrid.size());
+    let mut children = Vec::new();
     let sup = Supervisor::new(w.pgrid.size(), budget, w.run.timeout);
-    let result = (|| {
-        for rank in 0..w.pgrid.size() {
-            children.push(Some(spawn_rank(w, rank, 0, kills)?));
-        }
-        drive(w, &mut children, kills, sup)
-    })();
+    let result = drive(w, &mut children, kills, per_step, sup);
     if result.is_err() {
-        end_world(&mut children);
+        end_world(&mut children, &[]);
     }
     result
+}
+
+/// Take the kills the next generation is handed out of `pending` (in step
+/// order): the first one's step's, one a rank.
+fn hand_out(pending: &mut Vec<Kill>) -> Vec<Kill> {
+    let (mut handed, step) = (Vec::<Kill>::new(), pending.first().map(|k| k.step));
+    pending.retain(|k| {
+        let take = Some(k.step) == step && handed.iter().all(|h| h.rank != k.rank);
+        if take {
+            handed.push(*k);
+        }
+        !take
+    });
+    handed
+}
+
+/// The `crash` rules of `kills` in the next generation of `w`: each at the
+/// send its rank reaches it at in a world restored where that generation
+/// restores.
+fn crash_rules(w: &WorldSpec, kills: &[Kill], per_step: &[u64]) -> Result<Vec<String>, String> {
+    let (p, dir) = (w.pgrid.size(), &w.ckpt.dir);
+    let restore = restore_step(dir, p)?;
+    let rule = |k: &Kill| match k.event(p, per_step, restore) {
+        Some(event) => Ok(format!("crash:rank={},event={event}", k.rank)),
+        None => Err(format!("{k:?} lies behind the restore step {restore}")),
+    };
+    kills.iter().map(rule).collect()
 }
 
 /// The poll loop: every pass feeds the clock, each child that exited (a
 /// failed one after its newest durable step, the repair's baseline), and
 /// the durable progress of every rank under repair.  A restart ends the
-/// pass: its other events describe the world it ended.  A kill is handed
-/// to every generation until its rank's abort is seen.
+/// pass: its other events describe the world it ended.  A handed kill whose
+/// rank's abort is not seen goes back first in line.
 fn drive(
     w: &WorldSpec,
-    children: &mut [Option<Child>],
-    kills: &[(usize, u64)],
+    children: &mut Vec<Option<Child>>,
+    kills: &[Kill],
+    per_step: &[u64],
     mut sup: Supervisor,
 ) -> Result<SuperviseReport, ParentError> {
     let mut pending = kills.to_vec();
+    let mut handed = hand_out(&mut pending);
+    spawn_world(w, children, 0, crash_rules(w, &handed, per_step)?)?;
     let durable = |rank| {
         let step = latest_checkpoint_step(&w.ckpt.dir, rank).ok()??;
         Some(Event::Durable { rank, step })
@@ -650,9 +767,10 @@ fn drive(
         let mut events = vec![Event::Tick {
             elapsed: started.elapsed(),
         }];
+        let mut gone = Vec::new();
         for (rank, status) in exits {
             if aborted(&status) {
-                pending.retain(|&(r, _)| r != rank);
+                gone.push(rank);
             }
             if !status.success() {
                 events.extend(durable(rank));
@@ -678,12 +796,12 @@ fn drive(
                         children.len(),
                         sup.left()
                     );
-                    for gone in end_world(children) {
-                        pending.retain(|&(r, _)| r != gone);
-                    }
-                    for (rank, slot) in children.iter_mut().enumerate() {
-                        *slot = Some(spawn_rank(w, rank, generation, &pending)?);
-                    }
+                    gone.extend(end_world(children, &handed));
+                    handed.retain(|k| !gone.contains(&k.rank));
+                    pending.splice(0..0, handed);
+                    handed = hand_out(&mut pending);
+                    let crash = crash_rules(w, &handed, per_step)?;
+                    spawn_world(w, children, generation, crash)?;
                     break;
                 }
                 Some(Action::Fail(e)) => return Err(e),
@@ -745,7 +863,11 @@ pub(crate) fn run_phase(
         fault: plan.fault.as_ref(),
     };
     let classic = budget.is_none();
-    let report = supervise_world(&w, &ph.kills, budget)?;
+    let per_step = match ph.kills.is_empty() {
+        true => Vec::new(),
+        false => sends_per_step(&cfg, run.alg, ph.p)?,
+    };
+    let report = supervise_world(&w, &ph.kills, &per_step, budget)?;
     verify_world(&w, &cfg, label, classic)?;
     Ok(report)
 }
@@ -753,6 +875,8 @@ pub(crate) fn run_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agcm_comm::fault::FaultPlan;
+    use agcm_comm::Universe;
 
     const T: Duration = Duration::from_secs(60);
 
@@ -980,6 +1104,51 @@ mod tests {
                     .unwrap_or(sizes[i] + 1);
                 assert_eq!(pl.keep(i), soak, "{sizes:?} phase {i}");
             }
+        }
+    }
+
+    /// A kill's translation to its rank's send index, pinned against the
+    /// runtime's fault log: in in-process worlds of both algorithms, cold
+    /// and restored, each rank opens the world as a worker does and steps
+    /// under a `stall` that fires at every send, so that its log is its
+    /// fault clock.  The agreement's sends are the log's first, on
+    /// collective tags, and `--kill R:S` lands where step `S` left the
+    /// clock.  The parent's restore step is the one the workers agree on.
+    #[test]
+    fn a_kill_fires_at_the_send_its_translation_names() {
+        let (cfg, p, pgrid) = (run_config(), 4, ProcessGrid::yz(4, 1).expect("grid"));
+        let plan = FaultPlan::parse(1, "stall:prob=1,ms=0").expect("spec");
+        for alg in [1, 2] {
+            let dir = std::env::temp_dir().join(format!("agcm_kills_{}_{alg}", std::process::id()));
+            let (per_step, a) = (sends_per_step(&cfg, alg, p).expect("plan"), 2 * p - 2);
+            let send = a as u64; // `--kill R:S`'s
+            fs::create_dir_all(&dir).expect("scratch dir");
+            for (restore, steps) in [(0, 2), (2, 4)] {
+                assert_eq!(restore_step(&dir, p), Ok(restore));
+                let worlds = Universe::run(p, |comm| {
+                    comm.install_faults(plan.clone());
+                    let (mut model, _) = open_world(alg, pgrid, &dir, comm).expect("open");
+                    let mut clocks = vec![comm.fault_log().len() as u64];
+                    while model.steps < steps {
+                        model.step(Some(comm)).expect("step");
+                        clocks.push(comm.fault_log().len() as u64);
+                    }
+                    // the next world restores here
+                    let ckpt = checkpoint_path(&dir, comm.rank(), steps as u64);
+                    write_checkpoint(&ckpt, &model.capture()).expect("checkpoint");
+                    (clocks, comm.fault_log())
+                });
+                for (rank, (clocks, log)) in worlds.into_iter().enumerate() {
+                    for (i, e) in log.iter().enumerate() {
+                        assert_eq!((e.event, e.tag & 0x8000_0000 != 0), (i as u64, i < a));
+                    }
+                    for (step, clock) in (restore..).zip(clocks) {
+                        let kill = Kill { rank, step, send };
+                        assert_eq!(kill.event(p, &per_step, restore), Some(clock), "alg{alg}");
+                    }
+                }
+            }
+            fs::remove_dir_all(&dir).ok();
         }
     }
 }

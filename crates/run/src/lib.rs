@@ -3,8 +3,8 @@
 //! Everywhere else in this repository the simulated-MPI world is a set of
 //! *threads* inside one test binary.  This crate runs the same SPMD
 //! programs as a set of OS **processes**, one per rank, talking through
-//! [`agcm_comm::SocketTransport`] (Unix-domain sockets by default, TCP on
-//! request) — the closest this reproduction gets to a real `mpirun`.
+//! [`agcm_comm::SocketTransport`] (Unix-domain sockets) — the closest this
+//! reproduction gets to a real `mpirun`.
 //!
 //! The binary is its own worker: launched with no `AGCM_RANK` in the
 //! environment it acts as the parent, spawning `--ranks` copies of itself
@@ -50,7 +50,7 @@ use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
 use agcm_obs::dist::{self, Record};
 use agcm_verify::{critpath, rank_counts, ScheduleGraph};
-use elastic::{run_phase, Ckpt, Launch, WorldSpec};
+use elastic::{run_phase, Ckpt, Kill, Launch, WorldSpec};
 use std::fmt::Display;
 use std::fs;
 use std::io;
@@ -145,9 +145,9 @@ struct RunOpts {
     pub alg: AlgSel,
     /// Total steps per run; the second step is the measured one.
     pub steps: usize,
-    /// Endpoint override (`tcp:host:port` or a UDS base path); default is a
-    /// fresh unique UDS base under the temp directory per run.
-    pub endpoint: Option<String>,
+    /// Endpoint override (a UDS base path); default is a fresh unique UDS
+    /// base under the temp directory per run.
+    pub endpoint: Option<Endpoint>,
     /// Kill the world and fail if it has not finished within this budget.
     pub timeout: Duration,
     /// Keep the per-run scratch directory instead of deleting it.
@@ -170,10 +170,9 @@ struct RunOpts {
     /// only.
     pub resize: Option<usize>,
     /// Chaos injection `(rank, step)` events (repeatable `--kill`): each
-    /// listed worker aborts (as if `kill -9`'d) after completing the given
-    /// step of its first incarnation.  Implies elastic mode; under
-    /// `--resize`, kills before the hand-off step hit phase 1 and the rest
-    /// hit phase 2.
+    /// listed worker aborts (as if `kill -9`'d) at its first send after
+    /// completing the step.  Implies elastic mode; under `--resize`, kills
+    /// before the hand-off step hit phase 1 and the rest hit phase 2.
     pub kills: Vec<(usize, u64)>,
 }
 
@@ -211,7 +210,8 @@ impl RunOpts {
 
     /// The phases this invocation runs: one world of `--ranks`, or under
     /// `--resize` the first `steps / 2` there and the rest at P2.  A kill
-    /// belongs to the last phase starting at or before its step.
+    /// belongs to the last phase starting at or before its step, and a
+    /// phase's kills fire in step order.
     pub fn plan(&self) -> Plan {
         let (steps, p) = (self.steps as u64, self.ranks);
         let bounds = match self.resize {
@@ -229,8 +229,12 @@ impl RunOpts {
             .collect();
         for &(rank, step) in &self.kills {
             if let Some(ph) = phases.iter_mut().rev().find(|ph| ph.start <= step) {
-                ph.kills.push((rank, step));
+                let send = Kill::agreement_sends(ph.p);
+                ph.kills.push(Kill { rank, step, send });
             }
+        }
+        for ph in &mut phases {
+            ph.kills.sort_by_key(|k| k.step);
         }
         Plan {
             phases,
@@ -243,7 +247,7 @@ const USAGE: &str = "agcm-run: run the dynamical core as one OS process per rank
 
 USAGE:
     agcm-run [--ranks N] [--pz N] [--alg 1|2|both] [--steps N]
-             [--endpoint PATH|tcp:HOST:PORT] [--timeout-secs N] [--keep-out]
+             [--endpoint PATH] [--timeout-secs N] [--keep-out]
              [--trace] [--trace-out DIR]
              [--max-respawns N] [--resize P2] [--kill RANK:STEP]...
 
@@ -270,10 +274,11 @@ Every worker checkpoints every step.  Any of --max-respawns / --resize /
 --kill selects ELASTIC mode: a dead rank ends its world, and every rank is
 restarted as a fresh process from the newest step all of them hold
 durable — the completed run is still verified bitwise against the serial
-reference.  --kill RANK:STEP (repeatable) injects failures (that worker
-aborts after completing STEP, as if kill -9'd, in whichever restart first
-reaches it); --max-respawns N bounds the number of restarts for the WHOLE
-run, across every resize phase (default 2).
+reference.  --kill RANK:STEP (repeatable) injects failures: that worker
+aborts, as if kill -9'd, at its first send after completing STEP, through
+an AGCM_FAULT_SPEC crash rule; the kills fire one world at a time, in step
+order.  --max-respawns N bounds the number of restarts for the WHOLE run,
+across every resize phase (default 2).  A tcp: endpoint is refused.
 --resize P2 runs the first half of the steps at --ranks, re-decomposes the
 checkpointed mesh onto P2 ranks, re-certifies the P2 schedule, and finishes
 there (Algorithm 1 only: CA checkpoints are tied to their decomposition).
@@ -308,7 +313,9 @@ fn parse_args(args: &[String]) -> Result<Option<RunOpts>, String> {
             "--steps" => {
                 opts.steps = parse_num("--steps", &value("--steps", &mut it)?)?;
             }
-            "--endpoint" => opts.endpoint = Some(value("--endpoint", &mut it)?),
+            "--endpoint" => {
+                opts.endpoint = Some(Endpoint::parse(&value("--endpoint", &mut it)?)?);
+            }
             "--timeout-secs" => {
                 opts.timeout = Duration::from_secs(parse_num(
                     "--timeout-secs",
@@ -496,11 +503,8 @@ pub(crate) struct Worker {
     /// Step count the world integrates to.
     pub steps: usize,
     pub pgrid: ProcessGrid,
-    pub cfg: ModelConfig,
     /// Where its checkpoints and records go, and how often.
     pub ckpt: Ckpt,
-    /// Chaos injection: abort after completing this step.
-    pub kill_step: Option<u64>,
     /// `AGCM_EPOCH`: which generation of its world this incarnation
     /// belongs to (0 until the first restart).  It names the record and
     /// decides the measured bracket and the recovery burst.
@@ -522,13 +526,11 @@ fn worker_main() -> Result<(), String> {
         steps: req_env("AGCM_RUN_STEPS")?,
         pgrid: ProcessGrid::yz(req_env("AGCM_RUN_PY")?, req_env("AGCM_RUN_PZ")?)
             .map_err(|e| e.to_string())?,
-        cfg: run_config(),
         ckpt: Ckpt {
             dir: req_env("AGCM_CKPT_DIR")?,
             interval: req_env("AGCM_CKPT_INTERVAL")?,
             keep: req_env("AGCM_CKPT_KEEP")?,
         },
-        kill_step: opt_env("AGCM_KILL_STEP")?,
         generation: opt_env("AGCM_EPOCH")?.unwrap_or(0),
         tracing: opt_env::<u32>("AGCM_RUN_TRACE")? == Some(1),
     };
@@ -653,7 +655,7 @@ fn run_parent(opts: &RunOpts) -> Result<(), ParentError> {
         let mut budget = opts.respawn_budget();
         let result = (0..plan.phases.len()).try_for_each(|i| {
             let endpoint = match (&opts.endpoint, i) {
-                (Some(s), 0) => Endpoint::parse(s)?,
+                (Some(ep), 0) => ep.clone(),
                 // a fresh endpoint per later phase: no socket-path reuse
                 _ => Endpoint::unique_uds(),
             };

@@ -1,14 +1,14 @@
 //! `agcm-soak` — long-horizon chaos burn-in for the elastic runtime.
 //!
 //! A soak run integrates one Algorithm-1 world for thousands of steps under
-//! a deterministic, seeded **chaos schedule**: random `kill -9` events,
-//! repeated planned shrink/grow resize cycles, and benign (delay-only)
-//! message-fault injection — all derived from a single seed
-//! (`--seed` / `AGCM_SOAK_SEED`), so any soak failure replays byte-for-byte
-//! from its seed.  Every phase boundary re-decomposes the checkpointed mesh
-//! ([`agcm_core::redistribute`]) and re-certifies the next world's schedule
-//! before stepping resumes, and the completed run must still be **bitwise
-//! identical** to the serial reference.
+//! a deterministic, seeded **chaos schedule**: kills at random sends (the
+//! elastic module's `Kill`s), repeated planned shrink/grow resize cycles,
+//! and benign (delay-only) message-fault injection — all derived from a
+//! single seed (`--seed` / `AGCM_SOAK_SEED`), so any soak failure replays
+//! byte-for-byte from its seed.  Every phase boundary re-decomposes the
+//! checkpointed mesh ([`agcm_core::redistribute`]) and re-certifies the next
+//! world's schedule before stepping resumes, and the completed run must
+//! still be **bitwise identical** to the serial reference.
 //!
 //! Along the way the harness measures what the chaos costs:
 //!
@@ -29,7 +29,7 @@
 //! The verdict plus all of the above lands in a schema-validated
 //! `BENCH_soak.json`.
 
-use crate::elastic::{run_phase, Incident, Launch};
+use crate::elastic::{run_phase, sends_per_step, Incident, Kill, Launch};
 use crate::{jnum, parse_num, read_records, run_config, ParentError, Phase, Plan};
 use agcm_comm::{splitmix64, Endpoint};
 use agcm_core::ModelConfig;
@@ -62,7 +62,7 @@ struct SoakOpts {
     /// The chaos seed: every kill placement, resize direction and fault
     /// decision derives from it.
     pub seed: u64,
-    /// Number of kill -9 events to inject.
+    /// Number of kills to inject.
     pub kills: usize,
     /// Number of resize (shrink/grow) cycles.
     pub resizes: usize,
@@ -103,10 +103,12 @@ USAGE:
               [--keep-out] [--plan-only]
 
 Runs one Algorithm-1 world for N steps under a seeded chaos schedule: K
-random kill -9 events, R planned shrink/grow resize cycles (checkpoints
-re-decomposed and the new schedule re-certified at every hand-off), and
-benign delay-only message faults — all deterministic functions of the seed
-(--seed, or AGCM_SOAK_SEED; default 24473), so a soak replays byte-for-byte.
+kills, each a crash fault that aborts a random rank at a random send —
+inside a step's halo exchange or a world's start-of-world agreement — R
+planned shrink/grow resize cycles (checkpoints re-decomposed and the new
+schedule re-certified at every hand-off), and benign delay-only message
+faults — all deterministic functions of the seed (--seed, or
+AGCM_SOAK_SEED; default 24473), so a soak replays byte-for-byte.
 The restart budget (--max-respawns, default kills + 2) spans the whole run:
 a dead rank ends its world, which restarts from its checkpoint set.
 
@@ -253,44 +255,22 @@ fn build_plan(opts: &SoakOpts, cfg: &ModelConfig) -> Result<Plan, String> {
             kills: Vec::new(),
         });
     }
-    // place the kills: round-robin over phases, each kill at a random rank
-    // and a random step inside the phase, spaced at least p+2 steps from
-    // every other kill in the same phase (the neighbor-lockstep skew bounds
-    // how far the world runs before a death ends it, so the spacing keeps
-    // each kill its own restart and its own incident) and one kill per rank
-    // per phase (a worker reads one kill step)
+    // place the kills: round-robin over phases, each at a random rank, a
+    // random step inside the phase and a random one of the sends that rank
+    // makes in a world restored there — its start-of-world agreement's or
+    // the step's exchanges' — so that kills land in both.  A phase's kills
+    // fire in step order, the kills at one step in one generation
+    let per_step =
+        (sizes.iter().map(|&p| sends_per_step(cfg, 1, p))).collect::<Result<Vec<_>, _>>()?;
     for k in 0..opts.kills {
-        let phase = &mut phases[k % sizes.len()];
-        let gap = (phase.p + 2) as u64;
-        let lo = phase.start + 1;
-        let hi = phase.end.saturating_sub(2);
-        let mut placed = false;
-        for _attempt in 0..200 {
-            if hi <= lo {
-                break;
-            }
-            let step = lo + rng.below(hi - lo);
-            let rank = rng.below(phase.p as u64) as usize;
-            let spaced = phase
-                .kills
-                .iter()
-                .all(|&(r, s)| r != rank && s.abs_diff(step) >= gap);
-            if spaced {
-                phase.kills.push((rank, step));
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return Err(format!(
-                "cannot place {} kills into the plan (phase [{}, {}) at p={} is too short \
-                 for {}-step spacing); raise --steps or lower --kills",
-                opts.kills, phase.start, phase.end, phase.p, gap
-            ));
-        }
+        let (phase, per_step) = (&mut phases[k % sizes.len()], &per_step[k % sizes.len()]);
+        let rank = rng.below(phase.p as u64) as usize;
+        let step = phase.start + 1 + rng.below(phase.end - phase.start - 3);
+        let send = rng.below(Kill::agreement_sends(phase.p) + per_step[rank]);
+        phase.kills.push(Kill { rank, step, send });
     }
     for phase in &mut phases {
-        phase.kills.sort_by_key(|&(_, s)| s);
+        phase.kills.sort_by_key(|k| k.step);
     }
     let plan = Plan {
         phases,
@@ -334,9 +314,20 @@ fn render_plan(seed: u64, plan: &Plan) -> String {
             "agcm-soak: phase {i}: p={} steps [{}, {})\n",
             ph.p, ph.start, ph.end
         ));
-        for &(rank, step) in &ph.kills {
+        for k in &ph.kills {
+            // an agreement kill fires in the agreement of the generation it
+            // is handed to: the kills at each earlier step end one
+            let mut earlier: Vec<u64> = ph.kills.iter().map(|e| e.step).collect();
+            earlier.retain(|&step| step < k.step);
+            earlier.dedup();
+            let (step, next) = (k.step, k.step + 1);
+            let at = match k.in_agreement(ph.p) {
+                true => format!("of generation {}'s start-of-world agreement", earlier.len()),
+                false => format!("of a world restored at step {step}, in step {next}"),
+            };
             s.push_str(&format!(
-                "agcm-soak: phase {i}: kill rank {rank} after step {step}\n"
+                "agcm-soak: phase {i}: kill rank {} at send {} {at}\n",
+                k.rank, k.send
             ));
         }
     }
@@ -692,15 +683,20 @@ mod tests {
             let kills: usize = a.phases.iter().map(|p| p.kills.len()).sum();
             assert_eq!(kills, 5);
             for ph in &a.phases {
-                let gap = (ph.p + 2) as u64;
-                for (i, &(r1, s1)) in ph.kills.iter().enumerate() {
-                    assert!(r1 < ph.p, "kill rank inside the world");
-                    assert!(s1 > ph.start && s1 < ph.end, "kill inside the phase");
-                    for &(r2, s2) in &ph.kills[i + 1..] {
-                        assert_ne!(r1, r2, "one kill per rank per phase");
-                        assert!(s1.abs_diff(s2) >= gap, "kills serialized by p+2 spacing");
-                    }
+                let per_step = sends_per_step(&cfg, 1, ph.p).expect("schedule");
+                for k in &ph.kills {
+                    assert!(k.rank < ph.p, "kill rank inside the world");
+                    assert!(
+                        k.step > ph.start && k.step < ph.end,
+                        "kill inside the phase"
+                    );
+                    let sends = Kill::agreement_sends(ph.p) + per_step[k.rank];
+                    assert!(k.send < sends, "a send of the agreement or the step");
                 }
+                assert!(
+                    ph.kills.is_sorted_by_key(|k| k.step),
+                    "kills fire in step order"
+                );
             }
         }
         // different seeds place different chaos
@@ -720,11 +716,25 @@ mod tests {
             build_plan(&opts(8, 8, 1, 0, 2), &cfg).is_err(),
             "phases get < 4 steps"
         );
-        // too many kills for the spacing window
-        assert!(build_plan(&opts(8, 40, 1, 12, 0), &cfg).is_err());
+        // no spacing between kills, nor one kill per rank: a phase takes a
+        // kill a generation however close they fall
+        let crowded = build_plan(&opts(8, 40, 1, 12, 0), &cfg).expect("plan");
+        assert_eq!(crowded.phases[0].kills.len(), 12);
         // grow-only world at the shrink floor
         let p = build_plan(&opts(2, 2000, 3, 0, 2), &cfg).expect("plan");
         assert_eq!(p.phases[1].p, 4, "p=2 cannot shrink, must grow");
+    }
+
+    /// CI's seeded soak (`--ranks 4 --steps 400 --seed 24473 --kills 3
+    /// --resizes 2`) kills inside a step's halo exchange and inside a
+    /// start-of-world agreement, the one collective of a y-split world.
+    #[test]
+    fn ci_seed_kills_inside_an_exchange_and_the_agreement() {
+        let plan = build_plan(&opts(4, 400, 24473, 3, 2), &run_config()).expect("plan");
+        let sites: Vec<bool> = (plan.phases.iter())
+            .flat_map(|ph| ph.kills.iter().map(|k| k.in_agreement(ph.p)))
+            .collect();
+        assert!(sites.len() == 3 && sites.contains(&false) && sites.contains(&true));
     }
 
     #[test]

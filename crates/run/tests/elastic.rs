@@ -1,4 +1,5 @@
-//! Elastic acceptance: chaos kill -9 ending the world and the supervisor
+//! Elastic acceptance: a kill — a `crash` fault that aborts its rank at a
+//! send, as `kill -9` would — ending the world and the supervisor
 //! restarting it from the checkpoint set, planned shrink/grow with
 //! checkpoint re-decomposition — each completed run bitwise identical to
 //! the serial reference — plus the distinct exit codes for a spent restart
@@ -37,7 +38,7 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// kill -9 (abort) one rank mid-run at p=4: the supervisor ends the world
+/// A kill (abort) of one rank mid-run at p=4: the supervisor ends the world
 /// and restarts all four ranks from the checkpoint set, and the completed
 /// run is bitwise identical to serial.
 #[test]
@@ -102,9 +103,10 @@ fn killed_rank_respawns_alg2_bitwise() {
     );
 }
 
-/// Two ranks killed at the same step — overlapping failures — end one
-/// world between them; the default budget of two restarts covers it and
-/// the run completes bitwise.
+/// Two ranks killed at the same step — overlapping failures — die in one
+/// world: both `crash` rules go to the same generation, each on its own
+/// rank, so the world ends once for both and the run costs one restart
+/// per algorithm, then completes bitwise.
 #[test]
 fn two_ranks_killed_at_one_step_complete_bitwise() {
     let out = run(&[
@@ -120,29 +122,43 @@ fn two_ranks_killed_at_one_step_complete_bitwise() {
         let verdict = format!("elastic: alg{alg} p=4 steps=12: state bitwise == serial reference");
         assert!(so.contains(&verdict), "{so}\n{se}");
     }
+    for rank in [1, 2] {
+        let crashes = se.matches(&format!("crash at world rank {rank} (")).count();
+        assert_eq!(crashes, 2, "one crash of rank {rank} per algorithm:\n{se}");
+    }
+    let restarts = se.matches("as generation 1 (1 restart(s) left)").count();
+    assert_eq!(restarts, 2, "one restart per algorithm:\n{se}");
+    assert!(!se.contains("as generation 2"), "{se}");
 }
 
-/// Two kills on different ranks in one phase, at different steps, both
-/// fire: the first ends the world before the second is reached, and the
-/// restarted world is handed the kill that has not fired yet.
+/// Two kills in one phase, at different steps, both fire: the first ends
+/// the world, and the restarted world is handed the kill that has not
+/// fired yet — also when it is the same rank's, so that an incarnation
+/// that was itself respawned is killed again.
 #[test]
 fn a_pending_kill_fires_in_the_restarted_world() {
-    let out = run(&[
-        "--ranks", "4", "--alg", "1", "--steps", "10", "--kill", "1:2", "--kill", "2:6",
-    ]);
-    let (so, se) = (stdout(&out), stderr(&out));
-    assert!(
-        out.status.success(),
-        "two kills failed ({}):\n{so}\n{se}",
-        out.status
-    );
-    assert!(
-        so.contains("elastic: alg1 p=4 steps=10: state bitwise == serial reference"),
-        "{so}\n{se}"
-    );
-    // one restart per kill: the budget of two is spent exactly
-    assert!(se.contains("as generation 1 (1 restart(s) left)"), "{se}");
-    assert!(se.contains("as generation 2 (0 restart(s) left)"), "{se}");
+    for second in ["2:6", "1:6"] {
+        let out = run(&[
+            "--ranks", "4", "--alg", "1", "--steps", "10", "--kill", "1:2", "--kill", second,
+        ]);
+        let (so, se) = (stdout(&out), stderr(&out));
+        assert!(
+            out.status.success(),
+            "two kills failed ({}):\n{so}\n{se}",
+            out.status
+        );
+        assert!(
+            so.contains("elastic: alg1 p=4 steps=10: state bitwise == serial reference"),
+            "{so}\n{se}"
+        );
+        // one crash line per kill, and one restart per kill: the budget of
+        // two is spent exactly
+        let crashes = |rank: usize| se.matches(&format!("crash at world rank {rank} (")).count();
+        let want = if second == "1:6" { [2, 0] } else { [1, 1] };
+        assert_eq!([crashes(1), crashes(2)], want, "{se}");
+        assert!(se.contains("as generation 1 (1 restart(s) left)"), "{se}");
+        assert!(se.contains("as generation 2 (0 restart(s) left)"), "{se}");
+    }
 }
 
 /// Planned shrink: half the run at p=4, checkpoints re-decomposed onto
@@ -320,7 +336,7 @@ fn shrink_then_kill_rolls_back_and_completes_bitwise() {
 
 /// Usage errors stay on exit code 2: a resize requires Algorithm 1
 /// (checkpointed CA approximation state is tied to its decomposition), and
-/// `--kill` must parse as RANK:STEP.
+/// `--kill` must parse as RANK:STEP and land at a send of the run.
 #[test]
 fn elastic_usage_errors_exit_2() {
     let out = run(&["--ranks", "4", "--steps", "4", "--resize", "2"]);
@@ -350,17 +366,22 @@ fn elastic_usage_errors_exit_2() {
         stderr(&out)
     );
 
-    // a worker honors one kill step: two kills on one rank in the same
-    // phase can never both fire
-    let out = run(&[
-        "--ranks", "4", "--alg", "1", "--steps", "6", "--kill", "1:1", "--kill", "1:4",
-    ]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(
-        stderr(&out).contains("listed twice in the same phase"),
-        "{}",
-        stderr(&out)
-    );
+    // a kill must land in a step the run takes, at a send: a world of one
+    // rank sends nothing
+    for (args, why) in [
+        (
+            &["--ranks", "4", "--steps", "6", "--kill", "1:6"][..],
+            "no step follows step 6: the run ends at step 6",
+        ),
+        (
+            &["--ranks", "1", "--kill", "0:1"][..],
+            "a world of one rank sends nothing",
+        ),
+    ] {
+        let out = run(&[args, &["--alg", "1"]].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(why), "{args:?}: {}", stderr(&out));
+    }
 
     // a malformed runtime variable is refused by the parent before any
     // spawn, not read as a dying rank and respawned until the budget is
@@ -383,9 +404,12 @@ fn elastic_usage_errors_exit_2() {
 fn malformed_worker_variable_exits_1_naming_it() {
     let dir = std::env::temp_dir().join(format!("agcm_bad_env_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    for (var, bad) in [("AGCM_CKPT_INTERVAL", "x")]
-        .into_iter()
-        .chain(BAD_RUNTIME_VARS)
+    for (var, bad) in [
+        ("AGCM_CKPT_INTERVAL", "x"),
+        ("AGCM_ENDPOINT", "tcp:127.0.0.1:47000"),
+    ]
+    .into_iter()
+    .chain(BAD_RUNTIME_VARS)
     {
         let out = Command::new(env!("CARGO_BIN_EXE_agcm-run"))
             .env("AGCM_RANK", "0")

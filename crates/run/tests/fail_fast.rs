@@ -2,8 +2,8 @@
 //! non-zero fails the run at once, naming the rank, instead of leaving the
 //! survivors to wait out their receive timeout for a peer that is gone — a
 //! peer that closed its sockets between two frames leaves no poison, and a
-//! world without a respawn policy is never restarted.  A fault spec the
-//! runtime refuses never starts a world at all.
+//! world without a respawn policy is never restarted.  A fault spec or an
+//! endpoint the runtime refuses never starts a world at all.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -53,4 +53,23 @@ fn a_drop_fault_spec_exits_2_naming_the_refusal() {
         "the refusal must say why:\n{se}"
     );
     assert!(!se.contains("panicked") && !se.contains("rank 0"), "{se}");
+}
+
+/// A TCP endpoint is a named refusal: the one socket transport is the
+/// Unix-domain socket, and the parent says so with exit 2 before any rank
+/// is spawned.
+#[test]
+fn a_tcp_endpoint_exits_2_naming_the_refusal() {
+    let out = Command::new(env!("CARGO_BIN_EXE_agcm-run"))
+        .args(["--ranks", "2", "--endpoint", "tcp:127.0.0.1:47000"])
+        .env_remove("AGCM_RANK")
+        .output()
+        .expect("spawn agcm-run");
+    let se = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "want exit 2:\n{se}");
+    assert!(
+        se.contains("tcp endpoint 'tcp:127.0.0.1:47000' is refused")
+            && se.contains("one socket transport"),
+        "the refusal must say why:\n{se}"
+    );
 }

@@ -23,8 +23,8 @@ fn stderr(out: &Output) -> String {
 }
 
 /// The whole chaos schedule is a pure function of the seed: two
-/// `--plan-only` runs print identical bytes (kill placements pinned), and a
-/// different seed prints a different schedule.
+/// `--plan-only` runs print identical bytes (kill placements — rank, step
+/// and send — pinned), and a different seed prints a different schedule.
 #[test]
 fn plan_replays_byte_for_byte_from_seed() {
     let args = [
@@ -49,8 +49,13 @@ fn plan_replays_byte_for_byte_from_seed() {
         so.contains("plan seed=7 fault_seed=8159255084470697051"),
         "{so}"
     );
-    assert!(so.contains("phase 0: kill rank 3 after step 17"), "{so}");
-    assert!(so.contains("phase 1: kill rank 0 after step 22"), "{so}");
+    let kills = [
+        "phase 0: kill rank 2 at send 12 of a world restored at step 10, in step 11",
+        "phase 1: kill rank 0 at send 13 of a world restored at step 21, in step 22",
+    ];
+    for kill in kills {
+        assert!(so.contains(kill), "{so}");
+    }
     assert!(so.contains("agcm-soak: plan hash 0x"), "{so}");
 
     let c = soak(&[
@@ -68,6 +73,45 @@ fn plan_replays_byte_for_byte_from_seed() {
     ]);
     assert!(c.status.success(), "{}", stderr(&c));
     assert_ne!(a.stdout, c.stdout, "different seed, different chaos");
+}
+
+/// Seed 152's two kills, pinned by its plan, land where no `--kill` can:
+/// rank 1 dies at send 21 of the world restored at step 3 — 15 sends into
+/// step 4's halo exchange — and its replacement at send 5 of the restarted
+/// world (generation 1), the last of its start-of-world agreement (a
+/// collective tag).  Both fire, one restart each, and the run completes
+/// bitwise.
+#[test]
+fn a_seeded_soak_kills_mid_exchange_then_inside_the_restarted_agreement() {
+    let args = [
+        "--ranks", "4", "--steps", "10", "--seed", "152", "--kills", "2",
+    ];
+    let bench = std::env::temp_dir().join(format!("agcm-soak-152-{}.json", std::process::id()));
+    let bench_s = bench.to_str().expect("utf-8 temp path");
+    let out = soak(&[&args[..], &["--resizes", "0", "--bench-out", bench_s]].concat());
+    std::fs::remove_file(&bench).ok();
+    let (so, se) = (stdout(&out), stderr(&out));
+    assert!(out.status.success(), "{}:\n{so}\n{se}", out.status);
+    for kill in [
+        "kill rank 1 at send 21 of a world restored at step 3, in step 4",
+        "kill rank 1 at send 5 of generation 1's start-of-world agreement",
+        "PASS: 10 steps survived 2 kill(s) (2 restart(s))",
+    ] {
+        assert!(so.contains(kill), "{so}");
+    }
+    // 21 + 3 steps of rank 1's 26 sends: its send 99 since the cold start
+    let exchange = "injected fault: crash at world rank 1 (send 99, tag 0x";
+    let agreement = "injected fault: crash at world rank 1 (send 5, tag 0x";
+    let at = |line: &str| {
+        se.find(line)
+            .unwrap_or_else(|| panic!("no `{line}`:\n{se}"))
+    };
+    let collective = |line: &str| {
+        let hex = se[at(line) + line.len()..].split(')').next().expect("tag");
+        u32::from_str_radix(hex, 16).expect("hex tag") & 0x8000_0000 != 0
+    };
+    assert!(at(exchange) < at(agreement), "{se}");
+    assert!(!collective(exchange) && collective(agreement), "{se}");
 }
 
 /// Usage errors exit 2; an infeasible world (5 does not divide ny=24) is a
