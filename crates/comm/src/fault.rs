@@ -45,6 +45,11 @@
 //! | `ms`    | *stall*: sleep milliseconds (default 20)                   |
 //! | `us`    | *lat*: microseconds every matching message arrives late    |
 //!
+//! A `prob` rule's draws are a function of the seed, the site and the
+//! rule's place among the rules that have neither `event` nor `nth`, so a
+//! pinned rule put ahead of it — the parent's `crash:rank=R,event=E` for a
+//! kill — leaves them as they were.
+//!
 //! All fault kinds fire at send sites (the clock ticks on sends); `stall`
 //! and `crash` model slow-rank jitter and fail-stop process faults at the
 //! chosen send.  A `crash` is the one way a rank is killed: a rank that is
@@ -383,10 +388,16 @@ impl FaultPlan {
                 nth_counts[i] += 1;
                 nth_counts[i] == n
             } else {
-                // seeded Bernoulli: pure function of (seed, rule, site)
+                // seeded Bernoulli: pure function of (seed, rule, site).  A
+                // rule is numbered among the rules without `event=` or
+                // `nth=`, so a pinned rule put ahead of it (a kill's
+                // `crash:rank=R,event=E`) leaves its draws as they were
+                let unpinned = self.rules[..i]
+                    .iter()
+                    .filter(|r| r.event.is_none() && r.nth.is_none());
                 let h = splitmix64(
                     self.seed
-                        ^ splitmix64(i as u64)
+                        ^ splitmix64(unpinned.count() as u64)
                         ^ splitmix64(site.rank as u64 ^ (site.peer as u64) << 20)
                         ^ splitmix64(site.tag as u64 ^ site.event << 32),
                 );
@@ -601,6 +612,31 @@ mod tests {
             .filter(|&ev| p.decide(&site(0, 1, 5, ev), &mut c).is_some())
             .count();
         assert!((700..=1300).contains(&fired), "rate off: {fired}/4000");
+    }
+
+    #[test]
+    fn a_pinned_rule_ahead_leaves_the_seeded_draws_alone() {
+        // the parent puts a kill's crash ahead of a generation's fault layer
+        let layer = FaultPlan::parse(5, "delay:prob=0.05,k=3").unwrap();
+        let killed = FaultPlan::parse(5, "crash:rank=1,event=5;delay:prob=0.05,k=3").unwrap();
+        let (mut c1, mut c2) = (vec![0u64; 1], vec![0u64; 2]);
+        let mut delays = 0;
+        for rank in 0..4 {
+            for event in 0..500 {
+                let s = site(rank, (rank + 1) % 4, 3 + event as u32 % 7, event);
+                let (a, b) = (layer.decide(&s, &mut c1), killed.decide(&s, &mut c2));
+                if (rank, event) == (1, 5) {
+                    assert_eq!(b, Some(FaultAction::Crash));
+                } else {
+                    assert_eq!(a, b, "rank {rank} event {event}");
+                    delays += usize::from(a.is_some());
+                }
+            }
+        }
+        assert!(
+            (40..=160).contains(&delays),
+            "{delays} delays of 2000 sends"
+        );
     }
 
     #[test]

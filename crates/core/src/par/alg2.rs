@@ -1,32 +1,34 @@
 //! Parallel **Algorithm 2** — the communication-avoiding algorithm (§4.4).
 //!
 //! Runs under the Y-Z decomposition only (`p_x = 1`), so the Fourier
-//! filtering is communication-free (§4.2.1).  Per time step:
+//! filtering is communication-free (§4.2.1).  Its step program is
+//! Algorithm 1's plus three rewrites ([`super::schedule::alg2_step_for`]):
 //!
-//! * deep halos feed **groups of sweeps** between exchanges: `g` sweeps an
-//!   exchange costs `⌈3M/g⌉ + ⌈3/g_a⌉ (+1)` exchanges a step instead of
-//!   `3M + 4`.  At `g = 3M` ([`CaModel::with_groups`], where the blocks
-//!   hold the `3M(+2)`-deep halo) that is the paper's **two**;
-//!   [`CaModel::new`] runs the rung of the iteration-aligned ladder whose
-//!   redundant sweeps cost least against the exchanges they save
-//!   ([`crate::analysis::ca_group_size`]),
-//! * the first exchange fuses the **smoothing** of the previous step
-//!   (§4.3.2: former smoothing overlaps the messages; later smoothing
-//!   completes edge and halo rows after they arrive) and ships the cached
-//!   `C` outputs (`vsum`, `g_w`, `φ'`) alongside ξ — 7 arrays, echoing the
-//!   paper's "length of ξ being ten",
-//! * the **approximate nonlinear iteration** (§4.2.2) runs the collective
-//!   `C` twice per iteration (the first sub-update reuses the cached
-//!   outputs), eliminating one third of the collective traffic,
-//! * exchanges are split into post/compute/finish so computation overlaps
-//!   communication (§4.3.1),
-//! * halo sweeps are redundant: with validity `v` layers left, a sweep
-//!   covers the interior dilated by `v − 1` — on the sides that face a
-//!   neighbour only, and only those sides carry a deep halo
-//!   ([`super::schedule::halo_alloc`]).
+//! 1. the **approximate nonlinear iteration** (§4.2.2, Eq. 13): the first
+//!    sub-update of each iteration reuses the cached `C` outputs, so the
+//!    collective `C` runs twice an iteration — a third of its traffic
+//!    goes,
+//! 2. the **split smoothing** (§4.3.2): the previous step's smoothing opens
+//!    the step; where the blocks hold two more rows it is fused into the
+//!    first exchange — the former smoothing overlaps the messages, the
+//!    later one completes the edge and halo rows once they arrive,
+//! 3. **deep halos** (§4.3): one exchange feeds a group of `g` adaptation
+//!    (`g_a` advection) sweeps, `⌈3M/g⌉ + ⌈3/g_a⌉ (+1)` exchanges a step
+//!    instead of `3M + 4`, and ships the cached `C` outputs (`vsum`, `g_w`,
+//!    `φ'`) alongside ξ — 7 arrays, echoing the paper's "length of ξ being
+//!    ten".  Each sweep is redundant on the halo the rest of its group
+//!    reads: it covers the interior dilated by the sweeps left in its group
+//!    after it, on the sides that face a neighbour only, and only those
+//!    sides carry a deep halo ([`super::schedule::halo_alloc`]).  A phase's
+//!    first exchange is split into post/compute/finish so computation
+//!    overlaps communication (§4.3.1).
 //!
-//! All of that is [`super::schedule::alg2_step_for`]'s program; [`CaModel`]
-//! is [`Integrator::alg2`] on a rung of the ladder behind a `&Communicator`
+//! At `g = 3M` ([`CaModel::with_groups`], where the blocks hold the
+//! `3M(+2)`-deep halo) that is the paper's **two** exchanges;
+//! [`CaModel::new`] runs the rung of the iteration-aligned ladder whose
+//! redundant sweeps cost least against the exchanges they save
+//! ([`crate::analysis::ca_group_size`]).  [`CaModel`] is
+//! [`Integrator::alg2`] on a rung of the ladder behind a `&Communicator`
 //! step signature.  Everything else it offers is the integrator's, through
 //! `Deref`.
 

@@ -103,6 +103,12 @@ pub const GUARDS: &[Guard] = &[
         scope: &["crates/*/src/", "!crates/core/src/dycore.rs", "!crates/core/src/par/exchange.rs"],
         patterns: &[".adaptation_subupdate(", ".advection_subupdate(", ".advection_part(",
             ".post_sends("] },
+    // One step program: Algorithm 2's is Algorithm 1's under the paper's
+    // three rewrites (`par::schedule::alg2_step_for`), so a sub-update's
+    // ops are spelled by Algorithm 1's generator alone and no second
+    // generator writes a step by hand.
+    Guard { key: "one-program", mode: Code, scope: &["crates/*/src/"], patterns: &[r"\bsubupdate("],
+        bound: OnlyIn(&["crates/core/src/par/schedule.rs::alg1_step"]) },
     // A model holds `state`, `eta1` and `mid` (DESIGN.md §17 rule 1), and
     // the sub-update's modules allocate no state of their own.
     Guard { key: "three-state-buffers", mode: Code, bound: Exactly(3),
@@ -206,8 +212,8 @@ pub const GUARDS: &[Guard] = &[
 /// The line budgets, each set where its last change landed, so that it
 /// ratchets.
 pub const BUDGETS: &[Budget] = &[
-    Budget { name: "integrator + par", max: 1157, scope: &[
+    Budget { name: "integrator + par", max: 1142, scope: &[
         "crates/core/src/serial.rs", "crates/core/src/integrator.rs", "crates/core/src/par/"] },
-    Budget { name: "agcm-core", max: 5792, scope: &["crates/core/src/"] },
-    Budget { name: "crates/*/src", max: 15753, scope: &["crates/*/src/"] },
+    Budget { name: "agcm-core", max: 5777, scope: &["crates/core/src/"] },
+    Budget { name: "crates/*/src", max: 15743, scope: &["crates/*/src/"] },
 ];

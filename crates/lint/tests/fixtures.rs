@@ -710,6 +710,29 @@ fn one_step_loop_sees_code_after_an_early_cfg_test() {
     assert!(fired(&v, key), "{v:?}");
 }
 
+/// A second generator that spells a sub-update — Algorithm 2's program
+/// written out by hand again — fails; the engine's sub-update entry points
+/// are other names.
+#[test]
+fn one_program_keeps_the_sub_update_in_algorithm_1s_generator() {
+    let (key, rel) = ("one-program", "crates/core/src/par/schedule.rs");
+    let second = "pub fn alg3_step(pg: &ProcessGrid) -> Vec<StepOp> {\n    let mut ops = Vec::new();\n    subupdate(&mut ops, pg, \"advection.fused\", 1, CSource::NotUsed);\n    ops\n}";
+    fails(key, rel, second);
+    fails(
+        key,
+        "crates/core/src/par/alg2.rs",
+        "fn f(o: &mut Vec<StepOp>) { subupdate(o, g, k, 1, c); }",
+    );
+    passes(
+        key,
+        "crates/core/src/integrator.rs",
+        "fn f(e: &mut Engine) { e.adaptation_subupdate(s); }",
+    );
+    // and Algorithm 1's generator must still spell it
+    let v = mutated(rel, |t| t.replace("subupdate(", "sub_update("));
+    assert!(fired(&v, key), "{v:?}");
+}
+
 #[test]
 fn three_state_buffers_and_none_allocated_by_the_sweep() {
     let key = "three-state-buffers";
