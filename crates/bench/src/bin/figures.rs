@@ -2,28 +2,29 @@
 //!
 //! ```text
 //! cargo run -p agcm-bench --release --bin figures -- all
-//! cargo run -p agcm-bench --release --bin figures -- fig1|fig6|fig7|fig8|theory|tables|validate
+//! cargo run -p agcm-bench --release --bin figures -- fig1|fig6|fig7|fig8|theory|tables|verify
 //! ```
 //!
 //! Figures 1, 6, 7, 8 are the cost model's walk of each algorithm's step
 //! program (`core::analysis::predict`) at the paper's rank counts under the
-//! calibrated `tianhe2` constants; `validate` re-derives the walk's counts
-//! from *executing* runs at laptop scale and prints the (exact) agreement.
+//! calibrated `tianhe2` constants; `verify` holds the walk's counts to the
+//! schedule graph and the graph's to *executing* runs at laptop scale, and
+//! prints the (exact) agreement.
 //! Absolute seconds are model-calibrated; the comparisons the paper draws
 //! (who wins, by what factor, where) are the reproduction targets — see
 //! EXPERIMENTS.md.
 
 use agcm_bench::{paper_step, steps_10_years};
-use agcm_comm::{p2p_only_delta, CostModel, Universe};
+use agcm_comm::CostModel;
 use agcm_core::analysis::{self, AlgKind, CaMode, Prediction};
 use agcm_core::error::ModelError;
-use agcm_core::{init, tables, Integrator, ModelConfig};
+use agcm_core::{tables, ModelConfig};
 use agcm_mesh::{MeshError, ProcessGrid};
 use agcm_obs as obs;
 use agcm_verify::PAPER_RANKS;
 use std::fmt;
 
-const USAGE: &str = "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|validate|verify]";
+const USAGE: &str = "usage: figures [all|fig1|fig6|fig7|fig8|theory|tables|verify]";
 
 /// Why a figure that executes or writes something could not be produced.
 enum FigError {
@@ -32,7 +33,7 @@ enum FigError {
     /// The certification report could not be written.
     Io(std::io::Error),
     /// A check a figure rests on failed: a certification, or an executing
-    /// run against the static schedule or the cost model's counts.
+    /// run against the static schedule.
     Check(String),
 }
 
@@ -71,7 +72,6 @@ fn main() -> Result<(), FigError> {
         "fig8" => fig8(&cfg, &model),
         "theory" => theory(&cfg),
         "tables" => print_tables(),
-        "validate" => validate()?,
         "verify" => verify()?,
         "all" => {
             print_tables();
@@ -80,7 +80,6 @@ fn main() -> Result<(), FigError> {
             fig7(&cfg, &model);
             fig8(&cfg, &model);
             theory(&cfg);
-            validate()?;
             verify()?;
         }
         other => {
@@ -328,57 +327,6 @@ fn print_tables() {
     println!("CA deep halo (M = 3): y = {ylo}/{yhi}, matching Figure 4's 3M(+2) layers");
 }
 
-/// Execute small real runs and show the predictor matching them exactly.
-fn validate() -> Result<(), FigError> {
-    header("validation — executing runtime vs cost-model traffic counts");
-    let mut cfg = ModelConfig::test_medium();
-    cfg.m_iters = 1;
-    for (name, alg, pg) in [
-        ("original Y-Z", AlgKind::OriginalYZ, ProcessGrid::yz(2, 2)?),
-        ("original X-Y", AlgKind::OriginalXY, ProcessGrid::xy(2, 2)?),
-        (
-            "comm-avoiding",
-            AlgKind::CommAvoiding,
-            ProcessGrid::yz(2, 2)?,
-        ),
-    ] {
-        let cfg2 = cfg.clone();
-        let measured = Universe::run(4, move |comm| -> Result<_, ModelError> {
-            comm.stats().set_event_logging(true); // collective_events is opt-in
-            let mut m = Integrator::parallel(&cfg2, alg, pg, comm)?;
-            let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
-            m.set_state(&ic);
-            m.step(Some(comm))?; // warm-up (CA cache bootstrap)
-            let s0 = comm.stats().snapshot();
-            let e0 = comm.stats().collective_events().len();
-            m.step(Some(comm))?;
-            let d = comm.stats().snapshot().delta(&s0);
-            let ev = comm.stats().collective_events()[e0..].to_vec();
-            let pure = p2p_only_delta(&d, &ev);
-            Ok((pure.p2p_sends, pure.p2p_send_elems))
-        });
-        let measured = measured.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let predicted = analysis::predict(&cfg, alg, pg, CaMode::Grouped, &CostModel::BENCH_HOST)?;
-        println!("{name} (4 ranks, measured vs predicted per-rank):");
-        for (rank, (&(msgs, elems), want)) in measured.iter().zip(&predicted.ranks).enumerate() {
-            let ok = want.msgs == msgs && want.elems == elems;
-            println!(
-                "  rank {rank}: msgs {msgs:>4} vs {:>4}, elems {elems:>7} vs {:>7}  {}",
-                want.msgs,
-                want.elems,
-                if ok { "EXACT" } else { "MISMATCH" }
-            );
-            if !ok {
-                let why =
-                    format!("{name}, rank {rank}: prediction diverged from the executing runtime");
-                return Err(FigError::Check(why));
-            }
-        }
-    }
-    println!("every count matches: the figures above rest on the executing implementation.");
-    Ok(())
-}
-
 /// Static certification of the paper-mesh communication schedules
 /// (`agcm-verify`): matched, deadlock-free, counts equal to the §5.3
 /// closed forms — no threads spawned, any rank count.
@@ -471,13 +419,20 @@ fn verify() -> Result<(), FigError> {
          dataflow certification; the predicted terms are the critical path's,\n\
          core::analysis::predict's (left: bench host, right: tianhe2)."
     );
-    // the cross-check pins the static model to the executing runtime
+    // the cross-check pins the static model to the executing runtime: the
+    // schedule graph against the walk (`certify_one`), then the traffic a
+    // run measures against the graph
     report.push_str("\n## Runtime cross-checks\n\n");
     let cfg = ModelConfig::test_medium();
     let pg = ProcessGrid::yz(2, 2)?;
-    for alg in [AlgKind::OriginalYZ, AlgKind::CommAvoiding] {
-        agcm_verify::cross_check(&cfg, alg, pg)
-            .map_err(|e| FigError::Check(format!("runtime cross-check {alg:?}:\n{e}")))?;
+    for (alg, pg) in [
+        (AlgKind::OriginalXY, ProcessGrid::xy(2, 2)?),
+        (AlgKind::OriginalYZ, pg),
+        (AlgKind::CommAvoiding, pg),
+    ] {
+        let failed = |e: String| FigError::Check(format!("runtime cross-check {alg:?}:\n{e}"));
+        agcm_verify::certify_one(&cfg, alg, CaMode::Grouped, pg).map_err(failed)?;
+        agcm_verify::cross_check(&cfg, alg, pg).map_err(failed)?;
         println!("runtime cross-check {alg:?} @ 4 ranks: EXACT");
         report.push_str(&format!("- runtime cross-check {alg:?} @ 4 ranks: EXACT\n"));
     }

@@ -58,8 +58,7 @@ impl Communicator {
         self.bump_coll_seq();
         let _span = obs::span(obs::SpanKind::Collective, "barrier");
         let p = self.size();
-        self.stats()
-            .record_collective(CollectiveKind::Barrier, p, 0);
+        self.stats().record_collective(CollectiveKind::Barrier, 0);
         let mut k = 0u32;
         let mut step = 1usize;
         while step < p {
@@ -82,7 +81,7 @@ impl Communicator {
         span.add_bytes(8 * data.len() as u64);
         let p = self.size();
         self.stats()
-            .record_collective(CollectiveKind::Allreduce, p, data.len());
+            .record_collective(CollectiveKind::Allreduce, data.len());
         if p == 1 {
             return Ok(());
         }
@@ -118,7 +117,7 @@ impl Communicator {
         span.add_bytes(8 * data.len() as u64);
         let p = self.size();
         self.stats()
-            .record_collective(CollectiveKind::Bcast, p, data.len());
+            .record_collective(CollectiveKind::Bcast, data.len());
         if p == 1 {
             return Ok(());
         }
@@ -161,7 +160,7 @@ impl Communicator {
         span.add_bytes(8 * data.len() as u64);
         let p = self.size();
         self.stats()
-            .record_collective(CollectiveKind::Allgather, p, data.len());
+            .record_collective(CollectiveKind::Allgather, data.len());
         let n = data.len();
         let mut out = vec![0.0; p * n];
         let r = self.rank();
@@ -190,7 +189,7 @@ impl Communicator {
         span.add_bytes(8 * data.len() as u64);
         let p = self.size();
         self.stats()
-            .record_collective(CollectiveKind::Gather, p, data.len());
+            .record_collective(CollectiveKind::Gather, data.len());
         if self.rank() == root {
             let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
             out[root] = data.to_vec();
@@ -232,7 +231,7 @@ impl Communicator {
         let mut span = obs::span(obs::SpanKind::Collective, "alltoallv");
         span.add_bytes(8 * total as u64);
         self.stats()
-            .record_collective(CollectiveKind::Alltoall, p, total);
+            .record_collective(CollectiveKind::Alltoall, total);
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
         out[r] = send[r].clone();
         for i in 1..p {

@@ -22,8 +22,8 @@ pub enum CommError {
         waited: Duration,
         /// Operator phase active on the receiving thread.
         phase: agcm_obs::Phase,
-        /// Per-rank send/recv event index when the wait gave up (the
-        /// deterministic clock fault specs pin to — see
+        /// Messages this rank had sent when the wait gave up (a fault
+        /// plan installed with the world counts the same sends — see
         /// [`crate::FaultPlan`]).
         events_so_far: u64,
     },

@@ -10,7 +10,7 @@
 //! nothing that multiplies them; `benchmark/src/stats.rs` is where α and β
 //! are measured.
 
-use crate::stats::{CollectiveEvent, CollectiveKind, StatsSnapshot};
+use crate::stats::{CollectiveEvent, StatsSnapshot};
 
 /// Seconds one kernel of the step program costs per point it sweeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,77 +143,22 @@ impl CostModel {
     }
 }
 
-/// Remove the internal point-to-point traffic of the listed collectives from
-/// a stats delta, leaving only genuine (stencil/halo) p2p traffic.
-///
-/// The runtime implements collectives on top of p2p, so its counters see
-/// both; the paper reports them separately (Figures 6 vs 7).  Ring
-/// allreduce contributes `2(p-1)` messages of `≈n/p` elements, etc.
-pub fn p2p_only_delta(d: &StatsSnapshot, events: &[CollectiveEvent]) -> StatsSnapshot {
-    let mut msgs: u64 = 0;
-    let mut elems: u64 = 0;
-    for e in events {
-        let p = e.comm_size as u64;
-        if p <= 1 {
-            continue;
-        }
-        let (m, v) = match e.kind {
-            CollectiveKind::Allreduce => {
-                // ring: 2(p-1) messages totalling ~2n(p-1)/p elements
-                (2 * (p - 1), 2 * (e.elems as u64) * (p - 1) / p)
-            }
-            CollectiveKind::Bcast => {
-                // binomial: a rank sends/recvs <= log2 p messages; count the
-                // average of 1 recv + forwarded sends ~ log2(p) bound
-                (
-                    p.ilog2() as u64 + 1,
-                    (p.ilog2() as u64 + 1) * e.elems as u64,
-                )
-            }
-            CollectiveKind::Allgather => (p - 1, (p - 1) * e.elems as u64),
-            CollectiveKind::Gather => (1, e.elems as u64),
-            CollectiveKind::Alltoall => (p - 1, e.elems as u64),
-            CollectiveKind::Barrier => (p.ilog2() as u64 + 1, 0),
-        };
-        msgs += m;
-        elems += v;
-    }
+/// The halo traffic of a stats delta: its halo messages and elements as
+/// `p2p_sends` and `p2p_send_elems`, every other count as it is.  The
+/// runtime counts the two kinds apart where it sends (a collective's rounds
+/// ride tags with the collective bit), so `events` is not read; the
+/// signature is the benchmark runner's.
+pub fn p2p_only_delta(d: &StatsSnapshot, _events: &[CollectiveEvent]) -> StatsSnapshot {
     StatsSnapshot {
-        p2p_sends: d.p2p_sends.saturating_sub(msgs),
-        p2p_send_elems: d.p2p_send_elems.saturating_sub(elems),
-        p2p_recvs: d.p2p_recvs.saturating_sub(msgs),
-        p2p_recv_elems: d.p2p_recv_elems.saturating_sub(elems),
-        collective_calls: d.collective_calls,
-        collective_elems: d.collective_elems,
+        p2p_sends: d.halo_sends,
+        p2p_send_elems: d.halo_send_elems,
+        ..*d
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn p2p_only_subtracts_ring_traffic() {
-        // 1 allreduce of 64 elems on 4 ranks = 6 msgs, 96 elems (measured in
-        // collective.rs test); plus 2 genuine halo messages of 50 elems
-        let d = StatsSnapshot {
-            p2p_sends: 8,
-            p2p_send_elems: 196,
-            p2p_recvs: 8,
-            p2p_recv_elems: 196,
-            collective_calls: 1,
-            collective_elems: 64,
-        };
-        let ev = [CollectiveEvent {
-            kind: CollectiveKind::Allreduce,
-            comm_size: 4,
-            elems: 64,
-            phase: agcm_obs::Phase::Other,
-        }];
-        let p = p2p_only_delta(&d, &ev);
-        assert_eq!(p.p2p_sends, 2);
-        assert_eq!(p.p2p_send_elems, 100);
-    }
 
     #[test]
     fn presets_are_ordered_sensibly() {

@@ -77,7 +77,7 @@ fn recv_wait_hist() -> &'static Arc<obs::Histogram> {
 /// rank, not per-communicator.
 pub(crate) struct FaultCtx {
     plan: FaultPlan,
-    /// Index of the next send/recv operation on this rank.
+    /// Index of the next send on this rank.
     event: Cell<u64>,
     /// Per-rule match counters backing `nth=` selectors.
     nth: RefCell<Vec<u64>>,
@@ -334,11 +334,12 @@ impl Communicator {
     }
 
     /// The shared send path: applies the fault plan (if any) and records
-    /// the element count.
+    /// the element count, as a halo message or (the tag's collective bit)
+    /// a collective's round.
     pub(crate) fn send_raw(&self, dest: usize, tag: u32, data: Vec<f64>) -> CommResult<()> {
         self.check_rank(dest)?;
         let peer_global = self.members[dest];
-        let n = data.len();
+        let (n, round) = (data.len(), tag & COLLECTIVE_TAG_BIT != 0);
         let env = Envelope::new(self.ctx, self.members[self.rank], tag, data);
         match self.fault_tick(peer_global, tag) {
             None => {}
@@ -349,12 +350,13 @@ impl Communicator {
                 let ctx = self.fault.as_ref().expect("delay fired without plan");
                 let release = ctx.event.get() + events;
                 ctx.held.borrow_mut().push((release, peer_global, env));
-                self.stats.record_send(n);
+                self.stats.record_send(n, round);
                 return Ok(());
             }
             Some(FaultAction::Stall { ms }) => std::thread::sleep(Duration::from_millis(ms)),
             Some(FaultAction::Crash) => {
-                let (me, send) = (self.members[self.rank], self.events_so_far() - 1);
+                let ctx = self.fault.as_ref().expect("crash fired without plan");
+                let (me, send) = (self.members[self.rank], ctx.event.get() - 1);
                 let what =
                     format!("injected fault: crash at world rank {me} (send {send}, tag {tag:#x})");
                 if self.in_process {
@@ -367,7 +369,7 @@ impl Communicator {
             }
         }
         self.transport.send(peer_global, env)?;
-        self.stats.record_send(n);
+        self.stats.record_send(n, round);
         Ok(())
     }
 
@@ -462,19 +464,6 @@ impl Communicator {
         }
     }
 
-    /// Per-rank operation count for error context: the (send-only) fault
-    /// clock when a plan is installed, otherwise the total p2p operations
-    /// from the stats.
-    fn events_so_far(&self) -> u64 {
-        match &self.fault {
-            Some(ctx) => ctx.event.get(),
-            None => {
-                let s = self.stats.snapshot();
-                s.p2p_sends + s.p2p_recvs
-            }
-        }
-    }
-
     /// Blocking receive of the message from local rank `src` with `tag`.
     pub fn recv(&self, src: usize, tag: u32) -> CommResult<Vec<f64>> {
         assert!(
@@ -508,12 +497,12 @@ impl Communicator {
         Ok(data)
     }
 
-    /// The shared receive path.  Fails fast on poisoned mailboxes and
-    /// records the received element count.  Receives do **not** tick the
-    /// fault clock (see [`Self::fault_tick`]).  They do release every held
-    /// (delayed) message first — this rank is about to block, and a message
-    /// held past the end of its send batch would deadlock the peer; the
-    /// flush point is fixed by program order, so replay stays exact.
+    /// The shared receive path.  Fails fast on poisoned mailboxes.  Receives
+    /// do **not** tick the fault clock (see [`Self::fault_tick`]), nor any
+    /// traffic counter.  They do release every held (delayed) message
+    /// first — this rank is about to block, and a message held past the end
+    /// of its send batch would deadlock the peer; the flush point is fixed
+    /// by program order, so replay stays exact.
     pub(crate) fn recv_raw(&self, src: usize, tag: u32) -> CommResult<Vec<f64>> {
         let data = self.recv_matched(src, tag)?;
         if let Some(ctx) = &self.fault {
@@ -550,9 +539,7 @@ impl Communicator {
                 .iter()
                 .position(|e| e.ctx == self.ctx && e.src_global == want_src && e.tag == tag)
             {
-                let env = pending.swap_remove(pos);
-                self.stats.record_recv(env.data.len());
-                return Ok(env.data);
+                return Ok(pending.swap_remove(pos).data);
             }
         }
         // 2. drain the transport until the match arrives
@@ -575,7 +562,6 @@ impl Communicator {
                         if obs::enabled() {
                             recv_wait_hist().record(entered.elapsed().as_nanos() as u64);
                         }
-                        self.stats.record_recv(env.data.len());
                         return Ok(env.data);
                     }
                     self.mailbox.pending.borrow_mut().push(env);
@@ -594,7 +580,7 @@ impl Communicator {
             tag,
             waited: self.timeout.get(),
             phase: obs::current_phase(),
-            events_so_far: self.events_so_far(),
+            events_so_far: self.stats.snapshot().p2p_sends,
         })
     }
 
@@ -800,7 +786,8 @@ mod tests {
         for s in results {
             assert_eq!(s.p2p_sends, 1);
             assert_eq!(s.p2p_send_elems, 16);
-            assert_eq!(s.p2p_recvs, 1);
+            // a user tag: the message is a halo message
+            assert_eq!((s.halo_sends, s.halo_send_elems), (1, 16));
         }
     }
 

@@ -2,10 +2,11 @@
 //!
 //! The paper's evaluation separates *collective* communication (Figure 6)
 //! from *stencil* (point-to-point) communication (Figure 7).  The runtime
-//! counts every message and collective it executes; the dynamical core takes
-//! [`StatsSnapshot`]s around each phase and reports deltas, which is how the
-//! per-figure numbers are produced without the runtime knowing anything
-//! about atmospheric physics.
+//! counts every message and collective it executes, each message as a halo
+//! message or a round of a collective by its tag, where it is sent; the
+//! dynamical core takes [`StatsSnapshot`]s around each phase and reports
+//! deltas, which is how the per-figure numbers are produced without the
+//! runtime knowing anything about atmospheric physics.
 //!
 //! Counters are atomics shared (via `Arc`) between a communicator and all
 //! sub-communicators split from it, so traffic on an axis communicator (the
@@ -38,10 +39,6 @@ pub enum CollectiveKind {
 pub struct CollectiveEvent {
     /// Operation type.
     pub kind: CollectiveKind,
-    /// Size of the communicator it ran on.
-    pub comm_size: usize,
-    /// Payload `f64` element count (per-rank contribution).
-    pub elems: usize,
     /// Operator phase (`A`/`C`/`F`/`L`/`S1`/`S2`) active on the calling
     /// thread when the collective ran; [`Phase::Other`] outside any
     /// operator span.
@@ -50,10 +47,9 @@ pub struct CollectiveEvent {
 
 #[derive(Debug, Default)]
 struct Inner {
-    p2p_sends: AtomicU64,
-    p2p_send_elems: AtomicU64,
-    p2p_recvs: AtomicU64,
-    p2p_recv_elems: AtomicU64,
+    // Messages and `f64` values sent, by kind: `[halo, collective round]`.
+    sends: [AtomicU64; 2],
+    send_elems: [AtomicU64; 2],
     collective_calls: AtomicU64,
     collective_elems: AtomicU64,
     // Injected-fault counters (see crate::fault).  Kept out of
@@ -62,9 +58,10 @@ struct Inner {
     faults_delayed: AtomicU64,
     faults_stalled: AtomicU64,
     faults_crashed: AtomicU64,
-    // The per-event log is opt-in: the unconditional push-under-mutex it
-    // used to do both grew without bound in long runs and serialized every
-    // rank's collectives on one lock.  Counters above stay always-on.
+    // The per-event log is opt-in and answers per-kind and per-phase
+    // questions only: the unconditional push-under-mutex it used to do both
+    // grew without bound in long runs and serialized every rank's
+    // collectives on one lock.  Counters above stay always-on.
     event_log: AtomicBool,
     events: Mutex<Vec<CollectiveEvent>>,
 }
@@ -90,20 +87,12 @@ impl CommStats {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Record a point-to-point send of `elems` `f64` values.
-    pub fn record_send(&self, elems: usize) {
-        self.inner.p2p_sends.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .p2p_send_elems
-            .fetch_add(elems as u64, Ordering::Relaxed);
-    }
-
-    /// Record a point-to-point receive of `elems` `f64` values.
-    pub fn record_recv(&self, elems: usize) {
-        self.inner.p2p_recvs.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .p2p_recv_elems
-            .fetch_add(elems as u64, Ordering::Relaxed);
+    /// Record a point-to-point send of `elems` `f64` values: a halo
+    /// message, or (`collective`) one round of a collective.
+    pub fn record_send(&self, elems: usize, collective: bool) {
+        let kind = usize::from(collective);
+        self.inner.sends[kind].fetch_add(1, Ordering::Relaxed);
+        self.inner.send_elems[kind].fetch_add(elems as u64, Ordering::Relaxed);
     }
 
     /// Turn the per-event collective log on or off (off by default; the
@@ -116,7 +105,7 @@ impl CommStats {
     /// Record a collective call.  Counters always update; the per-event
     /// log only when [`Self::set_event_logging`] enabled it (one relaxed
     /// atomic check on the hot path otherwise).
-    pub fn record_collective(&self, kind: CollectiveKind, comm_size: usize, elems: usize) {
+    pub fn record_collective(&self, kind: CollectiveKind, elems: usize) {
         self.inner.collective_calls.fetch_add(1, Ordering::Relaxed);
         self.inner
             .collective_elems
@@ -124,8 +113,6 @@ impl CommStats {
         if self.inner.event_log.load(Ordering::Relaxed) {
             self.events().push(CollectiveEvent {
                 kind,
-                comm_size,
-                elems,
                 phase: agcm_obs::current_phase(),
             });
         }
@@ -155,13 +142,16 @@ impl CommStats {
 
     /// Current totals.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let [halo, rounds] = self.inner.sends.each_ref().map(load);
+        let [halo_elems, round_elems] = self.inner.send_elems.each_ref().map(load);
         StatsSnapshot {
-            p2p_sends: self.inner.p2p_sends.load(Ordering::Relaxed),
-            p2p_send_elems: self.inner.p2p_send_elems.load(Ordering::Relaxed),
-            p2p_recvs: self.inner.p2p_recvs.load(Ordering::Relaxed),
-            p2p_recv_elems: self.inner.p2p_recv_elems.load(Ordering::Relaxed),
-            collective_calls: self.inner.collective_calls.load(Ordering::Relaxed),
-            collective_elems: self.inner.collective_elems.load(Ordering::Relaxed),
+            p2p_sends: halo + rounds,
+            p2p_send_elems: halo_elems + round_elems,
+            halo_sends: halo,
+            halo_send_elems: halo_elems,
+            collective_calls: load(&self.inner.collective_calls),
+            collective_elems: load(&self.inner.collective_elems),
         }
     }
 
@@ -199,14 +189,16 @@ impl FaultSnapshot {
 /// traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Point-to-point messages sent.
+    /// Point-to-point messages sent, halo and collective rounds alike:
+    /// every message the wire carries.
     pub p2p_sends: u64,
     /// `f64` values sent point-to-point.
     pub p2p_send_elems: u64,
-    /// Point-to-point messages received.
-    pub p2p_recvs: u64,
-    /// `f64` values received point-to-point.
-    pub p2p_recv_elems: u64,
+    /// Halo messages sent: the point-to-point messages on user tags, none
+    /// of a collective's rounds.
+    pub halo_sends: u64,
+    /// `f64` values sent in halo messages.
+    pub halo_send_elems: u64,
     /// Collective operations executed.
     pub collective_calls: u64,
     /// `f64` values contributed to collectives.
@@ -219,8 +211,8 @@ impl StatsSnapshot {
         StatsSnapshot {
             p2p_sends: self.p2p_sends.saturating_sub(earlier.p2p_sends),
             p2p_send_elems: self.p2p_send_elems.saturating_sub(earlier.p2p_send_elems),
-            p2p_recvs: self.p2p_recvs.saturating_sub(earlier.p2p_recvs),
-            p2p_recv_elems: self.p2p_recv_elems.saturating_sub(earlier.p2p_recv_elems),
+            halo_sends: self.halo_sends.saturating_sub(earlier.halo_sends),
+            halo_send_elems: self.halo_send_elems.saturating_sub(earlier.halo_send_elems),
             collective_calls: self
                 .collective_calls
                 .saturating_sub(earlier.collective_calls),
@@ -243,31 +235,34 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = CommStats::new();
-        s.record_send(100);
-        s.record_send(50);
-        s.record_recv(100);
-        s.record_collective(CollectiveKind::Allreduce, 4, 32);
+        s.record_send(100, false);
+        s.record_send(50, false);
+        s.record_send(8, true);
+        s.record_collective(CollectiveKind::Allreduce, 32);
         let snap = s.snapshot();
-        assert_eq!(snap.p2p_sends, 2);
-        assert_eq!(snap.p2p_send_elems, 150);
-        assert_eq!(snap.p2p_recvs, 1);
+        assert_eq!(snap.p2p_sends, 3);
+        assert_eq!(snap.p2p_send_elems, 158);
+        // a collective's round is a message, not a halo message
+        assert_eq!(snap.halo_sends, 2);
+        assert_eq!(snap.halo_send_elems, 150);
         assert_eq!(snap.collective_calls, 1);
         assert_eq!(snap.collective_elems, 32);
-        assert_eq!(snap.p2p_recv_elems, 100);
         assert_eq!(snap.collective_bytes(), 256);
     }
 
     #[test]
     fn snapshot_delta() {
         let s = CommStats::new();
-        s.record_send(10);
+        s.record_send(10, false);
         let a = s.snapshot();
-        s.record_send(5);
-        s.record_collective(CollectiveKind::Bcast, 8, 1);
+        s.record_send(5, false);
+        s.record_send(1, true);
+        s.record_collective(CollectiveKind::Bcast, 1);
         let b = s.snapshot();
         let d = b.delta(&a);
-        assert_eq!(d.p2p_sends, 1);
-        assert_eq!(d.p2p_send_elems, 5);
+        assert_eq!(d.p2p_sends, 2);
+        assert_eq!(d.p2p_send_elems, 6);
+        assert_eq!((d.halo_sends, d.halo_send_elems), (1, 5));
         assert_eq!(d.collective_calls, 1);
     }
 
@@ -275,7 +270,7 @@ mod tests {
     fn clones_share_counters() {
         let s = CommStats::new();
         let t = s.clone();
-        t.record_send(7);
+        t.record_send(7, false);
         assert_eq!(s.snapshot().p2p_send_elems, 7);
     }
 
@@ -283,9 +278,9 @@ mod tests {
     fn events_recorded_per_kind() {
         let s = CommStats::new();
         s.set_event_logging(true);
-        s.record_collective(CollectiveKind::Allreduce, 4, 8);
-        s.record_collective(CollectiveKind::Allreduce, 4, 8);
-        s.record_collective(CollectiveKind::Barrier, 4, 0);
+        s.record_collective(CollectiveKind::Allreduce, 8);
+        s.record_collective(CollectiveKind::Allreduce, 8);
+        s.record_collective(CollectiveKind::Barrier, 0);
         assert_eq!(s.count_collectives(CollectiveKind::Allreduce), 2);
         assert_eq!(s.count_collectives(CollectiveKind::Barrier), 1);
         assert_eq!(s.collective_events().len(), 3);
@@ -298,13 +293,13 @@ mod tests {
     #[test]
     fn event_log_off_by_default_counters_still_on() {
         let s = CommStats::new();
-        s.record_collective(CollectiveKind::Allreduce, 4, 8);
+        s.record_collective(CollectiveKind::Allreduce, 8);
         assert_eq!(s.snapshot().collective_calls, 1);
         assert!(s.collective_events().is_empty());
         // clones share the flag, like the counters
         let t = s.clone();
         t.set_event_logging(true);
-        s.record_collective(CollectiveKind::Bcast, 4, 1);
+        s.record_collective(CollectiveKind::Bcast, 1);
         assert_eq!(t.collective_events().len(), 1);
     }
 
@@ -335,7 +330,7 @@ mod tests {
                 let s = s.clone();
                 scope.spawn(move || {
                     for _ in 0..1000 {
-                        s.record_send(1);
+                        s.record_send(1, false);
                     }
                 });
             }

@@ -41,8 +41,7 @@ pub use config::ModelConfig;
 pub use geometry::{LocalGeometry, Region};
 pub use integrator::Integrator;
 pub use resilience::{
-    assemble, checkpoint_path, common_checkpoint_step, latest_checkpoint_step, list_checkpoints,
-    prune_checkpoints, read_checkpoint, redistribute, resize_retention, write_checkpoint,
-    Checkpoint,
+    assemble, checkpoint_path, latest_checkpoint_step, list_checkpoints, prune_checkpoints,
+    read_checkpoint, redistribute, resize_retention, restore_step, write_checkpoint, Checkpoint,
 };
 pub use state::State;

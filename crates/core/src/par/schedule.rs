@@ -425,7 +425,8 @@ fn split_smoothing(ops: &mut Vec<StepOp>, fuse: bool) {
 /// kernel of the group runs dilated by the sweeps left in its group after
 /// its sweep, so the group's last sweep covers the interior; the
 /// advection's last group ends at the step's third sweep.  A phase's first
-/// exchange is split around the sweep it feeds (§4.3.1).
+/// exchange is split around the kernel it feeds where that kernel splits
+/// (§4.3.1): the fused smoothing's `S1`, the advection's first sweep.
 fn deep_halos(ops: &[StepOp], g: usize, ga: usize) -> Vec<StepOp> {
     let mut out = Vec::with_capacity(ops.len());
     let fused = |op: &&StepOp| matches!(op, StepOp::Compute(k) if k.op.ends_with(".fused"));
@@ -437,23 +438,25 @@ fn deep_halos(ops: &[StepOp], g: usize, ga: usize) -> Vec<StepOp> {
             continue;
         };
         let s = k.sweep as usize;
+        // a phase's first exchange is overlapped where the kernel it feeds
+        // first splits: the fused smoothing's `S1`, the advection
+        let splits = s == 1 && matches!(sweep_ops.get(1), Some(StepOp::Compute(c)) if c.splits());
         let (n, fields, label) = match k.c {
-            CSource::Cached if s == 1 => (g, ExFields::StateC, "deep ξ (fused smoothing)"),
+            CSource::Cached if splits => (g, ExFields::StateC, "deep ξ (fused smoothing)"),
+            CSource::Cached if s == 1 => (g, ExFields::StateC, "deep ξ"),
             CSource::Cached => (g, ExFields::StateC, "group ξ"),
             CSource::Fresh => (g, ExFields::State, "sweep refresh"),
             CSource::NotUsed => (ga, ExFields::StateGw, "advect ψ+g_w"),
         };
-        // the sweeps left in the group after this one
-        let left = match k.c {
-            CSource::NotUsed => (n - 1 - (s - 1) % n).min(3 - s),
-            _ => n - 1 - (s - 1) % n,
-        };
+        // the sweeps left in the group after this one, the advection's
+        // last group cut at its third sweep
+        let left = (n - 1 - (s - 1) % n).min(if k.c == CSource::NotUsed { 3 - s } else { n });
         for &op in sweep_ops {
             out.push(match op {
                 StepOp::Exchange(_) if !(s - 1).is_multiple_of(n) => continue,
                 StepOp::Exchange(x) => {
                     let depth = depth(x.depth.xm, x.depth.ym + n - 1, x.depth.zm + n - 1);
-                    exchange(label, depth, fields, s == 1)
+                    exchange(label, depth, fields, splits)
                 }
                 StepOp::Compute(c) if c.dilate >= 0 => StepOp::Compute(ComputeOp {
                     dilate: c.dilate + left as i16,
@@ -585,7 +588,7 @@ mod tests {
                     };
                     let fed = ops[i + 1..].iter();
                     let fed = fed.take_while(|o| !matches!(o, StepOp::Exchange(_)));
-                    let want = match fed.filter_map(sweep).next() {
+                    let want = match fed.clone().filter_map(sweep).next() {
                         None => depth_smooth(),
                         Some(k) if k.op == "adaptation.fused" => {
                             depth(3, g + if fuse && k.sweep == 1 { 2 } else { 0 }, g)
@@ -593,6 +596,20 @@ mod tests {
                         Some(_) => depth(3, ga, ga),
                     };
                     assert_eq!(x.depth, want, "{} g={g} fuse={fuse} ga={ga}", x.label);
+                    // the label says what rides the exchange, and only an
+                    // exchange whose next kernel splits is overlapped
+                    let want = match fed.clone().filter_map(sweep).next() {
+                        None => ("smooth", false),
+                        Some(k) => match (k.c, k.sweep) {
+                            (CSource::Cached, 1) if fuse => ("deep ξ (fused smoothing)", true),
+                            (CSource::Cached, 1) => ("deep ξ", false),
+                            (CSource::Cached, _) => ("group ξ", false),
+                            (CSource::Fresh, _) => ("sweep refresh", false),
+                            (CSource::NotUsed, s) => ("advect ψ+g_w", s == 1),
+                        },
+                    };
+                    let got = (x.label, x.overlapped);
+                    assert_eq!(got, want, "py={py} pz={pz} g={g} fuse={fuse} ga={ga}");
                 }
             }
             // the executing schedule is the rung the cost rule picks

@@ -391,22 +391,17 @@ fn invalid_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// The newest step at which **every** rank of a `p`-rank world has a
-/// durable checkpoint under `dir` — the only safe restart point when a
-/// kill may have interrupted some rank's latest write.
-pub fn common_checkpoint_step(dir: &Path, p: usize) -> io::Result<Option<u64>> {
-    let mut common: Option<Vec<u64>> = None;
-    for rank in 0..p {
-        let steps: Vec<u64> = list_checkpoints(dir, rank)?
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect();
-        common = Some(match common {
-            None => steps,
-            Some(prev) => prev.into_iter().filter(|s| steps.contains(s)).collect(),
-        });
-    }
-    Ok(common.and_then(|steps| steps.into_iter().max()))
+/// The step a `p`-rank world restores from `dir`: the minimum over ranks of
+/// each rank's newest durable step — what the workers' start-of-world
+/// `allreduce(Min)` agrees on from the same files.  `None` when some rank
+/// holds none (the world starts cold).  Retention keeps that step on every
+/// rank's disk (see [`resize_retention`]).
+pub fn restore_step(dir: &Path, p: usize) -> io::Result<Option<u64>> {
+    (0..p).try_fold(Some(u64::MAX), |min, rank| {
+        Ok(min
+            .zip(latest_checkpoint_step(dir, rank)?)
+            .map(|(a, b)| a.min(b)))
+    })
 }
 
 /// The dense global state a `grid` world left in `dir` at `step`: every
@@ -460,7 +455,7 @@ fn assemble_checked(
 /// Re-decompose a `from`-grid set of Algorithm 1 checkpoints in `src_dir`
 /// onto the `to` grid, writing one durable checkpoint per destination rank
 /// into `dst_dir` (created if missing).  Returns the step the new world
-/// restarts from — the newest step every source rank has on disk.
+/// restarts from — the source world's [`restore_step`].
 ///
 /// Invariants (see DESIGN.md "Elastic runs"):
 ///
@@ -485,9 +480,9 @@ pub fn redistribute(
     let _sp = agcm_obs::span(agcm_obs::SpanKind::Recovery, "resilience.redistribute");
     let dec_to = Decomposition::new(extents, to)
         .map_err(|e| invalid_data(format!("destination decomposition: {e}")))?;
-    let step = common_checkpoint_step(src_dir, from.size())?.ok_or_else(|| {
+    let step = restore_step(src_dir, from.size())?.ok_or_else(|| {
         invalid_data(format!(
-            "no step checkpointed by all {} source ranks in {}",
+            "a rank of the {}-rank source world has no checkpoint in {}",
             from.size(),
             src_dir.display()
         ))
@@ -832,10 +827,12 @@ mod tests {
         // rank 1 was never pruned; keep == 0 also disables pruning
         assert_eq!(list_checkpoints(&dir, 1).unwrap().len(), 5);
         assert_eq!(prune_checkpoints(&dir, 1, 0).unwrap(), 0);
-        // the newest step present on *both* ranks
-        assert_eq!(common_checkpoint_step(&dir, 2).unwrap(), Some(4));
+        // the older of the two ranks' newest steps
+        assert_eq!(restore_step(&dir, 2).unwrap(), Some(4));
         std::fs::remove_file(checkpoint_path(&dir, 0, 4)).unwrap();
-        assert_eq!(common_checkpoint_step(&dir, 2).unwrap(), Some(3));
+        assert_eq!(restore_step(&dir, 2).unwrap(), Some(3));
+        // a rank with none: a cold start
+        assert_eq!(restore_step(&dir, 3).unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -5,8 +5,8 @@
 //! the hand-off files a straggling replacement still rolls back to.
 
 use agcm_core::{
-    checkpoint_path, common_checkpoint_step, latest_checkpoint_step, list_checkpoints,
-    prune_checkpoints, resize_retention,
+    checkpoint_path, latest_checkpoint_step, list_checkpoints, prune_checkpoints, resize_retention,
+    restore_step,
 };
 use std::collections::BTreeSet;
 use std::fs;
@@ -134,17 +134,23 @@ fn shrink_then_rollback_keeps_handoff_under_resize_retention() {
         dir
     };
 
-    // current-world retention (the bug): the hand-off file is gone and the
-    // world has NO common step left to agree on in the recovery barrier
+    // the step the world agrees to restore, on every rank's disk?
+    let agreed_on_every_disk = |dir: &PathBuf| {
+        let step = restore_step(dir, p2).expect("list").expect("a step");
+        (0..p2).all(|rank| checkpoint_path(dir, rank, step).exists())
+    };
+
+    // current-world retention (the bug): the hand-off file is gone, and the
+    // step the recovery agreement names is missing from rank 0's disk
     let old = run_phase2(p2 + 1);
     assert!(
         !checkpoint_path(&old, 0, h).exists(),
         "p'+1 retention was expected to prune the hand-off step (the bug)"
     );
-    assert_eq!(
-        common_checkpoint_step(&old, p2).expect("common"),
-        None,
-        "no common restart point survives p'+1 retention"
+    assert_eq!(restore_step(&old, p2).expect("list"), Some(h));
+    assert!(
+        !agreed_on_every_disk(&old),
+        "p'+1 retention leaves the agreed restart point on every disk"
     );
 
     // max-world retention (the fix): the hand-off step outlives the whole
@@ -156,7 +162,11 @@ fn shrink_then_rollback_keeps_handoff_under_resize_retention() {
         checkpoint_path(&fixed, 0, h).exists(),
         "max(p, p')+1 retention must keep the hand-off step"
     );
-    assert_eq!(common_checkpoint_step(&fixed, p2).expect("common"), Some(h));
+    assert_eq!(restore_step(&fixed, p2).expect("list"), Some(h));
+    assert!(
+        agreed_on_every_disk(&fixed),
+        "the agreed step is on every disk"
+    );
 
     let _ = fs::remove_dir_all(&old);
     let _ = fs::remove_dir_all(&fixed);

@@ -7,15 +7,15 @@
 //! message-passing runtime actually measured, exactly.  (What it makes of
 //! them in seconds is held to measured runs in `holdout_validation.rs`.)
 
-use agcm_comm::{p2p_only_delta, CostModel, Universe};
+use agcm_comm::{CostModel, Universe};
 use agcm_core::analysis::{active_flags, ca_ladder, predict, AlgKind, CaMode};
 use agcm_core::init;
 use agcm_core::par::{Alg1Model, CaModel};
 use agcm_core::ModelConfig;
 use agcm_mesh::ProcessGrid;
 
-/// Measured per-step p2p traffic (collective-internal traffic subtracted)
-/// and collective call count, per rank.
+/// Measured per-step halo traffic (no collective's rounds) and collective
+/// call count, per rank.
 fn measure<FMK>(p: usize, cfg: &ModelConfig, mk: FMK) -> Vec<(u64, u64, u64)>
 where
     FMK: Fn(&ModelConfig, &mut agcm_comm::Communicator) -> Box<dyn FnMut(&agcm_comm::Communicator)>
@@ -23,17 +23,12 @@ where
 {
     let cfg = cfg.clone();
     Universe::run(p, move |comm| {
-        comm.stats().set_event_logging(true); // p2p_only_delta needs events
         let mut stepper = mk(&cfg, comm);
         stepper(comm); // warm-up step (bootstraps CA cache)
         let s0 = comm.stats().snapshot();
-        let ev0 = comm.stats().collective_events().len();
         stepper(comm);
-        let s1 = comm.stats().snapshot();
-        let events = comm.stats().collective_events()[ev0..].to_vec();
-        let d = s1.delta(&s0);
-        let pure = p2p_only_delta(&d, &events);
-        (pure.p2p_sends, pure.p2p_send_elems, d.collective_calls)
+        let d = comm.stats().snapshot().delta(&s0);
+        (d.halo_sends, d.halo_send_elems, d.collective_calls)
     })
 }
 

@@ -109,6 +109,13 @@ pub const GUARDS: &[Guard] = &[
     // generator writes a step by hand.
     Guard { key: "one-program", mode: Code, scope: &["crates/*/src/"], patterns: &[r"\bsubupdate("],
         bound: OnlyIn(&["crates/core/src/par/schedule.rs::alg1_step"]) },
+    // Halo traffic is counted where it is sent (`comm::stats`): no bracket
+    // turns the collective event log on to subtract collectives from it,
+    // and the one-time subtraction survives for the benchmark runner only.
+    Guard { key: "one-traffic-count", mode: Code, scope: &["crates/*/src/"],
+        patterns: &["p2p_only_delta("], bound: OnlyIn(&["crates/comm/src/model.rs"]) },
+    Guard { key: "one-traffic-count", mode: Code, scope: &["crates/*/src/"],
+        patterns: &["set_event_logging("], bound: OnlyIn(&["crates/comm/src/stats.rs"]) },
     // A model holds `state`, `eta1` and `mid` (DESIGN.md §17 rule 1), and
     // the sub-update's modules allocate no state of their own.
     Guard { key: "three-state-buffers", mode: Code, bound: Exactly(3),
@@ -212,8 +219,8 @@ pub const GUARDS: &[Guard] = &[
 /// The line budgets, each set where its last change landed, so that it
 /// ratchets.
 pub const BUDGETS: &[Budget] = &[
-    Budget { name: "integrator + par", max: 1142, scope: &[
+    Budget { name: "integrator + par", max: 1141, scope: &[
         "crates/core/src/serial.rs", "crates/core/src/integrator.rs", "crates/core/src/par/"] },
-    Budget { name: "agcm-core", max: 5777, scope: &["crates/core/src/"] },
-    Budget { name: "crates/*/src", max: 15743, scope: &["crates/*/src/"] },
+    Budget { name: "agcm-core", max: 5768, scope: &["crates/core/src/"] },
+    Budget { name: "crates/*/src", max: 15629, scope: &["crates/*/src/"] },
 ];

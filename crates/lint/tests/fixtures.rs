@@ -734,6 +734,34 @@ fn one_program_keeps_the_sub_update_in_algorithm_1s_generator() {
 }
 
 #[test]
+fn one_traffic_count_keeps_the_subtraction_and_the_event_log_out_of_brackets() {
+    let key = "one-traffic-count";
+    let bracket = "fn f(c: &Communicator, d: &StatsSnapshot) -> StatsSnapshot {\n    c.stats().set_event_logging(true);\n    p2p_only_delta(d, &c.stats().collective_events())\n}";
+    fails(key, "crates/verify/src/runtime.rs", bracket);
+    fails(
+        key,
+        "crates/run/src/elastic.rs",
+        "fn f(c: &Communicator) { c.stats().set_event_logging(false); }",
+    );
+    fails(
+        key,
+        "crates/bench/src/bin/figures.rs",
+        "fn f(d: &StatsSnapshot) -> u64 { agcm_comm::p2p_only_delta(d, &[]).p2p_sends }",
+    );
+    // reading the measured halo pair is the way
+    passes(
+        key,
+        "crates/verify/src/runtime.rs",
+        "fn f(d: &StatsSnapshot) -> u64 { d.halo_sends }",
+    );
+    // and the two definitions must stay where they are
+    let v = mutated("crates/comm/src/model.rs", |t| {
+        t.replace("p2p_only_delta(", "halo_delta(")
+    });
+    assert!(fired(&v, key), "{v:?}");
+}
+
+#[test]
 fn three_state_buffers_and_none_allocated_by_the_sweep() {
     let key = "three-state-buffers";
     let v = mutated("crates/core/src/integrator.rs", |t| {

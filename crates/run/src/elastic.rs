@@ -26,11 +26,11 @@ use crate::{
     Worker, TRAFFIC,
 };
 use agcm_comm::telemetry::{self, CLOCK_ROUNDS};
-use agcm_comm::{p2p_only_delta, Communicator, Endpoint, ReduceOp, SocketTransport};
+use agcm_comm::{Communicator, Endpoint, ReduceOp, SocketTransport};
 use agcm_core::analysis::CaMode;
 use agcm_core::{
     checkpoint_path, latest_checkpoint_step, prune_checkpoints, read_checkpoint, redistribute,
-    resize_retention, write_checkpoint, Integrator, ModelConfig,
+    resize_retention, restore_step, write_checkpoint, Integrator, ModelConfig,
 };
 use agcm_mesh::ProcessGrid;
 use agcm_obs as obs;
@@ -235,9 +235,9 @@ pub(crate) fn run_rank(w: &Worker, transport: SocketTransport) -> Result<(), Str
     // minimum always names a file every rank holds.
     let burst_end = (w.generation > 0).then(|| restored.unwrap_or(0) + w.pgrid.size() as u64);
     // a fresh world measures its steady step — the second, the one the
-    // static schedule describes — with the collective event log on only
-    // inside that bracket, and times the steady steps after it; checkpoint
-    // writes fall outside both.  A socket transport always has wire stats.
+    // static schedule describes — and times the steady steps after it;
+    // checkpoint writes fall outside both.  A socket transport always has
+    // wire stats.
     let measure = restored.is_none() && w.generation == 0;
     let wire = || comm.wire_stats().unwrap_or_default();
     let (mut bracket, mut step_ns) = (None, Vec::new());
@@ -247,7 +247,6 @@ pub(crate) fn run_rank(w: &Worker, transport: SocketTransport) -> Result<(), Str
             durable_checkpoint(&model, ck, rank).map_err(|e| format!("rank {rank}: {e}"))?;
         }
         if measure && s == 1 {
-            comm.stats().set_event_logging(true);
             bracket = Some((comm.stats().snapshot(), wire()));
         }
         let t0 = Instant::now();
@@ -256,14 +255,11 @@ pub(crate) fn run_rank(w: &Worker, transport: SocketTransport) -> Result<(), Str
             step_ns.push(t0.elapsed().as_nanos() as u64);
         }
         if let Some((s0, w0)) = bracket.take() {
-            comm.stats().set_event_logging(false);
-            let delta = comm.stats().snapshot().delta(&s0);
-            let events = comm.stats().collective_events();
-            let (pure, wire) = (p2p_only_delta(&delta, &events), wire().delta(&w0));
+            let (delta, wire) = (comm.stats().snapshot().delta(&s0), wire().delta(&w0));
             let measured = [
-                pure.p2p_sends,
-                pure.p2p_send_elems,
-                events.len() as u64,
+                delta.halo_sends,
+                delta.halo_send_elems,
+                delta.collective_calls,
                 delta.p2p_sends,
                 delta.p2p_send_elems,
                 wire.msgs_sent,
@@ -327,17 +323,6 @@ fn open_world(
         .map_err(|e| failed(&format!("reading checkpoint at step {step}"), &e))?;
     model.restore(&snap);
     Ok((model, Some(step)))
-}
-
-/// The step the next world of `p` ranks at `dir` restores: the minimum its
-/// workers' start-of-world agreement computes from the same files, 0 when a
-/// rank holds none.
-fn restore_step(dir: &Path, p: usize) -> Result<u64, String> {
-    (0..p).try_fold(u64::MAX, |min, rank| {
-        let step =
-            latest_checkpoint_step(dir, rank).map_err(|e| format!("{}: {e}", dir.display()))?;
-        Ok(min.min(step.unwrap_or(0)))
-    })
 }
 
 /// Capture + tmp/rename-write this rank's checkpoint, then prune to the
@@ -720,7 +705,9 @@ fn hand_out(pending: &mut Vec<Kill>) -> Vec<Kill> {
 /// restores.
 fn crash_rules(w: &WorldSpec, kills: &[Kill], per_step: &[u64]) -> Result<Vec<String>, String> {
     let (p, dir) = (w.pgrid.size(), &w.ckpt.dir);
-    let restore = restore_step(dir, p)?;
+    let restore = restore_step(dir, p)
+        .map_err(|e| format!("{}: {e}", dir.display()))?
+        .unwrap_or(0);
     let rule = |k: &Kill| match k.event(p, per_step, restore) {
         Some(event) => Ok(format!("crash:rank={},event={event}", k.rank)),
         None => Err(format!("{k:?} lies behind the restore step {restore}")),
@@ -1124,7 +1111,8 @@ mod tests {
             let send = a as u64; // `--kill R:S`'s
             fs::create_dir_all(&dir).expect("scratch dir");
             for (restore, steps) in [(0, 2), (2, 4)] {
-                assert_eq!(restore_step(&dir, p), Ok(restore));
+                let want = (restore > 0).then_some(restore); // none: a cold start
+                assert_eq!(restore_step(&dir, p).expect("list"), want);
                 let worlds = Universe::run(p, |comm| {
                     comm.install_faults(plan.clone());
                     let (mut model, _) = open_world(alg, pgrid, &dir, comm).expect("open");

@@ -9,7 +9,7 @@
 
 use crate::counts::{rank_counts, RankCounts};
 use crate::graph::ScheduleGraph;
-use agcm_comm::{p2p_only_delta, FaultPlan, Universe};
+use agcm_comm::{FaultPlan, Universe};
 use agcm_core::analysis::AlgKind;
 use agcm_core::par::StepOp;
 use agcm_core::{init, Integrator, ModelConfig};
@@ -18,7 +18,7 @@ use agcm_mesh::ProcessGrid;
 /// Per-rank traffic measured from one executed steady-state step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MeasuredTraffic {
-    /// Halo messages sent (collective-internal p2p subtracted).
+    /// Halo messages sent (no collective's rounds).
     pub msgs: u64,
     /// Halo `f64` elements sent.
     pub elems: u64,
@@ -28,12 +28,12 @@ pub struct MeasuredTraffic {
 
 /// Run `alg` on `pgrid` for real (threads) with a deterministic fault plan
 /// installed, measure the second step — steady state: warm `C` cache,
-/// pending smoothing — and return per-rank halo traffic with
-/// collective-internal messages subtracted.  The certified counts must be
-/// *invariant* under the faults a plan can inject: a delay reorders
-/// messages and a stall pauses a rank, but each message is still sent and
-/// received exactly once.  `Err` names a malformed or refused `spec`, a
-/// model that does not build, or a step that failed.
+/// pending smoothing — and return per-rank halo traffic, as the runtime
+/// counts it where it sends.  The certified counts must be *invariant*
+/// under the faults a plan can inject: a delay reorders messages and a
+/// stall pauses a rank, but each message is still sent and received
+/// exactly once.  `Err` names a malformed or refused `spec`, a model that
+/// does not build, or a step that failed.
 pub fn measure_step_under_faults(
     cfg: &ModelConfig,
     alg: AlgKind,
@@ -57,23 +57,17 @@ fn measure_step_inner(
         if let Some(plan) = &fault {
             comm.install_faults(plan.clone());
         }
-        // the per-event log (needed to subtract collective-internal p2p)
-        // is opt-in since it grows unboundedly on long runs
-        comm.stats().set_event_logging(true);
         let mut m = Integrator::parallel(&cfg, alg, pgrid, comm).map_err(|e| e.to_string())?;
         let ic = init::perturbed_rest(m.geom(), 100.0, 1.0, 3);
         m.set_state(&ic);
         m.step(Some(comm)).map_err(|e| e.to_string())?; // warm-up: fills caches, leaves a smoothing pending
         let s0 = comm.stats().snapshot();
-        let e0 = comm.stats().collective_events().len();
         m.step(Some(comm)).map_err(|e| e.to_string())?;
-        let delta = comm.stats().snapshot().delta(&s0);
-        let events = comm.stats().collective_events()[e0..].to_vec();
-        let pure = p2p_only_delta(&delta, &events);
+        let d = comm.stats().snapshot().delta(&s0);
         let traffic = MeasuredTraffic {
-            msgs: pure.p2p_sends,
-            elems: pure.p2p_send_elems,
-            collectives: events.len() as u64,
+            msgs: d.halo_sends,
+            elems: d.halo_send_elems,
+            collectives: d.collective_calls,
         };
         Ok::<_, String>((traffic, m.program().to_vec()))
     });
